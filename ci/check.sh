@@ -35,6 +35,12 @@
 #   12. xtask analyze --pass=cast — truncating-cast ratchet against
 #                                 ci/analyze_cast_baseline.txt; new
 #                                 sim-reachable `as` narrowings fail
+#   13. benchmark/ build + smoke  — the standalone benchmark package
+#                                 (outside the workspace) builds offline
+#                                 against the crates' public API and
+#                                 every workload passes its checks at
+#                                 one-tenth scale, so an API deletion
+#                                 cannot silently break BENCHMARK.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,5 +90,8 @@ cargo run -q -p xtask -- analyze --pass=par
 
 step "truncating-cast ratchet (cargo run -p xtask -- analyze --pass=cast)"
 cargo run -q -p xtask -- analyze --pass=cast
+
+step "benchmark package build + smoke (benchmark/smoke.sh)"
+./benchmark/smoke.sh | tail -n 3
 
 printf '\nAll checks passed.\n'

@@ -4,12 +4,11 @@
 #   ./ci/perf_smoke.sh
 #
 # Runs the routing microbench in quick mode and fails if the small-size
-# path / transfer query rates drop more than 5x below the committed
-# floors. The floors are the post-CSR/route-cache rates measured on the
-# reference dev box (path ~440M qps, transfer ~90M qps); the 5x slack
-# absorbs machine-to-machine and noisy-neighbor variance while still
-# catching a reintroduced per-query allocation or table walk, which
-# costs an order of magnitude.
+# path query rate drops more than 5x below the committed floor. The
+# floor is the post-CSR/route-cache rate measured on the reference dev
+# box (path ~440M qps); the 5x slack absorbs machine-to-machine and
+# noisy-neighbor variance while still catching a reintroduced per-query
+# allocation or table walk, which costs an order of magnitude.
 #
 # Also runs exp16_resilience in quick mode and gates its event rate:
 # exp16 drives the gnutella flood, kademlia lookup and bittorrent swarm
@@ -37,7 +36,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATH_QPS_FLOOR=440000000
-TRANSFER_QPS_FLOOR=90000000
 EXP16_EPS_FLOOR=7000
 EXP17_REPAIR_EPS_FLOOR=6000
 FLOW_ALLOC_CPS_FLOOR=3000
@@ -52,24 +50,22 @@ cargo run --release -q -p uap-bench --bin bench_routing -- \
 
 line="$(grep '^PERF size=small ' "$WORK/stdout.txt")"
 path_qps="$(sed -n 's/.* path_qps=\([0-9]*\).*/\1/p' <<<"$line")"
-transfer_qps="$(sed -n 's/.* transfer_qps=\([0-9]*\).*/\1/p' <<<"$line")"
 
-if [[ -z "$path_qps" || -z "$transfer_qps" ]]; then
+if [[ -z "$path_qps" ]]; then
   echo "FAIL: could not parse PERF line: $line" >&2
   exit 1
 fi
 
-check() { # check <label> <measured> <floor>
+check() { # check <label> <measured> <floor> <unit>
   local min=$(($3 / SLACK))
   if (($2 < min)); then
-    echo "FAIL: $1 = $2 qps, below $min (floor $3 / ${SLACK}x slack)" >&2
+    echo "FAIL: $1 = $2 $4, below $min (floor $3 / ${SLACK}x slack)" >&2
     exit 1
   fi
-  echo "ok: $1 = $2 qps (>= $min)"
+  echo "ok: $1 = $2 $4 (>= $min)"
 }
 
-check path_qps "$path_qps" "$PATH_QPS_FLOOR"
-check transfer_qps "$transfer_qps" "$TRANSFER_QPS_FLOOR"
+check path_qps "$path_qps" "$PATH_QPS_FLOOR" queries/sec
 
 echo "exp16 resilience event-rate smoke (quick)"
 cargo run --release -q -p uap-bench --bin exp16_resilience -- \
@@ -81,7 +77,7 @@ if [[ -z "$e16_eps" ]]; then
   echo "FAIL: could not parse PERF line: $e16_line" >&2
   exit 1
 fi
-check exp16_events_per_sec "$e16_eps" "$EXP16_EPS_FLOOR"
+check exp16_events_per_sec "$e16_eps" "$EXP16_EPS_FLOOR" events/sec
 
 echo "exp17 fault-scale repair-throughput smoke (quick)"
 cargo run --release -q -p uap-bench --bin exp17_fault_scale -- \
@@ -93,7 +89,7 @@ if [[ -z "$e17_repair_eps" ]]; then
   echo "FAIL: could not parse PERF line: $e17_line" >&2
   exit 1
 fi
-check exp17_repair_epochs_per_sec "$e17_repair_eps" "$EXP17_REPAIR_EPS_FLOOR"
+check exp17_repair_epochs_per_sec "$e17_repair_eps" "$EXP17_REPAIR_EPS_FLOOR" epochs/sec
 
 echo "exp18 flow-allocator throughput smoke (quick)"
 cargo run --release -q -p uap-bench --bin exp18_congestion -- \
@@ -105,6 +101,6 @@ if [[ -z "$e18_cps" ]]; then
   echo "FAIL: could not parse PERF line: $e18_line" >&2
   exit 1
 fi
-check flow_alloc_cycles_per_sec "$e18_cps" "$FLOW_ALLOC_CPS_FLOOR"
+check flow_alloc_cycles_per_sec "$e18_cps" "$FLOW_ALLOC_CPS_FLOOR" cycles/sec
 
 echo "perf smoke passed."

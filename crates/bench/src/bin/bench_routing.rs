@@ -1,8 +1,8 @@
-//! Routing hot-path microbench: queries/sec for the three underlay
+//! Routing hot-path microbench: queries/sec for the two underlay
 //! queries every overlay decision bottoms out in — `latency_us` (oracle
-//! ranking, proximity neighbor selection), `path_links` (traffic
-//! accounting) and `transfer_time` (download estimation) — at three
-//! topology sizes, plus the all-pairs routing-table build time.
+//! ranking, proximity neighbor selection) and `path_links` (traffic
+//! accounting, flow paths) — at three topology sizes, plus the all-pairs
+//! routing-table build time.
 //!
 //! Emits `BENCH_routing.json` (schema in `docs/PERFORMANCE.md`) and one
 //! `PERF size=<name> …` line per size for `ci/perf_smoke.sh` to parse.
@@ -61,7 +61,6 @@ struct SizeResult {
     routing_build_secs: f64,
     latency_qps: f64,
     path_qps: f64,
-    transfer_qps: f64,
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -120,7 +119,7 @@ fn measure(spec: &SizeSpec, seed: u64, queries: usize) -> SizeResult {
     for i in 0..queries {
         let (a, b) = as_pairs[i & 8_191];
         acc = acc.wrapping_add(
-            u.routing
+            u.routing()
                 .path_links(a, b)
                 .map(|p| p.len() as u64)
                 .unwrap_or(0),
@@ -128,19 +127,6 @@ fn measure(spec: &SizeSpec, seed: u64, queries: usize) -> SizeResult {
     }
     black_box(acc);
     let path_qps = queries as f64 / w.elapsed_secs();
-
-    let w = WallTimer::start();
-    let mut acc = 0u64;
-    for i in 0..queries {
-        let (a, b) = pairs[i & 8_191];
-        acc = acc.wrapping_add(
-            u.transfer_time(a, b, 262_144)
-                .map(|t| t.as_micros())
-                .unwrap_or(0),
-        );
-    }
-    black_box(acc);
-    let transfer_qps = queries as f64 / w.elapsed_secs();
 
     let (cache_hits, cache_misses) = u.route_cache_stats();
     SizeResult {
@@ -151,7 +137,6 @@ fn measure(spec: &SizeSpec, seed: u64, queries: usize) -> SizeResult {
         routing_build_secs,
         latency_qps,
         path_qps,
-        transfer_qps,
         cache_hits,
         cache_misses,
     }
@@ -164,9 +149,8 @@ fn main() {
     for spec in &SIZES {
         let r = measure(spec, cli.seed, queries);
         println!(
-            "PERF size={} ases={} latency_qps={:.0} path_qps={:.0} transfer_qps={:.0} \
-             build_secs={:.6}",
-            r.name, r.ases, r.latency_qps, r.path_qps, r.transfer_qps, r.routing_build_secs
+            "PERF size={} ases={} latency_qps={:.0} path_qps={:.0} build_secs={:.6}",
+            r.name, r.ases, r.latency_qps, r.path_qps, r.routing_build_secs
         );
         results.push(r);
         if cli.quick && results.len() == 2 {
@@ -182,8 +166,7 @@ fn main() {
         sizes_json.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"ases\": {},\n      \"links\": {},\n      \
              \"hosts\": {},\n      \"routing_build_secs\": {:?},\n      \"latency_qps\": {:?},\n      \
-             \"path_qps\": {:?},\n      \"transfer_qps\": {:?},\n      \"cache_hits\": {},\n      \
-             \"cache_misses\": {}\n    }}",
+             \"path_qps\": {:?},\n      \"cache_hits\": {},\n      \"cache_misses\": {}\n    }}",
             r.name,
             r.ases,
             r.links,
@@ -191,7 +174,6 @@ fn main() {
             r.routing_build_secs,
             r.latency_qps,
             r.path_qps,
-            r.transfer_qps,
             r.cache_hits,
             r.cache_misses
         ));

@@ -1,4 +1,4 @@
-//! # uap-bench — experiment binaries and benchmarks
+//! # uap-bench — experiment binaries
 //!
 //! One binary per paper artifact (run with `cargo run --release -p
 //! uap-bench --bin expNN_…`), each printing the table/series the paper
@@ -47,11 +47,6 @@
 //!   microbench with no simulation run, so its `BENCH_routing.json`
 //!   carries per-topology-size query rates instead of event counts —
 //!   see `docs/PERFORMANCE.md` for that document's layout.
-//!
-//! The Criterion benches (`cargo bench -p uap-bench`) time the hot kernels
-//! (event queue, routing, coordinates, flooding, DHT lookups, swarm
-//! rounds) and run scaled-down versions of the experiments so the whole
-//! reproduction path is exercised by `cargo bench`.
 
 #![forbid(unsafe_code)]
 

@@ -56,23 +56,8 @@ impl Tracker {
     }
 
     /// Composes a peer list of up to `want` members for `who`, drawn from
-    /// `swarm` (which must not contain `who`).
-    pub fn announce(
-        &mut self,
-        underlay: &Underlay,
-        who: HostId,
-        swarm: &[HostId],
-        want: usize,
-        rng: &mut SimRng,
-    ) -> Vec<HostId> {
-        let mut out = Vec::new();
-        self.announce_into(underlay, who, swarm, want, rng, &mut out);
-        out
-    }
-
-    /// Like [`Tracker::announce`], but clears and fills `out` instead of
-    /// allocating a response — the swarm reuses each peer's neighbor
-    /// buffer across re-announces.
+    /// `swarm` (which must not contain `who`); clears and fills `out` —
+    /// the swarm reuses each peer's neighbor buffer across re-announces.
     pub fn announce_into(
         &mut self,
         underlay: &Underlay,
@@ -181,7 +166,8 @@ mod tests {
         let mut t = Tracker::new(TrackerPolicy::Random);
         let swarm: Vec<HostId> = u.hosts.ids().collect();
         let mut rng = SimRng::new(92);
-        let got = t.announce(&u, HostId(0), &swarm, 30, &mut rng);
+        let mut got = Vec::new();
+        t.announce_into(&u, HostId(0), &swarm, 30, &mut rng, &mut got);
         assert_eq!(got.len(), 30);
         let mut sorted = got.clone();
         sorted.sort();
@@ -201,7 +187,8 @@ mod tests {
         let swarm: Vec<HostId> = u.hosts.ids().collect();
         let mut rng = SimRng::new(93);
         let who = HostId(0);
-        let got = t.announce(&u, who, &swarm, 30, &mut rng);
+        let mut got = Vec::new();
+        t.announce_into(&u, who, &swarm, 30, &mut rng, &mut got);
         let internal = got.iter().filter(|&&p| u.same_as(who, p)).count();
         let avail = u.hosts.in_as(u.hosts.as_of(who)).len() - 1;
         assert_eq!(
@@ -229,7 +216,8 @@ mod tests {
             .take(10)
             .collect();
         let mut rng = SimRng::new(94);
-        let got = t.announce(&u, who, &swarm, 8, &mut rng);
+        let mut got = Vec::new();
+        t.announce_into(&u, who, &swarm, 8, &mut rng, &mut got);
         assert_eq!(got.len(), 8);
     }
 
@@ -240,7 +228,8 @@ mod tests {
         let swarm: Vec<HostId> = u.hosts.ids().collect();
         let mut rng = SimRng::new(95);
         let who = HostId(3);
-        let got = t.announce(&u, who, &swarm, 20, &mut rng);
+        let mut got = Vec::new();
+        t.announce_into(&u, who, &swarm, 20, &mut rng, &mut got);
         assert_eq!(got.len(), 20);
         let mean_hops: f64 = got
             .iter()
@@ -249,7 +238,8 @@ mod tests {
             / got.len() as f64;
         // Compare with a random response.
         let mut tr = Tracker::new(TrackerPolicy::Random);
-        let rand = tr.announce(&u, who, &swarm, 20, &mut rng);
+        let mut rand = Vec::new();
+        tr.announce_into(&u, who, &swarm, 20, &mut rng, &mut rand);
         let mean_rand: f64 = rand
             .iter()
             .map(|&p| u.as_hops(who, p).unwrap() as f64)
@@ -271,9 +261,11 @@ mod tests {
         ] {
             let mut t = Tracker::new(policy);
             let mut rng = SimRng::new(96);
-            assert!(t.announce(&u, HostId(0), &[], 10, &mut rng).is_empty());
-            let one = t.announce(&u, HostId(0), &[HostId(1)], 10, &mut rng);
-            assert_eq!(one, vec![HostId(1)]);
+            let mut got = vec![HostId(7)];
+            t.announce_into(&u, HostId(0), &[], 10, &mut rng, &mut got);
+            assert!(got.is_empty());
+            t.announce_into(&u, HostId(0), &[HostId(1)], 10, &mut rng, &mut got);
+            assert_eq!(got, vec![HostId(1)]);
         }
     }
 }

@@ -83,7 +83,8 @@ proptest! {
             TrackerPolicy::CostAware,
         ] {
             let mut t = Tracker::new(policy);
-            let got = t.announce(&u, who, &swarm, want, &mut rng);
+            let mut got = Vec::new();
+            t.announce_into(&u, who, &swarm, want, &mut rng, &mut got);
             prop_assert!(got.len() <= want);
             prop_assert!(got.len() <= swarm.len());
             prop_assert!(!got.contains(&who));

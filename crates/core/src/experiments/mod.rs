@@ -21,7 +21,7 @@
 //! composes several of these.)
 //!
 //! Every harness takes a params struct with `quick()` (seconds, used in
-//! tests and criterion benches) and `full()` (the figures quoted in
+//! tests and `--quick` runs) and `full()` (the figures quoted in
 //! EXPERIMENTS.md) constructors, and returns [`crate::report::Table`]s
 //! ready to print or dump as CSV.
 

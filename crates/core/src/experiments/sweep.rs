@@ -2,15 +2,20 @@
 //!
 //! Each simulation run is single-threaded and deterministic; sweeps over
 //! seeds or parameters are embarrassingly parallel. [`parallel_map`] fans
-//! work out over crossbeam scoped threads, and [`SeedStats`] summarizes a
+//! work out over `std::thread::scope` workers, and [`SeedStats`] summarizes a
 //! metric across seeds — the error bars behind EXPERIMENTS.md's claim
 //! that "no qualitative conclusion changes with the seed".
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Applies `f` to every item using up to `threads` worker threads,
 /// preserving input order in the output.
+///
+/// # Panics
+///
+/// A panic in `f` propagates to the caller once every worker has been
+/// joined (`std::thread::scope` semantics).
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -26,25 +31,34 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    // No lock is held while `f` runs, so a slot is valid even if a worker
+    // panicked: poison is recovered, not propagated.
     // Order-preserving fork-join: results land in their input slots, so
     // output is independent of worker scheduling. lint:allow(threads)
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let item = slots[i].lock().take().expect("each slot taken once"); // lint:allow(expect)
+                let item = slots[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("each slot taken once"); // lint:allow(expect)
                 let r = f(item);
-                *results[i].lock() = Some(r);
+                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
-    })
-    .expect("worker panicked"); // lint:allow(expect)
+    });
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("all slots filled")) // lint:allow(expect)
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("all slots filled") // lint:allow(expect)
+        })
         .collect()
 }
 
@@ -140,6 +154,15 @@ mod tests {
         let empty: Vec<u32> = parallel_map(Vec::<u32>::new(), 4, |x| x);
         assert!(empty.is_empty());
         assert_eq!(parallel_map(vec![7u32], 16, |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn parallel_map_propagates_worker_panic() {
+        parallel_map((0..8).collect(), 4, |x: u32| {
+            assert_ne!(x, 5, "worker failure");
+            x
+        });
     }
 
     #[test]

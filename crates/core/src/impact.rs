@@ -26,9 +26,8 @@ use crate::report::Table;
 use uap_gnutella::{
     run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
 };
-use uap_net::failure::FailureScenario;
-use uap_net::{Routing, RoutingMode, Underlay};
-use uap_sim::{SimRng, SimTime};
+use uap_net::{FaultKind, FaultPlan, Routing, RoutingMode, Underlay};
+use uap_sim::SimTime;
 
 /// A Table 2 band.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -164,12 +163,21 @@ fn edge_survival_under_transit_failure(
     if report.edges.is_empty() {
         return 0.0;
     }
-    let mut rng = SimRng::new(seed ^ 0xFA11);
-    let scenario = FailureScenario::transit_only(&underlay.graph, 0.3, &mut rng);
+    let outage = FaultPlan::new()
+        .epoch(
+            SimTime::ZERO,
+            SimTime::from_micros(1),
+            FaultKind::TransitDown {
+                p: 0.3,
+                salt: seed ^ 0xFA11,
+            },
+        )
+        .compile(&underlay.graph)
+        .state_at(SimTime::ZERO);
     let routing = Routing::compute_with_mask(
         &underlay.graph,
         RoutingMode::ValleyFree,
-        Some(&scenario.mask),
+        outage.mask.as_deref(),
     );
     let alive = report
         .edges
@@ -384,6 +392,31 @@ mod tests {
         assert_eq!(ImpactBand::from_improvement(0.05), ImpactBand::Neutral);
         assert_eq!(ImpactBand::from_improvement(-0.4), ImpactBand::Neutral);
         assert_eq!(ImpactBand::Big.symbol(), "++");
+    }
+
+    #[test]
+    fn edge_survival_is_pinned_to_the_sampled_transit_outage() {
+        // The 30 % transit outage is sampled from `seed ^ 0xFA11` in link
+        // order; a change to the draw order or the mask moves E8's
+        // Resilience row. Values are the ones the pre-FaultPlan sampler
+        // returned for this seed.
+        let net = NetParams::quick(150, 81);
+        let survival = |selection| {
+            run_column(
+                &net,
+                selection,
+                RoleAssignment::AllUltrapeers,
+                false,
+                false,
+                SimTime::from_mins(8),
+            )
+            .edge_survival
+        };
+        assert_eq!(survival(NeighborSelection::Random), 0.7559322033898305);
+        assert_eq!(
+            survival(NeighborSelection::OracleBiased { list_size: 1000 }),
+            0.9677966101694915
+        );
     }
 
     #[test]

@@ -188,7 +188,9 @@ impl Overlay {
         out
     }
 
-    /// TTL-limited flood from `origin` with duplicate suppression.
+    /// TTL-limited flood from `origin` with duplicate suppression; clears
+    /// and fills `out` (the sim reuses one `FloodResult` across all
+    /// ping/query floods).
     ///
     /// Semantics: the origin transmits to every neighbor; a node receiving
     /// the flood for the first time at hop `h < ttl` forwards to all its
@@ -197,16 +199,8 @@ impl Overlay {
     /// Ultrapeers forward; leaves receive but never forward. Leaves
     /// attached to a reached ultrapeer are delivered to (and counted) as
     /// hop `h + 1` even when `h + 1 == ttl`, like real leaf delivery.
-    pub fn flood(&mut self, origin: HostId, ttl: u32) -> FloodResult {
-        let mut result = FloodResult::default();
-        self.flood_into(origin, ttl, &mut result);
-        result
-    }
-
-    /// Like [`Overlay::flood`], but clears and fills `out` instead of
-    /// allocating a result — the sim reuses one `FloodResult` across all
-    /// ping/query floods. Needs `&mut self` for the generation-stamped
-    /// visited scratch (the overlay topology is not modified).
+    /// Needs `&mut self` for the generation-stamped visited scratch (the
+    /// overlay topology is not modified).
     pub fn flood_into(&mut self, origin: HostId, ttl: u32, out: &mut FloodResult) {
         out.reached.clear();
         out.messages = 0;
@@ -265,6 +259,12 @@ mod tests {
         Underlay::build(g, &PopulationSpec::uniform(n), cfg, &mut rng)
     }
 
+    fn flood(o: &mut Overlay, origin: HostId, ttl: u32) -> FloodResult {
+        let mut r = FloodResult::default();
+        o.flood_into(origin, ttl, &mut r);
+        r
+    }
+
     fn line_overlay(u: &Underlay, n: u32) -> Overlay {
         let mut o = Overlay::new(n as usize);
         for i in 0..n {
@@ -313,7 +313,7 @@ mod tests {
     fn flood_on_line_respects_ttl() {
         let u = underlay(10);
         let mut o = line_overlay(&u, 10);
-        let r = o.flood(HostId(0), 3);
+        let r = flood(&mut o, HostId(0), 3);
         // Reaches nodes 1, 2, 3.
         assert_eq!(r.reached.len(), 3);
         assert_eq!(r.reached[0].host, HostId(1));
@@ -334,7 +334,7 @@ mod tests {
         o.add_edge(&u, HostId(0), HostId(1));
         o.add_edge(&u, HostId(1), HostId(2));
         o.add_edge(&u, HostId(2), HostId(0));
-        let r = o.flood(HostId(0), 2);
+        let r = flood(&mut o, HostId(0), 2);
         assert_eq!(r.reached.len(), 2);
         // Origin sends 2; nodes 1 and 2 each forward to their two
         // neighbors (copies back to 0 and across both count): 2 + 2 + 2.
@@ -345,7 +345,7 @@ mod tests {
     fn latency_accumulates_along_tree() {
         let u = underlay(10);
         let mut o = line_overlay(&u, 4);
-        let r = o.flood(HostId(0), 3);
+        let r = flood(&mut o, HostId(0), 3);
         let lat: Vec<u64> = r.reached.iter().map(|x| x.latency_us).collect();
         assert!(lat[0] < lat[1] && lat[1] < lat[2]);
         assert_eq!(lat[0], u.latency_us(HostId(0), HostId(1)).unwrap());
@@ -362,7 +362,7 @@ mod tests {
         o.set_role(HostId(1), Role::Leaf);
         o.add_edge(&u, HostId(0), HostId(1));
         o.add_edge(&u, HostId(1), HostId(2));
-        let r = o.flood(HostId(0), 5);
+        let r = flood(&mut o, HostId(0), 5);
         assert_eq!(r.reached.len(), 1);
         assert_eq!(r.reached[0].host, HostId(1));
     }
@@ -371,10 +371,10 @@ mod tests {
     fn zero_ttl_or_offline_origin_is_empty() {
         let u = underlay(10);
         let mut o = line_overlay(&u, 5);
-        assert_eq!(o.flood(HostId(0), 0).reached.len(), 0);
+        assert_eq!(flood(&mut o, HostId(0), 0).reached.len(), 0);
         let mut o2 = line_overlay(&u, 5);
         o2.set_online(HostId(0), false);
-        assert_eq!(o2.flood(HostId(0), 3).reached.len(), 0);
+        assert_eq!(flood(&mut o2, HostId(0), 3).reached.len(), 0);
     }
 
     #[test]
@@ -410,8 +410,8 @@ mod tests {
                 random.add_edge(&u, a, b);
             }
         }
-        let rc = clustered.flood(HostId(0), 3);
-        let rr = random.flood(HostId(0), 3);
+        let rc = flood(&mut clustered, HostId(0), 3);
+        let rr = flood(&mut random, HostId(0), 3);
         assert!(
             rc.reached.len() < rr.reached.len(),
             "clustered ball {} !< random ball {}",

@@ -76,21 +76,8 @@ impl Selector {
         self.probe_messages
     }
 
-    /// Orders `candidates` best-first for `joiner` under the policy.
-    pub fn rank(
-        &mut self,
-        underlay: &Underlay,
-        joiner: HostId,
-        candidates: &[HostId],
-        rng: &mut SimRng,
-    ) -> Vec<HostId> {
-        let mut out = Vec::new();
-        self.rank_into(underlay, joiner, candidates, rng, &mut out);
-        out
-    }
-
-    /// Like [`Selector::rank`], but clears and fills `out` instead of
-    /// allocating the ranked list — join/repair hands in a reused buffer.
+    /// Orders `candidates` best-first for `joiner` under the policy;
+    /// clears and fills `out` — join/repair hands in a reused buffer.
     pub fn rank_into(
         &mut self,
         underlay: &Underlay,
@@ -150,21 +137,8 @@ impl Selector {
         }
     }
 
-    /// Picks up to `want` neighbors from `candidates`.
-    pub fn select(
-        &mut self,
-        underlay: &Underlay,
-        joiner: HostId,
-        candidates: &[HostId],
-        want: usize,
-        rng: &mut SimRng,
-    ) -> Vec<HostId> {
-        let mut ranked = self.rank(underlay, joiner, candidates, rng);
-        ranked.truncate(want);
-        ranked
-    }
-
-    /// Like [`Selector::select`], but fills a reused buffer.
+    /// Picks up to `want` neighbors from `candidates` into a reused
+    /// buffer.
     pub fn select_into(
         &mut self,
         underlay: &Underlay,
@@ -210,7 +184,8 @@ mod tests {
         let mut sel = Selector::new(NeighborSelection::OracleBiased { list_size: 1000 });
         let candidates: Vec<HostId> = u.hosts.ids().filter(|&h| h != joiner).collect();
         let mut rng = SimRng::new(82);
-        let picked = sel.select(&u, joiner, &candidates, 4, &mut rng);
+        let mut picked = Vec::new();
+        sel.select_into(&u, joiner, &candidates, 4, &mut rng, &mut picked);
         assert_eq!(picked.len(), 4);
         let same_as_available = u.hosts.in_as(my_as).len() - 1;
         let same_as_picked = picked.iter().filter(|&&h| u.same_as(joiner, h)).count();
@@ -224,7 +199,8 @@ mod tests {
         let mut sel = Selector::new(NeighborSelection::OracleBiased { list_size: 5 });
         let candidates: Vec<HostId> = u.hosts.ids().take(100).collect();
         let mut rng = SimRng::new(83);
-        let ranked = sel.rank(&u, HostId(150), &candidates, &mut rng);
+        let mut ranked = Vec::new();
+        sel.rank_into(&u, HostId(150), &candidates, &mut rng, &mut ranked);
         assert_eq!(ranked.len(), 5);
     }
 
@@ -235,7 +211,8 @@ mod tests {
         let joiner = HostId(10);
         let candidates: Vec<HostId> = (0..50).map(HostId).filter(|&h| h != joiner).collect();
         let mut rng = SimRng::new(84);
-        let ranked = sel.rank(&u, joiner, &candidates, &mut rng);
+        let mut ranked = Vec::new();
+        sel.rank_into(&u, joiner, &candidates, &mut rng, &mut ranked);
         let rtts: Vec<u64> = ranked
             .iter()
             .map(|&h| u.rtt_us(joiner, h).unwrap())
@@ -253,7 +230,8 @@ mod tests {
         let joiner = HostId(7);
         let candidates: Vec<HostId> = (0..40).map(HostId).filter(|&h| h != joiner).collect();
         let mut rng = SimRng::new(85);
-        let ranked = sel.rank(&u, joiner, &candidates, &mut rng);
+        let mut ranked = Vec::new();
+        sel.rank_into(&u, joiner, &candidates, &mut rng, &mut ranked);
         let dists: Vec<f64> = ranked
             .iter()
             .map(|&h| u.geo_distance_km(joiner, h))
@@ -269,7 +247,8 @@ mod tests {
         let mut sel = Selector::new(NeighborSelection::CapacityBiased);
         let candidates: Vec<HostId> = (0..40).map(HostId).collect();
         let mut rng = SimRng::new(86);
-        let ranked = sel.rank(&u, HostId(100), &candidates, &mut rng);
+        let mut ranked = Vec::new();
+        sel.rank_into(&u, HostId(100), &candidates, &mut rng, &mut ranked);
         let caps: Vec<f64> = ranked.iter().map(|&h| u.host(h).capacity_score()).collect();
         for w in caps.windows(2) {
             assert!(w[0] >= w[1]);
@@ -282,7 +261,8 @@ mod tests {
         let mut sel = Selector::new(NeighborSelection::Random);
         let candidates: Vec<HostId> = (0..30).map(HostId).collect();
         let mut rng = SimRng::new(87);
-        let mut ranked = sel.rank(&u, HostId(100), &candidates, &mut rng);
+        let mut ranked = Vec::new();
+        sel.rank_into(&u, HostId(100), &candidates, &mut rng, &mut ranked);
         ranked.sort();
         assert_eq!(ranked, candidates);
         assert_eq!(sel.oracle_queries(), 0);
@@ -295,13 +275,10 @@ mod tests {
         let mut sel = Selector::new(NeighborSelection::Random);
         let candidates: Vec<HostId> = (0..30).map(HostId).collect();
         let mut rng = SimRng::new(88);
-        assert_eq!(
-            sel.select(&u, HostId(100), &candidates, 3, &mut rng).len(),
-            3
-        );
-        assert_eq!(
-            sel.select(&u, HostId(100), &candidates, 99, &mut rng).len(),
-            30
-        );
+        let mut picked = Vec::new();
+        sel.select_into(&u, HostId(100), &candidates, 3, &mut rng, &mut picked);
+        assert_eq!(picked.len(), 3);
+        sel.select_into(&u, HostId(100), &candidates, 99, &mut rng, &mut picked);
+        assert_eq!(picked.len(), 30);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use uap_gnutella::content::ContentModel;
-use uap_gnutella::overlay::{Overlay, Role};
+use uap_gnutella::overlay::{FloodResult, Overlay, Role};
 use uap_net::{AsId, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
 use uap_sim::SimRng;
 
@@ -18,6 +18,12 @@ fn underlay(n: usize, seed: u64) -> Underlay {
         ..Default::default()
     };
     Underlay::build(g, &PopulationSpec::uniform(n), cfg, &mut rng)
+}
+
+fn flood(o: &mut Overlay, origin: HostId, ttl: u32) -> FloodResult {
+    let mut r = FloodResult::default();
+    o.flood_into(origin, ttl, &mut r);
+    r
 }
 
 /// Builds a random overlay over `n` nodes with some leaves.
@@ -59,7 +65,7 @@ proptest! {
         let mut rng = SimRng::new(seed ^ 1);
         let mut o = random_overlay(&u, n, (n as usize * 3) / 2, 4, &mut rng);
         let origin = HostId(rng.below(n as u64) as u32);
-        let r = o.flood(origin, ttl);
+        let r = flood(&mut o, origin, ttl);
         let mut seen = std::collections::HashSet::new();
         for x in &r.reached {
             prop_assert!(x.hops >= 1 && x.hops <= ttl, "hops {} out of (0,{ttl}]", x.hops);
@@ -94,7 +100,7 @@ proptest! {
         let origin = HostId(0);
         let mut prev = 0usize;
         for ttl in 1..6 {
-            let got = o.flood(origin, ttl).reached.len();
+            let got = flood(&mut o, origin, ttl).reached.len();
             prop_assert!(got >= prev, "ttl {ttl}: {got} < {prev}");
             prev = got;
         }

@@ -52,7 +52,7 @@ impl SimulatedCdn {
             .replica_ases
             .iter()
             .map(|&r| {
-                let hops = underlay.routing.as_hops(my_as, r).unwrap_or(u32::MAX / 2) as f64;
+                let hops = underlay.routing().as_hops(my_as, r).unwrap_or(u32::MAX / 2) as f64;
                 let proximity_w = (1.0 + hops).powf(-self.gamma);
                 let noise = 1.0 + rng.f64_range(-self.load_noise, self.load_noise);
                 proximity_w * noise.max(0.01)
@@ -200,7 +200,7 @@ mod tests {
         let hops: Vec<u32> = cdn
             .replica_ases
             .iter()
-            .map(|&r| u.routing.as_hops(my_as, r).unwrap())
+            .map(|&r| u.routing().as_hops(my_as, r).unwrap())
             .collect();
         let closest = (0..hops.len()).min_by_key(|&i| hops[i]).unwrap();
         let busiest = (0..counts.len()).max_by_key(|&i| counts[i]).unwrap();
@@ -245,7 +245,7 @@ mod tests {
             .hosts
             .ids()
             .find(|&h| {
-                u.routing
+                u.routing()
                     .as_hops(my_as, u.hosts.as_of(h))
                     .map(|d| d >= 3)
                     .unwrap_or(false)

@@ -163,15 +163,8 @@ impl RoutingTable {
     }
 
     /// The `count` contacts closest to `target` in XOR distance,
-    /// closest-first.
-    pub fn closest(&self, target: &Key, count: usize) -> Vec<Contact> {
-        let mut all = Vec::new();
-        self.closest_into(target, count, &mut all);
-        all
-    }
-
-    /// Like [`RoutingTable::closest`], but clears and fills `out` — the
-    /// lookup loop reuses one response buffer across every RPC it makes.
+    /// closest-first; clears and fills `out` — the lookup loop reuses one
+    /// response buffer across every RPC it makes.
     pub fn closest_into(&self, target: &Key, count: usize, out: &mut Vec<Contact>) {
         out.clear();
         out.extend(self.buckets.iter().flatten().copied());
@@ -277,7 +270,8 @@ mod tests {
         t.observe(contact(mk(2), 1));
         // Newcomer with 0 hops replaces the 5-hop entry.
         assert!(t.observe(contact(mk(3), 0)));
-        let c = t.closest(&own, 10);
+        let mut c = Vec::new();
+        t.closest_into(&own, 10, &mut c);
         assert_eq!(c.len(), 2);
         assert!(c.iter().all(|e| e.as_hops <= 1));
         // A far newcomer is rejected.
@@ -294,7 +288,8 @@ mod tests {
             t.observe(contact(Key::random(&mut rng), 2));
         }
         let target = Key::random(&mut rng);
-        let c = t.closest(&target, 20);
+        let mut c = Vec::new();
+        t.closest_into(&target, 20, &mut c);
         assert_eq!(c.len(), 20);
         for w in c.windows(2) {
             assert_ne!(

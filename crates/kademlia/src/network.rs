@@ -314,7 +314,11 @@ impl DhtNetwork {
                 }
             });
         let me = self.nodes[from.idx()].key;
-        let mut shortlist: Vec<Contact> = self.nodes[from.idx()].table.closest(target, self.cfg.k);
+        // The shortlist is the outcome's `closest` list, moved back at the end.
+        let mut shortlist = std::mem::take(&mut out.closest);
+        self.nodes[from.idx()]
+            .table
+            .closest_into(target, self.cfg.k, &mut shortlist);
         // Per-lookup scratch, reused across lookups (taken so the RPC loop
         // below can still borrow `self` mutably).
         let mut queried = std::mem::take(&mut self.lk_queried);

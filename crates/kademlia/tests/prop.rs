@@ -81,7 +81,8 @@ proptest! {
             for (i, s) in t.bucket_sizes().iter().enumerate() {
                 prop_assert!(*s <= k, "bucket {i} holds {s} > k={k}");
             }
-            let all = t.closest(&own, usize::MAX);
+            let mut all = Vec::new();
+            t.closest_into(&own, usize::MAX, &mut all);
             let mut seen = std::collections::HashSet::new();
             for c in &all {
                 prop_assert!(c.key != own, "self stored");
@@ -89,7 +90,8 @@ proptest! {
             }
             // closest() ordering.
             let target = Key::random(&mut rng);
-            let sorted = t.closest(&target, 16);
+            let mut sorted = Vec::new();
+            t.closest_into(&target, 16, &mut sorted);
             for w in sorted.windows(2) {
                 prop_assert_ne!(
                     target.cmp_distance(&w[0].key, &w[1].key),

@@ -1,7 +1,8 @@
 //! Time-scheduled fault-injection campaigns.
 //!
-//! [`crate::failure`] provides *static* pre-run failure masks; this module
-//! schedules them **over sim time**. A [`FaultPlan`] is a list of
+//! The simulator's one fault model: failures scheduled **over sim time**
+//! (a static pre-run failure mask is a one-epoch plan read back with
+//! [`CompiledFaultPlan::state_at`]). A [`FaultPlan`] is a list of
 //! [`FaultEpoch`]s — half-open `[start, end)` windows during which a fault
 //! is active: link-down sets (explicit, random, or transit-only — the AS
 //! partition model of the paper's resilience rows), latency inflation
@@ -18,7 +19,7 @@
 //! boundary and call [`crate::Underlay::apply_fault_state`], which
 //! incrementally repairs routing under the epoch's mask (only sources
 //! whose shortest-path forests touch a changed link recompute) and
-//! invalidates the affected rows of the packed AS-pair route cache (see
+//! invalidates the affected rows of the AS-pair route cache (see
 //! `docs/DETERMINISM.md` and `docs/PERFORMANCE.md`).
 
 use crate::asgraph::{AsGraph, LinkKind};
@@ -54,7 +55,7 @@ pub enum FaultKind {
     /// episode). Factors from overlapping epochs multiply.
     LatencyInflation {
         /// Multiplier applied to the combined inter-AS path metric
-        /// (must be ≥ 1.0 to stay within the packed-entry range).
+        /// (must be ≥ 1.0: a fault never speeds a path up).
         factor: f64,
     },
     /// The listed hosts are crashed (offline regardless of churn state);

@@ -146,7 +146,7 @@ impl FlowAllocator {
             // Resolved directly from the routing tables (CSR slice), never
             // through the AS-pair route cache — flow setup must not perturb
             // the cache counters the latency queries own.
-            let Some(path) = underlay.routing.path_links(src_as, dst_as) else {
+            let Some(path) = underlay.routing().path_links(src_as, dst_as) else {
                 self.rejected += 1;
                 return false;
             };

@@ -20,10 +20,11 @@
 //! * [`traffic`] + [`cost`] — the transit-vs-peering **cost model** of the
 //!   paper's Figure 2: transit billed per Mbps at the 95th percentile,
 //!   peering at a flat fee;
-//! * [`failure`] — link/AS failure injection for resilience experiments;
-//! * [`fault`] — time-scheduled fault campaigns ([`FaultPlan`]): epoch-based
-//!   link-down windows, latency inflation and host crash/restart, applied
-//!   through the event engine with route-cache invalidation;
+//! * [`fault`] — the one fault model: time-scheduled campaigns
+//!   ([`FaultPlan`]) of epoch-based link-down windows (explicit, random or
+//!   transit-only), latency inflation and host crash/restart, applied
+//!   through the event engine with route-cache invalidation; a one-epoch
+//!   plan doubles as a static failure mask;
 //! * [`flow`] — deterministic max-min fair bandwidth allocation
 //!   (progressive filling) over per-host access links and shared inter-AS
 //!   link capacities — the flow-level model behind BitTorrent rounds and
@@ -35,7 +36,6 @@
 
 pub mod asgraph;
 pub mod cost;
-pub mod failure;
 pub mod fault;
 pub mod flow;
 pub mod gen;

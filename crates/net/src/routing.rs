@@ -1113,6 +1113,55 @@ mod tests {
         assert_eq!(r2.as_hops(AsId(5), AsId(8)), None);
     }
 
+    /// The link mask a one-epoch `RandomLinkDown` plan samples on `g`.
+    fn random_mask(g: &AsGraph, p: f64, salt: u64) -> Vec<bool> {
+        use crate::fault::{FaultKind, FaultPlan};
+        use uap_sim::SimTime;
+        FaultPlan::new()
+            .epoch(
+                SimTime::ZERO,
+                SimTime::from_secs(1),
+                FaultKind::RandomLinkDown { p, salt },
+            )
+            .compile(g)
+            .state_at(SimTime::ZERO)
+            .mask
+            .expect("a link-down epoch always carries a mask")
+    }
+
+    #[test]
+    fn all_links_masked_isolates_everything() {
+        let g = figure1();
+        let mask = random_mask(&g, 1.0, 1);
+        assert!(mask.iter().all(|&down| down));
+        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+            let r = Routing::compute_with_mask(&g, mode, Some(&mask));
+            assert_eq!(r.reachable_fraction(), 0.0, "{mode:?}");
+        }
+        assert_eq!(g.component_count(Some(&mask)), g.len());
+    }
+
+    #[test]
+    fn valley_free_reachability_not_above_shortest_path_under_same_mask() {
+        // Policy can orphan an AS whose only surviving links are peerings,
+        // so valley-free reachability is bounded by raw connectivity.
+        use crate::gen::{TopologyKind, TopologySpec};
+        let g = TopologySpec::new(TopologyKind::Hierarchical {
+            tier1: 2,
+            tier2_per_tier1: 3,
+            tier3_per_tier2: 2,
+            tier2_peering_prob: 0.5,
+            tier3_peering_prob: 0.5,
+        })
+        .build(&mut uap_sim::SimRng::new(3));
+        for salt in 0..5 {
+            let mask = random_mask(&g, 0.3, salt);
+            let vf = Routing::compute_with_mask(&g, RoutingMode::ValleyFree, Some(&mask));
+            let sp = Routing::compute_with_mask(&g, RoutingMode::ShortestPath, Some(&mask));
+            assert!(vf.reachable_fraction() <= sp.reachable_fraction() + 1e-12);
+        }
+    }
+
     #[test]
     fn latency_accumulates_along_path() {
         let g = figure1();

@@ -69,7 +69,7 @@ fn recompute_loads(
         let (sa, da) = (u.hosts.as_of(s), u.hosts.as_of(d));
         if sa != da {
             for &li in u
-                .routing
+                .routing()
                 .path_links(sa, da)
                 .expect("fault-free graph is connected")
             {
@@ -362,7 +362,7 @@ proptest! {
                 state.mask.as_deref(),
                 2,
             );
-            prop_assert!(u.routing == full, "boundary at {:?} diverged", t);
+            prop_assert!(*u.routing() == full, "boundary at {:?} diverged", t);
         }
         // The last boundary is past every epoch end: fully healed.
         let end_state = compiled.state_at(*compiled.boundaries().last().unwrap());
@@ -409,7 +409,7 @@ proptest! {
             sat |= down[d.0 as usize] + flow_slack(dcap) >= dcap;
             let (sa, da) = (u.hosts.as_of(s), u.hosts.as_of(d));
             if sa != da {
-                for &li in u.routing.path_links(sa, da).unwrap() {
+                for &li in u.routing().path_links(sa, da).unwrap() {
                     let lcap = u.graph.links[li as usize].capacity_mbps * 125_000.0;
                     sat |= link[li as usize] + flow_slack(lcap) >= lcap;
                 }

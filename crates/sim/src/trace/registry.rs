@@ -104,7 +104,7 @@ pub const TRACE_KINDS: &[TraceKindSpec] = &[
         component: "net",
         kind: "route_cache",
         level: "debug",
-        doc: "AS-pair route cache probe outcome (hit/miss, packed entry)",
+        doc: "AS-pair route cache hit/miss counters",
     },
     TraceKindSpec {
         component: "net",

@@ -292,8 +292,8 @@ fn find_entries(fns: &[FnItem]) -> Vec<usize> {
 /// - `Simulator::run` / `Simulator::run_until` (event dispatch),
 /// - every `handle` method of a `World` trait impl,
 /// - `Routing::route` / `Routing::path_links` (per-query table reads),
-/// - `Underlay::latency_us` / `rtt_us` / `transfer_time` (the queries
-///   every overlay decision bottoms out in),
+/// - `Underlay::latency_us` / `rtt_us` (the queries every overlay
+///   decision bottoms out in),
 /// - the kademlia per-message handlers `DhtNetwork::rpc` /
 ///   `DhtNetwork::lookup`,
 /// - the bittorrent swarm round loop (`run_swarm_with`).
@@ -312,8 +312,7 @@ pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
                 true
             }
             (Some(ty), _)
-                if ty == "Underlay"
-                    && matches!(f.name.as_str(), "latency_us" | "rtt_us" | "transfer_time") =>
+                if ty == "Underlay" && matches!(f.name.as_str(), "latency_us" | "rtt_us") =>
             {
                 true
             }
@@ -563,7 +562,7 @@ mod tests {
             ),
             (
                 "crates/net/src/underlay.rs",
-                "impl Underlay { fn latency_us(&self) {} fn rtt_us(&self) {} fn transfer_time(&self) {} fn from_topology() {} }\n",
+                "impl Underlay { fn latency_us(&self) {} fn rtt_us(&self) {} fn from_topology() {} }\n",
             ),
             (
                 "crates/kademlia/src/network.rs",
@@ -588,7 +587,6 @@ mod tests {
                 "Routing::path_links",
                 "Underlay::latency_us",
                 "Underlay::rtt_us",
-                "Underlay::transfer_time",
                 "DhtNetwork::rpc",
                 "DhtNetwork::lookup",
                 "run_swarm_with",
