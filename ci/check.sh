@@ -6,7 +6,15 @@
 # Steps (in order, fail-fast):
 #   1. cargo fmt --check        — formatting drift
 #   2. cargo clippy -D warnings — lints (unwrap_used etc.; see clippy.toml)
-#   3. xtask lint               — the determinism static-analysis pass
+#   3. xtask analyze            — the static determinism gate, run once:
+#                                 the token-level lint plus the call-graph
+#                                 passes (purity, panic / alloc / cast
+#                                 ratchets against ci/analyze_*_baseline.txt,
+#                                 parallel regions, trace registry). Prints
+#                                 one summary line per pass, so a failure
+#                                 names its pass, and a `PERF analyze` line;
+#                                 120s wall budget (WallTimer-enforced in
+#                                 xtask). docs/STATIC_ANALYSIS.md
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests
 #   6. cargo test --workspace   — every crate's unit + integration tests
@@ -20,22 +28,7 @@
 #                                 rate covering the burned-down gnutella/
 #                                 kademlia/bittorrent paths
 #                                 (docs/PERFORMANCE.md)
-#   9. xtask analyze            — call-graph purity/panic/registry proofs
-#                                 (docs/STATIC_ANALYSIS.md) against
-#                                 ci/analyze_panic_baseline.txt
-#   10. xtask analyze --pass=alloc — hot-path allocation discipline against
-#                                 ci/analyze_alloc_baseline.txt; its PERF
-#                                 line shares the analyzer's 120s wall
-#                                 budget (WallTimer-enforced in xtask)
-#   11. xtask analyze --pass=par  — parallel-region discipline: every
-#                                 thread-spawn site declared in
-#                                 xtask::boundaries::PARALLEL_REGIONS,
-#                                 workers free of undeclared determinism
-#                                 hazards (docs/STATIC_ANALYSIS.md)
-#   12. xtask analyze --pass=cast — truncating-cast ratchet against
-#                                 ci/analyze_cast_baseline.txt; new
-#                                 sim-reachable `as` narrowings fail
-#   13. benchmark/ build + smoke  — the standalone benchmark package
+#   9. benchmark/ build + smoke   — the standalone benchmark package
 #                                 (outside the workspace) builds offline
 #                                 against the crates' public API and
 #                                 every workload passes its checks at
@@ -52,8 +45,8 @@ cargo fmt --all --check
 step "cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
-step "determinism lint (cargo run -p xtask -- lint)"
-cargo run -q -p xtask -- lint
+step "static determinism gate (cargo run -p xtask -- analyze)"
+cargo run -q -p xtask -- analyze
 
 step "cargo build --release"
 cargo build --release -q
@@ -78,18 +71,6 @@ done
 
 step "routing perf smoke (ci/perf_smoke.sh)"
 ./ci/perf_smoke.sh
-
-step "sim-purity analyzer (cargo run -p xtask -- analyze)"
-cargo run -q -p xtask -- analyze
-
-step "hot-path allocation pass (cargo run -p xtask -- analyze --pass=alloc)"
-cargo run -q -p xtask -- analyze --pass=alloc
-
-step "parallel-region discipline (cargo run -p xtask -- analyze --pass=par)"
-cargo run -q -p xtask -- analyze --pass=par
-
-step "truncating-cast ratchet (cargo run -p xtask -- analyze --pass=cast)"
-cargo run -q -p xtask -- analyze --pass=cast
 
 step "benchmark package build + smoke (benchmark/smoke.sh)"
 ./benchmark/smoke.sh | tail -n 3

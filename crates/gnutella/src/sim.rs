@@ -728,10 +728,16 @@ impl World<Ev> for GnutellaSim {
         match ev {
             Ev::Churn(h) => {
                 let i = h.idx();
-                if self.churn[i].is_online() && !self.overlay.is_online(h) {
+                let state = self.churn[i];
+                // A host held off the overlay by a crash epoch stays
+                // churn-online and `join` refuses it; once its session
+                // end is due the transition below must apply, or this
+                // event would re-arm at the same instant forever.
+                let held_off = self.crashed[i] && ctx.now() >= state.next_transition();
+                if state.is_online() && !self.overlay.is_online(h) && !held_off {
                     // Initial (or re-) join.
                     self.join(h, ctx);
-                    let t = self.churn[i].next_transition();
+                    let t = state.next_transition();
                     if t != SimTime::MAX {
                         ctx.schedule_at(t, Ev::Churn(h));
                     }
@@ -1021,6 +1027,34 @@ mod tests {
         }
         // 120 initial joins + 30 restarts.
         assert!(report.joins >= 150, "joins {}", report.joins);
+    }
+
+    #[test]
+    fn churn_and_host_crash_epoch_share_a_run() {
+        // Regression: a crashed host whose churn session ended inside the
+        // crash window re-armed its Churn event at the same instant until
+        // the engine's event limit fired.
+        use uap_net::{FaultKind, FaultPlan};
+        let mut cfg = quick_cfg(NeighborSelection::Random);
+        cfg.churn = uap_sim::ChurnConfig::exponential(300.0);
+        cfg.duration = SimTime::from_mins(20);
+        let crashed: Vec<HostId> = (0..30u32).map(HostId).collect();
+        cfg.faults = Some(FaultPlan::new().epoch(
+            SimTime::from_mins(5),
+            SimTime::from_mins(10),
+            FaultKind::HostCrash {
+                hosts: crashed.clone(),
+            },
+        ));
+        let (report, world) = run_experiment(underlay(120, 10), cfg, 33);
+        assert!(report.joins > 120, "rejoins should occur: {}", report.joins);
+        // Ten minutes of 300 s sessions after the window: crashed hosts
+        // are back on the overlay in churn proportion, not stuck off it.
+        let back = crashed
+            .iter()
+            .filter(|&&h| world.overlay.is_online(h))
+            .count();
+        assert!(back >= 10, "only {back} of 30 crashed hosts rejoined");
     }
 
     #[test]

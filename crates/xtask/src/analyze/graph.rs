@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::analyze::parser::{Callee, FnItem};
+use crate::analyze::parser::{AllocSite, Callee, FnItem, PanicSite};
 
 /// The resolved workspace call graph over non-test functions.
 pub struct Graph {
@@ -251,46 +251,47 @@ impl Graph {
     }
 }
 
-/// Computes the simulation entry-point set:
+/// Indices of the non-test functions that are the engine step loop
+/// (`Simulator::run` / `run_until`), an overlay event handler (a `handle`
+/// method of a `World` trait impl) — the core both entry sets share — or
+/// one of `extra`.
+fn entries_where(fns: &[FnItem], extra: impl Fn(&FnItem) -> bool) -> Vec<usize> {
+    let step_loop = |f: &FnItem| {
+        f.impl_type.as_deref() == Some("Simulator")
+            && matches!(f.name.as_str(), "run" | "run_until")
+    };
+    let handler = |f: &FnItem| {
+        f.impl_type.is_some() && f.trait_name.as_deref() == Some("World") && f.name == "handle"
+    };
+    (0..fns.len())
+        .filter(|&i| {
+            let f = &fns[i];
+            !f.is_test && (step_loop(f) || handler(f) || extra(f))
+        })
+        .collect()
+}
+
+/// Computes the simulation entry-point set: the step loop and handlers
+/// (see [`entries_where`]) plus
 ///
-/// - `Simulator::run` / `Simulator::run_until` (the engine step loop),
-/// - every `handle` method of a `World` trait impl (overlay event
-///   handlers),
 /// - every `Ctx` method (the API surface handlers call back into),
 /// - free `run` / `run_traced` functions under
 ///   `crates/core/src/experiments/` (experiment drivers).
 fn find_entries(fns: &[FnItem]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (i, f) in fns.iter().enumerate() {
-        if f.is_test {
-            continue;
+    entries_where(fns, |f| match f.impl_type.as_deref() {
+        Some(ty) => ty == "Ctx",
+        None => {
+            matches!(f.name.as_str(), "run" | "run_traced")
+                && f.file.contains("crates/core/src/experiments/")
         }
-        let is_entry = match (&f.impl_type, &f.trait_name) {
-            (Some(ty), _) if ty == "Simulator" && (f.name == "run" || f.name == "run_until") => {
-                true
-            }
-            (Some(_), Some(tr)) if tr == "World" && f.name == "handle" => true,
-            (Some(ty), _) if ty == "Ctx" => true,
-            _ => {
-                f.impl_type.is_none()
-                    && (f.name == "run" || f.name == "run_traced")
-                    && f.file.contains("crates/core/src/experiments/")
-            }
-        };
-        if is_entry {
-            out.push(i);
-        }
-    }
-    out
+    })
 }
 
 /// Computes the *hot-path* entry set of the allocation-discipline pass —
 /// deliberately narrower than [`find_entries`]: only code that runs per
 /// simulated event / per routing query, not one-shot experiment drivers
-/// or build paths:
+/// or build paths. The step loop and handlers plus
 ///
-/// - `Simulator::run` / `Simulator::run_until` (event dispatch),
-/// - every `handle` method of a `World` trait impl,
 /// - `Routing::route` / `Routing::path_links` (per-query table reads),
 /// - `Underlay::latency_us` / `rtt_us` (the queries every overlay
 ///   decision bottoms out in),
@@ -298,110 +299,73 @@ fn find_entries(fns: &[FnItem]) -> Vec<usize> {
 ///   `DhtNetwork::lookup`,
 /// - the bittorrent swarm round loop (`run_swarm_with`).
 pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (i, f) in fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let is_hot = match (&f.impl_type, &f.trait_name) {
-            (Some(ty), _) if ty == "Simulator" && (f.name == "run" || f.name == "run_until") => {
-                true
-            }
-            (Some(_), Some(tr)) if tr == "World" && f.name == "handle" => true,
-            (Some(ty), _) if ty == "Routing" && (f.name == "route" || f.name == "path_links") => {
-                true
-            }
-            (Some(ty), _)
-                if ty == "Underlay" && matches!(f.name.as_str(), "latency_us" | "rtt_us") =>
-            {
-                true
-            }
-            (Some(ty), _) if ty == "DhtNetwork" && (f.name == "rpc" || f.name == "lookup") => true,
-            _ => {
-                f.impl_type.is_none()
-                    && f.name == "run_swarm_with"
-                    && f.file.contains("crates/bittorrent/")
-            }
-        };
-        if is_hot {
-            out.push(i);
-        }
-    }
-    out
+    entries_where(fns, |f| match (f.impl_type.as_deref(), f.name.as_str()) {
+        (Some("Routing"), "route" | "path_links")
+        | (Some("Underlay"), "latency_us" | "rtt_us")
+        | (Some("DhtNetwork"), "rpc" | "lookup") => true,
+        (None, "run_swarm_with") => f.file.contains("crates/bittorrent/"),
+        _ => false,
+    })
 }
 
-/// Aggregated allocation-site inventory over hot-path-reachable code:
-/// `(file, qualname, kind)` → count.
-pub type AllocInventory = BTreeMap<(String, String, String), usize>;
+/// A ratcheted site inventory: `(file, qualname, key)` → the source line
+/// of every site behind the key, in source order. The key is what the
+/// pass groups by — the allocation kind, the cast's target type, or the
+/// panic kind and its `documented` / `bare` class.
+pub type Inventory = BTreeMap<(String, String, String), Vec<usize>>;
 
-/// Builds the allocation inventory over non-test, non-bin,
-/// non-`alloc_exempt` functions reachable from the hot-path entry set
-/// (`dist` from [`Graph::reach_from`] over [`find_hot_entries`]).
-pub fn alloc_inventory(graph: &Graph, dist: &[usize]) -> AllocInventory {
-    let mut inv = AllocInventory::new();
+/// Builds the inventory of one pass over the non-test, non-bin functions
+/// reachable per `dist` (from [`Graph::reach_from`]); `sites` lists a
+/// function's `(key, line)` sites.
+pub fn inventory(
+    graph: &Graph,
+    dist: &[usize],
+    sites: impl Fn(&FnItem) -> Vec<(String, usize)>,
+) -> Inventory {
+    let mut inv = Inventory::new();
     for (i, f) in graph.fns.iter().enumerate() {
-        if f.is_test || f.is_bin || f.alloc_exempt || dist[i] == usize::MAX {
+        if f.is_test || f.is_bin || dist[i] == usize::MAX {
             continue;
         }
-        for a in &f.allocs {
-            *inv.entry((f.file.clone(), f.qualname(), a.kind.name().to_string()))
-                .or_insert(0) += 1;
+        for (key, line) in sites(f) {
+            inv.entry((f.file.clone(), f.qualname(), key))
+                .or_default()
+                .push(line);
         }
     }
     inv
 }
 
-/// Aggregated panic-site inventory: `(file, qualname, kind, class)` →
-/// count, where class is `"documented"` or `"bare"`.
-pub type PanicInventory = BTreeMap<(String, String, String, String), usize>;
-
-/// Builds the panic inventory over non-test, non-bin functions reachable
-/// from the entry set.
-pub fn panic_inventory(graph: &Graph, dist: &[usize]) -> PanicInventory {
-    let mut inv = PanicInventory::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        if f.is_test || f.is_bin || dist[i] == usize::MAX {
-            continue;
-        }
-        for p in &f.panics {
-            let class = if p.documented { "documented" } else { "bare" };
-            *inv.entry((
-                f.file.clone(),
-                f.qualname(),
-                p.kind.name().to_string(),
-                class.to_string(),
-            ))
-            .or_insert(0) += 1;
-        }
-    }
-    inv
+/// Total sites behind an inventory's keys.
+pub fn site_count(inv: &Inventory) -> usize {
+    inv.values().map(Vec::len).sum()
 }
 
-/// Aggregated truncating-cast inventory over sim-reachable code:
-/// `(file, qualname, target type)` → count of *undocumented* sites.
-pub type CastInventory = BTreeMap<(String, String, String), usize>;
-
-/// Builds the truncating-cast inventory over non-test, non-bin functions
-/// reachable from the entry set. Returns the inventory plus the number
-/// of documented (`lint:allow(cast)`) sites, which the baseline header
-/// reports as the remaining allowed count.
-pub fn cast_inventory(graph: &Graph, dist: &[usize]) -> (CastInventory, usize) {
-    let mut inv = CastInventory::new();
-    let mut documented = 0usize;
-    for (i, f) in graph.fns.iter().enumerate() {
-        if f.is_test || f.is_bin || dist[i] == usize::MAX {
-            continue;
-        }
-        for c in &f.casts {
-            if c.documented {
-                documented += 1;
-                continue;
-            }
-            *inv.entry((f.file.clone(), f.qualname(), c.target.clone()))
-                .or_insert(0) += 1;
-        }
+/// Hot-path allocation sites of `f` keyed by kind; none when the `fn`
+/// carries the `lint:allow(alloc)` one-shot-path escape.
+pub fn alloc_sites(f: &FnItem) -> Vec<(String, usize)> {
+    if f.alloc_exempt {
+        return Vec::new();
     }
-    (inv, documented)
+    let key = |a: &AllocSite| (a.kind.name().to_string(), a.line);
+    f.allocs.iter().map(key).collect()
+}
+
+/// Potential-panic sites of `f` keyed `<kind> <documented|bare>`.
+pub fn panic_sites(f: &FnItem) -> Vec<(String, usize)> {
+    let key = |p: &PanicSite| {
+        let class = if p.documented { "documented" } else { "bare" };
+        format!("{} {class}", p.kind.name())
+    };
+    f.panics.iter().map(|p| (key(p), p.line)).collect()
+}
+
+/// Truncating casts of `f` keyed by target type: the undocumented ones
+/// (the ratcheted inventory), or the `lint:allow(cast)`-documented ones
+/// (counted in the baseline header).
+pub fn cast_sites(f: &FnItem, documented: bool) -> Vec<(String, usize)> {
+    let sites = f.casts.iter().filter(|c| c.documented == documented);
+    sites.map(|c| (c.target.clone(), c.line)).collect()
 }
 
 #[cfg(test)]
@@ -603,7 +567,7 @@ mod tests {
         )]);
         let hot = find_hot_entries(&g.fns);
         let (dist, _) = g.reach_from(&hot);
-        let inv = alloc_inventory(&g, &dist);
+        let inv = inventory(&g, &dist, alloc_sites);
         let keys: Vec<String> = inv
             .keys()
             .map(|(f, q, k)| format!("{f}::{q} {k}"))
@@ -671,10 +635,11 @@ mod tests {
             "impl Simulator { fn run(&mut self, n: usize) {\n    let a = n as u32;\n    let b = n as u16; // lint:allow(cast) — bound: n < 65536 structurally\n    drop((a, b));\n} }\nfn unreachable_helper(n: usize) -> u32 { n as u32 }\n",
         )]);
         let (dist, _) = g.reach();
-        let (inv, documented) = cast_inventory(&g, &dist);
+        let inv = inventory(&g, &dist, |f| cast_sites(f, false));
+        let documented = site_count(&inventory(&g, &dist, |f| cast_sites(f, true)));
         let keys: Vec<String> = inv
             .iter()
-            .map(|((f, q, t), n)| format!("{f}::{q} {t} x{n}"))
+            .map(|((f, q, t), lines)| format!("{f}::{q} {t} x{}", lines.len()))
             .collect();
         assert_eq!(
             keys,
@@ -690,10 +655,10 @@ mod tests {
             "impl Simulator { fn run(&mut self, o: Option<u8>) {\n    o.unwrap();\n    o.expect(\"invariant\"); // lint:allow(expect)\n} }\nfn unreachable_helper(o: Option<u8>) { o.unwrap(); }\n",
         )]);
         let (dist, _) = g.reach();
-        let inv = panic_inventory(&g, &dist);
+        let inv = inventory(&g, &dist, panic_sites);
         let keys: Vec<String> = inv
             .keys()
-            .map(|(f, q, k, c)| format!("{f}::{q} {k} {c}"))
+            .map(|(f, q, k)| format!("{f}::{q} {k}"))
             .collect();
         assert_eq!(
             keys,

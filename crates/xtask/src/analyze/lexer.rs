@@ -1,12 +1,14 @@
 //! A dependency-free Rust token lexer with source positions.
 //!
-//! `syn`/`proc-macro2` are unavailable offline, so the analyzer carries
-//! its own lexer. It produces a flat token stream — identifiers,
+//! `syn`/`proc-macro2` are unavailable offline, so xtask carries its
+//! own lexer — the only one: every pass, the determinism lint included,
+//! reads this stream. It produces a flat token stream — identifiers,
 //! punctuation, string/char/number literals, lifetimes — with a 1-based
 //! line for every token, while stripping comments (line, and nested
-//! block) and recording `lint:allow(...)` comments per line exactly like
-//! the line lint does. Unlike the lint's line-blanking lexer, string
-//! literal *contents* are kept: the registry pass needs the literal
+//! block), recording `lint:allow(...)` comments per line, and marking
+//! which tokens sit inside `#[cfg(test)]` regions. String literal
+//! *contents* are kept as one `Str` token (so a `HashMap` inside a
+//! string is never an identifier): the registry pass needs the literal
 //! component/kind/key arguments at emission call sites.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,11 +62,14 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// 1-based line → rule names allowed on that line.
     pub allows: BTreeMap<usize, BTreeSet<String>>,
+    /// Parallel to `toks`: true for tokens inside a `#[cfg(test)]`
+    /// region (attribute through the item's closing brace).
+    pub in_test: Vec<bool>,
 }
 
 impl Lexed {
     /// True when `line` (or the line directly above) carries
-    /// `lint:allow(rule)` — the same binding contract as the line lint.
+    /// `lint:allow(rule)` — the line-scoped binding every pass shares.
     pub fn allowed(&self, line: usize, rule: &str) -> bool {
         self.allows.get(&line).is_some_and(|s| s.contains(rule))
             || (line > 1
@@ -196,7 +201,8 @@ pub fn lex(source: &str) -> Lexed {
                 });
             }
             '\'' => {
-                // Char literal vs lifetime (same disambiguation as the lint).
+                // Char literal vs lifetime. A char literal closes within a
+                // few chars; a lifetime is 'ident with no closing quote.
                 if b.get(i + 1) == Some(&'\\') {
                     i += 2;
                     while i < b.len() && b[i] != '\'' {
@@ -272,7 +278,62 @@ pub fn lex(source: &str) -> Lexed {
             }
         }
     }
+    out.in_test = test_regions(&out.toks);
     out
+}
+
+/// Marks the tokens of every `#[cfg(test)]` item by brace matching: the
+/// attribute arms the next `{`, whose region runs to its matching `}`;
+/// a `;` first means the attribute scoped one braceless item
+/// (`#[cfg(test)] use …;`) and disarms it.
+fn test_regions(toks: &[Tok]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
+    // Brace depths at which test regions opened.
+    let mut open: Vec<usize> = Vec::new();
+    let mut depth = 0usize;
+    let mut pending = false;
+    let mut i = 0usize;
+    while i < toks.len() {
+        let t = &toks[i];
+        let mut next = i + 1;
+        let mut closed = false;
+        if t.is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
+            // Attribute `#[ ... ]`: detect cfg(test) anywhere inside.
+            let (mut bd, mut saw_cfg, mut saw_test) = (1usize, false, false);
+            next = i + 2;
+            while next < toks.len() && bd > 0 {
+                let tj = &toks[next];
+                if tj.is_punct('[') {
+                    bd += 1;
+                } else if tj.is_punct(']') {
+                    bd -= 1;
+                }
+                saw_cfg |= tj.is_ident("cfg");
+                saw_test |= tj.is_ident("test");
+                next += 1;
+            }
+            pending |= saw_cfg && saw_test;
+        } else if t.is_punct('{') {
+            depth += 1;
+            if pending {
+                open.push(depth);
+                pending = false;
+            }
+        } else if t.is_punct('}') {
+            closed = open.last() == Some(&depth);
+            depth = depth.saturating_sub(1);
+        }
+        let inside = pending || !open.is_empty();
+        mask[i..next].fill(inside);
+        if closed {
+            open.pop();
+        }
+        if t.is_punct(';') {
+            pending = false;
+        }
+        i = next;
+    }
+    mask
 }
 
 /// True when the `r` at `i` starts a raw string (`r"`, `r#"`, `r##"`, …)
@@ -286,9 +347,8 @@ fn raw_string_at(b: &[char], i: usize) -> bool {
 }
 
 /// Records every rule named in `lint:allow(a, b)` comments onto `line`.
-/// Unlike the lint (which filters against its rule list), the analyzer
-/// records every name — it additionally understands analyzer-only names
-/// such as `index`.
+/// Every name is kept: each pass looks up the ones it understands
+/// (`unwrap`, `expect`, `index`, `alloc`, `cast`, …).
 fn record_allows(comment: &str, line: usize, allows: &mut BTreeMap<usize, BTreeSet<String>>) {
     let mut rest = comment;
     while let Some(at) = rest.find("lint:allow(") {

@@ -1,30 +1,34 @@
-//! `xtask analyze` — syntax-aware sim-purity analyzer.
+//! `xtask analyze` — the static determinism gate, one pass table over
+//! one lexed corpus.
 //!
-//! Where `xtask lint` checks tokens line-by-line, this module parses the
-//! whole workspace into a call graph and proves *reachability* facts:
+//! [`Corpus::load`] walks the workspace once, lexes every file once
+//! ([`lexer`]) and parses the token streams into a call graph
+//! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`]:
 //!
-//! - **Purity**: no call path from a simulation entry point (the engine
+//! - **`lint`**: the token-level determinism rules ([`crate::lint`]).
+//! - **`purity`**: no call path from a simulation entry point (the engine
 //!   step loop, overlay `World::handle` impls, `Ctx` methods, experiment
 //!   drivers) reaches a wallclock / entropy / thread-spawn sink, except
 //!   through the audited boundaries in [`crate::boundaries`]. Each
 //!   violation carries the shortest witness call chain, `file:line` per
 //!   hop.
-//! - **Panic reachability**: every unwrap / expect / panic! / indexing
-//!   site reachable from the entry points is inventoried against the
+//! - **`panic`**: every unwrap / expect / panic! / indexing site
+//!   reachable from the entry points is inventoried against the
 //!   checked-in baseline `ci/analyze_panic_baseline.txt`; new sites fail,
 //!   removed sites are reported as burn-down progress.
-//! - **Registry drift**: emitted trace kinds and metrics keys must agree
+//! - **`alloc`**: the same ratchet over hot-path allocation sites
+//!   (`ci/analyze_alloc_baseline.txt`), new sites failing with a witness
+//!   chain from a hot entry point.
+//! - **`par`**: every thread-spawn site must carry a
+//!   [`crate::boundaries::PARALLEL_REGIONS`] manifest entry (drift in
+//!   either direction fails), and worker closures must be free of
+//!   determinism hazards not audited by the entry (see [`par`]).
+//! - **`cast`**: the ratchet over sim-reachable truncating `as` casts
+//!   (`ci/analyze_cast_baseline.txt`); `lint:allow(cast)` documents a
+//!   structural bound.
+//! - **`registry`**: emitted trace kinds and metrics keys must agree
 //!   with `uap_sim::trace::registry` and with the tables in
 //!   `docs/OBSERVABILITY.md` (see [`registry_check`]).
-//! - **Parallel-region discipline** (`--pass=par`): every thread-spawn
-//!   site must carry a [`crate::boundaries::PARALLEL_REGIONS`] manifest
-//!   entry (drift in either direction fails), and worker closures must
-//!   be free of determinism hazards not audited by the entry (see
-//!   [`par`]).
-//! - **Truncating-cast ratchet** (`--pass=cast`): sim-reachable
-//!   truncating `as` casts are inventoried against
-//!   `ci/analyze_cast_baseline.txt`; new sites fail, `lint:allow(cast)`
-//!   documents a structural bound.
 //!
 //! Everything is hand-rolled on the workspace's own lexer — no `syn`,
 //! no network, deterministic output. See `docs/STATIC_ANALYSIS.md`.
@@ -35,9 +39,11 @@ pub mod par;
 pub mod parser;
 pub mod registry_check;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use graph::Graph;
+use crate::lint::FileKind;
+use graph::{Graph, Inventory};
 
 /// Relative path of the panic-site baseline file.
 pub const BASELINE_PATH: &str = "ci/analyze_panic_baseline.txt";
@@ -48,56 +54,84 @@ pub const ALLOC_BASELINE_PATH: &str = "ci/analyze_alloc_baseline.txt";
 /// Relative path of the truncating-cast baseline file.
 pub const CAST_BASELINE_PATH: &str = "ci/analyze_cast_baseline.txt";
 
-/// Which ratcheted baseline(s) an `--update-baseline` run regenerates.
-/// Pass-scoped so refreshing one baseline can never silently rewrite
-/// the others.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpdateScope {
-    /// Only `ci/analyze_panic_baseline.txt`.
-    Panic,
-    /// Only `ci/analyze_alloc_baseline.txt`.
-    Alloc,
-    /// Only `ci/analyze_cast_baseline.txt`.
-    Cast,
-    /// Every baseline file (the explicit `--update-baseline` with no
-    /// scope).
-    All,
+/// One row of the pass table: the `--pass=<name>` spelling and the
+/// check it runs.
+pub type Pass = (&'static str, fn(&Corpus, &mut Report));
+
+/// Every pass, in the order a full run executes them.
+pub const PASSES: [Pass; 7] = [
+    ("lint", crate::lint::pass),
+    ("purity", |c, report| {
+        let (dist, parent) = c.graph.reach();
+        report
+            .violations
+            .extend(purity_pass(&c.graph, &dist, &parent));
+    }),
+    ("panic", panic_pass),
+    ("alloc", alloc_pass),
+    ("par", |c, report| {
+        par::par_pass(&c.graph, &crate::boundaries::PARALLEL_REGIONS, report)
+    }),
+    ("cast", cast_pass),
+    ("registry", |c, report| {
+        report
+            .violations
+            .extend(registry_check::run(&c.root, &c.graph.fns));
+    }),
+];
+
+/// Looks `name` up in [`PASSES`].
+pub fn pass(name: &str) -> Option<&'static Pass> {
+    PASSES.iter().find(|(n, _)| *n == name)
 }
 
-impl UpdateScope {
-    fn updates_panic(self) -> bool {
-        matches!(self, UpdateScope::Panic | UpdateScope::All)
-    }
-    fn updates_alloc(self) -> bool {
-        matches!(self, UpdateScope::Alloc | UpdateScope::All)
-    }
-    fn updates_cast(self) -> bool {
-        matches!(self, UpdateScope::Cast | UpdateScope::All)
-    }
+/// One lexed workspace source file.
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub label: String,
+    /// Which rule set applies (test dir / binary / sim path).
+    pub kind: FileKind,
+    /// The file's token stream.
+    pub lexed: lexer::Lexed,
 }
 
-/// What to do with the ratcheted baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BaselineMode {
-    /// Compare against the checked-in baselines; new sites are violations.
-    Check,
-    /// Regenerate the scoped baseline(s) from the current inventory.
-    Update(UpdateScope),
+/// Everything the passes read: the workspace lexed once, parsed once.
+pub struct Corpus {
+    /// The workspace root the labels and baseline paths are relative to.
+    pub root: PathBuf,
+    /// Every source file, sorted by label.
+    pub files: Vec<SourceFile>,
+    /// The call graph over the files' functions.
+    pub graph: Graph,
+    /// `--update-baseline`: a ratchet pass rewrites its baseline from the
+    /// current inventory instead of comparing against it.
+    pub update_baseline: bool,
 }
 
-/// Which passes to run. The scoped variants run exactly one pass so CI
-/// can surface each as its own named step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PassFilter {
-    /// Purity + panic + allocation + parallel + cast + registry (the
-    /// default).
-    All,
-    /// Only the allocation-discipline pass.
-    Alloc,
-    /// Only the parallel-region discipline pass.
-    Par,
-    /// Only the truncating-cast ratchet pass.
-    Cast,
+impl Corpus {
+    /// Walks, lexes and parses the workspace rooted at `root`.
+    pub fn load(root: &Path, update_baseline: bool) -> Corpus {
+        let files = collect_workspace(root);
+        let mut fns = Vec::new();
+        for f in &files {
+            // The xtask crate is build tooling end to end: like
+            // `main.rs` / `src/bin/` code it may abort freely, so it
+            // stays out of the panic inventory.
+            let is_bin = f.kind.is_bin || f.label.starts_with("crates/xtask/");
+            fns.extend(parser::parse_file(
+                &f.label,
+                &f.lexed,
+                f.kind.is_test_file,
+                is_bin,
+            ));
+        }
+        Corpus {
+            root: root.to_path_buf(),
+            files,
+            graph: Graph::build(fns),
+            update_baseline,
+        }
+    }
 }
 
 /// Corpus and graph sizes, for the PERF line.
@@ -125,30 +159,26 @@ pub struct Report {
     pub violations: Vec<String>,
     /// Informational output (burn-down progress, baseline updates).
     pub notes: Vec<String>,
+    /// One `<pass>: ok …` / `<pass>: N violation(s) …` line per pass run.
+    pub summaries: Vec<String>,
+    /// What the running pass wants appended to its summary line (site
+    /// and key counts, a pointer to the docs); reset before each pass.
+    pub detail: String,
     /// Corpus sizes.
     pub stats: Stats,
 }
 
-/// Runs the selected passes over the workspace rooted at `root`.
-pub fn run_passes(root: &Path, mode: BaselineMode, passes: PassFilter) -> Report {
+/// Runs `passes` (rows of [`PASSES`]) over the workspace rooted at `root`.
+pub fn run_passes(root: &Path, passes: &[Pass], update_baseline: bool) -> Report {
+    let corpus = Corpus::load(root, update_baseline);
+    let g = &corpus.graph;
     let mut report = Report::default();
-    let files = collect_workspace(root);
-    report.stats.files = files.len();
-
-    let mut fns = Vec::new();
-    for f in &files {
-        let Ok(source) = std::fs::read_to_string(&f.path) else {
-            continue;
-        };
-        let lexed = lexer::lex(&source);
-        fns.extend(parser::parse_file(&f.label, &lexed, f.is_test, f.is_bin));
-    }
-    report.stats.fns = fns.len();
-
-    let g = Graph::build(fns);
+    report.stats.files = corpus.files.len();
+    report.stats.fns = g.fns.len();
     report.stats.entries = g.entries.len();
     report.stats.edges = g.edge_count;
-    if g.entries.is_empty() {
+    // Every pass but the token-level lint walks the call graph.
+    if g.entries.is_empty() && passes.iter().any(|(name, _)| *name != "lint") {
         report.violations.push(
             "analyze: found no simulation entry points — the parser or the entry heuristics \
              regressed; refusing to vacuously pass"
@@ -156,36 +186,16 @@ pub fn run_passes(root: &Path, mode: BaselineMode, passes: PassFilter) -> Report
         );
         return report;
     }
-
-    let run_all = passes == PassFilter::All;
-
-    if run_all || passes == PassFilter::Alloc {
-        let hot = graph::find_hot_entries(&g.fns);
-        report.stats.hot_entries = hot.len();
-        if hot.is_empty() {
-            report.violations.push(
-                "analyze: found no hot-path entry points — the parser or the hot-entry \
-                 heuristics regressed; refusing to vacuously pass the allocation pass"
-                    .to_string(),
-            );
-            return report;
-        }
-        let (hot_dist, hot_parent) = g.reach_from(&hot);
-        alloc_pass(root, &g, &hot_dist, &hot_parent, mode, &mut report);
-    }
-
-    if run_all || passes == PassFilter::Par {
-        par::par_pass(&g, &crate::boundaries::PARALLEL_REGIONS, &mut report);
-    }
-
-    if run_all || passes == PassFilter::Cast {
-        let (dist, parent) = g.reach();
-        cast_pass(root, &g, &dist, mode, &mut report);
-        if run_all {
-            report.violations.extend(purity_pass(&g, &dist, &parent));
-            panic_pass(root, &g, &dist, mode, &mut report);
-            report.violations.extend(registry_check::run(root, &g.fns));
-        }
+    for (name, pass) in passes {
+        let before = report.violations.len();
+        report.detail.clear();
+        pass(&corpus, &mut report);
+        let verdict = match report.violations.len() - before {
+            0 => "ok".to_string(),
+            n => format!("{n} violation(s)"),
+        };
+        let summary = format!("{name}: {verdict} {}", report.detail);
+        report.summaries.push(summary.trim_end().to_string());
     }
     report
 }
@@ -215,491 +225,296 @@ fn purity_pass(g: &Graph, dist: &[usize], parent: &[Option<(usize, usize)>]) -> 
                 s.line,
                 s.what,
                 f.qualname(),
-                g.render_witness(&chain, &s.what, s.line)
+                g.render_witness(&chain, s.what, s.line)
             ));
         }
     }
     out
 }
 
-/// Allocation-discipline pass: hot-path allocation inventory vs the
-/// ratcheted `ci/analyze_alloc_baseline.txt` (or its regeneration).
-/// New / grown keys fail with the shortest witness chain from a hot
-/// entry point; shrunk keys are reported as burn-down progress.
-fn alloc_pass(
-    root: &Path,
-    g: &Graph,
-    dist: &[usize],
-    parent: &[Option<(usize, usize)>],
-    mode: BaselineMode,
-    report: &mut Report,
-) {
-    let inv = graph::alloc_inventory(g, dist);
-    report.stats.alloc_sites = inv.values().sum();
-    let path = root.join(ALLOC_BASELINE_PATH);
-    if let BaselineMode::Update(scope) = mode {
-        if scope.updates_alloc() {
-            let body = render_alloc_baseline(&inv);
-            match std::fs::write(&path, body) {
-                Ok(()) => report.notes.push(format!(
-                    "analyze: wrote {} entries ({} sites) to {ALLOC_BASELINE_PATH}",
-                    inv.len(),
-                    report.stats.alloc_sites
-                )),
-                Err(e) => report
-                    .violations
-                    .push(format!("analyze: cannot write {ALLOC_BASELINE_PATH}: {e}")),
-            }
-            return;
+/// The per-pass wording of [`ratchet`].
+struct Ratchet<'a> {
+    /// The pass's [`PASSES`] name, for the regeneration hint.
+    pass: &'static str,
+    /// Prefix of the pass's violation lines.
+    tag: &'static str,
+    /// Relative path of the checked-in baseline.
+    baseline: &'static str,
+    /// Extra baseline header line(s), each ending in a newline.
+    header_extra: String,
+    /// Where the inventoried sites are reachable from.
+    scope: &'static str,
+    /// A key's site description (`` `vec` allocation ``) and the advice
+    /// for a new one.
+    describe: &'a dyn Fn(&str) -> (String, String),
+    /// Evidence block appended to a new key's violation.
+    witness: &'a dyn Fn(&str, &str, &str) -> String,
+}
+
+/// The one ratchet: compares `inv` against the checked-in baseline (rows
+/// `<count>\t<file>::<fn>\t<key>`) or, under `--update-baseline`,
+/// rewrites the baseline from it. New and grown keys fail with their
+/// source lines; shrunk keys are reported as burn-down progress. Returns
+/// the inventory's site count.
+fn ratchet(c: &Corpus, report: &mut Report, r: &Ratchet<'_>, inv: &Inventory) -> usize {
+    let Ratchet {
+        pass,
+        tag,
+        baseline,
+        scope,
+        ..
+    } = *r;
+    let sites = graph::site_count(inv);
+    report.detail = format!("{sites} sites / {} keys", inv.len());
+    let path = c.root.join(baseline);
+    if c.update_baseline {
+        let header = format!(
+            "# Baseline of the {pass} pass — generated by `cargo run -p xtask -- analyze \
+             --pass={pass} --update-baseline`.\n\
+             # Each line: <count>\\t<file>::<fn>\\t<key>, sorted.\n\
+             {}# New sites fail CI; burn this list down, never up.\n",
+            r.header_extra
+        );
+        match std::fs::write(&path, render_baseline(&header, inv)) {
+            Ok(()) => report.notes.push(format!(
+                "analyze: wrote {} entries ({sites} sites) to {baseline}",
+                inv.len()
+            )),
+            Err(e) => report
+                .violations
+                .push(format!("analyze: cannot write {baseline}: {e}")),
         }
+        return sites;
     }
     let Ok(body) = std::fs::read_to_string(&path) else {
         report.violations.push(format!(
-            "analyze: missing {ALLOC_BASELINE_PATH} — run `cargo run -p xtask -- analyze \
-             --update-baseline=alloc` and commit the result"
+            "analyze: missing {baseline} — run `cargo run -p xtask -- analyze --pass={pass} \
+             --update-baseline` and commit the result"
         ));
-        return;
+        return sites;
     };
-    let baseline = parse_alloc_baseline(&body);
-    for (key, &count) in &inv {
-        let (file, qual, kind) = key;
-        match baseline.get(key) {
+    let old = parse_baseline(&body);
+    for (k, lines) in inv {
+        let (file, qual, key) = k;
+        let (what, advice) = (r.describe)(key);
+        match old.get(k) {
             None => {
-                let (lines, witness) = alloc_site_evidence(g, file, qual, kind, parent);
+                let mut lines = lines.clone();
+                lines.sort_unstable();
+                lines.dedup();
+                let lines: Vec<String> = lines.iter().map(usize::to_string).collect();
                 report.violations.push(format!(
-                    "alloc: {file}:{lines}: new `{kind}` allocation site(s) in `{qual}` \
-                     reachable from the hot-path entry set; reuse a scratch buffer, hoist the \
-                     allocation out of the per-event path, or document a one-shot path with \
-                     `lint:allow(alloc)` on the fn (baseline: {ALLOC_BASELINE_PATH})\n{witness}"
+                    "{tag}: {file}:{}: new {what} site(s) in `{qual}` reachable from {scope}; \
+                     {advice} (baseline: {baseline}){}",
+                    lines.join(","),
+                    (r.witness)(file, qual, key)
                 ));
             }
-            Some(&b) if count > b => report.violations.push(format!(
-                "alloc: {file}: `{qual}` grew from {b} to {count} `{kind}` allocation site(s) \
-                 reachable from the hot-path entry set (baseline: {ALLOC_BASELINE_PATH})"
+            Some(&b) if lines.len() > b => report.violations.push(format!(
+                "{tag}: {file}: `{qual}` grew from {b} to {} {what} site(s) reachable from \
+                 {scope} (baseline: {baseline})",
+                lines.len()
             )),
             Some(_) => {}
         }
     }
-    let mut gone = 0usize;
-    for (key, &b) in &baseline {
-        let now = inv.get(key).copied().unwrap_or(0);
-        if now < b {
-            gone += b - now;
-        }
-    }
+    let gone: usize = old
+        .iter()
+        .map(|(k, &b)| b.saturating_sub(inv.get(k).map_or(0, Vec::len)))
+        .sum();
     if gone > 0 {
         report.notes.push(format!(
-            "analyze: {gone} baselined allocation site(s) no longer on the hot path — run \
-             `--update-baseline=alloc` to ratchet {ALLOC_BASELINE_PATH} down"
+            "analyze: {gone} baselined {pass} site(s) no longer present — run `analyze \
+             --pass={pass} --update-baseline` to ratchet {baseline} down"
         ));
     }
+    sites
 }
 
-/// Comma-joined lines of the alloc sites behind one inventory key, plus
-/// the rendered shortest witness chain from a hot entry point into the
-/// offending function.
-fn alloc_site_evidence(
-    g: &Graph,
-    file: &str,
-    qual: &str,
-    kind: &str,
-    parent: &[Option<(usize, usize)>],
-) -> (String, String) {
-    let mut lines: Vec<usize> = Vec::new();
-    let mut witness = String::new();
-    for (i, f) in g.fns.iter().enumerate() {
-        if f.file != file || f.qualname() != qual {
-            continue;
-        }
-        let sites: Vec<&parser::AllocSite> =
-            f.allocs.iter().filter(|a| a.kind.name() == kind).collect();
-        if sites.is_empty() {
-            continue;
-        }
-        lines.extend(sites.iter().map(|a| a.line));
-        if witness.is_empty() {
-            let chain = g.witness(parent, i);
-            let first = sites[0];
-            witness = g.render_witness(&chain, &first.what, first.line);
-        }
-    }
-    lines.sort_unstable();
-    lines.dedup();
-    let lines = lines
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    (lines, witness)
-}
-
-/// Renders the alloc inventory as the checked-in baseline text.
-fn render_alloc_baseline(inv: &graph::AllocInventory) -> String {
-    let mut out = String::from(
-        "# Hot-path allocation baseline — generated by `cargo run -p xtask -- analyze \
-         --update-baseline=alloc`.\n\
-         # Each line: <count>\\t<file>::<fn>\\t<kind>, sorted.\n\
-         # New hot-path allocation sites fail CI; burn this list down, never up.\n",
-    );
-    for ((file, qual, kind), count) in inv {
-        out.push_str(&format!("{count}\t{file}::{qual}\t{kind}\n"));
+/// Renders an inventory as baseline text under `header`.
+fn render_baseline(header: &str, inv: &Inventory) -> String {
+    let mut out = header.to_string();
+    for ((file, qual, key), lines) in inv {
+        out.push_str(&format!("{}\t{file}::{qual}\t{key}\n", lines.len()));
     }
     out
 }
 
-/// Parses the alloc baseline text back into an inventory.
-fn parse_alloc_baseline(body: &str) -> graph::AllocInventory {
-    let mut inv = graph::AllocInventory::new();
+/// Parses baseline text back into per-key site counts.
+fn parse_baseline(body: &str) -> BTreeMap<(String, String, String), usize> {
+    let mut counts = BTreeMap::new();
     for line in body.lines() {
-        let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let parts: Vec<&str> = line.split('\t').collect();
-        let [count, site, kind] = parts.as_slice() else {
+        let mut parts = line.splitn(3, '\t');
+        let (Some(count), Some(site), Some(key)) = (parts.next(), parts.next(), parts.next())
+        else {
             continue;
         };
         let Ok(count) = count.parse::<usize>() else {
             continue;
         };
-        let Some(split) = site.find(".rs::") else {
+        // `<file>::<fn>` — the file part ends at its `.rs`.
+        let Some((file, qual)) = site.split_once(".rs::") else {
             continue;
         };
-        let (file, qual) = site.split_at(split + 3);
-        inv.insert(
-            (
-                file.to_string(),
-                qual.trim_start_matches("::").to_string(),
-                kind.to_string(),
-            ),
+        counts.insert(
+            (format!("{file}.rs"), qual.to_string(), key.to_string()),
             count,
         );
     }
-    inv
+    counts
 }
 
-/// Truncating-cast pass: sim-reachable cast inventory vs the ratcheted
-/// `ci/analyze_cast_baseline.txt` (or its regeneration). New / grown
-/// keys fail with the offending source lines; shrunk keys are reported
-/// as burn-down progress. Sites documented with `lint:allow(cast)` are
-/// excluded from the inventory but counted in the baseline header.
-fn cast_pass(root: &Path, g: &Graph, dist: &[usize], mode: BaselineMode, report: &mut Report) {
-    let (inv, documented) = graph::cast_inventory(g, dist);
-    report.stats.cast_sites = inv.values().sum();
-    let path = root.join(CAST_BASELINE_PATH);
-    if let BaselineMode::Update(scope) = mode {
-        if scope.updates_cast() {
-            let body = render_cast_baseline(&inv, documented);
-            match std::fs::write(&path, body) {
-                Ok(()) => report.notes.push(format!(
-                    "analyze: wrote {} entries ({} sites, {documented} documented via \
-                     lint:allow(cast)) to {CAST_BASELINE_PATH}",
-                    inv.len(),
-                    report.stats.cast_sites
-                )),
-                Err(e) => report
-                    .violations
-                    .push(format!("analyze: cannot write {CAST_BASELINE_PATH}: {e}")),
-            }
-            return;
-        }
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        report.violations.push(format!(
-            "analyze: missing {CAST_BASELINE_PATH} — run `cargo run -p xtask -- analyze \
-             --update-baseline=cast` and commit the result"
-        ));
+/// Allocation-discipline pass: hot-path allocation inventory vs
+/// `ci/analyze_alloc_baseline.txt`, new keys failing with the shortest
+/// witness chain from a hot entry point.
+fn alloc_pass(c: &Corpus, report: &mut Report) {
+    let g = &c.graph;
+    let hot = graph::find_hot_entries(&g.fns);
+    report.stats.hot_entries = hot.len();
+    if hot.is_empty() {
+        report.violations.push(
+            "analyze: found no hot-path entry points — the parser or the hot-entry \
+             heuristics regressed; refusing to vacuously pass the allocation pass"
+                .to_string(),
+        );
         return;
+    }
+    let (dist, parent) = g.reach_from(&hot);
+    let inv = graph::inventory(g, &dist, graph::alloc_sites);
+    // The chain from a hot entry point into the first function behind
+    // the key, down to its first site of that kind.
+    let witness = |file: &str, qual: &str, kind: &str| {
+        let hit = g.fns.iter().enumerate().find_map(|(i, f)| {
+            let site = f.allocs.iter().find(|a| a.kind.name() == kind)?;
+            (f.file == file && f.qualname() == qual).then_some((i, site))
+        });
+        hit.map_or(String::new(), |(i, site)| {
+            let chain = g.witness(&parent, i);
+            format!("\n{}", g.render_witness(&chain, &site.what, site.line))
+        })
     };
-    let baseline = parse_cast_baseline(&body);
-    for (key, &count) in &inv {
-        let (file, qual, target) = key;
-        match baseline.get(key) {
-            None => {
-                let lines = cast_site_lines(g, file, qual, target);
-                report.violations.push(format!(
-                    "cast: {file}:{lines}: new truncating `as {target}` site(s) in `{qual}` \
-                     reachable from the sim entry points; widen the type, use a checked \
-                     conversion (`try_into` with the bound handled), or document a structural \
-                     bound with `lint:allow(cast)` (baseline: {CAST_BASELINE_PATH})"
-                ));
-            }
-            Some(&b) if count > b => report.violations.push(format!(
-                "cast: {file}: `{qual}` grew from {b} to {count} truncating `as {target}` \
-                 site(s) reachable from the sim entry points (baseline: {CAST_BASELINE_PATH})"
-            )),
-            Some(_) => {}
-        }
-    }
-    let mut gone = 0usize;
-    for (key, &b) in &baseline {
-        let now = inv.get(key).copied().unwrap_or(0);
-        if now < b {
-            gone += b - now;
-        }
-    }
-    if gone > 0 {
-        report.notes.push(format!(
-            "analyze: {gone} baselined truncating cast(s) no longer present — run \
-             `--update-baseline=cast` to ratchet {CAST_BASELINE_PATH} down"
-        ));
-    }
-}
-
-/// Comma-joined source lines of the undocumented casts behind one
-/// inventory key.
-fn cast_site_lines(g: &Graph, file: &str, qual: &str, target: &str) -> String {
-    let mut lines: Vec<usize> = g
-        .fns
-        .iter()
-        .filter(|f| f.file == file && f.qualname() == qual)
-        .flat_map(|f| &f.casts)
-        .filter(|c| c.target == target && !c.documented)
-        .map(|c| c.line)
-        .collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Renders the cast inventory as the checked-in baseline text. The
-/// header records how many sites are documented via `lint:allow(cast)`
-/// (and therefore *not* listed), so reviewers see the full count.
-fn render_cast_baseline(inv: &graph::CastInventory, documented: usize) -> String {
-    let mut out = format!(
-        "# Truncating-cast baseline — generated by `cargo run -p xtask -- analyze \
-         --update-baseline=cast`.\n\
-         # Each line: <count>\\t<file>::<fn>\\t<target type>, sorted.\n\
-         # Sites documented via `lint:allow(cast)` (excluded below): {documented}\n\
-         # New sim-reachable truncating casts fail CI; burn this list down, never up.\n"
-    );
-    for ((file, qual, target), count) in inv {
-        out.push_str(&format!("{count}\t{file}::{qual}\t{target}\n"));
-    }
-    out
-}
-
-/// Parses the cast baseline text back into an inventory.
-fn parse_cast_baseline(body: &str) -> graph::CastInventory {
-    let mut inv = graph::CastInventory::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split('\t').collect();
-        let [count, site, target] = parts.as_slice() else {
-            continue;
-        };
-        let Ok(count) = count.parse::<usize>() else {
-            continue;
-        };
-        let Some(split) = site.find(".rs::") else {
-            continue;
-        };
-        let (file, qual) = site.split_at(split + 3);
-        inv.insert(
+    let r = Ratchet {
+        pass: "alloc",
+        tag: "alloc",
+        baseline: ALLOC_BASELINE_PATH,
+        header_extra: String::new(),
+        scope: "the hot-path entry set",
+        describe: &|kind| {
             (
-                file.to_string(),
-                qual.trim_start_matches("::").to_string(),
-                target.to_string(),
-            ),
-            count,
-        );
-    }
-    inv
+                format!("`{kind}` allocation"),
+                "reuse a scratch buffer, hoist the allocation out of the per-event path, or \
+                 document a one-shot path with `lint:allow(alloc)` on the fn"
+                    .to_string(),
+            )
+        },
+        witness: &witness,
+    };
+    report.stats.alloc_sites = ratchet(c, report, &r, &inv);
 }
 
-/// Panic pass: inventory vs baseline (or baseline regeneration).
-fn panic_pass(root: &Path, g: &Graph, dist: &[usize], mode: BaselineMode, report: &mut Report) {
-    let inv = graph::panic_inventory(g, dist);
-    let path = root.join(BASELINE_PATH);
-    match mode {
-        BaselineMode::Update(scope) if scope.updates_panic() => {
-            let body = render_baseline(&inv);
-            match std::fs::write(&path, body) {
-                Ok(()) => report.notes.push(format!(
-                    "analyze: wrote {} entries to {BASELINE_PATH}",
-                    inv.len()
-                )),
-                Err(e) => report
-                    .violations
-                    .push(format!("analyze: cannot write {BASELINE_PATH}: {e}")),
-            }
-        }
-        _ => {
-            let Ok(body) = std::fs::read_to_string(&path) else {
-                report.violations.push(format!(
-                    "analyze: missing {BASELINE_PATH} — run `cargo run -p xtask -- analyze \
-                     --update-baseline=panic` and commit the result"
-                ));
-                return;
-            };
-            let baseline = parse_baseline(&body);
-            for (key, &count) in &inv {
-                let (file, qual, kind, class) = key;
-                match baseline.get(key) {
-                    None => {
-                        let lines = site_lines(g, file, qual, kind, class);
-                        report.violations.push(format!(
-                            "panics: {file}:{lines}: new {class} {kind} site(s) in `{qual}` \
-                             reachable from the engine step loop; document the invariant with \
-                             `lint:allow({kind})` or handle the None/Err case \
-                             (baseline: {BASELINE_PATH})"
-                        ));
-                    }
-                    Some(&b) if count > b => report.violations.push(format!(
-                        "panics: {file}: `{qual}` grew from {b} to {count} {class} {kind} \
-                         site(s) reachable from the engine step loop (baseline: {BASELINE_PATH})"
-                    )),
-                    Some(_) => {}
-                }
-            }
-            let mut gone = 0usize;
-            for (key, &b) in &baseline {
-                let now = inv.get(key).copied().unwrap_or(0);
-                if now < b {
-                    gone += b - now;
-                }
-            }
-            if gone > 0 {
-                report.notes.push(format!(
-                    "analyze: {gone} baselined panic site(s) no longer reachable — run \
-                     `--update-baseline` to ratchet {BASELINE_PATH} down"
-                ));
-            }
-        }
-    }
-}
-
-/// Comma-joined source lines of the panic sites behind one inventory
-/// key, so a baseline miss points at the exact expressions.
-fn site_lines(g: &Graph, file: &str, qual: &str, kind: &str, class: &str) -> String {
-    let mut lines: Vec<usize> = g
-        .fns
-        .iter()
-        .filter(|f| f.file == file && f.qualname() == qual)
-        .flat_map(|f| &f.panics)
-        .filter(|p| p.kind.name() == kind && (p.documented == (class == "documented")))
-        .map(|p| p.line)
-        .collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Renders the inventory as the checked-in baseline text.
-fn render_baseline(inv: &graph::PanicInventory) -> String {
-    let mut out = String::from(
-        "# Panic-reachability baseline — generated by `cargo run -p xtask -- analyze \
-         --update-baseline=panic`.\n\
-         # Each line: <count>\\t<file>::<fn>\\t<kind>\\t<documented|bare>, sorted.\n\
-         # New reachable panic sites fail CI; burn this list down, never up.\n",
-    );
-    for ((file, qual, kind, class), count) in inv {
-        out.push_str(&format!("{count}\t{file}::{qual}\t{kind}\t{class}\n"));
-    }
-    out
-}
-
-/// Parses the baseline text back into an inventory.
-fn parse_baseline(body: &str) -> graph::PanicInventory {
-    let mut inv = graph::PanicInventory::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split('\t').collect();
-        let [count, site, kind, class] = parts.as_slice() else {
-            continue;
-        };
-        let Ok(count) = count.parse::<usize>() else {
-            continue;
-        };
-        // `<file>::<fn>` — the file part ends at the first `::` after
-        // the final `/`, i.e. split on the first `::` past the dir part.
-        let Some(split) = site.find(".rs::") else {
-            continue;
-        };
-        let (file, qual) = site.split_at(split + 3);
-        inv.insert(
+/// Truncating-cast pass: sim-reachable cast inventory vs
+/// `ci/analyze_cast_baseline.txt`. Sites documented with
+/// `lint:allow(cast)` are excluded from the inventory but counted in the
+/// baseline header, so reviewers see the full count.
+fn cast_pass(c: &Corpus, report: &mut Report) {
+    let (dist, _) = c.graph.reach();
+    let inv = graph::inventory(&c.graph, &dist, |f| graph::cast_sites(f, false));
+    let documented = graph::site_count(&graph::inventory(&c.graph, &dist, |f| {
+        graph::cast_sites(f, true)
+    }));
+    let r = Ratchet {
+        pass: "cast",
+        tag: "cast",
+        baseline: CAST_BASELINE_PATH,
+        header_extra: format!(
+            "# Sites documented via `lint:allow(cast)` (excluded below): {documented}\n"
+        ),
+        scope: "the sim entry points",
+        describe: &|target| {
             (
-                file.to_string(),
-                qual.trim_start_matches("::").to_string(),
-                kind.to_string(),
-                class.to_string(),
-            ),
-            count,
-        );
-    }
-    inv
+                format!("truncating `as {target}`"),
+                "widen the type, use a checked conversion (`try_into` with the bound handled), \
+                 or document a structural bound with `lint:allow(cast)`"
+                    .to_string(),
+            )
+        },
+        witness: &|_, _, _| String::new(),
+    };
+    report.stats.cast_sites = ratchet(c, report, &r, &inv);
 }
 
-/// One workspace source file to analyze.
-struct SourceFile {
-    path: PathBuf,
-    label: String,
-    is_test: bool,
-    is_bin: bool,
+/// Panic pass: sim-reachable panic-site inventory vs
+/// `ci/analyze_panic_baseline.txt`.
+fn panic_pass(c: &Corpus, report: &mut Report) {
+    let (dist, _) = c.graph.reach();
+    let inv = graph::inventory(&c.graph, &dist, graph::panic_sites);
+    let r = Ratchet {
+        pass: "panic",
+        tag: "panics",
+        baseline: BASELINE_PATH,
+        header_extra: String::new(),
+        scope: "the engine step loop",
+        describe: &|key| {
+            let (kind, class) = key.split_once(' ').unwrap_or((key, ""));
+            (
+                format!("{class} {kind}"),
+                format!(
+                    "document the invariant with `lint:allow({kind})` or handle the None/Err case"
+                ),
+            )
+        },
+        witness: &|_, _, _| String::new(),
+    };
+    ratchet(c, report, &r, &inv);
 }
 
-/// Collects the same file set as `xtask lint`: `crates/*/src`,
-/// `crates/*/tests`, and the root `src/` + `tests/`. `compat/` (vendored
-/// stubs) lives outside these roots and is skipped by construction.
+/// Collects `crates/*/src`, `crates/*/tests`, and the root `src/` +
+/// `tests/`, lexed, sorted by label. `compat/` (vendored stubs) lives
+/// outside these roots and is skipped by construction.
 fn collect_workspace(root: &Path) -> Vec<SourceFile> {
     let mut out = Vec::new();
-    let mut push_tree = |dir: PathBuf, is_test: bool| {
+    let mut push_tree = |dir: PathBuf, is_test_file: bool| {
         let mut stack = vec![dir];
         while let Some(d) = stack.pop() {
             let Ok(entries) = std::fs::read_dir(&d) else {
                 continue;
             };
-            let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-            paths.sort();
-            for p in paths {
+            for p in entries.flatten().map(|e| e.path()) {
                 if p.is_dir() {
                     stack.push(p);
-                } else if p.extension().is_some_and(|e| e == "rs") {
-                    let label = p
-                        .strip_prefix(root)
-                        .unwrap_or(&p)
-                        .to_string_lossy()
-                        .replace('\\', "/");
-                    // The xtask crate is build tooling end to end: like
-                    // `main.rs` / `src/bin/` code it may abort freely,
-                    // so it stays out of the panic inventory.
-                    let is_bin = p.file_name().is_some_and(|n| n == "main.rs")
-                        || p.components().any(|c| c.as_os_str() == "bin")
-                        || label.starts_with("crates/xtask/");
-                    out.push(SourceFile {
-                        path: p,
-                        label,
-                        is_test,
-                        is_bin,
-                    });
+                    continue;
                 }
+                if p.extension().is_none_or(|e| e != "rs") {
+                    continue;
+                }
+                let Ok(source) = std::fs::read_to_string(&p) else {
+                    continue;
+                };
+                let label = p
+                    .strip_prefix(root)
+                    .unwrap_or(&p)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                let is_bin = p.file_name().is_some_and(|n| n == "main.rs")
+                    || p.components().any(|c| c.as_os_str() == "bin");
+                out.push(SourceFile {
+                    kind: FileKind {
+                        is_test_file,
+                        is_bin,
+                        is_sim_path: !is_test_file && !label.starts_with("crates/xtask/"),
+                    },
+                    label,
+                    lexed: lexer::lex(&source),
+                });
             }
         }
     };
 
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        let mut crates: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crates.sort();
-        for krate in crates {
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for krate in entries.flatten().map(|e| e.path()) {
             push_tree(krate.join("src"), false);
             push_tree(krate.join("tests"), true);
         }
@@ -713,11 +528,11 @@ fn collect_workspace(root: &Path) -> Vec<SourceFile> {
 
 /// Renders the report for the CLI. Returns `true` when clean.
 pub fn print_report(report: &Report) -> bool {
-    for n in &report.notes {
-        println!("{n}");
+    for line in report.notes.iter().chain(&report.violations) {
+        println!("{line}");
     }
-    for v in &report.violations {
-        println!("{v}");
+    for line in &report.summaries {
+        println!("{line}");
     }
     if report.violations.is_empty() {
         println!(
@@ -835,10 +650,11 @@ mod tests {
             "impl Simulator { pub fn run(&mut self, o: Option<u8>) { o.unwrap(); } }\n",
         )]);
         let (dist, _) = g.reach();
-        let inv = graph::panic_inventory(&g, &dist);
-        let text = render_baseline(&inv);
+        let inv = graph::inventory(&g, &dist, graph::panic_sites);
+        let text = render_baseline("# header\n", &inv);
         let parsed = parse_baseline(&text);
-        assert_eq!(parsed, inv, "baseline must round-trip through text");
+        let counts = inv.iter().map(|(k, l)| (k.clone(), l.len())).collect();
+        assert_eq!(parsed, counts, "baseline must round-trip through text");
 
         // A newly introduced reachable unwrap (not in the baseline) fails.
         let g2 = graph_of(&[(
@@ -846,7 +662,7 @@ mod tests {
             "impl Simulator { pub fn run(&mut self, o: Option<u8>) { o.unwrap(); } }\npub fn helper(o: Option<u8>) { o.unwrap(); }\nimpl Ctx { pub fn now(&self, o: Option<u8>) { helper(o); } }\n",
         )]);
         let (dist2, _) = g2.reach();
-        let inv2 = graph::panic_inventory(&g2, &dist2);
+        let inv2 = graph::inventory(&g2, &dist2, graph::panic_sites);
         let new_keys: Vec<_> = inv2.keys().filter(|k| !inv.contains_key(*k)).collect();
         assert_eq!(new_keys.len(), 1);
         assert_eq!(new_keys[0].1, "helper");
@@ -873,31 +689,33 @@ mod tests {
         root
     }
 
-    /// Violations minus the registry pass's (a synthetic root has no
-    /// trace registry or OBSERVABILITY.md — that pass is not under test).
+    /// The one-row pass table of `--pass=<name>`.
+    fn only(name: &str) -> [Pass; 1] {
+        [*pass(name).expect("a PASSES row")] // lint:allow(expect)
+    }
+
+    /// Violations of the graph passes: minus the registry pass's (a
+    /// synthetic root has no OBSERVABILITY.md and emits nothing) and the
+    /// lint's (the fixture's bare unwrap) — neither is under test.
     fn non_registry(report: &Report) -> Vec<String> {
         report
             .violations
             .iter()
-            .filter(|v| !v.starts_with("registry:"))
+            .filter(|v| !v.starts_with("registry:") && !v.contains(": rule("))
             .cloned()
             .collect()
     }
 
     #[test]
-    fn update_scope_panic_does_not_touch_the_other_baselines() {
+    fn updating_the_panic_baseline_does_not_touch_the_other_baselines() {
         let root = synthetic_root("scope-panic");
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::Panic),
-            PassFilter::All,
-        );
-        // The alloc and cast passes ran in Check mode against missing
-        // baselines — those are the only violations; the panic baseline
-        // was written.
+        let report = run_passes(&root, &only("panic"), true);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(root.join(BASELINE_PATH).exists());
         assert!(!root.join(ALLOC_BASELINE_PATH).exists());
         assert!(!root.join(CAST_BASELINE_PATH).exists());
+        // A full check now misses exactly the alloc and cast baselines.
+        let report = run_passes(&root, &PASSES, false);
         let v = non_registry(&report);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.contains(ALLOC_BASELINE_PATH)), "{v:?}");
@@ -905,38 +723,28 @@ mod tests {
     }
 
     #[test]
-    fn update_scope_alloc_does_not_touch_the_panic_baseline() {
+    fn updating_the_alloc_baseline_does_not_touch_the_panic_baseline() {
         let root = synthetic_root("scope-alloc");
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::Alloc),
-            PassFilter::All,
-        );
+        run_passes(&root, &only("alloc"), true);
         assert!(root.join(ALLOC_BASELINE_PATH).exists());
         assert!(!root.join(BASELINE_PATH).exists());
+        let report = run_passes(&root, &PASSES, false);
         let v = non_registry(&report);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.contains(BASELINE_PATH)), "{v:?}");
 
-        // After scoping the panic and cast updates too, Check mode is
+        // After updating the panic and cast baselines too, a check is
         // clean and the alloc baseline carries the vec site (in-loop
         // class not armed here: the vec! sits at fn top, so kind is
         // plain `vec`).
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::Panic),
-            PassFilter::All,
-        );
+        run_passes(&root, &only("panic"), true);
+        let report = run_passes(&root, &PASSES, false);
         let v = non_registry(&report);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains(CAST_BASELINE_PATH), "{v:?}");
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::Cast),
-            PassFilter::All,
-        );
-        assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::All);
+        let report = run_passes(&root, &only("cast"), true);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let report = run_passes(&root, &PASSES, false);
         assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
         let body =
             std::fs::read_to_string(root.join(ALLOC_BASELINE_PATH)).expect("baseline readable"); // lint:allow(expect)
@@ -944,13 +752,9 @@ mod tests {
     }
 
     #[test]
-    fn update_scope_all_writes_every_baseline() {
+    fn updating_with_every_pass_writes_every_baseline() {
         let root = synthetic_root("scope-all");
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::All),
-            PassFilter::All,
-        );
+        let report = run_passes(&root, &PASSES, true);
         assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
         for p in [BASELINE_PATH, ALLOC_BASELINE_PATH, CAST_BASELINE_PATH] {
             assert!(root.join(p).exists(), "{p} must be written");
@@ -958,14 +762,18 @@ mod tests {
     }
 
     #[test]
-    fn pass_filter_alloc_skips_the_panic_and_registry_passes() {
+    fn pass_alloc_skips_the_panic_and_registry_passes() {
         // With no baselines at all, a `--pass=alloc` run must complain
         // about the alloc baseline only — the panic pass never ran.
         let root = synthetic_root("pass-alloc");
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Alloc);
+        let report = run_passes(&root, &only("alloc"), false);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains(ALLOC_BASELINE_PATH));
         assert!(!report.violations[0].contains(BASELINE_PATH));
+        assert_eq!(
+            report.summaries,
+            vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
+        );
     }
 
     #[test]
@@ -975,7 +783,7 @@ mod tests {
         // a *new* site and must fail with a witness chain naming the
         // entry point and the sink.
         std::fs::write(root.join(ALLOC_BASELINE_PATH), "# empty\n").expect("write baseline"); // lint:allow(expect)
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Alloc);
+        let report = run_passes(&root, &only("alloc"), false);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         let v = &report.violations[0];
         assert!(
@@ -1013,17 +821,13 @@ mod tests {
         let root = cast_root("cast-ratchet");
         // Missing baseline: `--pass=cast` complains about the cast
         // baseline only — the panic and alloc passes never ran.
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Cast);
+        let report = run_passes(&root, &only("cast"), false);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains(CAST_BASELINE_PATH));
         assert!(!report.violations[0].contains(ALLOC_BASELINE_PATH));
         // Regenerate: the documented u16 site is excluded but counted in
         // the header's allowed count.
-        let report = run_passes(
-            &root,
-            BaselineMode::Update(UpdateScope::Cast),
-            PassFilter::Cast,
-        );
+        let report = run_passes(&root, &only("cast"), true);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         let body = std::fs::read_to_string(root.join(CAST_BASELINE_PATH)).expect("baseline"); // lint:allow(expect)
         assert!(
@@ -1033,7 +837,7 @@ mod tests {
         assert!(body.contains("(excluded below): 1"), "{body}");
         assert!(!body.contains("\tu16\n"), "{body}");
         // Clean against the committed baseline.
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Cast);
+        let report = run_passes(&root, &only("cast"), false);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         // A new u64→u16 truncation fails with its source line.
         std::fs::write(
@@ -1041,7 +845,7 @@ mod tests {
             "impl Simulator { pub fn run(&mut self, x: u64) {\n    let a = x as u32;\n    let c = x as u16;\n    drop((a, c));\n} }\n",
         )
         .expect("rewrite synthetic engine"); // lint:allow(expect)
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Cast);
+        let report = run_passes(&root, &only("cast"), false);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         let v = &report.violations[0];
         assert!(
@@ -1078,7 +882,7 @@ mod tests {
     #[test]
     fn par_fixture_hazards_fail_with_witness_chains() {
         let root = par_root("par-fixture");
-        let report = run_passes(&root, BaselineMode::Check, PassFilter::Par);
+        let report = run_passes(&root, &only("par"), false);
         let v = &report.violations;
         assert_eq!(v.len(), 4, "{v:#?}");
         assert!(
@@ -1221,7 +1025,7 @@ mod tests {
     fn workspace_analyze_is_clean() {
         // The real workspace must pass every pass against the
         // checked-in baselines and the committed OBSERVABILITY.md tables.
-        let report = run_passes(&workspace_root(), BaselineMode::Check, PassFilter::All);
+        let report = run_passes(&workspace_root(), &PASSES, false);
         assert!(
             report.violations.is_empty(),
             "analyze must be clean on the workspace:\n{}",
@@ -1235,16 +1039,10 @@ mod tests {
     fn workspace_graph_reaches_the_overlays() {
         // Sanity: the entry heuristics must pull the overlay handlers in,
         // and the graph must reach beyond the engine crate.
-        let files = collect_workspace(&workspace_root());
+        let corpus = Corpus::load(&workspace_root(), false);
+        let files = &corpus.files;
         assert!(files.len() > 50, "workspace walk found {}", files.len());
-        let mut fns = Vec::new();
-        for f in &files {
-            let Ok(src) = std::fs::read_to_string(&f.path) else {
-                continue;
-            };
-            fns.extend(parse_file(&f.label, &lex(&src), f.is_test, f.is_bin));
-        }
-        let g = Graph::build(fns);
+        let g = &corpus.graph;
         let names: Vec<String> = g.entries.iter().map(|&i| g.fns[i].qualname()).collect();
         assert!(
             names.iter().any(|n| n == "Simulator::run"),

@@ -131,7 +131,7 @@ pub fn par_pass(g: &Graph, regions: &[ParallelRegion], report: &mut Report) {
                     }
                     for s in &tf.sinks {
                         if s.kind == SinkKind::Entropy {
-                            flag(HazardKind::Rng, &s.what, s.line);
+                            flag(HazardKind::Rng, s.what, s.line);
                         }
                     }
                     for h in &tf.hazards {

@@ -10,8 +10,11 @@
 //! The parser is deliberately approximate where Rust's grammar is
 //! irrelevant to the analyses — bodies of nested `fn` items are
 //! attributed to the enclosing function, turbofish-qualified calls are
-//! ignored, and `#[cfg(test)]` regions are tracked by brace matching.
-//! Every approximation widens (never narrows) what the passes see.
+//! ignored, and `#[cfg(test)]` regions come from the lexer's brace
+//! matching. Every approximation widens (never narrows) what the passes
+//! see.
+
+use uap_sim::trace::registry::MetricKind;
 
 use crate::analyze::lexer::{Lexed, Tok, TokKind};
 use crate::boundaries::{in_threads_boundary, in_wallclock_boundary, ALLOC_RULE, CAST_RULE};
@@ -61,15 +64,38 @@ impl SinkKind {
             SinkKind::Thread => "threads",
         }
     }
+
+    /// True when a sink of this class on `line` of `file` is covered by
+    /// its `lint:allow` *and* `file` is the audited boundary that escape
+    /// is honored in (see [`crate::boundaries`]).
+    pub fn audited(self, file: &str, lexed: &Lexed, line: usize) -> bool {
+        lexed.allowed(line, self.rule())
+            && match self {
+                SinkKind::Wallclock | SinkKind::Entropy => in_wallclock_boundary(file),
+                SinkKind::Thread => in_threads_boundary(file),
+            }
+    }
 }
+
+/// The one sink-token table: every `::`-path the lint's `threads` /
+/// `wallclock` rules and the purity pass treat as a determinism sink.
+/// A path matches by suffix (`std::thread::scope`, `foo::thread::scope`).
+pub const SINKS: [(&str, SinkKind); 6] = [
+    ("thread::scope", SinkKind::Thread),
+    ("thread::spawn", SinkKind::Thread),
+    ("Instant::now", SinkKind::Wallclock),
+    ("SystemTime", SinkKind::Wallclock),
+    ("thread_rng", SinkKind::Entropy),
+    ("rand::random", SinkKind::Entropy),
+];
 
 /// One determinism sink token inside a function body.
 #[derive(Clone, Debug)]
 pub struct SinkSite {
     /// Which sink class the token belongs to.
     pub kind: SinkKind,
-    /// The matched token text (`"Instant::now"`, `"thread::scope"`, …).
-    pub what: String,
+    /// The matched [`SINKS`] path (`"Instant::now"`, `"thread::scope"`, …).
+    pub what: &'static str,
     /// 1-based line of the token.
     pub line: usize,
     /// True when the site is covered by a `lint:allow` honored inside
@@ -91,18 +117,9 @@ pub enum PanicKind {
 }
 
 impl PanicKind {
-    /// Stable name used in the baseline file.
+    /// Stable name: the baseline key, and the `lint:allow` name that
+    /// marks a site of this kind documented.
     pub fn name(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "unwrap",
-            PanicKind::Expect => "expect",
-            PanicKind::PanicMacro => "panic",
-            PanicKind::Index => "index",
-        }
-    }
-
-    /// The `lint:allow` name that marks a site of this kind documented.
-    fn allow_name(self) -> &'static str {
         match self {
             PanicKind::Unwrap => "unwrap",
             PanicKind::Expect => "expect",
@@ -283,9 +300,8 @@ pub struct WorkerClosure {
 /// One thread-spawn region inside a function body.
 #[derive(Clone, Debug)]
 pub struct SpawnSite {
-    /// The spawner (`"thread::scope"`, `"crossbeam::thread::scope"`,
-    /// `"thread::spawn"`).
-    pub what: String,
+    /// The spawner (`"thread::scope"` or `"thread::spawn"`).
+    pub what: &'static str,
     /// 1-based line of the spawn construct.
     pub line: usize,
     /// The worker closures spawned within the region.
@@ -305,42 +321,21 @@ pub struct TraceEmit {
     pub line: usize,
 }
 
-/// Which `Metrics` API a key was written through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricApi {
-    /// `incr` / `set_counter`.
-    Counter,
-    /// `record`.
-    Histogram,
-    /// `trace` (time series).
-    Series,
-}
-
-impl MetricApi {
-    /// Stable name matching `registry::MetricKind::name`.
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricApi::Counter => "counter",
-            MetricApi::Histogram => "histogram",
-            MetricApi::Series => "series",
-        }
-    }
-}
-
 /// One metrics key emission site. Keys built with `format!` carry a
 /// trailing-`*` pattern (each `{…}` segment replaced by `*`).
 #[derive(Clone, Debug)]
 pub struct MetricEmit {
     /// The literal key or `*`-pattern.
     pub key: String,
-    /// Which API wrote it.
-    pub api: MetricApi,
+    /// Which API wrote it: `incr` / `set_counter` (counter), `record`
+    /// (histogram) or `trace` (series).
+    pub api: MetricKind,
     /// 1-based line of the call.
     pub line: usize,
 }
 
 /// One parsed function definition with everything the passes need.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FnItem {
     /// Simple name (`"handle"`).
     pub name: String,
@@ -408,10 +403,7 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
 
     // Impl context stack: (type name, trait name, brace depth of body).
     let mut impls: Vec<(Option<String>, Option<String>, usize)> = Vec::new();
-    // Brace depths at which #[cfg(test)] regions opened.
-    let mut test_regions: Vec<usize> = Vec::new();
     let mut depth = 0usize;
-    let mut pending_cfg_test = false;
     let mut pending_impl: Option<(Option<String>, Option<String>)> = None;
 
     let mut i = 0usize;
@@ -420,58 +412,17 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
         match t.kind {
             TokKind::Punct if t.text == "{" => {
                 depth += 1;
-                if pending_cfg_test {
-                    test_regions.push(depth);
-                    pending_cfg_test = false;
-                }
                 if let Some((ty, tr)) = pending_impl.take() {
                     impls.push((ty, tr, depth));
                 }
                 i += 1;
             }
             TokKind::Punct if t.text == "}" => {
-                if test_regions.last() == Some(&depth) {
-                    test_regions.pop();
-                }
                 if impls.last().is_some_and(|(_, _, d)| *d == depth) {
                     impls.pop();
                 }
                 depth = depth.saturating_sub(1);
                 i += 1;
-            }
-            TokKind::Punct if t.text == ";" => {
-                // `#[cfg(test)] use …;` — the attribute never reached a
-                // brace, so it scoped a single braceless item.
-                pending_cfg_test = false;
-                i += 1;
-            }
-            TokKind::Punct if t.text == "#" => {
-                // Attribute: `#[ ... ]`. Detect cfg(test) anywhere inside.
-                if toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-                    let mut j = i + 2;
-                    let mut bd = 1usize;
-                    let mut saw_cfg = false;
-                    let mut saw_test = false;
-                    while j < toks.len() && bd > 0 {
-                        let tj = &toks[j];
-                        if tj.is_punct('[') {
-                            bd += 1;
-                        } else if tj.is_punct(']') {
-                            bd -= 1;
-                        } else if tj.is_ident("cfg") {
-                            saw_cfg = true;
-                        } else if tj.is_ident("test") {
-                            saw_test = true;
-                        }
-                        j += 1;
-                    }
-                    if saw_cfg && saw_test {
-                        pending_cfg_test = true;
-                    }
-                    i = j;
-                } else {
-                    i += 1;
-                }
             }
             TokKind::Ident if t.text == "impl" => {
                 let (ctx, next) = parse_impl_header(toks, i + 1);
@@ -521,7 +472,6 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
                     k += 1;
                 }
                 let body_end = k - 1; // index of the closing '}'
-                let in_test = file_is_test || !test_regions.is_empty();
                 let (impl_type, trait_name) = match impls.last() {
                     Some((ty, tr, _)) => (ty.clone(), tr.clone()),
                     None => (None, None),
@@ -532,18 +482,10 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
                     trait_name,
                     file: file.to_string(),
                     line: decl_line,
-                    is_test: in_test,
+                    is_test: file_is_test || lexed.in_test[i],
                     is_bin: file_is_bin,
                     alloc_exempt: lexed.allowed(decl_line, ALLOC_RULE),
-                    calls: Vec::new(),
-                    sinks: Vec::new(),
-                    allocs: Vec::new(),
-                    panics: Vec::new(),
-                    trace_emits: Vec::new(),
-                    metric_emits: Vec::new(),
-                    casts: Vec::new(),
-                    hazards: Vec::new(),
-                    spawns: Vec::new(),
+                    ..FnItem::default()
                 };
                 scan_body(file, lexed, open + 1, body_end, &mut item);
                 scan_spawns(file, lexed, open + 1, body_end, &mut item);
@@ -670,7 +612,7 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
                 item.panics.push(PanicSite {
                     kind: PanicKind::Index,
                     line: t.line,
-                    documented: lexed.allowed(t.line, PanicKind::Index.allow_name()),
+                    documented: lexed.allowed(t.line, PanicKind::Index.name()),
                 });
             }
             j += 1;
@@ -715,17 +657,12 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
         }
 
         // Determinism sinks.
-        if let Some(sink) = sink_at(toks, j) {
-            let audited = lexed.allowed(t.line, sink.0.rule())
-                && match sink.0 {
-                    SinkKind::Wallclock | SinkKind::Entropy => in_wallclock_boundary(file),
-                    SinkKind::Thread => in_threads_boundary(file),
-                };
+        if let Some((what, kind)) = sink_at(toks, j) {
             item.sinks.push(SinkSite {
-                kind: sink.0,
-                what: sink.1,
+                kind,
+                what,
                 line: t.line,
-                audited,
+                audited: kind.audited(file, lexed, t.line),
             });
         }
 
@@ -744,7 +681,7 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
                 item.panics.push(PanicSite {
                     kind: PanicKind::PanicMacro,
                     line: t.line,
-                    documented: lexed.allowed(t.line, PanicKind::PanicMacro.allow_name()),
+                    documented: lexed.allowed(t.line, PanicKind::PanicMacro.name()),
                 });
             }
             match t.text.as_str() {
@@ -797,7 +734,7 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
                     item.panics.push(PanicSite {
                         kind: pk,
                         line: t.line,
-                        documented: lexed.allowed(t.line, pk.allow_name()),
+                        documented: lexed.allowed(t.line, pk.name()),
                     });
                 }
                 if let Some(kind) = hazard_of_method(&t.text) {
@@ -834,10 +771,9 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
 /// Scans a function body (token range `[start, end)`) for thread-spawn
 /// regions and their worker closures.
 ///
-/// A region is `thread::scope(...)` / `crossbeam::thread::scope(...)`
-/// (workers = the closure arguments of `.spawn(` calls inside the
-/// region) or a bare `thread::spawn(...)` (worker = the whole argument
-/// list). Each worker range is re-scanned with [`scan_body`], so workers
+/// A region is `thread::scope(...)`, however qualified (workers = the
+/// closure arguments of `.spawn(` calls inside the region), or a bare
+/// `thread::spawn(...)` (worker = the whole argument list). Each worker range is re-scanned with [`scan_body`], so workers
 /// get exactly the same call / hazard / sink extraction as whole
 /// functions — including calls made from closures nested inside the
 /// worker and captures dereferenced through method-call chains.
@@ -846,27 +782,9 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
     let mut j = start;
     while j < end {
         let t = &toks[j];
-        if !(t.kind == TokKind::Ident && t.text == "thread") {
+        let Some((what, SinkKind::Thread)) = sink_at(toks, j) else {
             j += 1;
             continue;
-        }
-        let path_next = |k: usize, name: &str| {
-            toks.get(k).is_some_and(|a| a.is_punct(':'))
-                && toks.get(k + 1).is_some_and(|a| a.is_punct(':'))
-                && toks.get(k + 2).is_some_and(|a| a.is_ident(name))
-        };
-        let Some(target) = ["scope", "spawn"].into_iter().find(|n| path_next(j + 1, n)) else {
-            j += 1;
-            continue;
-        };
-        let crossbeam = j >= 3
-            && toks[j - 1].is_punct(':')
-            && toks[j - 2].is_punct(':')
-            && toks[j - 3].is_ident("crossbeam");
-        let what = if crossbeam {
-            format!("crossbeam::thread::{target}")
-        } else {
-            format!("thread::{target}")
         };
         let open = j + 4; // after `thread : : <target>`
         if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
@@ -875,7 +793,7 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
         }
         let close = match_paren(toks, open, end);
         let mut workers = Vec::new();
-        if target == "spawn" {
+        if what == "thread::spawn" {
             workers.push(scan_worker(file, lexed, open + 1, close, t.line));
         } else {
             // Every `.spawn(` method call inside the scope region.
@@ -910,32 +828,14 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
 /// ambient entropy sinks (→ `rng`) and unordered float accumulation
 /// (`.sum::<f64>()` → `float-accum`).
 fn scan_worker(file: &str, lexed: &Lexed, start: usize, end: usize, line: usize) -> WorkerClosure {
-    let mut scratch = FnItem {
-        name: String::new(),
-        impl_type: None,
-        trait_name: None,
-        file: file.to_string(),
-        line,
-        is_test: false,
-        is_bin: false,
-        alloc_exempt: false,
-        calls: Vec::new(),
-        sinks: Vec::new(),
-        allocs: Vec::new(),
-        panics: Vec::new(),
-        trace_emits: Vec::new(),
-        metric_emits: Vec::new(),
-        casts: Vec::new(),
-        hazards: Vec::new(),
-        spawns: Vec::new(),
-    };
+    let mut scratch = FnItem::default();
     scan_body(file, lexed, start, end, &mut scratch);
     let mut hazards = scratch.hazards;
     for s in &scratch.sinks {
         if s.kind == SinkKind::Entropy {
             hazards.push(HazardSite {
                 kind: HazardKind::Rng,
-                what: s.what.clone(),
+                what: s.what.to_string(),
                 line: s.line,
             });
         }
@@ -1021,36 +921,19 @@ fn alloc_of(callee: &Callee, in_loop: bool) -> Option<(AllocKind, String)> {
     }
 }
 
-/// Recognizes a determinism sink token sequence starting at `j`.
-fn sink_at(toks: &[Tok], j: usize) -> Option<(SinkKind, String)> {
-    let t = &toks[j];
-    let path_next = |k: usize, name: &str| {
-        toks.get(k).is_some_and(|a| a.is_punct(':'))
-            && toks.get(k + 1).is_some_and(|a| a.is_punct(':'))
-            && toks.get(k + 2).is_some_and(|a| a.is_ident(name))
+/// Recognizes the [`SINKS`] path whose first segment is the token at `j`.
+pub fn sink_at(toks: &[Tok], j: usize) -> Option<(&'static str, SinkKind)> {
+    // Segment `n` of a path sits three tokens on: `seg : : seg`.
+    let segment_at = |n: usize, seg: &str| {
+        let k = j + 3 * n;
+        toks.get(k).is_some_and(|t| t.is_ident(seg))
+            && (n == 0 || (toks[k - 1].is_punct(':') && toks[k - 2].is_punct(':')))
     };
-    match t.text.as_str() {
-        "Instant" if path_next(j + 1, "now") => Some((SinkKind::Wallclock, "Instant::now".into())),
-        "SystemTime" => Some((SinkKind::Wallclock, "SystemTime".into())),
-        "thread_rng" => Some((SinkKind::Entropy, "thread_rng".into())),
-        "random"
-            if j >= 3
-                && toks[j - 1].is_punct(':')
-                && toks[j - 2].is_punct(':')
-                && toks[j - 3].is_ident("rand") =>
-        {
-            Some((SinkKind::Entropy, "rand::random".into()))
-        }
-        "thread" => {
-            for target in ["spawn", "scope"] {
-                if path_next(j + 1, target) {
-                    return Some((SinkKind::Thread, format!("thread::{target}")));
-                }
-            }
-            None
-        }
-        _ => None,
-    }
+    SINKS.into_iter().find(|(path, _)| {
+        path.split("::")
+            .enumerate()
+            .all(|(n, seg)| segment_at(n, seg))
+    })
 }
 
 /// Index of the first token after a turbofish attached to the ident at
@@ -1191,7 +1074,7 @@ fn scan_emission(lexed: &Lexed, j: usize, line: usize, method: &str, item: &mut 
                 if let Some(key) = single_str(&args[0]) {
                     item.metric_emits.push(MetricEmit {
                         key,
-                        api: MetricApi::Series,
+                        api: MetricKind::Series,
                         line,
                     });
                 }
@@ -1199,9 +1082,9 @@ fn scan_emission(lexed: &Lexed, j: usize, line: usize, method: &str, item: &mut 
         }
         "incr" | "set_counter" | "record" => {
             let api = if method == "record" {
-                MetricApi::Histogram
+                MetricKind::Histogram
             } else {
-                MetricApi::Counter
+                MetricKind::Counter
             };
             if let Some(key) = args
                 .first()
@@ -1315,6 +1198,11 @@ mod tests {
             flags,
             vec![("lib_fn", false), ("t", true), ("after", false)]
         );
+        // A `#[cfg(test)]` fn is itself the region; it must not leak
+        // onto the next braced item.
+        let src = "#[cfg(test)]\nfn helper() {}\nimpl X { fn m(&self) {} }\n";
+        let flags: Vec<bool> = parse(src).iter().map(|f| f.is_test).collect();
+        assert_eq!(flags, vec![true, false]);
     }
 
     #[test]
@@ -1510,7 +1398,7 @@ mod tests {
                 (Some("net"), Some("transfer"), Some("info")),
             ]
         );
-        let me: Vec<(&str, MetricApi)> = items[0]
+        let me: Vec<(&str, MetricKind)> = items[0]
             .metric_emits
             .iter()
             .map(|e| (e.key.as_str(), e.api))
@@ -1518,10 +1406,10 @@ mod tests {
         assert_eq!(
             me,
             vec![
-                ("gnutella.joins", MetricApi::Counter),
-                ("x.h", MetricApi::Histogram),
-                ("engine.queue_depth", MetricApi::Series),
-                ("engine.events.*", MetricApi::Counter),
+                ("gnutella.joins", MetricKind::Counter),
+                ("x.h", MetricKind::Histogram),
+                ("engine.queue_depth", MetricKind::Series),
+                ("engine.events.*", MetricKind::Counter),
             ]
         );
     }
@@ -1616,10 +1504,10 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_scope_and_bare_spawn_are_named_distinctly() {
-        let src = "fn a() { crossbeam::thread::scope(|s| { s.spawn(|_| work()); }).unwrap(); }\nfn b() { std::thread::spawn(move || work()); }\nfn work() {}\n";
+    fn qualified_scope_and_bare_spawn_are_named_by_suffix() {
+        let src = "fn a() { foo::thread::scope(|s| { s.spawn(|_| work()); }).unwrap(); }\nfn b() { std::thread::spawn(move || work()); }\nfn work() {}\n";
         let items = parse(src);
-        assert_eq!(items[0].spawns[0].what, "crossbeam::thread::scope");
+        assert_eq!(items[0].spawns[0].what, "thread::scope");
         assert_eq!(items[0].spawns[0].workers.len(), 1);
         assert_eq!(items[1].spawns[0].what, "thread::spawn");
         assert_eq!(items[1].spawns[0].workers.len(), 1);

@@ -12,191 +12,30 @@
 //! 3. the marker-delimited tables in `docs/OBSERVABILITY.md` match the
 //!    declarations cell-for-cell.
 //!
-//! The declared side is read from the registry *source* (same lexer as
-//! the rest of the analyzer), so the checker needs no runtime link to
-//! `uap-sim` and stays honest about what is actually written down.
+//! The declared side is `uap_sim::trace::registry`'s `pub const` tables,
+//! read directly: xtask links `uap-sim`, so what this pass checks is what
+//! the debug-build runtime checks see.
 
 use std::path::Path;
 
-use crate::analyze::lexer::{lex, Lexed, TokKind};
+use uap_sim::trace::registry::{MetricSpec, TraceKindSpec, COMPONENTS, METRICS, TRACE_KINDS};
+
 use crate::analyze::parser::FnItem;
-
-/// One declared trace kind, as parsed from the registry source.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceDecl {
-    pub component: String,
-    pub kind: String,
-    pub level: String,
-    pub doc: String,
-}
-
-/// One declared metric key, as parsed from the registry source.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricDecl {
-    pub key: String,
-    /// Lower-case `MetricKind` variant name (`"counter"`, …).
-    pub kind: String,
-    pub doc: String,
-}
-
-/// The declared side of the registry.
-#[derive(Clone, Debug, Default)]
-pub struct Decls {
-    pub components: Vec<String>,
-    pub trace_kinds: Vec<TraceDecl>,
-    pub metrics: Vec<MetricDecl>,
-}
 
 /// Runs the full pass against the workspace at `root`.
 pub fn run(root: &Path, fns: &[FnItem]) -> Vec<String> {
-    let mut out = Vec::new();
-    let reg_path = root.join("crates/sim/src/trace/registry.rs");
-    let Ok(reg_src) = std::fs::read_to_string(&reg_path) else {
-        return vec![format!(
-            "registry: cannot read {} — the trace/metrics registry is missing",
-            reg_path.display()
-        )];
-    };
-    let decls = parse_registry_source(&reg_src);
-    if decls.trace_kinds.is_empty() || decls.metrics.is_empty() {
-        out.push(
-            "registry: parsed zero declarations from trace/registry.rs \
-             (TRACE_KINDS / METRICS const shape changed?)"
-                .to_string(),
-        );
-        return out;
-    }
-
-    out.extend(check_emissions(&decls, fns));
-    out.extend(check_span_conventions(&decls));
+    let mut out = check_emissions(COMPONENTS, TRACE_KINDS, METRICS, fns);
+    out.extend(check_span_conventions(COMPONENTS, TRACE_KINDS));
 
     let docs_path = root.join("docs/OBSERVABILITY.md");
     match std::fs::read_to_string(&docs_path) {
-        Ok(md) => out.extend(check_docs(&decls, &md)),
+        Ok(md) => out.extend(check_docs(TRACE_KINDS, METRICS, &md)),
         Err(_) => out.push(format!(
             "registry: cannot read {} for the docs drift check",
             docs_path.display()
         )),
     }
     out
-}
-
-/// Parses `COMPONENTS`, `TRACE_KINDS` and `METRICS` out of the registry
-/// source text.
-pub fn parse_registry_source(src: &str) -> Decls {
-    let lexed = lex(src);
-    let mut decls = Decls {
-        components: const_strs(&lexed, "COMPONENTS"),
-        ..Decls::default()
-    };
-    for fields in const_struct_literals(&lexed, "TRACE_KINDS") {
-        decls.trace_kinds.push(TraceDecl {
-            component: fields.get_str("component"),
-            kind: fields.get_str("kind"),
-            level: fields.get_str("level"),
-            doc: fields.get_str("doc"),
-        });
-    }
-    for fields in const_struct_literals(&lexed, "METRICS") {
-        decls.metrics.push(MetricDecl {
-            key: fields.get_str("key"),
-            kind: fields.get_str("kind"),
-            doc: fields.get_str("doc"),
-        });
-    }
-    decls
-}
-
-/// Field-name → value map for one struct literal.
-struct Fields(Vec<(String, String)>);
-
-impl Fields {
-    fn get_str(&self, name: &str) -> String {
-        self.0
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default()
-    }
-}
-
-/// Collects the string literals inside `const NAME: … = &[ … ];`.
-fn const_strs(lexed: &Lexed, name: &str) -> Vec<String> {
-    let Some(range) = const_body(lexed, name) else {
-        return Vec::new();
-    };
-    lexed.toks[range.0..range.1]
-        .iter()
-        .filter(|t| t.kind == TokKind::Str)
-        .map(|t| t.text.clone())
-        .collect()
-}
-
-/// Collects the struct literals inside `const NAME: &[T] = &[ T { … }, … ];`.
-fn const_struct_literals(lexed: &Lexed, name: &str) -> Vec<Fields> {
-    let Some(range) = const_body(lexed, name) else {
-        return Vec::new();
-    };
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    let mut i = range.0;
-    while i < range.1 {
-        if !toks[i].is_punct('{') {
-            i += 1;
-            continue;
-        }
-        // One struct literal: field `ident : value ,` pairs until the
-        // matching close brace (values here are flat literals/paths).
-        let mut fields = Vec::new();
-        let mut j = i + 1;
-        while j < range.1 && !toks[j].is_punct('}') {
-            if toks[j].kind == TokKind::Ident && toks.get(j + 1).is_some_and(|t| t.is_punct(':')) {
-                let fname = toks[j].text.clone();
-                // Value: scan to the next top-level ',' or '}'.
-                let mut k = j + 2;
-                let mut value = String::new();
-                while k < range.1 && !toks[k].is_punct(',') && !toks[k].is_punct('}') {
-                    let t = &toks[k];
-                    if t.kind == TokKind::Str {
-                        value = t.text.clone();
-                    } else if t.kind == TokKind::Ident {
-                        // Path value (`MetricKind::Counter`): keep the
-                        // last segment, lower-cased to match
-                        // `MetricKind::name()`.
-                        value = t.text.to_ascii_lowercase();
-                    }
-                    k += 1;
-                }
-                fields.push((fname, value));
-                j = k;
-            } else {
-                j += 1;
-            }
-        }
-        out.push(Fields(fields));
-        i = j + 1;
-    }
-    out
-}
-
-/// Token range `(start, end)` of the initializer of `const NAME … = … ;`.
-fn const_body(lexed: &Lexed, name: &str) -> Option<(usize, usize)> {
-    let toks = &lexed.toks;
-    let at = toks
-        .iter()
-        .position(|t| t.is_ident(name) && t.kind == TokKind::Ident)?;
-    let eq = (at..toks.len()).find(|&i| toks[i].is_punct('='))?;
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(eq + 1) {
-        if t.is_punct('[') || t.is_punct('{') || t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(']') || t.is_punct('}') || t.is_punct(')') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && t.is_punct(';') {
-            return Some((eq + 1, i));
-        }
-    }
-    None
 }
 
 /// True when `key` matches `decl_key` under the registry's pattern
@@ -214,10 +53,15 @@ fn key_matches(decl_key: &str, key: &str) -> bool {
 
 /// Checks every emission site in non-test code against the declarations,
 /// and every declaration against the emission sites.
-pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
+pub fn check_emissions(
+    components: &[&str],
+    trace_kinds: &[TraceKindSpec],
+    metrics: &[MetricSpec],
+    fns: &[FnItem],
+) -> Vec<String> {
     let mut out = Vec::new();
-    let mut kind_emitted = vec![0usize; decls.trace_kinds.len()];
-    let mut metric_emitted = vec![0usize; decls.metrics.len()];
+    let mut kind_emitted = vec![0usize; trace_kinds.len()];
+    let mut metric_emitted = vec![0usize; metrics.len()];
 
     for f in fns.iter().filter(|f| !f.is_test) {
         for e in &f.trace_emits {
@@ -225,7 +69,7 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
             let Some(component) = &e.component else {
                 continue; // forwarder with variable args — not a schema site
             };
-            if !decls.components.iter().any(|c| c == component) {
+            if !components.contains(&component.as_str()) {
                 out.push(format!(
                     "registry: {site}: trace component \"{component}\" is not in \
                      registry::COMPONENTS"
@@ -239,15 +83,14 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
                 ));
                 continue;
             };
-            match decls
-                .trace_kinds
+            match trace_kinds
                 .iter()
-                .position(|d| &d.component == component && &d.kind == kind)
+                .position(|d| d.component == component && d.kind == kind)
             {
                 Some(di) => {
                     kind_emitted[di] += 1;
                     if let Some(level) = &e.level {
-                        let declared = &decls.trace_kinds[di].level;
+                        let declared = trace_kinds[di].level;
                         if level != declared {
                             out.push(format!(
                                 "registry: {site}: trace {component}/{kind} emitted at level \
@@ -265,14 +108,10 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
 
         for e in &f.metric_emits {
             let site = format!("{}:{}", f.file, e.line);
-            match decls
-                .metrics
-                .iter()
-                .position(|d| key_matches(&d.key, &e.key))
-            {
+            match metrics.iter().position(|d| key_matches(d.key, &e.key)) {
                 Some(di) => {
                     metric_emitted[di] += 1;
-                    let declared = &decls.metrics[di].kind;
+                    let declared = metrics[di].kind.name();
                     if declared != e.api.name() {
                         out.push(format!(
                             "registry: {site}: metric key \"{}\" written through the {} API \
@@ -291,7 +130,7 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
         }
     }
 
-    for (di, d) in decls.trace_kinds.iter().enumerate() {
+    for (di, d) in trace_kinds.iter().enumerate() {
         if kind_emitted[di] == 0 {
             out.push(format!(
                 "registry: trace kind {}/{} is declared but never emitted from non-test code",
@@ -299,7 +138,7 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
             ));
         }
     }
-    for (di, d) in decls.metrics.iter().enumerate() {
+    for (di, d) in metrics.iter().enumerate() {
         if metric_emitted[di] == 0 {
             out.push(format!(
                 "registry: metric key \"{}\" is declared but never emitted from non-test code",
@@ -316,14 +155,13 @@ pub fn check_emissions(decls: &Decls, fns: &[FnItem]) -> Vec<String> {
 /// pair must sit at the same level — an open the tooling can see whose
 /// close is filtered away (or the reverse) makes every span of that
 /// component read as unbalanced in `trace check`.
-pub fn check_span_conventions(decls: &Decls) -> Vec<String> {
+pub fn check_span_conventions(components: &[&str], trace_kinds: &[TraceKindSpec]) -> Vec<String> {
     let mut out = Vec::new();
-    for c in &decls.components {
+    for c in components {
         let find = |kind: &str| {
-            decls
-                .trace_kinds
+            trace_kinds
                 .iter()
-                .find(|d| &d.component == c && d.kind == kind)
+                .find(|d| d.component == *c && d.kind == kind)
         };
         match (find("span.open"), find("span.close")) {
             (Some(open), Some(close)) => {
@@ -352,7 +190,7 @@ pub fn check_span_conventions(decls: &Decls) -> Vec<String> {
 
 /// Checks the marker-delimited tables in `docs/OBSERVABILITY.md` against
 /// the declarations, cell-for-cell in both directions.
-pub fn check_docs(decls: &Decls, md: &str) -> Vec<String> {
+pub fn check_docs(trace_kinds: &[TraceKindSpec], metrics: &[MetricSpec], md: &str) -> Vec<String> {
     let mut out = Vec::new();
 
     let trace_rows = table_rows(md, "registry:trace-kinds");
@@ -364,15 +202,14 @@ pub fn check_docs(decls: &Decls, md: &str) -> Vec<String> {
                 .to_string(),
         ),
         Some(rows) => {
-            let want: Vec<Vec<String>> = decls
-                .trace_kinds
+            let want: Vec<Vec<String>> = trace_kinds
                 .iter()
                 .map(|d| {
                     vec![
-                        d.component.clone(),
+                        d.component.to_string(),
                         format!("`{}`", d.kind),
-                        d.level.clone(),
-                        d.doc.clone(),
+                        d.level.to_string(),
+                        d.doc.to_string(),
                     ]
                 })
                 .collect();
@@ -386,10 +223,15 @@ pub fn check_docs(decls: &Decls, md: &str) -> Vec<String> {
                 .to_string(),
         ),
         Some(rows) => {
-            let want: Vec<Vec<String>> = decls
-                .metrics
+            let want: Vec<Vec<String>> = metrics
                 .iter()
-                .map(|d| vec![format!("`{}`", d.key), d.kind.clone(), d.doc.clone()])
+                .map(|d| {
+                    vec![
+                        format!("`{}`", d.key),
+                        d.kind.name().to_string(),
+                        d.doc.to_string(),
+                    ]
+                })
                 .collect();
             diff_rows(&mut out, "metrics", &want, &rows);
         }
@@ -455,29 +297,34 @@ mod tests {
     use super::*;
     use crate::analyze::lexer::lex;
     use crate::analyze::parser::parse_file;
+    use uap_sim::trace::registry::MetricKind;
 
-    fn decls() -> Decls {
-        Decls {
-            components: vec!["engine".into(), "net".into()],
-            trace_kinds: vec![TraceDecl {
-                component: "net".into(),
-                kind: "transfer".into(),
-                level: "debug".into(),
-                doc: "a transfer".into(),
-            }],
-            metrics: vec![
-                MetricDecl {
-                    key: "net.bytes".into(),
-                    kind: "counter".into(),
-                    doc: "bytes".into(),
-                },
-                MetricDecl {
-                    key: "engine.events.*".into(),
-                    kind: "counter".into(),
-                    doc: "per-kind".into(),
-                },
-            ],
-        }
+    const COMPONENTS: &[&str] = &["engine", "net"];
+
+    fn trace_kinds() -> Vec<TraceKindSpec> {
+        vec![TraceKindSpec {
+            component: "net",
+            kind: "transfer",
+            level: "debug",
+            doc: "a transfer",
+        }]
+    }
+
+    const METRICS: &[MetricSpec] = &[
+        MetricSpec {
+            key: "net.bytes",
+            kind: MetricKind::Counter,
+            doc: "bytes",
+        },
+        MetricSpec {
+            key: "engine.events.*",
+            kind: MetricKind::Counter,
+            doc: "per-kind",
+        },
+    ];
+
+    fn check_emissions(fns: &[FnItem]) -> Vec<String> {
+        super::check_emissions(COMPONENTS, &trace_kinds(), METRICS, fns)
     }
 
     fn fns_of(src: &str) -> Vec<FnItem> {
@@ -485,36 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_source_parses_to_decls() {
-        let src = r#"
-pub const COMPONENTS: &[&str] = &["engine", "net"];
-pub const TRACE_KINDS: &[TraceKindSpec] = &[
-    TraceKindSpec { component: "net", kind: "transfer", level: "debug", doc: "a transfer" },
-];
-pub const METRICS: &[MetricSpec] = &[
-    MetricSpec { key: "net.bytes", kind: MetricKind::Counter, doc: "bytes" },
-];
-"#;
-        let d = parse_registry_source(src);
-        assert_eq!(d.components, vec!["engine", "net"]);
-        assert_eq!(
-            d.trace_kinds,
-            vec![TraceDecl {
-                component: "net".into(),
-                kind: "transfer".into(),
-                level: "debug".into(),
-                doc: "a transfer".into(),
-            }]
-        );
-        assert_eq!(d.metrics[0].kind, "counter");
-    }
-
-    #[test]
     fn unregistered_trace_kind_is_flagged() {
         let fns = fns_of(
             "fn f(ctx: &mut C) { ctx.trace(\"net\", TraceLevel::Debug, \"not_declared\", |f| {}); }\n",
         );
-        let v = check_emissions(&decls(), &fns);
+        let v = check_emissions(&fns);
         // (Plus never-emitted violations for the declared entries, which
         // this synthetic corpus legitimately doesn't emit.)
         let undeclared: Vec<&String> = v.iter().filter(|m| m.contains("is not declared")).collect();
@@ -538,7 +360,7 @@ pub const METRICS: &[MetricSpec] = &[
         let fns = fns_of(
             "fn f(ctx: &mut C) {\n    ctx.trace(\"net\", TraceLevel::Debug, \"transfer\", |f| {});\n    ctx.metrics.incr(&format!(\"engine.events.{k}\"), 1);\n}\n",
         );
-        let v = check_emissions(&decls(), &fns);
+        let v = check_emissions(&fns);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("\"net.bytes\" is declared but never emitted"));
     }
@@ -548,7 +370,7 @@ pub const METRICS: &[MetricSpec] = &[
         let fns = fns_of(
             "fn f(ctx: &mut C) {\n    ctx.trace(\"net\", TraceLevel::Info, \"transfer\", |f| {});\n    ctx.metrics.record(\"net.bytes\", 1.0);\n    ctx.metrics.incr(\"engine.events.timer\", 1);\n}\n",
         );
-        let v = check_emissions(&decls(), &fns);
+        let v = check_emissions(&fns);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].contains("emitted at level \"info\" but declared \"debug\""));
         assert!(v[1].contains("written through the histogram API but declared as a counter"));
@@ -562,7 +384,7 @@ pub const METRICS: &[MetricSpec] = &[
             false,
             false,
         );
-        let v = check_emissions(&decls(), &fns);
+        let v = check_emissions(&fns);
         // Only the never-emitted violations fire; the test emission of an
         // undeclared kind does not.
         assert!(v.iter().all(|m| m.contains("never emitted")), "{v:?}");
@@ -570,38 +392,40 @@ pub const METRICS: &[MetricSpec] = &[
 
     #[test]
     fn span_conventions_require_balanced_same_level_pairs() {
-        let mut d = decls();
+        let mut d = trace_kinds();
+        let check_span_conventions =
+            |d: &[TraceKindSpec]| super::check_span_conventions(COMPONENTS, d);
         assert!(check_span_conventions(&d).is_empty(), "no span kinds → ok");
 
         // A balanced pair at one level is fine.
-        d.trace_kinds.push(TraceDecl {
-            component: "net".into(),
-            kind: "span.open".into(),
-            level: "debug".into(),
-            doc: "open".into(),
+        d.push(TraceKindSpec {
+            component: "net",
+            kind: "span.open",
+            level: "debug",
+            doc: "open",
         });
-        d.trace_kinds.push(TraceDecl {
-            component: "net".into(),
-            kind: "span.close".into(),
-            level: "debug".into(),
-            doc: "close".into(),
+        d.push(TraceKindSpec {
+            component: "net",
+            kind: "span.close",
+            level: "debug",
+            doc: "close",
         });
         assert!(check_span_conventions(&d).is_empty());
 
         // Level mismatch between open and close is drift.
-        d.trace_kinds.last_mut().unwrap().level = "info".into();
+        d.last_mut().unwrap().level = "info";
         let v = check_span_conventions(&d);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("span.open at level \"debug\" but span.close at \"info\""));
 
         // An open with no close at all is drift too.
-        d.trace_kinds.pop();
+        d.pop();
         let v = check_span_conventions(&d);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("span.open without span.close"));
 
         // And a close with no open.
-        d.trace_kinds.last_mut().unwrap().kind = "span.close".into();
+        d.last_mut().unwrap().kind = "span.close";
         let v = check_span_conventions(&d);
         assert!(v[0].contains("span.close without span.open"), "{v:?}");
     }
@@ -619,15 +443,16 @@ pub const METRICS: &[MetricSpec] = &[
 | `net.bytes` | counter | bytes |\n\
 | `engine.events.*` | counter | per-kind |\n\
 <!-- registry:metrics:end -->\n";
-        assert!(check_docs(&decls(), good).is_empty());
+        let check_docs = |md: &str| super::check_docs(&trace_kinds(), METRICS, md);
+        assert!(check_docs(good).is_empty());
 
         let stale = good.replace("| net | `transfer` | debug |", "| net | `xfer` | debug |");
-        let v = check_docs(&decls(), &stale);
+        let v = check_docs(&stale);
         assert_eq!(v.len(), 2, "{v:?}"); // missing row + stale row
         assert!(v[0].contains("missing the row"));
         assert!(v[1].contains("stale row"));
 
-        let v = check_docs(&decls(), "no markers at all");
+        let v = check_docs("no markers at all");
         assert_eq!(v.len(), 2);
         assert!(v[0].contains("missing the <!-- registry:trace-kinds:begin/end --> table"));
     }

@@ -1,12 +1,12 @@
 //! The audited determinism boundaries, declared exactly once.
 //!
-//! Two tools consume these lists: the line-level determinism lint
-//! ([`crate::lint`]) and the call-graph analyzer ([`crate::analyze`]).
-//! Both enforce the same contract — a `wallclock` allow escape comment
-//! is honored only inside [`WALLCLOCK_BOUNDARY`] and a `threads` one
-//! only inside a file carrying a [`PARALLEL_REGIONS`] entry — so
-//! extending an audited boundary is a single edit here, reviewed once,
-//! and picked up by every static-analysis pass at the same time.
+//! Several passes of [`crate::analyze`] consume these lists — the
+//! token-level lint ([`crate::lint`]), purity and `par` — through one
+//! check (`SinkKind::audited`): a `wallclock` allow escape comment is
+//! honored only inside [`WALLCLOCK_BOUNDARY`] and a `threads` one only
+//! inside a file carrying a [`PARALLEL_REGIONS`] entry. Extending an
+//! audited boundary is a single edit here, reviewed once, and picked up
+//! by every pass at the same time.
 
 /// The only files where a `wallclock` allow comment is honored: the
 /// trace sink's `WallTimer` boundary (see `docs/OBSERVABILITY.md`).
@@ -19,8 +19,8 @@ pub const WALLCLOCK_BOUNDARY: [&str; 1] = ["crates/sim/src/trace.rs"];
 /// that makes its output independent of thread scheduling.
 ///
 /// This manifest is the single source of truth for workspace
-/// parallelism. The line lint derives the `threads` allow boundary from
-/// the `file` column; the analyzer's `--pass=par` checks the manifest
+/// parallelism. The lint pass derives the `threads` allow boundary from
+/// the `file` column; `--pass=par` checks the manifest
 /// against the actual thread-spawn sites in both directions (an
 /// undeclared spawn site fails, and a manifest entry whose function no
 /// longer spawns fails as stale) and audits each region's worker

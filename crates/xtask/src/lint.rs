@@ -1,5 +1,5 @@
-//! The determinism lint: a token-level static-analysis pass over every
-//! workspace `.rs` file.
+//! The determinism lint: a flat token pass over every workspace `.rs`
+//! file (`xtask lint`, i.e. `xtask analyze --pass=lint`).
 //!
 //! The simulator's contract is that a run is a pure function of its
 //! configuration and seed (see `docs/DETERMINISM.md`). Five classes of
@@ -35,25 +35,28 @@
 //! [`crate::boundaries::PARALLEL_REGIONS`] manifest entry (the parallel
 //! routing-table build/repair and the experiment sweep runner — the
 //! audited deterministic fork-join sites); both lists live in
-//! [`crate::boundaries`], shared with the call-graph analyzer
+//! [`crate::boundaries`], shared with the call-graph passes
 //! ([`crate::analyze`]) so each audited boundary is declared exactly
 //! once. Anywhere else the allow comment is
 //! itself reported, so wall-clock readings and ad-hoc threading cannot
-//! quietly spread past the audited sites. The scanner is
-//! deliberately token-level (`syn` is unavailable offline): comments,
-//! strings and char literals are stripped first so the rules only ever
-//! match real code tokens, and `#[cfg(test)]` module bodies are excluded
-//! by brace matching.
+//! quietly spread past the audited sites.
+//!
+//! The pass reads the analyzer's token stream ([`crate::analyze::lexer`];
+//! `syn` is unavailable offline) and looks at *every* token of a file —
+//! `use` lines, struct fields and `static` initialisers as much as `fn`
+//! bodies. Comments are already stripped and a string or char literal is
+//! one opaque token, so the rules only ever match real code, and tokens
+//! inside `#[cfg(test)]` items carry the lexer's `in_test` mark. Sink
+//! paths come from the one table the purity pass uses
+//! ([`crate::analyze::parser::SINKS`]).
 
+use crate::analyze::lexer::Lexed;
+use crate::analyze::parser::{sink_at, SinkKind, SINKS};
+use crate::analyze::{Corpus, Report};
 use crate::boundaries::{
     in_threads_boundary, in_wallclock_boundary, threads_boundary_files, WALLCLOCK_BOUNDARY,
 };
-use std::collections::BTreeSet;
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-/// The rule identifiers accepted by `lint:allow(...)`.
-const RULES: [&str; 5] = ["hashmap", "wallclock", "unwrap", "floatsum", "threads"];
 
 /// One diagnostic, rendered as `path:line: rule(<name>): message`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,7 +65,7 @@ pub struct Violation {
     pub path: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Rule identifier (one of [`RULES`]).
+    /// Rule identifier (a name from the module table).
     pub rule: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub msg: String,
@@ -84,528 +87,208 @@ pub struct FileKind {
     /// Whole file is test code (`tests/` integration dirs): rules
     /// `hashmap`, `unwrap` and `floatsum` are off, `wallclock` stays on.
     pub is_test_file: bool,
-    /// Binary / build-tool code (`main.rs`, `src/bin/`, the xtask crate):
-    /// rule `unwrap` is off — a CLI aborting with a message is fine.
+    /// Binary code (`main.rs`, `src/bin/`): rule `unwrap` is off — a CLI
+    /// aborting with a message is fine.
     pub is_bin: bool,
     /// Simulation-path code (the `uap-*` crates and the root `src/`):
     /// rules `hashmap` and `floatsum` apply only here.
     pub is_sim_path: bool,
 }
 
-/// Scans the workspace rooted at `root`; returns every violation found.
-pub fn run(root: &Path) -> Vec<Violation> {
-    let mut files: Vec<(PathBuf, FileKind)> = Vec::new();
-
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        let mut crates: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crates.sort();
-        for krate in crates {
-            let is_xtask = krate.file_name().is_some_and(|n| n == "xtask");
-            collect_rs(&krate.join("src"), &mut files, |p| FileKind {
-                is_test_file: false,
-                is_bin: is_bin_path(p),
-                is_sim_path: !is_xtask,
-            });
-            collect_rs(&krate.join("tests"), &mut files, |_| FileKind {
-                is_test_file: true,
-                is_bin: false,
-                is_sim_path: false,
-            });
-        }
+/// The `lint` row of the pass table: scans every corpus file.
+pub fn pass(corpus: &Corpus, report: &mut Report) {
+    let before = report.violations.len();
+    for f in &corpus.files {
+        let found = scan(&f.label, &f.lexed, f.kind);
+        report
+            .violations
+            .extend(found.iter().map(Violation::to_string));
     }
-    collect_rs(&root.join("src"), &mut files, |p| FileKind {
-        is_test_file: false,
-        is_bin: is_bin_path(p),
-        is_sim_path: true,
-    });
-    collect_rs(&root.join("tests"), &mut files, |_| FileKind {
-        is_test_file: true,
-        is_bin: false,
-        is_sim_path: false,
-    });
+    if report.violations.len() > before {
+        report.detail = "— see docs/DETERMINISM.md for the rules and the \
+                         `// lint:allow(<rule>)` escape hatch"
+            .to_string();
+    }
+}
 
+/// Scans one lexed file. Separated from I/O so the unit tests can feed
+/// synthetic sources and assert exact diagnostics. Rules are evaluated
+/// line by line — the unit `lint:allow` binds to — and report once per
+/// line and pattern.
+pub fn scan(label: &str, lexed: &Lexed, kind: FileKind) -> Vec<Violation> {
+    let toks = &lexed.toks;
     let mut out = Vec::new();
-    for (path, kind) in files {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let label = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .into_owned();
-        out.extend(scan_source(&label, &source, kind));
-    }
-    out
-}
-
-/// True for crate roots compiled as binaries.
-fn is_bin_path(p: &Path) -> bool {
-    p.file_name().is_some_and(|n| n == "main.rs") || p.components().any(|c| c.as_os_str() == "bin")
-}
-
-/// Recursively collects `.rs` files under `dir` in sorted order.
-fn collect_rs(
-    dir: &Path,
-    out: &mut Vec<(PathBuf, FileKind)>,
-    kind: impl Fn(&Path) -> FileKind + Copy,
-) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
+    let mut report = |line: usize, rule: &'static str, msg: String| {
+        out.push(Violation {
+            path: label.to_string(),
+            line,
+            rule,
+            msg,
+        });
     };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            collect_rs(&p, out, kind);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            let k = kind(&p);
-            out.push((p, k));
-        }
-    }
-}
-
-/// Per-line view of a source file after lexical stripping.
-struct Line {
-    /// Code with comments / string contents / char literals blanked out.
-    code: String,
-    /// Rules allowed by `lint:allow(...)` comments on this line.
-    allows: BTreeSet<String>,
-    /// True when the line is inside a `#[cfg(test)]` module body.
-    in_test: bool,
-}
-
-/// Scans one file's source text. Separated from I/O so the unit tests can
-/// feed synthetic sources and assert exact diagnostics.
-pub fn scan_source(label: &str, source: &str, kind: FileKind) -> Vec<Violation> {
-    let lines = lex(source);
-    let mut out = Vec::new();
-
-    let allowed = |lines: &[Line], i: usize, rule: &str| -> bool {
-        lines[i].allows.contains(rule) || (i > 0 && lines[i - 1].allows.contains(rule))
-    };
+    let ident = |j: usize, s: &str| toks.get(j).is_some_and(|t| t.is_ident(s));
+    let punct = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
+    // The rules that exempt test code only look at live tokens.
+    let live = |j: usize| !kind.is_test_file && !lexed.in_test[j];
+    // Live `.name(` at `j`.
+    let method =
+        |j: usize, name: &str| live(j) && punct(j, '.') && ident(j + 1, name) && punct(j + 2, '(');
 
     // floatsum needs file-level context: `.iter()…sum()` is only
     // suspicious when the file actually handles unordered containers.
-    let mentions_unordered = lines.iter().any(|l| {
-        find_ident(&l.code, "HashMap").is_some() || find_ident(&l.code, "HashSet").is_some()
-    });
+    let mentions_unordered = toks
+        .iter()
+        .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"));
+    let allow_on =
+        |line: usize, rule: &str| lexed.allows.get(&line).is_some_and(|s| s.contains(rule));
 
-    let wallclock_boundary = in_wallclock_boundary(label);
-    let threads_boundary = in_threads_boundary(label);
+    let last_line = toks
+        .last()
+        .map(|t| t.line)
+        .max(lexed.allows.keys().next_back().copied())
+        .unwrap_or(0);
+    let mut end = 0usize;
+    for line in 1..=last_line {
+        let start = end;
+        while toks.get(end).is_some_and(|t| t.line == line) {
+            end += 1;
+        }
+        let here = start..end;
 
-    for (i, line) in lines.iter().enumerate() {
-        let lineno = i + 1;
-        let code = &line.code;
-        let in_test = kind.is_test_file || line.in_test;
-
-        if !wallclock_boundary && line.allows.contains("wallclock") {
-            out.push(Violation {
-                path: label.to_string(),
-                line: lineno,
-                rule: "wallclock",
-                msg: format!(
+        if allow_on(line, "wallclock") && !in_wallclock_boundary(label) {
+            report(
+                line,
+                "wallclock",
+                format!(
                     "`lint:allow(wallclock)` is only valid inside the documented trace-sink \
                      boundary ({}); move the timing into uap_sim::WallTimer",
                     WALLCLOCK_BOUNDARY.join(", ")
                 ),
-            });
+            );
         }
 
-        if kind.is_sim_path && !in_test && !allowed(&lines, i, "hashmap") {
-            for ident in ["HashMap", "HashSet"] {
-                if find_ident(code, ident).is_some() {
-                    out.push(Violation {
-                        path: label.to_string(),
-                        line: lineno,
-                        rule: "hashmap",
-                        msg: format!(
-                            "{ident} iterates in per-process random order; use BTree{} or \
-                             uap_sim::detmap::{}",
-                            &ident[4..],
-                            if ident == "HashMap" {
-                                "DetMap"
-                            } else {
-                                "DetSet"
-                            },
+        if kind.is_sim_path && !lexed.allowed(line, "hashmap") {
+            for (name, ordered, det) in [
+                ("HashMap", "BTreeMap", "DetMap"),
+                ("HashSet", "BTreeSet", "DetSet"),
+            ] {
+                if here.clone().any(|j| live(j) && ident(j, name)) {
+                    report(
+                        line,
+                        "hashmap",
+                        format!(
+                            "{name} iterates in per-process random order; use {ordered} or \
+                             uap_sim::detmap::{det}"
                         ),
-                    });
+                    );
                 }
             }
         }
 
-        if !threads_boundary && line.allows.contains("threads") {
-            out.push(Violation {
-                path: label.to_string(),
-                line: lineno,
-                rule: "threads",
-                msg: format!(
+        if allow_on(line, "threads") && !in_threads_boundary(label) {
+            report(
+                line,
+                "threads",
+                format!(
                     "`lint:allow(threads)` is only valid inside the audited fork-join \
                      boundaries ({}); keep simulation runs single-threaded",
                     threads_boundary_files().join(", ")
                 ),
-            });
+            );
         }
 
-        if !(threads_boundary && allowed(&lines, i, "threads")) {
-            for pat in ["thread::scope", "thread::spawn"] {
-                if find_path_token(code, pat).is_some() {
-                    out.push(Violation {
-                        path: label.to_string(),
-                        line: lineno,
-                        rule: "threads",
-                        msg: format!(
-                            "`{pat}` outside the audited fork-join boundaries; thread \
-                             scheduling is nondeterministic — keep simulation runs \
-                             single-threaded, or declare a PARALLEL_REGIONS manifest \
-                             entry with an order-preserving join argument"
-                        ),
-                    });
-                }
+        let sinks: Vec<&str> = here
+            .clone()
+            .filter_map(|j| sink_at(toks, j))
+            .map(|(path, _)| path)
+            .collect();
+        for (path, sink) in SINKS {
+            if !sinks.contains(&path) || sink.audited(label, lexed, line) {
+                continue;
             }
+            let msg = match sink {
+                SinkKind::Thread => format!(
+                    "`{path}` outside the audited fork-join boundaries; thread \
+                     scheduling is nondeterministic — keep simulation runs \
+                     single-threaded, or declare a PARALLEL_REGIONS manifest \
+                     entry with an order-preserving join argument"
+                ),
+                SinkKind::Wallclock => format!(
+                    "`{path}` breaks seed-reproducibility; use uap_sim::SimTime from the \
+                     event loop"
+                ),
+                SinkKind::Entropy => format!(
+                    "`{path}` breaks seed-reproducibility; thread the seeded \
+                     uap_sim::SimRng through instead"
+                ),
+            };
+            report(line, sink.rule(), msg);
         }
 
-        if !(wallclock_boundary && allowed(&lines, i, "wallclock")) {
-            for (pat, fix) in [
-                ("Instant::now", "use uap_sim::SimTime from the event loop"),
-                ("SystemTime", "use uap_sim::SimTime from the event loop"),
+        if !kind.is_bin && !lexed.allowed(line, "unwrap") {
+            let hits = [
                 (
-                    "thread_rng",
-                    "thread the seeded uap_sim::SimRng through instead",
+                    "unwrap",
+                    here.clone()
+                        .any(|j| method(j, "unwrap") && punct(j + 3, ')')),
                 ),
+                ("expect", here.clone().any(|j| method(j, "expect"))),
                 (
-                    "rand::random",
-                    "thread the seeded uap_sim::SimRng through instead",
+                    "panic",
+                    here.clone()
+                        .any(|j| live(j) && ident(j, "panic") && punct(j + 1, '!')),
                 ),
-            ] {
-                if find_path_token(code, pat).is_some() {
-                    out.push(Violation {
-                        path: label.to_string(),
-                        line: lineno,
-                        rule: "wallclock",
-                        msg: format!("`{pat}` breaks seed-reproducibility; {fix}"),
-                    });
-                }
-            }
-        }
-
-        if !in_test && !kind.is_bin && !allowed(&lines, i, "unwrap") {
-            for (pat, what) in [
-                (".unwrap()", "unwrap"),
-                (".expect(", "expect"),
-                ("panic!", "panic"),
-            ] {
-                let hit = if pat == "panic!" {
-                    find_ident(code, "panic").is_some_and(|p| code[p..].starts_with("panic!"))
-                } else {
-                    code.contains(pat)
-                };
+            ];
+            for (what, hit) in hits {
                 // `.expect(` and panics justified in place carry their own
                 // finer-grained allow names for auditability.
-                if hit && !allowed(&lines, i, what) {
-                    out.push(Violation {
-                        path: label.to_string(),
-                        line: lineno,
-                        rule: "unwrap",
-                        msg: format!(
+                if hit && !lexed.allowed(line, what) {
+                    report(
+                        line,
+                        "unwrap",
+                        format!(
                             "`{what}` in library code; return a Result, or justify with \
                              `// lint:allow({what})`"
                         ),
-                    });
+                    );
                 }
             }
         }
 
-        if kind.is_sim_path && !in_test && !allowed(&lines, i, "floatsum") {
-            let values_sum = chained(code, ".values()", ".sum");
-            let iter_sum = mentions_unordered && chained(code, ".iter()", ".sum");
-            if values_sum || iter_sum {
-                out.push(Violation {
-                    path: label.to_string(),
-                    line: lineno,
-                    rule: "floatsum",
-                    msg: "float accumulation over a possibly-unordered container; collect \
-                          into a Vec and sort, or use an ordered map"
+        if kind.is_sim_path && !lexed.allowed(line, "floatsum") {
+            // `.first()` followed (same line, any chain in between) by `.sum`.
+            let chained = |first: &str| {
+                here.clone()
+                    .find(|&j| method(j, first) && punct(j + 3, ')'))
+                    .is_some_and(|p| (p + 4..end).any(|j| punct(j, '.') && ident(j + 1, "sum")))
+            };
+            if chained("values") || (mentions_unordered && chained("iter")) {
+                report(
+                    line,
+                    "floatsum",
+                    "float accumulation over a possibly-unordered container; collect \
+                     into a Vec and sort, or use an ordered map"
                         .to_string(),
-                });
+                );
             }
         }
     }
     out
-}
-
-/// True when `first` is followed (same line, any chain in between) by `then`.
-fn chained(code: &str, first: &str, then: &str) -> bool {
-    code.find(first)
-        .is_some_and(|i| code[i + first.len()..].contains(then))
-}
-
-/// Finds `ident` at identifier boundaries; returns its byte offset.
-fn find_ident(code: &str, ident: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(ident) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = code[at + ident.len()..].chars().next();
-        let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + ident.len();
-    }
-    None
-}
-
-/// Finds a (possibly `::`-qualified) token like `Instant::now`, requiring
-/// identifier boundaries on both ends.
-fn find_path_token(code: &str, pat: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(pat) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = code[at + pat.len()..].chars().next();
-        let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + pat.len();
-    }
-    None
-}
-
-/// Lexically strips `source` into per-line code views.
-///
-/// Handles line/block comments (nested), string literals, raw strings
-/// (`r"…"`, `r#"…"#`, any hash depth), byte strings, char literals vs
-/// lifetimes, and records `lint:allow(...)` comments. After stripping it
-/// marks `#[cfg(test)] mod … { … }` bodies via brace matching.
-fn lex(source: &str) -> Vec<Line> {
-    let n_lines = source.lines().count().max(1);
-    let mut lines: Vec<Line> = (0..n_lines)
-        .map(|_| Line {
-            code: String::new(),
-            allows: BTreeSet::new(),
-            in_test: false,
-        })
-        .collect();
-
-    let bytes: Vec<char> = source.chars().collect();
-    let mut i = 0;
-    let mut line = 0usize;
-
-    let push = |lines: &mut Vec<Line>, line: usize, c: char| {
-        if let Some(l) = lines.get_mut(line) {
-            l.code.push(c);
-        }
-    };
-
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                // Line comment: capture for lint:allow, then skip to EOL.
-                let start = i;
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                record_allows(&text, line, &mut lines);
-            }
-            '/' if bytes.get(i + 1) == Some(&'*') => {
-                let start = i;
-                let start_line = line;
-                let mut depth = 1;
-                i += 2;
-                while i < bytes.len() && depth > 0 {
-                    if bytes[i] == '\n' {
-                        line += 1;
-                        i += 1;
-                    } else if bytes[i] == '/' && bytes.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if bytes[i] == '*' && bytes.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-                let text: String = bytes[start..i.min(bytes.len())].iter().collect();
-                record_allows(&text, start_line, &mut lines);
-            }
-            '"' => {
-                // String literal (plain or after b); contents blanked.
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        '\\' => {
-                            // An escaped newline (line continuation) still
-                            // advances the line counter, or every diagnostic
-                            // after the string points one line too high.
-                            if bytes.get(i + 1) == Some(&'\n') {
-                                line += 1;
-                            }
-                            i += 2;
-                        }
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        '\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        _ => i += 1,
-                    }
-                }
-                push(&mut lines, line, '"');
-            }
-            'r' if matches!(bytes.get(i + 1), Some(&'"') | Some(&'#')) => {
-                // Raw string r"…" / r#"…"# / r##"…"## …
-                let mut j = i + 1;
-                let mut hashes = 0;
-                while bytes.get(j) == Some(&'#') {
-                    hashes += 1;
-                    j += 1;
-                }
-                if bytes.get(j) == Some(&'"') {
-                    i = j + 1;
-                    'raw: while i < bytes.len() {
-                        if bytes[i] == '\n' {
-                            line += 1;
-                        } else if bytes[i] == '"' {
-                            let mut k = i + 1;
-                            let mut seen = 0;
-                            while seen < hashes && bytes.get(k) == Some(&'#') {
-                                seen += 1;
-                                k += 1;
-                            }
-                            if seen == hashes {
-                                i = k;
-                                break 'raw;
-                            }
-                        }
-                        i += 1;
-                    }
-                    push(&mut lines, line, '"');
-                } else {
-                    push(&mut lines, line, 'r');
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // Char literal vs lifetime. A char literal closes within a
-                // few chars; a lifetime is 'ident with no closing quote.
-                if bytes.get(i + 1) == Some(&'\\') {
-                    i += 2;
-                    while i < bytes.len() && bytes[i] != '\'' {
-                        i += 1;
-                    }
-                    i += 1;
-                    push(&mut lines, line, '\'');
-                } else if bytes.get(i + 2) == Some(&'\'') {
-                    i += 3;
-                    push(&mut lines, line, '\'');
-                } else {
-                    push(&mut lines, line, '\'');
-                    i += 1;
-                }
-            }
-            _ => {
-                push(&mut lines, line, c);
-                i += 1;
-            }
-        }
-    }
-
-    mark_test_regions(&mut lines);
-    lines
-}
-
-/// Records every rule named in a `lint:allow(a, b)` comment onto `line`.
-fn record_allows(comment: &str, line: usize, lines: &mut [Line]) {
-    let mut rest = comment;
-    while let Some(at) = rest.find("lint:allow(") {
-        let tail = &rest[at + "lint:allow(".len()..];
-        if let Some(close) = tail.find(')') {
-            for rule in tail[..close].split(',') {
-                let rule = rule.trim().to_string();
-                // Fine-grained names (`expect`, `panic`) ride on rule
-                // `unwrap`'s checks; accept them alongside RULES.
-                if RULES.contains(&rule.as_str()) || rule == "expect" || rule == "panic" {
-                    if let Some(l) = lines.get_mut(line) {
-                        l.allows.insert(rule);
-                    }
-                }
-            }
-            rest = &tail[close..];
-        } else {
-            break;
-        }
-    }
-}
-
-/// Marks lines inside `#[cfg(test)] mod … { … }` bodies.
-fn mark_test_regions(lines: &mut [Line]) {
-    let joined: Vec<(usize, char)> = lines
-        .iter()
-        .enumerate()
-        .flat_map(|(ln, l)| l.code.chars().map(move |c| (ln, c)).chain([(ln, '\n')]))
-        .collect();
-    let text: String = joined.iter().map(|&(_, c)| c).collect();
-
-    let mut search_from = 0;
-    while let Some(rel) = text[search_from..].find("#[cfg(test)]") {
-        let attr_at = search_from + rel;
-        // Find the first '{' after the attribute (the mod body opener).
-        let Some(open_rel) = text[attr_at..].find('{') else {
-            break;
-        };
-        let open = attr_at + open_rel;
-        let mut depth = 0usize;
-        let mut end = text.len();
-        for (off, ch) in text[open..].char_indices() {
-            match ch {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + off;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let start_line = joined[attr_at].0;
-        let end_line = joined[end.min(joined.len() - 1)].0;
-        for l in lines.iter_mut().take(end_line + 1).skip(start_line) {
-            l.in_test = true;
-        }
-        search_from = end.min(text.len());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{lexer::lex, run_passes, Pass};
+
+    /// The one-row pass table of `xtask lint`.
+    fn lint_only() -> [Pass; 1] {
+        [("lint", pass)]
+    }
+
+    fn scan_source(label: &str, source: &str, kind: FileKind) -> Vec<Violation> {
+        scan(label, &lex(source), kind)
+    }
 
     const LIB: FileKind = FileKind {
         is_test_file: false,
@@ -683,6 +366,25 @@ mod tests {
         let vs = scan_source("crates/sim/src/x.rs", src, LIB);
         assert_eq!(rules_of(&vs), vec!["unwrap"]);
         assert_eq!(vs[0].line, 5);
+        // A braceless `#[cfg(test)]` item ends at its `;`: the next
+        // item's braces are not a test body.
+        let src = "#[cfg(test)]\nuse x::HashMap;\nfn lib(o: Option<u8>) -> u8 { o.unwrap() }\n";
+        let vs = scan_source("crates/sim/src/x.rs", src, LIB);
+        assert_eq!(rules_of(&vs), vec!["unwrap"]);
+        assert_eq!(vs[0].line, 3);
+    }
+
+    #[test]
+    fn sinks_outside_fn_bodies_are_checked() {
+        // The pass reads every token of a file, not only fn bodies:
+        // a `static` initialiser, a struct field, a `use` line.
+        let src = "static T: SystemTime = SystemTime::UNIX_EPOCH;\nstruct S {\n    m: HashMap<u8, u8>,\n}\nuse std::thread::spawn;\n";
+        let vs = scan_source("crates/sim/src/x.rs", src, LIB);
+        let found: Vec<(&str, usize)> = vs.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(
+            found,
+            vec![("wallclock", 1), ("hashmap", 3), ("threads", 5)]
+        );
     }
 
     #[test]
@@ -741,8 +443,8 @@ mod tests {
             rules_of(&scan_source("crates/net/src/routing.rs", src, LIB)),
             vec!["threads"]
         );
-        // Qualified crossbeam paths match the same suffix token.
-        let src = "pub fn g() { crossbeam::thread::scope(|s| { let _ = s; }); }\n";
+        // Qualified paths match the same suffix token.
+        let src = "pub fn g() { foo::thread::scope(|s| { let _ = s; }); }\n";
         assert_eq!(
             rules_of(&scan_source("crates/core/src/lib.rs", src, LIB)),
             vec!["threads"]
@@ -890,12 +592,17 @@ mod tests {
             "pub fn f() -> u64 {\n    let mut r = rand::thread_rng();\n    r.gen()\n}\n",
         )
         .unwrap();
-        let vs = run(&root);
+        let report = run_passes(&root, &lint_only(), false);
         std::fs::remove_dir_all(&root).unwrap();
+        let vs = report.violations;
         assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].rule, "wallclock");
-        assert_eq!(vs[0].line, 2);
-        assert!(vs[0].path.ends_with("lib.rs"));
+        assert!(
+            vs[0].starts_with("crates/sim/src/lib.rs:2: rule(wallclock): "),
+            "{}",
+            vs[0]
+        );
+        assert_eq!(report.summaries.len(), 1);
+        assert!(report.summaries[0].starts_with("lint: 1 violation(s) — see docs/DETERMINISM.md"));
     }
 
     #[test]
@@ -904,14 +611,12 @@ mod tests {
         // the same root resolution as the binary.
         let manifest = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         let root = manifest.parent().unwrap().parent().unwrap();
-        let vs = run(root);
+        let report = run_passes(root, &lint_only(), false);
         assert!(
-            vs.is_empty(),
+            report.violations.is_empty(),
             "workspace has lint violations:\n{}",
-            vs.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
+            report.violations.join("\n")
         );
+        assert_eq!(report.summaries, vec!["lint: ok"]);
     }
 }

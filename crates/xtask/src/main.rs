@@ -1,8 +1,8 @@
 //! Workspace automation tasks (the cargo `xtask` pattern).
 //!
 //! ```text
+//! cargo run -p xtask -- analyze [--pass=<name>] [--update-baseline]
 //! cargo run -p xtask -- lint
-//! cargo run -p xtask -- analyze [--update-baseline[=panic|alloc|cast]] [--pass=alloc|par|cast|all]
 //! cargo run -p xtask -- trace summary <trace.jsonl>
 //! cargo run -p xtask -- trace diff <a> <b>
 //! cargo run -p xtask -- trace spans <trace.jsonl>
@@ -10,12 +10,14 @@
 //! cargo run -p xtask -- trace check <trace.jsonl>
 //! ```
 //!
-//! `lint` scans every workspace `.rs` file for repo-specific determinism
-//! hazards (see [`lint`] and `docs/DETERMINISM.md`) and exits non-zero
-//! with `file:line` diagnostics when any are found. `analyze` goes a
-//! layer deeper: it parses the workspace into a call graph and proves
-//! purity / panic reachability / trace-registry agreement (see
-//! [`analyze`] and `docs/STATIC_ANALYSIS.md`). `trace` summarizes
+//! `analyze` is the static determinism gate: it lexes and parses the
+//! workspace once and runs the pass table of [`analyze`] over it — the
+//! token-level determinism lint ([`lint`], `docs/DETERMINISM.md`), then
+//! the call-graph proofs (purity, panic / alloc / cast ratchets,
+//! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`)
+//! — exiting non-zero with `file:line` diagnostics when any fail.
+//! `--pass=<name>` runs one row of the table, and `lint` is the spelling
+//! of `analyze --pass=lint`. `trace` summarizes
 //! and compares the JSONL traces / RunReport JSON the experiment
 //! binaries emit (see [`trace_cmd`] and `docs/OBSERVABILITY.md`); `diff`
 //! exits 1 on the first divergence, which makes it the CI determinism
@@ -31,24 +33,7 @@ use std::path::PathBuf;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => {
-            let root = workspace_root();
-            let violations = lint::run(&root);
-            for v in &violations {
-                eprintln!("{v}");
-            }
-            if violations.is_empty() {
-                eprintln!("xtask lint: clean");
-                std::process::exit(0);
-            } else {
-                eprintln!(
-                    "xtask lint: {} violation(s) — see docs/DETERMINISM.md for the rules \
-                     and the `// lint:allow(<rule>)` escape hatch",
-                    violations.len()
-                );
-                std::process::exit(1);
-            }
-        }
+        Some("lint") if args.len() == 1 => analyze_main(&["--pass=lint".to_string()]),
         Some("analyze") => analyze_main(&args[1..]),
         Some("trace") => trace_main(&args[1..]),
         _ => usage(),
@@ -61,40 +46,24 @@ fn main() {
 const ANALYZE_WALL_BUDGET_SECS: f64 = 120.0;
 
 fn analyze_main(args: &[String]) -> ! {
-    let mut mode = analyze::BaselineMode::Check;
-    let mut passes = analyze::PassFilter::All;
+    let mut update_baseline = false;
+    let mut passes: &[analyze::Pass] = &analyze::PASSES;
+    let mut label = "analyze".to_string();
     for arg in args {
-        match arg.as_str() {
-            "--update-baseline" => mode = analyze::BaselineMode::Update(analyze::UpdateScope::All),
-            "--update-baseline=panic" => {
-                mode = analyze::BaselineMode::Update(analyze::UpdateScope::Panic)
-            }
-            "--update-baseline=alloc" => {
-                mode = analyze::BaselineMode::Update(analyze::UpdateScope::Alloc)
-            }
-            "--update-baseline=cast" => {
-                mode = analyze::BaselineMode::Update(analyze::UpdateScope::Cast)
-            }
-            "--pass=alloc" => passes = analyze::PassFilter::Alloc,
-            "--pass=par" => passes = analyze::PassFilter::Par,
-            "--pass=cast" => passes = analyze::PassFilter::Cast,
-            "--pass=all" => passes = analyze::PassFilter::All,
-            other => {
-                eprintln!("xtask analyze: unknown flag `{other}`");
-                usage()
-            }
+        if arg == "--update-baseline" {
+            update_baseline = true;
+        } else if let Some(pass) = arg.strip_prefix("--pass=").and_then(analyze::pass) {
+            passes = std::slice::from_ref(pass);
+            label = format!("analyze_{}", pass.0);
+        } else {
+            eprintln!("xtask analyze: unknown flag `{arg}`");
+            usage()
         }
     }
     let timer = uap_sim::WallTimer::start();
-    let report = analyze::run_passes(&workspace_root(), mode, passes);
+    let report = analyze::run_passes(&workspace_root(), passes, update_baseline);
     let wall = timer.elapsed_secs();
     let clean = analyze::print_report(&report);
-    let label = match passes {
-        analyze::PassFilter::All => "analyze",
-        analyze::PassFilter::Alloc => "analyze_alloc",
-        analyze::PassFilter::Par => "analyze_par",
-        analyze::PassFilter::Cast => "analyze_cast",
-    };
     println!(
         "PERF {label} files={} fns={} entries={} hot_entries={} edges={} alloc_sites={} \
          spawn_sites={} cast_sites={} wall_secs={wall:.3} (budget {ANALYZE_WALL_BUDGET_SECS:.0}s)",
@@ -117,76 +86,40 @@ fn analyze_main(args: &[String]) -> ! {
 }
 
 fn trace_main(args: &[String]) -> ! {
-    match args.first().map(String::as_str) {
-        Some("summary") => {
-            let [path] = &args[1..] else { usage() };
-            let content = read_or_die(path);
-            match trace_cmd::summarize(&content) {
-                Ok(s) => {
-                    print!("{s}");
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("xtask trace summary: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let Some((sub, rest)) = args.split_first() else {
+        usage()
+    };
+    let result = match (sub.as_str(), rest) {
+        ("summary", [path]) => trace_cmd::summarize(&read_or_die(path)).map_err(|e| (path, e)),
+        ("spans", [path]) => trace_cmd::spans(&read_or_die(path)).map_err(|e| (path, e)),
+        ("check", [path]) => trace_cmd::check(&read_or_die(path))
+            .map_err(|e| (path, format!("causal-integrity violation(s):\n{e}"))),
+        ("explain", [path, seq]) => {
+            let Ok(seq) = seq.parse::<u64>() else {
+                eprintln!("xtask trace explain: `{seq}` is not a seq number");
+                usage()
+            };
+            trace_cmd::explain(&read_or_die(path), seq).map_err(|e| (path, e))
         }
-        Some("diff") => {
-            let [a, b] = &args[1..] else { usage() };
-            let ca = read_or_die(a);
-            let cb = read_or_die(b);
-            let r = trace_cmd::diff(&ca, &cb);
+        ("diff", [a, b]) => {
+            let r = trace_cmd::diff(&read_or_die(a), &read_or_die(b));
             print!("{}", trace_cmd::render_diff((a, b), &r));
             match r {
                 trace_cmd::DiffResult::Identical { .. } => std::process::exit(0),
                 trace_cmd::DiffResult::Divergence { .. } => std::process::exit(1),
             }
         }
-        Some("spans") => {
-            let [path] = &args[1..] else { usage() };
-            match trace_cmd::spans(&read_or_die(path)) {
-                Ok(s) => {
-                    print!("{s}");
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("xtask trace spans: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("explain") => {
-            let [path, seq] = &args[1..] else { usage() };
-            let Ok(seq) = seq.parse::<u64>() else {
-                eprintln!("xtask trace explain: `{seq}` is not a seq number");
-                usage()
-            };
-            match trace_cmd::explain(&read_or_die(path), seq) {
-                Ok(s) => {
-                    print!("{s}");
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("xtask trace explain: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("check") => {
-            let [path] = &args[1..] else { usage() };
-            match trace_cmd::check(&read_or_die(path)) {
-                Ok(s) => {
-                    print!("{s}");
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("xtask trace check: {path}: causal-integrity violation(s):\n{e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         _ => usage(),
+    };
+    match result {
+        Ok(s) => {
+            print!("{s}");
+            std::process::exit(0);
+        }
+        Err((path, e)) => {
+            eprintln!("xtask trace {sub}: {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -202,13 +135,14 @@ fn read_or_die(path: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cargo run -p xtask -- lint\n       \
-         cargo run -p xtask -- analyze [--update-baseline[=panic|alloc|cast]] [--pass=alloc|par|cast|all]\n       \
+        "usage: cargo run -p xtask -- analyze [--pass={}] [--update-baseline]\n       \
+         cargo run -p xtask -- lint\n       \
          cargo run -p xtask -- trace summary <trace.jsonl>\n       \
          cargo run -p xtask -- trace diff <a> <b>\n       \
          cargo run -p xtask -- trace spans <trace.jsonl>\n       \
          cargo run -p xtask -- trace explain <trace.jsonl> <seq>\n       \
-         cargo run -p xtask -- trace check <trace.jsonl>"
+         cargo run -p xtask -- trace check <trace.jsonl>",
+        analyze::PASSES.map(|(name, _)| name).join("|")
     );
     std::process::exit(2);
 }
