@@ -34,6 +34,10 @@
 #                                 every workload passes its checks at
 #                                 one-tenth scale, so an API deletion
 #                                 cannot silently break BENCHMARK.json
+#  10. benchmark/ self-tests    — the package's own tests (harness, stats,
+#                                 compare verdicts, each workload at tiny
+#                                 scale in a debug build), same shared
+#                                 target/ directory
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,5 +78,8 @@ step "routing perf smoke (ci/perf_smoke.sh)"
 
 step "benchmark package build + smoke (benchmark/smoke.sh)"
 ./benchmark/smoke.sh | tail -n 3
+
+step "benchmark package self-tests"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target
 
 printf '\nAll checks passed.\n'

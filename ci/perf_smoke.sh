@@ -35,72 +35,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATH_QPS_FLOOR=440000000
-EXP16_EPS_FLOOR=7000
-EXP17_REPAIR_EPS_FLOOR=6000
-FLOW_ALLOC_CPS_FLOOR=3000
 SLACK=5
+
+# One row per floor:
+#   title | binary and args | PERF line prefix | key | label | floor | unit
+FLOORS=(
+  "routing microbench (quick)|bench_routing --quick|PERF size=small|path_qps|path_qps|440000000|queries/sec"
+  "exp16 resilience event-rate smoke (quick)|exp16_resilience --quick --seed 42|PERF exp16_resilience|events_per_sec|exp16_events_per_sec|7000|events/sec"
+  "exp17 fault-scale repair-throughput smoke (quick)|exp17_fault_scale --quick --seed 42|PERF fault_scale size=medium|repair_eps|exp17_repair_epochs_per_sec|6000|epochs/sec"
+  "exp18 flow-allocator throughput smoke (quick)|exp18_congestion --quick --seed 42|PERF flow_alloc|allocs_per_sec|flow_alloc_cycles_per_sec|3000|cycles/sec"
+)
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-echo "routing microbench (quick)"
-cargo run --release -q -p uap-bench --bin bench_routing -- \
-  --quick --out "$WORK" | tee "$WORK/stdout.txt"
+for row in "${FLOORS[@]}"; do
+  IFS='|' read -r title cmd prefix key label floor unit <<<"$row"
+  read -ra argv <<<"$cmd"
+  echo "$title"
+  cargo run --release -q -p uap-bench --bin "${argv[0]}" -- \
+    "${argv[@]:1}" --out "$WORK/${argv[0]}" | tee "$WORK/stdout.txt"
 
-line="$(grep '^PERF size=small ' "$WORK/stdout.txt")"
-path_qps="$(sed -n 's/.* path_qps=\([0-9]*\).*/\1/p' <<<"$line")"
-
-if [[ -z "$path_qps" ]]; then
-  echo "FAIL: could not parse PERF line: $line" >&2
-  exit 1
-fi
-
-check() { # check <label> <measured> <floor> <unit>
-  local min=$(($3 / SLACK))
-  if (($2 < min)); then
-    echo "FAIL: $1 = $2 $4, below $min (floor $3 / ${SLACK}x slack)" >&2
+  line="$(grep "^$prefix " "$WORK/stdout.txt" || true)"
+  measured="$(sed -n "s/.* $key=\([0-9]*\).*/\1/p" <<<"$line")"
+  if [[ -z "$measured" ]]; then
+    echo "FAIL: could not parse PERF line: $line" >&2
     exit 1
   fi
-  echo "ok: $1 = $2 $4 (>= $min)"
-}
-
-check path_qps "$path_qps" "$PATH_QPS_FLOOR" queries/sec
-
-echo "exp16 resilience event-rate smoke (quick)"
-cargo run --release -q -p uap-bench --bin exp16_resilience -- \
-  --quick --seed 42 --out "$WORK/e16" | tee "$WORK/e16_stdout.txt"
-
-e16_line="$(grep '^PERF exp16_resilience ' "$WORK/e16_stdout.txt")"
-e16_eps="$(sed -n 's/.* events_per_sec=\([0-9]*\).*/\1/p' <<<"$e16_line")"
-if [[ -z "$e16_eps" ]]; then
-  echo "FAIL: could not parse PERF line: $e16_line" >&2
-  exit 1
-fi
-check exp16_events_per_sec "$e16_eps" "$EXP16_EPS_FLOOR" events/sec
-
-echo "exp17 fault-scale repair-throughput smoke (quick)"
-cargo run --release -q -p uap-bench --bin exp17_fault_scale -- \
-  --quick --seed 42 --out "$WORK/e17" | tee "$WORK/e17_stdout.txt"
-
-e17_line="$(grep '^PERF fault_scale size=medium ' "$WORK/e17_stdout.txt")"
-e17_repair_eps="$(sed -n 's/.* repair_eps=\([0-9]*\).*/\1/p' <<<"$e17_line")"
-if [[ -z "$e17_repair_eps" ]]; then
-  echo "FAIL: could not parse PERF line: $e17_line" >&2
-  exit 1
-fi
-check exp17_repair_epochs_per_sec "$e17_repair_eps" "$EXP17_REPAIR_EPS_FLOOR" epochs/sec
-
-echo "exp18 flow-allocator throughput smoke (quick)"
-cargo run --release -q -p uap-bench --bin exp18_congestion -- \
-  --quick --seed 42 --out "$WORK/e18" | tee "$WORK/e18_stdout.txt"
-
-e18_line="$(grep '^PERF flow_alloc ' "$WORK/e18_stdout.txt")"
-e18_cps="$(sed -n 's/.* allocs_per_sec=\([0-9]*\).*/\1/p' <<<"$e18_line")"
-if [[ -z "$e18_cps" ]]; then
-  echo "FAIL: could not parse PERF line: $e18_line" >&2
-  exit 1
-fi
-check flow_alloc_cycles_per_sec "$e18_cps" "$FLOW_ALLOC_CPS_FLOOR" cycles/sec
+  min=$((floor / SLACK))
+  if ((measured < min)); then
+    echo "FAIL: $label = $measured $unit, below $min (floor $floor / ${SLACK}x slack)" >&2
+    exit 1
+  fi
+  echo "ok: $label = $measured $unit (>= $min)"
+done
 
 echo "perf smoke passed."

@@ -200,6 +200,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::parallel_map;
 
     #[test]
     fn pns_cuts_inter_as_share_keeps_success() {
@@ -225,6 +226,37 @@ mod tests {
             "vanilla exactness {}",
             vanilla.exactness
         );
+    }
+
+    /// EXPERIMENTS.md's E9 ✅ as a check (ROADMAP 4a): on every one of eight
+    /// seeds PNS+PR sends a smaller share of its RPCs across AS boundaries
+    /// and over fewer AS hops than vanilla, and finds the true closest node
+    /// no less often.
+    #[test]
+    fn proximity_claim_holds_on_every_seed() {
+        let seeds: Vec<u64> = (900..908).collect();
+        let outs = parallel_map(seeds.clone(), 4, |seed| run(&Params::quick(seed)));
+        for (seed, out) in seeds.iter().zip(&outs) {
+            let (vanilla, pnspr) = (&out.modes[0], &out.modes[2]);
+            assert!(
+                pnspr.inter_as_fraction < vanilla.inter_as_fraction,
+                "seed {seed}: inter-AS share {} !< {}",
+                pnspr.inter_as_fraction,
+                vanilla.inter_as_fraction
+            );
+            assert!(
+                pnspr.mean_rpc_as_hops < vanilla.mean_rpc_as_hops,
+                "seed {seed}: AS-hops/RPC {} !< {}",
+                pnspr.mean_rpc_as_hops,
+                vanilla.mean_rpc_as_hops
+            );
+            assert!(
+                pnspr.exactness >= vanilla.exactness,
+                "seed {seed}: exactness {} < {}",
+                pnspr.exactness,
+                vanilla.exactness
+            );
+        }
     }
 
     #[test]

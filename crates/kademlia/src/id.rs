@@ -1,4 +1,13 @@
 //! 160-bit keys and the XOR metric.
+//!
+//! A key is 20 big-endian bytes; the distance between two keys is their
+//! XOR read as a 160-bit integer. `x ↦ t ⊕ x` is a bijection, so distinct
+//! keys are at distinct distances from any target `t`: ordering contacts
+//! by distance is a total order with no ties, which is why a k-closest
+//! answer does not depend on how it was computed (see `kbucket`).
+//! [`Key::cmp_distance`] is the comparison every sort, search and merge in
+//! this crate uses; it decides at the first differing byte and builds
+//! neither distance.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -50,6 +59,13 @@ impl Key {
         Key(d)
     }
 
+    /// Bit `i` of the key read as a 160-bit big-endian integer: bit 0 is the
+    /// lowest bit of the last byte, bit 159 the highest of the first.
+    pub(crate) fn bit(&self, i: usize) -> bool {
+        let byte = self.0.iter().rev().nth(i / 8);
+        byte.is_some_and(|b| b >> (i % 8) & 1 == 1)
+    }
+
     /// Index of the k-bucket `other` falls into relative to `self`:
     /// `159 − leading_zero_bits(distance)`; `None` for identical keys.
     pub fn bucket_index(&self, other: &Key) -> Option<usize> {
@@ -70,9 +86,17 @@ impl Key {
         }
     }
 
-    /// Compares two keys by distance to `self` (closer first).
+    /// Compares two keys by distance to `self` (closer first): the order
+    /// of `self ⊕ a` and `self ⊕ b` as big-endian integers, decided at the
+    /// first byte where they differ, so neither distance is built. Two
+    /// distinct keys never compare `Equal` — the order is total.
     pub fn cmp_distance(&self, a: &Key, b: &Key) -> Ordering {
-        self.distance(a).0.cmp(&self.distance(b).0)
+        for ((s, x), y) in self.0.iter().zip(&a.0).zip(&b.0) {
+            if x != y {
+                return (s ^ x).cmp(&(s ^ y));
+            }
+        }
+        Ordering::Equal
     }
 }
 
@@ -108,6 +132,20 @@ mod tests {
         top[0] = 0x80;
         assert_eq!(zero.bucket_index(&Key(top)), Some(159));
         assert_eq!(zero.bucket_index(&zero), None);
+    }
+
+    #[test]
+    fn bit_numbering_matches_bucket_index() {
+        let mut rng = SimRng::new(4);
+        for _ in 0..50 {
+            let d = Key::random(&mut rng);
+            let top = Key::ZERO.bucket_index(&d).unwrap();
+            assert!(d.bit(top));
+            assert!((top + 1..200).all(|i| !d.bit(i)));
+        }
+        let mut one = [0u8; 20];
+        one[19] = 1;
+        assert!(Key(one).bit(0) && !Key(one).bit(1) && !Key(one).bit(8));
     }
 
     #[test]

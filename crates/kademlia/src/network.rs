@@ -405,11 +405,14 @@ impl DhtNetwork {
                 if self.nodes[l.host.idx()].online {
                     self.nodes[from.idx()].table.observe(l);
                 }
-                if !shortlist.iter().any(|e| e.key == l.key) {
-                    shortlist.push(l);
+                // The shortlist stays sorted by distance to `target`; a
+                // search hit is a contact it already holds.
+                if let Err(pos) =
+                    shortlist.binary_search_by(|e| target.cmp_distance(&e.key, &l.key))
+                {
+                    shortlist.insert(pos, l);
                 }
             }
-            shortlist.sort_by(|a, b| target.cmp_distance(&a.key, &b.key));
             shortlist.truncate(self.cfg.k);
             let after_best = shortlist.first().map(|c| c.key);
             // Terminate when the k-closest set is fully queried or the best
@@ -772,6 +775,63 @@ mod tests {
         assert!(out.rounds >= 1);
         assert!(out.rpcs >= 1);
         assert!(out.latency_us > 0);
+    }
+
+    // Degenerate inputs (ROADMAP 4c): each must terminate with a sane
+    // outcome — never hang, never panic.
+
+    #[test]
+    fn alpha_zero_stops_at_the_round_cap_with_no_rpcs() {
+        let mut rng = SimRng::new(12);
+        let cfg = DhtConfig {
+            alpha: 0,
+            ..Default::default()
+        };
+        // Bootstrap itself is 31 such lookups.
+        let mut net = DhtNetwork::build(underlay(32, 12), cfg, &mut rng);
+        let out = net.lookup(HostId(1), &Key::random(&mut rng), &mut rng);
+        assert_eq!((out.rpcs, out.rounds), (0, 21));
+        // Nothing was asked, so the shortlist is still the caller's own
+        // bootstrap contact.
+        assert_eq!(out.closest.len(), 1);
+    }
+
+    #[test]
+    fn with_every_other_node_offline_operations_come_back_empty() {
+        let (mut net, mut rng) = network(48, ProximityMode::None, 13);
+        let me = HostId(5);
+        for h in (0..48).map(HostId).filter(|&h| h != me) {
+            net.set_online(h, false);
+        }
+        let key = Key::hash_of(b"nobody-home");
+        let known = |net: &DhtNetwork| net.node(me).table.len() as u64;
+
+        let before = known(&net);
+        assert!(before > 0);
+        let out = net.lookup(me, &key, &mut rng);
+        assert!(out.closest.is_empty());
+        assert!(out.rpcs > 0 && out.rpcs <= before, "{} RPCs", out.rpcs);
+
+        let before = known(&net);
+        let (out, written) = net.store(me, &key, 1, &mut rng);
+        assert_eq!(written, 0);
+        assert!(out.rpcs <= before, "{} RPCs", out.rpcs);
+
+        let before = known(&net);
+        let (out, got) = net.retrieve(me, &key, &mut rng);
+        assert_eq!(got, None);
+        assert!(out.rpcs <= before, "{} RPCs", out.rpcs);
+    }
+
+    #[test]
+    fn lookup_from_an_empty_table_returns_immediately() {
+        let (mut net, mut rng) = network(32, ProximityMode::Pns, 14);
+        let me = HostId(9);
+        let own = net.key_of(me);
+        net.node_mut(me).table = RoutingTable::new(own, 8, OverflowPolicy::PreferNear);
+        let out = net.lookup(me, &Key::random(&mut rng), &mut rng);
+        assert!(out.closest.is_empty());
+        assert_eq!((out.rpcs, out.rounds, out.latency_us), (0, 1, 0));
     }
 
     #[test]

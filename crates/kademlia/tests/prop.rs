@@ -10,6 +10,27 @@ fn key_from(bytes: [u8; 20]) -> Key {
     Key(bytes)
 }
 
+/// `own` with bit `b` flipped and every lower bit redrawn — a key of
+/// `own`'s bucket `b`. Uniform 160-bit keys only ever reach the top dozen
+/// buckets; these reach all of them.
+fn key_in_bucket(own: &Key, b: usize, rng: &mut SimRng) -> Key {
+    let noise = Key::random(rng);
+    let (at, low) = (19 - b / 8, (1u8 << (b % 8)) - 1);
+    let mut out = own.0;
+    out[at] = ((own.0[at] & !low) ^ (low + 1)) | (noise.0[at] & low);
+    out[at + 1..].copy_from_slice(&noise.0[at + 1..]);
+    Key(out)
+}
+
+/// The k-closest answer as it was computed before bucket-order selection:
+/// the whole table, stable-sorted on materialised distances, truncated.
+fn closest_reference(t: &RoutingTable, target: &Key, count: usize) -> Vec<Contact> {
+    let mut all: Vec<Contact> = t.contacts().copied().collect();
+    all.sort_by_key(|c| target.distance(&c.key).0);
+    all.truncate(count);
+    all
+}
+
 proptest! {
     /// XOR metric axioms: identity, symmetry, and the XOR "triangle
     /// equality" d(a,c) = d(a,b) ^ d(b,c).
@@ -97,6 +118,74 @@ proptest! {
                     target.cmp_distance(&w[0].key, &w[1].key),
                     std::cmp::Ordering::Greater
                 );
+            }
+        }
+    }
+
+    /// The single-pass comparison is the order of the two materialised
+    /// distances — also when `a` and `b` share a prefix of any length, which
+    /// independent random arrays never do.
+    #[test]
+    fn cmp_distance_matches_materialised_distances(
+        own in any::<[u8; 20]>(),
+        a in any::<[u8; 20]>(),
+        b in any::<[u8; 20]>(),
+        shared in 0usize..21,
+    ) {
+        let mut b_near = b;
+        b_near[..shared].copy_from_slice(&a[..shared]);
+        let (own, a) = (key_from(own), key_from(a));
+        for b in [key_from(b), key_from(b_near)] {
+            prop_assert_eq!(
+                own.cmp_distance(&a, &b),
+                own.distance(&a).0.cmp(&own.distance(&b).0)
+            );
+        }
+    }
+
+    /// Differential oracle for the bucket-order walk: `closest_into` equals
+    /// sort-everything-and-truncate element for element, on tables whose
+    /// contacts sit in low buckets as well as high ones (so both the
+    /// descending and the ascending half of the walk run).
+    #[test]
+    fn closest_into_equals_full_sort(seed in any::<u64>(), k in 1usize..8, n_ops in 1usize..300) {
+        let mut rng = SimRng::new(seed);
+        let own = Key::random(&mut rng);
+        for policy in [OverflowPolicy::KeepOld, OverflowPolicy::PreferNear] {
+            let mut t = RoutingTable::new(own, k, policy);
+            let mut stored = own;
+            for i in 0..n_ops {
+                let key = if i % 3 == 0 {
+                    Key::random(&mut rng)
+                } else {
+                    key_in_bucket(&own, rng.index(160), &mut rng)
+                };
+                let kept = t.observe(Contact {
+                    key,
+                    host: HostId(i as u32),
+                    as_hops: rng.below(6) as u32,
+                });
+                if kept {
+                    stored = key;
+                }
+                if i % 7 == 6 {
+                    t.remove(&stored);
+                }
+            }
+            let mut low_flip = own;
+            low_flip.0[19] ^= 1 << rng.index(8);
+            let targets = [
+                own,
+                t.contacts().next().map_or(stored, |c| c.key),
+                Key::random(&mut rng),
+                low_flip,
+            ];
+            let mut got = Vec::new();
+            for target in targets {
+                for count in [0, 1, k, t.len(), t.len() + 1, usize::MAX] {
+                    t.closest_into(&target, count, &mut got);
+                    prop_assert_eq!(&got, &closest_reference(&t, &target, count));
+                }
             }
         }
     }
