@@ -18,15 +18,25 @@
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests
 #   6. cargo test --workspace   — every crate's unit + integration tests
-#   7. ci/trace_gate.sh         — trace determinism: two same-seed runs
+#   7. ci/trace_gate.sh         — trace determinism: two same-seed runs of
+#                                 every traced experiment (`exp list
+#                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
 #                                 byte-identical under `xtask trace diff`,
-#                                 for exp04 and for exp16's fault campaign
-#   7b. exp16 smoke             — one quick exp16_resilience run must
-#                                 exit 0 and write all four CSVs
+#                                 streamed trace equal to the buffered one
+#   7b. quick suite             — `exp all --quick` must exit 0 and leave
+#                                 every CSV `exp list --csvs` names
+#   7c. results/ are current    — `exp all` at full scale must reproduce
+#                                 every committed results/*.csv byte for
+#                                 byte, and results/ must hold no CSV the
+#                                 table does not declare
+#   7d. EXPERIMENTS.md is current — `exp doc` regenerates its tables from
+#                                 results/; the committed file must not
+#                                 change
 #   8. ci/perf_smoke.sh         — routing hot-path qps within 5x of the
 #                                 committed floors, plus the exp16 event
 #                                 rate covering the burned-down gnutella/
-#                                 kademlia/bittorrent paths
+#                                 kademlia/bittorrent paths, the exp17
+#                                 repair rate and the exp18 allocator rate
 #                                 (docs/PERFORMANCE.md)
 #   9. benchmark/ build + smoke   — the standalone benchmark package
 #                                 (outside the workspace) builds offline
@@ -64,14 +74,28 @@ cargo test --workspace -q
 step "trace determinism gate (ci/trace_gate.sh)"
 ./ci/trace_gate.sh
 
-step "exp16 resilience smoke"
-E16_OUT="$(mktemp -d)"
-trap 'rm -rf "$E16_OUT"' EXIT
-cargo run --release -q -p uap-bench --bin exp16_resilience -- \
-  --quick --seed 42 --out "$E16_OUT" > "$E16_OUT/stdout.txt"
-for csv in exp16_reachability exp16_gnutella exp16_kademlia exp16_bittorrent; do
-  [ -s "$E16_OUT/$csv.csv" ] || { echo "missing $csv.csv" >&2; exit 1; }
+exp() { cargo run --release -q -p uap-bench --bin exp -- "$@"; }
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
+
+step "quick suite (exp all --quick)"
+exp all --quick --seed 42 --out "$OUT/quick" > "$OUT/quick.stdout.txt"
+for stem in $(exp list --csvs); do
+  [ -s "$OUT/quick/$stem.csv" ] || { echo "missing $stem.csv" >&2; exit 1; }
 done
+
+step "results/*.csv are what the binaries emit (exp all, full scale)"
+exp all --seed 42 --out "$OUT/full" > "$OUT/full.stdout.txt"
+for stem in $(exp list --csvs); do
+  diff "results/$stem.csv" "$OUT/full/$stem.csv"
+done
+for csv in results/*.csv; do
+  [ -e "$OUT/full/$(basename "$csv")" ] || { echo "$csv is not an output of any experiment" >&2; exit 1; }
+done
+
+step "EXPERIMENTS.md tables are generated (exp doc)"
+exp doc
+git diff --exit-code -- EXPERIMENTS.md
 
 step "routing perf smoke (ci/perf_smoke.sh)"
 ./ci/perf_smoke.sh

@@ -10,19 +10,19 @@
 # noisy-neighbor variance while still catching a reintroduced per-query
 # allocation or table walk, which costs an order of magnitude.
 #
-# Also runs exp16_resilience in quick mode and gates its event rate:
+# Also runs exp16 (resilience) in quick mode and gates its event rate:
 # exp16 drives the gnutella flood, kademlia lookup and bittorrent swarm
 # paths end-to-end, so it covers the scratch-buffer burn-down the alloc
 # pass ratchets (~7.3k events/sec after the burn-down; see
 # docs/PERFORMANCE.md "Allocation discipline" evidence).
 #
-# Also runs exp17_fault_scale in quick mode and gates the medium-size
-# incremental repair rate (fault epochs repaired per second): ~8.3k
+# Also runs exp17 (fault-scale repair) in quick mode and gates the
+# medium-size incremental repair rate (epochs repaired per second): ~8.3k
 # epochs/sec measured on the reference dev box, floor 6000. A regression
 # here means fault epochs silently went back to paying full all-pairs
 # rebuild cost (see docs/PERFORMANCE.md "Incremental repair").
 #
-# Also runs exp18_congestion in quick mode and gates the max-min flow
+# Also runs exp18 (congestion) in quick mode and gates the max-min flow
 # allocator's cycle rate (full begin/add-256-flows/allocate cycles per
 # second): ~3.7k cycles/sec measured on the reference dev box, floor
 # 3000. A regression here means the per-round allocation recompute grew
@@ -41,9 +41,9 @@ SLACK=5
 #   title | binary and args | PERF line prefix | key | label | floor | unit
 FLOORS=(
   "routing microbench (quick)|bench_routing --quick|PERF size=small|path_qps|path_qps|440000000|queries/sec"
-  "exp16 resilience event-rate smoke (quick)|exp16_resilience --quick --seed 42|PERF exp16_resilience|events_per_sec|exp16_events_per_sec|7000|events/sec"
-  "exp17 fault-scale repair-throughput smoke (quick)|exp17_fault_scale --quick --seed 42|PERF fault_scale size=medium|repair_eps|exp17_repair_epochs_per_sec|6000|epochs/sec"
-  "exp18 flow-allocator throughput smoke (quick)|exp18_congestion --quick --seed 42|PERF flow_alloc|allocs_per_sec|flow_alloc_cycles_per_sec|3000|cycles/sec"
+  "exp16 resilience event-rate smoke (quick)|exp exp16 --quick --seed 42|PERF exp16_resilience|events_per_sec|exp16_events_per_sec|7000|events/sec"
+  "exp17 fault-scale repair-throughput smoke (quick)|exp exp17 --quick --seed 42|PERF fault_scale size=medium|repair_eps|exp17_repair_epochs_per_sec|6000|epochs/sec"
+  "exp18 flow-allocator throughput smoke (quick)|exp exp18 --quick --seed 42|PERF flow_alloc|allocs_per_sec|flow_alloc_cycles_per_sec|3000|cycles/sec"
 )
 
 WORK="$(mktemp -d)"

@@ -1,9 +1,12 @@
-//! # uap-bench — experiment binaries
+//! # uap-bench — the experiment binary
 //!
-//! One binary per paper artifact (run with `cargo run --release -p
-//! uap-bench --bin expNN_…`), each printing the table/series the paper
-//! reports, writing a CSV under `results/`, and emitting the structured
-//! telemetry files described below. Common flags:
+//! One binary, `exp`, runs every row of [`uap_core::experiments::TABLE`]
+//! (`cargo run --release -p uap-bench --bin exp -- <id>`): it prints the
+//! tables the paper reports, writes their CSVs under `results/`, and
+//! emits the run report described below. `exp all` runs every row,
+//! `exp list` prints the table's ids (`--traced`: the rows that record a
+//! trace; `--csvs`: every CSV stem), `exp doc` regenerates the result
+//! tables of EXPERIMENTS.md from the CSVs. Common flags:
 //!
 //! * `--quick` — the fast test-scale parameters (default is the full,
 //!   paper-scale configuration);
@@ -15,42 +18,27 @@
 //!   streaming sink (buffered write-through, O(1) memory) instead of
 //!   accumulating the run in RAM. Byte-identical output either way.
 //!
-//! ## Telemetry files
+//! ## Telemetry
 //!
-//! Every binary writes, next to its CSVs:
+//! Every run writes, next to its CSVs, **`<name>.report.json`** — the
+//! deterministic [`uap_sim::RunReport`]: config, seed, headline values
+//! (every table cell, keyed `<csv stem>/<row>:<first cell>/<column>`),
+//! counters, histogram quantiles and time series. Two same-seed runs
+//! produce byte-identical reports except for the `wall_secs` line, which
+//! `cargo run -p xtask -- trace diff` skips.
 //!
-//! * **`<name>.report.json`** — the deterministic
-//!   [`uap_sim::RunReport`]: config, seed, headline values (every table
-//!   cell), counters, histogram quantiles and time series. Two same-seed
-//!   runs produce byte-identical reports except for the `wall_secs`
-//!   line, which `cargo run -p xtask -- trace diff` skips.
-//!
-//! * **`BENCH_<name>.json`** — the machine-readable perf sample, one
-//!   JSON object with exactly these keys, in this order:
-//!
-//!   | key              | type   | meaning                                     |
-//!   |------------------|--------|---------------------------------------------|
-//!   | `experiment`     | string | experiment id (e.g. `exp04_message_counts`) |
-//!   | `seed`           | u64    | the run's root seed                         |
-//!   | `quick`          | bool   | `--quick` parameters were used              |
-//!   | `events`         | u64    | simulation events (or rounds) processed     |
-//!   | `wall_secs`      | f64    | wall-clock duration, from the one allowed   |
-//!   |                  |        | [`uap_sim::WallTimer`] boundary             |
-//!   | `events_per_sec` | f64    | `events / wall_secs` (0 when unmeasured)    |
-//!
-//!   `wall_secs` and `events_per_sec` are intentionally *not*
-//!   deterministic — they are the perf trajectory — which is why they
-//!   live in `BENCH_*.json` and not in the trace or the RunReport's
-//!   compared lines.
-//!
-//!   One binary deviates from this schema: `bench_routing` is a pure
-//!   microbench with no simulation run, so its `BENCH_routing.json`
-//!   carries per-topology-size query rates instead of event counts —
-//!   see `docs/PERFORMANCE.md` for that document's layout.
+//! Wall-clock throughput leaves a run only as `PERF …` stdout lines (one
+//! `PERF <name> events=… wall_secs=… events_per_sec=…` per run, plus the
+//! row's own, see [`uap_core::experiments::Experiment::perf`]); they are the
+//! perf trajectory `ci/perf_smoke.sh` gates and are intentionally *not*
+//! deterministic. `bench_routing`, a pure microbench with no simulation
+//! run, additionally writes `BENCH_routing.json` — see
+//! `docs/PERFORMANCE.md` for that document's layout.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use uap_core::report::{artifact_line, Table};
 use uap_sim::{RunReport, TraceLevel, Tracer, WallTimer};
 
@@ -121,21 +109,30 @@ fn usage(msg: &str) -> ! {
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
-/// Prints a table and writes its CSV under the output directory.
-pub fn emit(cli: &Cli, name: &str, table: &Table) {
-    println!("{}", table.render());
+/// Names the file an IO error is about.
+fn at(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Writes `<name>.csv` under the output directory and prints its path.
+pub fn write_csv(cli: &Cli, name: &str, table: &Table) -> io::Result<()> {
     let path = cli.out.join(format!("{name}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("{}\n", artifact_line("csv", &path)),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    table.write_csv(&path).map_err(|e| at(&path, e))?;
+    println!("{}\n", artifact_line("csv", &path));
+    Ok(())
+}
+
+/// Prints a table and writes its CSV under the output directory.
+pub fn emit(cli: &Cli, name: &str, table: &Table) -> io::Result<()> {
+    println!("{}", table.render());
+    write_csv(cli, name, table)
 }
 
 /// Telemetry accumulator for one experiment binary run: owns the
 /// [`RunReport`], the [`Tracer`] handed to traced harnesses, and the
 /// wall-clock timer. Construct with [`Run::start`], feed it tables and
-/// config, then call [`Run::finish`] to write `<name>.report.json`,
-/// `BENCH_<name>.json`, and (with `--trace`) the JSONL trace.
+/// config, then call [`Run::finish`] to write `<name>.report.json` and
+/// (with `--trace`) the JSONL trace.
 pub struct Run {
     name: String,
     out: PathBuf,
@@ -154,80 +151,70 @@ pub struct Run {
 impl Run {
     /// Starts telemetry for the binary `name` (also the RunReport's
     /// experiment id and the stem of every written file).
-    pub fn start(cli: &Cli, name: &str) -> Run {
+    pub fn start(cli: &Cli, name: &str) -> io::Result<Run> {
         let mut report = RunReport::new(name, cli.seed);
         report.config("quick", cli.quick);
-        let mut streaming = false;
         let tracer = match &cli.trace {
             Some(tp) if cli.trace_stream => {
                 if let Some(dir) = tp.parent() {
-                    let _ = std::fs::create_dir_all(dir);
+                    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
                 }
-                match Tracer::streaming(tp, TraceLevel::Debug) {
-                    Ok(t) => {
-                        streaming = true;
-                        t
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: could not open {} for streaming, buffering instead: {e}",
-                            tp.display()
-                        );
-                        Tracer::buffered(TraceLevel::Debug)
-                    }
-                }
+                Tracer::streaming(tp, TraceLevel::Debug).map_err(|e| at(tp, e))?
             }
             Some(_) => Tracer::buffered(TraceLevel::Debug),
             None => Tracer::disabled(),
         };
-        Run {
+        Ok(Run {
             name: name.to_owned(),
             out: cli.out.clone(),
             trace_path: cli.trace.clone(),
-            streaming,
+            streaming: cli.trace.is_some() && cli.trace_stream,
             report,
             tracer,
             wall: WallTimer::start(),
-        }
+        })
     }
 
-    /// Folds every cell of a rendered table into the report's headline
-    /// values, keyed `"<row name>/<column header>"`.
-    pub fn table(&mut self, table: &Table) {
-        let header = table.header().to_vec();
+    /// Folds every cell of the table written as `<stem>.csv` into the
+    /// report's headline values, keyed
+    /// `"<stem>/<row index>:<first cell>/<column header>"` — first cells
+    /// repeat within a table and across the tables of one run, the stem
+    /// and the row index do not.
+    pub fn table(&mut self, stem: &str, table: &Table) {
+        let header = table.header();
         for r in 0..table.len() {
-            let cells = table.row_cells(r).to_vec();
-            for (j, h) in header.iter().enumerate().skip(1) {
-                self.report.value(format!("{}/{}", cells[0], h), &cells[j]);
+            let cells = table.row_cells(r);
+            for (h, cell) in header.iter().zip(cells).skip(1) {
+                self.report
+                    .value(format!("{stem}/{r}:{}/{h}", cells[0]), cell);
             }
         }
     }
 
     /// Writes the telemetry files and prints their paths. `events` is the
     /// run's total event (or round) count for the throughput sample.
-    pub fn finish(mut self, events: u64) {
+    pub fn finish(mut self, events: u64) -> io::Result<()> {
         let wall = self.wall.elapsed_secs();
         self.report.events = events;
         self.report.wall_secs = Some(wall);
-        if let Err(e) = std::fs::create_dir_all(&self.out) {
-            eprintln!("warning: could not create {}: {e}", self.out.display());
+        // A JSON reader keeps one of two equal keys and drops the other
+        // silently; refuse to write such a report.
+        for keys in [&self.report.config, &self.report.values] {
+            let mut keys: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
+            keys.sort_unstable();
+            if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: duplicate report key {:?}", self.name, w[0]),
+                ));
+            }
         }
+        std::fs::create_dir_all(&self.out).map_err(|e| at(&self.out, e))?;
         let report_path = self.out.join(format!("{}.report.json", self.name));
-        match self.report.write_json(&report_path) {
-            Ok(()) => println!("{}", artifact_line("report", &report_path)),
-            Err(e) => eprintln!("warning: could not write {}: {e}", report_path.display()),
-        }
-        let bench_path = self.out.join(format!("BENCH_{}.json", self.name));
-        let quick = self
-            .report
-            .config
-            .iter()
-            .any(|(k, v)| k == "quick" && v == "true");
-        let bench = bench_json(&self.name, self.report.seed, quick, events, wall);
-        match std::fs::write(&bench_path, bench) {
-            Ok(()) => println!("{}", artifact_line("bench", &bench_path)),
-            Err(e) => eprintln!("warning: could not write {}: {e}", bench_path.display()),
-        }
+        self.report
+            .write_json(&report_path)
+            .map_err(|e| at(&report_path, e))?;
+        println!("{}", artifact_line("report", &report_path));
         // One grep-able throughput line per run, mirroring bench_routing's
         // `PERF size=…` lines — ci/perf_smoke.sh parses exp16's.
         let eps = if wall > 0.0 {
@@ -241,39 +228,19 @@ impl Run {
         );
         if let Some(tp) = &self.trace_path {
             if self.streaming {
-                match self.tracer.flush() {
-                    Ok(()) => println!("{}", artifact_line("trace", tp)),
-                    Err(e) => eprintln!("warning: could not flush {}: {e}", tp.display()),
-                }
+                self.tracer.flush().map_err(|e| at(tp, e))?;
             } else {
                 if let Some(dir) = tp.parent() {
-                    let _ = std::fs::create_dir_all(dir);
+                    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
                 }
                 let mut buf = Vec::new();
-                match self.tracer.write_jsonl(&mut buf) {
-                    Ok(()) => match std::fs::write(tp, &buf) {
-                        Ok(()) => println!("{}", artifact_line("trace", tp)),
-                        Err(e) => eprintln!("warning: could not write {}: {e}", tp.display()),
-                    },
-                    Err(e) => eprintln!("warning: could not serialize trace: {e}"),
-                }
+                self.tracer.write_jsonl(&mut buf)?;
+                std::fs::write(tp, &buf).map_err(|e| at(tp, e))?;
             }
+            println!("{}", artifact_line("trace", tp));
         }
+        Ok(())
     }
-}
-
-/// Renders the `BENCH_*.json` document (schema in the module docs).
-fn bench_json(name: &str, seed: u64, quick: bool, events: u64, wall_secs: f64) -> String {
-    let eps = if wall_secs > 0.0 {
-        events as f64 / wall_secs
-    } else {
-        0.0
-    };
-    format!(
-        "{{\n  \"experiment\": \"{name}\",\n  \"seed\": {seed},\n  \"quick\": {quick},\n  \
-         \"events\": {events},\n  \"wall_secs\": {wall_secs:?},\n  \
-         \"events_per_sec\": {eps:?}\n}}\n"
-    )
 }
 
 #[cfg(test)]
@@ -320,7 +287,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string()),
         );
-        let run = Run::start(&cli, "exp_test");
+        let run = Run::start(&cli, "exp_test").unwrap();
         assert!(run.tracer.is_active());
         assert!(run.streaming);
         assert!(path.exists(), "streaming sink creates the file up front");
@@ -330,31 +297,37 @@ mod tests {
     #[test]
     fn run_folds_table_cells_into_report_values() {
         let cli = Cli::parse_from(Vec::<String>::new());
-        let mut run = Run::start(&cli, "exp_test");
+        let mut run = Run::start(&cli, "exp_test").unwrap();
         let mut t = Table::new("demo", &["row", "count"]);
         t.row(&["ping".into(), "7".into()]);
-        run.table(&t);
+        t.row(&["ping".into(), "8".into()]);
+        run.table("demo", &t);
         assert_eq!(
             run.report.values,
-            vec![("ping/count".to_owned(), "7".to_owned())]
+            vec![
+                ("demo/0:ping/count".to_owned(), "7".to_owned()),
+                ("demo/1:ping/count".to_owned(), "8".to_owned())
+            ]
         );
         assert!(!run.tracer.is_active());
     }
 
     #[test]
-    fn trace_flag_enables_the_tracer() {
-        let cli = Cli::parse_from(["--trace", "/tmp/t.jsonl"].iter().map(|s| s.to_string()));
-        let run = Run::start(&cli, "exp_test");
-        assert!(run.tracer.is_active());
+    fn finish_refuses_duplicate_report_keys() {
+        let out = std::env::temp_dir().join("uap_bench_dup_keys");
+        let cli = Cli::parse_from(["--out", out.to_str().unwrap()].map(String::from));
+        let mut run = Run::start(&cli, "exp_test").unwrap();
+        run.report.value("agreement", 1).value("agreement", 2);
+        let err = run.finish(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"agreement\""), "{err}");
+        assert!(!out.join("exp_test.report.json").exists());
     }
 
     #[test]
-    fn bench_json_schema_is_stable() {
-        let j = bench_json("exp_test", 42, true, 100, 2.0);
-        assert_eq!(
-            j,
-            "{\n  \"experiment\": \"exp_test\",\n  \"seed\": 42,\n  \"quick\": true,\n  \
-             \"events\": 100,\n  \"wall_secs\": 2.0,\n  \"events_per_sec\": 50.0\n}\n"
-        );
+    fn trace_flag_enables_the_tracer() {
+        let cli = Cli::parse_from(["--trace", "/tmp/t.jsonl"].iter().map(|s| s.to_string()));
+        let run = Run::start(&cli, "exp_test").unwrap();
+        assert!(run.tracer.is_active());
     }
 }

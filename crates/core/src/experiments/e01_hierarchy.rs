@@ -7,9 +7,10 @@
 //! link classification, monetary-flow edges (one per transit link, paid by
 //! the customer), and routing sanity (valley-freeness and reachability).
 
+use super::table::{ensure, Scale};
 use crate::report::Table;
 use uap_net::{Routing, RoutingMode, Tier, TopologyKind, TopologySpec};
-use uap_sim::SimRng;
+use uap_sim::{SimRng, Tracer};
 
 /// Parameters for the hierarchy census.
 #[derive(Clone, Copy, Debug)]
@@ -58,6 +59,12 @@ pub struct Outcome {
     pub transit_links: usize,
     /// Number of peering links.
     pub peering_links: usize,
+    /// ISPs per tier: Tier-1, Tier-2, Tier-3.
+    pub tier_counts: [usize; 3],
+    /// Whether the AS graph is one component.
+    pub connected: bool,
+    /// Mean AS path length over reachable ordered pairs.
+    pub mean_as_hops: f64,
 }
 
 /// Runs the census.
@@ -73,27 +80,24 @@ pub fn run(p: &Params) -> Outcome {
     .build(&mut rng);
     let routing = Routing::compute(&graph, RoutingMode::ValleyFree);
     let count_tier = |t: Tier| graph.nodes.iter().filter(|n| n.tier == t).count();
+    let tier_counts = [Tier::Tier1, Tier::Tier2, Tier::Tier3].map(count_tier);
+    let connected = graph.is_connected(None);
     let (transit_links, peering_links) = graph.link_counts();
     let mut table = Table::new(
         "Figure 1 — Internet hierarchy census",
         &["quantity", "value"],
     );
     let mut push = |k: &str, v: String| table.row(&[k.to_owned(), v]);
-    push(
-        "Tier-1 (global transit) ISPs",
-        count_tier(Tier::Tier1).to_string(),
-    );
-    push(
-        "Tier-2 (regional) ISPs",
-        count_tier(Tier::Tier2).to_string(),
-    );
-    push("Tier-3 (local) ISPs", count_tier(Tier::Tier3).to_string());
+    let [tier1, tier2, tier3] = tier_counts;
+    push("Tier-1 (global transit) ISPs", tier1.to_string());
+    push("Tier-2 (regional) ISPs", tier2.to_string());
+    push("Tier-3 (local) ISPs", tier3.to_string());
     push(
         "transit links (monetary flow edges)",
         transit_links.to_string(),
     );
     push("peering links (settlement-free)", peering_links.to_string());
-    push("connected", graph.is_connected(None).to_string());
+    push("connected", connected.to_string());
     let reach = routing.reachable_fraction();
     push("valley-free reachability", format!("{:.4}", reach));
     // Mean AS path length as a proxy for the hierarchy's diameter.
@@ -123,7 +127,62 @@ pub fn run(p: &Params) -> Outcome {
         valley_free_reachability: reach,
         transit_links,
         peering_links,
+        tier_counts,
+        connected,
+        mean_as_hops: mean_hops,
     }
+}
+
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    super::Outcome {
+        notes: vec![format!(
+            "monetary flow: {} transit links billed customer->provider; {} settlement-free peerings",
+            out.transit_links, out.peering_links
+        )],
+        values: vec![
+            ("transit_links", out.transit_links.to_string()),
+            ("peering_links", out.peering_links.to_string()),
+            (
+                "valley_free_reachability",
+                out.valley_free_reachability.to_string(),
+            ),
+        ],
+        ..super::Outcome::of(vec![out.table], claim)
+    }
+}
+
+/// Figure 1's structure: every non-Tier-1 ISP buys transit, the Tier-1
+/// core peers in a full mesh, and every AS reaches every other under
+/// valley-free export rules over an Internet-like handful of AS hops.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let [tier1, tier2, tier3] = out.tier_counts;
+    ensure!(
+        out.transit_links >= tier2 + tier3,
+        "{} transit links for {} customers",
+        out.transit_links,
+        tier2 + tier3
+    );
+    let mesh = tier1 * tier1.saturating_sub(1) / 2;
+    ensure!(
+        out.peering_links >= mesh,
+        "{} peerings, Tier-1 mesh needs {mesh}",
+        out.peering_links
+    );
+    ensure!(out.connected, "graph is not connected");
+    ensure!(
+        out.valley_free_reachability == 1.0,
+        "valley-free reachability {}",
+        out.valley_free_reachability
+    );
+    ensure!(
+        (2.0..6.0).contains(&out.mean_as_hops),
+        "mean AS path {}",
+        out.mean_as_hops
+    );
+    Ok(())
 }
 
 #[cfg(test)]

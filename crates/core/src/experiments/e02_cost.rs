@@ -6,8 +6,10 @@
 //! cost is constant with a 1/x per-Mbps price; the curves cross at
 //! `peering_flat / transit_price`.
 
+use super::table::{ensure, num, Scale};
 use crate::report::{f, Table};
 use uap_net::CostParams;
+use uap_sim::Tracer;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -81,54 +83,71 @@ pub fn run(p: &Params) -> Outcome {
     }
 }
 
+/// The [`super::TABLE`] row's run (the sweep has no random input).
+pub fn experiment(scale: Scale, _seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&match scale {
+        Scale::Quick => Params::quick(),
+        Scale::Full => Params::full(),
+    });
+    let claim = claim(&out);
+    super::Outcome {
+        notes: vec![format!(
+            "per-Mbps crossover (peering becomes cheaper): {:.1} Mbps",
+            out.crossover_mbps
+        )],
+        values: vec![("crossover_mbps", out.crossover_mbps.to_string())],
+        ..super::Outcome::of(vec![out.table], claim)
+    }
+}
+
+/// Figure 2's shape: transit cost rises with traffic at a flat per-Mbps
+/// price, peering cost is constant so its per-Mbps price falls, and the
+/// per-Mbps curves cross at `peering_flat / transit_price` = 100 Mbps.
+/// The sweep's only result is its table, so the claim reads the cells.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let t = &out.table;
+    let crossover = out.crossover_mbps;
+    ensure!(crossover == 100.0, "crossover at {crossover} Mbps");
+    for r in 0..t.len() {
+        let v = |r, col| num(t, r, col);
+        let mbps = v(r, "traffic_mbps")?;
+        let (transit, peering) = (v(r, "transit_usd_per_mbps")?, v(r, "peering_usd_per_mbps")?);
+        ensure!(
+            (peering > transit) == (mbps < crossover) && (peering < transit) == (mbps > crossover),
+            "at {mbps} Mbps peering {peering} vs transit {transit} $/Mbps"
+        );
+        if r > 0 {
+            ensure!(
+                v(r, "transit_usd")? > v(r - 1, "transit_usd")?,
+                "transit cost not rising at {mbps}"
+            );
+            ensure!(
+                v(r, "peering_usd")? == v(0, "peering_usd")?,
+                "peering cost moved at {mbps}"
+            );
+            ensure!(
+                transit == v(0, "transit_usd_per_mbps")?,
+                "transit $/Mbps moved at {mbps}"
+            );
+            ensure!(
+                peering < v(r - 1, "peering_usd_per_mbps")?,
+                "peering $/Mbps not falling at {mbps}"
+            );
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The quick sweep is four points; the figure's full logarithmic
+    /// sweep must have the same shape.
     #[test]
-    fn shapes_match_figure2() {
-        let p = Params::full();
-        let out = run(&p);
-        assert_eq!(out.crossover_mbps, 100.0);
-        // Transit absolute cost strictly increases; peering is constant;
-        // peering per-Mbps strictly decreases; transit per-Mbps constant.
-        let col = |c: usize| -> Vec<f64> {
-            (0..out.table.len())
-                .map(|r| out.table.cell(r, c).parse::<f64>().unwrap())
-                .collect()
-        };
-        let transit = col(1);
-        let peering = col(2);
-        let tpm = col(3);
-        let ppm = col(4);
-        for w in transit.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert!(peering.iter().all(|&v| v == peering[0]));
-        assert!(tpm.iter().all(|&v| v == tpm[0]));
-        for w in ppm.windows(2) {
-            assert!(w[1] < w[0]);
-        }
-    }
-
-    #[test]
-    fn crossover_sits_between_the_right_rows() {
+    fn claim_holds_on_the_full_sweep() {
         let out = run(&Params::full());
-        let traffic: Vec<f64> = (0..out.table.len())
-            .map(|r| out.table.cell(r, 0).parse::<f64>().unwrap())
-            .collect();
-        let tpm: Vec<f64> = (0..out.table.len())
-            .map(|r| out.table.cell(r, 3).parse::<f64>().unwrap())
-            .collect();
-        let ppm: Vec<f64> = (0..out.table.len())
-            .map(|r| out.table.cell(r, 4).parse::<f64>().unwrap())
-            .collect();
-        for i in 0..traffic.len() {
-            if traffic[i] < out.crossover_mbps {
-                assert!(ppm[i] > tpm[i], "below crossover at {}", traffic[i]);
-            } else if traffic[i] > out.crossover_mbps {
-                assert!(ppm[i] < tpm[i], "above crossover at {}", traffic[i]);
-            }
-        }
+        assert_eq!(out.table.len(), 13);
+        assert_eq!(claim(&out), Ok(()));
     }
 }

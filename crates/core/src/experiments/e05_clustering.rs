@@ -7,12 +7,13 @@
 //! keep the network connected". We report the structural metrics and can
 //! export the raw edge lists for plotting.
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::graphstats::OverlayStats;
 use crate::report::{f, pct, Table};
 use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
 use uap_net::HostId;
-use uap_sim::SimTime;
+use uap_sim::{SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -115,33 +116,65 @@ pub fn run(p: &Params) -> Outcome {
     Outcome { snapshots, table }
 }
 
+/// The [`super::TABLE`] row's run; the dumps are the two overlays' edge
+/// lists.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    let dumps = out
+        .snapshots
+        .iter()
+        .map(|snap| {
+            let mut t = Table::new("", &["a", "b"]);
+            for &(a, b) in &snap.edges {
+                t.row(&[a.0.to_string(), b.0.to_string()]);
+            }
+            t
+        })
+        .collect();
+    super::Outcome {
+        dumps,
+        ..super::Outcome::of(vec![out.table], claim)
+    }
+}
+
+/// Figure 6's contrast: the biased overlay clusters along AS boundaries
+/// through "a minimal number of inter-AS connections necessary to keep
+/// the network connected" — far fewer inter-AS edges, not a shattered
+/// graph.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let random = &out.snapshots[0].stats;
+    let biased = &out.snapshots[1].stats;
+    ensure!(
+        biased.intra_fraction() > 3.0 * random.intra_fraction(),
+        "intra-AS share: biased {} vs random {}",
+        biased.intra_fraction(),
+        random.intra_fraction()
+    );
+    ensure!(
+        biased.as_modularity > random.as_modularity,
+        "AS modularity: biased {} !> random {}",
+        biased.as_modularity,
+        random.as_modularity
+    );
+    ensure!(
+        biased.inter_as_edges < random.inter_as_edges,
+        "inter-AS edges: biased {} !< random {}",
+        biased.inter_as_edges,
+        random.inter_as_edges
+    );
+    ensure!(
+        biased.components <= 3,
+        "biased overlay shattered into {}",
+        biased.components
+    );
+    ensure!(random.components == 1, "random overlay is not connected");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn biased_overlay_clusters_but_stays_connected() {
-        let out = run(&Params::quick(11));
-        let random = &out.snapshots[0].stats;
-        let biased = &out.snapshots[1].stats;
-        assert!(
-            biased.intra_fraction() > 3.0 * random.intra_fraction(),
-            "biased {} vs random {}",
-            biased.intra_fraction(),
-            random.intra_fraction()
-        );
-        assert!(biased.as_modularity > random.as_modularity);
-        // "minimal number of inter-AS connections necessary to keep the
-        // network connected": fewer inter-AS edges, but not a shattered
-        // graph.
-        assert!(biased.inter_as_edges < random.inter_as_edges);
-        assert!(
-            biased.components <= 3,
-            "biased overlay shattered: {}",
-            biased.components
-        );
-        assert_eq!(random.components, 1);
-    }
 
     #[test]
     fn table_has_two_rows() {

@@ -13,10 +13,11 @@
 //! Shape to reproduce: a modest rise from biasing the topology, then a
 //! jump when the oracle ranks the QueryHit providers.
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::Table;
 use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
-use uap_sim::SimTime;
+use uap_sim::{SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -108,38 +109,39 @@ pub fn run(p: &Params) -> Outcome {
     Outcome { rows, table }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    super::Outcome::of(vec![out.table], claim)
+}
 
-    #[test]
-    fn locality_shape_matches_the_study() {
-        let out = run(&Params::quick(21));
-        assert_eq!(out.rows.len(), 4);
-        let m: Vec<f64> = out.rows.iter().map(|r| r.2).collect();
-        // Biasing raises locality over unbiased…
-        assert!(m[1] > m[0], "cache-100 {} !> unbiased {}", m[1], m[0]);
-        // …the two list sizes are close at test scale (the gradient needs
-        // paper-scale populations; EXPERIMENTS.md records it)…
-        assert!(
-            m[2] >= m[1] * 0.9,
-            "cache-1000 {} vs cache-100 {}",
-            m[2],
-            m[1]
-        );
-        // …and consulting the oracle at file-exchange time gives the
-        // characteristic jump over the unbiased share.
-        assert!(
-            m[3] >= m[2],
-            "exchange-oracle {} below cache-1000 {}",
-            m[3],
-            m[2]
-        );
-        assert!(m[3] > 2.0 * m[0], "no jump: {} vs unbiased {}", m[3], m[0]);
-        assert!(
-            m[3] > 10.0,
-            "oracle-exchange share suspiciously low: {}",
-            m[3]
-        );
-    }
+/// The study's shape: biasing the topology raises the intra-AS share of
+/// file exchanges a little; consulting the oracle again when choosing
+/// the provider gives the characteristic jump.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    ensure!(out.rows.len() == 4, "{} configurations", out.rows.len());
+    let m: Vec<f64> = out.rows.iter().map(|r| r.2).collect();
+    ensure!(m[1] > m[0], "list-100 {} !> unbiased {}", m[1], m[0]);
+    // The two list sizes are close at quick scale; the gradient needs
+    // paper-scale populations.
+    ensure!(
+        m[2] >= m[1] * 0.9,
+        "list-1000 {} vs list-100 {}",
+        m[2],
+        m[1]
+    );
+    ensure!(
+        m[3] >= m[2],
+        "exchange-oracle {} below list-1000 {}",
+        m[3],
+        m[2]
+    );
+    ensure!(m[3] > 2.0 * m[0], "no jump: {} vs unbiased {}", m[3], m[0]);
+    ensure!(
+        m[3] > 10.0,
+        "exchange-oracle share suspiciously low: {}",
+        m[3]
+    );
+    Ok(())
 }

@@ -16,12 +16,13 @@
 //! oracle-biased, on all four topologies — reporting Query/QueryHit counts
 //! and search success.
 
+use super::table::{ensure, Scale};
 use crate::report::Table;
 use uap_gnutella::{
     run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment, ShareScheme,
 };
 use uap_net::{gen::testlab_specs, PopulationSpec, RoutingMode, Underlay, UnderlayConfig};
-use uap_sim::{SimRng, SimTime};
+use uap_sim::{SimRng, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -161,6 +162,38 @@ pub fn run(p: &Params) -> Outcome {
         }
     }
     Outcome { cells, table }
+}
+
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    super::Outcome::of(vec![out.table], claim)
+}
+
+/// The study's answer to "whether biased neighbor selection leads to any
+/// unsuccessful content search which was otherwise successful": on every
+/// topology and share scheme queries flow under both policies and the
+/// oracle's search success stays within 25 points of unbiased.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    ensure!(
+        out.cells.len() == 8,
+        "{} cells, want 4 topologies x 2 schemes",
+        out.cells.len()
+    );
+    for c in &out.cells {
+        let at = format!("{}/{}", c.topology, c.scheme);
+        ensure!(
+            c.unbiased.query_msgs > 0 && c.biased.query_msgs > 0,
+            "{at}: no Query traffic"
+        );
+        let (su, sb) = (c.unbiased.success_ratio(), c.biased.success_ratio());
+        ensure!(
+            sb > su - 0.25,
+            "{at}: oracle success {sb} collapsed vs {su}"
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! mean AS distance. The shape from \[17\]: a large cut in inter-AS traffic
 //! at unchanged hop counts and success.
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
@@ -197,6 +198,48 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     Outcome { modes, table }
 }
 
+/// The [`super::TABLE`] row's run; its event count is the RPCs issued.
+pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
+    let p = scale.params(seed, Params::quick, Params::full);
+    let out = run_traced(&p, tracer);
+    let claim = claim(&out);
+    let rpcs: f64 = out
+        .modes
+        .iter()
+        .map(|m| m.mean_rpcs * p.lookups as f64)
+        .sum();
+    super::Outcome {
+        events: rpcs as u64,
+        ..super::Outcome::of(vec![out.table], claim)
+    }
+}
+
+/// The [17] result in direction (ROADMAP 4a): PNS+PR sends a smaller
+/// share of its RPCs across AS boundaries and over fewer AS hops than
+/// vanilla Kademlia, and finds the true closest node no less often.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let (vanilla, pnspr) = (&out.modes[0], &out.modes[2]);
+    ensure!(
+        pnspr.inter_as_fraction < vanilla.inter_as_fraction,
+        "inter-AS share {} !< {}",
+        pnspr.inter_as_fraction,
+        vanilla.inter_as_fraction
+    );
+    ensure!(
+        pnspr.mean_rpc_as_hops < vanilla.mean_rpc_as_hops,
+        "AS-hops/RPC {} !< {}",
+        pnspr.mean_rpc_as_hops,
+        vanilla.mean_rpc_as_hops
+    );
+    ensure!(
+        pnspr.exactness >= vanilla.exactness,
+        "exactness {} < {}",
+        pnspr.exactness,
+        vanilla.exactness
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,34 +271,14 @@ mod tests {
         );
     }
 
-    /// EXPERIMENTS.md's E9 ✅ as a check (ROADMAP 4a): on every one of eight
-    /// seeds PNS+PR sends a smaller share of its RPCs across AS boundaries
-    /// and over fewer AS hops than vanilla, and finds the true closest node
-    /// no less often.
+    /// The claim on this module's own eight seeds, beside the eight the
+    /// table test sweeps every row over.
     #[test]
     fn proximity_claim_holds_on_every_seed() {
         let seeds: Vec<u64> = (900..908).collect();
-        let outs = parallel_map(seeds.clone(), 4, |seed| run(&Params::quick(seed)));
-        for (seed, out) in seeds.iter().zip(&outs) {
-            let (vanilla, pnspr) = (&out.modes[0], &out.modes[2]);
-            assert!(
-                pnspr.inter_as_fraction < vanilla.inter_as_fraction,
-                "seed {seed}: inter-AS share {} !< {}",
-                pnspr.inter_as_fraction,
-                vanilla.inter_as_fraction
-            );
-            assert!(
-                pnspr.mean_rpc_as_hops < vanilla.mean_rpc_as_hops,
-                "seed {seed}: AS-hops/RPC {} !< {}",
-                pnspr.mean_rpc_as_hops,
-                vanilla.mean_rpc_as_hops
-            );
-            assert!(
-                pnspr.exactness >= vanilla.exactness,
-                "seed {seed}: exactness {} < {}",
-                pnspr.exactness,
-                vanilla.exactness
-            );
+        let claims = parallel_map(seeds.clone(), 4, |seed| claim(&run(&Params::quick(seed))));
+        for (seed, claim) in seeds.iter().zip(claims) {
+            assert_eq!(claim, Ok(()), "seed {seed}");
         }
     }
 

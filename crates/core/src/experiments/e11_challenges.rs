@@ -16,12 +16,13 @@
 //!   other ASes, and measure how the stale cache degrades biased
 //!   selection.
 
+use super::table::{ensure, num, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_net::{
     AsId, GeoPoint, HostId, PopulationSpec, RoutingMode, Tier, Underlay, UnderlayConfig,
 };
-use uap_sim::SimRng;
+use uap_sim::{SimRng, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -252,25 +253,55 @@ pub fn run_mobility(p: &Params) -> Table {
     table
 }
 
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let p = scale.params(seed, Params::quick, Params::full);
+    let tables = vec![run_asymmetry(&p), run_long_hop(&p), run_mobility(&p)];
+    let claim = claim(&tables[0], &tables[1], &tables[2]);
+    super::Outcome::of(tables, claim)
+}
+
+/// §6 quantified: forward-only measurement is exact on symmetric paths
+/// and loses precision under asymmetry; hop-count proximity mis-picks
+/// across a long hop and pays for it in delay; a cached ISP-location map
+/// is exact while nobody moves and degrades once peers migrate. The three
+/// harnesses return only their tables, so the claim reads the cells.
+pub fn claim(asym: &Table, hop: &Table, mob: &Table) -> Result<(), String> {
+    ensure!(
+        asym.len() >= 2 && mob.len() >= 2,
+        "{} asymmetry and {} mobility rows",
+        asym.len(),
+        mob.len()
+    );
+    let prec = "precision@1";
+    let (first, last) = (num(asym, 0, prec)?, num(asym, asym.len() - 1, prec)?);
+    ensure!(first > 99.0, "symmetric precision {first}%");
+    ensure!(last < first, "asymmetry did not hurt: {last}% vs {first}%");
+
+    ensure!(hop.len() == 3, "{} long-hop rows", hop.len());
+    let (mismatch, worst) = (num(hop, 0, "value")?, num(hop, 2, "value")?);
+    ensure!(mismatch > 5.0, "hop/delay picks differ only {mismatch}%");
+    ensure!(worst > 1.5, "worst long-hop RTT penalty only {worst}x");
+
+    let moved = mob.len() - 1;
+    let prec = "biased-selection precision";
+    let (first, last) = (num(mob, 0, prec)?, num(mob, moved, prec)?);
+    ensure!(first > 99.0, "static precision {first}%");
+    ensure!(last < first, "mobility did not hurt: {last}% vs {first}%");
+    let (stale0, stale) = (
+        num(mob, 0, "stale cache entries")?,
+        num(mob, moved, "stale cache entries")?,
+    );
+    ensure!(
+        stale0 == 0.0 && stale > 0.0,
+        "stale entries {stale0} -> {stale}"
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn asymmetry_degrades_selection_precision() {
-        let p = Params::quick(61);
-        let t = run_asymmetry(&p);
-        assert_eq!(t.len(), 2);
-        let prec = |r: usize| -> f64 { t.cell(r, 1).trim_end_matches('%').parse::<f64>().unwrap() };
-        // Symmetric latencies: forward measurement is exact.
-        assert!(prec(0) > 99.0, "symmetric precision {}", prec(0));
-        assert!(
-            prec(1) < prec(0),
-            "asymmetry did not hurt: {} vs {}",
-            prec(1),
-            prec(0)
-        );
-    }
 
     #[test]
     fn long_hop_penalty_exists() {

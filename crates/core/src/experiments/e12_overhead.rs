@@ -12,6 +12,7 @@
 //!   intensifies, unbiased vs oracle-biased (does awareness survive
 //!   turnover? — the §5.4 robustness question).
 
+use super::table::{ensure, num, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_coords::VivaldiConfig;
@@ -19,7 +20,7 @@ use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
 use uap_info::provider::{ProximityEstimator, ResourceDirectory};
 use uap_info::{IcsService, OnoEstimator, Oracle, SimulatedCdn, SkyEyeTree, VivaldiService};
 use uap_net::HostId;
-use uap_sim::{ChurnConfig, SimRng, SimTime};
+use uap_sim::{ChurnConfig, SimRng, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -208,6 +209,66 @@ pub fn run_churn(p: &Params) -> Table {
         }
     }
     table
+}
+
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let p = scale.params(seed, Params::quick, Params::full);
+    let (cost, churn) = (run_overhead(&p), run_churn(&p));
+    let claim = claim(&cost, &churn);
+    super::Outcome::of(vec![cost, churn], claim)
+}
+
+/// §5.4's two open issues, answered: the oracle costs exactly a request
+/// and a reply per query, cached explicit measurement at most that, and
+/// a one-time ICS embedding less than Vivaldi's gossip; under churn the
+/// oracle-biased overlay keeps searching with fewer messages than the
+/// unbiased one, and only churn causes rejoins. Both harnesses return
+/// only their tables, so the claim reads the cells.
+pub fn claim(cost: &Table, churn: &Table) -> Result<(), String> {
+    ensure!(cost.len() == 6, "{} overhead rows", cost.len());
+    let explicit = num(cost, 0, "per query")?;
+    ensure!(
+        explicit <= 2.0,
+        "cached explicit ping costs {explicit}/query"
+    );
+    let oracle = num(cost, 3, "per query")?;
+    ensure!(oracle == 2.0, "oracle costs {oracle}/query");
+    let (vivaldi, ics) = (num(cost, 1, "messages")?, num(cost, 2, "messages")?);
+    ensure!(ics < vivaldi, "ics {ics} msgs !< vivaldi {vivaldi}");
+
+    ensure!(
+        churn.len() >= 4 && churn.len().is_multiple_of(2),
+        "{} churn rows",
+        churn.len()
+    );
+    for r in (0..churn.len()).step_by(2) {
+        let (unbiased, oracle) = (
+            num(churn, r, "total msgs")?,
+            num(churn, r + 1, "total msgs")?,
+        );
+        ensure!(
+            oracle < unbiased,
+            "session {}: oracle {oracle} msgs !< unbiased {unbiased}",
+            churn.cell(r, 0)
+        );
+    }
+    let heaviest = churn.len() - 2;
+    for policy in 0..2 {
+        let at = |r, col| num(churn, r + policy, col);
+        let (calm, rough) = (at(0, "search success")?, at(heaviest, "search success")?);
+        ensure!(
+            rough <= calm + 10.0 && rough > 50.0,
+            "{}: success {calm}% static vs {rough}% under churn",
+            churn.cell(policy, 1)
+        );
+        let (joins, rejoins) = (at(0, "rejoins")?, at(heaviest, "rejoins")?);
+        ensure!(
+            rejoins > joins,
+            "{rejoins} joins under churn vs {joins} static"
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]

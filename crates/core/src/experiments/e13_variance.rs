@@ -7,6 +7,7 @@
 //! direction held for **every** seed. EXPERIMENTS.md's claim that "no
 //! qualitative conclusion changes with the seed" is this table.
 
+use super::table::{ensure, Scale};
 use crate::experiments::sweep::{seed_sweep, SeedStats};
 use crate::experiments::NetParams;
 use crate::report::Table;
@@ -14,7 +15,7 @@ use uap_bittorrent::{run_swarm, SwarmConfig, TrackerPolicy};
 use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use uap_net::HostId;
-use uap_sim::{SimRng, SimTime};
+use uap_sim::{SimRng, SimTime, Tracer};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -198,21 +199,34 @@ pub fn run(p: &Params) -> Outcome {
     Outcome { claims, table }
 }
 
+/// The [`super::TABLE`] row's run; `seed` is the first of the sweep.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    super::Outcome::of(vec![out.table], claim)
+}
+
+/// No headline effect is a seed artefact: each one's direction holds on
+/// every seed of the sweep.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    ensure!(out.claims.len() == 4, "{} claims", out.claims.len());
+    for c in &out.claims {
+        ensure!(
+            c.stats.all_positive(),
+            "{} reversed on some seed: min {}",
+            c.name,
+            c.stats.min
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn every_headline_effect_holds_across_seeds() {
-        let out = run(&Params::quick(500));
-        assert_eq!(out.claims.len(), 4);
-        for c in &out.claims {
-            assert!(
-                c.stats.all_positive(),
-                "{} reversed on some seed: min {}",
-                c.name,
-                c.stats.min
-            );
-        }
+        assert_eq!(claim(&run(&Params::quick(500))), Ok(()));
     }
 }

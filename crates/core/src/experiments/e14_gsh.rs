@@ -8,11 +8,12 @@
 //! DHT (zone-prefixed identifiers keep both the route and the replica set
 //! in the requester's region).
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode, ScopedDht};
 use uap_net::HostId;
-use uap_sim::SimRng;
+use uap_sim::{SimRng, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -217,34 +218,31 @@ pub fn run(p: &Params) -> Outcome {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The [`super::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
+    let out = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&out);
+    super::Outcome::of(vec![out.table], claim)
+}
 
-    #[test]
-    fn gsh_localizes_regional_retrievals() {
-        let out = run(&Params::quick(91));
-        assert!(
-            out.plain.success > 0.95,
-            "plain success {}",
-            out.plain.success
-        );
-        assert!(
-            out.scoped.success > 0.95,
-            "scoped success {}",
-            out.scoped.success
-        );
-        assert!(
-            out.scoped.as_hops_per_rpc < out.plain.as_hops_per_rpc,
-            "scoped {} !< plain {}",
-            out.scoped.as_hops_per_rpc,
-            out.plain.as_hops_per_rpc
-        );
-        assert!(
-            out.scoped.mean_latency_ms < out.plain.mean_latency_ms,
-            "scoped latency {} !< plain {}",
-            out.scoped.mean_latency_ms,
-            out.plain.mean_latency_ms
-        );
-    }
+/// Leopard's locality claim: scoped hashing retrieves regional content
+/// over fewer AS hops and in less time than a plain DHT, at the same
+/// (near-total) success.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let (plain, scoped) = (&out.plain, &out.scoped);
+    ensure!(plain.success > 0.95, "plain success {}", plain.success);
+    ensure!(scoped.success > 0.95, "scoped success {}", scoped.success);
+    ensure!(
+        scoped.as_hops_per_rpc < plain.as_hops_per_rpc,
+        "AS-hops/RPC: scoped {} !< plain {}",
+        scoped.as_hops_per_rpc,
+        plain.as_hops_per_rpc
+    );
+    ensure!(
+        scoped.mean_latency_ms < plain.mean_latency_ms,
+        "retrieval latency: scoped {} !< plain {}",
+        scoped.mean_latency_ms,
+        plain.mean_latency_ms
+    );
+    Ok(())
 }

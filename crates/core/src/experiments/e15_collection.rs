@@ -9,6 +9,7 @@
 //! the messages each technique spent — the accuracy/overhead frontier an
 //! implementer actually chooses on.
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, Table};
 use uap_info::provider::{IspLocator, ProximityEstimator};
@@ -252,39 +253,51 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     Outcome { techniques, table }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_technique_beats_random_and_oracle_is_best() {
-        let out = run(&Params::quick(97));
-        let by_name = |n: &str| {
-            out.techniques
-                .iter()
-                .find(|t| t.name.starts_with(n))
-                .unwrap_or_else(|| panic!("missing {n}"))
-        };
-        let random = by_name("random");
-        let oracle = by_name("isp oracle");
-        let p4p = by_name("p4p");
-        let ip = by_name("ip2isp");
-        let ono = by_name("cdn/ono");
-        for t in [oracle, p4p, ip, ono] {
-            assert!(
-                t.mean_selected_as_hops < random.mean_selected_as_hops,
-                "{} ({}) not better than random ({})",
-                t.name,
-                t.mean_selected_as_hops,
-                random.mean_selected_as_hops
-            );
-        }
-        // The oracle has perfect information; nobody should beat it.
-        for t in [p4p, ip, ono] {
-            assert!(t.mean_selected_as_hops >= oracle.mean_selected_as_hops - 1e-9);
-        }
-        // P4P amortizes: far fewer messages than the oracle's per-query
-        // round trips once tasks outnumber partitions.
-        assert!(p4p.messages < oracle.messages);
+/// The [`super::TABLE`] row's run; its event count is messages spent.
+pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
+    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let claim = claim(&out);
+    super::Outcome {
+        events: out.techniques.iter().map(|t| t.messages).sum(),
+        ..super::Outcome::of(vec![out.table], claim)
     }
+}
+
+/// Figure 3's techniques on one frontier: every one of them selects
+/// closer peers than no information does, none beats the oracle's
+/// perfect information, and P4P's cached maps cost fewer messages than
+/// the oracle's per-query round trips.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    let by_name = |n: &str| {
+        out.techniques
+            .iter()
+            .find(|t| t.name.starts_with(n))
+            .ok_or_else(|| format!("missing {n}"))
+    };
+    let random = by_name("random")?;
+    let oracle = by_name("isp oracle")?;
+    let p4p = by_name("p4p")?;
+    for t in [oracle, p4p, by_name("ip2isp")?, by_name("cdn/ono")?] {
+        ensure!(
+            t.mean_selected_as_hops < random.mean_selected_as_hops,
+            "{} ({}) not better than random ({})",
+            t.name,
+            t.mean_selected_as_hops,
+            random.mean_selected_as_hops
+        );
+        ensure!(
+            t.mean_selected_as_hops >= oracle.mean_selected_as_hops - 1e-9,
+            "{} ({}) beats the oracle ({})",
+            t.name,
+            t.mean_selected_as_hops,
+            oracle.mean_selected_as_hops
+        );
+    }
+    ensure!(
+        p4p.messages < oracle.messages,
+        "p4p spent {} messages, oracle {}",
+        p4p.messages,
+        oracle.messages
+    );
+    Ok(())
 }

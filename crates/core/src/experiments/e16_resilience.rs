@@ -19,6 +19,7 @@
 //! overlays brittle — after the last epoch clears, every recovery curve
 //! regains its pre-fault level.
 
+use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
@@ -528,87 +529,124 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
     (table, results)
 }
 
+/// The [`super::TABLE`] row's run; its event count is Kademlia RPCs.
+pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
+    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let claim = claim(&out);
+    super::Outcome {
+        events: out.kad_phases.iter().map(|p| p.rpcs).sum(),
+        ..super::Outcome::of(
+            vec![out.reachability, out.gnutella, out.kademlia, out.bittorrent],
+            claim,
+        )
+    }
+}
+
+/// Underlay awareness does not make the overlays brittle: the campaign
+/// really cuts the underlay and hurts every overlay, and once the last
+/// epoch clears every recovery curve regains its pre-fault level.
+pub fn claim(out: &Outcome) -> Result<(), String> {
+    // t=0 plus the two boundaries; the probe keeps only its table.
+    let reach = &out.reachability;
+    ensure!(reach.len() == 3, "{} reachability samples", reach.len());
+    let (down, pairs) = (1, 3);
+    ensure!(
+        reach.cell(0, down) == "0" && reach.cell(1, down) != "0",
+        "links down: {} before, {} inside the window",
+        reach.cell(0, down),
+        reach.cell(1, down)
+    );
+    ensure!(
+        reach.cell(1, pairs) != reach.cell(0, pairs)
+            && reach.cell(2, pairs) == reach.cell(0, pairs),
+        "reachable pairs {} -> {} -> {}",
+        reach.cell(0, pairs),
+        reach.cell(1, pairs),
+        reach.cell(2, pairs)
+    );
+
+    for c in &out.curves {
+        // Query success is a sampled fraction (~600 queries per window,
+        // ±1-2% sampling noise), so "regained" means within tolerance of
+        // the pre-fault window. The window itself need not dent it: on
+        // seeds 51 and 81 in-window success is the highest of the three,
+        // so "climbs back above the fault level" stays pinned on seed 61
+        // by `overlays_regain_pre_fault_levels` below.
+        ensure!(
+            c.query[2] >= c.query[0] - 0.03,
+            "{}: query success must recover ({:?})",
+            c.label,
+            c.query
+        );
+        ensure!(
+            c.download[2] >= c.download[0],
+            "{}: download success must recover ({:?})",
+            c.label,
+            c.download
+        );
+        ensure!(
+            c.download[1] < 1.0,
+            "{}: the fault window must actually hurt downloads ({:?})",
+            c.label,
+            c.download
+        );
+    }
+
+    let (pre, faulted, recovered) = (&out.kad_phases[0], &out.kad_phases[1], &out.kad_phases[2]);
+    ensure!(pre.retransmits == 0, "fault-free retrievals retransmitted");
+    ensure!(
+        faulted.retransmits > 0,
+        "crashed replicas cost no retransmits"
+    );
+    ensure!(
+        faulted.mean_latency_ms > pre.mean_latency_ms,
+        "faulted lookups were not slower"
+    );
+    ensure!(
+        recovered.successes >= pre.successes,
+        "retrieval did not recover: {} vs {}",
+        recovered.successes,
+        pre.successes
+    );
+
+    for s in &out.swarms {
+        ensure!(
+            s.completed == s.leechers,
+            "{}: swarm finished {}/{}",
+            s.label,
+            s.completed,
+            s.leechers
+        );
+        ensure!(
+            s.reannounces > 0,
+            "{}: crashes forced no re-announce",
+            s.label
+        );
+        ensure!(
+            s.done_at_fault_end < s.completed,
+            "{}: no completion landed after the window",
+            s.label
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn reachability_dips_during_the_window_and_recovers() {
-        let p = Params::quick(61);
-        let out = run(&p);
-        let t = &out.reachability;
-        assert_eq!(t.len(), 3); // t=0 plus two boundaries
-        assert_eq!(
-            t.cell(0, 3),
-            t.cell(2, 3),
-            "post-window must equal pre-fault"
-        );
-        assert_ne!(
-            t.cell(0, 3),
-            t.cell(1, 3),
-            "partition must cut reachability"
-        );
-        assert_eq!(t.cell(0, 1), "0");
-        assert_ne!(t.cell(1, 1), "0");
-    }
-
+    /// The un-narrowed form of the claim's query-success line, on the
+    /// seed it was written for: in-window success dips and climbs back.
     #[test]
     fn overlays_regain_pre_fault_levels() {
         let out = run(&Params::quick(61));
+        assert_eq!(claim(&out), Ok(()));
         for c in &out.curves {
-            // Query success is a sampled fraction (~600 queries per
-            // window, ±1-2% sampling noise), so "regained pre-fault
-            // level" means: strictly above the fault-window level and
-            // within sampling tolerance of the pre-fault window.
             assert!(
                 c.query[2] > c.query[1],
                 "{}: query success must climb back above the fault level ({:?})",
                 c.label,
                 c.query
-            );
-            assert!(
-                c.query[2] >= c.query[0] - 0.03,
-                "{}: query success must recover ({:?})",
-                c.label,
-                c.query
-            );
-            assert!(
-                c.download[2] >= c.download[0],
-                "{}: download success must recover ({:?})",
-                c.label,
-                c.download
-            );
-            assert!(
-                c.download[1] < 1.0,
-                "{}: the fault window must actually hurt downloads ({:?})",
-                c.label,
-                c.download
-            );
-        }
-        let pre = &out.kad_phases[0];
-        let faulted = &out.kad_phases[1];
-        let recovered = &out.kad_phases[2];
-        assert_eq!(pre.retransmits, 0, "fault-free retrievals never retransmit");
-        assert!(
-            faulted.retransmits > 0,
-            "crashed replicas must cost retransmits"
-        );
-        assert!(faulted.mean_latency_ms > pre.mean_latency_ms);
-        assert!(
-            recovered.successes >= pre.successes,
-            "retrieval must recover"
-        );
-        for s in &out.swarms {
-            assert_eq!(s.completed, s.leechers, "{}: swarm must recover", s.label);
-            assert!(
-                s.reannounces > 0,
-                "{}: crashes must force re-announces",
-                s.label
-            );
-            assert!(
-                s.done_at_fault_end < s.completed,
-                "{}: some completions must land after the window",
-                s.label
             );
         }
     }

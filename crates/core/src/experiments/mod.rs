@@ -15,7 +15,10 @@
 //! | [`e12_overhead`] | §5.4 | awareness overhead and churn robustness |
 //! | [`e13_variance`] | (extension) | seed sensitivity of the headline effects |
 //! | [`e14_gsh`] | §4 / Table 1 "Leopard" | geographically scoped hashing |
+//! | [`e15_collection`] | (extension) | ISP-location collection techniques, quality vs overhead |
 //! | [`e16_resilience`] | (extension) | fault-campaign degradation and recovery curves |
+//! | [`e17_fault_scale`] | (extension) | incremental routing repair at fault epochs |
+//! | [`e18_congestion`] | (extension) | swarms under max-min fair bandwidth sharing |
 //!
 //! (E8, the Table 2 impact matrix, lives in [`crate::impact`] because it
 //! composes several of these.)
@@ -23,8 +26,13 @@
 //! Every harness takes a params struct with `quick()` (seconds, used in
 //! tests and `--quick` runs) and `full()` (the figures quoted in
 //! EXPERIMENTS.md) constructors, and returns [`crate::report::Table`]s
-//! ready to print or dump as CSV.
+//! ready to print or dump as CSV. [`TABLE`] lists them all behind one
+//! signature and one [`Outcome`] type, which carries the verdict of the
+//! module's `claim` fn — the paper headline as a check on the harness's
+//! typed results; it is what the `exp` binary, the CI scripts and [`doc`]
+//! read.
 
+pub mod doc;
 pub mod e01_hierarchy;
 pub mod e02_cost;
 pub mod e03_coordinates;
@@ -40,7 +48,12 @@ pub mod e13_variance;
 pub mod e14_gsh;
 pub mod e15_collection;
 pub mod e16_resilience;
+pub mod e17_fault_scale;
+pub mod e18_congestion;
 pub mod sweep;
+pub mod table;
+
+pub use table::{Experiment, Outcome, Scale, TABLE};
 
 use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
 use uap_sim::SimRng;

@@ -20,14 +20,42 @@
 //! three bands (`++` ≥ 30 %, `+` ≥ 10 %, `o` below). EXPERIMENTS.md
 //! records where our signs agree with the paper's.
 
-use crate::experiments::NetParams;
+use crate::experiments::table::{ensure, Scale};
+use crate::experiments::{self, NetParams};
 use crate::geo_overlay::{GeoOverlay, Rect};
 use crate::report::Table;
 use uap_gnutella::{
     run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
 };
 use uap_net::{FaultKind, FaultPlan, Routing, RoutingMode, Underlay};
-use uap_sim::SimTime;
+use uap_sim::{SimTime, Tracer};
+
+/// Matrix parameters.
+#[derive(Clone, Copy, Debug)]
+pub struct Params {
+    /// Underlay shape.
+    pub net: NetParams,
+    /// Bound on each of the five Gnutella runs.
+    pub duration: SimTime,
+}
+
+impl Params {
+    /// Small instance.
+    pub fn quick(seed: u64) -> Params {
+        Params {
+            net: NetParams::quick(200, seed),
+            duration: SimTime::from_mins(8),
+        }
+    }
+
+    /// Paper-scale instance.
+    pub fn full(seed: u64) -> Params {
+        Params {
+            net: NetParams::full(seed),
+            duration: SimTime::from_mins(30),
+        }
+    }
+}
 
 /// A Table 2 band.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -233,8 +261,9 @@ fn voip_edge_share(underlay: &Underlay, report: &GnutellaReport) -> f64 {
         / report.edges.len() as f64
 }
 
-/// Runs the full matrix. `duration` bounds each of the five Gnutella runs.
-pub fn run(net: &NetParams, duration: SimTime) -> ImpactMatrix {
+/// Runs the full matrix.
+pub fn run(p: &Params) -> ImpactMatrix {
+    let (net, duration) = (&p.net, p.duration);
     // Baseline.
     let base = run_column(
         net,
@@ -381,6 +410,65 @@ impl ImpactMatrix {
     }
 }
 
+/// The [`experiments::TABLE`] row's run.
+pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> experiments::Outcome {
+    let m = run(&scale.params(seed, Params::quick, Params::full));
+    let claim = claim(&m);
+    experiments::Outcome {
+        notes: vec![format!(
+            "agreement with the paper's Table 2 (effect vs neutral): {:.0}%",
+            100.0 * m.agreement()
+        )],
+        values: vec![("agreement", m.agreement().to_string())],
+        ..experiments::Outcome::of(vec![m.table], claim)
+    }
+}
+
+/// The `(row, column)` cells of Table 2 the paper marks `++` that this
+/// reproduction measures as an effect too, with the weakest band any
+/// claim-test seed measures: Resilience is `++` at `--seed 42` but only
+/// `+` (+30 % / +18 %) at quick scale on seed 91.
+const REPRODUCED: [(usize, usize, ImpactBand); 7] = [
+    (0, 3, ImpactBand::Big),   // Download time x Peer Resources
+    (1, 1, ImpactBand::Big),   // Delay x Latency
+    (2, 0, ImpactBand::Big),   // ISP OAM x ISP-location
+    (3, 0, ImpactBand::Big),   // ISP Costs x ISP-location
+    (4, 2, ImpactBand::Big),   // New application areas x Geolocation
+    (5, 0, ImpactBand::Small), // Resilience x ISP-location
+    (5, 1, ImpactBand::Small), // Resilience x Latency
+];
+
+/// Table 2's headline cells: seven of the paper's eight `++` entries
+/// reproduce. The eighth, Download time x ISP-location, is pinned below
+/// `++` — it measures `o` (`+ (+11 %)` on seed 81) while lone Gnutella
+/// downloads never share a link (ROADMAP item 1b); when that model fix
+/// lands this line must flip, not silently pass.
+pub fn claim(m: &ImpactMatrix) -> Result<(), String> {
+    let at = |r: usize, c: usize| format!("{} x {}", ROWS[r], COLS[c]);
+    for (r, c, weakest) in REPRODUCED {
+        let cell = &m.cells[r][c];
+        ensure!(
+            PAPER_BANDS[r][c] == "++" && (cell.band == ImpactBand::Big || cell.band == weakest),
+            "{}: {} ({:+.0}%)",
+            at(r, c),
+            cell.band.symbol(),
+            100.0 * cell.improvement
+        );
+    }
+    ensure!(
+        m.cells[0][0].band != ImpactBand::Big,
+        "{} now reproduces: {:+.0}%",
+        at(0, 0),
+        100.0 * m.cells[0][0].improvement
+    );
+    ensure!(
+        m.agreement() >= 0.5,
+        "agreement with Table 2 only {:.0}%",
+        100.0 * m.agreement()
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,8 +509,10 @@ mod tests {
 
     #[test]
     fn matrix_headline_cells_match_paper_direction() {
-        let net = NetParams::quick(150, 81);
-        let m = run(&net, SimTime::from_mins(8));
+        let m = run(&Params {
+            net: NetParams::quick(150, 81),
+            duration: SimTime::from_mins(8),
+        });
         // The four strongest claims of Table 2 must reproduce:
         // ISP-location improves ISP costs (++):
         assert!(
@@ -452,8 +542,10 @@ mod tests {
 
     #[test]
     fn agreement_is_majority() {
-        let net = NetParams::quick(150, 82);
-        let m = run(&net, SimTime::from_mins(8));
+        let m = run(&Params {
+            net: NetParams::quick(150, 82),
+            duration: SimTime::from_mins(8),
+        });
         assert!(
             m.agreement() >= 0.5,
             "agreement with Table 2 only {:.0}%",

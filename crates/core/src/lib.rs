@@ -17,12 +17,14 @@
 //! * [`geo_overlay`] — a Globase.KOM-style \[19\] geolocation overlay (zone
 //!   quadtree with supervisors) providing location-constrained search,
 //!   the "new application areas" row of Table 2;
-//! * [`experiments`] — one module per paper artifact plus extensions (E1–E15, see
-//!   DESIGN.md's experiment index), each reproducing a table or figure;
+//! * [`experiments`] — one module per paper artifact plus extensions (E1–E18, see
+//!   DESIGN.md's experiment index), each reproducing a table or figure, and
+//!   [`experiments::TABLE`], the one list of them the `exp` binary, CI and
+//!   the EXPERIMENTS.md generator read;
 //! * [`impact`] — experiment E8: the measured impact matrix reproducing
 //!   Table 2's `++ / + / o` entries;
 //! * [`report`] — plain-text tables and CSV output shared by the
-//!   experiment binaries.
+//!   experiments.
 
 #![forbid(unsafe_code)]
 

@@ -118,6 +118,61 @@ impl Table {
         out
     }
 
+    /// Parses what [`Table::to_csv`] wrote (header line, then rows).
+    pub fn from_csv(title: &str, csv: &str) -> Result<Table, String> {
+        let mut records = Vec::new();
+        let mut record = Vec::new();
+        let mut cell = String::new();
+        let mut quoted = false;
+        let mut chars = csv.chars().peekable();
+        while let Some(ch) = chars.next() {
+            match ch {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    cell.push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => record.push(std::mem::take(&mut cell)),
+                '\n' if !quoted => {
+                    record.push(std::mem::take(&mut cell));
+                    records.push(std::mem::take(&mut record));
+                }
+                _ => cell.push(ch),
+            }
+        }
+        if quoted || !cell.is_empty() || !record.is_empty() {
+            return Err("unterminated last record".to_owned());
+        }
+        let mut records = records.into_iter();
+        let header = records.next().ok_or("no header line")?;
+        let mut table = Table {
+            title: title.to_owned(),
+            header,
+            rows: Vec::new(),
+        };
+        for (i, row) in records.enumerate() {
+            if row.len() != table.header.len() {
+                return Err(format!("row {i} has {} cells", row.len()));
+            }
+            table.rows.push(row);
+        }
+        Ok(table)
+    }
+
+    /// Renders the table as a GitHub-flavoured markdown table.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| c.replace('|', "\\|")).collect();
+            format!("| {} |\n", cells.join(" | "))
+        };
+        let mut out = line(&self.header);
+        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
+
     /// Writes the CSV next to the experiment binaries' output directory.
     pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         if let Some(dir) = path.as_ref().parent() {
@@ -198,6 +253,27 @@ mod tests {
         assert_eq!(f(42.5), "42.5");
         assert_eq!(f(1234.56), "1235");
         assert_eq!(pct(0.4057), "40.57%");
+    }
+
+    #[test]
+    fn from_csv_inverts_to_csv() {
+        let mut t = Table::new("t", &["a", "b,c"]);
+        t.row(&["x,y".into(), "plain".into()]);
+        t.row(&["he said \"hi\"".into(), "two\nlines".into()]);
+        t.row(&["".into(), "".into()]);
+        let back = Table::from_csv("t", &t.to_csv()).unwrap();
+        assert_eq!(back.header(), t.header());
+        assert_eq!(back.rows, t.rows);
+        assert!(Table::from_csv("t", "").is_err());
+        assert!(Table::from_csv("t", "a,b\n1\n").is_err());
+        assert!(Table::from_csv("t", "a,b\n1,\"2\n").is_err());
+    }
+
+    #[test]
+    fn markdown_escapes_pipes() {
+        let mut t = Table::new("t", &["k", "v"]);
+        t.row(&["a|b".into(), "1".into()]);
+        assert_eq!(t.to_markdown(), "| k | v |\n|---|---|\n| a\\|b | 1 |\n");
     }
 
     #[test]
