@@ -14,7 +14,7 @@
 //! files drawn from the same distribution they *search* from, which is how
 //! the correlation arises in the wild.
 
-use uap_net::AsId;
+use uap_net::{AsId, HostId};
 use uap_sim::{SimRng, Zipf};
 
 /// A shared file identifier.
@@ -91,9 +91,85 @@ impl ContentModel {
     }
 }
 
+/// Who shares what, file-major: bit `h` of row `f` is set iff host `h`
+/// shares file `f` — `n_files × ⌈hosts/64⌉` words, built once from the
+/// per-host share lists (which never change during a run). A query tests
+/// every node its flood reached against one row, which stays in L1, where
+/// the per-host lists cost a binary search into a cold `Vec` per node.
+pub(crate) struct Holders {
+    words_per_file: usize,
+    bits: Vec<u64>,
+}
+
+/// One file's row of a [`Holders`] index.
+#[derive(Clone, Copy)]
+pub(crate) struct HolderRow<'a>(&'a [u64]);
+
+impl Holders {
+    /// Indexes `shared[h]`, the files host `h` shares, over a catalogue
+    /// of `n_files`.
+    // lint:allow(alloc) — index construction; runs once per experiment run
+    pub(crate) fn new(n_files: usize, shared: &[Vec<FileId>]) -> Holders {
+        let words_per_file = shared.len().div_ceil(64);
+        let mut bits = vec![0u64; n_files * words_per_file];
+        for (h, files) in shared.iter().enumerate() {
+            for f in files {
+                if let Some(word) = bits.get_mut(f.0 as usize * words_per_file + h / 64) {
+                    *word |= 1 << (h % 64);
+                }
+            }
+        }
+        Holders {
+            words_per_file,
+            bits,
+        }
+    }
+
+    /// The holders of `file` (nobody, for a file outside the catalogue).
+    pub(crate) fn of_file(&self, file: FileId) -> HolderRow<'_> {
+        let start = file.0 as usize * self.words_per_file;
+        HolderRow(
+            self.bits
+                .get(start..start + self.words_per_file)
+                .unwrap_or(&[]),
+        )
+    }
+}
+
+impl HolderRow<'_> {
+    /// Whether host `h` shares the row's file.
+    pub(crate) fn contains(self, h: HostId) -> bool {
+        self.0
+            .get(h.idx() / 64)
+            .is_some_and(|word| word >> (h.idx() % 64) & 1 == 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The holder index answers every (host, file) pair the way the
+    /// per-host binary search it replaced does — hosts that share nothing,
+    /// a host count that is not a multiple of 64, and ids past either end
+    /// of the index included.
+    #[test]
+    fn holders_equal_binary_search_of_share_lists() {
+        let (n_files, n_hosts) = (300, 131);
+        let m = ContentModel::new(n_files, 7, 0.9, 0.6);
+        let mut rng = SimRng::new(5);
+        let shared: Vec<Vec<FileId>> = (0..n_hosts)
+            .map(|h| m.seed_shares(AsId(h as u16 % 7), (h % 4) * 9, &mut rng))
+            .collect();
+        let holders = Holders::new(n_files, &shared);
+        for f in (0..n_files as u32 + 2).map(FileId) {
+            let row = holders.of_file(f);
+            for h in 0..n_hosts + 70 {
+                let listed = shared.get(h).is_some_and(|s| s.binary_search(&f).is_ok());
+                assert_eq!(row.contains(HostId(h as u32)), listed, "{f:?} at host {h}");
+            }
+        }
+    }
 
     #[test]
     fn interest_is_in_range() {

@@ -33,6 +33,7 @@
 
 pub mod config;
 pub mod content;
+mod hostcache;
 pub mod overlay;
 pub mod report;
 pub mod selection;

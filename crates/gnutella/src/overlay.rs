@@ -47,13 +47,12 @@ pub struct Overlay {
     roles: Vec<Role>,
     online: Vec<bool>,
     edge_count: usize,
-    /// Flood scratch: generation-stamped visited marks + the BFS queue,
-    /// reused across floods so the per-ping/per-query path allocates
-    /// nothing (a slot is "seen" when its stamp equals the current
-    /// generation; bumping the generation resets all marks in O(1)).
+    /// Flood scratch: generation-stamped visited marks, reused across
+    /// floods so the per-ping/per-query path allocates nothing (a slot is
+    /// "seen" when its stamp equals the current generation; bumping the
+    /// generation resets all marks in O(1)).
     seen_gen: Vec<u64>,
     generation: u64,
-    queue: std::collections::VecDeque<(HostId, u32, u64)>,
     /// Reused peer snapshot for `set_online`'s edge-drop loop.
     scratch_peers: Vec<HostId>,
 }
@@ -70,7 +69,6 @@ impl Overlay {
             edge_count: 0,
             seen_gen: vec![0; n],
             generation: 0,
-            queue: std::collections::VecDeque::new(),
             scratch_peers: Vec::new(),
         }
     }
@@ -201,6 +199,10 @@ impl Overlay {
     /// hop `h + 1` even when `h + 1 == ttl`, like real leaf delivery.
     /// Needs `&mut self` for the generation-stamped visited scratch (the
     /// overlay topology is not modified).
+    ///
+    /// `out.reached` is its own BFS queue: it fills in first-reception
+    /// order, which is the order nodes forward in, so the next forwarder
+    /// is the next entry not yet expanded.
     pub fn flood_into(&mut self, origin: HostId, ttl: u32, out: &mut FloodResult) {
         out.reached.clear();
         out.messages = 0;
@@ -210,33 +212,56 @@ impl Overlay {
         self.generation += 1;
         let gen = self.generation;
         self.seen_gen[origin.idx()] = gen;
-        // Queue of (host, hops, latency) of *forwarding* nodes.
-        self.queue.clear();
-        self.queue.push_back((origin, 0u32, 0u64));
-        while let Some((v, hops, lat)) = self.queue.pop_front() {
-            if hops >= ttl {
-                continue;
-            }
-            for (i, &w) in self.neighbors[v.idx()].iter().enumerate() {
-                out.messages += 1;
-                if self.seen_gen[w.idx()] == gen {
-                    continue;
-                }
-                self.seen_gen[w.idx()] = gen;
-                // Saturating: edges to fault-unreachable peers carry the
-                // u64::MAX/4 sentinel, which plain addition could overflow.
-                let wl = lat.saturating_add(self.latency_cache[v.idx()][i]);
-                out.reached.push(Reached {
+        let (neighbors, latency_cache) = (&self.neighbors, &self.latency_cache);
+        let seen_gen = &mut self.seen_gen;
+        let FloodResult { reached, messages } = out;
+        // `from` transmits to every neighbor; a copy counts as reached only
+        // if it is the first its receiver saw. Most copies are duplicates,
+        // hence `push_if` rather than a branch on `seen`.
+        let mut forward = |from: Reached, reached: &mut Vec<Reached>| {
+            let peers = &neighbors[from.host.idx()];
+            *messages += peers.len() as u64;
+            for (&w, &edge_us) in peers.iter().zip(&latency_cache[from.host.idx()]) {
+                let copy = Reached {
                     host: w,
-                    hops: hops + 1,
-                    latency_us: wl,
-                });
-                if self.roles[w.idx()] == Role::Ultrapeer {
-                    self.queue.push_back((w, hops + 1, wl));
-                }
+                    hops: from.hops + 1,
+                    // Saturating: edges to fault-unreachable peers carry the
+                    // u64::MAX/4 sentinel, which plain addition could overflow.
+                    latency_us: from.latency_us.saturating_add(edge_us),
+                };
+                let seen = &mut seen_gen[w.idx()];
+                push_if(reached, copy, *seen != gen);
+                *seen = gen;
             }
+        };
+        let origin = Reached {
+            host: origin,
+            hops: 0,
+            latency_us: 0,
+        };
+        forward(origin, reached);
+        // Forwarders: ultrapeers (leaves receive but never forward) reached
+        // below the TTL. Hops never decrease along `reached`, so the first
+        // entry at the TTL ends the flood.
+        let mut next = 0;
+        while let Some(&r) = reached.get(next) {
+            if r.hops >= ttl {
+                break;
+            }
+            if self.roles[r.host.idx()] == Role::Ultrapeer {
+                forward(r, reached);
+            }
+            next += 1;
         }
     }
+}
+
+/// Appends `item` iff `keep`, without a branch on `keep`: the item is
+/// always written and the length moves past it only if it is kept. For
+/// filters whose outcome the branch predictor cannot learn.
+pub(crate) fn push_if<T: Copy>(buf: &mut Vec<T>, item: T, keep: bool) {
+    buf.push(item);
+    buf.truncate(buf.len() - usize::from(!keep));
 }
 
 #[cfg(test)]
@@ -375,6 +400,32 @@ mod tests {
         let mut o2 = line_overlay(&u, 5);
         o2.set_online(HostId(0), false);
         assert_eq!(flood(&mut o2, HostId(0), 3).reached.len(), 0);
+    }
+
+    /// Work guard: the result buffer is the flood's only working storage
+    /// besides the visited stamps — `Overlay` owns no queue — and it is
+    /// sized from reused capacity: a repeated whole-network flood neither
+    /// moves nor grows it, and its slack stays within one doubling.
+    #[test]
+    fn flood_queues_in_its_result_buffer_only() {
+        let n = 4_096u32;
+        let u = underlay(n as usize);
+        let mut o = line_overlay(&u, n);
+        let mut rng = SimRng::new(73);
+        for _ in 0..n {
+            let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+            o.add_edge(&u, HostId(a), HostId(b));
+        }
+        let mut r = FloodResult::default();
+        o.flood_into(HostId(0), n, &mut r);
+        assert_eq!(r.reached.len(), n as usize - 1);
+        assert_eq!(r.messages, 2 * o.edge_count() as u64);
+        assert!(r.reached.capacity() <= 2 * n as usize);
+        let buffer = (r.reached.as_ptr(), r.reached.capacity());
+        let first = r.reached.clone();
+        o.flood_into(HostId(0), n, &mut r);
+        assert_eq!((r.reached.as_ptr(), r.reached.capacity()), buffer);
+        assert_eq!(r.reached, first);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! * [`NeighborSelection::CapacityBiased`] — prefer high-capacity peers
 //!   (resource-aware superpeer-style attachment).
 
+use std::cmp::Ordering;
 use uap_info::Oracle;
 use uap_net::{HostId, Underlay};
 use uap_sim::SimRng;
@@ -77,12 +78,29 @@ impl Selector {
     }
 
     /// Orders `candidates` best-first for `joiner` under the policy;
-    /// clears and fills `out` — join/repair hands in a reused buffer.
+    /// clears and fills `out`.
     pub fn rank_into(
         &mut self,
         underlay: &Underlay,
         joiner: HostId,
         candidates: &[HostId],
+        rng: &mut SimRng,
+        out: &mut Vec<HostId>,
+    ) {
+        self.select_into(underlay, joiner, candidates, usize::MAX, rng, out);
+    }
+
+    /// Picks the (up to) `want` best of `candidates` for `joiner` under
+    /// the policy, best first; clears and fills `out` — join/repair hands
+    /// in a reused buffer. Every candidate is still shuffled, probed or
+    /// scored (the draws and probe counts do not depend on `want`); the
+    /// scoring policies then sort only the `want` they keep.
+    pub fn select_into(
+        &mut self,
+        underlay: &Underlay,
+        joiner: HostId,
+        candidates: &[HostId],
+        want: usize,
         rng: &mut SimRng,
         out: &mut Vec<HostId>,
     ) {
@@ -109,7 +127,7 @@ impl Selector {
                         c,
                     )
                 }));
-                scored.sort_by_key(|&(rtt, h)| (rtt, h));
+                best_first(scored, want, Ord::cmp);
                 out.extend(scored.iter().map(|&(_, h)| h));
             }
             NeighborSelection::GeoBiased => {
@@ -120,7 +138,7 @@ impl Selector {
                     let km = underlay.geo_distance_km(joiner, c);
                     ((km * 1000.0) as u64, c)
                 }));
-                scored.sort_by_key(|&(d, h)| (d, h));
+                best_first(scored, want, Ord::cmp);
                 out.extend(scored.iter().map(|&(_, h)| h));
             }
             NeighborSelection::CapacityBiased => {
@@ -131,26 +149,25 @@ impl Selector {
                         .iter()
                         .map(|&c| (c, underlay.host(c).capacity_score())),
                 );
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                best_first(scored, want, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 out.extend(scored.iter().map(|&(h, _)| h));
             }
         }
-    }
-
-    /// Picks up to `want` neighbors from `candidates` into a reused
-    /// buffer.
-    pub fn select_into(
-        &mut self,
-        underlay: &Underlay,
-        joiner: HostId,
-        candidates: &[HostId],
-        want: usize,
-        rng: &mut SimRng,
-        out: &mut Vec<HostId>,
-    ) {
-        self.rank_into(underlay, joiner, candidates, rng, out);
         out.truncate(want);
     }
+}
+
+/// Reduces `scored` to its `want` smallest entries under `cmp`, sorted:
+/// the head of the fully sorted list without sorting its tail (join and
+/// repair keep at most a handful of several hundred candidates). `cmp`
+/// orders by (score, host), so only equal entries tie and the unstable
+/// select and sort leave nothing to chance.
+fn best_first<T>(scored: &mut Vec<T>, want: usize, cmp: impl Fn(&T, &T) -> Ordering + Copy) {
+    if want < scored.len() {
+        scored.select_nth_unstable_by(want, cmp);
+        scored.truncate(want);
+    }
+    scored.sort_unstable_by(cmp);
 }
 
 #[cfg(test)]
@@ -267,6 +284,42 @@ mod tests {
         assert_eq!(ranked, candidates);
         assert_eq!(sel.oracle_queries(), 0);
         assert_eq!(sel.probe_messages(), 0);
+    }
+
+    /// Selecting `want` equals ranking everything and keeping the head —
+    /// the body `select_into` had before it stopped sorting the tail —
+    /// for every policy and every `want` around the edges, with the same
+    /// draws taken from the RNG and the same probes counted.
+    #[test]
+    fn select_equals_head_of_full_ranking() {
+        let u = underlay();
+        let joiner = HostId(3);
+        let candidates: Vec<HostId> = (0..120).map(HostId).filter(|&h| h != joiner).collect();
+        for policy in [
+            NeighborSelection::Random,
+            NeighborSelection::OracleBiased { list_size: 50 },
+            NeighborSelection::LatencyBiased,
+            NeighborSelection::GeoBiased,
+            NeighborSelection::CapacityBiased,
+        ] {
+            for want in [0, 1, 4, 118, 119, 120, 500] {
+                let (mut full, mut head) =
+                    (Selector::new(policy.clone()), Selector::new(policy.clone()));
+                let (mut rng_full, mut rng_head) = (SimRng::new(89), SimRng::new(89));
+                let (mut ranked, mut picked) = (Vec::new(), vec![HostId(7)]);
+                full.rank_into(&u, joiner, &candidates, &mut rng_full, &mut ranked);
+                head.select_into(&u, joiner, &candidates, want, &mut rng_head, &mut picked);
+                ranked.truncate(want);
+                assert_eq!(picked, ranked, "{policy:?} want {want}");
+                assert_eq!(
+                    rng_head.below(1 << 40),
+                    rng_full.below(1 << 40),
+                    "{policy:?} draws"
+                );
+                assert_eq!(head.probe_messages(), full.probe_messages());
+                assert_eq!(head.oracle_queries(), full.oracle_queries());
+            }
+        }
     }
 
     #[test]

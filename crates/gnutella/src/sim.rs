@@ -8,8 +8,9 @@
 //! BFS tree instead).
 
 use crate::config::{wire, GnutellaConfig, RoleAssignment, ShareScheme};
-use crate::content::{ContentModel, FileId};
-use crate::overlay::{Overlay, Role};
+use crate::content::{ContentModel, FileId, Holders};
+use crate::hostcache::HostCache;
+use crate::overlay::{push_if, Overlay, Role};
 use crate::report::GnutellaReport;
 use crate::selection::Selector;
 use uap_info::Oracle;
@@ -44,8 +45,11 @@ pub struct GnutellaSim {
     content: ContentModel,
     selector: Selector,
     exchange_oracle: Oracle,
+    /// Files each host shares (sorted); fixed for the run.
     shared: Vec<Vec<FileId>>,
-    hostcache: Vec<Vec<HostId>>,
+    /// `shared` indexed by file: the QueryHit test.
+    holders: Holders,
+    hostcache: Vec<HostCache>,
     churn: Vec<ChurnModel>,
     epoch: Vec<u32>,
     query_delay_sum_ms: f64,
@@ -143,18 +147,17 @@ impl GnutellaSim {
         // Static bootstrap hostcaches: a random membership sample, "filled
         // with a random subset of the network nodes' IP addresses" as in
         // the testlab study.
-        let hostcache: Vec<Vec<HostId>> = (0..n)
+        let hostcache: Vec<HostCache> = (0..n)
             .map(|i| {
-                let mut cache: Vec<HostId> = rng
-                    .sample_indices(n, cfg.hostcache_size + 1)
+                let sample = rng.sample_indices(n, cfg.hostcache_size + 1);
+                let others = sample
                     .into_iter()
                     .map(|x| HostId(x as u32))
-                    .filter(|&h| h != HostId(i as u32))
-                    .collect();
-                cache.truncate(cfg.hostcache_size);
-                cache
+                    .filter(|&h| h != HostId(i as u32));
+                HostCache::new(cfg.hostcache_size, n, others)
             })
             .collect();
+        let holders = Holders::new(content.n_files(), &shared);
         let churn: Vec<ChurnModel> = (0..n).map(|_| ChurnModel::start(&cfg.churn, rng)).collect();
         let selector = Selector::new(cfg.selection.clone());
         let exchange_oracle = Oracle::new(usize::MAX);
@@ -181,6 +184,7 @@ impl GnutellaSim {
             selector,
             exchange_oracle,
             shared,
+            holders,
             hostcache,
             churn,
             epoch: vec![0; n],
@@ -325,15 +329,18 @@ impl GnutellaSim {
             return;
         }
         // Candidates: online ultrapeers from the hostcache (both roles
-        // attach to ultrapeers only), not already neighbors.
+        // attach to ultrapeers only), not already neighbors. Under churn
+        // about half the cache is offline, in no learnable pattern.
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
-        candidates.extend(self.hostcache[h.idx()].iter().copied().filter(|&c| {
-            c != h
-                && self.overlay.is_online(c)
-                && self.overlay.role(c) == Role::Ultrapeer
-                && !self.overlay.has_edge(h, c)
-        }));
+        let neighbors = self.overlay.neighbors(h);
+        for c in self.hostcache[h.idx()].iter() {
+            let eligible = (c != h)
+                & self.overlay.is_online(c)
+                & (self.overlay.role(c) == Role::Ultrapeer)
+                & !neighbors.contains(&c);
+            push_if(&mut candidates, c, eligible);
+        }
         if candidates.is_empty() {
             self.scratch_candidates = candidates;
             return;
@@ -402,16 +409,9 @@ impl GnutellaSim {
         if self.cfg.account_overhead_traffic {
             self.account_overhead(h, &flood, wire::PING, wire::PONG, ctx.now());
         }
-        // Refresh the hostcache from the pongs (newest first, bounded).
-        let cache = &mut self.hostcache[h.idx()];
-        for r in &flood.reached {
-            if r.host != h && !cache.contains(&r.host) {
-                if cache.len() >= self.cfg.hostcache_size {
-                    cache.remove(0);
-                }
-                cache.push(r.host);
-            }
-        }
+        // Refresh the hostcache from the pongs: unknown hosts are appended
+        // in flood order, the oldest entries of a full cache make room.
+        self.hostcache[h.idx()].refresh(h, &flood.reached);
         self.scratch_flood = flood;
         // Periodic self-reschedule with root provenance: each cycle is a
         // fresh causal root, not a descendant of every cycle before it.
@@ -449,8 +449,16 @@ impl GnutellaSim {
         let mut hits = std::mem::take(&mut self.scratch_hits);
         hits.clear();
         let mut hit_msgs = 0u64;
+        let holders = self.holders.of_file(file);
         for r in &flood.reached {
-            if self.shared[r.host.idx()].binary_search(&file).is_ok() {
+            let hit = holders.contains(r.host);
+            debug_assert_eq!(
+                hit,
+                self.shared[r.host.idx()].binary_search(&file).is_ok(),
+                "holder index disagrees with {}'s share list on {file:?}",
+                r.host
+            );
+            if hit {
                 hits.push(*r);
                 hit_msgs += r.hops as u64;
             }
@@ -1055,6 +1063,122 @@ mod tests {
             .filter(|&&h| world.overlay.is_online(h))
             .count();
         assert!(back >= 10, "only {back} of 30 crashed hosts rejoined");
+    }
+
+    // Degenerate inputs (ROADMAP 6b): each must terminate with a sane
+    // report — never hang, never panic.
+
+    /// A report with nothing in it that traffic would have put there.
+    fn assert_silent(r: &GnutellaReport) {
+        assert_eq!(r.total_msgs(), 0);
+        assert_eq!((r.queries_successful, r.downloads), (0, 0));
+        assert!(r.edges.is_empty());
+        assert_eq!(r.success_ratio(), 0.0);
+        assert_eq!((r.mean_query_delay_ms, r.mean_download_secs), (0.0, 0.0));
+    }
+
+    #[test]
+    fn zero_hosts_run_to_an_empty_report() {
+        let (report, world) =
+            run_experiment(underlay(0, 11), quick_cfg(NeighborSelection::Random), 1);
+        assert_silent(&report);
+        assert_eq!((report.joins, report.events), (0, 0));
+        assert!(world.overlay.is_empty());
+    }
+
+    #[test]
+    fn one_host_queries_into_the_void() {
+        for selection in [
+            NeighborSelection::Random,
+            NeighborSelection::OracleBiased { list_size: 1000 },
+            NeighborSelection::LatencyBiased,
+        ] {
+            let (report, world) = run_experiment(underlay(1, 12), quick_cfg(selection), 2);
+            assert_silent(&report);
+            assert_eq!(report.joins, 1);
+            assert!(report.queries_issued > 0);
+            assert!(world.overlay.is_online(HostId(0)));
+        }
+    }
+
+    #[test]
+    fn two_hosts_find_each_other() {
+        let mut cfg = quick_cfg(NeighborSelection::Random);
+        // Both share the whole catalogue (one file per AS of the fixture,
+        // the smallest the content model takes), so every query hits.
+        cfg.content = crate::config::ContentParams {
+            n_files: 18,
+            zipf_s: 0.9,
+            locality: 0.0,
+        };
+        cfg.shared_per_peer = 18;
+        let (report, _) = run_experiment(underlay(2, 13), cfg, 3);
+        assert_eq!(report.edges, [(HostId(0), HostId(1))]);
+        assert!(report.queries_issued > 0);
+        assert_eq!(report.queries_successful, report.queries_issued);
+        assert_eq!(report.downloads, report.queries_issued);
+        // One neighbor: a flood reaches one node, and costs the query plus
+        // the copy that node sends back (counted, then dropped as seen).
+        assert_eq!(report.query_msgs, 2 * report.queries_issued);
+        assert_eq!(report.queryhit_msgs, report.queries_issued);
+    }
+
+    #[test]
+    fn hostcache_of_one_evicts_on_every_insert() {
+        let mut cfg = quick_cfg(NeighborSelection::Random);
+        cfg.hostcache_size = 1;
+        cfg.churn = uap_sim::ChurnConfig::exponential(200.0);
+        let (report, world) = run_experiment(underlay(60, 14), cfg, 4);
+        assert!(report.joins > 60, "churn should rejoin: {}", report.joins);
+        assert!(report.ping_msgs > 0 && report.queries_issued > 0);
+        // Each node knows one host: whoever the latest pong named anew.
+        assert!(!report.edges.is_empty());
+        for cache in &world.hostcache {
+            assert!(cache.iter().count() <= 1);
+        }
+    }
+
+    #[test]
+    fn hostcache_of_zero_leaves_everyone_alone() {
+        // The Vec hostcache would have run `remove(0)` on an empty cache at
+        // the first pong; unreachable then as now, since empty caches mean
+        // no edges and no pongs — the run itself is the check.
+        let mut cfg = quick_cfg(NeighborSelection::Random);
+        cfg.hostcache_size = 0;
+        let (report, _) = run_experiment(underlay(20, 15), cfg, 5);
+        assert_silent(&report);
+        assert_eq!(report.joins, 20);
+    }
+
+    #[test]
+    fn zero_ttls_send_nothing() {
+        let mut cfg = quick_cfg(NeighborSelection::Random);
+        cfg.ping_ttl = 0;
+        cfg.query_ttl = 0;
+        let (report, _) = run_experiment(underlay(60, 16), cfg, 6);
+        assert_eq!(report.total_msgs(), 0);
+        assert!(!report.edges.is_empty(), "joins still connect");
+        assert!(report.queries_issued > 0);
+        assert_eq!((report.queries_successful, report.downloads), (0, 0));
+    }
+
+    #[test]
+    fn every_host_crashed_for_the_whole_run() {
+        use uap_net::{FaultKind, FaultPlan};
+        let mut cfg = quick_cfg(NeighborSelection::OracleBiased { list_size: 1000 });
+        cfg.churn = uap_sim::ChurnConfig::exponential(120.0);
+        cfg.faults = Some(FaultPlan::new().epoch(
+            SimTime::ZERO,
+            cfg.duration + SimTime::from_secs(1),
+            FaultKind::HostCrash {
+                hosts: (0..40u32).map(HostId).collect(),
+            },
+        ));
+        let (report, world) = run_experiment(underlay(40, 17), cfg, 7);
+        assert_silent(&report);
+        assert_eq!((report.joins, report.queries_issued), (0, 0));
+        assert!(world.overlay.online_nodes().is_empty());
+        assert!(world.query_log().is_empty() && world.download_log().is_empty());
     }
 
     #[test]

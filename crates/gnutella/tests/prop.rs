@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use uap_gnutella::content::ContentModel;
-use uap_gnutella::overlay::{FloodResult, Overlay, Role};
+use uap_gnutella::overlay::{FloodResult, Overlay, Reached, Role};
 use uap_net::{AsId, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
 use uap_sim::SimRng;
 
@@ -53,8 +53,66 @@ fn random_overlay(
     o
 }
 
+/// The flood `Overlay::flood_into` ran before it became its own queue,
+/// kept as the reference: a `VecDeque` of forwarding nodes beside
+/// `reached`, a branch on `seen` per copy, one message counted per copy.
+/// Edge latencies come from the underlay, which is what `add_edge` cached.
+fn reference_flood(o: &Overlay, u: &Underlay, origin: HostId, ttl: u32) -> FloodResult {
+    let mut out = FloodResult::default();
+    if ttl == 0 || !o.is_online(origin) {
+        return out;
+    }
+    let mut seen = vec![false; o.len()];
+    seen[origin.idx()] = true;
+    let mut queue = std::collections::VecDeque::from([(origin, 0u32, 0u64)]);
+    while let Some((v, hops, lat)) = queue.pop_front() {
+        if hops >= ttl {
+            continue;
+        }
+        for &w in o.neighbors(v) {
+            out.messages += 1;
+            if seen[w.idx()] {
+                continue;
+            }
+            seen[w.idx()] = true;
+            let wl = lat.saturating_add(u.latency_us(v, w).unwrap_or(u64::MAX / 4));
+            out.reached.push(Reached {
+                host: w,
+                hops: hops + 1,
+                latency_us: wl,
+            });
+            if o.role(w) == Role::Ultrapeer {
+                queue.push_back((w, hops + 1, wl));
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `flood_into` equals the queue-based BFS it replaced: same message
+    /// count, same `reached` sequence (host, hops, latency) element for
+    /// element — on overlays with leaves and offline nodes, from every
+    /// origin (offline and leaf origins included), reusing one result
+    /// buffer so stale entries of an earlier, larger flood would show.
+    #[test]
+    fn flood_equals_queue_bfs(seed in any::<u64>(), n in 2u32..60, ttl in 0u32..6, leaf_every in 0u32..5) {
+        let u = underlay(n as usize, seed);
+        let mut rng = SimRng::new(seed ^ 4);
+        let mut o = random_overlay(&u, n, n as usize * 2, leaf_every, &mut rng);
+        for _ in 0..n / 5 {
+            o.set_online(HostId(rng.below(n as u64) as u32), false);
+        }
+        let mut got = FloodResult::default();
+        for origin in (0..n).map(HostId) {
+            let want = reference_flood(&o, &u, origin, ttl);
+            o.flood_into(origin, ttl, &mut got);
+            prop_assert_eq!(got.messages, want.messages, "messages from {}", origin);
+            prop_assert_eq!(&got.reached, &want.reached, "reached from {}", origin);
+        }
+    }
 
     /// Flood invariants for any overlay: hop bounds, distinct reached
     /// nodes, message count at least reached count, and latency monotone
