@@ -21,8 +21,8 @@
 #   7. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
-#                                 byte-identical under `xtask trace diff`,
-#                                 streamed trace equal to the buffered one
+#                                 byte-identical under `xtask trace diff`
+#                                 (both streamed: `--trace` always is)
 #   7b. quick suite             — `exp all --quick` must exit 0 and leave
 #                                 every CSV `exp list --csvs` names
 #   7c. results/ are current    — `exp all` at full scale must reproduce
@@ -48,6 +48,12 @@
 #                                 compare verdicts, each workload at tiny
 #                                 scale in a debug build), same shared
 #                                 target/ directory
+#  11. benchmark/ is untouched  — `git status --porcelain -- benchmark
+#                                 BENCHMARK.json` must be empty after 9
+#                                 and 10: a dependency edit that makes
+#                                 cargo rewrite benchmark/Cargo.lock (or
+#                                 a stray edit there) fails here, not at
+#                                 the benchmark driver
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,5 +111,9 @@ step "benchmark package build + smoke (benchmark/smoke.sh)"
 
 step "benchmark package self-tests"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target
+
+step "benchmark/ and BENCHMARK.json are untouched"
+DIRTY="$(git status --porcelain -- benchmark BENCHMARK.json)"
+[ -z "$DIRTY" ] || { printf 'the benchmark must not change:\n%s\n' "$DIRTY" >&2; exit 1; }
 
 printf '\nAll checks passed.\n'

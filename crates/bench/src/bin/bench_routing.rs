@@ -13,10 +13,7 @@
 use std::hint::black_box;
 use uap_bench::Cli;
 use uap_core::report::artifact_line;
-use uap_net::{
-    AsId, HostId, PopulationSpec, Routing, RoutingMode, TopologyKind, TopologySpec, Underlay,
-    UnderlayConfig,
-};
+use uap_net::{AsId, HostId, NetParams, Routing};
 use uap_sim::{SimRng, WallTimer};
 
 /// One benchmark topology size.
@@ -66,36 +63,30 @@ struct SizeResult {
 }
 
 fn measure(spec: &SizeSpec, seed: u64, queries: usize) -> SizeResult {
-    let mut rng = SimRng::new(seed);
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    let u = NetParams {
         tier1: spec.tier1,
         tier2_per_tier1: spec.tier2_per_tier1,
         tier3_per_tier2: spec.tier3_per_tier2,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    let ases = graph.len();
-    let links = graph.links.len();
+        n_hosts: spec.hosts,
+        seed,
+    }
+    .build();
+    let ases = u.n_ases();
+    let links = u.graph.links.len();
 
-    // Routing-table build time (the parallel all-pairs construction),
-    // averaged over a few rounds so small topologies aren't all noise.
+    // Routing build time — the table-plus-index build `Underlay::build`
+    // runs — averaged over a few rounds so small topologies aren't all
+    // noise.
     let build_rounds = 5;
     let w = WallTimer::start();
     for _ in 0..build_rounds {
-        black_box(Routing::compute(&graph, RoutingMode::ValleyFree));
+        black_box(Routing::compute_indexed(&u.graph, u.config.routing, None));
     }
     let routing_build_secs = w.elapsed_secs() / build_rounds as f64;
 
-    let u = Underlay::build(
-        graph,
-        &PopulationSpec::leaf(spec.hosts),
-        UnderlayConfig::default(),
-        &mut rng,
-    );
-
     // Deterministic query workload: random host pairs (and their AS pairs
     // for the path query), fixed up front so the timed loops do no RNG work.
+    let mut rng = SimRng::new(seed);
     let n = u.n_hosts() as u64;
     let pairs: Vec<(HostId, HostId)> = (0..8_192)
         .map(|_| (HostId(rng.below(n) as u32), HostId(rng.below(n) as u32)))

@@ -1,7 +1,7 @@
 //! `exp` — runs the rows of [`uap_core::experiments::TABLE`].
 //!
 //! ```text
-//! exp <id>  [--quick] [--seed N] [--out D] [--trace P] [--trace-stream]
+//! exp <id>  [--quick] [--seed N] [--out D] [--trace P]
 //! exp all   [--quick] [--seed N] [--out D]
 //! exp list  [--traced | --csvs]
 //! exp doc   [--out D]
@@ -21,7 +21,7 @@ use uap_bench::{emit, write_csv, Cli, Run};
 use uap_core::experiments::{doc, table, Experiment, Scale, TABLE};
 
 const USAGE: &str = "usage: exp <id>|all|list [--traced|--csvs]|doc \
-                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>] [--trace-stream]";
+                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]";
 
 /// Runs one row and writes everything it publishes.
 fn run(e: &Experiment, cli: &Cli) -> io::Result<()> {

@@ -13,10 +13,9 @@
 //! * `--seed <u64>` — experiment seed (default 42);
 //! * `--out <dir>` — output directory (default `results`);
 //! * `--trace <path>` — also write the run's structured trace as JSONL
-//!   to `<path>` (see `docs/OBSERVABILITY.md` for the event schema);
-//! * `--trace-stream` — with `--trace`, write the JSONL through the
-//!   streaming sink (buffered write-through, O(1) memory) instead of
-//!   accumulating the run in RAM. Byte-identical output either way.
+//!   to `<path>` (see `docs/OBSERVABILITY.md` for the event schema),
+//!   through the streaming sink: write-through, O(1) memory, and what a
+//!   crashed run had emitted is on disk.
 //!
 //! ## Telemetry
 //!
@@ -53,9 +52,6 @@ pub struct Cli {
     pub out: PathBuf,
     /// Optional JSONL trace output path.
     pub trace: Option<PathBuf>,
-    /// Stream the trace through the write-through sink instead of
-    /// buffering the whole run in memory.
-    pub trace_stream: bool,
 }
 
 impl Cli {
@@ -71,7 +67,6 @@ impl Cli {
             seed: 42,
             out: PathBuf::from("results"),
             trace: None,
-            trace_stream: false,
         };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
@@ -89,7 +84,6 @@ impl Cli {
                     let v = it.next().unwrap_or_else(|| usage("--trace needs a value"));
                     cli.trace = Some(PathBuf::from(v));
                 }
-                "--trace-stream" => cli.trace_stream = true,
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -102,10 +96,7 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!(
-        "usage: <experiment> [--quick] [--seed <u64>] [--out <dir>] [--trace <path>] \
-         [--trace-stream]"
-    );
+    eprintln!("usage: <experiment> [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
@@ -137,13 +128,11 @@ pub struct Run {
     name: String,
     out: PathBuf,
     trace_path: Option<PathBuf>,
-    /// The tracer already writes through to `trace_path`; `finish` only
-    /// flushes instead of serializing the buffered events.
-    streaming: bool,
     /// The structured report being accumulated.
     pub report: RunReport,
-    /// Tracer to thread through traced experiment harnesses. Disabled
-    /// unless `--trace` was given (so the hot path stays free).
+    /// Tracer to thread through traced experiment harnesses: writes
+    /// through to the `--trace` path, disabled without one (so the hot
+    /// path stays free).
     pub tracer: Tracer,
     wall: WallTimer,
 }
@@ -155,20 +144,18 @@ impl Run {
         let mut report = RunReport::new(name, cli.seed);
         report.config("quick", cli.quick);
         let tracer = match &cli.trace {
-            Some(tp) if cli.trace_stream => {
+            Some(tp) => {
                 if let Some(dir) = tp.parent() {
                     std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
                 }
                 Tracer::streaming(tp, TraceLevel::Debug).map_err(|e| at(tp, e))?
             }
-            Some(_) => Tracer::buffered(TraceLevel::Debug),
             None => Tracer::disabled(),
         };
         Ok(Run {
             name: name.to_owned(),
             out: cli.out.clone(),
             trace_path: cli.trace.clone(),
-            streaming: cli.trace.is_some() && cli.trace_stream,
             report,
             tracer,
             wall: WallTimer::start(),
@@ -227,16 +214,7 @@ impl Run {
             self.name
         );
         if let Some(tp) = &self.trace_path {
-            if self.streaming {
-                self.tracer.flush().map_err(|e| at(tp, e))?;
-            } else {
-                if let Some(dir) = tp.parent() {
-                    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
-                }
-                let mut buf = Vec::new();
-                self.tracer.write_jsonl(&mut buf)?;
-                std::fs::write(tp, &buf).map_err(|e| at(tp, e))?;
-            }
+            self.tracer.flush().map_err(|e| at(tp, e))?;
             println!("{}", artifact_line("trace", tp));
         }
         Ok(())
@@ -267,7 +245,6 @@ mod tests {
                 "/tmp/x",
                 "--trace",
                 "/tmp/t.jsonl",
-                "--trace-stream",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -276,20 +253,14 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert_eq!(c.out, PathBuf::from("/tmp/x"));
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.jsonl")));
-        assert!(c.trace_stream);
     }
 
     #[test]
-    fn trace_stream_flag_opens_a_streaming_run() {
+    fn trace_flag_opens_a_streaming_run() {
         let path = std::env::temp_dir().join("uap_bench_stream_run.jsonl");
-        let cli = Cli::parse_from(
-            ["--trace", path.to_str().unwrap(), "--trace-stream"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let cli = Cli::parse_from(["--trace", path.to_str().unwrap()].map(String::from));
         let run = Run::start(&cli, "exp_test").unwrap();
         assert!(run.tracer.is_active());
-        assert!(run.streaming);
         assert!(path.exists(), "streaming sink creates the file up front");
         let _ = std::fs::remove_file(&path);
     }
@@ -322,12 +293,5 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("\"agreement\""), "{err}");
         assert!(!out.join("exp_test.report.json").exists());
-    }
-
-    #[test]
-    fn trace_flag_enables_the_tracer() {
-        let cli = Cli::parse_from(["--trace", "/tmp/t.jsonl"].iter().map(|s| s.to_string()));
-        let run = Run::start(&cli, "exp_test").unwrap();
-        assert!(run.tracer.is_active());
     }
 }

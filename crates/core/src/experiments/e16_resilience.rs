@@ -25,7 +25,7 @@ use crate::report::{f, pct, Table};
 use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
 use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key};
-use uap_net::{FaultKind, FaultPlan, FaultState, HostId, Routing, RoutingMode};
+use uap_net::{FaultKind, FaultPlan, FaultState, HostId};
 use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
 
 /// Experiment parameters.
@@ -241,7 +241,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 /// Samples the compiled plan at `t = 0` and every epoch boundary and
 /// measures valley-free reachability under each mask.
 fn probe_reachability(p: &Params) -> Table {
-    let underlay = p.net.build();
+    let mut underlay = p.net.build();
     let compiled = p.plan().compile(&underlay.graph);
     let mut table = Table::new(
         "E16a — AS reachability across fault epochs",
@@ -255,16 +255,12 @@ fn probe_reachability(p: &Params) -> Table {
     );
     let mut sample = |t: SimTime| {
         let state = compiled.state_at(t);
-        let routing = Routing::compute_with_mask(
-            &underlay.graph,
-            RoutingMode::ValleyFree,
-            state.mask.as_deref(),
-        );
+        underlay.apply_fault_state(&state);
         table.row(&[
             (t.as_micros() / 1_000_000).to_string(),
             state.links_down().to_string(),
             state.crashed.len().to_string(),
-            pct(routing.reachable_fraction()),
+            pct(underlay.routing().reachable_fraction()),
             underlay
                 .graph
                 .component_count(state.mask.as_deref())

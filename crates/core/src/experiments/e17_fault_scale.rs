@@ -8,17 +8,14 @@
 //! The summary table and the `routing.repair` trace events are
 //! deterministic (`ci/trace_gate.sh` double-runs them). [`perf`] drives
 //! the same boundaries again, timing each incremental repair against the
-//! from-scratch `Routing::compute_with_mask` rebuild the pre-repair code
+//! from-scratch `Routing::compute_indexed` build the pre-repair code
 //! paid at every epoch; those wall-clock totals leave only as the
 //! `PERF fault_scale size=…` lines `ci/perf_smoke.sh` parses.
 
 use super::table::{ensure, Scale};
 use crate::report::Table;
-use uap_net::{
-    AsId, FaultState, LinkKind, PopulationSpec, Routing, Tier, TopologyKind, TopologySpec,
-    Underlay, UnderlayConfig,
-};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer, WallTimer};
+use uap_net::{AsId, FaultState, LinkKind, NetParams, Routing, Tier, Underlay};
+use uap_sim::{SimTime, TraceLevel, Tracer, WallTimer};
 
 /// One topology size of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -167,21 +164,14 @@ fn measure(
     tracer: &mut Tracer,
     mut timing: Option<&mut Timing>,
 ) -> SizeResult {
-    let mut rng = SimRng::new(seed);
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    let mut u = NetParams {
         tier1: spec.tier1,
         tier2_per_tier1: spec.tier2_per_tier1,
         tier3_per_tier2: spec.tier3_per_tier2,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    let mut u = Underlay::build(
-        graph,
-        &PopulationSpec::leaf(spec.hosts),
-        UnderlayConfig::default(),
-        &mut rng,
-    );
+        n_hosts: spec.hosts,
+        seed,
+    }
+    .build();
     let ases = u.n_ases();
     let links = u.graph.links.len();
     let rotation = localized_links(&u);
@@ -237,9 +227,9 @@ fn measure(
         if let Some(t) = timing.as_deref_mut() {
             t.repair_secs += repair_secs;
             // The pre-repair cost of the same epoch: a from-scratch
-            // masked all-pairs rebuild.
+            // masked all-pairs build.
             let w = WallTimer::start();
-            std::hint::black_box(Routing::compute_with_mask(
+            std::hint::black_box(Routing::compute_indexed(
                 &u.graph,
                 u.config.routing,
                 mask.as_deref(),

@@ -55,78 +55,6 @@ pub mod table;
 
 pub use table::{Experiment, Outcome, Scale, TABLE};
 
-use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use uap_sim::SimRng;
-
-/// Shared underlay shape used by the overlay experiments: a hierarchical
-/// local/transit-ISP Internet (Figure 1's structure).
-#[derive(Clone, Copy, Debug)]
-pub struct NetParams {
-    /// Tier-1 (global transit) count.
-    pub tier1: usize,
-    /// Tier-2 per Tier-1.
-    pub tier2_per_tier1: usize,
-    /// Tier-3 per Tier-2.
-    pub tier3_per_tier2: usize,
-    /// End hosts attached to Tier-3 ISPs.
-    pub n_hosts: usize,
-    /// Topology/population seed.
-    pub seed: u64,
-}
-
-impl NetParams {
-    /// A small network for tests and benches (~150 hosts, 20 leaf ASes).
-    pub fn quick(n_hosts: usize, seed: u64) -> NetParams {
-        NetParams {
-            tier1: 2,
-            tier2_per_tier1: 2,
-            tier3_per_tier2: 4,
-            n_hosts,
-            seed,
-        }
-    }
-
-    /// The paper-scale network (~1 000 hosts over ~40 leaf ASes).
-    pub fn full(seed: u64) -> NetParams {
-        NetParams {
-            tier1: 3,
-            tier2_per_tier1: 3,
-            tier3_per_tier2: 4,
-            n_hosts: 1_000,
-            seed,
-        }
-    }
-
-    /// Builds the underlay.
-    pub fn build(&self) -> Underlay {
-        let mut rng = SimRng::new(self.seed);
-        let graph = TopologySpec::new(TopologyKind::Hierarchical {
-            tier1: self.tier1,
-            tier2_per_tier1: self.tier2_per_tier1,
-            tier3_per_tier2: self.tier3_per_tier2,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            graph,
-            &PopulationSpec::leaf(self.n_hosts),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_and_full_build() {
-        let q = NetParams::quick(100, 1).build();
-        assert_eq!(q.n_hosts(), 100);
-        assert_eq!(q.n_ases(), 2 + 4 + 16);
-        let f = NetParams::full(1);
-        assert_eq!(f.n_hosts, 1_000);
-    }
-}
+/// The shared underlay shape of the overlay experiments (defined beside
+/// [`uap_net::Underlay`], whose standard build it is).
+pub use uap_net::NetParams;

@@ -27,7 +27,7 @@ use crate::report::Table;
 use uap_gnutella::{
     run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
 };
-use uap_net::{FaultKind, FaultPlan, Routing, RoutingMode, Underlay};
+use uap_net::{FaultKind, FaultPlan, Underlay};
 use uap_sim::{SimTime, Tracer};
 
 /// Matrix parameters.
@@ -167,11 +167,11 @@ fn run_column(
         hostcache_size: 1000.min(net.n_hosts),
         ..Default::default()
     };
-    let (report, world) = run_experiment(net.build(), cfg, net.seed ^ 0xE8);
+    let (report, mut world) = run_experiment(net.build(), cfg, net.seed ^ 0xE8);
     let (_, peering, transit) = world.underlay.traffic.totals();
     let external_bytes = peering + transit;
-    let edge_survival = edge_survival_under_transit_failure(&world.underlay, &report, net.seed);
     let mean_neighbor_uptime = mean_edge_uptime(&world.underlay, &report);
+    let edge_survival = edge_survival_under_transit_failure(&mut world.underlay, &report, net.seed);
     ColumnRun {
         report,
         external_bytes,
@@ -182,9 +182,10 @@ fn run_column(
 }
 
 /// Fraction of overlay edges whose endpoints can still reach each other
-/// after 30 % of transit links fail.
+/// after 30 % of transit links fail. Leaves the outage applied to
+/// `underlay`.
 fn edge_survival_under_transit_failure(
-    underlay: &Underlay,
+    underlay: &mut Underlay,
     report: &GnutellaReport,
     seed: u64,
 ) -> f64 {
@@ -202,11 +203,8 @@ fn edge_survival_under_transit_failure(
         )
         .compile(&underlay.graph)
         .state_at(SimTime::ZERO);
-    let routing = Routing::compute_with_mask(
-        &underlay.graph,
-        RoutingMode::ValleyFree,
-        outage.mask.as_deref(),
-    );
+    underlay.apply_fault_state(&outage);
+    let routing = underlay.routing();
     let alive = report
         .edges
         .iter()

@@ -835,25 +835,17 @@ pub fn run_experiment_with(
 mod tests {
     use super::*;
     use crate::selection::NeighborSelection;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
-    use uap_sim::SimRng;
+    use uap_net::NetParams;
 
     fn underlay(n_hosts: usize, seed: u64) -> Underlay {
-        let mut rng = SimRng::new(seed);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 3,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(n_hosts),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts,
+            seed,
+        }
+        .build()
     }
 
     fn quick_cfg(selection: NeighborSelection) -> GnutellaConfig {

@@ -7,25 +7,18 @@
 use uap_gnutella::config::GnutellaConfig;
 use uap_gnutella::selection::NeighborSelection;
 use uap_gnutella::sim::run_experiment_with;
-use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_net::{NetParams, Underlay};
+use uap_sim::{SimTime, TraceLevel, Tracer};
 
 fn underlay(n_hosts: usize, seed: u64) -> Underlay {
-    let mut rng = SimRng::new(seed);
-    let g = TopologySpec::new(TopologyKind::Hierarchical {
+    NetParams {
         tier1: 2,
         tier2_per_tier1: 2,
         tier3_per_tier2: 3,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    Underlay::build(
-        g,
-        &PopulationSpec::leaf(n_hosts),
-        UnderlayConfig::default(),
-        &mut rng,
-    )
+        n_hosts,
+        seed,
+    }
+    .build()
 }
 
 /// Runs a same-configuration experiment, returning the serialized trace,

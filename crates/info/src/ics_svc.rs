@@ -14,7 +14,7 @@
 use crate::provider::ProximityEstimator;
 use uap_coords::{EmbeddingQuality, IcsSystem, Matrix};
 use uap_net::{HostId, Underlay};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::SimRng;
 
 /// The deployed coordinate system with every host embedded.
 pub struct IcsService {
@@ -113,26 +113,6 @@ impl IcsService {
         }
     }
 
-    /// Like [`IcsService::build`], but emits one `info`/`ics.build` trace
-    /// event (Debug level) summarizing the collection cost: beacon count,
-    /// embedding dimensions, and total probe messages spent.
-    pub fn build_traced(
-        underlay: &Underlay,
-        n_beacons: usize,
-        dims: usize,
-        rng: &mut SimRng,
-        now: SimTime,
-        tracer: &mut Tracer,
-    ) -> IcsService {
-        let svc = Self::build(underlay, n_beacons, dims, rng);
-        tracer.emit(now, "info", TraceLevel::Debug, "ics.build", |f| {
-            f.u64("beacons", svc.beacons.len() as u64)
-                .u64("dims", dims as u64)
-                .u64("messages", svc.messages);
-        });
-        svc
-    }
-
     /// The beacon hosts.
     pub fn beacons(&self) -> &[HostId] {
         &self.beacons
@@ -195,24 +175,17 @@ impl ProximityEstimator for IcsService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
+    use uap_net::{NetParams, Underlay};
 
     fn underlay() -> Underlay {
-        let mut rng = SimRng::new(61);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 2,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(60),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts: 60,
+            seed: 61,
+        }
+        .build()
     }
 
     #[test]

@@ -131,25 +131,17 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-    use uap_sim::SimRng;
+    use uap_net::{NetParams, Underlay};
 
     fn underlay() -> Underlay {
-        let mut rng = SimRng::new(7);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 3,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(300),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts: 300,
+            seed: 7,
+        }
+        .build()
     }
 
     #[test]

@@ -160,24 +160,17 @@ impl ProximityEstimator for P4pEstimator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
+    use uap_net::NetParams;
 
     fn underlay() -> Underlay {
-        let mut rng = SimRng::new(121);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 3,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(150),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts: 150,
+            seed: 121,
+        }
+        .build()
     }
 
     #[test]

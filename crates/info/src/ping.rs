@@ -9,7 +9,7 @@
 use crate::provider::ProximityEstimator;
 use std::collections::BTreeMap;
 use uap_net::{HostId, Underlay};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::SimRng;
 
 /// Direct RTT measurement against the underlay's ground truth (plus the
 /// underlay's configured jitter).
@@ -51,29 +51,6 @@ impl<'a> ExplicitPinger<'a> {
             .unwrap_or(u64::MAX / 2) as f64;
         if self.cache_enabled {
             self.cache.insert(key, rtt);
-        }
-        rtt
-    }
-
-    /// Like [`ExplicitPinger::rtt_us`], but emits an `info`/`ping.probe`
-    /// trace event (Debug level) for every probe actually sent — cache
-    /// hits cost nothing and trace nothing, mirroring the message counter.
-    pub fn rtt_us_traced(
-        &mut self,
-        a: HostId,
-        b: HostId,
-        rng: &mut SimRng,
-        now: SimTime,
-        tracer: &mut Tracer,
-    ) -> f64 {
-        let before = self.probes;
-        let rtt = self.rtt_us(a, b, rng);
-        if self.probes > before {
-            tracer.emit(now, "info", TraceLevel::Debug, "ping.probe", |f| {
-                f.u64("a", a.0 as u64)
-                    .u64("b", b.0 as u64)
-                    .f64("rtt_us", rtt);
-            });
         }
         rtt
     }

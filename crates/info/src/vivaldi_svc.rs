@@ -123,24 +123,17 @@ impl ProximityEstimator for VivaldiService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
+    use uap_net::{NetParams, Underlay};
 
     fn underlay() -> Underlay {
-        let mut rng = SimRng::new(51);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 2,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(80),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts: 80,
+            seed: 51,
+        }
+        .build()
     }
 
     #[test]

@@ -85,18 +85,21 @@ struct NodeState {
     online: bool,
 }
 
+/// The timestamp of every ledger entry and trace event: the DHT is driven
+/// synchronously, outside the event engine, so its clock never advances.
+const NOW: SimTime = SimTime::ZERO;
+
 /// A whole DHT over an underlay.
 pub struct DhtNetwork {
     /// The underlay (owned; transfers are charged to its ledger).
     pub underlay: Underlay,
     /// Structured trace collector (disabled by default; swap one in with
     /// [`std::mem::take`]-style replacement to record `kademlia` lookup
-    /// hop traces, timestamped with the ledger clock).
+    /// hop traces, all timestamped zero — the DHT runs outside the event
+    /// engine).
     pub tracer: Tracer,
     cfg: DhtConfig,
     nodes: Vec<NodeState>,
-    by_key: BTreeMap<Key, HostId>,
-    clock: SimTime,
     /// Lookup scratch (taken with `std::mem::take` for the duration of a
     /// lookup) so the iterative FIND_NODE loop allocates nothing per
     /// round — the alloc pass in `xtask analyze` ratchets this.
@@ -134,10 +137,8 @@ impl DhtNetwork {
             ProximityMode::Pns | ProximityMode::PnsPr => OverflowPolicy::PreferNear,
         };
         let mut nodes = Vec::with_capacity(n);
-        let mut by_key = BTreeMap::new();
         for i in 0..n {
             let key = key_map(i, Key::random(rng));
-            by_key.insert(key, HostId(i as u32));
             nodes.push(NodeState {
                 key,
                 table: RoutingTable::new(key, cfg.k, policy),
@@ -150,8 +151,6 @@ impl DhtNetwork {
             tracer: Tracer::disabled(),
             cfg,
             nodes,
-            by_key,
-            clock: SimTime::ZERO,
             lk_candidates: Vec::new(),
             lk_learned: Vec::new(),
             lk_resp: Vec::new(),
@@ -239,14 +238,14 @@ impl DhtNetwork {
         out.rpcs += 1;
         let cat = self
             .underlay
-            .account_transfer(self.clock, from, to, self.cfg.rpc_bytes);
+            .account_transfer(NOW, from, to, self.cfg.rpc_bytes);
         if cat != TrafficCategory::IntraAs {
             out.inter_as_rpcs += 1;
         }
         out.as_hops_sum += self.underlay.as_hops(from, to).unwrap_or(0) as u64;
         let rtt = if self.node(to).online {
             self.underlay
-                .account_transfer(self.clock, to, from, self.cfg.rpc_bytes);
+                .account_transfer(NOW, to, from, self.cfg.rpc_bytes);
             // The responder learns the caller (standard Kademlia liveness).
             let caller = self.contact_of(from, to);
             self.node_mut(to).table.observe(caller);
@@ -260,7 +259,7 @@ impl DhtNetwork {
                 out.retransmits += 1;
                 out.timeout_wait_us = out.timeout_wait_us.saturating_add(wait);
                 self.tracer
-                    .emit(self.clock, "kademlia", TraceLevel::Debug, "rpc.retry", {
+                    .emit(NOW, "kademlia", TraceLevel::Debug, "rpc.retry", {
                         move |f| {
                             f.u64("from", from.0 as u64)
                                 .u64("to", to.0 as u64)
@@ -271,7 +270,7 @@ impl DhtNetwork {
                 // Retransmitting costs another request on the wire (the
                 // target never answers, so no response bytes).
                 self.underlay
-                    .account_transfer(self.clock, from, to, self.cfg.rpc_bytes);
+                    .account_transfer(NOW, from, to, self.cfg.rpc_bytes);
                 wait = wait.saturating_mul(2);
             }
             // The last retransmit's own timeout elapses before giving up.
@@ -298,7 +297,7 @@ impl DhtNetwork {
         let prev_prov = self.tracer.provenance();
         self.tracer.set_span(Some(span));
         self.tracer
-            .emit(self.clock, "kademlia", TraceLevel::Debug, "span.open", {
+            .emit(NOW, "kademlia", TraceLevel::Debug, "span.open", {
                 let target_pfx = Self::key_prefix(target);
                 move |f| {
                     f.str("span_kind", "lookup")
@@ -307,7 +306,7 @@ impl DhtNetwork {
                 }
             });
         self.tracer
-            .emit(self.clock, "kademlia", TraceLevel::Debug, "lookup.start", {
+            .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.start", {
                 let target_pfx = Self::key_prefix(target);
                 move |f| {
                     f.u64("from", from.0 as u64).u64("target", target_pfx);
@@ -386,7 +385,7 @@ impl DhtNetwork {
             }
             out.latency_us += round_rtt;
             self.tracer
-                .emit(self.clock, "kademlia", TraceLevel::Debug, "lookup.hop", {
+                .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.hop", {
                     let round = out.rounds;
                     let rpcs = out.rpcs;
                     move |f| {
@@ -428,7 +427,7 @@ impl DhtNetwork {
         self.lk_learned = learned;
         self.lk_resp = resp;
         self.tracer
-            .emit(self.clock, "kademlia", TraceLevel::Debug, "lookup.done", {
+            .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.done", {
                 let best = shortlist
                     .first()
                     .map(|c| Self::key_prefix(&c.key))
@@ -447,7 +446,7 @@ impl DhtNetwork {
         // The lookup is synchronous (the ledger clock does not advance), so
         // the close carries the modeled latency explicitly.
         self.tracer
-            .emit(self.clock, "kademlia", TraceLevel::Debug, "span.close", {
+            .emit(NOW, "kademlia", TraceLevel::Debug, "span.close", {
                 let (found, dur) = (!shortlist.is_empty(), out.latency_us);
                 move |f| {
                     f.str("span_kind", "lookup")
@@ -513,39 +512,22 @@ impl DhtNetwork {
         keys.truncate(count);
         keys
     }
-
-    /// The host owning a key (for tests).
-    pub fn host_of_key(&self, key: &Key) -> Option<HostId> {
-        self.by_key.get(key).copied()
-    }
-
-    /// Advances the ledger clock (lookups are timestamped with it).
-    pub fn advance_clock(&mut self, dt: SimTime) {
-        self.clock += dt;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
+    use uap_net::NetParams;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
-        let mut rng = SimRng::new(seed);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
+        NetParams {
             tier1: 2,
             tier2_per_tier1: 2,
             tier3_per_tier2: 3,
-            tier2_peering_prob: 0.3,
-            tier3_peering_prob: 0.3,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(n),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
+            n_hosts: n,
+            seed,
+        }
+        .build()
     }
 
     fn network(n: usize, mode: ProximityMode, seed: u64) -> (DhtNetwork, SimRng) {

@@ -57,4 +57,4 @@ pub use host::{AccessProfile, Host, HostPopulation, PopulationSpec};
 pub use ids::{AsId, HostId};
 pub use routing::{ReferenceRouting, RepairIndex, RepairStats, RouteSummary, Routing, RoutingMode};
 pub use traffic::{TrafficAccounting, TrafficCategory};
-pub use underlay::{Underlay, UnderlayConfig};
+pub use underlay::{NetParams, Underlay, UnderlayConfig};

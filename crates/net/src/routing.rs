@@ -22,13 +22,23 @@
 //! table: one flat [`RouteSummary`] per ordered `(src, dst)` pair plus a
 //! single CSR link-index arena shared by all paths, so [`Routing::route`]
 //! is one indexed load and [`Routing::path_links`] returns a borrowed
-//! `&[u32]` slice without allocating. The table is built in parallel
-//! across source ASes with `std::thread::scope` (each source's Dijkstra
-//! is independent); workers own contiguous source ranges and results are
-//! assembled in source order, so the table is **byte-identical** to the
-//! serial build regardless of thread count or scheduling — see
-//! `docs/PERFORMANCE.md` for the determinism argument and the
-//! `threads` lint boundary that keeps scoped threads quarantined here.
+//! `&[u32]` slice without allocating.
+//!
+//! ## One way to build
+//!
+//! The unit of construction is the source row: one Dijkstra from one
+//! source AS, summarised (`Routing::row`) — its summaries and repair-index
+//! entries written where they live, its paths handed back as one arena
+//! segment. A fault-epoch repair recomputes the rows of the sources a
+//! mask change can affect and splices their segments into the arena in
+//! source order; a full build is the same splice into an empty table
+//! with every source dirty. Rows are computed by the one fork-join in
+//! this file (`Routing::rows`): workers own contiguous ranges of the
+//! sorted source list, write only their own rows, and are joined in
+//! spawn (= source) order, so the table is **byte-identical** for any
+//! thread count or scheduling — see `docs/PERFORMANCE.md` for the
+//! determinism argument and the `threads` lint boundary that keeps
+//! scoped threads quarantined here.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::AsId;
@@ -46,7 +56,8 @@ pub enum RoutingMode {
 
 const INF: u64 = u64::MAX;
 
-/// Per-source Dijkstra result over the 2-phase state graph.
+/// Per-source Dijkstra result over the 2-phase state graph, as
+/// [`ReferenceRouting`] keeps it.
 struct SrcTable {
     /// `(hops, latency_us)` per state; `hops == u32::MAX` means unreachable.
     hops: Vec<u32>,
@@ -84,29 +95,6 @@ const UNREACHABLE: RouteSummary = RouteSummary {
     path_len: 0,
 };
 
-/// One worker's output: the rows for a contiguous range of source ASes,
-/// with `path_off` relative to the chunk-local arena (shifted during
-/// assembly).
-struct Chunk {
-    summaries: Vec<RouteSummary>,
-    arena: Vec<u32>,
-}
-
-/// A [`Chunk`] plus the per-source repair bookkeeping extracted from the
-/// same Dijkstra runs: final per-state costs and the deduplicated set of
-/// links each source's predecessor tree uses.
-struct IndexedChunk {
-    chunk: Chunk,
-    /// `(hi - lo) × 2n` per-state hop counts.
-    hops: Vec<u32>,
-    /// `(hi - lo) × 2n` per-state latencies.
-    latency: Vec<u64>,
-    /// Concatenated sorted/deduped tree-link lists, one segment per source.
-    tree_links: Vec<u32>,
-    /// Per-source offsets into `tree_links` (`hi - lo + 1` entries).
-    tree_off: Vec<usize>,
-}
-
 /// Telemetry from one [`Routing::repair_with_mask`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
@@ -121,15 +109,16 @@ pub struct RepairStats {
 }
 
 /// Per-source bookkeeping that makes fault-epoch routing repairs
-/// incremental: the final per-state Dijkstra costs of every source and a
-/// link → sources inverted index over predecessor trees.
+/// incremental: the final per-state Dijkstra costs of every source and
+/// the set of links each source's predecessor tree uses.
 ///
 /// Built by [`Routing::compute_indexed`] alongside the table and updated
 /// in place by [`Routing::repair_with_mask`] for the sources it
-/// recomputes. Dirty detection is asymmetric:
+/// recomputes; two indexes compare equal when their persistent fields do
+/// (the scratch buffers are not state). Dirty detection is asymmetric:
 ///
 /// * **Link removed** (masked): a source's row can only change if its
-///   shortest-path tree uses the link — exact, via the inverted index.
+///   shortest-path tree uses the link — exact, via the tree-link sets.
 ///   (Non-tree links never carry a final predecessor, and with
 ///   strict-improvement relaxation the tree edge is always the
 ///   earliest-popping final-cost candidate, so deleting a non-tree link
@@ -152,15 +141,15 @@ pub struct RepairStats {
 pub struct RepairIndex {
     n: usize,
     n_links: usize,
-    /// Bitset words per link row (`ceil(n / 64)`).
+    /// Bitset words per source row (`ceil(n_links / 64)`).
     words: usize,
     /// `n × 2n` per-state hop counts, row-major by source.
     hops: Vec<u32>,
     /// `n × 2n` per-state latencies, row-major by source.
     latency: Vec<u64>,
-    /// Link → sources whose predecessor tree uses it (`n_links` bitset
-    /// rows of `words` words each).
-    link_sources: Vec<u64>,
+    /// Source → links its predecessor tree uses (`n` bitset rows of
+    /// `words` words each).
+    tree_links: Vec<u64>,
     /// Scratch: dirty-source bitset for the repair in progress.
     dirty: Vec<u64>,
     /// Scratch: sorted dirty-source list of the most recent repair.
@@ -170,17 +159,19 @@ pub struct RepairIndex {
 }
 
 impl RepairIndex {
-    // lint:allow(alloc) — index construction; runs once per full routing (re)build
+    /// An index with no row installed yet: a full build fills every
+    /// source's before any is read.
+    // lint:allow(alloc) — index construction; runs once per full routing build
     fn new(n: usize, n_links: usize) -> RepairIndex {
-        let words = n.div_ceil(64).max(1);
+        let words = n_links.div_ceil(64).max(1);
         RepairIndex {
             n,
             n_links,
             words,
-            hops: Vec::with_capacity(n * 2 * n),
-            latency: Vec::with_capacity(n * 2 * n),
-            link_sources: vec![0; n_links * words],
-            dirty: vec![0; words],
+            hops: vec![0; n * 2 * n],
+            latency: vec![0; n * 2 * n],
+            tree_links: vec![0; n * words],
+            dirty: vec![0; n.div_ceil(64)],
             dirty_list: Vec::new(),
             arena_scratch: Vec::new(),
         }
@@ -193,6 +184,13 @@ impl RepairIndex {
         &self.dirty_list
     }
 
+    /// Makes every source dirty: what follows is a full build.
+    fn mark_all_dirty(&mut self) {
+        self.dirty_list.clear();
+        // lint:allow(cast) — n is bounded by the u16 AsId width
+        self.dirty_list.extend(0..self.n as u32);
+    }
+
     #[inline]
     fn is_dirty(&self, s: usize) -> bool {
         self.dirty[s / 64] & (1 << (s % 64)) != 0
@@ -203,19 +201,10 @@ impl RepairIndex {
         self.dirty[s / 64] |= 1 << (s % 64);
     }
 
-    /// Installs one source's fresh per-state costs and tree links.
-    fn apply_row(&mut self, s: usize, row: &RepairedRow) {
-        let ns = self.n * 2;
-        self.hops[s * ns..(s + 1) * ns].copy_from_slice(&row.hops);
-        self.latency[s * ns..(s + 1) * ns].copy_from_slice(&row.latency);
-        let w = s / 64;
-        let bit = 1u64 << (s % 64);
-        for li in 0..self.n_links {
-            self.link_sources[li * self.words + w] &= !bit;
-        }
-        for &li in &row.tree_links {
-            self.link_sources[li as usize * self.words + w] |= bit;
-        }
+    /// Whether source `s`'s predecessor tree uses link `li`.
+    #[inline]
+    fn tree_uses(&self, s: usize, li: usize) -> bool {
+        self.tree_links[s * self.words + li / 64] & (1 << (li % 64)) != 0
     }
 
     /// Marks sources for which restoring link `li` could offer a path at
@@ -269,14 +258,33 @@ impl RepairIndex {
     }
 }
 
-/// One recomputed source row: summaries with chunk-local offsets, its
-/// arena segment, and the repair-index payload.
-struct RepairedRow {
-    summaries: Vec<RouteSummary>,
+impl PartialEq for RepairIndex {
+    fn eq(&self, other: &RepairIndex) -> bool {
+        (self.n, self.n_links, self.words) == (other.n, other.n_links, other.words)
+            && self.hops == other.hops
+            && self.latency == other.latency
+            && self.tree_links == other.tree_links
+    }
+}
+
+/// One source's place in the table and the index, lent to the worker
+/// that recomputes it: a row's fixed-size parts are written where they
+/// live.
+struct Slot<'a> {
+    src: usize,
+    summaries: &'a mut [RouteSummary],
+    hops: &'a mut [u32],
+    latency: &'a mut [u64],
+    tree_links: &'a mut [u64],
+}
+
+/// What recomputing a [`Slot`] hands back — the part of a row that is
+/// spliced, not written in place. The slot's summaries hold offsets local
+/// to `arena` until the splice rebases them.
+struct Row {
+    /// Length of the arena segment the row had before.
+    old_len: usize,
     arena: Vec<u32>,
-    hops: Vec<u32>,
-    latency: Vec<u64>,
-    tree_links: Vec<u32>,
 }
 
 /// All-pairs routing with precomputed per-pair summaries and CSR paths.
@@ -290,97 +298,43 @@ pub struct Routing {
     arena: Vec<u32>,
 }
 
+/// Length of the arena segment one source's summaries point into.
+fn arena_len(row: &[RouteSummary]) -> usize {
+    row.iter()
+        .filter(|e| e.hops != u32::MAX)
+        .map(|e| e.path_len as usize)
+        .sum()
+}
+
+/// Worker count for the row fork-join: the machine's parallelism. The
+/// table does not depend on it (see [`Routing::compute_indexed_threads`]).
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 impl Routing {
-    /// Computes routing tables for every source AS, fanning the per-source
-    /// Dijkstra runs out over scoped threads. The result is byte-identical
-    /// to [`Routing::compute_serial`] for any thread count.
+    /// Computes routing tables for every source AS of a fault-free graph.
     pub fn compute(graph: &AsGraph, mode: RoutingMode) -> Routing {
-        Self::compute_with_mask(graph, mode, None)
+        Self::compute_indexed(graph, mode, None).0
     }
 
     /// Computes routing tables excluding links marked dead in `mask`
-    /// (indexed by link index). Used by failure-injection experiments.
-    pub fn compute_with_mask(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> Routing {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::compute_with_mask_threads(graph, mode, mask, threads)
-    }
-
-    /// Like [`Routing::compute_with_mask`] with an explicit worker count
-    /// (the differential tests sweep this to prove scheduling cannot leak
-    /// into the table).
-    // lint:allow(alloc) — table construction; runs once per routing (re)build
-    pub fn compute_with_mask_threads(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        mask: Option<&[bool]>,
-        threads: usize,
-    ) -> Routing {
-        let n = graph.len();
-        let threads = threads.clamp(1, n.max(1));
-        if n == 0 || threads == 1 {
-            return Self::assemble(
-                graph,
-                mode,
-                vec![Self::build_chunk(graph, mode, mask, 0, n)],
-            );
-        }
-        // Contiguous source ranges, one per worker. Workers return their
-        // chunks through join handles collected in spawn order, so the
-        // assembled table depends only on (graph, mode, mask) — never on
-        // which worker finished first.
-        let per = n.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|w| (w * per, ((w + 1) * per).min(n)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        // The routing-build boundary: deterministic fork-join over
-        // disjoint source ranges, joined in source order. lint:allow(threads)
-        let chunks: Vec<Chunk> = std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| s.spawn(move || Self::build_chunk(graph, mode, mask, lo, hi)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("routing worker panicked")) // lint:allow(expect)
-                .collect()
-        });
-        Self::assemble(graph, mode, chunks)
-    }
-
-    /// The serial reference build: same output as [`Routing::compute`],
-    /// no threads. Retained so tests can assert the parallel build is
-    /// byte-identical, and as the readable specification of the table.
-    // lint:allow(alloc) — reference build; tests and debug-only differential checks
-    pub fn compute_serial(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> Routing {
-        let n = graph.len();
-        Self::assemble(
-            graph,
-            mode,
-            vec![Self::build_chunk(graph, mode, mask, 0, n)],
-        )
-    }
-
-    /// Like [`Routing::compute_with_mask`], additionally returning the
-    /// [`RepairIndex`] that makes subsequent fault epochs repairable via
+    /// (indexed by link index), together with the [`RepairIndex`] that
+    /// makes subsequent fault epochs repairable via
     /// [`Routing::repair_with_mask`] instead of full rebuilds.
     pub fn compute_indexed(
         graph: &AsGraph,
         mode: RoutingMode,
         mask: Option<&[bool]>,
     ) -> (Routing, RepairIndex) {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::compute_indexed_threads(graph, mode, mask, threads)
+        Self::compute_indexed_threads(graph, mode, mask, workers())
     }
 
-    /// [`Routing::compute_indexed`] with an explicit worker count. Byte-
-    /// identical output for any thread count, same argument as
-    /// [`Routing::compute_with_mask_threads`].
-    // lint:allow(alloc) — table + index construction; runs once per routing (re)build
+    /// [`Routing::compute_indexed`] with an explicit worker count (the
+    /// differential tests sweep this to prove scheduling cannot leak into
+    /// the table). A full build is a repair of the empty table with every
+    /// source dirty.
+    // lint:allow(alloc) — table + index construction; runs once per full routing build
     pub fn compute_indexed_threads(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -388,47 +342,15 @@ impl Routing {
         threads: usize,
     ) -> (Routing, RepairIndex) {
         let n = graph.len();
-        let threads = threads.clamp(1, n.max(1));
-        let chunks: Vec<IndexedChunk> = if n == 0 || threads == 1 {
-            vec![Self::build_chunk_indexed(graph, mode, mask, 0, n)]
-        } else {
-            let per = n.div_ceil(threads);
-            let ranges: Vec<(usize, usize)> = (0..threads)
-                .map(|w| (w * per, ((w + 1) * per).min(n)))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            // Same deterministic fork-join as the plain build: disjoint
-            // source ranges, joined in source order. lint:allow(threads)
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || Self::build_chunk_indexed(graph, mode, mask, lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("routing worker panicked")) // lint:allow(expect)
-                    .collect()
-            })
+        let mut routing = Routing {
+            mode,
+            n,
+            summaries: vec![UNREACHABLE; n * n],
+            arena: Vec::new(),
         };
         let mut index = RepairIndex::new(n, graph.links.len());
-        let mut src = 0usize;
-        for c in &chunks {
-            let rows = c.tree_off.len() - 1;
-            index.hops.extend_from_slice(&c.hops);
-            index.latency.extend_from_slice(&c.latency);
-            for r in 0..rows {
-                let w = src / 64;
-                let bit = 1u64 << (src % 64);
-                for &li in &c.tree_links[c.tree_off[r]..c.tree_off[r + 1]] {
-                    index.link_sources[li as usize * index.words + w] |= bit;
-                }
-                src += 1;
-            }
-        }
-        debug_assert_eq!(src, n);
-        let routing = Self::assemble(graph, mode, chunks.into_iter().map(|c| c.chunk).collect());
+        index.mark_all_dirty();
+        routing.recompute_dirty(&mut index, graph, mask, threads);
         (routing, index)
     }
 
@@ -436,13 +358,8 @@ impl Routing {
     /// `old_mask` to `new_mask`, recomputing only the sources the change
     /// can affect (see [`RepairIndex`] for the dirty rules) and splicing
     /// their rows back into the CSR arena in source order — byte-identical
-    /// to a full rebuild under `new_mask`, which a debug-build assertion
+    /// to a full build under `new_mask`, which a debug-build assertion
     /// re-derives after every repair.
-    ///
-    /// Falls back to a full [`Routing::compute_indexed_threads`] rebuild
-    /// when more than half the sources are dirty (the incremental path's
-    /// bookkeeping would cost more than it saves).
-    // lint:allow(alloc) — fault-epoch repair; runs once per epoch, scratch reused via RepairIndex
     pub fn repair_with_mask(
         &mut self,
         index: &mut RepairIndex,
@@ -466,8 +383,10 @@ impl Routing {
             changed += 1;
             if now {
                 // Link went down: exactly the sources whose tree uses it.
-                for w in 0..index.words {
-                    index.dirty[w] |= index.link_sources[li * index.words + w];
+                for s in 0..n {
+                    if index.tree_uses(s, li) {
+                        index.set_dirty(s);
+                    }
                 }
             } else {
                 index.mark_link_up_candidates(graph, self.mode, li);
@@ -488,106 +407,21 @@ impl Routing {
                 index.dirty_list.push(s as u32);
             }
         }
-        stats.dirty_sources = index.dirty_list.len();
-        if stats.dirty_sources * 2 > n {
-            // Majority dirty: a full rebuild is cheaper than row splicing.
-            let (routing, fresh) =
-                Self::compute_indexed_threads(graph, self.mode, new_mask, threads);
-            *self = routing;
-            let dirty_list = std::mem::take(&mut index.dirty_list);
-            *index = fresh;
-            index.dirty_list = dirty_list;
-            stats.dirty_sources = n;
+        if index.dirty_list.len() * 2 > n {
+            // Majority dirty: the epoch is a full build. The threshold is
+            // pinned output — `full_rebuild` and `dirty_sources` are
+            // traced per epoch and tabulated by E17.
+            index.mark_all_dirty();
             stats.full_rebuild = true;
-            return stats;
         }
-
-        // Recompute dirty rows, fanned over contiguous ranges of the
-        // sorted dirty list and joined in spawn (= source) order, so the
-        // spliced table is independent of scheduling.
-        let dirty = &index.dirty_list;
-        let workers = threads.clamp(1, dirty.len().max(1));
-        let rows: Vec<RepairedRow> = if workers == 1 {
-            dirty
-                .iter()
-                .map(|&s| Self::repair_row(graph, self.mode, new_mask, s as usize))
-                .collect()
-        } else {
-            let per = dirty.len().div_ceil(workers);
-            let ranges: Vec<&[u32]> = dirty.chunks(per).collect();
-            let mode = self.mode;
-            // Deterministic fork-join over the dirty list. lint:allow(threads)
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&range| {
-                        sc.spawn(move || {
-                            range
-                                .iter()
-                                .map(|&s| Self::repair_row(graph, mode, new_mask, s as usize))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("repair worker panicked")) // lint:allow(expect)
-                    .collect()
-            })
-        };
-
-        // Splice: walk sources in order, copying clean rows' arena
-        // segments and substituting fresh segments for dirty rows, fixing
-        // `path_off` as the cumulative base shifts.
-        let scratch = &mut index.arena_scratch;
-        scratch.clear();
-        let mut old_base = 0usize;
-        let mut next_dirty = 0usize;
-        for s in 0..n {
-            let old_len: usize = self.summaries[s * n..(s + 1) * n]
-                .iter()
-                .filter(|e| e.hops != u32::MAX)
-                .map(|e| e.path_len as usize)
-                .sum();
-            let base = scratch.len();
-            if next_dirty < index.dirty_list.len() && index.dirty_list[next_dirty] as usize == s {
-                let fresh = &rows[next_dirty];
-                next_dirty += 1;
-                for (slot, &sum) in self.summaries[s * n..(s + 1) * n]
-                    .iter_mut()
-                    .zip(&fresh.summaries)
-                {
-                    let mut sum = sum;
-                    if sum.hops != u32::MAX {
-                        sum.path_off += base;
-                    }
-                    *slot = sum;
-                }
-                scratch.extend_from_slice(&fresh.arena);
-            } else {
-                if base != old_base {
-                    for e in self.summaries[s * n..(s + 1) * n].iter_mut() {
-                        if e.hops != u32::MAX {
-                            e.path_off = e.path_off - old_base + base;
-                        }
-                    }
-                }
-                scratch.extend_from_slice(&self.arena[old_base..old_base + old_len]);
-            }
-            old_base += old_len;
-        }
-        std::mem::swap(&mut self.arena, scratch);
-
-        for (i, row) in rows.iter().enumerate() {
-            let s = index.dirty_list[i] as usize;
-            index.apply_row(s, row);
-        }
+        stats.dirty_sources = index.dirty_list.len();
+        self.recompute_dirty(index, graph, new_mask, threads);
 
         #[cfg(debug_assertions)]
         {
-            let full = Self::compute_serial(graph, self.mode, new_mask);
+            let (full, fresh) = Self::compute_indexed_threads(graph, self.mode, new_mask, 1);
             debug_assert!(
-                *self == full,
+                *self == full && *index == fresh,
                 "incremental repair diverged from full recompute \
                  ({changed} changed links, {} dirty sources)",
                 stats.dirty_sources
@@ -596,123 +430,139 @@ impl Routing {
         stats
     }
 
-    /// Recomputes one source's row: summaries with row-local arena
-    /// offsets plus the per-state costs and tree links for the index.
-    // lint:allow(alloc) — fault-epoch repair; one row per dirty source
-    fn repair_row(
+    /// Recomputes the rows of `index.dirty_list` under `mask`: workers
+    /// write each dirty source's summaries and index entries in place,
+    /// then the arena is spliced — walking sources in order, copying clean
+    /// rows' segments and substituting the fresh segment for dirty rows,
+    /// rebasing `path_off` as the cumulative base shifts.
+    // lint:allow(alloc) — one slot per recomputed source; build and fault-epoch repair only
+    fn recompute_dirty(
+        &mut self,
+        index: &mut RepairIndex,
+        graph: &AsGraph,
+        mask: Option<&[bool]>,
+        threads: usize,
+    ) {
+        // Row widths; a chunk width may not be zero, even over no rows.
+        let (n, ns) = (self.n.max(1), self.n.max(1) * 2);
+        let mut dirty = index.dirty_list.iter().peekable();
+        let slots: Vec<Slot> = self
+            .summaries
+            .chunks_exact_mut(n)
+            .zip(index.hops.chunks_exact_mut(ns))
+            .zip(index.latency.chunks_exact_mut(ns))
+            .zip(index.tree_links.chunks_exact_mut(index.words))
+            .enumerate()
+            .filter(|&(s, _)| dirty.next_if(|&&d| d as usize == s).is_some())
+            .map(|(src, (((summaries, hops), latency), tree_links))| Slot {
+                src,
+                summaries,
+                hops,
+                latency,
+                tree_links,
+            })
+            .collect();
+        let rows = Self::rows(graph, self.mode, mask, slots, threads);
+
+        let mut scratch = std::mem::take(&mut index.arena_scratch);
+        scratch.clear();
+        let mut old_base = 0usize;
+        let mut fresh = index.dirty_list.iter().zip(rows).peekable();
+        for (s, row) in self.summaries.chunks_exact_mut(n).enumerate() {
+            let base = scratch.len();
+            // The base the row's offsets are relative to now, and the
+            // length of the segment it had in the old arena.
+            let (from, old_len) = match fresh.next_if(|&(&d, _)| d as usize == s) {
+                Some((_, fresh)) => {
+                    scratch.extend_from_slice(&fresh.arena);
+                    (0, fresh.old_len)
+                }
+                None => {
+                    let old_len = arena_len(row);
+                    scratch.extend_from_slice(&self.arena[old_base..old_base + old_len]);
+                    (old_base, old_len)
+                }
+            };
+            if from != base {
+                for e in row.iter_mut().filter(|e| e.hops != u32::MAX) {
+                    e.path_off = e.path_off - from + base;
+                }
+            }
+            old_base += old_len;
+        }
+        debug_assert!(fresh.next().is_none());
+        std::mem::swap(&mut self.arena, &mut scratch);
+        index.arena_scratch = scratch;
+    }
+
+    /// The one fork-join: [`Routing::row`] mapped over `slots` (ascending
+    /// by source), fanned over contiguous ranges of the list and joined in
+    /// spawn (= source) order, so the result is independent of scheduling
+    /// and of `threads`.
+    // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
+    fn rows(
         graph: &AsGraph,
         mode: RoutingMode,
         mask: Option<&[bool]>,
-        src: usize,
-    ) -> RepairedRow {
-        let n = graph.len();
-        let t = Self::dijkstra(graph, mode, AsId::from_index(src), mask);
-        let mut arena = Vec::new();
-        let mut summaries = Vec::with_capacity(n);
-        for dst in 0..n {
-            summaries.push(Self::summarize(graph, &t, dst, &mut arena));
+        mut slots: Vec<Slot>,
+        threads: usize,
+    ) -> Vec<Row> {
+        let row = |slot: &mut Slot| Self::row(graph, mode, mask, slot);
+        let per = slots.len().div_ceil(threads.max(1)).max(1);
+        if per >= slots.len() {
+            return slots.iter_mut().map(row).collect();
         }
-        let mut tree_links = Vec::new();
-        Self::collect_tree_links(&t, &mut tree_links);
-        RepairedRow {
-            summaries,
-            arena,
-            hops: t.hops,
-            latency: t.latency,
-            tree_links,
-        }
+        // Deterministic fork-join over disjoint source ranges. lint:allow(threads)
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = slots
+                .chunks_mut(per)
+                .map(|range| sc.spawn(move || range.iter_mut().map(row).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("routing worker panicked")) // lint:allow(expect)
+                .collect()
+        })
     }
 
-    /// Appends the sorted, deduplicated set of predecessor-tree link
-    /// indices of `t` to `out` (segment-local dedup: earlier segments in
-    /// `out` are left untouched).
-    fn collect_tree_links(t: &SrcTable, out: &mut Vec<u32>) {
-        let start = out.len();
-        for (_, li) in t.pred.iter().flatten() {
-            out.push(*li);
-        }
-        out[start..].sort_unstable();
-        let mut w = start;
-        for r in start..out.len() {
-            if w == start || out[w - 1] != out[r] {
-                out[w] = out[r];
-                w += 1;
-            }
-        }
-        out.truncate(w);
-    }
-
-    /// Builds rows and repair bookkeeping for sources `lo..hi`.
-    // lint:allow(alloc) — table + index construction; runs once per routing (re)build
-    fn build_chunk_indexed(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        mask: Option<&[bool]>,
-        lo: usize,
-        hi: usize,
-    ) -> IndexedChunk {
-        let n = graph.len();
-        let mut summaries = Vec::with_capacity((hi - lo) * n);
+    /// Recomputes one source's row into its slot.
+    // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
+    fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) -> Row {
+        let old_len = arena_len(slot.summaries);
+        let src = AsId::from_index(slot.src);
+        let pred = Self::dijkstra(graph, mode, src, mask, slot.hops, slot.latency);
         let mut arena = Vec::new();
-        let mut hops = Vec::with_capacity((hi - lo) * 2 * n);
-        let mut latency = Vec::with_capacity((hi - lo) * 2 * n);
-        let mut tree_links = Vec::new();
-        let mut tree_off = Vec::with_capacity(hi - lo + 1);
-        tree_off.push(0);
-        for src in lo..hi {
-            let t = Self::dijkstra(graph, mode, AsId::from_index(src), mask);
-            for dst in 0..n {
-                summaries.push(Self::summarize(graph, &t, dst, &mut arena));
-            }
-            hops.extend_from_slice(&t.hops);
-            latency.extend_from_slice(&t.latency);
-            Self::collect_tree_links(&t, &mut tree_links);
-            tree_off.push(tree_links.len());
+        for (dst, out) in slot.summaries.iter_mut().enumerate() {
+            *out = Self::summarize(graph, slot.hops, slot.latency, &pred, dst, &mut arena);
         }
-        IndexedChunk {
-            chunk: Chunk { summaries, arena },
-            hops,
-            latency,
-            tree_links,
-            tree_off,
+        slot.tree_links.fill(0);
+        for &(_, li) in pred.iter().flatten() {
+            slot.tree_links[li as usize / 64] |= 1 << (li % 64);
         }
-    }
-
-    /// Builds the rows for sources `lo..hi` with chunk-local arena offsets.
-    // lint:allow(alloc) — table construction; runs once per routing (re)build
-    fn build_chunk(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        mask: Option<&[bool]>,
-        lo: usize,
-        hi: usize,
-    ) -> Chunk {
-        let n = graph.len();
-        let mut summaries = Vec::with_capacity((hi - lo) * n);
-        let mut arena = Vec::new();
-        for src in lo..hi {
-            let t = Self::dijkstra(graph, mode, AsId::from_index(src), mask);
-            for dst in 0..n {
-                summaries.push(Self::summarize(graph, &t, dst, &mut arena));
-            }
-        }
-        Chunk { summaries, arena }
+        Row { old_len, arena }
     }
 
     /// Reduces one destination's Dijkstra states to a [`RouteSummary`],
     /// appending its path to `arena`.
-    fn summarize(graph: &AsGraph, t: &SrcTable, dst: usize, arena: &mut Vec<u32>) -> RouteSummary {
+    fn summarize(
+        graph: &AsGraph,
+        hops: &[u32],
+        latency: &[u64],
+        pred: &[Option<(u32, u32)>],
+        dst: usize,
+        arena: &mut Vec<u32>,
+    ) -> RouteSummary {
         let s0 = dst * 2;
         let s1 = s0 + 1;
-        let c0 = (t.hops[s0], t.latency[s0]);
-        let c1 = (t.hops[s1], t.latency[s1]);
+        let c0 = (hops[s0], latency[s0]);
+        let c1 = (hops[s1], latency[s1]);
         if c0.0 == u32::MAX && c1.0 == u32::MAX {
             return UNREACHABLE;
         }
         let mut s = if c0 <= c1 { s0 } else { s1 };
         let (hops, latency_us) = if c0 <= c1 { c0 } else { c1 };
         let path_off = arena.len();
-        while let Some((prev, li)) = t.pred[s] {
+        while let Some((prev, li)) = pred[s] {
             arena.push(li);
             s = prev as usize;
         }
@@ -731,46 +581,28 @@ impl Routing {
         }
     }
 
-    /// Concatenates per-range chunks (in source order) into the flat table,
-    /// shifting chunk-local arena offsets to global ones.
-    // lint:allow(alloc) — table construction; runs once per routing (re)build
-    fn assemble(graph: &AsGraph, mode: RoutingMode, chunks: Vec<Chunk>) -> Routing {
-        let n = graph.len();
-        let mut summaries = Vec::with_capacity(n * n);
-        let mut arena = Vec::with_capacity(chunks.iter().map(|c| c.arena.len()).sum());
-        for chunk in chunks {
-            let base = arena.len();
-            summaries.extend(chunk.summaries.into_iter().map(|mut s| {
-                if s.hops != u32::MAX {
-                    s.path_off += base;
-                }
-                s
-            }));
-            arena.extend(chunk.arena);
-        }
-        debug_assert_eq!(summaries.len(), n * n);
-        Routing {
-            mode,
-            n,
-            summaries,
-            arena,
-        }
-    }
-
     /// The routing mode in effect.
     pub fn mode(&self) -> RoutingMode {
         self.mode
     }
 
+    /// One source's Dijkstra over the 2-phase state graph: fills the
+    /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
+    /// unreachable) and returns the predecessor `(state, link)` per state.
     // lint:allow(alloc) — per-source table construction; build-time only
-    fn dijkstra(graph: &AsGraph, mode: RoutingMode, src: AsId, mask: Option<&[bool]>) -> SrcTable {
+    fn dijkstra(
+        graph: &AsGraph,
+        mode: RoutingMode,
+        src: AsId,
+        mask: Option<&[bool]>,
+        hops: &mut [u32],
+        latency: &mut [u64],
+    ) -> Vec<Option<(u32, u32)>> {
         // State encoding: as_idx * 2 + phase. Phase 0: the valley-free
         // prefix (may still climb); phase 1: committed to descending.
-        let n = graph.len();
-        let ns = n * 2;
-        let mut hops = vec![u32::MAX; ns];
-        let mut latency = vec![INF; ns];
-        let mut pred: Vec<Option<(u32, u32)>> = vec![None; ns];
+        hops.fill(u32::MAX);
+        latency.fill(INF);
+        let mut pred = vec![None; hops.len()];
         let start = src.idx() * 2;
         hops[start] = 0;
         latency[start] = 0;
@@ -821,11 +653,7 @@ impl Routing {
                 }
             }
         }
-        SrcTable {
-            hops,
-            latency,
-            pred,
-        }
+        pred
     }
 
     /// The precomputed summary for `(src, dst)`: hops, latency and transit
@@ -916,7 +744,16 @@ impl ReferenceRouting {
     pub fn compute(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> ReferenceRouting {
         let n = graph.len();
         let tables = (0..n)
-            .map(|src| Routing::dijkstra(graph, mode, AsId::from_index(src), mask))
+            .map(|src| {
+                let (mut hops, mut latency) = (vec![0; 2 * n], vec![0; 2 * n]);
+                let src = AsId::from_index(src);
+                let pred = Routing::dijkstra(graph, mode, src, mask, &mut hops, &mut latency);
+                SrcTable {
+                    hops,
+                    latency,
+                    pred,
+                }
+            })
             .collect();
         ReferenceRouting { n, tables }
     }
@@ -1003,6 +840,19 @@ mod tests {
         g.add_transit(t2c, e, 2_000, 10_000.0);
         g.add_peering(b, c, 1_000, 1_000.0);
         g
+    }
+
+    /// Figure 1 plus the degenerate shapes: no AS, one AS, and three ASes
+    /// with no link between them.
+    fn fixtures() -> Vec<AsGraph> {
+        let isolated = |n: usize| {
+            let mut g = AsGraph::new();
+            for i in 0..n {
+                g.add_as(Tier::Tier3, GeoPoint::new(i as f64, 0.0), 10.0);
+            }
+            g
+        };
+        vec![figure1(), isolated(0), isolated(1), isolated(3)]
     }
 
     #[test]
@@ -1105,11 +955,11 @@ mod tests {
         // the hierarchy.
         let mut mask = vec![false; g.links.len()];
         mask[9] = true;
-        let r = Routing::compute_with_mask(&g, RoutingMode::ValleyFree, Some(&mask));
+        let (r, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(4));
         // Kill the T1a=T1b core peering too: D becomes unreachable from A.
         mask[0] = true;
-        let r2 = Routing::compute_with_mask(&g, RoutingMode::ValleyFree, Some(&mask));
+        let (r2, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert_eq!(r2.as_hops(AsId(5), AsId(8)), None);
     }
 
@@ -1132,13 +982,24 @@ mod tests {
     #[test]
     fn all_links_masked_isolates_everything() {
         let g = figure1();
-        let mask = random_mask(&g, 1.0, 1);
-        assert!(mask.iter().all(|&down| down));
-        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            let r = Routing::compute_with_mask(&g, mode, Some(&mask));
-            assert_eq!(r.reachable_fraction(), 0.0, "{mode:?}");
+        assert!(random_mask(&g, 1.0, 1).iter().all(|&down| down));
+        for g in fixtures() {
+            let mask = vec![true; g.links.len()];
+            // A table over at most one AS has no pair to lose.
+            let isolated = if g.len() <= 1 { 1.0 } else { 0.0 };
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                let built = Routing::compute_indexed(&g, mode, Some(&mask));
+                assert_eq!(built.0.reachable_fraction(), isolated, "{mode:?}");
+                // Masking everything as a repair lands on the same table.
+                for threads in [1, 16] {
+                    let (mut r, mut idx) =
+                        Routing::compute_indexed_threads(&g, mode, None, threads);
+                    r.repair_with_mask(&mut idx, &g, None, Some(&mask), threads);
+                    assert!((r, idx) == built, "{mode:?} threads={threads}");
+                }
+            }
+            assert_eq!(g.component_count(Some(&mask)), g.len());
         }
-        assert_eq!(g.component_count(Some(&mask)), g.len());
     }
 
     #[test]
@@ -1156,8 +1017,8 @@ mod tests {
         .build(&mut uap_sim::SimRng::new(3));
         for salt in 0..5 {
             let mask = random_mask(&g, 0.3, salt);
-            let vf = Routing::compute_with_mask(&g, RoutingMode::ValleyFree, Some(&mask));
-            let sp = Routing::compute_with_mask(&g, RoutingMode::ShortestPath, Some(&mask));
+            let (vf, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+            let (sp, _) = Routing::compute_indexed(&g, RoutingMode::ShortestPath, Some(&mask));
             assert!(vf.reachable_fraction() <= sp.reachable_fraction() + 1e-12);
         }
     }
@@ -1204,44 +1065,22 @@ mod tests {
 
     #[test]
     fn parallel_build_is_byte_identical_to_serial() {
-        let g = figure1();
-        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            let serial = Routing::compute_serial(&g, mode, None);
-            for threads in [1, 2, 3, 7, 16] {
-                let par = Routing::compute_with_mask_threads(&g, mode, None, threads);
-                assert!(
-                    serial == par,
-                    "parallel table ({threads} threads, {mode:?}) diverged from serial"
-                );
-            }
-        }
-        // Masked builds must agree too.
-        let mut mask = vec![false; g.links.len()];
-        mask[0] = true;
-        mask[9] = true;
-        let serial = Routing::compute_serial(&g, RoutingMode::ValleyFree, Some(&mask));
-        for threads in [2, 5] {
-            let par = Routing::compute_with_mask_threads(
-                &g,
-                RoutingMode::ValleyFree,
-                Some(&mask),
-                threads,
-            );
-            assert!(serial == par, "masked parallel table diverged");
-        }
-    }
-
-    #[test]
-    fn indexed_build_matches_plain_build() {
-        let g = figure1();
-        let mut mask = vec![false; g.links.len()];
-        mask[9] = true;
-        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            for m in [None, Some(&mask[..])] {
-                let plain = Routing::compute_serial(&g, mode, m);
-                for threads in [1, 3] {
-                    let (indexed, _) = Routing::compute_indexed_threads(&g, mode, m, threads);
-                    assert!(plain == indexed, "{mode:?} threads={threads}");
+        for g in fixtures() {
+            // Figure 1 loses its core peering and the B~C shortcut.
+            let mask: Vec<bool> = (0..g.links.len()).map(|li| li == 0 || li == 9).collect();
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                for m in [None, Some(&mask[..])] {
+                    let serial = Routing::compute_indexed_threads(&g, mode, m, 1);
+                    for threads in [2, 3, 7, 16] {
+                        let par = Routing::compute_indexed_threads(&g, mode, m, threads);
+                        assert!(
+                            serial == par,
+                            "table or index of {} ASes ({threads} threads, {mode:?}, \
+                             masked: {}) diverged from one thread",
+                            g.len(),
+                            m.is_some()
+                        );
+                    }
                 }
             }
         }
@@ -1266,14 +1105,14 @@ mod tests {
                 for step in &steps {
                     let stats =
                         r.repair_with_mask(&mut idx, &g, prev.as_deref(), Some(step), threads);
-                    let full = Routing::compute_serial(&g, mode, Some(step));
-                    assert!(r == full, "{mode:?} threads={threads} mask={step:?}");
+                    let full = Routing::compute_indexed_threads(&g, mode, Some(step), 1);
+                    assert!(
+                        (&r, &idx) == (&full.0, &full.1),
+                        "{mode:?} threads={threads} mask={step:?}"
+                    );
                     assert_eq!(stats.sources_total, g.len());
-                    if stats.full_rebuild {
-                        assert_eq!(stats.dirty_sources, g.len());
-                    } else {
-                        assert_eq!(stats.dirty_sources, idx.dirty_sources().len());
-                    }
+                    assert_eq!(stats.dirty_sources, idx.dirty_sources().len());
+                    assert_eq!(stats.full_rebuild, stats.dirty_sources == g.len());
                     prev = Some(step.clone());
                 }
             }
@@ -1312,29 +1151,36 @@ mod tests {
         assert!(!stats.full_rebuild);
         assert!(idx.dirty_sources().contains(&6));
         assert!(idx.dirty_sources().contains(&7));
-        let pristine = Routing::compute_serial(&g, RoutingMode::ValleyFree, None);
+        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         assert!(r == pristine);
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(1));
     }
 
     #[test]
     fn repair_with_unchanged_mask_is_a_noop() {
-        let g = figure1();
-        let (mut r, mut idx) =
-            Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
-        let mask = vec![false; g.links.len()];
-        // None vs all-false: no link changed status.
-        let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 1);
-        assert_eq!(
-            stats,
-            RepairStats {
-                changed_links: 0,
-                dirty_sources: 0,
-                sources_total: g.len(),
-                full_rebuild: false,
-            }
-        );
-        assert!(idx.dirty_sources().is_empty());
+        for g in fixtures() {
+            let (mut r, mut idx) =
+                Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 16);
+            let mask = vec![false; g.links.len()];
+            // None vs all-false: no link changed status.
+            let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 16);
+            assert_eq!(
+                stats,
+                RepairStats {
+                    changed_links: 0,
+                    dirty_sources: 0,
+                    sources_total: g.len(),
+                    full_rebuild: false,
+                }
+            );
+            assert!(idx.dirty_sources().is_empty());
+            let connected = if g.links.is_empty() && g.len() > 1 {
+                0.0
+            } else {
+                1.0
+            };
+            assert_eq!(r.reachable_fraction(), connected);
+        }
     }
 
     #[test]
@@ -1350,12 +1196,12 @@ mod tests {
         let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 1);
         assert!(stats.full_rebuild);
         assert_eq!(stats.dirty_sources, g.len());
-        let full = Routing::compute_serial(&g, RoutingMode::ValleyFree, Some(&mask));
+        let (full, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert!(r == full);
         // The rebuilt index keeps working for further epochs.
         let stats = r.repair_with_mask(&mut idx, &g, Some(&mask), None, 1);
         assert!(!stats.full_rebuild || stats.dirty_sources == g.len());
-        let pristine = Routing::compute_serial(&g, RoutingMode::ValleyFree, None);
+        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         assert!(r == pristine);
     }
 

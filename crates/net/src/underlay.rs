@@ -6,10 +6,11 @@
 //! "substrate on which the overlay resides".
 
 use crate::asgraph::AsGraph;
+use crate::gen::{TopologyKind, TopologySpec};
 use crate::geo::propagation_delay_us;
 use crate::host::{Host, HostPopulation, PopulationSpec};
 use crate::ids::{AsId, HostId};
-use crate::routing::{RepairIndex, RepairStats, Routing, RoutingMode};
+use crate::routing::{workers, RepairIndex, RepairStats, Routing, RoutingMode};
 use crate::traffic::{TrafficAccounting, TrafficCategory};
 use std::cell::Cell;
 use uap_sim::{Metrics, SimRng, SimTime, TraceLevel, Tracer};
@@ -123,8 +124,8 @@ impl RouteCache {
         }
     }
 
-    /// Invalidates every source row (full routing swap or a change to the
-    /// latency factor folded into the entries).
+    /// Invalidates every source row (a change to the latency factor
+    /// folded into the entries).
     fn invalidate_all_rows(&mut self) {
         for g in &mut self.row_gen {
             *g = g.wrapping_add(1);
@@ -281,21 +282,18 @@ impl Underlay {
     pub fn apply_fault_state(&mut self, state: &crate::fault::FaultState) -> RepairStats {
         let factor_changed = (state.latency_factor - self.latency_factor).abs() > f64::EPSILON;
         self.latency_factor = state.latency_factor;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         let stats = self.routing.repair_with_mask(
             &mut self.repair_index,
             &self.graph,
             Some(&self.active_mask),
             state.mask.as_deref(),
-            threads,
+            workers(),
         );
         match state.mask.as_deref() {
             Some(m) => self.active_mask.copy_from_slice(m),
             None => self.active_mask.fill(false),
         }
-        if stats.full_rebuild || factor_changed {
+        if factor_changed {
             self.route_cache.invalidate_all_rows();
         } else {
             for &s in self.repair_index.dirty_sources() {
@@ -472,19 +470,6 @@ impl Underlay {
             "net.routing.repair_full_fallbacks",
             self.repair_full_fallbacks,
         );
-    }
-
-    /// Emits one `net`/`route_cache` trace event (Debug level) with the
-    /// current hit/miss counters. Opt-in, like
-    /// [`Underlay::export_route_cache_metrics`].
-    pub fn trace_route_cache(&self, now: SimTime, tracer: &mut Tracer) {
-        if !tracer.is_enabled("net", TraceLevel::Debug) {
-            return;
-        }
-        let (hits, misses) = self.route_cache_stats();
-        tracer.emit(now, "net", TraceLevel::Debug, "route_cache", |f| {
-            f.u64("hits", hits).u64("misses", misses);
-        });
     }
 
     /// Directional latency including the asymmetry factor: the `a -> b`
@@ -687,10 +672,71 @@ impl Underlay {
     }
 }
 
+/// The standard underlay shape shared by the overlay experiments, tests
+/// and examples: a hierarchical local/transit-ISP Internet (Figure 1's
+/// structure) with 0.3 peering probability on both lower tiers, hosts on
+/// the leaf ASes and the default [`UnderlayConfig`].
+#[derive(Clone, Copy, Debug)]
+pub struct NetParams {
+    /// Tier-1 (global transit) count.
+    pub tier1: usize,
+    /// Tier-2 per Tier-1.
+    pub tier2_per_tier1: usize,
+    /// Tier-3 per Tier-2.
+    pub tier3_per_tier2: usize,
+    /// End hosts attached to Tier-3 ISPs.
+    pub n_hosts: usize,
+    /// Topology/population seed.
+    pub seed: u64,
+}
+
+impl NetParams {
+    /// A small network for tests and benches (~150 hosts, 20 leaf ASes).
+    pub fn quick(n_hosts: usize, seed: u64) -> NetParams {
+        NetParams {
+            tier1: 2,
+            tier2_per_tier1: 2,
+            tier3_per_tier2: 4,
+            n_hosts,
+            seed,
+        }
+    }
+
+    /// The paper-scale network (~1 000 hosts over ~40 leaf ASes).
+    pub fn full(seed: u64) -> NetParams {
+        NetParams {
+            tier1: 3,
+            tier2_per_tier1: 3,
+            tier3_per_tier2: 4,
+            n_hosts: 1_000,
+            seed,
+        }
+    }
+
+    /// Builds the underlay: topology and population drawn from one
+    /// [`SimRng`] seeded with `seed`, in that order.
+    pub fn build(&self) -> Underlay {
+        let mut rng = SimRng::new(self.seed);
+        let graph = TopologySpec::new(TopologyKind::Hierarchical {
+            tier1: self.tier1,
+            tier2_per_tier1: self.tier2_per_tier1,
+            tier3_per_tier2: self.tier3_per_tier2,
+            tier2_peering_prob: 0.3,
+            tier3_peering_prob: 0.3,
+        })
+        .build(&mut rng);
+        Underlay::build(
+            graph,
+            &PopulationSpec::leaf(self.n_hosts),
+            UnderlayConfig::default(),
+            &mut rng,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{TopologyKind, TopologySpec};
 
     fn underlay(asym: f64) -> Underlay {
         let mut rng = SimRng::new(42);
@@ -711,6 +757,15 @@ mod tests {
             },
             &mut rng,
         )
+    }
+
+    #[test]
+    fn quick_and_full_build() {
+        let q = NetParams::quick(100, 1).build();
+        assert_eq!(q.n_hosts(), 100);
+        assert_eq!(q.n_ases(), 2 + 4 + 16);
+        let f = NetParams::full(1);
+        assert_eq!(f.n_hosts, 1_000);
     }
 
     #[test]
@@ -846,7 +901,7 @@ mod tests {
     fn coherence_assertion_catches_direct_routing_swap() {
         let mut u = underlay(1.0);
         let all_down = vec![true; u.graph.links.len()];
-        u.routing = Routing::compute_with_mask(&u.graph, u.config.routing, Some(&all_down));
+        u.routing = Routing::compute_indexed(&u.graph, u.config.routing, Some(&all_down)).0;
         u.assert_route_cache_coherent();
     }
 
@@ -924,7 +979,7 @@ mod tests {
         assert_eq!(heal.changed_links, 1);
         assert!(!heal.full_rebuild);
         assert!(heal.dirty_sources >= 2 && heal.dirty_sources * 2 <= n);
-        let pristine = Routing::compute_serial(&u.graph, u.config.routing, None);
+        let pristine = Routing::compute(&u.graph, u.config.routing);
         assert!(u.routing == pristine);
         assert_eq!(u.route_cache_invalidations(), 2);
     }

@@ -176,23 +176,23 @@ proptest! {
         }
     }
 
-    /// The parallel table build is byte-identical to the serial reference
-    /// build on random hierarchies, for every thread count and both
-    /// routing modes — scheduling cannot leak into the table.
+    /// The build on several threads is byte-identical — table and repair
+    /// index — to the build on one, on random hierarchies, for every
+    /// thread count and both routing modes: scheduling cannot leak in.
     #[test]
     fn parallel_build_is_byte_identical_to_serial(seed in any::<u64>(), t1 in 1usize..3, t2 in 1usize..4, t3 in 1usize..4) {
         let g = random_hierarchy(seed, t1, t2, t3);
         for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            let serial = Routing::compute_serial(&g, mode, None);
-            for threads in [1usize, 2, 3, 8] {
-                let par = Routing::compute_with_mask_threads(&g, mode, None, threads);
-                prop_assert!(serial == par, "{mode:?} with {threads} threads diverged from serial");
+            let serial = Routing::compute_indexed_threads(&g, mode, None, 1);
+            for threads in [2usize, 3, 8] {
+                let par = Routing::compute_indexed_threads(&g, mode, None, threads);
+                prop_assert!(serial == par, "{mode:?} with {threads} threads diverged from one");
             }
         }
     }
 
-    /// The parallel build stays byte-identical to serial under failure
-    /// masks (the compute path failure experiments exercise).
+    /// The same under failure masks (the build a majority-dirty fault
+    /// epoch amounts to).
     #[test]
     fn masked_parallel_build_matches_serial(seed in any::<u64>(), kill in any::<u64>()) {
         let g = random_hierarchy(seed, 2, 2, 2);
@@ -201,9 +201,9 @@ proptest! {
             let k = (kill as usize) % mask.len();
             mask[k] = true;
         }
-        let serial = Routing::compute_serial(&g, RoutingMode::ValleyFree, Some(&mask));
+        let serial = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, Some(&mask), 1);
         for threads in [2usize, 5] {
-            let par = Routing::compute_with_mask_threads(&g, RoutingMode::ValleyFree, Some(&mask), threads);
+            let par = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, Some(&mask), threads);
             prop_assert!(serial == par, "masked build with {threads} threads diverged");
         }
     }
@@ -266,8 +266,10 @@ proptest! {
 
     /// Incremental repair across a random chain of fault masks — links
     /// dropping, coming back, several at once, full heal at the end —
-    /// stays byte-identical to a from-scratch masked rebuild and agrees
-    /// with the pre-CSR reference implementation at every step.
+    /// stays byte-identical to a from-scratch masked build, table and
+    /// repair index (an index that drifted would only show epochs later,
+    /// as a dirty source missed), and agrees with the pre-CSR reference
+    /// implementation at every step.
     #[test]
     fn repair_chain_matches_full_rebuild_and_reference(
         seed in any::<u64>(),
@@ -290,8 +292,9 @@ proptest! {
             };
             let stats = r.repair_with_mask(&mut idx, &g, prev.as_deref(), Some(&mask), threads);
             prop_assert_eq!(stats.sources_total, g.len());
-            let full = Routing::compute_with_mask_threads(&g, mode, Some(&mask), threads);
+            let (full, fresh) = Routing::compute_indexed_threads(&g, mode, Some(&mask), threads);
             prop_assert!(r == full, "repair diverged at step {} ({:?})", step, stats);
+            prop_assert!(idx == fresh, "repair index diverged at step {} ({:?})", step, stats);
             let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
             for a in 0..g.len() {
                 for b in 0..g.len() {
@@ -315,7 +318,7 @@ proptest! {
         let g = random_hierarchy(seed, 2, 2, 3);
         let (mut r, mut idx) =
             Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 2);
-        let pristine = Routing::compute_with_mask_threads(&g, RoutingMode::ValleyFree, None, 2);
+        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         let mut mask = vec![false; g.links.len()];
         mask[(kill % g.links.len() as u64) as usize] = true;
         r.repair_with_mask(&mut idx, &g, None, Some(&mask), 2);
@@ -356,12 +359,8 @@ proptest! {
         for &t in compiled.boundaries() {
             let state = compiled.state_at(t);
             u.apply_fault_state(&state);
-            let full = Routing::compute_with_mask_threads(
-                &u.graph,
-                u.config.routing,
-                state.mask.as_deref(),
-                2,
-            );
+            let (full, _) =
+                Routing::compute_indexed(&u.graph, u.config.routing, state.mask.as_deref());
             prop_assert!(*u.routing() == full, "boundary at {:?} diverged", t);
         }
         // The last boundary is past every epoch end: fully healed.

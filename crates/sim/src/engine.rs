@@ -300,16 +300,6 @@ impl<E> Simulator<E> {
         &self.metrics
     }
 
-    /// Mutable metrics registry (for setup-time accounting and quantiles).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    /// Consumes the simulator, returning its metrics.
-    pub fn into_metrics(self) -> Metrics {
-        self.metrics
-    }
-
     /// Runs until the queue is empty or the world stops the run.
     pub fn run<W: World<E>>(&mut self, world: &mut W) -> RunStats {
         self.run_until(world, SimTime::MAX)

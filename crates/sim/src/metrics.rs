@@ -244,11 +244,6 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Mutable access (needed for quantiles, which sort lazily).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
     /// All histograms, sorted by name, with mutable access so summaries
     /// can take quantiles (which sort lazily).
     pub fn histograms_mut(&mut self) -> impl Iterator<Item = (&str, &mut Histogram)> {

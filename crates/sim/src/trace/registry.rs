@@ -102,12 +102,6 @@ pub const TRACE_KINDS: &[TraceKindSpec] = &[
     },
     TraceKindSpec {
         component: "net",
-        kind: "route_cache",
-        level: "debug",
-        doc: "AS-pair route cache hit/miss counters",
-    },
-    TraceKindSpec {
-        component: "net",
         kind: "transfer",
         level: "debug",
         doc: "one accounted transfer (src, dst, bytes, category)",
@@ -303,18 +297,6 @@ pub const TRACE_KINDS: &[TraceKindSpec] = &[
         kind: "span.close",
         level: "debug",
         doc: "causal span closed (span_kind, done flag)",
-    },
-    TraceKindSpec {
-        component: "info",
-        kind: "ics.build",
-        level: "debug",
-        doc: "ICS coordinate build (landmarks, hosts, error)",
-    },
-    TraceKindSpec {
-        component: "info",
-        kind: "ping.probe",
-        level: "debug",
-        doc: "active ping measurement issued (from, to, rtt)",
     },
     TraceKindSpec {
         component: "info",

@@ -979,7 +979,7 @@ mod tests {
         // roots must not report the real manifest.
         let absent = [ParallelRegion {
             file: "crates/net/src/routing.rs",
-            function: "Routing::repair_with_mask",
+            function: "Routing::rows",
             discipline: "test",
             audited_hazards: &[],
         }];

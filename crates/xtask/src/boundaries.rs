@@ -45,9 +45,9 @@ pub struct ParallelRegion {
 
 /// Every audited parallel region in the workspace. Keep sorted by file
 /// then function; `docs/PERFORMANCE.md` carries the determinism
-/// argument for the routing regions and `crates/core/src/experiments/
+/// argument for the routing region and `crates/core/src/experiments/
 /// sweep.rs` documents the sweep runner's.
-pub const PARALLEL_REGIONS: [ParallelRegion; 4] = [
+pub const PARALLEL_REGIONS: [ParallelRegion; 2] = [
     ParallelRegion {
         file: "crates/core/src/experiments/sweep.rs",
         function: "parallel_map",
@@ -58,26 +58,11 @@ pub const PARALLEL_REGIONS: [ParallelRegion; 4] = [
     },
     ParallelRegion {
         file: "crates/net/src/routing.rs",
-        function: "Routing::compute_indexed_threads",
-        discipline: "source-ordered join: workers build disjoint contiguous source-range \
-                     chunks, joined in spawn (= source) order; byte-identical to the serial \
-                     build for any thread count",
-        audited_hazards: &[],
-    },
-    ParallelRegion {
-        file: "crates/net/src/routing.rs",
-        function: "Routing::compute_with_mask_threads",
-        discipline: "source-ordered join: workers build disjoint contiguous source-range \
-                     chunks, joined in spawn (= source) order; byte-identical to the serial \
-                     build for any thread count",
-        audited_hazards: &[],
-    },
-    ParallelRegion {
-        file: "crates/net/src/routing.rs",
-        function: "Routing::repair_with_mask",
-        discipline: "source-ordered join over the sorted dirty list: workers recompute \
-                     disjoint dirty-row ranges, joined in spawn order and spliced back in \
-                     source order; byte-identical to a full rebuild",
+        function: "Routing::rows",
+        discipline: "source-ordered join over a sorted source list (every source for a full \
+                     build, the dirty ones for a repair): workers compute disjoint contiguous \
+                     ranges of rows, joined in spawn (= source) order and spliced in source \
+                     order; byte-identical for any thread count",
         audited_hazards: &[],
     },
 ];

@@ -7,27 +7,20 @@
 
 use underlay_p2p::core::graphstats::OverlayStats;
 use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
-use underlay_p2p::net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use underlay_p2p::sim::{SimRng, SimTime};
+use underlay_p2p::net::{NetParams, Underlay};
+use underlay_p2p::sim::SimTime;
 
 fn build_underlay(seed: u64) -> Underlay {
-    let mut rng = SimRng::new(seed);
-    // A small Internet: 2 global carriers, 4 regionals, 16 local ISPs.
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    // A small Internet: 2 global carriers, 4 regionals, 16 local ISPs,
+    // and 300 residential peers attached to the local ISPs.
+    NetParams {
         tier1: 2,
         tier2_per_tier1: 2,
         tier3_per_tier2: 4,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    // 300 residential peers attached to the local ISPs.
-    Underlay::build(
-        graph,
-        &PopulationSpec::leaf(300),
-        UnderlayConfig::default(),
-        &mut rng,
-    )
+        n_hosts: 300,
+        seed,
+    }
+    .build()
 }
 
 fn main() {

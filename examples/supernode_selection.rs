@@ -9,25 +9,18 @@
 use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection, RoleAssignment};
 use underlay_p2p::info::provider::ResourceDirectory;
 use underlay_p2p::info::SkyEyeTree;
-use underlay_p2p::net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use underlay_p2p::sim::{SimRng, SimTime};
+use underlay_p2p::net::{NetParams, Underlay};
+use underlay_p2p::sim::SimTime;
 
 fn build_underlay(seed: u64) -> Underlay {
-    let mut rng = SimRng::new(seed);
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    NetParams {
         tier1: 2,
         tier2_per_tier1: 2,
         tier3_per_tier2: 3,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    Underlay::build(
-        graph,
-        &PopulationSpec::leaf(240),
-        UnderlayConfig::default(),
-        &mut rng,
-    )
+        n_hosts: 240,
+        seed,
+    }
+    .build()
 }
 
 fn main() {

@@ -9,9 +9,7 @@ use underlay_p2p::core::experiments::{
 };
 use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
-use underlay_p2p::net::{
-    HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
-};
+use underlay_p2p::net::{HostId, NetParams, Underlay};
 use underlay_p2p::sim::{SimRng, SimTime};
 
 #[test]
@@ -58,21 +56,14 @@ fn e09_kademlia_is_deterministic() {
 }
 
 fn build_underlay(seed: u64, n: usize) -> Underlay {
-    let mut rng = SimRng::new(seed);
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    NetParams {
         tier1: 2,
         tier2_per_tier1: 2,
         tier3_per_tier2: 3,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    Underlay::build(
-        graph,
-        &PopulationSpec::leaf(n),
-        UnderlayConfig::default(),
-        &mut rng,
-    )
+        n_hosts: n,
+        seed,
+    }
+    .build()
 }
 
 /// Renders a float so the comparison is bit-exact, not display-rounded.

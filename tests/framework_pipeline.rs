@@ -5,27 +5,18 @@ use underlay_p2p::coords::VivaldiConfig;
 use underlay_p2p::core::{AwarenessProfile, CollectionTechnique, InfoType, UsageStrategy};
 use underlay_p2p::info::provider::{IspLocator, ProximityEstimator};
 use underlay_p2p::info::{Ip2IspService, Oracle, VivaldiService};
-use underlay_p2p::net::{
-    HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
-};
+use underlay_p2p::net::{HostId, NetParams, Underlay};
 use underlay_p2p::sim::SimRng;
 
 fn build_underlay(seed: u64, n: usize) -> Underlay {
-    let mut rng = SimRng::new(seed);
-    let graph = TopologySpec::new(TopologyKind::Hierarchical {
+    NetParams {
         tier1: 2,
         tier2_per_tier1: 2,
         tier3_per_tier2: 3,
-        tier2_peering_prob: 0.3,
-        tier3_peering_prob: 0.3,
-    })
-    .build(&mut rng);
-    Underlay::build(
-        graph,
-        &PopulationSpec::leaf(n),
-        UnderlayConfig::default(),
-        &mut rng,
-    )
+        n_hosts: n,
+        seed,
+    }
+    .build()
 }
 
 #[test]
