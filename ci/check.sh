@@ -12,9 +12,10 @@
 #                                 ratchets against ci/analyze_*_baseline.txt,
 #                                 parallel regions, trace registry). Prints
 #                                 one summary line per pass, so a failure
-#                                 names its pass, and a `PERF analyze` line;
-#                                 120s wall budget (WallTimer-enforced in
-#                                 xtask). docs/STATIC_ANALYSIS.md
+#                                 names its pass, and the analyzer's own
+#                                 timing line; 120s wall budget
+#                                 (WallTimer-enforced in xtask).
+#                                 docs/STATIC_ANALYSIS.md
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests
 #   6. cargo test --workspace   — every crate's unit + integration tests
@@ -32,25 +33,19 @@
 #   7d. EXPERIMENTS.md is current — `exp doc` regenerates its tables from
 #                                 results/; the committed file must not
 #                                 change
-#   8. ci/perf_smoke.sh         — routing hot-path qps within 5x of the
-#                                 committed floors, plus the exp16 event
-#                                 rate covering the burned-down gnutella/
-#                                 kademlia/bittorrent paths, the exp17
-#                                 repair rate and the exp18 allocator rate
-#                                 (docs/PERFORMANCE.md)
-#   9. benchmark/ build + smoke   — the standalone benchmark package
+#   8. benchmark/ build + smoke   — the standalone benchmark package
 #                                 (outside the workspace) builds offline
 #                                 against the crates' public API and
 #                                 every workload passes its checks at
 #                                 one-tenth scale, so an API deletion
 #                                 cannot silently break BENCHMARK.json
-#  10. benchmark/ self-tests    — the package's own tests (harness, stats,
+#   9. benchmark/ self-tests    — the package's own tests (harness, stats,
 #                                 compare verdicts, each workload at tiny
 #                                 scale in a debug build), same shared
 #                                 target/ directory
-#  11. benchmark/ is untouched  — `git status --porcelain -- benchmark
-#                                 BENCHMARK.json` must be empty after 9
-#                                 and 10: a dependency edit that makes
+#  10. benchmark/ is untouched  — `git status --porcelain -- benchmark
+#                                 BENCHMARK.json` must be empty after 8
+#                                 and 9: a dependency edit that makes
 #                                 cargo rewrite benchmark/Cargo.lock (or
 #                                 a stray edit there) fails here, not at
 #                                 the benchmark driver
@@ -102,9 +97,6 @@ done
 step "EXPERIMENTS.md tables are generated (exp doc)"
 exp doc
 git diff --exit-code -- EXPERIMENTS.md
-
-step "routing perf smoke (ci/perf_smoke.sh)"
-./ci/perf_smoke.sh
 
 step "benchmark package build + smoke (benchmark/smoke.sh)"
 ./benchmark/smoke.sh | tail -n 3

@@ -17,11 +17,8 @@
 use std::io;
 use std::path::Path;
 use std::process::ExitCode;
-use uap_bench::{emit, write_csv, Cli, Run};
+use uap_bench::{emit, usage, write_csv, Cli, Run};
 use uap_core::experiments::{doc, table, Experiment, Scale, TABLE};
-
-const USAGE: &str = "usage: exp <id>|all|list [--traced|--csvs]|doc \
-                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]";
 
 /// Runs one row and writes everything it publishes.
 fn run(e: &Experiment, cli: &Cli) -> io::Result<()> {
@@ -44,8 +41,7 @@ fn run(e: &Experiment, cli: &Cli) -> io::Result<()> {
     if let Err(why) = &out.claim {
         eprintln!("warning: {}'s claim does not hold here: {why}", e.id);
     }
-    let perf = e.perf.map_or_else(Vec::new, |perf| perf(scale, cli.seed));
-    for line in out.notes.iter().chain(&perf) {
+    for line in &out.notes {
         println!("{line}");
     }
     for (k, v) in out.config {
@@ -84,39 +80,31 @@ fn rewrite_doc(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n{USAGE}");
-    ExitCode::from(2)
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        return usage_error("no experiment given");
+        usage("no experiment given");
     };
     let done = match cmd.as_str() {
-        "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        "--help" | "-h" => usage(""),
         "list" => {
             let filter = args.next();
             return match list(filter.as_deref()) {
                 Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => usage_error(&msg),
+                Err(msg) => usage(&msg),
             };
         }
         "doc" => {
             let args: Vec<String> = args.collect();
             if args.iter().any(|a| a.starts_with("--") && a != "--out") {
-                return usage_error("doc takes only --out <dir>");
+                usage("doc takes only --out <dir>");
             }
             rewrite_doc(&Cli::parse_from(args).out)
         }
         "all" => {
             let cli = Cli::parse_from(args);
             if cli.trace.is_some() {
-                return usage_error("--trace needs a single experiment, not `all`");
+                usage("--trace needs a single experiment, not `all`");
             }
             TABLE.iter().try_for_each(|e| run(e, &cli))
         }

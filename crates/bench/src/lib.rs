@@ -24,15 +24,10 @@
 //! (every table cell, keyed `<csv stem>/<row>:<first cell>/<column>`),
 //! counters, histogram quantiles and time series. Two same-seed runs
 //! produce byte-identical reports except for the `wall_secs` line, which
-//! `cargo run -p xtask -- trace diff` skips.
-//!
-//! Wall-clock throughput leaves a run only as `PERF …` stdout lines (one
-//! `PERF <name> events=… wall_secs=… events_per_sec=…` per run, plus the
-//! row's own, see [`uap_core::experiments::Experiment::perf`]); they are the
-//! perf trajectory `ci/perf_smoke.sh` gates and are intentionally *not*
-//! deterministic. `bench_routing`, a pure microbench with no simulation
-//! run, additionally writes `BENCH_routing.json` — see
-//! `docs/PERFORMANCE.md` for that document's layout.
+//! `cargo run -p xtask -- trace diff` skips, and byte-identical stdout:
+//! no host-time figure is printed. Performance is measured by the
+//! standalone `benchmark/` package and nowhere in this crate
+//! (`docs/PERFORMANCE.md`).
 
 #![forbid(unsafe_code)]
 
@@ -92,12 +87,20 @@ impl Cli {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
+/// The one usage line, for `--help` anywhere on the command line and
+/// for every usage error.
+const USAGE: &str = "usage: exp <id>|all|list [--traced|--csvs]|doc \
+                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]";
+
+/// Prints the usage line and exits: status 0 on stdout for an empty `msg`
+/// (`--help`), else status 2 with `msg` on stderr.
+pub fn usage(msg: &str) -> ! {
+    if msg.is_empty() {
+        println!("{USAGE}");
+        std::process::exit(0);
     }
-    eprintln!("usage: <experiment> [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]");
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// Names the file an IO error is about.
@@ -179,11 +182,10 @@ impl Run {
     }
 
     /// Writes the telemetry files and prints their paths. `events` is the
-    /// run's total event (or round) count for the throughput sample.
+    /// run's total event (or round) count.
     pub fn finish(mut self, events: u64) -> io::Result<()> {
-        let wall = self.wall.elapsed_secs();
         self.report.events = events;
-        self.report.wall_secs = Some(wall);
+        self.report.wall_secs = Some(self.wall.elapsed_secs());
         // A JSON reader keeps one of two equal keys and drops the other
         // silently; refuse to write such a report.
         for keys in [&self.report.config, &self.report.values] {
@@ -202,17 +204,6 @@ impl Run {
             .write_json(&report_path)
             .map_err(|e| at(&report_path, e))?;
         println!("{}", artifact_line("report", &report_path));
-        // One grep-able throughput line per run, mirroring bench_routing's
-        // `PERF size=…` lines — ci/perf_smoke.sh parses exp16's.
-        let eps = if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        };
-        println!(
-            "PERF {} events={events} wall_secs={wall:.3} events_per_sec={eps:.0}",
-            self.name
-        );
         if let Some(tp) = &self.trace_path {
             self.tracer.flush().map_err(|e| at(tp, e))?;
             println!("{}", artifact_line("trace", tp));

@@ -128,3 +128,53 @@ fn unknown_id_exits_2_and_prints_the_table() {
     assert_eq!(exp(&["list", "--bogus"]).status.code(), Some(2));
     assert_eq!(exp(&["doc", "--quick"]).status.code(), Some(2));
 }
+
+#[test]
+fn help_prints_the_one_usage_wherever_it_is_asked() {
+    let top = exp(&["--help"]);
+    let row = exp(&["exp17", "--help"]);
+    assert_eq!(top.status.code(), Some(0));
+    assert_eq!(row.status.code(), Some(0));
+    assert_eq!(top.stdout, row.stdout);
+    let usage = String::from_utf8(top.stdout).unwrap();
+    assert!(usage.starts_with("usage: exp <id>|all|list"), "{usage}");
+    // A flag error ends in the same text.
+    let bad = exp(&["exp02", "--seed", "x"]);
+    assert_eq!(bad.status.code(), Some(2));
+    let stderr = String::from_utf8(bad.stderr).unwrap();
+    assert!(stderr.ends_with(&usage), "{stderr}");
+}
+
+/// No host-time figure is printed, so a run's stdout is a function of
+/// its arguments; the report's `wall_secs` line is the only wall-clock
+/// reading a run leaves anywhere.
+#[test]
+fn same_seed_runs_print_the_same_bytes() {
+    let out = scratch("stdout");
+    for (id, name) in [
+        ("exp17", "exp17_fault_scale"),
+        ("exp18", "exp18_congestion"),
+    ] {
+        let run = || {
+            let done = exp(&[
+                id,
+                "--quick",
+                "--seed",
+                "42",
+                "--out",
+                out.to_str().unwrap(),
+            ]);
+            assert!(done.status.success(), "{id}");
+            let report = std::fs::read_to_string(out.join(format!("{name}.report.json")));
+            (String::from_utf8(done.stdout).unwrap(), report.unwrap())
+        };
+        let ((stdout_a, report_a), (stdout_b, report_b)) = (run(), run());
+        assert_eq!(stdout_a, stdout_b, "{id}: stdout");
+        assert!(!stdout_a.lines().any(|l| l.starts_with("PERF")), "{id}");
+        assert_eq!(report_a.lines().count(), report_b.lines().count());
+        for (a, b) in report_a.lines().zip(report_b.lines()) {
+            assert!(a == b || a.trim_start().starts_with("\"wall_secs\""), "{a}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(out);
+}

@@ -6,16 +6,15 @@
 //! inflation windows) through [`uap_net::Underlay::apply_fault_state`].
 //!
 //! The summary table and the `routing.repair` trace events are
-//! deterministic (`ci/trace_gate.sh` double-runs them). [`perf`] drives
-//! the same boundaries again, timing each incremental repair against the
-//! from-scratch `Routing::compute_indexed` build the pre-repair code
-//! paid at every epoch; those wall-clock totals leave only as the
-//! `PERF fault_scale size=…` lines `ci/perf_smoke.sh` parses.
+//! deterministic (`ci/trace_gate.sh` double-runs them): the work measure
+//! is sources recomputed against the sources a from-scratch build
+//! recomputes at every epoch. What a repair costs in host time is the
+//! benchmark's `net.routing.repair_ns_per_epoch` row (`underlay_scale`).
 
 use super::table::{ensure, Scale};
 use crate::report::Table;
-use uap_net::{AsId, FaultState, LinkKind, NetParams, Routing, Tier, Underlay};
-use uap_sim::{SimTime, TraceLevel, Tracer, WallTimer};
+use uap_net::{AsId, FaultState, LinkKind, NetParams, Tier, Underlay};
+use uap_sim::{SimTime, TraceLevel, Tracer};
 
 /// One topology size of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -108,15 +107,6 @@ pub struct SizeResult {
     pub full_fallbacks: u64,
 }
 
-/// Wall-clock seconds one size's boundaries cost.
-#[derive(Default)]
-struct Timing {
-    /// As the incremental repairs.
-    repair_secs: f64,
-    /// As from-scratch rebuilds.
-    full_secs: f64,
-}
-
 /// Sweep output.
 #[derive(Clone, Debug)]
 pub struct Outcome {
@@ -154,16 +144,8 @@ fn localized_links(u: &Underlay) -> Vec<usize> {
     (0..u.graph.links.len()).collect()
 }
 
-/// Drives `epochs` boundaries through one topology size. With `timing`,
-/// also times every repair and the from-scratch rebuild of the same
-/// boundary.
-fn measure(
-    spec: &SizeSpec,
-    seed: u64,
-    epochs: usize,
-    tracer: &mut Tracer,
-    mut timing: Option<&mut Timing>,
-) -> SizeResult {
+/// Drives `epochs` boundaries through one topology size.
+fn measure(spec: &SizeSpec, seed: u64, epochs: usize, tracer: &mut Tracer) -> SizeResult {
     let mut u = NetParams {
         tier1: spec.tier1,
         tier2_per_tier1: spec.tier2_per_tier1,
@@ -184,7 +166,7 @@ fn measure(
         // latency-inflation window opens every eighth epoch — always
         // far under 10% of links changing per boundary.
         let mut state = FaultState::clear();
-        let mask = if e % 2 == 0 {
+        state.mask = if e % 2 == 0 {
             let step = e / 2;
             let n_down = if step % 4 == 3 { 2 } else { 1 };
             let mut mask = vec![false; links];
@@ -202,13 +184,10 @@ fn measure(
         } else {
             None
         };
-        state.mask.clone_from(&mask);
         if e % 8 >= 4 {
             state.latency_factor = 1.5;
         }
-        let w = WallTimer::start();
         let stats = u.apply_fault_state(&state);
-        let repair_secs = w.elapsed_secs();
         changed_links += stats.changed_links as u64;
         tracer.emit(
             SimTime::ZERO,
@@ -224,18 +203,6 @@ fn measure(
                     .bool("full_rebuild", stats.full_rebuild);
             },
         );
-        if let Some(t) = timing.as_deref_mut() {
-            t.repair_secs += repair_secs;
-            // The pre-repair cost of the same epoch: a from-scratch
-            // masked all-pairs build.
-            let w = WallTimer::start();
-            std::hint::black_box(Routing::compute_indexed(
-                &u.graph,
-                u.config.routing,
-                mask.as_deref(),
-            ));
-            t.full_secs += w.elapsed_secs();
-        }
     }
     let (sources_recomputed, sources_total, full_fallbacks) = u.repair_totals();
     SizeResult {
@@ -261,7 +228,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     let sizes: Vec<SizeResult> = p
         .sizes
         .iter()
-        .map(|spec| measure(spec, p.seed, p.epochs, tracer, None))
+        .map(|spec| measure(spec, p.seed, p.epochs, tracer))
         .collect();
     let mut table = Table::new(
         "E17 — incremental routing repair at fault epochs",
@@ -301,39 +268,6 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
         events: out.sizes.iter().map(|r| r.epochs as u64).sum(),
         ..super::Outcome::of(vec![out.table], claim)
     }
-}
-
-/// The [`super::TABLE`] row's microbench: the sweep again, each repair
-/// timed against the full rebuild of the same boundary.
-pub fn perf(scale: Scale, seed: u64) -> Vec<String> {
-    let p = scale.params(seed, Params::quick, Params::full);
-    p.sizes
-        .iter()
-        .map(|spec| {
-            let mut t = Timing::default();
-            let r = measure(
-                spec,
-                p.seed,
-                p.epochs,
-                &mut Tracer::disabled(),
-                Some(&mut t),
-            );
-            let repair_eps = r.epochs as f64 / t.repair_secs.max(1e-9);
-            let full_eps = r.epochs as f64 / t.full_secs.max(1e-9);
-            format!(
-                "PERF fault_scale size={} ases={} links={} epochs={} repair_eps={:.0} \
-                 full_eps={:.0} speedup={:.2} recomputed_frac={:.4}",
-                r.name,
-                r.ases,
-                r.links,
-                r.epochs,
-                repair_eps,
-                full_eps,
-                repair_eps / full_eps.max(1e-9),
-                r.sources_recomputed as f64 / r.sources_total.max(1) as f64,
-            )
-        })
-        .collect()
 }
 
 /// Repair is the rebuild, for less: where a boundary's one or two links

@@ -11,16 +11,14 @@
 //!
 //! The two summary tables and the trace (`flow.open` / `flow.close`
 //! deltas per round; `ci/trace_gate.sh` double-runs these) are
-//! deterministic. The allocator microbench is wall-clock and leaves only
-//! as the `PERF flow_alloc …` line `ci/perf_smoke.sh` parses.
+//! deterministic. What the allocator costs in host time is the
+//! benchmark's `net.flow.cycle_ns_per_flow` row (`swarm_congestion`).
 
 use super::table::{ensure, Scale};
 use crate::report::{f, pct, Table};
 use uap_bittorrent::{run_swarm_with, SwarmConfig, SwarmReport, TrackerPolicy};
-use uap_net::{
-    FlowAllocator, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
-};
-use uap_sim::{SimRng, Tracer, WallTimer};
+use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
+use uap_sim::{SimRng, Tracer};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -33,8 +31,6 @@ pub struct Params {
     pub leechers: usize,
     /// Seed counts swept.
     pub seed_counts: Vec<usize>,
-    /// Iterations of the allocator microbench.
-    pub alloc_iters: usize,
 }
 
 impl Params {
@@ -42,7 +38,6 @@ impl Params {
     pub fn quick(seed: u64) -> Params {
         Params {
             seed_counts: vec![2, 8],
-            alloc_iters: 400,
             ..Params::full(seed)
         }
     }
@@ -54,7 +49,6 @@ impl Params {
             hosts: 120,
             leechers: 56,
             seed_counts: vec![2, 8, 24],
-            alloc_iters: 2_000,
         }
     }
 }
@@ -194,30 +188,6 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     }
 }
 
-/// Allocator microbench: one full begin/add/allocate cycle per
-/// iteration over a fixed 256-flow set, returning the wall seconds
-/// spent. This is the per-round cost the swarm pays at every flow-set
-/// change.
-fn flow_alloc_bench(p: &Params) -> f64 {
-    let u = build_underlay(p, false);
-    let n = HostId::from_index(u.n_hosts()).0;
-    let mut a = FlowAllocator::new(&u);
-    let w = WallTimer::start();
-    for _ in 0..p.alloc_iters {
-        a.begin();
-        for k in 0..256u32 {
-            let src = HostId(k % n);
-            let dst = HostId((k * 7 + 13) % n);
-            if src != dst {
-                a.add_flow(k as u64, src, dst, &u);
-            }
-        }
-        a.allocate();
-        std::hint::black_box(a.n_flows());
-    }
-    w.elapsed_secs()
-}
-
 /// The [`super::TABLE`] row's run; its event count is swarm rounds.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
@@ -231,17 +201,6 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
         events: out.points.iter().map(|o| o.report.rounds as u64).sum(),
         ..super::Outcome::of(vec![out.completion, out.locality], claim)
     }
-}
-
-/// The [`super::TABLE`] row's microbench, [`flow_alloc_bench`].
-pub fn perf(scale: Scale, seed: u64) -> Vec<String> {
-    let p = scale.params(seed, Params::quick, Params::full);
-    let secs = flow_alloc_bench(&p);
-    vec![format!(
-        "PERF flow_alloc flows=256 cycles={} allocs_per_sec={:.0}",
-        p.alloc_iters,
-        p.alloc_iters as f64 / secs.max(1e-9)
-    )]
 }
 
 /// The Bindal headline survives real contention: at every access mix and

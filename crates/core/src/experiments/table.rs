@@ -54,8 +54,7 @@ pub struct Outcome {
     pub values: Vec<(&'static str, String)>,
     /// Lines printed under the tables.
     pub notes: Vec<String>,
-    /// Events (or rounds, RPCs, epochs) processed, for the throughput
-    /// sample.
+    /// Events (or rounds, RPCs, epochs) processed: the report's `events`.
     pub events: u64,
     /// The paper headline, checked by the module's `claim` on the typed
     /// results this outcome was rendered from; `Err` says what failed.
@@ -95,11 +94,6 @@ pub struct Experiment {
     pub traced: bool,
     /// Runs the experiment at `scale` from `seed`.
     pub run: fn(Scale, u64, &mut Tracer) -> Outcome,
-    /// The row's wall-clock microbench: the `PERF …` lines
-    /// `ci/perf_smoke.sh` parses beyond the per-run one. Only `exp` calls
-    /// it, so no wall-clock reading can reach a table, a report value, a
-    /// trace field or a claim.
-    pub perf: Option<fn(Scale, u64) -> Vec<String>>,
 }
 
 /// Every experiment, in E-number order.
@@ -112,7 +106,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e01_hierarchy::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp02",
@@ -122,7 +115,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e02_cost::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp03",
@@ -132,7 +124,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e03_coordinates::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp04",
@@ -142,7 +133,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e04_messages::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp05",
@@ -158,7 +148,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &["exp05_edges_uniform_random", "exp05_edges_oracle_biased"],
         traced: false,
         run: e05_clustering::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp06",
@@ -168,7 +157,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e06_exchange::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp07",
@@ -178,7 +166,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e07_testlab::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp08",
@@ -188,7 +175,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: impact::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp09",
@@ -198,7 +184,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e09_kademlia::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp10",
@@ -208,7 +193,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e10_bittorrent::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp11",
@@ -218,7 +202,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e11_challenges::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp12",
@@ -228,7 +211,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e12_overhead::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp13",
@@ -238,7 +220,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e13_variance::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp14",
@@ -248,7 +229,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: false,
         run: e14_gsh::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp15",
@@ -258,7 +238,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e15_collection::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp16",
@@ -273,7 +252,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e16_resilience::experiment,
-        perf: None,
     },
     Experiment {
         id: "exp17",
@@ -283,7 +261,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e17_fault_scale::experiment,
-        perf: Some(e17_fault_scale::perf),
     },
     Experiment {
         id: "exp18",
@@ -293,7 +270,6 @@ pub static TABLE: [Experiment; 18] = [
         dumps: &[],
         traced: true,
         run: e18_congestion::experiment,
-        perf: Some(e18_congestion::perf),
     },
 ];
 

@@ -83,7 +83,7 @@ impl Oracle {
         tracer: &mut Tracer,
     ) -> Vec<HostId> {
         let ranked = self.rank(underlay, querier, candidates);
-        if tracer.is_enabled("info", TraceLevel::Debug) {
+        if tracer.is_enabled(TraceLevel::Debug) {
             let best_hops = ranked
                 .first()
                 .and_then(|&b| underlay.as_hops(querier, b))

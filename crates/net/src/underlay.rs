@@ -601,7 +601,7 @@ impl Underlay {
         tracer: &mut Tracer,
     ) -> TrafficCategory {
         let cat = self.account_transfer(now, from, to, bytes);
-        if tracer.is_enabled("net", TraceLevel::Debug) {
+        if tracer.is_enabled(TraceLevel::Debug) {
             let src_as = self.hosts.as_of(from);
             let dst_as = self.hosts.as_of(to);
             let (links, transit) = if src_as == dst_as {
@@ -630,7 +630,7 @@ impl Underlay {
     /// that carried traffic, capturing the per-link byte distribution at
     /// the moment of the call (typically end of run).
     pub fn trace_link_totals(&self, now: SimTime, tracer: &mut Tracer) {
-        if !tracer.is_enabled("net", TraceLevel::Debug) {
+        if !tracer.is_enabled(TraceLevel::Debug) {
             return;
         }
         let per_link = self.traffic.per_link_bytes();

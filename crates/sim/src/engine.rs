@@ -117,8 +117,8 @@ pub struct RunStats {
 /// byte-identical across same-seed runs. The one wall-clock facility —
 /// the stage timer — is kept *outside* the metrics registry and the
 /// tracer: its reading is only available through
-/// [`Simulator::profile_wall_secs`], for `BENCH_*.json`-style perf
-/// artifacts that are excluded from determinism comparison.
+/// [`Simulator::profile_wall_secs`], a host-time reading no determinism
+/// comparison sees.
 #[derive(Clone, Copy, Debug)]
 pub struct ProfileConfig {
     /// Sample the queue depth into the `engine.queue_depth` time series
@@ -330,7 +330,7 @@ impl<E> Simulator<E> {
             // sent with (fresh for every dispatch, so nothing leaks
             // between handlers).
             self.tracer.set_provenance(prov);
-            if self.profiler.is_some() || self.tracer.is_enabled("engine", TraceLevel::Trace) {
+            if self.profiler.is_some() || self.tracer.is_enabled(TraceLevel::Trace) {
                 let kind = world.kind_of(&ev);
                 let queue_len = self.queue.len();
                 if let Some(p) = &mut self.profiler {

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod churn;
-pub mod detmap;
 pub mod engine;
 pub mod event;
 pub mod metrics;
@@ -54,7 +53,6 @@ pub mod time;
 pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnModel, SessionDist};
-pub use detmap::{DetMap, DetSet};
 pub use engine::{Ctx, ProfileConfig, RunStats, Simulator, World};
 pub use event::EventQueue;
 pub use metrics::{Histogram, Metrics, TimeSeries};

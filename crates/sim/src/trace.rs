@@ -17,23 +17,21 @@
 //!   every [`Tracer::is_enabled`] query with one branch and allocates
 //!   nothing; instrumentation sites build their fields inside a closure
 //!   that is never called on the disabled path.
-//! * **Per-component filtering.** Each component (`"engine"`, `"net"`,
-//!   `"gnutella"`, …) can be given its own [`TraceLevel`]; everything else
-//!   uses the tracer's default level.
 //! * **Bounded memory.** [`Tracer::ring`] keeps only the last `cap` events
 //!   (a flight recorder); evicted events are counted in
 //!   [`Tracer::dropped`].
 //! * **No wall clock.** Events carry [`SimTime`] only. The single
 //!   sanctioned wall-clock boundary is [`WallTimer`] below, which exists
-//!   for `BENCH_*.json` perf artifacts and is structurally excluded from
-//!   the trace stream (there is no API to put a wall-clock reading into a
-//!   `TraceEvent`); the determinism lint rejects `lint:allow(wallclock)`
-//!   escapes anywhere outside this file.
+//!   for the run report's `wall_secs` and the engine's opt-in profiler
+//!   and is structurally excluded from the trace stream (there is no API
+//!   to put a wall-clock reading into a `TraceEvent`); the determinism
+//!   lint rejects `lint:allow(wallclock)` escapes anywhere outside this
+//!   file.
 
 pub mod registry;
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -70,8 +68,8 @@ impl Provenance {
 
 /// Verbosity of a trace event, ordered from most to least important.
 ///
-/// `Off < Info < Debug < Trace`: configuring a component at `Debug` admits
-/// `Info` and `Debug` events and rejects `Trace` ones.
+/// `Off < Info < Debug < Trace`: a tracer at `Debug` admits `Info` and
+/// `Debug` events and rejects `Trace` ones.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum TraceLevel {
     /// Nothing is recorded.
@@ -310,8 +308,7 @@ enum Sink {
 #[derive(Debug)]
 pub struct Tracer {
     sink: Sink,
-    default_level: TraceLevel,
-    components: BTreeMap<String, TraceLevel>,
+    level: TraceLevel,
     seq: u64,
     dropped: u64,
     next_span: u64,
@@ -328,11 +325,10 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    fn with_sink(sink: Sink, default_level: TraceLevel) -> Tracer {
+    fn with_sink(sink: Sink, level: TraceLevel) -> Tracer {
         Tracer {
             sink,
-            default_level,
-            components: BTreeMap::new(),
+            level,
             seq: 0,
             dropped: 0,
             next_span: 0,
@@ -346,21 +342,20 @@ impl Tracer {
         Tracer::with_sink(Sink::Disabled, TraceLevel::Off)
     }
 
-    /// An unbounded in-memory tracer admitting events up to
-    /// `default_level` for every component.
-    pub fn buffered(default_level: TraceLevel) -> Tracer {
-        Tracer::with_sink(Sink::Buffer(Vec::new()), default_level)
+    /// An unbounded in-memory tracer admitting events up to `level`.
+    pub fn buffered(level: TraceLevel) -> Tracer {
+        Tracer::with_sink(Sink::Buffer(Vec::new()), level)
     }
 
     /// A bounded flight recorder keeping the newest `cap` events (oldest
     /// evicted first; `cap` is clamped to ≥ 1).
-    pub fn ring(default_level: TraceLevel, cap: usize) -> Tracer {
+    pub fn ring(level: TraceLevel, cap: usize) -> Tracer {
         Tracer::with_sink(
             Sink::Ring {
                 cap: cap.max(1),
                 buf: VecDeque::new(),
             },
-            default_level,
+            level,
         )
     }
 
@@ -371,17 +366,9 @@ impl Tracer {
     /// streamed trace is **byte-identical** to the buffered trace of the
     /// same seed. Call [`Tracer::flush`] (or drop the tracer) to flush
     /// the final buffer block.
-    pub fn streaming(path: &Path, default_level: TraceLevel) -> io::Result<Tracer> {
+    pub fn streaming(path: &Path, level: TraceLevel) -> io::Result<Tracer> {
         let file = std::fs::File::create(path)?;
-        Ok(Tracer::with_sink(
-            Sink::Stream(BufWriter::new(file)),
-            default_level,
-        ))
-    }
-
-    /// Overrides the admitted level for one component.
-    pub fn set_component_level(&mut self, component: &str, level: TraceLevel) {
-        self.components.insert(component.to_owned(), level);
+        Ok(Tracer::with_sink(Sink::Stream(BufWriter::new(file)), level))
     }
 
     /// Allocates a fresh span id from the deterministic monotone counter.
@@ -426,24 +413,16 @@ impl Tracer {
         !matches!(self.sink, Sink::Disabled)
     }
 
-    /// Whether an event from `component` at `level` would be recorded.
-    /// This is the hot-path gate: on a disabled tracer it is a single
-    /// `matches!` branch.
+    /// Whether an event at `level` would be recorded. This is the
+    /// hot-path gate: on a disabled tracer it is a single `matches!`
+    /// branch.
     #[inline]
-    pub fn is_enabled(&self, component: &str, level: TraceLevel) -> bool {
-        if matches!(self.sink, Sink::Disabled) || level == TraceLevel::Off {
-            return false;
-        }
-        let admitted = self
-            .components
-            .get(component)
-            .copied()
-            .unwrap_or(self.default_level);
-        level <= admitted
+    pub fn is_enabled(&self, level: TraceLevel) -> bool {
+        self.is_active() && level != TraceLevel::Off && level <= self.level
     }
 
     /// Emits one event. `build` is only invoked (and fields are only
-    /// allocated) when the component/level combination is enabled.
+    /// allocated) when `level` is enabled.
     ///
     /// Returns the `seq` of the admitted event (`None` when filtered or
     /// disabled) so call sites can anchor later events to it via
@@ -459,7 +438,7 @@ impl Tracer {
         kind: &'static str,
         build: impl FnOnce(&mut Fields),
     ) -> Option<u64> {
-        if !self.is_enabled(component, level) {
+        if !self.is_enabled(level) {
             return None;
         }
         // Debug-build schema guard: events from registered components must
@@ -592,14 +571,15 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
         s: line.as_bytes(),
         i: 0,
     };
-    let top = p.value()?;
+    p.skip_ws();
+    if p.s.get(p.i) != Some(&b'{') {
+        return Err("top level is not an object".into());
+    }
+    let pairs = p.object(Parser::member)?;
     p.skip_ws();
     if p.i != p.s.len() {
         return Err(format!("trailing bytes at {}", p.i));
     }
-    let Json::Object(pairs) = top else {
-        return Err("top level is not an object".into());
-    };
     let mut ev = TraceEvent {
         seq: 0,
         t: SimTime::ZERO,
@@ -612,49 +592,28 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
     };
     for (k, v) in pairs {
         match (k.as_str(), v) {
-            ("seq", Json::Num(n)) => ev.seq = n as u64,
-            ("t", Json::Num(n)) => ev.t = SimTime::from_micros(n as u64),
-            ("s", Json::Num(n)) => ev.span = Some(n as u64),
-            ("cs", Json::Num(n)) => ev.cause = Some(n as u64),
-            ("l", Json::Str(s)) => {
+            ("seq", Json::Scalar(Value::U64(n))) => ev.seq = n,
+            ("t", Json::Scalar(Value::U64(n))) => ev.t = SimTime::from_micros(n),
+            ("s", Json::Scalar(Value::U64(n))) => ev.span = Some(n),
+            ("cs", Json::Scalar(Value::U64(n))) => ev.cause = Some(n),
+            ("l", Json::Scalar(Value::Str(s))) => {
                 ev.level = TraceLevel::parse(&s).ok_or_else(|| format!("unknown level {s:?}"))?
             }
-            ("c", Json::Str(s)) => ev.component = s,
-            ("k", Json::Str(s)) => ev.kind = s,
-            ("f", Json::Object(fs)) => {
-                ev.fields = fs
-                    .into_iter()
-                    .map(|(k, v)| {
-                        let val = match v {
-                            Json::Num(n) => {
-                                if n.fract() == 0.0 && n >= 0.0 && n <= u64::MAX as f64 {
-                                    Value::U64(n as u64)
-                                } else if n.fract() == 0.0 && n < 0.0 {
-                                    Value::I64(n as i64)
-                                } else {
-                                    Value::F64(n)
-                                }
-                            }
-                            Json::Str(s) => Value::Str(s),
-                            Json::Bool(b) => Value::Bool(b),
-                            Json::Object(_) => Value::Str("<object>".into()),
-                        };
-                        (k, val)
-                    })
-                    .collect();
-            }
+            ("c", Json::Scalar(Value::Str(s))) => ev.component = s,
+            ("k", Json::Scalar(Value::Str(s))) => ev.kind = s,
+            ("f", Json::Fields(fs)) => ev.fields = fs,
             (other, _) => return Err(format!("unexpected key {other:?}")),
         }
     }
     Ok(ev)
 }
 
-/// Minimal JSON value for the trace-line subset.
+/// A member of a trace line's top-level object: a scalar or — what `f`
+/// holds — one object of scalars. Nothing nests deeper, so neither does
+/// the parser, whatever the line.
 enum Json {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Object(Vec<(String, Json)>),
+    Scalar(Value),
+    Fields(Vec<(String, Value)>),
 }
 
 struct Parser<'a> {
@@ -669,19 +628,39 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn member(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        if self.s.get(self.i) == Some(&b'{') {
+            Ok(Json::Fields(self.object(Parser::scalar)?))
+        } else {
+            Ok(Json::Scalar(self.scalar()?))
+        }
+    }
+
+    /// A scalar, which is all the writer puts below `f`: an object there
+    /// is an error at its `{`.
+    fn scalar(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.s.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(c) if c.is_ascii_digit() || *c == b'-' => {
+                let n = self.number()?;
+                Ok(if n.fract() == 0.0 && n >= 0.0 && n <= u64::MAX as f64 {
+                    Value::U64(n as u64)
+                } else if n.fract() == 0.0 && n < 0.0 {
+                    Value::I64(n as i64)
+                } else {
+                    Value::F64(n)
+                })
+            }
+            Some(b'{') => Err(format!("nested object at {}", self.i)),
             other => Err(format!("unexpected {:?} at {}", other, self.i)),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
         if self.s[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(v)
@@ -690,13 +669,17 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// An object whose member values `value` parses.
+    fn object<T>(
+        &mut self,
+        value: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<(String, T)>, String> {
         self.i += 1; // consume '{'
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.s.get(self.i) == Some(&b'}') {
             self.i += 1;
-            return Ok(Json::Object(pairs));
+            return Ok(pairs);
         }
         loop {
             self.skip_ws();
@@ -706,14 +689,14 @@ impl Parser<'_> {
                 return Err(format!("expected ':' at {}", self.i));
             }
             self.i += 1;
-            let val = self.value()?;
+            let val = value(self)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.s.get(self.i) {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(Json::Object(pairs));
+                    return Ok(pairs);
                 }
                 other => return Err(format!("expected ',' or '}}', got {other:?}")),
             }
@@ -769,7 +752,7 @@ impl Parser<'_> {
         Err("unterminated string".into())
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.i;
         while let Some(&c) = self.s.get(self.i) {
             if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -781,22 +764,21 @@ impl Parser<'_> {
         std::str::from_utf8(&self.s[start..self.i])
             .map_err(|e| e.to_string())?
             .parse::<f64>()
-            .map(Json::Num)
             .map_err(|e| e.to_string())
     }
 }
 
 /// The **only** sanctioned wall-clock boundary in simulation-path code.
 ///
-/// Used by the bench binaries to stamp `BENCH_*.json` perf artifacts and
-/// by opt-in engine stage timing. Readings from this timer must never be
-/// fed into a [`Tracer`] or into the determinism-compared sections of a
-/// run report — traces and reports stay byte-identical across runs, and
-/// `xtask trace diff` skips `"wall…"` keys precisely so this boundary
-/// stays visible but inert. The determinism lint
-/// (`cargo run -p xtask -- lint`) rejects `lint:allow(wallclock)`
-/// anywhere outside this file, so every wall-clock read in the workspace
-/// flows through here.
+/// Used by `exp` to stamp the run report's `wall_secs`, by opt-in engine
+/// stage timing and by `xtask analyze` for its own time budget. Readings
+/// from this timer must never be fed into a [`Tracer`] or into the
+/// determinism-compared sections of a run report — traces and reports
+/// stay byte-identical across runs, and `xtask trace diff` skips
+/// `"wall…"` keys precisely so this boundary stays visible but inert.
+/// The determinism lint (`cargo run -p xtask -- lint`) rejects
+/// `lint:allow(wallclock)` anywhere outside this file, so every
+/// wall-clock read in the workspace flows through here.
 #[derive(Debug)]
 pub struct WallTimer {
     start: std::time::Instant, // lint:allow(wallclock) — the documented boundary
@@ -838,24 +820,21 @@ mod tests {
         assert!(!built, "field builder ran on the disabled path");
         assert_eq!(t.len(), 0);
         assert_eq!(t.emitted(), 0);
-        assert!(!t.is_enabled("x", TraceLevel::Info));
+        assert!(!t.is_enabled(TraceLevel::Info));
     }
 
     #[test]
-    fn level_filtering_is_per_component() {
+    fn level_filtering_admits_up_to_the_tracer_level() {
         let mut t = Tracer::buffered(TraceLevel::Info);
-        t.set_component_level("chatty", TraceLevel::Trace);
-        t.set_component_level("muted", TraceLevel::Off);
-        assert!(t.is_enabled("other", TraceLevel::Info));
-        assert!(!t.is_enabled("other", TraceLevel::Debug));
-        assert!(t.is_enabled("chatty", TraceLevel::Trace));
-        assert!(!t.is_enabled("muted", TraceLevel::Info));
+        assert!(t.is_enabled(TraceLevel::Info));
+        assert!(!t.is_enabled(TraceLevel::Debug));
+        assert!(!t.is_enabled(TraceLevel::Off));
 
         for (time, c, l, k) in [
             ev(1, "other", TraceLevel::Info, "a"),
             ev(2, "other", TraceLevel::Debug, "b"), // filtered
-            ev(3, "chatty", TraceLevel::Trace, "c"),
-            ev(4, "muted", TraceLevel::Info, "d"), // filtered
+            ev(3, "chatty", TraceLevel::Info, "c"),
+            ev(4, "chatty", TraceLevel::Trace, "d"), // filtered
         ] {
             t.emit(time, c, l, k, |_| {});
         }
@@ -1043,6 +1022,25 @@ mod tests {
         let back = parse_jsonl_line(line).expect("parse");
         assert_eq!(back.span, Some(5));
         assert_eq!(back.to_json(), line);
+    }
+
+    #[test]
+    fn an_object_below_f_is_an_error_however_deep() {
+        // The writer emits scalars below `f`, so the parser does not
+        // recurse: nesting depth must cost an `Err`, not stack.
+        let err = parse_jsonl_line(r#"{"f":{"a":{}}}"#).expect_err("nested object");
+        assert_eq!(err, "nested object at 10");
+        let deep = format!(
+            r#"{{"f":{}1{}}}"#,
+            r#"{"a":"#.repeat(100_000),
+            "}".repeat(100_000)
+        );
+        let err = parse_jsonl_line(&deep).expect_err("deep nesting");
+        assert_eq!(err, "nested object at 10");
+        // One level under any other key is no event either.
+        assert!(parse_jsonl_line(r#"{"seq":{"a":1}}"#).is_err());
+        let ok = parse_jsonl_line(r#"{"seq":3,"f":{"a":1,"b":"x"}}"#).expect("flat fields");
+        assert_eq!((ok.seq, ok.fields.len()), (3, 2));
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub enum AllocKind {
     Collect,
     /// `format!` / `String::from` / `.to_string()` — string building.
     Str,
-    /// Fresh `BTreeMap` / `BTreeSet` / `DetMap` construction.
+    /// Fresh `BTreeMap` / `BTreeSet` construction.
     Map,
 }
 
@@ -912,9 +912,7 @@ fn alloc_of(callee: &Callee, in_loop: bool) -> Option<(AllocKind, String)> {
             ("String", "from") => Some((AllocKind::Str, "String::from".into())),
             ("Vec" | "VecDeque", "new") => Some((vec_kind(), format!("{qual}::new"))),
             (_, "with_capacity") => Some((vec_kind(), format!("{qual}::with_capacity"))),
-            ("BTreeMap" | "BTreeSet" | "DetMap", "new") => {
-                Some((AllocKind::Map, format!("{qual}::new")))
-            }
+            ("BTreeMap" | "BTreeSet", "new") => Some((AllocKind::Map, format!("{qual}::new"))),
             _ => None,
         },
         Callee::Free(_) | Callee::Macro(_) => None,
@@ -1301,7 +1299,7 @@ mod tests {
 
     #[test]
     fn alloc_sites_are_classified_with_loop_awareness() {
-        let src = "fn f(xs: &[u32]) {\n    let mut acc = Vec::new();\n    for x in xs {\n        let t = vec![*x];\n        let u: Vec<u32> = xs.iter().copied().collect();\n        let w = Vec::with_capacity(4);\n        acc.push(t.len() + u.len() + w.capacity());\n    }\n    let b = Box::new(acc);\n    let s = String::from(\"x\");\n    let s2 = s.to_string();\n    let c = xs.to_vec();\n    let d = c.clone();\n    let m = BTreeMap::new();\n    let dm = DetMap::new();\n    let fs = format!(\"{b:?}{s2}{d:?}{m:?}{dm:?}\");\n    drop(fs);\n}\n";
+        let src = "fn f(xs: &[u32]) {\n    let mut acc = Vec::new();\n    for x in xs {\n        let t = vec![*x];\n        let u: Vec<u32> = xs.iter().copied().collect();\n        let w = Vec::with_capacity(4);\n        acc.push(t.len() + u.len() + w.capacity());\n    }\n    let b = Box::new(acc);\n    let s = String::from(\"x\");\n    let s2 = s.to_string();\n    let c = xs.to_vec();\n    let d = c.clone();\n    let m = BTreeMap::new();\n    let fs = format!(\"{b:?}{s2}{d:?}{m:?}\");\n    drop(fs);\n}\n";
         let items = parse(src);
         let sites: Vec<(AllocKind, &str)> = items[0]
             .allocs
@@ -1321,7 +1319,6 @@ mod tests {
                 (AllocKind::Clone, ".to_vec()"),
                 (AllocKind::Clone, ".clone()"),
                 (AllocKind::Map, "BTreeMap::new"),
-                (AllocKind::Map, "DetMap::new"),
                 (AllocKind::Str, "format!"),
             ]
         );

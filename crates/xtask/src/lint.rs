@@ -8,8 +8,7 @@
 //! | rule        | bans                                                        |
 //! |-------------|-------------------------------------------------------------|
 //! | `hashmap`   | `HashMap`/`HashSet` in non-test sim-path code (iteration    |
-//! |             | order is per-process random; use `BTreeMap`/`BTreeSet` or   |
-//! |             | `uap_sim::detmap::{DetMap, DetSet}`)                        |
+//! |             | order is per-process random; use `BTreeMap`/`BTreeSet`)     |
 //! | `wallclock` | `Instant::now`, `SystemTime`, `thread_rng`, `rand::random`  |
 //! |             | (wall clocks and ambient randomness; use `SimTime`/`SimRng`)|
 //! | `unwrap`    | `.unwrap()` / `.expect(` / `panic!` in library code         |
@@ -168,18 +167,12 @@ pub fn scan(label: &str, lexed: &Lexed, kind: FileKind) -> Vec<Violation> {
         }
 
         if kind.is_sim_path && !lexed.allowed(line, "hashmap") {
-            for (name, ordered, det) in [
-                ("HashMap", "BTreeMap", "DetMap"),
-                ("HashSet", "BTreeSet", "DetSet"),
-            ] {
+            for (name, ordered) in [("HashMap", "BTreeMap"), ("HashSet", "BTreeSet")] {
                 if here.clone().any(|j| live(j) && ident(j, name)) {
                     report(
                         line,
                         "hashmap",
-                        format!(
-                            "{name} iterates in per-process random order; use {ordered} or \
-                             uap_sim::detmap::{det}"
-                        ),
+                        format!("{name} iterates in per-process random order; use {ordered}"),
                     );
                 }
             }
