@@ -19,26 +19,25 @@
 //!
 //! Every query overlays issue (`latency_us`, `as_hops`, `path_links`,
 //! transit-link counts) is answered from a fully materialized route
-//! table: one flat [`RouteSummary`] per ordered `(src, dst)` pair plus a
-//! single CSR link-index arena shared by all paths, so [`Routing::route`]
-//! is one indexed load and [`Routing::path_links`] returns a borrowed
-//! `&[u32]` slice without allocating.
+//! table: one flat [`RouteSummary`] per ordered `(src, dst)` pair plus one
+//! link-index segment per source holding that source's paths back to
+//! back, so [`Routing::route`] is one indexed load and
+//! [`Routing::path_links`] returns a borrowed `&[u32]` slice without
+//! allocating.
 //!
 //! ## One way to build
 //!
 //! The unit of construction is the source row: one Dijkstra from one
-//! source AS, summarised (`Routing::row`) — its summaries and repair-index
-//! entries written where they live, its paths handed back as one arena
-//! segment. A fault-epoch repair recomputes the rows of the sources a
-//! mask change can affect and splices their segments into the arena in
-//! source order; a full build is the same splice into an empty table
-//! with every source dirty. Rows are computed by the one fork-join in
-//! this file (`Routing::rows`): workers own contiguous ranges of the
-//! sorted source list, write only their own rows, and are joined in
-//! spawn (= source) order, so the table is **byte-identical** for any
-//! thread count or scheduling — see `docs/PERFORMANCE.md` for the
-//! determinism argument and the `threads` lint boundary that keeps
-//! scoped threads quarantined here.
+//! source AS, summarised (`Routing::row`) — its summaries, its path
+//! segment and its repair-index entries all written where they live. A
+//! fault-epoch repair recomputes the rows of the sources a mask change
+//! can affect and touches no other row; a full build is the same call on
+//! an empty table with every source dirty. Rows are computed by the one
+//! fork-join in this file (`Routing::rows`): workers own contiguous
+//! ranges of the sorted source list and write only their own rows, so
+//! the table is **byte-identical** for any thread count or scheduling —
+//! see `docs/PERFORMANCE.md` for the determinism argument and the
+//! `threads` lint boundary that keeps scoped threads quarantined here.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::AsId;
@@ -66,7 +65,7 @@ struct SrcTable {
     pred: Vec<Option<(u32, u32)>>,
 }
 
-/// Route metrics and CSR path location for one ordered `(src, dst)` pair.
+/// Route metrics and path location for one ordered `(src, dst)` pair.
 ///
 /// `hops == u32::MAX` encodes an unreachable pair; [`Routing::route`]
 /// filters those out, so a summary obtained through it always describes a
@@ -81,8 +80,8 @@ pub struct RouteSummary {
     /// precomputed so no per-transfer path scan is needed (traced by
     /// `account_transfer_traced` and reported in trace analyses).
     pub transit_links: u32,
-    /// Offset of this pair's path in the shared link-index arena.
-    path_off: usize,
+    /// Offset of this pair's path in its source's path segment.
+    path_off: u32,
     /// Number of links in the path (equals `hops` for reachable pairs).
     path_len: u32,
 }
@@ -136,8 +135,8 @@ pub struct RepairStats {
 ///   cost, so unmarked rows stay byte-identical even when several links
 ///   come back in the same epoch.
 ///
-/// Scratch buffers (`dirty`, `dirty_list`, `arena_scratch`) are
-/// struct-owned and reused across repairs per the allocation discipline.
+/// Scratch buffers (`dirty`, `dirty_list`) are struct-owned and reused
+/// across repairs per the allocation discipline.
 pub struct RepairIndex {
     n: usize,
     n_links: usize,
@@ -154,8 +153,6 @@ pub struct RepairIndex {
     dirty: Vec<u64>,
     /// Scratch: sorted dirty-source list of the most recent repair.
     dirty_list: Vec<u32>,
-    /// Scratch: splice target for the rebuilt arena.
-    arena_scratch: Vec<u32>,
 }
 
 impl RepairIndex {
@@ -173,7 +170,6 @@ impl RepairIndex {
             tree_links: vec![0; n * words],
             dirty: vec![0; n.div_ceil(64)],
             dirty_list: Vec::new(),
-            arena_scratch: Vec::new(),
         }
     }
 
@@ -268,42 +264,26 @@ impl PartialEq for RepairIndex {
 }
 
 /// One source's place in the table and the index, lent to the worker
-/// that recomputes it: a row's fixed-size parts are written where they
-/// live.
+/// that recomputes it: a row is written where it lives.
 struct Slot<'a> {
     src: usize,
     summaries: &'a mut [RouteSummary],
+    paths: &'a mut Vec<u32>,
     hops: &'a mut [u32],
     latency: &'a mut [u64],
     tree_links: &'a mut [u64],
 }
 
-/// What recomputing a [`Slot`] hands back — the part of a row that is
-/// spliced, not written in place. The slot's summaries hold offsets local
-/// to `arena` until the splice rebases them.
-struct Row {
-    /// Length of the arena segment the row had before.
-    old_len: usize,
-    arena: Vec<u32>,
-}
-
-/// All-pairs routing with precomputed per-pair summaries and CSR paths.
+/// All-pairs routing with precomputed per-pair summaries and paths.
 #[derive(PartialEq, Eq)]
 pub struct Routing {
     mode: RoutingMode,
     n: usize,
     /// `n × n` summaries, row-major by source AS.
     summaries: Vec<RouteSummary>,
-    /// All path link indices, one CSR arena shared by every pair.
-    arena: Vec<u32>,
-}
-
-/// Length of the arena segment one source's summaries point into.
-fn arena_len(row: &[RouteSummary]) -> usize {
-    row.iter()
-        .filter(|e| e.hops != u32::MAX)
-        .map(|e| e.path_len as usize)
-        .sum()
+    /// Per source AS, the link indices of its paths to every destination,
+    /// back to back in destination order.
+    paths: Vec<Vec<u32>>,
 }
 
 /// Worker count for the row fork-join: the machine's parallelism. The
@@ -346,7 +326,7 @@ impl Routing {
             mode,
             n,
             summaries: vec![UNREACHABLE; n * n],
-            arena: Vec::new(),
+            paths: vec![Vec::new(); n],
         };
         let mut index = RepairIndex::new(n, graph.links.len());
         index.mark_all_dirty();
@@ -356,10 +336,10 @@ impl Routing {
 
     /// Incrementally repairs the table after a fault-mask transition from
     /// `old_mask` to `new_mask`, recomputing only the sources the change
-    /// can affect (see [`RepairIndex`] for the dirty rules) and splicing
-    /// their rows back into the CSR arena in source order — byte-identical
-    /// to a full build under `new_mask`, which a debug-build assertion
-    /// re-derives after every repair.
+    /// can affect (see [`RepairIndex`] for the dirty rules) and leaving
+    /// every other row where it is — byte-identical to a full build under
+    /// `new_mask`, which a debug-build assertion re-derives after every
+    /// repair.
     pub fn repair_with_mask(
         &mut self,
         index: &mut RepairIndex,
@@ -430,11 +410,9 @@ impl Routing {
         stats
     }
 
-    /// Recomputes the rows of `index.dirty_list` under `mask`: workers
-    /// write each dirty source's summaries and index entries in place,
-    /// then the arena is spliced — walking sources in order, copying clean
-    /// rows' segments and substituting the fresh segment for dirty rows,
-    /// rebasing `path_off` as the cumulative base shifts.
+    /// Recomputes the rows of `index.dirty_list` under `mask`, each written
+    /// in place by the worker that is lent its slot; no other row is read
+    /// or moved.
     // lint:allow(alloc) — one slot per recomputed source; build and fault-epoch repair only
     fn recompute_dirty(
         &mut self,
@@ -449,108 +427,85 @@ impl Routing {
         let slots: Vec<Slot> = self
             .summaries
             .chunks_exact_mut(n)
+            .zip(&mut self.paths)
             .zip(index.hops.chunks_exact_mut(ns))
             .zip(index.latency.chunks_exact_mut(ns))
             .zip(index.tree_links.chunks_exact_mut(index.words))
             .enumerate()
             .filter(|&(s, _)| dirty.next_if(|&&d| d as usize == s).is_some())
-            .map(|(src, (((summaries, hops), latency), tree_links))| Slot {
-                src,
-                summaries,
-                hops,
-                latency,
-                tree_links,
-            })
+            .map(
+                |(src, ((((summaries, paths), hops), latency), tree_links))| Slot {
+                    src,
+                    summaries,
+                    paths,
+                    hops,
+                    latency,
+                    tree_links,
+                },
+            )
             .collect();
-        let rows = Self::rows(graph, self.mode, mask, slots, threads);
-
-        let mut scratch = std::mem::take(&mut index.arena_scratch);
-        scratch.clear();
-        let mut old_base = 0usize;
-        let mut fresh = index.dirty_list.iter().zip(rows).peekable();
-        for (s, row) in self.summaries.chunks_exact_mut(n).enumerate() {
-            let base = scratch.len();
-            // The base the row's offsets are relative to now, and the
-            // length of the segment it had in the old arena.
-            let (from, old_len) = match fresh.next_if(|&(&d, _)| d as usize == s) {
-                Some((_, fresh)) => {
-                    scratch.extend_from_slice(&fresh.arena);
-                    (0, fresh.old_len)
-                }
-                None => {
-                    let old_len = arena_len(row);
-                    scratch.extend_from_slice(&self.arena[old_base..old_base + old_len]);
-                    (old_base, old_len)
-                }
-            };
-            if from != base {
-                for e in row.iter_mut().filter(|e| e.hops != u32::MAX) {
-                    e.path_off = e.path_off - from + base;
-                }
-            }
-            old_base += old_len;
-        }
-        debug_assert!(fresh.next().is_none());
-        std::mem::swap(&mut self.arena, &mut scratch);
-        index.arena_scratch = scratch;
+        Self::rows(graph, self.mode, mask, slots, threads);
     }
 
-    /// The one fork-join: [`Routing::row`] mapped over `slots` (ascending
-    /// by source), fanned over contiguous ranges of the list and joined in
-    /// spawn (= source) order, so the result is independent of scheduling
-    /// and of `threads`.
-    // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
+    /// The one fork-join: [`Routing::row`] run on every slot (ascending by
+    /// source), fanned over contiguous ranges of the list. Each worker
+    /// writes only the rows its slots lend it, so the result is
+    /// independent of scheduling and of `threads`.
     fn rows(
         graph: &AsGraph,
         mode: RoutingMode,
         mask: Option<&[bool]>,
         mut slots: Vec<Slot>,
         threads: usize,
-    ) -> Vec<Row> {
+    ) {
         let row = |slot: &mut Slot| Self::row(graph, mode, mask, slot);
         let per = slots.len().div_ceil(threads.max(1)).max(1);
         if per >= slots.len() {
-            return slots.iter_mut().map(row).collect();
+            return slots.iter_mut().for_each(row);
         }
-        // Deterministic fork-join over disjoint source ranges. lint:allow(threads)
+        // Deterministic fork-join over disjoint source ranges; the scope
+        // joins every worker before it returns. lint:allow(threads)
         std::thread::scope(|sc| {
-            let handles: Vec<_> = slots
-                .chunks_mut(per)
-                .map(|range| sc.spawn(move || range.iter_mut().map(row).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("routing worker panicked")) // lint:allow(expect)
-                .collect()
-        })
+            for range in slots.chunks_mut(per) {
+                sc.spawn(move || range.iter_mut().for_each(row));
+            }
+        });
     }
 
     /// Recomputes one source's row into its slot.
     // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
-    fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) -> Row {
-        let old_len = arena_len(slot.summaries);
+    fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) {
         let src = AsId::from_index(slot.src);
         let pred = Self::dijkstra(graph, mode, src, mask, slot.hops, slot.latency);
-        let mut arena = Vec::new();
+        // A destination's path is as long as the cheaper of its two
+        // states' hop counts, so the segment is sized before it is filled.
+        let links = slot
+            .hops
+            .chunks_exact(2)
+            .filter_map(|states| states.iter().min())
+            .filter(|&&hops| hops != u32::MAX)
+            .map(|&hops| hops as usize)
+            .sum();
+        slot.paths.clear();
+        slot.paths.reserve_exact(links);
         for (dst, out) in slot.summaries.iter_mut().enumerate() {
-            *out = Self::summarize(graph, slot.hops, slot.latency, &pred, dst, &mut arena);
+            *out = Self::summarize(graph, slot.hops, slot.latency, &pred, dst, slot.paths);
         }
         slot.tree_links.fill(0);
         for &(_, li) in pred.iter().flatten() {
             slot.tree_links[li as usize / 64] |= 1 << (li % 64);
         }
-        Row { old_len, arena }
     }
 
     /// Reduces one destination's Dijkstra states to a [`RouteSummary`],
-    /// appending its path to `arena`.
+    /// appending its path to `paths`, the source's segment.
     fn summarize(
         graph: &AsGraph,
         hops: &[u32],
         latency: &[u64],
         pred: &[Option<(u32, u32)>],
         dst: usize,
-        arena: &mut Vec<u32>,
+        paths: &mut Vec<u32>,
     ) -> RouteSummary {
         let s0 = dst * 2;
         let s1 = s0 + 1;
@@ -561,13 +516,13 @@ impl Routing {
         }
         let mut s = if c0 <= c1 { s0 } else { s1 };
         let (hops, latency_us) = if c0 <= c1 { c0 } else { c1 };
-        let path_off = arena.len();
+        let path_off = paths.len();
         while let Some((prev, li)) = pred[s] {
-            arena.push(li);
+            paths.push(li);
             s = prev as usize;
         }
-        arena[path_off..].reverse();
-        let transit_links = arena[path_off..]
+        paths[path_off..].reverse();
+        let transit_links = paths[path_off..]
             .iter()
             .filter(|&&li| graph.links[li as usize].kind == LinkKind::Transit)
             .count() as u32; // lint:allow(cast) — a path visits < 2n states, n bounded by u16 AsId width
@@ -575,9 +530,12 @@ impl Routing {
             hops,
             latency_us,
             transit_links,
-            path_off,
+            // A min-hop path never revisits an AS (phase 0 may take every
+            // step phase 1 may), so a row holds at most n·(n−1) link ids.
+            // lint:allow(cast) — n·(n−1) < 2^32 for n ≤ 65 536, the u16 AsId width
+            path_off: path_off as u32,
             // lint:allow(cast) — single-path segment length, < 2n (see transit_links bound)
-            path_len: (arena.len() - path_off) as u32,
+            path_len: (paths.len() - path_off) as u32,
         }
     }
 
@@ -686,12 +644,15 @@ impl Routing {
     }
 
     /// The link indices along the chosen path from `src` to `dst`, in
-    /// traversal order, borrowed from the CSR arena (no allocation).
-    /// Empty for `src == dst`.
+    /// traversal order, borrowed from the source's path segment (no
+    /// allocation). Empty for `src == dst`.
     #[inline]
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<&[u32]> {
         let s = self.route(src, dst)?;
-        Some(&self.arena[s.path_off..s.path_off + s.path_len as usize])
+        let off = s.path_off as usize;
+        self.paths
+            .get(src.idx())?
+            .get(off..off + s.path_len as usize)
     }
 
     /// The AS sequence of the chosen path, starting at `src` and ending at
@@ -729,7 +690,7 @@ impl Routing {
     }
 }
 
-/// The pre-CSR per-query implementation, retained as the differential
+/// The pre-table per-query implementation, retained as the differential
 /// reference: it answers every query by probing the raw Dijkstra state
 /// tables and walking predecessor links, exactly as the production code
 /// did before the flat table existed. Tests assert [`Routing`] agrees
@@ -786,7 +747,7 @@ impl ReferenceRouting {
     }
 
     /// The link indices along the chosen path (allocating, per query).
-    // lint:allow(alloc) — reference oracle for differential tests; CSR path_links is the hot path
+    // lint:allow(alloc) — reference oracle for differential tests; the table's path_links is the hot path
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<Vec<u32>> {
         let mut s = self.best_state(src, dst)?;
         let t = &self.tables[src.idx()];
@@ -990,12 +951,25 @@ mod tests {
             for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
                 let built = Routing::compute_indexed(&g, mode, Some(&mask));
                 assert_eq!(built.0.reachable_fraction(), isolated, "{mode:?}");
-                // Masking everything as a repair lands on the same table.
+                // Masking everything as a repair lands on the same table,
+                // with no inter-AS path and no link id left in any row; and
+                // clearing the mask lands back on the fault-free build.
+                let pristine = Routing::compute_indexed(&g, mode, None);
                 for threads in [1, 16] {
                     let (mut r, mut idx) =
                         Routing::compute_indexed_threads(&g, mode, None, threads);
                     r.repair_with_mask(&mut idx, &g, None, Some(&mask), threads);
-                    assert!((r, idx) == built, "{mode:?} threads={threads}");
+                    assert!(r.paths.iter().all(Vec::is_empty), "{mode:?}");
+                    for (a, b) in (0..g.len()).flat_map(|a| (0..g.len()).map(move |b| (a, b))) {
+                        let path = r.path_links(AsId::from_index(a), AsId::from_index(b));
+                        assert_eq!(path, (a == b).then_some(&[][..]), "{mode:?} {a}->{b}");
+                    }
+                    assert!(
+                        (&r, &idx) == (&built.0, &built.1),
+                        "{mode:?} threads={threads}"
+                    );
+                    r.repair_with_mask(&mut idx, &g, Some(&mask), None, threads);
+                    assert!((r, idx) == pristine, "{mode:?} threads={threads}");
                 }
             }
             assert_eq!(g.component_count(Some(&mask)), g.len());
@@ -1134,6 +1108,63 @@ mod tests {
         assert_eq!(idx.dirty_sources(), &[6, 7]);
         assert_eq!(stats.dirty_sources, 2);
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(4));
+    }
+
+    /// The work guard of per-row storage, with no clock: a repair moves
+    /// and rewrites the dirty rows and nothing else.
+    #[test]
+    fn repair_moves_only_dirty_rows() {
+        use crate::gen::{TopologyKind, TopologySpec};
+        let g = TopologySpec::new(TopologyKind::Hierarchical {
+            tier1: 4,
+            tier2_per_tier1: 6,
+            tier3_per_tier2: 8,
+            tier2_peering_prob: 0.3,
+            tier3_peering_prob: 0.3,
+        })
+        .build(&mut uap_sim::SimRng::new(11));
+        let n = g.len();
+        assert!(n >= 200);
+        let mode = RoutingMode::ValleyFree;
+        let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, 2);
+        let mut mask = vec![false; g.links.len()];
+        let leaf_peering = |l: &crate::asgraph::AsLink| {
+            l.kind == LinkKind::Peering && g.nodes[l.a.idx()].tier == Tier::Tier3
+        };
+        mask[g.links.iter().position(leaf_peering).expect("leaf peering")] = true;
+        // The cut, then its heal.
+        for (old, new) in [(None, Some(&mask[..])), (Some(&mask[..]), None)] {
+            let before: Vec<_> = r.paths.iter().map(|p| p.as_ptr()).collect();
+            let summaries = r.summaries.clone();
+            let stats = r.repair_with_mask(&mut idx, &g, old, new, 2);
+            assert!(!stats.full_rebuild && stats.dirty_sources > 0);
+            let full = Routing::compute_indexed_threads(&g, mode, new, 1).0;
+            for (s, &ptr) in before.iter().enumerate() {
+                let row = s * n..(s + 1) * n;
+                if idx.dirty_sources().contains(&(s as u32)) {
+                    assert_eq!(r.paths[s], full.paths[s], "dirty row {s}");
+                    let want = &full.summaries[row.clone()];
+                    assert_eq!(&r.summaries[row], want, "dirty row {s}");
+                } else {
+                    assert_eq!(r.paths[s].as_ptr(), ptr, "clean row {s} moved");
+                    let want = &summaries[row.clone()];
+                    assert_eq!(&r.summaries[row], want, "clean row {s}");
+                }
+            }
+        }
+        // No changed link: the repair returns before it touches any row —
+        // a mark left in every row is still there afterwards.
+        for row in &mut r.paths {
+            row.push(u32::MAX);
+        }
+        let stats = r.repair_with_mask(&mut idx, &g, None, Some(&vec![false; mask.len()]), 2);
+        assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
+        assert!(r.paths.iter().all(|row| row.last() == Some(&u32::MAX)));
+    }
+
+    #[test]
+    fn route_summary_is_three_words() {
+        assert_eq!(std::mem::size_of::<RouteSummary>(), 24);
     }
 
     #[test]

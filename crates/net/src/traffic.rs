@@ -45,8 +45,6 @@ pub struct TrafficAccounting {
     /// Per-AS transit bytes (what the AS pays its providers for), bucketed
     /// by sample window for 95th-percentile billing.
     per_as_transit_samples: Vec<Vec<u64>>,
-    /// Per-AS total bytes that crossed any of its inter-AS links.
-    per_as_external_bytes: Vec<u64>,
     transfers: u64,
 }
 
@@ -60,7 +58,6 @@ impl TrafficAccounting {
             transit_bytes: 0,
             per_link_bytes: vec![0; graph.links.len()],
             per_as_transit_samples: vec![Vec::new(); graph.len()],
-            per_as_external_bytes: vec![0; graph.len()],
             transfers: 0,
         }
     }
@@ -81,30 +78,30 @@ impl TrafficAccounting {
             self.intra_bytes += bytes;
             return TrafficCategory::IntraAs;
         }
+        let bucket = (now.as_micros() / self.sample_width.as_micros()) as usize;
+        let (mut peering, mut transit) = (0, 0);
         let mut crossed_transit = false;
         let mut cur = src_as;
         for &li in path_links {
             let link = &graph.links[li as usize];
             self.per_link_bytes[li as usize] += bytes;
-            let next = link.other(cur).expect("path follows links"); // lint:allow(expect)
+            cur = link.other(cur).expect("path follows links"); // lint:allow(expect)
             match link.kind {
-                LinkKind::Peering => {
-                    self.peering_bytes += bytes;
-                    self.per_as_external_bytes[cur.idx()] += bytes;
-                    self.per_as_external_bytes[next.idx()] += bytes;
-                }
+                LinkKind::Peering => peering += bytes,
                 LinkKind::Transit => {
                     crossed_transit = true;
-                    self.transit_bytes += bytes;
-                    self.per_as_external_bytes[cur.idx()] += bytes;
-                    self.per_as_external_bytes[next.idx()] += bytes;
+                    transit += bytes;
                     // The *customer* side pays for transit bytes.
-                    let customer = link.b;
-                    self.add_transit_sample(customer, now, bytes);
+                    let samples = &mut self.per_as_transit_samples[link.b.idx()];
+                    if samples.len() <= bucket {
+                        samples.resize(bucket + 1, 0);
+                    }
+                    samples[bucket] += bytes;
                 }
             }
-            cur = next;
         }
+        self.peering_bytes += peering;
+        self.transit_bytes += transit;
         #[cfg(debug_assertions)]
         if let Err(e) = crate::invariants::check_traffic_conservation(graph, self) {
             // lint:allow(panic) — debug-only invariant guard
@@ -115,15 +112,6 @@ impl TrafficAccounting {
         } else {
             TrafficCategory::InterAsPeering
         }
-    }
-
-    fn add_transit_sample(&mut self, asn: AsId, now: SimTime, bytes: u64) {
-        let idx = (now.as_micros() / self.sample_width.as_micros()) as usize;
-        let buckets = &mut self.per_as_transit_samples[asn.idx()];
-        if buckets.len() <= idx {
-            buckets.resize(idx + 1, 0);
-        }
-        buckets[idx] += bytes;
     }
 
     /// Total bytes by category `(intra, peering, transit)`. Peering/transit
@@ -177,11 +165,6 @@ impl TrafficAccounting {
         let rank = ((0.95 * rates.len() as f64).ceil() as usize).clamp(1, rates.len());
         rates[rank - 1]
     }
-
-    /// Per-AS bytes that crossed any inter-AS link of that AS.
-    pub fn external_bytes(&self, asn: AsId) -> u64 {
-        self.per_as_external_bytes[asn.idx()]
-    }
 }
 
 #[cfg(test)]
@@ -190,6 +173,7 @@ mod tests {
     use crate::asgraph::Tier;
     use crate::geo::GeoPoint;
     use crate::routing::{Routing, RoutingMode};
+    use proptest::prelude::*;
 
     fn graph() -> AsGraph {
         let mut g = AsGraph::new();
@@ -200,6 +184,113 @@ mod tests {
         g.add_transit(t1, b, 1_000, 1_000.0); // link 1, customer = b
         g.add_peering(a, b, 500, 100.0); // link 2
         g
+    }
+
+    /// The ledger as it was before `record` stopped writing what nobody
+    /// read: per-AS external-byte counters, category totals bumped per
+    /// link, the billing bucket divided out per transit link.
+    struct OracleLedger {
+        ledger: TrafficAccounting,
+        external: Vec<u64>,
+    }
+
+    impl OracleLedger {
+        fn record(
+            &mut self,
+            graph: &AsGraph,
+            now: SimTime,
+            src_as: AsId,
+            path_links: &[u32],
+            bytes: u64,
+        ) -> TrafficCategory {
+            let l = &mut self.ledger;
+            l.transfers += 1;
+            if path_links.is_empty() {
+                l.intra_bytes += bytes;
+                return TrafficCategory::IntraAs;
+            }
+            let mut crossed_transit = false;
+            let mut cur = src_as;
+            for &li in path_links {
+                let link = &graph.links[li as usize];
+                l.per_link_bytes[li as usize] += bytes;
+                let next = link.other(cur).expect("path follows links");
+                self.external[cur.idx()] += bytes;
+                self.external[next.idx()] += bytes;
+                match link.kind {
+                    LinkKind::Peering => l.peering_bytes += bytes,
+                    LinkKind::Transit => {
+                        crossed_transit = true;
+                        l.transit_bytes += bytes;
+                        let idx = (now.as_micros() / l.sample_width.as_micros()) as usize;
+                        let buckets = &mut l.per_as_transit_samples[link.b.idx()];
+                        if buckets.len() <= idx {
+                            buckets.resize(idx + 1, 0);
+                        }
+                        buckets[idx] += bytes;
+                    }
+                }
+                cur = next;
+            }
+            if crossed_transit {
+                TrafficCategory::InterAsTransit
+            } else {
+                TrafficCategory::InterAsPeering
+            }
+        }
+    }
+
+    proptest! {
+        /// `record` against the ledger it replaced, over chains of
+        /// valley-free transfers whose time stamps cross several billing
+        /// buckets in both directions.
+        #[test]
+        fn record_matches_the_ledger_it_replaced(
+            seed in any::<u64>(),
+            transfers in prop::collection::vec(
+                (0usize..1 << 16, 0usize..1 << 16, 0u64..2_400_000_000, 0u64..1 << 30),
+                1..60,
+            ),
+        ) {
+            use crate::gen::{TopologyKind, TopologySpec};
+            let g = TopologySpec::new(TopologyKind::Hierarchical {
+                tier1: 2,
+                tier2_per_tier1: 3,
+                tier3_per_tier2: 3,
+                tier2_peering_prob: 0.4,
+                tier3_peering_prob: 0.4,
+            })
+            .build(&mut uap_sim::SimRng::new(seed));
+            let r = Routing::compute(&g, RoutingMode::ValleyFree);
+            let mut t = TrafficAccounting::new(&g);
+            let mut oracle = OracleLedger {
+                ledger: TrafficAccounting::new(&g),
+                external: vec![0; g.len()],
+            };
+            for (src, dst, micros, bytes) in transfers {
+                let (src, dst) = (AsId::from_index(src % g.len()), AsId::from_index(dst % g.len()));
+                let Some(path) = r.path_links(src, dst) else { continue };
+                let now = SimTime::from_micros(micros);
+                prop_assert_eq!(
+                    t.record(&g, now, src, path, bytes),
+                    oracle.record(&g, now, src, path, bytes)
+                );
+            }
+            prop_assert_eq!(t.totals(), oracle.ledger.totals());
+            prop_assert_eq!(t.transfers(), oracle.ledger.transfers());
+            prop_assert_eq!(t.per_link_bytes(), oracle.ledger.per_link_bytes());
+            let horizon = SimTime::from_mins(40);
+            for asn in (0..g.len()).map(AsId::from_index) {
+                prop_assert_eq!(
+                    t.transit_p95_mbps(asn, horizon).to_bits(),
+                    oracle.ledger.transit_p95_mbps(asn, horizon).to_bits()
+                );
+                // Why the per-AS counter carried no information: it was the
+                // sum of the link counters over the AS's incident links.
+                let incident: u64 = g.incident(asn).iter().map(|&li| t.link_bytes(li)).sum();
+                prop_assert_eq!(oracle.external[asn.idx()], incident);
+            }
+        }
     }
 
     #[test]

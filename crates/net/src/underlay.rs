@@ -1070,6 +1070,52 @@ mod tests {
         );
     }
 
+    /// The layer's degenerate inputs: a topology of one AS, and every link
+    /// down and then cleared. The cache stays coherent at each step, the
+    /// repaired table and index equal a fresh build, and a transfer that
+    /// cannot be routed leaves the ledger as it was.
+    #[test]
+    fn one_as_and_all_links_down_stay_coherent() {
+        let mut graph = crate::asgraph::AsGraph::new();
+        graph.add_as(
+            crate::asgraph::Tier::Tier3,
+            crate::geo::GeoPoint::new(0.0, 0.0),
+            10.0,
+        );
+        let mut rng = SimRng::new(5);
+        let pop = PopulationSpec::uniform(8);
+        let one = Underlay::build(graph, &pop, UnderlayConfig::default(), &mut rng);
+        for mut u in [one, underlay(1.0)] {
+            u.assert_route_cache_coherent();
+            let (n, n_links) = (u.n_ases(), u.graph.links.len());
+            let mut down = crate::fault::FaultState::clear();
+            down.mask = Some(vec![true; n_links]);
+            u.apply_fault_state(&down);
+            u.assert_route_cache_coherent();
+            let built = Routing::compute_indexed(&u.graph, u.config.routing, down.mask.as_deref());
+            assert!((&u.routing, &u.repair_index) == (&built.0, &built.1));
+            let ledger = |u: &Underlay| {
+                let t = &u.traffic;
+                (t.totals(), t.transfers(), t.per_link_bytes().to_vec())
+            };
+            let before = ledger(&u);
+            if n == 1 {
+                let cat = u.account_transfer(SimTime::ZERO, HostId(0), HostId(1), 1_000);
+                assert_eq!(cat, TrafficCategory::IntraAs);
+            } else {
+                let (from, to) = inter_as_pair(&u);
+                let cat = u.account_transfer(SimTime::ZERO, from, to, 1_000);
+                assert_eq!(cat, TrafficCategory::InterAsTransit);
+                assert_eq!(ledger(&u), before);
+            }
+            u.apply_fault_state(&crate::fault::FaultState::clear());
+            u.assert_route_cache_coherent();
+            let built = Routing::compute_indexed(&u.graph, u.config.routing, None);
+            assert!((&u.routing, &u.repair_index) == (&built.0, &built.1));
+            assert_eq!(u.routing.reachable_fraction(), 1.0);
+        }
+    }
+
     #[test]
     fn accounting_classifies_intra_vs_inter() {
         let mut u = underlay(1.0);

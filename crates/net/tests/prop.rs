@@ -268,7 +268,7 @@ proptest! {
     /// dropping, coming back, several at once, full heal at the end —
     /// stays byte-identical to a from-scratch masked build, table and
     /// repair index (an index that drifted would only show epochs later,
-    /// as a dirty source missed), and agrees with the pre-CSR reference
+    /// as a dirty source missed), and agrees with the pre-table reference
     /// implementation at every step.
     #[test]
     fn repair_chain_matches_full_rebuild_and_reference(

@@ -1,7 +1,11 @@
 //! Property-based tests for the simulation engine's core invariants.
 
 use proptest::prelude::*;
+use uap_sim::trace::parse_jsonl_line;
 use uap_sim::{EventQueue, Histogram, SimRng, SimTime, Zipf};
+
+/// A line the writer could have produced, with every escape it uses.
+const TRACE_LINE: &str = r#"{"seq":7,"t":1500,"s":3,"cs":2,"l":"debug","c":"net","k":"transfer","f":{"who":"a\"b\\c\n\r\t\u00e9","n":-4,"x":1.5e3,"ok":true}}"#;
 
 proptest! {
     /// The event queue delivers in (time, insertion) order for ANY input.
@@ -68,4 +72,56 @@ proptest! {
         prop_assert_eq!(sorted.len(), s.len());
         prop_assert!(s.iter().all(|&i| i < n));
     }
+
+    /// Hostile wire bytes (ROADMAP 6c): whatever a trace file holds, a
+    /// line of it parses to `Ok` or `Err`. Raw bytes read lossily, bytes
+    /// drawn from the characters JSON gives meaning to, and a valid line
+    /// with one byte overwritten and the tail cut off — which is where
+    /// truncated escapes and half strings come from.
+    #[test]
+    fn parse_jsonl_line_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        at in any::<usize>(),
+        with in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let _ = parse_jsonl_line(&String::from_utf8_lossy(&bytes));
+        const ALPHABET: &[u8] = br#"{{}}"":,\\u09afnrtE+-. "#;
+        let json_like: Vec<u8> = bytes.iter().map(|&b| ALPHABET[b as usize % ALPHABET.len()]).collect();
+        let _ = parse_jsonl_line(&String::from_utf8_lossy(&json_like));
+        let mut line = TRACE_LINE.as_bytes().to_vec();
+        line[at % TRACE_LINE.len()] = with;
+        line.truncate(cut % (TRACE_LINE.len() + 1));
+        let _ = parse_jsonl_line(&String::from_utf8_lossy(&line));
+    }
+}
+
+/// The inputs a recursive parser dies on, and every way to cut an escape
+/// short: all are errors, none a panic or a stack overflow.
+#[test]
+fn parse_jsonl_line_rejects_deep_nesting_and_truncated_escapes() {
+    assert!(parse_jsonl_line(TRACE_LINE).is_ok());
+    let deep = 100_000;
+    for open in ["{", "[", "{\"f\":", "{\"f\":{\"a\":", "{\"f\":{\"a\":["] {
+        let nested = format!("{open}{}", "{".repeat(deep));
+        assert!(parse_jsonl_line(&nested).is_err(), "{open}");
+        let closed = format!("{nested}{}", "}".repeat(deep));
+        assert!(parse_jsonl_line(&closed).is_err(), "{open} closed");
+    }
+    for tail in [
+        "\\",
+        "\\u",
+        "\\u0",
+        "\\u00e",
+        "\\u00\"}",
+        "\\uzzzz\"}",
+        "\\x\"}",
+        "\u{e9}",
+    ] {
+        let line = format!("{{\"k\":\"{tail}");
+        assert!(parse_jsonl_line(&line).is_err(), "{line}");
+    }
+    // A lone surrogate is not a char: replaced, not a panic.
+    let ev = parse_jsonl_line(r#"{"k":"\ud800"}"#).expect("well-formed line");
+    assert_eq!(ev.kind, "\u{fffd}");
 }

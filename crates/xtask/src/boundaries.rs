@@ -59,10 +59,10 @@ pub const PARALLEL_REGIONS: [ParallelRegion; 2] = [
     ParallelRegion {
         file: "crates/net/src/routing.rs",
         function: "Routing::rows",
-        discipline: "source-ordered join over a sorted source list (every source for a full \
-                     build, the dirty ones for a repair): workers compute disjoint contiguous \
-                     ranges of rows, joined in spawn (= source) order and spliced in source \
-                     order; byte-identical for any thread count",
+        discipline: "no merge: over a sorted source list (every source for a full build, the \
+                     dirty ones for a repair) workers own disjoint contiguous ranges and write \
+                     each row in place through `&mut` slots split off before the fork; the \
+                     scope joins them all; byte-identical for any thread count",
         audited_hazards: &[],
     },
 ];
@@ -84,8 +84,8 @@ pub const ALLOC_RULE: &str = "alloc";
 /// escapes: a `// lint:allow(cast) — bound: <why the value fits>`
 /// comment on (or directly above) a truncating `as` cast documents the
 /// bound and removes the site from the ratcheted inventory. Reserved
-/// for cases where the bound is structural (CSR link indices bounded by
-/// the arena length, AS indices bounded by the u16 `AsId` domain) —
+/// for cases where the bound is structural (path offsets bounded by a
+/// row's segment length, AS indices bounded by the u16 `AsId` domain) —
 /// anything host-count-proportional must widen or use a checked
 /// conversion instead, because it silently corrupts at 1M+ hosts.
 pub const CAST_RULE: &str = "cast";
