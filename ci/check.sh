@@ -8,9 +8,10 @@
 #   2. cargo clippy -D warnings — lints (unwrap_used etc.; see clippy.toml)
 #   3. xtask analyze            — the static determinism gate, run once:
 #                                 the token-level lint plus the call-graph
-#                                 passes (purity, panic / alloc / cast
-#                                 ratchets against ci/analyze_*_baseline.txt,
-#                                 parallel regions, trace registry). Prints
+#                                 passes (purity, panic / alloc ratchets
+#                                 against ci/analyze_*_baseline.txt, the
+#                                 truncating-cast deny, parallel regions,
+#                                 trace registry). Prints
 #                                 one summary line per pass, so a failure
 #                                 names its pass, and the analyzer's own
 #                                 timing line; 120s wall budget

@@ -14,9 +14,9 @@
 # routing rebuilds, route-cache invalidation and every overlay's recovery
 # path — the layers most likely to smuggle nondeterminism in; exp17
 # double-runs the incremental routing-repair path itself (its
-# routing.repair events pin dirty-source selection and the CSR splice to
-# a deterministic order); exp18 backs swarm transfers with the flow
-# allocator.
+# routing.repair events pin dirty-source selection and the row-by-row
+# recompute to a deterministic order); exp18 backs swarm transfers with
+# the flow allocator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

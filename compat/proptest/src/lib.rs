@@ -1,9 +1,8 @@
 //! Offline drop-in subset of the `proptest` crate.
 //!
 //! Implements the slice of proptest's API this workspace's property tests
-//! use: the [`proptest!`] macro, range/tuple/`Just`/`any`/vec/char-class
-//! string strategies, `prop_map`, [`prop_oneof!`], the `prop_assert_*`
-//! macros, and `prop_assume!`. Differences from upstream:
+//! use: the [`proptest!`] macro, range/tuple/`any`/vec strategies, the
+//! `prop_assert_*` macros, and `prop_assume!`. Differences from upstream:
 //!
 //! * **Deterministic cases.** Each test function derives its case RNG from
 //!   a fixed seed and the case index — no env-dependent entropy, so a
@@ -82,76 +81,6 @@ pub mod strategy {
 
         /// Draws one value.
         fn sample(&self, rng: &mut TestRng) -> Self::Value;
-
-        /// Maps generated values through `f`.
-        fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> Map<Self, F>
-        where
-            Self: Sized,
-        {
-            Map { base: self, f }
-        }
-    }
-
-    // A strategy behind any pointer is a strategy (upstream has the same
-    // blanket impls; needed so `prop_oneof!` can box heterogeneous arms).
-    impl<S: Strategy + ?Sized> Strategy for Box<S> {
-        type Value = S::Value;
-        fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            (**self).sample(rng)
-        }
-    }
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            (**self).sample(rng)
-        }
-    }
-
-    /// Strategy yielding a fixed value.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn sample(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
-    }
-
-    /// [`Strategy::prop_map`] adapter.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Map<S, F> {
-        base: S,
-        f: F,
-    }
-
-    impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
-        type Value = U;
-        fn sample(&self, rng: &mut TestRng) -> U {
-            (self.f)(self.base.sample(rng))
-        }
-    }
-
-    /// Uniform choice among boxed alternatives ([`crate::prop_oneof!`]).
-    pub struct Union<T> {
-        arms: Vec<Box<dyn Strategy<Value = T>>>,
-    }
-
-    impl<T> Union<T> {
-        /// Builds a union over `arms`; panics if empty.
-        pub fn new(arms: Vec<Box<dyn Strategy<Value = T>>>) -> Union<T> {
-            assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
-            Union { arms }
-        }
-    }
-
-    impl<T> Strategy for Union<T> {
-        type Value = T;
-        fn sample(&self, rng: &mut TestRng) -> T {
-            let i = rng.below(self.arms.len() as u64) as usize;
-            self.arms[i].sample(rng)
-        }
     }
 
     macro_rules! int_strategy {
@@ -180,63 +109,6 @@ pub mod strategy {
                 v
             }
         }
-    }
-
-    /// Char-class regex strings: `"[class]{lo,hi}"` (the only regex form
-    /// the workspace's tests use) generates strings of `lo..=hi` chars
-    /// drawn from the class. Ranges (`a-z`) and literals are supported.
-    impl Strategy for &'static str {
-        type Value = String;
-
-        fn sample(&self, rng: &mut TestRng) -> String {
-            let (class, lo, hi) = parse_char_class(self);
-            let len = lo + rng.below((hi - lo + 1) as u64) as usize;
-            (0..len)
-                .map(|_| class[rng.below(class.len() as u64) as usize])
-                .collect()
-        }
-    }
-
-    fn parse_char_class(pattern: &str) -> (Vec<char>, usize, usize) {
-        let bad = || -> ! {
-            panic!(
-                "unsupported regex strategy {pattern:?}: only \"[class]{{lo,hi}}\" is implemented"
-            )
-        };
-        let rest = pattern.strip_prefix('[').unwrap_or_else(|| bad());
-        let close = rest.find(']').unwrap_or_else(|| bad());
-        let (class_src, tail) = rest.split_at(close);
-        let tail = tail
-            .strip_prefix(']')
-            .and_then(|t| t.strip_prefix('{'))
-            .and_then(|t| t.strip_suffix('}'))
-            .unwrap_or_else(|| bad());
-        let (lo, hi) = match tail.split_once(',') {
-            Some((l, h)) => (l.trim().parse().ok(), h.trim().parse().ok()),
-            None => (tail.trim().parse().ok(), tail.trim().parse().ok()),
-        };
-        let (lo, hi) = match (lo, hi) {
-            (Some(l), Some(h)) if l <= h => (l, h),
-            _ => bad(),
-        };
-        let mut class = Vec::new();
-        let chars: Vec<char> = class_src.chars().collect();
-        let mut i = 0;
-        while i < chars.len() {
-            if i + 2 < chars.len() && chars[i + 1] == '-' {
-                let (a, b) = (chars[i], chars[i + 2]);
-                assert!(a <= b, "bad char range in {pattern:?}");
-                for c in a..=b {
-                    class.push(c);
-                }
-                i += 3;
-            } else {
-                class.push(chars[i]);
-                i += 1;
-            }
-        }
-        assert!(!class.is_empty(), "empty char class in {pattern:?}");
-        (class, lo, hi)
     }
 
     macro_rules! tuple_strategy {
@@ -363,11 +235,9 @@ pub mod prop {
 pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::prop;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
 /// Sentinel message marking a rejected (assumed-away) case.
@@ -416,16 +286,6 @@ macro_rules! prop_assume {
         if !$cond {
             return ::core::result::Result::Err($crate::REJECT_SENTINEL.to_string());
         }
-    };
-}
-
-/// Uniform choice among strategies producing the same value type.
-#[macro_export]
-macro_rules! prop_oneof {
-    ($($arm:expr),+ $(,)?) => {
-        $crate::strategy::Union::new(vec![
-            $(::std::boxed::Box::new($arm) as ::std::boxed::Box<dyn $crate::strategy::Strategy<Value = _>>,)+
-        ])
     };
 }
 
@@ -491,20 +351,6 @@ mod tests {
         }
 
         #[test]
-        fn maps_and_unions(p in prop_oneof![
-            Just(0u64),
-            (1u64..5, 1u64..5).prop_map(|(a, b)| a * b),
-        ]) {
-            prop_assert!(p == 0 || (1u64..25).contains(&p));
-        }
-
-        #[test]
-        fn string_classes(s in "[a-c0-1]{2,6}") {
-            prop_assert!((2..=6).contains(&s.len()));
-            prop_assert!(s.chars().all(|c| "abc01".contains(c)));
-        }
-
-        #[test]
         fn assume_rejects(n in 0u64..10) {
             prop_assume!(n % 2 == 0);
             prop_assert!(n % 2 == 0);
@@ -514,8 +360,6 @@ mod tests {
     #[test]
     fn runs_the_generated_tests() {
         ranges_and_vecs();
-        maps_and_unions();
-        string_classes();
         assume_rejects();
     }
 }

@@ -205,6 +205,13 @@ impl Run {
             .map_err(|e| at(&report_path, e))?;
         println!("{}", artifact_line("report", &report_path));
         if let Some(tp) = &self.trace_path {
+            // A write the sink refused is a line the trace lacks, even if
+            // the error has cleared by the time of the flush.
+            let lost = self.tracer.dropped();
+            if lost > 0 {
+                let e = io::Error::other(format!("trace lost {lost} event(s)"));
+                return Err(at(tp, e));
+            }
             self.tracer.flush().map_err(|e| at(tp, e))?;
             println!("{}", artifact_line("trace", tp));
         }

@@ -108,6 +108,34 @@ fn unwritable_out_exits_nonzero_naming_the_path() {
 }
 
 #[test]
+fn a_trace_that_lost_events_fails_the_run() {
+    // /dev/full accepts the open and refuses every write.
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = scratch("lost_trace");
+    let run = exp(&[
+        "exp04",
+        "--quick",
+        "--out",
+        out.to_str().expect("utf-8 temp dir"),
+        "--trace",
+        "/dev/full",
+    ]);
+    assert_eq!(run.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let lost: u64 = stderr
+        .split_once("/dev/full: trace lost ")
+        .and_then(|(_, rest)| rest.split_once(" event(s)"))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no drop count in:\n{stderr}"));
+    assert!(lost > 0);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(!stdout.contains("(trace written to"), "{stdout}");
+    let _ = std::fs::remove_dir_all(out);
+}
+
+#[test]
 fn unknown_id_exits_2_and_prints_the_table() {
     let run = exp(&["nope"]);
     assert_eq!(run.status.code(), Some(2));

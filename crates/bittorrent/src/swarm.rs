@@ -15,6 +15,11 @@ use std::collections::BTreeMap;
 use uap_net::{FlowAllocator, HostId, Underlay};
 use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
 
+/// Regular (tit-for-tat) unchoke slots per peer and round.
+const UNCHOKE_SLOTS: usize = 3;
+/// Optimistic unchoke slots per peer and round.
+const OPTIMISTIC_SLOTS: usize = 1;
+
 /// Swarm parameters.
 #[derive(Clone, Debug)]
 pub struct SwarmConfig {
@@ -28,10 +33,6 @@ pub struct SwarmConfig {
     pub piece_bytes: u64,
     /// Peer-set size requested from the tracker.
     pub max_peers: usize,
-    /// Regular unchoke slots.
-    pub unchoke_slots: usize,
-    /// Optimistic unchoke slots.
-    pub optimistic_slots: usize,
     /// Round length.
     pub round: SimTime,
     /// Stop after this many rounds even if leechers remain.
@@ -61,8 +62,6 @@ impl Default for SwarmConfig {
             n_pieces: 64,
             piece_bytes: 256 * 1024,
             max_peers: 20,
-            unchoke_slots: 3,
-            optimistic_slots: 1,
             round: SimTime::from_secs(10),
             max_rounds: 2_000,
             tracker: TrackerPolicy::Random,
@@ -199,7 +198,7 @@ pub fn run_swarm_with(
     assert!(cfg.n_seeds >= 1, "a swarm needs a seed");
     // Swarm membership: the first n hosts (host assignment to ASes is
     // already random).
-    let members: Vec<HostId> = (0..n_members as u32).map(HostId).collect();
+    let members: Vec<HostId> = (0..n_members).map(HostId::from_index).collect();
     let mut peers: Vec<Peer> = members
         .iter()
         .enumerate()
@@ -445,7 +444,7 @@ pub fn run_swarm_with(
                 };
                 (std::cmp::Reverse(scaled), peers[j].host)
             });
-            unchokes[i].extend(interested.iter().copied().take(cfg.unchoke_slots));
+            unchokes[i].extend(interested.iter().copied().take(UNCHOKE_SLOTS));
             // Optimistic slots: random interested peers outside the set.
             leftovers.clear();
             leftovers.extend(
@@ -454,7 +453,7 @@ pub fn run_swarm_with(
                     .copied()
                     .filter(|j| !unchokes[i].contains(j)),
             );
-            for _ in 0..cfg.optimistic_slots {
+            for _ in 0..OPTIMISTIC_SLOTS {
                 if leftovers.is_empty() {
                     break;
                 }
@@ -524,12 +523,9 @@ pub fn run_swarm_with(
         // Move bytes at the allocated rates. Zero-byte flows (stalled
         // routes, zero-capacity endpoints) are skipped outright: no
         // ledger entry, no credit.
-        for &(i, j) in &desired {
-            let (i, j) = (i as usize, j as usize);
-            // lint:allow(cast) — member indices, bounded by the u32 HostId width
-            let entry = open_flows
-                .get_mut(&(i as u32, j as u32))
-                .expect("desired flows are open"); // lint:allow(expect)
+        for pair in &desired {
+            let (i, j) = (pair.0 as usize, pair.1 as usize);
+            let entry = open_flows.get_mut(pair).expect("desired flows are open"); // lint:allow(expect)
             let bytes = flow_alloc.bytes_of(entry.0, round_secs);
             if bytes == 0 {
                 continue;
@@ -1024,6 +1020,164 @@ mod tests {
         let (report, _) = run_swarm(u, cfg, 11);
         assert_eq!(report.payload_bytes, 0, "a dead uplink must move nothing");
         assert_eq!(report.completed, 0);
+    }
+
+    /// The whole-run window of the degenerate suite's fault plans: the
+    /// boundary at 0 is applied before round 1 moves a byte.
+    const FOREVER: SimTime = SimTime::from_hours(1_000);
+
+    /// The `u64` field `key` of a trace event.
+    fn u64_field(e: &uap_sim::TraceEvent, key: &str) -> u64 {
+        match e.fields.iter().find(|(k, _)| k == key) {
+            Some((_, uap_sim::Value::U64(v))) => *v,
+            other => panic!("{}: no u64 field {key:?} ({other:?})", e.kind),
+        }
+    }
+
+    /// What every degenerate run must still deliver: a report whose
+    /// counts are consistent with each other and with the flows the
+    /// trace saw, and a trace whose spans are balanced.
+    fn assert_sane(report: &SwarmReport, t: &Tracer) {
+        assert!(report.completed <= report.leechers);
+        assert_eq!(report.completion_secs.len(), report.completed);
+        assert_eq!(report.completed_by_round.len(), report.rounds as usize);
+        assert!(report.completed_by_round.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(
+            report.completed_by_round.last().copied().unwrap_or(0),
+            report.completed
+        );
+        // Payload is exactly what the flows carried: zero when, and only
+        // when, no flow moved a byte.
+        let flow_bytes: u64 = t
+            .events()
+            .iter()
+            .filter(|e| e.kind == "flow.close")
+            .map(|e| u64_field(e, "bytes"))
+            .sum();
+        assert_eq!(report.payload_bytes, flow_bytes);
+        let mut open = std::collections::BTreeSet::new();
+        for e in t.events() {
+            match e.kind.as_str() {
+                "span.open" => assert!(open.insert(e.span), "span {:?} reopened", e.span),
+                "span.close" => assert!(open.remove(&e.span), "span {:?} not open", e.span),
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "spans left open: {open:?}");
+    }
+
+    #[test]
+    fn every_seed_crashing_for_good_ends_at_max_rounds() {
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        cfg.n_pieces = 256;
+        cfg.max_rounds = 40;
+        // All four seeds go down after two rounds and never come back:
+        // the pieces they had not yet uploaded are gone with them.
+        cfg.faults = Some(uap_net::FaultPlan::new().epoch(
+            SimTime::from_secs(30),
+            FOREVER,
+            uap_net::FaultKind::HostCrash {
+                hosts: (0..4).map(HostId).collect(),
+            },
+        ));
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        let (report, _) = run_swarm_with(underlay(80, 1), cfg, 11, &mut t);
+        assert_eq!(report.rounds, 40);
+        assert!(report.payload_bytes > 0, "two rounds of seeding happened");
+        assert!(report.completed < report.leechers);
+        assert_sane(&report, &t);
+    }
+
+    #[test]
+    fn with_every_inter_as_link_down_only_same_as_pairs_exchange() {
+        let u = underlay(80, 1);
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        cfg.max_rounds = 30;
+        cfg.faults = Some(uap_net::FaultPlan::new().epoch(
+            SimTime::ZERO,
+            FOREVER,
+            uap_net::FaultKind::LinkDown {
+                links: (0..u.graph.links.len() as u32).collect(),
+            },
+        ));
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        let (report, u) = run_swarm_with(u, cfg, 11, &mut t);
+        assert_eq!(report.rounds, 30);
+        assert!(report.payload_bytes == 0 || report.intra_as_fraction == 1.0);
+        assert!(u.traffic.per_link_bytes().iter().all(|&b| b == 0));
+        assert_sane(&report, &t);
+    }
+
+    #[test]
+    fn zero_downlink_leecher_is_the_only_one_unfinished() {
+        let mut u = underlay(80, 1);
+        let stuck = HostId(10); // a leecher: members 0..4 are the seeds
+        u.hosts.hosts[stuck.idx()].down_kbps = 0;
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        cfg.max_rounds = 400;
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        let (report, _) = run_swarm_with(u, cfg, 11, &mut t);
+        assert_eq!(report.rounds, 400, "the stuck leecher keeps the run open");
+        assert_eq!(report.completed, report.leechers - 1);
+        let done_peers: Vec<u64> = t
+            .events()
+            .iter()
+            .filter(|e| e.kind == "peer.done")
+            .map(|e| u64_field(e, "peer"))
+            .collect();
+        assert_eq!(done_peers.len(), report.completed);
+        assert!(!done_peers.contains(&(stuck.0 as u64)));
+        assert_sane(&report, &t);
+    }
+
+    #[test]
+    fn poisoner_majority_is_banned_and_the_honest_seed_serves_everyone() {
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        // Three of the four seeds poison every chunk; seed 3 is honest.
+        cfg.poisoners = (0..3).map(HostId).collect();
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        let (report, _) = run_swarm_with(underlay(80, 9), cfg, 37, &mut t);
+        assert_eq!(report.completed, report.leechers, "swarm must complete");
+        // A ban is final: once a receiver has caught a sender it refuses
+        // that sender's flows, so no pair is ever caught twice and no
+        // poisoned credit survives to become a piece.
+        let mut caught = std::collections::BTreeSet::new();
+        for e in t.events().iter().filter(|e| e.kind == "chunk.poisoned") {
+            let pair = (u64_field(e, "peer"), u64_field(e, "sender"));
+            assert!(caught.insert(pair), "{pair:?} poisoned after the ban");
+        }
+        assert!(
+            !caught.is_empty(),
+            "leechers must detect failed hash checks"
+        );
+        assert_sane(&report, &t);
+    }
+
+    #[test]
+    fn one_as_swarm_completes_entirely_intra_as() {
+        let mut graph = uap_net::AsGraph::new();
+        graph.add_as(uap_net::Tier::Tier3, uap_net::GeoPoint::new(0.0, 0.0), 10.0);
+        let u = Underlay::build(
+            graph,
+            &PopulationSpec::uniform(40),
+            UnderlayConfig::default(),
+            &mut SimRng::new(3),
+        );
+        let cfg = SwarmConfig {
+            n_leechers: 30,
+            n_seeds: 2,
+            n_pieces: 16,
+            tracker: TrackerPolicy::Bns {
+                internal: 19,
+                external: 1,
+            },
+            ..Default::default()
+        };
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        let (report, _) = run_swarm_with(u, cfg, 11, &mut t);
+        assert_eq!(report.completed, report.leechers);
+        assert_eq!(report.intra_as_fraction, 1.0);
+        assert_sane(&report, &t);
     }
 
     #[test]

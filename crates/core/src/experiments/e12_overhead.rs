@@ -8,8 +8,9 @@
 //!   cover the same population, side by side: explicit all-pairs
 //!   measurement, Vivaldi, ICS beacons, oracle queries, the CDN trick and
 //!   the SkyEye tree;
-//! * [`run_churn`] — Gnutella search success and signalling cost as churn
-//!   intensifies, unbiased vs oracle-biased (does awareness survive
+//! * [`run_churn`] — Gnutella search success and signalling cost (in
+//!   messages, as Table 1 counts it) as churn intensifies, unbiased vs
+//!   oracle-biased (does awareness survive
 //!   turnover? — the §5.4 robustness question).
 
 use super::table::{ensure, num, Scale};

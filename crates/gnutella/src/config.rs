@@ -51,7 +51,12 @@ pub enum ShareScheme {
     Variable,
 }
 
-/// Full Gnutella experiment configuration.
+/// Full Gnutella experiment configuration: the values some experiment,
+/// example or benchmark workload varies. Protocol constants nothing varies
+/// (pong records per reply, ping and query intervals, the exchanged
+/// file's size, the TCP window) sit beside their one reader in
+/// [`crate::sim`]. Signalling cost is counted in messages; the only bytes
+/// a run charges to the traffic ledger are download payload.
 #[derive(Clone, Debug)]
 pub struct GnutellaConfig {
     /// Neighbor selection policy (the experiment's independent variable).
@@ -72,32 +77,20 @@ pub struct GnutellaConfig {
     pub roles: RoleAssignment,
     /// TTL of discovery ping floods.
     pub ping_ttl: u32,
-    /// Pong records returned per answered ping (pong caching serves
-    /// several known hosts per reply; Gnutella 0.6 uses up to 10).
-    pub pongs_per_reply: u64,
     /// TTL of query floods.
     pub query_ttl: u32,
-    /// Interval between a node's ping cycles.
-    pub ping_interval: SimTime,
-    /// Mean inter-query time per node (exponential).
-    pub query_interval: SimTime,
     /// Files each peer shares (base count; see [`ShareScheme`]).
     pub shared_per_peer: usize,
     /// Distribution of share counts over roles.
     pub share_scheme: ShareScheme,
     /// Hostcache capacity per node.
     pub hostcache_size: usize,
-    /// Size of an exchanged file in bytes.
-    pub file_size_bytes: u64,
     /// Churn model.
     pub churn: ChurnConfig,
     /// Simulated duration.
     pub duration: SimTime,
     /// Content model parameters.
     pub content: ContentParams,
-    /// Whether to charge overlay signalling bytes to the traffic ledger
-    /// (needed by the overhead experiment, off by default for speed).
-    pub account_overhead_traffic: bool,
     /// Download re-sourcing cap: how many *alternate* QueryHit providers a
     /// downloader tries after a transfer failure before abandoning the
     /// download (0 = give up on the first failure).
@@ -116,34 +109,17 @@ impl Default for GnutellaConfig {
             leaf_degree: 2,
             roles: RoleAssignment::AllUltrapeers,
             ping_ttl: 2,
-            pongs_per_reply: 10,
             query_ttl: 4,
-            ping_interval: SimTime::from_secs(60),
-            query_interval: SimTime::from_secs(120),
             shared_per_peer: 20,
             share_scheme: ShareScheme::Uniform,
             hostcache_size: 50,
-            file_size_bytes: 4 << 20, // 4 MiB, a 2008-era MP3/clip
             churn: ChurnConfig::none(),
             duration: SimTime::from_mins(30),
             content: ContentParams::default(),
-            account_overhead_traffic: false,
             download_retries: 2,
             faults: None,
         }
     }
-}
-
-/// Wire sizes in bytes (Gnutella 0.4 header is 23 bytes).
-pub mod wire {
-    /// Ping: bare header.
-    pub const PING: u64 = 23;
-    /// Pong: header + port/IP/stats payload.
-    pub const PONG: u64 = 23 + 14;
-    /// Query: header + flags + a short search string.
-    pub const QUERY: u64 = 23 + 20;
-    /// QueryHit: header + result record + servent id.
-    pub const QUERY_HIT: u64 = 23 + 60;
 }
 
 #[cfg(test)]
@@ -158,12 +134,5 @@ mod tests {
         assert!(c.hostcache_size > c.up_degree);
         assert!(c.churn.is_static());
         assert_eq!(c.selection, NeighborSelection::Random);
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)] // documents the invariant
-    fn wire_sizes_ordered() {
-        assert!(wire::PING < wire::PONG);
-        assert!(wire::QUERY < wire::QUERY_HIT);
     }
 }

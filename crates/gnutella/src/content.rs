@@ -40,10 +40,16 @@ impl ContentModel {
     /// `[0, 1]` (0 = no interest locality at all).
     pub fn new(n_files: usize, n_ases: usize, zipf_s: f64, locality: f64) -> ContentModel {
         assert!(n_files >= n_ases.max(1), "need at least one file per AS");
+        assert!(
+            u32::try_from(n_files).is_ok(),
+            "catalogue exceeds the u32 FileId width"
+        );
         let slice_len = (n_files / n_ases.max(1)).max(1);
         let as_slice = (0..n_ases)
             .map(|a| {
+                // lint:allow(cast) — a · slice_len ≤ n_files, which fits u32 (asserted above)
                 let start = (a * slice_len) as u32;
+                // lint:allow(cast) — capped at n_files
                 let end = (((a + 1) * slice_len).min(n_files)) as u32;
                 (start, end.max(start + 1))
             })
@@ -68,8 +74,10 @@ impl ContentModel {
             let (start, end) = self.as_slice[asn.idx() % self.as_slice.len()];
             let span = (end - start) as usize;
             let rank = self.regional.sample(rng).min(span.saturating_sub(1));
+            // lint:allow(cast) — rank < end − start, so the sum is < n_files (u32 by `new`)
             FileId(start + rank as u32)
         } else {
+            // lint:allow(cast) — a rank < n_files (u32 by `new`)
             FileId(self.global.sample(rng) as u32)
         }
     }

@@ -38,7 +38,6 @@ pub mod overlay;
 pub mod report;
 pub mod selection;
 pub mod sim;
-pub mod wire;
 
 pub use config::{GnutellaConfig, RoleAssignment, ShareScheme};
 pub use content::{ContentModel, FileId};

@@ -178,8 +178,8 @@ impl Overlay {
         let mut out = Vec::with_capacity(self.edge_count);
         for a in 0..self.len() {
             for &b in &self.neighbors[a] {
-                if (a as u32) < b.0 {
-                    out.push((HostId(a as u32), b));
+                if a < b.idx() {
+                    out.push((HostId::from_index(a), b));
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! changing any reported quantity — flood latency is accumulated along the
 //! BFS tree instead).
 
-use crate::config::{wire, GnutellaConfig, RoleAssignment, ShareScheme};
+use crate::config::{GnutellaConfig, RoleAssignment, ShareScheme};
 use crate::content::{ContentModel, FileId, Holders};
 use crate::hostcache::HostCache;
 use crate::overlay::{push_if, Overlay, Role};
@@ -16,6 +16,19 @@ use crate::selection::Selector;
 use uap_info::Oracle;
 use uap_net::{CompiledFaultPlan, FlowAllocator, HostId, TrafficCategory, Underlay};
 use uap_sim::{ChurnModel, Ctx, SimTime, Simulator, TraceLevel, Tracer, World};
+
+/// Pong records returned per answered ping (pong caching serves several
+/// known hosts per reply; Gnutella 0.6 uses up to 10).
+const PONGS_PER_REPLY: u64 = 10;
+/// Interval between a node's ping cycles.
+const PING_INTERVAL: SimTime = SimTime::from_secs(60);
+/// Mean inter-query time per node (exponential).
+const QUERY_INTERVAL: SimTime = SimTime::from_secs(120);
+/// Size of an exchanged file in bytes: 4 MiB, a 2008-era MP3/clip.
+const FILE_SIZE_BYTES: u64 = 4 << 20;
+/// TCP receive window in bytes; caps a download at `window / RTT`, which
+/// is what makes nearby sources *faster*, not just cheaper.
+const TCP_WINDOW_BYTES: u64 = 256 * 1024;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -108,7 +121,7 @@ impl GnutellaSim {
                 let k = (*k).max(1);
                 for i in 0..n {
                     if i % k != 0 {
-                        overlay.set_role(HostId(i as u32), Role::Leaf);
+                        overlay.set_role(HostId::from_index(i), Role::Leaf);
                     }
                 }
             }
@@ -131,7 +144,7 @@ impl GnutellaSim {
         // Content seeding: each peer shares what its region fetches.
         let shared: Vec<Vec<FileId>> = (0..n)
             .map(|i| {
-                let h = HostId(i as u32);
+                let h = HostId::from_index(i);
                 let asn = underlay.hosts.as_of(h);
                 let count = match cfg.share_scheme {
                     ShareScheme::Uniform => cfg.shared_per_peer,
@@ -149,11 +162,16 @@ impl GnutellaSim {
         // the testlab study.
         let hostcache: Vec<HostCache> = (0..n)
             .map(|i| {
+                let me = HostId::from_index(i);
                 let sample = rng.sample_indices(n, cfg.hostcache_size + 1);
+                // Not `from_index`: a cache as large as the membership makes
+                // this hosts² conversions, and checking each one measured
+                // +20 % on `gnutella_selection`'s set-up.
                 let others = sample
                     .into_iter()
+                    // lint:allow(cast) — x < n, the size of a population indexed by u32 ids
                     .map(|x| HostId(x as u32))
-                    .filter(|&h| h != HostId(i as u32));
+                    .filter(|&h| h != me);
                 HostCache::new(cfg.hostcache_size, n, others)
             })
             .collect();
@@ -165,7 +183,7 @@ impl GnutellaSim {
         // Role census: how the promotion policy split the population
         // (CapacityTopFraction is the capacity-ranked ultrapeer promotion).
         let ultrapeers = (0..n)
-            .filter(|&i| overlay.role(HostId(i as u32)) == Role::Ultrapeer)
+            .filter(|&i| overlay.role(HostId::from_index(i)) == Role::Ultrapeer)
             .count();
         sim.tracer_mut()
             .emit(SimTime::ZERO, "gnutella", TraceLevel::Info, "roles", |f| {
@@ -215,7 +233,7 @@ impl GnutellaSim {
     fn bootstrap(&mut self, sim: &mut Simulator<Ev>) {
         let n = self.underlay.n_hosts();
         for i in 0..n {
-            let h = HostId(i as u32);
+            let h = HostId::from_index(i);
             if self.churn[i].is_online() {
                 // Stagger initial joins over the first minute so early
                 // joiners have someone to connect to and later ones see a
@@ -231,6 +249,7 @@ impl GnutellaSim {
         }
         if let Some(plan) = &self.faults {
             for (i, &t) in plan.boundaries().iter().enumerate() {
+                // lint:allow(cast) — boundary index; a plan has two per fault spec
                 sim.schedule_at(t, Ev::Fault(i as u32));
             }
         }
@@ -279,7 +298,7 @@ impl GnutellaSim {
             }
         }
         for (i, &now_down) in now_crashed.iter().enumerate() {
-            let h = HostId(i as u32);
+            let h = HostId::from_index(i);
             match (self.crashed[i], now_down) {
                 (false, true) => {
                     self.crashed[i] = true;
@@ -310,10 +329,9 @@ impl GnutellaSim {
         });
         self.connect(h, ctx);
         // Kick off this node's periodic cycles with a random phase.
-        let ping_phase =
-            SimTime::from_micros(ctx.rng.below(self.cfg.ping_interval.as_micros().max(1)));
+        let ping_phase = SimTime::from_micros(ctx.rng.below(PING_INTERVAL.as_micros()));
         ctx.schedule_in(ping_phase, Ev::PingCycle(h, ep));
-        let q = SimTime::from_secs_f64(ctx.rng.exp(self.cfg.query_interval.as_secs_f64()));
+        let q = SimTime::from_secs_f64(ctx.rng.exp(QUERY_INTERVAL.as_secs_f64()));
         ctx.schedule_in(q, Ev::QueryCycle(h, ep));
     }
 
@@ -397,7 +415,7 @@ impl GnutellaSim {
         for r in &flood.reached {
             // Each reached node answers with pong-cache records (several
             // pong messages) routed back over `hops` overlay links.
-            pongs += r.hops as u64 * self.cfg.pongs_per_reply;
+            pongs += r.hops as u64 * PONGS_PER_REPLY;
         }
         ctx.metrics.incr("gnutella.msg.pong", pongs);
         ctx.trace("gnutella", TraceLevel::Debug, "flood.ping", |f| {
@@ -406,16 +424,13 @@ impl GnutellaSim {
                 .u64("reached", flood.reached.len() as u64)
                 .u64("pongs", pongs);
         });
-        if self.cfg.account_overhead_traffic {
-            self.account_overhead(h, &flood, wire::PING, wire::PONG, ctx.now());
-        }
         // Refresh the hostcache from the pongs: unknown hosts are appended
         // in flood order, the oldest entries of a full cache make room.
         self.hostcache[h.idx()].refresh(h, &flood.reached);
         self.scratch_flood = flood;
         // Periodic self-reschedule with root provenance: each cycle is a
         // fresh causal root, not a descendant of every cycle before it.
-        ctx.schedule_in_root(self.cfg.ping_interval, Ev::PingCycle(h, ep));
+        ctx.schedule_in_root(PING_INTERVAL, Ev::PingCycle(h, ep));
     }
 
     fn query_cycle(&mut self, h: HostId, ep: u32, ctx: &mut Ctx<'_, Ev>) {
@@ -424,7 +439,7 @@ impl GnutellaSim {
         }
         // Exactly one pending QueryCycle per online session: reschedule
         // here, success or not (root provenance — see ping_cycle).
-        let next = SimTime::from_secs_f64(ctx.rng.exp(self.cfg.query_interval.as_secs_f64()));
+        let next = SimTime::from_secs_f64(ctx.rng.exp(QUERY_INTERVAL.as_secs_f64()));
         ctx.schedule_in_root(next, Ev::QueryCycle(h, ep));
         let asn = self.underlay.hosts.as_of(h);
         let file = self.content.sample_interest(asn, ctx.rng);
@@ -471,9 +486,6 @@ impl GnutellaSim {
                 .u64("reached", flood.reached.len() as u64)
                 .u64("hits", hits.len() as u64);
         });
-        if self.cfg.account_overhead_traffic {
-            self.account_overhead(h, &flood, wire::QUERY, 0, ctx.now());
-        }
         self.scratch_flood = flood;
         self.query_log.push((ctx.now(), !hits.is_empty()));
         if hits.is_empty() {
@@ -543,7 +555,7 @@ impl GnutellaSim {
         providers: &[HostId],
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        let bytes = self.cfg.file_size_bytes;
+        let bytes = FILE_SIZE_BYTES;
         let mut tried = std::mem::take(&mut self.scratch_tried);
         tried.clear();
         tried.push(provider);
@@ -645,7 +657,7 @@ impl GnutellaSim {
         self.next_flow_id += 1;
         let mut rate = self.flows.rate_of(id)?;
         if rtt_secs > 0.0 {
-            rate = rate.min(self.underlay.config.tcp_window_bytes as f64 / rtt_secs);
+            rate = rate.min(TCP_WINDOW_BYTES as f64 / rtt_secs);
         }
         if rate < 1.0 {
             return None;
@@ -669,28 +681,6 @@ impl GnutellaSim {
     /// The raw per-download outcome series `(time, completed)`.
     pub fn download_log(&self) -> &[(SimTime, bool)] {
         &self.download_log
-    }
-
-    /// Charges flood signalling bytes to the underlay ledger: each
-    /// transmission crosses one overlay edge, i.e. one underlay path.
-    /// We approximate with the BFS tree edges (duplicate copies follow the
-    /// same paths).
-    fn account_overhead(
-        &mut self,
-        origin: HostId,
-        flood: &crate::overlay::FloodResult,
-        fwd_bytes: u64,
-        reply_bytes: u64,
-        now: SimTime,
-    ) {
-        for r in &flood.reached {
-            self.underlay
-                .account_transfer(now, origin, r.host, fwd_bytes);
-            if reply_bytes > 0 {
-                self.underlay
-                    .account_transfer(now, r.host, origin, reply_bytes);
-            }
-        }
     }
 
     /// Extracts the report after the run.

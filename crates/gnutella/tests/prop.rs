@@ -205,73 +205,3 @@ proptest! {
         prop_assert_eq!(o.edge_count(), 0);
     }
 }
-
-mod wire_props {
-    use proptest::prelude::*;
-    use uap_gnutella::wire::{decode, encode, encoded_len, Descriptor, Guid, Payload};
-
-    fn arb_payload() -> impl Strategy<Value = Payload> {
-        prop_oneof![
-            Just(Payload::Ping),
-            (any::<u16>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-                |(port, ip, files, kilobytes)| Payload::Pong {
-                    port,
-                    ip,
-                    files,
-                    kilobytes
-                }
-            ),
-            (any::<u16>(), "[a-zA-Z0-9 _.-]{0,40}")
-                .prop_map(|(min_speed, search)| { Payload::Query { min_speed, search } }),
-            (
-                any::<u16>(),
-                any::<u32>(),
-                any::<u32>(),
-                any::<u32>(),
-                any::<u32>(),
-                "[a-zA-Z0-9 _.-]{1,40}",
-                any::<u64>()
-            )
-                .prop_map(
-                    |(port, ip, speed, file_index, file_size, file_name, sid)| {
-                        Payload::QueryHit {
-                            port,
-                            ip,
-                            speed,
-                            file_index,
-                            file_size,
-                            file_name,
-                            servent_id: Guid::from_u64(sid),
-                        }
-                    }
-                ),
-        ]
-    }
-
-    proptest! {
-        /// Any descriptor survives an encode/decode round trip, and the
-        /// size predictor agrees with the encoder.
-        #[test]
-        fn wire_roundtrip(guid in any::<u64>(), ttl in 0u8..16, hops in 0u8..16, payload in arb_payload()) {
-            let d = Descriptor {
-                guid: Guid::from_u64(guid),
-                ttl,
-                hops,
-                payload,
-            };
-            let enc = encode(&d);
-            prop_assert_eq!(enc.len(), encoded_len(&d.payload));
-            let mut buf = enc;
-            let back = decode(&mut buf).unwrap();
-            prop_assert!(buf.is_empty());
-            prop_assert_eq!(back, d);
-        }
-
-        /// Decoding never panics on arbitrary bytes — it returns an error.
-        #[test]
-        fn decode_is_total(raw in prop::collection::vec(any::<u8>(), 0..200)) {
-            let mut buf = bytes::Bytes::from(raw);
-            let _ = decode(&mut buf); // must not panic
-        }
-    }
-}

@@ -34,7 +34,7 @@ impl SimulatedCdn {
     pub fn deploy(underlay: &Underlay, k: usize) -> SimulatedCdn {
         let n = underlay.n_ases();
         let k = k.clamp(1, n);
-        let replica_ases = (0..k).map(|i| AsId((i * n / k) as u16)).collect();
+        let replica_ases = (0..k).map(|i| AsId::from_index(i * n / k)).collect();
         SimulatedCdn {
             replica_ases,
             gamma: 2.0,

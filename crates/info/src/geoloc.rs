@@ -51,23 +51,6 @@ impl<'a> GeoService<'a> {
     pub fn source(&self) -> GeoSource {
         self.source
     }
-
-    /// Worst-case error radius (km) a consumer should plan for.
-    pub fn expected_error_km(&self) -> f64 {
-        match self.source {
-            GeoSource::Gps => self.gps_sigma_km * 3.0,
-            GeoSource::IspProvided => 0.0,
-            GeoSource::IpMapping => {
-                // Bounded by the largest service radius in the topology.
-                self.underlay
-                    .graph
-                    .nodes
-                    .iter()
-                    .map(|n| n.service_radius_km * 2.0)
-                    .fold(0.0, f64::max)
-            }
-        }
-    }
 }
 
 impl GeoLocator for GeoService<'_> {
@@ -139,7 +122,6 @@ mod tests {
             assert_eq!(svc.locate(h, &mut rng), u.host(h).geo);
         }
         assert_eq!(svc.queries(), 20);
-        assert_eq!(svc.expected_error_km(), 0.0);
     }
 
     #[test]
@@ -172,7 +154,6 @@ mod tests {
             mean_err > 1.0,
             "mean error {mean_err} km suspiciously small"
         );
-        assert!(mean_err <= svc.expected_error_km());
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl IcsService {
         while beacons.len() < n_beacons {
             let mut progressed = false;
             for a in 0..underlay.n_ases() {
-                let hosts = underlay.hosts.in_as(uap_net::AsId(a as u16));
+                let hosts = underlay.hosts.in_as(uap_net::AsId::from_index(a));
                 if let Some(&h) = hosts.get(offset) {
                     beacons.push(h);
                     progressed = true;

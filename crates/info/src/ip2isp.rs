@@ -21,7 +21,7 @@ pub struct Ip2IspService {
     /// Probability a lookup returns the correct AS; misses return a
     /// deterministic wrong neighbor entry.
     accuracy: f64,
-    n_ases: u16,
+    n_ases: usize,
     queries: u64,
     rng: SimRng,
 }
@@ -35,6 +35,7 @@ impl Ip2IspService {
         let mut host_ips = vec![0u32; underlay.n_hosts()];
         for h in underlay.hosts.ids() {
             let host = underlay.host(h);
+            // lint:allow(cast) — the /16 prefix: ip >> 16 < 2^16
             prefix_table.insert((host.ip >> 16) as u16, host.asn);
             host_ips[h.idx()] = host.ip;
         }
@@ -42,7 +43,7 @@ impl Ip2IspService {
             prefix_table,
             host_ips,
             accuracy: accuracy.clamp(0.0, 1.0),
-            n_ases: underlay.n_ases() as u16,
+            n_ases: underlay.n_ases(),
             queries: 0,
             rng,
         }
@@ -51,14 +52,14 @@ impl Ip2IspService {
     /// Looks up an arbitrary IP address.
     pub fn lookup_ip(&mut self, ip: u32) -> Option<AsId> {
         self.queries += 1;
+        // lint:allow(cast) — the /16 prefix: ip >> 16 < 2^16
         let truth = self.prefix_table.get(&((ip >> 16) as u16)).copied()?;
         if self.accuracy >= 1.0 || self.rng.chance(self.accuracy) {
             Some(truth)
         } else {
             // A stale database points at some other AS.
-            Some(AsId(
-                (truth.0 + 1 + self.rng.below(self.n_ases.max(2) as u64 - 1) as u16) % self.n_ases,
-            ))
+            let skip = self.rng.below(self.n_ases.max(2) as u64 - 1) as usize;
+            Some(AsId::from_index((truth.idx() + 1 + skip) % self.n_ases))
         }
     }
 }

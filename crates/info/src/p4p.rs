@@ -57,28 +57,28 @@ impl P4pService {
         for src in 0..n {
             let dist = &mut pdistance[src];
             dist[src] = 0.0;
-            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u16)>> =
+            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, AsId)>> =
                 std::collections::BinaryHeap::new();
             // Fixed-point costs (micro-units) keep the heap ordered without
             // float comparators.
             let to_fp = |c: f64| (c * 1e6) as u64;
-            heap.push(std::cmp::Reverse((0, src as u16)));
+            heap.push(std::cmp::Reverse((0, AsId::from_index(src))));
             while let Some(std::cmp::Reverse((d, x))) = heap.pop() {
-                let xd = to_fp(dist[x as usize]);
+                let xd = to_fp(dist[x.idx()]);
                 if d > xd {
                     continue;
                 }
-                for &li in g.incident(AsId(x)) {
+                for &li in g.incident(x) {
                     let link = &g.links[li as usize];
-                    let y = link.other(AsId(x)).expect("incident").idx(); // lint:allow(expect)
+                    let y = link.other(x).expect("incident").idx(); // lint:allow(expect)
                     let w = match link.kind {
                         LinkKind::Peering => weights.peering,
                         LinkKind::Transit => weights.transit,
                     };
-                    let nd = dist[x as usize] + w;
+                    let nd = dist[x.idx()] + w;
                     if nd < dist[y] {
                         dist[y] = nd;
-                        heap.push(std::cmp::Reverse((to_fp(nd), y as u16)));
+                        heap.push(std::cmp::Reverse((to_fp(nd), AsId::from_index(y))));
                     }
                 }
             }

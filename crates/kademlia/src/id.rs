@@ -44,7 +44,7 @@ impl Key {
             }
             h ^= i as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            *slot = (h >> 24) as u8;
+            *slot = (h >> 24) as u8; // lint:allow(cast) — one byte sliced out of the running hash
         }
         Key(out)
     }

@@ -23,6 +23,9 @@ pub enum ProximityMode {
     PnsPr,
 }
 
+/// Average bytes of one RPC message (request or response).
+const RPC_BYTES: u64 = 100;
+
 /// DHT parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DhtConfig {
@@ -32,8 +35,6 @@ pub struct DhtConfig {
     pub alpha: usize,
     /// Underlay-awareness mode.
     pub proximity: ProximityMode,
-    /// Average bytes of one RPC message (request or response).
-    pub rpc_bytes: u64,
     /// Retransmit attempts after an RPC timeout before the contact is
     /// declared dead (0 = classic immediate prune, the pre-recovery
     /// behavior and the default).
@@ -49,7 +50,6 @@ impl Default for DhtConfig {
             k: 8,
             alpha: 3,
             proximity: ProximityMode::None,
-            rpc_bytes: 100,
             rpc_retries: 0,
             rpc_timeout_us: 500_000,
         }
@@ -161,8 +161,8 @@ impl DhtNetwork {
         // self-looks-up to populate its table; earlier nodes learn the
         // newcomer from the RPCs they answer.
         for i in 1..n {
-            let bootstrap = HostId(rng.index(i) as u32);
-            let me = HostId(i as u32);
+            let bootstrap = HostId::from_index(rng.index(i));
+            let me = HostId::from_index(i);
             let c = net.contact_of(bootstrap, me);
             net.nodes[i].table.observe(c);
             let own = net.nodes[i].key;
@@ -236,16 +236,13 @@ impl DhtNetwork {
     /// caller's prune path sees the `None`.
     fn rpc(&mut self, from: HostId, to: HostId, out: &mut LookupOutcome) -> Option<u64> {
         out.rpcs += 1;
-        let cat = self
-            .underlay
-            .account_transfer(NOW, from, to, self.cfg.rpc_bytes);
+        let cat = self.underlay.account_transfer(NOW, from, to, RPC_BYTES);
         if cat != TrafficCategory::IntraAs {
             out.inter_as_rpcs += 1;
         }
         out.as_hops_sum += self.underlay.as_hops(from, to).unwrap_or(0) as u64;
         let rtt = if self.node(to).online {
-            self.underlay
-                .account_transfer(NOW, to, from, self.cfg.rpc_bytes);
+            self.underlay.account_transfer(NOW, to, from, RPC_BYTES);
             // The responder learns the caller (standard Kademlia liveness).
             let caller = self.contact_of(from, to);
             self.node_mut(to).table.observe(caller);
@@ -269,8 +266,7 @@ impl DhtNetwork {
                     });
                 // Retransmitting costs another request on the wire (the
                 // target never answers, so no response bytes).
-                self.underlay
-                    .account_transfer(NOW, from, to, self.cfg.rpc_bytes);
+                self.underlay.account_transfer(NOW, from, to, RPC_BYTES);
                 wait = wait.saturating_mul(2);
             }
             // The last retransmit's own timeout elapses before giving up.

@@ -289,11 +289,6 @@ impl FlowAllocator {
             .map(|fi| self.rates[fi])
     }
 
-    /// Number of flows in the current set.
-    pub fn n_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Exports lifetime counters (`net.flow.opened` / `net.flow.rejected`)
     /// into `metrics`, mirroring the route-cache export convention.
     pub fn export_metrics(&self, metrics: &mut Metrics) {
@@ -454,7 +449,6 @@ mod tests {
             a.add_flow(round + 100, HostId(4), HostId(9), &u);
             a.allocate();
             assert!(a.rate_of(round).unwrap() > 0.0);
-            assert_eq!(a.n_flows(), 2);
         }
         // Ids from earlier cycles are gone.
         assert_eq!(a.rate_of(0), None);

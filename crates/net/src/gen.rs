@@ -14,7 +14,6 @@
 use crate::asgraph::{AsGraph, Tier};
 use crate::geo::{propagation_delay_us, GeoPoint};
 use crate::ids::AsId;
-use crate::routing::RoutingMode;
 use uap_sim::SimRng;
 
 /// Which topology to generate.
@@ -90,18 +89,6 @@ impl TopologySpec {
             kind,
             world_km: 5_000.0,
             base_link_latency_us: 200,
-        }
-    }
-
-    /// The routing mode this topology is meant to be used with.
-    pub fn routing_mode(&self) -> RoutingMode {
-        match self.kind {
-            TopologyKind::Ring { .. } | TopologyKind::Star { .. } | TopologyKind::Mesh { .. } => {
-                RoutingMode::ShortestPath
-            }
-            TopologyKind::Tree { .. }
-            | TopologyKind::Hierarchical { .. }
-            | TopologyKind::PreferentialAttachment { .. } => RoutingMode::ValleyFree,
         }
     }
 
@@ -519,25 +506,6 @@ mod tests {
             assert_eq!(g.len(), 5, "{name}");
             assert!(g.is_connected(None), "{name}");
         }
-    }
-
-    #[test]
-    fn routing_mode_defaults() {
-        assert_eq!(
-            TopologySpec::new(TopologyKind::Ring { n: 5 }).routing_mode(),
-            RoutingMode::ShortestPath
-        );
-        assert_eq!(
-            TopologySpec::new(TopologyKind::Hierarchical {
-                tier1: 2,
-                tier2_per_tier1: 2,
-                tier3_per_tier2: 2,
-                tier2_peering_prob: 0.0,
-                tier3_peering_prob: 0.0,
-            })
-            .routing_mode(),
-            RoutingMode::ValleyFree
-        );
     }
 
     #[test]

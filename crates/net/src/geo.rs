@@ -27,14 +27,6 @@ impl GeoPoint {
         let dy = self.y_km - other.y_km;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Midpoint between two points.
-    pub fn midpoint(&self, other: &GeoPoint) -> GeoPoint {
-        GeoPoint {
-            x_km: (self.x_km + other.x_km) / 2.0,
-            y_km: (self.y_km + other.y_km) / 2.0,
-        }
-    }
 }
 
 /// Propagation delay in microseconds for a geodesic of `km` kilometres in
@@ -54,13 +46,6 @@ mod tests {
         assert_eq!(a.distance_km(&b), 5.0);
         assert_eq!(b.distance_km(&a), 5.0);
         assert_eq!(a.distance_km(&a), 0.0);
-    }
-
-    #[test]
-    fn midpoint_is_centered() {
-        let a = GeoPoint::new(0.0, 0.0);
-        let b = GeoPoint::new(10.0, 20.0);
-        assert_eq!(a.midpoint(&b), GeoPoint::new(5.0, 10.0));
     }
 
     #[test]

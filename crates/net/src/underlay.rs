@@ -20,42 +20,35 @@ use uap_sim::{Metrics, SimRng, SimTime, TraceLevel, Tracer};
 pub struct UnderlayConfig {
     /// Routing policy.
     pub routing: RoutingMode,
-    /// Extra per-AS traversal delay (router queueing) in microseconds.
-    pub per_as_hop_us: u64,
     /// Multiplier applied to the reverse direction of each ordered host
     /// pair (1.0 = symmetric). Models the asymmetric-path problem of §6.
     pub asymmetry: f64,
     /// Relative jitter amplitude on measured RTTs (0.0 = noiseless).
     pub jitter: f64,
-    /// TCP window: a single flow's rate is capped at `window / RTT` on
-    /// top of its [`crate::flow::FlowAllocator`] share, which is what
-    /// makes low-latency (local) sources download faster in practice.
-    /// The underlay only carries the value; the overlay that opens the
-    /// flow applies the cap (Gnutella downloads).
-    pub tcp_window_bytes: u64,
 }
 
 impl Default for UnderlayConfig {
     fn default() -> Self {
         UnderlayConfig {
             routing: RoutingMode::ValleyFree,
-            per_as_hop_us: 300,
             asymmetry: 1.0,
             jitter: 0.0,
-            tcp_window_bytes: 256 * 1024,
         }
     }
 }
 
+/// Extra per-AS traversal delay (router queueing) in microseconds.
+const PER_AS_HOP_US: u64 = 300;
+
 /// Deterministic AS-pair route-metric cache: the combined
-/// `path_latency + as_hops × per_as_hop_us` term of the host-latency
+/// `path_latency + as_hops × PER_AS_HOP_US` term of the host-latency
 /// decomposition, materialized per ordered AS pair at build time so
 /// [`Underlay::latency_us`] (and therefore `rtt_us`) does one indexed
 /// read instead of probing the routing table twice per direction.
 /// `u64::MAX` marks unreachable pairs.
 ///
-/// The cache is derived from the routing table, `per_as_hop_us` and the
-/// active latency-inflation factor. Host migration cannot stale it
+/// The cache is derived from the routing table and the active
+/// latency-inflation factor. Host migration cannot stale it
 /// (migration changes which AS a host maps to, not any AS-pair metric),
 /// but **swapping the routing table can** — which is why `routing` is a
 /// private field and [`Underlay::apply_fault_state`] is the only writer:
@@ -100,7 +93,7 @@ impl RouteCache {
     /// initial build is eager so coherence checks and first lookups never
     /// observe an unfilled cache; later invalidations are lazy.
     // lint:allow(alloc) — cache construction; runs once per full routing rebuild
-    fn build(routing: &Routing, n: usize, per_as_hop_us: u64, latency_factor: f64) -> RouteCache {
+    fn build(routing: &Routing, n: usize, latency_factor: f64) -> RouteCache {
         let mut entries = Vec::with_capacity(n * n);
         for s in 0..n {
             for d in 0..n {
@@ -108,7 +101,6 @@ impl RouteCache {
                     routing,
                     AsId::from_index(s),
                     AsId::from_index(d),
-                    per_as_hop_us,
                     latency_factor,
                 )));
             }
@@ -140,17 +132,11 @@ impl RouteCache {
     /// The entry for one ordered AS pair, straight from the routing
     /// table — the ground truth the cache materializes and the coherence
     /// assertion recomputes.
-    fn entry(
-        routing: &Routing,
-        src: AsId,
-        dst: AsId,
-        per_as_hop_us: u64,
-        latency_factor: f64,
-    ) -> u64 {
+    fn entry(routing: &Routing, src: AsId, dst: AsId, latency_factor: f64) -> u64 {
         match routing.route(src, dst) {
             None => UNREACHABLE_ENTRY,
             Some(r) => {
-                let mut combined = r.latency_us + r.hops as u64 * per_as_hop_us;
+                let mut combined = r.latency_us + r.hops as u64 * PER_AS_HOP_US;
                 if (latency_factor - 1.0).abs() > f64::EPSILON {
                     combined = (combined as f64 * latency_factor) as u64;
                 }
@@ -163,21 +149,14 @@ impl RouteCache {
     /// Reads the entry for an ordered AS pair, counting a hit.
     /// A generation-stale entry refills from the routing table first.
     #[inline]
-    fn lookup(
-        &self,
-        src: AsId,
-        dst: AsId,
-        routing: &Routing,
-        per_as_hop_us: u64,
-        latency_factor: f64,
-    ) -> u64 {
+    fn lookup(&self, src: AsId, dst: AsId, routing: &Routing, latency_factor: f64) -> u64 {
         self.hits.set(self.hits.get() + 1);
         let i = src.idx() * self.n + dst.idx();
         let gen = self.row_gen[src.idx()];
         if self.entry_gen[i].get() == gen {
             return self.entries[i].get();
         }
-        let entry = Self::entry(routing, src, dst, per_as_hop_us, latency_factor);
+        let entry = Self::entry(routing, src, dst, latency_factor);
         self.entries[i].set(entry);
         self.entry_gen[i].set(gen);
         self.refills.set(self.refills.get() + 1);
@@ -218,8 +197,6 @@ pub struct Underlay {
     latency_factor: f64,
     /// How many fault epochs have invalidated route-cache rows.
     invalidations: u64,
-    /// Stats of the most recent fault-epoch repair.
-    last_repair: RepairStats,
     /// Running totals across fault epochs: sources recomputed vs the
     /// sources a full rebuild would have recomputed, and how often the
     /// majority-dirty heuristic forced a full rebuild.
@@ -239,7 +216,7 @@ impl Underlay {
         let (routing, repair_index) = Routing::compute_indexed(&graph, config.routing, None);
         let hosts = HostPopulation::build(&graph, pop, rng);
         let traffic = TrafficAccounting::new(&graph);
-        let route_cache = RouteCache::build(&routing, graph.len(), config.per_as_hop_us, 1.0);
+        let route_cache = RouteCache::build(&routing, graph.len(), 1.0);
         let n_links = graph.links.len();
         Underlay {
             graph,
@@ -252,7 +229,6 @@ impl Underlay {
             active_mask: vec![false; n_links],
             latency_factor: 1.0,
             invalidations: 0,
-            last_repair: RepairStats::default(),
             repair_sources_recomputed: 0,
             repair_sources_total: 0,
             repair_full_fallbacks: 0,
@@ -301,7 +277,6 @@ impl Underlay {
             }
         }
         self.invalidations += 1;
-        self.last_repair = stats;
         self.repair_sources_recomputed += stats.dirty_sources as u64;
         self.repair_sources_total += stats.sources_total as u64;
         if stats.full_rebuild {
@@ -332,13 +307,7 @@ impl Underlay {
                     continue; // lazily invalidated; refills on next lookup
                 }
                 let (src, dst) = (AsId::from_index(s), AsId::from_index(d));
-                let want = RouteCache::entry(
-                    &self.routing,
-                    src,
-                    dst,
-                    self.config.per_as_hop_us,
-                    self.latency_factor,
-                );
+                let want = RouteCache::entry(&self.routing, src, dst, self.latency_factor);
                 let got = self.route_cache.entries[i].get();
                 assert_eq!(
                     got, want,
@@ -386,7 +355,7 @@ impl Underlay {
     /// One-way latency from `a` to `b` in microseconds: both access links,
     /// the inter-AS path, per-AS-hop queueing, and intra-AS propagation
     /// between geographic positions. The inter-AS term
-    /// (`path latency + hops × per_as_hop_us`) is served by the AS-pair
+    /// (`path latency + hops × PER_AS_HOP_US`) is served by the AS-pair
     /// route cache in a single indexed read.
     #[inline]
     pub fn latency_us(&self, a: HostId, b: HostId) -> Option<u64> {
@@ -402,13 +371,10 @@ impl Underlay {
             self.route_cache.note_miss();
             return Some(base + propagation_delay_us(ha.geo.distance_km(&hb.geo)));
         }
-        match self.route_cache.lookup(
-            ha.asn,
-            hb.asn,
-            &self.routing,
-            self.config.per_as_hop_us,
-            self.latency_factor,
-        ) {
+        match self
+            .route_cache
+            .lookup(ha.asn, hb.asn, &self.routing, self.latency_factor)
+        {
             UNREACHABLE_ENTRY => None,
             entry => Some(base + entry),
         }
@@ -425,11 +391,6 @@ impl Underlay {
     /// after lazy invalidations, i.e. incremental fault-epoch repairs).
     pub fn route_cache_refills(&self) -> u64 {
         self.route_cache.refills.get()
-    }
-
-    /// Stats of the most recent [`Underlay::apply_fault_state`] repair.
-    pub fn last_repair_stats(&self) -> RepairStats {
-        self.last_repair
     }
 
     /// Running `(sources_recomputed, sources_total, full_fallbacks)`
@@ -512,23 +473,15 @@ impl Underlay {
             let l = base + propagation_delay_us(ha.geo.distance_km(&hb.geo));
             (l, l)
         } else {
-            let fwd = self.route_cache.lookup(
-                ha.asn,
-                hb.asn,
-                &self.routing,
-                self.config.per_as_hop_us,
-                self.latency_factor,
-            );
+            let fwd = self
+                .route_cache
+                .lookup(ha.asn, hb.asn, &self.routing, self.latency_factor);
             if fwd == UNREACHABLE_ENTRY {
                 return None;
             }
-            let rev = self.route_cache.lookup(
-                hb.asn,
-                ha.asn,
-                &self.routing,
-                self.config.per_as_hop_us,
-                self.latency_factor,
-            );
+            let rev = self
+                .route_cache
+                .lookup(hb.asn, ha.asn, &self.routing, self.latency_factor);
             if rev == UNREACHABLE_ENTRY {
                 return None;
             }
@@ -590,8 +543,9 @@ impl Underlay {
     /// trace event (Debug level) recording the routing decision: endpoint
     /// hosts and ASes, byte count, traffic category, and the number of
     /// links / transit links the valley-free path crossed. The route is
-    /// resolved once — the trace fields come from the same precomputed
-    /// summary the accounting used, not a second path walk.
+    /// resolved twice when the tracer is enabled — once by the accounting,
+    /// once more for the trace fields, an indexed read of the pair's
+    /// precomputed summary rather than a second path walk.
     pub fn account_transfer_traced(
         &mut self,
         now: SimTime,
@@ -972,7 +926,6 @@ mod tests {
         assert_eq!(stats.sources_total, n);
         assert_eq!(stats.dirty_sources, 2, "leaf peering trees span 2 sources");
         assert!(stats.dirty_sources * 4 <= n);
-        assert_eq!(u.last_repair_stats(), stats);
         assert_eq!(u.repair_totals(), (2, n as u64, 0));
         // Healing is incremental too and restores the pristine table.
         let heal = u.apply_fault_state(&crate::fault::FaultState::clear());
@@ -1001,26 +954,16 @@ mod tests {
         assert_eq!(u.route_cache_refills(), 0);
         for s in 0..n {
             for d in 0..n {
-                u.route_cache.lookup(
-                    AsId(s as u16),
-                    AsId(d as u16),
-                    &u.routing,
-                    u.config.per_as_hop_us,
-                    u.latency_factor,
-                );
+                u.route_cache
+                    .lookup(AsId(s as u16), AsId(d as u16), &u.routing, u.latency_factor);
             }
         }
         assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);
         // A second scan is fully warm.
         for s in 0..n {
             for d in 0..n {
-                u.route_cache.lookup(
-                    AsId(s as u16),
-                    AsId(d as u16),
-                    &u.routing,
-                    u.config.per_as_hop_us,
-                    u.latency_factor,
-                );
+                u.route_cache
+                    .lookup(AsId(s as u16), AsId(d as u16), &u.routing, u.latency_factor);
             }
         }
         assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);

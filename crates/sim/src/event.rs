@@ -107,16 +107,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Discards all pending events (sequence numbering continues).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -174,16 +164,5 @@ mod tests {
         );
         assert_eq!(q.pop_full(), Some((SimTime::from_micros(2), "b", p)));
         assert_eq!(q.pop_full(), None);
-    }
-
-    #[test]
-    fn clear_keeps_sequence_monotone() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1u32);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 1);
-        q.push(SimTime::ZERO, 2u32);
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

@@ -160,21 +160,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Buckets values into windows of `width` and returns per-window sums.
-    /// Used for 5-minute traffic sampling in the transit billing model.
-    pub fn bucket_sums(&self, width: SimTime) -> Vec<f64> {
-        assert!(width.as_micros() > 0);
-        let mut out: Vec<f64> = Vec::new();
-        for &(t, v) in &self.points {
-            let idx = (t.as_micros() / width.as_micros()) as usize;
-            if out.len() <= idx {
-                out.resize(idx + 1, 0.0);
-            }
-            out[idx] += v;
-        }
-        out
-    }
 }
 
 /// The metrics registry handed to every simulation world.
@@ -448,16 +433,6 @@ mod tests {
         // Force `b` into the sorted state via a quantile query.
         let _ = b.median();
         assert_eq!(a.sum().to_bits(), b.sum().to_bits());
-    }
-
-    #[test]
-    fn series_bucketing() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::from_secs(1), 10.0);
-        s.push(SimTime::from_secs(2), 5.0);
-        s.push(SimTime::from_secs(61), 7.0);
-        let sums = s.bucket_sums(SimTime::from_secs(60));
-        assert_eq!(sums, vec![15.0, 7.0]);
     }
 
     #[test]

@@ -56,23 +56,9 @@ impl SimTime {
         SimTime((s * 1e6).round() as u64)
     }
 
-    /// Creates a time from fractional milliseconds, rounding to the nearest
-    /// microsecond. Negative inputs clamp to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        if ms <= 0.0 {
-            return SimTime::ZERO;
-        }
-        SimTime((ms * 1e3).round() as u64)
-    }
-
     /// This time in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// This time in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// This time in fractional milliseconds.
@@ -157,13 +143,11 @@ mod tests {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.as_micros(), 1_500_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(SimTime::from_millis_f64(0.5).as_micros(), 500);
     }
 
     #[test]
     fn negative_floats_clamp_to_zero() {
         assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
-        assert_eq!(SimTime::from_millis_f64(-0.1), SimTime::ZERO);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   every [`Tracer::is_enabled`] query with one branch and allocates
 //!   nothing; instrumentation sites build their fields inside a closure
 //!   that is never called on the disabled path.
-//! * **Bounded memory.** [`Tracer::ring`] keeps only the last `cap` events
-//!   (a flight recorder); evicted events are counted in
-//!   [`Tracer::dropped`].
+//! * **Bounded memory.** [`Tracer::streaming`] writes every event through
+//!   to a JSONL file and retains nothing; a line the file refused is
+//!   counted in [`Tracer::dropped`], and a run that dropped any fails.
 //! * **No wall clock.** Events carry [`SimTime`] only. The single
 //!   sanctioned wall-clock boundary is [`WallTimer`] below, which exists
 //!   for the run report's `wall_secs` and the engine's opt-in profiler
@@ -31,7 +31,6 @@
 pub mod registry;
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -170,8 +169,8 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+            c if u32::from(c) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", u32::from(c)));
             }
             c => out.push(c),
         }
@@ -219,8 +218,7 @@ impl Fields {
 /// One structured trace event.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TraceEvent {
-    /// Global emission sequence number (0-based, gap-free unless the ring
-    /// evicted; eviction never renumbers).
+    /// Global emission sequence number (0-based, gap-free).
     pub seq: u64,
     /// Simulated time of the event.
     pub t: SimTime,
@@ -291,13 +289,6 @@ enum Sink {
     Disabled,
     /// Unbounded in-memory buffer (quick experiment runs, tests).
     Buffer(Vec<TraceEvent>),
-    /// Flight recorder: keep only the newest `cap` events.
-    Ring {
-        /// Capacity (≥ 1).
-        cap: usize,
-        /// Oldest-first buffer.
-        buf: VecDeque<TraceEvent>,
-    },
     /// Write-through JSONL stream: every admitted event is serialized and
     /// written immediately, nothing is retained in memory (O(1) memory
     /// for arbitrarily long runs).
@@ -345,18 +336,6 @@ impl Tracer {
     /// An unbounded in-memory tracer admitting events up to `level`.
     pub fn buffered(level: TraceLevel) -> Tracer {
         Tracer::with_sink(Sink::Buffer(Vec::new()), level)
-    }
-
-    /// A bounded flight recorder keeping the newest `cap` events (oldest
-    /// evicted first; `cap` is clamped to ≥ 1).
-    pub fn ring(level: TraceLevel, cap: usize) -> Tracer {
-        Tracer::with_sink(
-            Sink::Ring {
-                cap: cap.max(1),
-                buf: VecDeque::new(),
-            },
-            level,
-        )
     }
 
     /// A write-through streaming tracer: every admitted event is
@@ -478,13 +457,6 @@ impl Tracer {
         match &mut self.sink {
             Sink::Disabled => {}
             Sink::Buffer(buf) => buf.push(ev),
-            Sink::Ring { cap, buf } => {
-                if buf.len() >= *cap {
-                    buf.pop_front();
-                    self.dropped += 1;
-                }
-                buf.push_back(ev);
-            }
             Sink::Stream(out) => {
                 // Serialize into the tracer's reused line buffer — the
                 // write-through path allocates nothing beyond number
@@ -494,7 +466,7 @@ impl Tracer {
                 self.scratch_line.push('\n');
                 if out.write_all(self.scratch_line.as_bytes()).is_err() {
                     // Stream write failures count as drops; the run keeps
-                    // going and `flush` surfaces the sink state.
+                    // going and whoever finishes it reads `dropped`.
                     self.dropped += 1;
                 }
             }
@@ -517,7 +489,6 @@ impl Tracer {
         match &self.sink {
             Sink::Disabled | Sink::Stream(_) => 0,
             Sink::Buffer(buf) => buf.len(),
-            Sink::Ring { buf, .. } => buf.len(),
         }
     }
 
@@ -526,12 +497,13 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Total events ever emitted (including evicted ones).
+    /// Total events ever emitted (including dropped ones).
     pub fn emitted(&self) -> u64 {
         self.seq
     }
 
-    /// Events evicted by the ring (0 for buffered/disabled tracers).
+    /// Events the streaming sink failed to write (0 for buffered/disabled
+    /// tracers).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -542,7 +514,6 @@ impl Tracer {
         match &self.sink {
             Sink::Disabled | Sink::Stream(_) => Vec::new(),
             Sink::Buffer(buf) => buf.iter().collect(),
-            Sink::Ring { buf, .. } => buf.iter().collect(),
         }
     }
 
@@ -845,21 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_first() {
-        let mut t = Tracer::ring(TraceLevel::Info, 3);
-        for i in 0..5u64 {
-            t.emit(SimTime::from_micros(i), "c", TraceLevel::Info, "k", |f| {
-                f.u64("i", i);
-            });
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.emitted(), 5);
-        let seqs: Vec<u64> = t.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4], "oldest events must be evicted first");
-    }
-
-    #[test]
     fn jsonl_round_trip_preserves_everything() {
         let mut t = Tracer::buffered(TraceLevel::Trace);
         t.emit(
@@ -1041,49 +997,6 @@ mod tests {
         assert!(parse_jsonl_line(r#"{"seq":{"a":1}}"#).is_err());
         let ok = parse_jsonl_line(r#"{"seq":3,"f":{"a":1,"b":"x"}}"#).expect("flat fields");
         assert_eq!((ok.seq, ok.fields.len()), (3, 2));
-    }
-
-    #[test]
-    fn ring_eviction_of_open_spans_keeps_drop_accounting() {
-        // A span.open can be evicted while later span members survive;
-        // the ring's dropped() count is how downstream tooling detects
-        // the truncation instead of reporting orphan spans.
-        let mut t = Tracer::ring(TraceLevel::Debug, 2);
-        t.set_span(Some(0));
-        t.emit(
-            SimTime::from_micros(0),
-            "c",
-            TraceLevel::Debug,
-            "span.open",
-            |f| {
-                f.str("span_kind", "x");
-            },
-        );
-        t.emit(
-            SimTime::from_micros(1),
-            "c",
-            TraceLevel::Debug,
-            "member",
-            |_| {},
-        );
-        t.emit(
-            SimTime::from_micros(2),
-            "c",
-            TraceLevel::Debug,
-            "span.close",
-            |f| {
-                f.str("span_kind", "x");
-            },
-        );
-        assert_eq!(t.dropped(), 1, "the span.open was evicted");
-        let evs = t.events();
-        assert_eq!(evs.len(), 2);
-        assert!(
-            evs.iter().all(|e| e.span == Some(0)),
-            "members keep their span id"
-        );
-        assert_eq!(evs[0].kind, "member");
-        assert_eq!(evs[1].kind, "span.close");
     }
 
     #[test]

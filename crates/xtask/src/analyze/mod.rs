@@ -23,9 +23,8 @@
 //!   [`crate::boundaries::PARALLEL_REGIONS`] manifest entry (drift in
 //!   either direction fails), and worker closures must be free of
 //!   determinism hazards not audited by the entry (see [`par`]).
-//! - **`cast`**: the ratchet over sim-reachable truncating `as` casts
-//!   (`ci/analyze_cast_baseline.txt`); `lint:allow(cast)` documents a
-//!   structural bound.
+//! - **`cast`**: every sim-reachable truncating `as` cast fails unless a
+//!   `lint:allow(cast)` on its line documents the structural bound.
 //! - **`registry`**: emitted trace kinds and metrics keys must agree
 //!   with `uap_sim::trace::registry` and with the tables in
 //!   `docs/OBSERVABILITY.md` (see [`registry_check`]).
@@ -50,9 +49,6 @@ pub const BASELINE_PATH: &str = "ci/analyze_panic_baseline.txt";
 
 /// Relative path of the allocation-site baseline file.
 pub const ALLOC_BASELINE_PATH: &str = "ci/analyze_alloc_baseline.txt";
-
-/// Relative path of the truncating-cast baseline file.
-pub const CAST_BASELINE_PATH: &str = "ci/analyze_cast_baseline.txt";
 
 /// One row of the pass table: the `--pass=<name>` spelling and the
 /// check it runs.
@@ -147,9 +143,6 @@ pub struct Stats {
     pub alloc_sites: usize,
     /// Thread-spawn sites seen by the parallel pass.
     pub spawn_sites: usize,
-    /// Undocumented truncating casts in the current sim-reachable
-    /// inventory.
-    pub cast_sites: usize,
 }
 
 /// The result of one analyzer run.
@@ -240,8 +233,6 @@ struct Ratchet<'a> {
     tag: &'static str,
     /// Relative path of the checked-in baseline.
     baseline: &'static str,
-    /// Extra baseline header line(s), each ending in a newline.
-    header_extra: String,
     /// Where the inventoried sites are reachable from.
     scope: &'static str,
     /// A key's site description (`` `vec` allocation ``) and the advice
@@ -272,8 +263,7 @@ fn ratchet(c: &Corpus, report: &mut Report, r: &Ratchet<'_>, inv: &Inventory) ->
             "# Baseline of the {pass} pass — generated by `cargo run -p xtask -- analyze \
              --pass={pass} --update-baseline`.\n\
              # Each line: <count>\\t<file>::<fn>\\t<key>, sorted.\n\
-             {}# New sites fail CI; burn this list down, never up.\n",
-            r.header_extra
+             # New sites fail CI; burn this list down, never up.\n"
         );
         match std::fs::write(&path, render_baseline(&header, inv)) {
             Ok(()) => report.notes.push(format!(
@@ -299,14 +289,10 @@ fn ratchet(c: &Corpus, report: &mut Report, r: &Ratchet<'_>, inv: &Inventory) ->
         let (what, advice) = (r.describe)(key);
         match old.get(k) {
             None => {
-                let mut lines = lines.clone();
-                lines.sort_unstable();
-                lines.dedup();
-                let lines: Vec<String> = lines.iter().map(usize::to_string).collect();
                 report.violations.push(format!(
                     "{tag}: {file}:{}: new {what} site(s) in `{qual}` reachable from {scope}; \
                      {advice} (baseline: {baseline}){}",
-                    lines.join(","),
+                    line_list(lines),
                     (r.witness)(file, qual, key)
                 ));
             }
@@ -329,6 +315,15 @@ fn ratchet(c: &Corpus, report: &mut Report, r: &Ratchet<'_>, inv: &Inventory) ->
         ));
     }
     sites
+}
+
+/// The distinct source lines behind an inventory key, `3,7,12`.
+fn line_list(lines: &[usize]) -> String {
+    let mut lines = lines.to_vec();
+    lines.sort_unstable();
+    lines.dedup();
+    let lines: Vec<String> = lines.iter().map(usize::to_string).collect();
+    lines.join(",")
 }
 
 /// Renders an inventory as baseline text under `header`.
@@ -400,7 +395,6 @@ fn alloc_pass(c: &Corpus, report: &mut Report) {
         pass: "alloc",
         tag: "alloc",
         baseline: ALLOC_BASELINE_PATH,
-        header_extra: String::new(),
         scope: "the hot-path entry set",
         describe: &|kind| {
             (
@@ -415,35 +409,20 @@ fn alloc_pass(c: &Corpus, report: &mut Report) {
     report.stats.alloc_sites = ratchet(c, report, &r, &inv);
 }
 
-/// Truncating-cast pass: sim-reachable cast inventory vs
-/// `ci/analyze_cast_baseline.txt`. Sites documented with
-/// `lint:allow(cast)` are excluded from the inventory but counted in the
-/// baseline header, so reviewers see the full count.
+/// Truncating-cast pass: a plain deny. Every sim-reachable truncating
+/// `as` cast not documented with `lint:allow(cast)` is a violation — no
+/// baseline, nothing grandfathered.
 fn cast_pass(c: &Corpus, report: &mut Report) {
     let (dist, _) = c.graph.reach();
-    let inv = graph::inventory(&c.graph, &dist, |f| graph::cast_sites(f, false));
-    let documented = graph::site_count(&graph::inventory(&c.graph, &dist, |f| {
-        graph::cast_sites(f, true)
-    }));
-    let r = Ratchet {
-        pass: "cast",
-        tag: "cast",
-        baseline: CAST_BASELINE_PATH,
-        header_extra: format!(
-            "# Sites documented via `lint:allow(cast)` (excluded below): {documented}\n"
-        ),
-        scope: "the sim entry points",
-        describe: &|target| {
-            (
-                format!("truncating `as {target}`"),
-                "widen the type, use a checked conversion (`try_into` with the bound handled), \
-                 or document a structural bound with `lint:allow(cast)`"
-                    .to_string(),
-            )
-        },
-        witness: &|_, _, _| String::new(),
-    };
-    report.stats.cast_sites = ratchet(c, report, &r, &inv);
+    let inv = graph::inventory(&c.graph, &dist, graph::cast_sites);
+    for ((file, qual, target), lines) in &inv {
+        report.violations.push(format!(
+            "cast: {file}:{}: truncating `as {target}` in `{qual}` reachable from the sim entry \
+             points; widen the type, use a checked conversion (`try_into` with the bound \
+             handled), or document a structural bound with `lint:allow(cast)`",
+            line_list(lines)
+        ));
+    }
 }
 
 /// Panic pass: sim-reachable panic-site inventory vs
@@ -455,7 +434,6 @@ fn panic_pass(c: &Corpus, report: &mut Report) {
         pass: "panic",
         tag: "panics",
         baseline: BASELINE_PATH,
-        header_extra: String::new(),
         scope: "the engine step loop",
         describe: &|key| {
             let (kind, class) = key.split_once(' ').unwrap_or((key, ""));
@@ -713,13 +691,11 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(root.join(BASELINE_PATH).exists());
         assert!(!root.join(ALLOC_BASELINE_PATH).exists());
-        assert!(!root.join(CAST_BASELINE_PATH).exists());
-        // A full check now misses exactly the alloc and cast baselines.
+        // A full check now misses exactly the alloc baseline.
         let report = run_passes(&root, &PASSES, false);
         let v = non_registry(&report);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|v| v.contains(ALLOC_BASELINE_PATH)), "{v:?}");
-        assert!(v.iter().any(|v| v.contains(CAST_BASELINE_PATH)), "{v:?}");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains(ALLOC_BASELINE_PATH), "{v:?}");
     }
 
     #[test]
@@ -730,20 +706,13 @@ mod tests {
         assert!(!root.join(BASELINE_PATH).exists());
         let report = run_passes(&root, &PASSES, false);
         let v = non_registry(&report);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|v| v.contains(BASELINE_PATH)), "{v:?}");
-
-        // After updating the panic and cast baselines too, a check is
-        // clean and the alloc baseline carries the vec site (in-loop
-        // class not armed here: the vec! sits at fn top, so kind is
-        // plain `vec`).
-        run_passes(&root, &only("panic"), true);
-        let report = run_passes(&root, &PASSES, false);
-        let v = non_registry(&report);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains(CAST_BASELINE_PATH), "{v:?}");
-        let report = run_passes(&root, &only("cast"), true);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(v[0].contains(BASELINE_PATH), "{v:?}");
+
+        // After updating the panic baseline too, a check is clean and
+        // the alloc baseline carries the vec site (in-loop class not
+        // armed here: the vec! sits at fn top, so kind is plain `vec`).
+        run_passes(&root, &only("panic"), true);
         let report = run_passes(&root, &PASSES, false);
         assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
         let body =
@@ -756,7 +725,7 @@ mod tests {
         let root = synthetic_root("scope-all");
         let report = run_passes(&root, &PASSES, true);
         assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
-        for p in [BASELINE_PATH, ALLOC_BASELINE_PATH, CAST_BASELINE_PATH] {
+        for p in [BASELINE_PATH, ALLOC_BASELINE_PATH] {
             assert!(root.join(p).exists(), "{p} must be written");
         }
     }
@@ -817,42 +786,22 @@ mod tests {
     }
 
     #[test]
-    fn cast_pass_ratchets_and_flags_new_sites() {
-        let root = cast_root("cast-ratchet");
-        // Missing baseline: `--pass=cast` complains about the cast
-        // baseline only — the panic and alloc passes never ran.
-        let report = run_passes(&root, &only("cast"), false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains(CAST_BASELINE_PATH));
-        assert!(!report.violations[0].contains(ALLOC_BASELINE_PATH));
-        // Regenerate: the documented u16 site is excluded but counted in
-        // the header's allowed count.
-        let report = run_passes(&root, &only("cast"), true);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let body = std::fs::read_to_string(root.join(CAST_BASELINE_PATH)).expect("baseline"); // lint:allow(expect)
-        assert!(
-            body.contains("1\tcrates/sim/src/engine.rs::Simulator::run\tu32"),
-            "{body}"
-        );
-        assert!(body.contains("(excluded below): 1"), "{body}");
-        assert!(!body.contains("\tu16\n"), "{body}");
-        // Clean against the committed baseline.
-        let report = run_passes(&root, &only("cast"), false);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        // A new u64→u16 truncation fails with its source line.
-        std::fs::write(
-            root.join("crates/sim/src/engine.rs"),
-            "impl Simulator { pub fn run(&mut self, x: u64) {\n    let a = x as u32;\n    let c = x as u16;\n    drop((a, c));\n} }\n",
-        )
-        .expect("rewrite synthetic engine"); // lint:allow(expect)
-        let report = run_passes(&root, &only("cast"), false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        let v = &report.violations[0];
-        assert!(
-            v.contains("new truncating `as u16` site(s) in `Simulator::run`"),
-            "{v}"
-        );
-        assert!(v.contains("crates/sim/src/engine.rs:3"), "{v}");
+    fn cast_pass_denies_every_undocumented_site() {
+        // No baseline to read or write: the bare u32 cast fails with its
+        // source line, the documented u16 one does not, and
+        // `--update-baseline` grandfathers nothing.
+        let root = cast_root("cast-deny");
+        for update in [false, true] {
+            let report = run_passes(&root, &only("cast"), update);
+            assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+            let v = &report.violations[0];
+            assert!(v.contains("truncating `as u32` in `Simulator::run`"), "{v}");
+            assert!(v.contains("crates/sim/src/engine.rs:2:"), "{v}");
+        }
+        assert!(std::fs::read_dir(root.join("ci"))
+            .expect("synthetic ci") // lint:allow(expect)
+            .next()
+            .is_none());
     }
 
     /// Synthetic root seeding the three canonical worker hazards: a

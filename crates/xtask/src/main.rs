@@ -13,7 +13,7 @@
 //! `analyze` is the static determinism gate: it lexes and parses the
 //! workspace once and runs the pass table of [`analyze`] over it — the
 //! token-level determinism lint ([`lint`], `docs/DETERMINISM.md`), then
-//! the call-graph proofs (purity, panic / alloc / cast ratchets,
+//! the call-graph proofs (purity, panic / alloc ratchets, cast deny,
 //! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`)
 //! — exiting non-zero with `file:line` diagnostics when any fail.
 //! `--pass=<name>` runs one row of the table, and `lint` is the spelling
@@ -66,15 +66,14 @@ fn analyze_main(args: &[String]) -> ! {
     let clean = analyze::print_report(&report);
     println!(
         "PERF {label} files={} fns={} entries={} hot_entries={} edges={} alloc_sites={} \
-         spawn_sites={} cast_sites={} wall_secs={wall:.3} (budget {ANALYZE_WALL_BUDGET_SECS:.0}s)",
+         spawn_sites={} wall_secs={wall:.3} (budget {ANALYZE_WALL_BUDGET_SECS:.0}s)",
         report.stats.files,
         report.stats.fns,
         report.stats.entries,
         report.stats.hot_entries,
         report.stats.edges,
         report.stats.alloc_sites,
-        report.stats.spawn_sites,
-        report.stats.cast_sites
+        report.stats.spawn_sites
     );
     if wall > ANALYZE_WALL_BUDGET_SECS {
         eprintln!(

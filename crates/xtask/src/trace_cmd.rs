@@ -4,8 +4,8 @@
 //! * `trace summary <file.jsonl>` — per-component / per-kind event
 //!   counts, the simulated time span, and event rates for one JSONL
 //!   trace written by a `--trace` run (or by
-//!   `uap_sim::Tracer::write_jsonl`). Traces truncated by a ring sink
-//!   (first retained `seq` > 0) are flagged, with the evicted count.
+//!   `uap_sim::Tracer::write_jsonl`). Missing `seq`s (lines the file
+//!   lost) are flagged, with their count.
 //!
 //! * `trace diff <a> <b>` — line-by-line comparison of two trace or
 //!   `RunReport` JSON files that reports the **first divergence**. Lines
@@ -27,9 +27,8 @@
 //!
 //! * `trace check <file.jsonl>` — causal-integrity gate: every cause
 //!   references an earlier seq that exists in the trace, span ids are
-//!   opened before use, and span.open/span.close are balanced. Ring
-//!   truncation downgrades the existence checks (the evicted prefix may
-//!   legitimately hold the opens), but ordering is always enforced.
+//!   opened before use, and span.open/span.close are balanced. A trace
+//!   whose first `seq` is not 0 lost its head and fails.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -138,17 +137,15 @@ pub fn render_diff(labels: (&str, &str), r: &DiffResult) -> String {
 }
 
 /// Summarizes a JSONL trace: totals, sim-time span, per-component /
-/// per-kind counts, and ring-sink truncation (a first retained `seq`
-/// above 0 means that many earlier events were evicted; interior seq
-/// gaps mean the file itself lost lines). Errors on the first malformed
-/// line.
+/// per-kind counts, and seq gaps (the writer numbers events 0.. with no
+/// gap, so a missing `seq` means the file lost a line). Errors on the
+/// first malformed line.
 pub fn summarize(content: &str) -> Result<String, String> {
     let mut total = 0u64;
     let mut by_component: BTreeMap<String, u64> = BTreeMap::new();
     let mut by_kind: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut t_min = u64::MAX;
     let mut t_max = 0u64;
-    let mut seq_min = u64::MAX;
     let mut seq_max = 0u64;
     for (i, line) in content.lines().enumerate() {
         if line.trim().is_empty() {
@@ -159,7 +156,6 @@ pub fn summarize(content: &str) -> Result<String, String> {
         let t = ev.t.as_micros();
         t_min = t_min.min(t);
         t_max = t_max.max(t);
-        seq_min = seq_min.min(ev.seq);
         seq_max = seq_max.max(ev.seq);
         *by_component.entry(ev.component.clone()).or_insert(0) += 1;
         *by_kind.entry((ev.component, ev.kind)).or_insert(0) += 1;
@@ -182,19 +178,11 @@ pub fn summarize(content: &str) -> Result<String, String> {
             total as f64 / (span_us as f64 / 1e6)
         );
     }
-    if seq_min > 0 {
+    let missing = (seq_max + 1).saturating_sub(total);
+    if missing > 0 {
         let _ = writeln!(
             out,
-            "TRUNCATED: first retained seq is {seq_min} — {seq_min} earlier event(s) were \
-             dropped (ring-sink eviction)"
-        );
-    }
-    let retained_range = seq_max - seq_min + 1;
-    if retained_range != total {
-        let _ = writeln!(
-            out,
-            "WARNING: {} seq gap(s) inside the trace (expected contiguous {seq_min}..{seq_max})",
-            retained_range - total
+            "WARNING: {missing} seq gap(s) inside the trace (expected contiguous 0..{seq_max})"
         );
     }
     let _ = writeln!(out, "by component:");
@@ -414,7 +402,7 @@ pub fn explain(content: &str, seq: u64) -> Result<String, String> {
     if let Some(cs) = missing_cause {
         let _ = writeln!(
             out,
-            "  … cause seq {cs} is not in the trace (ring truncation?) — chain incomplete"
+            "  … cause seq {cs} is not in the trace (lost line?) — chain incomplete"
         );
     }
     for (depth, ev) in chain.iter().rev().enumerate() {
@@ -446,9 +434,7 @@ pub fn explain(content: &str, seq: u64) -> Result<String, String> {
 /// Causal-integrity check: every `cs` must reference an earlier seq that
 /// exists in the trace, every span-bearing event must belong to an
 /// opened span, and span.open/span.close must balance per span id. A
-/// ring-truncated trace (first retained seq > 0) downgrades existence
-/// and orphan checks — the evicted prefix may legitimately hold the
-/// opens — but cause-precedes-effect ordering is always enforced.
+/// trace whose first seq is not 0 lost its head, which is a violation.
 /// Returns a summary on success and the violation list on failure.
 pub fn check(content: &str) -> Result<String, String> {
     let evs = parse_trace(content)?;
@@ -456,9 +442,12 @@ pub fn check(content: &str) -> Result<String, String> {
         return Ok("causal integrity ok: empty trace\n".to_string());
     }
     let seqs: BTreeSet<u64> = evs.iter().map(|e| e.seq).collect();
-    let min_seq = *seqs.first().expect("non-empty"); // lint:allow(expect)
-    let truncated = min_seq > 0;
     let mut problems: Vec<String> = Vec::new();
+    if let Some(&first) = seqs.first().filter(|&&s| s > 0) {
+        problems.push(format!(
+            "first seq is {first}, not 0: the trace lost its head"
+        ));
+    }
     let mut cause_links = 0u64;
     let mut opened: BTreeMap<u64, u64> = BTreeMap::new(); // span id -> open count
     let mut closed: BTreeMap<u64, u64> = BTreeMap::new();
@@ -471,7 +460,7 @@ pub fn check(content: &str) -> Result<String, String> {
                     "seq {}: cause {cs} does not precede the event",
                     ev.seq
                 ));
-            } else if cs >= min_seq && !seqs.contains(&cs) {
+            } else if !seqs.contains(&cs) {
                 problems.push(format!("seq {}: cause {cs} is not in the trace", ev.seq));
             }
         }
@@ -487,7 +476,7 @@ pub fn check(content: &str) -> Result<String, String> {
             _ => {
                 if let Some(id) = ev.span {
                     span_events += 1;
-                    if !truncated && !opened.contains_key(&id) {
+                    if !opened.contains_key(&id) {
                         problems.push(format!(
                             "seq {}: event in span {id} before any span.open",
                             ev.seq
@@ -507,11 +496,9 @@ pub fn check(content: &str) -> Result<String, String> {
             n => problems.push(format!("span {id}: closed {n} times")),
         }
     }
-    if !truncated {
-        for id in closed.keys() {
-            if !opened.contains_key(id) {
-                problems.push(format!("span {id}: closed but never opened"));
-            }
+    for id in closed.keys() {
+        if !opened.contains_key(id) {
+            problems.push(format!("span {id}: closed but never opened"));
         }
     }
     if problems.is_empty() {
@@ -519,14 +506,9 @@ pub fn check(content: &str) -> Result<String, String> {
         let _ = writeln!(
             out,
             "causal integrity ok: {} event(s), {cause_links} cause link(s), {} span(s) \
-             balanced, {span_events} span-member event(s){}",
+             balanced, {span_events} span-member event(s)",
             evs.len(),
-            opened.len(),
-            if truncated {
-                " [ring-truncated: existence checks downgraded]"
-            } else {
-                ""
-            }
+            opened.len()
         );
         Ok(out)
     } else {
@@ -861,26 +843,25 @@ mod tests {
     }
 
     #[test]
-    fn check_downgrades_existence_checks_on_ring_truncation() {
+    fn check_rejects_a_trace_that_lost_its_head() {
         // Drop the first two lines (fault.epoch root and span.open) and
-        // keep seqs intact — exactly what a ring sink eviction produces.
-        let truncated: String = chained_trace()
+        // keep seqs intact: no sink produces this, only a damaged file.
+        let headless: String = chained_trace()
             .lines()
             .skip(2)
             .map(|l| format!("{l}\n"))
             .collect();
-        let ok = check(&truncated).expect("truncation is not a violation");
-        assert!(ok.contains("ring-truncated"), "{ok}");
+        let err = check(&headless).expect_err("a lost head is a violation");
+        assert!(err.contains("first seq is 2, not 0"), "{err}");
     }
 
     #[test]
-    fn summary_flags_ring_truncation_and_seq_gaps() {
+    fn summary_flags_seq_gaps() {
         let full = chained_trace();
-        assert!(!summarize(&full).expect("ok").contains("TRUNCATED"));
-        let truncated: String = full.lines().skip(2).map(|l| format!("{l}\n")).collect();
-        let s = summarize(&truncated).expect("ok");
-        assert!(s.contains("TRUNCATED: first retained seq is 2"), "{s}");
-        // An interior gap (a lost line) is a different warning.
+        assert!(!summarize(&full).expect("ok").contains("WARNING"));
+        let headless: String = full.lines().skip(2).map(|l| format!("{l}\n")).collect();
+        let s = summarize(&headless).expect("ok");
+        assert!(s.contains("WARNING: 2 seq gap(s)"), "{s}");
         let gappy: String = full
             .lines()
             .enumerate()
