@@ -6,16 +6,16 @@
 # Steps (in order, fail-fast):
 #   1. cargo fmt --check        — formatting drift
 #   2. cargo clippy -D warnings — lints (unwrap_used etc.; see clippy.toml)
-#   3. xtask analyze            — the static determinism gate, run once:
-#                                 the token-level lint plus the call-graph
-#                                 passes (purity, panic / alloc ratchets
-#                                 against ci/analyze_*_baseline.txt, the
-#                                 truncating-cast deny, parallel regions,
-#                                 trace registry). Prints
-#                                 one summary line per pass, so a failure
-#                                 names its pass, and the analyzer's own
-#                                 timing line; 120s wall budget
-#                                 (WallTimer-enforced in xtask).
+#   3. xtask analyze            — the static determinism gate, run once,
+#                                 six passes: the token-level lint plus
+#                                 the call-graph passes (the one ratchet,
+#                                 panic sites against
+#                                 ci/analyze_panic_baseline.txt; the
+#                                 hot-path allocation and truncating-cast
+#                                 denies; parallel regions; trace
+#                                 registry). Prints one summary line per
+#                                 pass, so a failure names its pass; no
+#                                 timing line, no wall budget.
 #                                 docs/STATIC_ANALYSIS.md
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests

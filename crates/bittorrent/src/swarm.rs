@@ -182,209 +182,281 @@ pub fn run_swarm(underlay: Underlay, cfg: SwarmConfig, seed: u64) -> (SwarmRepor
 /// per-peer unchoke decisions (Trace), piece completions and per-round
 /// summaries (Debug), and one `swarm.done` event (Info). Timestamps are
 /// the round boundaries.
-#[allow(clippy::needless_range_loop)] // indices cross-reference several arrays
 pub fn run_swarm_with(
-    mut underlay: Underlay,
+    underlay: Underlay,
     cfg: SwarmConfig,
     seed: u64,
     tracer: &mut Tracer,
 ) -> (SwarmReport, Underlay) {
-    let mut rng = SimRng::new(seed);
-    let n_members = cfg.n_leechers + cfg.n_seeds;
-    assert!(
-        n_members <= underlay.n_hosts(),
-        "swarm larger than host population"
-    );
-    assert!(cfg.n_seeds >= 1, "a swarm needs a seed");
-    // Swarm membership: the first n hosts (host assignment to ASes is
-    // already random).
-    let members: Vec<HostId> = (0..n_members).map(HostId::from_index).collect();
-    let mut peers: Vec<Peer> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| Peer {
-            host: h,
-            pieces: if i < cfg.n_seeds {
-                PieceSet::full(cfg.n_pieces)
-            } else {
-                PieceSet::empty(cfg.n_pieces)
-            },
-            neighbors: Vec::new(),
-            received_last: BTreeMap::new(),
-            credit: BTreeMap::new(),
-            banned: Vec::new(),
-            done_at: None,
-            is_seed: i < cfg.n_seeds,
-        })
-        .collect();
-    let index: BTreeMap<HostId, usize> = members.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-    let mut tracker = Tracker::new(cfg.tracker);
-    // Initial announces. Every leecher opens a causal span here that
-    // covers its whole life in the swarm — announce, piece exchange,
-    // completion — and closes at `peer.done` (or unfinished at the end of
-    // a truncated run). Span ids are allocated in peer order so traces
-    // stay byte-identical per seed.
-    let mut peer_spans: Vec<Option<u64>> = vec![None; peers.len()];
-    for i in 0..peers.len() {
-        let who = peers[i].host;
-        if !peers[i].is_seed {
-            let span = tracer.alloc_span();
-            peer_spans[i] = Some(span);
-            tracer.set_span(Some(span));
-            tracer.emit(
-                SimTime::ZERO,
-                "bittorrent",
-                TraceLevel::Debug,
-                "span.open",
-                |f| {
-                    f.str("span_kind", "peer").u64("peer", who.0 as u64);
+    let mut swarm = Swarm::new(underlay, cfg, seed, tracer);
+    while swarm.round() {}
+    // Path-qualified: `xtask analyze` resolves a `.finish()` method call
+    // to every `finish` in the workspace, which would count the report
+    // writer's panic sites as sim-reachable.
+    Swarm::finish(swarm)
+}
+
+/// One swarm mid-run: [`Swarm::new`] sets it up, [`Swarm::round`]
+/// advances it one round, [`Swarm::finish`] closes it into the report.
+/// Everything a round needs is allocated in `new` and reused, so `round`
+/// — the swarm's hot entry for the alloc pass of `xtask analyze` —
+/// allocates nothing (docs/STATIC_ANALYSIS.md).
+struct Swarm<'t> {
+    underlay: Underlay,
+    cfg: SwarmConfig,
+    rng: SimRng,
+    tracer: &'t mut Tracer,
+    /// Swarm membership: the first n hosts (host assignment to ASes is
+    /// already random). `peers`, `peer_spans`, `down`, `was_down`,
+    /// `unchokes` and `received_this` run parallel to it.
+    members: Vec<HostId>,
+    peers: Vec<Peer>,
+    index: BTreeMap<HostId, usize>,
+    tracker: Tracker,
+    /// Every leecher's causal span: it covers the peer's whole life in
+    /// the swarm — announce, piece exchange, completion — and closes at
+    /// `peer.done` (or unfinished at the end of a truncated run).
+    peer_spans: Vec<Option<u64>>,
+    /// Piece availability for rarest-first.
+    availability: Vec<u32>,
+
+    /// Fault campaign: compiled once, each epoch boundary applied as the
+    /// round clock crosses it. Crashed members pause; everyone else drops
+    /// them and re-announces for replacements.
+    compiled: Option<uap_net::CompiledFaultPlan>,
+    next_boundary: usize,
+    down: Vec<bool>,
+    reannounces: u64,
+    /// `seq` of the most recent `fault.epoch` event — the cause anchor for
+    /// the recovery re-announces it forces.
+    last_fault_seq: Option<u64>,
+    completed_by_round: Vec<usize>,
+
+    // Round scratch, reused every round.
+    was_down: Vec<bool>,
+    live: Vec<HostId>,
+    unchokes: Vec<Vec<usize>>,
+    interested: Vec<usize>,
+    leftovers: Vec<usize>,
+    received_this: Vec<BTreeMap<HostId, u64>>,
+    /// `(peer, piece)`.
+    completions: Vec<(usize, usize)>,
+
+    /// Flow machinery: the allocator snapshots the capacity graph once;
+    /// the open-flow table persists across rounds so flow arrivals and
+    /// departures are traced as deltas. Keys are member-index pairs
+    /// `(sender, receiver)`, values `(flow id, cumulative bytes)`.
+    flow_alloc: FlowAllocator,
+    open_flows: BTreeMap<(u32, u32), (u64, u64)>,
+    next_flow_id: u64,
+    desired: Vec<(u32, u32)>,
+    senders: Vec<(u64, HostId)>,
+    claimed: PieceSet,
+    new_claims: Vec<usize>,
+    /// `cfg.poisoners`, sorted.
+    poisoners: Vec<HostId>,
+
+    rounds: u32,
+    payload_bytes: u64,
+}
+
+impl<'t> Swarm<'t> {
+    fn new(underlay: Underlay, cfg: SwarmConfig, seed: u64, tracer: &'t mut Tracer) -> Self {
+        let mut rng = SimRng::new(seed);
+        let n_members = cfg.n_leechers + cfg.n_seeds;
+        assert!(
+            n_members <= underlay.n_hosts(),
+            "swarm larger than host population"
+        );
+        assert!(cfg.n_seeds >= 1, "a swarm needs a seed");
+        let members: Vec<HostId> = (0..n_members).map(HostId::from_index).collect();
+        let mut peers: Vec<Peer> = members
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| Peer {
+                host: h,
+                pieces: if i < cfg.n_seeds {
+                    PieceSet::full(cfg.n_pieces)
+                } else {
+                    PieceSet::empty(cfg.n_pieces)
                 },
+                neighbors: Vec::new(),
+                received_last: BTreeMap::new(),
+                credit: BTreeMap::new(),
+                banned: Vec::new(),
+                done_at: None,
+                is_seed: i < cfg.n_seeds,
+            })
+            .collect();
+        let index: BTreeMap<HostId, usize> =
+            members.iter().enumerate().map(|(i, &h)| (h, i)).collect();
+        let mut tracker = Tracker::new(cfg.tracker);
+        // Initial announces. Span ids are allocated in peer order so
+        // traces stay byte-identical per seed.
+        let mut peer_spans: Vec<Option<u64>> = vec![None; peers.len()];
+        for (peer, peer_span) in peers.iter_mut().zip(peer_spans.iter_mut()) {
+            let who = peer.host;
+            if !peer.is_seed {
+                let span = tracer.alloc_span();
+                *peer_span = Some(span);
+                tracer.set_span(Some(span));
+                tracer.emit(
+                    SimTime::ZERO,
+                    "bittorrent",
+                    TraceLevel::Debug,
+                    "span.open",
+                    |f| {
+                        f.str("span_kind", "peer").u64("peer", who.0 as u64);
+                    },
+                );
+            }
+            tracker.announce_into(
+                &underlay,
+                who,
+                &members,
+                cfg.max_peers,
+                &mut rng,
+                &mut peer.neighbors,
             );
         }
-        tracker.announce_into(
-            &underlay,
-            who,
-            &members,
-            cfg.max_peers,
-            &mut rng,
-            &mut peers[i].neighbors,
-        );
-    }
-    tracer.clear_provenance();
-    // Piece availability for rarest-first.
-    let mut availability: Vec<u32> = vec![0; cfg.n_pieces];
-    for p in &peers {
-        for i in 0..cfg.n_pieces {
-            if p.pieces.contains(i) {
-                availability[i] += 1;
+        tracer.clear_provenance();
+        let mut availability: Vec<u32> = vec![0; cfg.n_pieces];
+        for p in &peers {
+            for (i, a) in availability.iter_mut().enumerate() {
+                if p.pieces.contains(i) {
+                    *a += 1;
+                }
             }
+        }
+        let mut poisoners = cfg.poisoners.clone();
+        poisoners.sort_unstable();
+        Swarm {
+            compiled: cfg.faults.as_ref().map(|p| p.compile(&underlay.graph)),
+            next_boundary: 0,
+            down: vec![false; peers.len()],
+            reannounces: 0,
+            last_fault_seq: None,
+            completed_by_round: Vec::new(),
+            was_down: vec![false; peers.len()],
+            live: Vec::with_capacity(peers.len()),
+            unchokes: vec![Vec::new(); peers.len()],
+            interested: Vec::new(),
+            leftovers: Vec::new(),
+            received_this: vec![BTreeMap::new(); peers.len()],
+            completions: Vec::new(),
+            flow_alloc: FlowAllocator::new(&underlay),
+            open_flows: BTreeMap::new(),
+            next_flow_id: 0,
+            desired: Vec::new(),
+            senders: Vec::new(),
+            claimed: PieceSet::empty(cfg.n_pieces),
+            new_claims: Vec::new(),
+            poisoners,
+            rounds: 0,
+            payload_bytes: 0,
+            underlay,
+            cfg,
+            rng,
+            tracer,
+            members,
+            peers,
+            index,
+            tracker,
+            peer_spans,
+            availability,
         }
     }
 
-    // Fault campaign: compile once, then apply each epoch boundary as the
-    // round clock crosses it. Crashed members pause; everyone else drops
-    // them and re-announces for replacements.
-    let compiled = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
-    let boundaries: Vec<SimTime> = compiled
-        .as_ref()
-        .map(|c| c.boundaries().to_vec())
-        .unwrap_or_default();
-    let mut next_boundary = 0usize;
-    let mut down = vec![false; peers.len()];
-    let mut reannounces = 0u64;
-    // `seq` of the most recent `fault.epoch` event — the cause anchor for
-    // the recovery re-announces it forces.
-    let mut last_fault_seq: Option<u64> = None;
-    let mut completed_by_round: Vec<usize> = Vec::new();
+    /// Leechers that hold every piece.
+    fn finished(&self) -> usize {
+        let done = |p: &&Peer| !p.is_seed && p.done_at.is_some();
+        self.peers.iter().filter(done).count()
+    }
 
-    // Round-loop scratch, allocated once and reused every round so the
-    // per-round body itself stays allocation-free (the alloc pass in
-    // `xtask analyze` ratchets this; see docs/STATIC_ANALYSIS.md).
-    let mut was_down = vec![false; peers.len()];
-    let mut live: Vec<HostId> = Vec::with_capacity(peers.len());
-    let mut unchokes: Vec<Vec<usize>> = vec![Vec::new(); peers.len()];
-    let mut interested: Vec<usize> = Vec::new();
-    let mut leftovers: Vec<usize> = Vec::new();
-    let mut received_this: Vec<BTreeMap<HostId, u64>> = vec![BTreeMap::new(); peers.len()];
-    let mut completions: Vec<(usize, usize)> = Vec::new(); // (peer, piece)
-
-    // Flow machinery: the allocator snapshots the capacity graph once;
-    // the open-flow table persists across rounds so flow arrivals and
-    // departures are traced as deltas. Keys are member-index pairs
-    // `(sender, receiver)`, values `(flow id, cumulative bytes)`.
-    let mut flow_alloc = FlowAllocator::new(&underlay);
-    let mut open_flows: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
-    let mut next_flow_id = 0u64;
-    let mut desired: Vec<(u32, u32)> = Vec::new();
-    let mut senders: Vec<(u64, HostId)> = Vec::new();
-    let mut claimed = PieceSet::empty(cfg.n_pieces);
-    let mut new_claims: Vec<usize> = Vec::new();
-    let mut poisoners = cfg.poisoners.clone();
-    poisoners.sort_unstable();
-
-    let mut rounds = 0u32;
-    let mut payload_bytes = 0u64;
-    while rounds < cfg.max_rounds {
-        rounds += 1;
-        let now = cfg.round.mul(rounds as u64);
-        while next_boundary < boundaries.len() && boundaries[next_boundary] <= now {
-            let t = boundaries[next_boundary];
-            next_boundary += 1;
-            let state = compiled
-                .as_ref()
-                .expect("boundaries only exist for a compiled plan") // lint:allow(expect)
-                .state_at(t);
-            let repair = underlay.apply_fault_state(&state);
-            let fault_seq = tracer.emit(now, "net", TraceLevel::Info, "fault.epoch", |f| {
-                f.u64("boundary_us", t.as_micros());
-                state.trace_fields(f);
-            });
-            last_fault_seq = fault_seq.or(last_fault_seq);
-            tracer.emit(now, "net", TraceLevel::Info, "routing.repair", |f| {
-                f.u64("boundary_us", t.as_micros())
-                    .u64("changed_links", repair.changed_links as u64)
-                    .u64("dirty_sources", repair.dirty_sources as u64)
-                    .u64("sources_total", repair.sources_total as u64)
-                    .bool("full_rebuild", repair.full_rebuild);
-            });
+    /// Simulates the next round; `false` once the run is over (every
+    /// leecher finished, or `max_rounds` rounds simulated).
+    fn round(&mut self) -> bool {
+        if self.rounds >= self.cfg.max_rounds {
+            return false;
+        }
+        self.rounds += 1;
+        let rounds = self.rounds;
+        let now = self.cfg.round.mul(rounds as u64);
+        while let Some((state, t)) = self.compiled.as_ref().and_then(|plan| {
+            let &t = plan.boundaries().get(self.next_boundary)?;
+            (t <= now).then(|| (plan.state_at(t), t))
+        }) {
+            self.next_boundary += 1;
+            let repair = self.underlay.apply_fault_state(&state);
+            let fault_seq = self
+                .tracer
+                .emit(now, "net", TraceLevel::Info, "fault.epoch", |f| {
+                    f.u64("boundary_us", t.as_micros());
+                    state.trace_fields(f);
+                });
+            self.last_fault_seq = fault_seq.or(self.last_fault_seq);
+            self.tracer
+                .emit(now, "net", TraceLevel::Info, "routing.repair", |f| {
+                    f.u64("boundary_us", t.as_micros());
+                    repair.trace_fields(f);
+                });
             // Diff the crash set; the tracker's live pool is the members
             // that still announce under the new state.
-            was_down.copy_from_slice(&down);
-            live.clear();
-            for (i, &h) in members.iter().enumerate() {
-                down[i] = state.crashed.binary_search(&h).is_ok();
-                if !down[i] {
-                    live.push(h);
+            self.was_down.copy_from_slice(&self.down);
+            self.live.clear();
+            for (is_down, &h) in self.down.iter_mut().zip(&self.members) {
+                *is_down = state.crashed.binary_search(&h).is_ok();
+                if !*is_down {
+                    self.live.push(h);
                 }
             }
+            let (down, index) = (&self.down, &self.index);
             // Restored members re-announce (their pre-crash neighborhoods
             // moved on without them); survivors shed dead neighbors and
             // refill from the tracker.
-            for i in 0..peers.len() {
-                if down[i] || peers[i].done_at.is_some() || peers[i].is_seed {
+            for (i, peer) in self.peers.iter_mut().enumerate() {
+                if down[i] || peer.done_at.is_some() || peer.is_seed {
                     continue;
                 }
-                let restored = was_down[i];
-                let before = peers[i].neighbors.len();
-                let d = &down;
-                peers[i]
-                    .neighbors
-                    .retain(|h| index.get(h).map(|&j| !d[j]).unwrap_or(true));
-                if restored || peers[i].neighbors.len() < before {
-                    let who = peers[i].host;
-                    tracker.announce_into(
-                        &underlay,
+                let restored = self.was_down[i];
+                let before = peer.neighbors.len();
+                peer.neighbors
+                    .retain(|h| index.get(h).map(|&j| !down[j]).unwrap_or(true));
+                if restored || peer.neighbors.len() < before {
+                    let who = peer.host;
+                    self.tracker.announce_into(
+                        &self.underlay,
                         who,
-                        &live,
-                        cfg.max_peers,
-                        &mut rng,
-                        &mut peers[i].neighbors,
+                        &self.live,
+                        self.cfg.max_peers,
+                        &mut self.rng,
+                        &mut peer.neighbors,
                     );
-                    reannounces += 1;
-                    let received = peers[i].neighbors.len();
-                    tracer.set_span(peer_spans[i]);
-                    tracer.set_cause(last_fault_seq);
-                    tracer.emit(now, "bittorrent", TraceLevel::Debug, "reannounce", |f| {
-                        f.u64("peer", who.0 as u64).u64("received", received as u64);
-                    });
+                    self.reannounces += 1;
+                    let received = peer.neighbors.len();
+                    self.tracer.set_span(self.peer_spans[i]);
+                    self.tracer.set_cause(self.last_fault_seq);
+                    self.tracer
+                        .emit(now, "bittorrent", TraceLevel::Debug, "reannounce", |f| {
+                            f.u64("peer", who.0 as u64).u64("received", received as u64);
+                        });
                 }
             }
             // Partial-chunk credit toward a crashed sender times out: the
             // entry is pruned (the map must not leak across campaigns)
             // and the receiver re-requests those chunks from live
             // senders in the following rounds.
-            for i in 0..peers.len() {
-                if peers[i].credit.is_empty() {
+            for (peer, &span) in self.peers.iter_mut().zip(&self.peer_spans) {
+                if peer.credit.is_empty() {
                     continue;
                 }
-                let who = peers[i].host;
-                tracer.set_span(peer_spans[i]);
-                tracer.set_cause(last_fault_seq);
-                let (d, idx) = (&down, &index);
-                peers[i].credit.retain(|&src, c| {
-                    let dead = idx.get(&src).map(|&k| d[k]).unwrap_or(false);
+                let who = peer.host;
+                self.tracer.set_span(span);
+                self.tracer.set_cause(self.last_fault_seq);
+                peer.credit.retain(|&src, c| {
+                    let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
                     if dead && *c > 0 {
-                        tracer.emit(
+                        self.tracer.emit(
                             now,
                             "bittorrent",
                             TraceLevel::Debug,
@@ -399,29 +471,24 @@ pub fn run_swarm_with(
                     !dead
                 });
             }
-            tracer.clear_provenance();
+            self.tracer.clear_provenance();
         }
-        let all_done = peers.iter().all(|p| p.is_seed || p.done_at.is_some());
-        if all_done {
-            completed_by_round.push(
-                peers
-                    .iter()
-                    .filter(|p| !p.is_seed && p.done_at.is_some())
-                    .count(),
-            );
-            break;
+        let finished = self.finished();
+        if finished == self.cfg.n_leechers {
+            self.completed_by_round.push(finished);
+            return false;
         }
+        let (peers, down, index) = (&self.peers, &self.down, &self.index);
         // Phase 1: each peer picks its unchoke set (built in place into
-        // the reused `unchokes[i]` buffer).
-        for i in 0..peers.len() {
-            unchokes[i].clear();
+        // its reused `unchokes` buffer).
+        for (i, (me, unchoke)) in peers.iter().zip(&mut self.unchokes).enumerate() {
+            unchoke.clear();
             if down[i] {
                 continue;
             }
-            let me = &peers[i];
             // Interested neighbors: they lack something I have.
-            interested.clear();
-            interested.extend(
+            self.interested.clear();
+            self.interested.extend(
                 me.neighbors
                     .iter()
                     .filter_map(|h| index.get(h).copied())
@@ -430,11 +497,12 @@ pub fn run_swarm_with(
                     .filter(|&j| peers[j].banned.binary_search(&me.host).is_err())
                     .filter(|&j| peers[j].pieces.is_interested_in(&me.pieces)),
             );
-            if interested.is_empty() {
+            if self.interested.is_empty() {
                 continue;
             }
             // Tit-for-tat ranking; CAT discounts external reciprocators.
-            interested.sort_by_key(|&j| {
+            let (cfg, underlay) = (&self.cfg, &self.underlay);
+            self.interested.sort_by_key(|&j| {
                 let recv = me.received_last.get(&peers[j].host).copied().unwrap_or(0);
                 let scaled = if cfg.cost_aware_choking && !underlay.same_as(me.host, peers[j].host)
                 {
@@ -444,126 +512,134 @@ pub fn run_swarm_with(
                 };
                 (std::cmp::Reverse(scaled), peers[j].host)
             });
-            unchokes[i].extend(interested.iter().copied().take(UNCHOKE_SLOTS));
+            unchoke.extend(self.interested.iter().copied().take(UNCHOKE_SLOTS));
             // Optimistic slots: random interested peers outside the set.
-            leftovers.clear();
-            leftovers.extend(
-                interested
+            self.leftovers.clear();
+            self.leftovers.extend(
+                self.interested
                     .iter()
                     .copied()
-                    .filter(|j| !unchokes[i].contains(j)),
+                    .filter(|j| !unchoke.contains(j)),
             );
             for _ in 0..OPTIMISTIC_SLOTS {
-                if leftovers.is_empty() {
+                if self.leftovers.is_empty() {
                     break;
                 }
-                let pick = leftovers[rng.index(leftovers.len())];
-                if !unchokes[i].contains(&pick) {
-                    unchokes[i].push(pick);
+                let pick = self.leftovers[self.rng.index(self.leftovers.len())];
+                if !unchoke.contains(&pick) {
+                    unchoke.push(pick);
                 }
             }
-            tracer.set_span(peer_spans[i]);
-            tracer.emit(now, "bittorrent", TraceLevel::Trace, "unchoke", |f| {
-                f.u64("peer", peers[i].host.0 as u64)
-                    .u64("slots", unchokes[i].len() as u64)
-                    .bool("cost_aware", cfg.cost_aware_choking);
-            });
+            self.tracer.set_span(self.peer_spans[i]);
+            self.tracer
+                .emit(now, "bittorrent", TraceLevel::Trace, "unchoke", |f| {
+                    f.u64("peer", me.host.0 as u64)
+                        .u64("slots", unchoke.len() as u64)
+                        .bool("cost_aware", cfg.cost_aware_choking);
+                });
         }
-        tracer.clear_provenance();
+        self.tracer.clear_provenance();
         // Phase 2a: the round's unchoke pairs are its flow set. Diff it
         // against the persistent open-flow table (arrivals open, exits
         // close), then recompute the max-min fair allocation: every flow
         // competes for its sender's uplink, its receiver's downlink and
         // the shared AS links on its path — both capacity bugs of the old
         // per-flow `downlink/2` heuristic are impossible by construction.
-        let round_secs = cfg.round.as_secs_f64();
+        let round_secs = self.cfg.round.as_secs_f64();
         let mut round_bytes = 0u64;
-        completions.clear();
-        desired.clear();
-        for i in 0..peers.len() {
-            for &j in &unchokes[i] {
+        self.completions.clear();
+        self.desired.clear();
+        for (i, unchoke) in self.unchokes.iter().enumerate() {
+            for &j in unchoke {
                 // lint:allow(cast) — member indices, bounded by the u32 HostId width
-                desired.push((i as u32, j as u32));
+                self.desired.push((i as u32, j as u32));
             }
         }
-        desired.sort_unstable();
-        for &(i, j) in &desired {
-            if let std::collections::btree_map::Entry::Vacant(slot) = open_flows.entry((i, j)) {
-                let id = next_flow_id;
-                next_flow_id += 1;
+        self.desired.sort_unstable();
+        for &(i, j) in &self.desired {
+            if let std::collections::btree_map::Entry::Vacant(slot) = self.open_flows.entry((i, j))
+            {
+                let id = self.next_flow_id;
+                self.next_flow_id += 1;
                 slot.insert((id, 0));
                 let (src, dst) = (peers[i as usize].host, peers[j as usize].host);
-                tracer.emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
-                    f.u64("flow", id)
-                        .u64("src", src.0 as u64)
-                        .u64("dst", dst.0 as u64);
-                });
+                self.tracer
+                    .emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
+                        f.u64("flow", id)
+                            .u64("src", src.0 as u64)
+                            .u64("dst", dst.0 as u64);
+                    });
             }
         }
-        open_flows.retain(|&pair, &mut (id, bytes)| {
-            if desired.binary_search(&pair).is_ok() {
+        self.open_flows.retain(|&pair, &mut (id, bytes)| {
+            if self.desired.binary_search(&pair).is_ok() {
                 true
             } else {
-                tracer.emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
-                    f.u64("flow", id).u64("bytes", bytes);
-                });
+                self.tracer
+                    .emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
+                        f.u64("flow", id).u64("bytes", bytes);
+                    });
                 false
             }
         });
-        flow_alloc.begin();
-        for &(i, j) in &desired {
-            let (id, _) = open_flows[&(i, j)];
+        self.flow_alloc.begin();
+        for &(i, j) in &self.desired {
+            let (id, _) = self.open_flows[&(i, j)];
             let (src, dst) = (peers[i as usize].host, peers[j as usize].host);
             // A fault partition can leave a cross-AS pair unroutable; the
             // rejected flow stays open but stalls (zero bytes) until
             // routing recovers.
-            flow_alloc.add_flow(id, src, dst, &underlay);
+            self.flow_alloc.add_flow(id, src, dst, &self.underlay);
         }
-        flow_alloc.allocate();
+        self.flow_alloc.allocate();
         // Move bytes at the allocated rates. Zero-byte flows (stalled
         // routes, zero-capacity endpoints) are skipped outright: no
         // ledger entry, no credit.
-        for pair in &desired {
+        for pair in &self.desired {
             let (i, j) = (pair.0 as usize, pair.1 as usize);
-            let entry = open_flows.get_mut(pair).expect("desired flows are open"); // lint:allow(expect)
-            let bytes = flow_alloc.bytes_of(entry.0, round_secs);
+            let entry = self
+                .open_flows
+                .get_mut(pair)
+                .expect("desired flows are open"); // lint:allow(expect)
+            let bytes = self.flow_alloc.bytes_of(entry.0, round_secs);
             if bytes == 0 {
                 continue;
             }
             entry.1 += bytes;
-            let (src, dst) = (peers[i].host, peers[j].host);
-            underlay.account_transfer(now, src, dst, bytes);
-            payload_bytes += bytes;
+            let (src, dst) = (self.peers[i].host, self.peers[j].host);
+            self.underlay.account_transfer(now, src, dst, bytes);
+            self.payload_bytes += bytes;
             round_bytes += bytes;
-            *received_this[j].entry(src).or_insert(0) += bytes;
-            *peers[j].credit.entry(src).or_insert(0) += bytes;
+            *self.received_this[j].entry(src).or_insert(0) += bytes;
+            *self.peers[j].credit.entry(src).or_insert(0) += bytes;
         }
         // Phase 2b: receivers verify and assemble chunks — fastest
         // senders convert credit first (slow senders only claim pieces
         // nobody faster offered, deprioritizing them), rarest pieces
         // first, each chunk hash-checked before it counts.
-        for j in 0..peers.len() {
-            if received_this[j].is_empty() {
+        for (j, received) in self.received_this.iter().enumerate() {
+            if received.is_empty() {
                 continue;
             }
-            claimed.clear();
-            senders.clear();
-            senders.extend(received_this[j].iter().map(|(&h, &b)| (b, h)));
-            senders.sort_unstable_by_key(|&(b, h)| (std::cmp::Reverse(b), h));
-            for k in 0..senders.len() {
-                let src = senders[k].1;
-                let i = index[&src];
-                if poisoners.binary_search(&src).is_ok() {
+            self.claimed.clear();
+            self.senders.clear();
+            self.senders.extend(received.iter().map(|(&h, &b)| (b, h)));
+            self.senders
+                .sort_unstable_by_key(|&(b, h)| (std::cmp::Reverse(b), h));
+            for &(_, src) in &self.senders {
+                let i = self.index[&src];
+                if self.poisoners.binary_search(&src).is_ok() {
                     // Hash verification fails on every chunk from a
                     // poisoner: the credited bytes are discarded, the
                     // sender is banned, and the pieces re-request from
                     // the remaining senders in later rounds.
-                    let credit = peers[j].credit.get(&src).copied().unwrap_or(0);
-                    let bad = credit / cfg.piece_bytes;
+                    let me = &mut self.peers[j];
+                    let credit = me.credit.get(&src).copied().unwrap_or(0);
+                    let bad = credit / self.cfg.piece_bytes;
                     if bad > 0 {
-                        let who = peers[j].host;
-                        tracer.set_span(peer_spans[j]);
-                        tracer.emit(
+                        let who = me.host;
+                        self.tracer.set_span(self.peer_spans[j]);
+                        self.tracer.emit(
                             now,
                             "bittorrent",
                             TraceLevel::Debug,
@@ -574,139 +650,152 @@ pub fn run_swarm_with(
                                     .u64("chunks", bad);
                             },
                         );
-                        peers[j].credit.insert(src, 0);
-                        if let Err(pos) = peers[j].banned.binary_search(&src) {
-                            peers[j].banned.insert(pos, src);
+                        me.credit.insert(src, 0);
+                        if let Err(pos) = me.banned.binary_search(&src) {
+                            me.banned.insert(pos, src);
                         }
                     }
                     continue;
                 }
-                let mut credit = peers[j].credit.get(&src).copied().unwrap_or(0);
-                new_claims.clear();
+                let mut credit = self.peers[j].credit.get(&src).copied().unwrap_or(0);
+                self.new_claims.clear();
                 claim_pieces(
-                    &peers[j].pieces,
-                    &peers[i].pieces,
+                    &self.peers[j].pieces,
+                    &self.peers[i].pieces,
                     &mut credit,
-                    cfg.piece_bytes,
-                    &availability,
-                    &mut claimed,
-                    &mut new_claims,
+                    self.cfg.piece_bytes,
+                    &self.availability,
+                    &mut self.claimed,
+                    &mut self.new_claims,
                 );
-                peers[j].credit.insert(src, credit);
-                for &p in &new_claims {
-                    completions.push((j, p));
+                self.peers[j].credit.insert(src, credit);
+                for &p in &self.new_claims {
+                    self.completions.push((j, p));
                 }
             }
         }
-        tracer.clear_provenance();
+        self.tracer.clear_provenance();
         // Phase 3: commit completions, completion times, re-announces.
-        let n_completions = completions.len();
-        for &(j, p) in &completions {
-            tracer.set_span(peer_spans[j]);
-            if peers[j].pieces.insert(p) {
-                availability[p] += 1;
-                tracer.emit(now, "bittorrent", TraceLevel::Trace, "piece", |f| {
-                    f.u64("peer", peers[j].host.0 as u64).u64("piece", p as u64);
-                });
-            }
-            if peers[j].pieces.is_complete() && peers[j].done_at.is_none() {
-                peers[j].done_at = Some(rounds);
-                let done_seq =
-                    tracer.emit(now, "bittorrent", TraceLevel::Debug, "peer.done", |f| {
-                        f.u64("peer", peers[j].host.0 as u64)
-                            .u64("round", rounds as u64);
+        let n_completions = self.completions.len();
+        for &(j, p) in &self.completions {
+            let peer = &mut self.peers[j];
+            self.tracer.set_span(self.peer_spans[j]);
+            if peer.pieces.insert(p) {
+                self.availability[p] += 1;
+                self.tracer
+                    .emit(now, "bittorrent", TraceLevel::Trace, "piece", |f| {
+                        f.u64("peer", peer.host.0 as u64).u64("piece", p as u64);
                     });
+            }
+            if peer.pieces.is_complete() && peer.done_at.is_none() {
+                peer.done_at = Some(rounds);
+                let done_seq =
+                    self.tracer
+                        .emit(now, "bittorrent", TraceLevel::Debug, "peer.done", |f| {
+                            f.u64("peer", peer.host.0 as u64)
+                                .u64("round", rounds as u64);
+                        });
                 // The close is caused by the completion event itself.
-                tracer.set_cause(done_seq);
-                tracer.emit(now, "bittorrent", TraceLevel::Debug, "span.close", |f| {
-                    f.str("span_kind", "peer").bool("done", true);
-                });
-                tracer.set_cause(None);
+                self.tracer.set_cause(done_seq);
+                self.tracer
+                    .emit(now, "bittorrent", TraceLevel::Debug, "span.close", |f| {
+                        f.str("span_kind", "peer").bool("done", true);
+                    });
+                self.tracer.set_cause(None);
             }
         }
-        tracer.clear_provenance();
-        tracer.emit(now, "bittorrent", TraceLevel::Debug, "round", |f| {
-            f.u64("round", rounds as u64)
-                .u64("pieces", n_completions as u64)
-                .u64("bytes", round_bytes);
-        });
-        for (j, recv) in received_this.iter_mut().enumerate() {
-            std::mem::swap(&mut peers[j].received_last, recv);
+        self.tracer.clear_provenance();
+        self.tracer
+            .emit(now, "bittorrent", TraceLevel::Debug, "round", |f| {
+                f.u64("round", rounds as u64)
+                    .u64("pieces", n_completions as u64)
+                    .u64("bytes", round_bytes);
+            });
+        for (peer, recv) in self.peers.iter_mut().zip(&mut self.received_this) {
+            std::mem::swap(&mut peer.received_last, recv);
             recv.clear();
         }
-        completed_by_round.push(
-            peers
-                .iter()
-                .filter(|p| !p.is_seed && p.done_at.is_some())
-                .count(),
-        );
+        self.completed_by_round.push(self.finished());
         // Peers with shrunken useful neighborhoods re-announce every 20
         // rounds.
         if rounds.is_multiple_of(20) {
-            for i in 0..peers.len() {
-                if !down[i] && peers[i].done_at.is_none() && !peers[i].is_seed {
-                    let who = peers[i].host;
-                    tracker.announce_into(
-                        &underlay,
-                        who,
-                        &members,
-                        cfg.max_peers,
-                        &mut rng,
-                        &mut peers[i].neighbors,
+            for (peer, &is_down) in self.peers.iter_mut().zip(&self.down) {
+                if !is_down && peer.done_at.is_none() && !peer.is_seed {
+                    self.tracker.announce_into(
+                        &self.underlay,
+                        peer.host,
+                        &self.members,
+                        self.cfg.max_peers,
+                        &mut self.rng,
+                        &mut peer.neighbors,
                     );
                 }
             }
         }
+        true
     }
 
-    let end = cfg.round.mul(rounds as u64);
-    // Flows still open when the run stops are closed here so every
-    // flow.open has a matching flow.close in the trace.
-    for (&_pair, &(id, bytes)) in open_flows.iter() {
-        tracer.emit(end, "net", TraceLevel::Debug, "flow.close", |f| {
-            f.u64("flow", id).u64("bytes", bytes);
-        });
-    }
-    // Leechers still incomplete when the run stops close their spans
-    // unfinished, so span open/close stays balanced even in truncated runs.
-    for i in 0..peers.len() {
-        if peers[i].done_at.is_none() {
-            if let Some(span) = peer_spans[i] {
-                tracer.set_span(Some(span));
+    /// Closes the run: open flows and unfinished spans, the report, the
+    /// per-link totals and `swarm.done`.
+    fn finish(self) -> (SwarmReport, Underlay) {
+        let Swarm {
+            underlay,
+            cfg,
+            tracer,
+            peers,
+            tracker,
+            peer_spans,
+            open_flows,
+            rounds,
+            ..
+        } = self;
+        let end = cfg.round.mul(rounds as u64);
+        // Flows still open when the run stops are closed here so every
+        // flow.open has a matching flow.close in the trace.
+        for &(id, bytes) in open_flows.values() {
+            tracer.emit(end, "net", TraceLevel::Debug, "flow.close", |f| {
+                f.u64("flow", id).u64("bytes", bytes);
+            });
+        }
+        // Leechers still incomplete when the run stops close their spans
+        // unfinished, so span open/close stays balanced even in truncated runs.
+        for (peer, &span) in peers.iter().zip(&peer_spans) {
+            if peer.done_at.is_none() && span.is_some() {
+                tracer.set_span(span);
                 tracer.emit(end, "bittorrent", TraceLevel::Debug, "span.close", |f| {
                     f.str("span_kind", "peer").bool("done", false);
                 });
             }
         }
+        tracer.clear_provenance();
+        let completion_secs: Vec<f64> = peers
+            .iter()
+            .filter(|p| !p.is_seed)
+            .filter_map(|p| p.done_at)
+            .map(|r| r as f64 * cfg.round.as_secs_f64())
+            .collect();
+        let report = SwarmReport {
+            completed: completion_secs.len(),
+            leechers: cfg.n_leechers,
+            rounds,
+            completion_secs,
+            intra_as_fraction: underlay.traffic.locality_fraction(),
+            payload_bytes: self.payload_bytes,
+            announces: tracker.announces(),
+            completed_by_round: self.completed_by_round,
+            reannounces: self.reannounces,
+        };
+        underlay.trace_link_totals(end, tracer);
+        tracer.emit(end, "bittorrent", TraceLevel::Info, "swarm.done", |f| {
+            f.u64("rounds", report.rounds as u64)
+                .u64("completed", report.completed as u64)
+                .u64("leechers", report.leechers as u64)
+                .u64("payload_bytes", report.payload_bytes)
+                .u64("announces", report.announces)
+                .f64("intra_as_fraction", report.intra_as_fraction);
+        });
+        (report, underlay)
     }
-    tracer.clear_provenance();
-    let completion_secs: Vec<f64> = peers
-        .iter()
-        .filter(|p| !p.is_seed)
-        .filter_map(|p| p.done_at)
-        .map(|r| r as f64 * cfg.round.as_secs_f64())
-        .collect();
-    let report = SwarmReport {
-        completed: completion_secs.len(),
-        leechers: cfg.n_leechers,
-        rounds,
-        completion_secs,
-        intra_as_fraction: underlay.traffic.locality_fraction(),
-        payload_bytes,
-        announces: tracker.announces(),
-        completed_by_round,
-        reannounces,
-    };
-    underlay.trace_link_totals(end, tracer);
-    tracer.emit(end, "bittorrent", TraceLevel::Info, "swarm.done", |f| {
-        f.u64("rounds", report.rounds as u64)
-            .u64("completed", report.completed as u64)
-            .u64("leechers", report.leechers as u64)
-            .u64("payload_bytes", report.payload_bytes)
-            .u64("announces", report.announces)
-            .f64("intra_as_fraction", report.intra_as_fraction);
-    });
-    (report, underlay)
 }
 
 #[cfg(test)]
@@ -925,26 +1014,57 @@ mod tests {
         );
     }
 
+    /// A 60-round run under overlapping `HostCrash` and `RandomLinkDown`
+    /// epochs.
+    fn faulted_cfg() -> SwarmConfig {
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        cfg.max_rounds = 60;
+        cfg.faults = Some(
+            uap_net::FaultPlan::new()
+                .epoch(
+                    SimTime::from_secs(40),
+                    SimTime::from_secs(120),
+                    uap_net::FaultKind::HostCrash {
+                        hosts: (0..12).map(HostId).collect(),
+                    },
+                )
+                .epoch(
+                    SimTime::from_secs(80),
+                    SimTime::from_secs(160),
+                    uap_net::FaultKind::RandomLinkDown { p: 0.4, salt: 3 },
+                ),
+        );
+        cfg
+    }
+
+    #[test]
+    fn hand_stepped_swarm_matches_run_swarm_with() {
+        // One that ends because everyone finished, one cut at max_rounds
+        // with fault boundaries applied on the way.
+        for cfg in [small_cfg(TrackerPolicy::Random), faulted_cfg()] {
+            let mut stepped = Tracer::buffered(TraceLevel::Debug);
+            let mut swarm = Swarm::new(underlay(80, 9), cfg.clone(), 37, &mut stepped);
+            loop {
+                let more = swarm.round();
+                let curve = &swarm.completed_by_round;
+                assert_eq!(curve.len(), swarm.rounds as usize);
+                assert_eq!(curve.last().copied(), Some(swarm.finished()));
+                if !more {
+                    break;
+                }
+            }
+            let (by_hand, _) = swarm.finish();
+            let mut whole = Tracer::buffered(TraceLevel::Debug);
+            let (report, _) = run_swarm_with(underlay(80, 9), cfg, 37, &mut whole);
+            assert_eq!(format!("{by_hand:?}"), format!("{report:?}"));
+            assert_eq!(stepped.to_jsonl(), whole.to_jsonl());
+        }
+    }
+
     #[test]
     fn faulted_swarm_runs_are_deterministic_and_traced() {
         let run = || {
-            let mut cfg = small_cfg(TrackerPolicy::Random);
-            cfg.max_rounds = 60;
-            cfg.faults = Some(
-                uap_net::FaultPlan::new()
-                    .epoch(
-                        SimTime::from_secs(40),
-                        SimTime::from_secs(120),
-                        uap_net::FaultKind::HostCrash {
-                            hosts: (0..12).map(HostId).collect(),
-                        },
-                    )
-                    .epoch(
-                        SimTime::from_secs(80),
-                        SimTime::from_secs(160),
-                        uap_net::FaultKind::RandomLinkDown { p: 0.4, salt: 3 },
-                    ),
-            );
+            let cfg = faulted_cfg();
             let mut t = Tracer::buffered(TraceLevel::Debug);
             let (report, u) = run_swarm_with(underlay(80, 9), cfg, 37, &mut t);
             (

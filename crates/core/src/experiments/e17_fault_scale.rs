@@ -195,12 +195,8 @@ fn measure(spec: &SizeSpec, seed: u64, epochs: usize, tracer: &mut Tracer) -> Si
             TraceLevel::Info,
             "routing.repair",
             |f| {
-                f.str("size", spec.name)
-                    .u64("boundary", e as u64)
-                    .u64("changed_links", stats.changed_links as u64)
-                    .u64("dirty_sources", stats.dirty_sources as u64)
-                    .u64("sources_total", stats.sources_total as u64)
-                    .bool("full_rebuild", stats.full_rebuild);
+                f.str("size", spec.name).u64("boundary", e as u64);
+                stats.trace_fields(f);
             },
         );
     }

@@ -283,11 +283,8 @@ impl GnutellaSim {
         self.last_fault_seq = fault_seq.or(self.last_fault_seq);
         ctx.tracer.set_cause(fault_seq);
         ctx.trace("net", TraceLevel::Info, "routing.repair", |f| {
-            f.u64("boundary", idx as u64)
-                .u64("changed_links", repair.changed_links as u64)
-                .u64("dirty_sources", repair.dirty_sources as u64)
-                .u64("sources_total", repair.sources_total as u64)
-                .bool("full_rebuild", repair.full_rebuild);
+            f.u64("boundary", idx as u64);
+            repair.trace_fields(f);
         });
         let mut now_crashed = std::mem::take(&mut self.scratch_crash);
         now_crashed.clear();

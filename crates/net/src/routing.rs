@@ -43,6 +43,7 @@ use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::AsId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use uap_sim::Fields;
 
 /// Routing policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,6 +106,18 @@ pub struct RepairStats {
     pub sources_total: usize,
     /// Whether the >50%-dirty heuristic fell back to a full rebuild.
     pub full_rebuild: bool,
+}
+
+impl RepairStats {
+    /// Writes the canonical `net/routing.repair` fields (the twin of
+    /// [`crate::fault::FaultState::trace_fields`]); each caller leads with
+    /// its own boundary field.
+    pub fn trace_fields(&self, f: &mut Fields) {
+        f.u64("changed_links", self.changed_links as u64)
+            .u64("dirty_sources", self.dirty_sources as u64)
+            .u64("sources_total", self.sources_total as u64)
+            .bool("full_rebuild", self.full_rebuild);
+    }
 }
 
 /// Per-source bookkeeping that makes fault-epoch routing repairs

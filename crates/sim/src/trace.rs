@@ -538,12 +538,9 @@ impl Tracer {
 /// event. Returns `Err` with a position-annotated message on malformed
 /// input. `xtask trace` builds its `summary`/`diff` views on this.
 pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
-    let mut p = Parser {
-        s: line.as_bytes(),
-        i: 0,
-    };
+    let mut p = Parser { s: line, i: 0 };
     p.skip_ws();
-    if p.s.get(p.i) != Some(&b'{') {
+    if p.peek() != Some(b'{') {
         return Err("top level is not an object".into());
     }
     let pairs = p.object(Parser::member)?;
@@ -588,20 +585,26 @@ enum Json {
 }
 
 struct Parser<'a> {
-    s: &'a [u8],
+    s: &'a str,
+    /// Byte offset into `s`, always on a char boundary.
     i: usize,
 }
 
 impl Parser<'_> {
+    /// The byte at the cursor.
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while self.i < self.s.len() && (self.s[self.i] as char).is_ascii_whitespace() {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
             self.i += 1;
         }
     }
 
     fn member(&mut self) -> Result<Json, String> {
         self.skip_ws();
-        if self.s.get(self.i) == Some(&b'{') {
+        if self.peek() == Some(b'{') {
             Ok(Json::Fields(self.object(Parser::scalar)?))
         } else {
             Ok(Json::Scalar(self.scalar()?))
@@ -612,27 +615,18 @@ impl Parser<'_> {
     /// is an error at its `{`.
     fn scalar(&mut self) -> Result<Value, String> {
         self.skip_ws();
-        match self.s.get(self.i) {
+        match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let n = self.number()?;
-                Ok(if n.fract() == 0.0 && n >= 0.0 && n <= u64::MAX as f64 {
-                    Value::U64(n as u64)
-                } else if n.fract() == 0.0 && n < 0.0 {
-                    Value::I64(n as i64)
-                } else {
-                    Value::F64(n)
-                })
-            }
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
             Some(b'{') => Err(format!("nested object at {}", self.i)),
             other => Err(format!("unexpected {:?} at {}", other, self.i)),
         }
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
+        if self.s.as_bytes()[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(v)
         } else {
@@ -648,7 +642,7 @@ impl Parser<'_> {
         self.i += 1; // consume '{'
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.s.get(self.i) == Some(&b'}') {
+        if self.peek() == Some(b'}') {
             self.i += 1;
             return Ok(pairs);
         }
@@ -656,14 +650,14 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            if self.s.get(self.i) != Some(&b':') {
+            if self.peek() != Some(b':') {
                 return Err(format!("expected ':' at {}", self.i));
             }
             self.i += 1;
             let val = value(self)?;
             pairs.push((key, val));
             self.skip_ws();
-            match self.s.get(self.i) {
+            match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
@@ -675,12 +669,12 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        if self.s.get(self.i) != Some(&b'"') {
+        if self.peek() != Some(b'"') {
             return Err(format!("expected string at {}", self.i));
         }
         self.i += 1;
         let mut out = String::new();
-        while let Some(&c) = self.s.get(self.i) {
+        while let Some(c) = self.peek() {
             match c {
                 b'"' => {
                     self.i += 1;
@@ -688,7 +682,7 @@ impl Parser<'_> {
                 }
                 b'\\' => {
                     self.i += 1;
-                    match self.s.get(self.i) {
+                    match self.peek() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'n') => out.push('\n'),
@@ -699,11 +693,7 @@ impl Parser<'_> {
                                 .s
                                 .get(self.i + 1..self.i + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
@@ -713,7 +703,7 @@ impl Parser<'_> {
                 }
                 _ => {
                     // Multi-byte UTF-8: copy the whole char.
-                    let rest = std::str::from_utf8(&self.s[self.i..]).map_err(|e| e.to_string())?;
+                    let rest = self.s.get(self.i..).ok_or("offset inside a char")?;
                     let ch = rest.chars().next().ok_or("truncated input")?;
                     out.push(ch);
                     self.i += ch.len_utf8();
@@ -723,26 +713,37 @@ impl Parser<'_> {
         Err("unterminated string".into())
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    /// A number as the writer typed it: digits are a `u64`, `-`digits an
+    /// `i64`, anything else (or wider) an `f64`. Integers never pass
+    /// through `f64`, which would round everything above 2^53.
+    fn number(&mut self) -> Result<Value, String> {
         let start = self.i;
-        while let Some(&c) = self.s.get(self.i) {
+        while let Some(c) = self.peek() {
             if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
                 self.i += 1;
             } else {
                 break;
             }
         }
-        std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| e.to_string())
+        // ASCII throughout, so both ends are char boundaries.
+        let token = &self.s[start..self.i];
+        if let Ok(n) = token.parse::<u64>() {
+            Ok(Value::U64(n))
+        } else if let Ok(n) = token.parse::<i64>() {
+            Ok(Value::I64(n))
+        } else {
+            token
+                .parse::<f64>()
+                .map(Value::F64)
+                .map_err(|e| e.to_string())
+        }
     }
 }
 
 /// The **only** sanctioned wall-clock boundary in simulation-path code.
 ///
-/// Used by `exp` to stamp the run report's `wall_secs`, by opt-in engine
-/// stage timing and by `xtask analyze` for its own time budget. Readings
+/// Used by `exp` to stamp the run report's `wall_secs` and by opt-in
+/// engine stage timing. Readings
 /// from this timer must never be fed into a [`Tracer`] or into the
 /// determinism-compared sections of a run report — traces and reports
 /// stay byte-identical across runs, and `xtask trace diff` skips
@@ -827,8 +828,14 @@ mod tests {
                 f.u64("host", 17)
                     .i64("delta", -3)
                     .f64("ratio", 0.25)
-                    .str("cat", "intra \"quoted\"\n")
-                    .bool("ok", true);
+                    .f64("whole", 2.0)
+                    .str("cat", "intra \"quoted\"\n\u{e9}\u{1f600}")
+                    .bool("ok", true)
+                    // Integers beyond f64's 53-bit mantissa, as
+                    // Kademlia's full-range key prefixes are.
+                    .u64("key", u64::MAX)
+                    .u64("odd", (1 << 53) + 1)
+                    .i64("floor", i64::MIN);
             },
         );
         let line = t.to_jsonl();

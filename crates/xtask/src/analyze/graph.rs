@@ -31,7 +31,7 @@ pub struct Graph {
     pub edges: Vec<Vec<(usize, usize)>>,
     /// Indices of the simulation entry points.
     pub entries: Vec<usize>,
-    /// Total resolved call edges (for the PERF line).
+    /// Total resolved call edges (for the closing summary line).
     pub edge_count: usize,
     /// Resolved targets of each worker closure's calls, keyed
     /// `(fn index, spawn index, worker index)`. Worker calls resolve
@@ -297,18 +297,21 @@ fn find_entries(fns: &[FnItem]) -> Vec<usize> {
 ///   decision bottoms out in),
 /// - the kademlia per-message handlers `DhtNetwork::rpc` /
 ///   `DhtNetwork::lookup`,
-/// - the bittorrent swarm round loop (`run_swarm_with`).
+/// - the bittorrent swarm's per-round step (`Swarm::round`; its set-up
+///   `Swarm::new` and tear-down `Swarm::finish` are one-shot).
 pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
-    entries_where(fns, |f| match (f.impl_type.as_deref(), f.name.as_str()) {
-        (Some("Routing"), "route" | "path_links")
-        | (Some("Underlay"), "latency_us" | "rtt_us")
-        | (Some("DhtNetwork"), "rpc" | "lookup") => true,
-        (None, "run_swarm_with") => f.file.contains("crates/bittorrent/"),
-        _ => false,
+    entries_where(fns, |f| {
+        matches!(
+            (f.impl_type.as_deref(), f.name.as_str()),
+            (Some("Routing"), "route" | "path_links")
+                | (Some("Underlay"), "latency_us" | "rtt_us")
+                | (Some("DhtNetwork"), "rpc" | "lookup")
+                | (Some("Swarm"), "round")
+        )
     })
 }
 
-/// A ratcheted site inventory: `(file, qualname, key)` → the source line
+/// A pass's site inventory: `(file, qualname, key)` → the source line
 /// of every site behind the key, in source order. The key is what the
 /// pass groups by — the allocation kind, the cast's target type, or the
 /// panic kind and its `documented` / `bare` class.
@@ -533,7 +536,7 @@ mod tests {
             ),
             (
                 "crates/bittorrent/src/swarm.rs",
-                "pub fn run_swarm_with() {}\nfn helper() {}\n",
+                "impl Swarm { fn new() {} fn round(&mut self) {} fn finish(self) {} }\npub fn run_swarm_with() {}\n",
             ),
             (
                 "crates/gnutella/src/sim.rs",
@@ -552,7 +555,7 @@ mod tests {
                 "Underlay::rtt_us",
                 "DhtNetwork::rpc",
                 "DhtNetwork::lookup",
-                "run_swarm_with",
+                "Swarm::round",
                 "GnutellaSim::handle",
             ]
         );

@@ -5,20 +5,19 @@
 //! ([`lexer`]) and parses the token streams into a call graph
 //! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`]:
 //!
-//! - **`lint`**: the token-level determinism rules ([`crate::lint`]).
-//! - **`purity`**: no call path from a simulation entry point (the engine
-//!   step loop, overlay `World::handle` impls, `Ctx` methods, experiment
-//!   drivers) reaches a wallclock / entropy / thread-spawn sink, except
-//!   through the audited boundaries in [`crate::boundaries`]. Each
-//!   violation carries the shortest witness call chain, `file:line` per
-//!   hop.
+//! - **`lint`**: the token-level determinism rules ([`crate::lint`]). It
+//!   reads every token of every file, so no wallclock / entropy /
+//!   thread-spawn sink outside the audited boundaries in
+//!   [`crate::boundaries`] survives it, reachable or not — which is why
+//!   there is no separate reachability proof for those sinks.
 //! - **`panic`**: every unwrap / expect / panic! / indexing site
 //!   reachable from the entry points is inventoried against the
-//!   checked-in baseline `ci/analyze_panic_baseline.txt`; new sites fail,
-//!   removed sites are reported as burn-down progress.
-//! - **`alloc`**: the same ratchet over hot-path allocation sites
-//!   (`ci/analyze_alloc_baseline.txt`), new sites failing with a witness
-//!   chain from a hot entry point.
+//!   checked-in baseline `ci/analyze_panic_baseline.txt` — the one
+//!   ratchet: new sites fail, removed sites are reported as burn-down
+//!   progress.
+//! - **`alloc`**: every allocation site reachable from a hot entry point
+//!   fails with the shortest witness call chain, `file:line` per hop,
+//!   unless its `fn` carries `lint:allow(alloc)` (a one-shot path).
 //! - **`par`**: every thread-spawn site must carry a
 //!   [`crate::boundaries::PARALLEL_REGIONS`] manifest entry (drift in
 //!   either direction fails), and worker closures must be free of
@@ -44,25 +43,16 @@ use std::path::{Path, PathBuf};
 use crate::lint::FileKind;
 use graph::{Graph, Inventory};
 
-/// Relative path of the panic-site baseline file.
+/// Relative path of the panic-site baseline file, the only baseline.
 pub const BASELINE_PATH: &str = "ci/analyze_panic_baseline.txt";
-
-/// Relative path of the allocation-site baseline file.
-pub const ALLOC_BASELINE_PATH: &str = "ci/analyze_alloc_baseline.txt";
 
 /// One row of the pass table: the `--pass=<name>` spelling and the
 /// check it runs.
 pub type Pass = (&'static str, fn(&Corpus, &mut Report));
 
 /// Every pass, in the order a full run executes them.
-pub const PASSES: [Pass; 7] = [
+pub const PASSES: [Pass; 6] = [
     ("lint", crate::lint::pass),
-    ("purity", |c, report| {
-        let (dist, parent) = c.graph.reach();
-        report
-            .violations
-            .extend(purity_pass(&c.graph, &dist, &parent));
-    }),
     ("panic", panic_pass),
     ("alloc", alloc_pass),
     ("par", |c, report| {
@@ -99,7 +89,7 @@ pub struct Corpus {
     pub files: Vec<SourceFile>,
     /// The call graph over the files' functions.
     pub graph: Graph,
-    /// `--update-baseline`: a ratchet pass rewrites its baseline from the
+    /// `--update-baseline`: the panic pass rewrites its baseline from the
     /// current inventory instead of comparing against it.
     pub update_baseline: bool,
 }
@@ -130,19 +120,13 @@ impl Corpus {
     }
 }
 
-/// Corpus and graph sizes, for the PERF line.
+/// Corpus and graph sizes, for the closing `analyze: ok (…)` line.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
     pub files: usize,
     pub fns: usize,
     pub entries: usize,
     pub edges: usize,
-    /// Hot-path entry points of the allocation pass.
-    pub hot_entries: usize,
-    /// Allocation sites in the current hot-path inventory.
-    pub alloc_sites: usize,
-    /// Thread-spawn sites seen by the parallel pass.
-    pub spawn_sites: usize,
 }
 
 /// The result of one analyzer run.
@@ -193,130 +177,6 @@ pub fn run_passes(root: &Path, passes: &[Pass], update_baseline: bool) -> Report
     report
 }
 
-/// Purity pass: unaudited sinks in functions reachable from the entry
-/// set, each with its shortest witness chain.
-fn purity_pass(g: &Graph, dist: &[usize], parent: &[Option<(usize, usize)>]) -> Vec<String> {
-    let mut out = Vec::new();
-    for (i, f) in g.fns.iter().enumerate() {
-        if f.is_test || dist[i] == usize::MAX {
-            continue;
-        }
-        for s in &f.sinks {
-            if s.audited {
-                continue;
-            }
-            let chain = g.witness(parent, i);
-            let kind = match s.kind {
-                parser::SinkKind::Wallclock => "wallclock",
-                parser::SinkKind::Entropy => "entropy",
-                parser::SinkKind::Thread => "thread-spawn",
-            };
-            out.push(format!(
-                "purity: {}:{}: `{}` in `{}` is reachable from the sim entry points \
-                 ({kind} sink outside the audited boundaries)\n{}",
-                f.file,
-                s.line,
-                s.what,
-                f.qualname(),
-                g.render_witness(&chain, s.what, s.line)
-            ));
-        }
-    }
-    out
-}
-
-/// The per-pass wording of [`ratchet`].
-struct Ratchet<'a> {
-    /// The pass's [`PASSES`] name, for the regeneration hint.
-    pass: &'static str,
-    /// Prefix of the pass's violation lines.
-    tag: &'static str,
-    /// Relative path of the checked-in baseline.
-    baseline: &'static str,
-    /// Where the inventoried sites are reachable from.
-    scope: &'static str,
-    /// A key's site description (`` `vec` allocation ``) and the advice
-    /// for a new one.
-    describe: &'a dyn Fn(&str) -> (String, String),
-    /// Evidence block appended to a new key's violation.
-    witness: &'a dyn Fn(&str, &str, &str) -> String,
-}
-
-/// The one ratchet: compares `inv` against the checked-in baseline (rows
-/// `<count>\t<file>::<fn>\t<key>`) or, under `--update-baseline`,
-/// rewrites the baseline from it. New and grown keys fail with their
-/// source lines; shrunk keys are reported as burn-down progress. Returns
-/// the inventory's site count.
-fn ratchet(c: &Corpus, report: &mut Report, r: &Ratchet<'_>, inv: &Inventory) -> usize {
-    let Ratchet {
-        pass,
-        tag,
-        baseline,
-        scope,
-        ..
-    } = *r;
-    let sites = graph::site_count(inv);
-    report.detail = format!("{sites} sites / {} keys", inv.len());
-    let path = c.root.join(baseline);
-    if c.update_baseline {
-        let header = format!(
-            "# Baseline of the {pass} pass — generated by `cargo run -p xtask -- analyze \
-             --pass={pass} --update-baseline`.\n\
-             # Each line: <count>\\t<file>::<fn>\\t<key>, sorted.\n\
-             # New sites fail CI; burn this list down, never up.\n"
-        );
-        match std::fs::write(&path, render_baseline(&header, inv)) {
-            Ok(()) => report.notes.push(format!(
-                "analyze: wrote {} entries ({sites} sites) to {baseline}",
-                inv.len()
-            )),
-            Err(e) => report
-                .violations
-                .push(format!("analyze: cannot write {baseline}: {e}")),
-        }
-        return sites;
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        report.violations.push(format!(
-            "analyze: missing {baseline} — run `cargo run -p xtask -- analyze --pass={pass} \
-             --update-baseline` and commit the result"
-        ));
-        return sites;
-    };
-    let old = parse_baseline(&body);
-    for (k, lines) in inv {
-        let (file, qual, key) = k;
-        let (what, advice) = (r.describe)(key);
-        match old.get(k) {
-            None => {
-                report.violations.push(format!(
-                    "{tag}: {file}:{}: new {what} site(s) in `{qual}` reachable from {scope}; \
-                     {advice} (baseline: {baseline}){}",
-                    line_list(lines),
-                    (r.witness)(file, qual, key)
-                ));
-            }
-            Some(&b) if lines.len() > b => report.violations.push(format!(
-                "{tag}: {file}: `{qual}` grew from {b} to {} {what} site(s) reachable from \
-                 {scope} (baseline: {baseline})",
-                lines.len()
-            )),
-            Some(_) => {}
-        }
-    }
-    let gone: usize = old
-        .iter()
-        .map(|(k, &b)| b.saturating_sub(inv.get(k).map_or(0, Vec::len)))
-        .sum();
-    if gone > 0 {
-        report.notes.push(format!(
-            "analyze: {gone} baselined {pass} site(s) no longer present — run `analyze \
-             --pass={pass} --update-baseline` to ratchet {baseline} down"
-        ));
-    }
-    sites
-}
-
 /// The distinct source lines behind an inventory key, `3,7,12`.
 fn line_list(lines: &[usize]) -> String {
     let mut lines = lines.to_vec();
@@ -326,9 +186,13 @@ fn line_list(lines: &[usize]) -> String {
     lines.join(",")
 }
 
-/// Renders an inventory as baseline text under `header`.
-fn render_baseline(header: &str, inv: &Inventory) -> String {
-    let mut out = header.to_string();
+/// Renders the panic inventory as baseline text under its header.
+fn render_baseline(inv: &Inventory) -> String {
+    let mut out = "# Baseline of the panic pass — generated by `cargo run -p xtask -- analyze \
+                   --pass=panic --update-baseline`.\n\
+                   # Each line: <count>\\t<file>::<fn>\\t<key>, sorted.\n\
+                   # New sites fail CI; burn this list down, never up.\n"
+        .to_string();
     for ((file, qual, key), lines) in inv {
         out.push_str(&format!("{}\t{file}::{qual}\t{key}\n", lines.len()));
     }
@@ -362,13 +226,13 @@ fn parse_baseline(body: &str) -> BTreeMap<(String, String, String), usize> {
     counts
 }
 
-/// Allocation-discipline pass: hot-path allocation inventory vs
-/// `ci/analyze_alloc_baseline.txt`, new keys failing with the shortest
-/// witness chain from a hot entry point.
+/// Allocation-discipline pass: a plain deny, like [`cast_pass`]. Every
+/// allocation site reachable from the hot-path entry set fails with the
+/// shortest witness chain from a hot entry point; a one-shot path is
+/// exempted by `lint:allow(alloc)` on its `fn`, nothing is grandfathered.
 fn alloc_pass(c: &Corpus, report: &mut Report) {
     let g = &c.graph;
     let hot = graph::find_hot_entries(&g.fns);
-    report.stats.hot_entries = hot.len();
     if hot.is_empty() {
         report.violations.push(
             "analyze: found no hot-path entry points — the parser or the hot-entry \
@@ -379,34 +243,26 @@ fn alloc_pass(c: &Corpus, report: &mut Report) {
     }
     let (dist, parent) = g.reach_from(&hot);
     let inv = graph::inventory(g, &dist, graph::alloc_sites);
-    // The chain from a hot entry point into the first function behind
-    // the key, down to its first site of that kind.
-    let witness = |file: &str, qual: &str, kind: &str| {
+    report.detail = format!("{} sites / {} keys", graph::site_count(&inv), inv.len());
+    for ((file, qual, kind), lines) in &inv {
+        // The chain from a hot entry point into the first function behind
+        // the key, down to its first site of that kind.
         let hit = g.fns.iter().enumerate().find_map(|(i, f)| {
             let site = f.allocs.iter().find(|a| a.kind.name() == kind)?;
-            (f.file == file && f.qualname() == qual).then_some((i, site))
+            (f.file == *file && f.qualname() == *qual).then_some((i, site))
         });
-        hit.map_or(String::new(), |(i, site)| {
+        let witness = hit.map_or(String::new(), |(i, site)| {
             let chain = g.witness(&parent, i);
             format!("\n{}", g.render_witness(&chain, &site.what, site.line))
-        })
-    };
-    let r = Ratchet {
-        pass: "alloc",
-        tag: "alloc",
-        baseline: ALLOC_BASELINE_PATH,
-        scope: "the hot-path entry set",
-        describe: &|kind| {
-            (
-                format!("`{kind}` allocation"),
-                "reuse a scratch buffer, hoist the allocation out of the per-event path, or \
-                 document a one-shot path with `lint:allow(alloc)` on the fn"
-                    .to_string(),
-            )
-        },
-        witness: &witness,
-    };
-    report.stats.alloc_sites = ratchet(c, report, &r, &inv);
+        });
+        report.violations.push(format!(
+            "alloc: {file}:{}: `{kind}` allocation site(s) in `{qual}` reachable from the \
+             hot-path entry set; reuse a scratch buffer, hoist the allocation out of the \
+             per-event path, or document a one-shot path with `lint:allow(alloc)` on the \
+             fn{witness}",
+            line_list(lines)
+        ));
+    }
 }
 
 /// Truncating-cast pass: a plain deny. Every sim-reachable truncating
@@ -425,28 +281,65 @@ fn cast_pass(c: &Corpus, report: &mut Report) {
     }
 }
 
-/// Panic pass: sim-reachable panic-site inventory vs
-/// `ci/analyze_panic_baseline.txt`.
+/// Panic pass, the one ratchet: compares the sim-reachable panic-site
+/// inventory against `ci/analyze_panic_baseline.txt` (rows
+/// `<count>\t<file>::<fn>\t<key>`) or, under `--update-baseline`, rewrites
+/// the baseline from it. New and grown keys fail with their source lines;
+/// shrunk keys are reported as burn-down progress.
 fn panic_pass(c: &Corpus, report: &mut Report) {
     let (dist, _) = c.graph.reach();
     let inv = graph::inventory(&c.graph, &dist, graph::panic_sites);
-    let r = Ratchet {
-        pass: "panic",
-        tag: "panics",
-        baseline: BASELINE_PATH,
-        scope: "the engine step loop",
-        describe: &|key| {
-            let (kind, class) = key.split_once(' ').unwrap_or((key, ""));
-            (
-                format!("{class} {kind}"),
-                format!(
-                    "document the invariant with `lint:allow({kind})` or handle the None/Err case"
-                ),
-            )
-        },
-        witness: &|_, _, _| String::new(),
+    let sites = graph::site_count(&inv);
+    report.detail = format!("{sites} sites / {} keys", inv.len());
+    let path = c.root.join(BASELINE_PATH);
+    if c.update_baseline {
+        match std::fs::write(&path, render_baseline(&inv)) {
+            Ok(()) => report.notes.push(format!(
+                "analyze: wrote {} entries ({sites} sites) to {BASELINE_PATH}",
+                inv.len()
+            )),
+            Err(e) => report
+                .violations
+                .push(format!("analyze: cannot write {BASELINE_PATH}: {e}")),
+        }
+        return;
+    }
+    let Ok(body) = std::fs::read_to_string(&path) else {
+        report.violations.push(format!(
+            "analyze: missing {BASELINE_PATH} — run `cargo run -p xtask -- analyze --pass=panic \
+             --update-baseline` and commit the result"
+        ));
+        return;
     };
-    ratchet(c, report, &r, &inv);
+    let old = parse_baseline(&body);
+    for (k, lines) in &inv {
+        let (file, qual, key) = k;
+        let (kind, class) = key.split_once(' ').unwrap_or((key, ""));
+        match old.get(k) {
+            None => report.violations.push(format!(
+                "panics: {file}:{}: new {class} {kind} site(s) in `{qual}` reachable from the \
+                 engine step loop; document the invariant with `lint:allow({kind})` or handle \
+                 the None/Err case (baseline: {BASELINE_PATH})",
+                line_list(lines)
+            )),
+            Some(&b) if lines.len() > b => report.violations.push(format!(
+                "panics: {file}: `{qual}` grew from {b} to {} {class} {kind} site(s) reachable \
+                 from the engine step loop (baseline: {BASELINE_PATH})",
+                lines.len()
+            )),
+            Some(_) => {}
+        }
+    }
+    let gone: usize = old
+        .iter()
+        .map(|(k, &b)| b.saturating_sub(inv.get(k).map_or(0, Vec::len)))
+        .sum();
+    if gone > 0 {
+        report.notes.push(format!(
+            "analyze: {gone} baselined panic site(s) no longer present — run `analyze \
+             --pass=panic --update-baseline` to ratchet {BASELINE_PATH} down"
+        ));
+    }
 }
 
 /// Collects `crates/*/src`, `crates/*/tests`, and the root `src/` +
@@ -548,12 +441,26 @@ mod tests {
         Graph::build(fns)
     }
 
+    /// Lint violations of fixture `files`, as `(label, line, rule)`.
+    fn lint_of(files: &[(&'static str, &str)]) -> Vec<(&'static str, usize, &'static str)> {
+        let lib = FileKind {
+            is_test_file: false,
+            is_bin: false,
+            is_sim_path: true,
+        };
+        let scan = |&(label, src): &(&'static str, &str)| {
+            let found = crate::lint::scan(label, &lex(src), lib);
+            found.into_iter().map(move |v| (label, v.line, v.rule))
+        };
+        files.iter().flat_map(scan).collect()
+    }
+
     #[test]
     fn synthetic_indirect_leak_is_caught_with_witness_chain() {
-        // Entry -> helper -> leak() which calls Instant::now: the purity
-        // pass must flag it and the witness must name every hop with
-        // file:line.
-        let g = graph_of(&[
+        // Entry -> helper -> leak() which calls Instant::now: the lint
+        // reads every token, so the sink is flagged where it stands
+        // however many hops separate it from an entry point.
+        let v = lint_of(&[
             (
                 "crates/sim/src/engine.rs",
                 "impl Simulator {\n    pub fn run(&mut self) {\n        helper();\n    }\n}\npub fn helper() {\n    leak();\n}\n",
@@ -563,30 +470,15 @@ mod tests {
                 "pub fn leak() {\n    let _t = std::time::Instant::now();\n}\n",
             ),
         ]);
-        let (dist, parent) = g.reach();
-        let v = purity_pass(&g, &dist, &parent);
-        assert_eq!(v.len(), 1, "{v:?}");
-        let msg = &v[0];
-        assert!(msg.contains("crates/net/src/bad.rs:2"), "{msg}");
-        assert!(msg.contains("Instant::now"), "{msg}");
-        assert!(
-            msg.contains("Simulator::run (crates/sim/src/engine.rs:2)"),
-            "{msg}"
-        );
-        assert!(msg.contains("helper (crates/sim/src/engine.rs:6)"), "{msg}");
-        assert!(msg.contains("leak (crates/net/src/bad.rs:1)"), "{msg}");
-        assert!(
-            msg.contains("[call at crates/sim/src/engine.rs:3]"),
-            "{msg}"
-        );
+        assert_eq!(v, vec![("crates/net/src/bad.rs", 2, "wallclock")]);
     }
 
     #[test]
     fn audited_boundary_sinks_are_exempt() {
         // The WallTimer quarantine in crates/sim/src/trace.rs and the
         // fork-join boundaries may touch their sinks when the site
-        // carries the lint:allow — no purity violation.
-        let g = graph_of(&[
+        // carries the lint:allow — no violation.
+        let v = lint_of(&[
             (
                 "crates/sim/src/engine.rs",
                 "impl Simulator { pub fn run(&mut self) { WallTimer::start(); par(); } }\n",
@@ -600,25 +492,14 @@ mod tests {
                 "pub fn par() { std::thread::scope(|s| {}); // lint:allow(threads)\n }\n",
             ),
         ]);
-        let (dist, parent) = g.reach();
-        let v = purity_pass(&g, &dist, &parent);
         assert!(v.is_empty(), "{v:?}");
         // The same thread sink outside the boundary file is flagged even
-        // with an allow comment.
-        let g = graph_of(&[
-            (
-                "crates/sim/src/engine.rs",
-                "impl Simulator { pub fn run(&mut self) { par(); } }\n",
-            ),
-            (
-                "crates/net/src/host.rs",
-                "pub fn par() { std::thread::scope(|s| {}); // lint:allow(threads)\n }\n",
-            ),
-        ]);
-        let (dist, parent) = g.reach();
-        let v = purity_pass(&g, &dist, &parent);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("thread-spawn sink"));
+        // with an allow comment (and so is the misplaced allow).
+        let v = lint_of(&[(
+            "crates/net/src/host.rs",
+            "pub fn par() { std::thread::scope(|s| {}); // lint:allow(threads)\n }\n",
+        )]);
+        assert_eq!(v, vec![("crates/net/src/host.rs", 1, "threads"); 2]);
     }
 
     #[test]
@@ -629,7 +510,7 @@ mod tests {
         )]);
         let (dist, _) = g.reach();
         let inv = graph::inventory(&g, &dist, graph::panic_sites);
-        let text = render_baseline("# header\n", &inv);
+        let text = render_baseline(&inv);
         let parsed = parse_baseline(&text);
         let counts = inv.iter().map(|(k, l)| (k.clone(), l.len())).collect();
         assert_eq!(parsed, counts, "baseline must round-trip through text");
@@ -648,8 +529,7 @@ mod tests {
 
     /// Builds a minimal on-disk workspace under `target/` (deterministic
     /// path, outside the real analyzer roots) with one hot entry that
-    /// allocates per event and one bare unwrap, so both baselines have
-    /// content to write.
+    /// allocates per event and one bare unwrap.
     fn synthetic_root(name: &str) -> PathBuf {
         let root = workspace_root()
             .join("target")
@@ -672,98 +552,57 @@ mod tests {
         [*pass(name).expect("a PASSES row")] // lint:allow(expect)
     }
 
-    /// Violations of the graph passes: minus the registry pass's (a
-    /// synthetic root has no OBSERVABILITY.md and emits nothing) and the
-    /// lint's (the fixture's bare unwrap) — neither is under test.
-    fn non_registry(report: &Report) -> Vec<String> {
-        report
-            .violations
-            .iter()
-            .filter(|v| !v.starts_with("registry:") && !v.contains(": rule("))
-            .cloned()
-            .collect()
+    /// Whether the synthetic root's `ci/` holds no file.
+    fn ci_is_empty(root: &Path) -> bool {
+        std::fs::read_dir(root.join("ci"))
+            .expect("synthetic ci") // lint:allow(expect)
+            .next()
+            .is_none()
     }
 
     #[test]
-    fn updating_the_panic_baseline_does_not_touch_the_other_baselines() {
-        let root = synthetic_root("scope-panic");
+    fn panic_baseline_is_written_by_update_and_then_checked_against() {
+        let root = synthetic_root("panic-ratchet");
+        // No baseline yet: the check says how to make one.
+        let report = run_passes(&root, &only("panic"), false);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains(BASELINE_PATH));
+        // `--update-baseline` writes it, and the same tree then passes.
         let report = run_passes(&root, &only("panic"), true);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(root.join(BASELINE_PATH).exists());
-        assert!(!root.join(ALLOC_BASELINE_PATH).exists());
-        // A full check now misses exactly the alloc baseline.
-        let report = run_passes(&root, &PASSES, false);
-        let v = non_registry(&report);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains(ALLOC_BASELINE_PATH), "{v:?}");
-    }
-
-    #[test]
-    fn updating_the_alloc_baseline_does_not_touch_the_panic_baseline() {
-        let root = synthetic_root("scope-alloc");
-        run_passes(&root, &only("alloc"), true);
-        assert!(root.join(ALLOC_BASELINE_PATH).exists());
-        assert!(!root.join(BASELINE_PATH).exists());
-        let report = run_passes(&root, &PASSES, false);
-        let v = non_registry(&report);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains(BASELINE_PATH), "{v:?}");
-
-        // After updating the panic baseline too, a check is clean and
-        // the alloc baseline carries the vec site (in-loop class not
-        // armed here: the vec! sits at fn top, so kind is plain `vec`).
-        run_passes(&root, &only("panic"), true);
-        let report = run_passes(&root, &PASSES, false);
-        assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
-        let body =
-            std::fs::read_to_string(root.join(ALLOC_BASELINE_PATH)).expect("baseline readable"); // lint:allow(expect)
-        assert!(body.contains("crates/sim/src/engine.rs::Simulator::run\tvec"));
-    }
-
-    #[test]
-    fn updating_with_every_pass_writes_every_baseline() {
-        let root = synthetic_root("scope-all");
-        let report = run_passes(&root, &PASSES, true);
-        assert!(non_registry(&report).is_empty(), "{:?}", report.violations);
-        for p in [BASELINE_PATH, ALLOC_BASELINE_PATH] {
-            assert!(root.join(p).exists(), "{p} must be written");
-        }
-    }
-
-    #[test]
-    fn pass_alloc_skips_the_panic_and_registry_passes() {
-        // With no baselines at all, a `--pass=alloc` run must complain
-        // about the alloc baseline only — the panic pass never ran.
-        let root = synthetic_root("pass-alloc");
-        let report = run_passes(&root, &only("alloc"), false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains(ALLOC_BASELINE_PATH));
-        assert!(!report.violations[0].contains(BASELINE_PATH));
-        assert_eq!(
-            report.summaries,
-            vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
-        );
+        let body = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("baseline readable"); // lint:allow(expect)
+        assert!(body.contains("1\tcrates/sim/src/engine.rs::Simulator::run\tunwrap bare"));
+        let report = run_passes(&root, &only("panic"), false);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.summaries, vec!["panic: ok 1 sites / 1 keys"]);
     }
 
     #[test]
     fn new_hot_path_alloc_site_fails_with_witness_chain() {
+        // No baseline to read or write: the vec! in Simulator::run fails
+        // with a witness chain naming the entry point and the sink, the
+        // panic pass (whose baseline is missing) never ran, and
+        // `--update-baseline` grandfathers nothing.
         let root = synthetic_root("alloc-new-site");
-        // Baseline an empty inventory, then the vec! in Simulator::run is
-        // a *new* site and must fail with a witness chain naming the
-        // entry point and the sink.
-        std::fs::write(root.join(ALLOC_BASELINE_PATH), "# empty\n").expect("write baseline"); // lint:allow(expect)
-        let report = run_passes(&root, &only("alloc"), false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        let v = &report.violations[0];
-        assert!(
-            v.contains("new `vec` allocation site(s) in `Simulator::run`"),
-            "{v}"
-        );
-        assert!(
-            v.contains("witness: Simulator::run (crates/sim/src/engine.rs:1)"),
-            "{v}"
-        );
-        assert!(v.contains("vec! @ crates/sim/src/engine.rs:2"), "{v}");
+        for update in [false, true] {
+            let report = run_passes(&root, &only("alloc"), update);
+            assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+            let v = &report.violations[0];
+            assert!(
+                v.contains("`vec` allocation site(s) in `Simulator::run`"),
+                "{v}"
+            );
+            assert!(
+                v.contains("witness: Simulator::run (crates/sim/src/engine.rs:1)"),
+                "{v}"
+            );
+            assert!(v.contains("vec! @ crates/sim/src/engine.rs:2"), "{v}");
+            assert_eq!(
+                report.summaries,
+                vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
+            );
+        }
+        assert!(ci_is_empty(&root));
     }
 
     /// Synthetic root with a truncating and a documented cast in the
@@ -798,10 +637,7 @@ mod tests {
             assert!(v.contains("truncating `as u32` in `Simulator::run`"), "{v}");
             assert!(v.contains("crates/sim/src/engine.rs:2:"), "{v}");
         }
-        assert!(std::fs::read_dir(root.join("ci"))
-            .expect("synthetic ci") // lint:allow(expect)
-            .next()
-            .is_none());
+        assert!(ci_is_empty(&root));
     }
 
     /// Synthetic root seeding the three canonical worker hazards: a
@@ -880,7 +716,6 @@ mod tests {
             "{}",
             v[3]
         );
-        assert_eq!(report.stats.spawn_sites, 1);
     }
 
     #[test]
@@ -973,7 +808,7 @@ mod tests {
     #[test]
     fn workspace_analyze_is_clean() {
         // The real workspace must pass every pass against the
-        // checked-in baselines and the committed OBSERVABILITY.md tables.
+        // checked-in baseline and the committed OBSERVABILITY.md tables.
         let report = run_passes(&workspace_root(), &PASSES, false);
         assert!(
             report.violations.is_empty(),

@@ -12,7 +12,8 @@
 //! interior-mutability writes, atomics, locks, channel receives, ambient
 //! RNG, unordered float accumulation) and *transitive* (the same markers
 //! — plus any `SimRng` method — in functions reachable from the worker's
-//! calls, via the same over-approximate resolution as the purity pass).
+//! calls, via the same over-approximate resolution as the other graph
+//! passes).
 //! A hazard class listed in the region's `audited_hazards` is accepted:
 //! the manifest's merge-discipline text carries the determinism
 //! argument. Everything else fails with a witness chain from the
@@ -48,7 +49,6 @@ pub fn par_pass(g: &Graph, regions: &[ParallelRegion], report: &mut Report) {
         let discipline = region
             .map(|ri| format!(" (declared discipline: {})", regions[ri].discipline))
             .unwrap_or_default();
-        report.stats.spawn_sites += f.spawns.len();
 
         if region.is_none() {
             for sp in &f.spawns {

@@ -3,7 +3,7 @@
 //! Consumes the token stream from [`crate::analyze::lexer`] and produces
 //! one [`FnItem`] per function definition, carrying everything the
 //! analysis passes need: outgoing call sites (for the call graph),
-//! determinism sink tokens (purity pass), panic sites (panic-reachability
+//! determinism sink tokens (`par` pass), panic sites (panic-reachability
 //! pass), and trace/metrics emission sites with their literal arguments
 //! (registry drift pass).
 //!
@@ -45,7 +45,8 @@ pub struct Call {
     pub line: usize,
 }
 
-/// Classes of determinism sink the purity pass proves unreachable.
+/// Classes of determinism sink the lint bans outside the audited
+/// boundaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SinkKind {
     /// Wall-clock reads: `Instant::now`, `SystemTime`.
@@ -78,7 +79,7 @@ impl SinkKind {
 }
 
 /// The one sink-token table: every `::`-path the lint's `threads` /
-/// `wallclock` rules and the purity pass treat as a determinism sink.
+/// `wallclock` rules and the `par` pass treat as a determinism sink.
 /// A path matches by suffix (`std::thread::scope`, `foo::thread::scope`).
 pub const SINKS: [(&str, SinkKind); 6] = [
     ("thread::scope", SinkKind::Thread),
@@ -98,9 +99,6 @@ pub struct SinkSite {
     pub what: &'static str,
     /// 1-based line of the token.
     pub line: usize,
-    /// True when the site is covered by a `lint:allow` honored inside
-    /// the audited boundary file it sits in (see [`crate::boundaries`]).
-    pub audited: bool,
 }
 
 /// Classes of panic site the panic-reachability pass inventories.
@@ -164,7 +162,7 @@ pub enum AllocKind {
 }
 
 impl AllocKind {
-    /// Stable name used in the alloc baseline file.
+    /// Stable name used in the alloc pass's diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             AllocKind::VecLoop => "vec-loop",
@@ -487,8 +485,8 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
                     alloc_exempt: lexed.allowed(decl_line, ALLOC_RULE),
                     ..FnItem::default()
                 };
-                scan_body(file, lexed, open + 1, body_end, &mut item);
-                scan_spawns(file, lexed, open + 1, body_end, &mut item);
+                scan_body(lexed, open + 1, body_end, &mut item);
+                scan_spawns(lexed, open + 1, body_end, &mut item);
                 out.push(item);
                 i = body_end + 1;
                 // The body braces were consumed without going through the
@@ -574,7 +572,7 @@ fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
 /// bearing expression between the keyword and the body (a closure in
 /// the iterator chain) steals the armed flag — the approximation is
 /// acceptable because such a closure runs once per iteration anyway.
-fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
+fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     let toks = &lexed.toks;
     let mut j = start;
     let mut depth = 0usize;
@@ -662,7 +660,6 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
                 kind,
                 what,
                 line: t.line,
-                audited: kind.audited(file, lexed, t.line),
             });
         }
 
@@ -777,7 +774,7 @@ fn scan_body(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnI
 /// get exactly the same call / hazard / sink extraction as whole
 /// functions — including calls made from closures nested inside the
 /// worker and captures dereferenced through method-call chains.
-fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
+fn scan_spawns(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     let toks = &lexed.toks;
     let mut j = start;
     while j < end {
@@ -794,7 +791,7 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
         let close = match_paren(toks, open, end);
         let mut workers = Vec::new();
         if what == "thread::spawn" {
-            workers.push(scan_worker(file, lexed, open + 1, close, t.line));
+            workers.push(scan_worker(lexed, open + 1, close, t.line));
         } else {
             // Every `.spawn(` method call inside the scope region.
             let mut k = open + 1;
@@ -804,7 +801,7 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
                     && toks.get(k + 1).is_some_and(|n| n.is_punct('('))
                 {
                     let wclose = match_paren(toks, k + 1, close);
-                    workers.push(scan_worker(file, lexed, k + 2, wclose, toks[k].line));
+                    workers.push(scan_worker(lexed, k + 2, wclose, toks[k].line));
                     k = wclose;
                     continue;
                 }
@@ -827,9 +824,9 @@ fn scan_spawns(file: &str, lexed: &Lexed, start: usize, end: usize, item: &mut F
 /// then folds in the hazard classes only visible at closure level —
 /// ambient entropy sinks (→ `rng`) and unordered float accumulation
 /// (`.sum::<f64>()` → `float-accum`).
-fn scan_worker(file: &str, lexed: &Lexed, start: usize, end: usize, line: usize) -> WorkerClosure {
+fn scan_worker(lexed: &Lexed, start: usize, end: usize, line: usize) -> WorkerClosure {
     let mut scratch = FnItem::default();
-    scan_body(file, lexed, start, end, &mut scratch);
+    scan_body(lexed, start, end, &mut scratch);
     let mut hazards = scratch.hazards;
     for s in &scratch.sinks {
         if s.kind == SinkKind::Entropy {
@@ -1208,15 +1205,14 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         let items = parse(src);
         assert_eq!(items[0].sinks.len(), 1);
-        assert_eq!(items[0].sinks[0].kind, SinkKind::Wallclock);
-        assert!(!items[0].sinks[0].audited);
+        let sink = items[0].sinks[0].kind;
+        assert_eq!(sink, SinkKind::Wallclock);
+        assert!(!sink.audited("crates/sim/src/trace.rs", &lex(src), 1));
         // Inside the wallclock boundary file with an allow, it's audited.
         let src = "fn f() { let t = std::time::Instant::now(); // lint:allow(wallclock)\n }\n";
-        let items = parse_file("crates/sim/src/trace.rs", &lex(src), false, false);
-        assert!(items[0].sinks[0].audited);
+        assert!(sink.audited("crates/sim/src/trace.rs", &lex(src), 1));
         // Same allow outside the boundary file: not audited.
-        let items = parse_file("crates/net/src/host.rs", &lex(src), false, false);
-        assert!(!items[0].sinks[0].audited);
+        assert!(!sink.audited("crates/net/src/host.rs", &lex(src), 1));
         // Threads sink.
         let src = "fn g() { std::thread::scope(|s| {}); }\n";
         let items = parse(src);

@@ -1,7 +1,7 @@
 //! The audited determinism boundaries, declared exactly once.
 //!
-//! Several passes of [`crate::analyze`] consume these lists — the
-//! token-level lint ([`crate::lint`]), purity and `par` — through one
+//! Two passes of [`crate::analyze`] consume these lists — the
+//! token-level lint ([`crate::lint`]) and `par` — the lint through one
 //! check (`SinkKind::audited`): a `wallclock` allow escape comment is
 //! honored only inside [`WALLCLOCK_BOUNDARY`] and a `threads` one only
 //! inside a file carrying a [`PARALLEL_REGIONS`] entry. Extending an

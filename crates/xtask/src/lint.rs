@@ -46,8 +46,10 @@
 //! bodies. Comments are already stripped and a string or char literal is
 //! one opaque token, so the rules only ever match real code, and tokens
 //! inside `#[cfg(test)]` items carry the lexer's `in_test` mark. Sink
-//! paths come from the one table the purity pass uses
-//! ([`crate::analyze::parser::SINKS`]).
+//! paths come from the one table the `par` pass uses
+//! ([`crate::analyze::parser::SINKS`]). Because no token is skipped, a
+//! sink that passes this lint is inside an audited boundary — there is
+//! no separate reachability proof for sinks.
 
 use crate::analyze::lexer::Lexed;
 use crate::analyze::parser::{sink_at, SinkKind, SINKS};

@@ -13,9 +13,10 @@
 //! `analyze` is the static determinism gate: it lexes and parses the
 //! workspace once and runs the pass table of [`analyze`] over it — the
 //! token-level determinism lint ([`lint`], `docs/DETERMINISM.md`), then
-//! the call-graph proofs (purity, panic / alloc ratchets, cast deny,
+//! the call-graph passes (the panic ratchet, alloc and cast denies,
 //! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`)
-//! — exiting non-zero with `file:line` diagnostics when any fail.
+//! — exiting non-zero with `file:line` diagnostics when any fail. It
+//! reads no clock: host time is measured in `benchmark/` only.
 //! `--pass=<name>` runs one row of the table, and `lint` is the spelling
 //! of `analyze --pass=lint`. `trace` summarizes
 //! and compares the JSONL traces / RunReport JSON the experiment
@@ -40,48 +41,21 @@ fn main() {
     }
 }
 
-/// Wall-clock budget for a full analyzer run. Generous: the analyzer is
-/// sub-second today; blowing this means it regressed by two orders of
-/// magnitude.
-const ANALYZE_WALL_BUDGET_SECS: f64 = 120.0;
-
 fn analyze_main(args: &[String]) -> ! {
     let mut update_baseline = false;
     let mut passes: &[analyze::Pass] = &analyze::PASSES;
-    let mut label = "analyze".to_string();
     for arg in args {
         if arg == "--update-baseline" {
             update_baseline = true;
         } else if let Some(pass) = arg.strip_prefix("--pass=").and_then(analyze::pass) {
             passes = std::slice::from_ref(pass);
-            label = format!("analyze_{}", pass.0);
         } else {
             eprintln!("xtask analyze: unknown flag `{arg}`");
             usage()
         }
     }
-    let timer = uap_sim::WallTimer::start();
     let report = analyze::run_passes(&workspace_root(), passes, update_baseline);
-    let wall = timer.elapsed_secs();
-    let clean = analyze::print_report(&report);
-    println!(
-        "PERF {label} files={} fns={} entries={} hot_entries={} edges={} alloc_sites={} \
-         spawn_sites={} wall_secs={wall:.3} (budget {ANALYZE_WALL_BUDGET_SECS:.0}s)",
-        report.stats.files,
-        report.stats.fns,
-        report.stats.entries,
-        report.stats.hot_entries,
-        report.stats.edges,
-        report.stats.alloc_sites,
-        report.stats.spawn_sites
-    );
-    if wall > ANALYZE_WALL_BUDGET_SECS {
-        eprintln!(
-            "xtask analyze: wall time {wall:.1}s exceeded the {ANALYZE_WALL_BUDGET_SECS:.0}s budget"
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(if clean { 0 } else { 1 });
+    std::process::exit(if analyze::print_report(&report) { 0 } else { 1 });
 }
 
 fn trace_main(args: &[String]) -> ! {
