@@ -5,10 +5,18 @@
 #
 # Steps (in order, fail-fast):
 #   1. cargo fmt --check        — formatting drift
-#   2. cargo clippy -D warnings — lints (unwrap_used etc.; see clippy.toml)
-#   3. xtask analyze            — the static determinism gate, run once,
-#                                 six passes: the token-level lint plus
-#                                 the call-graph passes (the one ratchet,
+#   2. cargo clippy -D warnings — the determinism contract's token-level
+#                                 rules (clippy.toml, Cargo.toml
+#                                 [workspace.lints]): disallowed types
+#                                 (HashMap, HashSet, RandomState,
+#                                 SystemTime) and methods (Instant::now,
+#                                 thread::spawn/scope); unwrap / expect /
+#                                 panic in non-test code; a reason on
+#                                 every #[allow] and #[expect] (escapes
+#                                 are reasoned #[expect]s).
+#                                 docs/DETERMINISM.md
+#   3. xtask analyze            — the static gate, run once: five
+#                                 call-graph passes (the one ratchet,
 #                                 panic sites against
 #                                 ci/analyze_panic_baseline.txt; the
 #                                 hot-path allocation and truncating-cast
@@ -61,7 +69,7 @@ cargo fmt --all --check
 step "cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
-step "static determinism gate (cargo run -p xtask -- analyze)"
+step "static gate (cargo run -p xtask -- analyze)"
 cargo run -q -p xtask -- analyze
 
 step "cargo build --release"

@@ -6,6 +6,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use uap_core::experiments::TABLE;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot run fails the test"
+)]
 fn exp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_exp"))
         .args(args)

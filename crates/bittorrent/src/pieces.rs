@@ -62,10 +62,14 @@ impl PieceSet {
     /// If `i` is outside the torrent's piece range.
     pub fn insert(&mut self, i: usize) -> bool {
         debug_assert!(i < self.n);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic outside the piece range"
+        )]
         let w = self
             .bits
             .get_mut(i / 64)
-            .expect("piece index within bitfield capacity"); // lint:allow(expect)
+            .expect("piece index within bitfield capacity");
         let mask = 1u64 << (i % 64);
         if *w & mask == 0 {
             *w |= mask;

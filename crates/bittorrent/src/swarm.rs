@@ -597,10 +597,11 @@ impl<'t> Swarm<'t> {
         // ledger entry, no credit.
         for pair in &self.desired {
             let (i, j) = (pair.0 as usize, pair.1 as usize);
+            #[expect(clippy::expect_used, reason = "every desired pair was opened above")]
             let entry = self
                 .open_flows
                 .get_mut(pair)
-                .expect("desired flows are open"); // lint:allow(expect)
+                .expect("desired flows are open");
             let bytes = self.flow_alloc.bytes_of(entry.0, round_secs);
             if bytes == 0 {
                 continue;

@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn pieceset_never_loses_pieces(n in 1usize..300, inserts in prop::collection::vec(0usize..300, 0..400)) {
         let mut s = PieceSet::empty(n);
-        let mut reference = std::collections::HashSet::new();
+        let mut reference = std::collections::BTreeSet::new();
         for &i in inserts.iter().filter(|&&i| i < n) {
             s.insert(i);
             reference.insert(i);

@@ -56,10 +56,11 @@ impl Params {
 }
 
 fn testlab_underlay(name: &str, p: &Params) -> Underlay {
+    #[expect(clippy::expect_used, reason = "callers name one of testlab_specs()")]
     let (_, spec) = testlab_specs()
         .into_iter()
         .find(|(n, _)| *n == name)
-        .expect("known testlab topology"); // lint:allow(expect)
+        .expect("known testlab topology");
     let mut rng = SimRng::new(p.seed);
     let graph = spec.build(&mut rng);
     let cfg = UnderlayConfig {

@@ -86,21 +86,23 @@ pub fn run_asymmetry(p: &Params) -> Table {
                 .take(p.candidates)
                 .collect();
             // Node selects by its own forward one-way measurement…
+            #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
             let chosen = *cands
                 .iter()
                 .min_by_key(|&&c| underlay.latency_directional_us(me, c).unwrap_or(u64::MAX))
-                .expect("non-empty candidates"); // lint:allow(expect)
-                                                 // …but what matters is the true round trip.
+                .expect("non-empty candidates");
+            // …but what matters is the true round trip.
+            #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
             let best = *cands
                 .iter()
                 .min_by_key(|&&c| underlay.rtt_us(me, c).unwrap_or(u64::MAX))
-                .expect("non-empty candidates"); // lint:allow(expect)
+                .expect("non-empty candidates");
             if chosen == best {
                 correct += 1;
             }
-            // lint:allow(expect) — both hosts were sampled from the connected graph
+            #[expect(clippy::expect_used, reason = "hosts sampled from the connected graph")]
             let rc = underlay.rtt_us(me, chosen).expect("connected") as f64;
-            // lint:allow(expect)
+            #[expect(clippy::expect_used, reason = "hosts sampled from the connected graph")]
             let rb = underlay.rtt_us(me, best).expect("connected") as f64;
             penalty += rc / rb;
         }
@@ -156,17 +158,19 @@ pub fn run_long_hop(p: &Params) -> Table {
             .filter(|&h| h != me)
             .take(p.candidates)
             .collect();
+        #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
         let by_hops = *cands
             .iter()
             .min_by_key(|&&c| (underlay.as_hops(me, c).unwrap_or(u32::MAX), c.0))
-            .expect("non-empty"); // lint:allow(expect)
+            .expect("non-empty");
+        #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
         let by_rtt = *cands
             .iter()
             .min_by_key(|&&c| underlay.rtt_us(me, c).unwrap_or(u64::MAX))
-            .expect("non-empty"); // lint:allow(expect)
-                                  // lint:allow(expect) — both hosts were sampled from the connected graph
+            .expect("non-empty");
+        #[expect(clippy::expect_used, reason = "hosts sampled from the connected graph")]
         let r_hops = underlay.rtt_us(me, by_hops).expect("connected") as f64;
-        // lint:allow(expect)
+        #[expect(clippy::expect_used, reason = "hosts sampled from the connected graph")]
         let r_best = underlay.rtt_us(me, by_rtt).expect("connected") as f64;
         if by_hops != by_rtt {
             mismatches += 1;

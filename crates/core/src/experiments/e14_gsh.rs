@@ -100,7 +100,7 @@ fn run_plain(p: &Params) -> SystemResult {
     seen_zones.sort_unstable();
     seen_zones.dedup();
     for &z in &seen_zones {
-        // lint:allow(expect) — z was drawn from this very list two lines up
+        #[expect(clippy::expect_used, reason = "z was drawn from this very list above")]
         let pi = zones.iter().position(|&x| x == z).expect("seen zone");
         let publisher = HostId::from_index(pi);
         for name in regional_names(z, p.items_per_zone) {
@@ -155,7 +155,7 @@ fn run_scoped(p: &Params) -> SystemResult {
     seen_zones.sort_unstable();
     seen_zones.dedup();
     for &z in &seen_zones {
-        // lint:allow(expect) — z was drawn from this very list two lines up
+        #[expect(clippy::expect_used, reason = "z was drawn from this very list above")]
         let pi = zones.iter().position(|&x| x == z).expect("seen zone");
         let publisher = HostId::from_index(pi);
         for name in regional_names(z, p.items_per_zone) {

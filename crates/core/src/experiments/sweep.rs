@@ -16,6 +16,15 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// A panic in `f` propagates to the caller once every worker has been
 /// joined (`std::thread::scope` semantics).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "order-preserving fork-join: results land in their input slots, so output is \
+              independent of worker scheduling (PARALLEL_REGIONS)"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "each slot is taken once and filled once"
+)]
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -33,8 +42,6 @@ where
     let next = AtomicUsize::new(0);
     // No lock is held while `f` runs, so a slot is valid even if a worker
     // panicked: poison is recovered, not propagated.
-    // Order-preserving fork-join: results land in their input slots, so
-    // output is independent of worker scheduling. lint:allow(threads)
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
@@ -46,7 +53,7 @@ where
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .take()
-                    .expect("each slot taken once"); // lint:allow(expect)
+                    .expect("each slot taken once");
                 let r = f(item);
                 *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
@@ -57,7 +64,7 @@ where
         .map(|m| {
             m.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                .expect("all slots filled") // lint:allow(expect)
+                .expect("all slots filled")
         })
         .collect()
 }

@@ -263,10 +263,14 @@ impl GnutellaSim {
         let (t, state) = match &self.faults {
             None => return,
             Some(plan) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Ev::Fault(i) is scheduled from boundaries()"
+                )]
                 let t = *plan
                     .boundaries()
                     .get(idx)
-                    .expect("Ev::Fault only carries scheduled boundary indices"); // lint:allow(expect)
+                    .expect("Ev::Fault only carries scheduled boundary indices");
                 (t, plan.state_at(t))
             }
         };
@@ -510,15 +514,19 @@ impl GnutellaSim {
         providers.clear();
         providers.extend(hits.iter().map(|r| r.host));
         self.scratch_hits = hits;
+        #[expect(
+            clippy::expect_used,
+            reason = "only queries with hits reach this stage"
+        )]
         let provider = if self.cfg.oracle_at_file_exchange {
             self.exchange_oracle
                 .best(&self.underlay, h, &providers)
-                .expect("non-empty providers") // lint:allow(expect)
+                .expect("non-empty providers")
         } else if self.cfg.bandwidth_aware_source {
             *providers
                 .iter()
                 .max_by_key(|&&p| (self.underlay.host(p).up_kbps, p))
-                .expect("non-empty providers") // lint:allow(expect)
+                .expect("non-empty providers")
         } else {
             *ctx.rng.pick(&providers)
         };

@@ -23,6 +23,10 @@ fn underlay(n_hosts: usize, seed: u64) -> Underlay {
 
 /// Runs a same-configuration experiment, returning the serialized trace,
 /// the rendered run report, and the underlay route-cache counters.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: writing to a Vec cannot fail"
+)]
 fn run_once(seed: u64) -> (Vec<u8>, String, (u64, u64)) {
     let cfg = GnutellaConfig {
         selection: NeighborSelection::Random,

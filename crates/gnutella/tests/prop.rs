@@ -124,7 +124,7 @@ proptest! {
         let mut o = random_overlay(&u, n, (n as usize * 3) / 2, 4, &mut rng);
         let origin = HostId(rng.below(n as u64) as u32);
         let r = flood(&mut o, origin, ttl);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for x in &r.reached {
             prop_assert!(x.hops >= 1 && x.hops <= ttl, "hops {} out of (0,{ttl}]", x.hops);
             prop_assert!(x.host != origin);

@@ -70,9 +70,13 @@ impl IcsService {
                 if i == j {
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "beacons are hosts of one connected underlay"
+                )]
                 let rtt = underlay
                     .measured_rtt_us(beacons[i], beacons[j], rng)
-                    .expect("beacons mutually reachable") as f64 // lint:allow(expect)
+                    .expect("beacons mutually reachable") as f64
                     / 1_000.0;
                 d[(i, j)] = rtt;
                 messages += 1;
@@ -193,7 +197,7 @@ mod tests {
         let u = underlay();
         let beacons = IcsService::pick_beacons(&u, 6);
         assert_eq!(beacons.len(), 6);
-        let ases: std::collections::HashSet<_> =
+        let ases: std::collections::BTreeSet<_> =
             beacons.iter().map(|&b| u.hosts.as_of(b)).collect();
         assert!(ases.len() >= 4, "beacons clumped: {ases:?}");
     }

@@ -65,9 +65,10 @@ impl Ip2IspService {
 }
 
 impl IspLocator for Ip2IspService {
+    #[expect(clippy::expect_used, reason = "new() registers every host's prefix")]
     fn isp_of(&mut self, h: HostId) -> AsId {
         let ip = self.host_ips[h.idx()];
-        self.lookup_ip(ip).expect("host prefixes are registered") // lint:allow(expect)
+        self.lookup_ip(ip).expect("host prefixes are registered")
     }
 
     fn queries(&self) -> u64 {

@@ -70,7 +70,8 @@ impl P4pService {
                 }
                 for &li in g.incident(x) {
                     let link = &g.links[li as usize];
-                    let y = link.other(x).expect("incident").idx(); // lint:allow(expect)
+                    #[expect(clippy::expect_used, reason = "g.incident(x) lists links at x")]
+                    let y = link.other(x).expect("incident").idx();
                     let w = match link.kind {
                         LinkKind::Peering => weights.peering,
                         LinkKind::Transit => weights.transit,

@@ -50,7 +50,10 @@ impl Key {
     }
 
     /// XOR distance to another key.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "one index walks three arrays in lockstep"
+    )]
     pub fn distance(&self, other: &Key) -> Key {
         let mut d = [0u8; 20];
         for i in 0..20 {

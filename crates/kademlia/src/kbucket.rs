@@ -102,8 +102,8 @@ impl RoutingTable {
     pub fn observe(&mut self, c: Contact) -> bool {
         let inserted = self.observe_inner(c);
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guard")]
         if let Err(e) = self.check_invariants() {
-            // lint:allow(panic) — debug-only invariant guard
             panic!("routing table corrupted after observe: {e}");
         }
         inserted
@@ -134,11 +134,12 @@ impl RoutingTable {
             OverflowPolicy::KeepOld => false,
             OverflowPolicy::PreferNear => {
                 // Evict the underlay-farthest entry if the newcomer beats it.
+                #[expect(clippy::expect_used, reason = "the bucket is full, so non-empty")]
                 let (far_pos, far) = bucket
                     .iter()
                     .enumerate()
                     .max_by_key(|(i, e)| (e.as_hops, *i))
-                    .expect("bucket non-empty"); // lint:allow(expect)
+                    .expect("bucket non-empty");
                 if c.as_hops < far.as_hops {
                     bucket[far_pos] = c;
                     true
@@ -155,8 +156,8 @@ impl RoutingTable {
             self.buckets[idx].retain(|e| e.key != *key);
         }
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guard")]
         if let Err(e) = self.check_invariants() {
-            // lint:allow(panic) — debug-only invariant guard
             panic!("routing table corrupted after remove: {e}");
         }
     }

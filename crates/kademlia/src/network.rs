@@ -196,16 +196,18 @@ impl DhtNetwork {
         self.node_mut(h).online = online;
     }
 
+    #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
     fn node(&self, h: HostId) -> &NodeState {
         self.nodes
             .get(h.idx())
-            .expect("DHT has one node per underlay host") // lint:allow(expect)
+            .expect("DHT has one node per underlay host")
     }
 
+    #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
     fn node_mut(&mut self, h: HostId) -> &mut NodeState {
         self.nodes
             .get_mut(h.idx())
-            .expect("DHT has one node per underlay host") // lint:allow(expect)
+            .expect("DHT has one node per underlay host")
     }
 
     /// Mean AS-hop distance of all routing-table contacts — the table-

@@ -104,7 +104,7 @@ proptest! {
             }
             let mut all = Vec::new();
             t.closest_into(&own, usize::MAX, &mut all);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for c in &all {
                 prop_assert!(c.key != own, "self stored");
                 prop_assert!(seen.insert(c.key), "duplicate contact");

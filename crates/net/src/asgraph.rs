@@ -112,7 +112,11 @@ impl AsGraph {
 
     /// Adds an AS and returns its id.
     pub fn add_as(&mut self, tier: Tier, geo_center: GeoPoint, service_radius_km: f64) -> AsId {
-        let id = AsId(u16::try_from(self.nodes.len()).expect("too many ASes")); // lint:allow(expect)
+        #[expect(
+            clippy::expect_used,
+            reason = "AsId is 16 bits; more ASes is a construction bug"
+        )]
+        let id = AsId(u16::try_from(self.nodes.len()).expect("too many ASes"));
         self.nodes.push(AsNode {
             id,
             tier,
@@ -135,7 +139,8 @@ impl AsGraph {
             link.a,
             link.b
         );
-        let idx = u32::try_from(self.links.len()).expect("too many links"); // lint:allow(expect)
+        #[expect(clippy::expect_used, reason = "link indices are 32 bits by design")]
+        let idx = u32::try_from(self.links.len()).expect("too many links");
         self.adj[link.a.idx()].push(idx);
         self.adj[link.b.idx()].push(idx);
         self.links.push(link);
@@ -179,9 +184,10 @@ impl AsGraph {
     /// Neighbors of `x` with the connecting link index.
     pub fn neighbors(&self, x: AsId) -> impl Iterator<Item = (AsId, u32)> + '_ {
         self.adj[x.idx()].iter().map(move |&li| {
+            #[expect(clippy::expect_used, reason = "adj[x] lists only links incident to x")]
             let other = self.links[li as usize]
                 .other(x)
-                .expect("adjacency invariant"); // lint:allow(expect)
+                .expect("adjacency invariant");
             (other, li)
         })
     }
@@ -274,9 +280,10 @@ impl AsGraph {
                             continue;
                         }
                     }
+                    #[expect(clippy::expect_used, reason = "adj[x] lists only links incident to x")]
                     let y = self.links[li as usize]
                         .other(AsId::from_index(x))
-                        .expect("adjacency invariant") // lint:allow(expect)
+                        .expect("adjacency invariant")
                         .idx();
                     if !seen[y] {
                         seen[y] = true;

@@ -120,8 +120,8 @@ pub fn bill_all(
         })
         .collect();
     #[cfg(debug_assertions)]
+    #[expect(clippy::panic, reason = "debug-only invariant guard")]
     if let Err(e) = crate::invariants::check_cost_non_negative(&bills) {
-        // lint:allow(panic) — debug-only invariant guard
         panic!("cost model produced an invalid bill: {e}");
     }
     bills

@@ -268,14 +268,15 @@ impl FlowAllocator {
             }
         }
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guards")]
         {
             use crate::invariants;
             invariants::check_flow_capacity(&self.cap, &self.load, &self.used)
-                .unwrap_or_else(|e| panic!("flow capacity invariant: {e}")); // lint:allow(panic) — debug-only invariant
+                .unwrap_or_else(|e| panic!("flow capacity invariant: {e}"));
             invariants::check_flow_conservation(&self.load, &self.rates, &self.flows, &self.arena)
-                .unwrap_or_else(|e| panic!("flow conservation invariant: {e}")); // lint:allow(panic) — debug-only invariant
+                .unwrap_or_else(|e| panic!("flow conservation invariant: {e}"));
             invariants::check_flow_max_min(&self.cap, &self.load, &self.flows, &self.arena)
-                .unwrap_or_else(|e| panic!("flow max-min invariant: {e}")); // lint:allow(panic) — debug-only invariant
+                .unwrap_or_else(|e| panic!("flow max-min invariant: {e}"));
         }
     }
 

@@ -172,7 +172,11 @@ impl HostPopulation {
                 Some(*acc)
             })
             .collect();
-        let total = *cdf.last().expect("non-empty graph"); // lint:allow(expect)
+        #[expect(
+            clippy::expect_used,
+            reason = "one weight per AS, and the graph is non-empty"
+        )]
+        let total = *cdf.last().expect("non-empty graph");
 
         let mut hosts = Vec::with_capacity(spec.n);
         let mut by_as = vec![Vec::new(); graph.len()];

@@ -18,8 +18,9 @@ impl AsId {
     /// is the single audited narrowing from that index to the id width,
     /// replacing scattered `as u16` truncations that would silently wrap
     /// past 65 535 ASes.
+    #[expect(clippy::expect_used, reason = "the explicit bound check is the point")]
     pub fn from_index(i: usize) -> AsId {
-        AsId(u16::try_from(i).expect("AS index exceeds u16::MAX")) // lint:allow(expect) — explicit bound check is the point
+        AsId(u16::try_from(i).expect("AS index exceeds u16::MAX"))
     }
 }
 
@@ -44,8 +45,9 @@ impl HostId {
     /// Million-host populations are indexed by `usize`; this is the
     /// single audited narrowing to the id width — a wrap here would
     /// alias two distinct hosts, so the bound is checked, not assumed.
+    #[expect(clippy::expect_used, reason = "the explicit bound check is the point")]
     pub fn from_index(i: usize) -> HostId {
-        HostId(u32::try_from(i).expect("host index exceeds u32::MAX")) // lint:allow(expect) — explicit bound check is the point
+        HostId(u32::try_from(i).expect("host index exceeds u32::MAX"))
     }
 }
 

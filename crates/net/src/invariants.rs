@@ -1,7 +1,8 @@
 //! Runtime invariant checkers for the underlay model.
 //!
-//! Complements the static determinism lint (`cargo run -p xtask -- lint`):
-//! where the lint bans nondeterminism *sources*, these checkers catch
+//! Complements the static determinism rules (clippy, see
+//! `docs/DETERMINISM.md`): where clippy bans nondeterminism *sources*,
+//! these checkers catch
 //! *logic* corruption at the model's trust boundaries. Each checker
 //! returns `Err(description)` rather than panicking so tests can assert
 //! on the failure text; the call sites in [`crate::routing`],
@@ -81,7 +82,11 @@ pub fn check_traffic_conservation(
     let mut peering_sum = 0u64;
     let mut transit_sum = 0u64;
     for (li, link) in graph.links.iter().enumerate() {
-        let li = u32::try_from(li).expect("link index exceeds u32::MAX"); // lint:allow(expect) — explicit bound check
+        #[expect(
+            clippy::expect_used,
+            reason = "explicit bound check: link indices are u32"
+        )]
+        let li = u32::try_from(li).expect("link index exceeds u32::MAX");
         let b = traffic.link_bytes(li);
         match link.kind {
             LinkKind::Peering => peering_sum += b,

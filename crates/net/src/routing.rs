@@ -37,7 +37,7 @@
 //! ranges of the sorted source list and write only their own rows, so
 //! the table is **byte-identical** for any thread count or scheduling —
 //! see `docs/PERFORMANCE.md` for the determinism argument and the
-//! `threads` lint boundary that keeps scoped threads quarantined here.
+//! parallel-region boundary that keeps scoped threads quarantined here.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::AsId;
@@ -464,6 +464,11 @@ impl Routing {
     /// source), fanned over contiguous ranges of the list. Each worker
     /// writes only the rows its slots lend it, so the result is
     /// independent of scheduling and of `threads`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deterministic fork-join over disjoint source ranges; the scope joins every \
+                  worker before it returns (PARALLEL_REGIONS)"
+    )]
     fn rows(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -476,8 +481,6 @@ impl Routing {
         if per >= slots.len() {
             return slots.iter_mut().for_each(row);
         }
-        // Deterministic fork-join over disjoint source ranges; the scope
-        // joins every worker before it returns. lint:allow(threads)
         std::thread::scope(|sc| {
             for range in slots.chunks_mut(per) {
                 sc.spawn(move || range.iter_mut().for_each(row));
@@ -595,7 +598,8 @@ impl Routing {
                     }
                 }
                 let link = &graph.links[li as usize];
-                let y = link.other(x).expect("incident link"); // lint:allow(expect)
+                #[expect(clippy::expect_used, reason = "graph.incident(x) lists links at x")]
+                let y = link.other(x).expect("incident link");
                 let next_phase = match mode {
                     RoutingMode::ShortestPath => 0,
                     RoutingMode::ValleyFree => match (phase, link.kind) {
@@ -674,15 +678,16 @@ impl Routing {
         let links = self.path_links(src, dst)?;
         let mut out = vec![src];
         let mut cur = src;
+        #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
         for &li in links {
-            cur = graph.links[li as usize].other(cur).expect("path link"); // lint:allow(expect)
+            cur = graph.links[li as usize].other(cur).expect("path link");
             out.push(cur);
         }
         debug_assert_eq!(out.last().copied(), Some(dst));
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guard")]
         if self.mode == RoutingMode::ValleyFree {
             if let Err(e) = crate::invariants::check_valley_free(graph, &out) {
-                // lint:allow(panic) — debug-only invariant guard
                 panic!("valley-free violation on {src}->{dst}: {e}");
             }
         }

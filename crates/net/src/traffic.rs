@@ -82,10 +82,11 @@ impl TrafficAccounting {
         let (mut peering, mut transit) = (0, 0);
         let mut crossed_transit = false;
         let mut cur = src_as;
+        #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
         for &li in path_links {
             let link = &graph.links[li as usize];
             self.per_link_bytes[li as usize] += bytes;
-            cur = link.other(cur).expect("path follows links"); // lint:allow(expect)
+            cur = link.other(cur).expect("path follows links");
             match link.kind {
                 LinkKind::Peering => peering += bytes,
                 LinkKind::Transit => {
@@ -103,8 +104,8 @@ impl TrafficAccounting {
         self.peering_bytes += peering;
         self.transit_bytes += transit;
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guard")]
         if let Err(e) = crate::invariants::check_traffic_conservation(graph, self) {
-            // lint:allow(panic) — debug-only invariant guard
             panic!("traffic ledger corrupted: {e}");
         }
         if crossed_transit {

@@ -62,6 +62,10 @@ fn recompute_loads(
     let mut up = vec![0.0; n];
     let mut down = vec![0.0; n];
     let mut link = vec![0.0; u.graph.links.len()];
+    #[expect(
+        clippy::expect_used,
+        reason = "test oracle: a missing rate or route is itself the failure"
+    )]
     for &(id, s, d) in flows {
         let r = a.rate_of(id).expect("every registered flow has a rate");
         up[s.0 as usize] += r;

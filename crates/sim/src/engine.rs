@@ -313,15 +313,19 @@ impl<E> Simulator<E> {
             if t > deadline {
                 break;
             }
+            #[expect(
+                clippy::panic,
+                reason = "deliberate abort: a runaway event storm means the world is \
+                          livelocked and no useful result exists"
+            )]
             if self.events_processed >= self.event_limit {
-                // Deliberate abort: a runaway event storm means the world is
-                // livelocked and no useful result exists. lint:allow(panic)
                 panic!(
                     "event limit {} exceeded at t={} — runaway event storm?",
                     self.event_limit, self.now
                 );
             }
-            let (t, ev, prov) = self.queue.pop_full().expect("peeked event vanished"); // lint:allow(expect)
+            #[expect(clippy::expect_used, reason = "peek_time just saw this event")]
+            let (t, ev, prov) = self.queue.pop_full().expect("peeked event vanished");
             debug_assert!(t >= self.now, "event queue delivered out of order");
             self.now = t;
             self.events_processed += 1;

@@ -86,9 +86,10 @@ impl SimRng {
     ///
     /// # Panics
     /// If `items` is empty.
+    #[expect(clippy::expect_used, reason = "documented panic on an empty slice")]
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         let i = self.index(items.len());
-        items.get(i).expect("pick requires a non-empty slice") // lint:allow(expect)
+        items.get(i).expect("pick requires a non-empty slice")
     }
 
     /// Fisher–Yates shuffle.
@@ -158,7 +159,8 @@ impl Zipf {
             acc += 1.0 / ((r + 1) as f64).powf(s);
             cdf.push(acc);
         }
-        let total = *cdf.last().expect("cdf has n >= 1 entries"); // lint:allow(expect)
+        #[expect(clippy::expect_used, reason = "n > 0 is asserted above")]
+        let total = *cdf.last().expect("cdf has n >= 1 entries");
         for v in &mut cdf {
             *v /= total;
         }

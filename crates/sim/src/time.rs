@@ -82,7 +82,10 @@ impl SimTime {
     }
 
     /// Multiplies a duration by an integer factor (saturating).
-    #[allow(clippy::should_implement_trait)] // saturating semantics, not ops::Mul
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "saturating semantics, not ops::Mul"
+    )]
     pub fn mul(self, k: u64) -> SimTime {
         SimTime(self.0.saturating_mul(k))
     }

@@ -24,9 +24,10 @@
 //!   sanctioned wall-clock boundary is [`WallTimer`] below, which exists
 //!   for the run report's `wall_secs` and the engine's opt-in profiler
 //!   and is structurally excluded from the trace stream (there is no API
-//!   to put a wall-clock reading into a `TraceEvent`); the determinism
-//!   lint rejects `lint:allow(wallclock)` escapes anywhere outside this
-//!   file.
+//!   to put a wall-clock reading into a `TraceEvent`). Clippy bans
+//!   `Instant::now` workspace-wide, and `xtask`'s
+//!   `disallowed_escapes_sit_at_audited_boundaries` test rejects the
+//!   escape anywhere outside this file.
 
 pub mod registry;
 
@@ -426,10 +427,10 @@ impl Tracer {
         // components used by tests stay exempt. Sits after the enabled
         // gate so the disabled path keeps its one-branch cost.
         #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only schema guard")]
         if registry::is_registered_component(component)
             && !registry::trace_kind_declared(component, kind)
         {
-            // lint:allow(panic) — debug-only schema guard
             panic!(
                 "trace kind {component:?}/{kind:?} is not declared in \
                  uap_sim::trace::registry::TRACE_KINDS; add a TraceKindSpec entry and a \
@@ -748,20 +749,23 @@ impl Parser<'_> {
 /// determinism-compared sections of a run report — traces and reports
 /// stay byte-identical across runs, and `xtask trace diff` skips
 /// `"wall…"` keys precisely so this boundary stays visible but inert.
-/// The determinism lint (`cargo run -p xtask -- lint`) rejects
-/// `lint:allow(wallclock)` anywhere outside this file, so every
-/// wall-clock read in the workspace flows through here.
+/// Clippy bans `Instant::now` workspace-wide (`clippy.toml`), and the
+/// one escape, on [`WallTimer::start`], is allowed only in this file, so
+/// every wall-clock read in the workspace flows through here.
 #[derive(Debug)]
 pub struct WallTimer {
-    start: std::time::Instant, // lint:allow(wallclock) — the documented boundary
+    start: std::time::Instant,
 }
 
 impl WallTimer {
     /// Starts the timer.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the documented wall-clock boundary (WALLCLOCK_BOUNDARY)"
+    )]
     pub fn start() -> WallTimer {
         WallTimer {
-            start: std::time::Instant::now(), // lint:allow(wallclock) — the documented boundary
+            start: std::time::Instant::now(),
         }
     }
 

@@ -471,8 +471,11 @@ pub fn in_registered_namespace(key: &str) -> bool {
 /// under a registered namespace is not declared in [`METRICS`].
 #[cfg(debug_assertions)]
 pub(crate) fn debug_check_metric_key(key: &str) {
+    #[expect(
+        clippy::panic,
+        reason = "debug-only schema guard, mirrors the static registry pass"
+    )]
     if in_registered_namespace(key) && !metric_key_declared(key) {
-        // lint:allow(panic) — debug-only schema guard, mirrors the static registry pass
         panic!(
             "metrics key {key:?} is not declared in uap_sim::trace::registry::METRICS; \
              add a MetricSpec entry and a docs/OBSERVABILITY.md row (see docs/STATIC_ANALYSIS.md)"
@@ -571,7 +574,6 @@ mod tests {
                 .iter()
                 .find(|o| o.component == s.component && o.kind == counterpart);
             let p = paired.unwrap_or_else(|| {
-                // lint:allow(panic) — test assertion
                 panic!(
                     "{}/{} has no {} counterpart",
                     s.component, s.kind, counterpart

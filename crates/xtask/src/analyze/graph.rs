@@ -208,8 +208,9 @@ impl Graph {
             call_line: None,
         }];
         let mut cur = target;
+        #[expect(clippy::expect_used, reason = "the chain starts with the target hop")]
         while let Some((p, line)) = parent[cur] {
-            chain.last_mut().expect("chain is never empty").call_line = Some(line); // lint:allow(expect)
+            chain.last_mut().expect("chain is never empty").call_line = Some(line);
             chain.push(Hop {
                 fn_idx: p,
                 call_line: None,
@@ -314,7 +315,7 @@ pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
 /// A pass's site inventory: `(file, qualname, key)` → the source line
 /// of every site behind the key, in source order. The key is what the
 /// pass groups by — the allocation kind, the cast's target type, or the
-/// panic kind and its `documented` / `bare` class.
+/// panic kind.
 pub type Inventory = BTreeMap<(String, String, String), Vec<usize>>;
 
 /// Builds the inventory of one pass over the non-test, non-bin functions
@@ -354,13 +355,10 @@ pub fn alloc_sites(f: &FnItem) -> Vec<(String, usize)> {
     f.allocs.iter().map(key).collect()
 }
 
-/// Potential-panic sites of `f` keyed `<kind> <documented|bare>`.
+/// Potential-panic sites of `f` keyed by kind.
 pub fn panic_sites(f: &FnItem) -> Vec<(String, usize)> {
-    let key = |p: &PanicSite| {
-        let class = if p.documented { "documented" } else { "bare" };
-        format!("{} {class}", p.kind.name())
-    };
-    f.panics.iter().map(|p| (key(p), p.line)).collect()
+    let key = |p: &PanicSite| (p.kind.name().to_string(), p.line);
+    f.panics.iter().map(key).collect()
 }
 
 /// Truncating casts of `f` not documented with `lint:allow(cast)`, keyed
@@ -401,12 +399,12 @@ mod tests {
             .fns
             .iter()
             .position(|f| f.name == "leak")
-            .expect("leak fn parsed"); // lint:allow(expect)
+            .expect("leak fn parsed");
         assert_ne!(dist[leak], usize::MAX, "leak must be reachable");
         let chain = g.witness(&parent, leak);
         let names: Vec<String> = chain.iter().map(|h| g.fns[h.fn_idx].qualname()).collect();
         assert_eq!(names, vec!["Simulator::run", "helper", "leak"]);
-        let rendered = g.render_witness(&chain, "Instant::now", g.fns[leak].sinks[0].line);
+        let rendered = g.render_witness(&chain, "Instant::now", 1);
         assert!(rendered.contains("Simulator::run (crates/sim/src/engine.rs:1)"));
         assert!(rendered.contains("leak (crates/net/src/bad.rs:1)"));
         assert!(rendered.contains("Instant::now @ crates/net/src/bad.rs:1"));
@@ -431,7 +429,7 @@ mod tests {
             .fns
             .iter()
             .position(|f| f.name == "dangerous")
-            .expect("parsed"); // lint:allow(expect)
+            .expect("parsed");
         assert_eq!(dist[d], usize::MAX, "only a test fn calls dangerous");
     }
 
@@ -452,7 +450,7 @@ mod tests {
             .fns
             .iter()
             .position(|f| f.name == "step" && f.file.contains("e02"))
-            .expect("parsed"); // lint:allow(expect)
+            .expect("parsed");
         assert_eq!(
             dist[e02_step],
             usize::MAX,
@@ -463,16 +461,19 @@ mod tests {
     #[test]
     fn module_qualified_call_binds_to_file_stem() {
         let g = graph_of(&[
-            ("crates/xtask/src/main.rs", "fn main() { lint::run(); }\n"),
-            ("crates/xtask/src/lint.rs", "pub fn run() {}\n"),
+            (
+                "crates/xtask/src/main.rs",
+                "fn main() { trace_cmd::run(); }\n",
+            ),
+            ("crates/xtask/src/trace_cmd.rs", "pub fn run() {}\n"),
             ("crates/core/src/experiments/e03.rs", "pub fn run() {}\n"),
         ]);
-        let main = g.fns.iter().position(|f| f.name == "main").expect("parsed"); // lint:allow(expect)
+        let main = g.fns.iter().position(|f| f.name == "main").expect("parsed");
         let targets: Vec<&str> = g.edges[main]
             .iter()
             .map(|&(t, _)| g.fns[t].file.as_str())
             .collect();
-        assert_eq!(targets, vec!["crates/xtask/src/lint.rs"]);
+        assert_eq!(targets, vec!["crates/xtask/src/trace_cmd.rs"]);
     }
 
     #[test]
@@ -484,7 +485,7 @@ mod tests {
             "crates/net/src/underlay.rs",
             "impl Simulator { fn run(&mut self, u: &dyn Underlay) { u.latency_us(); } }\nimpl FlatUnderlay { fn latency_us(&self) -> u64 { 1 } }\nimpl GeoUnderlay { fn latency_us(&self) -> u64 { 2 } }\n",
         )]);
-        let run = g.fns.iter().position(|f| f.name == "run").expect("parsed"); // lint:allow(expect)
+        let run = g.fns.iter().position(|f| f.name == "run").expect("parsed");
         let targets: Vec<String> = g.edges[run]
             .iter()
             .map(|&(t, _)| g.fns[t].qualname())
@@ -510,7 +511,7 @@ mod tests {
                 .fns
                 .iter()
                 .position(|f| f.impl_type.as_deref() == Some(name))
-                .expect("parsed"); // lint:allow(expect)
+                .expect("parsed");
             assert_ne!(dist[i], usize::MAX, "{name}::step must be reachable");
         }
     }
@@ -595,7 +596,7 @@ mod tests {
             .fns
             .iter()
             .position(|f| f.name == "build")
-            .expect("parsed"); // lint:allow(expect)
+            .expect("parsed");
         let w0: Vec<String> = g.worker_edges[&(build, 0, 0)]
             .iter()
             .map(|&(t, _)| g.fns[t].qualname())
@@ -617,7 +618,7 @@ mod tests {
             "crates/net/src/underlay.rs",
             "impl U {\n    fn go(&self, state: &S) {\n        std::thread::scope(|s| {\n            s.spawn(move || { state.cache().bump(); });\n        });\n    }\n}\nimpl RouteCache { fn bump(&self) { self.hits.set(self.hits.get() + 1); } }\n",
         )]);
-        let go = g.fns.iter().position(|f| f.name == "go").expect("parsed"); // lint:allow(expect)
+        let go = g.fns.iter().position(|f| f.name == "go").expect("parsed");
         let targets: Vec<String> = g.worker_edges[&(go, 0, 0)]
             .iter()
             .map(|&(t, _)| g.fns[t].qualname())
@@ -626,7 +627,7 @@ mod tests {
             targets.contains(&"RouteCache::bump".to_string()),
             "{targets:?}"
         );
-        let bump = g.fns.iter().position(|f| f.name == "bump").expect("parsed"); // lint:allow(expect)
+        let bump = g.fns.iter().position(|f| f.name == "bump").expect("parsed");
         assert!(!g.fns[bump].hazards.is_empty());
     }
 
@@ -652,7 +653,7 @@ mod tests {
     fn panic_inventory_aggregates_reachable_sites_only() {
         let g = graph_of(&[(
             "crates/sim/src/engine.rs",
-            "impl Simulator { fn run(&mut self, o: Option<u8>) {\n    o.unwrap();\n    o.expect(\"invariant\"); // lint:allow(expect)\n} }\nfn unreachable_helper(o: Option<u8>) { o.unwrap(); }\n",
+            "impl Simulator { fn run(&mut self, o: Option<u8>) {\n    o.unwrap();\n    o.expect(\"invariant\");\n} }\nfn unreachable_helper(o: Option<u8>) { o.unwrap(); }\n",
         )]);
         let (dist, _) = g.reach();
         let inv = inventory(&g, &dist, panic_sites);
@@ -663,8 +664,8 @@ mod tests {
         assert_eq!(
             keys,
             vec![
-                "crates/sim/src/engine.rs::Simulator::run expect documented",
-                "crates/sim/src/engine.rs::Simulator::run unwrap bare",
+                "crates/sim/src/engine.rs::Simulator::run expect",
+                "crates/sim/src/engine.rs::Simulator::run unwrap",
             ]
         );
     }

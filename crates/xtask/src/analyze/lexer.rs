@@ -1,15 +1,15 @@
 //! A dependency-free Rust token lexer with source positions.
 //!
 //! `syn`/`proc-macro2` are unavailable offline, so xtask carries its
-//! own lexer — the only one: every pass, the determinism lint included,
-//! reads this stream. It produces a flat token stream — identifiers,
-//! punctuation, string/char/number literals, lifetimes — with a 1-based
-//! line for every token, while stripping comments (line, and nested
-//! block), recording `lint:allow(...)` comments per line, and marking
-//! which tokens sit inside `#[cfg(test)]` regions. String literal
-//! *contents* are kept as one `Str` token (so a `HashMap` inside a
-//! string is never an identifier): the registry pass needs the literal
-//! component/kind/key arguments at emission call sites.
+//! own lexer — the only one: every pass reads this stream. It produces
+//! a flat token stream — identifiers, punctuation, string/char/number
+//! literals, lifetimes — with a 1-based line for every token, while
+//! stripping comments (line, and nested block), recording the rules
+//! `lint:allow` comments name per line, and marking which tokens sit
+//! inside `#[cfg(test)]` regions. String literal *contents* are kept as
+//! one `Str` token (so a `HashMap` inside a string is never an
+//! identifier): the registry pass needs the literal component/kind/key
+//! arguments at emission call sites.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,8 +68,9 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    /// True when `line` (or the line directly above) carries
-    /// `lint:allow(rule)` — the line-scoped binding every pass shares.
+    /// True when `line` (or the line directly above) carries a
+    /// `lint:allow` comment naming `rule` — the line-scoped binding every
+    /// pass shares.
     pub fn allowed(&self, line: usize, rule: &str) -> bool {
         self.allows.get(&line).is_some_and(|s| s.contains(rule))
             || (line > 1
@@ -346,9 +347,10 @@ fn raw_string_at(b: &[char], i: usize) -> bool {
     b.get(j) == Some(&'"')
 }
 
-/// Records every rule named in `lint:allow(a, b)` comments onto `line`.
+/// Records every rule a `lint:allow` comment names (comma-separated)
+/// onto `line`.
 /// Every name is kept: each pass looks up the ones it understands
-/// (`unwrap`, `expect`, `index`, `alloc`, `cast`, …).
+/// (`alloc`, `cast`).
 fn record_allows(comment: &str, line: usize, allows: &mut BTreeMap<usize, BTreeSet<String>>) {
     let mut rest = comment;
     while let Some(at) = rest.find("lint:allow(") {
@@ -394,36 +396,107 @@ mod tests {
         assert_eq!(strs, vec!["net", "a\"b"]);
     }
 
-    #[test]
-    fn raw_strings_and_raw_idents() {
-        let l = lex("let x = r#\"multi\nline \"q\" body\"#; r#type");
-        let strs: Vec<(&str, usize)> = l
-            .toks
+    fn strs(l: &Lexed) -> Vec<(&str, usize)> {
+        l.toks
             .iter()
             .filter(|t| t.kind == TokKind::Str)
             .map(|t| (t.text.as_str(), t.line))
-            .collect();
-        assert_eq!(strs, vec![("multi\nline \"q\" body", 1)]);
+            .collect()
+    }
+
+    #[test]
+    fn raw_strings_and_raw_idents() {
+        let l = lex("let x = r#\"multi\nline \"q\" body\"#; r#type");
+        assert_eq!(strs(&l), vec![("multi\nline \"q\" body", 1)]);
         // Raw identifier survives as ident tokens, and line advanced past
         // the embedded newline.
         let last = l.toks.last().expect("tokens");
         assert_eq!((last.text.as_str(), last.line), ("type", 2));
+        // Hash depth 2: an embedded `"#` does not close the string early,
+        // and the code after it keeps its line.
+        let l = lex("const R: &str = r##\"has \"# inside HashMap\"##;\nfn g() {}\n");
+        assert_eq!(strs(&l), vec![("has \"# inside HashMap", 1)]);
+        assert_eq!(
+            idents(&l),
+            vec![("const", 1), ("R", 1), ("str", 1), ("fn", 2), ("g", 2)]
+        );
+        // Three lines of raw string: the next item is on line 4.
+        let l = lex("const R: &str = r#\"one HashMap\ntwo SystemTime\nthree\"#;\nfn g() {}\n");
+        assert_eq!(idents(&l)[3..], [("fn", 4), ("g", 4)]);
+    }
+
+    #[test]
+    fn multi_line_strings_keep_later_lines_straight() {
+        let l = lex("const S: &str = \"first HashMap\nsecond\";\nfn g() {}\n");
+        assert_eq!(strs(&l), vec![("first HashMap\nsecond", 1)]);
+        assert_eq!(idents(&l)[3..], [("fn", 3), ("g", 3)]);
+        // A `\`-newline continuation still advances the line counter.
+        let l = lex("const S: &str = \"continued \\\n tail HashMap\";\nfn g() {}\n");
+        assert_eq!(strs(&l).len(), 1);
+        assert_eq!(idents(&l)[3..], [("fn", 3), ("g", 3)]);
+    }
+
+    #[test]
+    fn string_and_comment_contents_are_inert() {
+        let l = lex("// HashMap is banned here\nfn f() -> &'static str { \"HashMap Instant::now .unwrap()\" }\nconst R: &str = r#\"SystemTime panic!\"#;\n/* outer /* inner HashMap */ still SystemTime */\nfn g() {}\n");
+        assert_eq!(
+            idents(&l),
+            vec![
+                ("fn", 2),
+                ("f", 2),
+                ("str", 2),
+                ("const", 3),
+                ("R", 3),
+                ("str", 3),
+                ("fn", 5),
+                ("g", 5),
+            ]
+        );
+        assert!(!l.toks.iter().any(|t| t.is_punct('!')));
     }
 
     #[test]
     fn comments_stripped_and_allows_recorded() {
-        let l = lex("a(); // lint:allow(unwrap, index)\n/* nested /* deep */ lint:allow(threads) */\nb();\n");
-        assert!(l.allowed(1, "unwrap"));
-        assert!(l.allowed(1, "index"));
-        assert!(l.allowed(2, "threads"));
-        assert!(l.allowed(3, "threads"), "allow reaches the next line");
-        assert!(!l.allowed(3, "unwrap"));
+        let l = lex(
+            "a(); // lint:allow(alloc, cast)\n/* nested /* deep */ lint:allow(cast) */\nb();\n",
+        );
+        assert!(l.allowed(1, "alloc"));
+        assert!(l.allowed(1, "cast"));
+        assert!(l.allowed(2, "cast"));
+        assert!(l.allowed(3, "cast"), "allow reaches the next line");
+        assert!(!l.allowed(3, "alloc"));
         assert_eq!(idents(&l), vec![("a", 1), ("b", 3)]);
+        // An allow inside a nested block comment spanning lines 1–3 lands
+        // on the comment's start line (and the line after it).
+        let l = lex("/* outer\n /* deep */\n lint:allow(cast) */\nc();\n");
+        assert_eq!(l.allows.keys().collect::<Vec<_>>(), vec![&1]);
+        assert!(l.allowed(2, "cast"));
+        assert!(!l.allowed(3, "cast"));
+        assert_eq!(idents(&l), vec![("c", 4)]);
+    }
+
+    #[test]
+    fn allow_binds_to_its_own_line_and_the_next() {
+        // On a multi-line chain the allow has to sit on (or directly
+        // above) the site's line: one on the statement's first line does
+        // not reach two lines down.
+        let chain = |c2: &str, c3: &str, c4: &str| {
+            lex(&format!("fn f(o: Option<u8>) -> u8 {{\n    o{c2}\n        .map(|x| x + 1){c3}\n        .unwrap(){c4}\n}}\n"))
+        };
+        let allow = " // lint:allow(cast)";
+        assert!(chain("", "", allow).allowed(4, "cast"));
+        assert!(chain("", allow, "").allowed(4, "cast"));
+        assert!(!chain(allow, "", "").allowed(4, "cast"));
+        let l = chain("", "", "");
+        let unwrap = l.toks.iter().find(|t| t.is_ident("unwrap"));
+        assert_eq!(unwrap.map(|t| t.line), Some(4));
+        // …and only for the rule it names.
+        assert!(!chain("", "", allow).allowed(4, "alloc"));
     }
 
     #[test]
     fn lifetimes_chars_numbers() {
-        let l = lex("fn f<'a>(x: &'a str) -> char { '\\n' } let n = 1_000u64; let r = 0..=2;");
+        let l = lex("fn f<'a>(x: &'a str) -> char { '\\n' } let n = 1_000u64; let r = 0..=2;\nfn g<'b>(o: &'b str) {}\n");
         assert!(l
             .toks
             .iter()
@@ -435,6 +508,28 @@ mod tests {
             .any(|t| t.kind == TokKind::Num && t.text == "1_000u64"));
         // Range `0..=2` keeps its punctuation.
         assert!(l.toks.iter().filter(|t| t.is_punct('.')).count() >= 2);
+        // A lifetime is not an unterminated char literal: the tokens after
+        // it, and on the next line, keep their lines.
+        let tail: Vec<(&str, usize)> = idents(&l).into_iter().skip(9).collect();
+        assert_eq!(tail, vec![("fn", 2), ("g", 2), ("o", 2), ("str", 2)]);
+    }
+
+    #[test]
+    fn cfg_test_regions_end_with_their_item() {
+        // The identifiers outside every `#[cfg(test)]` region.
+        let live = |src: &str| -> Vec<String> {
+            let l = lex(src);
+            let pairs = l.toks.iter().zip(&l.in_test);
+            let live = pairs.filter(|(t, &m)| t.kind == TokKind::Ident && !m);
+            live.map(|(t, _)| t.text.clone()).collect()
+        };
+        // A test module closes at its brace; code after it is live.
+        let got = live("#[cfg(test)]\nmod tests { fn t() {} }\nfn after() {}\n");
+        assert_eq!(got, vec!["fn", "after"]);
+        // A braceless `#[cfg(test)]` item ends at its `;`: the next
+        // item's braces are not a test body.
+        let got = live("#[cfg(test)]\nuse x::HashMap;\nfn lib() {}\n");
+        assert_eq!(got, vec!["fn", "lib"]);
     }
 
     #[test]

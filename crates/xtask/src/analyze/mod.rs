@@ -1,17 +1,12 @@
-//! `xtask analyze` — the static determinism gate, one pass table over
-//! one lexed corpus.
+//! `xtask analyze` — the static gate's call-graph half, one pass table
+//! over one lexed corpus.
 //!
 //! [`Corpus::load`] walks the workspace once, lexes every file once
 //! ([`lexer`]) and parses the token streams into a call graph
 //! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`]:
 //!
-//! - **`lint`**: the token-level determinism rules ([`crate::lint`]). It
-//!   reads every token of every file, so no wallclock / entropy /
-//!   thread-spawn sink outside the audited boundaries in
-//!   [`crate::boundaries`] survives it, reachable or not — which is why
-//!   there is no separate reachability proof for those sinks.
 //! - **`panic`**: every unwrap / expect / panic! / indexing site
-//!   reachable from the entry points is inventoried against the
+//!   reachable from the entry points is inventoried by kind against the
 //!   checked-in baseline `ci/analyze_panic_baseline.txt` — the one
 //!   ratchet: new sites fail, removed sites are reported as burn-down
 //!   progress.
@@ -28,8 +23,11 @@
 //!   with `uap_sim::trace::registry` and with the tables in
 //!   `docs/OBSERVABILITY.md` (see [`registry_check`]).
 //!
-//! Everything is hand-rolled on the workspace's own lexer — no `syn`,
-//! no network, deterministic output. See `docs/STATIC_ANALYSIS.md`.
+//! The token-level rules (no `HashMap`, wall clock, ad-hoc threads or
+//! unexplained panics) are clippy's, not a pass here: see
+//! `docs/DETERMINISM.md`. Everything here is hand-rolled on the
+//! workspace's own lexer — no `syn`, no network, deterministic output.
+//! See `docs/STATIC_ANALYSIS.md`.
 
 pub mod graph;
 pub mod lexer;
@@ -40,7 +38,6 @@ pub mod registry_check;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::lint::FileKind;
 use graph::{Graph, Inventory};
 
 /// Relative path of the panic-site baseline file, the only baseline.
@@ -51,8 +48,7 @@ pub const BASELINE_PATH: &str = "ci/analyze_panic_baseline.txt";
 pub type Pass = (&'static str, fn(&Corpus, &mut Report));
 
 /// Every pass, in the order a full run executes them.
-pub const PASSES: [Pass; 6] = [
-    ("lint", crate::lint::pass),
+pub const PASSES: [Pass; 5] = [
     ("panic", panic_pass),
     ("alloc", alloc_pass),
     ("par", |c, report| {
@@ -75,8 +71,10 @@ pub fn pass(name: &str) -> Option<&'static Pass> {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub label: String,
-    /// Which rule set applies (test dir / binary / sim path).
-    pub kind: FileKind,
+    /// Whole file is test code (a `tests/` integration dir).
+    pub is_test_file: bool,
+    /// Binary code (`main.rs`, `src/bin/`).
+    pub is_bin: bool,
     /// The file's token stream.
     pub lexed: lexer::Lexed,
 }
@@ -103,11 +101,11 @@ impl Corpus {
             // The xtask crate is build tooling end to end: like
             // `main.rs` / `src/bin/` code it may abort freely, so it
             // stays out of the panic inventory.
-            let is_bin = f.kind.is_bin || f.label.starts_with("crates/xtask/");
+            let is_bin = f.is_bin || f.label.starts_with("crates/xtask/");
             fns.extend(parser::parse_file(
                 &f.label,
                 &f.lexed,
-                f.kind.is_test_file,
+                f.is_test_file,
                 is_bin,
             ));
         }
@@ -154,8 +152,7 @@ pub fn run_passes(root: &Path, passes: &[Pass], update_baseline: bool) -> Report
     report.stats.fns = g.fns.len();
     report.stats.entries = g.entries.len();
     report.stats.edges = g.edge_count;
-    // Every pass but the token-level lint walks the call graph.
-    if g.entries.is_empty() && passes.iter().any(|(name, _)| *name != "lint") {
+    if g.entries.is_empty() {
         report.violations.push(
             "analyze: found no simulation entry points — the parser or the entry heuristics \
              regressed; refusing to vacuously pass"
@@ -313,17 +310,15 @@ fn panic_pass(c: &Corpus, report: &mut Report) {
     };
     let old = parse_baseline(&body);
     for (k, lines) in &inv {
-        let (file, qual, key) = k;
-        let (kind, class) = key.split_once(' ').unwrap_or((key, ""));
+        let (file, qual, kind) = k;
         match old.get(k) {
             None => report.violations.push(format!(
-                "panics: {file}:{}: new {class} {kind} site(s) in `{qual}` reachable from the \
-                 engine step loop; document the invariant with `lint:allow({kind})` or handle \
-                 the None/Err case (baseline: {BASELINE_PATH})",
+                "panics: {file}:{}: new {kind} site(s) in `{qual}` reachable from the engine \
+                 step loop; handle the None/Err case (baseline: {BASELINE_PATH})",
                 line_list(lines)
             )),
             Some(&b) if lines.len() > b => report.violations.push(format!(
-                "panics: {file}: `{qual}` grew from {b} to {} {class} {kind} site(s) reachable \
+                "panics: {file}: `{qual}` grew from {b} to {} {kind} site(s) reachable \
                  from the engine step loop (baseline: {BASELINE_PATH})",
                 lines.len()
             )),
@@ -372,11 +367,8 @@ fn collect_workspace(root: &Path) -> Vec<SourceFile> {
                 let is_bin = p.file_name().is_some_and(|n| n == "main.rs")
                     || p.components().any(|c| c.as_os_str() == "bin");
                 out.push(SourceFile {
-                    kind: FileKind {
-                        is_test_file,
-                        is_bin,
-                        is_sim_path: !is_test_file && !label.starts_with("crates/xtask/"),
-                    },
+                    is_test_file,
+                    is_bin,
                     label,
                     lexed: lexer::lex(&source),
                 });
@@ -429,7 +421,7 @@ mod tests {
         Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)
-            .expect("xtask lives two levels under the workspace root") // lint:allow(expect)
+            .expect("xtask lives two levels under the workspace root")
             .to_path_buf()
     }
 
@@ -439,67 +431,6 @@ mod tests {
             fns.extend(parse_file(label, &lex(src), false, false));
         }
         Graph::build(fns)
-    }
-
-    /// Lint violations of fixture `files`, as `(label, line, rule)`.
-    fn lint_of(files: &[(&'static str, &str)]) -> Vec<(&'static str, usize, &'static str)> {
-        let lib = FileKind {
-            is_test_file: false,
-            is_bin: false,
-            is_sim_path: true,
-        };
-        let scan = |&(label, src): &(&'static str, &str)| {
-            let found = crate::lint::scan(label, &lex(src), lib);
-            found.into_iter().map(move |v| (label, v.line, v.rule))
-        };
-        files.iter().flat_map(scan).collect()
-    }
-
-    #[test]
-    fn synthetic_indirect_leak_is_caught_with_witness_chain() {
-        // Entry -> helper -> leak() which calls Instant::now: the lint
-        // reads every token, so the sink is flagged where it stands
-        // however many hops separate it from an entry point.
-        let v = lint_of(&[
-            (
-                "crates/sim/src/engine.rs",
-                "impl Simulator {\n    pub fn run(&mut self) {\n        helper();\n    }\n}\npub fn helper() {\n    leak();\n}\n",
-            ),
-            (
-                "crates/net/src/bad.rs",
-                "pub fn leak() {\n    let _t = std::time::Instant::now();\n}\n",
-            ),
-        ]);
-        assert_eq!(v, vec![("crates/net/src/bad.rs", 2, "wallclock")]);
-    }
-
-    #[test]
-    fn audited_boundary_sinks_are_exempt() {
-        // The WallTimer quarantine in crates/sim/src/trace.rs and the
-        // fork-join boundaries may touch their sinks when the site
-        // carries the lint:allow — no violation.
-        let v = lint_of(&[
-            (
-                "crates/sim/src/engine.rs",
-                "impl Simulator { pub fn run(&mut self) { WallTimer::start(); par(); } }\n",
-            ),
-            (
-                "crates/sim/src/trace.rs",
-                "impl WallTimer { pub fn start() { let _ = std::time::Instant::now(); // lint:allow(wallclock)\n } }\n",
-            ),
-            (
-                "crates/net/src/routing.rs",
-                "pub fn par() { std::thread::scope(|s| {}); // lint:allow(threads)\n }\n",
-            ),
-        ]);
-        assert!(v.is_empty(), "{v:?}");
-        // The same thread sink outside the boundary file is flagged even
-        // with an allow comment (and so is the misplaced allow).
-        let v = lint_of(&[(
-            "crates/net/src/host.rs",
-            "pub fn par() { std::thread::scope(|s| {}); // lint:allow(threads)\n }\n",
-        )]);
-        assert_eq!(v, vec![("crates/net/src/host.rs", 1, "threads"); 2]);
     }
 
     #[test]
@@ -537,25 +468,25 @@ mod tests {
             .join(name);
         let _ = std::fs::remove_dir_all(&root);
         let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src"); // lint:allow(expect)
-        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci"); // lint:allow(expect)
+        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
+        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci");
         std::fs::write(
             src_dir.join("engine.rs"),
             "impl Simulator { pub fn run(&mut self, o: Option<u8>) {\n    let v = vec![o.unwrap()];\n    drop(v);\n} }\n",
         )
-        .expect("write synthetic engine"); // lint:allow(expect)
+        .expect("write synthetic engine");
         root
     }
 
     /// The one-row pass table of `--pass=<name>`.
     fn only(name: &str) -> [Pass; 1] {
-        [*pass(name).expect("a PASSES row")] // lint:allow(expect)
+        [*pass(name).expect("a PASSES row")]
     }
 
     /// Whether the synthetic root's `ci/` holds no file.
     fn ci_is_empty(root: &Path) -> bool {
         std::fs::read_dir(root.join("ci"))
-            .expect("synthetic ci") // lint:allow(expect)
+            .expect("synthetic ci")
             .next()
             .is_none()
     }
@@ -570,8 +501,8 @@ mod tests {
         // `--update-baseline` writes it, and the same tree then passes.
         let report = run_passes(&root, &only("panic"), true);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let body = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("baseline readable"); // lint:allow(expect)
-        assert!(body.contains("1\tcrates/sim/src/engine.rs::Simulator::run\tunwrap bare"));
+        let body = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("baseline readable");
+        assert!(body.contains("1\tcrates/sim/src/engine.rs::Simulator::run\tunwrap\n"));
         let report = run_passes(&root, &only("panic"), false);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.summaries, vec!["panic: ok 1 sites / 1 keys"]);
@@ -614,13 +545,13 @@ mod tests {
             .join(name);
         let _ = std::fs::remove_dir_all(&root);
         let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src"); // lint:allow(expect)
-        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci"); // lint:allow(expect)
+        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
+        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci");
         std::fs::write(
             src_dir.join("engine.rs"),
             "impl Simulator { pub fn run(&mut self, x: u64) {\n    let a = x as u32;\n    let b = x as u16; // lint:allow(cast) — bound: x < 65536 structurally\n    drop((a, b));\n} }\n",
         )
-        .expect("write synthetic engine"); // lint:allow(expect)
+        .expect("write synthetic engine");
         root
     }
 
@@ -650,17 +581,17 @@ mod tests {
             .join(name);
         let _ = std::fs::remove_dir_all(&root);
         let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src"); // lint:allow(expect)
+        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
         std::fs::write(
             src_dir.join("engine.rs"),
             "impl Simulator {\n    pub fn run(&mut self, ctx: &mut Ctx) {\n        let hits = Cell::new(0u64);\n        let out = Mutex::new(Vec::new());\n        std::thread::scope(|s| {\n            s.spawn(|| hits.set(hits.get() + 1));\n            s.spawn(|| out.lock().unwrap().push(1));\n            s.spawn(move || ctx.rng.below(4));\n        });\n    }\n}\n",
         )
-        .expect("write synthetic engine"); // lint:allow(expect)
+        .expect("write synthetic engine");
         std::fs::write(
             src_dir.join("rng.rs"),
             "impl SimRng {\n    pub fn below(&mut self, n: u64) -> u64 { n / 2 }\n}\n",
         )
-        .expect("write synthetic rng"); // lint:allow(expect)
+        .expect("write synthetic rng");
         root
     }
 

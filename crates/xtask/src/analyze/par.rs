@@ -9,8 +9,8 @@
 //!
 //! Each region's worker closures are then audited for determinism
 //! hazards, both *direct* (hazard markers lexically inside the closure:
-//! interior-mutability writes, atomics, locks, channel receives, ambient
-//! RNG, unordered float accumulation) and *transitive* (the same markers
+//! interior-mutability writes, atomics, locks, channel receives,
+//! unordered float accumulation) and *transitive* (the same markers
 //! — plus any `SimRng` method — in functions reachable from the worker's
 //! calls, via the same over-approximate resolution as the other graph
 //! passes).
@@ -21,7 +21,7 @@
 //! site, `file:line` per hop.
 
 use crate::analyze::graph::Graph;
-use crate::analyze::parser::{HazardKind, SinkKind};
+use crate::analyze::parser::HazardKind;
 use crate::analyze::Report;
 use crate::boundaries::ParallelRegion;
 
@@ -128,11 +128,6 @@ pub fn par_pass(g: &Graph, regions: &[ParallelRegion], report: &mut Report) {
                     // scheduling order.
                     if tf.impl_type.as_deref() == Some("SimRng") {
                         flag(HazardKind::Rng, &tf.qualname(), tf.line);
-                    }
-                    for s in &tf.sinks {
-                        if s.kind == SinkKind::Entropy {
-                            flag(HazardKind::Rng, s.what, s.line);
-                        }
                     }
                     for h in &tf.hazards {
                         flag(h.kind, &h.what, h.line);

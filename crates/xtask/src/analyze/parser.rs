@@ -3,7 +3,7 @@
 //! Consumes the token stream from [`crate::analyze::lexer`] and produces
 //! one [`FnItem`] per function definition, carrying everything the
 //! analysis passes need: outgoing call sites (for the call graph),
-//! determinism sink tokens (`par` pass), panic sites (panic-reachability
+//! thread-spawn regions (`par` pass), panic sites (panic-reachability
 //! pass), and trace/metrics emission sites with their literal arguments
 //! (registry drift pass).
 //!
@@ -17,7 +17,7 @@
 use uap_sim::trace::registry::MetricKind;
 
 use crate::analyze::lexer::{Lexed, Tok, TokKind};
-use crate::boundaries::{in_threads_boundary, in_wallclock_boundary, ALLOC_RULE, CAST_RULE};
+use crate::boundaries::{ALLOC_RULE, CAST_RULE};
 
 /// How a call site names its callee.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,61 +45,10 @@ pub struct Call {
     pub line: usize,
 }
 
-/// Classes of determinism sink the lint bans outside the audited
-/// boundaries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SinkKind {
-    /// Wall-clock reads: `Instant::now`, `SystemTime`.
-    Wallclock,
-    /// Ambient entropy: `thread_rng`, `rand::random`.
-    Entropy,
-    /// Thread spawning: `thread::spawn`, `thread::scope`.
-    Thread,
-}
-
-impl SinkKind {
-    /// The lint rule name whose `lint:allow` escape covers this sink.
-    pub fn rule(self) -> &'static str {
-        match self {
-            SinkKind::Wallclock | SinkKind::Entropy => "wallclock",
-            SinkKind::Thread => "threads",
-        }
-    }
-
-    /// True when a sink of this class on `line` of `file` is covered by
-    /// its `lint:allow` *and* `file` is the audited boundary that escape
-    /// is honored in (see [`crate::boundaries`]).
-    pub fn audited(self, file: &str, lexed: &Lexed, line: usize) -> bool {
-        lexed.allowed(line, self.rule())
-            && match self {
-                SinkKind::Wallclock | SinkKind::Entropy => in_wallclock_boundary(file),
-                SinkKind::Thread => in_threads_boundary(file),
-            }
-    }
-}
-
-/// The one sink-token table: every `::`-path the lint's `threads` /
-/// `wallclock` rules and the `par` pass treat as a determinism sink.
-/// A path matches by suffix (`std::thread::scope`, `foo::thread::scope`).
-pub const SINKS: [(&str, SinkKind); 6] = [
-    ("thread::scope", SinkKind::Thread),
-    ("thread::spawn", SinkKind::Thread),
-    ("Instant::now", SinkKind::Wallclock),
-    ("SystemTime", SinkKind::Wallclock),
-    ("thread_rng", SinkKind::Entropy),
-    ("rand::random", SinkKind::Entropy),
-];
-
-/// One determinism sink token inside a function body.
-#[derive(Clone, Debug)]
-pub struct SinkSite {
-    /// Which sink class the token belongs to.
-    pub kind: SinkKind,
-    /// The matched [`SINKS`] path (`"Instant::now"`, `"thread::scope"`, …).
-    pub what: &'static str,
-    /// 1-based line of the token.
-    pub line: usize,
-}
+/// The `::`-paths the `par` pass treats as opening a thread-spawn
+/// region. A path matches by suffix (`std::thread::scope`,
+/// `foo::thread::scope`).
+const SPAWNERS: [&str; 2] = ["thread::scope", "thread::spawn"];
 
 /// Classes of panic site the panic-reachability pass inventories.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -115,8 +64,7 @@ pub enum PanicKind {
 }
 
 impl PanicKind {
-    /// Stable name: the baseline key, and the `lint:allow` name that
-    /// marks a site of this kind documented.
+    /// Stable name: the baseline key.
     pub fn name(self) -> &'static str {
         match self {
             PanicKind::Unwrap => "unwrap",
@@ -134,9 +82,6 @@ pub struct PanicSite {
     pub kind: PanicKind,
     /// 1-based line of the site.
     pub line: usize,
-    /// True when a `lint:allow(<kind>)` comment documents the invariant
-    /// on the site's line or the line directly above.
-    pub documented: bool,
 }
 
 /// Classes of allocation sink the allocation-discipline pass
@@ -226,8 +171,8 @@ pub enum HazardKind {
     /// Channel receives: `.recv(` family — arrival order across workers
     /// is scheduler-dependent.
     Channel,
-    /// RNG use: ambient entropy or a reachable `SimRng` method — worker
-    /// interleaving would perturb the deterministic stream.
+    /// RNG use: a reachable `SimRng` method — worker interleaving would
+    /// perturb the deterministic stream.
     Rng,
     /// Unordered float accumulation (`.sum::<f64>()` across
     /// worker-merged data) — float addition is not associative.
@@ -356,8 +301,6 @@ pub struct FnItem {
     pub alloc_exempt: bool,
     /// Outgoing call sites.
     pub calls: Vec<Call>,
-    /// Determinism sink tokens in the body.
-    pub sinks: Vec<SinkSite>,
     /// Allocation sinks in the body.
     pub allocs: Vec<AllocSite>,
     /// Potential-panic sites in the body.
@@ -564,7 +507,7 @@ fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
 }
 
 /// Scans a function body (token range `[start, end)`) for call sites,
-/// sinks, allocation sites, panic sites, and emission sites.
+/// allocation sites, panic sites, and emission sites.
 ///
 /// Loop bodies are tracked by brace depth so `Vec`-family construction
 /// can be classified per-iteration vs per-call: a `for` / `while` /
@@ -610,7 +553,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 item.panics.push(PanicSite {
                     kind: PanicKind::Index,
                     line: t.line,
-                    documented: lexed.allowed(t.line, PanicKind::Index.name()),
                 });
             }
             j += 1;
@@ -654,15 +596,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
             continue;
         }
 
-        // Determinism sinks.
-        if let Some((what, kind)) = sink_at(toks, j) {
-            item.sinks.push(SinkSite {
-                kind,
-                what,
-                line: t.line,
-            });
-        }
-
         // Macro invocations: `name !` followed by a delimiter. Recorded
         // as call sites so the passes see them (the `!=` operator never
         // matches: its `!` is followed by `=`, not a delimiter).
@@ -678,7 +611,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 item.panics.push(PanicSite {
                     kind: PanicKind::PanicMacro,
                     line: t.line,
-                    documented: lexed.allowed(t.line, PanicKind::PanicMacro.name()),
                 });
             }
             match t.text.as_str() {
@@ -727,12 +659,8 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                     "expect" | "expect_err" => Some(PanicKind::Expect),
                     _ => None,
                 };
-                if let Some(pk) = pk {
-                    item.panics.push(PanicSite {
-                        kind: pk,
-                        line: t.line,
-                        documented: lexed.allowed(t.line, pk.name()),
-                    });
+                if let Some(kind) = pk {
+                    item.panics.push(PanicSite { kind, line: t.line });
                 }
                 if let Some(kind) = hazard_of_method(&t.text) {
                     item.hazards.push(HazardSite {
@@ -770,16 +698,17 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
 ///
 /// A region is `thread::scope(...)`, however qualified (workers = the
 /// closure arguments of `.spawn(` calls inside the region), or a bare
-/// `thread::spawn(...)` (worker = the whole argument list). Each worker range is re-scanned with [`scan_body`], so workers
-/// get exactly the same call / hazard / sink extraction as whole
-/// functions — including calls made from closures nested inside the
-/// worker and captures dereferenced through method-call chains.
+/// `thread::spawn(...)` (worker = the whole argument list). Each worker
+/// range is re-scanned with [`scan_body`], so workers get exactly the
+/// same call / hazard extraction as whole functions — including calls
+/// made from closures nested inside the worker and captures
+/// dereferenced through method-call chains.
 fn scan_spawns(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     let toks = &lexed.toks;
     let mut j = start;
     while j < end {
         let t = &toks[j];
-        let Some((what, SinkKind::Thread)) = sink_at(toks, j) else {
+        let Some(what) = spawner_at(toks, j) else {
             j += 1;
             continue;
         };
@@ -821,22 +750,12 @@ fn scan_spawns(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
 
 /// Extracts one worker closure from the spawn call's argument range:
 /// runs [`scan_body`] on the range for calls and method-marker hazards,
-/// then folds in the hazard classes only visible at closure level —
-/// ambient entropy sinks (→ `rng`) and unordered float accumulation
-/// (`.sum::<f64>()` → `float-accum`).
+/// then folds in the hazard class only visible at closure level —
+/// unordered float accumulation (`.sum::<f64>()` → `float-accum`).
 fn scan_worker(lexed: &Lexed, start: usize, end: usize, line: usize) -> WorkerClosure {
     let mut scratch = FnItem::default();
     scan_body(lexed, start, end, &mut scratch);
     let mut hazards = scratch.hazards;
-    for s in &scratch.sinks {
-        if s.kind == SinkKind::Entropy {
-            hazards.push(HazardSite {
-                kind: HazardKind::Rng,
-                what: s.what.to_string(),
-                line: s.line,
-            });
-        }
-    }
     let toks = &lexed.toks;
     let mut k = start;
     while k < end {
@@ -916,15 +835,16 @@ fn alloc_of(callee: &Callee, in_loop: bool) -> Option<(AllocKind, String)> {
     }
 }
 
-/// Recognizes the [`SINKS`] path whose first segment is the token at `j`.
-pub fn sink_at(toks: &[Tok], j: usize) -> Option<(&'static str, SinkKind)> {
+/// Recognizes the [`SPAWNERS`] path whose first segment is the token at
+/// `j`.
+fn spawner_at(toks: &[Tok], j: usize) -> Option<&'static str> {
     // Segment `n` of a path sits three tokens on: `seg : : seg`.
     let segment_at = |n: usize, seg: &str| {
         let k = j + 3 * n;
         toks.get(k).is_some_and(|t| t.is_ident(seg))
             && (n == 0 || (toks[k - 1].is_punct(':') && toks[k - 2].is_punct(':')))
     };
-    SINKS.into_iter().find(|(path, _)| {
+    SPAWNERS.into_iter().find(|path| {
         path.split("::")
             .enumerate()
             .all(|(n, seg)| segment_at(n, seg))
@@ -1201,41 +1121,20 @@ mod tests {
     }
 
     #[test]
-    fn sinks_are_detected_with_boundary_audit() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
+    fn panic_sites_are_recorded_by_kind_and_line() {
+        // The `#[expect(…)]` escapes are attributes, not sites: neither
+        // the `expect(` nor the `panic` inside them is inventoried.
+        let src = "fn f(o: Option<u8>, v: &[u8]) -> u8 {\n    let a = o.unwrap();\n    #[expect(clippy::expect_used, reason = \"set in new()\")]\n    let b = o.expect(\"set in new()\");\n    #[expect(clippy::panic, reason = \"guard\")]\n    if a > 9 { panic!(\"no\"); }\n    v[0] + b\n}\n";
         let items = parse(src);
-        assert_eq!(items[0].sinks.len(), 1);
-        let sink = items[0].sinks[0].kind;
-        assert_eq!(sink, SinkKind::Wallclock);
-        assert!(!sink.audited("crates/sim/src/trace.rs", &lex(src), 1));
-        // Inside the wallclock boundary file with an allow, it's audited.
-        let src = "fn f() { let t = std::time::Instant::now(); // lint:allow(wallclock)\n }\n";
-        assert!(sink.audited("crates/sim/src/trace.rs", &lex(src), 1));
-        // Same allow outside the boundary file: not audited.
-        assert!(!sink.audited("crates/net/src/host.rs", &lex(src), 1));
-        // Threads sink.
-        let src = "fn g() { std::thread::scope(|s| {}); }\n";
-        let items = parse(src);
-        assert_eq!(items[0].sinks[0].kind, SinkKind::Thread);
-        assert_eq!(items[0].sinks[0].what, "thread::scope");
-    }
-
-    #[test]
-    fn panic_sites_with_documentation_flags() {
-        let src = "fn f(o: Option<u8>, v: &[u8]) -> u8 {\n    let a = o.unwrap();\n    let b = o.expect(\"set in new()\"); // lint:allow(expect)\n    if a > 9 { panic!(\"no\"); }\n    v[0] + b\n}\n";
-        let items = parse(src);
-        let sites: Vec<(PanicKind, bool)> = items[0]
-            .panics
-            .iter()
-            .map(|p| (p.kind, p.documented))
-            .collect();
+        let sites: Vec<(PanicKind, usize)> =
+            items[0].panics.iter().map(|p| (p.kind, p.line)).collect();
         assert_eq!(
             sites,
             vec![
-                (PanicKind::Unwrap, false),
-                (PanicKind::Expect, true),
-                (PanicKind::PanicMacro, false),
-                (PanicKind::Index, false),
+                (PanicKind::Unwrap, 2),
+                (PanicKind::Expect, 4),
+                (PanicKind::PanicMacro, 6),
+                (PanicKind::Index, 7),
             ]
         );
     }
@@ -1541,8 +1440,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_rng_and_float_accum_hazards_are_flagged() {
-        let src = "fn f(xs: &[f64], out: &Mutex<Vec<f64>>) {\n    std::thread::scope(|s| {\n        s.spawn(move || {\n            let r = thread_rng();\n            let t = xs.iter().copied().sum::<f64>();\n            out.lock().unwrap().push(t);\n        });\n    });\n}\n";
+    fn worker_float_accum_hazards_are_flagged() {
+        let src = "fn f(xs: &[f64], out: &Mutex<Vec<f64>>) {\n    std::thread::scope(|s| {\n        s.spawn(move || {\n            let t = xs.iter().copied().sum::<f64>();\n            out.lock().unwrap().push(t);\n        });\n    });\n}\n";
         let items = parse(src);
         let w = &items[0].spawns[0].workers[0];
         let hz: Vec<(HazardKind, &str)> = w
@@ -1553,7 +1452,6 @@ mod tests {
         assert_eq!(
             hz,
             vec![
-                (HazardKind::Rng, "thread_rng"),
                 (HazardKind::FloatAccum, ".sum::<float>()"),
                 (HazardKind::Lock, ".lock("),
             ]

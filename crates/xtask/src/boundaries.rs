@@ -1,26 +1,22 @@
 //! The audited determinism boundaries, declared exactly once.
 //!
-//! Two passes of [`crate::analyze`] consume these lists — the
-//! token-level lint ([`crate::lint`]) and `par` — the lint through one
-//! check (`SinkKind::audited`): a `wallclock` allow escape comment is
-//! honored only inside [`WALLCLOCK_BOUNDARY`] and a `threads` one only
-//! inside a file carrying a [`PARALLEL_REGIONS`] entry. Extending an
-//! audited boundary is a single edit here, reviewed once, and picked up
-//! by every pass at the same time.
-
-/// The only files where a `wallclock` allow comment is honored: the
-/// trace sink's `WallTimer` boundary (see `docs/OBSERVABILITY.md`).
-/// Anywhere else the allow comment is itself a violation — wall-clock
-/// readings must stay out of simulation state and traced output.
-pub const WALLCLOCK_BOUNDARY: [&str; 1] = ["crates/sim/src/trace.rs"];
+//! Clippy bans the wall clock and ad-hoc threads everywhere
+//! (`clippy.toml`, `docs/DETERMINISM.md`), and an
+//! `#[expect(clippy::disallowed_methods, reason = …)]` lifts the ban at
+//! one site. The lists here say where such an escape may stand: the par
+//! pass of [`crate::analyze`] checks every spawn site against
+//! [`PARALLEL_REGIONS`], and a test below checks every disallowed-item
+//! escape against it and against the wall-clock boundary declared
+//! beside that test. Extending an audited boundary is a single edit
+//! here, reviewed once.
 
 /// One audited fork-join parallel region: a function that is allowed to
 /// spawn worker threads, together with the *declared merge discipline*
 /// that makes its output independent of thread scheduling.
 ///
 /// This manifest is the single source of truth for workspace
-/// parallelism. The lint pass derives the `threads` allow boundary from
-/// the `file` column; `--pass=par` checks the manifest
+/// parallelism. Its `file` column is where a thread escape may stand;
+/// `--pass=par` checks the manifest
 /// against the actual thread-spawn sites in both directions (an
 /// undeclared spawn site fails, and a manifest entry whose function no
 /// longer spawns fails as stale) and audits each region's worker
@@ -68,9 +64,8 @@ pub const PARALLEL_REGIONS: [ParallelRegion; 2] = [
 ];
 
 /// Rule name of the allocation-discipline escape, consumed by the
-/// analyzer's alloc pass (`docs/STATIC_ANALYSIS.md`). Unlike the
-/// wallclock / threads escapes, the alloc escape is **per function, not
-/// per file**: a `// lint:allow(alloc) — <why this path is one-shot>`
+/// analyzer's alloc pass (`docs/STATIC_ANALYSIS.md`). The alloc escape
+/// is **per function**: a `// lint:allow(alloc) — <why this path is one-shot>`
 /// comment on (or directly above) a `fn` declaration exempts that whole
 /// body from the hot-path allocation inventory. It is reserved for
 /// audited setup / one-shot paths — code that is *reachable* from the
@@ -80,8 +75,8 @@ pub const PARALLEL_REGIONS: [ParallelRegion; 2] = [
 pub const ALLOC_RULE: &str = "alloc";
 
 /// Rule name of the truncating-cast escape, consumed by the analyzer's
-/// cast pass (`docs/STATIC_ANALYSIS.md`). Per line, like the panic
-/// escapes: a `// lint:allow(cast) — bound: <why the value fits>`
+/// cast pass (`docs/STATIC_ANALYSIS.md`). Per line: a
+/// `// lint:allow(cast) — bound: <why the value fits>`
 /// comment on (or directly above) a truncating `as` cast documents the
 /// bound and removes the site from the ratcheted inventory. Reserved
 /// for cases where the bound is structural (path offsets bounded by a
@@ -90,39 +85,19 @@ pub const ALLOC_RULE: &str = "alloc";
 /// conversion instead, because it silently corrupts at 1M+ hosts.
 pub const CAST_RULE: &str = "cast";
 
-/// True when `label` is one of the [`WALLCLOCK_BOUNDARY`] files.
-pub fn in_wallclock_boundary(label: &str) -> bool {
-    let norm = label.replace('\\', "/");
-    WALLCLOCK_BOUNDARY.iter().any(|b| norm.ends_with(b))
-}
-
-/// True when `label` is a file carrying at least one audited
-/// [`PARALLEL_REGIONS`] entry — the only files where a `threads` allow
-/// comment is honored.
-pub fn in_threads_boundary(label: &str) -> bool {
-    let norm = label.replace('\\', "/");
-    PARALLEL_REGIONS.iter().any(|r| norm.ends_with(r.file))
-}
-
-/// The distinct files of [`PARALLEL_REGIONS`], for diagnostics.
-pub fn threads_boundary_files() -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = PARALLEL_REGIONS.iter().map(|r| r.file).collect();
-    v.dedup();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn boundary_membership_is_suffix_based_and_separator_agnostic() {
-        assert!(in_wallclock_boundary("/abs/path/crates/sim/src/trace.rs"));
-        assert!(in_wallclock_boundary("crates\\sim\\src\\trace.rs"));
-        assert!(!in_wallclock_boundary("crates/sim/src/engine.rs"));
-        assert!(in_threads_boundary("crates/net/src/routing.rs"));
-        assert!(in_threads_boundary("crates/core/src/experiments/sweep.rs"));
-        assert!(!in_threads_boundary("crates/gnutella/src/sim.rs"));
+    /// The only files where a wall-clock escape may stand: the trace
+    /// sink's `WallTimer` boundary (see `docs/OBSERVABILITY.md`).
+    /// Wall-clock readings must stay out of simulation state and traced
+    /// output.
+    const WALLCLOCK_BOUNDARY: [&str; 1] = ["crates/sim/src/trace.rs"];
+
+    /// Files carrying at least one [`PARALLEL_REGIONS`] entry.
+    fn region_files() -> Vec<&'static str> {
+        PARALLEL_REGIONS.iter().map(|r| r.file).collect()
     }
 
     #[test]
@@ -130,29 +105,49 @@ mod tests {
         // A file audited for wall-clock reads is not thereby audited for
         // threading, and vice versa.
         for w in WALLCLOCK_BOUNDARY {
-            assert!(!in_threads_boundary(w));
-        }
-        for r in PARALLEL_REGIONS {
-            assert!(!in_wallclock_boundary(r.file));
+            assert!(!region_files().contains(&w));
         }
     }
 
     #[test]
-    fn manifest_is_sorted_and_files_dedupe() {
-        // threads_boundary_files relies on sorted order for dedup, and a
-        // sorted manifest keeps drift diffs reviewable.
+    fn manifest_is_sorted() {
+        // A sorted manifest keeps drift diffs reviewable.
         for pair in PARALLEL_REGIONS.windows(2) {
             assert!(
                 (pair[0].file, pair[0].function) < (pair[1].file, pair[1].function),
                 "PARALLEL_REGIONS must stay sorted by (file, function)"
             );
         }
-        assert_eq!(
-            threads_boundary_files(),
-            vec![
-                "crates/core/src/experiments/sweep.rs",
-                "crates/net/src/routing.rs"
-            ]
+    }
+
+    #[test]
+    fn disallowed_escapes_sit_at_audited_boundaries() {
+        // Clippy honours an `#[expect(clippy::disallowed_methods, …)]`
+        // anywhere; this keeps wall-clock and thread escapes in the files
+        // audited for them, and xtask's HashMaps in its own `main.rs`.
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = manifest.ancestors().nth(2).expect("workspace root");
+        let corpus = crate::analyze::Corpus::load(root, false);
+        let audited: Vec<&str> = WALLCLOCK_BOUNDARY
+            .into_iter()
+            .chain(region_files())
+            .chain(["crates/xtask/src/main.rs"])
+            .collect();
+        let mut stray = Vec::new();
+        for f in corpus.files.iter().filter(|f| !f.is_test_file) {
+            let toks = &f.lexed.toks;
+            for (j, t) in toks.iter().enumerate() {
+                let escape = t.is_ident("disallowed_methods") || t.is_ident("disallowed_types");
+                let via_clippy = j >= 3 && toks[j - 3].is_ident("clippy");
+                if escape && via_clippy && !f.lexed.in_test[j] && !audited.contains(&&*f.label) {
+                    stray.push(format!("{}:{}", f.label, t.line));
+                }
+            }
+        }
+        assert!(
+            stray.is_empty(),
+            "disallowed-item escapes outside the audited boundaries ({}): {stray:?}",
+            audited.join(", ")
         );
     }
 

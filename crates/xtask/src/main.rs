@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p xtask -- analyze [--pass=<name>] [--update-baseline]
-//! cargo run -p xtask -- lint
 //! cargo run -p xtask -- trace summary <trace.jsonl>
 //! cargo run -p xtask -- trace diff <a> <b>
 //! cargo run -p xtask -- trace spans <trace.jsonl>
@@ -10,23 +9,29 @@
 //! cargo run -p xtask -- trace check <trace.jsonl>
 //! ```
 //!
-//! `analyze` is the static determinism gate: it lexes and parses the
-//! workspace once and runs the pass table of [`analyze`] over it — the
-//! token-level determinism lint ([`lint`], `docs/DETERMINISM.md`), then
-//! the call-graph passes (the panic ratchet, alloc and cast denies,
-//! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`)
-//! — exiting non-zero with `file:line` diagnostics when any fail. It
+//! `analyze` is the call-graph half of the static gate: it lexes and
+//! parses the workspace once and runs the pass table of [`analyze`] over
+//! it (the panic ratchet, alloc and cast denies, parallel regions,
+//! trace-registry agreement; `docs/STATIC_ANALYSIS.md`), exiting non-zero
+//! with `file:line` diagnostics when any fail. The token-level half of
+//! the determinism contract (no `HashMap`, wall clock or ad-hoc threads;
+//! no unexplained unwrap / expect / panic) is clippy's, configured in the
+//! root `clippy.toml` and `Cargo.toml` (`docs/DETERMINISM.md`). `analyze`
 //! reads no clock: host time is measured in `benchmark/` only.
-//! `--pass=<name>` runs one row of the table, and `lint` is the spelling
-//! of `analyze --pass=lint`. `trace` summarizes
+//! `--pass=<name>` runs one row of the table. `trace` summarizes
 //! and compares the JSONL traces / RunReport JSON the experiment
 //! binaries emit (see [`trace_cmd`] and `docs/OBSERVABILITY.md`); `diff`
 //! exits 1 on the first divergence, which makes it the CI determinism
 //! gate.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "build tooling: the call graph's name indexes are lookup-only HashMaps; \
+              nothing iterates them, so their order never reaches the output"
+)]
+
 mod analyze;
 mod boundaries;
-mod lint;
 mod trace_cmd;
 
 use std::path::PathBuf;
@@ -34,7 +39,6 @@ use std::path::PathBuf;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") if args.len() == 1 => analyze_main(&["--pass=lint".to_string()]),
         Some("analyze") => analyze_main(&args[1..]),
         Some("trace") => trace_main(&args[1..]),
         _ => usage(),
@@ -109,7 +113,6 @@ fn read_or_die(path: &str) -> String {
 fn usage() -> ! {
     eprintln!(
         "usage: cargo run -p xtask -- analyze [--pass={}] [--update-baseline]\n       \
-         cargo run -p xtask -- lint\n       \
          cargo run -p xtask -- trace summary <trace.jsonl>\n       \
          cargo run -p xtask -- trace diff <a> <b>\n       \
          cargo run -p xtask -- trace spans <trace.jsonl>\n       \
@@ -127,5 +130,5 @@ fn workspace_root() -> PathBuf {
         .parent()
         .and_then(|p| p.parent())
         .map(PathBuf::from)
-        .unwrap_or(manifest) // lint:allow(unwrap) — unreachable: the manifest always has two ancestors
+        .unwrap_or(manifest) // unreachable: the manifest always has two ancestors
 }

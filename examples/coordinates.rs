@@ -68,6 +68,10 @@ fn main() {
             best = (HostId(i), p);
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "an example: both hosts share the underlay"
+    )]
     let truth = underlay
         .rtt_us(from, best.0)
         .expect("hosts share the underlay") as f64;
