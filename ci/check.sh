@@ -5,26 +5,27 @@
 #
 # Steps (in order, fail-fast):
 #   1. cargo fmt --check        — formatting drift
-#   2. cargo clippy -D warnings — the determinism contract's token-level
-#                                 rules (clippy.toml, Cargo.toml
+#   2. cargo clippy -D warnings — the static gate's token-level rules
+#                                 (clippy.toml, Cargo.toml
 #                                 [workspace.lints]): disallowed types
 #                                 (HashMap, HashSet, RandomState,
 #                                 SystemTime) and methods (Instant::now,
-#                                 thread::spawn/scope); unwrap / expect /
-#                                 panic in non-test code; a reason on
+#                                 thread::spawn/scope); in non-test code
+#                                 unwrap / expect, panic! / unreachable! /
+#                                 todo! / unimplemented! and slice
+#                                 indexing (indexing_slicing); a reason on
 #                                 every #[allow] and #[expect] (escapes
-#                                 are reasoned #[expect]s).
+#                                 are reasoned #[expect]s, no broader
+#                                 than a fn outside xtask's main.rs).
 #                                 docs/DETERMINISM.md
-#   3. xtask analyze            — the static gate, run once: five
-#                                 call-graph passes (the one ratchet,
-#                                 panic sites against
-#                                 ci/analyze_panic_baseline.txt; the
-#                                 hot-path allocation and truncating-cast
-#                                 denies; parallel regions; trace
-#                                 registry). Prints one summary line per
-#                                 pass, so a failure names its pass; no
-#                                 timing line, no wall budget.
-#                                 docs/STATIC_ANALYSIS.md
+#   3. xtask analyze            — the static gate's call-graph half, run
+#                                 once: four call-graph passes, no
+#                                 baseline (hot-path allocation and
+#                                 truncating-cast denies; parallel
+#                                 regions; trace registry). Prints one
+#                                 summary line per pass, so a failure
+#                                 names its pass; no timing line, no
+#                                 wall budget. docs/STATIC_ANALYSIS.md
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests
 #   6. cargo test --workspace   — every crate's unit + integration tests
@@ -39,9 +40,11 @@
 #                                 every committed results/*.csv byte for
 #                                 byte, and results/ must hold no CSV the
 #                                 table does not declare
-#   7d. EXPERIMENTS.md is current — `exp doc` regenerates its tables from
-#                                 results/; the committed file must not
-#                                 change
+#   7d. generated docs are current — `exp doc` regenerates EXPERIMENTS.md's
+#                                 tables from results/ and
+#                                 docs/OBSERVABILITY.md's registry tables
+#                                 from uap_sim::trace::registry; neither
+#                                 committed file may change
 #   8. benchmark/ build + smoke   — the standalone benchmark package
 #                                 (outside the workspace) builds offline
 #                                 against the crates' public API and
@@ -103,9 +106,9 @@ for csv in results/*.csv; do
   [ -e "$OUT/full/$(basename "$csv")" ] || { echo "$csv is not an output of any experiment" >&2; exit 1; }
 done
 
-step "EXPERIMENTS.md tables are generated (exp doc)"
+step "EXPERIMENTS.md and OBSERVABILITY.md tables are generated (exp doc)"
 exp doc
-git diff --exit-code -- EXPERIMENTS.md
+git diff --exit-code -- EXPERIMENTS.md docs/OBSERVABILITY.md
 
 step "benchmark package build + smoke (benchmark/smoke.sh)"
 ./benchmark/smoke.sh | tail -n 3

@@ -5,6 +5,7 @@
 //! reader/writer API, not zero-copy performance.
 
 #![forbid(unsafe_code)]
+#![expect(clippy::indexing_slicing, reason = "upstream `bytes` panics likewise")]
 
 use std::ops::Deref;
 

@@ -8,14 +8,15 @@
 //! ```
 //!
 //! `<id>` is a row id (`exp04`). `doc` rewrites the generated blocks of
-//! `./EXPERIMENTS.md` from the CSVs in `--out`. Exit status: 0 on
+//! `./EXPERIMENTS.md` from the CSVs in `--out`, and the registry tables
+//! of `./docs/OBSERVABILITY.md` from `uap_sim::trace::registry`. Exit
+//! status: 0 on
 //! success, 1 when an artifact cannot be written (the path is named on
 //! stderr), 2 on a usage error or an unknown id. A run whose claim (the
 //! paper headline, [`uap_core::experiments::Outcome::claim`]) does not
 //! hold at that scale and seed says so on stderr and still exits 0.
 
 use std::io;
-use std::path::Path;
 use std::process::ExitCode;
 use uap_bench::{emit, usage, write_csv, Cli, Run};
 use uap_core::experiments::{doc, table, Experiment, Scale, TABLE};
@@ -66,16 +67,16 @@ fn list(filter: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn rewrite_doc(dir: &Path) -> io::Result<()> {
-    let path = "EXPERIMENTS.md";
+/// Rewrites the generated blocks of the document at `path`.
+fn rewrite_doc(path: &str, rewrite: impl FnOnce(&str) -> io::Result<String>) -> io::Result<()> {
     let named = |e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
     let old = std::fs::read_to_string(path).map_err(named)?;
-    let new = doc::rewrite(&old, dir)?;
+    let new = rewrite(&old).map_err(named)?;
     if new == old {
         println!("{path} is up to date");
     } else {
         std::fs::write(path, new).map_err(named)?;
-        println!("{path} rewritten from {}", dir.display());
+        println!("{path} rewritten");
     }
     Ok(())
 }
@@ -99,7 +100,9 @@ fn main() -> ExitCode {
             if args.iter().any(|a| a.starts_with("--") && a != "--out") {
                 usage("doc takes only --out <dir>");
             }
-            rewrite_doc(&Cli::parse_from(args).out)
+            let dir = Cli::parse_from(args).out;
+            rewrite_doc("EXPERIMENTS.md", |md| doc::rewrite(md, &dir))
+                .and_then(|()| rewrite_doc("docs/OBSERVABILITY.md", doc::rewrite_registry))
         }
         "all" => {
             let cli = Cli::parse_from(args);

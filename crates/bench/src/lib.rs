@@ -6,7 +6,8 @@
 //! emits the run report described below. `exp all` runs every row,
 //! `exp list` prints the table's ids (`--traced`: the rows that record a
 //! trace; `--csvs`: every CSV stem), `exp doc` regenerates the result
-//! tables of EXPERIMENTS.md from the CSVs. Common flags:
+//! tables of EXPERIMENTS.md from the CSVs and the registry tables of
+//! docs/OBSERVABILITY.md from `uap_sim::trace::registry`. Common flags:
 //!
 //! * `--quick` — the fast test-scale parameters (default is the full,
 //!   paper-scale configuration);
@@ -173,10 +174,11 @@ impl Run {
     pub fn table(&mut self, stem: &str, table: &Table) {
         let header = table.header();
         for r in 0..table.len() {
-            let cells = table.row_cells(r);
-            for (h, cell) in header.iter().zip(cells).skip(1) {
-                self.report
-                    .value(format!("{stem}/{r}:{}/{h}", cells[0]), cell);
+            let Some((first, cells)) = table.row_cells(r).split_first() else {
+                continue;
+            };
+            for (h, cell) in header.iter().skip(1).zip(cells) {
+                self.report.value(format!("{stem}/{r}:{first}/{h}"), cell);
             }
         }
     }
@@ -191,10 +193,10 @@ impl Run {
         for keys in [&self.report.config, &self.report.values] {
             let mut keys: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             keys.sort_unstable();
-            if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+            if let Some((dup, _)) = keys.iter().zip(keys.iter().skip(1)).find(|(a, b)| a == b) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{}: duplicate report key {:?}", self.name, w[0]),
+                    format!("{}: duplicate report key {dup:?}", self.name),
                 ));
             }
         }

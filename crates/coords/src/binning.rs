@@ -33,12 +33,9 @@ impl LandmarkBins {
     /// Panics if there are more than 255 landmarks.
     pub fn from_rtts_with_levels(rtts_ms: &[f64], boundaries: &[f64]) -> LandmarkBins {
         assert!(rtts_ms.len() <= 255, "too many landmarks for u8 indices");
-        let mut order: Vec<u8> = (0..rtts_ms.len() as u8).collect();
-        order.sort_by(|&a, &b| {
-            rtts_ms[a as usize]
-                .total_cmp(&rtts_ms[b as usize])
-                .then(a.cmp(&b))
-        });
+        let mut by_rtt: Vec<(f64, u8)> = rtts_ms.iter().copied().zip(0u8..).collect();
+        by_rtt.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let order: Vec<u8> = by_rtt.into_iter().map(|(_, i)| i).collect();
         let levels = rtts_ms
             .iter()
             .map(|&r| boundaries.iter().filter(|&&b| r >= b).count() as u8)

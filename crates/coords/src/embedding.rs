@@ -47,6 +47,7 @@ pub struct EmbeddingQuality {
 impl EmbeddingQuality {
     /// Evaluates a set of `(predicted, actual)` latency pairs. Pairs with
     /// `actual == 0` are skipped (self-pairs carry no information).
+    #[expect(clippy::indexing_slicing, reason = "rank in 1..=n = errs.len()")]
     pub fn evaluate(pairs: &[(f64, f64)]) -> EmbeddingQuality {
         let valid: Vec<(f64, f64)> = pairs.iter().copied().filter(|&(_, a)| a > 0.0).collect();
         if valid.is_empty() {

@@ -61,9 +61,9 @@ impl IcsSystem {
         // Least-squares scaling over beacon pairs.
         let mut num = 0.0;
         let mut den = 0.0;
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let lij = l2(&raw[i], &raw[j]);
+        for (i, ri) in raw.iter().enumerate() {
+            for (j, rj) in raw.iter().enumerate().skip(i + 1) {
+                let lij = l2(ri, rj);
                 num += lij * d[(i, j)];
                 den += lij * lij;
             }
@@ -137,6 +137,10 @@ impl IcsSystem {
     }
 
     /// Coordinate of beacon `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`IcsSystem::n_beacons`].
+    #[expect(clippy::indexing_slicing, reason = "documented panic: i < n_beacons()")]
     pub fn beacon_coord(&self, i: usize) -> &[f64] {
         &self.beacon_coords[i]
     }

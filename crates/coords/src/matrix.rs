@@ -55,6 +55,10 @@ impl Matrix {
     }
 
     /// Row `i` as a slice.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`Matrix::rows`].
+    #[expect(clippy::indexing_slicing, reason = "documented panic: i < rows()")]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -205,8 +209,8 @@ impl Matrix {
                 .find(|x| x.abs() > 1e-12)
                 .map(|x| x.signum())
                 .unwrap_or(1.0);
-            for i in 0..n {
-                vectors[(i, k)] = vec[i] * sign;
+            for (i, x) in vec.iter().enumerate() {
+                vectors[(i, k)] = x * sign;
             }
         }
         (eigenvalues, vectors)
@@ -215,6 +219,7 @@ impl Matrix {
 
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
+    #[expect(clippy::indexing_slicing, reason = "the debug_assert!ed bound")]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &self.data[i * self.cols + j]
@@ -222,6 +227,7 @@ impl Index<(usize, usize)> for Matrix {
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
+    #[expect(clippy::indexing_slicing, reason = "the debug_assert!ed bound")]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]

@@ -138,6 +138,7 @@ impl VivaldiNode {
 /// place permanently. Balanced all-pairs updates escape those folds. The
 /// RNG is still needed for the coincident-coordinate bootstrap kick in
 /// [`VivaldiNode::update`].
+#[expect(clippy::indexing_slicing, reason = "i, j < n; rtt_ms is n × n")]
 pub fn gossip_converge(
     rtt_ms: &[Vec<f64>],
     cfg: VivaldiConfig,

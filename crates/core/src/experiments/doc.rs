@@ -1,4 +1,4 @@
-//! The generated result tables of EXPERIMENTS.md.
+//! The generated tables of EXPERIMENTS.md and docs/OBSERVABILITY.md.
 //!
 //! Each experiment's section holds one block
 //!
@@ -10,14 +10,17 @@
 //!
 //! whose body [`rewrite`] replaces with a markdown rendering of that
 //! row's result CSVs (its [`Experiment::csvs`]; raw dumps are not
-//! rendered). Prose around the blocks is hand-written; numbers inside
-//! them never are, and `ci/check.sh` fails when the committed file
-//! differs from what `exp doc` writes.
+//! rendered). OBSERVABILITY.md's `registry:trace-kinds` and
+//! `registry:metrics` blocks are [`rewrite_registry`]'s, from
+//! `uap_sim::trace::registry`. Prose around the blocks is hand-written;
+//! the tables inside them never are, and `ci/check.sh` fails when a
+//! committed file differs from what `exp doc` writes.
 
 use super::table::{self, Experiment, TABLE};
 use crate::report::Table;
 use std::io;
 use std::path::Path;
+use uap_sim::trace::registry::{METRICS, TRACE_KINDS};
 
 const BEGIN: &str = "<!-- exp:begin ";
 const END: &str = "<!-- exp:end -->";
@@ -73,6 +76,45 @@ pub fn rewrite(md: &str, dir: &Path) -> io::Result<String> {
     }
 }
 
+/// Returns `md` with the bodies of its `registry:trace-kinds` and
+/// `registry:metrics` blocks regenerated from the declarations in
+/// `uap_sim::trace::registry`. Fails on a missing or unclosed block.
+pub fn rewrite_registry(md: &str) -> io::Result<String> {
+    let mut kinds = Table::new("", &["component", "kind", "level", "description"]);
+    for d in TRACE_KINDS {
+        kinds.row(&[
+            d.component.to_owned(),
+            format!("`{}`", d.kind),
+            d.level.to_owned(),
+            d.doc.to_owned(),
+        ]);
+    }
+    let mut metrics = Table::new("", &["key", "kind", "description"]);
+    for d in METRICS {
+        metrics.row(&[
+            format!("`{}`", d.key),
+            d.kind.name().to_owned(),
+            d.doc.to_owned(),
+        ]);
+    }
+    let md = replace_block(md, "registry:trace-kinds", &kinds.to_markdown())?;
+    replace_block(&md, "registry:metrics", &metrics.to_markdown())
+}
+
+/// Replaces the body between `<!-- <marker>:begin -->` and
+/// `<!-- <marker>:end -->` with `body`.
+fn replace_block(md: &str, marker: &str, body: &str) -> io::Result<String> {
+    let begin = format!("<!-- {marker}:begin -->\n");
+    let end = format!("<!-- {marker}:end -->");
+    let (head, rest) = md
+        .split_once(&begin)
+        .ok_or_else(|| invalid(format!("no {marker} block")))?;
+    let (_, tail) = rest
+        .split_once(&end)
+        .ok_or_else(|| invalid(format!("block {marker} is never closed")))?;
+    Ok(format!("{head}{begin}{body}{end}{tail}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +154,22 @@ mod tests {
         assert!(!once.contains("exp05_edges"), "dumps are not rendered");
         assert_eq!(rewrite(&once, &dir).unwrap(), once, "idempotent");
         let _ = std::fs::remove_dir_all(dir);
+
+        // The registry tables are the declarations, one row each.
+        let md = rewrite_registry(&registry_skeleton()).unwrap();
+        assert!(!md.contains("stale"));
+        assert!(md.starts_with("# prose\n<!-- registry:trace-kinds:begin -->\n"));
+        assert!(md.ends_with("<!-- registry:metrics:end -->\ntail\n"));
+        assert!(md.contains(
+            "| component | kind | level | description |\n|---|---|---|---|\n\
+             | engine | `dispatch` | trace | one event popped from the queue (kind, queue depth) |\n"
+        ));
+        assert!(md.contains(
+            "| `net.fault.epochs` | counter | fault epoch boundaries applied to the underlay |\n"
+        ));
+        let rows = TRACE_KINDS.len() + METRICS.len();
+        assert_eq!(md.matches("\n| ").count(), rows + 2, "two headers");
+        assert_eq!(rewrite_registry(&md).unwrap(), md, "idempotent");
     }
 
     #[test]
@@ -125,5 +183,29 @@ mod tests {
         assert!(err(without_first).contains("no block for exp01"));
         assert!(rewrite(&ok, &dir.join("missing")).is_err());
         let _ = std::fs::remove_dir_all(dir);
+
+        // The registry tables: a missing or unclosed block is refused,
+        // and a stale row never survives a rewrite, so the committed file
+        // differs from what `exp doc` writes.
+        let err = |md: &str| rewrite_registry(md).unwrap_err().to_string();
+        let md = registry_skeleton();
+        let ok = rewrite_registry(&md).unwrap();
+        let without = |m: &str| md.replace(&format!("<!-- {m}:begin -->\n"), "");
+        assert!(err(&without("registry:metrics")).contains("no registry:metrics block"));
+        assert!(err(&without("registry:trace-kinds")).contains("no registry:trace-kinds block"));
+        let unclosed = md.replace("<!-- registry:metrics:end -->", "");
+        assert!(err(&unclosed).contains("registry:metrics is never closed"));
+        let stale = ok.replace("| net | `transfer` |", "| net | `xfer` |");
+        assert_ne!(stale, ok);
+        assert_eq!(rewrite_registry(&stale).unwrap(), ok);
+    }
+
+    fn registry_skeleton() -> String {
+        let block = |m: &str| format!("<!-- {m}:begin -->\n| stale |\n<!-- {m}:end -->\n");
+        format!(
+            "# prose\n{}\nmore prose\n{}tail\n",
+            block("registry:trace-kinds"),
+            block("registry:metrics")
+        )
     }
 }

@@ -79,9 +79,11 @@ pub fn example_table() -> Table {
     let mut push = |k: &str, paper: &str, got: f64| {
         table.row(&[k.to_owned(), paper.to_owned(), format!("{got:.4}")]);
     };
+    // |x| along axis k, NaN when the embedding has fewer axes.
+    let axis = |x: &[f64], k: usize| x.get(k).map_or(f64::NAN, |v| v.abs());
     push("alpha (n=2)", "0.6", ics2.alpha());
-    push("|c1| axis 1 (n=2)", "2.1", ics2.beacon_coord(0)[0].abs());
-    push("|c1| axis 2 (n=2)", "1.5", ics2.beacon_coord(0)[1].abs());
+    push("|c1| axis 1 (n=2)", "2.1", axis(ics2.beacon_coord(0), 0));
+    push("|c1| axis 2 (n=2)", "1.5", axis(ics2.beacon_coord(0), 1));
     push(
         "inter-AS beacon distance (n=2)",
         "3",
@@ -99,8 +101,8 @@ pub fn example_table() -> Table {
         ics4.predict(ics4.beacon_coord(0), ics4.beacon_coord(2)),
     );
     let xa = ics2.host_coord(&[1.0, 1.0, 4.0, 4.0]);
-    push("host A |x| axis 1", "3", xa[0].abs());
-    push("host A |x| axis 2", "1.8", xa[1].abs());
+    push("host A |x| axis 1", "3", axis(&xa, 0));
+    push("host A |x| axis 2", "1.8", axis(&xa, 1));
     push(
         "L2(c1, xA)",
         "0.94",
@@ -112,7 +114,7 @@ pub fn example_table() -> Table {
         ics2.predict(&xa, ics2.beacon_coord(2)),
     );
     let xb = ics2.host_coord(&[10.0, 10.0, 10.0, 10.0]);
-    push("host B |x| axis 1", "12", xb[0].abs());
+    push("host B |x| axis 1", "12", axis(&xb, 0));
     push(
         "L2(ci, xB)",
         "10.01",

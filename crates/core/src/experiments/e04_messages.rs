@@ -175,35 +175,25 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
 /// list; Pong dominates Ping and Query exceeds QueryHit in every column;
 /// search success does not collapse.
 pub fn claim(out: &Outcome) -> Result<(), String> {
-    ensure!(out.reports.len() == 3, "{} columns", out.reports.len());
-    let totals: Vec<u64> = out.reports.iter().map(|(_, r)| r.total_msgs()).collect();
-    ensure!(
-        totals[1] < totals[0],
-        "cache-100 {} !< unbiased {}",
-        totals[1],
-        totals[0]
-    );
-    ensure!(
-        totals[2] < totals[0],
-        "cache-1000 {} !< unbiased {}",
-        totals[2],
-        totals[0]
-    );
+    let [(_, unbiased), (_, cache100), (_, cache1000)] = out.reports.as_slice() else {
+        return Err(format!("{} columns", out.reports.len()));
+    };
+    let [t0, t1, t2] = [unbiased, cache100, cache1000].map(GnutellaReport::total_msgs);
+    ensure!(t1 < t0, "cache-100 {t1} !< unbiased {t0}");
+    ensure!(t2 < t0, "cache-1000 {t2} !< unbiased {t0}");
     // At quick scale both oracle lists already see most of the hostcache,
     // so the 100-vs-1000 gradient flattens; allow 5% slack (the full-scale
     // run shows the clean ordering).
     ensure!(
-        totals[2] as f64 <= totals[1] as f64 * 1.05,
-        "cache-1000 {} way above cache-100 {}",
-        totals[2],
-        totals[1]
+        t2 as f64 <= t1 as f64 * 1.05,
+        "cache-1000 {t2} way above cache-100 {t1}"
     );
     for (name, r) in &out.reports {
         ensure!(r.pong_msgs > r.ping_msgs, "{name}: Pong <= Ping");
         ensure!(r.query_msgs >= r.queryhit_msgs, "{name}: Query < QueryHit");
     }
-    let s0 = out.reports[0].1.success_ratio();
-    let s2 = out.reports[2].1.success_ratio();
+    let s0 = unbiased.success_ratio();
+    let s2 = cache1000.success_ratio();
     ensure!(s2 > 0.5 * s0, "search success collapsed: {s0} -> {s2}");
     Ok(())
 }

@@ -143,8 +143,10 @@ pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
 /// the network connected" — far fewer inter-AS edges, not a shattered
 /// graph.
 pub fn claim(out: &Outcome) -> Result<(), String> {
-    let random = &out.snapshots[0].stats;
-    let biased = &out.snapshots[1].stats;
+    let [random, biased, ..] = out.snapshots.as_slice() else {
+        return Err(format!("{} snapshots", out.snapshots.len()));
+    };
+    let (random, biased) = (&random.stats, &biased.stats);
     ensure!(
         biased.intra_fraction() > 3.0 * random.intra_fraction(),
         "intra-AS share: biased {} vs random {}",

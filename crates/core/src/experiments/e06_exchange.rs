@@ -120,28 +120,16 @@ pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
 /// file exchanges a little; consulting the oracle again when choosing
 /// the provider gives the characteristic jump.
 pub fn claim(out: &Outcome) -> Result<(), String> {
-    ensure!(out.rows.len() == 4, "{} configurations", out.rows.len());
-    let m: Vec<f64> = out.rows.iter().map(|r| r.2).collect();
-    ensure!(m[1] > m[0], "list-100 {} !> unbiased {}", m[1], m[0]);
+    let [m0, m1, m2, m3] = out.rows.as_slice() else {
+        return Err(format!("{} configurations", out.rows.len()));
+    };
+    let [m0, m1, m2, m3] = [m0, m1, m2, m3].map(|r| r.2);
+    ensure!(m1 > m0, "list-100 {m1} !> unbiased {m0}");
     // The two list sizes are close at quick scale; the gradient needs
     // paper-scale populations.
-    ensure!(
-        m[2] >= m[1] * 0.9,
-        "list-1000 {} vs list-100 {}",
-        m[2],
-        m[1]
-    );
-    ensure!(
-        m[3] >= m[2],
-        "exchange-oracle {} below list-1000 {}",
-        m[3],
-        m[2]
-    );
-    ensure!(m[3] > 2.0 * m[0], "no jump: {} vs unbiased {}", m[3], m[0]);
-    ensure!(
-        m[3] > 10.0,
-        "exchange-oracle share suspiciously low: {}",
-        m[3]
-    );
+    ensure!(m2 >= m1 * 0.9, "list-1000 {m2} vs list-100 {m1}");
+    ensure!(m3 >= m2, "exchange-oracle {m3} below list-1000 {m2}");
+    ensure!(m3 > 2.0 * m0, "no jump: {m3} vs unbiased {m0}");
+    ensure!(m3 > 10.0, "exchange-oracle share suspiciously low: {m3}");
     Ok(())
 }

@@ -218,7 +218,9 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
 /// share of its RPCs across AS boundaries and over fewer AS hops than
 /// vanilla Kademlia, and finds the true closest node no less often.
 pub fn claim(out: &Outcome) -> Result<(), String> {
-    let (vanilla, pnspr) = (&out.modes[0], &out.modes[2]);
+    let [vanilla, _, pnspr, ..] = out.modes.as_slice() else {
+        return Err(format!("{} modes", out.modes.len()));
+    };
     ensure!(
         pnspr.inter_as_fraction < vanilla.inter_as_fraction,
         "inter-AS share {} !< {}",

@@ -195,7 +195,9 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
 /// inflates them by more than 5 %. The strict drop stays pinned on seed
 /// 51 by `bns_shifts_traffic_off_transit_links` below.
 pub fn claim(out: &Outcome) -> Result<(), String> {
-    let (random, bns) = (&out.policies[0], &out.policies[1]);
+    let [random, bns, ..] = out.policies.as_slice() else {
+        return Err(format!("{} policies", out.policies.len()));
+    };
     ensure!(
         bns.intra_fraction > 1.5 * random.intra_fraction,
         "intra-AS bytes: BNS {} vs random {}",

@@ -223,7 +223,8 @@ pub fn run_mobility(p: &Params) -> Table {
         let stale = underlay
             .hosts
             .ids()
-            .filter(|&h| cached[h.idx()] != underlay.hosts.as_of(h))
+            .zip(&cached)
+            .filter(|&(h, &c)| c != underlay.hosts.as_of(h))
             .count();
         // Biased selection using the stale cache: pick the candidate the
         // cache says shares my AS; precision = how often it truly does.
@@ -231,7 +232,7 @@ pub fn run_mobility(p: &Params) -> Table {
         let mut applicable = 0usize;
         for _ in 0..p.trials {
             let me = HostId(rng.index(n) as u32);
-            let my_cached = cached[me.idx()];
+            let my_cached = cached.get(me.idx());
             let cands: Vec<HostId> = rng
                 .sample_indices(n, p.candidates + 1)
                 .into_iter()
@@ -239,7 +240,7 @@ pub fn run_mobility(p: &Params) -> Table {
                 .filter(|&h| h != me)
                 .take(p.candidates)
                 .collect();
-            let pick = cands.iter().find(|&&c| cached[c.idx()] == my_cached);
+            let pick = cands.iter().find(|&&c| cached.get(c.idx()) == my_cached);
             if let Some(&pick) = pick {
                 applicable += 1;
                 if underlay.same_as(me, pick) {
@@ -260,9 +261,9 @@ pub fn run_mobility(p: &Params) -> Table {
 /// The [`super::TABLE`] row's run.
 pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
-    let tables = vec![run_asymmetry(&p), run_long_hop(&p), run_mobility(&p)];
-    let claim = claim(&tables[0], &tables[1], &tables[2]);
-    super::Outcome::of(tables, claim)
+    let (asymmetry, long_hop, mobility) = (run_asymmetry(&p), run_long_hop(&p), run_mobility(&p));
+    let claim = claim(&asymmetry, &long_hop, &mobility);
+    super::Outcome::of(vec![asymmetry, long_hop, mobility], claim)
 }
 
 /// §6 quantified: forward-only measurement is exact on symmetric paths

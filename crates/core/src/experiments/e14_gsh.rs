@@ -72,10 +72,18 @@ pub struct Outcome {
 
 const WORLD_KM: f64 = 5_000.0;
 
+fn regional_name(zone: u8, i: usize) -> Vec<u8> {
+    format!("regional-{zone}-{i}").into_bytes()
+}
+
 fn regional_names(zone: u8, items: usize) -> Vec<Vec<u8>> {
-    (0..items)
-        .map(|i| format!("regional-{zone}-{i}").into_bytes())
-        .collect()
+    (0..items).map(|i| regional_name(zone, i)).collect()
+}
+
+/// The `(host, zone)` of each retrieval: hosts `13·i mod n`, i = 0, 1, ….
+fn retrievers(zones: &[u8]) -> impl Iterator<Item = (HostId, u8)> + '_ {
+    let stride = zones.iter().enumerate().cycle().step_by(13);
+    stride.map(|(k, &z)| (HostId::from_index(k), z))
 }
 
 fn run_plain(p: &Params) -> SystemResult {
@@ -114,11 +122,8 @@ fn run_plain(p: &Params) -> SystemResult {
     let mut inter = 0u64;
     let mut lat = 0.0;
     let mut ok = 0usize;
-    for i in 0..p.retrievals {
-        let h = HostId::from_index(i * 13 % n);
-        let z = zones[h.idx()];
-        let name = &regional_names(z, p.items_per_zone)[i % p.items_per_zone];
-        let key = Key::hash_of(name);
+    for (i, (h, z)) in retrievers(&zones).take(p.retrievals).enumerate() {
+        let key = Key::hash_of(&regional_name(z, i % p.items_per_zone));
         let (out, got) = dht.retrieve(h, &key, &mut rng);
         hops += out.as_hops_sum;
         rpcs += out.rpcs;
@@ -167,11 +172,9 @@ fn run_scoped(p: &Params) -> SystemResult {
     let mut inter = 0u64;
     let mut lat = 0.0;
     let mut ok = 0usize;
-    for i in 0..p.retrievals {
-        let h = HostId::from_index(i * 13 % n);
-        let z = zones[h.idx()];
-        let name = &regional_names(z, p.items_per_zone)[i % p.items_per_zone];
-        let (out, got) = dht.retrieve_regional(h, name, &mut rng);
+    for (i, (h, z)) in retrievers(&zones).take(p.retrievals).enumerate() {
+        let name = regional_name(z, i % p.items_per_zone);
+        let (out, got) = dht.retrieve_regional(h, &name, &mut rng);
         hops += out.as_hops_sum;
         rpcs += out.rpcs;
         inter += out.inter_as_rpcs;

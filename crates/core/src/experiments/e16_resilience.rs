@@ -284,26 +284,20 @@ fn frac(hits: usize, total: usize) -> f64 {
 
 /// Buckets a `(time, success)` log into pre/during/post window fractions.
 fn windowed(log: &[(SimTime, bool)], start: SimTime, end: SimTime) -> [f64; 3] {
-    let mut hits = [0usize; 3];
-    let mut totals = [0usize; 3];
+    // `(hits, total)` of the pre, during and post windows.
+    let [mut pre, mut during, mut post] = [(0, 0); 3];
     for &(t, ok) in log {
         let w = if t < start {
-            0
+            &mut pre
         } else if t < end {
-            1
+            &mut during
         } else {
-            2
+            &mut post
         };
-        totals[w] += 1;
-        if ok {
-            hits[w] += 1;
-        }
+        w.0 += usize::from(ok);
+        w.1 += 1;
     }
-    [
-        frac(hits[0], totals[0]),
-        frac(hits[1], totals[1]),
-        frac(hits[2], totals[2]),
-    ]
+    [pre, during, post].map(|(hits, total)| frac(hits, total))
 }
 
 fn run_gnutella(p: &Params, tracer: &mut Tracer) -> (Table, Vec<GnutellaCurve>) {
@@ -588,7 +582,9 @@ pub fn claim(out: &Outcome) -> Result<(), String> {
         );
     }
 
-    let (pre, faulted, recovered) = (&out.kad_phases[0], &out.kad_phases[1], &out.kad_phases[2]);
+    let [pre, faulted, recovered, ..] = out.kad_phases.as_slice() else {
+        return Err(format!("{} Kademlia phases", out.kad_phases.len()));
+    };
     ensure!(pre.retransmits == 0, "fault-free retrievals retransmitted");
     ensure!(
         faulted.retransmits > 0,

@@ -233,7 +233,9 @@ pub fn claim(out: &Outcome) -> Result<(), String> {
     }
     // Points come in (random, bns) pairs of one access mix and seed count.
     for pair in points.chunks(2) {
-        let (random, bns) = (&pair[0], &pair[1]);
+        let [random, bns] = pair else {
+            return Err(format!("{} sweep points", points.len()));
+        };
         ensure!(
             (random.tracker, bns.tracker) == ("random", "bns"),
             "{} beside {}",

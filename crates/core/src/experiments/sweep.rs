@@ -46,16 +46,16 @@ where
         for _ in 0..threads {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let (Some(slot), Some(result)) = (slots.get(i), results.get(i)) else {
                     break;
-                }
-                let item = slots[i]
+                };
+                let item = slot
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each slot taken once");
                 let r = f(item);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                *result.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     });

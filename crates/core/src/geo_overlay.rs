@@ -166,16 +166,9 @@ impl GeoOverlay {
                         },
                     ]);
                     for (m, p) in old {
-                        for q in 0..4 {
+                        for (q, child) in children.iter_mut().enumerate() {
                             if zone.quadrant(q).contains(&p) {
-                                Self::insert(
-                                    &mut children[q],
-                                    zone.quadrant(q),
-                                    m,
-                                    p,
-                                    max,
-                                    depth + 1,
-                                );
+                                Self::insert(child, zone.quadrant(q), m, p, max, depth + 1);
                                 break;
                             }
                         }
@@ -184,9 +177,9 @@ impl GeoOverlay {
                 }
             }
             Node::Inner { children } => {
-                for q in 0..4 {
+                for (q, child) in children.iter_mut().enumerate() {
                     if zone.quadrant(q).contains(&pos) {
-                        Self::insert(&mut children[q], zone.quadrant(q), h, pos, max, depth + 1);
+                        Self::insert(child, zone.quadrant(q), h, pos, max, depth + 1);
                         return;
                     }
                 }
@@ -238,8 +231,8 @@ impl GeoOverlay {
                 }
             }
             Node::Inner { children } => {
-                for q in 0..4 {
-                    Self::search_rec(&children[q], zone.quadrant(q), query, out);
+                for (q, child) in children.iter().enumerate() {
+                    Self::search_rec(child, zone.quadrant(q), query, out);
                 }
             }
         }
@@ -298,8 +291,8 @@ impl GeoOverlay {
                 }
             }
             Node::Inner { children } => {
-                for q in 0..4 {
-                    Self::search_failures_rec(&children[q], zone.quadrant(q), query, dead, out);
+                for (q, child) in children.iter().enumerate() {
+                    Self::search_failures_rec(child, zone.quadrant(q), query, dead, out);
                 }
             }
         }
@@ -316,9 +309,9 @@ impl GeoOverlay {
             match node {
                 Node::Leaf { members } => Some(members),
                 Node::Inner { children } => {
-                    for q in 0..4 {
+                    for (q, child) in children.iter().enumerate() {
                         if zone.quadrant(q).contains(pos) {
-                            return rec(&children[q], zone.quadrant(q), pos);
+                            return rec(child, zone.quadrant(q), pos);
                         }
                     }
                     None

@@ -43,6 +43,7 @@ impl OverlayStats {
     }
 
     /// Computes the statistics for an edge list over an underlay.
+    #[expect(clippy::indexing_slicing, reason = "index maps endpoints into parent")]
     pub fn compute(underlay: &Underlay, edges: &[(HostId, HostId)]) -> OverlayStats {
         let mut degree: BTreeMap<HostId, usize> = BTreeMap::new();
         let mut intra = 0usize;

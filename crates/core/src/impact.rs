@@ -315,34 +315,35 @@ pub fn run(p: &Params) -> ImpactMatrix {
             (base - v) / base
         }
     };
-    let mut cells: Vec<Vec<Cell>> = vec![Vec::new(); 6];
+    // One row per entry of ROWS.
+    let mut cells: [Vec<Cell>; 6] = Default::default();
+    let [download, delay, oam, costs, new_apps, resilience] = &mut cells;
     // The VoIP probe needs an underlay next to the stored edge lists; the
     // run consumed its own, but `NetParams::build` is a pure function of
     // the seed, so a fresh build matches host-for-host.
     let fresh = net.build();
     let base_voip = voip_edge_share(&fresh, &base.report);
     for (ci, col) in columns.iter().enumerate() {
-        // Row 0: download time.
-        cells[0].push(Cell::new(rel_reduction(
+        download.push(Cell::new(rel_reduction(
             base.report.mean_download_secs,
             col.report.mean_download_secs,
         )));
-        // Row 1: delay (time to first hit).
-        cells[1].push(Cell::new(rel_reduction(
+        // Delay: time to first hit.
+        delay.push(Cell::new(rel_reduction(
             base.report.mean_query_delay_ms,
             col.report.mean_query_delay_ms,
         )));
-        // Row 2: ISP OAM — external (inter-AS) byte reduction.
-        cells[2].push(Cell::new(rel_reduction(
+        // ISP OAM: external (inter-AS) byte reduction.
+        oam.push(Cell::new(rel_reduction(
             base.external_bytes as f64,
             col.external_bytes as f64,
         )));
-        // Row 3: ISP costs — transit byte reduction.
-        cells[3].push(Cell::new(rel_reduction(
+        // ISP costs: transit byte reduction.
+        costs.push(Cell::new(rel_reduction(
             base.transit_bytes as f64,
             col.transit_bytes as f64,
         )));
-        // Row 4: new application areas — capability probes.
+        // New application areas: capability probes.
         let gain = match ci {
             0 => 0.0, // ISP-location: no new application class
             1 => {
@@ -352,16 +353,15 @@ pub fn run(p: &Params) -> ImpactMatrix {
             2 => geo_capability_gain(net),
             _ => 0.0,
         };
-        cells[4].push(Cell::new(gain));
-        // Row 5: resilience — edge survival under transit failure, with
+        new_apps.push(Cell::new(gain));
+        // Resilience: edge survival under transit failure, with
         // the resources column graded on neighbor uptime instead (its
         // mechanism is churn-stability, not path redundancy).
-        let resilience = if ci == 3 {
+        resilience.push(Cell::new(if ci == 3 {
             rel_improvement_up(base.mean_neighbor_uptime, col.mean_neighbor_uptime)
         } else {
             rel_improvement_up(base.edge_survival, col.edge_survival)
-        };
-        cells[5].push(Cell::new(resilience));
+        }));
     }
     fn rel_improvement_up(base: f64, v: f64) -> f64 {
         if base <= 0.0 {
@@ -375,19 +375,21 @@ pub fn run(p: &Params) -> ImpactMatrix {
         "Table 2 — measured impact of underlay awareness (band / paper band)",
         &["Parameter", COLS[0], COLS[1], COLS[2], COLS[3]],
     );
-    for (ri, row_name) in ROWS.iter().enumerate() {
+    for ((row_name, measured), paper) in ROWS.iter().zip(&cells).zip(PAPER_BANDS) {
         let mut row = vec![row_name.to_string()];
-        for ci in 0..4 {
+        for (cell, band) in measured.iter().zip(paper) {
             row.push(format!(
-                "{} ({:+.0}%) [paper {}]",
-                cells[ri][ci].band.symbol(),
-                100.0 * cells[ri][ci].improvement,
-                PAPER_BANDS[ri][ci]
+                "{} ({:+.0}%) [paper {band}]",
+                cell.band.symbol(),
+                100.0 * cell.improvement,
             ));
         }
         table.row(&row);
     }
-    ImpactMatrix { cells, table }
+    ImpactMatrix {
+        cells: cells.into(),
+        table,
+    }
 }
 
 impl ImpactMatrix {
@@ -395,9 +397,9 @@ impl ImpactMatrix {
     /// (both `++/+` i.e. an effect, or both `o`).
     pub fn agreement(&self) -> f64 {
         let mut agree = 0usize;
-        for (ri, row) in self.cells.iter().enumerate() {
-            for (ci, cell) in row.iter().enumerate() {
-                let paper_effect = PAPER_BANDS[ri][ci] != "o";
+        for (row, paper) in self.cells.iter().zip(PAPER_BANDS) {
+            for (cell, band) in row.iter().zip(paper) {
+                let paper_effect = band != "o";
                 let ours_effect = cell.band != ImpactBand::Neutral;
                 if paper_effect == ours_effect {
                     agree += 1;
@@ -439,25 +441,34 @@ const REPRODUCED: [(usize, usize, ImpactBand); 7] = [
 /// Table 2's headline cells: seven of the paper's eight `++` entries
 /// reproduce. The eighth, Download time x ISP-location, is pinned below
 /// `++` — it measures `o` (`+ (+11 %)` on seed 81) while lone Gnutella
-/// downloads never share a link (ROADMAP item 1b); when that model fix
-/// lands this line must flip, not silently pass.
+/// downloads never share a link (ROADMAP, "Gnutella downloads contend");
+/// when that model fix lands this line must flip, not silently pass.
 pub fn claim(m: &ImpactMatrix) -> Result<(), String> {
-    let at = |r: usize, c: usize| format!("{} x {}", ROWS[r], COLS[c]);
+    // The measured cell at (row, column), its label and the paper's band.
+    let cell_at = |r: usize, c: usize| {
+        let got = m.cells.get(r).and_then(|row| row.get(c));
+        let paper = PAPER_BANDS.get(r).and_then(|row| row.get(c));
+        match (ROWS.get(r), COLS.get(c), got, paper) {
+            (Some(row), Some(col), Some(got), Some(&paper)) => {
+                Ok((format!("{row} x {col}"), got, paper))
+            }
+            _ => Err(format!("Table 2 has no cell ({r}, {c})")),
+        }
+    };
     for (r, c, weakest) in REPRODUCED {
-        let cell = &m.cells[r][c];
+        let (at, cell, paper) = cell_at(r, c)?;
         ensure!(
-            PAPER_BANDS[r][c] == "++" && (cell.band == ImpactBand::Big || cell.band == weakest),
-            "{}: {} ({:+.0}%)",
-            at(r, c),
+            paper == "++" && (cell.band == ImpactBand::Big || cell.band == weakest),
+            "{at}: {} ({:+.0}%)",
             cell.band.symbol(),
             100.0 * cell.improvement
         );
     }
+    let (at, cell, _) = cell_at(0, 0)?;
     ensure!(
-        m.cells[0][0].band != ImpactBand::Big,
-        "{} now reproduces: {:+.0}%",
-        at(0, 0),
-        100.0 * m.cells[0][0].improvement
+        cell.band != ImpactBand::Big,
+        "{at} now reproduces: {:+.0}%",
+        100.0 * cell.improvement
     );
     ensure!(
         m.agreement() >= 0.5,

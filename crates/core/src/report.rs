@@ -41,6 +41,7 @@ impl Table {
     }
 
     /// Cell accessor (row, column).
+    #[expect(clippy::indexing_slicing, reason = "contract: r < len(), c < width")]
     pub fn cell(&self, r: usize, c: usize) -> &str {
         &self.rows[r][c]
     }
@@ -51,6 +52,7 @@ impl Table {
     }
 
     /// Row accessor.
+    #[expect(clippy::indexing_slicing, reason = "accessor contract: r < len()")]
     pub fn row_cells(&self, r: usize) -> &[String] {
         &self.rows[r]
     }
@@ -59,8 +61,8 @@ impl Table {
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
             }
         }
         let mut out = String::new();
@@ -69,8 +71,8 @@ impl Table {
         }
         let line = |cells: &[String], widths: &[usize]| {
             let mut s = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                let _ = write!(s, "{:<w$}  ", c, w = widths[i]);
+            for (c, &w) in cells.iter().zip(widths) {
+                let _ = write!(s, "{c:<w$}  ");
             }
             s.trim_end().to_owned()
         };

@@ -69,6 +69,7 @@ impl ContentModel {
     }
 
     /// Draws a file this peer is interested in (for queries).
+    #[expect(clippy::indexing_slicing, reason = "modulus keeps it < as_slice.len()")]
     pub fn sample_interest(&self, asn: AsId, rng: &mut SimRng) -> FileId {
         if rng.chance(self.locality) {
             let (start, end) = self.as_slice[asn.idx() % self.as_slice.len()];

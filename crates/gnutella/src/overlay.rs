@@ -84,16 +84,19 @@ impl Overlay {
     }
 
     /// Sets a node's role.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn set_role(&mut self, h: HostId, role: Role) {
         self.roles[h.idx()] = role;
     }
 
     /// A node's role.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn role(&self, h: HostId) -> Role {
         self.roles[h.idx()]
     }
 
     /// Marks a node online/offline. Going offline drops all its edges.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn set_online(&mut self, h: HostId, online: bool) {
         self.online[h.idx()] = online;
         if !online {
@@ -110,6 +113,7 @@ impl Overlay {
     }
 
     /// Whether a node is online.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn is_online(&self, h: HostId) -> bool {
         self.online[h.idx()]
     }
@@ -124,6 +128,7 @@ impl Overlay {
 
     /// Adds an undirected edge, caching its underlay latency. No-op if the
     /// edge exists or endpoints coincide.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn add_edge(&mut self, underlay: &Underlay, a: HostId, b: HostId) {
         if a == b || self.has_edge(a, b) {
             return;
@@ -137,6 +142,7 @@ impl Overlay {
     }
 
     /// Removes an undirected edge if present.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn remove_edge(&mut self, a: HostId, b: HostId) {
         let mut removed = false;
         if let Some(pos) = self.neighbors[a.idx()].iter().position(|&x| x == b) {
@@ -154,16 +160,19 @@ impl Overlay {
     }
 
     /// Whether an edge exists.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn has_edge(&self, a: HostId, b: HostId) -> bool {
         self.neighbors[a.idx()].contains(&b)
     }
 
     /// Current neighbors of a node.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn neighbors(&self, h: HostId) -> &[HostId] {
         &self.neighbors[h.idx()]
     }
 
     /// Degree of a node.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn degree(&self, h: HostId) -> usize {
         self.neighbors[h.idx()].len()
     }
@@ -176,8 +185,8 @@ impl Overlay {
     /// Snapshot of all edges `(a, b)` with `a < b`.
     pub fn edges(&self) -> Vec<(HostId, HostId)> {
         let mut out = Vec::with_capacity(self.edge_count);
-        for a in 0..self.len() {
-            for &b in &self.neighbors[a] {
+        for (a, neighbors) in self.neighbors.iter().enumerate() {
+            for &b in neighbors {
                 if a < b.idx() {
                     out.push((HostId::from_index(a), b));
                 }
@@ -203,6 +212,7 @@ impl Overlay {
     /// `out.reached` is its own BFS queue: it fills in first-reception
     /// order, which is the order nodes forward in, so the next forwarder
     /// is the next entry not yet expanded.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     pub fn flood_into(&mut self, origin: HostId, ttl: u32, out: &mut FloodResult) {
         out.reached.clear();
         out.messages = 0;

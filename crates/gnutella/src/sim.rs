@@ -135,7 +135,7 @@ impl GnutellaSim {
                         .then(a.cmp(&b))
                 });
                 let n_up = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-                for &h in &by_cap[n_up..] {
+                for &h in by_cap.iter().skip(n_up) {
                     overlay.set_role(h, Role::Leaf);
                 }
             }
@@ -230,6 +230,7 @@ impl GnutellaSim {
         world
     }
 
+    #[expect(clippy::indexing_slicing, reason = "i < n_hosts = churn.len()")]
     fn bootstrap(&mut self, sim: &mut Simulator<Ev>) {
         let n = self.underlay.n_hosts();
         for i in 0..n {
@@ -259,6 +260,7 @@ impl GnutellaSim {
     /// rebuild + route-cache invalidation on the underlay, then a diff of
     /// the crash set against the previous one (newly crashed hosts drop
     /// off the overlay, restored hosts rejoin if their churn state allows).
+    #[expect(clippy::indexing_slicing, reason = "i < crashed.len(); h is checked")]
     fn fault_boundary(&mut self, idx: usize, ctx: &mut Ctx<'_, Ev>) {
         let (t, state) = match &self.faults {
             None => return,
@@ -317,6 +319,7 @@ impl GnutellaSim {
         self.scratch_crash = now_crashed;
     }
 
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     fn join(&mut self, h: HostId, ctx: &mut Ctx<'_, Ev>) {
         if self.overlay.is_online(h) || self.crashed[h.idx()] {
             return;
@@ -338,6 +341,7 @@ impl GnutellaSim {
 
     /// (Re)fills a node's neighbor set from its hostcache using the
     /// configured selection policy.
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     fn connect(&mut self, h: HostId, ctx: &mut Ctx<'_, Ev>) {
         let target = match self.overlay.role(h) {
             Role::Ultrapeer => self.cfg.up_degree,
@@ -405,6 +409,7 @@ impl GnutellaSim {
         self.scratch_neighbors = neighbors;
     }
 
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     fn ping_cycle(&mut self, h: HostId, ep: u32, ctx: &mut Ctx<'_, Ev>) {
         if !self.overlay.is_online(h) || self.epoch[h.idx()] != ep {
             return;
@@ -434,6 +439,7 @@ impl GnutellaSim {
         ctx.schedule_in_root(PING_INTERVAL, Ev::PingCycle(h, ep));
     }
 
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     fn query_cycle(&mut self, h: HostId, ep: u32, ctx: &mut Ctx<'_, Ev>) {
         if !self.overlay.is_online(h) || self.epoch[h.idx()] != ep {
             return;
@@ -727,6 +733,7 @@ impl GnutellaSim {
 }
 
 impl World<Ev> for GnutellaSim {
+    #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
     fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
         match ev {
             Ev::Churn(h) => {

@@ -57,6 +57,7 @@ fn random_overlay(
 /// kept as the reference: a `VecDeque` of forwarding nodes beside
 /// `reached`, a branch on `seen` per copy, one message counted per copy.
 /// Edge latencies come from the underlay, which is what `add_edge` cached.
+#[expect(clippy::indexing_slicing, reason = "one slot per host of the overlay")]
 fn reference_flood(o: &Overlay, u: &Underlay, origin: HostId, ttl: u32) -> FloodResult {
     let mut out = FloodResult::default();
     if ttl == 0 || !o.is_online(origin) {

@@ -125,6 +125,7 @@ impl<'a> OnoEstimator<'a> {
 
     /// The ratio map of `h`, sampling it on first use. Sampling costs one
     /// message per CDN request (the DNS lookup Ono piggybacks on).
+    #[expect(clippy::indexing_slicing, reason = "redirect < replica_ases.len()")]
     pub fn ratio_map(&mut self, h: HostId, rng: &mut SimRng) -> RatioMap {
         if let Some(m) = self.maps.get(&h) {
             return m.clone();

@@ -54,6 +54,7 @@ impl<'a> GeoService<'a> {
 }
 
 impl GeoLocator for GeoService<'_> {
+    #[expect(clippy::indexing_slicing, reason = "a host's AS is in its underlay")]
     fn locate(&mut self, h: HostId, rng: &mut SimRng) -> GeoPoint {
         self.queries += 1;
         let host = self.underlay.host(h);

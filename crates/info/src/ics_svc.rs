@@ -65,8 +65,8 @@ impl IcsService {
         // S1: beacons measure RTTs to each other (in milliseconds — the
         // embedding space's natural unit).
         let mut d = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
+        for (i, &bi) in beacons.iter().enumerate() {
+            for (j, &bj) in beacons.iter().enumerate() {
                 if i == j {
                     continue;
                 }
@@ -75,7 +75,7 @@ impl IcsService {
                     reason = "beacons are hosts of one connected underlay"
                 )]
                 let rtt = underlay
-                    .measured_rtt_us(beacons[i], beacons[j], rng)
+                    .measured_rtt_us(bi, bj, rng)
                     .expect("beacons mutually reachable") as f64
                     / 1_000.0;
                 d[(i, j)] = rtt;
@@ -128,11 +128,13 @@ impl IcsService {
     }
 
     /// A host's embedded coordinate.
+    #[expect(clippy::indexing_slicing, reason = "one coord per underlay host")]
     pub fn coord(&self, h: HostId) -> &[f64] {
         &self.coords[h.idx()]
     }
 
     /// Predicted RTT between two hosts in microseconds.
+    #[expect(clippy::indexing_slicing, reason = "one coord per underlay host")]
     pub fn predict_us(&self, a: HostId, b: HostId) -> f64 {
         self.system
             .predict(&self.coords[a.idx()], &self.coords[b.idx()])

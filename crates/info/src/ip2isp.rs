@@ -32,12 +32,12 @@ impl Ip2IspService {
     /// "less accurate" public mapping databases.
     pub fn build(underlay: &Underlay, accuracy: f64, rng: SimRng) -> Ip2IspService {
         let mut prefix_table = BTreeMap::new();
-        let mut host_ips = vec![0u32; underlay.n_hosts()];
+        let mut host_ips = Vec::with_capacity(underlay.n_hosts());
         for h in underlay.hosts.ids() {
             let host = underlay.host(h);
             // lint:allow(cast) — the /16 prefix: ip >> 16 < 2^16
             prefix_table.insert((host.ip >> 16) as u16, host.asn);
-            host_ips[h.idx()] = host.ip;
+            host_ips.push(host.ip);
         }
         Ip2IspService {
             prefix_table,
@@ -67,8 +67,9 @@ impl Ip2IspService {
 impl IspLocator for Ip2IspService {
     #[expect(clippy::expect_used, reason = "new() registers every host's prefix")]
     fn isp_of(&mut self, h: HostId) -> AsId {
-        let ip = self.host_ips[h.idx()];
-        self.lookup_ip(ip).expect("host prefixes are registered")
+        let ip = self.host_ips.get(h.idx()).copied();
+        ip.and_then(|ip| self.lookup_ip(ip))
+            .expect("host prefixes are registered")
     }
 
     fn queries(&self) -> u64 {

@@ -109,8 +109,9 @@ impl Oracle {
         self.queries += 1;
         let take = candidates.len().min(self.max_list);
         self.ranked_entries += take as u64;
-        candidates[..take]
+        candidates
             .iter()
+            .take(take)
             .enumerate()
             .map(|(pos, &c)| (underlay.as_hops(querier, c).unwrap_or(u32::MAX), pos, c))
             .min_by_key(|&(hops, pos, _)| (hops, pos))

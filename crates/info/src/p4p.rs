@@ -47,6 +47,7 @@ pub struct P4pService {
 
 impl P4pService {
     /// Builds the matrix by weighted shortest path over the AS graph.
+    #[expect(clippy::indexing_slicing, reason = "AsIds of g; pdistance is n × n")]
     pub fn build(underlay: &Underlay, weights: PdistanceWeights) -> P4pService {
         let g = &underlay.graph;
         let n = g.len();
@@ -99,19 +100,26 @@ impl P4pService {
 
     /// Provider-side ground truth (for validation/tests).
     pub fn pdistance(&self, a: AsId, b: AsId) -> f64 {
-        self.pdistance[a.idx()][b.idx()]
+        let row = self.pdistance.get(a.idx());
+        row.and_then(|r| r.get(b.idx()))
+            .copied()
+            .unwrap_or(f64::INFINITY)
     }
 
     /// The application-side map fetch: the p-distance row for the caller's
     /// partition. First fetch per partition costs one provider round trip;
     /// later calls are served from the application's cache.
     pub fn fetch_map(&mut self, my_as: AsId) -> &[f64] {
-        if !self.cached_maps.contains_key(&my_as) {
-            self.map_fetches += 1;
-            self.cached_maps
-                .insert(my_as, self.pdistance[my_as.idx()].clone());
-        }
-        &self.cached_maps[&my_as]
+        let Self {
+            pdistance,
+            map_fetches,
+            cached_maps,
+            ..
+        } = self;
+        cached_maps.entry(my_as).or_insert_with(|| {
+            *map_fetches += 1;
+            pdistance.get(my_as.idx()).cloned().unwrap_or_default()
+        })
     }
 
     /// Provider round trips performed so far.
@@ -145,7 +153,7 @@ impl ProximityEstimator for P4pEstimator<'_> {
         let a_as = self.underlay.hosts.as_of(a);
         let b_as = self.underlay.hosts.as_of(b);
         let map = self.service.fetch_map(a_as);
-        map[b_as.idx()]
+        map.get(b_as.idx()).copied().unwrap_or(f64::INFINITY)
     }
 
     fn overhead_messages(&self) -> u64 {

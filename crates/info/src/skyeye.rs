@@ -154,6 +154,7 @@ impl SkyEyeTree {
     /// out on the member array (children of slot `i` are `i*b + 1 ..=
     /// i*b + b`). Returns `(top list, member count, capacity sum, storage
     /// sum)` of the subtree.
+    #[expect(clippy::indexing_slicing, reason = "idx < members.len(); all report")]
     fn aggregate(&self, idx: usize) -> (Vec<ResourceReport>, usize, f64, f64) {
         let me = self.reports[&self.members[idx]];
         let mut top = vec![me];

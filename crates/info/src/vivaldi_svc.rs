@@ -30,6 +30,7 @@ impl VivaldiService {
 
     /// One gossip round: every host samples `samples_per_node` random peers
     /// (2 messages each: probe + reply carrying the remote coordinate).
+    #[expect(clippy::indexing_slicing, reason = "i, j < n = nodes.len()")]
     pub fn run_round(&mut self, underlay: &Underlay, samples_per_node: usize, rng: &mut SimRng) {
         self.rounds += 1;
         let n = self.nodes.len();
@@ -68,11 +69,13 @@ impl VivaldiService {
     }
 
     /// Predicted RTT between two hosts in microseconds.
+    #[expect(clippy::indexing_slicing, reason = "one node per underlay host")]
     pub fn predict_us(&self, a: HostId, b: HostId) -> f64 {
         self.nodes[a.idx()].predict_ms(&self.nodes[b.idx()]) * 1_000.0
     }
 
     /// The coordinate of one host.
+    #[expect(clippy::indexing_slicing, reason = "one node per underlay host")]
     pub fn node(&self, h: HostId) -> &VivaldiNode {
         &self.nodes[h.idx()]
     }

@@ -60,6 +60,7 @@ pub struct ScopedDht {
 impl ScopedDht {
     /// Builds the scoped DHT: node keys get their owner's zone prefix
     /// before the network is joined.
+    #[expect(clippy::indexing_slicing, reason = "i < n_hosts = zones.len()")]
     pub fn build(underlay: Underlay, cfg: DhtConfig, world_km: f64, rng: &mut SimRng) -> ScopedDht {
         let zones: Vec<u8> = underlay
             .hosts

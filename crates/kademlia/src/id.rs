@@ -26,8 +26,9 @@ impl Key {
         let mut b = [0u8; 20];
         for chunk in b.chunks_mut(8) {
             let v = rng.u64().to_be_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&v[..n]);
+            for (dst, src) in chunk.iter_mut().zip(v) {
+                *dst = src;
+            }
         }
         Key(b)
     }
@@ -54,6 +55,7 @@ impl Key {
         clippy::needless_range_loop,
         reason = "one index walks three arrays in lockstep"
     )]
+    #[expect(clippy::indexing_slicing, reason = "i < 20, every key's length")]
     pub fn distance(&self, other: &Key) -> Key {
         let mut d = [0u8; 20];
         for i in 0..20 {

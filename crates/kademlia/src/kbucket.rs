@@ -109,6 +109,7 @@ impl RoutingTable {
         inserted
     }
 
+    #[expect(clippy::indexing_slicing, reason = "bucket index < buckets.len()")]
     fn observe_inner(&mut self, c: Contact) -> bool {
         let idx = match self.own.bucket_index(&c.key) {
             Some(i) => i,
@@ -151,6 +152,7 @@ impl RoutingTable {
     }
 
     /// Removes a contact (e.g. after a timeout).
+    #[expect(clippy::indexing_slicing, reason = "bucket index < buckets.len()")]
     pub fn remove(&mut self, key: &Key) {
         if let Some(idx) = self.own.bucket_index(key) {
             self.buckets[idx].retain(|e| e.key != *key);

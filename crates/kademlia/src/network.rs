@@ -121,6 +121,7 @@ impl DhtNetwork {
     /// Like [`DhtNetwork::build`], but every node's random key is passed
     /// through `key_map(host_index, key)` first — the hook geographically
     /// scoped hashing uses to stamp zone prefixes onto node identifiers.
+    #[expect(clippy::indexing_slicing, reason = "i < n = nodes.len()")]
     pub fn build_with_keys<F>(
         underlay: Underlay,
         cfg: DhtConfig,
@@ -286,6 +287,7 @@ impl DhtNetwork {
     }
 
     /// Iterative FIND_NODE lookup from `from` towards `target`.
+    #[expect(clippy::indexing_slicing, reason = "contacts are nodes; pool ≤ len")]
     pub fn lookup(&mut self, from: HostId, target: &Key, _rng: &mut SimRng) -> LookupOutcome {
         let mut out = LookupOutcome::default();
         // Every event the lookup emits — start, hops, retransmits, done —
@@ -459,6 +461,7 @@ impl DhtNetwork {
 
     /// Stores `value` under `key` on the k closest nodes. Returns the
     /// lookup outcome plus the number of replicas written.
+    #[expect(clippy::indexing_slicing, reason = "closest hosts are network nodes")]
     pub fn store(
         &mut self,
         from: HostId,
@@ -480,6 +483,7 @@ impl DhtNetwork {
 
     /// Retrieves a value: lookup, then ask the closest nodes. Returns the
     /// value if any replica answered.
+    #[expect(clippy::indexing_slicing, reason = "closest hosts are network nodes")]
     pub fn retrieve(
         &mut self,
         from: HostId,

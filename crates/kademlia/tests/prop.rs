@@ -13,6 +13,7 @@ fn key_from(bytes: [u8; 20]) -> Key {
 /// `own` with bit `b` flipped and every lower bit redrawn — a key of
 /// `own`'s bucket `b`. Uniform 160-bit keys only ever reach the top dozen
 /// buckets; these reach all of them.
+#[expect(clippy::indexing_slicing, reason = "b < 160, so at = 19 − b / 8 < 20")]
 fn key_in_bucket(own: &Key, b: usize, rng: &mut SimRng) -> Key {
     let noise = Key::random(rng);
     let (at, low) = (19 - b / 8, (1u8 << (b % 8)) - 1);

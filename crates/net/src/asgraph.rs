@@ -127,6 +127,7 @@ impl AsGraph {
         id
     }
 
+    #[expect(clippy::indexing_slicing, reason = "endpoints asserted < adj.len()")]
     fn add_link(&mut self, link: AsLink) -> u32 {
         assert!(link.a != link.b, "self-link on {}", link.a);
         assert!(
@@ -177,11 +178,13 @@ impl AsGraph {
     }
 
     /// Link indices incident to `x`.
+    #[expect(clippy::indexing_slicing, reason = "x < nodes.len() = adj.len()")]
     pub fn incident(&self, x: AsId) -> &[u32] {
         &self.adj[x.idx()]
     }
 
     /// Neighbors of `x` with the connecting link index.
+    #[expect(clippy::indexing_slicing, reason = "x < adj.len(); ids < links.len()")]
     pub fn neighbors(&self, x: AsId) -> impl Iterator<Item = (AsId, u32)> + '_ {
         self.adj[x.idx()].iter().map(move |&li| {
             #[expect(clippy::expect_used, reason = "adj[x] lists only links incident to x")]
@@ -193,6 +196,7 @@ impl AsGraph {
     }
 
     /// The link between `x` and `y`, if directly connected.
+    #[expect(clippy::indexing_slicing, reason = "x < adj.len(); ids < links.len()")]
     pub fn link_between(&self, x: AsId, y: AsId) -> Option<u32> {
         self.adj[x.idx()]
             .iter()
@@ -201,6 +205,7 @@ impl AsGraph {
     }
 
     /// The relationship of `x` towards `y` on their direct link, if any.
+    #[expect(clippy::indexing_slicing, reason = "link_between's id < links.len()")]
     pub fn relationship(&self, x: AsId, y: AsId) -> Option<Relationship> {
         let li = self.link_between(x, y)?;
         let link = &self.links[li as usize];
@@ -258,6 +263,7 @@ impl AsGraph {
 
     /// Number of connected components (0 for an empty graph), optionally
     /// excluding failed links.
+    #[expect(clippy::indexing_slicing, reason = "x, y < n; masks cover every link")]
     pub fn component_count(&self, dead_links: Option<&[bool]>) -> usize {
         if self.nodes.is_empty() {
             return 0;
@@ -309,9 +315,10 @@ impl AsGraph {
                 return Err(format!("link {i} has non-positive capacity"));
             }
         }
-        for x in 0..self.nodes.len() {
-            for &li in &self.adj[x] {
-                if self.links[li as usize].other(AsId::from_index(x)).is_none() {
+        for (x, adj) in self.adj.iter().enumerate() {
+            for &li in adj {
+                let link = self.links.get(li as usize);
+                if link.and_then(|l| l.other(AsId::from_index(x))).is_none() {
                     return Err(format!("adjacency of AS{x} references foreign link {li}"));
                 }
             }

@@ -108,7 +108,8 @@ pub fn bill_all(
             let peering_links = graph
                 .incident(asn)
                 .iter()
-                .filter(|&&li| graph.links[li as usize].kind == LinkKind::Peering)
+                .filter_map(|&li| graph.links.get(li as usize))
+                .filter(|l| l.kind == LinkKind::Peering)
                 .count();
             IspBill {
                 asn,

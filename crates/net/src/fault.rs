@@ -110,6 +110,7 @@ impl FaultPlan {
     ///
     /// Panics on malformed epochs: `end <= start`, a link index out of
     /// range, or a latency-inflation factor below 1.0.
+    #[expect(clippy::indexing_slicing, reason = "link ids asserted < n_links above")]
     // lint:allow(alloc) — campaign compilation; runs once before the sim starts
     pub fn compile(&self, graph: &AsGraph) -> CompiledFaultPlan {
         let n_links = graph.links.len();

@@ -176,6 +176,7 @@ impl FlowAllocator {
     /// Computes the max-min fair allocation for the registered flow set
     /// by progressive filling. Deterministic: flows are processed in
     /// sorted-id order, so the result is independent of insertion order.
+    #[expect(clippy::indexing_slicing, reason = "r < cap.len(); fi < flows.len()")]
     pub fn allocate(&mut self) {
         self.flows.sort_unstable_by_key(|&(id, _, _)| id);
         // Reset the resources the previous allocation touched, then build
@@ -283,6 +284,7 @@ impl FlowAllocator {
     /// The allocated rate of flow `id` in bytes/second (`None` if the id
     /// was never registered — e.g. its [`FlowAllocator::add_flow`] was
     /// rejected as unroutable). Valid after [`FlowAllocator::allocate`].
+    #[expect(clippy::indexing_slicing, reason = "allocate() sizes rates to flows")]
     pub fn rate_of(&self, id: u64) -> Option<f64> {
         self.flows
             .binary_search_by_key(&id, |&(fid, _, _)| fid)

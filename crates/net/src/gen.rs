@@ -127,6 +127,7 @@ impl TopologySpec {
         )
     }
 
+    #[expect(clippy::indexing_slicing, reason = "x, y come from g.add_as")]
     fn link_latency(&self, g: &AsGraph, x: AsId, y: AsId) -> u64 {
         let km = g.nodes[x.idx()]
             .geo_center
@@ -172,6 +173,7 @@ impl TopologySpec {
         g
     }
 
+    #[expect(clippy::indexing_slicing, reason = "parents come from g.add_as")]
     fn tree(&self, n: usize, fanout: usize, rng: &mut SimRng) -> AsGraph {
         assert!(n >= 1 && fanout >= 1);
         let mut g = AsGraph::new();
@@ -227,6 +229,7 @@ impl TopologySpec {
         g
     }
 
+    #[expect(clippy::indexing_slicing, reason = "ids from g.add_as; loops in range")]
     fn hierarchical(
         &self,
         tier1: usize,

@@ -139,6 +139,7 @@ pub struct HostPopulation {
 
 impl HostPopulation {
     /// Builds a population over `graph` according to `spec`.
+    #[expect(clippy::indexing_slicing, reason = "as_idx clamped below graph.len()")]
     pub fn build(graph: &AsGraph, spec: &PopulationSpec, rng: &mut SimRng) -> HostPopulation {
         let weights: Vec<f64> = match &spec.attachment {
             AttachmentDist::Uniform => vec![1.0; graph.len()],
@@ -234,17 +235,20 @@ impl HostPopulation {
 
     /// The host record.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "HostIds are < hosts.len()")]
     pub fn host(&self, id: HostId) -> &Host {
         &self.hosts[id.idx()]
     }
 
     /// Hosts attached to `asn`.
+    #[expect(clippy::indexing_slicing, reason = "one by_as list per AS")]
     pub fn in_as(&self, asn: AsId) -> &[HostId] {
         &self.by_as[asn.idx()]
     }
 
     /// The AS a host attaches through.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "HostIds are < hosts.len()")]
     pub fn as_of(&self, id: HostId) -> AsId {
         self.hosts[id.idx()].asn
     }
@@ -258,6 +262,7 @@ impl HostPopulation {
     /// Moves a host to another AS (mobile peer support, §6): reassigns the
     /// attachment, allocates an IP from the new prefix, and places the
     /// host inside the new service area.
+    #[expect(clippy::indexing_slicing, reason = "h, new_as belong to this graph")]
     pub fn migrate(&mut self, graph: &AsGraph, h: HostId, new_as: AsId, rng: &mut SimRng) {
         let old_as = self.hosts[h.idx()].asn;
         if old_as == new_as {

@@ -43,8 +43,7 @@ pub fn check_valley_free(graph: &AsGraph, path: &[AsId]) -> Result<(), String> {
         Descending,
     }
     let mut phase = Phase::Climbing;
-    for (i, w) in path.windows(2).enumerate() {
-        let (x, y) = (w[0], w[1]);
+    for (i, (&x, &y)) in path.iter().zip(path.iter().skip(1)).enumerate() {
         let rel = graph
             .relationship(x, y)
             .ok_or_else(|| format!("hop {i}: {x} and {y} are not directly linked"))?;
@@ -63,7 +62,7 @@ pub fn check_valley_free(graph: &AsGraph, path: &[AsId]) -> Result<(), String> {
         };
     }
     for (i, a) in path.iter().enumerate() {
-        if path[i + 1..].contains(a) {
+        if path.iter().skip(i + 1).any(|b| b == a) {
             return Err(format!("AS {a} appears twice — routing loop"));
         }
     }
@@ -133,6 +132,7 @@ fn flow_eps(scale: f64) -> f64 {
 /// Validates that no resource the current flow set touches is loaded
 /// beyond its capacity. `cap` and `load` are the allocator's per-resource
 /// arrays; `used` lists the resource indices the flow set crosses.
+#[expect(clippy::indexing_slicing, reason = "used ids < cap.len() = load.len()")]
 // lint:allow(alloc) — invariant checker; debug-only, allocates only error messages
 pub fn check_flow_capacity(cap: &[f64], load: &[f64], used: &[u32]) -> Result<(), String> {
     for &r in used {
@@ -156,6 +156,7 @@ pub fn check_flow_capacity(cap: &[f64], load: &[f64], used: &[u32]) -> Result<()
 /// is the allocator's `(id, arena start, resource count)` table and
 /// `arena` the concatenated resource spans; `rates` is parallel to
 /// `flows`.
+#[expect(clippy::indexing_slicing, reason = "spans in arena, ids < load.len()")]
 // lint:allow(alloc) — invariant checker; debug-only, allocates one scratch sum table
 pub fn check_flow_conservation(
     load: &[f64],
@@ -183,6 +184,7 @@ pub fn check_flow_conservation(
 /// saturated resource (its bottleneck). A flow with headroom on every
 /// resource it touches could be raised without hurting anyone, so the
 /// allocation would not be max-min fair.
+#[expect(clippy::indexing_slicing, reason = "spans in arena, ids < cap.len()")]
 // lint:allow(alloc) — invariant checker; debug-only, allocates only error messages
 pub fn check_flow_max_min(
     cap: &[f64],

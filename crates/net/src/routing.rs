@@ -201,17 +201,20 @@ impl RepairIndex {
     }
 
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "s < n; dirty has ceil(n/64) words")]
     fn is_dirty(&self, s: usize) -> bool {
         self.dirty[s / 64] & (1 << (s % 64)) != 0
     }
 
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "s < n; dirty has ceil(n/64) words")]
     fn set_dirty(&mut self, s: usize) {
         self.dirty[s / 64] |= 1 << (s % 64);
     }
 
     /// Whether source `s`'s predecessor tree uses link `li`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "s < n rows, li < n_links bits")]
     fn tree_uses(&self, s: usize, li: usize) -> bool {
         self.tree_links[s * self.words + li / 64] & (1 << (li % 64)) != 0
     }
@@ -219,6 +222,7 @@ impl RepairIndex {
     /// Marks sources for which restoring link `li` could offer a path at
     /// most as costly as their current cost at either endpoint state (the
     /// conservative candidate test documented on [`RepairIndex`]).
+    #[expect(clippy::indexing_slicing, reason = "li < n_links; states < 2n; s < n")]
     fn mark_link_up_candidates(&mut self, graph: &AsGraph, mode: RoutingMode, li: usize) {
         let link = &graph.links[li];
         let (a, b) = (link.a.idx() * 2, link.b.idx() * 2);
@@ -353,6 +357,7 @@ impl Routing {
     /// every other row where it is — byte-identical to a full build under
     /// `new_mask`, which a debug-build assertion re-derives after every
     /// repair.
+    #[expect(clippy::indexing_slicing, reason = "li < n_links = each mask's len")]
     pub fn repair_with_mask(
         &mut self,
         index: &mut RepairIndex,
@@ -489,6 +494,7 @@ impl Routing {
     }
 
     /// Recomputes one source's row into its slot.
+    #[expect(clippy::indexing_slicing, reason = "tree_links has n_links bits")]
     // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
     fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) {
         let src = AsId::from_index(slot.src);
@@ -515,6 +521,7 @@ impl Routing {
 
     /// Reduces one destination's Dijkstra states to a [`RouteSummary`],
     /// appending its path to `paths`, the source's segment.
+    #[expect(clippy::indexing_slicing, reason = "states < 2n = hops.len()")]
     fn summarize(
         graph: &AsGraph,
         hops: &[u32],
@@ -563,6 +570,7 @@ impl Routing {
     /// One source's Dijkstra over the 2-phase state graph: fills the
     /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
     /// unreachable) and returns the predecessor `(state, link)` per state.
+    #[expect(clippy::indexing_slicing, reason = "states < 2n; link ids < n_links")]
     // lint:allow(alloc) — per-source table construction; build-time only
     fn dijkstra(
         graph: &AsGraph,
@@ -635,6 +643,7 @@ impl Routing {
     /// count in one table read. `None` if either id is out of range or the
     /// pair is unreachable.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "src, dst < n checked above")]
     pub fn route(&self, src: AsId, dst: AsId) -> Option<&RouteSummary> {
         if src.idx() >= self.n || dst.idx() >= self.n {
             return None;
@@ -680,7 +689,8 @@ impl Routing {
         let mut cur = src;
         #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
         for &li in links {
-            cur = graph.links[li as usize].other(cur).expect("path link");
+            let link = graph.links.get(li as usize);
+            cur = link.and_then(|l| l.other(cur)).expect("path link");
             out.push(cur);
         }
         debug_assert_eq!(out.last().copied(), Some(dst));
@@ -737,40 +747,40 @@ impl ReferenceRouting {
         ReferenceRouting { n, tables }
     }
 
-    fn best_state(&self, src: AsId, dst: AsId) -> Option<usize> {
+    /// The source's table and the cheaper of `dst`'s two states in it.
+    fn best_state(&self, src: AsId, dst: AsId) -> Option<(&SrcTable, usize)> {
         if src.idx() >= self.n || dst.idx() >= self.n {
             return None;
         }
-        let t = &self.tables[src.idx()];
+        let t = self.tables.get(src.idx())?;
         let s0 = dst.idx() * 2;
         let s1 = s0 + 1;
-        let c0 = (t.hops[s0], t.latency[s0]);
-        let c1 = (t.hops[s1], t.latency[s1]);
+        let c0 = (*t.hops.get(s0)?, *t.latency.get(s0)?);
+        let c1 = (*t.hops.get(s1)?, *t.latency.get(s1)?);
         if c0.0 == u32::MAX && c1.0 == u32::MAX {
             return None;
         }
-        Some(if c0 <= c1 { s0 } else { s1 })
+        Some((t, if c0 <= c1 { s0 } else { s1 }))
     }
 
     /// AS-hop distance, or `None` if unreachable.
     pub fn as_hops(&self, src: AsId, dst: AsId) -> Option<u32> {
-        let s = self.best_state(src, dst)?;
-        Some(self.tables[src.idx()].hops[s])
+        let (t, s) = self.best_state(src, dst)?;
+        t.hops.get(s).copied()
     }
 
     /// Accumulated path latency in microseconds.
     pub fn latency_us(&self, src: AsId, dst: AsId) -> Option<u64> {
-        let s = self.best_state(src, dst)?;
-        Some(self.tables[src.idx()].latency[s])
+        let (t, s) = self.best_state(src, dst)?;
+        t.latency.get(s).copied()
     }
 
     /// The link indices along the chosen path (allocating, per query).
     // lint:allow(alloc) — reference oracle for differential tests; the table's path_links is the hot path
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<Vec<u32>> {
-        let mut s = self.best_state(src, dst)?;
-        let t = &self.tables[src.idx()];
+        let (t, mut s) = self.best_state(src, dst)?;
         let mut links = Vec::new();
-        while let Some((prev, li)) = t.pred[s] {
+        while let Some(&Some((prev, li))) = t.pred.get(s) {
             links.push(li);
             s = prev as usize;
         }

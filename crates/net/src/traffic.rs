@@ -65,6 +65,7 @@ impl TrafficAccounting {
     /// Records a transfer of `bytes` at time `now` along `path_links`
     /// (empty for an intra-AS transfer between `src_as == dst_as`).
     /// Returns the category the transfer was classified as.
+    #[expect(clippy::indexing_slicing, reason = "link ids < links.len(); resized")]
     pub fn record(
         &mut self,
         graph: &AsGraph,
@@ -128,6 +129,7 @@ impl TrafficAccounting {
     }
 
     /// Bytes carried by link `li`.
+    #[expect(clippy::indexing_slicing, reason = "li is a link of the graph")]
     pub fn link_bytes(&self, li: u32) -> u64 {
         self.per_link_bytes[li as usize]
     }
@@ -150,6 +152,7 @@ impl TrafficAccounting {
     /// The 95th-percentile transit rate for `asn` in Mbit/s, computed over
     /// the billing sample buckets, padding with zero samples up to `horizon`
     /// (an AS that bursts briefly still pays for its busiest 5 % of windows).
+    #[expect(clippy::indexing_slicing, reason = "asn in graph; rank in 1..=len")]
     pub fn transit_p95_mbps(&self, asn: AsId, horizon: SimTime) -> f64 {
         let width_s = self.sample_width.as_secs_f64();
         let n_windows = horizon.as_micros().div_ceil(self.sample_width.as_micros()) as usize;

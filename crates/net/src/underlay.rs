@@ -125,6 +125,7 @@ impl RouteCache {
     }
 
     /// Invalidates one source row: its entries refill lazily on lookup.
+    #[expect(clippy::indexing_slicing, reason = "src < n = row_gen.len()")]
     fn invalidate_row(&mut self, src: usize) {
         self.row_gen[src] = self.row_gen[src].wrapping_add(1);
     }
@@ -149,6 +150,7 @@ impl RouteCache {
     /// Reads the entry for an ordered AS pair, counting a hit.
     /// A generation-stale entry refills from the routing table first.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "src, dst < n: i < n × n entries")]
     fn lookup(&self, src: AsId, dst: AsId, routing: &Routing, latency_factor: f64) -> u64 {
         self.hits.set(self.hits.get() + 1);
         let i = src.idx() * self.n + dst.idx();
@@ -298,6 +300,7 @@ impl Underlay {
     ///
     /// Panics when any valid cached entry disagrees with the routing
     /// table.
+    #[expect(clippy::indexing_slicing, reason = "s, d < n, the cache dimension")]
     pub fn assert_route_cache_coherent(&self) {
         let n = self.graph.len();
         for s in 0..n {

@@ -53,6 +53,7 @@ fn random_flow_set(
 
 /// Externally recomputed per-resource loads `(uplink, downlink, AS link)`
 /// — deliberately independent of the allocator's own bookkeeping.
+#[expect(clippy::indexing_slicing, reason = "ids index the load vectors")]
 fn recompute_loads(
     u: &Underlay,
     a: &FlowAllocator,

@@ -104,7 +104,7 @@ impl Histogram {
         let n = self.samples.len();
         // Nearest-rank: smallest value with at least ceil(q*n) samples <= it.
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.samples[rank - 1])
+        self.samples.get(rank - 1).copied()
     }
 
     /// Median (50th percentile).

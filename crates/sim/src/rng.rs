@@ -186,13 +186,10 @@ impl Zipf {
         }
     }
 
-    /// Probability mass of rank `r`.
+    /// Probability mass of rank `r` (0 beyond the last rank).
     pub fn pmf(&self, r: usize) -> f64 {
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
+        let below = r.checked_sub(1).and_then(|p| self.cdf.get(p));
+        self.cdf.get(r).map_or(0.0, |c| c - below.unwrap_or(&0.0))
     }
 }
 

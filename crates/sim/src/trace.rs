@@ -627,7 +627,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.s.as_bytes()[self.i..].starts_with(lit.as_bytes()) {
+        let rest = self.s.as_bytes().get(self.i..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(v)
         } else {

@@ -462,9 +462,10 @@ pub fn metric_key_declared(key: &str) -> bool {
 /// (`"<component>."` prefix) — the debug-build metrics checks only apply
 /// to these, so tests remain free to use scratch keys.
 pub fn in_registered_namespace(key: &str) -> bool {
-    COMPONENTS
-        .iter()
-        .any(|c| key.len() > c.len() && key.as_bytes()[c.len()] == b'.' && key.starts_with(c))
+    COMPONENTS.iter().any(|c| {
+        key.strip_prefix(c)
+            .is_some_and(|rest| rest.starts_with('.'))
+    })
 }
 
 /// Debug-build guard used by the metrics write paths: panics when a key

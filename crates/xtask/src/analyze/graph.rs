@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::analyze::parser::{AllocSite, Callee, FnItem, PanicSite};
+use crate::analyze::parser::{AllocSite, Callee, FnItem};
 
 /// The resolved workspace call graph over non-test functions.
 pub struct Graph {
@@ -314,8 +314,7 @@ pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
 
 /// A pass's site inventory: `(file, qualname, key)` → the source line
 /// of every site behind the key, in source order. The key is what the
-/// pass groups by — the allocation kind, the cast's target type, or the
-/// panic kind.
+/// pass groups by — the allocation kind or the cast's target type.
 pub type Inventory = BTreeMap<(String, String, String), Vec<usize>>;
 
 /// Builds the inventory of one pass over the non-test, non-bin functions
@@ -353,12 +352,6 @@ pub fn alloc_sites(f: &FnItem) -> Vec<(String, usize)> {
     }
     let key = |a: &AllocSite| (a.kind.name().to_string(), a.line);
     f.allocs.iter().map(key).collect()
-}
-
-/// Potential-panic sites of `f` keyed by kind.
-pub fn panic_sites(f: &FnItem) -> Vec<(String, usize)> {
-    let key = |p: &PanicSite| (p.kind.name().to_string(), p.line);
-    f.panics.iter().map(key).collect()
 }
 
 /// Truncating casts of `f` not documented with `lint:allow(cast)`, keyed
@@ -635,7 +628,7 @@ mod tests {
     fn cast_inventory_counts_reachable_undocumented_sites() {
         let g = graph_of(&[(
             "crates/sim/src/engine.rs",
-            "impl Simulator { fn run(&mut self, n: usize) {\n    let a = n as u32;\n    let b = n as u16; // lint:allow(cast) — bound: n < 65536 structurally\n    drop((a, b));\n} }\nfn unreachable_helper(n: usize) -> u32 { n as u32 }\n",
+            "impl Simulator { fn run(&mut self, n: usize) {\n    let a = n as u32;\n    let c = (n as u8, n as u32);\n    let b = n as u16; // lint:allow(cast) — bound: n < 65536 structurally\n    drop((a, b, c));\n} }\nfn unreachable_helper(n: usize) -> u32 { n as u32 }\n",
         )]);
         let (dist, _) = g.reach();
         let inv = inventory(&g, &dist, cast_sites);
@@ -643,29 +636,12 @@ mod tests {
             .iter()
             .map(|((f, q, t), lines)| format!("{f}::{q} {t} x{}", lines.len()))
             .collect();
-        assert_eq!(
-            keys,
-            vec!["crates/sim/src/engine.rs::Simulator::run u32 x1"]
-        );
-    }
-
-    #[test]
-    fn panic_inventory_aggregates_reachable_sites_only() {
-        let g = graph_of(&[(
-            "crates/sim/src/engine.rs",
-            "impl Simulator { fn run(&mut self, o: Option<u8>) {\n    o.unwrap();\n    o.expect(\"invariant\");\n} }\nfn unreachable_helper(o: Option<u8>) { o.unwrap(); }\n",
-        )]);
-        let (dist, _) = g.reach();
-        let inv = inventory(&g, &dist, panic_sites);
-        let keys: Vec<String> = inv
-            .keys()
-            .map(|(f, q, k)| format!("{f}::{q} {k}"))
-            .collect();
+        // One key per (fn, target), sorted, counting every site behind it.
         assert_eq!(
             keys,
             vec![
-                "crates/sim/src/engine.rs::Simulator::run expect",
-                "crates/sim/src/engine.rs::Simulator::run unwrap",
+                "crates/sim/src/engine.rs::Simulator::run u32 x2",
+                "crates/sim/src/engine.rs::Simulator::run u8 x1",
             ]
         );
     }

@@ -3,13 +3,9 @@
 //!
 //! [`Corpus::load`] walks the workspace once, lexes every file once
 //! ([`lexer`]) and parses the token streams into a call graph
-//! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`]:
+//! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`],
+//! and every one is a plain deny — there is no baseline file:
 //!
-//! - **`panic`**: every unwrap / expect / panic! / indexing site
-//!   reachable from the entry points is inventoried by kind against the
-//!   checked-in baseline `ci/analyze_panic_baseline.txt` — the one
-//!   ratchet: new sites fail, removed sites are reported as burn-down
-//!   progress.
 //! - **`alloc`**: every allocation site reachable from a hot entry point
 //!   fails with the shortest witness call chain, `file:line` per hop,
 //!   unless its `fn` carries `lint:allow(alloc)` (a one-shot path).
@@ -20,12 +16,11 @@
 //! - **`cast`**: every sim-reachable truncating `as` cast fails unless a
 //!   `lint:allow(cast)` on its line documents the structural bound.
 //! - **`registry`**: emitted trace kinds and metrics keys must agree
-//!   with `uap_sim::trace::registry` and with the tables in
-//!   `docs/OBSERVABILITY.md` (see [`registry_check`]).
+//!   with `uap_sim::trace::registry` (see [`registry_check`]).
 //!
-//! The token-level rules (no `HashMap`, wall clock, ad-hoc threads or
-//! unexplained panics) are clippy's, not a pass here: see
-//! `docs/DETERMINISM.md`. Everything here is hand-rolled on the
+//! The token-level rules (no `HashMap`, wall clock or ad-hoc threads; no
+//! unexplained unwrap, expect, panic or indexing) are clippy's, not a
+//! pass here: see `docs/DETERMINISM.md`. Everything here is hand-rolled on the
 //! workspace's own lexer — no `syn`, no network, deterministic output.
 //! See `docs/STATIC_ANALYSIS.md`.
 
@@ -35,30 +30,23 @@ pub mod par;
 pub mod parser;
 pub mod registry_check;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use graph::{Graph, Inventory};
-
-/// Relative path of the panic-site baseline file, the only baseline.
-pub const BASELINE_PATH: &str = "ci/analyze_panic_baseline.txt";
+use graph::Graph;
 
 /// One row of the pass table: the `--pass=<name>` spelling and the
 /// check it runs.
 pub type Pass = (&'static str, fn(&Corpus, &mut Report));
 
 /// Every pass, in the order a full run executes them.
-pub const PASSES: [Pass; 5] = [
-    ("panic", panic_pass),
+pub const PASSES: [Pass; 4] = [
     ("alloc", alloc_pass),
     ("par", |c, report| {
         par::par_pass(&c.graph, &crate::boundaries::PARALLEL_REGIONS, report)
     }),
     ("cast", cast_pass),
     ("registry", |c, report| {
-        report
-            .violations
-            .extend(registry_check::run(&c.root, &c.graph.fns));
+        report.violations.extend(registry_check::run(&c.graph.fns));
     }),
 ];
 
@@ -81,26 +69,21 @@ pub struct SourceFile {
 
 /// Everything the passes read: the workspace lexed once, parsed once.
 pub struct Corpus {
-    /// The workspace root the labels and baseline paths are relative to.
-    pub root: PathBuf,
     /// Every source file, sorted by label.
     pub files: Vec<SourceFile>,
     /// The call graph over the files' functions.
     pub graph: Graph,
-    /// `--update-baseline`: the panic pass rewrites its baseline from the
-    /// current inventory instead of comparing against it.
-    pub update_baseline: bool,
 }
 
 impl Corpus {
     /// Walks, lexes and parses the workspace rooted at `root`.
-    pub fn load(root: &Path, update_baseline: bool) -> Corpus {
+    pub fn load(root: &Path) -> Corpus {
         let files = collect_workspace(root);
         let mut fns = Vec::new();
         for f in &files {
             // The xtask crate is build tooling end to end: like
-            // `main.rs` / `src/bin/` code it may abort freely, so it
-            // stays out of the panic inventory.
+            // `main.rs` / `src/bin/` code it stays out of the site
+            // inventories.
             let is_bin = f.is_bin || f.label.starts_with("crates/xtask/");
             fns.extend(parser::parse_file(
                 &f.label,
@@ -110,10 +93,8 @@ impl Corpus {
             ));
         }
         Corpus {
-            root: root.to_path_buf(),
             files,
             graph: Graph::build(fns),
-            update_baseline,
         }
     }
 }
@@ -132,8 +113,6 @@ pub struct Stats {
 pub struct Report {
     /// Hard failures: each one line (or block, for witness chains).
     pub violations: Vec<String>,
-    /// Informational output (burn-down progress, baseline updates).
-    pub notes: Vec<String>,
     /// One `<pass>: ok …` / `<pass>: N violation(s) …` line per pass run.
     pub summaries: Vec<String>,
     /// What the running pass wants appended to its summary line (site
@@ -144,8 +123,8 @@ pub struct Report {
 }
 
 /// Runs `passes` (rows of [`PASSES`]) over the workspace rooted at `root`.
-pub fn run_passes(root: &Path, passes: &[Pass], update_baseline: bool) -> Report {
-    let corpus = Corpus::load(root, update_baseline);
+pub fn run_passes(root: &Path, passes: &[Pass]) -> Report {
+    let corpus = Corpus::load(root);
     let g = &corpus.graph;
     let mut report = Report::default();
     report.stats.files = corpus.files.len();
@@ -181,46 +160,6 @@ fn line_list(lines: &[usize]) -> String {
     lines.dedup();
     let lines: Vec<String> = lines.iter().map(usize::to_string).collect();
     lines.join(",")
-}
-
-/// Renders the panic inventory as baseline text under its header.
-fn render_baseline(inv: &Inventory) -> String {
-    let mut out = "# Baseline of the panic pass — generated by `cargo run -p xtask -- analyze \
-                   --pass=panic --update-baseline`.\n\
-                   # Each line: <count>\\t<file>::<fn>\\t<key>, sorted.\n\
-                   # New sites fail CI; burn this list down, never up.\n"
-        .to_string();
-    for ((file, qual, key), lines) in inv {
-        out.push_str(&format!("{}\t{file}::{qual}\t{key}\n", lines.len()));
-    }
-    out
-}
-
-/// Parses baseline text back into per-key site counts.
-fn parse_baseline(body: &str) -> BTreeMap<(String, String, String), usize> {
-    let mut counts = BTreeMap::new();
-    for line in body.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(count), Some(site), Some(key)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let Ok(count) = count.parse::<usize>() else {
-            continue;
-        };
-        // `<file>::<fn>` — the file part ends at its `.rs`.
-        let Some((file, qual)) = site.split_once(".rs::") else {
-            continue;
-        };
-        counts.insert(
-            (format!("{file}.rs"), qual.to_string(), key.to_string()),
-            count,
-        );
-    }
-    counts
 }
 
 /// Allocation-discipline pass: a plain deny, like [`cast_pass`]. Every
@@ -263,8 +202,8 @@ fn alloc_pass(c: &Corpus, report: &mut Report) {
 }
 
 /// Truncating-cast pass: a plain deny. Every sim-reachable truncating
-/// `as` cast not documented with `lint:allow(cast)` is a violation — no
-/// baseline, nothing grandfathered.
+/// `as` cast not documented with `lint:allow(cast)` is a violation —
+/// nothing is grandfathered.
 fn cast_pass(c: &Corpus, report: &mut Report) {
     let (dist, _) = c.graph.reach();
     let inv = graph::inventory(&c.graph, &dist, graph::cast_sites);
@@ -274,65 +213,6 @@ fn cast_pass(c: &Corpus, report: &mut Report) {
              points; widen the type, use a checked conversion (`try_into` with the bound \
              handled), or document a structural bound with `lint:allow(cast)`",
             line_list(lines)
-        ));
-    }
-}
-
-/// Panic pass, the one ratchet: compares the sim-reachable panic-site
-/// inventory against `ci/analyze_panic_baseline.txt` (rows
-/// `<count>\t<file>::<fn>\t<key>`) or, under `--update-baseline`, rewrites
-/// the baseline from it. New and grown keys fail with their source lines;
-/// shrunk keys are reported as burn-down progress.
-fn panic_pass(c: &Corpus, report: &mut Report) {
-    let (dist, _) = c.graph.reach();
-    let inv = graph::inventory(&c.graph, &dist, graph::panic_sites);
-    let sites = graph::site_count(&inv);
-    report.detail = format!("{sites} sites / {} keys", inv.len());
-    let path = c.root.join(BASELINE_PATH);
-    if c.update_baseline {
-        match std::fs::write(&path, render_baseline(&inv)) {
-            Ok(()) => report.notes.push(format!(
-                "analyze: wrote {} entries ({sites} sites) to {BASELINE_PATH}",
-                inv.len()
-            )),
-            Err(e) => report
-                .violations
-                .push(format!("analyze: cannot write {BASELINE_PATH}: {e}")),
-        }
-        return;
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        report.violations.push(format!(
-            "analyze: missing {BASELINE_PATH} — run `cargo run -p xtask -- analyze --pass=panic \
-             --update-baseline` and commit the result"
-        ));
-        return;
-    };
-    let old = parse_baseline(&body);
-    for (k, lines) in &inv {
-        let (file, qual, kind) = k;
-        match old.get(k) {
-            None => report.violations.push(format!(
-                "panics: {file}:{}: new {kind} site(s) in `{qual}` reachable from the engine \
-                 step loop; handle the None/Err case (baseline: {BASELINE_PATH})",
-                line_list(lines)
-            )),
-            Some(&b) if lines.len() > b => report.violations.push(format!(
-                "panics: {file}: `{qual}` grew from {b} to {} {kind} site(s) reachable \
-                 from the engine step loop (baseline: {BASELINE_PATH})",
-                lines.len()
-            )),
-            Some(_) => {}
-        }
-    }
-    let gone: usize = old
-        .iter()
-        .map(|(k, &b)| b.saturating_sub(inv.get(k).map_or(0, Vec::len)))
-        .sum();
-    if gone > 0 {
-        report.notes.push(format!(
-            "analyze: {gone} baselined panic site(s) no longer present — run `analyze \
-             --pass=panic --update-baseline` to ratchet {BASELINE_PATH} down"
         ));
     }
 }
@@ -391,7 +271,7 @@ fn collect_workspace(root: &Path) -> Vec<SourceFile> {
 
 /// Renders the report for the CLI. Returns `true` when clean.
 pub fn print_report(report: &Report) -> bool {
-    for line in report.notes.iter().chain(&report.violations) {
+    for line in &report.violations {
         println!("{line}");
     }
     for line in &report.summaries {
@@ -433,48 +313,20 @@ mod tests {
         Graph::build(fns)
     }
 
-    #[test]
-    fn baseline_roundtrip_and_new_site_detection() {
-        let g = graph_of(&[(
-            "crates/sim/src/engine.rs",
-            "impl Simulator { pub fn run(&mut self, o: Option<u8>) { o.unwrap(); } }\n",
-        )]);
-        let (dist, _) = g.reach();
-        let inv = graph::inventory(&g, &dist, graph::panic_sites);
-        let text = render_baseline(&inv);
-        let parsed = parse_baseline(&text);
-        let counts = inv.iter().map(|(k, l)| (k.clone(), l.len())).collect();
-        assert_eq!(parsed, counts, "baseline must round-trip through text");
-
-        // A newly introduced reachable unwrap (not in the baseline) fails.
-        let g2 = graph_of(&[(
-            "crates/sim/src/engine.rs",
-            "impl Simulator { pub fn run(&mut self, o: Option<u8>) { o.unwrap(); } }\npub fn helper(o: Option<u8>) { o.unwrap(); }\nimpl Ctx { pub fn now(&self, o: Option<u8>) { helper(o); } }\n",
-        )]);
-        let (dist2, _) = g2.reach();
-        let inv2 = graph::inventory(&g2, &dist2, graph::panic_sites);
-        let new_keys: Vec<_> = inv2.keys().filter(|k| !inv.contains_key(*k)).collect();
-        assert_eq!(new_keys.len(), 1);
-        assert_eq!(new_keys[0].1, "helper");
-    }
-
-    /// Builds a minimal on-disk workspace under `target/` (deterministic
-    /// path, outside the real analyzer roots) with one hot entry that
-    /// allocates per event and one bare unwrap.
-    fn synthetic_root(name: &str) -> PathBuf {
+    /// Writes `files` (label, source) into a fresh on-disk workspace under
+    /// `target/` (a deterministic path outside the real analyzer roots).
+    fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
         let root = workspace_root()
             .join("target")
             .join("analyze-test")
             .join(name);
         let _ = std::fs::remove_dir_all(&root);
-        let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
-        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci");
-        std::fs::write(
-            src_dir.join("engine.rs"),
-            "impl Simulator { pub fn run(&mut self, o: Option<u8>) {\n    let v = vec![o.unwrap()];\n    drop(v);\n} }\n",
-        )
-        .expect("write synthetic engine");
+        for (label, src) in files {
+            let path = root.join(label);
+            let dir = path.parent().expect("a fixture label names a directory");
+            std::fs::create_dir_all(dir).expect("create fixture directory");
+            std::fs::write(path, src).expect("write fixture file");
+        }
         root
     }
 
@@ -483,122 +335,72 @@ mod tests {
         [*pass(name).expect("a PASSES row")]
     }
 
-    /// Whether the synthetic root's `ci/` holds no file.
-    fn ci_is_empty(root: &Path) -> bool {
-        std::fs::read_dir(root.join("ci"))
-            .expect("synthetic ci")
-            .next()
-            .is_none()
-    }
-
-    #[test]
-    fn panic_baseline_is_written_by_update_and_then_checked_against() {
-        let root = synthetic_root("panic-ratchet");
-        // No baseline yet: the check says how to make one.
-        let report = run_passes(&root, &only("panic"), false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(report.violations[0].contains(BASELINE_PATH));
-        // `--update-baseline` writes it, and the same tree then passes.
-        let report = run_passes(&root, &only("panic"), true);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let body = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("baseline readable");
-        assert!(body.contains("1\tcrates/sim/src/engine.rs::Simulator::run\tunwrap\n"));
-        let report = run_passes(&root, &only("panic"), false);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.summaries, vec!["panic: ok 1 sites / 1 keys"]);
-    }
-
     #[test]
     fn new_hot_path_alloc_site_fails_with_witness_chain() {
-        // No baseline to read or write: the vec! in Simulator::run fails
-        // with a witness chain naming the entry point and the sink, the
-        // panic pass (whose baseline is missing) never ran, and
-        // `--update-baseline` grandfathers nothing.
-        let root = synthetic_root("alloc-new-site");
-        for update in [false, true] {
-            let report = run_passes(&root, &only("alloc"), update);
-            assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-            let v = &report.violations[0];
-            assert!(
-                v.contains("`vec` allocation site(s) in `Simulator::run`"),
-                "{v}"
-            );
-            assert!(
-                v.contains("witness: Simulator::run (crates/sim/src/engine.rs:1)"),
-                "{v}"
-            );
-            assert!(v.contains("vec! @ crates/sim/src/engine.rs:2"), "{v}");
-            assert_eq!(
-                report.summaries,
-                vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
-            );
-        }
-        assert!(ci_is_empty(&root));
-    }
-
-    /// Synthetic root with a truncating and a documented cast in the
-    /// sim entry point.
-    fn cast_root(name: &str) -> PathBuf {
-        let root = workspace_root()
-            .join("target")
-            .join("analyze-test")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&root);
-        let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
-        std::fs::create_dir_all(root.join("ci")).expect("create synthetic ci");
-        std::fs::write(
-            src_dir.join("engine.rs"),
-            "impl Simulator { pub fn run(&mut self, x: u64) {\n    let a = x as u32;\n    let b = x as u16; // lint:allow(cast) — bound: x < 65536 structurally\n    drop((a, b));\n} }\n",
-        )
-        .expect("write synthetic engine");
-        root
+        // The vec! in Simulator::run fails with a witness chain naming the
+        // entry point and the sink.
+        let root = fixture(
+            "alloc-new-site",
+            &[(
+                "crates/sim/src/engine.rs",
+                "impl Simulator { pub fn run(&mut self, o: u8) {\n    let v = vec![o];\n    drop(v);\n} }\n",
+            )],
+        );
+        let report = run_passes(&root, &only("alloc"));
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let v = &report.violations[0];
+        assert!(
+            v.contains("`vec` allocation site(s) in `Simulator::run`"),
+            "{v}"
+        );
+        assert!(
+            v.contains("witness: Simulator::run (crates/sim/src/engine.rs:1)"),
+            "{v}"
+        );
+        assert!(v.contains("vec! @ crates/sim/src/engine.rs:2"), "{v}");
+        assert_eq!(
+            report.summaries,
+            vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
+        );
     }
 
     #[test]
     fn cast_pass_denies_every_undocumented_site() {
-        // No baseline to read or write: the bare u32 cast fails with its
-        // source line, the documented u16 one does not, and
-        // `--update-baseline` grandfathers nothing.
-        let root = cast_root("cast-deny");
-        for update in [false, true] {
-            let report = run_passes(&root, &only("cast"), update);
-            assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-            let v = &report.violations[0];
-            assert!(v.contains("truncating `as u32` in `Simulator::run`"), "{v}");
-            assert!(v.contains("crates/sim/src/engine.rs:2:"), "{v}");
-        }
-        assert!(ci_is_empty(&root));
-    }
-
-    /// Synthetic root seeding the three canonical worker hazards: a
-    /// captured-`Cell` write, a `Mutex<Vec<_>>` push, and a `ctx.rng`
-    /// call that resolves into `SimRng`.
-    fn par_root(name: &str) -> PathBuf {
-        let root = workspace_root()
-            .join("target")
-            .join("analyze-test")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&root);
-        let src_dir = root.join("crates/sim/src");
-        std::fs::create_dir_all(&src_dir).expect("create synthetic src");
-        std::fs::write(
-            src_dir.join("engine.rs"),
-            "impl Simulator {\n    pub fn run(&mut self, ctx: &mut Ctx) {\n        let hits = Cell::new(0u64);\n        let out = Mutex::new(Vec::new());\n        std::thread::scope(|s| {\n            s.spawn(|| hits.set(hits.get() + 1));\n            s.spawn(|| out.lock().unwrap().push(1));\n            s.spawn(move || ctx.rng.below(4));\n        });\n    }\n}\n",
-        )
-        .expect("write synthetic engine");
-        std::fs::write(
-            src_dir.join("rng.rs"),
-            "impl SimRng {\n    pub fn below(&mut self, n: u64) -> u64 { n / 2 }\n}\n",
-        )
-        .expect("write synthetic rng");
-        root
+        // The bare u32 cast fails with its source line; the documented
+        // u16 one does not.
+        let root = fixture(
+            "cast-deny",
+            &[(
+                "crates/sim/src/engine.rs",
+                "impl Simulator { pub fn run(&mut self, x: u64) {\n    let a = x as u32;\n    let b = x as u16; // lint:allow(cast) — bound: x < 65536 structurally\n    drop((a, b));\n} }\n",
+            )],
+        );
+        let report = run_passes(&root, &only("cast"));
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let v = &report.violations[0];
+        assert!(v.contains("truncating `as u32` in `Simulator::run`"), "{v}");
+        assert!(v.contains("crates/sim/src/engine.rs:2:"), "{v}");
     }
 
     #[test]
     fn par_fixture_hazards_fail_with_witness_chains() {
-        let root = par_root("par-fixture");
-        let report = run_passes(&root, &only("par"), false);
+        // The three canonical worker hazards: a captured-`Cell` write, a
+        // `Mutex<Vec<_>>` push, and a `ctx.rng` call that resolves into
+        // `SimRng`.
+        let root = fixture(
+            "par-fixture",
+            &[
+                (
+                    "crates/sim/src/engine.rs",
+                    "impl Simulator {\n    pub fn run(&mut self, ctx: &mut Ctx) {\n        let hits = Cell::new(0u64);\n        let out = Mutex::new(Vec::new());\n        std::thread::scope(|s| {\n            s.spawn(|| hits.set(hits.get() + 1));\n            s.spawn(|| out.lock().unwrap().push(1));\n            s.spawn(move || ctx.rng.below(4));\n        });\n    }\n}\n",
+                ),
+                (
+                    "crates/sim/src/rng.rs",
+                    "impl SimRng {\n    pub fn below(&mut self, n: u64) -> u64 { n / 2 }\n}\n",
+                ),
+            ],
+        );
+        let report = run_passes(&root, &only("par"));
         let v = &report.violations;
         assert_eq!(v.len(), 4, "{v:#?}");
         assert!(
@@ -738,9 +540,8 @@ mod tests {
 
     #[test]
     fn workspace_analyze_is_clean() {
-        // The real workspace must pass every pass against the
-        // checked-in baseline and the committed OBSERVABILITY.md tables.
-        let report = run_passes(&workspace_root(), &PASSES, false);
+        // The real workspace must pass every pass.
+        let report = run_passes(&workspace_root(), &PASSES);
         assert!(
             report.violations.is_empty(),
             "analyze must be clean on the workspace:\n{}",
@@ -754,7 +555,7 @@ mod tests {
     fn workspace_graph_reaches_the_overlays() {
         // Sanity: the entry heuristics must pull the overlay handlers in,
         // and the graph must reach beyond the engine crate.
-        let corpus = Corpus::load(&workspace_root(), false);
+        let corpus = Corpus::load(&workspace_root());
         let files = &corpus.files;
         assert!(files.len() > 50, "workspace walk found {}", files.len());
         let g = &corpus.graph;

@@ -3,9 +3,9 @@
 //! Consumes the token stream from [`crate::analyze::lexer`] and produces
 //! one [`FnItem`] per function definition, carrying everything the
 //! analysis passes need: outgoing call sites (for the call graph),
-//! thread-spawn regions (`par` pass), panic sites (panic-reachability
-//! pass), and trace/metrics emission sites with their literal arguments
-//! (registry drift pass).
+//! allocation sites (`alloc` pass), truncating casts (`cast` pass),
+//! thread-spawn regions (`par` pass), and trace/metrics emission sites
+//! with their literal arguments (`registry` pass).
 //!
 //! The parser is deliberately approximate where Rust's grammar is
 //! irrelevant to the analyses — bodies of nested `fn` items are
@@ -31,8 +31,7 @@ pub enum Callee {
     Qualified(String, String),
     /// `foo!(...)` / `foo![...]` / `foo!{...}` — a macro invocation.
     /// Macros have no workspace `fn` target, but the allocation pass
-    /// needs `vec!` / `format!` sites and the panic pass needs
-    /// `panic!`-family sites recorded like any other call.
+    /// needs `vec!` / `format!` sites recorded like any other call.
     Macro(String),
 }
 
@@ -49,40 +48,6 @@ pub struct Call {
 /// region. A path matches by suffix (`std::thread::scope`,
 /// `foo::thread::scope`).
 const SPAWNERS: [&str; 2] = ["thread::scope", "thread::spawn"];
-
-/// Classes of panic site the panic-reachability pass inventories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PanicKind {
-    /// `.unwrap()` / `.unwrap_err()`.
-    Unwrap,
-    /// `.expect(` / `.expect_err(`.
-    Expect,
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-    PanicMacro,
-    /// `x[i]` indexing / slicing expressions.
-    Index,
-}
-
-impl PanicKind {
-    /// Stable name: the baseline key.
-    pub fn name(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "unwrap",
-            PanicKind::Expect => "expect",
-            PanicKind::PanicMacro => "panic",
-            PanicKind::Index => "index",
-        }
-    }
-}
-
-/// One potential-panic site inside a function body.
-#[derive(Clone, Debug)]
-pub struct PanicSite {
-    /// Which panic class the site belongs to.
-    pub kind: PanicKind,
-    /// 1-based line of the site.
-    pub line: usize,
-}
 
 /// Classes of allocation sink the allocation-discipline pass
 /// inventories (see `docs/STATIC_ANALYSIS.md`).
@@ -303,8 +268,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
     /// Allocation sinks in the body.
     pub allocs: Vec<AllocSite>,
-    /// Potential-panic sites in the body.
-    pub panics: Vec<PanicSite>,
     /// Trace event emissions in the body.
     pub trace_emits: Vec<TraceEmit>,
     /// Metrics key emissions in the body.
@@ -507,7 +470,7 @@ fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
 }
 
 /// Scans a function body (token range `[start, end)`) for call sites,
-/// allocation sites, panic sites, and emission sites.
+/// allocation sites, casts, hazard markers and emission sites.
 ///
 /// Loop bodies are tracked by brace depth so `Vec`-family construction
 /// can be classified per-iteration vs per-call: a `for` / `while` /
@@ -542,22 +505,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
             continue;
         }
         let in_loop = !loop_depths.is_empty();
-
-        // Indexing / slicing: `[` directly after an ident, `)` or `]`.
-        if t.is_punct('[') && j > start {
-            let prev = &toks[j - 1];
-            if prev.kind == TokKind::Ident && !NON_CALL_KEYWORDS.contains(&prev.text.as_str())
-                || prev.is_punct(')')
-                || prev.is_punct(']')
-            {
-                item.panics.push(PanicSite {
-                    kind: PanicKind::Index,
-                    line: t.line,
-                });
-            }
-            j += 1;
-            continue;
-        }
 
         if t.kind != TokKind::Ident {
             j += 1;
@@ -604,15 +551,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 .get(j + 2)
                 .is_some_and(|d| d.is_punct('(') || d.is_punct('[') || d.is_punct('{'))
         {
-            if matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            ) {
-                item.panics.push(PanicSite {
-                    kind: PanicKind::PanicMacro,
-                    line: t.line,
-                });
-            }
             match t.text.as_str() {
                 "vec" => item.allocs.push(AllocSite {
                     kind: if in_loop {
@@ -652,16 +590,8 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
         if (direct_call || turbofish_call) && !NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             let callee = classify_callee(toks, j);
 
-            // Panic-method sites ride on method calls.
+            // Hazard markers ride on method calls.
             if matches!(callee, Callee::Method(_)) {
-                let pk = match t.text.as_str() {
-                    "unwrap" | "unwrap_err" => Some(PanicKind::Unwrap),
-                    "expect" | "expect_err" => Some(PanicKind::Expect),
-                    _ => None,
-                };
-                if let Some(kind) = pk {
-                    item.panics.push(PanicSite { kind, line: t.line });
-                }
                 if let Some(kind) = hazard_of_method(&t.text) {
                     item.hazards.push(HazardSite {
                         kind,
@@ -1121,35 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_are_recorded_by_kind_and_line() {
-        // The `#[expect(…)]` escapes are attributes, not sites: neither
-        // the `expect(` nor the `panic` inside them is inventoried.
-        let src = "fn f(o: Option<u8>, v: &[u8]) -> u8 {\n    let a = o.unwrap();\n    #[expect(clippy::expect_used, reason = \"set in new()\")]\n    let b = o.expect(\"set in new()\");\n    #[expect(clippy::panic, reason = \"guard\")]\n    if a > 9 { panic!(\"no\"); }\n    v[0] + b\n}\n";
-        let items = parse(src);
-        let sites: Vec<(PanicKind, usize)> =
-            items[0].panics.iter().map(|p| (p.kind, p.line)).collect();
-        assert_eq!(
-            sites,
-            vec![
-                (PanicKind::Unwrap, 2),
-                (PanicKind::Expect, 4),
-                (PanicKind::PanicMacro, 6),
-                (PanicKind::Index, 7),
-            ]
-        );
-    }
-
-    #[test]
-    fn vec_macro_and_attributes_are_not_index_sites() {
-        let src = "#[derive(Debug)]\nstruct S;\nfn f() -> Vec<u8> { let x: [u8; 2] = [1, 2]; vec![x[0]] }\n";
-        let items = parse(src);
-        // Only x[0] counts: the array literal, the type, the attribute
-        // and the vec! bracket do not.
-        assert_eq!(items[0].panics.len(), 1);
-        assert_eq!(items[0].panics[0].kind, PanicKind::Index);
-    }
-
-    #[test]
     fn macro_invocations_are_recorded_as_call_sites() {
         // Regression (the pre-alloc-pass parser skipped macro names
         // entirely): `vec![…]` / `format!(…)` must surface as Macro
@@ -1173,23 +1074,30 @@ mod tests {
     }
 
     #[test]
-    fn panic_macros_nested_inside_other_macros_are_recorded() {
-        // Macros-in-macros: the panic site inside the outer macro's
-        // argument tokens must be inventoried, and both macro
-        // invocations must appear as call sites.
-        let src = "fn f(x: u8) { assert_custom!(x > 0, format!(\"bad {}\", panic!(\"no\"))); }\n";
+    fn macros_nested_inside_other_macros_are_recorded() {
+        // Macros-in-macros: the outer macro's argument tokens are scanned
+        // in place, so every nested invocation is a call site and the
+        // nested `format!` an allocation site, each on its own line.
+        let src = "fn f(x: u8) {\n    assert_custom!(x > 0,\n        format!(\"bad {}\", panic!(\"no\")));\n}\n";
         let items = parse(src);
-        assert_eq!(items[0].panics.len(), 1);
-        assert_eq!(items[0].panics[0].kind, PanicKind::PanicMacro);
-        let macros: Vec<&str> = items[0]
+        let macros: Vec<(&str, usize)> = items[0]
             .calls
             .iter()
             .filter_map(|c| match &c.callee {
-                Callee::Macro(m) => Some(m.as_str()),
+                Callee::Macro(m) => Some((m.as_str(), c.line)),
                 _ => None,
             })
             .collect();
-        assert_eq!(macros, vec!["assert_custom", "format", "panic"]);
+        assert_eq!(
+            macros,
+            vec![("assert_custom", 2), ("format", 3), ("panic", 3)]
+        );
+        let allocs: Vec<(&str, usize)> = items[0]
+            .allocs
+            .iter()
+            .map(|a| (a.what.as_str(), a.line))
+            .collect();
+        assert_eq!(allocs, vec![("format!", 3)]);
     }
 
     #[test]

@@ -1,40 +1,29 @@
 //! Registry drift pass: emitted trace kinds / metric keys vs the
-//! central declarations in `uap_sim::trace::registry` vs the tables in
-//! `docs/OBSERVABILITY.md`.
+//! central declarations in `uap_sim::trace::registry`.
 //!
-//! Three-way agreement is enforced:
+//! Two-way agreement is enforced:
 //!
 //! 1. every emission site in non-test code uses a declared
 //!    `(component, kind)` at the declared level, and a declared metric
 //!    key through the API matching its declared kind;
 //! 2. every declared kind / key is actually emitted somewhere (dead
-//!    declarations are drift too);
-//! 3. the marker-delimited tables in `docs/OBSERVABILITY.md` match the
-//!    declarations cell-for-cell.
+//!    declarations are drift too).
 //!
 //! The declared side is `uap_sim::trace::registry`'s `pub const` tables,
 //! read directly: xtask links `uap-sim`, so what this pass checks is what
-//! the debug-build runtime checks see.
-
-use std::path::Path;
+//! the debug-build runtime checks see. The tables in
+//! `docs/OBSERVABILITY.md` are written from the same declarations by
+//! `exp doc` (`uap_core::experiments::doc::rewrite_registry`), so there
+//! is no third side to compare.
 
 use uap_sim::trace::registry::{MetricSpec, TraceKindSpec, COMPONENTS, METRICS, TRACE_KINDS};
 
 use crate::analyze::parser::FnItem;
 
-/// Runs the full pass against the workspace at `root`.
-pub fn run(root: &Path, fns: &[FnItem]) -> Vec<String> {
+/// Runs the full pass over the workspace's parsed functions.
+pub fn run(fns: &[FnItem]) -> Vec<String> {
     let mut out = check_emissions(COMPONENTS, TRACE_KINDS, METRICS, fns);
     out.extend(check_span_conventions(COMPONENTS, TRACE_KINDS));
-
-    let docs_path = root.join("docs/OBSERVABILITY.md");
-    match std::fs::read_to_string(&docs_path) {
-        Ok(md) => out.extend(check_docs(TRACE_KINDS, METRICS, &md)),
-        Err(_) => out.push(format!(
-            "registry: cannot read {} for the docs drift check",
-            docs_path.display()
-        )),
-    }
     out
 }
 
@@ -188,110 +177,6 @@ pub fn check_span_conventions(components: &[&str], trace_kinds: &[TraceKindSpec]
     out
 }
 
-/// Checks the marker-delimited tables in `docs/OBSERVABILITY.md` against
-/// the declarations, cell-for-cell in both directions.
-pub fn check_docs(trace_kinds: &[TraceKindSpec], metrics: &[MetricSpec], md: &str) -> Vec<String> {
-    let mut out = Vec::new();
-
-    let trace_rows = table_rows(md, "registry:trace-kinds");
-    let metric_rows = table_rows(md, "registry:metrics");
-    match trace_rows {
-        None => out.push(
-            "registry: docs/OBSERVABILITY.md is missing the \
-             <!-- registry:trace-kinds:begin/end --> table"
-                .to_string(),
-        ),
-        Some(rows) => {
-            let want: Vec<Vec<String>> = trace_kinds
-                .iter()
-                .map(|d| {
-                    vec![
-                        d.component.to_string(),
-                        format!("`{}`", d.kind),
-                        d.level.to_string(),
-                        d.doc.to_string(),
-                    ]
-                })
-                .collect();
-            diff_rows(&mut out, "trace-kinds", &want, &rows);
-        }
-    }
-    match metric_rows {
-        None => out.push(
-            "registry: docs/OBSERVABILITY.md is missing the \
-             <!-- registry:metrics:begin/end --> table"
-                .to_string(),
-        ),
-        Some(rows) => {
-            let want: Vec<Vec<String>> = metrics
-                .iter()
-                .map(|d| {
-                    vec![
-                        format!("`{}`", d.key),
-                        d.kind.name().to_string(),
-                        d.doc.to_string(),
-                    ]
-                })
-                .collect();
-            diff_rows(&mut out, "metrics", &want, &rows);
-        }
-    }
-    out
-}
-
-/// Extracts the body rows of the markdown table between
-/// `<!-- <marker>:begin -->` and `<!-- <marker>:end -->`. Returns `None`
-/// when the markers are absent.
-fn table_rows(md: &str, marker: &str) -> Option<Vec<Vec<String>>> {
-    let begin = format!("<!-- {marker}:begin -->");
-    let end = format!("<!-- {marker}:end -->");
-    let start = md.find(&begin)? + begin.len();
-    let stop = md[start..].find(&end)? + start;
-    let mut rows = Vec::new();
-    for line in md[start..stop].lines() {
-        let line = line.trim();
-        if !line.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<String> = line
-            .trim_matches('|')
-            .split('|')
-            .map(|c| c.trim().to_string())
-            .collect();
-        // Skip the header and the |---| separator rows.
-        let is_sep = cells
-            .iter()
-            .all(|c| !c.is_empty() && c.chars().all(|ch| ch == '-' || ch == ':'));
-        let is_header = cells
-            .first()
-            .is_some_and(|c| c == "component" || c == "key");
-        if !is_sep && !is_header {
-            rows.push(cells);
-        }
-    }
-    Some(rows)
-}
-
-/// Reports rows present on one side but not the other.
-fn diff_rows(out: &mut Vec<String>, what: &str, want: &[Vec<String>], got: &[Vec<String>]) {
-    for row in want {
-        if !got.contains(row) {
-            out.push(format!(
-                "registry: docs/OBSERVABILITY.md {what} table is missing the row for {}",
-                row.join(" | ")
-            ));
-        }
-    }
-    for row in got {
-        if !want.contains(row) {
-            out.push(format!(
-                "registry: docs/OBSERVABILITY.md {what} table has a stale row: {}",
-                row.join(" | ")
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,32 +313,5 @@ mod tests {
         d.last_mut().unwrap().kind = "span.close";
         let v = check_span_conventions(&d);
         assert!(v[0].contains("span.close without span.open"), "{v:?}");
-    }
-
-    #[test]
-    fn docs_tables_in_sync_and_drifting() {
-        let good = "\n<!-- registry:trace-kinds:begin -->\n\
-| component | kind | level | description |\n\
-|-----------|------|-------|-------------|\n\
-| net | `transfer` | debug | a transfer |\n\
-<!-- registry:trace-kinds:end -->\n\
-<!-- registry:metrics:begin -->\n\
-| key | kind | description |\n\
-|-----|------|-------------|\n\
-| `net.bytes` | counter | bytes |\n\
-| `engine.events.*` | counter | per-kind |\n\
-<!-- registry:metrics:end -->\n";
-        let check_docs = |md: &str| super::check_docs(&trace_kinds(), METRICS, md);
-        assert!(check_docs(good).is_empty());
-
-        let stale = good.replace("| net | `transfer` | debug |", "| net | `xfer` | debug |");
-        let v = check_docs(&stale);
-        assert_eq!(v.len(), 2, "{v:?}"); // missing row + stale row
-        assert!(v[0].contains("missing the row"));
-        assert!(v[1].contains("stale row"));
-
-        let v = check_docs("no markers at all");
-        assert_eq!(v.len(), 2);
-        assert!(v[0].contains("missing the <!-- registry:trace-kinds:begin/end --> table"));
     }
 }

@@ -7,8 +7,9 @@
 //! pass of [`crate::analyze`] checks every spawn site against
 //! [`PARALLEL_REGIONS`], and a test below checks every disallowed-item
 //! escape against it and against the wall-clock boundary declared
-//! beside that test. Extending an audited boundary is a single edit
-//! here, reviewed once.
+//! beside that test. The same test keeps `clippy::indexing_slicing`
+//! escapes no broader than a `fn` outside xtask's `main.rs`. Extending an
+//! audited boundary is a single edit here, reviewed once.
 
 /// One audited fork-join parallel region: a function that is allowed to
 /// spawn worker threads, together with the *declared merge discipline*
@@ -88,12 +89,17 @@ pub const CAST_RULE: &str = "cast";
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::lexer::{lex, Tok};
+    use crate::analyze::{Corpus, SourceFile};
 
     /// The only files where a wall-clock escape may stand: the trace
     /// sink's `WallTimer` boundary (see `docs/OBSERVABILITY.md`).
     /// Wall-clock readings must stay out of simulation state and traced
     /// output.
     const WALLCLOCK_BOUNDARY: [&str; 1] = ["crates/sim/src/trace.rs"];
+
+    /// Build tooling: the one file allowed crate-wide escapes.
+    const XTASK_MAIN: &str = "crates/xtask/src/main.rs";
 
     /// Files carrying at least one [`PARALLEL_REGIONS`] entry.
     fn region_files() -> Vec<&'static str> {
@@ -120,35 +126,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disallowed_escapes_sit_at_audited_boundaries() {
-        // Clippy honours an `#[expect(clippy::disallowed_methods, …)]`
-        // anywhere; this keeps wall-clock and thread escapes in the files
-        // audited for them, and xtask's HashMaps in its own `main.rs`.
-        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-        let root = manifest.ancestors().nth(2).expect("workspace root");
-        let corpus = crate::analyze::Corpus::load(root, false);
+    /// Whether token `j` sits inside an inner attribute `#![…]`.
+    fn in_inner_attribute(toks: &[Tok], j: usize) -> bool {
+        let open = toks[..j].iter().rposition(|t| t.is_punct('['));
+        open.is_some_and(|o| o >= 2 && toks[o - 1].is_punct('!') && toks[o - 2].is_punct('#'))
+    }
+
+    /// `file:line` of every non-test escape clippy would honour outside
+    /// its audited boundary: a `clippy::disallowed_{methods,types}` item
+    /// anywhere but the wall-clock file, a [`PARALLEL_REGIONS`] file or
+    /// xtask's `main.rs`, and a crate-level `clippy::indexing_slicing`
+    /// anywhere but xtask's `main.rs`.
+    fn stray_escapes(files: &[SourceFile]) -> Vec<String> {
         let audited: Vec<&str> = WALLCLOCK_BOUNDARY
             .into_iter()
             .chain(region_files())
-            .chain(["crates/xtask/src/main.rs"])
+            .chain([XTASK_MAIN])
             .collect();
         let mut stray = Vec::new();
-        for f in corpus.files.iter().filter(|f| !f.is_test_file) {
+        for f in files.iter().filter(|f| !f.is_test_file) {
             let toks = &f.lexed.toks;
             for (j, t) in toks.iter().enumerate() {
-                let escape = t.is_ident("disallowed_methods") || t.is_ident("disallowed_types");
-                let via_clippy = j >= 3 && toks[j - 3].is_ident("clippy");
-                if escape && via_clippy && !f.lexed.in_test[j] && !audited.contains(&&*f.label) {
+                if j < 3 || !toks[j - 3].is_ident("clippy") || f.lexed.in_test[j] {
+                    continue;
+                }
+                let disallowed = t.is_ident("disallowed_methods") || t.is_ident("disallowed_types");
+                let crate_wide_index =
+                    t.is_ident("indexing_slicing") && in_inner_attribute(toks, j);
+                if disallowed && !audited.contains(&&*f.label)
+                    || crate_wide_index && f.label != XTASK_MAIN
+                {
                     stray.push(format!("{}:{}", f.label, t.line));
                 }
             }
         }
+        stray
+    }
+
+    #[test]
+    fn disallowed_escapes_sit_at_audited_boundaries() {
+        // Clippy honours an `#[expect(clippy::disallowed_methods, …)]` or
+        // `#![expect(clippy::indexing_slicing, …)]` anywhere; this keeps
+        // wall-clock and thread escapes in the files audited for them,
+        // xtask's HashMaps in its own `main.rs`, and indexing escapes on
+        // one `fn` each outside it.
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = manifest.ancestors().nth(2).expect("workspace root");
+        let stray = stray_escapes(&Corpus::load(root).files);
         assert!(
             stray.is_empty(),
-            "disallowed-item escapes outside the audited boundaries ({}): {stray:?}",
-            audited.join(", ")
+            "escapes outside their boundaries: {stray:?}"
         );
+
+        let file = |label: &str, src: &str| SourceFile {
+            label: label.to_string(),
+            is_test_file: false,
+            is_bin: false,
+            lexed: lex(src),
+        };
+        let crate_wide =
+            "//! A crate.\n\n#![expect(\n    clippy::indexing_slicing,\n    reason = \"…\"\n)]\n";
+        let fn_level = "#[expect(clippy::indexing_slicing, reason = \"i < v.len()\")]\nfn f(v: &[u8], i: usize) -> u8 { v[i] }\n";
+        assert_eq!(
+            stray_escapes(&[file("crates/net/src/lib.rs", crate_wide)]),
+            ["crates/net/src/lib.rs:4"]
+        );
+        assert!(stray_escapes(&[file(XTASK_MAIN, crate_wide)]).is_empty());
+        assert!(stray_escapes(&[file("crates/net/src/lib.rs", fn_level)]).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workspace automation tasks (the cargo `xtask` pattern).
 //!
 //! ```text
-//! cargo run -p xtask -- analyze [--pass=<name>] [--update-baseline]
+//! cargo run -p xtask -- analyze [--pass=<name>]
 //! cargo run -p xtask -- trace summary <trace.jsonl>
 //! cargo run -p xtask -- trace diff <a> <b>
 //! cargo run -p xtask -- trace spans <trace.jsonl>
@@ -11,12 +11,13 @@
 //!
 //! `analyze` is the call-graph half of the static gate: it lexes and
 //! parses the workspace once and runs the pass table of [`analyze`] over
-//! it (the panic ratchet, alloc and cast denies, parallel regions,
-//! trace-registry agreement; `docs/STATIC_ANALYSIS.md`), exiting non-zero
-//! with `file:line` diagnostics when any fail. The token-level half of
-//! the determinism contract (no `HashMap`, wall clock or ad-hoc threads;
-//! no unexplained unwrap / expect / panic) is clippy's, configured in the
-//! root `clippy.toml` and `Cargo.toml` (`docs/DETERMINISM.md`). `analyze`
+//! it (four plain denies: hot-path allocations, truncating casts,
+//! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`),
+//! exiting non-zero with `file:line` diagnostics when any fail. There is
+//! no baseline file. The token-level half of the static gate (no
+//! `HashMap`, wall clock or ad-hoc threads; no unexplained unwrap,
+//! expect, panic or indexing) is clippy's, configured in the root
+//! `clippy.toml` and `Cargo.toml` (`docs/DETERMINISM.md`). `analyze`
 //! reads no clock: host time is measured in `benchmark/` only.
 //! `--pass=<name>` runs one row of the table. `trace` summarizes
 //! and compares the JSONL traces / RunReport JSON the experiment
@@ -28,6 +29,11 @@
     clippy::disallowed_types,
     reason = "build tooling: the call graph's name indexes are lookup-only HashMaps; \
               nothing iterates them, so their order never reaches the output"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "build tooling: token and call-graph indices are bounds-checked by construction, \
+              and a slip aborts the check instead of corrupting a simulation"
 )]
 
 mod analyze;
@@ -46,19 +52,16 @@ fn main() {
 }
 
 fn analyze_main(args: &[String]) -> ! {
-    let mut update_baseline = false;
     let mut passes: &[analyze::Pass] = &analyze::PASSES;
     for arg in args {
-        if arg == "--update-baseline" {
-            update_baseline = true;
-        } else if let Some(pass) = arg.strip_prefix("--pass=").and_then(analyze::pass) {
+        if let Some(pass) = arg.strip_prefix("--pass=").and_then(analyze::pass) {
             passes = std::slice::from_ref(pass);
         } else {
             eprintln!("xtask analyze: unknown flag `{arg}`");
             usage()
         }
     }
-    let report = analyze::run_passes(&workspace_root(), passes, update_baseline);
+    let report = analyze::run_passes(&workspace_root(), passes);
     std::process::exit(if analyze::print_report(&report) { 0 } else { 1 });
 }
 
@@ -112,7 +115,7 @@ fn read_or_die(path: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cargo run -p xtask -- analyze [--pass={}] [--update-baseline]\n       \
+        "usage: cargo run -p xtask -- analyze [--pass={}]\n       \
          cargo run -p xtask -- trace summary <trace.jsonl>\n       \
          cargo run -p xtask -- trace diff <a> <b>\n       \
          cargo run -p xtask -- trace spans <trace.jsonl>\n       \
