@@ -40,6 +40,17 @@ must_fire() { # must_fire <id> <event kind> <what it proves>
   fi
 }
 
+must_explain() { # must_explain <id> <event kind>: its first event's causal chain ends at a fault.epoch
+  local seq explain
+  seq="$(grep -m1 "\"k\":\"$2\"" "$WORK/$1/a/$1.trace.jsonl" | sed -E 's/^\{"seq":([0-9]+).*/\1/')"
+  explain="$(xtask trace explain "$WORK/$1/a/$1.trace.jsonl" "$seq")"
+  echo "$explain"
+  if ! echo "$explain" | grep -q 'fault.epoch'; then
+    echo "$1 $2 seq $seq does not trace back to a fault.epoch root" >&2
+    exit 1
+  fi
+}
+
 for id in $(exp list --traced); do
   echo "== $id, seed $SEED: runs A and B"
   run "$id" "$WORK/$id/a"
@@ -60,23 +71,19 @@ for id in $(exp list --traced); do
 done
 
 must_fire exp16 fault.epoch "FaultPlan not applied"
+must_fire exp16 download.retry "Gnutella recovery path not exercised"
+must_fire exp16 reannounce "swarm recovery path not exercised"
 must_fire exp17 routing.repair "repair path not exercised"
 must_fire exp18 flow.open "flow model not exercised"
 
 echo "trace spans (exp16)"
 xtask trace spans "$WORK/exp16/a/exp16.trace.jsonl"
 
-# Provenance smoke: a download.retry must explain back to a fault.epoch
-# root — the causal chain the fault campaign exists to exercise.
-echo "trace explain (exp16 download.retry provenance)"
-must_fire exp16 download.retry "recovery path not exercised"
-RETRY_SEQ="$(grep -m1 '"k":"download.retry"' "$WORK/exp16/a/exp16.trace.jsonl" \
-  | sed -E 's/^\{"seq":([0-9]+).*/\1/')"
-EXPLAIN="$(xtask trace explain "$WORK/exp16/a/exp16.trace.jsonl" "$RETRY_SEQ")"
-echo "$EXPLAIN"
-if ! echo "$EXPLAIN" | grep -q 'fault.epoch'; then
-  echo "download.retry seq $RETRY_SEQ does not trace back to a fault.epoch root" >&2
-  exit 1
-fi
+# Provenance smoke: Gnutella's download.retry and the swarm's reannounce
+# must each explain back to a fault.epoch root — the causal chains the
+# fault campaign exists to exercise.
+echo "trace explain (exp16 download.retry and reannounce provenance)"
+must_explain exp16 download.retry
+must_explain exp16 reannounce
 
 echo "trace gate passed."

@@ -8,12 +8,17 @@
 //! and the receivers turn the accumulated bytes into rarest-first piece
 //! completions with per-chunk hash verification. Flows are charged to
 //! the underlay ledger, so experiment E10 can bill each tracker policy.
+//!
+//! The swarm runs on the `uap-sim` engine like Gnutella: each round is a
+//! `Round` event at `k × round_secs`, and each fault-plan boundary is a
+//! `Fault(i)` event entered through [`uap_net::fault::enter_boundary`],
+//! the boundary handler both overlays share.
 
 use crate::pieces::PieceSet;
 use crate::tracker::{Tracker, TrackerPolicy};
 use std::collections::BTreeMap;
 use uap_net::{FlowAllocator, HostId, Underlay};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{Ctx, SimTime, Simulator, TraceLevel, Tracer, World};
 
 /// Regular (tit-for-tat) unchoke slots per peer and round.
 const UNCHOKE_SLOTS: usize = 3;
@@ -176,34 +181,52 @@ pub fn run_swarm(underlay: Underlay, cfg: SwarmConfig, seed: u64) -> (SwarmRepor
     run_swarm_with(underlay, cfg, seed, &mut tracer)
 }
 
-/// Like [`run_swarm`], but records structured trace events into `tracer`:
-/// per-peer unchoke decisions (Trace), piece completions and per-round
-/// summaries (Debug), and one `swarm.done` event (Info). Timestamps are
-/// the round boundaries.
+/// Like [`run_swarm`], but records structured trace events into `tracer`
+/// (moved into the engine for the run and restored afterwards, as
+/// `run_experiment_with` does for Gnutella): per-peer unchoke decisions
+/// (Trace), piece completions and per-round summaries (Debug), and one
+/// `swarm.done` event (Info). Round events are stamped at the round
+/// boundaries, fault events at the plan's.
 pub fn run_swarm_with(
     underlay: Underlay,
     cfg: SwarmConfig,
     seed: u64,
     tracer: &mut Tracer,
 ) -> (SwarmReport, Underlay) {
-    let mut swarm = Swarm::new(underlay, cfg, seed, tracer);
-    while swarm.round() {}
+    let deadline = cfg.round.mul(u64::from(cfg.max_rounds));
+    let mut sim = Simulator::new(seed);
+    sim.set_tracer(std::mem::take(tracer));
+    let mut swarm = Swarm::new(underlay, cfg, &mut sim);
+    // The deadline is the round cap, so no boundary after the last round
+    // is applied; with no round at all, not even one at t = 0.
+    if deadline > SimTime::ZERO {
+        sim.run_until(&mut swarm, deadline);
+    }
+    *tracer = sim.take_tracer();
     // Path-qualified: `xtask analyze` resolves a `.finish()` method call
     // to every `finish` in the workspace, which would pull the report
     // writers into the sim-reachable set.
-    Swarm::finish(swarm)
+    Swarm::finish(swarm, tracer)
 }
 
-/// One swarm mid-run: [`Swarm::new`] sets it up, [`Swarm::round`]
-/// advances it one round, [`Swarm::finish`] closes it into the report.
-/// Everything a round needs is allocated in `new` and reused, so `round`
-/// — the swarm's hot entry for the alloc pass of `xtask analyze` —
-/// allocates nothing (docs/STATIC_ANALYSIS.md).
-struct Swarm<'t> {
+/// The swarm's engine events: the next round, or fault-plan boundary `i`
+/// (an index into the compiled plan's sorted boundary list).
+#[derive(Clone, Copy, Debug)]
+enum SwarmEv {
+    Round,
+    Fault(u32),
+}
+
+/// One swarm mid-run, a [`World`] on the engine: [`Swarm::new`] sets it
+/// up and schedules its events, a `Round` event advances it one round
+/// ([`Swarm::round`]), a `Fault` event enters a plan boundary, and
+/// [`Swarm::finish`] closes it into the report. Everything a round needs
+/// is allocated in `new` and reused, so `handle` — the swarm's hot entry
+/// for the alloc pass of `xtask analyze` — allocates nothing
+/// (docs/STATIC_ANALYSIS.md).
+struct Swarm {
     underlay: Underlay,
     cfg: SwarmConfig,
-    rng: SimRng,
-    tracer: &'t mut Tracer,
     /// Swarm membership: the first n hosts (host assignment to ASes is
     /// already random). `peers`, `peer_spans`, `down`, `was_down`,
     /// `unchokes` and `received_this` run parallel to it.
@@ -218,16 +241,12 @@ struct Swarm<'t> {
     /// Piece availability for rarest-first.
     availability: Vec<u32>,
 
-    /// Fault campaign: compiled once, each epoch boundary applied as the
-    /// round clock crosses it. Crashed members pause; everyone else drops
-    /// them and re-announces for replacements.
+    /// Fault campaign: compiled once, each epoch boundary entered by a
+    /// `Fault(i)` event. Crashed members pause; everyone else drops them
+    /// and re-announces for replacements.
     compiled: Option<uap_net::CompiledFaultPlan>,
-    next_boundary: usize,
     down: Vec<bool>,
     reannounces: u64,
-    /// `seq` of the most recent `fault.epoch` event — the cause anchor for
-    /// the recovery re-announces it forces.
-    last_fault_seq: Option<u64>,
     completed_by_round: Vec<usize>,
 
     // Round scratch, reused every round.
@@ -258,9 +277,12 @@ struct Swarm<'t> {
     payload_bytes: u64,
 }
 
-impl<'t> Swarm<'t> {
-    fn new(underlay: Underlay, cfg: SwarmConfig, seed: u64, tracer: &'t mut Tracer) -> Self {
-        let mut rng = SimRng::new(seed);
+impl Swarm {
+    /// Sets the swarm up and schedules its events: every plan boundary,
+    /// then the first round. A boundary at `k × round` therefore has a
+    /// lower `seq` than the `Round` event it shares a time with and is
+    /// entered first.
+    fn new(underlay: Underlay, cfg: SwarmConfig, sim: &mut Simulator<SwarmEv>) -> Self {
         let n_members = cfg.n_leechers + cfg.n_seeds;
         assert!(
             n_members <= underlay.n_hosts(),
@@ -295,6 +317,7 @@ impl<'t> Swarm<'t> {
         for (peer, peer_span) in peers.iter_mut().zip(peer_spans.iter_mut()) {
             let who = peer.host;
             if !peer.is_seed {
+                let tracer = sim.tracer_mut();
                 let span = tracer.alloc_span();
                 *peer_span = Some(span);
                 tracer.set_span(Some(span));
@@ -313,11 +336,10 @@ impl<'t> Swarm<'t> {
                 who,
                 &members,
                 cfg.max_peers,
-                &mut rng,
+                sim.rng(),
                 &mut peer.neighbors,
             );
         }
-        tracer.clear_provenance();
         let mut availability: Vec<u32> = vec![0; cfg.n_pieces];
         for p in &peers {
             for (i, a) in availability.iter_mut().enumerate() {
@@ -328,12 +350,16 @@ impl<'t> Swarm<'t> {
         }
         let mut poisoners = cfg.poisoners.clone();
         poisoners.sort_unstable();
+        let compiled = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
+        for (i, &t) in compiled.iter().flat_map(|p| p.boundaries()).enumerate() {
+            // lint:allow(cast) — boundary index; a plan has two per fault spec
+            sim.schedule_at(t, SwarmEv::Fault(i as u32));
+        }
+        sim.schedule_at(cfg.round, SwarmEv::Round);
         Swarm {
-            compiled: cfg.faults.as_ref().map(|p| p.compile(&underlay.graph)),
-            next_boundary: 0,
+            compiled,
             down: vec![false; peers.len()],
             reannounces: 0,
-            last_fault_seq: None,
             completed_by_round: Vec::new(),
             was_down: vec![false; peers.len()],
             live: Vec::with_capacity(peers.len()),
@@ -354,8 +380,6 @@ impl<'t> Swarm<'t> {
             payload_bytes: 0,
             underlay,
             cfg,
-            rng,
-            tracer,
             members,
             peers,
             index,
@@ -371,107 +395,99 @@ impl<'t> Swarm<'t> {
         self.peers.iter().filter(done).count()
     }
 
-    /// Simulates the next round; `false` once the run is over (every
-    /// leecher finished, or `max_rounds` rounds simulated).
-    #[expect(clippy::indexing_slicing, reason = "i, j < peers.len(); p < n_pieces")]
-    fn round(&mut self) -> bool {
-        if self.rounds >= self.cfg.max_rounds {
-            return false;
+    /// Enters boundary `b` of the fault plan
+    /// ([`uap_net::fault::enter_boundary`]), then diffs the crash set:
+    /// restored members and survivors that lost neighbors re-announce,
+    /// and partial-chunk credit toward crashed senders is dropped.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < peers.len() = peer_spans.len()"
+    )]
+    fn fault_boundary(&mut self, b: usize, ctx: &mut Ctx<'_, SwarmEv>) {
+        let Some(plan) = &self.compiled else { return };
+        let (state, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, plan, b, ctx);
+        let now = ctx.now();
+        let (rng, tracer) = (&mut *ctx.rng, &mut *ctx.tracer);
+        // Diff the crash set; the tracker's live pool is the members
+        // that still announce under the new state.
+        self.was_down.copy_from_slice(&self.down);
+        self.live.clear();
+        for (is_down, &h) in self.down.iter_mut().zip(&self.members) {
+            *is_down = state.crashed.binary_search(&h).is_ok();
+            if !*is_down {
+                self.live.push(h);
+            }
         }
+        let (down, index) = (&self.down, &self.index);
+        // Restored members re-announce (their pre-crash neighborhoods
+        // moved on without them); survivors shed dead neighbors and
+        // refill from the tracker.
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            if down[i] || peer.done_at.is_some() || peer.is_seed {
+                continue;
+            }
+            let restored = self.was_down[i];
+            let before = peer.neighbors.len();
+            peer.neighbors
+                .retain(|h| index.get(h).map(|&j| !down[j]).unwrap_or(true));
+            if restored || peer.neighbors.len() < before {
+                let who = peer.host;
+                self.tracker.announce_into(
+                    &self.underlay,
+                    who,
+                    &self.live,
+                    self.cfg.max_peers,
+                    rng,
+                    &mut peer.neighbors,
+                );
+                self.reannounces += 1;
+                let received = peer.neighbors.len();
+                tracer.set_span(self.peer_spans[i]);
+                tracer.set_cause(fault_seq);
+                tracer.emit(now, "bittorrent", TraceLevel::Debug, "reannounce", |f| {
+                    f.u64("peer", who.0 as u64).u64("received", received as u64);
+                });
+            }
+        }
+        // Partial-chunk credit toward a crashed sender times out: the
+        // entry is pruned (the map must not leak across campaigns)
+        // and the receiver re-requests those chunks from live
+        // senders in the following rounds.
+        for (peer, &span) in self.peers.iter_mut().zip(&self.peer_spans) {
+            if peer.credit.is_empty() {
+                continue;
+            }
+            let who = peer.host;
+            tracer.set_span(span);
+            tracer.set_cause(fault_seq);
+            peer.credit.retain(|&src, c| {
+                let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
+                if dead && *c > 0 {
+                    tracer.emit(
+                        now,
+                        "bittorrent",
+                        TraceLevel::Debug,
+                        "chunk.reassign",
+                        |f| {
+                            f.u64("peer", who.0 as u64)
+                                .u64("sender", src.0 as u64)
+                                .u64("lost_bytes", *c);
+                        },
+                    );
+                }
+                !dead
+            });
+        }
+    }
+
+    /// Simulates the next round; `false` once every leecher has finished
+    /// (the engine's deadline is the `max_rounds` cap).
+    #[expect(clippy::indexing_slicing, reason = "i, j < peers.len(); p < n_pieces")]
+    fn round(&mut self, ctx: &mut Ctx<'_, SwarmEv>) -> bool {
         self.rounds += 1;
         let rounds = self.rounds;
-        let now = self.cfg.round.mul(rounds as u64);
-        while let Some((state, t)) = self.compiled.as_ref().and_then(|plan| {
-            let &t = plan.boundaries().get(self.next_boundary)?;
-            (t <= now).then(|| (plan.state_at(t), t))
-        }) {
-            self.next_boundary += 1;
-            let repair = self.underlay.apply_fault_state(&state);
-            let fault_seq = self
-                .tracer
-                .emit(now, "net", TraceLevel::Info, "fault.epoch", |f| {
-                    f.u64("boundary_us", t.as_micros());
-                    state.trace_fields(f);
-                });
-            self.last_fault_seq = fault_seq.or(self.last_fault_seq);
-            self.tracer
-                .emit(now, "net", TraceLevel::Info, "routing.repair", |f| {
-                    f.u64("boundary_us", t.as_micros());
-                    repair.trace_fields(f);
-                });
-            // Diff the crash set; the tracker's live pool is the members
-            // that still announce under the new state.
-            self.was_down.copy_from_slice(&self.down);
-            self.live.clear();
-            for (is_down, &h) in self.down.iter_mut().zip(&self.members) {
-                *is_down = state.crashed.binary_search(&h).is_ok();
-                if !*is_down {
-                    self.live.push(h);
-                }
-            }
-            let (down, index) = (&self.down, &self.index);
-            // Restored members re-announce (their pre-crash neighborhoods
-            // moved on without them); survivors shed dead neighbors and
-            // refill from the tracker.
-            for (i, peer) in self.peers.iter_mut().enumerate() {
-                if down[i] || peer.done_at.is_some() || peer.is_seed {
-                    continue;
-                }
-                let restored = self.was_down[i];
-                let before = peer.neighbors.len();
-                peer.neighbors
-                    .retain(|h| index.get(h).map(|&j| !down[j]).unwrap_or(true));
-                if restored || peer.neighbors.len() < before {
-                    let who = peer.host;
-                    self.tracker.announce_into(
-                        &self.underlay,
-                        who,
-                        &self.live,
-                        self.cfg.max_peers,
-                        &mut self.rng,
-                        &mut peer.neighbors,
-                    );
-                    self.reannounces += 1;
-                    let received = peer.neighbors.len();
-                    self.tracer.set_span(self.peer_spans[i]);
-                    self.tracer.set_cause(self.last_fault_seq);
-                    self.tracer
-                        .emit(now, "bittorrent", TraceLevel::Debug, "reannounce", |f| {
-                            f.u64("peer", who.0 as u64).u64("received", received as u64);
-                        });
-                }
-            }
-            // Partial-chunk credit toward a crashed sender times out: the
-            // entry is pruned (the map must not leak across campaigns)
-            // and the receiver re-requests those chunks from live
-            // senders in the following rounds.
-            for (peer, &span) in self.peers.iter_mut().zip(&self.peer_spans) {
-                if peer.credit.is_empty() {
-                    continue;
-                }
-                let who = peer.host;
-                self.tracer.set_span(span);
-                self.tracer.set_cause(self.last_fault_seq);
-                peer.credit.retain(|&src, c| {
-                    let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
-                    if dead && *c > 0 {
-                        self.tracer.emit(
-                            now,
-                            "bittorrent",
-                            TraceLevel::Debug,
-                            "chunk.reassign",
-                            |f| {
-                                f.u64("peer", who.0 as u64)
-                                    .u64("sender", src.0 as u64)
-                                    .u64("lost_bytes", *c);
-                            },
-                        );
-                    }
-                    !dead
-                });
-            }
-            self.tracer.clear_provenance();
-        }
+        let now = ctx.now();
+        let (rng, tracer) = (&mut *ctx.rng, &mut *ctx.tracer);
         let finished = self.finished();
         if finished == self.cfg.n_leechers {
             self.completed_by_round.push(finished);
@@ -524,20 +540,19 @@ impl<'t> Swarm<'t> {
                 if self.leftovers.is_empty() {
                     break;
                 }
-                let pick = self.leftovers[self.rng.index(self.leftovers.len())];
+                let pick = self.leftovers[rng.index(self.leftovers.len())];
                 if !unchoke.contains(&pick) {
                     unchoke.push(pick);
                 }
             }
-            self.tracer.set_span(self.peer_spans[i]);
-            self.tracer
-                .emit(now, "bittorrent", TraceLevel::Trace, "unchoke", |f| {
-                    f.u64("peer", me.host.0 as u64)
-                        .u64("slots", unchoke.len() as u64)
-                        .bool("cost_aware", cfg.cost_aware_choking);
-                });
+            tracer.set_span(self.peer_spans[i]);
+            tracer.emit(now, "bittorrent", TraceLevel::Trace, "unchoke", |f| {
+                f.u64("peer", me.host.0 as u64)
+                    .u64("slots", unchoke.len() as u64)
+                    .bool("cost_aware", cfg.cost_aware_choking);
+            });
         }
-        self.tracer.clear_provenance();
+        tracer.clear_provenance();
         // Phase 2a: the round's unchoke pairs are its flow set. Diff it
         // against the persistent open-flow table (arrivals open, exits
         // close), then recompute the max-min fair allocation: every flow
@@ -562,22 +577,20 @@ impl<'t> Swarm<'t> {
                 self.next_flow_id += 1;
                 slot.insert((id, 0));
                 let (src, dst) = (peers[i as usize].host, peers[j as usize].host);
-                self.tracer
-                    .emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
-                        f.u64("flow", id)
-                            .u64("src", src.0 as u64)
-                            .u64("dst", dst.0 as u64);
-                    });
+                tracer.emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
+                    f.u64("flow", id)
+                        .u64("src", src.0 as u64)
+                        .u64("dst", dst.0 as u64);
+                });
             }
         }
         self.open_flows.retain(|&pair, &mut (id, bytes)| {
             if self.desired.binary_search(&pair).is_ok() {
                 true
             } else {
-                self.tracer
-                    .emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
-                        f.u64("flow", id).u64("bytes", bytes);
-                    });
+                tracer.emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
+                    f.u64("flow", id).u64("bytes", bytes);
+                });
                 false
             }
         });
@@ -638,8 +651,8 @@ impl<'t> Swarm<'t> {
                     let bad = credit / self.cfg.piece_bytes;
                     if bad > 0 {
                         let who = me.host;
-                        self.tracer.set_span(self.peer_spans[j]);
-                        self.tracer.emit(
+                        tracer.set_span(self.peer_spans[j]);
+                        tracer.emit(
                             now,
                             "bittorrent",
                             TraceLevel::Debug,
@@ -674,43 +687,39 @@ impl<'t> Swarm<'t> {
                 }
             }
         }
-        self.tracer.clear_provenance();
+        tracer.clear_provenance();
         // Phase 3: commit completions, completion times, re-announces.
         let n_completions = self.completions.len();
         for &(j, p) in &self.completions {
             let peer = &mut self.peers[j];
-            self.tracer.set_span(self.peer_spans[j]);
+            tracer.set_span(self.peer_spans[j]);
             if peer.pieces.insert(p) {
                 self.availability[p] += 1;
-                self.tracer
-                    .emit(now, "bittorrent", TraceLevel::Trace, "piece", |f| {
-                        f.u64("peer", peer.host.0 as u64).u64("piece", p as u64);
-                    });
+                tracer.emit(now, "bittorrent", TraceLevel::Trace, "piece", |f| {
+                    f.u64("peer", peer.host.0 as u64).u64("piece", p as u64);
+                });
             }
             if peer.pieces.is_complete() && peer.done_at.is_none() {
                 peer.done_at = Some(rounds);
                 let done_seq =
-                    self.tracer
-                        .emit(now, "bittorrent", TraceLevel::Debug, "peer.done", |f| {
-                            f.u64("peer", peer.host.0 as u64)
-                                .u64("round", rounds as u64);
-                        });
-                // The close is caused by the completion event itself.
-                self.tracer.set_cause(done_seq);
-                self.tracer
-                    .emit(now, "bittorrent", TraceLevel::Debug, "span.close", |f| {
-                        f.str("span_kind", "peer").bool("done", true);
+                    tracer.emit(now, "bittorrent", TraceLevel::Debug, "peer.done", |f| {
+                        f.u64("peer", peer.host.0 as u64)
+                            .u64("round", rounds as u64);
                     });
-                self.tracer.set_cause(None);
+                // The close is caused by the completion event itself.
+                tracer.set_cause(done_seq);
+                tracer.emit(now, "bittorrent", TraceLevel::Debug, "span.close", |f| {
+                    f.str("span_kind", "peer").bool("done", true);
+                });
+                tracer.set_cause(None);
             }
         }
-        self.tracer.clear_provenance();
-        self.tracer
-            .emit(now, "bittorrent", TraceLevel::Debug, "round", |f| {
-                f.u64("round", rounds as u64)
-                    .u64("pieces", n_completions as u64)
-                    .u64("bytes", round_bytes);
-            });
+        tracer.clear_provenance();
+        tracer.emit(now, "bittorrent", TraceLevel::Debug, "round", |f| {
+            f.u64("round", rounds as u64)
+                .u64("pieces", n_completions as u64)
+                .u64("bytes", round_bytes);
+        });
         for (peer, recv) in self.peers.iter_mut().zip(&mut self.received_this) {
             std::mem::swap(&mut peer.received_last, recv);
             recv.clear();
@@ -726,22 +735,25 @@ impl<'t> Swarm<'t> {
                         peer.host,
                         &self.members,
                         self.cfg.max_peers,
-                        &mut self.rng,
+                        rng,
                         &mut peer.neighbors,
                     );
                 }
             }
         }
+        debug_assert!(
+            self.completed_by_round.len() == rounds as usize
+                && self.completed_by_round.last() == Some(&self.finished())
+        );
         true
     }
 
     /// Closes the run: open flows and unfinished spans, the report, the
     /// per-link totals and `swarm.done`.
-    fn finish(self) -> (SwarmReport, Underlay) {
+    fn finish(self, tracer: &mut Tracer) -> (SwarmReport, Underlay) {
         let Swarm {
             underlay,
             cfg,
-            tracer,
             peers,
             tracker,
             peer_spans,
@@ -798,10 +810,26 @@ impl<'t> Swarm<'t> {
     }
 }
 
+impl World<SwarmEv> for Swarm {
+    fn handle(&mut self, ev: SwarmEv, ctx: &mut Ctx<'_, SwarmEv>) {
+        match ev {
+            SwarmEv::Round => {
+                if self.round(ctx) {
+                    ctx.schedule_in_root(self.cfg.round, SwarmEv::Round);
+                } else {
+                    ctx.stop();
+                }
+            }
+            SwarmEv::Fault(i) => self.fault_boundary(i as usize, ctx),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
+    use uap_sim::SimRng;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
         let mut rng = SimRng::new(seed);
@@ -1038,48 +1066,31 @@ mod tests {
     }
 
     #[test]
-    fn hand_stepped_swarm_matches_run_swarm_with() {
-        // One that ends because everyone finished, one cut at max_rounds
-        // with fault boundaries applied on the way.
-        for cfg in [small_cfg(TrackerPolicy::Random), faulted_cfg()] {
-            let mut stepped = Tracer::buffered(TraceLevel::Debug);
-            let mut swarm = Swarm::new(underlay(80, 9), cfg.clone(), 37, &mut stepped);
-            loop {
-                let more = swarm.round();
-                let curve = &swarm.completed_by_round;
-                assert_eq!(curve.len(), swarm.rounds as usize);
-                assert_eq!(curve.last().copied(), Some(swarm.finished()));
-                if !more {
-                    break;
-                }
-            }
-            let (by_hand, _) = swarm.finish();
-            let mut whole = Tracer::buffered(TraceLevel::Debug);
-            let (report, _) = run_swarm_with(underlay(80, 9), cfg, 37, &mut whole);
-            assert_eq!(format!("{by_hand:?}"), format!("{report:?}"));
-            assert_eq!(stepped.to_jsonl(), whole.to_jsonl());
-        }
-    }
-
-    #[test]
     fn faulted_swarm_runs_are_deterministic_and_traced() {
         let run = || {
             let cfg = faulted_cfg();
             let mut t = Tracer::buffered(TraceLevel::Debug);
             let (report, u) = run_swarm_with(underlay(80, 9), cfg, 37, &mut t);
+            let epochs: Vec<SimTime> = t
+                .events()
+                .iter()
+                .filter(|e| e.kind == "fault.epoch")
+                .map(|e| e.t)
+                .collect();
             (
                 report.completed_by_round.clone(),
                 report.reannounces,
                 u.route_cache_invalidations(),
+                epochs,
                 t.to_jsonl(),
             )
         };
-        let (curve, reann, invalidations, trace) = run();
-        assert!(trace.contains("\"k\":\"fault.epoch\""));
+        let (curve, reann, invalidations, epochs, trace) = run();
         assert!(trace.contains("\"k\":\"reannounce\""));
-        // Three boundaries: two starts, overlapping ends dedup to 120/160.
+        // The plan's four boundaries, each entered at its own time.
+        assert_eq!(epochs, [40, 80, 120, 160].map(SimTime::from_secs));
         assert_eq!(invalidations, 4);
-        let (curve2, reann2, inv2, trace2) = run();
+        let (curve2, reann2, inv2, _, trace2) = run();
         assert_eq!((curve, reann, invalidations), (curve2, reann2, inv2));
         assert_eq!(trace, trace2, "faulted runs must be byte-identical");
     }
@@ -1154,6 +1165,11 @@ mod tests {
         }
     }
 
+    /// Trace events of `kind`.
+    fn count_kind(t: &Tracer, kind: &str) -> usize {
+        t.events().iter().filter(|e| e.kind == kind).count()
+    }
+
     /// What every degenerate run must still deliver: a report whose
     /// counts are consistent with each other and with the flows the
     /// trace saw, and a trace whose spans are balanced.
@@ -1205,6 +1221,8 @@ mod tests {
         assert_eq!(report.rounds, 40);
         assert!(report.payload_bytes > 0, "two rounds of seeding happened");
         assert!(report.completed < report.leechers);
+        // The `FOREVER` end lies past the deadline: one boundary entered.
+        assert_eq!(count_kind(&t, "fault.epoch"), 1);
         assert_sane(&report, &t);
     }
 
@@ -1223,6 +1241,7 @@ mod tests {
         let mut t = Tracer::buffered(TraceLevel::Debug);
         let (report, u) = run_swarm_with(u, cfg, 11, &mut t);
         assert_eq!(report.rounds, 30);
+        assert_eq!(count_kind(&t, "fault.epoch"), 1);
         assert!(report.payload_bytes == 0 || report.intra_as_fraction == 1.0);
         assert!(u.traffic.per_link_bytes().iter().all(|&b| b == 0));
         assert_sane(&report, &t);

@@ -256,42 +256,19 @@ impl GnutellaSim {
         }
     }
 
-    /// Applies the composed fault state at one epoch boundary: routing
-    /// rebuild + route-cache invalidation on the underlay, then a diff of
-    /// the crash set against the previous one (newly crashed hosts drop
-    /// off the overlay, restored hosts rejoin if their churn state allows).
+    /// Enters one epoch boundary ([`uap_net::fault::enter_boundary`]:
+    /// routing repair, route-cache invalidation, the `fault.epoch` and
+    /// `routing.repair` events), then diffs the crash set against the
+    /// previous one (newly crashed hosts drop off the overlay, restored
+    /// hosts rejoin if their churn state allows).
     #[expect(clippy::indexing_slicing, reason = "i < crashed.len(); h is checked")]
     fn fault_boundary(&mut self, idx: usize, ctx: &mut Ctx<'_, Ev>) {
-        let (t, state) = match &self.faults {
-            None => return,
-            Some(plan) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "Ev::Fault(i) is scheduled from boundaries()"
-                )]
-                let t = *plan
-                    .boundaries()
-                    .get(idx)
-                    .expect("Ev::Fault only carries scheduled boundary indices");
-                (t, plan.state_at(t))
-            }
-        };
-        debug_assert_eq!(t, ctx.now());
-        let repair = self.underlay.apply_fault_state(&state);
-        ctx.metrics.incr("net.fault.epochs", 1);
-        let fault_seq = ctx.trace("net", TraceLevel::Info, "fault.epoch", |f| {
-            f.u64("boundary", idx as u64);
-            state.trace_fields(f);
-        });
-        // The epoch becomes the cause anchor: everything this boundary
+        let Some(plan) = &self.faults else { return };
+        let (state, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, plan, idx, ctx);
+        // The epoch is the cause anchor: everything this boundary
         // triggers — leaves, crash restores, the Repair events they
         // schedule, and later download retries — points back at it.
         self.last_fault_seq = fault_seq.or(self.last_fault_seq);
-        ctx.tracer.set_cause(fault_seq);
-        ctx.trace("net", TraceLevel::Info, "routing.repair", |f| {
-            f.u64("boundary", idx as u64);
-            repair.trace_fields(f);
-        });
         let mut now_crashed = std::mem::take(&mut self.scratch_crash);
         now_crashed.clear();
         now_crashed.resize(self.crashed.len(), false);

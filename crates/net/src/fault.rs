@@ -15,16 +15,20 @@
 //! [`SimRng`] seeded by the epoch's own `salt`, so the sampled fault set is
 //! a pure function of `(graph, plan)` — independent of the simulation's
 //! RNG stream and of *when* the plan is compiled. Application is
-//! sim-time-driven: the overlay worlds schedule one event per epoch
-//! boundary and call [`crate::Underlay::apply_fault_state`], which
-//! incrementally repairs routing under the epoch's mask (only sources
-//! whose shortest-path forests touch a changed link recompute) and
-//! invalidates the affected rows of the AS-pair route cache (see
-//! `docs/DETERMINISM.md` and `docs/PERFORMANCE.md`).
+//! sim-time-driven: both engine-driven overlays (Gnutella and the swarm)
+//! schedule one `Fault(i)` event per epoch boundary and hand it to
+//! [`enter_boundary`], the one boundary handler. It calls
+//! [`crate::Underlay::apply_fault_state`], which incrementally repairs
+//! routing under the epoch's mask (only sources whose shortest-path
+//! forests touch a changed link recompute) and invalidates the affected
+//! rows of the AS-pair route cache (see `docs/DETERMINISM.md` and
+//! `docs/PERFORMANCE.md`), and traces the boundary; each overlay then
+//! applies only its own crash diff.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::HostId;
-use uap_sim::{Fields, SimRng, SimTime};
+use crate::underlay::Underlay;
+use uap_sim::{Ctx, Fields, SimRng, SimTime, TraceLevel};
 
 /// What a fault epoch breaks while it is active.
 #[derive(Clone, Debug)]
@@ -95,11 +99,6 @@ impl FaultPlan {
     pub fn epoch(mut self, start: SimTime, end: SimTime, kind: FaultKind) -> FaultPlan {
         self.epochs.push(FaultEpoch { start, end, kind });
         self
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
     }
 
     /// Compiles the plan against a concrete graph: samples the random link
@@ -254,11 +253,6 @@ impl CompiledFaultPlan {
         &self.boundaries
     }
 
-    /// Whether the compiled plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
-    }
-
     /// The composed fault state at time `t`: epochs are active over the
     /// half-open window `[start, end)`; link masks OR together, latency
     /// factors multiply, crash sets union.
@@ -285,6 +279,48 @@ impl CompiledFaultPlan {
     }
 }
 
+/// Enters boundary `i` of `plan` (an index into
+/// [`CompiledFaultPlan::boundaries`]) at that boundary's time: applies
+/// `state_at` to `net`, counts `net.fault.epochs`, and traces
+/// `fault.epoch` as a causal root followed by the `routing.repair` it
+/// caused. The epoch's `seq` stays the ambient cause, so the caller's own
+/// crash diff points back at it too. Returns the applied state and that
+/// `seq` (`None` when the tracer filters it).
+///
+/// # Panics
+///
+/// Panics if `i` is not a boundary index of `plan`.
+pub fn enter_boundary<E>(
+    net: &mut Underlay,
+    plan: &CompiledFaultPlan,
+    i: usize,
+    ctx: &mut Ctx<'_, E>,
+) -> (FaultState, Option<u64>) {
+    #[expect(
+        clippy::expect_used,
+        reason = "Fault(i) is scheduled from boundaries()"
+    )]
+    let &t = plan
+        .boundaries()
+        .get(i)
+        .expect("a fault event only carries a scheduled boundary index");
+    debug_assert_eq!(t, ctx.now());
+    let state = plan.state_at(t);
+    let repair = net.apply_fault_state(&state);
+    ctx.metrics.incr("net.fault.epochs", 1);
+    ctx.tracer.clear_provenance();
+    let fault_seq = ctx.trace("net", TraceLevel::Info, "fault.epoch", |f| {
+        f.u64("boundary", i as u64);
+        state.trace_fields(f);
+    });
+    ctx.tracer.set_cause(fault_seq);
+    ctx.trace("net", TraceLevel::Info, "routing.repair", |f| {
+        f.u64("boundary", i as u64);
+        repair.trace_fields(f);
+    });
+    (state, fault_seq)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +345,6 @@ mod tests {
     fn empty_plan_is_always_clear() {
         let g = graph();
         let plan = FaultPlan::new().compile(&g);
-        assert!(plan.is_empty());
         assert!(plan.boundaries().is_empty());
         assert_eq!(plan.state_at(secs(10)), FaultState::clear());
     }
@@ -399,6 +434,67 @@ mod tests {
                 LinkKind::Transit => assert!(mask[i]),
                 LinkKind::Peering => assert!(!mask[i]),
             }
+        }
+    }
+
+    #[test]
+    fn enter_boundary_applies_counts_and_anchors_the_repair() {
+        use crate::host::PopulationSpec;
+        use crate::underlay::UnderlayConfig;
+        use uap_sim::{Simulator, TraceEvent, Tracer, Value, World};
+
+        struct W {
+            net: Underlay,
+            plan: CompiledFaultPlan,
+            applied: Vec<(FaultState, Option<u64>)>,
+        }
+        impl World<usize> for W {
+            fn handle(&mut self, i: usize, ctx: &mut Ctx<'_, usize>) {
+                let applied = enter_boundary(&mut self.net, &self.plan, i, ctx);
+                self.applied.push(applied);
+            }
+        }
+        let boundary = |e: &TraceEvent| match e.fields.first() {
+            Some((k, Value::U64(i))) if k == "boundary" => *i as usize,
+            other => panic!("{}: leads with {other:?}", e.kind),
+        };
+
+        let mut rng = SimRng::new(1);
+        let net = Underlay::build(
+            graph(),
+            &PopulationSpec::leaf(20),
+            UnderlayConfig::default(),
+            &mut rng,
+        );
+        let plan = FaultPlan::new()
+            .epoch(secs(10), secs(20), FaultKind::LinkDown { links: vec![0] })
+            .compile(&net.graph);
+        let mut sim = Simulator::new(1);
+        sim.set_tracer(Tracer::buffered(TraceLevel::Debug));
+        for (i, &t) in plan.boundaries().iter().enumerate() {
+            sim.schedule_at(t, i);
+        }
+        let mut w = W {
+            net,
+            plan,
+            applied: Vec::new(),
+        };
+        sim.run(&mut w);
+        assert_eq!(sim.metrics().counter("net.fault.epochs"), 2);
+        assert_eq!(w.applied[0].0.links_down(), 1);
+
+        let tracer = sim.take_tracer();
+        let evs = tracer.events();
+        let epochs: Vec<_> = evs.iter().filter(|e| e.kind == "fault.epoch").collect();
+        let repairs: Vec<_> = evs.iter().filter(|e| e.kind == "routing.repair").collect();
+        assert_eq!((epochs.len(), repairs.len()), (2, 2));
+        for (i, (epoch, repair)) in epochs.iter().zip(&repairs).enumerate() {
+            let t = w.plan.boundaries()[i];
+            assert_eq!(epoch.t, t);
+            assert_eq!(w.applied[i], (w.plan.state_at(t), Some(epoch.seq)));
+            assert_eq!((boundary(epoch), boundary(repair)), (i, i));
+            assert_eq!((epoch.span, epoch.cause), (None, None), "a causal root");
+            assert_eq!(repair.cause, Some(epoch.seq));
         }
     }
 

@@ -77,11 +77,6 @@ impl<'a, E> Ctx<'a, E> {
         *self.stop = true;
     }
 
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Emits a trace event stamped with the current simulated time and the
     /// tracer's ambient causal provenance. The field-builder closure only
     /// runs when `component`/`level` is enabled, so this costs one branch
@@ -106,8 +101,6 @@ pub struct RunStats {
     pub events_processed: u64,
     /// Simulated time at which the run ended.
     pub end_time: SimTime,
-    /// Whether the run ended because the world called [`Ctx::stop`].
-    pub stopped_early: bool,
 }
 
 /// Opt-in, determinism-safe engine profiling.
@@ -213,6 +206,10 @@ impl Profiler {
     }
 }
 
+/// Hard cap on processed events; guards against protocol bugs that
+/// generate unbounded event storms.
+const EVENT_LIMIT: u64 = 500_000_000;
+
 /// The discrete-event simulator.
 pub struct Simulator<E> {
     queue: EventQueue<E>,
@@ -222,9 +219,6 @@ pub struct Simulator<E> {
     tracer: Tracer,
     profiler: Option<Profiler>,
     events_processed: u64,
-    /// Hard cap on processed events; guards against protocol bugs that
-    /// generate unbounded event storms. Default: 500 million.
-    pub event_limit: u64,
 }
 
 impl<E> Simulator<E> {
@@ -238,18 +232,12 @@ impl<E> Simulator<E> {
             tracer: Tracer::disabled(),
             profiler: None,
             events_processed: 0,
-            event_limit: 500_000_000,
         }
     }
 
     /// Installs a tracer; the default is the no-op [`Tracer::disabled`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// The installed tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Mutable access to the tracer (for setup-time events).
@@ -318,10 +306,10 @@ impl<E> Simulator<E> {
                 reason = "deliberate abort: a runaway event storm means the world is \
                           livelocked and no useful result exists"
             )]
-            if self.events_processed >= self.event_limit {
+            if self.events_processed >= EVENT_LIMIT {
                 panic!(
-                    "event limit {} exceeded at t={} — runaway event storm?",
-                    self.event_limit, self.now
+                    "event limit {EVENT_LIMIT} exceeded at t={} — runaway event storm?",
+                    self.now
                 );
             }
             #[expect(clippy::expect_used, reason = "peek_time just saw this event")]
@@ -378,7 +366,6 @@ impl<E> Simulator<E> {
         RunStats {
             events_processed: self.events_processed,
             end_time: self.now,
-            stopped_early: stopped,
         }
     }
 }
@@ -432,7 +419,6 @@ mod tests {
         assert_eq!(w.seen.len(), 4);
         assert_eq!(w.seen[3], (SimTime::from_millis(31), 3));
         assert_eq!(sim.metrics().counter("ping"), 4);
-        assert!(!stats.stopped_early);
     }
 
     #[test]
@@ -442,7 +428,7 @@ mod tests {
         sim.schedule_at(SimTime::from_millis(2), Ev::Ping(0));
         let mut w = Echo { seen: vec![] };
         let stats = sim.run(&mut w);
-        assert!(stats.stopped_early);
+        assert_eq!(stats.events_processed, 1);
         assert!(w.seen.is_empty());
     }
 
@@ -529,7 +515,7 @@ mod tests {
             .iter()
             .any(|e| e.component == "engine" && e.kind == "dispatch"));
         // Tracer was swapped out for a disabled one.
-        assert!(!sim.tracer().is_active());
+        assert!(!sim.take_tracer().is_active());
     }
 
     #[test]

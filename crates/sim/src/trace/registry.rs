@@ -128,13 +128,13 @@ pub const TRACE_KINDS: &[TraceKindSpec] = &[
         component: "net",
         kind: "fault.epoch",
         level: "info",
-        doc: "fault epoch boundary applied (links down, latency factor, crashed hosts)",
+        doc: "fault epoch boundary applied (boundary index, links down, latency factor, crashed hosts)",
     },
     TraceKindSpec {
         component: "net",
         kind: "routing.repair",
         level: "info",
-        doc: "incremental routing repair at a fault epoch (changed links, dirty sources, full-rebuild fallback)",
+        doc: "incremental routing repair at a fault epoch (boundary index, changed links, dirty sources, full-rebuild fallback)",
     },
     TraceKindSpec {
         component: "gnutella",

@@ -291,15 +291,15 @@ fn find_entries(fns: &[FnItem]) -> Vec<usize> {
 /// Computes the *hot-path* entry set of the allocation-discipline pass —
 /// deliberately narrower than [`find_entries`]: only code that runs per
 /// simulated event / per routing query, not one-shot experiment drivers
-/// or build paths. The step loop and handlers plus
+/// or build paths. The step loop and handlers (Gnutella's and the
+/// swarm's `World::handle`; the swarm's set-up `Swarm::new` and tear-down
+/// `Swarm::finish` are one-shot) plus
 ///
 /// - `Routing::route` / `Routing::path_links` (per-query table reads),
 /// - `Underlay::latency_us` / `rtt_us` (the queries every overlay
 ///   decision bottoms out in),
 /// - the kademlia per-message handlers `DhtNetwork::rpc` /
-///   `DhtNetwork::lookup`,
-/// - the bittorrent swarm's per-round step (`Swarm::round`; its set-up
-///   `Swarm::new` and tear-down `Swarm::finish` are one-shot).
+///   `DhtNetwork::lookup`, the one overlay without a clock.
 pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
     entries_where(fns, |f| {
         matches!(
@@ -307,7 +307,6 @@ pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
             (Some("Routing"), "route" | "path_links")
                 | (Some("Underlay"), "latency_us" | "rtt_us")
                 | (Some("DhtNetwork"), "rpc" | "lookup")
-                | (Some("Swarm"), "round")
         )
     })
 }
@@ -530,7 +529,7 @@ mod tests {
             ),
             (
                 "crates/bittorrent/src/swarm.rs",
-                "impl Swarm { fn new() {} fn round(&mut self) {} fn finish(self) {} }\npub fn run_swarm_with() {}\n",
+                "impl Swarm { fn new() {} fn round(&mut self) {} fn finish(self) {} }\nimpl World<SwarmEv> for Swarm { fn handle(&mut self) {} }\npub fn run_swarm_with() {}\n",
             ),
             (
                 "crates/gnutella/src/sim.rs",
@@ -549,7 +548,7 @@ mod tests {
                 "Underlay::rtt_us",
                 "DhtNetwork::rpc",
                 "DhtNetwork::lookup",
-                "Swarm::round",
+                "Swarm::handle",
                 "GnutellaSim::handle",
             ]
         );
