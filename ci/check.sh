@@ -19,16 +19,21 @@
 #                                 than a fn outside xtask's main.rs).
 #                                 docs/DETERMINISM.md
 #   3. xtask analyze            — the static gate's call-graph half, run
-#                                 once: four call-graph passes, no
-#                                 baseline (hot-path allocation and
-#                                 truncating-cast denies; parallel
-#                                 regions; trace registry). Prints one
-#                                 summary line per pass, so a failure
-#                                 names its pass; no timing line, no
-#                                 wall budget. docs/STATIC_ANALYSIS.md
+#                                 once: three call-graph passes, no
+#                                 baseline (truncating-cast deny;
+#                                 parallel regions; trace registry).
+#                                 Prints one summary line per pass, so a
+#                                 failure names its pass; no timing
+#                                 line, no wall budget.
+#                                 docs/STATIC_ANALYSIS.md
 #   4. cargo build --release    — tier-1: release build
 #   5. cargo test               — tier-1: root-package tests
 #   6. cargo test --workspace   — every crate's unit + integration tests
+#   6b. allocation counts       — tests/alloc_count.rs in a release build
+#                                 (debug invariant checkers allocate, so
+#                                 its windows are ignored in debug):
+#                                 per-event paths allocate within their
+#                                 stated bounds. docs/PERFORMANCE.md
 #   7. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
@@ -83,6 +88,9 @@ cargo test -q
 
 step "cargo test --workspace"
 cargo test --workspace -q
+
+step "allocation counts (release)"
+cargo test --release -q --test alloc_count
 
 step "trace determinism gate (ci/trace_gate.sh)"
 ./ci/trace_gate.sh

@@ -10,7 +10,6 @@ pub struct PieceSet {
 
 impl PieceSet {
     /// An empty set over `n` pieces.
-    // lint:allow(alloc) — constructor; the bitset it builds is the product
     pub fn empty(n: usize) -> PieceSet {
         PieceSet {
             bits: vec![0; n.div_ceil(64)],

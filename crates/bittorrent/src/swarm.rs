@@ -124,12 +124,10 @@ struct Peer {
     host: HostId,
     pieces: PieceSet,
     neighbors: Vec<HostId>,
-    /// Bytes received from each neighbor last round (tit-for-tat input).
-    received_last: BTreeMap<HostId, u64>,
-    /// Byte credit toward the next piece, per sender. Partial-piece
-    /// credit is retained across rounds (capped at one piece) and pruned
-    /// when the sender crashes.
-    credit: BTreeMap<HostId, u64>,
+    /// Byte credit toward the next piece, per sender, sorted by sender.
+    /// Partial-piece credit is retained across rounds (capped at one
+    /// piece) and pruned when the sender crashes.
+    credit: Vec<(HostId, u64)>,
     /// Senders this peer caught poisoning chunks (sorted; flows from
     /// banned senders are refused).
     banned: Vec<HostId>,
@@ -171,6 +169,34 @@ fn claim_pieces(
             }
         }
     }
+}
+
+/// The credit toward `sender` in a sender-sorted credit list, inserted
+/// at zero on the first receipt from that sender.
+#[expect(clippy::indexing_slicing, reason = "binary_search returned the index")]
+fn credit_mut(credit: &mut Vec<(HostId, u64)>, sender: HostId) -> &mut u64 {
+    let at = match credit.binary_search_by_key(&sender, |&(h, _)| h) {
+        Ok(at) => at,
+        Err(at) => {
+            credit.insert(at, (sender, 0));
+            at
+        }
+    };
+    &mut credit[at].1
+}
+
+/// One round's receipts, `(receiver member index, sender, bytes)`,
+/// sorted by receiver then sender once the round's flows have moved.
+type Receipts = Vec<(usize, HostId, u64)>;
+
+/// Bytes from `sender` in one receiver's block of a sorted [`Receipts`]
+/// list.
+fn received_from(receipts: &[(usize, HostId, u64)], sender: HostId) -> u64 {
+    receipts
+        .binary_search_by_key(&sender, |&(_, s, _)| s)
+        .ok()
+        .and_then(|at| receipts.get(at))
+        .map_or(0, |&(_, _, bytes)| bytes)
 }
 
 /// Runs one swarm to completion (or `max_rounds`). Returns the report and
@@ -220,16 +246,16 @@ enum SwarmEv {
 /// One swarm mid-run, a [`World`] on the engine: [`Swarm::new`] sets it
 /// up and schedules its events, a `Round` event advances it one round
 /// ([`Swarm::round`]), a `Fault` event enters a plan boundary, and
-/// [`Swarm::finish`] closes it into the report. Everything a round needs
-/// is allocated in `new` and reused, so `handle` — the swarm's hot entry
-/// for the alloc pass of `xtask analyze` — allocates nothing
-/// (docs/STATIC_ANALYSIS.md).
+/// [`Swarm::finish`] closes it into the report. The round scratch is
+/// reused, so a round allocates only when a buffer outgrows its largest
+/// round so far or a peer first hears from a new sender
+/// (`tests/alloc_count.rs` counts it).
 struct Swarm {
     underlay: Underlay,
     cfg: SwarmConfig,
     /// Swarm membership: the first n hosts (host assignment to ASes is
-    /// already random). `peers`, `peer_spans`, `down`, `was_down`,
-    /// `unchokes` and `received_this` run parallel to it.
+    /// already random). `peers`, `peer_spans`, `down`, `was_down` and
+    /// `unchokes` run parallel to it.
     members: Vec<HostId>,
     peers: Vec<Peer>,
     index: BTreeMap<HostId, usize>,
@@ -255,16 +281,21 @@ struct Swarm {
     unchokes: Vec<Vec<usize>>,
     interested: Vec<usize>,
     leftovers: Vec<usize>,
-    received_this: Vec<BTreeMap<HostId, u64>>,
+    /// This round's receipts; last round's are the tit-for-tat input.
+    received_this: Receipts,
+    received_last: Receipts,
     /// `(peer, piece)`.
     completions: Vec<(usize, usize)>,
 
     /// Flow machinery: the allocator snapshots the capacity graph once;
     /// the open-flow table persists across rounds so flow arrivals and
-    /// departures are traced as deltas. Keys are member-index pairs
-    /// `(sender, receiver)`, values `(flow id, cumulative bytes)`.
+    /// departures are traced as deltas. Entries are member-index pairs
+    /// `(sender, receiver)` with `(flow id, cumulative bytes)`, sorted by
+    /// pair; after a round's diff they run parallel to `desired`.
+    /// `next_flows` is the diff's output buffer.
     flow_alloc: FlowAllocator,
-    open_flows: BTreeMap<(u32, u32), (u64, u64)>,
+    open_flows: Vec<((u32, u32), (u64, u64))>,
+    next_flows: Vec<((u32, u32), (u64, u64))>,
     next_flow_id: u64,
     desired: Vec<(u32, u32)>,
     senders: Vec<(u64, HostId)>,
@@ -289,6 +320,7 @@ impl Swarm {
             "swarm larger than host population"
         );
         assert!(cfg.n_seeds >= 1, "a swarm needs a seed");
+        assert!(cfg.n_pieces >= 1, "a swarm needs a piece");
         let members: Vec<HostId> = (0..n_members).map(HostId::from_index).collect();
         let mut peers: Vec<Peer> = members
             .iter()
@@ -301,8 +333,7 @@ impl Swarm {
                     PieceSet::empty(cfg.n_pieces)
                 },
                 neighbors: Vec::new(),
-                received_last: BTreeMap::new(),
-                credit: BTreeMap::new(),
+                credit: Vec::new(),
                 banned: Vec::new(),
                 done_at: None,
                 is_seed: i < cfg.n_seeds,
@@ -366,10 +397,12 @@ impl Swarm {
             unchokes: vec![Vec::new(); peers.len()],
             interested: Vec::new(),
             leftovers: Vec::new(),
-            received_this: vec![BTreeMap::new(); peers.len()],
+            received_this: Vec::new(),
+            received_last: Vec::new(),
             completions: Vec::new(),
             flow_alloc: FlowAllocator::new(&underlay),
-            open_flows: BTreeMap::new(),
+            open_flows: Vec::new(),
+            next_flows: Vec::new(),
             next_flow_id: 0,
             desired: Vec::new(),
             senders: Vec::new(),
@@ -460,9 +493,9 @@ impl Swarm {
             let who = peer.host;
             tracer.set_span(span);
             tracer.set_cause(fault_seq);
-            peer.credit.retain(|&src, c| {
+            peer.credit.retain(|&(src, c)| {
                 let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
-                if dead && *c > 0 {
+                if dead && c > 0 {
                     tracer.emit(
                         now,
                         "bittorrent",
@@ -471,7 +504,7 @@ impl Swarm {
                         |f| {
                             f.u64("peer", who.0 as u64)
                                 .u64("sender", src.0 as u64)
-                                .u64("lost_bytes", *c);
+                                .u64("lost_bytes", c);
                         },
                     );
                 }
@@ -494,10 +527,15 @@ impl Swarm {
             return false;
         }
         let (peers, down, index) = (&self.peers, &self.down, &self.index);
+        let mut received_last = self.received_last.as_slice();
         // Phase 1: each peer picks its unchoke set (built in place into
         // its reused `unchokes` buffer).
         for (i, (me, unchoke)) in peers.iter().zip(&mut self.unchokes).enumerate() {
             unchoke.clear();
+            // Peer i's receipts of last round head what is left of the
+            // receiver-sorted list.
+            let (mine, rest) = received_last.split_at(received_last.partition_point(|r| r.0 <= i));
+            received_last = rest;
             if down[i] {
                 continue;
             }
@@ -518,7 +556,7 @@ impl Swarm {
             // Tit-for-tat ranking; CAT discounts external reciprocators.
             let (cfg, underlay) = (&self.cfg, &self.underlay);
             self.interested.sort_by_key(|&j| {
-                let recv = me.received_last.get(&peers[j].host).copied().unwrap_or(0);
+                let recv = received_from(mine, peers[j].host);
                 let scaled = if cfg.cost_aware_choking && !underlay.same_as(me.host, peers[j].host)
                 {
                     recv / 2
@@ -570,33 +608,39 @@ impl Swarm {
             }
         }
         self.desired.sort_unstable();
-        for &(i, j) in &self.desired {
-            if let std::collections::btree_map::Entry::Vacant(slot) = self.open_flows.entry((i, j))
-            {
-                let id = self.next_flow_id;
-                self.next_flow_id += 1;
-                slot.insert((id, 0));
-                let (src, dst) = (peers[i as usize].host, peers[j as usize].host);
-                tracer.emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
-                    f.u64("flow", id)
-                        .u64("src", src.0 as u64)
-                        .u64("dst", dst.0 as u64);
-                });
-            }
+        // Both lists are sorted by pair, so one merge keeps the flows of
+        // pairs still desired and opens the new ones, in pair order.
+        self.next_flows.clear();
+        let mut open = self.open_flows.iter().peekable();
+        for &pair in &self.desired {
+            while open.next_if(|&&(p, _)| p < pair).is_some() {}
+            let flow = match open.next_if(|&&(p, _)| p == pair) {
+                Some(&(_, flow)) => flow,
+                None => {
+                    let id = self.next_flow_id;
+                    self.next_flow_id += 1;
+                    let (src, dst) = (peers[pair.0 as usize].host, peers[pair.1 as usize].host);
+                    tracer.emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
+                        f.u64("flow", id)
+                            .u64("src", src.0 as u64)
+                            .u64("dst", dst.0 as u64);
+                    });
+                    (id, 0)
+                }
+            };
+            self.next_flows.push((pair, flow));
         }
-        self.open_flows.retain(|&pair, &mut (id, bytes)| {
-            if self.desired.binary_search(&pair).is_ok() {
-                true
-            } else {
+        // Then the exits close, also in pair order.
+        for &(pair, (id, bytes)) in &self.open_flows {
+            if self.desired.binary_search(&pair).is_err() {
                 tracer.emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
                     f.u64("flow", id).u64("bytes", bytes);
                 });
-                false
             }
-        });
+        }
+        std::mem::swap(&mut self.open_flows, &mut self.next_flows);
         self.flow_alloc.begin();
-        for &(i, j) in &self.desired {
-            let (id, _) = self.open_flows[&(i, j)];
+        for &((i, j), (id, _)) in &self.open_flows {
             let (src, dst) = (peers[i as usize].host, peers[j as usize].host);
             // A fault partition can leave a cross-AS pair unroutable; the
             // rejected flow stays open but stalls (zero bytes) until
@@ -607,36 +651,34 @@ impl Swarm {
         // Move bytes at the allocated rates. Zero-byte flows (stalled
         // routes, zero-capacity endpoints) are skipped outright: no
         // ledger entry, no credit.
-        for pair in &self.desired {
-            let (i, j) = (pair.0 as usize, pair.1 as usize);
-            #[expect(clippy::expect_used, reason = "every desired pair was opened above")]
-            let entry = self
-                .open_flows
-                .get_mut(pair)
-                .expect("desired flows are open");
-            let bytes = self.flow_alloc.bytes_of(entry.0, round_secs);
+        for ((i, j), flow) in &mut self.open_flows {
+            let (i, j) = (*i as usize, *j as usize);
+            let bytes = self.flow_alloc.bytes_of(flow.0, round_secs);
             if bytes == 0 {
                 continue;
             }
-            entry.1 += bytes;
+            flow.1 += bytes;
             let (src, dst) = (self.peers[i].host, self.peers[j].host);
             self.underlay.account_transfer(now, src, dst, bytes);
             self.payload_bytes += bytes;
             round_bytes += bytes;
-            *self.received_this[j].entry(src).or_insert(0) += bytes;
-            *self.peers[j].credit.entry(src).or_insert(0) += bytes;
+            self.received_this.push((j, src, bytes));
+            *credit_mut(&mut self.peers[j].credit, src) += bytes;
         }
+        self.received_this
+            .sort_unstable_by_key(|&(receiver, sender, _)| (receiver, sender));
         // Phase 2b: receivers verify and assemble chunks — fastest
         // senders convert credit first (slow senders only claim pieces
         // nobody faster offered, deprioritizing them), rarest pieces
         // first, each chunk hash-checked before it counts.
-        for (j, received) in self.received_this.iter().enumerate() {
-            if received.is_empty() {
+        for received in self.received_this.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(j, _, _)) = received.first() else {
                 continue;
-            }
+            };
             self.claimed.clear();
             self.senders.clear();
-            self.senders.extend(received.iter().map(|(&h, &b)| (b, h)));
+            self.senders
+                .extend(received.iter().map(|&(_, sender, bytes)| (bytes, sender)));
             self.senders
                 .sort_unstable_by_key(|&(b, h)| (std::cmp::Reverse(b), h));
             for &(_, src) in &self.senders {
@@ -647,7 +689,7 @@ impl Swarm {
                     // sender is banned, and the pieces re-request from
                     // the remaining senders in later rounds.
                     let me = &mut self.peers[j];
-                    let credit = me.credit.get(&src).copied().unwrap_or(0);
+                    let credit = *credit_mut(&mut me.credit, src);
                     let bad = credit / self.cfg.piece_bytes;
                     if bad > 0 {
                         let who = me.host;
@@ -663,14 +705,14 @@ impl Swarm {
                                     .u64("chunks", bad);
                             },
                         );
-                        me.credit.insert(src, 0);
+                        *credit_mut(&mut me.credit, src) = 0;
                         if let Err(pos) = me.banned.binary_search(&src) {
                             me.banned.insert(pos, src);
                         }
                     }
                     continue;
                 }
-                let mut credit = self.peers[j].credit.get(&src).copied().unwrap_or(0);
+                let mut credit = *credit_mut(&mut self.peers[j].credit, src);
                 self.new_claims.clear();
                 claim_pieces(
                     &self.peers[j].pieces,
@@ -681,7 +723,7 @@ impl Swarm {
                     &mut self.claimed,
                     &mut self.new_claims,
                 );
-                self.peers[j].credit.insert(src, credit);
+                *credit_mut(&mut self.peers[j].credit, src) = credit;
                 for &p in &self.new_claims {
                     self.completions.push((j, p));
                 }
@@ -720,10 +762,8 @@ impl Swarm {
                 .u64("pieces", n_completions as u64)
                 .u64("bytes", round_bytes);
         });
-        for (peer, recv) in self.peers.iter_mut().zip(&mut self.received_this) {
-            std::mem::swap(&mut peer.received_last, recv);
-            recv.clear();
-        }
+        std::mem::swap(&mut self.received_last, &mut self.received_this);
+        self.received_this.clear();
         self.completed_by_round.push(self.finished());
         // Peers with shrunken useful neighborhoods re-announce every 20
         // rounds.
@@ -764,7 +804,7 @@ impl Swarm {
         let end = cfg.round.mul(rounds as u64);
         // Flows still open when the run stops are closed here so every
         // flow.open has a matching flow.close in the trace.
-        for &(id, bytes) in open_flows.values() {
+        for &(_, (id, bytes)) in &open_flows {
             tracer.emit(end, "net", TraceLevel::Debug, "flow.close", |f| {
                 f.u64("flow", id).u64("bytes", bytes);
             });
@@ -1200,6 +1240,16 @@ mod tests {
             }
         }
         assert!(open.is_empty(), "spans left open: {open:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a swarm needs a piece")]
+    fn zero_piece_swarm_is_refused() {
+        // Nobody could ever complete it: without the guard it ran every
+        // one of its `max_rounds` rounds.
+        let mut cfg = small_cfg(TrackerPolicy::Random);
+        cfg.n_pieces = 0;
+        run_swarm(underlay(80, 1), cfg, 11);
     }
 
     #[test]

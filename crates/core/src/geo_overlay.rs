@@ -142,7 +142,6 @@ impl GeoOverlay {
         self.n_members += 1;
     }
 
-    // lint:allow(alloc) — zone splits allocate the four child leaves; amortized structural growth
     fn insert(node: &mut Node, zone: Rect, h: HostId, pos: GeoPoint, max: usize, depth: usize) {
         match node {
             Node::Leaf { members } => {

@@ -117,7 +117,6 @@ pub(crate) struct HolderRow<'a>(&'a [u64]);
 impl Holders {
     /// Indexes `shared[h]`, the files host `h` shares, over a catalogue
     /// of `n_files`.
-    // lint:allow(alloc) — index construction; runs once per experiment run
     pub(crate) fn new(n_files: usize, shared: &[Vec<FileId>]) -> Holders {
         let words_per_file = shared.len().div_ceil(64);
         let mut bits = vec![0u64; n_files * words_per_file];

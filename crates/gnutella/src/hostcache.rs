@@ -36,7 +36,6 @@ impl HostCache {
     /// without replacement. The ring is sized for its bound up front (a
     /// cache never holds its owner or a host twice), so inserts do not
     /// grow it.
-    // lint:allow(alloc) — construction; runs once per host per experiment run
     pub(crate) fn new(
         capacity: usize,
         n_hosts: usize,

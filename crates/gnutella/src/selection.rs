@@ -41,7 +41,7 @@ pub enum NeighborSelection {
 
 /// Mutable selection state (oracle counters, probe counters), plus
 /// reusable scoring scratch so the per-join ranking path allocates
-/// nothing (the alloc pass in `xtask analyze` ratchets this).
+/// nothing (`tests/alloc_count.rs` counts it).
 pub struct Selector {
     /// The policy in force.
     pub policy: NeighborSelection,

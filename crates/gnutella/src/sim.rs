@@ -91,8 +91,8 @@ pub struct GnutellaSim {
     next_flow_id: u64,
     /// Hot-path scratch buffers, reused across events (taken with
     /// `std::mem::take` around calls that need `&mut self`) so the
-    /// per-event bodies stay allocation-free — the alloc pass in
-    /// `xtask analyze` ratchets this.
+    /// per-event bodies stay allocation-free (`tests/alloc_count.rs`
+    /// counts them).
     scratch_flood: crate::overlay::FloodResult,
     scratch_hits: Vec<crate::overlay::Reached>,
     scratch_providers: Vec<HostId>,

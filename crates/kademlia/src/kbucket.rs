@@ -171,7 +171,6 @@ impl RoutingTable {
     /// non-empty bucket (or `closest_into` would skip it). Called under
     /// `debug_assertions` from [`Self::observe`] and [`Self::remove`]; also
     /// usable directly from tests.
-    // lint:allow(alloc) — diagnostic checker; allocates only error messages
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, bucket) in self.buckets.iter().enumerate() {
             if bucket.len() > self.k {

@@ -8,7 +8,7 @@
 
 use crate::id::Key;
 use crate::kbucket::{Contact, OverflowPolicy, RoutingTable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use uap_net::{HostId, TrafficCategory, Underlay};
 use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
 
@@ -102,12 +102,13 @@ pub struct DhtNetwork {
     nodes: Vec<NodeState>,
     /// Lookup scratch (taken with `std::mem::take` for the duration of a
     /// lookup) so the iterative FIND_NODE loop allocates nothing per
-    /// round — the alloc pass in `xtask analyze` ratchets this.
+    /// round (`tests/alloc_count.rs` counts it). `lk_queried` and
+    /// `lk_dead` are sorted key sets.
     lk_candidates: Vec<Contact>,
     lk_learned: Vec<Contact>,
     lk_resp: Vec<Contact>,
-    lk_queried: BTreeSet<Key>,
-    lk_dead: BTreeSet<Key>,
+    lk_queried: Vec<Key>,
+    lk_dead: Vec<Key>,
 }
 
 impl DhtNetwork {
@@ -155,8 +156,8 @@ impl DhtNetwork {
             lk_candidates: Vec::new(),
             lk_learned: Vec::new(),
             lk_resp: Vec::new(),
-            lk_queried: BTreeSet::new(),
-            lk_dead: BTreeSet::new(),
+            lk_queried: Vec::new(),
+            lk_dead: Vec::new(),
         };
         // Joins: node i learns node 0 (or a random earlier node) and
         // self-looks-up to populate its table; earlier nodes learn the
@@ -220,6 +221,11 @@ impl DhtNetwork {
             .map(|n| n.table.mean_contact_as_hops())
             .sum();
         sum / self.nodes.len() as f64
+    }
+
+    /// Contacts held across every node's routing table.
+    pub fn table_contacts(&self) -> usize {
+        self.nodes.iter().map(|n| n.table.len()).sum()
     }
 
     fn contact_of(&self, h: HostId, relative_to: HostId) -> Contact {
@@ -313,8 +319,10 @@ impl DhtNetwork {
                 }
             });
         let me = self.nodes[from.idx()].key;
-        // The shortlist is the outcome's `closest` list, moved back at the end.
-        let mut shortlist = std::mem::take(&mut out.closest);
+        // The shortlist is the outcome's `closest` list, moved in at the
+        // end. It holds at most k contacts plus α responses of k each, so
+        // it is allocated once, at that capacity.
+        let mut shortlist = Vec::with_capacity(self.cfg.k * (1 + self.cfg.alpha));
         self.nodes[from.idx()]
             .table
             .closest_into(target, self.cfg.k, &mut shortlist);
@@ -327,7 +335,7 @@ impl DhtNetwork {
         let mut resp = std::mem::take(&mut self.lk_resp);
         queried.clear();
         dead.clear();
-        queried.insert(me);
+        queried.push(me);
         loop {
             out.rounds += 1;
             // Candidates this round: unqueried entries of the shortlist.
@@ -335,7 +343,7 @@ impl DhtNetwork {
             candidates.extend(
                 shortlist
                     .iter()
-                    .filter(|c| !queried.contains(&c.key))
+                    .filter(|c| queried.binary_search(&c.key).is_err())
                     .copied(),
             );
             if candidates.is_empty() {
@@ -353,7 +361,7 @@ impl DhtNetwork {
             let mut round_rtt = 0u64;
             learned.clear();
             for &c in &candidates {
-                queried.insert(c.key);
+                insert_sorted(&mut queried, c.key);
                 let wait_before = out.timeout_wait_us;
                 match self.rpc(from, c.host, &mut out) {
                     Some(rtt) => {
@@ -377,7 +385,7 @@ impl DhtNetwork {
                         // backoff the retransmit loop spent waiting bounds
                         // this round's duration like a slow RTT would.
                         round_rtt = round_rtt.max(out.timeout_wait_us - wait_before);
-                        dead.insert(c.key);
+                        insert_sorted(&mut dead, c.key);
                         self.nodes[from.idx()].table.remove(&c.key);
                         shortlist.retain(|e| e.key != c.key);
                     }
@@ -398,7 +406,7 @@ impl DhtNetwork {
                 });
             let before_best = shortlist.first().map(|c| c.key);
             for &l in &learned {
-                if dead.contains(&l.key) {
+                if dead.binary_search(&l.key).is_ok() {
                     continue;
                 }
                 if self.nodes[l.host.idx()].online {
@@ -416,7 +424,9 @@ impl DhtNetwork {
             let after_best = shortlist.first().map(|c| c.key);
             // Terminate when the k-closest set is fully queried or the best
             // stopped improving and everything in range was asked.
-            let all_queried = shortlist.iter().all(|c| queried.contains(&c.key));
+            let all_queried = shortlist
+                .iter()
+                .all(|c| queried.binary_search(&c.key).is_ok());
             if all_queried || (before_best == after_best && out.rounds > 20) {
                 break;
             }
@@ -513,6 +523,13 @@ impl DhtNetwork {
         keys.sort_by(|a, b| target.cmp_distance(a, b));
         keys.truncate(count);
         keys
+    }
+}
+
+/// Adds `key` to the sorted set `keys` unless it is already there.
+fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
+    if let Err(pos) = keys.binary_search(&key) {
+        keys.insert(pos, key);
     }
 }
 

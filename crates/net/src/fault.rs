@@ -110,7 +110,6 @@ impl FaultPlan {
     /// Panics on malformed epochs: `end <= start`, a link index out of
     /// range, or a latency-inflation factor below 1.0.
     #[expect(clippy::indexing_slicing, reason = "link ids asserted < n_links above")]
-    // lint:allow(alloc) — campaign compilation; runs once before the sim starts
     pub fn compile(&self, graph: &AsGraph) -> CompiledFaultPlan {
         let n_links = graph.links.len();
         let epochs: Vec<CompiledEpoch> = self
@@ -219,7 +218,6 @@ pub struct FaultState {
 
 impl FaultState {
     /// The fault-free state.
-    // lint:allow(alloc) — constructs the returned state; per fault epoch, not per event
     pub fn clear() -> FaultState {
         FaultState {
             mask: None,
@@ -256,7 +254,6 @@ impl CompiledFaultPlan {
     /// The composed fault state at time `t`: epochs are active over the
     /// half-open window `[start, end)`; link masks OR together, latency
     /// factors multiply, crash sets union.
-    // lint:allow(alloc) — composes the returned state; per fault epoch, not per event
     pub fn state_at(&self, t: SimTime) -> FaultState {
         let mut state = FaultState::clear();
         for e in &self.epochs {

@@ -39,7 +39,7 @@
 //! All working storage lives in the struct and is recycled across
 //! [`begin`]/[`allocate`] cycles, so recomputing the allocation at flow
 //! arrival/departure/fault epochs allocates nothing on the per-round hot
-//! path (the alloc pass in `xtask analyze` ratchets this).
+//! path (`tests/alloc_count.rs` counts the swarm's rounds).
 //!
 //! [`allocate`]: FlowAllocator::allocate
 //! [`begin`]: FlowAllocator::begin
@@ -94,7 +94,6 @@ impl FlowAllocator {
     /// routing (and therefore each flow's AS-link span) is re-resolved on
     /// every [`FlowAllocator::add_flow`], so fault-epoch reroutes are
     /// picked up at the next recomputation.
-    // lint:allow(alloc) — construction; runs once per experiment run
     pub fn new(underlay: &Underlay) -> FlowAllocator {
         let n = underlay.n_hosts();
         let n_links = underlay.graph.links.len();

@@ -72,7 +72,6 @@ pub fn check_valley_free(graph: &AsGraph, path: &[AsId]) -> Result<(), String> {
 /// Validates byte conservation in `traffic` against `graph`: the sum of
 /// per-link bytes over peering links must equal the peering total, and
 /// likewise for transit links. (Intra-AS bytes never touch a link.)
-// lint:allow(alloc) — invariant checker; allocates only error messages
 pub fn check_traffic_conservation(
     graph: &AsGraph,
     traffic: &TrafficAccounting,
@@ -133,7 +132,6 @@ fn flow_eps(scale: f64) -> f64 {
 /// beyond its capacity. `cap` and `load` are the allocator's per-resource
 /// arrays; `used` lists the resource indices the flow set crosses.
 #[expect(clippy::indexing_slicing, reason = "used ids < cap.len() = load.len()")]
-// lint:allow(alloc) — invariant checker; debug-only, allocates only error messages
 pub fn check_flow_capacity(cap: &[f64], load: &[f64], used: &[u32]) -> Result<(), String> {
     for &r in used {
         let r = r as usize;
@@ -157,7 +155,6 @@ pub fn check_flow_capacity(cap: &[f64], load: &[f64], used: &[u32]) -> Result<()
 /// `arena` the concatenated resource spans; `rates` is parallel to
 /// `flows`.
 #[expect(clippy::indexing_slicing, reason = "spans in arena, ids < load.len()")]
-// lint:allow(alloc) — invariant checker; debug-only, allocates one scratch sum table
 pub fn check_flow_conservation(
     load: &[f64],
     rates: &[f64],
@@ -185,7 +182,6 @@ pub fn check_flow_conservation(
 /// resource it touches could be raised without hurting anyone, so the
 /// allocation would not be max-min fair.
 #[expect(clippy::indexing_slicing, reason = "spans in arena, ids < cap.len()")]
-// lint:allow(alloc) — invariant checker; debug-only, allocates only error messages
 pub fn check_flow_max_min(
     cap: &[f64],
     load: &[f64],

@@ -171,7 +171,6 @@ pub struct RepairIndex {
 impl RepairIndex {
     /// An index with no row installed yet: a full build fills every
     /// source's before any is read.
-    // lint:allow(alloc) — index construction; runs once per full routing build
     fn new(n: usize, n_links: usize) -> RepairIndex {
         let words = n_links.div_ceil(64).max(1);
         RepairIndex {
@@ -331,7 +330,6 @@ impl Routing {
     /// differential tests sweep this to prove scheduling cannot leak into
     /// the table). A full build is a repair of the empty table with every
     /// source dirty.
-    // lint:allow(alloc) — table + index construction; runs once per full routing build
     pub fn compute_indexed_threads(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -431,7 +429,6 @@ impl Routing {
     /// Recomputes the rows of `index.dirty_list` under `mask`, each written
     /// in place by the worker that is lent its slot; no other row is read
     /// or moved.
-    // lint:allow(alloc) — one slot per recomputed source; build and fault-epoch repair only
     fn recompute_dirty(
         &mut self,
         index: &mut RepairIndex,
@@ -495,7 +492,6 @@ impl Routing {
 
     /// Recomputes one source's row into its slot.
     #[expect(clippy::indexing_slicing, reason = "tree_links has n_links bits")]
-    // lint:allow(alloc) — one row per recomputed source; build and fault-epoch repair only
     fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) {
         let src = AsId::from_index(slot.src);
         let pred = Self::dijkstra(graph, mode, src, mask, slot.hops, slot.latency);
@@ -571,7 +567,6 @@ impl Routing {
     /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
     /// unreachable) and returns the predecessor `(state, link)` per state.
     #[expect(clippy::indexing_slicing, reason = "states < 2n; link ids < n_links")]
-    // lint:allow(alloc) — per-source table construction; build-time only
     fn dijkstra(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -776,7 +771,6 @@ impl ReferenceRouting {
     }
 
     /// The link indices along the chosen path (allocating, per query).
-    // lint:allow(alloc) — reference oracle for differential tests; the table's path_links is the hot path
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<Vec<u32>> {
         let (t, mut s) = self.best_state(src, dst)?;
         let mut links = Vec::new();

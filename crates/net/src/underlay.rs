@@ -92,7 +92,6 @@ impl RouteCache {
     /// Eagerly fills every entry (all generations valid at 0). The
     /// initial build is eager so coherence checks and first lookups never
     /// observe an unfilled cache; later invalidations are lazy.
-    // lint:allow(alloc) — cache construction; runs once per full routing rebuild
     fn build(routing: &Routing, n: usize, latency_factor: f64) -> RouteCache {
         let mut entries = Vec::with_capacity(n * n);
         for s in 0..n {

@@ -190,7 +190,6 @@ impl Profiler {
 
     /// Drains accumulated per-kind counts into `engine.events.<kind>`
     /// counters and closes the open events-per-sec bucket.
-    // lint:allow(alloc) — end-of-run drain, once per run, not per event
     fn flush(&mut self, metrics: &mut Metrics) {
         for (kind, n) in std::mem::take(&mut self.kinds) {
             metrics.incr(&format!("engine.events.{kind}"), n);

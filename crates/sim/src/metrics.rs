@@ -63,7 +63,6 @@ impl Histogram {
     /// report different bits — breaking the byte-identical run-report
     /// contract. Sorting first (by `total_cmp`) fixes the evaluation
     /// order as a function of the sample multiset alone.
-    // lint:allow(alloc) — report-time stable sum needs a sorted copy (&self)
     pub fn sum(&self) -> f64 {
         let mut acc = 0.0;
         if self.sorted {
@@ -197,7 +196,12 @@ impl Metrics {
     pub fn set_counter(&mut self, name: &str, v: u64) {
         #[cfg(debug_assertions)]
         crate::trace::registry::debug_check_metric_key(name);
-        self.counters.insert(name.to_owned(), v);
+        match self.counters.get_mut(name) {
+            Some(c) => *c = v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
     /// Current value of a counter (zero if never incremented).

@@ -134,7 +134,6 @@ impl Value {
     /// Appends the value's JSON encoding to `out` (non-finite floats
     /// become the strings `"NaN"` / `"inf"` / `"-inf"`). Public so trace
     /// tooling can render parsed fields exactly as they were serialized.
-    // lint:allow(alloc) — number-to-string formatting inside the serializer; bounded per value, no retained allocation
     pub fn write_json_value(&self, out: &mut String) {
         match self {
             Value::U64(v) => out.push_str(&v.to_string()),
@@ -161,7 +160,6 @@ impl Value {
 }
 
 /// Escapes `s` as JSON string content into `out`.
-// lint:allow(alloc) — the `\uXXXX` control-char arm formats through a temporary; control chars never appear in trace names
 pub(crate) fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
@@ -239,7 +237,6 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Serializes the event as one JSONL line (no trailing newline).
-    // lint:allow(alloc) — constructs the returned line; the streaming hot path uses `write_json_into` with a reused buffer
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + 16 * self.fields.len());
         self.write_json_into(&mut out);
@@ -249,7 +246,6 @@ impl TraceEvent {
     /// Appends the event's JSONL encoding (no trailing newline) to `out`.
     /// The streaming sink serializes through this with a reused buffer so
     /// a per-event write allocates nothing beyond number formatting.
-    // lint:allow(alloc) — integer-to-string formatting inside the serializer; bounded per event, no retained allocation
     pub fn write_json_into(&self, out: &mut String) {
         out.push_str("{\"seq\":");
         out.push_str(&self.seq.to_string());
@@ -409,7 +405,6 @@ impl Tracer {
     /// [`Tracer::set_cause`] — e.g. the `fault.epoch` seq becomes the
     /// cause of every recovery event the epoch triggers.
     #[inline]
-    // lint:allow(alloc) — the retained TraceEvent record is the product; the disabled path returns first
     pub fn emit(
         &mut self,
         t: SimTime,

@@ -347,12 +347,12 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         key: "net.flow.opened",
         kind: MetricKind::Counter,
-        doc: "flows accepted by the max-min allocator (exported at end of run)",
+        doc: "flows accepted by the max-min allocator (exported by Gnutella after every download; the swarm does not export it)",
     },
     MetricSpec {
         key: "net.flow.rejected",
         kind: MetricKind::Counter,
-        doc: "flows rejected as unroutable under the active fault state (exported at end of run)",
+        doc: "flows rejected as unroutable under the active fault state (exported by Gnutella after every download; the swarm does not export it)",
     },
     MetricSpec {
         key: "net.fault.epochs",

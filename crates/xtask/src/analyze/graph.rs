@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::analyze::parser::{AllocSite, Callee, FnItem};
+use crate::analyze::parser::{Callee, FnItem};
 
 /// The resolved workspace call graph over non-test functions.
 pub struct Graph {
@@ -126,10 +126,6 @@ impl Graph {
                         local
                     }
                 }
-                // Macros have no workspace `fn` body to resolve into;
-                // their argument tokens were scanned in place, so the
-                // call site exists purely for the sink passes.
-                Callee::Macro(_) => Vec::new(),
             }
         };
 
@@ -252,112 +248,51 @@ impl Graph {
     }
 }
 
-/// Indices of the non-test functions that are the engine step loop
-/// (`Simulator::run` / `run_until`), an overlay event handler (a `handle`
-/// method of a `World` trait impl) — the core both entry sets share — or
-/// one of `extra`.
-fn entries_where(fns: &[FnItem], extra: impl Fn(&FnItem) -> bool) -> Vec<usize> {
-    let step_loop = |f: &FnItem| {
-        f.impl_type.as_deref() == Some("Simulator")
-            && matches!(f.name.as_str(), "run" | "run_until")
-    };
-    let handler = |f: &FnItem| {
-        f.impl_type.is_some() && f.trait_name.as_deref() == Some("World") && f.name == "handle"
-    };
-    (0..fns.len())
-        .filter(|&i| {
-            let f = &fns[i];
-            !f.is_test && (step_loop(f) || handler(f) || extra(f))
-        })
-        .collect()
-}
-
-/// Computes the simulation entry-point set: the step loop and handlers
-/// (see [`entries_where`]) plus
+/// Computes the simulation entry-point set: the indices of the non-test
+/// functions that are
 ///
-/// - every `Ctx` method (the API surface handlers call back into),
-/// - free `run` / `run_traced` functions under
-///   `crates/core/src/experiments/` (experiment drivers).
+/// - the engine step loop (`Simulator::run` / `run_until`),
+/// - an overlay event handler (a `handle` method of a `World` trait
+///   impl),
+/// - a `Ctx` method (the API surface handlers call back into), or
+/// - a free `run` / `run_traced` function under
+///   `crates/core/src/experiments/` (an experiment driver).
 fn find_entries(fns: &[FnItem]) -> Vec<usize> {
-    entries_where(fns, |f| match f.impl_type.as_deref() {
-        Some(ty) => ty == "Ctx",
+    let entry = |f: &FnItem| match f.impl_type.as_deref() {
+        Some("Simulator") => matches!(f.name.as_str(), "run" | "run_until"),
+        Some("Ctx") => true,
+        Some(_) => f.trait_name.as_deref() == Some("World") && f.name == "handle",
         None => {
             matches!(f.name.as_str(), "run" | "run_traced")
                 && f.file.contains("crates/core/src/experiments/")
         }
-    })
+    };
+    (0..fns.len())
+        .filter(|&i| !fns[i].is_test && entry(&fns[i]))
+        .collect()
 }
 
-/// Computes the *hot-path* entry set of the allocation-discipline pass —
-/// deliberately narrower than [`find_entries`]: only code that runs per
-/// simulated event / per routing query, not one-shot experiment drivers
-/// or build paths. The step loop and handlers (Gnutella's and the
-/// swarm's `World::handle`; the swarm's set-up `Swarm::new` and tear-down
-/// `Swarm::finish` are one-shot) plus
-///
-/// - `Routing::route` / `Routing::path_links` (per-query table reads),
-/// - `Underlay::latency_us` / `rtt_us` (the queries every overlay
-///   decision bottoms out in),
-/// - the kademlia per-message handlers `DhtNetwork::rpc` /
-///   `DhtNetwork::lookup`, the one overlay without a clock.
-pub fn find_hot_entries(fns: &[FnItem]) -> Vec<usize> {
-    entries_where(fns, |f| {
-        matches!(
-            (f.impl_type.as_deref(), f.name.as_str()),
-            (Some("Routing"), "route" | "path_links")
-                | (Some("Underlay"), "latency_us" | "rtt_us")
-                | (Some("DhtNetwork"), "rpc" | "lookup")
-        )
-    })
-}
-
-/// A pass's site inventory: `(file, qualname, key)` → the source line
-/// of every site behind the key, in source order. The key is what the
-/// pass groups by — the allocation kind or the cast's target type.
+/// The cast pass's site inventory: `(file, qualname, target type)` →
+/// the source line of every truncating cast behind the key, in source
+/// order.
 pub type Inventory = BTreeMap<(String, String, String), Vec<usize>>;
 
-/// Builds the inventory of one pass over the non-test, non-bin functions
-/// reachable per `dist` (from [`Graph::reach_from`]); `sites` lists a
-/// function's `(key, line)` sites.
-pub fn inventory(
-    graph: &Graph,
-    dist: &[usize],
-    sites: impl Fn(&FnItem) -> Vec<(String, usize)>,
-) -> Inventory {
+/// Builds the inventory of the truncating casts not documented with
+/// `lint:allow(cast)` in the non-test, non-bin functions reachable per
+/// `dist` (from [`Graph::reach`]).
+pub fn cast_inventory(graph: &Graph, dist: &[usize]) -> Inventory {
     let mut inv = Inventory::new();
     for (i, f) in graph.fns.iter().enumerate() {
         if f.is_test || f.is_bin || dist[i] == usize::MAX {
             continue;
         }
-        for (key, line) in sites(f) {
-            inv.entry((f.file.clone(), f.qualname(), key))
+        for c in f.casts.iter().filter(|c| !c.documented) {
+            inv.entry((f.file.clone(), f.qualname(), c.target.clone()))
                 .or_default()
-                .push(line);
+                .push(c.line);
         }
     }
     inv
-}
-
-/// Total sites behind an inventory's keys.
-pub fn site_count(inv: &Inventory) -> usize {
-    inv.values().map(Vec::len).sum()
-}
-
-/// Hot-path allocation sites of `f` keyed by kind; none when the `fn`
-/// carries the `lint:allow(alloc)` one-shot-path escape.
-pub fn alloc_sites(f: &FnItem) -> Vec<(String, usize)> {
-    if f.alloc_exempt {
-        return Vec::new();
-    }
-    let key = |a: &AllocSite| (a.kind.name().to_string(), a.line);
-    f.allocs.iter().map(key).collect()
-}
-
-/// Truncating casts of `f` not documented with `lint:allow(cast)`, keyed
-/// by target type.
-pub fn cast_sites(f: &FnItem) -> Vec<(String, usize)> {
-    let sites = f.casts.iter().filter(|c| !c.documented);
-    sites.map(|c| (c.target.clone(), c.line)).collect()
 }
 
 #[cfg(test)]
@@ -509,70 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_entry_set_is_the_per_event_surface() {
-        let g = graph_of(&[
-            (
-                "crates/sim/src/engine.rs",
-                "impl Simulator { fn run(&mut self) {} fn new() -> Self { Simulator }\n}\n",
-            ),
-            (
-                "crates/net/src/routing.rs",
-                "impl Routing { fn route(&self) {} fn path_links(&self) {} fn build(&mut self) {} }\n",
-            ),
-            (
-                "crates/net/src/underlay.rs",
-                "impl Underlay { fn latency_us(&self) {} fn rtt_us(&self) {} fn from_topology() {} }\n",
-            ),
-            (
-                "crates/kademlia/src/network.rs",
-                "impl DhtNetwork { fn rpc(&mut self) {} fn lookup(&mut self) {} fn bootstrap(&mut self) {} }\n",
-            ),
-            (
-                "crates/bittorrent/src/swarm.rs",
-                "impl Swarm { fn new() {} fn round(&mut self) {} fn finish(self) {} }\nimpl World<SwarmEv> for Swarm { fn handle(&mut self) {} }\npub fn run_swarm_with() {}\n",
-            ),
-            (
-                "crates/gnutella/src/sim.rs",
-                "impl World<Ev> for GnutellaSim { fn handle(&mut self) {} }\n",
-            ),
-        ]);
-        let hot = find_hot_entries(&g.fns);
-        let names: Vec<String> = hot.iter().map(|&i| g.fns[i].qualname()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "Simulator::run",
-                "Routing::route",
-                "Routing::path_links",
-                "Underlay::latency_us",
-                "Underlay::rtt_us",
-                "DhtNetwork::rpc",
-                "DhtNetwork::lookup",
-                "Swarm::handle",
-                "GnutellaSim::handle",
-            ]
-        );
-    }
-
-    #[test]
-    fn alloc_inventory_skips_exempt_and_unreachable_fns() {
-        let g = graph_of(&[(
-            "crates/sim/src/engine.rs",
-            "impl Simulator { fn run(&mut self) { hot_helper(); setup(); } }\nfn hot_helper() { let v = vec![1]; drop(v); }\n// lint:allow(alloc) — one-shot flush\nfn setup() { let s = format!(\"x\"); drop(s); }\nfn cold() { let b = Box::new(1u8); drop(b); }\n",
-        )]);
-        let hot = find_hot_entries(&g.fns);
-        let (dist, _) = g.reach_from(&hot);
-        let inv = inventory(&g, &dist, alloc_sites);
-        let keys: Vec<String> = inv
-            .keys()
-            .map(|(f, q, k)| format!("{f}::{q} {k}"))
-            .collect();
-        // `setup` is reachable but exempt; `cold` allocates but is
-        // unreachable from the hot entry set; only `hot_helper` counts.
-        assert_eq!(keys, vec!["crates/sim/src/engine.rs::hot_helper vec"]);
-    }
-
-    #[test]
     fn worker_calls_resolve_with_enclosing_fn_context() {
         // `Self::chunk` inside a worker closure must pin to the
         // enclosing impl type, and a free call must prefer the enclosing
@@ -630,7 +501,7 @@ mod tests {
             "impl Simulator { fn run(&mut self, n: usize) {\n    let a = n as u32;\n    let c = (n as u8, n as u32);\n    let b = n as u16; // lint:allow(cast) — bound: n < 65536 structurally\n    drop((a, b, c));\n} }\nfn unreachable_helper(n: usize) -> u32 { n as u32 }\n",
         )]);
         let (dist, _) = g.reach();
-        let inv = inventory(&g, &dist, cast_sites);
+        let inv = cast_inventory(&g, &dist);
         let keys: Vec<String> = inv
             .iter()
             .map(|((f, q, t), lines)| format!("{f}::{q} {t} x{}", lines.len()))

@@ -349,8 +349,8 @@ fn raw_string_at(b: &[char], i: usize) -> bool {
 
 /// Records every rule a `lint:allow` comment names (comma-separated)
 /// onto `line`.
-/// Every name is kept: each pass looks up the ones it understands
-/// (`alloc`, `cast`).
+/// Every name is kept: each pass looks up the one it understands
+/// (`cast`).
 fn record_allows(comment: &str, line: usize, allows: &mut BTreeMap<usize, BTreeSet<String>>) {
     let mut rest = comment;
     while let Some(at) = rest.find("lint:allow(") {
@@ -458,13 +458,13 @@ mod tests {
     #[test]
     fn comments_stripped_and_allows_recorded() {
         let l = lex(
-            "a(); // lint:allow(alloc, cast)\n/* nested /* deep */ lint:allow(cast) */\nb();\n",
+            "a(); // lint:allow(other, cast)\n/* nested /* deep */ lint:allow(cast) */\nb();\n",
         );
-        assert!(l.allowed(1, "alloc"));
+        assert!(l.allowed(1, "other"));
         assert!(l.allowed(1, "cast"));
         assert!(l.allowed(2, "cast"));
         assert!(l.allowed(3, "cast"), "allow reaches the next line");
-        assert!(!l.allowed(3, "alloc"));
+        assert!(!l.allowed(3, "other"));
         assert_eq!(idents(&l), vec![("a", 1), ("b", 3)]);
         // An allow inside a nested block comment spanning lines 1–3 lands
         // on the comment's start line (and the line after it).
@@ -491,7 +491,7 @@ mod tests {
         let unwrap = l.toks.iter().find(|t| t.is_ident("unwrap"));
         assert_eq!(unwrap.map(|t| t.line), Some(4));
         // …and only for the rule it names.
-        assert!(!chain("", "", allow).allowed(4, "alloc"));
+        assert!(!chain("", "", allow).allowed(4, "other"));
     }
 
     #[test]

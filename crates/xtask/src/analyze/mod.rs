@@ -6,9 +6,6 @@
 //! ([`parser`], [`graph`]). Every check is then a row of [`PASSES`],
 //! and every one is a plain deny — there is no baseline file:
 //!
-//! - **`alloc`**: every allocation site reachable from a hot entry point
-//!   fails with the shortest witness call chain, `file:line` per hop,
-//!   unless its `fn` carries `lint:allow(alloc)` (a one-shot path).
 //! - **`par`**: every thread-spawn site must carry a
 //!   [`crate::boundaries::PARALLEL_REGIONS`] manifest entry (drift in
 //!   either direction fails), and worker closures must be free of
@@ -20,7 +17,9 @@
 //!
 //! The token-level rules (no `HashMap`, wall clock or ad-hoc threads; no
 //! unexplained unwrap, expect, panic or indexing) are clippy's, not a
-//! pass here: see `docs/DETERMINISM.md`. Everything here is hand-rolled on the
+//! pass here: see `docs/DETERMINISM.md`. Allocation on the per-event
+//! paths is counted at run time by `tests/alloc_count.rs`, not guessed
+//! from syntax. Everything here is hand-rolled on the
 //! workspace's own lexer — no `syn`, no network, deterministic output.
 //! See `docs/STATIC_ANALYSIS.md`.
 
@@ -39,8 +38,7 @@ use graph::Graph;
 pub type Pass = (&'static str, fn(&Corpus, &mut Report));
 
 /// Every pass, in the order a full run executes them.
-pub const PASSES: [Pass; 4] = [
-    ("alloc", alloc_pass),
+pub const PASSES: [Pass; 3] = [
     ("par", |c, report| {
         par::par_pass(&c.graph, &crate::boundaries::PARALLEL_REGIONS, report)
     }),
@@ -162,51 +160,12 @@ fn line_list(lines: &[usize]) -> String {
     lines.join(",")
 }
 
-/// Allocation-discipline pass: a plain deny, like [`cast_pass`]. Every
-/// allocation site reachable from the hot-path entry set fails with the
-/// shortest witness chain from a hot entry point; a one-shot path is
-/// exempted by `lint:allow(alloc)` on its `fn`, nothing is grandfathered.
-fn alloc_pass(c: &Corpus, report: &mut Report) {
-    let g = &c.graph;
-    let hot = graph::find_hot_entries(&g.fns);
-    if hot.is_empty() {
-        report.violations.push(
-            "analyze: found no hot-path entry points — the parser or the hot-entry \
-             heuristics regressed; refusing to vacuously pass the allocation pass"
-                .to_string(),
-        );
-        return;
-    }
-    let (dist, parent) = g.reach_from(&hot);
-    let inv = graph::inventory(g, &dist, graph::alloc_sites);
-    report.detail = format!("{} sites / {} keys", graph::site_count(&inv), inv.len());
-    for ((file, qual, kind), lines) in &inv {
-        // The chain from a hot entry point into the first function behind
-        // the key, down to its first site of that kind.
-        let hit = g.fns.iter().enumerate().find_map(|(i, f)| {
-            let site = f.allocs.iter().find(|a| a.kind.name() == kind)?;
-            (f.file == *file && f.qualname() == *qual).then_some((i, site))
-        });
-        let witness = hit.map_or(String::new(), |(i, site)| {
-            let chain = g.witness(&parent, i);
-            format!("\n{}", g.render_witness(&chain, &site.what, site.line))
-        });
-        report.violations.push(format!(
-            "alloc: {file}:{}: `{kind}` allocation site(s) in `{qual}` reachable from the \
-             hot-path entry set; reuse a scratch buffer, hoist the allocation out of the \
-             per-event path, or document a one-shot path with `lint:allow(alloc)` on the \
-             fn{witness}",
-            line_list(lines)
-        ));
-    }
-}
-
 /// Truncating-cast pass: a plain deny. Every sim-reachable truncating
 /// `as` cast not documented with `lint:allow(cast)` is a violation —
 /// nothing is grandfathered.
 fn cast_pass(c: &Corpus, report: &mut Report) {
     let (dist, _) = c.graph.reach();
-    let inv = graph::inventory(&c.graph, &dist, graph::cast_sites);
+    let inv = graph::cast_inventory(&c.graph, &dist);
     for ((file, qual, target), lines) in &inv {
         report.violations.push(format!(
             "cast: {file}:{}: truncating `as {target}` in `{qual}` reachable from the sim entry \
@@ -333,35 +292,6 @@ mod tests {
     /// The one-row pass table of `--pass=<name>`.
     fn only(name: &str) -> [Pass; 1] {
         [*pass(name).expect("a PASSES row")]
-    }
-
-    #[test]
-    fn new_hot_path_alloc_site_fails_with_witness_chain() {
-        // The vec! in Simulator::run fails with a witness chain naming the
-        // entry point and the sink.
-        let root = fixture(
-            "alloc-new-site",
-            &[(
-                "crates/sim/src/engine.rs",
-                "impl Simulator { pub fn run(&mut self, o: u8) {\n    let v = vec![o];\n    drop(v);\n} }\n",
-            )],
-        );
-        let report = run_passes(&root, &only("alloc"));
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        let v = &report.violations[0];
-        assert!(
-            v.contains("`vec` allocation site(s) in `Simulator::run`"),
-            "{v}"
-        );
-        assert!(
-            v.contains("witness: Simulator::run (crates/sim/src/engine.rs:1)"),
-            "{v}"
-        );
-        assert!(v.contains("vec! @ crates/sim/src/engine.rs:2"), "{v}");
-        assert_eq!(
-            report.summaries,
-            vec!["alloc: 1 violation(s) 1 sites / 1 keys"]
-        );
     }
 
     #[test]

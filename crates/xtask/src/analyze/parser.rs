@@ -3,9 +3,10 @@
 //! Consumes the token stream from [`crate::analyze::lexer`] and produces
 //! one [`FnItem`] per function definition, carrying everything the
 //! analysis passes need: outgoing call sites (for the call graph),
-//! allocation sites (`alloc` pass), truncating casts (`cast` pass),
-//! thread-spawn regions (`par` pass), and trace/metrics emission sites
-//! with their literal arguments (`registry` pass).
+//! truncating casts (`cast` pass), thread-spawn regions (`par` pass), and
+//! trace/metrics emission sites with their literal arguments (`registry`
+//! pass). Macro invocations are not call sites: a macro has no workspace
+//! `fn` to resolve into, and its argument tokens are scanned in place.
 //!
 //! The parser is deliberately approximate where Rust's grammar is
 //! irrelevant to the analyses — bodies of nested `fn` items are
@@ -17,7 +18,7 @@
 use uap_sim::trace::registry::MetricKind;
 
 use crate::analyze::lexer::{Lexed, Tok, TokKind};
-use crate::boundaries::{ALLOC_RULE, CAST_RULE};
+use crate::boundaries::CAST_RULE;
 
 /// How a call site names its callee.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,10 +30,6 @@ pub enum Callee {
     /// `Qual::foo(...)` — a path-qualified call; `.0` is the segment
     /// directly before the name (type, module, or `Self`).
     Qualified(String, String),
-    /// `foo!(...)` / `foo![...]` / `foo!{...}` — a macro invocation.
-    /// Macros have no workspace `fn` target, but the allocation pass
-    /// needs `vec!` / `format!` sites recorded like any other call.
-    Macro(String),
 }
 
 /// One outgoing call site inside a function body.
@@ -48,54 +45,6 @@ pub struct Call {
 /// region. A path matches by suffix (`std::thread::scope`,
 /// `foo::thread::scope`).
 const SPAWNERS: [&str; 2] = ["thread::scope", "thread::spawn"];
-
-/// Classes of allocation sink the allocation-discipline pass
-/// inventories (see `docs/STATIC_ANALYSIS.md`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AllocKind {
-    /// `vec![…]` / `Vec::new` / `VecDeque::new` / `*::with_capacity`
-    /// inside a loop body — a fresh buffer per iteration.
-    VecLoop,
-    /// The same constructions outside a loop — a fresh buffer per call,
-    /// which on a per-event hot path is just as costly.
-    Vec,
-    /// `Box::new` — a heap node per call.
-    BoxAlloc,
-    /// `.clone()` / `.to_vec()` — duplicating owned data.
-    Clone,
-    /// `.collect()` — materializing an iterator into a container.
-    Collect,
-    /// `format!` / `String::from` / `.to_string()` — string building.
-    Str,
-    /// Fresh `BTreeMap` / `BTreeSet` construction.
-    Map,
-}
-
-impl AllocKind {
-    /// Stable name used in the alloc pass's diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            AllocKind::VecLoop => "vec-loop",
-            AllocKind::Vec => "vec",
-            AllocKind::BoxAlloc => "box",
-            AllocKind::Clone => "clone",
-            AllocKind::Collect => "collect",
-            AllocKind::Str => "string",
-            AllocKind::Map => "map",
-        }
-    }
-}
-
-/// One allocation sink inside a function body.
-#[derive(Clone, Debug)]
-pub struct AllocSite {
-    /// Which allocation class the site belongs to.
-    pub kind: AllocKind,
-    /// The matched construct (`"vec!"`, `".collect()"`, `"Box::new"`, …).
-    pub what: String,
-    /// 1-based line of the site.
-    pub line: usize,
-}
 
 /// Integer target types an `as` cast can silently truncate into. 64-bit
 /// targets (`u64`, `i64`, `usize`, `isize`) are excluded: they are
@@ -259,15 +208,8 @@ pub struct FnItem {
     pub is_test: bool,
     /// True when defined in binary (`main.rs` / `src/bin/`) code.
     pub is_bin: bool,
-    /// True when the `fn` declaration carries a `lint:allow(alloc)`
-    /// escape (audited setup / one-shot path — see
-    /// [`crate::boundaries::ALLOC_RULE`]): the whole body is exempt from
-    /// the allocation-discipline inventory.
-    pub alloc_exempt: bool,
     /// Outgoing call sites.
     pub calls: Vec<Call>,
-    /// Allocation sinks in the body.
-    pub allocs: Vec<AllocSite>,
     /// Trace event emissions in the body.
     pub trace_emits: Vec<TraceEmit>,
     /// Metrics key emissions in the body.
@@ -388,7 +330,6 @@ pub fn parse_file(file: &str, lexed: &Lexed, file_is_test: bool, file_is_bin: bo
                     line: decl_line,
                     is_test: file_is_test || lexed.in_test[i],
                     is_bin: file_is_bin,
-                    alloc_exempt: lexed.allowed(decl_line, ALLOC_RULE),
                     ..FnItem::default()
                 };
                 scan_body(lexed, open + 1, body_end, &mut item);
@@ -470,49 +411,13 @@ fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
 }
 
 /// Scans a function body (token range `[start, end)`) for call sites,
-/// allocation sites, casts, hazard markers and emission sites.
-///
-/// Loop bodies are tracked by brace depth so `Vec`-family construction
-/// can be classified per-iteration vs per-call: a `for` / `while` /
-/// `loop` keyword arms the *next* `{` as a loop-body open. A brace-
-/// bearing expression between the keyword and the body (a closure in
-/// the iterator chain) steals the armed flag — the approximation is
-/// acceptable because such a closure runs once per iteration anyway.
+/// casts, hazard markers and emission sites.
 fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     let toks = &lexed.toks;
     let mut j = start;
-    let mut depth = 0usize;
-    let mut loop_depths: Vec<usize> = Vec::new();
-    let mut pending_loop = false;
     while j < end {
         let t = &toks[j];
-
-        if t.is_punct('{') {
-            depth += 1;
-            if pending_loop {
-                loop_depths.push(depth);
-                pending_loop = false;
-            }
-            j += 1;
-            continue;
-        }
-        if t.is_punct('}') {
-            if loop_depths.last() == Some(&depth) {
-                loop_depths.pop();
-            }
-            depth = depth.saturating_sub(1);
-            j += 1;
-            continue;
-        }
-        let in_loop = !loop_depths.is_empty();
-
         if t.kind != TokKind::Ident {
-            j += 1;
-            continue;
-        }
-
-        if matches!(t.text.as_str(), "for" | "while" | "loop") {
-            pending_loop = true;
             j += 1;
             continue;
         }
@@ -543,46 +448,10 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
             continue;
         }
 
-        // Macro invocations: `name !` followed by a delimiter. Recorded
-        // as call sites so the passes see them (the `!=` operator never
-        // matches: its `!` is followed by `=`, not a delimiter).
-        if toks.get(j + 1).is_some_and(|n| n.is_punct('!'))
-            && toks
-                .get(j + 2)
-                .is_some_and(|d| d.is_punct('(') || d.is_punct('[') || d.is_punct('{'))
-        {
-            match t.text.as_str() {
-                "vec" => item.allocs.push(AllocSite {
-                    kind: if in_loop {
-                        AllocKind::VecLoop
-                    } else {
-                        AllocKind::Vec
-                    },
-                    what: "vec!".into(),
-                    line: t.line,
-                }),
-                "format" => item.allocs.push(AllocSite {
-                    kind: AllocKind::Str,
-                    what: "format!".into(),
-                    line: t.line,
-                }),
-                _ => {}
-            }
-            item.calls.push(Call {
-                callee: Callee::Macro(t.text.clone()),
-                line: t.line,
-            });
-            // Skip the `!`; the delimiter is handled next iteration so
-            // the depth tracker (and the macro's argument tokens) still
-            // see it.
-            j += 2;
-            continue;
-        }
-
         // Calls: `ident (`, optionally with a turbofish between the
         // name and the argument list: `ident ::<…> (`. Without the
-        // turbofish skip, `.collect::<Vec<_>>()` never matched `ident (`
-        // and collect-allocation sites written that way were invisible.
+        // turbofish skip, `.collect::<Vec<_>>()` never matched `ident (`.
+        // A macro's `name !` never matches either.
         let direct_call = toks.get(j + 1).is_some_and(|n| n.is_punct('('));
         let turbofish_call = !direct_call
             && after_turbofish(toks, j)
@@ -599,14 +468,6 @@ fn scan_body(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                         line: t.line,
                     });
                 }
-            }
-
-            if let Some((kind, what)) = alloc_of(&callee, in_loop) {
-                item.allocs.push(AllocSite {
-                    kind,
-                    what,
-                    line: t.line,
-                });
             }
 
             // Emission sites (trace events and metrics keys).
@@ -734,35 +595,6 @@ fn match_paren(toks: &[Tok], open: usize, end: usize) -> usize {
         k += 1;
     }
     end
-}
-
-/// Recognizes an allocation sink in a (non-macro) call site.
-fn alloc_of(callee: &Callee, in_loop: bool) -> Option<(AllocKind, String)> {
-    let vec_kind = || {
-        if in_loop {
-            AllocKind::VecLoop
-        } else {
-            AllocKind::Vec
-        }
-    };
-    match callee {
-        Callee::Method(name) => match name.as_str() {
-            "clone" => Some((AllocKind::Clone, ".clone()".into())),
-            "to_vec" => Some((AllocKind::Clone, ".to_vec()".into())),
-            "to_string" => Some((AllocKind::Str, ".to_string()".into())),
-            "collect" => Some((AllocKind::Collect, ".collect()".into())),
-            _ => None,
-        },
-        Callee::Qualified(qual, name) => match (qual.as_str(), name.as_str()) {
-            ("Box", "new") => Some((AllocKind::BoxAlloc, "Box::new".into())),
-            ("String", "from") => Some((AllocKind::Str, "String::from".into())),
-            ("Vec" | "VecDeque", "new") => Some((vec_kind(), format!("{qual}::new"))),
-            (_, "with_capacity") => Some((vec_kind(), format!("{qual}::with_capacity"))),
-            ("BTreeMap" | "BTreeSet", "new") => Some((AllocKind::Map, format!("{qual}::new"))),
-            _ => None,
-        },
-        Callee::Free(_) | Callee::Macro(_) => None,
-    }
 }
 
 /// Recognizes the [`SPAWNERS`] path whose first segment is the token at
@@ -1051,99 +883,22 @@ mod tests {
     }
 
     #[test]
-    fn macro_invocations_are_recorded_as_call_sites() {
-        // Regression (the pre-alloc-pass parser skipped macro names
-        // entirely): `vec![…]` / `format!(…)` must surface as Macro
-        // call sites, on the right lines, without disturbing the
-        // surrounding call stream.
+    fn macro_invocations_are_not_call_sites() {
+        // `vec![…]` / `format!(…)` leave the surrounding call stream
+        // alone, and `!=` is an operator, not a macro invocation.
         let src = "fn f() {\n    let v = vec![1, 2];\n    let s = format!(\"{v:?}\");\n    g(s);\n}\nfn g(_s: String) {}\n";
         let items = parse(src);
         let calls: Vec<(&Callee, usize)> =
             items[0].calls.iter().map(|c| (&c.callee, c.line)).collect();
-        assert_eq!(
-            calls,
-            vec![
-                (&Callee::Macro("vec".into()), 2),
-                (&Callee::Macro("format".into()), 3),
-                (&Callee::Free("g".into()), 4),
-            ]
-        );
-        // `!=` is an operator, not a macro invocation.
+        assert_eq!(calls, vec![(&Callee::Free("g".into()), 4)]);
         let items = parse("fn h(a: u8, b: u8) -> bool { a != b }\n");
         assert!(items[0].calls.is_empty(), "{:?}", items[0].calls);
     }
 
     #[test]
-    fn macros_nested_inside_other_macros_are_recorded() {
-        // Macros-in-macros: the outer macro's argument tokens are scanned
-        // in place, so every nested invocation is a call site and the
-        // nested `format!` an allocation site, each on its own line.
-        let src = "fn f(x: u8) {\n    assert_custom!(x > 0,\n        format!(\"bad {}\", panic!(\"no\")));\n}\n";
-        let items = parse(src);
-        let macros: Vec<(&str, usize)> = items[0]
-            .calls
-            .iter()
-            .filter_map(|c| match &c.callee {
-                Callee::Macro(m) => Some((m.as_str(), c.line)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            macros,
-            vec![("assert_custom", 2), ("format", 3), ("panic", 3)]
-        );
-        let allocs: Vec<(&str, usize)> = items[0]
-            .allocs
-            .iter()
-            .map(|a| (a.what.as_str(), a.line))
-            .collect();
-        assert_eq!(allocs, vec![("format!", 3)]);
-    }
-
-    #[test]
-    fn alloc_sites_are_classified_with_loop_awareness() {
-        let src = "fn f(xs: &[u32]) {\n    let mut acc = Vec::new();\n    for x in xs {\n        let t = vec![*x];\n        let u: Vec<u32> = xs.iter().copied().collect();\n        let w = Vec::with_capacity(4);\n        acc.push(t.len() + u.len() + w.capacity());\n    }\n    let b = Box::new(acc);\n    let s = String::from(\"x\");\n    let s2 = s.to_string();\n    let c = xs.to_vec();\n    let d = c.clone();\n    let m = BTreeMap::new();\n    let fs = format!(\"{b:?}{s2}{d:?}{m:?}\");\n    drop(fs);\n}\n";
-        let items = parse(src);
-        let sites: Vec<(AllocKind, &str)> = items[0]
-            .allocs
-            .iter()
-            .map(|a| (a.kind, a.what.as_str()))
-            .collect();
-        assert_eq!(
-            sites,
-            vec![
-                (AllocKind::Vec, "Vec::new"),
-                (AllocKind::VecLoop, "vec!"),
-                (AllocKind::Collect, ".collect()"),
-                (AllocKind::VecLoop, "Vec::with_capacity"),
-                (AllocKind::BoxAlloc, "Box::new"),
-                (AllocKind::Str, "String::from"),
-                (AllocKind::Str, ".to_string()"),
-                (AllocKind::Clone, ".to_vec()"),
-                (AllocKind::Clone, ".clone()"),
-                (AllocKind::Map, "BTreeMap::new"),
-                (AllocKind::Str, "format!"),
-            ]
-        );
-    }
-
-    #[test]
-    fn loop_body_tracking_closes_with_the_loop() {
-        // After the loop's closing brace, Vec construction is per-call
-        // again; `while` and bare `loop` arm the tracker too.
-        let src = "fn f(n: usize) {\n    while n > 0 { let a = Vec::<u8>::new(); drop(a); }\n    loop { let b = vec![0u8]; break; }\n    let c: Vec<u8> = Vec::new();\n    drop(c);\n}\n";
-        let items = parse(src);
-        let kinds: Vec<AllocKind> = items[0].allocs.iter().map(|a| a.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![AllocKind::VecLoop, AllocKind::VecLoop, AllocKind::Vec]
-        );
-    }
-
-    #[test]
     fn turbofish_calls_are_recognized() {
-        // `.collect::<Vec<_>>()` and `Vec::<u8>::new()` are calls (and
-        // allocation sites) despite the generics between name and `(`.
+        // `.collect::<Vec<_>>()` and `Vec::<u8>::new()` are calls despite
+        // the generics between name and `(`.
         let src = "fn f(xs: &[u8]) -> usize {\n    let v = xs.iter().copied().collect::<Vec<_>>();\n    let w = Vec::<u8>::new();\n    v.len() + w.len()\n}\n";
         let items = parse(src);
         assert!(items[0]
@@ -1154,19 +909,6 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.callee == Callee::Qualified("Vec".into(), "new".into())));
-        let kinds: Vec<AllocKind> = items[0].allocs.iter().map(|a| a.kind).collect();
-        assert_eq!(kinds, vec![AllocKind::Collect, AllocKind::Vec]);
-    }
-
-    #[test]
-    fn alloc_escape_on_fn_declaration_marks_the_item_exempt() {
-        let src = "// lint:allow(alloc) — one-shot setup path\nfn setup() { let v = vec![1]; drop(v); }\nfn hot() { let v = vec![1]; drop(v); }\n";
-        let items = parse(src);
-        assert!(items[0].alloc_exempt);
-        assert!(!items[1].alloc_exempt);
-        // The sites are still *recorded* either way; exemption is
-        // applied by the inventory, not the parser.
-        assert_eq!(items[0].allocs.len(), 1);
     }
 
     #[test]

@@ -64,17 +64,6 @@ pub const PARALLEL_REGIONS: [ParallelRegion; 2] = [
     },
 ];
 
-/// Rule name of the allocation-discipline escape, consumed by the
-/// analyzer's alloc pass (`docs/STATIC_ANALYSIS.md`). The alloc escape
-/// is **per function**: a `// lint:allow(alloc) — <why this path is one-shot>`
-/// comment on (or directly above) a `fn` declaration exempts that whole
-/// body from the hot-path allocation inventory. It is reserved for
-/// audited setup / one-shot paths — code that is *reachable* from the
-/// per-event entry set but provably runs O(1) times per run segment
-/// (fault-epoch rebuilds, end-of-run flushes), where a fresh allocation
-/// is not a per-event cost.
-pub const ALLOC_RULE: &str = "alloc";
-
 /// Rule name of the truncating-cast escape, consumed by the analyzer's
 /// cast pass (`docs/STATIC_ANALYSIS.md`). Per line: a
 /// `// lint:allow(cast) — bound: <why the value fits>`

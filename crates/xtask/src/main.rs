@@ -11,8 +11,8 @@
 //!
 //! `analyze` is the call-graph half of the static gate: it lexes and
 //! parses the workspace once and runs the pass table of [`analyze`] over
-//! it (four plain denies: hot-path allocations, truncating casts,
-//! parallel regions, trace-registry agreement; `docs/STATIC_ANALYSIS.md`),
+//! it (three plain denies: truncating casts, parallel regions,
+//! trace-registry agreement; `docs/STATIC_ANALYSIS.md`),
 //! exiting non-zero with `file:line` diagnostics when any fail. There is
 //! no baseline file. The token-level half of the static gate (no
 //! `HashMap`, wall clock or ad-hoc threads; no unexplained unwrap,
