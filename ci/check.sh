@@ -5,64 +5,57 @@
 #
 # Steps (in order, fail-fast):
 #   1. cargo fmt --check        — formatting drift
-#   2. cargo clippy -D warnings — the static gate's token-level rules
-#                                 (clippy.toml, Cargo.toml
+#   2. cargo clippy -D warnings — the static gate (clippy.toml, Cargo.toml
 #                                 [workspace.lints]): disallowed types
 #                                 (HashMap, HashSet, RandomState,
 #                                 SystemTime) and methods (Instant::now,
-#                                 thread::spawn/scope); in non-test code
-#                                 unwrap / expect, panic! / unreachable! /
-#                                 todo! / unimplemented! and slice
-#                                 indexing (indexing_slicing); a reason on
-#                                 every #[allow] and #[expect] (escapes
-#                                 are reasoned #[expect]s, no broader
-#                                 than a fn outside xtask's main.rs).
-#                                 docs/DETERMINISM.md
-#   3. xtask analyze            — the static gate's call-graph half, run
-#                                 once: three call-graph passes, no
-#                                 baseline (truncating-cast deny;
-#                                 parallel regions; trace registry).
-#                                 Prints one summary line per pass, so a
-#                                 failure names its pass; no timing
-#                                 line, no wall budget.
-#                                 docs/STATIC_ANALYSIS.md
-#   4. cargo build --release    — tier-1: release build
-#   5. cargo test               — tier-1: root-package tests
-#   6. cargo test --workspace   — every crate's unit + integration tests
-#   6b. allocation counts       — tests/alloc_count.rs in a release build
+#                                 thread::spawn/scope); truncating `as`
+#                                 casts; in non-test code unwrap /
+#                                 expect, panic! / unreachable! / todo! /
+#                                 unimplemented! and slice indexing; a
+#                                 reason on every #[allow] and #[expect].
+#                                 Where an escape may stand is pinned by
+#                                 tests/source_scan.rs (step 4), which
+#                                 also checks that the trace / metrics
+#                                 registry declares nothing the code no
+#                                 longer writes. docs/DETERMINISM.md
+#   3. cargo build --release    — tier-1: release build
+#   4. cargo test               — tier-1: root-package tests
+#   5. cargo test --workspace   — every crate's unit + integration tests
+#   5b. allocation counts       — tests/alloc_count.rs in a release build
 #                                 (debug invariant checkers allocate, so
 #                                 its windows are ignored in debug):
 #                                 per-event paths allocate within their
 #                                 stated bounds. docs/PERFORMANCE.md
-#   7. ci/trace_gate.sh         — trace determinism: two same-seed runs of
+#   6. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
 #                                 byte-identical under `xtask trace diff`
 #                                 (both streamed: `--trace` always is)
-#   7b. quick suite             — `exp all --quick` must exit 0 and leave
+#   6b. quick suite             — `exp all --quick` must exit 0 and leave
 #                                 every CSV `exp list --csvs` names
-#   7c. results/ are current    — `exp all` at full scale must reproduce
+#   6c. results/ are current    — `exp all` at full scale must reproduce
 #                                 every committed results/*.csv byte for
 #                                 byte, and results/ must hold no CSV the
 #                                 table does not declare
-#   7d. generated docs are current — `exp doc` regenerates EXPERIMENTS.md's
+#   6d. generated docs are current — `exp doc` regenerates EXPERIMENTS.md's
 #                                 tables from results/ and
 #                                 docs/OBSERVABILITY.md's registry tables
 #                                 from uap_sim::trace::registry; neither
 #                                 committed file may change
-#   8. benchmark/ build + smoke   — the standalone benchmark package
+#   7. benchmark/ build + smoke — the standalone benchmark package
 #                                 (outside the workspace) builds offline
 #                                 against the crates' public API and
 #                                 every workload passes its checks at
 #                                 one-tenth scale, so an API deletion
 #                                 cannot silently break BENCHMARK.json
-#   9. benchmark/ self-tests    — the package's own tests (harness, stats,
+#   8. benchmark/ self-tests    — the package's own tests (harness, stats,
 #                                 compare verdicts, each workload at tiny
 #                                 scale in a debug build), same shared
 #                                 target/ directory
-#  10. benchmark/ is untouched  — `git status --porcelain -- benchmark
-#                                 BENCHMARK.json` must be empty after 8
-#                                 and 9: a dependency edit that makes
+#   9. benchmark/ is untouched  — `git status --porcelain -- benchmark
+#                                 BENCHMARK.json` must be empty after 7
+#                                 and 8: a dependency edit that makes
 #                                 cargo rewrite benchmark/Cargo.lock (or
 #                                 a stray edit there) fails here, not at
 #                                 the benchmark driver
@@ -76,9 +69,6 @@ cargo fmt --all --check
 
 step "cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
-
-step "static gate (cargo run -p xtask -- analyze)"
-cargo run -q -p xtask -- analyze
 
 step "cargo build --release"
 cargo build --release -q

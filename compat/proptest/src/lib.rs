@@ -87,6 +87,11 @@ pub mod strategy {
         ($($t:ty),*) => {$(
             impl Strategy for core::ops::Range<$t> {
                 type Value = $t;
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "the draw is below `end - start`, so it fits `$t`; an `expect` \
+                              would go unfulfilled in the u64 expansion"
+                )]
                 fn sample(&self, rng: &mut TestRng) -> $t {
                     assert!(self.start < self.end, "empty range");
                     let span = (self.end as u64).wrapping_sub(self.start as u64);
@@ -147,6 +152,11 @@ pub mod arbitrary {
     macro_rules! arb_int {
         ($($t:ty),*) => {$(
             impl Arbitrary for $t {
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "keeping the low bits of a uniform u64 is a uniform `$t`; an \
+                              `expect` would go unfulfilled in the u64 expansion"
+                )]
                 fn arbitrary(rng: &mut TestRng) -> $t {
                     rng.next_u64() as $t
                 }
@@ -163,6 +173,10 @@ pub mod arbitrary {
     }
 
     impl<const N: usize> Arbitrary for [u8; N] {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeping the low byte of a uniform u64 is a uniform u8"
+        )]
         fn arbitrary(rng: &mut TestRng) -> [u8; N] {
             let mut out = [0u8; N];
             for b in &mut out {
@@ -218,6 +232,10 @@ pub mod collection {
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the draw is at most `hi - lo`, a usize"
+        )]
         fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let n = self.lo + rng.below((self.hi - self.lo + 1) as u64) as usize;
             (0..n).map(|_| self.element.sample(rng)).collect()

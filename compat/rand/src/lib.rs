@@ -61,6 +61,11 @@ macro_rules! int_range {
     ($($t:ty),*) => {$(
         impl SampleRange for core::ops::Range<$t> {
             type Output = $t;
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the draw is below `end - start`, so it fits `$t`; an `expect` would \
+                          go unfulfilled in the u64 expansion"
+            )]
             fn sample_range<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end as u64).wrapping_sub(self.start as u64);

@@ -18,7 +18,7 @@ use crate::pieces::PieceSet;
 use crate::tracker::{Tracker, TrackerPolicy};
 use std::collections::BTreeMap;
 use uap_net::{FlowAllocator, HostId, Underlay};
-use uap_sim::{Ctx, SimTime, Simulator, TraceLevel, Tracer, World};
+use uap_sim::{trace::registry, Ctx, SimTime, Simulator, Tracer, World};
 
 /// Regular (tit-for-tat) unchoke slots per peer and round.
 const UNCHOKE_SLOTS: usize = 3;
@@ -229,10 +229,7 @@ pub fn run_swarm_with(
         sim.run_until(&mut swarm, deadline);
     }
     *tracer = sim.take_tracer();
-    // Path-qualified: `xtask analyze` resolves a `.finish()` method call
-    // to every `finish` in the workspace, which would pull the report
-    // writers into the sim-reachable set.
-    Swarm::finish(swarm, tracer)
+    swarm.finish(tracer)
 }
 
 /// The swarm's engine events: the next round, or fault-plan boundary `i`
@@ -352,15 +349,9 @@ impl Swarm {
                 let span = tracer.alloc_span();
                 *peer_span = Some(span);
                 tracer.set_span(Some(span));
-                tracer.emit(
-                    SimTime::ZERO,
-                    "bittorrent",
-                    TraceLevel::Debug,
-                    "span.open",
-                    |f| {
-                        f.str("span_kind", "peer").u64("peer", who.0 as u64);
-                    },
-                );
+                tracer.emit(SimTime::ZERO, registry::BITTORRENT_SPAN_OPEN, |f| {
+                    f.str("span_kind", "peer").u64("peer", who.0 as u64);
+                });
             }
             tracker.announce_into(
                 &underlay,
@@ -383,7 +374,10 @@ impl Swarm {
         poisoners.sort_unstable();
         let compiled = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
         for (i, &t) in compiled.iter().flat_map(|p| p.boundaries()).enumerate() {
-            // lint:allow(cast) — boundary index; a plan has two per fault spec
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "boundary index; a plan has two per fault spec"
+            )]
             sim.schedule_at(t, SwarmEv::Fault(i as u32));
         }
         sim.schedule_at(cfg.round, SwarmEv::Round);
@@ -477,7 +471,7 @@ impl Swarm {
                 let received = peer.neighbors.len();
                 tracer.set_span(self.peer_spans[i]);
                 tracer.set_cause(fault_seq);
-                tracer.emit(now, "bittorrent", TraceLevel::Debug, "reannounce", |f| {
+                tracer.emit(now, registry::BITTORRENT_REANNOUNCE, |f| {
                     f.u64("peer", who.0 as u64).u64("received", received as u64);
                 });
             }
@@ -496,17 +490,11 @@ impl Swarm {
             peer.credit.retain(|&(src, c)| {
                 let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
                 if dead && c > 0 {
-                    tracer.emit(
-                        now,
-                        "bittorrent",
-                        TraceLevel::Debug,
-                        "chunk.reassign",
-                        |f| {
-                            f.u64("peer", who.0 as u64)
-                                .u64("sender", src.0 as u64)
-                                .u64("lost_bytes", c);
-                        },
-                    );
+                    tracer.emit(now, registry::BITTORRENT_CHUNK_REASSIGN, |f| {
+                        f.u64("peer", who.0 as u64)
+                            .u64("sender", src.0 as u64)
+                            .u64("lost_bytes", c);
+                    });
                 }
                 !dead
             });
@@ -584,7 +572,7 @@ impl Swarm {
                 }
             }
             tracer.set_span(self.peer_spans[i]);
-            tracer.emit(now, "bittorrent", TraceLevel::Trace, "unchoke", |f| {
+            tracer.emit(now, registry::BITTORRENT_UNCHOKE, |f| {
                 f.u64("peer", me.host.0 as u64)
                     .u64("slots", unchoke.len() as u64)
                     .bool("cost_aware", cfg.cost_aware_choking);
@@ -603,7 +591,10 @@ impl Swarm {
         self.desired.clear();
         for (i, unchoke) in self.unchokes.iter().enumerate() {
             for &j in unchoke {
-                // lint:allow(cast) — member indices, bounded by the u32 HostId width
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "member indices, bounded by the u32 HostId width"
+                )]
                 self.desired.push((i as u32, j as u32));
             }
         }
@@ -620,7 +611,7 @@ impl Swarm {
                     let id = self.next_flow_id;
                     self.next_flow_id += 1;
                     let (src, dst) = (peers[pair.0 as usize].host, peers[pair.1 as usize].host);
-                    tracer.emit(now, "net", TraceLevel::Debug, "flow.open", |f| {
+                    tracer.emit(now, registry::NET_FLOW_OPEN, |f| {
                         f.u64("flow", id)
                             .u64("src", src.0 as u64)
                             .u64("dst", dst.0 as u64);
@@ -633,7 +624,7 @@ impl Swarm {
         // Then the exits close, also in pair order.
         for &(pair, (id, bytes)) in &self.open_flows {
             if self.desired.binary_search(&pair).is_err() {
-                tracer.emit(now, "net", TraceLevel::Debug, "flow.close", |f| {
+                tracer.emit(now, registry::NET_FLOW_CLOSE, |f| {
                     f.u64("flow", id).u64("bytes", bytes);
                 });
             }
@@ -694,17 +685,11 @@ impl Swarm {
                     if bad > 0 {
                         let who = me.host;
                         tracer.set_span(self.peer_spans[j]);
-                        tracer.emit(
-                            now,
-                            "bittorrent",
-                            TraceLevel::Debug,
-                            "chunk.poisoned",
-                            |f| {
-                                f.u64("peer", who.0 as u64)
-                                    .u64("sender", src.0 as u64)
-                                    .u64("chunks", bad);
-                            },
-                        );
+                        tracer.emit(now, registry::BITTORRENT_CHUNK_POISONED, |f| {
+                            f.u64("peer", who.0 as u64)
+                                .u64("sender", src.0 as u64)
+                                .u64("chunks", bad);
+                        });
                         *credit_mut(&mut me.credit, src) = 0;
                         if let Err(pos) = me.banned.binary_search(&src) {
                             me.banned.insert(pos, src);
@@ -737,27 +722,26 @@ impl Swarm {
             tracer.set_span(self.peer_spans[j]);
             if peer.pieces.insert(p) {
                 self.availability[p] += 1;
-                tracer.emit(now, "bittorrent", TraceLevel::Trace, "piece", |f| {
+                tracer.emit(now, registry::BITTORRENT_PIECE, |f| {
                     f.u64("peer", peer.host.0 as u64).u64("piece", p as u64);
                 });
             }
             if peer.pieces.is_complete() && peer.done_at.is_none() {
                 peer.done_at = Some(rounds);
-                let done_seq =
-                    tracer.emit(now, "bittorrent", TraceLevel::Debug, "peer.done", |f| {
-                        f.u64("peer", peer.host.0 as u64)
-                            .u64("round", rounds as u64);
-                    });
+                let done_seq = tracer.emit(now, registry::BITTORRENT_PEER_DONE, |f| {
+                    f.u64("peer", peer.host.0 as u64)
+                        .u64("round", rounds as u64);
+                });
                 // The close is caused by the completion event itself.
                 tracer.set_cause(done_seq);
-                tracer.emit(now, "bittorrent", TraceLevel::Debug, "span.close", |f| {
+                tracer.emit(now, registry::BITTORRENT_SPAN_CLOSE, |f| {
                     f.str("span_kind", "peer").bool("done", true);
                 });
                 tracer.set_cause(None);
             }
         }
         tracer.clear_provenance();
-        tracer.emit(now, "bittorrent", TraceLevel::Debug, "round", |f| {
+        tracer.emit(now, registry::BITTORRENT_ROUND, |f| {
             f.u64("round", rounds as u64)
                 .u64("pieces", n_completions as u64)
                 .u64("bytes", round_bytes);
@@ -805,7 +789,7 @@ impl Swarm {
         // Flows still open when the run stops are closed here so every
         // flow.open has a matching flow.close in the trace.
         for &(_, (id, bytes)) in &open_flows {
-            tracer.emit(end, "net", TraceLevel::Debug, "flow.close", |f| {
+            tracer.emit(end, registry::NET_FLOW_CLOSE, |f| {
                 f.u64("flow", id).u64("bytes", bytes);
             });
         }
@@ -814,7 +798,7 @@ impl Swarm {
         for (peer, &span) in peers.iter().zip(&peer_spans) {
             if peer.done_at.is_none() && span.is_some() {
                 tracer.set_span(span);
-                tracer.emit(end, "bittorrent", TraceLevel::Debug, "span.close", |f| {
+                tracer.emit(end, registry::BITTORRENT_SPAN_CLOSE, |f| {
                     f.str("span_kind", "peer").bool("done", false);
                 });
             }
@@ -838,7 +822,7 @@ impl Swarm {
             reannounces: self.reannounces,
         };
         underlay.trace_link_totals(end, tracer);
-        tracer.emit(end, "bittorrent", TraceLevel::Info, "swarm.done", |f| {
+        tracer.emit(end, registry::BITTORRENT_SWARM_DONE, |f| {
             f.u64("rounds", report.rounds as u64)
                 .u64("completed", report.completed as u64)
                 .u64("leechers", report.leechers as u64)
@@ -870,6 +854,7 @@ mod tests {
     use super::*;
     use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
     use uap_sim::SimRng;
+    use uap_sim::TraceLevel;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
         let mut rng = SimRng::new(seed);
@@ -1001,7 +986,10 @@ mod tests {
         // underlay: any inter-AS pair registers a hit.
         let mut probed = false;
         for a in 0..u.n_hosts() {
-            let (ha, hb) = (HostId(a as u32), HostId(((a + 1) % u.n_hosts()) as u32));
+            let (ha, hb) = (
+                HostId::from_index(a),
+                HostId::from_index((a + 1) % u.n_hosts()),
+            );
             if !u.same_as(ha, hb) {
                 assert!(u.rtt_us(ha, hb).is_some());
                 probed = true;
@@ -1285,7 +1273,7 @@ mod tests {
             SimTime::ZERO,
             FOREVER,
             uap_net::FaultKind::LinkDown {
-                links: (0..u.graph.links.len() as u32).collect(),
+                links: (0..).take(u.graph.links.len()).collect(),
             },
         ));
         let mut t = Tracer::buffered(TraceLevel::Debug);

@@ -76,7 +76,7 @@ proptest! {
         let u = underlay(11);
         let mut rng = SimRng::new(seed);
         let who = HostId(0);
-        let swarm: Vec<HostId> = (1..=swarm_size as u32).map(HostId).collect();
+        let swarm: Vec<HostId> = (1..=swarm_size).map(HostId::from_index).collect();
         for policy in [
             TrackerPolicy::Random,
             TrackerPolicy::Bns { internal: 10, external: 5 },

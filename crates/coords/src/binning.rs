@@ -31,6 +31,10 @@ impl LandmarkBins {
     ///
     /// # Panics
     /// Panics if there are more than 255 landmarks.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a level is at most boundaries.len(), a handful of RTT thresholds"
+    )]
     pub fn from_rtts_with_levels(rtts_ms: &[f64], boundaries: &[f64]) -> LandmarkBins {
         assert!(rtts_ms.len() <= 255, "too many landmarks for u8 indices");
         let mut by_rtt: Vec<(f64, u8)> = rtts_ms.iter().copied().zip(0u8..).collect();

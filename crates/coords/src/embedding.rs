@@ -62,6 +62,10 @@ impl EmbeddingQuality {
         let mut errs: Vec<f64> = valid.iter().map(|&(p, a)| relative_error(p, a)).collect();
         errs.sort_by(|a, b| a.total_cmp(b));
         let n = errs.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "f ≤ 1, so ceil(f · n) ≤ n, a usize"
+        )]
         let q = |f: f64| errs[(((f * n as f64).ceil() as usize).clamp(1, n)) - 1];
         EmbeddingQuality {
             n,

@@ -114,7 +114,7 @@ proptest! {
         // Order is a permutation of landmark indices.
         let mut order = a.order.clone();
         order.sort_unstable();
-        let expected: Vec<u8> = (0..rtts.len() as u8).collect();
+        let expected: Vec<u8> = (0..).take(rtts.len()).collect();
         prop_assert_eq!(order, expected);
     }
 }

@@ -83,10 +83,10 @@ pub fn rewrite_registry(md: &str) -> io::Result<String> {
     let mut kinds = Table::new("", &["component", "kind", "level", "description"]);
     for d in TRACE_KINDS {
         kinds.row(&[
-            d.component.to_owned(),
-            format!("`{}`", d.kind),
-            d.level.to_owned(),
-            d.doc.to_owned(),
+            d.component().to_owned(),
+            format!("`{}`", d.kind()),
+            d.level().name().to_owned(),
+            d.doc().to_owned(),
         ]);
     }
     let mut metrics = Table::new("", &["key", "kind", "description"]);

@@ -19,7 +19,7 @@ use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::Table;
 use uap_gnutella::{run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection};
-use uap_sim::{ChurnConfig, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, ChurnConfig, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -92,15 +92,9 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     let seed = p.net.seed ^ 0xE4;
     let phase = |t: &mut Tracer, name: &str| {
         let owned = name.to_owned();
-        t.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", owned);
-            },
-        );
+        t.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", owned);
+        });
     };
     let mut reports: Vec<(String, GnutellaReport)> = Vec::new();
     phase(tracer, "unbiased");

@@ -13,7 +13,7 @@ use crate::report::{f, pct, Table};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use uap_net::host::AttachmentDist;
 use uap_net::{HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
 
 /// Builds the E9 underlay with a **heavy-tailed AS population** (Zipf-like
 /// weights over the leaf ASes): a few big consumer ISPs hold most peers,
@@ -139,15 +139,9 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
         ("PNS", ProximityMode::Pns),
         ("PNS+PR", ProximityMode::PnsPr),
     ] {
-        tracer.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", label);
-            },
-        );
+        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", label);
+        });
         let mut rng = SimRng::new(p.net.seed ^ 0xE9);
         let cfg = DhtConfig {
             proximity: mode,
@@ -199,6 +193,10 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 }
 
 /// The [`super::TABLE`] row's run; its event count is the RPCs issued.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float → int `as` saturates; a run issues far under 2^64 RPCs"
+)]
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
     let out = run_traced(&p, tracer);

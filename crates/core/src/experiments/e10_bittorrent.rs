@@ -13,7 +13,7 @@ use crate::report::{f, pct, Table};
 use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
 use uap_net::cost::{bill_all, total_transit_usd};
 use uap_net::CostParams;
-use uap_sim::{SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -138,15 +138,9 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
             ..Default::default()
         };
         let phase = label.clone();
-        tracer.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", phase);
-            },
-        );
+        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", phase);
+        });
         let (report, underlay) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0xE10, tracer);
         let horizon = SimTime::from_secs(10).mul(report.rounds as u64);
         let bills = bill_all(&underlay.graph, &underlay.traffic, &p.cost, horizon);

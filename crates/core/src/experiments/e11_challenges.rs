@@ -77,11 +77,11 @@ pub fn run_asymmetry(p: &Params) -> Table {
         let mut correct = 0usize;
         let mut penalty = 0.0;
         for _ in 0..p.trials {
-            let me = HostId(rng.index(n) as u32);
+            let me = HostId::from_index(rng.index(n));
             let cands: Vec<HostId> = rng
                 .sample_indices(n, p.candidates + 1)
                 .into_iter()
-                .map(|i| HostId(i as u32))
+                .map(HostId::from_index)
                 .filter(|&h| h != me)
                 .take(p.candidates)
                 .collect();
@@ -150,11 +150,11 @@ pub fn run_long_hop(p: &Params) -> Table {
     let mut penalty_sum = 0.0;
     let mut worst: f64 = 1.0;
     for _ in 0..p.trials {
-        let me = HostId(rng.index(n) as u32);
+        let me = HostId::from_index(rng.index(n));
         let cands: Vec<HostId> = rng
             .sample_indices(n, p.candidates + 1)
             .into_iter()
-            .map(|i| HostId(i as u32))
+            .map(HostId::from_index)
             .filter(|&h| h != me)
             .take(p.candidates)
             .collect();
@@ -215,10 +215,14 @@ pub fn run_mobility(p: &Params) -> Table {
             .ids()
             .map(|h| underlay.hosts.as_of(h))
             .collect();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "frac ≤ 1, so n · frac ≤ n, a usize"
+        )]
         let movers = rng.sample_indices(n, (n as f64 * frac) as usize);
         for &m in &movers {
-            let new_as = AsId(rng.index(underlay.n_ases()) as u16);
-            underlay.migrate_host(HostId(m as u32), new_as, &mut rng);
+            let new_as = AsId::from_index(rng.index(underlay.n_ases()));
+            underlay.migrate_host(HostId::from_index(m), new_as, &mut rng);
         }
         let stale = underlay
             .hosts
@@ -231,12 +235,12 @@ pub fn run_mobility(p: &Params) -> Table {
         let mut hits = 0usize;
         let mut applicable = 0usize;
         for _ in 0..p.trials {
-            let me = HostId(rng.index(n) as u32);
+            let me = HostId::from_index(rng.index(n));
             let my_cached = cached.get(me.idx());
             let cands: Vec<HostId> = rng
                 .sample_indices(n, p.candidates + 1)
                 .into_iter()
-                .map(|i| HostId(i as u32))
+                .map(HostId::from_index)
                 .filter(|&h| h != me)
                 .take(p.candidates)
                 .collect();

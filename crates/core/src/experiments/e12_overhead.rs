@@ -67,10 +67,10 @@ pub fn run_overhead(p: &Params) -> Table {
     let mut rng = SimRng::new(p.net.seed ^ 0xE12);
     let pairs: Vec<(HostId, HostId)> = (0..p.queries)
         .map(|_| {
-            let a = HostId(rng.index(n) as u32);
-            let mut b = HostId(rng.index(n) as u32);
+            let a = HostId::from_index(rng.index(n));
+            let mut b = HostId::from_index(rng.index(n));
             if a == b {
-                b = HostId(((b.0 as usize + 1) % n) as u32);
+                b = HostId::from_index((b.idx() + 1) % n);
             }
             (a, b)
         })

@@ -17,7 +17,7 @@ use uap_info::{
     Ip2IspService, OnoEstimator, Oracle, P4pEstimator, P4pService, PdistanceWeights, SimulatedCdn,
 };
 use uap_net::{HostId, Underlay};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -122,15 +122,9 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     let tasks = make_tasks(&u, p, &mut rng);
     let mut techniques = Vec::new();
     let phase = |t: &mut Tracer, name: &'static str| {
-        t.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", name);
-            },
-        );
+        t.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", name);
+        });
     };
 
     // Random baseline: pick the first `want` (candidate order is random).

@@ -26,7 +26,7 @@ use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
 use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key};
 use uap_net::{FaultKind, FaultPlan, FaultState, HostId};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -323,15 +323,9 @@ fn run_gnutella(p: &Params, tracer: &mut Tracer) -> (Table, Vec<GnutellaCurve>) 
     );
     let mut curves = Vec::new();
     for (label, selection, oracle_dl) in configs {
-        tracer.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", format!("gnutella/{label}"));
-            },
-        );
+        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", format!("gnutella/{label}"));
+        });
         let cfg = GnutellaConfig {
             selection,
             oracle_at_file_exchange: oracle_dl,
@@ -368,15 +362,9 @@ fn run_kademlia(p: &Params, tracer: &mut Tracer) -> (Table, Vec<KadPhase>) {
         ..Default::default()
     };
     let mut net = DhtNetwork::build(p.net.build(), cfg, &mut rng);
-    tracer.emit(
-        SimTime::ZERO,
-        "experiment",
-        TraceLevel::Info,
-        "phase",
-        |f| {
-            f.str("name", "kademlia/retrieval");
-        },
-    );
+    tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+        f.str("name", "kademlia/retrieval");
+    });
     // Joins stay untraced (they happen inside `build`); the phase
     // retrievals below record their lookup spans into the experiment's
     // tracer, then the swap is undone before the tables are built.
@@ -476,15 +464,9 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
     );
     let mut results = Vec::new();
     for (label, tracker) in configs {
-        tracer.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", format!("bittorrent/{label}"));
-            },
-        );
+        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", format!("bittorrent/{label}"));
+        });
         let cfg = SwarmConfig {
             n_leechers: p.swarm_leechers,
             n_seeds: p.swarm_seeds,
@@ -494,6 +476,10 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
         };
         let round = cfg.round;
         let (report, _) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0x5316, tracer);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a round index of a run capped at max_rounds"
+        )]
         let close_round = (p.swarm_fault_end.as_micros() / round.as_micros()) as usize;
         let done_at_fault_end = report
             .completed_by_round

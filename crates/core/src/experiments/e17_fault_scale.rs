@@ -14,7 +14,7 @@
 use super::table::{ensure, Scale};
 use crate::report::Table;
 use uap_net::{AsId, FaultState, LinkKind, NetParams, Tier, Underlay};
-use uap_sim::{SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimTime, Tracer};
 
 /// One topology size of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -189,16 +189,10 @@ fn measure(spec: &SizeSpec, seed: u64, epochs: usize, tracer: &mut Tracer) -> Si
         }
         let stats = u.apply_fault_state(&state);
         changed_links += stats.changed_links as u64;
-        tracer.emit(
-            SimTime::ZERO,
-            "net",
-            TraceLevel::Info,
-            "routing.repair",
-            |f| {
-                f.str("size", spec.name).u64("boundary", e as u64);
-                stats.trace_fields(f);
-            },
-        );
+        tracer.emit(SimTime::ZERO, registry::NET_ROUTING_REPAIR, |f| {
+            f.str("size", spec.name).u64("boundary", e as u64);
+            stats.trace_fields(f);
+        });
     }
     let (sources_recomputed, sources_total, full_fallbacks) = u.repair_totals();
     SizeResult {

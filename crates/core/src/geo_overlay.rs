@@ -414,7 +414,7 @@ mod tests {
         assert!(small.zones_visited < big.zones_visited);
         // A tiny query touches a handful of zones, far less than n.
         assert!(
-            (small.zones_visited as usize) < 400 / 4,
+            small.zones_visited < 400 / 4,
             "small query visited {} zones",
             small.zones_visited
         );
@@ -567,7 +567,7 @@ mod failure_tests {
         let dead: BTreeSet<HostId> = rng
             .sample_indices(300, 90)
             .into_iter()
-            .map(|i| HostId(i as u32))
+            .map(HostId::from_index)
             .collect();
         let healthy = g.search_with_failures(&q, &BTreeSet::new());
         let degraded = g.search_with_failures(&q, &dead);

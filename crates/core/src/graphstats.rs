@@ -204,7 +204,7 @@ mod tests {
         // Clustered: ring within each AS.
         let mut clustered = Vec::new();
         for a in 0..u.n_ases() {
-            let members = u.hosts.in_as(uap_net::AsId(a as u16));
+            let members = u.hosts.in_as(uap_net::AsId::from_index(a));
             for w in members.windows(2) {
                 clustered.push((w[0], w[1]));
             }
@@ -212,8 +212,8 @@ mod tests {
         // Random with the same edge count.
         let mut random = Vec::new();
         while random.len() < clustered.len() {
-            let a = HostId(rng.below(100) as u32);
-            let b = HostId(rng.below(100) as u32);
+            let a = HostId::from_index(rng.index(100));
+            let b = HostId::from_index(rng.index(100));
             if a != b {
                 random.push((a, b));
             }

@@ -38,6 +38,10 @@ impl ContentModel {
     /// `zipf_s` is the popularity exponent (≈ 0.8–1.0 in measurement
     /// studies); `locality` the regional-interest mixture weight in
     /// `[0, 1]` (0 = no interest locality at all).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every slice bound is ≤ n_files, which fits u32 (asserted below)"
+    )]
     pub fn new(n_files: usize, n_ases: usize, zipf_s: f64, locality: f64) -> ContentModel {
         assert!(n_files >= n_ases.max(1), "need at least one file per AS");
         assert!(
@@ -47,9 +51,7 @@ impl ContentModel {
         let slice_len = (n_files / n_ases.max(1)).max(1);
         let as_slice = (0..n_ases)
             .map(|a| {
-                // lint:allow(cast) — a · slice_len ≤ n_files, which fits u32 (asserted above)
                 let start = (a * slice_len) as u32;
-                // lint:allow(cast) — capped at n_files
                 let end = (((a + 1) * slice_len).min(n_files)) as u32;
                 (start, end.max(start + 1))
             })
@@ -70,15 +72,17 @@ impl ContentModel {
 
     /// Draws a file this peer is interested in (for queries).
     #[expect(clippy::indexing_slicing, reason = "modulus keeps it < as_slice.len()")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a drawn rank is < n_files, which fits u32 (asserted by `new`)"
+    )]
     pub fn sample_interest(&self, asn: AsId, rng: &mut SimRng) -> FileId {
         if rng.chance(self.locality) {
             let (start, end) = self.as_slice[asn.idx() % self.as_slice.len()];
             let span = (end - start) as usize;
             let rank = self.regional.sample(rng).min(span.saturating_sub(1));
-            // lint:allow(cast) — rank < end − start, so the sum is < n_files (u32 by `new`)
             FileId(start + rank as u32)
         } else {
-            // lint:allow(cast) — a rank < n_files (u32 by `new`)
             FileId(self.global.sample(rng) as u32)
         }
     }
@@ -167,14 +171,18 @@ mod tests {
         let m = ContentModel::new(n_files, 7, 0.9, 0.6);
         let mut rng = SimRng::new(5);
         let shared: Vec<Vec<FileId>> = (0..n_hosts)
-            .map(|h| m.seed_shares(AsId(h as u16 % 7), (h % 4) * 9, &mut rng))
+            .map(|h| m.seed_shares(AsId::from_index(h % 7), (h % 4) * 9, &mut rng))
             .collect();
         let holders = Holders::new(n_files, &shared);
-        for f in (0..n_files as u32 + 2).map(FileId) {
+        for f in (0..).take(n_files + 2).map(FileId) {
             let row = holders.of_file(f);
             for h in 0..n_hosts + 70 {
                 let listed = shared.get(h).is_some_and(|s| s.binary_search(&f).is_ok());
-                assert_eq!(row.contains(HostId(h as u32)), listed, "{f:?} at host {h}");
+                assert_eq!(
+                    row.contains(HostId::from_index(h)),
+                    listed,
+                    "{f:?} at host {h}"
+                );
             }
         }
     }

@@ -120,8 +120,8 @@ impl Overlay {
 
     /// All online nodes.
     pub fn online_nodes(&self) -> Vec<HostId> {
-        (0..self.len() as u32)
-            .map(HostId)
+        (0..self.len())
+            .map(HostId::from_index)
             .filter(|&h| self.is_online(h))
             .collect()
     }
@@ -423,8 +423,8 @@ mod tests {
         let mut o = line_overlay(&u, n);
         let mut rng = SimRng::new(73);
         for _ in 0..n {
-            let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
-            o.add_edge(&u, HostId(a), HostId(b));
+            let (a, b) = (rng.index(n as usize), rng.index(n as usize));
+            o.add_edge(&u, HostId::from_index(a), HostId::from_index(b));
         }
         let mut r = FloodResult::default();
         o.flood_into(HostId(0), n, &mut r);
@@ -465,8 +465,8 @@ mod tests {
         // Random: same edge count.
         let target = clustered.edge_count();
         while random.edge_count() < target {
-            let a = HostId(rng.below(64) as u32);
-            let b = HostId(rng.below(64) as u32);
+            let a = HostId::from_index(rng.index(64));
+            let b = HostId::from_index(rng.index(64));
             if a != b {
                 random.add_edge(&u, a, b);
             }

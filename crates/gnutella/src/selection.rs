@@ -133,6 +133,10 @@ impl Selector {
             NeighborSelection::GeoBiased => {
                 let scored = &mut self.scored;
                 scored.clear();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "float → int `as` saturates; a geo distance is a few thousand km"
+                )]
                 scored.extend(candidates.iter().map(|&c| {
                     // Quantize to metres for a stable integer sort key.
                     let km = underlay.geo_distance_km(joiner, c);

@@ -15,7 +15,7 @@ use crate::report::GnutellaReport;
 use crate::selection::Selector;
 use uap_info::Oracle;
 use uap_net::{CompiledFaultPlan, FlowAllocator, HostId, TrafficCategory, Underlay};
-use uap_sim::{ChurnModel, Ctx, SimTime, Simulator, TraceLevel, Tracer, World};
+use uap_sim::{trace::registry, ChurnModel, Ctx, SimTime, Simulator, Tracer, World};
 
 /// Pong records returned per answered ping (pong caching serves several
 /// known hosts per reply; Gnutella 0.6 uses up to 10).
@@ -134,6 +134,10 @@ impl GnutellaSim {
                         .total_cmp(&underlay.host(a).capacity_score())
                         .then(a.cmp(&b))
                 });
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "float → int `as` saturates, and the clamp keeps it in 1..=n"
+                )]
                 let n_up = ((n as f64 * frac).ceil() as usize).clamp(1, n);
                 for &h in by_cap.iter().skip(n_up) {
                     overlay.set_role(h, Role::Leaf);
@@ -167,9 +171,12 @@ impl GnutellaSim {
                 // Not `from_index`: a cache as large as the membership makes
                 // this hosts² conversions, and checking each one measured
                 // +20 % on `gnutella_selection`'s set-up.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "x < n, the size of a population indexed by u32 ids"
+                )]
                 let others = sample
                     .into_iter()
-                    // lint:allow(cast) — x < n, the size of a population indexed by u32 ids
                     .map(|x| HostId(x as u32))
                     .filter(|&h| h != me);
                 HostCache::new(cfg.hostcache_size, n, others)
@@ -186,7 +193,7 @@ impl GnutellaSim {
             .filter(|&i| overlay.role(HostId::from_index(i)) == Role::Ultrapeer)
             .count();
         sim.tracer_mut()
-            .emit(SimTime::ZERO, "gnutella", TraceLevel::Info, "roles", |f| {
+            .emit(SimTime::ZERO, registry::GNUTELLA_ROLES, |f| {
                 f.u64("hosts", n as u64)
                     .u64("ultrapeers", ultrapeers as u64)
                     .u64("leaves", (n - ultrapeers) as u64);
@@ -250,7 +257,10 @@ impl GnutellaSim {
         }
         if let Some(plan) = &self.faults {
             for (i, &t) in plan.boundaries().iter().enumerate() {
-                // lint:allow(cast) — boundary index; a plan has two per fault spec
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "boundary index; a plan has two per fault spec"
+                )]
                 sim.schedule_at(t, Ev::Fault(i as u32));
             }
         }
@@ -305,7 +315,7 @@ impl GnutellaSim {
         self.epoch[h.idx()] += 1;
         let ep = self.epoch[h.idx()];
         ctx.metrics.incr("gnutella.joins", 1);
-        ctx.trace("gnutella", TraceLevel::Debug, "join", |f| {
+        ctx.trace(registry::GNUTELLA_JOIN, |f| {
             f.u64("host", h.0 as u64).u64("epoch", ep as u64);
         });
         self.connect(h, ctx);
@@ -358,7 +368,7 @@ impl GnutellaSim {
         for &p in &picked {
             self.overlay.add_edge(&self.underlay, h, p);
         }
-        ctx.trace("gnutella", TraceLevel::Trace, "connect", |f| {
+        ctx.trace(registry::GNUTELLA_CONNECT, |f| {
             f.u64("host", h.0 as u64).u64("added", added as u64);
         });
         self.scratch_candidates = candidates;
@@ -374,7 +384,7 @@ impl GnutellaSim {
         neighbors.extend_from_slice(self.overlay.neighbors(h));
         self.overlay.set_online(h, false);
         ctx.metrics.incr("gnutella.leaves", 1);
-        ctx.trace("gnutella", TraceLevel::Debug, "leave", |f| {
+        ctx.trace(registry::GNUTELLA_LEAVE, |f| {
             f.u64("host", h.0 as u64)
                 .u64("neighbors", neighbors.len() as u64);
         });
@@ -401,7 +411,7 @@ impl GnutellaSim {
             pongs += r.hops as u64 * PONGS_PER_REPLY;
         }
         ctx.metrics.incr("gnutella.msg.pong", pongs);
-        ctx.trace("gnutella", TraceLevel::Debug, "flood.ping", |f| {
+        ctx.trace(registry::GNUTELLA_FLOOD_PING, |f| {
             f.u64("host", h.0 as u64)
                 .u64("msgs", flood.messages)
                 .u64("reached", flood.reached.len() as u64)
@@ -435,7 +445,7 @@ impl GnutellaSim {
         let span = ctx.tracer.alloc_span();
         let prev_prov = ctx.tracer.provenance();
         ctx.tracer.set_span(Some(span));
-        ctx.trace("gnutella", TraceLevel::Debug, "span.open", |f| {
+        ctx.trace(registry::GNUTELLA_SPAN_OPEN, |f| {
             f.str("span_kind", "query")
                 .u64("host", h.0 as u64)
                 .u64("file", file.0 as u64);
@@ -463,7 +473,7 @@ impl GnutellaSim {
             }
         }
         ctx.metrics.incr("gnutella.msg.queryhit", hit_msgs);
-        ctx.trace("gnutella", TraceLevel::Debug, "flood.query", |f| {
+        ctx.trace(registry::GNUTELLA_FLOOD_QUERY, |f| {
             f.u64("host", h.0 as u64)
                 .u64("file", file.0 as u64)
                 .u64("msgs", flood.messages)
@@ -474,7 +484,7 @@ impl GnutellaSim {
         self.query_log.push((ctx.now(), !hits.is_empty()));
         if hits.is_empty() {
             self.scratch_hits = hits;
-            ctx.trace("gnutella", TraceLevel::Debug, "span.close", |f| {
+            ctx.trace(registry::GNUTELLA_SPAN_CLOSE, |f| {
                 f.str("span_kind", "query")
                     .bool("hit", false)
                     .u64("dur_us", 0);
@@ -521,9 +531,13 @@ impl GnutellaSim {
         // this overlay are synchronous within one event, so the close
         // carries the modeled latency explicitly rather than a sim-time
         // delta (`xtask trace spans` prefers `dur_us` when present).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float → int `as` saturates; a download lasts far under 2^64 µs"
+        )]
         let dur_us =
             first_hit_us.saturating_add(((self.download_secs_sum - secs_before) * 1e6) as u64);
-        ctx.trace("gnutella", TraceLevel::Debug, "span.close", |f| {
+        ctx.trace(registry::GNUTELLA_SPAN_CLOSE, |f| {
             f.str("span_kind", "query")
                 .bool("hit", true)
                 .u64("dur_us", dur_us);
@@ -565,7 +579,7 @@ impl GnutellaSim {
                     self.download_bytes_intra += bytes;
                 }
                 self.download_secs_sum += s;
-                ctx.trace("gnutella", TraceLevel::Debug, "download", |f| {
+                ctx.trace(registry::GNUTELLA_DOWNLOAD, |f| {
                     f.u64("downloader", downloader.0 as u64)
                         .u64("provider", current.0 as u64)
                         .u64("bytes", bytes)
@@ -603,13 +617,12 @@ impl GnutellaSim {
                     // source down; whatever follows it (the re-sourced
                     // download, or the next retry) is caused by the retry.
                     ctx.tracer.set_cause(self.last_fault_seq);
-                    let retry_seq =
-                        ctx.trace("gnutella", TraceLevel::Debug, "download.retry", |f| {
-                            f.u64("downloader", downloader.0 as u64)
-                                .u64("failed", current.0 as u64)
-                                .u64("alternate", p.0 as u64)
-                                .u64("attempt", tried.len() as u64);
-                        });
+                    let retry_seq = ctx.trace(registry::GNUTELLA_DOWNLOAD_RETRY, |f| {
+                        f.u64("downloader", downloader.0 as u64)
+                            .u64("failed", current.0 as u64)
+                            .u64("alternate", p.0 as u64)
+                            .u64("attempt", tried.len() as u64);
+                    });
                     ctx.tracer.set_cause(retry_seq.or(self.last_fault_seq));
                     tried.push(p);
                     current = p;
@@ -650,12 +663,12 @@ impl GnutellaSim {
         if rate < 1.0 {
             return None;
         }
-        ctx.trace("net", TraceLevel::Debug, "flow.open", |f| {
+        ctx.trace(registry::NET_FLOW_OPEN, |f| {
             f.u64("flow", id)
                 .u64("src", src.0 as u64)
                 .u64("dst", dst.0 as u64);
         });
-        ctx.trace("net", TraceLevel::Debug, "flow.close", |f| {
+        ctx.trace(registry::NET_FLOW_CLOSE, |f| {
             f.u64("flow", id).u64("bytes", bytes);
         });
         Some(rtt_secs + bytes as f64 / rate)
@@ -794,18 +807,12 @@ pub fn run_experiment_with(
     let report = world.report(sim.metrics(), stats.events_processed);
     let mut t = sim.take_tracer();
     world.underlay.trace_link_totals(stats.end_time, &mut t);
-    t.emit(
-        stats.end_time,
-        "gnutella",
-        TraceLevel::Info,
-        "run.end",
-        |f| {
-            f.u64("events", stats.events_processed)
-                .u64("queries", report.queries_issued)
-                .u64("downloads", report.downloads)
-                .u64("msgs", report.total_msgs());
-        },
-    );
+    t.emit(stats.end_time, registry::GNUTELLA_RUN_END, |f| {
+        f.u64("events", stats.events_processed)
+            .u64("queries", report.queries_issued)
+            .u64("downloads", report.downloads)
+            .u64("msgs", report.total_msgs());
+    });
     *tracer = t;
     (report, world)
 }

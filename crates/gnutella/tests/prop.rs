@@ -44,8 +44,8 @@ fn random_overlay(
     let mut guard = 0;
     while o.edge_count() < edges && guard < edges * 20 {
         guard += 1;
-        let a = HostId(rng.below(n as u64) as u32);
-        let b = HostId(rng.below(n as u64) as u32);
+        let a = HostId::from_index(rng.index(n as usize));
+        let b = HostId::from_index(rng.index(n as usize));
         if a != b {
             o.add_edge(u, a, b);
         }
@@ -104,7 +104,7 @@ proptest! {
         let mut rng = SimRng::new(seed ^ 4);
         let mut o = random_overlay(&u, n, n as usize * 2, leaf_every, &mut rng);
         for _ in 0..n / 5 {
-            o.set_online(HostId(rng.below(n as u64) as u32), false);
+            o.set_online(HostId::from_index(rng.index(n as usize)), false);
         }
         let mut got = FloodResult::default();
         for origin in (0..n).map(HostId) {
@@ -123,7 +123,7 @@ proptest! {
         let u = underlay(n as usize, seed);
         let mut rng = SimRng::new(seed ^ 1);
         let mut o = random_overlay(&u, n, (n as usize * 3) / 2, 4, &mut rng);
-        let origin = HostId(rng.below(n as u64) as u32);
+        let origin = HostId::from_index(rng.index(n as usize));
         let r = flood(&mut o, origin, ttl);
         let mut seen = std::collections::BTreeSet::new();
         for x in &r.reached {
@@ -173,7 +173,7 @@ proptest! {
         let m = ContentModel::new(n_files, n_ases, 0.9, 1.0);
         let mut rng = SimRng::new(seed);
         for a in 0..n_ases {
-            let f = m.sample_interest(AsId(a as u16), &mut rng);
+            let f = m.sample_interest(AsId::from_index(a), &mut rng);
             prop_assert!((f.0 as usize) < n_files);
         }
     }
@@ -189,8 +189,8 @@ proptest! {
         }
         let mut inserted = Vec::new();
         for _ in 0..(n * 2) {
-            let a = HostId(rng.below(n as u64) as u32);
-            let b = HostId(rng.below(n as u64) as u32);
+            let a = HostId::from_index(rng.index(n as usize));
+            let b = HostId::from_index(rng.index(n as usize));
             if a != b && !o.has_edge(a, b) {
                 o.add_edge(&u, a, b);
                 inserted.push((a, b));

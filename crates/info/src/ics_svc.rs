@@ -151,8 +151,8 @@ impl IcsService {
         let n = self.coords.len();
         let pairs: Vec<(f64, f64)> = (0..n_pairs)
             .filter_map(|_| {
-                let a = HostId(rng.index(n) as u32);
-                let b = HostId(rng.index(n) as u32);
+                let a = HostId::from_index(rng.index(n));
+                let b = HostId::from_index(rng.index(n));
                 if a == b {
                     return None;
                 }
@@ -229,9 +229,9 @@ mod tests {
     fn overhead_is_linear_not_quadratic_in_hosts() {
         let u = underlay();
         let mut rng = SimRng::new(63);
-        let m = 6u64;
-        let svc = IcsService::build(&u, m as usize, 3, &mut rng);
-        let n = u.n_hosts() as u64;
+        let m = 6;
+        let svc = IcsService::build(&u, m, 3, &mut rng);
+        let (m, n) = (m as u64, u.n_hosts() as u64);
         // m(m-1) beacon probes + ≤ 2m per host.
         let expected_max = m * (m - 1) + n * 2 * m;
         assert!(svc.overhead_messages() <= expected_max);

@@ -35,7 +35,6 @@ impl Ip2IspService {
         let mut host_ips = Vec::with_capacity(underlay.n_hosts());
         for h in underlay.hosts.ids() {
             let host = underlay.host(h);
-            // lint:allow(cast) — the /16 prefix: ip >> 16 < 2^16
             prefix_table.insert((host.ip >> 16) as u16, host.asn);
             host_ips.push(host.ip);
         }
@@ -52,12 +51,15 @@ impl Ip2IspService {
     /// Looks up an arbitrary IP address.
     pub fn lookup_ip(&mut self, ip: u32) -> Option<AsId> {
         self.queries += 1;
-        // lint:allow(cast) — the /16 prefix: ip >> 16 < 2^16
         let truth = self.prefix_table.get(&((ip >> 16) as u16)).copied()?;
         if self.accuracy >= 1.0 || self.rng.chance(self.accuracy) {
             Some(truth)
         } else {
             // A stale database points at some other AS.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the draw is below n_ases, a usize"
+            )]
             let skip = self.rng.below(self.n_ases.max(2) as u64 - 1) as usize;
             Some(AsId::from_index((truth.idx() + 1 + skip) % self.n_ases))
         }

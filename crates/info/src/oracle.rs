@@ -12,7 +12,7 @@
 //! tables — that is the whole point of the technique.
 
 use uap_net::{HostId, Underlay};
-use uap_sim::{SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimTime, Tracer};
 
 /// The ISP-side ranking component.
 pub struct Oracle {
@@ -83,12 +83,12 @@ impl Oracle {
         tracer: &mut Tracer,
     ) -> Vec<HostId> {
         let ranked = self.rank(underlay, querier, candidates);
-        if tracer.is_enabled(TraceLevel::Debug) {
+        if tracer.is_enabled(registry::INFO_ORACLE_RANK.level()) {
             let best_hops = ranked
                 .first()
                 .and_then(|&b| underlay.as_hops(querier, b))
                 .unwrap_or(u32::MAX);
-            tracer.emit(now, "info", TraceLevel::Debug, "oracle.rank", |f| {
+            tracer.emit(now, registry::INFO_ORACLE_RANK, |f| {
                 f.u64("querier", querier.0 as u64)
                     .u64("list", candidates.len().min(self.max_list) as u64)
                     .u64("best_as_hops", best_hops as u64);

@@ -62,6 +62,10 @@ impl P4pService {
                 std::collections::BinaryHeap::new();
             // Fixed-point costs (micro-units) keep the heap ordered without
             // float comparators.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "float → int `as` saturates; an unreachable AS's ∞ maps to u64::MAX"
+            )]
             let to_fp = |c: f64| (c * 1e6) as u64;
             heap.push(std::cmp::Reverse((0, AsId::from_index(src))));
             while let Some(std::cmp::Reverse((d, x))) = heap.pop() {
@@ -188,9 +192,9 @@ mod tests {
         let svc = P4pService::build(&u, PdistanceWeights::default());
         let n = svc.n_ases();
         for a in 0..n {
-            assert_eq!(svc.pdistance(AsId(a as u16), AsId(a as u16)), 0.0);
+            assert_eq!(svc.pdistance(AsId::from_index(a), AsId::from_index(a)), 0.0);
             for b in 0..n {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 assert!(svc.pdistance(a, b).is_finite(), "unreachable {a}->{b}");
                 assert_eq!(svc.pdistance(a, b), svc.pdistance(b, a));
             }

@@ -43,8 +43,11 @@ impl VivaldiService {
                 if i == j {
                     continue;
                 }
-                let rtt_us = match underlay.measured_rtt_us(HostId(i as u32), HostId(j as u32), rng)
-                {
+                let rtt_us = match underlay.measured_rtt_us(
+                    HostId::from_index(i),
+                    HostId::from_index(j),
+                    rng,
+                ) {
                     Some(r) => r,
                     None => continue,
                 };
@@ -95,8 +98,8 @@ impl VivaldiService {
         let n = self.nodes.len();
         let pairs: Vec<(f64, f64)> = (0..n_pairs)
             .filter_map(|_| {
-                let a = HostId(rng.index(n) as u32);
-                let b = HostId(rng.index(n) as u32);
+                let a = HostId::from_index(rng.index(n));
+                let b = HostId::from_index(rng.index(n));
                 if a == b {
                     return None;
                 }

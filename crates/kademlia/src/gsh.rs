@@ -28,7 +28,10 @@ pub const ZONE_BITS: usize = 8;
 pub fn zone_of(pos: &GeoPoint, world_km: f64) -> u8 {
     let half = ZONE_BITS / 2;
     let cells = 1u32 << half;
-    // lint:allow(cast) — float → int saturates; the cell is capped at cells − 1 below
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates; the cell is capped at cells − 1 below"
+    )]
     let clamp = |v: f64| (v.max(0.0) / world_km * cells as f64) as u32;
     let cx = clamp(pos.x_km).min(cells - 1);
     let cy = clamp(pos.y_km).min(cells - 1);

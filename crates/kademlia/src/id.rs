@@ -35,6 +35,10 @@ impl Key {
 
     /// Deterministic key from a name (FNV-1a stretched over 20 bytes) —
     /// stands in for SHA-1 content hashing without a crypto dependency.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each key byte is one byte sliced out of the running hash"
+    )]
     pub fn hash_of(data: &[u8]) -> Key {
         let mut out = [0u8; 20];
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -45,7 +49,7 @@ impl Key {
             }
             h ^= i as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            *slot = (h >> 24) as u8; // lint:allow(cast) — one byte sliced out of the running hash
+            *slot = (h >> 24) as u8;
         }
         Key(out)
     }

@@ -393,9 +393,9 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 3, OverflowPolicy::PreferNear);
         let mut keys = Vec::new();
-        for i in 0..400 {
+        for (i, hops) in (0..400).zip((0..7).cycle()) {
             let k = Key::random(&mut rng);
-            t.observe(contact(k, (i % 7) as u32));
+            t.observe(contact(k, hops));
             keys.push(k);
             if i % 3 == 0 {
                 t.remove(&keys[(i * 31) % keys.len()]);

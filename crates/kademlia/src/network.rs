@@ -10,7 +10,7 @@ use crate::id::Key;
 use crate::kbucket::{Contact, OverflowPolicy, RoutingTable};
 use std::collections::BTreeMap;
 use uap_net::{HostId, TrafficCategory, Underlay};
-use uap_sim::{SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
 
 /// Underlay-awareness switches (Kaune et al. \[17\]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -264,15 +264,14 @@ impl DhtNetwork {
             for attempt in 1..=self.cfg.rpc_retries {
                 out.retransmits += 1;
                 out.timeout_wait_us = out.timeout_wait_us.saturating_add(wait);
-                self.tracer
-                    .emit(NOW, "kademlia", TraceLevel::Debug, "rpc.retry", {
-                        move |f| {
-                            f.u64("from", from.0 as u64)
-                                .u64("to", to.0 as u64)
-                                .u64("attempt", attempt as u64)
-                                .u64("wait_us", wait);
-                        }
-                    });
+                self.tracer.emit(NOW, registry::KADEMLIA_RPC_RETRY, {
+                    move |f| {
+                        f.u64("from", from.0 as u64)
+                            .u64("to", to.0 as u64)
+                            .u64("attempt", attempt as u64)
+                            .u64("wait_us", wait);
+                    }
+                });
                 // Retransmitting costs another request on the wire (the
                 // target never answers, so no response bytes).
                 self.underlay.account_transfer(NOW, from, to, RPC_BYTES);
@@ -302,22 +301,20 @@ impl DhtNetwork {
         let span = self.tracer.alloc_span();
         let prev_prov = self.tracer.provenance();
         self.tracer.set_span(Some(span));
-        self.tracer
-            .emit(NOW, "kademlia", TraceLevel::Debug, "span.open", {
-                let target_pfx = Self::key_prefix(target);
-                move |f| {
-                    f.str("span_kind", "lookup")
-                        .u64("from", from.0 as u64)
-                        .u64("target", target_pfx);
-                }
-            });
-        self.tracer
-            .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.start", {
-                let target_pfx = Self::key_prefix(target);
-                move |f| {
-                    f.u64("from", from.0 as u64).u64("target", target_pfx);
-                }
-            });
+        self.tracer.emit(NOW, registry::KADEMLIA_SPAN_OPEN, {
+            let target_pfx = Self::key_prefix(target);
+            move |f| {
+                f.str("span_kind", "lookup")
+                    .u64("from", from.0 as u64)
+                    .u64("target", target_pfx);
+            }
+        });
+        self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_START, {
+            let target_pfx = Self::key_prefix(target);
+            move |f| {
+                f.u64("from", from.0 as u64).u64("target", target_pfx);
+            }
+        });
         let me = self.nodes[from.idx()].key;
         // The shortlist is the outcome's `closest` list, moved in at the
         // end. It holds at most k contacts plus α responses of k each, so
@@ -392,18 +389,17 @@ impl DhtNetwork {
                 }
             }
             out.latency_us += round_rtt;
-            self.tracer
-                .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.hop", {
-                    let round = out.rounds;
-                    let rpcs = out.rpcs;
-                    move |f| {
-                        f.u64("from", from.0 as u64)
-                            .u64("round", round as u64)
-                            .u64("asked", asked as u64)
-                            .u64("rpcs", rpcs)
-                            .u64("round_rtt_us", round_rtt);
-                    }
-                });
+            self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_HOP, {
+                let round = out.rounds;
+                let rpcs = out.rpcs;
+                move |f| {
+                    f.u64("from", from.0 as u64)
+                        .u64("round", round as u64)
+                        .u64("asked", asked as u64)
+                        .u64("rpcs", rpcs)
+                        .u64("round_rtt_us", round_rtt);
+                }
+            });
             let before_best = shortlist.first().map(|c| c.key);
             for &l in &learned {
                 if dead.binary_search(&l.key).is_ok() {
@@ -436,34 +432,32 @@ impl DhtNetwork {
         self.lk_candidates = candidates;
         self.lk_learned = learned;
         self.lk_resp = resp;
-        self.tracer
-            .emit(NOW, "kademlia", TraceLevel::Debug, "lookup.done", {
-                let best = shortlist
-                    .first()
-                    .map(|c| Self::key_prefix(&c.key))
-                    .unwrap_or(0);
-                let (rounds, rpcs, inter, lat) =
-                    (out.rounds, out.rpcs, out.inter_as_rpcs, out.latency_us);
-                move |f| {
-                    f.u64("from", from.0 as u64)
-                        .u64("rounds", rounds as u64)
-                        .u64("rpcs", rpcs)
-                        .u64("inter_as_rpcs", inter)
-                        .u64("latency_us", lat)
-                        .u64("best", best);
-                }
-            });
+        self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_DONE, {
+            let best = shortlist
+                .first()
+                .map(|c| Self::key_prefix(&c.key))
+                .unwrap_or(0);
+            let (rounds, rpcs, inter, lat) =
+                (out.rounds, out.rpcs, out.inter_as_rpcs, out.latency_us);
+            move |f| {
+                f.u64("from", from.0 as u64)
+                    .u64("rounds", rounds as u64)
+                    .u64("rpcs", rpcs)
+                    .u64("inter_as_rpcs", inter)
+                    .u64("latency_us", lat)
+                    .u64("best", best);
+            }
+        });
         // The lookup is synchronous (the ledger clock does not advance), so
         // the close carries the modeled latency explicitly.
-        self.tracer
-            .emit(NOW, "kademlia", TraceLevel::Debug, "span.close", {
-                let (found, dur) = (!shortlist.is_empty(), out.latency_us);
-                move |f| {
-                    f.str("span_kind", "lookup")
-                        .bool("found", found)
-                        .u64("dur_us", dur);
-                }
-            });
+        self.tracer.emit(NOW, registry::KADEMLIA_SPAN_CLOSE, {
+            let (found, dur) = (!shortlist.is_empty(), out.latency_us);
+            move |f| {
+                f.str("span_kind", "lookup")
+                    .bool("found", found)
+                    .u64("dur_us", dur);
+            }
+        });
         self.tracer.set_provenance(prev_prov);
         out.closest = shortlist;
         out
@@ -537,6 +531,7 @@ fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
 mod tests {
     use super::*;
     use uap_net::NetParams;
+    use uap_sim::TraceLevel;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
         NetParams {

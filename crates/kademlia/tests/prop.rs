@@ -96,8 +96,8 @@ proptest! {
                 };
                 t.observe(Contact {
                     key,
-                    host: HostId(i as u32),
-                    as_hops: rng.below(6) as u32,
+                    host: HostId::from_index(i),
+                    as_hops: u32::try_from(rng.below(6)).unwrap(),
                 });
             }
             for (i, s) in t.bucket_sizes().iter().enumerate() {
@@ -163,8 +163,8 @@ proptest! {
                 };
                 let kept = t.observe(Contact {
                     key,
-                    host: HostId(i as u32),
-                    as_hops: rng.below(6) as u32,
+                    host: HostId::from_index(i),
+                    as_hops: u32::try_from(rng.below(6)).unwrap(),
                 });
                 if kept {
                     stored = key;

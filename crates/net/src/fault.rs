@@ -28,7 +28,7 @@
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::HostId;
 use crate::underlay::Underlay;
-use uap_sim::{Ctx, Fields, SimRng, SimTime, TraceLevel};
+use uap_sim::{trace::registry, Ctx, Fields, SimRng, SimTime};
 
 /// What a fault epoch breaks while it is active.
 #[derive(Clone, Debug)]
@@ -306,12 +306,12 @@ pub fn enter_boundary<E>(
     let repair = net.apply_fault_state(&state);
     ctx.metrics.incr("net.fault.epochs", 1);
     ctx.tracer.clear_provenance();
-    let fault_seq = ctx.trace("net", TraceLevel::Info, "fault.epoch", |f| {
+    let fault_seq = ctx.trace(registry::NET_FAULT_EPOCH, |f| {
         f.u64("boundary", i as u64);
         state.trace_fields(f);
     });
     ctx.tracer.set_cause(fault_seq);
-    ctx.trace("net", TraceLevel::Info, "routing.repair", |f| {
+    ctx.trace(registry::NET_ROUTING_REPAIR, |f| {
         f.u64("boundary", i as u64);
         repair.trace_fields(f);
     });
@@ -322,6 +322,7 @@ pub fn enter_boundary<E>(
 mod tests {
     use super::*;
     use crate::gen::{TopologyKind, TopologySpec};
+    use uap_sim::TraceLevel;
 
     fn graph() -> AsGraph {
         TopologySpec::new(TopologyKind::Hierarchical {
@@ -452,7 +453,7 @@ mod tests {
             }
         }
         let boundary = |e: &TraceEvent| match e.fields.first() {
-            Some((k, Value::U64(i))) if k == "boundary" => *i as usize,
+            Some((k, Value::U64(i))) if k == "boundary" => usize::try_from(*i).unwrap(),
             other => panic!("{}: leads with {other:?}", e.kind),
         };
 

@@ -136,8 +136,11 @@ impl FlowAllocator {
     /// recovers. Ids must be unique within one [`FlowAllocator::begin`]
     /// cycle; the allocation depends only on the id *set*, not the
     /// insertion order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "resource ids are < 2·n_hosts + n_links, and n_hosts is bounded by the u32 HostId width"
+    )]
     pub fn add_flow(&mut self, id: u64, src: HostId, dst: HostId, underlay: &Underlay) -> bool {
-        // lint:allow(cast) — arena holds per-flow resource ids; far under u32::MAX
         let start = self.arena.len() as u32;
         let src_as = underlay.hosts.as_of(src);
         let dst_as = underlay.hosts.as_of(dst);
@@ -150,18 +153,14 @@ impl FlowAllocator {
                 return false;
             };
             self.arena.push(src.0);
-            // lint:allow(cast) — n_hosts is bounded by the u32 HostId width
             self.arena.push(self.n_hosts as u32 + dst.0);
             for &li in path {
-                // lint:allow(cast) — same HostId-width bound; link ids are u32
                 self.arena.push(2 * self.n_hosts as u32 + li);
             }
         } else {
             self.arena.push(src.0);
-            // lint:allow(cast) — same HostId-width bound as above
             self.arena.push(self.n_hosts as u32 + dst.0);
         }
-        // lint:allow(cast) — arena length bound as in `start` above
         let len = self.arena.len() as u32 - start;
         debug_assert!(
             self.flows.iter().all(|&(fid, _, _)| fid != id),
@@ -195,7 +194,10 @@ impl FlowAllocator {
                 let r = r as usize;
                 if !self.in_used[r] {
                     self.in_used[r] = true;
-                    // lint:allow(cast) — r indexes `cap`, sized 2n + links < u32::MAX
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "r came out of the u32 arena"
+                    )]
                     self.used.push(r as u32);
                 }
                 self.users[r] += 1;
@@ -301,6 +303,10 @@ impl FlowAllocator {
     /// Whole bytes flow `id` moves in `secs` seconds at its allocated
     /// rate, rounded down — flooring per flow keeps every per-resource
     /// byte sum under `capacity × secs`. Zero for unknown ids.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates, and a flow moves far under 2^64 bytes"
+    )]
     pub fn bytes_of(&self, id: u64, secs: f64) -> u64 {
         match self.rate_of(id) {
             Some(rate) => (rate * secs) as u64,

@@ -495,7 +495,7 @@ mod tests {
             .build(&mut rng());
         assert!(g.is_connected(None));
         let mut degrees: Vec<usize> = (0..g.len())
-            .map(|i| g.incident(AsId(i as u16)).len())
+            .map(|i| g.incident(AsId::from_index(i)).len())
             .collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
         // Heavy-tailed: the max degree should far exceed the median.

@@ -31,6 +31,10 @@ impl GeoPoint {
 
 /// Propagation delay in microseconds for a geodesic of `km` kilometres in
 /// fibre (speed of light × ~0.67, i.e. ≈ 5 µs/km).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float → int `as` saturates; a geodesic is far under 2^64 µs"
+)]
 pub fn propagation_delay_us(km: f64) -> u64 {
     (km * 5.0).round() as u64
 }

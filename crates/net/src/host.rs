@@ -201,18 +201,20 @@ impl HostPopulation {
             let seq = per_as_seq[as_idx];
             per_as_seq[as_idx] += 1;
             let id = HostId::from_index(i);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "profile latency and kbps are <= ~1e6 and jitter <= 1.2, far under \
+                          u32::MAX; float → int `as` saturates"
+            )]
             hosts.push(Host {
                 id,
                 asn,
                 // Synthetic allocation: each AS owns the /16 `10.<as>.0.0`.
-                // lint:allow(cast) — as_idx < graph.len() <= u16::MAX (AsId width); fits the /16 octets
-                ip: (10u32 << 24) | ((as_idx as u32) << 16) | (seq & 0xFFFF),
+                ip: (10u32 << 24) | (u32::from(asn.0) << 16) | (seq & 0xFFFF),
                 geo,
                 access,
                 access_latency_us: (acc_lat as f64 * jitter) as u64,
-                // lint:allow(cast) — profile kbps <= ~1e6 and jitter <= 1.2, far under u32::MAX
                 down_kbps: (down as f64 * jitter) as u32,
-                // lint:allow(cast) — same bound as down_kbps
                 up_kbps: (up as f64 * jitter) as u32,
                 cpu: rng.f64_range(0.5, 4.0),
                 storage_gb: rng.f64_range(1.0, 500.0),
@@ -276,8 +278,7 @@ impl HostPopulation {
         let rad = node.service_radius_km * rng.f64().sqrt();
         let host = &mut self.hosts[h.idx()];
         host.asn = new_as;
-        // lint:allow(cast) — idx() comes from a u16 AsId; fits the /16 octets
-        host.ip = (10u32 << 24) | ((new_as.idx() as u32) << 16) | (seq & 0xFFFF);
+        host.ip = (10u32 << 24) | (u32::from(new_as.0) << 16) | (seq & 0xFFFF);
         host.geo = GeoPoint::new(
             node.geo_center.x_km + rad * theta.cos(),
             node.geo_center.y_km + rad * theta.sin(),
@@ -317,8 +318,8 @@ mod tests {
         let pop = HostPopulation::build(&g, &PopulationSpec::uniform(300), &mut SimRng::new(3));
         let mut counted = 0;
         for a in 0..g.len() {
-            for &h in pop.in_as(AsId(a as u16)) {
-                assert_eq!(pop.as_of(h), AsId(a as u16));
+            for &h in pop.in_as(AsId::from_index(a)) {
+                assert_eq!(pop.as_of(h), AsId::from_index(a));
                 counted += 1;
             }
         }
@@ -362,7 +363,7 @@ mod tests {
         assert!(pop
             .hosts
             .iter()
-            .all(|h| h.asn == AsId((g.len() - 1) as u16)));
+            .all(|h| h.asn == AsId::from_index(g.len() - 1)));
     }
 
     #[test]

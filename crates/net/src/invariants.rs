@@ -240,7 +240,9 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let path = r.path_ases(&g, AsId(src as u16), AsId(dst as u16)).unwrap();
+                let path = r
+                    .path_ases(&g, AsId::from_index(src), AsId::from_index(dst))
+                    .unwrap();
                 check_valley_free(&g, &path).unwrap_or_else(|e| panic!("path {path:?}: {e}"));
             }
         }
@@ -282,8 +284,10 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let path = r.path_links(AsId(src as u16), AsId(dst as u16)).unwrap();
-                t.record(&g, now, AsId(src as u16), path, 10_000);
+                let path = r
+                    .path_links(AsId::from_index(src), AsId::from_index(dst))
+                    .unwrap();
+                t.record(&g, now, AsId::from_index(src), path, 10_000);
                 now += SimTime::from_secs(1);
             }
         }

@@ -195,7 +195,10 @@ impl RepairIndex {
     /// Makes every source dirty: what follows is a full build.
     fn mark_all_dirty(&mut self) {
         self.dirty_list.clear();
-        // lint:allow(cast) — n is bounded by the u16 AsId width
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "n <= 65 536, the u16 AsId width"
+        )]
         self.dirty_list.extend(0..self.n as u32);
     }
 
@@ -399,7 +402,10 @@ impl Routing {
         }
         for s in 0..n {
             if index.is_dirty(s) {
-                // lint:allow(cast) — s < n and n is bounded by the u16 AsId width
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "s < n <= 65 536, the u16 AsId width"
+                )]
                 index.dirty_list.push(s as u32);
             }
         }
@@ -468,8 +474,10 @@ impl Routing {
     /// independent of scheduling and of `threads`.
     #[expect(
         clippy::disallowed_methods,
-        reason = "deterministic fork-join over disjoint source ranges; the scope joins every \
-                  worker before it returns (PARALLEL_REGIONS)"
+        reason = "parallel region: workers own disjoint contiguous ranges of the sorted source \
+                  list and write each row in place through `&mut` slots split off before the \
+                  fork; the scope joins them all, so rows are byte-identical for any thread \
+                  count (oracle: parallel_build_is_byte_identical_to_serial)"
     )]
     fn rows(
         graph: &AsGraph,
@@ -518,6 +526,11 @@ impl Routing {
     /// Reduces one destination's Dijkstra states to a [`RouteSummary`],
     /// appending its path to `paths`, the source's segment.
     #[expect(clippy::indexing_slicing, reason = "states < 2n = hops.len()")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a path visits < 2n states, and a row holds at most n·(n−1) link ids \
+                  (< 2^32 for n <= 65 536, the u16 AsId width)"
+    )]
     fn summarize(
         graph: &AsGraph,
         hops: &[u32],
@@ -544,16 +557,14 @@ impl Routing {
         let transit_links = paths[path_off..]
             .iter()
             .filter(|&&li| graph.links[li as usize].kind == LinkKind::Transit)
-            .count() as u32; // lint:allow(cast) — a path visits < 2n states, n bounded by u16 AsId width
+            .count() as u32;
         RouteSummary {
             hops,
             latency_us,
             transit_links,
             // A min-hop path never revisits an AS (phase 0 may take every
             // step phase 1 may), so a row holds at most n·(n−1) link ids.
-            // lint:allow(cast) — n·(n−1) < 2^32 for n ≤ 65 536, the u16 AsId width
             path_off: path_off as u32,
-            // lint:allow(cast) — single-path segment length, < 2n (see transit_links bound)
             path_len: (paths.len() - path_off) as u32,
         }
     }
@@ -567,6 +578,10 @@ impl Routing {
     /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
     /// unreachable) and returns the predecessor `(state, link)` per state.
     #[expect(clippy::indexing_slicing, reason = "states < 2n; link ids < n_links")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "state indices are < 2n, so s/2 < n <= 65 536, the u16 AsId width"
+    )]
     fn dijkstra(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -584,14 +599,12 @@ impl Routing {
         hops[start] = 0;
         latency[start] = 0;
         let mut heap: BinaryHeap<Reverse<(u32, u64, u32)>> = BinaryHeap::new();
-        // lint:allow(cast) — state index < 2n, n bounded by the u16 AsId width
         heap.push(Reverse((0, 0, start as u32)));
         while let Some(Reverse((h, lat, s))) = heap.pop() {
             let s = s as usize;
             if (h, lat) != (hops[s], latency[s]) {
                 continue; // stale entry
             }
-            // lint:allow(cast) — s < 2n so s/2 < n <= u16::MAX + 1; per-pop hot path
             let x = AsId((s / 2) as u16);
             let phase = s % 2;
             for &li in graph.incident(x) {
@@ -624,9 +637,7 @@ impl Routing {
                 if (nh, nlat) < (hops[t], latency[t]) {
                     hops[t] = nh;
                     latency[t] = nlat;
-                    // lint:allow(cast) — s and t are state indices < 2n (u16 AsId width bound)
                     pred[t] = Some((s as u32, li));
-                    // lint:allow(cast) — same state-index bound as above
                     heap.push(Reverse((nh, nlat, t as u32)));
                 }
             }
@@ -1035,9 +1046,9 @@ mod tests {
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         for a in 0..g.len() {
             for b in 0..g.len() {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 if let Some(h) = r.as_hops(a, b) {
-                    assert_eq!(r.path_links(a, b).unwrap().len() as u32, h);
+                    assert_eq!(r.path_links(a, b).unwrap().len(), h as usize);
                 }
             }
         }
@@ -1163,7 +1174,7 @@ mod tests {
             let full = Routing::compute_indexed_threads(&g, mode, new, 1).0;
             for (s, &ptr) in before.iter().enumerate() {
                 let row = s * n..(s + 1) * n;
-                if idx.dirty_sources().contains(&(s as u32)) {
+                if idx.dirty_sources().contains(&u32::try_from(s).unwrap()) {
                     assert_eq!(r.paths[s], full.paths[s], "dirty row {s}");
                     let want = &full.summaries[row.clone()];
                     assert_eq!(&r.summaries[row], want, "dirty row {s}");
@@ -1266,7 +1277,7 @@ mod tests {
             let refr = ReferenceRouting::compute(&g, mode, None);
             for a in 0..g.len() {
                 for b in 0..g.len() {
-                    let (a, b) = (AsId(a as u16), AsId(b as u16));
+                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                     assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "{a}->{b}");
                     assert_eq!(table.latency_us(a, b), refr.latency_us(a, b), "{a}->{b}");
                     assert_eq!(

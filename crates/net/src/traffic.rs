@@ -79,6 +79,10 @@ impl TrafficAccounting {
             self.intra_bytes += bytes;
             return TrafficCategory::IntraAs;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a billing-bucket index: the buckets up to it are held in memory, so it fits a usize"
+        )]
         let bucket = (now.as_micros() / self.sample_width.as_micros()) as usize;
         let (mut peering, mut transit) = (0, 0);
         let mut crossed_transit = false;
@@ -153,6 +157,10 @@ impl TrafficAccounting {
     /// the billing sample buckets, padding with zero samples up to `horizon`
     /// (an AS that bursts briefly still pays for its busiest 5 % of windows).
     #[expect(clippy::indexing_slicing, reason = "asn in graph; rank in 1..=len")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "n_windows counts billing buckets the run could hold in memory; 0.95·len ≤ len"
+    )]
     pub fn transit_p95_mbps(&self, asn: AsId, horizon: SimTime) -> f64 {
         let width_s = self.sample_width.as_secs_f64();
         let n_windows = horizon.as_micros().div_ceil(self.sample_width.as_micros()) as usize;
@@ -226,6 +234,10 @@ mod tests {
                     LinkKind::Transit => {
                         crossed_transit = true;
                         l.transit_bytes += bytes;
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "a billing-bucket index: the buckets up to it are held in memory, so it fits a usize"
+                        )]
                         let idx = (now.as_micros() / l.sample_width.as_micros()) as usize;
                         let buckets = &mut l.per_as_transit_samples[link.b.idx()];
                         if buckets.len() <= idx {

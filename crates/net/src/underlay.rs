@@ -13,7 +13,7 @@ use crate::ids::{AsId, HostId};
 use crate::routing::{workers, RepairIndex, RepairStats, Routing, RoutingMode};
 use crate::traffic::{TrafficAccounting, TrafficCategory};
 use std::cell::Cell;
-use uap_sim::{Metrics, SimRng, SimTime, TraceLevel, Tracer};
+use uap_sim::{trace::registry, Metrics, SimRng, SimTime, Tracer};
 
 /// Tunables for the latency model.
 #[derive(Clone, Copy, Debug)]
@@ -132,6 +132,10 @@ impl RouteCache {
     /// The entry for one ordered AS pair, straight from the routing
     /// table — the ground truth the cache materializes and the coherence
     /// assertion recomputes.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates; a route latency is far under 2^53 µs"
+    )]
     fn entry(routing: &Routing, src: AsId, dst: AsId, latency_factor: f64) -> u64 {
         match routing.route(src, dst) {
             None => UNREACHABLE_ENTRY,
@@ -439,6 +443,10 @@ impl Underlay {
     /// direction is the base latency, `b -> a` is scaled. Asymmetry is
     /// keyed on host-id order so it is consistent across calls.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates; a latency is far under 2^53 µs"
+    )]
     pub fn latency_directional_us(&self, from: HostId, to: HostId) -> Option<u64> {
         let base = self.latency_us(from, to)?;
         if (self.config.asymmetry - 1.0).abs() < f64::EPSILON {
@@ -460,6 +468,10 @@ impl Underlay {
     /// `latency_directional_us(a, b)? + latency_directional_us(b, a)?`,
     /// including hit/miss counter effects and their ordering.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates; a latency is far under 2^53 µs"
+    )]
     pub fn rtt_us(&self, a: HostId, b: HostId) -> Option<u64> {
         if a == b {
             return Some(0);
@@ -509,6 +521,10 @@ impl Underlay {
 
     /// An RTT *measurement*: the true RTT plus multiplicative jitter. This
     /// is what a ping observes; coordinate systems embed these noisy values.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates; an RTT is far under 2^53 µs"
+    )]
     pub fn measured_rtt_us(&self, a: HostId, b: HostId, rng: &mut SimRng) -> Option<u64> {
         let rtt = self.rtt_us(a, b)?;
         if self.config.jitter <= 0.0 {
@@ -557,7 +573,7 @@ impl Underlay {
         tracer: &mut Tracer,
     ) -> TrafficCategory {
         let cat = self.account_transfer(now, from, to, bytes);
-        if tracer.is_enabled(TraceLevel::Debug) {
+        if tracer.is_enabled(registry::NET_TRANSFER.level()) {
             let src_as = self.hosts.as_of(from);
             let dst_as = self.hosts.as_of(to);
             let (links, transit) = if src_as == dst_as {
@@ -568,7 +584,7 @@ impl Underlay {
                     None => (0, 0),
                 }
             };
-            tracer.emit(now, "net", TraceLevel::Debug, "transfer", |f| {
+            tracer.emit(now, registry::NET_TRANSFER, |f| {
                 f.u64("from", from.0 as u64)
                     .u64("to", to.0 as u64)
                     .u64("src_as", src_as.idx() as u64)
@@ -586,7 +602,7 @@ impl Underlay {
     /// that carried traffic, capturing the per-link byte distribution at
     /// the moment of the call (typically end of run).
     pub fn trace_link_totals(&self, now: SimTime, tracer: &mut Tracer) {
-        if !tracer.is_enabled(TraceLevel::Debug) {
+        if !tracer.is_enabled(registry::NET_LINK_TOTAL.level()) {
             return;
         }
         let per_link = self.traffic.per_link_bytes();
@@ -594,7 +610,7 @@ impl Underlay {
             if bytes == 0 {
                 continue;
             }
-            tracer.emit(now, "net", TraceLevel::Debug, "link.total", |f| {
+            tracer.emit(now, registry::NET_LINK_TOTAL, |f| {
                 f.u64("link", li as u64)
                     .str(
                         "kind",
@@ -956,16 +972,24 @@ mod tests {
         assert_eq!(u.route_cache_refills(), 0);
         for s in 0..n {
             for d in 0..n {
-                u.route_cache
-                    .lookup(AsId(s as u16), AsId(d as u16), &u.routing, u.latency_factor);
+                u.route_cache.lookup(
+                    AsId::from_index(s),
+                    AsId::from_index(d),
+                    &u.routing,
+                    u.latency_factor,
+                );
             }
         }
         assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);
         // A second scan is fully warm.
         for s in 0..n {
             for d in 0..n {
-                u.route_cache
-                    .lookup(AsId(s as u16), AsId(d as u16), &u.routing, u.latency_factor);
+                u.route_cache.lookup(
+                    AsId::from_index(s),
+                    AsId::from_index(d),
+                    &u.routing,
+                    u.latency_factor,
+                );
             }
         }
         assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);

@@ -37,12 +37,12 @@ fn random_flow_set(
     a.begin();
     let mut flows = Vec::new();
     for id in 0..n_flows as u64 {
-        let s = rng.below(n_hosts as u64) as u32;
-        let mut d = rng.below(n_hosts as u64) as u32;
+        let s = rng.index(n_hosts);
+        let mut d = rng.index(n_hosts);
         if d == s {
-            d = (d + 1) % n_hosts as u32;
+            d = (d + 1) % n_hosts;
         }
-        let (s, d) = (HostId(s), HostId(d));
+        let (s, d) = (HostId::from_index(s), HostId::from_index(d));
         if a.add_flow(id, s, d, &u) {
             flows.push((id, s, d));
         }
@@ -101,7 +101,7 @@ proptest! {
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         for a in 0..g.len() {
             for b in 0..g.len() {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 if a == b { continue; }
                 if let Some(path) = r.path_ases(&g, a, b) {
                     let mut descending = false;
@@ -135,7 +135,7 @@ proptest! {
         let sp = Routing::compute(&g, RoutingMode::ShortestPath);
         for a in 0..g.len() {
             for b in 0..g.len() {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 let h_sp = sp.as_hops(a, b);
                 if let Some(h_vf) = vf.as_hops(a, b) {
                     prop_assert!(h_sp.is_some());
@@ -153,7 +153,7 @@ proptest! {
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         for a in 0..g.len() {
             for b in (a + 1)..g.len() {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 prop_assert_eq!(r.as_hops(a, b), r.as_hops(b, a));
             }
         }
@@ -166,7 +166,7 @@ proptest! {
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         for a in 0..g.len() {
             for b in 0..g.len() {
-                let (a, b) = (AsId(a as u16), AsId(b as u16));
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                 if let Some(links) = r.path_links(a, b) {
                     let mut cur = a;
                     for &li in links {
@@ -199,11 +199,11 @@ proptest! {
     /// The same under failure masks (the build a majority-dirty fault
     /// epoch amounts to).
     #[test]
-    fn masked_parallel_build_matches_serial(seed in any::<u64>(), kill in any::<u64>()) {
+    fn masked_parallel_build_matches_serial(seed in any::<u64>(), kill in any::<usize>()) {
         let g = random_hierarchy(seed, 2, 2, 2);
         let mut mask = vec![false; g.links.len()];
         if !mask.is_empty() {
-            let k = (kill as usize) % mask.len();
+            let k = kill % mask.len();
             mask[k] = true;
         }
         let serial = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, Some(&mask), 1);
@@ -225,7 +225,7 @@ proptest! {
             let mut ref_reachable = 0usize;
             for a in 0..g.len() {
                 for b in 0..g.len() {
-                    let (a, b) = (AsId(a as u16), AsId(b as u16));
+                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                     prop_assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "hops {}->{}", a, b);
                     prop_assert_eq!(table.latency_us(a, b), refr.latency_us(a, b), "latency {}->{}", a, b);
                     prop_assert_eq!(
@@ -303,7 +303,7 @@ proptest! {
             let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
             for a in 0..g.len() {
                 for b in 0..g.len() {
-                    let (a, b) = (AsId(a as u16), AsId(b as u16));
+                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
                     prop_assert_eq!(r.as_hops(a, b), refr.as_hops(a, b));
                     prop_assert_eq!(r.latency_us(a, b), refr.latency_us(a, b));
                 }
@@ -319,13 +319,13 @@ proptest! {
     /// cut link whose loss dirties everyone — then the *down* step may
     /// fall back, but the heal step must still restore exactly).
     #[test]
-    fn unmask_repair_restores_pristine_table(seed in any::<u64>(), kill in any::<u64>()) {
+    fn unmask_repair_restores_pristine_table(seed in any::<u64>(), kill in any::<usize>()) {
         let g = random_hierarchy(seed, 2, 2, 3);
         let (mut r, mut idx) =
             Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 2);
         let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         let mut mask = vec![false; g.links.len()];
-        mask[(kill % g.links.len() as u64) as usize] = true;
+        mask[kill % g.links.len()] = true;
         r.repair_with_mask(&mut idx, &g, None, Some(&mask), 2);
         let heal = r.repair_with_mask(&mut idx, &g, Some(&mask), None, 2);
         prop_assert_eq!(heal.changed_links, 1);
@@ -385,11 +385,11 @@ proptest! {
             prop_assert!(r.is_finite() && r >= 0.0, "flow {id} rate {r}");
         }
         for (i, &l) in up.iter().enumerate() {
-            let cap = u.host(HostId(i as u32)).up_kbps as f64 * 125.0;
+            let cap = u.host(HostId::from_index(i)).up_kbps as f64 * 125.0;
             prop_assert!(l <= cap + flow_slack(cap), "uplink {i}: {l} > {cap}");
         }
         for (i, &l) in down.iter().enumerate() {
-            let cap = u.host(HostId(i as u32)).down_kbps as f64 * 125.0;
+            let cap = u.host(HostId::from_index(i)).down_kbps as f64 * 125.0;
             prop_assert!(l <= cap + flow_slack(cap), "downlink {i}: {l} > {cap}");
         }
         for (li, &l) in link.iter().enumerate() {

@@ -9,7 +9,8 @@ use crate::event::EventQueue;
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Fields, Provenance, TraceLevel, Tracer, WallTimer};
+use crate::trace::registry::{self, TraceKind};
+use crate::trace::{Fields, Provenance, Tracer, WallTimer};
 
 /// A protocol state machine driven by the engine.
 pub trait World<E> {
@@ -77,20 +78,15 @@ impl<'a, E> Ctx<'a, E> {
         *self.stop = true;
     }
 
-    /// Emits a trace event stamped with the current simulated time and the
-    /// tracer's ambient causal provenance. The field-builder closure only
-    /// runs when `component`/`level` is enabled, so this costs one branch
-    /// on the disabled path. Returns the admitted event's `seq` (or
-    /// `None` when filtered) so the caller can use it as a cause anchor.
+    /// Emits a trace event of `kind` stamped with the current simulated
+    /// time and the tracer's ambient causal provenance. The field-builder
+    /// closure only runs when the kind's level is enabled, so this costs
+    /// one branch on the disabled path. Returns the admitted event's `seq`
+    /// (or `None` when filtered) so the caller can use it as a cause
+    /// anchor.
     #[inline]
-    pub fn trace(
-        &mut self,
-        component: &'static str,
-        level: TraceLevel,
-        kind: &'static str,
-        build: impl FnOnce(&mut Fields),
-    ) -> Option<u64> {
-        self.tracer.emit(self.now, component, level, kind, build)
+    pub fn trace(&mut self, kind: TraceKind, build: impl FnOnce(&mut Fields)) -> Option<u64> {
+        self.tracer.emit(self.now, kind, build)
     }
 }
 
@@ -321,7 +317,8 @@ impl<E> Simulator<E> {
             // sent with (fresh for every dispatch, so nothing leaks
             // between handlers).
             self.tracer.set_provenance(prov);
-            if self.profiler.is_some() || self.tracer.is_enabled(TraceLevel::Trace) {
+            if self.profiler.is_some() || self.tracer.is_enabled(registry::ENGINE_DISPATCH.level())
+            {
                 let kind = world.kind_of(&ev);
                 let queue_len = self.queue.len();
                 if let Some(p) = &mut self.profiler {
@@ -333,10 +330,9 @@ impl<E> Simulator<E> {
                         &mut self.metrics,
                     );
                 }
-                self.tracer
-                    .emit(self.now, "engine", TraceLevel::Trace, "dispatch", |f| {
-                        f.str("kind", kind).u64("queue", queue_len as u64);
-                    });
+                self.tracer.emit(self.now, registry::ENGINE_DISPATCH, |f| {
+                    f.str("kind", kind).u64("queue", queue_len as u64);
+                });
             }
             let mut ctx = Ctx {
                 now: self.now,
@@ -372,6 +368,7 @@ impl<E> Simulator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceLevel;
 
     #[derive(Debug, PartialEq)]
     enum Ev {
@@ -389,7 +386,7 @@ mod tests {
                 Ev::Ping(n) => {
                     self.seen.push((ctx.now(), n));
                     ctx.metrics.incr("ping", 1);
-                    ctx.trace("echo", TraceLevel::Debug, "ping", |f| {
+                    ctx.trace(TraceKind::scratch("echo", TraceLevel::Debug, "ping"), |f| {
                         f.u64("n", n as u64);
                     });
                     if n < 3 {
@@ -535,16 +532,25 @@ mod tests {
                     E3::Root => {
                         let span = ctx.tracer.alloc_span();
                         ctx.tracer.set_span(Some(span));
-                        let anchor = ctx.trace("echo", TraceLevel::Debug, "open", |_| {});
+                        let anchor = ctx.trace(
+                            TraceKind::scratch("echo", TraceLevel::Debug, "open"),
+                            |_| {},
+                        );
                         ctx.tracer.set_cause(anchor);
                         ctx.schedule_in(SimTime::from_millis(1), E3::Child);
                         ctx.schedule_in_root(SimTime::from_millis(2), E3::Fresh);
                     }
                     E3::Child => {
-                        ctx.trace("echo", TraceLevel::Debug, "child", |_| {});
+                        ctx.trace(
+                            TraceKind::scratch("echo", TraceLevel::Debug, "child"),
+                            |_| {},
+                        );
                     }
                     E3::Fresh => {
-                        ctx.trace("echo", TraceLevel::Debug, "fresh", |_| {});
+                        ctx.trace(
+                            TraceKind::scratch("echo", TraceLevel::Debug, "fresh"),
+                            |_| {},
+                        );
                     }
                 }
             }
@@ -578,7 +584,7 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_runs() {
-        fn trace(seed: u64) -> Vec<(SimTime, u32)> {
+        fn trace(seed: u64) -> Vec<(SimTime, u64)> {
             struct R;
             enum E {
                 Step(u32),
@@ -596,7 +602,7 @@ mod tests {
             sim.schedule_at(SimTime::ZERO, E::Step(0));
             let mut w = R;
             sim.run(&mut w);
-            vec![(sim.now(), sim.metrics().counter("x") as u32)]
+            vec![(sim.now(), sim.metrics().counter("x"))]
         }
         assert_eq!(trace(42), trace(42));
         assert_ne!(trace(42), trace(43));

@@ -11,6 +11,8 @@
 //!   for the 95th-percentile transit billing of the cost model.
 
 use crate::time::SimTime;
+#[cfg(debug_assertions)]
+use crate::trace::registry::MetricKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -102,6 +104,10 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let n = self.samples.len();
         // Nearest-rank: smallest value with at least ceil(q*n) samples <= it.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q ≤ 1, so ceil(q · n) ≤ n, a usize"
+        )]
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
         self.samples.get(rank - 1).copied()
     }
@@ -181,7 +187,7 @@ impl Metrics {
     /// Adds `n` to the named counter.
     pub fn incr(&mut self, name: &str, n: u64) {
         #[cfg(debug_assertions)]
-        crate::trace::registry::debug_check_metric_key(name);
+        crate::trace::registry::debug_check_metric_key(name, MetricKind::Counter);
         match self.counters.get_mut(name) {
             Some(c) => *c += n,
             None => {
@@ -195,7 +201,7 @@ impl Metrics {
     /// (e.g. the underlay route-cache hit/miss cells) at end of run.
     pub fn set_counter(&mut self, name: &str, v: u64) {
         #[cfg(debug_assertions)]
-        crate::trace::registry::debug_check_metric_key(name);
+        crate::trace::registry::debug_check_metric_key(name, MetricKind::Counter);
         match self.counters.get_mut(name) {
             Some(c) => *c = v,
             None => {
@@ -217,7 +223,7 @@ impl Metrics {
     /// Records a sample into the named histogram.
     pub fn record(&mut self, name: &str, v: f64) {
         #[cfg(debug_assertions)]
-        crate::trace::registry::debug_check_metric_key(name);
+        crate::trace::registry::debug_check_metric_key(name, MetricKind::Histogram);
         match self.histograms.get_mut(name) {
             Some(h) => h.record(v),
             None => {
@@ -242,7 +248,7 @@ impl Metrics {
     /// Appends a point to the named time series.
     pub fn trace(&mut self, name: &str, t: SimTime, v: f64) {
         #[cfg(debug_assertions)]
-        crate::trace::registry::debug_check_metric_key(name);
+        crate::trace::registry::debug_check_metric_key(name, MetricKind::Series);
         match self.series.get_mut(name) {
             Some(s) => s.push(t, v),
             None => {

@@ -49,6 +49,10 @@ impl SimTime {
 
     /// Creates a time from fractional seconds, rounding to the nearest
     /// microsecond. Negative inputs clamp to zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float → int `as` saturates at SimTime::MAX, 584 000 years"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
             return SimTime::ZERO;

@@ -25,13 +25,14 @@
 //!   for the run report's `wall_secs` and the engine's opt-in profiler
 //!   and is structurally excluded from the trace stream (there is no API
 //!   to put a wall-clock reading into a `TraceEvent`). Clippy bans
-//!   `Instant::now` workspace-wide, and `xtask`'s
+//!   `Instant::now` workspace-wide, and the root package's
 //!   `disallowed_escapes_sit_at_audited_boundaries` test rejects the
 //!   escape anywhere outside this file.
 
 pub mod registry;
 
 use crate::time::SimTime;
+use registry::TraceKind;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -397,8 +398,9 @@ impl Tracer {
         self.is_active() && level != TraceLevel::Off && level <= self.level
     }
 
-    /// Emits one event. `build` is only invoked (and fields are only
-    /// allocated) when `level` is enabled.
+    /// Emits one event of `kind` at the level the kind declares. `build`
+    /// is only invoked (and fields are only allocated) when that level is
+    /// enabled.
     ///
     /// Returns the `seq` of the admitted event (`None` when filtered or
     /// disabled) so call sites can anchor later events to it via
@@ -408,29 +410,12 @@ impl Tracer {
     pub fn emit(
         &mut self,
         t: SimTime,
-        component: &'static str,
-        level: TraceLevel,
-        kind: &'static str,
+        kind: TraceKind,
         build: impl FnOnce(&mut Fields),
     ) -> Option<u64> {
+        let level = kind.level();
         if !self.is_enabled(level) {
             return None;
-        }
-        // Debug-build schema guard: events from registered components must
-        // use a kind declared in the central registry (the static mirror
-        // of this check is the `xtask analyze` registry pass). Scratch
-        // components used by tests stay exempt. Sits after the enabled
-        // gate so the disabled path keeps its one-branch cost.
-        #[cfg(debug_assertions)]
-        #[expect(clippy::panic, reason = "debug-only schema guard")]
-        if registry::is_registered_component(component)
-            && !registry::trace_kind_declared(component, kind)
-        {
-            panic!(
-                "trace kind {component:?}/{kind:?} is not declared in \
-                 uap_sim::trace::registry::TRACE_KINDS; add a TraceKindSpec entry and a \
-                 docs/OBSERVABILITY.md row (see docs/STATIC_ANALYSIS.md)"
-            );
         }
         let mut fields = Fields::default();
         build(&mut fields);
@@ -440,8 +425,8 @@ impl Tracer {
             span: self.prov.span,
             cause: self.prov.cause,
             level,
-            component: component.to_owned(),
-            kind: kind.to_owned(),
+            component: kind.component().to_owned(),
+            kind: kind.kind().to_owned(),
             fields: fields
                 .0
                 .into_iter()
@@ -757,7 +742,7 @@ impl WallTimer {
     /// Starts the timer.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the documented wall-clock boundary (WALLCLOCK_BOUNDARY)"
+        reason = "the documented wall-clock boundary"
     )]
     pub fn start() -> WallTimer {
         WallTimer {
@@ -775,20 +760,18 @@ impl WallTimer {
 mod tests {
     use super::*;
 
-    fn ev(
-        t: u64,
-        c: &'static str,
-        l: TraceLevel,
-        k: &'static str,
-    ) -> (SimTime, &'static str, TraceLevel, &'static str) {
-        (SimTime::from_micros(t), c, l, k)
+    /// A scratch kind: undeclared, so only this crate's tests can build it.
+    const fn kind(c: &'static str, l: TraceLevel, k: &'static str) -> TraceKind {
+        TraceKind::scratch(c, l, k)
     }
 
     #[test]
     fn disabled_tracer_records_nothing_and_skips_builders() {
         let mut t = Tracer::disabled();
         let mut built = false;
-        t.emit(SimTime::ZERO, "x", TraceLevel::Info, "k", |_| built = true);
+        t.emit(SimTime::ZERO, kind("x", TraceLevel::Info, "k"), |_| {
+            built = true
+        });
         assert!(!built, "field builder ran on the disabled path");
         assert_eq!(t.len(), 0);
         assert_eq!(t.emitted(), 0);
@@ -802,13 +785,13 @@ mod tests {
         assert!(!t.is_enabled(TraceLevel::Debug));
         assert!(!t.is_enabled(TraceLevel::Off));
 
-        for (time, c, l, k) in [
-            ev(1, "other", TraceLevel::Info, "a"),
-            ev(2, "other", TraceLevel::Debug, "b"), // filtered
-            ev(3, "chatty", TraceLevel::Info, "c"),
-            ev(4, "chatty", TraceLevel::Trace, "d"), // filtered
+        for (time, k) in [
+            (1, kind("other", TraceLevel::Info, "a")),
+            (2, kind("other", TraceLevel::Debug, "b")), // filtered
+            (3, kind("chatty", TraceLevel::Info, "c")),
+            (4, kind("chatty", TraceLevel::Trace, "d")), // filtered
         ] {
-            t.emit(time, c, l, k, |_| {});
+            t.emit(SimTime::from_micros(time), k, |_| {});
         }
         let kinds: Vec<&str> = t.events().iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, vec!["a", "c"]);
@@ -821,9 +804,7 @@ mod tests {
         let mut t = Tracer::buffered(TraceLevel::Trace);
         t.emit(
             SimTime::from_millis(5),
-            "gnutella",
-            TraceLevel::Debug,
-            "flood.query",
+            registry::GNUTELLA_FLOOD_QUERY,
             |f| {
                 f.u64("host", 17)
                     .i64("delta", -3)
@@ -855,7 +836,7 @@ mod tests {
     #[test]
     fn field_order_is_preserved_in_output() {
         let mut t = Tracer::buffered(TraceLevel::Info);
-        t.emit(SimTime::ZERO, "c", TraceLevel::Info, "k", |f| {
+        t.emit(SimTime::ZERO, kind("c", TraceLevel::Info, "k"), |f| {
             f.u64("zulu", 1).u64("alpha", 2);
         });
         let line = t.to_jsonl();
@@ -869,17 +850,11 @@ mod tests {
         let run = || {
             let mut t = Tracer::buffered(TraceLevel::Debug);
             for i in 0..20u64 {
-                t.emit(
-                    SimTime::from_micros(i * 7),
-                    "net",
-                    TraceLevel::Debug,
-                    "transfer",
-                    |f| {
-                        f.u64("from", i)
-                            .u64("to", i + 1)
-                            .f64("frac", i as f64 / 3.0);
-                    },
-                );
+                t.emit(SimTime::from_micros(i * 7), registry::NET_TRANSFER, |f| {
+                    f.u64("from", i)
+                        .u64("to", i + 1)
+                        .f64("frac", i as f64 / 3.0);
+                });
             }
             t.to_jsonl()
         };
@@ -889,7 +864,7 @@ mod tests {
     #[test]
     fn non_finite_floats_serialize_as_strings() {
         let mut t = Tracer::buffered(TraceLevel::Info);
-        t.emit(SimTime::ZERO, "c", TraceLevel::Info, "k", |f| {
+        t.emit(SimTime::ZERO, kind("c", TraceLevel::Info, "k"), |f| {
             f.f64("nan", f64::NAN).f64("inf", f64::INFINITY);
         });
         let line = t.to_jsonl();
@@ -903,20 +878,20 @@ mod tests {
     fn emit_returns_the_admitted_seq_and_none_when_filtered() {
         let mut t = Tracer::buffered(TraceLevel::Info);
         assert_eq!(
-            t.emit(SimTime::ZERO, "c", TraceLevel::Info, "a", |_| {}),
+            t.emit(SimTime::ZERO, kind("c", TraceLevel::Info, "a"), |_| {}),
             Some(0)
         );
         assert_eq!(
-            t.emit(SimTime::ZERO, "c", TraceLevel::Debug, "b", |_| {}),
+            t.emit(SimTime::ZERO, kind("c", TraceLevel::Debug, "b"), |_| {}),
             None
         );
         assert_eq!(
-            t.emit(SimTime::ZERO, "c", TraceLevel::Info, "c", |_| {}),
+            t.emit(SimTime::ZERO, kind("c", TraceLevel::Info, "c"), |_| {}),
             Some(1)
         );
         let mut d = Tracer::disabled();
         assert_eq!(
-            d.emit(SimTime::ZERO, "c", TraceLevel::Info, "a", |_| {}),
+            d.emit(SimTime::ZERO, kind("c", TraceLevel::Info, "a"), |_| {}),
             None
         );
     }
@@ -939,15 +914,17 @@ mod tests {
             span: Some(3),
             cause: Some(17),
         });
-        t.emit(SimTime::from_micros(9), "c", TraceLevel::Debug, "k", |f| {
-            f.u64("x", 1);
-        });
+        t.emit(
+            SimTime::from_micros(9),
+            kind("c", TraceLevel::Debug, "k"),
+            |f| {
+                f.u64("x", 1);
+            },
+        );
         t.clear_provenance();
         t.emit(
             SimTime::from_micros(10),
-            "c",
-            TraceLevel::Debug,
-            "k2",
+            kind("c", TraceLevel::Debug, "k2"),
             |_| {},
         );
         let lines = t.to_jsonl();
@@ -972,11 +949,15 @@ mod tests {
     fn non_finite_floats_inside_span_events_still_round_trip() {
         let mut t = Tracer::buffered(TraceLevel::Debug);
         t.set_span(Some(5));
-        t.emit(SimTime::ZERO, "c", TraceLevel::Debug, "span.open", |f| {
-            f.str("span_kind", "x")
-                .f64("nan", f64::NAN)
-                .f64("ninf", f64::NEG_INFINITY);
-        });
+        t.emit(
+            SimTime::ZERO,
+            kind("c", TraceLevel::Debug, "span.open"),
+            |f| {
+                f.str("span_kind", "x")
+                    .f64("nan", f64::NAN)
+                    .f64("ninf", f64::NEG_INFINITY);
+            },
+        );
         let line = t.to_jsonl();
         let line = line.trim_end();
         assert!(line.contains("\"s\":5"));
@@ -1013,20 +994,26 @@ mod tests {
         let emit_all = |t: &mut Tracer| {
             let span = t.alloc_span();
             t.set_span(Some(span));
-            let open = t.emit(SimTime::ZERO, "c", TraceLevel::Debug, "span.open", |f| {
-                f.str("span_kind", "x");
-            });
+            let open = t.emit(
+                SimTime::ZERO,
+                kind("c", TraceLevel::Debug, "span.open"),
+                |f| {
+                    f.str("span_kind", "x");
+                },
+            );
             t.set_cause(open);
             for i in 0..10u64 {
-                t.emit(SimTime::from_micros(i), "c", TraceLevel::Debug, "k", |f| {
-                    f.u64("i", i).f64("frac", i as f64 / 3.0);
-                });
+                t.emit(
+                    SimTime::from_micros(i),
+                    kind("c", TraceLevel::Debug, "k"),
+                    |f| {
+                        f.u64("i", i).f64("frac", i as f64 / 3.0);
+                    },
+                );
             }
             t.emit(
                 SimTime::from_micros(10),
-                "c",
-                TraceLevel::Debug,
-                "span.close",
+                kind("c", TraceLevel::Debug, "span.close"),
                 |f| {
                     f.str("span_kind", "x");
                 },

@@ -1,45 +1,173 @@
 //! The central registry of every trace event kind and metrics key.
 //!
-//! Every `(component, kind)` pair a [`crate::trace::Tracer`] may emit and
-//! every [`crate::metrics::Metrics`] key the simulation writes is declared
-//! here, exactly once, next to one line of documentation. Three consumers
-//! keep the declaration honest:
+//! Every trace event kind is a `pub const` [`TraceKind`] handle, declared
+//! once in the `trace_kinds!` table below with its level and one line of
+//! documentation. Emission sites pass the handle to
+//! [`crate::trace::Tracer::emit`] or [`crate::engine::Ctx::trace`], which
+//! take the level from it. A `TraceKind`'s fields are private, so code
+//! outside this crate can only name a declared handle: an undeclared kind,
+//! or an emission at a level other than the declared one, does not
+//! compile.
 //!
-//! 1. **The static drift checker** (`cargo run -p xtask -- analyze`,
-//!    registry pass) verifies that every kind/key *emitted* anywhere in
-//!    the workspace is declared here, that every declared entry is still
-//!    emitted somewhere, and that the registry tables in
-//!    `docs/OBSERVABILITY.md` match this file row for row — so the code,
-//!    this registry, and the documentation cannot drift apart silently.
-//! 2. **Debug-build runtime checks**: [`crate::trace::Tracer::emit`]
-//!    asserts (under `debug_assertions`) that any event from a registered
-//!    component uses a declared kind, and the [`crate::metrics::Metrics`]
-//!    write paths assert that any key under a registered namespace prefix
-//!    is declared.
-//! 3. **Humans**: the table in `docs/OBSERVABILITY.md` is generated from
-//!    the same entries, so the schema readers see is the schema the
-//!    analyzer proves.
+//! Metrics keys stay strings ([`METRICS`]), because the benchmark package
+//! writes its own keys through the same `&str` API. Under
+//! `debug_assertions` the [`crate::metrics::Metrics`] write paths check
+//! every key under a registered namespace prefix: it must be declared, and
+//! the write must match its declared [`MetricKind`] (`incr` and
+//! `set_counter` a counter, `record` a histogram, `trace` a series).
 //!
-//! Adding instrumentation therefore takes three edits — the emission
-//! site, an entry here, and a row in `docs/OBSERVABILITY.md` — and the
-//! analyzer fails CI until all three agree.
+//! The reverse direction (every declared handle and key is referenced by
+//! some non-test source) is a text scan in the root package's
+//! `tests/source_scan.rs`. `exp doc` writes the registry tables of
+//! `docs/OBSERVABILITY.md` from these declarations, and `ci/check.sh`
+//! fails when the committed file differs. Adding instrumentation therefore
+//! takes one handle or key here, then `exp doc`.
 //!
 //! Keys containing a dynamic segment are declared with a trailing `*`
 //! pattern (e.g. `engine.events.*` for the per-event-kind counters the
 //! profiler mints from [`crate::engine::World::kind_of`] names).
 
-/// One declared trace event kind.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceKindSpec {
+use crate::trace::TraceLevel;
+
+/// One declared trace event kind: the handle an emission site passes to
+/// [`crate::trace::Tracer::emit`]. Only this crate can construct one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceKind {
+    component: &'static str,
+    kind: &'static str,
+    level: TraceLevel,
+    doc: &'static str,
+}
+
+impl TraceKind {
     /// Emitting component (`"engine"`, `"net"`, `"gnutella"`, …).
-    pub component: &'static str,
+    pub fn component(self) -> &'static str {
+        self.component
+    }
+
     /// Event kind within the component (`"dispatch"`, `"flood.query"`, …).
-    pub kind: &'static str,
-    /// The [`crate::trace::TraceLevel`] the kind is emitted at
-    /// (lower-case name: `"info"`, `"debug"`, `"trace"`).
-    pub level: &'static str,
+    pub fn kind(self) -> &'static str {
+        self.kind
+    }
+
+    /// The level the kind is emitted at.
+    pub fn level(self) -> TraceLevel {
+        self.level
+    }
+
     /// One-line description (mirrored in `docs/OBSERVABILITY.md`).
-    pub doc: &'static str,
+    pub fn doc(self) -> &'static str {
+        self.doc
+    }
+
+    /// An undeclared kind for this crate's own tests.
+    #[cfg(test)]
+    pub(crate) const fn scratch(
+        component: &'static str,
+        level: TraceLevel,
+        kind: &'static str,
+    ) -> TraceKind {
+        TraceKind {
+            component,
+            kind,
+            level,
+            doc: "",
+        }
+    }
+}
+
+/// Declares each handle as a `pub const` documented by its description,
+/// and [`TRACE_KINDS`] as all of them in declaration order.
+macro_rules! trace_kinds {
+    ($($name:ident = $component:literal / $kind:literal at $level:ident: $doc:literal;)*) => {
+        $(
+            #[doc = $doc]
+            pub const $name: TraceKind = TraceKind {
+                component: $component,
+                kind: $kind,
+                level: TraceLevel::$level,
+                doc: $doc,
+            };
+        )*
+
+        /// Every trace event kind the workspace emits, in declaration order.
+        pub const TRACE_KINDS: &[TraceKind] = &[$($name),*];
+    };
+}
+
+trace_kinds! {
+    ENGINE_DISPATCH = "engine" / "dispatch" at Trace:
+        "one event popped from the queue (kind, queue depth)";
+    NET_TRANSFER = "net" / "transfer" at Debug:
+        "one accounted transfer (src, dst, bytes, category)";
+    NET_LINK_TOTAL = "net" / "link.total" at Debug:
+        "end-of-run per-link traffic total (link, bytes)";
+    NET_FLOW_OPEN = "net" / "flow.open" at Debug:
+        "flow joined the max-min allocation set (flow id, src, dst)";
+    NET_FLOW_CLOSE = "net" / "flow.close" at Debug:
+        "flow left the max-min allocation set (flow id, bytes moved)";
+    NET_FAULT_EPOCH = "net" / "fault.epoch" at Info:
+        "fault epoch boundary applied (boundary index, links down, latency factor, crashed hosts)";
+    NET_ROUTING_REPAIR = "net" / "routing.repair" at Info:
+        "incremental routing repair at a fault epoch (boundary index, changed links, dirty sources, full-rebuild fallback)";
+    GNUTELLA_ROLES = "gnutella" / "roles" at Info:
+        "role census after ultrapeer promotion (hosts, ultrapeers, leaves)";
+    GNUTELLA_RUN_END = "gnutella" / "run.end" at Info:
+        "end-of-run summary (events, queries, downloads, msgs)";
+    GNUTELLA_JOIN = "gnutella" / "join" at Debug:
+        "host joined the overlay (host, degree)";
+    GNUTELLA_LEAVE = "gnutella" / "leave" at Debug:
+        "host left the overlay (host)";
+    GNUTELLA_CONNECT = "gnutella" / "connect" at Trace:
+        "one neighbor edge chosen during join (from, to)";
+    GNUTELLA_FLOOD_PING = "gnutella" / "flood.ping" at Debug:
+        "ping flood completed (origin, messages, pongs)";
+    GNUTELLA_FLOOD_QUERY = "gnutella" / "flood.query" at Debug:
+        "query flood completed (origin, messages, hits)";
+    GNUTELLA_DOWNLOAD = "gnutella" / "download" at Debug:
+        "download source selected (peer, source, intra-AS flag)";
+    GNUTELLA_DOWNLOAD_RETRY = "gnutella" / "download.retry" at Debug:
+        "download re-sourced to an alternate provider after a transfer failure";
+    GNUTELLA_SPAN_OPEN = "gnutella" / "span.open" at Debug:
+        "causal span opened: a query span covering flood, source selection and download";
+    GNUTELLA_SPAN_CLOSE = "gnutella" / "span.close" at Debug:
+        "causal span closed (span_kind, hit flag, modeled duration)";
+    KADEMLIA_LOOKUP_START = "kademlia" / "lookup.start" at Debug:
+        "iterative lookup started (origin, target)";
+    KADEMLIA_LOOKUP_HOP = "kademlia" / "lookup.hop" at Debug:
+        "one lookup RPC hop (to, distance, rtt)";
+    KADEMLIA_LOOKUP_DONE = "kademlia" / "lookup.done" at Debug:
+        "lookup finished (hops, rpcs, found)";
+    KADEMLIA_RPC_RETRY = "kademlia" / "rpc.retry" at Debug:
+        "RPC retransmitted after a timeout with exponential backoff (attempt, wait)";
+    KADEMLIA_SPAN_OPEN = "kademlia" / "span.open" at Debug:
+        "causal span opened: a lookup span covering every hop, retransmit and backoff";
+    KADEMLIA_SPAN_CLOSE = "kademlia" / "span.close" at Debug:
+        "causal span closed (span_kind, found flag, modeled duration)";
+    BITTORRENT_SWARM_DONE = "bittorrent" / "swarm.done" at Info:
+        "swarm completed (rounds, done peers)";
+    BITTORRENT_ROUND = "bittorrent" / "round" at Debug:
+        "choke-round summary (round, done, exchanged pieces)";
+    BITTORRENT_PEER_DONE = "bittorrent" / "peer.done" at Debug:
+        "one leecher finished all pieces (peer, round)";
+    BITTORRENT_UNCHOKE = "bittorrent" / "unchoke" at Trace:
+        "unchoke set chosen for one peer (peer, unchoked)";
+    BITTORRENT_PIECE = "bittorrent" / "piece" at Trace:
+        "one piece transferred (from, to, piece, intra-AS flag)";
+    BITTORRENT_REANNOUNCE = "bittorrent" / "reannounce" at Debug:
+        "tracker re-announce after dead-neighbor loss (peer, received)";
+    BITTORRENT_CHUNK_POISONED = "bittorrent" / "chunk.poisoned" at Debug:
+        "received chunks failed hash verification; sender banned, pieces re-requested (peer, sender, chunks)";
+    BITTORRENT_CHUNK_REASSIGN = "bittorrent" / "chunk.reassign" at Debug:
+        "partial-chunk credit from a crashed sender timed out at a fault epoch (peer, sender, lost bytes)";
+    BITTORRENT_SPAN_OPEN = "bittorrent" / "span.open" at Debug:
+        "causal span opened: a per-leecher span covering announce, piece exchange and completion";
+    BITTORRENT_SPAN_CLOSE = "bittorrent" / "span.close" at Debug:
+        "causal span closed (span_kind, done flag)";
+    INFO_ORACLE_RANK = "info" / "oracle.rank" at Debug:
+        "ISP oracle ranking call (host, candidates)";
+    EXPERIMENT_PHASE = "experiment" / "phase" at Info:
+        "experiment phase marker separating per-configuration trace segments";
 }
 
 /// What a metrics key stores.
@@ -90,226 +218,6 @@ pub const COMPONENTS: &[&str] = &[
     "bittorrent",
     "info",
     "experiment",
-];
-
-/// Every trace event kind the workspace emits.
-pub const TRACE_KINDS: &[TraceKindSpec] = &[
-    TraceKindSpec {
-        component: "engine",
-        kind: "dispatch",
-        level: "trace",
-        doc: "one event popped from the queue (kind, queue depth)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "transfer",
-        level: "debug",
-        doc: "one accounted transfer (src, dst, bytes, category)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "link.total",
-        level: "debug",
-        doc: "end-of-run per-link traffic total (link, bytes)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "flow.open",
-        level: "debug",
-        doc: "flow joined the max-min allocation set (flow id, src, dst)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "flow.close",
-        level: "debug",
-        doc: "flow left the max-min allocation set (flow id, bytes moved)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "fault.epoch",
-        level: "info",
-        doc: "fault epoch boundary applied (boundary index, links down, latency factor, crashed hosts)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "routing.repair",
-        level: "info",
-        doc: "incremental routing repair at a fault epoch (boundary index, changed links, dirty sources, full-rebuild fallback)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "roles",
-        level: "info",
-        doc: "role census after ultrapeer promotion (hosts, ultrapeers, leaves)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "run.end",
-        level: "info",
-        doc: "end-of-run summary (events, queries, downloads, msgs)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "join",
-        level: "debug",
-        doc: "host joined the overlay (host, degree)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "leave",
-        level: "debug",
-        doc: "host left the overlay (host)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "connect",
-        level: "trace",
-        doc: "one neighbor edge chosen during join (from, to)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "flood.ping",
-        level: "debug",
-        doc: "ping flood completed (origin, messages, pongs)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "flood.query",
-        level: "debug",
-        doc: "query flood completed (origin, messages, hits)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "download",
-        level: "debug",
-        doc: "download source selected (peer, source, intra-AS flag)",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "download.retry",
-        level: "debug",
-        doc: "download re-sourced to an alternate provider after a transfer failure",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "span.open",
-        level: "debug",
-        doc: "causal span opened: a query span covering flood, source selection and download",
-    },
-    TraceKindSpec {
-        component: "gnutella",
-        kind: "span.close",
-        level: "debug",
-        doc: "causal span closed (span_kind, hit flag, modeled duration)",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "lookup.start",
-        level: "debug",
-        doc: "iterative lookup started (origin, target)",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "lookup.hop",
-        level: "debug",
-        doc: "one lookup RPC hop (to, distance, rtt)",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "lookup.done",
-        level: "debug",
-        doc: "lookup finished (hops, rpcs, found)",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "rpc.retry",
-        level: "debug",
-        doc: "RPC retransmitted after a timeout with exponential backoff (attempt, wait)",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "span.open",
-        level: "debug",
-        doc: "causal span opened: a lookup span covering every hop, retransmit and backoff",
-    },
-    TraceKindSpec {
-        component: "kademlia",
-        kind: "span.close",
-        level: "debug",
-        doc: "causal span closed (span_kind, found flag, modeled duration)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "swarm.done",
-        level: "info",
-        doc: "swarm completed (rounds, done peers)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "round",
-        level: "debug",
-        doc: "choke-round summary (round, done, exchanged pieces)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "peer.done",
-        level: "debug",
-        doc: "one leecher finished all pieces (peer, round)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "unchoke",
-        level: "trace",
-        doc: "unchoke set chosen for one peer (peer, unchoked)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "piece",
-        level: "trace",
-        doc: "one piece transferred (from, to, piece, intra-AS flag)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "reannounce",
-        level: "debug",
-        doc: "tracker re-announce after dead-neighbor loss (peer, received)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "chunk.poisoned",
-        level: "debug",
-        doc: "received chunks failed hash verification; sender banned, pieces re-requested (peer, sender, chunks)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "chunk.reassign",
-        level: "debug",
-        doc: "partial-chunk credit from a crashed sender timed out at a fault epoch (peer, sender, lost bytes)",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "span.open",
-        level: "debug",
-        doc: "causal span opened: a per-leecher span covering announce, piece exchange and completion",
-    },
-    TraceKindSpec {
-        component: "bittorrent",
-        kind: "span.close",
-        level: "debug",
-        doc: "causal span closed (span_kind, done flag)",
-    },
-    TraceKindSpec {
-        component: "info",
-        kind: "oracle.rank",
-        level: "debug",
-        doc: "ISP oracle ranking call (host, candidates)",
-    },
-    TraceKindSpec {
-        component: "experiment",
-        kind: "phase",
-        level: "info",
-        doc: "experiment phase marker separating per-configuration trace segments",
-    },
 ];
 
 /// Every metrics key (or trailing-`*` pattern) the workspace writes.
@@ -436,23 +344,12 @@ pub const METRICS: &[MetricSpec] = &[
     },
 ];
 
-/// True when `component` is a registered component name.
-pub fn is_registered_component(component: &str) -> bool {
-    COMPONENTS.contains(&component)
-}
-
-/// True when `(component, kind)` is a declared trace event kind.
-pub fn trace_kind_declared(component: &str, kind: &str) -> bool {
-    TRACE_KINDS
-        .iter()
-        .any(|s| s.component == component && s.kind == kind)
-}
-
-/// True when `key` matches a declared metrics key: an exact entry, or a
-/// trailing-`*` pattern entry whose prefix it extends (the dynamic
-/// segment must be non-empty).
-pub fn metric_key_declared(key: &str) -> bool {
-    METRICS.iter().any(|s| match s.key.strip_suffix('*') {
+/// The declaration `key` falls under: an exact entry, or a trailing-`*`
+/// pattern entry whose prefix it extends (the dynamic segment must be
+/// non-empty).
+#[cfg(any(debug_assertions, test))]
+fn declared_metric(key: &str) -> Option<&'static MetricSpec> {
+    METRICS.iter().find(|s| match s.key.strip_suffix('*') {
         Some(prefix) => key.len() > prefix.len() && key.starts_with(prefix),
         None => s.key == key,
     })
@@ -461,7 +358,8 @@ pub fn metric_key_declared(key: &str) -> bool {
 /// True when `key` sits under a registered component namespace
 /// (`"<component>."` prefix) — the debug-build metrics checks only apply
 /// to these, so tests remain free to use scratch keys.
-pub fn in_registered_namespace(key: &str) -> bool {
+#[cfg(any(debug_assertions, test))]
+fn in_registered_namespace(key: &str) -> bool {
     COMPONENTS.iter().any(|c| {
         key.strip_prefix(c)
             .is_some_and(|rest| rest.starts_with('.'))
@@ -469,24 +367,33 @@ pub fn in_registered_namespace(key: &str) -> bool {
 }
 
 /// Debug-build guard used by the metrics write paths: panics when a key
-/// under a registered namespace is not declared in [`METRICS`].
+/// under a registered namespace is not declared in [`METRICS`], or is
+/// written through the API of another [`MetricKind`] than its declared one.
 #[cfg(debug_assertions)]
-pub(crate) fn debug_check_metric_key(key: &str) {
-    #[expect(
-        clippy::panic,
-        reason = "debug-only schema guard, mirrors the static registry pass"
-    )]
-    if in_registered_namespace(key) && !metric_key_declared(key) {
-        panic!(
+#[expect(clippy::panic, reason = "debug-only schema guard")]
+pub(crate) fn debug_check_metric_key(key: &str, api: MetricKind) {
+    if !in_registered_namespace(key) {
+        return;
+    }
+    match declared_metric(key) {
+        None => panic!(
             "metrics key {key:?} is not declared in uap_sim::trace::registry::METRICS; \
-             add a MetricSpec entry and a docs/OBSERVABILITY.md row (see docs/STATIC_ANALYSIS.md)"
-        );
+             add a MetricSpec entry and run `exp doc`"
+        ),
+        Some(s) if s.kind != api => panic!(
+            "metrics key {key:?} is declared as a {} but written as a {}",
+            s.kind.name(),
+            api.name()
+        ),
+        Some(_) => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
+    use crate::time::SimTime;
 
     #[test]
     fn declared_tables_have_no_duplicates() {
@@ -511,8 +418,8 @@ mod tests {
     fn every_declared_component_is_registered() {
         for s in TRACE_KINDS {
             assert!(
-                is_registered_component(s.component),
-                "trace kind {}/{} uses unregistered component",
+                COMPONENTS.contains(&s.component) && s.level != TraceLevel::Off,
+                "trace kind {}/{} uses an unregistered component or level off",
                 s.component,
                 s.kind
             );
@@ -527,34 +434,17 @@ mod tests {
     }
 
     #[test]
-    fn declared_levels_parse() {
-        for s in TRACE_KINDS {
-            assert!(
-                crate::trace::TraceLevel::parse(s.level)
-                    .is_some_and(|l| l != crate::trace::TraceLevel::Off),
-                "trace kind {}/{} has bad level {:?}",
-                s.component,
-                s.kind,
-                s.level
-            );
-        }
-    }
-
-    #[test]
     fn lookup_helpers() {
-        assert!(trace_kind_declared("net", "transfer"));
-        assert!(!trace_kind_declared("net", "no.such.kind"));
+        assert!(declared_metric("net.route_cache.hit").is_some());
         assert!(
-            !trace_kind_declared("echo", "ping"),
-            "scratch components are undeclared"
+            declared_metric("engine.events.ping").is_some(),
+            "pattern key"
         );
-        assert!(metric_key_declared("net.route_cache.hit"));
-        assert!(metric_key_declared("engine.events.ping"), "pattern key");
         assert!(
-            !metric_key_declared("engine.events."),
+            declared_metric("engine.events.").is_none(),
             "empty dynamic segment"
         );
-        assert!(!metric_key_declared("net.route_cache.evictions"));
+        assert!(declared_metric("net.route_cache.evictions").is_none());
         assert!(in_registered_namespace("gnutella.msg.ping"));
         assert!(!in_registered_namespace("gnutellaX.msg"));
         assert!(!in_registered_namespace("ping"));
@@ -586,23 +476,49 @@ mod tests {
                 s.component
             );
         }
-        assert!(trace_kind_declared("gnutella", "span.open"));
-        assert!(trace_kind_declared("kademlia", "span.close"));
-        assert!(trace_kind_declared("bittorrent", "span.open"));
+        for (open, close) in [
+            (GNUTELLA_SPAN_OPEN, GNUTELLA_SPAN_CLOSE),
+            (KADEMLIA_SPAN_OPEN, KADEMLIA_SPAN_CLOSE),
+            (BITTORRENT_SPAN_OPEN, BITTORRENT_SPAN_CLOSE),
+        ] {
+            assert_eq!((open.kind, close.kind), ("span.open", "span.close"));
+        }
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not declared")]
     fn undeclared_key_in_registered_namespace_panics_in_debug() {
-        debug_check_metric_key("net.route_cache.evictions");
+        Metrics::new().incr("net.route_cache.evictions", 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "declared as a counter but written as a histogram")]
+    fn counter_key_recorded_as_a_histogram_panics_in_debug() {
+        Metrics::new().record("gnutella.joins", 1.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "declared as a series but written as a counter")]
+    fn series_key_set_as_a_counter_panics_in_debug() {
+        Metrics::new().set_counter("engine.queue_depth", 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "declared as a counter but written as a series")]
+    fn counter_key_traced_as_a_series_panics_in_debug() {
+        Metrics::new().trace("engine.events.ping", SimTime::ZERO, 1.0);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn scratch_keys_are_exempt_from_the_debug_guard() {
-        debug_check_metric_key("ping");
-        debug_check_metric_key("msg.ping");
-        debug_check_metric_key("engine.queue_depth");
+        let mut m = Metrics::new();
+        m.incr("ping", 1);
+        m.record("msg.ping", 1.0);
+        m.trace("engine.queue_depth", SimTime::ZERO, 1.0);
     }
 }

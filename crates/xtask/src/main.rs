@@ -1,7 +1,7 @@
-//! Workspace automation tasks (the cargo `xtask` pattern).
+//! Workspace automation tasks (the cargo `xtask` pattern): the trace
+//! toolbox.
 //!
 //! ```text
-//! cargo run -p xtask -- analyze [--pass=<name>]
 //! cargo run -p xtask -- trace summary <trace.jsonl>
 //! cargo run -p xtask -- trace diff <a> <b>
 //! cargo run -p xtask -- trace spans <trace.jsonl>
@@ -9,60 +9,21 @@
 //! cargo run -p xtask -- trace check <trace.jsonl>
 //! ```
 //!
-//! `analyze` is the call-graph half of the static gate: it lexes and
-//! parses the workspace once and runs the pass table of [`analyze`] over
-//! it (three plain denies: truncating casts, parallel regions,
-//! trace-registry agreement; `docs/STATIC_ANALYSIS.md`),
-//! exiting non-zero with `file:line` diagnostics when any fail. There is
-//! no baseline file. The token-level half of the static gate (no
-//! `HashMap`, wall clock or ad-hoc threads; no unexplained unwrap,
-//! expect, panic or indexing) is clippy's, configured in the root
-//! `clippy.toml` and `Cargo.toml` (`docs/DETERMINISM.md`). `analyze`
-//! reads no clock: host time is measured in `benchmark/` only.
-//! `--pass=<name>` runs one row of the table. `trace` summarizes
-//! and compares the JSONL traces / RunReport JSON the experiment
-//! binaries emit (see [`trace_cmd`] and `docs/OBSERVABILITY.md`); `diff`
-//! exits 1 on the first divergence, which makes it the CI determinism
-//! gate.
+//! `trace` summarizes and compares the JSONL traces / RunReport JSON the
+//! experiment binaries emit (see [`trace_cmd`] and
+//! `docs/OBSERVABILITY.md`); `diff` exits 1 on the first divergence, which
+//! makes it the CI determinism gate. The static gate is clippy's
+//! (`clippy.toml`, the root `Cargo.toml`'s `[workspace.lints]`) plus the
+//! root package's `tests/source_scan.rs`; see `docs/DETERMINISM.md`.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "build tooling: the call graph's name indexes are lookup-only HashMaps; \
-              nothing iterates them, so their order never reaches the output"
-)]
-#![expect(
-    clippy::indexing_slicing,
-    reason = "build tooling: token and call-graph indices are bounds-checked by construction, \
-              and a slip aborts the check instead of corrupting a simulation"
-)]
-
-mod analyze;
-mod boundaries;
 mod trace_cmd;
-
-use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => analyze_main(&args[1..]),
-        Some("trace") => trace_main(&args[1..]),
+    match args.split_first() {
+        Some((cmd, rest)) if cmd == "trace" => trace_main(rest),
         _ => usage(),
     }
-}
-
-fn analyze_main(args: &[String]) -> ! {
-    let mut passes: &[analyze::Pass] = &analyze::PASSES;
-    for arg in args {
-        if let Some(pass) = arg.strip_prefix("--pass=").and_then(analyze::pass) {
-            passes = std::slice::from_ref(pass);
-        } else {
-            eprintln!("xtask analyze: unknown flag `{arg}`");
-            usage()
-        }
-    }
-    let report = analyze::run_passes(&workspace_root(), passes);
-    std::process::exit(if analyze::print_report(&report) { 0 } else { 1 });
 }
 
 fn trace_main(args: &[String]) -> ! {
@@ -115,23 +76,11 @@ fn read_or_die(path: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cargo run -p xtask -- analyze [--pass={}]\n       \
-         cargo run -p xtask -- trace summary <trace.jsonl>\n       \
+        "usage: cargo run -p xtask -- trace summary <trace.jsonl>\n       \
          cargo run -p xtask -- trace diff <a> <b>\n       \
          cargo run -p xtask -- trace spans <trace.jsonl>\n       \
          cargo run -p xtask -- trace explain <trace.jsonl> <seq>\n       \
-         cargo run -p xtask -- trace check <trace.jsonl>",
-        analyze::PASSES.map(|(name, _)| name).join("|")
+         cargo run -p xtask -- trace check <trace.jsonl>"
     );
     std::process::exit(2);
-}
-
-/// The workspace root, two levels up from this crate's manifest.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or(manifest) // unreachable: the manifest always has two ancestors
 }

@@ -226,6 +226,11 @@ fn field_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
 }
 
 /// Nearest-rank quantile of an ascending-sorted, non-empty slice.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "q ≤ 1, so ceil(q · n) ≤ n, a usize"
+)]
+#[expect(clippy::indexing_slicing, reason = "rank in 1..=n = sorted.len()")]
 fn quantile(sorted: &[u64], q: f64) -> u64 {
     let n = sorted.len();
     let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
@@ -519,37 +524,20 @@ pub fn check(content: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uap_sim::trace::registry;
     use uap_sim::{SimTime, TraceLevel, Tracer};
 
     fn sample_trace() -> String {
         let mut t = Tracer::buffered(TraceLevel::Debug);
-        t.emit(
-            SimTime::from_secs(1),
-            "net",
-            TraceLevel::Info,
-            "transfer",
-            |f| {
-                f.u64("bytes", 100);
-            },
-        );
-        t.emit(
-            SimTime::from_secs(2),
-            "net",
-            TraceLevel::Debug,
-            "transfer",
-            |f| {
-                f.u64("bytes", 200);
-            },
-        );
-        t.emit(
-            SimTime::from_secs(3),
-            "gnutella",
-            TraceLevel::Info,
-            "join",
-            |f| {
-                f.u64("host", 7);
-            },
-        );
+        t.emit(SimTime::from_secs(1), registry::NET_TRANSFER, |f| {
+            f.u64("bytes", 100);
+        });
+        t.emit(SimTime::from_secs(2), registry::NET_TRANSFER, |f| {
+            f.u64("bytes", 200);
+        });
+        t.emit(SimTime::from_secs(3), registry::GNUTELLA_JOIN, |f| {
+            f.u64("host", 7);
+        });
         t.to_jsonl()
     }
 
@@ -637,55 +625,29 @@ mod tests {
     /// retry) → span.close carrying `dur_us`.
     fn chained_trace() -> String {
         let mut t = Tracer::buffered(TraceLevel::Debug);
-        let fault = t.emit(
-            SimTime::from_secs(1),
-            "n",
-            TraceLevel::Info,
-            "fault.epoch",
-            |f| {
-                f.u64("links_down", 3);
-            },
-        );
+        let fault = t.emit(SimTime::from_secs(1), registry::NET_FAULT_EPOCH, |f| {
+            f.u64("links_down", 3);
+        });
         let span = t.alloc_span();
         t.set_span(Some(span));
-        t.emit(
-            SimTime::from_secs(2),
-            "g",
-            TraceLevel::Debug,
-            "span.open",
-            |f| {
-                f.str("span_kind", "query");
-            },
-        );
+        t.emit(SimTime::from_secs(2), registry::GNUTELLA_SPAN_OPEN, |f| {
+            f.str("span_kind", "query");
+        });
         t.set_cause(fault);
         let retry = t.emit(
             SimTime::from_secs(2),
-            "g",
-            TraceLevel::Debug,
-            "download.retry",
+            registry::GNUTELLA_DOWNLOAD_RETRY,
             |f| {
                 f.u64("attempt", 1);
             },
         );
         t.set_cause(retry);
-        t.emit(
-            SimTime::from_secs(2),
-            "g",
-            TraceLevel::Debug,
-            "download",
-            |f| {
-                f.u64("bytes", 9);
-            },
-        );
-        t.emit(
-            SimTime::from_secs(2),
-            "g",
-            TraceLevel::Debug,
-            "span.close",
-            |f| {
-                f.str("span_kind", "query").u64("dur_us", 1500);
-            },
-        );
+        t.emit(SimTime::from_secs(2), registry::GNUTELLA_DOWNLOAD, |f| {
+            f.u64("bytes", 9);
+        });
+        t.emit(SimTime::from_secs(2), registry::GNUTELLA_SPAN_CLOSE, |f| {
+            f.str("span_kind", "query").u64("dur_us", 1500);
+        });
         t.clear_provenance();
         t.to_jsonl()
     }
@@ -693,23 +655,15 @@ mod tests {
     #[test]
     fn spans_reports_durations_and_phase_breakdown() {
         let mut t = Tracer::buffered(TraceLevel::Debug);
-        t.emit(
-            SimTime::ZERO,
-            "experiment",
-            TraceLevel::Info,
-            "phase",
-            |f| {
-                f.str("name", "alpha");
-            },
-        );
+        t.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+            f.str("name", "alpha");
+        });
         for (i, dur) in [100u64, 200, 300].iter().enumerate() {
             let span = t.alloc_span();
             t.set_span(Some(span));
             t.emit(
                 SimTime::from_secs(i as u64),
-                "g",
-                TraceLevel::Debug,
-                "span.open",
+                registry::GNUTELLA_SPAN_OPEN,
                 |f| {
                     f.str("span_kind", "query");
                 },
@@ -717,9 +671,7 @@ mod tests {
             let d = *dur;
             t.emit(
                 SimTime::from_secs(i as u64),
-                "g",
-                TraceLevel::Debug,
-                "span.close",
+                registry::GNUTELLA_SPAN_CLOSE,
                 move |f| {
                     f.str("span_kind", "query").u64("dur_us", d);
                 },
@@ -731,26 +683,22 @@ mod tests {
         t.set_span(Some(span));
         t.emit(
             SimTime::from_secs(10),
-            "b",
-            TraceLevel::Debug,
-            "span.open",
+            registry::BITTORRENT_SPAN_OPEN,
             |f| {
                 f.str("span_kind", "peer");
             },
         );
         t.emit(
             SimTime::from_secs(14),
-            "b",
-            TraceLevel::Debug,
-            "span.close",
+            registry::BITTORRENT_SPAN_CLOSE,
             |f| {
                 f.str("span_kind", "peer").bool("done", true);
             },
         );
         t.clear_provenance();
         let s = spans(&t.to_jsonl()).expect("valid trace");
-        assert!(s.contains("g/query"), "{s}");
-        assert!(s.contains("b/peer"), "{s}");
+        assert!(s.contains("gnutella/query"), "{s}");
+        assert!(s.contains("bittorrent/peer"), "{s}");
         // p50 of [100, 200, 300] (nearest rank) = 200; max = 300.
         assert!(s.contains("200"), "{s}");
         assert!(s.contains("300"), "{s}");
@@ -765,27 +713,21 @@ mod tests {
         for dur in [1000u64, u64::MAX / 2] {
             let span = t.alloc_span();
             t.set_span(Some(span));
-            t.emit(SimTime::ZERO, "g", TraceLevel::Debug, "span.open", |f| {
+            t.emit(SimTime::ZERO, registry::GNUTELLA_SPAN_OPEN, |f| {
                 f.str("span_kind", "query");
             });
-            t.emit(
-                SimTime::ZERO,
-                "g",
-                TraceLevel::Debug,
-                "span.close",
-                move |f| {
-                    f.str("span_kind", "query").u64("dur_us", dur);
-                },
-            );
+            t.emit(SimTime::ZERO, registry::GNUTELLA_SPAN_CLOSE, move |f| {
+                f.str("span_kind", "query").u64("dur_us", dur);
+            });
             t.clear_provenance();
         }
         let s = spans(&t.to_jsonl()).expect("valid trace");
         // The finite span is reported; the sentinel one is counted, not
         // folded into quantiles/max where it would dominate everything.
-        assert!(s.contains("g/query"), "{s}");
+        assert!(s.contains("gnutella/query"), "{s}");
         assert!(!s.contains(&(u64::MAX / 2).to_string()), "{s}");
         assert!(
-            s.contains("1 g/query span(s) excluded: sentinel duration"),
+            s.contains("1 gnutella/query span(s) excluded: sentinel duration"),
             "{s}"
         );
     }
@@ -805,9 +747,9 @@ mod tests {
             s.contains("causal chain for seq 3: 2 link(s) to root"),
             "{s}"
         );
-        let root_pos = s.find("n/fault.epoch").expect("root in output");
-        let retry_pos = s.find("g/download.retry").expect("retry in output");
-        let dl_pos = s.find("g/download ").expect("download in output");
+        let root_pos = s.find("net/fault.epoch").expect("root in output");
+        let retry_pos = s.find("gnutella/download.retry").expect("retry in output");
+        let dl_pos = s.find("gnutella/download ").expect("download in output");
         assert!(
             root_pos < retry_pos && retry_pos < dl_pos,
             "root-first order:\n{s}"

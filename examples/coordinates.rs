@@ -62,10 +62,10 @@ fn main() {
     // Part 3: use a prediction: who is closest to host 0?
     let from = HostId(0);
     let mut best = (HostId(1), f64::INFINITY);
-    for i in 1..underlay.n_hosts() as u32 {
-        let p = vivaldi.predict_us(from, HostId(i));
+    for h in underlay.hosts.ids().skip(1) {
+        let p = vivaldi.predict_us(from, h);
         if p < best.1 {
-            best = (HostId(i), p);
+            best = (h, p);
         }
     }
     #[expect(
