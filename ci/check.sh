@@ -48,7 +48,11 @@
 #                                 against the crates' public API and
 #                                 every workload passes its checks at
 #                                 one-tenth scale, so an API deletion
-#                                 cannot silently break BENCHMARK.json
+#                                 cannot silently break BENCHMARK.json;
+#                                 then each workload's seed-42 sim_digest
+#                                 must equal its line in
+#                                 ci/smoke_digests.txt, so simulated
+#                                 output that moves by one rate bit fails
 #   8. benchmark/ self-tests    — the package's own tests (harness, stats,
 #                                 compare verdicts, each workload at tiny
 #                                 scale in a debug build), same shared
@@ -108,8 +112,16 @@ step "EXPERIMENTS.md and OBSERVABILITY.md tables are generated (exp doc)"
 exp doc
 git diff --exit-code -- EXPERIMENTS.md docs/OBSERVABILITY.md
 
-step "benchmark package build + smoke (benchmark/smoke.sh)"
-./benchmark/smoke.sh | tail -n 3
+step "benchmark package build + smoke (benchmark/smoke.sh), pinned digests"
+./benchmark/smoke.sh --seed 42 | tail -n 3
+while read -r workload pinned; do
+  case "$workload" in '#'* | '') continue ;; esac
+  measured="benchmark/out/$workload.measured.json"
+  [ -f "$measured" ] || { echo "the smoke run wrote no $measured" >&2; exit 1; }
+  got="$(sed -n 's/.*"sim_digest": *"\([0-9a-f]*\)".*/\1/p' "$measured")"
+  [ "$got" = "$pinned" ] || {
+    echo "$workload: sim_digest $got, pinned $pinned (ci/smoke_digests.txt)" >&2; exit 1; }
+done < ci/smoke_digests.txt
 
 step "benchmark package self-tests"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target

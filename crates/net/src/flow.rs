@@ -22,6 +22,26 @@
 //! or smaller rate, and every flow is bottlenecked at some saturated
 //! resource.
 //!
+//! # The index
+//!
+//! [`allocate`] rebuilds three structures from the registered set on
+//! every call, so a filling level costs O(active resources), not
+//! O(touched resources + flows × path length):
+//!
+//! * a **resource→flows index**, CSR over each touched resource's
+//!   position in first-use order, every bucket in flow-id order;
+//! * an **active list** of the resources that still have unfrozen users,
+//!   compacted after every level. Only it is scanned for the increment,
+//!   the load update and the saturation test, and only the flows of the
+//!   saturated resources are visited to freeze them;
+//! * a **running level sum** of the increments. A flow freezing at a
+//!   level takes the sum as its rate, which is bit-identical to adding
+//!   each increment to every unfrozen flow's rate: both start at `0.0`
+//!   and add the same increments in the same order.
+//!
+//! The from-scratch fill the index replaced is kept as
+//! [`crate::invariants::reference_max_min`], the differential oracle.
+//!
 //! # Determinism
 //!
 //! Callers register flows with explicit `u64` ids; [`allocate`] sorts by
@@ -32,14 +52,17 @@
 //! involved. The invariants are re-checked under `debug_assertions` by
 //! [`crate::invariants::check_flow_capacity`],
 //! [`check_flow_conservation`](crate::invariants::check_flow_conservation)
-//! and [`check_flow_max_min`](crate::invariants::check_flow_max_min).
+//! and [`check_flow_max_min`](crate::invariants::check_flow_max_min), and
+//! [`check_flow_reference`](crate::invariants::check_flow_reference)
+//! asserts every rate bit-equal to the reference fill's.
 //!
 //! # Reuse
 //!
 //! All working storage lives in the struct and is recycled across
 //! [`begin`]/[`allocate`] cycles, so recomputing the allocation at flow
 //! arrival/departure/fault epochs allocates nothing on the per-round hot
-//! path (`tests/alloc_count.rs` counts the swarm's rounds).
+//! path (`tests/alloc_count.rs` counts the allocator's cycles alone and
+//! the swarm's rounds).
 //!
 //! [`allocate`]: FlowAllocator::allocate
 //! [`begin`]: FlowAllocator::begin
@@ -51,9 +74,13 @@ use uap_sim::Metrics;
 /// Relative slack used when deciding a resource is saturated: float
 /// filling accumulates rounding, so "load reached capacity" is tested
 /// with a tolerance proportional to the capacity plus one byte/second.
-fn saturation_eps(cap: f64) -> f64 {
+pub(crate) fn saturation_eps(cap: f64) -> f64 {
     cap * 1e-9 + 1.0
 }
+
+/// [`FlowAllocator`]'s `pos` entry for a resource the current flow set
+/// does not touch.
+const UNUSED: u32 = u32::MAX;
 
 /// Deterministic max-min fair bandwidth allocator over host access links
 /// and inter-AS links. See the module docs for the model and the
@@ -77,10 +104,19 @@ pub struct FlowAllocator {
     users: Vec<u32>,
     /// Per-flow frozen flag, parallel to `flows`.
     frozen: Vec<bool>,
-    /// Resources touched by the current flow set.
+    /// Resources touched by the current flow set, in first-use order.
     used: Vec<u32>,
-    /// Membership mask for `used`.
-    in_used: Vec<bool>,
+    /// Each resource's position in `used`, or [`UNUSED`].
+    pos: Vec<u32>,
+    /// The resource→flows index: the flows crossing `used[p]` are
+    /// `index[index_at[p]..index_at[p + 1]]`, in id order.
+    index: Vec<u32>,
+    /// Bucket starts of `index` by position in `used`, plus the end.
+    index_at: Vec<u32>,
+    /// Resources that still have unfrozen users while filling.
+    active: Vec<u32>,
+    /// The active resources one filling level saturated.
+    saturated: Vec<u32>,
     /// Flows accepted by [`FlowAllocator::add_flow`] since construction.
     opened: u64,
     /// Flows rejected as unroutable since construction.
@@ -118,7 +154,11 @@ impl FlowAllocator {
             users: vec![0; n_resources],
             frozen: Vec::new(),
             used: Vec::new(),
-            in_used: vec![false; n_resources],
+            pos: vec![UNUSED; n_resources],
+            index: Vec::new(),
+            index_at: Vec::new(),
+            active: Vec::new(),
+            saturated: Vec::new(),
             opened: 0,
             rejected: 0,
         }
@@ -134,7 +174,8 @@ impl FlowAllocator {
     /// registers nothing) when the pair is unroutable under the current
     /// routing tables — a fault partition stalls the flow until routing
     /// recovers. Ids must be unique within one [`FlowAllocator::begin`]
-    /// cycle; the allocation depends only on the id *set*, not the
+    /// cycle (a debug build of [`FlowAllocator::allocate`] panics on a
+    /// duplicate); the allocation depends only on the id *set*, not the
     /// insertion order.
     #[expect(
         clippy::cast_possible_truncation,
@@ -162,10 +203,6 @@ impl FlowAllocator {
             self.arena.push(self.n_hosts as u32 + dst.0);
         }
         let len = self.arena.len() as u32 - start;
-        debug_assert!(
-            self.flows.iter().all(|&(fid, _, _)| fid != id),
-            "duplicate flow id {id}"
-        );
         self.flows.push((id, start, len));
         self.opened += 1;
         true
@@ -174,13 +211,27 @@ impl FlowAllocator {
     /// Computes the max-min fair allocation for the registered flow set
     /// by progressive filling. Deterministic: flows are processed in
     /// sorted-id order, so the result is independent of insertion order.
-    #[expect(clippy::indexing_slicing, reason = "r < cap.len(); fi < flows.len()")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < cap.len(); fi < flows.len(); pos[r] < used.len() < index_at.len()"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "positions and flow indices are below the arena length, a u32"
+    )]
     pub fn allocate(&mut self) {
         self.flows.sort_unstable_by_key(|&(id, _, _)| id);
+        #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only duplicate-id guard")]
+        {
+            if let Some(pair) = self.flows.windows(2).find(|w| w[0].0 == w[1].0) {
+                panic!("duplicate flow id {}", pair[0].0);
+            }
+        }
         // Reset the resources the previous allocation touched, then build
         // this set's resource census in flow-id order.
         for &r in &self.used {
-            self.in_used[r as usize] = false;
+            self.pos[r as usize] = UNUSED;
             self.load[r as usize] = 0.0;
             self.users[r as usize] = 0;
         }
@@ -192,81 +243,102 @@ impl FlowAllocator {
         for &(_, start, len) in &self.flows {
             for &r in &self.arena[start as usize..(start + len) as usize] {
                 let r = r as usize;
-                if !self.in_used[r] {
-                    self.in_used[r] = true;
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "r came out of the u32 arena"
-                    )]
+                if self.pos[r] == UNUSED {
+                    self.pos[r] = self.used.len() as u32;
                     self.used.push(r as u32);
                 }
                 self.users[r] += 1;
             }
         }
-        let mut active = self.flows.len();
-        while active > 0 {
-            // The uniform rate increment every unfrozen flow can absorb:
-            // the tightest remaining headroom per unfrozen user.
+        // The resource→flows index: bucket ends by compact position, then
+        // a reverse pass over the flows fills each bucket back to front,
+        // leaving `index_at[p]` at its start and the flows in id order.
+        self.index_at.clear();
+        let mut end = 0;
+        for &r in &self.used {
+            end += self.users[r as usize];
+            self.index_at.push(end);
+        }
+        self.index_at.push(end);
+        self.index.clear();
+        self.index.resize(end as usize, 0);
+        for (fi, &(_, start, len)) in self.flows.iter().enumerate().rev() {
+            for &r in &self.arena[start as usize..(start + len) as usize] {
+                let at = &mut self.index_at[self.pos[r as usize] as usize];
+                *at -= 1;
+                self.index[*at as usize] = fi as u32;
+            }
+        }
+        // Each level makes two passes over the active resources and
+        // visits the flows of the saturated ones. `level` is the running
+        // sum of the increments, so a flow freezing at it gets the same
+        // additions in the same order as adding each increment to every
+        // unfrozen flow's rate.
+        self.active.clear();
+        self.active.extend_from_slice(&self.used);
+        let mut level = 0.0;
+        loop {
+            // Drop the resources left without unfrozen users. The tightest
+            // remaining headroom per unfrozen user among the rest is the
+            // uniform increment every unfrozen flow can absorb.
             let mut inc = f64::INFINITY;
-            for &r in &self.used {
+            self.active.retain(|&r| {
                 let r = r as usize;
-                if self.users[r] > 0 {
-                    let room = (self.cap[r] - self.load[r]).max(0.0) / self.users[r] as f64;
-                    if room < inc {
-                        inc = room;
-                    }
+                if self.users[r] == 0 {
+                    return false;
+                }
+                let room = (self.cap[r] - self.load[r]).max(0.0) / self.users[r] as f64;
+                if room < inc {
+                    inc = room;
+                }
+                true
+            });
+            if self.active.is_empty() {
+                break;
+            }
+            let raise = inc > 0.0 && inc.is_finite();
+            if raise {
+                level += inc;
+            }
+            self.saturated.clear();
+            for &r in &self.active {
+                let ri = r as usize;
+                if raise {
+                    self.load[ri] += inc * self.users[ri] as f64;
+                }
+                if self.load[ri] + saturation_eps(self.cap[ri]) >= self.cap[ri] {
+                    self.saturated.push(r);
                 }
             }
-            if inc > 0.0 && inc.is_finite() {
-                for (fi, &(_, _, _)) in self.flows.iter().enumerate() {
-                    if !self.frozen[fi] {
-                        self.rates[fi] += inc;
-                    }
-                }
-                for &r in &self.used {
-                    let r = r as usize;
-                    if self.users[r] > 0 {
-                        self.load[r] += inc * self.users[r] as f64;
-                    }
-                }
-            }
-            // Freeze every unfrozen flow that now crosses a saturated
-            // resource (the arg-min resource above is always saturated, so
-            // at least one flow freezes and the loop terminates).
-            let mut froze = false;
-            for (fi, &(_, start, len)) in self.flows.iter().enumerate() {
-                if self.frozen[fi] {
-                    continue;
-                }
-                let span = &self.arena[start as usize..(start + len) as usize];
-                let sat = span.iter().any(|&r| {
-                    let r = r as usize;
-                    self.load[r] + saturation_eps(self.cap[r]) >= self.cap[r]
-                });
-                if sat {
-                    self.frozen[fi] = true;
-                    froze = true;
-                    active -= 1;
-                    for &r in span {
-                        self.users[r as usize] -= 1;
-                    }
-                }
-            }
-            if !froze {
+            if self.saturated.is_empty() {
                 // Floating-point safety net: exact arithmetic always
                 // saturates the arg-min resource; if rounding hid it,
                 // freeze everything at the current (feasible) rates
                 // rather than loop forever.
-                for fi in 0..self.flows.len() {
-                    if !self.frozen[fi] {
-                        self.frozen[fi] = true;
-                        let (_, start, len) = self.flows[fi];
-                        for &r in &self.arena[start as usize..(start + len) as usize] {
-                            self.users[r as usize] -= 1;
-                        }
+                for (rate, &frozen) in self.rates.iter_mut().zip(&self.frozen) {
+                    if !frozen {
+                        *rate = level;
                     }
                 }
-                active = 0;
+                break;
+            }
+            // Freeze every unfrozen flow of each saturated resource (an
+            // active resource has one, so the loop terminates).
+            for &r in &self.saturated {
+                let p = self.pos[r as usize] as usize;
+                let bucket = self.index_at[p] as usize..self.index_at[p + 1] as usize;
+                for &fi in &self.index[bucket] {
+                    let fi = fi as usize;
+                    if self.frozen[fi] {
+                        continue;
+                    }
+                    self.frozen[fi] = true;
+                    self.rates[fi] = level;
+                    let (_, start, len) = self.flows[fi];
+                    for &s in &self.arena[start as usize..(start + len) as usize] {
+                        self.users[s as usize] -= 1;
+                    }
+                }
             }
         }
         #[cfg(debug_assertions)]
@@ -279,6 +351,8 @@ impl FlowAllocator {
                 .unwrap_or_else(|e| panic!("flow conservation invariant: {e}"));
             invariants::check_flow_max_min(&self.cap, &self.load, &self.flows, &self.arena)
                 .unwrap_or_else(|e| panic!("flow max-min invariant: {e}"));
+            invariants::check_flow_reference(&self.cap, &self.flows, &self.arena, &self.rates)
+                .unwrap_or_else(|e| panic!("flow reference oracle: {e}"));
         }
     }
 
@@ -445,6 +519,115 @@ mod tests {
         a.export_metrics(&mut m);
         assert_eq!(m.counter("net.flow.opened"), 1);
         assert_eq!(m.counter("net.flow.rejected"), 0);
+    }
+
+    #[test]
+    fn an_empty_flow_set_allocates_nothing() {
+        let u = underlay(20, 8);
+        let mut a = FlowAllocator::new(&u);
+        a.begin();
+        a.allocate();
+        assert_eq!(a.rate_of(0), None);
+        // Emptying a set that touched resources leaves none of them behind.
+        a.begin();
+        assert!(a.add_flow(3, HostId(0), HostId(1), &u));
+        a.allocate();
+        a.begin();
+        a.allocate();
+        assert_eq!(a.rate_of(3), None);
+        assert_eq!(a.bytes_of(3, 10.0), 0);
+    }
+
+    #[test]
+    fn resources_saturating_at_one_level_freeze_all_their_flows() {
+        let mut u = underlay(40, 9);
+        // Three disjoint same-AS pairs, so no AS link is on any path.
+        let mut pairs = Vec::new();
+        let mut taken = [false; 40];
+        let host = HostId::from_index;
+        for s in 0..40 {
+            if taken[s] {
+                continue;
+            }
+            if let Some(d) = (s + 1..40).find(|&d| !taken[d] && u.same_as(host(s), host(d))) {
+                taken[d] = true;
+                pairs.push((s, d));
+            }
+        }
+        assert!(pairs.len() >= 3, "fixture has three same-AS pairs");
+        // Two equal uplinks saturate at the first level; a third, wider
+        // uplink keeps filling.
+        for (&(s, d), kbps) in pairs.iter().zip([800, 800, 8_000]) {
+            u.hosts.hosts[s].up_kbps = kbps;
+            u.hosts.hosts[d].down_kbps = 100_000;
+        }
+        let mut a = FlowAllocator::new(&u);
+        a.begin();
+        for (id, &(s, d)) in pairs.iter().take(3).enumerate() {
+            assert!(a.add_flow(id as u64, host(s), host(d), &u));
+        }
+        a.allocate();
+        let rate = |id| a.rate_of(id).unwrap();
+        // The first level's increment is the narrow uplinks' full
+        // capacity, and both of their flows froze at exactly that sum.
+        assert_eq!(rate(0).to_bits(), (800.0f64 * 1_000.0 / 8.0).to_bits());
+        assert_eq!(rate(1).to_bits(), rate(0).to_bits());
+        assert!(rate(2) > rate(0), "the wide uplink keeps filling");
+    }
+
+    #[test]
+    fn a_rejected_flow_leaves_nothing_for_the_next_cycle() {
+        let mut u = underlay(20, 10);
+        let a_host = HostId(0);
+        let far = (2..20)
+            .map(HostId)
+            .find(|&h| !u.same_as(a_host, h))
+            .unwrap();
+        let near = (2..20).map(HostId).find(|&h| u.same_as(a_host, h)).unwrap();
+        let mut state = crate::fault::FaultState::clear();
+        state.mask = Some(vec![true; u.graph.links.len()]);
+        u.apply_fault_state(&state);
+        // Every AS link is down: the cross-AS flow is refused mid-set.
+        let mut a = FlowAllocator::new(&u);
+        a.begin();
+        assert!(a.add_flow(1, a_host, near, &u));
+        assert!(!a.add_flow(2, a_host, far, &u));
+        assert!(a.add_flow(3, near, a_host, &u));
+        a.allocate();
+        assert_eq!(a.rate_of(2), None);
+        let rates = |a: &FlowAllocator| [1, 3].map(|id| a.rate_of(id).unwrap().to_bits());
+        let mut fresh = FlowAllocator::new(&u);
+        fresh.begin();
+        fresh.add_flow(1, a_host, near, &u);
+        fresh.add_flow(3, near, a_host, &u);
+        fresh.allocate();
+        assert_eq!(rates(&a), rates(&fresh));
+        // The next cycle, healed, reuses the id and the index is rebuilt
+        // from the registered set alone.
+        u.apply_fault_state(&crate::fault::FaultState::clear());
+        a.begin();
+        assert!(a.add_flow(3, near, a_host, &u));
+        assert!(a.add_flow(1, a_host, far, &u));
+        a.allocate();
+        fresh.begin();
+        fresh.add_flow(1, a_host, far, &u);
+        fresh.add_flow(3, near, a_host, &u);
+        fresh.allocate();
+        assert_eq!(rates(&a), rates(&fresh));
+        assert_eq!(a.rate_of(2), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate flow id 4")]
+    fn a_duplicate_id_panics_in_debug() {
+        let u = underlay(20, 11);
+        let mut a = FlowAllocator::new(&u);
+        a.begin();
+        a.add_flow(4, HostId(0), HostId(1), &u);
+        a.add_flow(9, HostId(2), HostId(3), &u);
+        a.add_flow(4, HostId(5), HostId(6), &u);
+        a.allocate();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! these checkers catch
 //! *logic* corruption at the model's trust boundaries. Each checker
 //! returns `Err(description)` rather than panicking so tests can assert
-//! on the failure text; the call sites in [`crate::routing`],
+//! on the failure text; the call sites in [`crate::routing`], [`crate::flow`],
 //! [`crate::traffic`] and [`crate::cost`] run them under
 //! `debug_assertions` only, so release experiment sweeps pay nothing.
 //!
@@ -26,6 +26,9 @@
 //!   per-resource loads equal the sum of the crossing flows' rates, and
 //!   every flow is bottlenecked at some saturated resource (the defining
 //!   property of max-min fairness).
+//! * [`check_flow_reference`] — the allocator's rates are bit-equal to
+//!   [`reference_max_min`], the from-scratch fill its indexed one
+//!   replaced.
 
 use crate::asgraph::{AsGraph, LinkKind, Relationship};
 use crate::cost::IspBill;
@@ -198,6 +201,99 @@ pub fn check_flow_max_min(
             return Err(format!(
                 "flow {id}: no saturated resource on its path — not max-min"
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The from-scratch progressive fill, kept as the differential reference
+/// for [`crate::flow::FlowAllocator::allocate`] (as
+/// [`crate::routing::ReferenceRouting`] is for the route table). Every
+/// level scans every touched resource for the increment, adds it to every
+/// unfrozen flow's rate, and rescans every unfrozen flow's span for a
+/// saturated resource. `cap` is the allocator's capacity vector, `flows`
+/// its `(id, arena start, resource count)` table and `arena` the
+/// concatenated spans; the rates come back parallel to `flows`.
+#[expect(clippy::indexing_slicing, reason = "spans in arena, ids < cap.len()")]
+pub fn reference_max_min(cap: &[f64], flows: &[(u64, u32, u32)], arena: &[u32]) -> Vec<f64> {
+    let span = |&(_, start, len): &(u64, u32, u32)| &arena[start as usize..(start + len) as usize];
+    let mut load = vec![0.0f64; cap.len()];
+    let mut users = vec![0u32; cap.len()];
+    let mut used = Vec::new();
+    for f in flows {
+        for &r in span(f) {
+            let r = r as usize;
+            if users[r] == 0 {
+                used.push(r);
+            }
+            users[r] += 1;
+        }
+    }
+    let mut rates = vec![0.0f64; flows.len()];
+    let mut frozen = vec![false; flows.len()];
+    let mut unfrozen = flows.len();
+    while unfrozen > 0 {
+        let mut inc = f64::INFINITY;
+        for &r in &used {
+            if users[r] > 0 {
+                let room = (cap[r] - load[r]).max(0.0) / users[r] as f64;
+                if room < inc {
+                    inc = room;
+                }
+            }
+        }
+        if inc > 0.0 && inc.is_finite() {
+            for (rate, &f) in rates.iter_mut().zip(&frozen) {
+                if !f {
+                    *rate += inc;
+                }
+            }
+            for &r in &used {
+                if users[r] > 0 {
+                    load[r] += inc * users[r] as f64;
+                }
+            }
+        }
+        let mut froze = false;
+        for (fi, f) in flows.iter().enumerate() {
+            let saturated = |&r: &u32| {
+                let r = r as usize;
+                load[r] + crate::flow::saturation_eps(cap[r]) >= cap[r]
+            };
+            if !frozen[fi] && span(f).iter().any(saturated) {
+                frozen[fi] = true;
+                froze = true;
+                unfrozen -= 1;
+                for &r in span(f) {
+                    users[r as usize] -= 1;
+                }
+            }
+        }
+        if !froze {
+            // Rounding hid the arg-min resource's saturation: every
+            // unfrozen flow keeps its current rate.
+            break;
+        }
+    }
+    rates
+}
+
+/// Validates the allocation against [`reference_max_min`]: every rate
+/// must be bit-equal (`to_bits`) to the reference fill's, since both add
+/// the same increments in the same order.
+pub fn check_flow_reference(
+    cap: &[f64],
+    flows: &[(u64, u32, u32)],
+    arena: &[u32],
+    rates: &[f64],
+) -> Result<(), String> {
+    let want = reference_max_min(cap, flows, arena);
+    if want.len() != rates.len() {
+        return Err(format!("{} rates for {} flows", rates.len(), want.len()));
+    }
+    for ((&(id, _, _), &got), &want) in flows.iter().zip(rates).zip(&want) {
+        if got.to_bits() != want.to_bits() {
+            return Err(format!("flow {id}: rate {got} != reference {want}"));
         }
     }
     Ok(())

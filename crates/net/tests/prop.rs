@@ -1,6 +1,7 @@
 //! Property-based tests for routing, traffic and cost invariants.
 
 use proptest::prelude::*;
+use uap_net::invariants::reference_max_min;
 use uap_net::{
     AsId, FlowAllocator, HostId, LinkKind, PopulationSpec, ReferenceRouting, Relationship, Routing,
     RoutingMode, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
@@ -83,6 +84,44 @@ fn recompute_loads(
         }
     }
     (up, down, link)
+}
+
+/// Rates from [`reference_max_min`], the from-scratch fill, for `flows`
+/// on `u`: the capacity vector in the allocator's documented layout
+/// (host uplinks, host downlinks, AS links; bytes/second) and each flow's
+/// resource span, rebuilt from the public model and sorted by id.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures: a few dozen hosts and links"
+)]
+fn reference_rates(u: &Underlay, flows: &[(u64, HostId, HostId)]) -> Vec<(u64, f64)> {
+    let n = u.n_hosts() as u32;
+    let hosts = &u.hosts.hosts;
+    let cap: Vec<f64> = (hosts.iter().map(|h| h.up_kbps as f64 * 1_000.0 / 8.0))
+        .chain(hosts.iter().map(|h| h.down_kbps as f64 * 1_000.0 / 8.0))
+        .chain(
+            u.graph
+                .links
+                .iter()
+                .map(|l| l.capacity_mbps * 1_000_000.0 / 8.0),
+        )
+        .collect();
+    let mut sorted = flows.to_vec();
+    sorted.sort_unstable_by_key(|&(id, _, _)| id);
+    let (mut table, mut arena) = (Vec::new(), Vec::new());
+    for &(id, s, d) in &sorted {
+        let start = arena.len() as u32;
+        arena.extend([s.0, n + d.0]);
+        let (sa, da) = (u.hosts.as_of(s), u.hosts.as_of(d));
+        if sa != da {
+            #[expect(clippy::expect_used, reason = "the allocator accepted the flow")]
+            let path = u.routing().path_links(sa, da).expect("routable");
+            arena.extend(path.iter().map(|&li| 2 * n + li));
+        }
+        table.push((id, start, arena.len() as u32 - start));
+    }
+    let rates = reference_max_min(&cap, &table, &arena);
+    sorted.iter().map(|&(id, _, _)| id).zip(rates).collect()
 }
 
 /// Saturation slack mirroring the allocator's internal tolerance.
@@ -449,6 +488,78 @@ proptest! {
                 rev.rate_of(id).unwrap().to_bits(),
                 "insertion order changed the rate of flow {}", id
             );
+        }
+    }
+
+    /// The indexed fill is bit-identical to the from-scratch reference over
+    /// chains of `begin`/`add_flow`/`allocate` cycles on one allocator.
+    /// The sets mix senders drawn from a few hosts (shared uplinks),
+    /// zero-capacity uplinks, same-AS pairs and one hot AS pair whose
+    /// path links many flows cross; a cycle may be empty.
+    #[test]
+    fn indexed_fill_matches_reference_over_cycle_chains(
+        seed in any::<u64>(),
+        cycles in 1usize..6,
+        max_flows in 0usize..48,
+    ) {
+        let n_hosts = 30;
+        let g = random_hierarchy(seed, 2, 2, 2);
+        let mut rng = SimRng::new(seed ^ 0x2545_f491);
+        let mut u = Underlay::build(
+            g,
+            &PopulationSpec::leaf(n_hosts),
+            UnderlayConfig::default(),
+            &mut rng,
+        );
+        for h in 0..n_hosts {
+            if rng.index(6) == 0 {
+                u.hosts.hosts[h].up_kbps = 0;
+            }
+        }
+        let host = HostId::from_index;
+        let near: Vec<Vec<usize>> = (0..n_hosts)
+            .map(|s| (0..n_hosts).filter(|&d| d != s && u.same_as(host(s), host(d))).collect())
+            .collect();
+        let far = (1..n_hosts).find(|&h| !u.same_as(host(0), host(h)));
+        let hot_src: Vec<usize> = (0..n_hosts).filter(|&h| u.same_as(host(0), host(h))).collect();
+        let hot_dst: Vec<usize> = far
+            .map(|f| (0..n_hosts).filter(|&h| u.same_as(host(f), host(h))).collect())
+            .unwrap_or_default();
+        let mut a = FlowAllocator::new(&u);
+        for cycle in 0..cycles {
+            a.begin();
+            let mut flows = Vec::new();
+            for k in 0..rng.index(max_flows + 1) {
+                let (s, d) = match rng.index(4) {
+                    0 if !hot_dst.is_empty() => {
+                        (hot_src[rng.index(hot_src.len())], hot_dst[rng.index(hot_dst.len())])
+                    }
+                    1 => {
+                        let s = rng.index(n_hosts);
+                        match near[s].len() {
+                            0 => (s, (s + 1) % n_hosts),
+                            m => (s, near[s][rng.index(m)]),
+                        }
+                    }
+                    _ => {
+                        let s = rng.index(4);
+                        let d = rng.index(n_hosts);
+                        (s, if d == s { (d + 1) % n_hosts } else { d })
+                    }
+                };
+                let id = ((cycle * 64 + k) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let (s, d) = (host(s), host(d));
+                prop_assert!(a.add_flow(id, s, d, &u), "fault-free pairs are routable");
+                flows.push((id, s, d));
+            }
+            a.allocate();
+            for (id, want) in reference_rates(&u, &flows) {
+                let got = a.rate_of(id).unwrap();
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "cycle {}: flow {} rate {} != reference {}", cycle, id, got, want
+                );
+            }
         }
     }
 }

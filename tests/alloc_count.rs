@@ -22,7 +22,7 @@ use std::hint::black_box;
 use underlay_p2p::bittorrent::{run_swarm, SwarmConfig};
 use underlay_p2p::gnutella::{GnutellaConfig, GnutellaSim, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key};
-use underlay_p2p::net::{AsId, HostId, NetParams, Underlay};
+use underlay_p2p::net::{AsId, FlowAllocator, HostId, NetParams, Underlay};
 use underlay_p2p::sim::{SimRng, SimTime, Simulator};
 
 /// [`System`], counting the allocations of the calling thread.
@@ -135,6 +135,41 @@ fn gnutella_minutes_10_to_30_allocate_only_retained_records() {
     // What remains is growth of retained records: `query_log`,
     // `download_log` and the traffic ledger's per-link billing buckets.
     assert!(n <= 32, "{n} allocations in {events} Gnutella events");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn flow_allocator_cycles_allocate_nothing() {
+    let u = underlay(400);
+    let mut rng = SimRng::new(42);
+    let pairs: Vec<(HostId, HostId)> = (0..2_000)
+        .map(|_| {
+            let s = rng.index(400);
+            let d = (s + 1 + rng.index(399)) % 400;
+            (HostId::from_index(s), HostId::from_index(d))
+        })
+        .collect();
+    let mut a = FlowAllocator::new(&u);
+    // Each cycle registers the same pairs under fresh ids, in alternating
+    // order, so the sort, the census and the index all redo their work.
+    let mut cycle = |c: u64| {
+        a.begin();
+        for (k, &(s, d)) in (0u64..).zip(&pairs) {
+            let k = if c.is_multiple_of(2) { k } else { 1_999 - k };
+            black_box(a.add_flow(c * 10_000 + k, s, d, &u));
+        }
+        a.allocate();
+        black_box(a.rate_of(c * 10_000));
+    };
+    for c in 0..3 {
+        cycle(c);
+    }
+    let (n, ()) = allocs_in(|| (3..23).for_each(&mut cycle));
+    // 20 refills of a 2 000-flow set over buffers the warm-up sized.
+    assert_eq!(n, 0, "{n} allocations in 20 allocator cycles");
 }
 
 #[test]
