@@ -30,8 +30,9 @@
 #   6. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
-#                                 byte-identical under `xtask trace diff`
-#                                 (both streamed: `--trace` always is)
+#                                 byte-identical under `exp trace diff`
+#                                 (both streamed: `--trace` always is),
+#                                 each trace passing `exp trace check`
 #   6b. quick suite             — `exp all --quick` must exit 0 and leave
 #                                 every CSV `exp list --csvs` names
 #   6c. results/ are current    — `exp all` at full scale must reproduce

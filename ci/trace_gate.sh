@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Trace-determinism gate: two same-seed runs of every traced experiment
 # (`exp list --traced`) must produce byte-identical JSONL traces and
-# RunReport JSON (modulo the wall-clock lines, which `xtask trace diff`
-# exempts). `exp --trace` writes through the streaming sink, so the pair
+# RunReport JSON (modulo the wall-clock lines, which `exp trace diff`
+# exempts), and each run's trace must pass `exp trace check` (census, then
+# causal integrity; a seq gap — a line the file lost — fails it). `exp --trace` writes through the streaming sink, so the pair
 # is itself streamed; that the sink's bytes equal the buffered one's is
 # `trace.rs::streaming_sink_bytes_match_the_buffered_sink`.
 #
@@ -25,7 +26,6 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 exp() { cargo run --release -q -p uap-bench --bin exp -- "$@"; }
-xtask() { cargo run --release -q -p xtask -- "$@"; }
 
 run() { # run <id> <dir>
   mkdir -p "$2"
@@ -43,7 +43,7 @@ must_fire() { # must_fire <id> <event kind> <what it proves>
 must_explain() { # must_explain <id> <event kind>: its first event's causal chain ends at a fault.epoch
   local seq explain
   seq="$(grep -m1 "\"k\":\"$2\"" "$WORK/$1/a/$1.trace.jsonl" | sed -E 's/^\{"seq":([0-9]+).*/\1/')"
-  explain="$(xtask trace explain "$WORK/$1/a/$1.trace.jsonl" "$seq")"
+  explain="$(exp trace explain "$WORK/$1/a/$1.trace.jsonl" "$seq")"
   echo "$explain"
   if ! echo "$explain" | grep -q 'fault.epoch'; then
     echo "$1 $2 seq $seq does not trace back to a fault.epoch root" >&2
@@ -57,17 +57,14 @@ for id in $(exp list --traced); do
   run "$id" "$WORK/$id/b"
 
   echo "trace diff (JSONL)"
-  xtask trace diff "$WORK/$id/a/$id.trace.jsonl" "$WORK/$id/b/$id.trace.jsonl"
+  exp trace diff "$WORK/$id/a/$id.trace.jsonl" "$WORK/$id/b/$id.trace.jsonl"
 
   echo "trace diff (RunReport JSON)"
-  xtask trace diff "$WORK/$id/a/"*.report.json "$WORK/$id/b/"*.report.json
+  exp trace diff "$WORK/$id/a/"*.report.json "$WORK/$id/b/"*.report.json
 
-  echo "trace summary"
-  xtask trace summary "$WORK/$id/a/$id.trace.jsonl"
-
-  echo "trace check (causal integrity)"
-  xtask trace check "$WORK/$id/a/$id.trace.jsonl"
-  xtask trace check "$WORK/$id/b/$id.trace.jsonl"
+  echo "trace check (census and causal integrity)"
+  exp trace check "$WORK/$id/a/$id.trace.jsonl"
+  exp trace check "$WORK/$id/b/$id.trace.jsonl"
 done
 
 must_fire exp16 fault.epoch "FaultPlan not applied"
@@ -77,7 +74,7 @@ must_fire exp17 routing.repair "repair path not exercised"
 must_fire exp18 flow.open "flow model not exercised"
 
 echo "trace spans (exp16)"
-xtask trace spans "$WORK/exp16/a/exp16.trace.jsonl"
+exp trace spans "$WORK/exp16/a/exp16.trace.jsonl"
 
 # Provenance smoke: Gnutella's download.retry and the swarm's reannounce
 # must each explain back to a fault.epoch root — the causal chains the

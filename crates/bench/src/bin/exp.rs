@@ -5,19 +5,22 @@
 //! exp all   [--quick] [--seed N] [--out D]
 //! exp list  [--traced | --csvs]
 //! exp doc   [--out D]
+//! exp trace diff <a> <b> | spans <trace> | explain <trace> <seq> | check <trace>
 //! ```
 //!
 //! `<id>` is a row id (`exp04`). `doc` rewrites the generated blocks of
 //! `./EXPERIMENTS.md` from the CSVs in `--out`, and the registry tables
-//! of `./docs/OBSERVABILITY.md` from `uap_sim::trace::registry`. Exit
-//! status: 0 on
-//! success, 1 when an artifact cannot be written (the path is named on
+//! of `./docs/OBSERVABILITY.md` from `uap_sim::trace::registry`. `trace`
+//! reads a run's trace or report back ([`uap_bench::trace_cmd`]). Exit
+//! status: 0 on success, 1 when an artifact cannot be written or read,
+//! a trace fails `check` or two files `diff` (the path is named on
 //! stderr), 2 on a usage error or an unknown id. A run whose claim (the
 //! paper headline, [`uap_core::experiments::Outcome::claim`]) does not
 //! hold at that scale and seed says so on stderr and still exits 0.
 
 use std::io;
 use std::process::ExitCode;
+use uap_bench::trace_cmd::{self, DiffResult};
 use uap_bench::{emit, usage, write_csv, Cli, Run};
 use uap_core::experiments::{doc, table, Experiment, Scale, TABLE};
 
@@ -81,6 +84,45 @@ fn rewrite_doc(path: &str, rewrite: impl FnOnce(&str) -> io::Result<String>) -> 
     Ok(())
 }
 
+/// `exp trace <sub> <file>…`: runs one reader over whole files and
+/// prints its report; `Err` names the file that failed.
+fn trace(args: &[String]) -> Result<(), String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        match flag.as_str() {
+            "--help" | "-h" => usage(""),
+            _ => usage(&format!("trace takes no flag {flag}")),
+        }
+    }
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let (path, report) = match args {
+        [sub, a, b] if sub == "diff" => {
+            let r = trace_cmd::diff(&read(a)?, &read(b)?);
+            print!("{}", trace_cmd::render_diff((a, b), &r));
+            return match r {
+                DiffResult::Identical { .. } => Ok(()),
+                DiffResult::Divergence { line, .. } => {
+                    Err(format!("{a}, {b}: differ at line {line}"))
+                }
+            };
+        }
+        [sub, path] if sub == "spans" => (path, trace_cmd::spans(&read(path)?)),
+        [sub, path, seq] if sub == "explain" => {
+            let Ok(seq) = seq.parse() else {
+                usage(&format!("trace explain: `{seq}` is not a seq number"));
+            };
+            (path, trace_cmd::explain(&read(path)?, seq))
+        }
+        [sub, path] if sub == "check" => {
+            let (census, verdict) = trace_cmd::check(&read(path)?);
+            print!("{census}");
+            (path, verdict)
+        }
+        _ => usage("unknown trace subcommand or wrong argument count"),
+    };
+    print!("{}", report.map_err(|e| format!("{path}: {e}"))?);
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
@@ -104,6 +146,7 @@ fn main() -> ExitCode {
             rewrite_doc("EXPERIMENTS.md", |md| doc::rewrite(md, &dir))
                 .and_then(|()| rewrite_doc("docs/OBSERVABILITY.md", doc::rewrite_registry))
         }
+        "trace" => trace(&args.collect::<Vec<_>>()).map_err(io::Error::other),
         "all" => {
             let cli = Cli::parse_from(args);
             if cli.trace.is_some() {

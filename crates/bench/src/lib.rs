@@ -7,7 +7,9 @@
 //! `exp list` prints the table's ids (`--traced`: the rows that record a
 //! trace; `--csvs`: every CSV stem), `exp doc` regenerates the result
 //! tables of EXPERIMENTS.md from the CSVs and the registry tables of
-//! docs/OBSERVABILITY.md from `uap_sim::trace::registry`. Common flags:
+//! docs/OBSERVABILITY.md from `uap_sim::trace::registry`, and
+//! `exp trace <diff|spans|explain|check>` reads traces and reports back
+//! ([`trace_cmd`]). Common flags of the runs:
 //!
 //! * `--quick` — the fast test-scale parameters (default is the full,
 //!   paper-scale configuration);
@@ -25,12 +27,14 @@
 //! (every table cell, keyed `<csv stem>/<row>:<first cell>/<column>`),
 //! counters, histogram quantiles and time series. Two same-seed runs
 //! produce byte-identical reports except for the `wall_secs` line, which
-//! `cargo run -p xtask -- trace diff` skips, and byte-identical stdout:
+//! `exp trace diff` skips, and byte-identical stdout:
 //! no host-time figure is printed. Performance is measured by the
 //! standalone `benchmark/` package and nowhere in this crate
 //! (`docs/PERFORMANCE.md`).
 
 #![forbid(unsafe_code)]
+
+pub mod trace_cmd;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -88,10 +92,12 @@ impl Cli {
     }
 }
 
-/// The one usage line, for `--help` anywhere on the command line and
+/// The one usage text, for `--help` anywhere on the command line and
 /// for every usage error.
 const USAGE: &str = "usage: exp <id>|all|list [--traced|--csvs]|doc \
-                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]";
+                     [--quick] [--seed <u64>] [--out <dir>] [--trace <path>]\n       \
+                     exp trace diff <a> <b> | spans <trace> | explain <trace> <seq> | \
+                     check <trace>";
 
 /// Prints the usage line and exits: status 0 on stdout for an empty `msg`
 /// (`--help`), else status 2 with `msg` on stderr.

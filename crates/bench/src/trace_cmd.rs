@@ -1,11 +1,4 @@
-//! `cargo run -p xtask -- trace <summary|diff|spans|explain|check>` — the
-//! trace toolbox.
-//!
-//! * `trace summary <file.jsonl>` — per-component / per-kind event
-//!   counts, the simulated time span, and event rates for one JSONL
-//!   trace written by a `--trace` run (or by
-//!   `uap_sim::Tracer::write_jsonl`). Missing `seq`s (lines the file
-//!   lost) are flagged, with their count.
+//! `exp trace <diff|spans|explain|check>` — the trace readers.
 //!
 //! * `trace diff <a> <b>` — line-by-line comparison of two trace or
 //!   `RunReport` JSON files that reports the **first divergence**. Lines
@@ -25,10 +18,13 @@
 //!   from the given event back to its root and prints the whole chain
 //!   (e.g. download ← retry ← fault epoch).
 //!
-//! * `trace check <file.jsonl>` — causal-integrity gate: every cause
-//!   references an earlier seq that exists in the trace, span ids are
-//!   opened before use, and span.open/span.close are balanced. A trace
-//!   whose first `seq` is not 0 lost its head and fails.
+//! * `trace check <file.jsonl>` — the census of one JSONL trace written
+//!   by a `--trace` run (per-component / per-kind event counts, the
+//!   simulated time span, the event rate), then the integrity verdict:
+//!   seqs run 0.. with no gap (a missing seq is a line the file lost),
+//!   every cause references an earlier seq that exists in the trace,
+//!   span ids are opened before use, and span.open/span.close are
+//!   balanced.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -134,68 +130,6 @@ pub fn render_diff(labels: (&str, &str), r: &DiffResult) -> String {
         }
     }
     out
-}
-
-/// Summarizes a JSONL trace: totals, sim-time span, per-component /
-/// per-kind counts, and seq gaps (the writer numbers events 0.. with no
-/// gap, so a missing `seq` means the file lost a line). Errors on the
-/// first malformed line.
-pub fn summarize(content: &str) -> Result<String, String> {
-    let mut total = 0u64;
-    let mut by_component: BTreeMap<String, u64> = BTreeMap::new();
-    let mut by_kind: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut t_min = u64::MAX;
-    let mut t_max = 0u64;
-    let mut seq_max = 0u64;
-    for (i, line) in content.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = parse_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        total += 1;
-        let t = ev.t.as_micros();
-        t_min = t_min.min(t);
-        t_max = t_max.max(t);
-        seq_max = seq_max.max(ev.seq);
-        *by_component.entry(ev.component.clone()).or_insert(0) += 1;
-        *by_kind.entry((ev.component, ev.kind)).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    if total == 0 {
-        let _ = writeln!(out, "empty trace (0 events)");
-        return Ok(out);
-    }
-    let span_us = t_max.saturating_sub(t_min);
-    let _ = writeln!(
-        out,
-        "{total} event(s) over {:.3} simulated second(s) (t = {t_min}us .. {t_max}us)",
-        span_us as f64 / 1e6
-    );
-    if span_us > 0 {
-        let _ = writeln!(
-            out,
-            "rate: {:.1} events per simulated second",
-            total as f64 / (span_us as f64 / 1e6)
-        );
-    }
-    let missing = (seq_max + 1).saturating_sub(total);
-    if missing > 0 {
-        let _ = writeln!(
-            out,
-            "WARNING: {missing} seq gap(s) inside the trace (expected contiguous 0..{seq_max})"
-        );
-    }
-    let _ = writeln!(out, "by component:");
-    for (c, n) in &by_component {
-        let _ = writeln!(out, "  {c:<12} {n}");
-    }
-    let _ = writeln!(out, "by kind:");
-    let mut kinds: Vec<(&(String, String), &u64)> = by_kind.iter().collect();
-    kinds.sort_by(|x, y| y.1.cmp(x.1).then_with(|| x.0.cmp(y.0)));
-    for ((c, k), n) in kinds {
-        let _ = writeln!(out, "  {:<28} {n}", format!("{c}/{k}"));
-    }
-    Ok(out)
 }
 
 /// Parses every line of a JSONL trace (blank lines skipped), failing on
@@ -436,13 +370,64 @@ pub fn explain(content: &str, seq: u64) -> Result<String, String> {
     Ok(out)
 }
 
-/// Causal-integrity check: every `cs` must reference an earlier seq that
-/// exists in the trace, every span-bearing event must belong to an
-/// opened span, and span.open/span.close must balance per span id. A
-/// trace whose first seq is not 0 lost its head, which is a violation.
-/// Returns a summary on success and the violation list on failure.
-pub fn check(content: &str) -> Result<String, String> {
-    let evs = parse_trace(content)?;
+/// The census of a parsed trace: totals, sim-time span, event rate, and
+/// per-component / per-kind counts.
+fn census(evs: &[TraceEvent]) -> String {
+    let times = evs.iter().map(|e| e.t.as_micros());
+    let (Some(t_min), Some(t_max)) = (times.clone().min(), times.max()) else {
+        return "empty trace (0 events)\n".to_string();
+    };
+    let mut by_component: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut by_kind: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for ev in evs {
+        *by_component.entry(&ev.component).or_insert(0) += 1;
+        *by_kind.entry((&ev.component, &ev.kind)).or_insert(0) += 1;
+    }
+    let mut out = String::new();
+    let total = evs.len();
+    let span_us = t_max - t_min;
+    let _ = writeln!(
+        out,
+        "{total} event(s) over {:.3} simulated second(s) (t = {t_min}us .. {t_max}us)",
+        span_us as f64 / 1e6
+    );
+    if span_us > 0 {
+        let _ = writeln!(
+            out,
+            "rate: {:.1} events per simulated second",
+            total as f64 / (span_us as f64 / 1e6)
+        );
+    }
+    let _ = writeln!(out, "by component:");
+    for (c, n) in &by_component {
+        let _ = writeln!(out, "  {c:<12} {n}");
+    }
+    let _ = writeln!(out, "by kind:");
+    let mut kinds: Vec<(&(&str, &str), &u64)> = by_kind.iter().collect();
+    kinds.sort_by(|x, y| y.1.cmp(x.1).then_with(|| x.0.cmp(y.0)));
+    for ((c, k), n) in kinds {
+        let _ = writeln!(out, "  {:<28} {n}", format!("{c}/{k}"));
+    }
+    out
+}
+
+/// One parse of a JSONL trace, two results: its [`census`], and the
+/// integrity verdict. The writer numbers events 0.. with no gap, so a
+/// missing seq — at the head or anywhere inside — is a line the file
+/// lost; every `cs` must reference an earlier seq that exists in the
+/// trace, every span-bearing event must belong to an opened span, and
+/// span.open/span.close must balance per span id. The verdict is a
+/// one-line summary, or the violation list. A malformed line fails the
+/// verdict with an empty census.
+pub fn check(content: &str) -> (String, Result<String, String>) {
+    let evs = match parse_trace(content) {
+        Ok(evs) => evs,
+        Err(e) => return (String::new(), Err(e)),
+    };
+    (census(&evs), integrity(&evs))
+}
+
+fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
     if evs.is_empty() {
         return Ok("causal integrity ok: empty trace\n".to_string());
     }
@@ -453,11 +438,23 @@ pub fn check(content: &str) -> Result<String, String> {
             "first seq is {first}, not 0: the trace lost its head"
         ));
     }
+    for (&a, &b) in seqs.iter().zip(seqs.iter().skip(1)) {
+        match b - a {
+            1 => {}
+            2 => problems.push(format!("seq {} is missing: the trace lost a line", a + 1)),
+            n => problems.push(format!(
+                "seqs {} to {} are missing: the trace lost {} lines",
+                a + 1,
+                b - 1,
+                n - 1
+            )),
+        }
+    }
     let mut cause_links = 0u64;
     let mut opened: BTreeMap<u64, u64> = BTreeMap::new(); // span id -> open count
     let mut closed: BTreeMap<u64, u64> = BTreeMap::new();
     let mut span_events = 0u64;
-    for ev in &evs {
+    for ev in evs {
         if let Some(cs) = ev.cause {
             cause_links += 1;
             if cs >= ev.seq {
@@ -517,7 +514,10 @@ pub fn check(content: &str) -> Result<String, String> {
         );
         Ok(out)
     } else {
-        Err(problems.join("\n"))
+        Err(format!(
+            "causal-integrity violation(s):\n{}",
+            problems.join("\n")
+        ))
     }
 }
 
@@ -600,24 +600,30 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_components_and_kinds() {
-        let s = summarize(&sample_trace()).expect("valid trace");
-        assert!(s.contains("3 event(s)"));
-        assert!(s.contains("net          2"));
-        assert!(s.contains("gnutella     1"));
-        assert!(s.contains("net/transfer"));
-        assert!(s.contains("2.000 simulated second(s)"));
+    fn check_census_counts_components_and_kinds() {
+        let (census, verdict) = check(&sample_trace());
+        assert!(census.contains("3 event(s)"));
+        assert!(census.contains("net          2"));
+        assert!(census.contains("gnutella     1"));
+        assert!(census.contains("net/transfer"));
+        assert!(census.contains("2.000 simulated second(s)"));
+        assert!(verdict
+            .expect("sound")
+            .starts_with("causal integrity ok: 3 event(s)"));
     }
 
     #[test]
-    fn summary_rejects_malformed_lines() {
-        let err = summarize("not json\n").expect_err("must fail");
-        assert!(err.starts_with("line 1:"));
+    fn check_rejects_malformed_lines() {
+        let (census, verdict) = check("not json\n");
+        assert_eq!(census, "");
+        assert!(verdict.expect_err("must fail").starts_with("line 1:"));
     }
 
     #[test]
-    fn empty_trace_summarizes() {
-        assert!(summarize("").expect("ok").contains("empty trace"));
+    fn empty_trace_checks() {
+        let (census, verdict) = check("");
+        assert!(census.contains("empty trace"));
+        assert_eq!(verdict.as_deref(), Ok("causal integrity ok: empty trace\n"));
     }
 
     /// A trace with one complete causal chain: fault.epoch (root) →
@@ -766,13 +772,13 @@ mod tests {
     #[test]
     fn check_passes_a_complete_chain_and_catches_violations() {
         let trace = chained_trace();
-        let ok = check(&trace).expect("chain is sound");
+        let ok = check(&trace).1.expect("chain is sound");
         assert!(ok.contains("causal integrity ok"), "{ok}");
         assert!(ok.contains("3 cause link(s)"), "{ok}");
         assert!(ok.contains("1 span(s) balanced"), "{ok}");
         // A forward cause reference must fail.
         let bad = trace.replacen("\"cs\":0", "\"cs\":99", 1);
-        let err = check(&bad).expect_err("forward cause");
+        let err = check(&bad).1.expect_err("forward cause");
         assert!(err.contains("does not precede"), "{err}");
         // Removing the span.close line must fail the balance check.
         let unbalanced: String = trace
@@ -780,37 +786,45 @@ mod tests {
             .filter(|l| !l.contains("span.close"))
             .map(|l| format!("{l}\n"))
             .collect();
-        let err = check(&unbalanced).expect_err("unclosed span");
+        let err = check(&unbalanced).1.expect_err("unclosed span");
         assert!(err.contains("opened but never closed"), "{err}");
+    }
+
+    /// `trace` without the lines whose 0-based index is in `lost`.
+    fn without(trace: &str, lost: &[usize]) -> String {
+        let kept = trace.lines().enumerate().filter(|(i, _)| !lost.contains(i));
+        kept.map(|(_, l)| format!("{l}\n")).collect()
     }
 
     #[test]
     fn check_rejects_a_trace_that_lost_its_head() {
         // Drop the first two lines (fault.epoch root and span.open) and
         // keep seqs intact: no sink produces this, only a damaged file.
-        let headless: String = chained_trace()
-            .lines()
-            .skip(2)
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let err = check(&headless).expect_err("a lost head is a violation");
+        let (census, verdict) = check(&without(&chained_trace(), &[0, 1]));
+        assert!(census.starts_with("3 event(s)"), "{census}");
+        let err = verdict.expect_err("a lost head is a violation");
         assert!(err.contains("first seq is 2, not 0"), "{err}");
     }
 
     #[test]
-    fn summary_flags_seq_gaps() {
+    fn check_rejects_a_trace_that_lost_a_middle_line() {
         let full = chained_trace();
-        assert!(!summarize(&full).expect("ok").contains("WARNING"));
-        let headless: String = full.lines().skip(2).map(|l| format!("{l}\n")).collect();
-        let s = summarize(&headless).expect("ok");
-        assert!(s.contains("WARNING: 2 seq gap(s)"), "{s}");
-        let gappy: String = full
-            .lines()
-            .enumerate()
-            .filter(|(i, _)| *i != 2)
-            .map(|(_, l)| format!("{l}\n"))
-            .collect();
-        let s = summarize(&gappy).expect("ok");
-        assert!(s.contains("WARNING: 1 seq gap(s)"), "{s}");
+        assert!(check(&full).1.is_ok());
+        // The download (seq 3) is nobody's cause and sits inside an open
+        // span: only its seq says the line is gone.
+        let (census, verdict) = check(&without(&full, &[3]));
+        assert!(census.starts_with("4 event(s)"), "{census}");
+        let err = verdict.expect_err("a lost line is a violation");
+        assert!(
+            err.ends_with(":\nseq 3 is missing: the trace lost a line"),
+            "{err}"
+        );
+        let err = check(&without(&full, &[2, 3]))
+            .1
+            .expect_err("two lost lines");
+        assert!(
+            err.contains("seqs 2 to 3 are missing: the trace lost 2 lines"),
+            "{err}"
+        );
     }
 }

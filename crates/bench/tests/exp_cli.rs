@@ -5,6 +5,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use uap_core::experiments::TABLE;
+use uap_sim::trace::registry;
+use uap_sim::{SimTime, TraceLevel, Tracer};
 
 #[expect(
     clippy::expect_used,
@@ -159,6 +161,19 @@ fn unknown_id_exits_2_and_prints_the_table() {
     );
     assert_eq!(exp(&["list", "--bogus"]).status.code(), Some(2));
     assert_eq!(exp(&["doc", "--quick"]).status.code(), Some(2));
+    // `exp trace`: an unknown subcommand, a wrong arity, a non-numeric
+    // seq and any flag are usage errors, caught before a file is read.
+    for args in [
+        ["trace"].as_slice(),
+        &["trace", "summary", "t.jsonl"],
+        &["trace", "check", "a", "b"],
+        &["trace", "diff", "a"],
+        &["trace", "explain", "t.jsonl", "first"],
+        &["trace", "check", "t.jsonl", "--quick"],
+        &["trace", "spans", "--seed", "7", "t.jsonl"],
+    ] {
+        assert_eq!(exp(args).status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]
@@ -209,4 +224,49 @@ fn same_seed_runs_print_the_same_bytes() {
         }
     }
     let _ = std::fs::remove_dir_all(out);
+}
+
+/// `exp trace` over files this test writes: 0 for ok, 1 for a failure
+/// that names the path.
+#[test]
+fn trace_readers_exit_0_or_1_naming_the_failing_file() {
+    let dir = scratch("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut tracer = Tracer::buffered(TraceLevel::Debug);
+    for s in 1..=3 {
+        tracer.emit(SimTime::from_secs(s), registry::NET_TRANSFER, |f| {
+            f.u64("bytes", s);
+        });
+    }
+    let full = tracer.to_jsonl();
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_owned()
+    };
+    let a = write("a.jsonl", full.clone());
+    let b = write("b.jsonl", full.replacen("\"bytes\":3", "\"bytes\":4", 1));
+    let gapped = full.lines().step_by(2).map(|l| format!("{l}\n")).collect();
+    let gapped = write("gapped.jsonl", gapped);
+    let absent = dir.join("absent.jsonl").to_str().unwrap().to_owned();
+    let stdout = |run: &Output| String::from_utf8_lossy(&run.stdout).into_owned();
+    let stderr = |run: &Output| String::from_utf8_lossy(&run.stderr).into_owned();
+
+    assert_eq!(exp(&["trace", "diff", &a, &a]).status.code(), Some(0));
+    assert_eq!(exp(&["trace", "check", &a]).status.code(), Some(0));
+    let differ = exp(&["trace", "diff", &a, &b]);
+    assert_eq!(differ.status.code(), Some(1));
+    assert!(stdout(&differ).starts_with("first divergence at line 3:"));
+    let lost = exp(&["trace", "check", &gapped]);
+    assert_eq!(lost.status.code(), Some(1));
+    assert!(stdout(&lost).starts_with("2 event(s)"), "census first");
+    let why = stderr(&lost);
+    assert!(why.contains(&format!("{gapped}: ")), "{why}");
+    assert!(why.contains("seq 1 is missing"), "{why}");
+    for sub in ["check", "spans"] {
+        let unreadable = exp(&["trace", sub, &absent]);
+        assert_eq!(unreadable.status.code(), Some(1));
+        assert!(stderr(&unreadable).contains(&absent), "{sub}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -86,7 +86,7 @@ pub fn run(p: &Params) -> Outcome {
 
 /// Like [`run`], but threads `tracer` through every sub-run; a
 /// `experiment`/`phase` marker (Info) separates the per-configuration
-/// trace segments so `xtask trace diff` divergence points name the run
+/// trace segments so `exp trace diff` divergence points name the run
 /// they fall in.
 pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     let seed = p.net.seed ^ 0xE4;

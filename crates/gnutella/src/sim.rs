@@ -530,7 +530,7 @@ impl GnutellaSim {
         // transfer time of the (possibly re-sourced) download. Spans in
         // this overlay are synchronous within one event, so the close
         // carries the modeled latency explicitly rather than a sim-time
-        // delta (`xtask trace spans` prefers `dur_us` when present).
+        // delta (`exp trace spans` prefers `dur_us` when present).
         #[expect(
             clippy::cast_possible_truncation,
             reason = "float → int `as` saturates; a download lasts far under 2^64 µs"

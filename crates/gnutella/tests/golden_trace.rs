@@ -2,7 +2,7 @@
 //! byte-identical JSONL trace files. This is a much finer check than
 //! comparing end-of-run reports — any divergence in event order, field
 //! order, or float formatting shows up as a byte difference, and
-//! `xtask trace diff` can then localize the first diverging event.
+//! `exp trace diff` can then localize the first diverging event.
 
 use uap_gnutella::config::GnutellaConfig;
 use uap_gnutella::selection::NeighborSelection;
@@ -23,10 +23,6 @@ fn underlay(n_hosts: usize, seed: u64) -> Underlay {
 
 /// Runs a same-configuration experiment, returning the serialized trace,
 /// the rendered run report, and the underlay route-cache counters.
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: writing to a Vec cannot fail"
-)]
 fn run_once(seed: u64) -> (Vec<u8>, String, (u64, u64)) {
     let cfg = GnutellaConfig {
         selection: NeighborSelection::Random,
@@ -35,10 +31,8 @@ fn run_once(seed: u64) -> (Vec<u8>, String, (u64, u64)) {
     };
     let mut tracer = Tracer::buffered(TraceLevel::Debug);
     let (report, world) = run_experiment_with(underlay(80, 3), cfg, seed, &mut tracer);
-    let mut out = Vec::new();
-    tracer.write_jsonl(&mut out).expect("in-memory write");
     (
-        out,
+        tracer.to_jsonl().into_bytes(),
         format!("{report:?}"),
         world.underlay.route_cache_stats(),
     )

@@ -9,8 +9,8 @@
 //! fixed order, so that
 //!
 //! * two same-seed runs produce byte-identical files, and
-//! * `cargo run -p xtask -- trace diff a.report.json b.report.json` can
-//!   localize a divergence to a single line.
+//! * `exp trace diff a.report.json b.report.json` can localize a
+//!   divergence to a single line.
 //!
 //! The only non-deterministic datum a report may carry is the wall-clock
 //! duration stamped by [`crate::trace::WallTimer`]; it serializes under

@@ -8,8 +8,8 @@
 //! configuration and seed, **two runs of the same experiment with the same
 //! seed must serialize to byte-identical JSONL** — which makes the trace
 //! both a debugging artifact and a far finer-grained determinism check
-//! than comparing end-of-run reports (`cargo run -p xtask -- trace diff`
-//! localizes the *first* diverging event).
+//! than comparing end-of-run reports (`exp trace diff` localizes the
+//! *first* diverging event).
 //!
 //! Design rules:
 //!
@@ -508,16 +508,11 @@ impl Tracer {
         }
         out
     }
-
-    /// Writes the retained events as JSONL.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
-    }
 }
 
 /// Parses one JSONL line produced by [`TraceEvent::to_json`] back into an
 /// event. Returns `Err` with a position-annotated message on malformed
-/// input. `xtask trace` builds its `summary`/`diff` views on this.
+/// input. `exp trace` builds its `check`/`diff` views on this.
 pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
     let mut p = Parser { s: line, i: 0 };
     p.skip_ws();
@@ -728,7 +723,7 @@ impl Parser<'_> {
 /// engine stage timing. Readings
 /// from this timer must never be fed into a [`Tracer`] or into the
 /// determinism-compared sections of a run report — traces and reports
-/// stay byte-identical across runs, and `xtask trace diff` skips
+/// stay byte-identical across runs, and `exp trace diff` skips
 /// `"wall…"` keys precisely so this boundary stays visible but inert.
 /// Clippy bans `Instant::now` workspace-wide (`clippy.toml`), and the
 /// one escape, on [`WallTimer::start`], is allowed only in this file, so

@@ -22,7 +22,9 @@ use std::hint::black_box;
 use underlay_p2p::bittorrent::{run_swarm, SwarmConfig};
 use underlay_p2p::gnutella::{GnutellaConfig, GnutellaSim, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key};
-use underlay_p2p::net::{AsId, FlowAllocator, HostId, NetParams, Underlay};
+use underlay_p2p::net::{
+    AsId, FaultKind, FaultPlan, FaultState, FlowAllocator, HostId, NetParams, Underlay,
+};
 use underlay_p2p::sim::{SimRng, SimTime, Simulator};
 
 /// [`System`], counting the allocations of the calling thread.
@@ -228,5 +230,75 @@ fn kademlia_lookups_allocate_their_result_and_new_contacts() {
     assert!(
         n <= bound,
         "{n} allocations in 1 000 lookups (bound {bound}, {gained} contacts gained)"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn fault_boundaries_allocate_per_repair() {
+    let mut u = underlay(300);
+    // Four overlapping 10 s windows, one every 5 s.
+    let kinds = [
+        FaultKind::LinkDown { links: vec![0, 5] },
+        FaultKind::RandomLinkDown { p: 0.1, salt: 7 },
+        FaultKind::LatencyInflation { factor: 1.5 },
+        FaultKind::TransitDown { p: 0.2, salt: 9 },
+    ];
+    let plan = (0..).zip(kinds).fold(FaultPlan::new(), |plan, (i, kind)| {
+        plan.epoch(
+            SimTime::from_secs(5 * i),
+            SimTime::from_secs(5 * i + 10),
+            kind,
+        )
+    });
+    let plan = plan.compile(&u.graph);
+    // One state per boundary; the last is the fault-free one, so the
+    // cycle closes and every pass repeats the same repairs.
+    let states: Vec<FaultState> = plan
+        .boundaries()
+        .iter()
+        .map(|&t| plan.state_at(t))
+        .collect();
+    let cycle = |u: &mut Underlay| {
+        states.iter().fold((0, 0), |(repairs, dirty), s| {
+            let stats = u.apply_fault_state(s);
+            let repaired = usize::from(stats.changed_links > 0);
+            (repairs + repaired, dirty + stats.dirty_sources)
+        })
+    };
+    let (_, (repairs, dirty)) = allocs_in(|| cycle(&mut u));
+    cycle(&mut u);
+    let (n, ()) = allocs_in(|| {
+        for _ in 0..10 {
+            cycle(&mut u);
+        }
+    });
+    let (epochs, repairs, dirty) = (10 * states.len(), 10 * repairs, 10 * dirty);
+    // Every boundary asks `available_parallelism` for the worker count,
+    // which reads the cgroup CPU quota (`quota` allocations, 4 on the
+    // measuring host). A boundary that changes a link then collects its
+    // row slots, a Vec grown by doubling (at most 4 allocations for 18
+    // rows), and forks one scope with up to five allocations per worker:
+    // its thread handle, result packet and boxed closure, and two for the
+    // output capture it inherits under the test harness. Each row's
+    // Dijkstra buffers are allocated on its worker. On one worker the
+    // rows run here instead: a predecessor vector and at most two heap
+    // growths each. Measured with 2 workers: 970 = 60 × 4 + 50 repairs ×
+    // (2 to 4 + 11); with 1 worker, 2 390.
+    let (quota, workers) =
+        allocs_in(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let rows = if workers > 1 {
+        repairs * (1 + 5 * workers)
+    } else {
+        3 * dirty
+    };
+    let bound = epochs as u64 * quota + (4 * repairs + rows) as u64;
+    assert!(
+        n <= bound,
+        "{n} allocations in {epochs} fault boundaries, {repairs} of them repairs \
+         of {dirty} rows on {workers} worker(s) (bound {bound})"
     );
 }
