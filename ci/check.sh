@@ -22,11 +22,16 @@
 #   3. cargo build --release    — tier-1: release build
 #   4. cargo test               — tier-1: root-package tests
 #   5. cargo test --workspace   — every crate's unit + integration tests
-#   5b. allocation counts       — tests/alloc_count.rs in a release build
-#                                 (debug invariant checkers allocate, so
-#                                 its windows are ignored in debug):
-#                                 per-event paths allocate within their
-#                                 stated bounds. docs/PERFORMANCE.md
+#   5b. release-only tests      — tests/alloc_count.rs (debug invariant
+#                                 checkers allocate, so its windows are
+#                                 ignored in debug): per-event paths
+#                                 allocate within their stated bounds;
+#                                 and crates/net/tests/scale_oracle.rs
+#                                 (about fifty times slower in debug):
+#                                 the route table of the benchmarks'
+#                                 1 055-AS hierarchy equals the
+#                                 heap-ordered reference on every pair.
+#                                 docs/PERFORMANCE.md
 #   6. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
@@ -84,8 +89,9 @@ cargo test -q
 step "cargo test --workspace"
 cargo test --workspace -q
 
-step "allocation counts (release)"
+step "allocation counts and the full-scale routing oracle (release)"
 cargo test --release -q --test alloc_count
+cargo test --release -q -p uap-net --test scale_oracle
 
 step "trace determinism gate (ci/trace_gate.sh)"
 ./ci/trace_gate.sh

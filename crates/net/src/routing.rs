@@ -27,10 +27,16 @@
 //!
 //! ## One way to build
 //!
-//! The unit of construction is the source row: one Dijkstra from one
-//! source AS, summarised (`Routing::row`) — its summaries, its path
-//! segment and its repair-index entries all written where they live. A
-//! fault-epoch repair recomputes the rows of the sources a mask change
+//! The unit of construction is the source row: one level-synchronous
+//! sweep from one source AS over the valley-free state graph, summarised
+//! (`Rows::recompute`) — its summaries, its path segment and its
+//! repair-index entries all written where they live. Every edge adds one
+//! hop, so the sweep visits the states level by level, each level in
+//! `(latency, state)` order: the order in which a Dijkstra keyed by
+//! `(hops, latency, state)` pops them. That heap-ordered Dijkstra is kept
+//! as [`ReferenceRouting`], the sweep's differential oracle.
+//!
+//! A fault-epoch repair recomputes the rows of the sources a mask change
 //! can affect and touches no other row; a full build is the same call on
 //! an empty table with every source dirty. Rows are computed by the one
 //! fork-join in this file (`Routing::rows`): workers own contiguous
@@ -39,10 +45,8 @@
 //! see `docs/PERFORMANCE.md` for the determinism argument and the
 //! parallel-region boundary that keeps scoped threads quarantined here.
 
-use crate::asgraph::{AsGraph, LinkKind};
+use crate::asgraph::{AsGraph, AsLink, LinkKind};
 use crate::ids::AsId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use uap_sim::Fields;
 
 /// Routing policy.
@@ -56,8 +60,210 @@ pub enum RoutingMode {
 
 const INF: u64 = u64::MAX;
 
-/// Per-source Dijkstra result over the 2-phase state graph, as
-/// [`ReferenceRouting`] keeps it.
+/// The state transitions `(from, to)` that `link` enables under `mode`.
+/// State `2·as + phase`: phase 0 may still climb or cross a peering,
+/// phase 1 only descends. The one rule the sweep's [`StateGraph`] and
+/// the heal-candidate test ([`RepairIndex`]) share; a link enables at
+/// most one transition out of any state.
+fn transitions(link: &AsLink, mode: RoutingMode) -> [Option<(usize, usize)>; 3] {
+    let (a, b) = (link.a.idx() * 2, link.b.idx() * 2);
+    match (mode, link.kind) {
+        // Phase 1 is unused in shortest-path mode.
+        (RoutingMode::ShortestPath, _) => [Some((a, b)), Some((b, a)), None],
+        // Climb customer→provider, descend provider→customer.
+        (RoutingMode::ValleyFree, LinkKind::Transit) => {
+            [Some((b, a)), Some((a, b + 1)), Some((a + 1, b + 1))]
+        }
+        // One peering crossing, only from the climb phase.
+        (RoutingMode::ValleyFree, LinkKind::Peering) => [Some((a, b + 1)), Some((b, a + 1)), None],
+    }
+}
+
+/// One edge of the [`StateGraph`].
+#[derive(Clone, Copy)]
+struct Edge {
+    /// The crossed link's latency.
+    latency: u64,
+    /// The state it enters.
+    to: u32,
+    /// The link it crosses.
+    link: u32,
+    /// Whether that link is a transit link.
+    transit: bool,
+}
+
+/// The state graph of one `(graph, mode, mask)` in CSR form: state `s`'s
+/// out-edges are `edges[first[s]..first[s + 1]]`, in the order of its
+/// AS's incident links. Built once per [`Routing::recompute_dirty`] call
+/// into buffers the [`RepairIndex`] keeps, and read by every worker.
+#[derive(Default)]
+struct StateGraph {
+    first: Vec<usize>,
+    edges: Vec<Edge>,
+}
+
+impl StateGraph {
+    #[expect(clippy::indexing_slicing, reason = "li < n_links = mask.len()")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "states are < 2n <= 131 072, twice the u16 AsId width"
+    )]
+    fn rebuild(&mut self, graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) {
+        self.first.clear();
+        self.edges.clear();
+        for x in 0..graph.len() {
+            let incident = graph.incident(AsId::from_index(x));
+            for from in [2 * x, 2 * x + 1] {
+                self.first.push(self.edges.len());
+                for &li in incident {
+                    if mask.is_some_and(|m| m[li as usize]) {
+                        continue;
+                    }
+                    let link = &graph.links[li as usize];
+                    let mut trans = transitions(link, mode).into_iter().flatten();
+                    if let Some((_, to)) = trans.find(|&(u, _)| u == from) {
+                        self.edges.push(Edge {
+                            latency: link.latency_us,
+                            to: to as u32,
+                            link: li,
+                            transit: link.kind == LinkKind::Transit,
+                        });
+                    }
+                }
+            }
+        }
+        self.first.push(self.edges.len());
+    }
+
+    /// State `s`'s out-edges.
+    #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "s < 2n; first holds 2n + 1 ascending offsets into edges"
+    )]
+    fn out(&self, s: usize) -> &[Edge] {
+        &self.edges[self.first[s]..self.first[s + 1]]
+    }
+}
+
+/// One worker's sweep buffers, kept in the [`RepairIndex`] and reused by
+/// every row that worker computes.
+#[derive(Default)]
+struct Scratch {
+    /// Predecessor `(state, link)` of every reached state but the source.
+    pred: Vec<(u32, u32)>,
+    /// Transit links on the path to every reached state.
+    transit: Vec<u32>,
+    /// The level being visited, as `(latency, state)`.
+    level: Vec<(u64, u32)>,
+    /// The level it collects.
+    next: Vec<(u64, u32)>,
+}
+
+impl Scratch {
+    /// One source's sweep over `states`: fills the per-state
+    /// `(hops, latency)` costs (`hops == u32::MAX` means unreachable) and
+    /// the predecessors and transit counts of the reached states.
+    ///
+    /// Every edge adds one hop, so level `h + 1` is exactly the set of
+    /// states first reached from level `h`, and its costs are final once
+    /// level `h` is visited. Visiting each level in `(latency, state)`
+    /// order with strict-`<` relaxation is the order in which a Dijkstra
+    /// keyed by `(hops, latency, state)` pops its valid entries, so costs,
+    /// predecessors and tie-breaks are the heap's ([`ReferenceRouting`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "src and edge targets are states < 2n = hops.len() = pred.len()"
+    )]
+    fn sweep(&mut self, states: &StateGraph, src: usize, hops: &mut [u32], latency: &mut [u64]) {
+        hops.fill(u32::MAX);
+        latency.fill(INF);
+        self.pred.resize(hops.len(), (0, 0));
+        self.transit.resize(hops.len(), 0);
+        hops[src] = 0;
+        latency[src] = 0;
+        self.transit[src] = 0;
+        self.level.clear();
+        #[expect(clippy::cast_possible_truncation, reason = "src < 2n <= 131 072")]
+        self.level.push((0, src as u32));
+        let mut h = 0;
+        while !self.level.is_empty() {
+            // A state's latency may have fallen since it was collected.
+            for (lat, s) in &mut self.level {
+                *lat = latency[*s as usize];
+            }
+            self.level.sort_unstable();
+            self.next.clear();
+            h += 1;
+            for &(lat, s) in &self.level {
+                let transit = self.transit[s as usize];
+                for e in states.out(s as usize) {
+                    let (t, lat) = (e.to as usize, lat + e.latency);
+                    if hops[t] == u32::MAX {
+                        hops[t] = h;
+                        self.next.push((lat, e.to));
+                    } else if hops[t] != h || lat >= latency[t] {
+                        continue;
+                    }
+                    latency[t] = lat;
+                    self.pred[t] = (s, e.link);
+                    self.transit[t] = transit + u32::from(e.transit);
+                }
+            }
+            std::mem::swap(&mut self.level, &mut self.next);
+        }
+    }
+
+    /// Reduces one destination's states to a [`RouteSummary`], writing
+    /// its path back to front into `paths` at `*off`, which it advances.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "states < 2n; the row's paths fit `paths`"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a row holds at most n·(n−1) link ids (< 2^32 for n <= 65 536, the u16 AsId \
+                  width)"
+    )]
+    fn summarize(
+        &self,
+        hops: &[u32],
+        latency: &[u64],
+        dst: usize,
+        paths: &mut [u32],
+        off: &mut usize,
+    ) -> RouteSummary {
+        let s0 = dst * 2;
+        let s1 = s0 + 1;
+        let c0 = (hops[s0], latency[s0]);
+        let c1 = (hops[s1], latency[s1]);
+        if c0.0 == u32::MAX && c1.0 == u32::MAX {
+            return UNREACHABLE;
+        }
+        let (mut s, (hops, latency_us)) = if c0 <= c1 { (s0, c0) } else { (s1, c1) };
+        let path_off = *off;
+        *off += hops as usize;
+        let transit_links = self.transit[s];
+        for link in paths[path_off..*off].iter_mut().rev() {
+            let (prev, li) = self.pred[s];
+            *link = li;
+            s = prev as usize;
+        }
+        RouteSummary {
+            hops,
+            latency_us,
+            transit_links,
+            // A min-hop path never revisits an AS (phase 0 may take every
+            // step phase 1 may), so a row holds at most n·(n−1) link ids.
+            path_off: path_off as u32,
+            path_len: hops,
+        }
+    }
+}
+
+/// Per-source heap-ordered Dijkstra result over the 2-phase state graph:
+/// the search the production sweep replaced, kept by [`ReferenceRouting`]
+/// as its oracle.
 struct SrcTable {
     /// `(hops, latency_us)` per state; `hops == u32::MAX` means unreachable.
     hops: Vec<u32>,
@@ -121,7 +327,7 @@ impl RepairStats {
 }
 
 /// Per-source bookkeeping that makes fault-epoch routing repairs
-/// incremental: the final per-state Dijkstra costs of every source and
+/// incremental: the final per-state costs of every source's sweep and
 /// the set of links each source's predecessor tree uses.
 ///
 /// Built by [`Routing::compute_indexed`] alongside the table and updated
@@ -131,10 +337,13 @@ impl RepairStats {
 ///
 /// * **Link removed** (masked): a source's row can only change if its
 ///   shortest-path tree uses the link — exact, via the tree-link sets.
-///   (Non-tree links never carry a final predecessor, and with
-///   strict-improvement relaxation the tree edge is always the
-///   earliest-popping final-cost candidate, so deleting a non-tree link
-///   leaves the row byte-identical.)
+///   (A state's predecessor is the first edge, in its level's
+///   `(latency, state)` visiting order, to offer the final cost;
+///   strict-`<` relaxation keeps it against every later equal offer. A
+///   non-tree link is never that edge, so deleting it removes only
+///   offers that lost: by induction over levels, every level's states,
+///   costs, order and predecessors stay as they were, and the row is
+///   byte-identical.)
 /// * **Link restored** (unmasked): the tree rule cannot apply (a masked
 ///   link is in no tree), so the per-state candidate test marks a source
 ///   dirty when the link could offer a path at most as costly as the
@@ -148,8 +357,9 @@ impl RepairStats {
 ///   cost, so unmarked rows stay byte-identical even when several links
 ///   come back in the same epoch.
 ///
-/// Scratch buffers (`dirty`, `dirty_list`) are struct-owned and reused
-/// across repairs per the allocation discipline.
+/// Scratch buffers (`dirty`, `dirty_list`, the state graph and the
+/// per-worker sweep buffers) are struct-owned and reused across repairs,
+/// so a repair allocates only for its fork.
 pub struct RepairIndex {
     n: usize,
     n_links: usize,
@@ -166,6 +376,10 @@ pub struct RepairIndex {
     dirty: Vec<u64>,
     /// Scratch: sorted dirty-source list of the most recent repair.
     dirty_list: Vec<u32>,
+    /// Scratch: the state graph of the recompute in progress.
+    states: StateGraph,
+    /// Scratch: one sweep buffer set per worker.
+    scratch: Vec<Scratch>,
 }
 
 impl RepairIndex {
@@ -182,6 +396,8 @@ impl RepairIndex {
             tree_links: vec![0; n * words],
             dirty: vec![0; n.div_ceil(64)],
             dirty_list: Vec::new(),
+            states: StateGraph::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -227,38 +443,15 @@ impl RepairIndex {
     #[expect(clippy::indexing_slicing, reason = "li < n_links; states < 2n; s < n")]
     fn mark_link_up_candidates(&mut self, graph: &AsGraph, mode: RoutingMode, li: usize) {
         let link = &graph.links[li];
-        let (a, b) = (link.a.idx() * 2, link.b.idx() * 2);
         let w = link.latency_us;
-        // The state transitions this link enables (see `dijkstra`).
-        let mut trans = [(0usize, 0usize); 3];
-        let trans = match mode {
-            RoutingMode::ShortestPath => {
-                trans[0] = (a, b);
-                trans[1] = (b, a);
-                &trans[..2]
-            }
-            RoutingMode::ValleyFree => match link.kind {
-                LinkKind::Transit => {
-                    // Climb customer→provider, descend provider→customer.
-                    trans[0] = (b, a);
-                    trans[1] = (a, b + 1);
-                    trans[2] = (a + 1, b + 1);
-                    &trans[..3]
-                }
-                LinkKind::Peering => {
-                    trans[0] = (a, b + 1);
-                    trans[1] = (b, a + 1);
-                    &trans[..2]
-                }
-            },
-        };
+        let trans = transitions(link, mode);
         let ns = self.n * 2;
         for s in 0..self.n {
             if self.is_dirty(s) {
                 continue;
             }
             let base = s * ns;
-            for &(u, v) in trans {
+            for &(u, v) in trans.iter().flatten() {
                 let hu = self.hops[base + u];
                 if hu == u32::MAX {
                     continue;
@@ -282,15 +475,83 @@ impl PartialEq for RepairIndex {
     }
 }
 
-/// One source's place in the table and the index, lent to the worker
-/// that recomputes it: a row is written where it lives.
-struct Slot<'a> {
-    src: usize,
+/// Consecutive source rows of the table and the index, from source
+/// `base` on, lent to the worker that recomputes the dirty ones among
+/// them: a row is written where it lives.
+struct Rows<'a> {
+    base: usize,
+    n: usize,
+    words: usize,
     summaries: &'a mut [RouteSummary],
-    paths: &'a mut Vec<u32>,
+    paths: &'a mut [Vec<u32>],
     hops: &'a mut [u32],
     latency: &'a mut [u64],
     tree_links: &'a mut [u64],
+}
+
+/// Splits the first `at` elements off `rows`, keeping the rest there.
+fn split_front<'a, T>(rows: &mut &'a mut [T], at: usize) -> &'a mut [T] {
+    let (front, rest) = std::mem::take(rows).split_at_mut(at);
+    *rows = rest;
+    front
+}
+
+impl<'a> Rows<'a> {
+    /// Splits off the rows before source `end` (`base <= end <= n`),
+    /// keeping the rest.
+    fn split_until(&mut self, end: usize) -> Rows<'a> {
+        let (k, n, words) = (end - self.base, self.n, self.words);
+        let front = Rows {
+            base: self.base,
+            n,
+            words,
+            summaries: split_front(&mut self.summaries, k * n),
+            paths: split_front(&mut self.paths, k),
+            hops: split_front(&mut self.hops, k * 2 * n),
+            latency: split_front(&mut self.latency, k * 2 * n),
+            tree_links: split_front(&mut self.tree_links, k * words),
+        };
+        self.base = end;
+        front
+    }
+
+    /// Recomputes source `src`'s row (`src` is one of these rows) in
+    /// place: the sweep, then every destination's summary and path, then
+    /// the tree links.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "src − base < the rows lent; tree_links has n_links bits"
+    )]
+    fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
+        let (r, n, ns, words) = (src - self.base, self.n, 2 * self.n, self.words);
+        let hops = &mut self.hops[r * ns..(r + 1) * ns];
+        let latency = &mut self.latency[r * ns..(r + 1) * ns];
+        scratch.sweep(states, src * 2, hops, latency);
+        // A destination's path is as long as the cheaper of its two
+        // states' hop counts, so the segment is sized before it is filled.
+        let links = hops
+            .chunks_exact(2)
+            .filter_map(|states| states.iter().min())
+            .filter(|&&hops| hops != u32::MAX)
+            .map(|&hops| hops as usize)
+            .sum();
+        let paths = &mut self.paths[r];
+        paths.clear();
+        paths.reserve_exact(links);
+        paths.resize(links, 0);
+        let mut off = 0;
+        for (dst, out) in self.summaries[r * n..(r + 1) * n].iter_mut().enumerate() {
+            *out = scratch.summarize(hops, latency, dst, paths, &mut off);
+        }
+        let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
+        tree_links.fill(0);
+        // Every reached state but the source has a predecessor link.
+        for (&h, &(_, li)) in hops.iter().zip(&scratch.pred) {
+            if h != 0 && h != u32::MAX {
+                tree_links[li as usize / 64] |= 1 << (li % 64);
+            }
+        }
+    }
 }
 
 /// All-pairs routing with precomputed per-pair summaries and paths.
@@ -433,8 +694,8 @@ impl Routing {
     }
 
     /// Recomputes the rows of `index.dirty_list` under `mask`, each written
-    /// in place by the worker that is lent its slot; no other row is read
-    /// or moved.
+    /// in place by the worker that is lent it; no other row is read or
+    /// moved.
     fn recompute_dirty(
         &mut self,
         index: &mut RepairIndex,
@@ -442,207 +703,89 @@ impl Routing {
         mask: Option<&[bool]>,
         threads: usize,
     ) {
-        // Row widths; a chunk width may not be zero, even over no rows.
-        let (n, ns) = (self.n.max(1), self.n.max(1) * 2);
-        let mut dirty = index.dirty_list.iter().peekable();
-        let slots: Vec<Slot> = self
-            .summaries
-            .chunks_exact_mut(n)
-            .zip(&mut self.paths)
-            .zip(index.hops.chunks_exact_mut(ns))
-            .zip(index.latency.chunks_exact_mut(ns))
-            .zip(index.tree_links.chunks_exact_mut(index.words))
-            .enumerate()
-            .filter(|&(s, _)| dirty.next_if(|&&d| d as usize == s).is_some())
-            .map(
-                |(src, ((((summaries, paths), hops), latency), tree_links))| Slot {
-                    src,
-                    summaries,
-                    paths,
-                    hops,
-                    latency,
-                    tree_links,
-                },
-            )
-            .collect();
-        Self::rows(graph, self.mode, mask, slots, threads);
+        let RepairIndex {
+            n,
+            words,
+            hops,
+            latency,
+            tree_links,
+            dirty_list,
+            states,
+            scratch,
+            ..
+        } = index;
+        if dirty_list.is_empty() {
+            return;
+        }
+        states.rebuild(graph, self.mode, mask);
+        let per = dirty_list.len().div_ceil(threads.max(1));
+        let workers = dirty_list.len().div_ceil(per);
+        if scratch.len() < workers {
+            scratch.resize_with(workers, Scratch::default);
+        }
+        let rows = Rows {
+            base: 0,
+            n: *n,
+            words: *words,
+            summaries: &mut self.summaries,
+            paths: &mut self.paths,
+            hops,
+            latency,
+            tree_links,
+        };
+        Self::rows(states, dirty_list, rows, scratch, per);
     }
 
-    /// The one fork-join: [`Routing::row`] run on every slot (ascending by
-    /// source), fanned over contiguous ranges of the list. Each worker
-    /// writes only the rows its slots lend it, so the result is
-    /// independent of scheduling and of `threads`.
+    /// The one fork-join: [`Rows::recompute`] run on every dirty source
+    /// (ascending), fanned over contiguous ranges of `per` sources, each
+    /// with its own scratch. Each worker writes only the rows split off
+    /// for it, so the result is independent of scheduling and of the
+    /// worker count. The calling thread takes the last range: taking the
+    /// first measured `underlay_scale`'s peak RSS 4 MB higher in about
+    /// half the runs.
     #[expect(
         clippy::disallowed_methods,
         reason = "parallel region: workers own disjoint contiguous ranges of the sorted source \
-                  list and write each row in place through `&mut` slots split off before the \
-                  fork; the scope joins them all, so rows are byte-identical for any thread \
-                  count (oracle: parallel_build_is_byte_identical_to_serial)"
+                  list and write each row in place through `&mut` rows split off before they \
+                  are spawned; the scope joins them all, so rows are byte-identical for any \
+                  thread count (oracle: parallel_build_is_byte_identical_to_serial)"
     )]
     fn rows(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        mask: Option<&[bool]>,
-        mut slots: Vec<Slot>,
-        threads: usize,
+        states: &StateGraph,
+        dirty: &[u32],
+        mut rest: Rows,
+        scratch: &mut [Scratch],
+        per: usize,
     ) {
-        let row = |slot: &mut Slot| Self::row(graph, mode, mask, slot);
-        let per = slots.len().div_ceil(threads.max(1)).max(1);
-        if per >= slots.len() {
-            return slots.iter_mut().for_each(row);
+        let n = rest.n;
+        let mut jobs =
+            (1..)
+                .zip(dirty.chunks(per))
+                .zip(scratch)
+                .map(|((next, sources), scratch)| {
+                    let end = dirty.get(next * per).map_or(n, |&s| s as usize);
+                    let mut rows = rest.split_until(end);
+                    move || {
+                        for &s in sources {
+                            rows.recompute(s as usize, states, scratch);
+                        }
+                    }
+                });
+        let spawned = dirty.len().div_ceil(per) - 1;
+        if spawned == 0 {
+            return jobs.for_each(|mut job| job());
         }
         std::thread::scope(|sc| {
-            for range in slots.chunks_mut(per) {
-                sc.spawn(move || range.iter_mut().for_each(row));
+            for job in jobs.by_ref().take(spawned) {
+                sc.spawn(job);
             }
+            jobs.for_each(|mut job| job());
         });
-    }
-
-    /// Recomputes one source's row into its slot.
-    #[expect(clippy::indexing_slicing, reason = "tree_links has n_links bits")]
-    fn row(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>, slot: &mut Slot) {
-        let src = AsId::from_index(slot.src);
-        let pred = Self::dijkstra(graph, mode, src, mask, slot.hops, slot.latency);
-        // A destination's path is as long as the cheaper of its two
-        // states' hop counts, so the segment is sized before it is filled.
-        let links = slot
-            .hops
-            .chunks_exact(2)
-            .filter_map(|states| states.iter().min())
-            .filter(|&&hops| hops != u32::MAX)
-            .map(|&hops| hops as usize)
-            .sum();
-        slot.paths.clear();
-        slot.paths.reserve_exact(links);
-        for (dst, out) in slot.summaries.iter_mut().enumerate() {
-            *out = Self::summarize(graph, slot.hops, slot.latency, &pred, dst, slot.paths);
-        }
-        slot.tree_links.fill(0);
-        for &(_, li) in pred.iter().flatten() {
-            slot.tree_links[li as usize / 64] |= 1 << (li % 64);
-        }
-    }
-
-    /// Reduces one destination's Dijkstra states to a [`RouteSummary`],
-    /// appending its path to `paths`, the source's segment.
-    #[expect(clippy::indexing_slicing, reason = "states < 2n = hops.len()")]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a path visits < 2n states, and a row holds at most n·(n−1) link ids \
-                  (< 2^32 for n <= 65 536, the u16 AsId width)"
-    )]
-    fn summarize(
-        graph: &AsGraph,
-        hops: &[u32],
-        latency: &[u64],
-        pred: &[Option<(u32, u32)>],
-        dst: usize,
-        paths: &mut Vec<u32>,
-    ) -> RouteSummary {
-        let s0 = dst * 2;
-        let s1 = s0 + 1;
-        let c0 = (hops[s0], latency[s0]);
-        let c1 = (hops[s1], latency[s1]);
-        if c0.0 == u32::MAX && c1.0 == u32::MAX {
-            return UNREACHABLE;
-        }
-        let mut s = if c0 <= c1 { s0 } else { s1 };
-        let (hops, latency_us) = if c0 <= c1 { c0 } else { c1 };
-        let path_off = paths.len();
-        while let Some((prev, li)) = pred[s] {
-            paths.push(li);
-            s = prev as usize;
-        }
-        paths[path_off..].reverse();
-        let transit_links = paths[path_off..]
-            .iter()
-            .filter(|&&li| graph.links[li as usize].kind == LinkKind::Transit)
-            .count() as u32;
-        RouteSummary {
-            hops,
-            latency_us,
-            transit_links,
-            // A min-hop path never revisits an AS (phase 0 may take every
-            // step phase 1 may), so a row holds at most n·(n−1) link ids.
-            path_off: path_off as u32,
-            path_len: (paths.len() - path_off) as u32,
-        }
     }
 
     /// The routing mode in effect.
     pub fn mode(&self) -> RoutingMode {
         self.mode
-    }
-
-    /// One source's Dijkstra over the 2-phase state graph: fills the
-    /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
-    /// unreachable) and returns the predecessor `(state, link)` per state.
-    #[expect(clippy::indexing_slicing, reason = "states < 2n; link ids < n_links")]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "state indices are < 2n, so s/2 < n <= 65 536, the u16 AsId width"
-    )]
-    fn dijkstra(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        src: AsId,
-        mask: Option<&[bool]>,
-        hops: &mut [u32],
-        latency: &mut [u64],
-    ) -> Vec<Option<(u32, u32)>> {
-        // State encoding: as_idx * 2 + phase. Phase 0: the valley-free
-        // prefix (may still climb); phase 1: committed to descending.
-        hops.fill(u32::MAX);
-        latency.fill(INF);
-        let mut pred = vec![None; hops.len()];
-        let start = src.idx() * 2;
-        hops[start] = 0;
-        latency[start] = 0;
-        let mut heap: BinaryHeap<Reverse<(u32, u64, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((0, 0, start as u32)));
-        while let Some(Reverse((h, lat, s))) = heap.pop() {
-            let s = s as usize;
-            if (h, lat) != (hops[s], latency[s]) {
-                continue; // stale entry
-            }
-            let x = AsId((s / 2) as u16);
-            let phase = s % 2;
-            for &li in graph.incident(x) {
-                if let Some(m) = mask {
-                    if m[li as usize] {
-                        continue;
-                    }
-                }
-                let link = &graph.links[li as usize];
-                #[expect(clippy::expect_used, reason = "graph.incident(x) lists links at x")]
-                let y = link.other(x).expect("incident link");
-                let next_phase = match mode {
-                    RoutingMode::ShortestPath => 0,
-                    RoutingMode::ValleyFree => match (phase, link.kind) {
-                        // Climbing: x must be the customer (link.b).
-                        (0, LinkKind::Transit) if link.b == x => 0,
-                        // Descending: x is the provider (link.a).
-                        (_, LinkKind::Transit) if link.a == x => 1,
-                        // One peering crossing, only from the climb phase.
-                        (0, LinkKind::Peering) => 1,
-                        _ => continue,
-                    },
-                };
-                if mode == RoutingMode::ShortestPath && phase == 1 {
-                    continue; // phase 1 unused in shortest-path mode
-                }
-                let t = y.idx() * 2 + next_phase;
-                let nh = h + 1;
-                let nlat = lat + link.latency_us;
-                if (nh, nlat) < (hops[t], latency[t]) {
-                    hops[t] = nh;
-                    latency[t] = nlat;
-                    pred[t] = Some((s as u32, li));
-                    heap.push(Reverse((nh, nlat, t as u32)));
-                }
-            }
-        }
-        pred
     }
 
     /// The precomputed summary for `(src, dst)`: hops, latency and transit
@@ -724,11 +867,14 @@ impl Routing {
     }
 }
 
-/// The pre-table per-query implementation, retained as the differential
-/// reference: it answers every query by probing the raw Dijkstra state
-/// tables and walking predecessor links, exactly as the production code
-/// did before the flat table existed. Tests assert [`Routing`] agrees
-/// with it on hops, latency, paths and reachability for every pair.
+/// The differential oracle: the heap-ordered Dijkstra the level sweep
+/// replaced, one [`SrcTable`] per source, and the pre-table per-query
+/// answers over it — every query probes the raw state tables and walks
+/// predecessor links, exactly as the production code did before the flat
+/// table existed. Its transition rules are its own `match`, not the
+/// production [`transitions`], so the two searches stay independent.
+/// Tests assert [`Routing`] agrees with it on hops, latency, paths,
+/// transit counts and reachability for every pair.
 pub struct ReferenceRouting {
     n: usize,
     tables: Vec<SrcTable>,
@@ -739,18 +885,79 @@ impl ReferenceRouting {
     pub fn compute(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> ReferenceRouting {
         let n = graph.len();
         let tables = (0..n)
-            .map(|src| {
-                let (mut hops, mut latency) = (vec![0; 2 * n], vec![0; 2 * n]);
-                let src = AsId::from_index(src);
-                let pred = Routing::dijkstra(graph, mode, src, mask, &mut hops, &mut latency);
-                SrcTable {
-                    hops,
-                    latency,
-                    pred,
-                }
-            })
+            .map(|src| Self::dijkstra(graph, mode, AsId::from_index(src), mask))
             .collect();
         ReferenceRouting { n, tables }
+    }
+
+    /// One source's Dijkstra over the 2-phase state graph, its heap
+    /// ordered by `(hops, latency, state)`.
+    #[expect(clippy::indexing_slicing, reason = "states < 2n; link ids < n_links")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "state indices are < 2n, so s/2 < n <= 65 536, the u16 AsId width"
+    )]
+    fn dijkstra(graph: &AsGraph, mode: RoutingMode, src: AsId, mask: Option<&[bool]>) -> SrcTable {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // State encoding: as_idx * 2 + phase. Phase 0: the valley-free
+        // prefix (may still climb); phase 1: committed to descending.
+        let ns = graph.len() * 2;
+        let mut hops = vec![u32::MAX; ns];
+        let mut latency = vec![INF; ns];
+        let mut pred = vec![None; ns];
+        let start = src.idx() * 2;
+        hops[start] = 0;
+        latency[start] = 0;
+        let mut heap: BinaryHeap<Reverse<(u32, u64, u32)>> = BinaryHeap::new();
+        heap.push(Reverse((0, 0, start as u32)));
+        while let Some(Reverse((h, lat, s))) = heap.pop() {
+            let s = s as usize;
+            if (h, lat) != (hops[s], latency[s]) {
+                continue; // stale entry
+            }
+            let x = AsId((s / 2) as u16);
+            let phase = s % 2;
+            for &li in graph.incident(x) {
+                if let Some(m) = mask {
+                    if m[li as usize] {
+                        continue;
+                    }
+                }
+                let link = &graph.links[li as usize];
+                #[expect(clippy::expect_used, reason = "graph.incident(x) lists links at x")]
+                let y = link.other(x).expect("incident link");
+                let next_phase = match mode {
+                    RoutingMode::ShortestPath => 0,
+                    RoutingMode::ValleyFree => match (phase, link.kind) {
+                        // Climbing: x must be the customer (link.b).
+                        (0, LinkKind::Transit) if link.b == x => 0,
+                        // Descending: x is the provider (link.a).
+                        (_, LinkKind::Transit) if link.a == x => 1,
+                        // One peering crossing, only from the climb phase.
+                        (0, LinkKind::Peering) => 1,
+                        _ => continue,
+                    },
+                };
+                if mode == RoutingMode::ShortestPath && phase == 1 {
+                    continue; // phase 1 unused in shortest-path mode
+                }
+                let t = y.idx() * 2 + next_phase;
+                let nh = h + 1;
+                let nlat = lat + link.latency_us;
+                if (nh, nlat) < (hops[t], latency[t]) {
+                    hops[t] = nh;
+                    latency[t] = nlat;
+                    pred[t] = Some((s as u32, li));
+                    heap.push(Reverse((nh, nlat, t as u32)));
+                }
+            }
+        }
+        SrcTable {
+            hops,
+            latency,
+            pred,
+        }
     }
 
     /// The source's table and the cheaper of `dst`'s two states in it.
@@ -791,6 +998,18 @@ impl ReferenceRouting {
         }
         links.reverse();
         Some(links)
+    }
+
+    /// Transit links on the chosen path, counted from its links.
+    pub fn transit_links(&self, graph: &AsGraph, src: AsId, dst: AsId) -> Option<u32> {
+        let links = self.path_links(src, dst)?;
+        let transit = links.iter().filter(|&&li| {
+            graph
+                .links
+                .get(li as usize)
+                .is_some_and(|l| l.kind == LinkKind::Transit)
+        });
+        u32::try_from(transit.count()).ok()
     }
 }
 

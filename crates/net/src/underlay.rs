@@ -208,6 +208,9 @@ pub struct Underlay {
     repair_sources_recomputed: u64,
     repair_sources_total: u64,
     repair_full_fallbacks: u64,
+    /// Worker count for routing builds and repairs, read once at build:
+    /// asking the OS per fault boundary allocates.
+    workers: usize,
 }
 
 impl Underlay {
@@ -218,7 +221,9 @@ impl Underlay {
         config: UnderlayConfig,
         rng: &mut SimRng,
     ) -> Underlay {
-        let (routing, repair_index) = Routing::compute_indexed(&graph, config.routing, None);
+        let workers = workers();
+        let (routing, repair_index) =
+            Routing::compute_indexed_threads(&graph, config.routing, None, workers);
         let hosts = HostPopulation::build(&graph, pop, rng);
         let traffic = TrafficAccounting::new(&graph);
         let route_cache = RouteCache::build(&routing, graph.len(), 1.0);
@@ -237,6 +242,7 @@ impl Underlay {
             repair_sources_recomputed: 0,
             repair_sources_total: 0,
             repair_full_fallbacks: 0,
+            workers,
         }
     }
 
@@ -268,7 +274,7 @@ impl Underlay {
             &self.graph,
             Some(&self.active_mask),
             state.mask.as_deref(),
-            workers(),
+            self.workers,
         );
         match state.mask.as_deref() {
             Some(m) => self.active_mask.copy_from_slice(m),
@@ -425,7 +431,7 @@ impl Underlay {
     /// `net.routing.sources_recomputed` / `net.routing.sources_total` /
     /// `net.routing.repair_full_fallbacks` absolute values. Opt-in, like
     /// [`Underlay::export_route_cache_metrics`]; the recomputed/total
-    /// ratio is the fraction of per-source Dijkstra work fault epochs
+    /// ratio is the fraction of per-source routing work fault epochs
     /// actually paid versus full rebuilds.
     pub fn export_repair_metrics(&self, metrics: &mut Metrics) {
         metrics.set_counter(

@@ -129,6 +129,43 @@ fn flow_slack(cap: f64) -> f64 {
     cap * 1e-9 + 1.0
 }
 
+/// `table` answers every ordered pair's hops, latency, path and transit
+/// count exactly as the heap-ordered reference does.
+fn assert_matches_reference(
+    g: &uap_net::AsGraph,
+    table: &Routing,
+    refr: &ReferenceRouting,
+) -> Result<(), String> {
+    for a in 0..g.len() {
+        for b in 0..g.len() {
+            let (a, b) = (AsId::from_index(a), AsId::from_index(b));
+            prop_assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "hops {}->{}", a, b);
+            prop_assert_eq!(
+                table.latency_us(a, b),
+                refr.latency_us(a, b),
+                "latency {}->{}",
+                a,
+                b
+            );
+            prop_assert_eq!(
+                table.path_links(a, b).map(<[u32]>::to_vec),
+                refr.path_links(a, b),
+                "path {}->{}",
+                a,
+                b
+            );
+            prop_assert_eq!(
+                table.route(a, b).map(|r| r.transit_links),
+                refr.transit_links(g, a, b),
+                "transit links {}->{}",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -253,30 +290,21 @@ proptest! {
     }
 
     /// The precomputed route table answers every query — hops, latency,
-    /// path and reachability — identically to the retained per-query
-    /// reference implementation (raw Dijkstra-table probing).
+    /// path, transit count and reachability — identically to the retained
+    /// per-query reference implementation (raw Dijkstra-table probing).
     #[test]
     fn table_answers_match_reference(seed in any::<u64>(), t1 in 1usize..3, t2 in 1usize..4, t3 in 1usize..4) {
         let g = random_hierarchy(seed, t1, t2, t3);
         for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
             let table = Routing::compute(&g, mode);
             let refr = ReferenceRouting::compute(&g, mode, None);
-            let mut ref_reachable = 0usize;
-            for a in 0..g.len() {
-                for b in 0..g.len() {
-                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
-                    prop_assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "hops {}->{}", a, b);
-                    prop_assert_eq!(table.latency_us(a, b), refr.latency_us(a, b), "latency {}->{}", a, b);
-                    prop_assert_eq!(
-                        table.path_links(a, b).map(<[u32]>::to_vec),
-                        refr.path_links(a, b),
-                        "path {}->{}", a, b
-                    );
-                    if a != b && refr.as_hops(a, b).is_some() {
-                        ref_reachable += 1;
-                    }
-                }
-            }
+            assert_matches_reference(&g, &table, &refr)?;
+            let ref_reachable = (0..g.len())
+                .flat_map(|a| (0..g.len()).map(move |b| (a, b)))
+                .filter(|&(a, b)| {
+                    a != b && refr.as_hops(AsId::from_index(a), AsId::from_index(b)).is_some()
+                })
+                .count();
             let n = g.len();
             let expected = if n <= 1 {
                 1.0
@@ -313,7 +341,8 @@ proptest! {
     /// stays byte-identical to a from-scratch masked build, table and
     /// repair index (an index that drifted would only show epochs later,
     /// as a dirty source missed), and agrees with the pre-table reference
-    /// implementation at every step.
+    /// implementation on every pair's hops, latency, path and transit
+    /// count at every step.
     #[test]
     fn repair_chain_matches_full_rebuild_and_reference(
         seed in any::<u64>(),
@@ -340,14 +369,46 @@ proptest! {
             prop_assert!(r == full, "repair diverged at step {} ({:?})", step, stats);
             prop_assert!(idx == fresh, "repair index diverged at step {} ({:?})", step, stats);
             let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
-            for a in 0..g.len() {
-                for b in 0..g.len() {
-                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
-                    prop_assert_eq!(r.as_hops(a, b), refr.as_hops(a, b));
-                    prop_assert_eq!(r.latency_us(a, b), refr.latency_us(a, b));
-                }
-            }
+            assert_matches_reference(&g, &r, &refr)?;
             prev = Some(mask);
+        }
+    }
+
+    /// Equal latencies leave the tie-break by state index to decide most
+    /// paths, which the generator's distinct latencies hide (a sweep that
+    /// visits a level in the wrong order passes every test above). With
+    /// every link at one latency, or each at 1 or 2 ms, in both modes: the
+    /// full build under a random mask, and repairs through a chain of
+    /// random masks back to none, match the heap-ordered reference on
+    /// every pair, and each repair matches the rebuild, index included.
+    #[test]
+    fn tie_heavy_tables_match_reference_and_rebuild(
+        seed in any::<u64>(),
+        salt in any::<u64>(),
+        shape in (1usize..4, 1usize..4, 1usize..5),
+        two_latencies in any::<bool>(),
+        p in 0.0f64..0.3,
+        threads in 1usize..4,
+    ) {
+        let mut g = random_hierarchy(seed, shape.0, shape.1, shape.2);
+        let mut rng = SimRng::new(salt);
+        for link in &mut g.links {
+            link.latency_us = if two_latencies && rng.f64() < 0.5 { 2_000 } else { 1_000 };
+        }
+        let masks: Vec<Vec<bool>> = (0..3)
+            .map(|step| (0..g.links.len()).map(|_| step < 2 && rng.f64() < p).collect())
+            .collect();
+        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+            let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, threads);
+            let mut prev: Option<&[bool]> = None;
+            for mask in &masks {
+                let (full, fresh) = Routing::compute_indexed_threads(&g, mode, Some(mask), threads);
+                assert_matches_reference(&g, &full, &ReferenceRouting::compute(&g, mode, Some(mask)))?;
+                let stats = r.repair_with_mask(&mut idx, &g, prev, Some(mask), threads);
+                prop_assert!(r == full, "{:?} repair diverged ({:?})", mode, stats);
+                prop_assert!(idx == fresh, "{:?} repair index diverged ({:?})", mode, stats);
+                prev = Some(mask);
+            }
         }
     }
 

@@ -277,25 +277,23 @@ fn fault_boundaries_allocate_per_repair() {
         }
     });
     let (epochs, repairs, dirty) = (10 * states.len(), 10 * repairs, 10 * dirty);
-    // Every boundary asks `available_parallelism` for the worker count,
-    // which reads the cgroup CPU quota (`quota` allocations, 4 on the
-    // measuring host). A boundary that changes a link then collects its
-    // row slots, a Vec grown by doubling (at most 4 allocations for 18
-    // rows), and forks one scope with up to five allocations per worker:
-    // its thread handle, result packet and boxed closure, and two for the
-    // output capture it inherits under the test harness. Each row's
-    // Dijkstra buffers are allocated on its worker. On one worker the
-    // rows run here instead: a predecessor vector and at most two heap
-    // growths each. Measured with 2 workers: 970 = 60 × 4 + 50 repairs ×
-    // (2 to 4 + 11); with 1 worker, 2 390.
-    let (quota, workers) =
-        allocs_in(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let rows = if workers > 1 {
-        repairs * (1 + 5 * workers)
+    // What remains is the fork. The underlay read its worker count once
+    // at build, the repair index keeps the state graph and every worker's
+    // sweep buffers, and each row's path segment has outgrown its largest
+    // path set in the warm-up cycle. A repair on several workers opens one
+    // scope (its shared state, one allocation) and spawns all but one of
+    // them: thread handle, result packet and boxed closure, plus two for
+    // the output capture a spawned thread inherits under the test harness;
+    // the calling thread takes the last range. On one worker there is no
+    // fork. Measured with 2 workers: 300 = 50 repairs × 6 (200 under
+    // `--nocapture`); with 1 worker, 0.
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let fork = if workers > 1 {
+        1 + 5 * (workers - 1)
     } else {
-        3 * dirty
+        0
     };
-    let bound = epochs as u64 * quota + (4 * repairs + rows) as u64;
+    let bound = (repairs * fork) as u64;
     assert!(
         n <= bound,
         "{n} allocations in {epochs} fault boundaries, {repairs} of them repairs \
