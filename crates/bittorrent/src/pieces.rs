@@ -47,7 +47,10 @@ impl PieceSet {
         self.count == self.n
     }
 
-    /// Whether piece `i` is held (out-of-range reads as absent).
+    /// Whether piece `i` is held. `i` must be below [`capacity`]: a debug
+    /// build panics on a larger index; a release build reads it as absent.
+    ///
+    /// [`capacity`]: PieceSet::capacity
     pub fn contains(&self, i: usize) -> bool {
         debug_assert!(i < self.n);
         self.bits
@@ -60,7 +63,6 @@ impl PieceSet {
     /// # Panics
     /// If `i` is outside the torrent's piece range.
     pub fn insert(&mut self, i: usize) -> bool {
-        debug_assert!(i < self.n);
         #[expect(
             clippy::expect_used,
             reason = "documented panic outside the piece range"
@@ -68,7 +70,8 @@ impl PieceSet {
         let w = self
             .bits
             .get_mut(i / 64)
-            .expect("piece index within bitfield capacity");
+            .filter(|_| i < self.n)
+            .expect("piece index within the torrent's piece range");
         let mask = 1u64 << (i % 64);
         if *w & mask == 0 {
             *w |= mask;
@@ -89,10 +92,23 @@ impl PieceSet {
         self.count = 0;
     }
 
-    /// Iterates over pieces in `other` that this set lacks.
+    /// Iterates over pieces in `other` that this set lacks, ascending.
     pub fn missing_from<'a>(&'a self, other: &'a PieceSet) -> impl Iterator<Item = usize> + 'a {
         debug_assert_eq!(self.n, other.n);
-        (0..self.n).filter(move |&i| other.contains(i) && !self.contains(i))
+        ones(self.bits.iter().zip(&other.bits).map(|(&a, &b)| b & !a))
+    }
+
+    /// Iterates over pieces in `other` that neither this set nor
+    /// `claimed` holds, ascending: what a receiver can still claim from
+    /// the sender `other` this round.
+    pub(crate) fn claimable_from<'a>(
+        &'a self,
+        other: &'a PieceSet,
+        claimed: &'a PieceSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        debug_assert!(self.n == other.n && self.n == claimed.n);
+        let words = self.bits.iter().zip(&other.bits).zip(&claimed.bits);
+        ones(words.map(|((&a, &b), &c)| b & !a & !c))
     }
 
     /// Whether `other` has at least one piece this set lacks.
@@ -102,6 +118,21 @@ impl PieceSet {
             .zip(&other.bits)
             .any(|(a, b)| (!a & b) != 0)
     }
+}
+
+/// The positions of the set bits of a bitfield given word by word,
+/// ascending. No piece set holds a bit at or past its capacity
+/// ([`PieceSet::insert`] refuses one), so every position is a piece.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -154,6 +185,14 @@ mod tests {
         assert!(!s.contains(0) && !s.contains(69));
         assert!(s.insert(69));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "piece index within the torrent's piece range")]
+    fn insert_past_capacity_panics_inside_the_last_word() {
+        // Bit 12 of a 10-piece set's only word would be a piece that
+        // `missing_from` lists; the set refuses it in every build.
+        PieceSet::empty(10).insert(12);
     }
 
     #[test]

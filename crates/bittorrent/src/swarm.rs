@@ -16,7 +16,6 @@
 
 use crate::pieces::PieceSet;
 use crate::tracker::{Tracker, TrackerPolicy};
-use std::collections::BTreeMap;
 use uap_net::{FlowAllocator, HostId, Underlay};
 use uap_sim::{trace::registry, Ctx, SimTime, Simulator, Tracer, World};
 
@@ -137,11 +136,20 @@ struct Peer {
 
 /// Converts a receiver's byte `credit` toward one sender into claimed
 /// pieces: rarest first among what the sender offers, skipping pieces
-/// already claimed from a faster sender this round (`claimed`). Claimed
-/// piece indices are appended to `out`. When the sender has nothing new,
-/// the remaining credit is **retained** for later rounds, capped at one
-/// piece's worth — partial-piece progress survives, but credit cannot
-/// pile up unboundedly against a stalled sender.
+/// already claimed from a faster sender this round (`claimed`). `out`
+/// is overwritten with the claimed piece indices, in claim order. When
+/// the sender has nothing new, the remaining credit is **retained** for
+/// later rounds, capped at one piece's worth — partial-piece progress
+/// survives, but credit cannot pile up unboundedly against a stalled
+/// sender.
+///
+/// One pass over the bitfields' words collects the claimable pieces
+/// into `out`; the `credit / piece_bytes` of them smallest by
+/// `(availability, piece)` are kept and claimed in that order. Neither
+/// `availability` nor the claimable set changes while one sender is
+/// served (only the pieces just picked join `claimed`), so this is
+/// exactly the list that picking the rarest claimable piece once per
+/// piece of credit produces.
 #[expect(clippy::indexing_slicing, reason = "pieces < availability.len()")]
 fn claim_pieces(
     receiver: &PieceSet,
@@ -152,22 +160,26 @@ fn claim_pieces(
     claimed: &mut PieceSet,
     out: &mut Vec<usize>,
 ) {
-    while *credit >= piece_bytes {
-        let wanted = receiver
-            .missing_from(sender)
-            .filter(|&p| !claimed.contains(p))
-            .min_by_key(|&p| (availability[p], p));
-        match wanted {
-            Some(p) => {
-                *credit -= piece_bytes;
-                claimed.insert(p);
-                out.push(p);
-            }
-            None => {
-                *credit = (*credit).min(piece_bytes);
-                break;
-            }
-        }
+    out.clear();
+    // A zero-byte piece is free: every claimable piece is wanted.
+    let want =
+        usize::try_from(credit.checked_div(piece_bytes).unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
+    if want == 0 {
+        return;
+    }
+    out.extend(receiver.claimable_from(sender, claimed));
+    let rarity = |&p: &usize| (availability[p], p);
+    if want < out.len() {
+        out.select_nth_unstable_by_key(want, rarity);
+        out.truncate(want);
+    }
+    out.sort_unstable_by_key(rarity);
+    for &p in out.iter() {
+        claimed.insert(p);
+    }
+    *credit -= out.len() as u64 * piece_bytes;
+    if out.len() < want {
+        *credit = (*credit).min(piece_bytes);
     }
 }
 
@@ -183,6 +195,13 @@ fn credit_mut(credit: &mut Vec<(HostId, u64)>, sender: HostId) -> &mut u64 {
         }
     };
     &mut credit[at].1
+}
+
+/// The member index of host `h` in a swarm of `n` members, whose member
+/// `i` is host `i`.
+fn member(h: HostId, n: usize) -> Option<usize> {
+    let i = h.idx();
+    (i < n).then_some(i)
 }
 
 /// One round's receipts, `(receiver member index, sender, bytes)`,
@@ -251,11 +270,10 @@ struct Swarm {
     underlay: Underlay,
     cfg: SwarmConfig,
     /// Swarm membership: the first n hosts (host assignment to ASes is
-    /// already random). `peers`, `peer_spans`, `down`, `was_down` and
-    /// `unchokes` run parallel to it.
+    /// already random), so member `i` is host `i` ([`member`]). `peers`,
+    /// `peer_spans`, `down`, `was_down` and `unchokes` run parallel to it.
     members: Vec<HostId>,
     peers: Vec<Peer>,
-    index: BTreeMap<HostId, usize>,
     tracker: Tracker,
     /// Every leecher's causal span: it covers the peer's whole life in
     /// the swarm — announce, piece exchange, completion — and closes at
@@ -297,6 +315,7 @@ struct Swarm {
     desired: Vec<(u32, u32)>,
     senders: Vec<(u64, HostId)>,
     claimed: PieceSet,
+    /// [`claim_pieces`]' output and scratch, sized to the torrent once.
     new_claims: Vec<usize>,
     /// `cfg.poisoners`, sorted.
     poisoners: Vec<HostId>,
@@ -336,8 +355,6 @@ impl Swarm {
                 is_seed: i < cfg.n_seeds,
             })
             .collect();
-        let index: BTreeMap<HostId, usize> =
-            members.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         let mut tracker = Tracker::new(cfg.tracker);
         // Initial announces. Span ids are allocated in peer order so
         // traces stay byte-identical per seed.
@@ -401,7 +418,7 @@ impl Swarm {
             desired: Vec::new(),
             senders: Vec::new(),
             claimed: PieceSet::empty(cfg.n_pieces),
-            new_claims: Vec::new(),
+            new_claims: Vec::with_capacity(cfg.n_pieces),
             poisoners,
             rounds: 0,
             payload_bytes: 0,
@@ -409,7 +426,6 @@ impl Swarm {
             cfg,
             members,
             peers,
-            index,
             tracker,
             peer_spans,
             availability,
@@ -445,7 +461,7 @@ impl Swarm {
                 self.live.push(h);
             }
         }
-        let (down, index) = (&self.down, &self.index);
+        let down = &self.down;
         // Restored members re-announce (their pre-crash neighborhoods
         // moved on without them); survivors shed dead neighbors and
         // refill from the tracker.
@@ -456,7 +472,7 @@ impl Swarm {
             let restored = self.was_down[i];
             let before = peer.neighbors.len();
             peer.neighbors
-                .retain(|h| index.get(h).map(|&j| !down[j]).unwrap_or(true));
+                .retain(|&h| !member(h, down.len()).is_some_and(|j| down[j]));
             if restored || peer.neighbors.len() < before {
                 let who = peer.host;
                 self.tracker.announce_into(
@@ -488,7 +504,7 @@ impl Swarm {
             tracer.set_span(span);
             tracer.set_cause(fault_seq);
             peer.credit.retain(|&(src, c)| {
-                let dead = index.get(&src).map(|&k| down[k]).unwrap_or(false);
+                let dead = member(src, down.len()).is_some_and(|k| down[k]);
                 if dead && c > 0 {
                     tracer.emit(now, registry::BITTORRENT_CHUNK_REASSIGN, |f| {
                         f.u64("peer", who.0 as u64)
@@ -514,7 +530,7 @@ impl Swarm {
             self.completed_by_round.push(finished);
             return false;
         }
-        let (peers, down, index) = (&self.peers, &self.down, &self.index);
+        let (peers, down) = (&self.peers, &self.down);
         let mut received_last = self.received_last.as_slice();
         // Phase 1: each peer picks its unchoke set (built in place into
         // its reused `unchokes` buffer).
@@ -532,7 +548,7 @@ impl Swarm {
             self.interested.extend(
                 me.neighbors
                     .iter()
-                    .filter_map(|h| index.get(h).copied())
+                    .filter_map(|&h| member(h, peers.len()))
                     .filter(|&j| !down[j])
                     .filter(|&j| peers[j].done_at.is_none() && !peers[j].is_seed)
                     .filter(|&j| peers[j].banned.binary_search(&me.host).is_err())
@@ -673,7 +689,7 @@ impl Swarm {
             self.senders
                 .sort_unstable_by_key(|&(b, h)| (std::cmp::Reverse(b), h));
             for &(_, src) in &self.senders {
-                let i = self.index[&src];
+                let i = src.idx();
                 if self.poisoners.binary_search(&src).is_ok() {
                     // Hash verification fails on every chunk from a
                     // poisoner: the credited bytes are discarded, the
@@ -698,7 +714,6 @@ impl Swarm {
                     continue;
                 }
                 let mut credit = *credit_mut(&mut self.peers[j].credit, src);
-                self.new_claims.clear();
                 claim_pieces(
                     &self.peers[j].pieces,
                     &self.peers[i].pieces,
@@ -852,9 +867,91 @@ impl World<SwarmEv> for Swarm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
     use uap_sim::SimRng;
     use uap_sim::TraceLevel;
+
+    /// [`claim_pieces`] as it was before the word-wise pass: one scan of
+    /// every piece, bit by bit, per claimed piece, taking the rarest
+    /// claimable one until the credit runs out or nothing is left.
+    /// Appends to `out`.
+    fn reference_claim_pieces(
+        receiver: &PieceSet,
+        sender: &PieceSet,
+        credit: &mut u64,
+        piece_bytes: u64,
+        availability: &[u32],
+        claimed: &mut PieceSet,
+        out: &mut Vec<usize>,
+    ) {
+        while *credit >= piece_bytes {
+            let wanted = (0..receiver.capacity())
+                .filter(|&p| sender.contains(p) && !receiver.contains(p))
+                .filter(|&p| !claimed.contains(p))
+                .min_by_key(|&p| (availability[p], p));
+            match wanted {
+                Some(p) => {
+                    *credit -= piece_bytes;
+                    claimed.insert(p);
+                    out.push(p);
+                }
+                None => {
+                    *credit = (*credit).min(piece_bytes);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The pieces below `n` whose draw is under `density` (0 = none,
+    /// 8 = all).
+    fn set_of(n: usize, draws: &[u8], density: u8) -> PieceSet {
+        let mut s = PieceSet::empty(n);
+        for p in (0..n).filter(|&p| draws[p] < density) {
+            s.insert(p);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Three senders in a row, sharing one `claimed` set as one
+        /// receiver's senders do in a round, claim exactly what the
+        /// repeated-minimum reference claims: the same pieces in the
+        /// same order, the same credit left and the same `claimed` set.
+        #[test]
+        fn claim_pieces_matches_the_repeated_minimum(
+            (n_pick, n_any) in (0usize..4, 1usize..301),
+            (pb_pick, pb_any) in (0usize..4, 2u64..5_000),
+            draws in prop::collection::vec(0u8..8, 1_500..1_501),
+            densities in prop::collection::vec(0u8..9, 5..6),
+            availability in prop::collection::vec(0u32..4, 300..301),
+            credit_draws in prop::collection::vec(any::<u64>(), 3..4),
+        ) {
+            let n = [63, 64, 65, n_any][n_pick];
+            let piece_bytes = [0, 1, 1_024, pb_any][pb_pick];
+            let set = |k: usize| set_of(n, &draws[k * 300..], densities[k]);
+            let receiver = set(0);
+            let start = set(1);
+            let (mut claimed, mut claimed_ref) = (start.clone(), start);
+            // Credit from nothing to more than every piece's worth.
+            let span = (n as u64 + 3) * piece_bytes.max(1);
+            for (k, draw) in credit_draws.iter().enumerate() {
+                let sender = set(2 + k);
+                let credit = draw % span;
+                let (mut left, mut left_ref) = (credit, credit);
+                let mut out = vec![usize::MAX]; // stale: must be overwritten
+                let mut out_ref = Vec::new();
+                claim_pieces(&receiver, &sender, &mut left, piece_bytes, &availability, &mut claimed, &mut out);
+                reference_claim_pieces(&receiver, &sender, &mut left_ref, piece_bytes, &availability, &mut claimed_ref, &mut out_ref);
+                prop_assert_eq!(&out, &out_ref, "n {} piece_bytes {} credit {} sender {}", n, piece_bytes, credit, k);
+                prop_assert_eq!(left, left_ref, "credit left, sender {}", k);
+                prop_assert_eq!(&claimed, &claimed_ref, "claimed after sender {}", k);
+            }
+        }
+    }
 
     fn underlay(n: usize, seed: u64) -> Underlay {
         let mut rng = SimRng::new(seed);

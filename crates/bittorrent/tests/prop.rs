@@ -30,7 +30,11 @@ proptest! {
     /// PieceSet: insert sequences never lose pieces, counts stay exact,
     /// completion equals having all pieces.
     #[test]
-    fn pieceset_never_loses_pieces(n in 1usize..300, inserts in prop::collection::vec(0usize..300, 0..400)) {
+    fn pieceset_never_loses_pieces(
+        n in 1usize..300,
+        inserts in prop::collection::vec(0usize..300, 0..400),
+        others in prop::collection::vec(0usize..300, 0..400),
+    ) {
         let mut s = PieceSet::empty(n);
         let mut reference = std::collections::BTreeSet::new();
         for &i in inserts.iter().filter(|&&i| i < n) {
@@ -46,6 +50,16 @@ proptest! {
         let full = PieceSet::full(n);
         let missing: Vec<usize> = s.missing_from(&full).collect();
         prop_assert_eq!(missing.len(), n - reference.len());
+        // missing_from(other) is the bitwise definition, ascending.
+        let mut other = PieceSet::empty(n);
+        for &i in others.iter().filter(|&&i| i < n) {
+            other.insert(i);
+        }
+        let missing: Vec<usize> = s.missing_from(&other).collect();
+        let expect: Vec<usize> = (0..n)
+            .filter(|&i| other.contains(i) && !s.contains(i))
+            .collect();
+        prop_assert_eq!(missing, expect);
     }
 
     /// Interest is exactly "other has something I lack".
