@@ -70,17 +70,19 @@ done
 must_fire exp16 fault.epoch "FaultPlan not applied"
 must_fire exp16 download.retry "Gnutella recovery path not exercised"
 must_fire exp16 reannounce "swarm recovery path not exercised"
+must_fire exp16 rpc.retry "Kademlia retransmit path not exercised"
 must_fire exp17 routing.repair "repair path not exercised"
 must_fire exp18 flow.open "flow model not exercised"
 
 echo "trace spans (exp16)"
 exp trace spans "$WORK/exp16/a/exp16.trace.jsonl"
 
-# Provenance smoke: Gnutella's download.retry and the swarm's reannounce
-# must each explain back to a fault.epoch root — the causal chains the
-# fault campaign exists to exercise.
-echo "trace explain (exp16 download.retry and reannounce provenance)"
+# Provenance smoke: Gnutella's download.retry, the swarm's reannounce and
+# Kademlia's rpc.retry must each explain back to a fault.epoch root — the
+# causal chains the fault campaign exists to exercise.
+echo "trace explain (exp16 download.retry, reannounce and rpc.retry provenance)"
 must_explain exp16 download.retry
 must_explain exp16 reannounce
+must_explain exp16 rpc.retry
 
 echo "trace gate passed."

@@ -22,5 +22,5 @@ pub mod swarm;
 pub mod tracker;
 
 pub use pieces::PieceSet;
-pub use swarm::{run_swarm, run_swarm_with, SwarmConfig, SwarmReport};
+pub use swarm::{run_swarm_with, SwarmConfig, SwarmReport, ROUND};
 pub use tracker::TrackerPolicy;

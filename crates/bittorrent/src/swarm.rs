@@ -1,6 +1,6 @@
 //! The round-based swarm simulation.
 //!
-//! Flow-backed fluid model: in every round of `round_secs`, each peer
+//! Flow-backed fluid model: in every round of [`ROUND`], each peer
 //! unchokes its best reciprocators (tit-for-tat) plus one optimistic
 //! slot; the unchoke pairs form the round's **flow set**, a max-min fair
 //! allocation over sender uplinks, receiver downlinks and the shared
@@ -9,10 +9,10 @@
 //! completions with per-chunk hash verification. Flows are charged to
 //! the underlay ledger, so experiment E10 can bill each tracker policy.
 //!
-//! The swarm runs on the `uap-sim` engine like Gnutella: each round is a
-//! `Round` event at `k × round_secs`, and each fault-plan boundary is a
-//! `Fault(i)` event entered through [`uap_net::fault::enter_boundary`],
-//! the boundary handler both overlays share.
+//! The swarm runs on the `uap-sim` engine like Gnutella and the DHT: each
+//! round is a `Round` event at `k × ROUND`, and each fault-plan boundary is
+//! a `Fault(i)` event entered through [`uap_net::fault::enter_boundary`],
+//! the boundary handler all three overlays share.
 
 use crate::pieces::PieceSet;
 use crate::tracker::{Tracker, TrackerPolicy};
@@ -23,6 +23,8 @@ use uap_sim::{trace::registry, Ctx, SimTime, Simulator, Tracer, World};
 const UNCHOKE_SLOTS: usize = 3;
 /// Optimistic unchoke slots per peer and round.
 const OPTIMISTIC_SLOTS: usize = 1;
+/// Round length.
+pub const ROUND: SimTime = SimTime::from_secs(10);
 
 /// Swarm parameters.
 #[derive(Clone, Debug)]
@@ -37,8 +39,6 @@ pub struct SwarmConfig {
     pub piece_bytes: u64,
     /// Peer-set size requested from the tracker.
     pub max_peers: usize,
-    /// Round length.
-    pub round: SimTime,
     /// Stop after this many rounds even if leechers remain.
     pub max_rounds: u32,
     /// Tracker policy (the experiment's independent variable).
@@ -66,7 +66,6 @@ impl Default for SwarmConfig {
             n_pieces: 64,
             piece_bytes: 256 * 1024,
             max_peers: 20,
-            round: SimTime::from_secs(10),
             max_rounds: 2_000,
             tracker: TrackerPolicy::Random,
             cost_aware_choking: false,
@@ -220,14 +219,8 @@ fn received_from(receipts: &[(usize, HostId, u64)], sender: HostId) -> u64 {
 
 /// Runs one swarm to completion (or `max_rounds`). Returns the report and
 /// the underlay (whose ledger holds the traffic classification for the
-/// cost model).
-pub fn run_swarm(underlay: Underlay, cfg: SwarmConfig, seed: u64) -> (SwarmReport, Underlay) {
-    let mut tracer = Tracer::disabled();
-    run_swarm_with(underlay, cfg, seed, &mut tracer)
-}
-
-/// Like [`run_swarm`], but records structured trace events into `tracer`
-/// (moved into the engine for the run and restored afterwards, as
+/// cost model). Records structured trace events into `tracer` (moved
+/// into the engine for the run and restored afterwards, as
 /// `run_experiment_with` does for Gnutella): per-peer unchoke decisions
 /// (Trace), piece completions and per-round summaries (Debug), and one
 /// `swarm.done` event (Info). Round events are stamped at the round
@@ -238,7 +231,7 @@ pub fn run_swarm_with(
     seed: u64,
     tracer: &mut Tracer,
 ) -> (SwarmReport, Underlay) {
-    let deadline = cfg.round.mul(u64::from(cfg.max_rounds));
+    let deadline = ROUND.mul(u64::from(cfg.max_rounds));
     let mut sim = Simulator::new(seed);
     sim.set_tracer(std::mem::take(tracer));
     let mut swarm = Swarm::new(underlay, cfg, &mut sim);
@@ -397,7 +390,7 @@ impl Swarm {
             )]
             sim.schedule_at(t, SwarmEv::Fault(i as u32));
         }
-        sim.schedule_at(cfg.round, SwarmEv::Round);
+        sim.schedule_at(ROUND, SwarmEv::Round);
         Swarm {
             compiled,
             down: vec![false; peers.len()],
@@ -601,7 +594,7 @@ impl Swarm {
         // competes for its sender's uplink, its receiver's downlink and
         // the shared AS links on its path — both capacity bugs of the old
         // per-flow `downlink/2` heuristic are impossible by construction.
-        let round_secs = self.cfg.round.as_secs_f64();
+        let round_secs = ROUND.as_secs_f64();
         let mut round_bytes = 0u64;
         self.completions.clear();
         self.desired.clear();
@@ -800,7 +793,7 @@ impl Swarm {
             rounds,
             ..
         } = self;
-        let end = cfg.round.mul(rounds as u64);
+        let end = ROUND.mul(rounds as u64);
         // Flows still open when the run stops are closed here so every
         // flow.open has a matching flow.close in the trace.
         for &(_, (id, bytes)) in &open_flows {
@@ -823,7 +816,7 @@ impl Swarm {
             .iter()
             .filter(|p| !p.is_seed)
             .filter_map(|p| p.done_at)
-            .map(|r| r as f64 * cfg.round.as_secs_f64())
+            .map(|r| r as f64 * ROUND.as_secs_f64())
             .collect();
         let report = SwarmReport {
             completed: completion_secs.len(),
@@ -854,7 +847,7 @@ impl World<SwarmEv> for Swarm {
         match ev {
             SwarmEv::Round => {
                 if self.round(ctx) {
-                    ctx.schedule_in_root(self.cfg.round, SwarmEv::Round);
+                    ctx.schedule_in_root(ROUND, SwarmEv::Round);
                 } else {
                     ctx.stop();
                 }
@@ -984,7 +977,12 @@ mod tests {
 
     #[test]
     fn swarm_completes() {
-        let (report, _) = run_swarm(underlay(80, 1), small_cfg(TrackerPolicy::Random), 11);
+        let (report, _) = run_swarm_with(
+            underlay(80, 1),
+            small_cfg(TrackerPolicy::Random),
+            11,
+            &mut Tracer::disabled(),
+        );
         assert_eq!(report.completed, report.leechers, "not everyone finished");
         assert!(report.mean_completion_secs() > 0.0);
         assert!(report.payload_bytes > 0);
@@ -993,14 +991,20 @@ mod tests {
 
     #[test]
     fn bns_increases_locality_without_collapsing_speed() {
-        let (random, _) = run_swarm(underlay(80, 2), small_cfg(TrackerPolicy::Random), 13);
-        let (bns, _) = run_swarm(
+        let (random, _) = run_swarm_with(
+            underlay(80, 2),
+            small_cfg(TrackerPolicy::Random),
+            13,
+            &mut Tracer::disabled(),
+        );
+        let (bns, _) = run_swarm_with(
             underlay(80, 2),
             small_cfg(TrackerPolicy::Bns {
                 internal: 16,
                 external: 4,
             }),
             13,
+            &mut Tracer::disabled(),
         );
         assert!(
             bns.intra_as_fraction > 1.5 * random.intra_as_fraction,
@@ -1021,8 +1025,18 @@ mod tests {
 
     #[test]
     fn cost_aware_tracker_also_localizes() {
-        let (random, _) = run_swarm(underlay(80, 3), small_cfg(TrackerPolicy::Random), 17);
-        let (cat, _) = run_swarm(underlay(80, 3), small_cfg(TrackerPolicy::CostAware), 17);
+        let (random, _) = run_swarm_with(
+            underlay(80, 3),
+            small_cfg(TrackerPolicy::Random),
+            17,
+            &mut Tracer::disabled(),
+        );
+        let (cat, _) = run_swarm_with(
+            underlay(80, 3),
+            small_cfg(TrackerPolicy::CostAware),
+            17,
+            &mut Tracer::disabled(),
+        );
         assert!(cat.intra_as_fraction > random.intra_as_fraction);
         assert_eq!(cat.completed, cat.leechers);
     }
@@ -1032,7 +1046,7 @@ mod tests {
         let mut cfg = small_cfg(TrackerPolicy::Random);
         cfg.n_leechers = 0;
         cfg.n_seeds = 4;
-        let (report, _) = run_swarm(underlay(20, 4), cfg, 19);
+        let (report, _) = run_swarm_with(underlay(20, 4), cfg, 19, &mut Tracer::disabled());
         assert_eq!(report.completed, 0);
         assert_eq!(report.rounds, 1);
     }
@@ -1041,7 +1055,7 @@ mod tests {
     fn max_rounds_bounds_runtime() {
         let mut cfg = small_cfg(TrackerPolicy::Random);
         cfg.max_rounds = 3;
-        let (report, _) = run_swarm(underlay(80, 5), cfg, 23);
+        let (report, _) = run_swarm_with(underlay(80, 5), cfg, 23, &mut Tracer::disabled());
         assert_eq!(report.rounds, 3);
         assert!(report.completed < report.leechers);
     }
@@ -1065,8 +1079,18 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (a, _) = run_swarm(underlay(80, 6), small_cfg(TrackerPolicy::Random), 29);
-        let (b, _) = run_swarm(underlay(80, 6), small_cfg(TrackerPolicy::Random), 29);
+        let (a, _) = run_swarm_with(
+            underlay(80, 6),
+            small_cfg(TrackerPolicy::Random),
+            29,
+            &mut Tracer::disabled(),
+        );
+        let (b, _) = run_swarm_with(
+            underlay(80, 6),
+            small_cfg(TrackerPolicy::Random),
+            29,
+            &mut Tracer::disabled(),
+        );
         assert_eq!(a.completion_secs, b.completion_secs);
         assert_eq!(a.payload_bytes, b.payload_bytes);
     }
@@ -1077,7 +1101,12 @@ mod tests {
         // (account_transfer), not per-flow latency queries, so a full run
         // must leave the AS-pair route cache untouched — a regression here
         // means someone added a latency probe to the per-round hot loop.
-        let (_, u) = run_swarm(underlay(80, 8), small_cfg(TrackerPolicy::Random), 41);
+        let (_, u) = run_swarm_with(
+            underlay(80, 8),
+            small_cfg(TrackerPolicy::Random),
+            41,
+            &mut Tracer::disabled(),
+        );
         assert_eq!(u.route_cache_stats(), (0, 0));
         // The cache still answers post-run analysis queries on the same
         // underlay: any inter-AS pair registers a hit.
@@ -1100,7 +1129,12 @@ mod tests {
 
     #[test]
     fn fault_free_runs_report_monotone_progress_and_no_reannounces() {
-        let (report, _) = run_swarm(underlay(80, 1), small_cfg(TrackerPolicy::Random), 11);
+        let (report, _) = run_swarm_with(
+            underlay(80, 1),
+            small_cfg(TrackerPolicy::Random),
+            11,
+            &mut Tracer::disabled(),
+        );
         assert_eq!(report.reannounces, 0);
         assert_eq!(report.completed_by_round.len(), report.rounds as usize);
         assert!(report.completed_by_round.windows(2).all(|w| w[0] <= w[1]));
@@ -1119,7 +1153,7 @@ mod tests {
                 hosts: crashed.clone(),
             },
         ));
-        let (faulted, _) = run_swarm(underlay(80, 1), cfg, 11);
+        let (faulted, _) = run_swarm_with(underlay(80, 1), cfg, 11, &mut Tracer::disabled());
         // Dead-neighbor loss and crash recovery both force re-announces.
         assert!(
             faulted.reannounces > 0,
@@ -1128,7 +1162,12 @@ mod tests {
         // Everyone still finishes once the epoch clears: the crashed
         // leechers resume where they paused and re-announce for neighbors.
         assert_eq!(faulted.completed, faulted.leechers, "swarm must recover");
-        let (clean, _) = run_swarm(underlay(80, 1), small_cfg(TrackerPolicy::Random), 11);
+        let (clean, _) = run_swarm_with(
+            underlay(80, 1),
+            small_cfg(TrackerPolicy::Random),
+            11,
+            &mut Tracer::disabled(),
+        );
         assert!(
             faulted.rounds >= clean.rounds,
             "a crash epoch cannot speed the swarm up ({} < {})",
@@ -1148,8 +1187,9 @@ mod tests {
             SimTime::from_secs(300),
             uap_net::FaultKind::TransitDown { p: 0.9, salt: 5 },
         ));
-        let (faulted, _) = run_swarm(underlay(80, 1), cfg.clone(), 11);
-        let (clean, _) = run_swarm(underlay(80, 1), base, 11);
+        let (faulted, _) =
+            run_swarm_with(underlay(80, 1), cfg.clone(), 11, &mut Tracer::disabled());
+        let (clean, _) = run_swarm_with(underlay(80, 1), base, 11, &mut Tracer::disabled());
         // Stalled cross-AS flows move strictly fewer payload bytes while
         // the partition holds.
         assert!(
@@ -1160,7 +1200,7 @@ mod tests {
         );
         // Once the window clears, the same campaign completes the swarm.
         cfg.max_rounds = 2_000;
-        let (recovered, _) = run_swarm(underlay(80, 1), cfg, 11);
+        let (recovered, _) = run_swarm_with(underlay(80, 1), cfg, 11, &mut Tracer::disabled());
         assert_eq!(
             recovered.completed, recovered.leechers,
             "swarm must recover"
@@ -1223,9 +1263,9 @@ mod tests {
     #[test]
     fn cost_aware_choking_flag_shifts_traffic() {
         let mut base = small_cfg(TrackerPolicy::Random);
-        let (plain, _) = run_swarm(underlay(80, 7), base.clone(), 31);
+        let (plain, _) = run_swarm_with(underlay(80, 7), base.clone(), 31, &mut Tracer::disabled());
         base.cost_aware_choking = true;
-        let (cat, _) = run_swarm(underlay(80, 7), base, 31);
+        let (cat, _) = run_swarm_with(underlay(80, 7), base, 31, &mut Tracer::disabled());
         assert!(cat.intra_as_fraction >= plain.intra_as_fraction);
         assert_eq!(cat.completed, cat.leechers);
     }
@@ -1247,7 +1287,7 @@ mod tests {
             max_rounds: 1,
             ..Default::default()
         };
-        let (report, _) = run_swarm(u, cfg, 11);
+        let (report, _) = run_swarm_with(u, cfg, 11, &mut Tracer::disabled());
         // Only the leecher receives payload, so payload_bytes is exactly
         // its per-round inflow: <= down_kbps * round_secs (+1% fp slack).
         let cap = (6_000u64 * 1_000 / 8) * 10;
@@ -1273,7 +1313,7 @@ mod tests {
             max_rounds: 10,
             ..Default::default()
         };
-        let (report, _) = run_swarm(u, cfg, 11);
+        let (report, _) = run_swarm_with(u, cfg, 11, &mut Tracer::disabled());
         assert_eq!(report.payload_bytes, 0, "a dead uplink must move nothing");
         assert_eq!(report.completed, 0);
     }
@@ -1334,7 +1374,7 @@ mod tests {
         // one of its `max_rounds` rounds.
         let mut cfg = small_cfg(TrackerPolicy::Random);
         cfg.n_pieces = 0;
-        run_swarm(underlay(80, 1), cfg, 11);
+        run_swarm_with(underlay(80, 1), cfg, 11, &mut Tracer::disabled());
     }
 
     #[test]

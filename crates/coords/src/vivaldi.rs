@@ -14,16 +14,17 @@
 use crate::matrix::l2;
 use uap_sim::SimRng;
 
+/// Adaptive timestep constant `c_c` (fraction of the distance-to-rest
+/// moved per sample).
+const CC: f64 = 0.25;
+/// Error-smoothing constant `c_e`.
+const CE: f64 = 0.25;
+
 /// Vivaldi tuning parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct VivaldiConfig {
     /// Coordinate dimensionality (the paper's evaluations use 2–5).
     pub dims: usize,
-    /// Adaptive timestep constant `c_c` (fraction of the distance-to-rest
-    /// moved per sample).
-    pub cc: f64,
-    /// Error-smoothing constant `c_e`.
-    pub ce: f64,
     /// Whether to carry a height (access-link) component.
     pub use_height: bool,
 }
@@ -32,8 +33,6 @@ impl Default for VivaldiConfig {
     fn default() -> Self {
         VivaldiConfig {
             dims: 3,
-            cc: 0.25,
-            ce: 0.25,
             use_height: true,
         }
     }
@@ -93,11 +92,10 @@ impl VivaldiNode {
         let dist = self.predict_ms(remote);
         let rel_err = (dist - rtt_ms).abs() / rtt_ms;
         // Exponentially-weighted error update.
-        self.error =
-            (rel_err * self.cfg.ce * w + self.error * (1.0 - self.cfg.ce * w)).clamp(0.0, 10.0);
+        self.error = (rel_err * CE * w + self.error * (1.0 - CE * w)).clamp(0.0, 10.0);
         // Force along the unit vector from remote to self, magnitude
         // (rtt - dist), applied with the adaptive timestep δ = c_c · w.
-        let delta = self.cfg.cc * w;
+        let delta = CC * w;
         let mut dir: Vec<f64> = self
             .coord
             .iter()
@@ -188,7 +186,6 @@ mod tests {
         let cfg = VivaldiConfig {
             dims: 2,
             use_height: false,
-            ..Default::default()
         };
         let mut rng = SimRng::new(1);
         let nodes = gossip_converge(&rtts, cfg, 400, &mut rng);
@@ -214,7 +211,6 @@ mod tests {
         let cfg = VivaldiConfig {
             dims: 2,
             use_height: false,
-            ..Default::default()
         };
         let mut rng = SimRng::new(2);
         let nodes = gossip_converge(&rtts, cfg, 300, &mut rng);
@@ -243,7 +239,6 @@ mod tests {
         let cfg = VivaldiConfig {
             dims: 2,
             use_height: false,
-            ..Default::default()
         };
         let mut a = VivaldiNode::new(cfg);
         let b = VivaldiNode::new(cfg);
@@ -257,7 +252,6 @@ mod tests {
         let cfg = VivaldiConfig {
             dims: 2,
             use_height: true,
-            ..Default::default()
         };
         let mut rng = SimRng::new(5);
         let mut a = VivaldiNode::new(cfg);

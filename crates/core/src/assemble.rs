@@ -18,30 +18,25 @@ use uap_info::{
 use uap_net::{HostId, Underlay};
 use uap_sim::SimRng;
 
+/// ICS beacons.
+const ICS_BEACONS: usize = 10;
+/// ICS dimensions.
+const ICS_DIMS: usize = 4;
+/// CDN replicas for Ono.
+const CDN_REPLICAS: usize = 6;
+/// CDN samples per peer for Ono.
+const ONO_SAMPLES: usize = 30;
+
 /// Tunables for the assembled collectors.
 #[derive(Clone, Copy, Debug)]
 pub struct AssembleConfig {
     /// Vivaldi gossip rounds before the estimator is handed out.
     pub vivaldi_rounds: usize,
-    /// ICS beacons.
-    pub ics_beacons: usize,
-    /// ICS dimensions.
-    pub ics_dims: usize,
-    /// CDN replicas for Ono.
-    pub cdn_replicas: usize,
-    /// CDN samples per peer for Ono.
-    pub ono_samples: usize,
 }
 
 impl Default for AssembleConfig {
     fn default() -> Self {
-        AssembleConfig {
-            vivaldi_rounds: 30,
-            ics_beacons: 10,
-            ics_dims: 4,
-            cdn_replicas: 6,
-            ono_samples: 30,
-        }
+        AssembleConfig { vivaldi_rounds: 30 }
     }
 }
 
@@ -91,8 +86,8 @@ pub fn build_proximity_estimator<'a>(
         }
         CollectionTechnique::LandmarkCoordinates => Box::new(IcsService::build(
             underlay,
-            cfg.ics_beacons.min(underlay.n_hosts()),
-            cfg.ics_dims,
+            ICS_BEACONS.min(underlay.n_hosts()),
+            ICS_DIMS,
             rng,
         )),
         CollectionTechnique::IspComponent => Box::new(OracleEstimator {
@@ -112,8 +107,8 @@ pub fn build_proximity_estimator<'a>(
             Box::new(P4pEstimator::new(underlay, svc))
         }
         CollectionTechnique::CdnInference => {
-            let cdn = SimulatedCdn::deploy(underlay, cfg.cdn_replicas);
-            Box::new(OnoEstimator::new(underlay, cdn, cfg.ono_samples))
+            let cdn = SimulatedCdn::deploy(underlay, CDN_REPLICAS);
+            Box::new(OnoEstimator::new(underlay, cdn, ONO_SAMPLES))
         }
         CollectionTechnique::Gps
         | CollectionTechnique::IpToLocationMapping
@@ -171,10 +166,7 @@ mod tests {
     #[test]
     fn every_proximity_technique_assembles_and_ranks_sanely() {
         let underlay = NetParams::quick(100, 131).build();
-        let cfg = AssembleConfig {
-            vivaldi_rounds: 25,
-            ..Default::default()
-        };
+        let cfg = AssembleConfig { vivaldi_rounds: 25 };
         let techniques = [
             CollectionTechnique::ExplicitMeasurement,
             CollectionTechnique::VivaldiCoordinates,

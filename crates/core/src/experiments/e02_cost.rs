@@ -11,11 +11,9 @@ use crate::report::{f, Table};
 use uap_net::CostParams;
 use uap_sim::Tracer;
 
-/// Sweep parameters.
+/// Sweep parameters (the tariffs are [`CostParams::default`]).
 #[derive(Clone, Debug)]
 pub struct Params {
-    /// Tariffs.
-    pub cost: CostParams,
     /// Traffic levels to evaluate (Mbps).
     pub traffic_mbps: Vec<f64>,
 }
@@ -24,7 +22,6 @@ impl Params {
     /// A short sweep.
     pub fn quick() -> Params {
         Params {
-            cost: CostParams::default(),
             traffic_mbps: vec![1.0, 10.0, 100.0, 1_000.0],
         }
     }
@@ -40,10 +37,7 @@ impl Params {
             v *= 10.0;
         }
         t.truncate(t.len() - 2);
-        Params {
-            cost: CostParams::default(),
-            traffic_mbps: t,
-        }
+        Params { traffic_mbps: t }
     }
 }
 
@@ -68,18 +62,19 @@ pub fn run(p: &Params) -> Outcome {
             "peering_usd_per_mbps",
         ],
     );
+    let cost = CostParams::default();
     for &t in &p.traffic_mbps {
         table.row(&[
             f(t),
-            f(p.cost.transit_cost(t)),
-            f(p.cost.peering_cost(1)),
-            f(p.cost.transit_cost_per_mbps(t)),
-            f(p.cost.peering_cost_per_mbps(t)),
+            f(cost.transit_cost(t)),
+            f(cost.peering_cost(1)),
+            f(cost.transit_cost_per_mbps(t)),
+            f(cost.peering_cost_per_mbps(t)),
         ]);
     }
     Outcome {
         table,
-        crossover_mbps: p.cost.crossover_mbps(),
+        crossover_mbps: cost.crossover_mbps(),
     }
 }
 

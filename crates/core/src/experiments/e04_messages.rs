@@ -15,11 +15,11 @@
 //! monotone reduction of every row as the oracle sees more of the
 //! hostcache, at non-collapsing search success.
 
-use super::table::{ensure, Scale};
+use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::Table;
 use uap_gnutella::{run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection};
-use uap_sim::{trace::registry, ChurnConfig, SimTime, Tracer};
+use uap_sim::{ChurnConfig, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -79,23 +79,12 @@ pub struct Outcome {
     pub table: Table,
 }
 
-/// Runs the experiment.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but threads `tracer` through every sub-run; a
+/// Runs the experiment, threading `tracer` through every sub-run; a
 /// `experiment`/`phase` marker (Info) separates the per-configuration
 /// trace segments so `exp trace diff` divergence points name the run
 /// they fall in.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let seed = p.net.seed ^ 0xE4;
-    let phase = |t: &mut Tracer, name: &str| {
-        let owned = name.to_owned();
-        t.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", owned);
-        });
-    };
     let mut reports: Vec<(String, GnutellaReport)> = Vec::new();
     phase(tracer, "unbiased");
     let (unbiased, _) = run_experiment_with(
@@ -106,7 +95,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
     );
     reports.push(("Unbiased Gnutella".into(), unbiased));
     for &cache in &p.cache_sizes {
-        phase(tracer, &format!("biased-cache-{cache}"));
+        phase(tracer, format!("biased-cache-{cache}"));
         let (r, _) = run_experiment_with(
             p.net.build(),
             p.config(NeighborSelection::OracleBiased { list_size: cache }),
@@ -151,7 +140,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 
 /// The [`super::TABLE`] row's run.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
-    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let out = run(&scale.params(seed, Params::quick, Params::full), tracer);
     let claim = claim(&out);
     super::Outcome {
         notes: out
@@ -198,7 +187,7 @@ mod tests {
 
     #[test]
     fn table_shape_matches_paper() {
-        let out = run(&Params::quick(8));
+        let out = run(&Params::quick(8), &mut Tracer::disabled());
         assert_eq!(out.table.len(), 6);
         assert_eq!(out.table.cell(0, 0), "Ping");
         assert_eq!(out.table.cell(3, 0), "QueryHit");

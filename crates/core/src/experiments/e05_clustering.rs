@@ -11,7 +11,7 @@ use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::graphstats::OverlayStats;
 use crate::report::{f, pct, Table};
-use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_net::HostId;
 use uap_sim::{SimTime, Tracer};
 
@@ -95,7 +95,8 @@ pub fn run(p: &Params) -> Outcome {
             hostcache_size: 1000.min(p.net.n_hosts),
             ..Default::default()
         };
-        let (report, world) = run_experiment(p.net.build(), cfg, seed);
+        let (report, world) =
+            run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
         let stats = OverlayStats::compute(&world.underlay, &report.edges);
         table.row(&[
             label.to_owned(),

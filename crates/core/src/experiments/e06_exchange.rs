@@ -16,7 +16,7 @@
 use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::Table;
-use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_sim::{SimTime, Tracer};
 
 /// Experiment parameters.
@@ -97,7 +97,7 @@ pub fn run(p: &Params) -> Outcome {
         &["configuration", "paper", "measured"],
     );
     for (label, paper, cfg) in configs {
-        let (report, _) = run_experiment(p.net.build(), cfg, seed);
+        let (report, _) = run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
         let measured = report.intra_as_exchange_pct();
         table.row(&[
             label.clone(),

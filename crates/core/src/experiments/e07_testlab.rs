@@ -19,7 +19,8 @@
 use super::table::{ensure, Scale};
 use crate::report::Table;
 use uap_gnutella::{
-    run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment, ShareScheme,
+    run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
+    ShareScheme,
 };
 use uap_net::{gen::testlab_specs, PopulationSpec, RoutingMode, Underlay, UnderlayConfig};
 use uap_sim::{SimRng, SimTime, Tracer};
@@ -139,7 +140,7 @@ pub fn run(p: &Params) -> Outcome {
             let run_one = |selection: NeighborSelection| {
                 let underlay = testlab_underlay(topo, p);
                 let cfg = testlab_config(selection, scheme, p.duration);
-                run_experiment(underlay, cfg, p.seed ^ 0xE7).0
+                run_experiment_with(underlay, cfg, p.seed ^ 0xE7, &mut Tracer::disabled()).0
             };
             let unbiased = run_one(NeighborSelection::Random);
             let biased = run_one(NeighborSelection::OracleBiased { list_size: 45 });

@@ -7,13 +7,15 @@
 //! mean AS distance. The shape from \[17\]: a large cut in inter-AS traffic
 //! at unchanged hop counts and success.
 
-use super::table::{ensure, Scale};
+use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
-use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
+use uap_kademlia::{run_dht_with, DhtConfig, DhtNetwork, DhtOp, Key, ProximityMode};
 use uap_net::host::AttachmentDist;
-use uap_net::{HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
+use uap_net::{
+    FaultPlan, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
+};
+use uap_sim::{SimRng, SimTime, Tracer};
 
 /// Builds the E9 underlay with a **heavy-tailed AS population** (Zipf-like
 /// weights over the leaf ASes): a few big consumer ISPs hold most peers,
@@ -52,6 +54,24 @@ fn heavy_tailed_underlay(net: &NetParams) -> Underlay {
         UnderlayConfig::default(),
         &mut rng,
     )
+}
+
+/// One mode's DHT, its ledger reset, and its lookups: lookup `i` at second
+/// `i` from host `7i mod n`, its target drawn from the bootstrap's RNG.
+fn build(p: &Params, mode: ProximityMode) -> (DhtNetwork, Vec<(SimTime, DhtOp)>) {
+    let mut rng = SimRng::new(p.net.seed ^ 0xE9);
+    let cfg = DhtConfig {
+        proximity: mode,
+        ..Default::default()
+    };
+    let mut net = DhtNetwork::build(heavy_tailed_underlay(&p.net), cfg, &mut rng);
+    net.underlay.reset_traffic();
+    let n = net.len();
+    let mut lookup = |i: usize| DhtOp::Lookup(HostId::from_index(i * 7 % n), Key::random(&mut rng));
+    let ops = (0..p.lookups)
+        .map(|i| (SimTime::from_secs(i as u64), lookup(i)))
+        .collect();
+    (net, ops)
 }
 
 /// Experiment parameters.
@@ -112,15 +132,10 @@ pub struct Outcome {
     pub table: Table,
 }
 
-/// Runs the comparison.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but installs `tracer` into each [`DhtNetwork`] so lookup
-/// hop traces (`kademlia`/`lookup.*`) are recorded, with one
-/// `experiment`/`phase` marker (Info) per proximity mode.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+/// Runs the comparison: each proximity mode's lookups on the engine, one
+/// per sim-second, recorded into `tracer` (`kademlia`/`lookup.*`) after
+/// one `experiment`/`phase` marker (Info) per mode. Joins stay untraced.
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let mut modes = Vec::new();
     let mut table = Table::new(
         "E9 — proximity neighbor selection in Kademlia (after [17])",
@@ -139,36 +154,24 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
         ("PNS", ProximityMode::Pns),
         ("PNS+PR", ProximityMode::PnsPr),
     ] {
-        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", label);
-        });
-        let mut rng = SimRng::new(p.net.seed ^ 0xE9);
-        let cfg = DhtConfig {
-            proximity: mode,
-            ..Default::default()
-        };
-        let mut net = DhtNetwork::build(heavy_tailed_underlay(&p.net), cfg, &mut rng);
-        net.tracer = std::mem::take(tracer);
-        net.underlay.reset_traffic();
-        let n = net.len();
+        phase(tracer, label);
+        let (mut net, ops) = build(p, mode);
+        let results = run_dht_with(&mut net, &ops, &FaultPlan::new(), p.net.seed ^ 0xE9, tracer);
         let mut inter = 0u64;
         let mut total = 0u64;
         let mut hops_sum = 0u64;
         let mut lat = 0.0;
         let mut exact = 0usize;
-        for i in 0..p.lookups {
-            let target = Key::random(&mut rng);
-            let from = HostId::from_index(i * 7 % n);
-            let out = net.lookup(from, &target, &mut rng);
+        for (&(_, op), (out, _)) in ops.iter().zip(&results) {
+            let DhtOp::Lookup(_, key) = op else { continue };
             inter += out.inter_as_rpcs;
             total += out.rpcs;
             hops_sum += out.as_hops_sum;
             lat += out.latency_us as f64 / 1_000.0;
-            if out.closest.first().map(|c| c.key) == net.true_closest(&target, 1).first().copied() {
+            if out.closest.first().map(|c| c.key) == net.true_closest(&key, 1).first().copied() {
                 exact += 1;
             }
         }
-        *tracer = std::mem::take(&mut net.tracer);
         let result = ModeResult {
             mode,
             inter_as_fraction: inter as f64 / total.max(1) as f64,
@@ -199,7 +202,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 )]
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
-    let out = run_traced(&p, tracer);
+    let out = run(&p, tracer);
     let claim = claim(&out);
     let rpcs: f64 = out
         .modes
@@ -247,7 +250,7 @@ mod tests {
 
     #[test]
     fn pns_cuts_inter_as_share_keeps_success() {
-        let out = run(&Params::quick(41));
+        let out = run(&Params::quick(41), &mut Tracer::disabled());
         let vanilla = &out.modes[0];
         let pnspr = &out.modes[2];
         assert!(
@@ -276,15 +279,48 @@ mod tests {
     #[test]
     fn proximity_claim_holds_on_every_seed() {
         let seeds: Vec<u64> = (900..908).collect();
-        let claims = parallel_map(seeds.clone(), 4, |seed| claim(&run(&Params::quick(seed))));
+        let claims = parallel_map(seeds.clone(), 4, |seed| {
+            claim(&run(&Params::quick(seed), &mut Tracer::disabled()))
+        });
         for (seed, claim) in seeds.iter().zip(claims) {
             assert_eq!(claim, Ok(()), "seed {seed}");
         }
     }
 
+    /// The engine adds a clock, not a behaviour: lookups run through
+    /// [`run_dht_with`] equal a direct `lookup` loop, outcome by outcome.
+    #[test]
+    fn driven_lookups_equal_a_direct_loop() {
+        for seed in [41, 42, 43, 44] {
+            let p = Params::quick(seed);
+            for mode in [
+                ProximityMode::None,
+                ProximityMode::Pns,
+                ProximityMode::PnsPr,
+            ] {
+                let (mut direct, ops) = build(&p, mode);
+                let mut rng = SimRng::new(seed);
+                let want: Vec<_> = ops
+                    .iter()
+                    .map(|&(_, op)| match op {
+                        DhtOp::Lookup(from, target) => direct.lookup(from, &target, &mut rng),
+                        other => panic!("E9 schedules only lookups, not {other:?}"),
+                    })
+                    .collect();
+                let (mut driven, _) = build(&p, mode);
+                let plan = FaultPlan::new();
+                let got = run_dht_with(&mut driven, &ops, &plan, seed, &mut Tracer::disabled());
+                assert_eq!(got.len(), want.len());
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(&got.0, want, "seed {seed}, {mode:?}, lookup {i}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn latency_benefits_from_proximity_routing() {
-        let out = run(&Params::quick(42));
+        let out = run(&Params::quick(42), &mut Tracer::disabled());
         let vanilla = &out.modes[0];
         let pnspr = &out.modes[2];
         // Nearby hops are faster; allow equality but flag regressions.

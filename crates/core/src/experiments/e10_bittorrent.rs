@@ -7,13 +7,13 @@
 //! traffic off transit links while download times stay in the same
 //! ballpark.
 
-use super::table::{ensure, Scale};
+use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
 use uap_net::cost::{bill_all, total_transit_usd};
 use uap_net::CostParams;
-use uap_sim::{trace::registry, SimTime, Tracer};
+use uap_sim::{SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -26,8 +26,6 @@ pub struct Params {
     pub n_seeds: usize,
     /// Torrent pieces.
     pub n_pieces: usize,
-    /// Tariffs for the billing step.
-    pub cost: CostParams,
 }
 
 impl Params {
@@ -38,7 +36,6 @@ impl Params {
             n_leechers: 80,
             n_seeds: 5,
             n_pieces: 48,
-            cost: CostParams::default(),
         }
     }
 
@@ -52,7 +49,6 @@ impl Params {
             n_leechers: 400,
             n_seeds: 20,
             n_pieces: 128,
-            cost: CostParams::default(),
         }
     }
 }
@@ -87,15 +83,10 @@ pub struct Outcome {
     pub table: Table,
 }
 
-/// Runs the comparison.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but threads `tracer` through every swarm run so piece
+/// Runs the comparison, threading `tracer` through every swarm run so piece
 /// exchange and choke decisions (`bittorrent`/`*`) are recorded, with one
 /// `experiment`/`phase` marker (Info) per tracker policy.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let configs: Vec<(String, TrackerPolicy, bool)> = vec![
         ("random tracker".into(), TrackerPolicy::Random, false),
         (
@@ -137,13 +128,15 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
             cost_aware_choking: cat,
             ..Default::default()
         };
-        let phase = label.clone();
-        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", phase);
-        });
+        phase(tracer, label.clone());
         let (report, underlay) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0xE10, tracer);
         let horizon = SimTime::from_secs(10).mul(report.rounds as u64);
-        let bills = bill_all(&underlay.graph, &underlay.traffic, &p.cost, horizon);
+        let bills = bill_all(
+            &underlay.graph,
+            &underlay.traffic,
+            &CostParams::default(),
+            horizon,
+        );
         let (_, _, transit_bytes) = underlay.traffic.totals();
         let result = PolicyResult {
             label: label.clone(),
@@ -173,7 +166,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 
 /// The [`super::TABLE`] row's run; its event count is swarm rounds.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
-    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let out = run(&scale.params(seed, Params::quick, Params::full), tracer);
     let claim = claim(&out);
     super::Outcome {
         events: out.policies.iter().map(|p| p.rounds as u64).sum(),
@@ -231,7 +224,7 @@ mod tests {
 
     #[test]
     fn bns_shifts_traffic_off_transit_links() {
-        let out = run(&Params::quick(51));
+        let out = run(&Params::quick(51), &mut Tracer::disabled());
         let random = &out.policies[0];
         let bns = &out.policies[1];
         assert!(bns.intra_fraction > 1.5 * random.intra_fraction);
@@ -249,7 +242,7 @@ mod tests {
 
     #[test]
     fn all_policies_complete_the_swarm() {
-        let out = run(&Params::quick(52));
+        let out = run(&Params::quick(52), &mut Tracer::disabled());
         for p in &out.policies {
             assert_eq!(p.completed, 80, "{}", p.label);
             assert!(p.mean_completion_secs > 0.0);

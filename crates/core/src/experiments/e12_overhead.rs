@@ -17,7 +17,7 @@ use super::table::{ensure, num, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
 use uap_coords::VivaldiConfig;
-use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_info::provider::{ProximityEstimator, ResourceDirectory};
 use uap_info::{IcsService, OnoEstimator, Oracle, SimulatedCdn, SkyEyeTree, VivaldiService};
 use uap_net::HostId;
@@ -194,7 +194,8 @@ pub fn run_churn(p: &Params) -> Table {
                 duration: p.duration,
                 ..Default::default()
             };
-            let (r, _) = run_experiment(p.net.build(), cfg, p.net.seed ^ 0xE12C);
+            let seed = p.net.seed ^ 0xE12C;
+            let (r, _) = run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
             let session_label = if session.is_finite() {
                 format!("{session:.0}s")
             } else {

@@ -11,8 +11,8 @@ use super::table::{ensure, Scale};
 use crate::experiments::sweep::{seed_sweep, SeedStats};
 use crate::experiments::NetParams;
 use crate::report::Table;
-use uap_bittorrent::{run_swarm, SwarmConfig, TrackerPolicy};
-use uap_gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
+use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use uap_net::HostId;
 use uap_sim::{SimRng, SimTime, Tracer};
@@ -61,7 +61,8 @@ fn gnutella_message_reduction(p: &Params, seed: u64) -> f64 {
             hostcache_size: 1000.min(p.n_hosts),
             ..Default::default()
         };
-        run_experiment(net.build(), cfg, seed).0.total_msgs() as f64
+        let (report, _) = run_experiment_with(net.build(), cfg, seed, &mut Tracer::disabled());
+        report.total_msgs() as f64
     };
     let unbiased = run(NeighborSelection::Random);
     let biased = run(NeighborSelection::OracleBiased { list_size: 1000 });
@@ -79,9 +80,8 @@ fn exchange_locality_jump(p: &Params, seed: u64) -> f64 {
             ..Default::default()
         };
         cfg.content.locality = 0.2;
-        run_experiment(net.build(), cfg, seed)
-            .0
-            .intra_as_exchange_pct()
+        let (report, _) = run_experiment_with(net.build(), cfg, seed, &mut Tracer::disabled());
+        report.intra_as_exchange_pct()
     };
     run(true) - run(false)
 }
@@ -124,7 +124,8 @@ fn swarm_locality_gain(p: &Params, seed: u64) -> f64 {
             tracker,
             ..Default::default()
         };
-        run_swarm(net.build(), cfg, seed).0.intra_as_fraction
+        let (report, _) = run_swarm_with(net.build(), cfg, seed, &mut Tracer::disabled());
+        report.intra_as_fraction
     };
     let random = run(TrackerPolicy::Random);
     let bns = run(TrackerPolicy::Bns {

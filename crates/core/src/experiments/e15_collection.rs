@@ -9,7 +9,7 @@
 //! the messages each technique spent — the accuracy/overhead frontier an
 //! implementer actually chooses on.
 
-use super::table::{ensure, Scale};
+use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, Table};
 use uap_info::provider::{IspLocator, ProximityEstimator};
@@ -17,7 +17,7 @@ use uap_info::{
     Ip2IspService, OnoEstimator, Oracle, P4pEstimator, P4pService, PdistanceWeights, SimulatedCdn,
 };
 use uap_net::{HostId, Underlay};
-use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
+use uap_sim::{SimRng, SimTime, Tracer};
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -108,24 +108,14 @@ fn score(u: &Underlay, tasks: &[Task], selections: &[Vec<HostId>]) -> f64 {
     sum / count.max(1) as f64
 }
 
-/// Runs the shoot-out.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but records the per-call collection cost of the oracle
+/// Runs the shoot-out, recording the per-call collection cost of the oracle
 /// technique (`info`/`oracle.rank`) into `tracer`, with one
 /// `experiment`/`phase` marker (Info) per technique.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let u = p.net.build();
     let mut rng = SimRng::new(p.net.seed ^ 0xE15);
     let tasks = make_tasks(&u, p, &mut rng);
     let mut techniques = Vec::new();
-    let phase = |t: &mut Tracer, name: &'static str| {
-        t.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", name);
-        });
-    };
 
     // Random baseline: pick the first `want` (candidate order is random).
     {
@@ -249,7 +239,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 
 /// The [`super::TABLE`] row's run; its event count is messages spent.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
-    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let out = run(&scale.params(seed, Params::quick, Params::full), tracer);
     let claim = claim(&out);
     super::Outcome {
         events: out.techniques.iter().map(|t| t.messages).sum(),

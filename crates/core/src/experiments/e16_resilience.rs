@@ -19,14 +19,23 @@
 //! overlays brittle — after the last epoch clears, every recovery curve
 //! regains its pre-fault level.
 
-use super::table::{ensure, Scale};
+use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
-use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
+use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy, ROUND};
 use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
-use uap_kademlia::{DhtConfig, DhtNetwork, Key};
-use uap_net::{FaultKind, FaultPlan, FaultState, HostId};
-use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
+use uap_kademlia::{run_dht_with, DhtConfig, DhtNetwork, DhtOp, Key, LookupOutcome};
+use uap_net::{FaultKind, FaultPlan, HostId};
+use uap_sim::{SimRng, SimTime, Tracer};
+
+/// The transit cut of both campaigns: 70 % of transit links, sampled from
+/// one salt, so every consumer of a plan sees the identical cut set.
+const TRANSIT_CUT: FaultKind = FaultKind::TransitDown {
+    p: 0.7,
+    salt: 0xE16,
+};
+/// The main campaign's congestion episode: inter-AS paths twice as slow.
+const LATENCY_SPIKE: FaultKind = FaultKind::LatencyInflation { factor: 2.0 };
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -39,10 +48,6 @@ pub struct Params {
     pub fault_start: SimTime,
     /// Fault window end.
     pub fault_end: SimTime,
-    /// Fraction of transit links cut during the window.
-    pub transit_down_p: f64,
-    /// Latency inflation factor during the window.
-    pub latency_factor: f64,
     /// Number of hosts (`0..crash_hosts`) crashed during the window.
     pub crash_hosts: usize,
     /// Keys stored and retrieved in the Kademlia phases.
@@ -65,8 +70,6 @@ impl Params {
             duration: SimTime::from_mins(24),
             fault_start: SimTime::from_mins(8),
             fault_end: SimTime::from_mins(16),
-            transit_down_p: 0.7,
-            latency_factor: 2.0,
             crash_hosts: 20,
             n_keys: 20,
             swarm_leechers: 60,
@@ -83,8 +86,6 @@ impl Params {
             duration: SimTime::from_mins(40),
             fault_start: SimTime::from_mins(12),
             fault_end: SimTime::from_mins(28),
-            transit_down_p: 0.7,
-            latency_factor: 2.0,
             crash_hosts: 60,
             n_keys: 40,
             swarm_leechers: 200,
@@ -98,55 +99,28 @@ impl Params {
     /// one window. Masks are salt-derived, so every consumer of the plan
     /// sees the identical cut set.
     pub fn plan(&self) -> FaultPlan {
+        let (start, end) = (self.fault_start, self.fault_end);
+        let hosts = (0..HostId::from_index(self.crash_hosts).0)
+            .map(HostId)
+            .collect();
         FaultPlan::new()
-            .epoch(
-                self.fault_start,
-                self.fault_end,
-                FaultKind::TransitDown {
-                    p: self.transit_down_p,
-                    salt: 0xE16,
-                },
-            )
-            .epoch(
-                self.fault_start,
-                self.fault_end,
-                FaultKind::LatencyInflation {
-                    factor: self.latency_factor,
-                },
-            )
-            .epoch(
-                self.fault_start,
-                self.fault_end,
-                FaultKind::HostCrash {
-                    hosts: (0..HostId::from_index(self.crash_hosts).0)
-                        .map(HostId)
-                        .collect(),
-                },
-            )
+            .epoch(start, end, TRANSIT_CUT)
+            .epoch(start, end, LATENCY_SPIKE)
+            .epoch(start, end, FaultKind::HostCrash { hosts })
     }
 
     fn swarm_plan(&self) -> FaultPlan {
         // Crash leechers only (seeds occupy the first host slots) and cut
         // the same transit fraction, over the round-aligned window.
+        let (start, end) = (self.swarm_fault_start, self.swarm_fault_end);
         let first = HostId::from_index(self.swarm_seeds).0;
+        let last = first + HostId::from_index(self.crash_hosts).0;
+        let crash = FaultKind::HostCrash {
+            hosts: (first..last).map(HostId).collect(),
+        };
         FaultPlan::new()
-            .epoch(
-                self.swarm_fault_start,
-                self.swarm_fault_end,
-                FaultKind::TransitDown {
-                    p: self.transit_down_p,
-                    salt: 0xE16,
-                },
-            )
-            .epoch(
-                self.swarm_fault_start,
-                self.swarm_fault_end,
-                FaultKind::HostCrash {
-                    hosts: (first..first + HostId::from_index(self.crash_hosts).0)
-                        .map(HostId)
-                        .collect(),
-                },
-            )
+            .epoch(start, end, TRANSIT_CUT)
+            .epoch(start, end, crash)
     }
 }
 
@@ -215,14 +189,9 @@ pub struct Outcome {
     pub swarms: Vec<SwarmResult>,
 }
 
-/// Runs the full campaign untraced.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but threads `tracer` through the overlay runs, with one
-/// `experiment`/`phase` marker per configuration segment.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+/// Runs the full campaign, threading `tracer` through the overlay runs
+/// with one `experiment`/`phase` marker per configuration segment.
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let reachability = probe_reachability(p);
     let (gnutella, curves) = run_gnutella(p, tracer);
     let (kademlia, kad_phases) = run_kademlia(p, tracer);
@@ -323,9 +292,7 @@ fn run_gnutella(p: &Params, tracer: &mut Tracer) -> (Table, Vec<GnutellaCurve>) 
     );
     let mut curves = Vec::new();
     for (label, selection, oracle_dl) in configs {
-        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", format!("gnutella/{label}"));
-        });
+        phase(tracer, format!("gnutella/{label}"));
         let cfg = GnutellaConfig {
             selection,
             oracle_at_file_exchange: oracle_dl,
@@ -355,70 +322,62 @@ fn run_gnutella(p: &Params, tracer: &mut Tracer) -> (Table, Vec<GnutellaCurve>) 
     (table, curves)
 }
 
-fn run_kademlia(p: &Params, tracer: &mut Tracer) -> (Table, Vec<KadPhase>) {
+/// E16c's DHT (retransmitting twice) and its schedule: every key stored at
+/// t = 0, then a retrieval wave at t = 0, the fault window's midpoint and
+/// its close, each from queriers outside the crash set.
+fn kad_workload(p: &Params) -> (DhtNetwork, Vec<(SimTime, DhtOp)>) {
     let mut rng = SimRng::new(p.net.seed ^ 0x16AD);
     let cfg = DhtConfig {
         rpc_retries: 2,
         ..Default::default()
     };
-    let mut net = DhtNetwork::build(p.net.build(), cfg, &mut rng);
-    tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-        f.str("name", "kademlia/retrieval");
-    });
-    // Joins stay untraced (they happen inside `build`); the phase
-    // retrievals below record their lookup spans into the experiment's
-    // tracer, then the swap is undone before the tables are built.
-    std::mem::swap(&mut net.tracer, tracer);
+    let net = DhtNetwork::build(p.net.build(), cfg, &mut rng);
     let n = net.len();
-    let compiled = p.plan().compile(&net.underlay.graph);
-    let mid = SimTime::from_micros((p.fault_start.as_micros() + p.fault_end.as_micros()) / 2);
-    // Store everything before the campaign; replicas land on live nodes.
-    let keys: Vec<Key> = (0..p.n_keys)
-        .map(|i| Key::hash_of(format!("e16-key-{i}").as_bytes()))
-        .collect();
-    for (i, k) in keys.iter().enumerate() {
-        let from = HostId::from_index((i * 11) % n);
-        net.store(from, k, i as u64, &mut rng);
-    }
-    // Query hosts sit outside the crash set so every phase issues the
-    // same retrieval workload.
+    let key = |i: usize| Key::hash_of(format!("e16-key-{i}").as_bytes());
     let querier = |i: usize| HostId::from_index(p.crash_hosts + (i * 7) % (n - p.crash_hosts));
+    let mid = SimTime::from_micros((p.fault_start.as_micros() + p.fault_end.as_micros()) / 2);
+    let store = |i: usize| DhtOp::Store(HostId::from_index((i * 11) % n), key(i), i as u64);
+    let stores = (0..p.n_keys).map(|i| (SimTime::ZERO, store(i)));
+    let waves = [SimTime::ZERO, mid, p.fault_end]
+        .into_iter()
+        .flat_map(|t| (0..p.n_keys).map(move |i| (t, DhtOp::Retrieve(querier(i), key(i)))));
+    (net, stores.chain(waves).collect())
+}
+
+/// E16c's phases out of its results: one retrieval wave each, after the
+/// stores; retrieval `i` of a wave asks for key `i`, whose value is `i`.
+fn kad_phases(p: &Params, results: &[(LookupOutcome, Option<u64>)]) -> Vec<KadPhase> {
+    let n = p.n_keys.max(1);
+    let waves = results.get(p.n_keys..).unwrap_or_default().chunks(n);
     let mut phases = Vec::new();
-    let mut run_phase = |label: &str, net: &mut DhtNetwork, rng: &mut SimRng| {
+    for (label, wave) in ["pre-fault", "faulted", "recovered"].iter().zip(waves) {
         let mut ph = KadPhase {
             label: label.to_string(),
             successes: 0,
-            attempts: keys.len(),
+            attempts: wave.len(),
             rpcs: 0,
             retransmits: 0,
             mean_latency_ms: 0.0,
         };
         let mut latency_us = 0u64;
-        for (i, k) in keys.iter().enumerate() {
-            let (out, got) = net.retrieve(querier(i), k, rng);
-            if got == Some(i as u64) {
-                ph.successes += 1;
-            }
+        for (i, (out, got)) in wave.iter().enumerate() {
+            ph.successes += usize::from(*got == Some(i as u64));
             ph.rpcs += out.rpcs;
             ph.retransmits += out.retransmits;
             latency_us += out.latency_us;
         }
-        ph.mean_latency_ms = latency_us as f64 / keys.len() as f64 / 1_000.0;
+        ph.mean_latency_ms = latency_us as f64 / wave.len() as f64 / 1_000.0;
         phases.push(ph);
-    };
-    run_phase("pre-fault", &mut net, &mut rng);
-    let state = compiled.state_at(mid);
-    net.underlay.apply_fault_state(&state);
-    for &h in &state.crashed {
-        net.set_online(h, false);
     }
-    run_phase("faulted", &mut net, &mut rng);
-    net.underlay.apply_fault_state(&FaultState::clear());
-    for &h in &state.crashed {
-        net.set_online(h, true);
-    }
-    run_phase("recovered", &mut net, &mut rng);
-    std::mem::swap(&mut net.tracer, tracer);
+    phases
+}
+
+fn run_kademlia(p: &Params, tracer: &mut Tracer) -> (Table, Vec<KadPhase>) {
+    let (mut net, ops) = kad_workload(p);
+    phase(tracer, "kademlia/retrieval");
+    // Joins (inside `build`) stay untraced; boundaries and waves are traced.
+    let results = run_dht_with(&mut net, &ops, &p.plan(), p.net.seed ^ 0x16AD, tracer);
+    let phases = kad_phases(p, &results);
     let mut table = Table::new(
         "E16c — Kademlia retrieval with RPC retransmit (retries = 2)",
         &[
@@ -464,9 +423,7 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
     );
     let mut results = Vec::new();
     for (label, tracker) in configs {
-        tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
-            f.str("name", format!("bittorrent/{label}"));
-        });
+        phase(tracer, format!("bittorrent/{label}"));
         let cfg = SwarmConfig {
             n_leechers: p.swarm_leechers,
             n_seeds: p.swarm_seeds,
@@ -474,13 +431,12 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
             faults: Some(p.swarm_plan()),
             ..Default::default()
         };
-        let round = cfg.round;
         let (report, _) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0x5316, tracer);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a round index of a run capped at max_rounds"
         )]
-        let close_round = (p.swarm_fault_end.as_micros() / round.as_micros()) as usize;
+        let close_round = (p.swarm_fault_end.as_micros() / ROUND.as_micros()) as usize;
         let done_at_fault_end = report
             .completed_by_round
             .get(close_round.saturating_sub(1))
@@ -507,7 +463,7 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
 
 /// The [`super::TABLE`] row's run; its event count is Kademlia RPCs.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
-    let out = run_traced(&scale.params(seed, Params::quick, Params::full), tracer);
+    let out = run(&scale.params(seed, Params::quick, Params::full), tracer);
     let claim = claim(&out);
     super::Outcome {
         events: out.kad_phases.iter().map(|p| p.rpcs).sum(),
@@ -612,12 +568,13 @@ pub fn claim(out: &Outcome) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uap_net::FaultState;
 
     /// The un-narrowed form of the claim's query-success line, on the
     /// seed it was written for: in-window success dips and climbs back.
     #[test]
     fn overlays_regain_pre_fault_levels() {
-        let out = run(&Params::quick(61));
+        let out = run(&Params::quick(61), &mut Tracer::disabled());
         assert_eq!(claim(&out), Ok(()));
         for c in &out.curves {
             assert!(
@@ -629,10 +586,66 @@ mod tests {
         }
     }
 
+    /// E16c as it ran before the engine drove it: synchronous stores and
+    /// waves, the faulted wave under `state_at(mid)` applied by hand with
+    /// its own crash loop, the recovered wave after `clear()`.
+    fn reference_kademlia(p: &Params) -> Vec<(LookupOutcome, Option<u64>)> {
+        let (mut net, ops) = kad_workload(p);
+        let mut rng = SimRng::new(0);
+        let compiled = p.plan().compile(&net.underlay.graph);
+        let mid = SimTime::from_micros((p.fault_start.as_micros() + p.fault_end.as_micros()) / 2);
+        let state = compiled.state_at(mid);
+        let mut results = Vec::new();
+        for (i, &(_, op)) in ops.iter().enumerate() {
+            if i == 2 * p.n_keys {
+                net.underlay.apply_fault_state(&state);
+                for &h in &state.crashed {
+                    net.set_online(h, false);
+                }
+            }
+            if i == 3 * p.n_keys {
+                net.underlay.apply_fault_state(&FaultState::clear());
+                for &h in &state.crashed {
+                    net.set_online(h, true);
+                }
+            }
+            results.push(match op {
+                DhtOp::Store(from, key, v) => (net.store(from, &key, v, &mut rng).0, None),
+                DhtOp::Retrieve(from, key) => net.retrieve(from, &key, &mut rng),
+                DhtOp::Lookup(..) => panic!("E16c schedules no bare lookup"),
+            });
+        }
+        results
+    }
+
+    /// Moving E16c onto the engine changed its clock, not its numbers:
+    /// every phase's successes, RPCs, retransmits and latency equal the
+    /// hand-driven sequence's, and so does every retrieval.
+    #[test]
+    fn driven_phases_equal_the_hand_driven_sequence() {
+        for seed in [61, 62, 63, 64] {
+            let p = Params::quick(seed);
+            let (mut net, ops) = kad_workload(&p);
+            let driven = run_dht_with(&mut net, &ops, &p.plan(), 0, &mut Tracer::disabled());
+            let reference = reference_kademlia(&p);
+            assert_eq!(driven, reference, "seed {seed}");
+            let totals = |r| {
+                let phases = kad_phases(&p, r);
+                phases
+                    .iter()
+                    .map(|ph| (ph.successes, ph.rpcs, ph.retransmits, ph.mean_latency_ms))
+                    .collect::<Vec<_>>()
+            };
+            let (a, b) = (totals(&driven), totals(&reference));
+            assert_eq!((a.len(), &a), (3, &b), "seed {seed}");
+            assert!(a[1].2 > 0, "seed {seed}: the faulted wave retransmits");
+        }
+    }
+
     #[test]
     fn runs_are_deterministic() {
-        let a = run(&Params::quick(62));
-        let b = run(&Params::quick(62));
+        let a = run(&Params::quick(62), &mut Tracer::disabled());
+        let b = run(&Params::quick(62), &mut Tracer::disabled());
         assert_eq!(a.reachability.to_csv(), b.reachability.to_csv());
         assert_eq!(a.gnutella.to_csv(), b.gnutella.to_csv());
         assert_eq!(a.kademlia.to_csv(), b.kademlia.to_csv());

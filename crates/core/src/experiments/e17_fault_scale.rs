@@ -207,14 +207,9 @@ fn measure(spec: &SizeSpec, seed: u64, epochs: usize, tracer: &mut Tracer) -> Si
     }
 }
 
-/// Runs the sweep untraced.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but records one `net`/`routing.repair` event (Info) per
+/// Runs the sweep, recording one `net`/`routing.repair` event (Info) per
 /// boundary into `tracer`.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let sizes: Vec<SizeResult> = p
         .sizes
         .iter()
@@ -251,7 +246,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 /// The [`super::TABLE`] row's run; its event count is boundaries applied.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
-    let out = run_traced(&p, tracer);
+    let out = run(&p, tracer);
     let claim = claim(&out);
     super::Outcome {
         config: vec![("epochs", p.epochs.to_string())],
@@ -311,8 +306,8 @@ mod tests {
 
     #[test]
     fn table_is_deterministic_and_skips_large_when_quick() {
-        let a = run(&Params::quick(5));
-        let b = run(&Params::quick(5));
+        let a = run(&Params::quick(5), &mut Tracer::disabled());
+        let b = run(&Params::quick(5), &mut Tracer::disabled());
         assert_eq!(a.table.to_csv(), b.table.to_csv());
         assert_eq!(a.table.len(), 2);
         assert_eq!(Params::full(5).sizes.len(), 3);

@@ -104,13 +104,8 @@ fn build_underlay(p: &Params, uniform: bool) -> Underlay {
     u
 }
 
-/// Runs the sweep untraced.
-pub fn run(p: &Params) -> Outcome {
-    run_traced(p, &mut Tracer::disabled())
-}
-
-/// Like [`run`], but threads `tracer` through every swarm run.
-pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
+/// Runs the sweep, threading `tracer` through every swarm run.
+pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     let trackers: [(&str, TrackerPolicy); 2] = [
         ("random", TrackerPolicy::Random),
         (
@@ -191,7 +186,7 @@ pub fn run_traced(p: &Params, tracer: &mut Tracer) -> Outcome {
 /// The [`super::TABLE`] row's run; its event count is swarm rounds.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
-    let out = run_traced(&p, tracer);
+    let out = run(&p, tracer);
     let claim = claim(&out);
     super::Outcome {
         config: vec![
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_access_by_seeds_by_tracker() {
-        let out = run(&Params::quick(5));
+        let out = run(&Params::quick(5), &mut Tracer::disabled());
         assert_eq!(out.points.len(), 8);
         assert_eq!(out.completion.len(), 8);
         assert_eq!(out.locality.len(), 8);

@@ -18,7 +18,7 @@ use super::{
 };
 use crate::impact;
 use crate::report::Table;
-use uap_sim::Tracer;
+use uap_sim::{trace::registry, SimTime, Tracer};
 
 /// Which of a row's two parameter sets to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -299,6 +299,14 @@ pub fn num(t: &Table, r: usize, col: &str) -> Result<f64, String> {
     cell[..end]
         .parse()
         .map_err(|_| format!("{}: {col:?} in row {r} = {cell:?} is not a number", t.title))
+}
+
+/// Marks where one configuration segment of a run begins, with an
+/// `experiment`/`phase` event (Info) naming it.
+pub(crate) fn phase(tracer: &mut Tracer, name: impl Into<String>) {
+    tracer.emit(SimTime::ZERO, registry::EXPERIMENT_PHASE, |f| {
+        f.str("name", name);
+    });
 }
 
 /// Fails the enclosing claim with a formatted reason unless `cond` holds

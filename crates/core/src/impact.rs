@@ -25,7 +25,7 @@ use crate::experiments::{self, NetParams};
 use crate::geo_overlay::{GeoOverlay, Rect};
 use crate::report::Table;
 use uap_gnutella::{
-    run_experiment, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
+    run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
 };
 use uap_net::{FaultKind, FaultPlan, Underlay};
 use uap_sim::{SimTime, Tracer};
@@ -167,7 +167,8 @@ fn run_column(
         hostcache_size: 1000.min(net.n_hosts),
         ..Default::default()
     };
-    let (report, mut world) = run_experiment(net.build(), cfg, net.seed ^ 0xE8);
+    let (report, mut world) =
+        run_experiment_with(net.build(), cfg, net.seed ^ 0xE8, &mut Tracer::disabled());
     let (_, peering, transit) = world.underlay.traffic.totals();
     let external_bytes = peering + transit;
     let mean_neighbor_uptime = mean_edge_uptime(&world.underlay, &report);

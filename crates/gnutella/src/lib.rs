@@ -17,7 +17,7 @@
 //!    consult the oracle again.
 //!
 //! The crate exposes [`sim::GnutellaSim`] (event-driven, with churn) and
-//! the [`sim::run_experiment`] entry point that produces the
+//! the [`sim::run_experiment_with`] entry point that produces the
 //! [`report::GnutellaReport`] experiments E4–E7 consume.
 //!
 //! Why biased selection reduces *all four* message counts here — with no
@@ -44,4 +44,4 @@ pub use content::{ContentModel, FileId};
 pub use overlay::Overlay;
 pub use report::GnutellaReport;
 pub use selection::NeighborSelection;
-pub use sim::{run_experiment, run_experiment_with, GnutellaSim};
+pub use sim::{run_experiment_with, GnutellaSim};

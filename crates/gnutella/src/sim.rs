@@ -779,19 +779,9 @@ impl World<Ev> for GnutellaSim {
 }
 
 /// Runs one configured experiment and returns the report plus the world
-/// (whose underlay ledger holds the traffic classification).
-pub fn run_experiment(
-    underlay: Underlay,
-    cfg: GnutellaConfig,
-    seed: u64,
-) -> (GnutellaReport, GnutellaSim) {
-    let mut tracer = Tracer::disabled();
-    run_experiment_with(underlay, cfg, seed, &mut tracer)
-}
-
-/// Like [`run_experiment`], but records into `tracer` (temporarily moved
-/// into the engine for the duration of the run and restored afterwards).
-/// At end of run this emits the per-link traffic totals and one
+/// (whose underlay ledger holds the traffic classification). Records into
+/// `tracer` (moved into the engine for the run and restored afterwards);
+/// at end of run this emits the per-link traffic totals and one
 /// `gnutella`/`run.end` summary event.
 pub fn run_experiment_with(
     underlay: Underlay,
@@ -844,8 +834,12 @@ mod tests {
 
     #[test]
     fn baseline_run_produces_traffic_and_searches() {
-        let (report, world) =
-            run_experiment(underlay(150, 1), quick_cfg(NeighborSelection::Random), 42);
+        let (report, world) = run_experiment_with(
+            underlay(150, 1),
+            quick_cfg(NeighborSelection::Random),
+            42,
+            &mut Tracer::disabled(),
+        );
         assert!(report.joins >= 150);
         assert!(report.ping_msgs > 0);
         assert!(report.pong_msgs > 0);
@@ -862,12 +856,17 @@ mod tests {
 
     #[test]
     fn oracle_biased_increases_intra_as_edges() {
-        let (unbiased, _) =
-            run_experiment(underlay(200, 2), quick_cfg(NeighborSelection::Random), 7);
-        let (biased, world) = run_experiment(
+        let (unbiased, _) = run_experiment_with(
+            underlay(200, 2),
+            quick_cfg(NeighborSelection::Random),
+            7,
+            &mut Tracer::disabled(),
+        );
+        let (biased, world) = run_experiment_with(
             underlay(200, 2),
             quick_cfg(NeighborSelection::OracleBiased { list_size: 1000 }),
             7,
+            &mut Tracer::disabled(),
         );
         let intra_frac = |edges: &[(HostId, HostId)], u: &Underlay| {
             if edges.is_empty() {
@@ -884,11 +883,17 @@ mod tests {
     #[test]
     fn oracle_biased_reduces_message_counts() {
         let n = 300;
-        let (unbiased, _) = run_experiment(underlay(n, 3), quick_cfg(NeighborSelection::Random), 9);
-        let (biased, _) = run_experiment(
+        let (unbiased, _) = run_experiment_with(
+            underlay(n, 3),
+            quick_cfg(NeighborSelection::Random),
+            9,
+            &mut Tracer::disabled(),
+        );
+        let (biased, _) = run_experiment_with(
             underlay(n, 3),
             quick_cfg(NeighborSelection::OracleBiased { list_size: 1000 }),
             9,
+            &mut Tracer::disabled(),
         );
         assert!(
             biased.total_msgs() < unbiased.total_msgs(),
@@ -905,9 +910,10 @@ mod tests {
     fn oracle_at_file_exchange_lifts_locality() {
         let n = 250;
         let mut cfg = quick_cfg(NeighborSelection::OracleBiased { list_size: 1000 });
-        let (plain, _) = run_experiment(underlay(n, 4), cfg.clone(), 11);
+        let (plain, _) =
+            run_experiment_with(underlay(n, 4), cfg.clone(), 11, &mut Tracer::disabled());
         cfg.oracle_at_file_exchange = true;
-        let (oracle_x, _) = run_experiment(underlay(n, 4), cfg, 11);
+        let (oracle_x, _) = run_experiment_with(underlay(n, 4), cfg, 11, &mut Tracer::disabled());
         assert!(
             oracle_x.intra_as_exchange_pct() > plain.intra_as_exchange_pct(),
             "{} !> {}",
@@ -921,7 +927,8 @@ mod tests {
         let mut cfg = quick_cfg(NeighborSelection::Random);
         cfg.churn = uap_sim::ChurnConfig::exponential(300.0);
         cfg.duration = SimTime::from_mins(15);
-        let (report, world) = run_experiment(underlay(120, 5), cfg, 13);
+        let (report, world) =
+            run_experiment_with(underlay(120, 5), cfg, 13, &mut Tracer::disabled());
         assert!(report.joins > 120, "rejoins should occur: {}", report.joins);
         assert!(report.queries_issued > 0);
         // Some nodes online at the end.
@@ -932,7 +939,8 @@ mod tests {
     fn leaf_roles_limit_flooding() {
         let mut cfg = quick_cfg(NeighborSelection::Random);
         cfg.roles = RoleAssignment::EveryKth(3);
-        let (report, world) = run_experiment(underlay(90, 6), cfg, 17);
+        let (report, world) =
+            run_experiment_with(underlay(90, 6), cfg, 17, &mut Tracer::disabled());
         // Leaves exist and are attached.
         let leaves = (0..90)
             .map(HostId)
@@ -962,7 +970,8 @@ mod tests {
                     FaultKind::LatencyInflation { factor: 2.0 },
                 ),
         );
-        let (report, world) = run_experiment(underlay(150, 9), cfg, 31);
+        let (report, world) =
+            run_experiment_with(underlay(150, 9), cfg, 31, &mut Tracer::disabled());
         // Both epoch boundaries applied (entry + exit share the two times).
         assert_eq!(world.underlay.route_cache_invalidations(), 2);
         // The partition must have made some chosen source unreachable.
@@ -1003,7 +1012,8 @@ mod tests {
                 hosts: crashed.clone(),
             },
         ));
-        let (report, world) = run_experiment(underlay(120, 10), cfg, 33);
+        let (report, world) =
+            run_experiment_with(underlay(120, 10), cfg, 33, &mut Tracer::disabled());
         // Static churn: every crashed host restarts when the epoch ends.
         for h in crashed {
             assert!(
@@ -1032,7 +1042,8 @@ mod tests {
                 hosts: crashed.clone(),
             },
         ));
-        let (report, world) = run_experiment(underlay(120, 10), cfg, 33);
+        let (report, world) =
+            run_experiment_with(underlay(120, 10), cfg, 33, &mut Tracer::disabled());
         assert!(report.joins > 120, "rejoins should occur: {}", report.joins);
         // Ten minutes of 300 s sessions after the window: crashed hosts
         // are back on the overlay in churn proportion, not stuck off it.
@@ -1057,8 +1068,12 @@ mod tests {
 
     #[test]
     fn zero_hosts_run_to_an_empty_report() {
-        let (report, world) =
-            run_experiment(underlay(0, 11), quick_cfg(NeighborSelection::Random), 1);
+        let (report, world) = run_experiment_with(
+            underlay(0, 11),
+            quick_cfg(NeighborSelection::Random),
+            1,
+            &mut Tracer::disabled(),
+        );
         assert_silent(&report);
         assert_eq!((report.joins, report.events), (0, 0));
         assert!(world.overlay.is_empty());
@@ -1071,7 +1086,12 @@ mod tests {
             NeighborSelection::OracleBiased { list_size: 1000 },
             NeighborSelection::LatencyBiased,
         ] {
-            let (report, world) = run_experiment(underlay(1, 12), quick_cfg(selection), 2);
+            let (report, world) = run_experiment_with(
+                underlay(1, 12),
+                quick_cfg(selection),
+                2,
+                &mut Tracer::disabled(),
+            );
             assert_silent(&report);
             assert_eq!(report.joins, 1);
             assert!(report.queries_issued > 0);
@@ -1090,7 +1110,7 @@ mod tests {
             locality: 0.0,
         };
         cfg.shared_per_peer = 18;
-        let (report, _) = run_experiment(underlay(2, 13), cfg, 3);
+        let (report, _) = run_experiment_with(underlay(2, 13), cfg, 3, &mut Tracer::disabled());
         assert_eq!(report.edges, [(HostId(0), HostId(1))]);
         assert!(report.queries_issued > 0);
         assert_eq!(report.queries_successful, report.queries_issued);
@@ -1106,7 +1126,8 @@ mod tests {
         let mut cfg = quick_cfg(NeighborSelection::Random);
         cfg.hostcache_size = 1;
         cfg.churn = uap_sim::ChurnConfig::exponential(200.0);
-        let (report, world) = run_experiment(underlay(60, 14), cfg, 4);
+        let (report, world) =
+            run_experiment_with(underlay(60, 14), cfg, 4, &mut Tracer::disabled());
         assert!(report.joins > 60, "churn should rejoin: {}", report.joins);
         assert!(report.ping_msgs > 0 && report.queries_issued > 0);
         // Each node knows one host: whoever the latest pong named anew.
@@ -1123,7 +1144,7 @@ mod tests {
         // no edges and no pongs — the run itself is the check.
         let mut cfg = quick_cfg(NeighborSelection::Random);
         cfg.hostcache_size = 0;
-        let (report, _) = run_experiment(underlay(20, 15), cfg, 5);
+        let (report, _) = run_experiment_with(underlay(20, 15), cfg, 5, &mut Tracer::disabled());
         assert_silent(&report);
         assert_eq!(report.joins, 20);
     }
@@ -1133,7 +1154,7 @@ mod tests {
         let mut cfg = quick_cfg(NeighborSelection::Random);
         cfg.ping_ttl = 0;
         cfg.query_ttl = 0;
-        let (report, _) = run_experiment(underlay(60, 16), cfg, 6);
+        let (report, _) = run_experiment_with(underlay(60, 16), cfg, 6, &mut Tracer::disabled());
         assert_eq!(report.total_msgs(), 0);
         assert!(!report.edges.is_empty(), "joins still connect");
         assert!(report.queries_issued > 0);
@@ -1152,7 +1173,8 @@ mod tests {
                 hosts: (0..40u32).map(HostId).collect(),
             },
         ));
-        let (report, world) = run_experiment(underlay(40, 17), cfg, 7);
+        let (report, world) =
+            run_experiment_with(underlay(40, 17), cfg, 7, &mut Tracer::disabled());
         assert_silent(&report);
         assert_eq!((report.joins, report.queries_issued), (0, 0));
         assert!(world.overlay.online_nodes().is_empty());
@@ -1179,8 +1201,9 @@ mod tests {
                     },
                 ),
         );
-        let (a, wa) = run_experiment(underlay(100, 8), cfg.clone(), 21);
-        let (b, wb) = run_experiment(underlay(100, 8), cfg, 21);
+        let (a, wa) =
+            run_experiment_with(underlay(100, 8), cfg.clone(), 21, &mut Tracer::disabled());
+        let (b, wb) = run_experiment_with(underlay(100, 8), cfg, 21, &mut Tracer::disabled());
         assert_eq!(a.total_msgs(), b.total_msgs());
         assert_eq!(a.queries_issued, b.queries_issued);
         assert_eq!(a.downloads, b.downloads);
@@ -1191,8 +1214,9 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let cfg = quick_cfg(NeighborSelection::OracleBiased { list_size: 100 });
-        let (a, _) = run_experiment(underlay(100, 8), cfg.clone(), 21);
-        let (b, _) = run_experiment(underlay(100, 8), cfg, 21);
+        let (a, _) =
+            run_experiment_with(underlay(100, 8), cfg.clone(), 21, &mut Tracer::disabled());
+        let (b, _) = run_experiment_with(underlay(100, 8), cfg, 21, &mut Tracer::disabled());
         assert_eq!(a.total_msgs(), b.total_msgs());
         assert_eq!(a.queries_issued, b.queries_issued);
         assert_eq!(a.downloads_intra_as, b.downloads_intra_as);

@@ -30,4 +30,4 @@ pub mod network;
 pub use gsh::ScopedDht;
 pub use id::Key;
 pub use kbucket::{Contact, RoutingTable};
-pub use network::{DhtConfig, DhtNetwork, LookupOutcome, ProximityMode};
+pub use network::{run_dht_with, DhtConfig, DhtNetwork, DhtOp, LookupOutcome, ProximityMode};

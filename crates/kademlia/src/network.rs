@@ -1,16 +1,18 @@
 //! The DHT network: joins, iterative lookups, store/retrieve, and the
 //! per-lookup underlay accounting experiment E9 consumes.
 //!
-//! Lookups are executed synchronously (each RPC's latency and AS path are
-//! taken from the underlay and accumulated) — the protocol is interactive
-//! request/response, so a synchronous driver measures exactly what an
-//! event-per-message driver would, at a fraction of the cost.
+//! A lookup runs synchronously (each RPC's latency and AS path are taken
+//! from the underlay and accumulated) — the protocol is interactive
+//! request/response, so one call measures exactly what an event-per-message
+//! driver would, at a fraction of the cost. [`run_dht_with`] makes those
+//! calls on the event engine at their sim times; a direct call runs at t = 0.
 
 use crate::id::Key;
 use crate::kbucket::{Contact, OverflowPolicy, RoutingTable};
 use std::collections::BTreeMap;
-use uap_net::{HostId, TrafficCategory, Underlay};
-use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
+use uap_net::fault::{enter_boundary, CompiledFaultPlan};
+use uap_net::{FaultPlan, HostId, TrafficCategory, Underlay};
+use uap_sim::{trace::registry, Ctx, SimRng, SimTime, Simulator, Tracer, World};
 
 /// Underlay-awareness switches (Kaune et al. \[17\]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -26,6 +28,9 @@ pub enum ProximityMode {
 /// Average bytes of one RPC message (request or response).
 const RPC_BYTES: u64 = 100;
 
+/// Base RPC timeout (µs): retransmit `i` waits `RPC_TIMEOUT_US << (i - 1)`.
+const RPC_TIMEOUT_US: u64 = 500_000;
+
 /// DHT parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DhtConfig {
@@ -39,9 +44,6 @@ pub struct DhtConfig {
     /// declared dead (0 = classic immediate prune, the pre-recovery
     /// behavior and the default).
     pub rpc_retries: u32,
-    /// Base RPC timeout in microseconds; retransmit attempt `i` waits
-    /// `rpc_timeout_us << i` (deterministic exponential backoff).
-    pub rpc_timeout_us: u64,
 }
 
 impl Default for DhtConfig {
@@ -51,13 +53,12 @@ impl Default for DhtConfig {
             alpha: 3,
             proximity: ProximityMode::None,
             rpc_retries: 0,
-            rpc_timeout_us: 500_000,
         }
     }
 }
 
 /// What one lookup cost and returned.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LookupOutcome {
     /// Closest contacts found (k of them), closest first.
     pub closest: Vec<Contact>,
@@ -85,19 +86,16 @@ struct NodeState {
     online: bool,
 }
 
-/// The timestamp of every ledger entry and trace event: the DHT is driven
-/// synchronously, outside the event engine, so its clock never advances.
-const NOW: SimTime = SimTime::ZERO;
-
 /// A whole DHT over an underlay.
 pub struct DhtNetwork {
     /// The underlay (owned; transfers are charged to its ledger).
     pub underlay: Underlay,
-    /// Structured trace collector (disabled by default; swap one in with
-    /// [`std::mem::take`]-style replacement to record `kademlia` lookup
-    /// hop traces, all timestamped zero — the DHT runs outside the event
-    /// engine).
+    /// Trace collector for direct calls (disabled by default); a
+    /// [`run_dht_with`] run traces into its own.
     pub tracer: Tracer,
+    /// Timestamp of every ledger entry and trace event; only
+    /// [`run_dht_with`] moves it off t = 0, to each op's instant.
+    now: SimTime,
     cfg: DhtConfig,
     nodes: Vec<NodeState>,
     /// Lookup scratch (taken with `std::mem::take` for the duration of a
@@ -151,6 +149,7 @@ impl DhtNetwork {
         let mut net = DhtNetwork {
             underlay,
             tracer: Tracer::disabled(),
+            now: SimTime::ZERO,
             cfg,
             nodes,
             lk_candidates: Vec::new(),
@@ -244,14 +243,15 @@ impl DhtNetwork {
     /// request (charged to the ledger) and doubles the wait — before the
     /// caller's prune path sees the `None`.
     fn rpc(&mut self, from: HostId, to: HostId, out: &mut LookupOutcome) -> Option<u64> {
+        let now = self.now;
         out.rpcs += 1;
-        let cat = self.underlay.account_transfer(NOW, from, to, RPC_BYTES);
+        let cat = self.underlay.account_transfer(now, from, to, RPC_BYTES);
         if cat != TrafficCategory::IntraAs {
             out.inter_as_rpcs += 1;
         }
         out.as_hops_sum += self.underlay.as_hops(from, to).unwrap_or(0) as u64;
         let rtt = if self.node(to).online {
-            self.underlay.account_transfer(NOW, to, from, RPC_BYTES);
+            self.underlay.account_transfer(now, to, from, RPC_BYTES);
             // The responder learns the caller (standard Kademlia liveness).
             let caller = self.contact_of(from, to);
             self.node_mut(to).table.observe(caller);
@@ -260,11 +260,11 @@ impl DhtNetwork {
             None // request lost; timeout
         };
         if rtt.is_none() && self.cfg.rpc_retries > 0 {
-            let mut wait = self.cfg.rpc_timeout_us;
+            let mut wait = RPC_TIMEOUT_US;
             for attempt in 1..=self.cfg.rpc_retries {
                 out.retransmits += 1;
                 out.timeout_wait_us = out.timeout_wait_us.saturating_add(wait);
-                self.tracer.emit(NOW, registry::KADEMLIA_RPC_RETRY, {
+                self.tracer.emit(now, registry::KADEMLIA_RPC_RETRY, {
                     move |f| {
                         f.u64("from", from.0 as u64)
                             .u64("to", to.0 as u64)
@@ -274,7 +274,7 @@ impl DhtNetwork {
                 });
                 // Retransmitting costs another request on the wire (the
                 // target never answers, so no response bytes).
-                self.underlay.account_transfer(NOW, from, to, RPC_BYTES);
+                self.underlay.account_transfer(now, from, to, RPC_BYTES);
                 wait = wait.saturating_mul(2);
             }
             // The last retransmit's own timeout elapses before giving up.
@@ -301,7 +301,7 @@ impl DhtNetwork {
         let span = self.tracer.alloc_span();
         let prev_prov = self.tracer.provenance();
         self.tracer.set_span(Some(span));
-        self.tracer.emit(NOW, registry::KADEMLIA_SPAN_OPEN, {
+        self.tracer.emit(self.now, registry::KADEMLIA_SPAN_OPEN, {
             let target_pfx = Self::key_prefix(target);
             move |f| {
                 f.str("span_kind", "lookup")
@@ -309,12 +309,13 @@ impl DhtNetwork {
                     .u64("target", target_pfx);
             }
         });
-        self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_START, {
-            let target_pfx = Self::key_prefix(target);
-            move |f| {
-                f.u64("from", from.0 as u64).u64("target", target_pfx);
-            }
-        });
+        self.tracer
+            .emit(self.now, registry::KADEMLIA_LOOKUP_START, {
+                let target_pfx = Self::key_prefix(target);
+                move |f| {
+                    f.u64("from", from.0 as u64).u64("target", target_pfx);
+                }
+            });
         let me = self.nodes[from.idx()].key;
         // The shortlist is the outcome's `closest` list, moved in at the
         // end. It holds at most k contacts plus α responses of k each, so
@@ -389,7 +390,7 @@ impl DhtNetwork {
                 }
             }
             out.latency_us += round_rtt;
-            self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_HOP, {
+            self.tracer.emit(self.now, registry::KADEMLIA_LOOKUP_HOP, {
                 let round = out.rounds;
                 let rpcs = out.rpcs;
                 move |f| {
@@ -432,7 +433,7 @@ impl DhtNetwork {
         self.lk_candidates = candidates;
         self.lk_learned = learned;
         self.lk_resp = resp;
-        self.tracer.emit(NOW, registry::KADEMLIA_LOOKUP_DONE, {
+        self.tracer.emit(self.now, registry::KADEMLIA_LOOKUP_DONE, {
             let best = shortlist
                 .first()
                 .map(|c| Self::key_prefix(&c.key))
@@ -448,9 +449,9 @@ impl DhtNetwork {
                     .u64("best", best);
             }
         });
-        // The lookup is synchronous (the ledger clock does not advance), so
-        // the close carries the modeled latency explicitly.
-        self.tracer.emit(NOW, registry::KADEMLIA_SPAN_CLOSE, {
+        // The lookup is synchronous (every event carries the instant it
+        // started at), so the close carries the modeled latency explicitly.
+        self.tracer.emit(self.now, registry::KADEMLIA_SPAN_CLOSE, {
             let (found, dur) = (!shortlist.is_empty(), out.latency_us);
             move |f| {
                 f.str("span_kind", "lookup")
@@ -520,6 +521,96 @@ impl DhtNetwork {
     }
 }
 
+/// One operation [`run_dht_with`] runs at its scheduled instant.
+#[derive(Clone, Copy, Debug)]
+pub enum DhtOp {
+    /// [`DhtNetwork::lookup`] from a host towards a key.
+    Lookup(HostId, Key),
+    /// [`DhtNetwork::store`] of a value under a key, from a host.
+    Store(HostId, Key, u64),
+    /// [`DhtNetwork::retrieve`] of a key, from a host.
+    Retrieve(HostId, Key),
+}
+
+/// Runs each `(t, op)` of `ops` (in time order, or this panics) on the
+/// event engine at sim time `t` while `faults` plays out on the same clock,
+/// tracing into `tracer`. Returns, per op, its lookup and the value a
+/// `Retrieve` got. A plan boundary is entered ([`enter_boundary`]) before
+/// the ops at its instant; its crash set replaces the last one offline,
+/// and an op inside an active epoch has that `fault.epoch` as its cause.
+pub fn run_dht_with(
+    net: &mut DhtNetwork,
+    ops: &[(SimTime, DhtOp)],
+    faults: &FaultPlan,
+    seed: u64,
+    tracer: &mut Tracer,
+) -> Vec<(LookupOutcome, Option<u64>)> {
+    assert!(ops.is_sorted_by_key(|&(t, _)| t), "ops out of time order");
+    let mut sim = Simulator::new(seed);
+    sim.set_tracer(std::mem::take(tracer));
+    let plan = faults.compile(&net.underlay.graph);
+    for (i, &t) in plan.boundaries().iter().enumerate() {
+        sim.schedule_at(t, DhtEv::Fault(i));
+    }
+    for &(t, op) in ops {
+        sim.schedule_at(t, DhtEv::Op(op));
+    }
+    let mut world = DhtWorld {
+        net,
+        plan,
+        crashed: Vec::new(),
+        cause: None,
+        results: Vec::with_capacity(ops.len()),
+    };
+    sim.run(&mut world);
+    *tracer = sim.take_tracer();
+    world.results
+}
+
+/// [`run_dht_with`]'s engine events: an op, or plan boundary `i`.
+enum DhtEv {
+    Op(DhtOp),
+    Fault(usize),
+}
+
+/// A DHT on the engine for the length of one [`run_dht_with`].
+struct DhtWorld<'a> {
+    net: &'a mut DhtNetwork,
+    plan: CompiledFaultPlan,
+    /// The crash set of the last boundary entered.
+    crashed: Vec<HostId>,
+    /// The active epoch's `fault.epoch` seq (`None` between epochs).
+    cause: Option<u64>,
+    results: Vec<(LookupOutcome, Option<u64>)>,
+}
+
+impl World<DhtEv> for DhtWorld<'_> {
+    fn handle(&mut self, ev: DhtEv, ctx: &mut Ctx<'_, DhtEv>) {
+        let net = &mut *self.net;
+        let op = match ev {
+            DhtEv::Op(op) => op,
+            DhtEv::Fault(i) => {
+                let (state, seq) = enter_boundary(&mut net.underlay, &self.plan, i, ctx);
+                self.crashed.iter().for_each(|&h| net.set_online(h, true));
+                state.crashed.iter().for_each(|&h| net.set_online(h, false));
+                self.cause = seq.filter(|_| state.active > 0);
+                self.crashed = state.crashed;
+                return;
+            }
+        };
+        net.now = ctx.now();
+        ctx.tracer.set_cause(self.cause);
+        std::mem::swap(&mut net.tracer, ctx.tracer);
+        let result = match op {
+            DhtOp::Lookup(h, target) => (net.lookup(h, &target, ctx.rng), None),
+            DhtOp::Store(h, key, v) => (net.store(h, &key, v, ctx.rng).0, None),
+            DhtOp::Retrieve(h, key) => net.retrieve(h, &key, ctx.rng),
+        };
+        std::mem::swap(&mut net.tracer, ctx.tracer);
+        self.results.push(result);
+    }
+}
+
 /// Adds `key` to the sorted set `keys` unless it is already there.
 fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
     if let Err(pos) = keys.binary_search(&key) {
@@ -530,7 +621,7 @@ fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::NetParams;
+    use uap_net::{FaultKind, NetParams};
     use uap_sim::TraceLevel;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
@@ -684,7 +775,6 @@ mod tests {
             let mut rng = SimRng::new(7);
             let cfg = DhtConfig {
                 rpc_retries: 2,
-                rpc_timeout_us: 250_000,
                 ..Default::default()
             };
             let net = DhtNetwork::build(underlay(32, 7), cfg, &mut rng);
@@ -718,12 +808,12 @@ mod tests {
             retransmits > 0,
             "lookups near an offline node must retransmit before pruning"
         );
-        // Each timed-out RPC waits 250ms + 500ms (two retransmits) plus the
-        // final 1s timeout = 1.75s of backoff per dead contact hit.
-        assert_eq!(wait, (retransmits / 2) * 1_750_000);
+        // Each timed-out RPC waits 500ms + 1s (two retransmits) plus the
+        // final 2s timeout = 3.5s of backoff per dead contact hit.
+        assert_eq!(wait, (retransmits / 2) * 3_500_000);
         assert!(trace.contains("\"k\":\"rpc.retry\""));
-        assert!(trace.contains("\"wait_us\":250000"));
         assert!(trace.contains("\"wait_us\":500000"));
+        assert!(trace.contains("\"wait_us\":1000000"));
         // Backoff waits bound the round like a slow RTT: every lookup that
         // retransmitted must report at least the full backoff as latency.
         for (_, r, w, lat) in &outs {
@@ -828,6 +918,47 @@ mod tests {
         let out = net.lookup(me, &Key::random(&mut rng), &mut rng);
         assert!(out.closest.is_empty());
         assert_eq!((out.rpcs, out.rounds, out.latency_us), (0, 1, 0));
+    }
+
+    #[test]
+    fn a_driven_crash_window_takes_its_hosts_offline_until_it_closes() {
+        let (mut net, mut rng) = network(48, ProximityMode::None, 15);
+        let crashed: Vec<HostId> = (0..12).map(HostId).collect();
+        let (start, end) = (SimTime::from_secs(10), SimTime::from_secs(20));
+        let hosts = crashed.clone();
+        let plan = FaultPlan::new().epoch(start, end, FaultKind::HostCrash { hosts });
+        let ops: Vec<(SimTime, DhtOp)> = [0, 15, 30]
+            .map(|s| {
+                (
+                    SimTime::from_secs(s),
+                    DhtOp::Lookup(HostId(40), Key::random(&mut rng)),
+                )
+            })
+            .into();
+        let out = run_dht_with(&mut net, &ops, &plan, 15, &mut Tracer::disabled());
+        assert_eq!(out.len(), 3);
+        let (inside, _) = &out[1];
+        assert!(!inside.closest.iter().any(|c| crashed.contains(&c.host)));
+        assert!(
+            crashed.iter().all(|&h| net.is_online(h)),
+            "the window closed"
+        );
+        assert_eq!(net.now, SimTime::from_secs(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "ops out of time order")]
+    fn driven_ops_must_come_in_time_order() {
+        let (mut net, _) = network(16, ProximityMode::None, 16);
+        let op = DhtOp::Lookup(HostId(1), Key::hash_of(b"k"));
+        let ops = [(SimTime::from_secs(2), op), (SimTime::from_secs(1), op)];
+        run_dht_with(
+            &mut net,
+            &ops,
+            &FaultPlan::new(),
+            16,
+            &mut Tracer::disabled(),
+        );
     }
 
     #[test]

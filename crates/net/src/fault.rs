@@ -15,8 +15,8 @@
 //! [`SimRng`] seeded by the epoch's own `salt`, so the sampled fault set is
 //! a pure function of `(graph, plan)` — independent of the simulation's
 //! RNG stream and of *when* the plan is compiled. Application is
-//! sim-time-driven: both engine-driven overlays (Gnutella and the swarm)
-//! schedule one `Fault(i)` event per epoch boundary and hand it to
+//! sim-time-driven: every overlay (Gnutella, the swarm, the Kademlia DHT)
+//! schedules one `Fault(i)` event per epoch boundary and hands it to
 //! [`enter_boundary`], the one boundary handler. It calls
 //! [`crate::Underlay::apply_fault_state`], which incrementally repairs
 //! routing under the epoch's mask (only sources whose shortest-path

@@ -77,9 +77,10 @@ pub struct TopologySpec {
     pub kind: TopologyKind,
     /// Side length of the world box in kilometres.
     pub world_km: f64,
-    /// Base per-link latency floor in microseconds (switching/queueing).
-    pub base_link_latency_us: u64,
 }
+
+/// Base per-link latency floor in microseconds (switching/queueing).
+const BASE_LINK_LATENCY_US: u64 = 200;
 
 impl TopologySpec {
     /// A spec with default world scale (continental: 5 000 km box, 200 µs
@@ -88,7 +89,6 @@ impl TopologySpec {
         TopologySpec {
             kind,
             world_km: 5_000.0,
-            base_link_latency_us: 200,
         }
     }
 
@@ -132,7 +132,7 @@ impl TopologySpec {
         let km = g.nodes[x.idx()]
             .geo_center
             .distance_km(&g.nodes[y.idx()].geo_center);
-        self.base_link_latency_us + propagation_delay_us(km)
+        BASE_LINK_LATENCY_US + propagation_delay_us(km)
     }
 
     fn ring(&self, n: usize, rng: &mut SimRng) -> AsGraph {

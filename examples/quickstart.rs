@@ -6,9 +6,9 @@
 //! ```
 
 use underlay_p2p::core::graphstats::OverlayStats;
-use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use underlay_p2p::gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use underlay_p2p::net::{NetParams, Underlay};
-use underlay_p2p::sim::SimTime;
+use underlay_p2p::sim::{SimTime, Tracer};
 
 fn build_underlay(seed: u64) -> Underlay {
     // A small Internet: 2 global carriers, 4 regionals, 16 local ISPs,
@@ -38,7 +38,8 @@ fn main() {
             duration: SimTime::from_mins(10),
             ..Default::default()
         };
-        let (report, world) = run_experiment(build_underlay(7), cfg, 7);
+        let (report, world) =
+            run_experiment_with(build_underlay(7), cfg, 7, &mut Tracer::disabled());
         let stats = OverlayStats::compute(&world.underlay, &report.edges);
         let (intra, peering, transit) = world.underlay.traffic.totals();
         println!("--- {label} ---");

@@ -6,11 +6,13 @@
 //! cargo run --release --example supernode_selection
 //! ```
 
-use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection, RoleAssignment};
+use underlay_p2p::gnutella::{
+    run_experiment_with, GnutellaConfig, NeighborSelection, RoleAssignment,
+};
 use underlay_p2p::info::provider::ResourceDirectory;
 use underlay_p2p::info::SkyEyeTree;
 use underlay_p2p::net::{NetParams, Underlay};
-use underlay_p2p::sim::SimTime;
+use underlay_p2p::sim::{SimTime, Tracer};
 
 fn build_underlay(seed: u64) -> Underlay {
     NetParams {
@@ -65,7 +67,7 @@ fn main() {
             duration: SimTime::from_mins(15),
             ..Default::default()
         };
-        let (report, _) = run_experiment(build_underlay(41), cfg, 41);
+        let (report, _) = run_experiment_with(build_underlay(41), cfg, 41, &mut Tracer::disabled());
         println!(
             "  {label}: search success {:.1}%, mean first hit {:.0} ms, mean download {:.1}s",
             100.0 * report.success_ratio(),

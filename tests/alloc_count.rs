@@ -19,13 +19,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use underlay_p2p::bittorrent::{run_swarm, SwarmConfig};
+use underlay_p2p::bittorrent::{run_swarm_with, SwarmConfig};
 use underlay_p2p::gnutella::{GnutellaConfig, GnutellaSim, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key};
 use underlay_p2p::net::{
     AsId, FaultKind, FaultPlan, FaultState, FlowAllocator, HostId, NetParams, Underlay,
 };
-use underlay_p2p::sim::{SimRng, SimTime, Simulator};
+use underlay_p2p::sim::{SimRng, SimTime, Simulator, Tracer};
 
 /// [`System`], counting the allocations of the calling thread.
 struct Counting;
@@ -189,7 +189,8 @@ fn swarm_rounds_11_to_20_allocate_only_new_credit_entries() {
     };
     let run = |rounds: u32| {
         let u = underlay(400);
-        let (n, (report, _u)) = allocs_in(|| run_swarm(u, cfg(rounds), 42));
+        let (n, (report, _u)) =
+            allocs_in(|| run_swarm_with(u, cfg(rounds), 42, &mut Tracer::disabled()));
         assert_eq!(report.rounds, rounds);
         assert!(
             report.completed < report.leechers,

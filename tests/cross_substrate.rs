@@ -2,11 +2,11 @@
 //! the same network shape serves Gnutella, Kademlia and BitTorrent, and
 //! the locality mechanisms agree in direction.
 
-use underlay_p2p::bittorrent::{run_swarm, SwarmConfig, TrackerPolicy};
-use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use underlay_p2p::bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
+use underlay_p2p::gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use underlay_p2p::net::{HostId, NetParams, Underlay};
-use underlay_p2p::sim::{SimRng, SimTime};
+use underlay_p2p::sim::{SimRng, SimTime, Tracer};
 
 fn build_underlay(seed: u64, n: usize) -> Underlay {
     NetParams {
@@ -34,7 +34,8 @@ fn locality_improves_in_every_substrate() {
             duration: SimTime::from_mins(8),
             ..Default::default()
         };
-        let (_, world) = run_experiment(build_underlay(21, 180), cfg, 21);
+        let (_, world) =
+            run_experiment_with(build_underlay(21, 180), cfg, 21, &mut Tracer::disabled());
         world.underlay.traffic.locality_fraction()
     };
     let g_rand = gn(NeighborSelection::Random, false);
@@ -75,7 +76,7 @@ fn locality_improves_in_every_substrate() {
             tracker,
             ..Default::default()
         };
-        let (report, _) = run_swarm(build_underlay(23, 100), cfg, 23);
+        let (report, _) = run_swarm_with(build_underlay(23, 100), cfg, 23, &mut Tracer::disabled());
         report.intra_as_fraction
     };
     let b_rand = bt(TrackerPolicy::Random);

@@ -3,14 +3,14 @@
 //! this is what makes the EXPERIMENTS.md numbers regenerable.
 
 use std::fmt::Write as _;
-use underlay_p2p::bittorrent::{run_swarm, SwarmConfig, TrackerPolicy};
+use underlay_p2p::bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
 use underlay_p2p::core::experiments::{
     e01_hierarchy, e02_cost, e04_messages, e05_clustering, e09_kademlia,
 };
-use underlay_p2p::gnutella::{run_experiment, GnutellaConfig, NeighborSelection};
+use underlay_p2p::gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
 use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use underlay_p2p::net::{HostId, NetParams, Underlay};
-use underlay_p2p::sim::{SimRng, SimTime};
+use underlay_p2p::sim::{SimRng, SimTime, Tracer};
 
 #[test]
 fn e01_census_is_deterministic() {
@@ -31,8 +31,8 @@ fn e02_cost_is_deterministic() {
 fn e04_messages_is_deterministic() {
     let mut p = e04_messages::Params::quick(5);
     p.duration = underlay_p2p::sim::SimTime::from_mins(4);
-    let a = e04_messages::run(&p);
-    let b = e04_messages::run(&p);
+    let a = e04_messages::run(&p, &mut Tracer::disabled());
+    let b = e04_messages::run(&p, &mut Tracer::disabled());
     assert_eq!(a.table.to_csv(), b.table.to_csv());
 }
 
@@ -50,8 +50,8 @@ fn e05_clustering_is_deterministic() {
 fn e09_kademlia_is_deterministic() {
     let mut p = e09_kademlia::Params::quick(7);
     p.lookups = 30;
-    let a = e09_kademlia::run(&p);
-    let b = e09_kademlia::run(&p);
+    let a = e09_kademlia::run(&p, &mut Tracer::disabled());
+    let b = e09_kademlia::run(&p, &mut Tracer::disabled());
     assert_eq!(a.table.to_csv(), b.table.to_csv());
 }
 
@@ -86,7 +86,12 @@ fn cross_substrate_report(seed: u64) -> String {
         duration: SimTime::from_mins(5),
         ..Default::default()
     };
-    let (gr, world) = run_experiment(build_underlay(seed, 120), cfg, seed);
+    let (gr, world) = run_experiment_with(
+        build_underlay(seed, 120),
+        cfg,
+        seed,
+        &mut Tracer::disabled(),
+    );
     let _ = writeln!(
         out,
         "gnutella ping={} pong={} query={} hit={} issued={} ok={} dl={} dl_intra={} qdelay={} dsecs={} locality={}",
@@ -142,7 +147,12 @@ fn cross_substrate_report(seed: u64) -> String {
         },
         ..Default::default()
     };
-    let (br, u) = run_swarm(build_underlay(seed ^ 0xB17, 70), cfg, seed ^ 0xB17);
+    let (br, u) = run_swarm_with(
+        build_underlay(seed ^ 0xB17, 70),
+        cfg,
+        seed ^ 0xB17,
+        &mut Tracer::disabled(),
+    );
     let (bi, bp, bt) = u.traffic.totals();
     let _ = writeln!(
         out,
@@ -184,7 +194,7 @@ fn different_seeds_give_different_runs() {
     let mut p2 = e04_messages::Params::quick(101);
     p1.duration = underlay_p2p::sim::SimTime::from_mins(4);
     p2.duration = underlay_p2p::sim::SimTime::from_mins(4);
-    let a = e04_messages::run(&p1);
-    let b = e04_messages::run(&p2);
+    let a = e04_messages::run(&p1, &mut Tracer::disabled());
+    let b = e04_messages::run(&p2, &mut Tracer::disabled());
     assert_ne!(a.table.to_csv(), b.table.to_csv());
 }
