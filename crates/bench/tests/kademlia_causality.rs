@@ -46,7 +46,7 @@ fn driven_retransmits_explain_back_to_their_fault_epoch() {
         })
         .collect();
     let mut tracer = Tracer::buffered(TraceLevel::Debug);
-    run_dht_with(&mut net, &ops, &plan, 5, &mut tracer);
+    run_dht_with(&mut net, &ops, &plan, &mut tracer);
     let jsonl = tracer.to_jsonl();
     let events = tracer.events();
     let of_kind = |kind: &str| -> Vec<&TraceEvent> {

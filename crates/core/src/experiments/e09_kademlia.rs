@@ -156,7 +156,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     ] {
         phase(tracer, label);
         let (mut net, ops) = build(p, mode);
-        let results = run_dht_with(&mut net, &ops, &FaultPlan::new(), p.net.seed ^ 0xE9, tracer);
+        let results = run_dht_with(&mut net, &ops, &FaultPlan::new(), tracer);
         let mut inter = 0u64;
         let mut total = 0u64;
         let mut hops_sum = 0u64;
@@ -309,7 +309,7 @@ mod tests {
                     .collect();
                 let (mut driven, _) = build(&p, mode);
                 let plan = FaultPlan::new();
-                let got = run_dht_with(&mut driven, &ops, &plan, seed, &mut Tracer::disabled());
+                let got = run_dht_with(&mut driven, &ops, &plan, &mut Tracer::disabled());
                 assert_eq!(got.len(), want.len());
                 for (i, (got, want)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(&got.0, want, "seed {seed}, {mode:?}, lookup {i}");

@@ -10,10 +10,10 @@
 use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
-use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
+use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy, ROUND};
 use uap_net::cost::{bill_all, total_transit_usd};
 use uap_net::CostParams;
-use uap_sim::{SimTime, Tracer};
+use uap_sim::Tracer;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -130,7 +130,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
         };
         phase(tracer, label.clone());
         let (report, underlay) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0xE10, tracer);
-        let horizon = SimTime::from_secs(10).mul(report.rounds as u64);
+        let horizon = ROUND.mul(report.rounds as u64);
         let bills = bill_all(
             &underlay.graph,
             &underlay.traffic,

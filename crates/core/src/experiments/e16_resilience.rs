@@ -376,7 +376,7 @@ fn run_kademlia(p: &Params, tracer: &mut Tracer) -> (Table, Vec<KadPhase>) {
     let (mut net, ops) = kad_workload(p);
     phase(tracer, "kademlia/retrieval");
     // Joins (inside `build`) stay untraced; boundaries and waves are traced.
-    let results = run_dht_with(&mut net, &ops, &p.plan(), p.net.seed ^ 0x16AD, tracer);
+    let results = run_dht_with(&mut net, &ops, &p.plan(), tracer);
     let phases = kad_phases(p, &results);
     let mut table = Table::new(
         "E16c — Kademlia retrieval with RPC retransmit (retries = 2)",
@@ -626,7 +626,7 @@ mod tests {
         for seed in [61, 62, 63, 64] {
             let p = Params::quick(seed);
             let (mut net, ops) = kad_workload(&p);
-            let driven = run_dht_with(&mut net, &ops, &p.plan(), 0, &mut Tracer::disabled());
+            let driven = run_dht_with(&mut net, &ops, &p.plan(), &mut Tracer::disabled());
             let reference = reference_kademlia(&p);
             assert_eq!(driven, reference, "seed {seed}");
             let totals = |r| {

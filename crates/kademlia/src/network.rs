@@ -93,8 +93,8 @@ pub struct DhtNetwork {
     /// Trace collector for direct calls (disabled by default); a
     /// [`run_dht_with`] run traces into its own.
     pub tracer: Tracer,
-    /// Timestamp of every ledger entry and trace event; only
-    /// [`run_dht_with`] moves it off t = 0, to each op's instant.
+    /// Timestamp of every ledger entry and trace event: each op's instant
+    /// during a [`run_dht_with`], t = 0 before and after one.
     now: SimTime,
     cfg: DhtConfig,
     nodes: Vec<NodeState>,
@@ -542,11 +542,10 @@ pub fn run_dht_with(
     net: &mut DhtNetwork,
     ops: &[(SimTime, DhtOp)],
     faults: &FaultPlan,
-    seed: u64,
     tracer: &mut Tracer,
 ) -> Vec<(LookupOutcome, Option<u64>)> {
     assert!(ops.is_sorted_by_key(|&(t, _)| t), "ops out of time order");
-    let mut sim = Simulator::new(seed);
+    let mut sim = Simulator::new(0); // DHT ops draw no randomness.
     sim.set_tracer(std::mem::take(tracer));
     let plan = faults.compile(&net.underlay.graph);
     for (i, &t) in plan.boundaries().iter().enumerate() {
@@ -563,6 +562,7 @@ pub fn run_dht_with(
         results: Vec::with_capacity(ops.len()),
     };
     sim.run(&mut world);
+    world.net.now = SimTime::ZERO;
     *tracer = sim.take_tracer();
     world.results
 }
@@ -935,7 +935,7 @@ mod tests {
                 )
             })
             .into();
-        let out = run_dht_with(&mut net, &ops, &plan, 15, &mut Tracer::disabled());
+        let out = run_dht_with(&mut net, &ops, &plan, &mut Tracer::disabled());
         assert_eq!(out.len(), 3);
         let (inside, _) = &out[1];
         assert!(!inside.closest.iter().any(|c| crashed.contains(&c.host)));
@@ -943,7 +943,11 @@ mod tests {
             crashed.iter().all(|&h| net.is_online(h)),
             "the window closed"
         );
-        assert_eq!(net.now, SimTime::from_secs(30));
+        assert_eq!(
+            net.now,
+            SimTime::ZERO,
+            "direct calls after a run are at t = 0"
+        );
     }
 
     #[test]
@@ -952,13 +956,7 @@ mod tests {
         let (mut net, _) = network(16, ProximityMode::None, 16);
         let op = DhtOp::Lookup(HostId(1), Key::hash_of(b"k"));
         let ops = [(SimTime::from_secs(2), op), (SimTime::from_secs(1), op)];
-        run_dht_with(
-            &mut net,
-            &ops,
-            &FaultPlan::new(),
-            16,
-            &mut Tracer::disabled(),
-        );
+        run_dht_with(&mut net, &ops, &FaultPlan::new(), &mut Tracer::disabled());
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! cargo run --release --example isp_friendly_swarm
 //! ```
 
-use underlay_p2p::bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
+use underlay_p2p::bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy, ROUND};
 use underlay_p2p::net::cost::{bill_all, total_transit_usd};
 use underlay_p2p::net::{
     CostParams, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
 };
-use underlay_p2p::sim::{SimRng, SimTime, Tracer};
+use underlay_p2p::sim::{SimRng, Tracer};
 
 fn build_underlay(seed: u64) -> Underlay {
     let mut rng = SimRng::new(seed);
@@ -58,7 +58,7 @@ fn main() {
         };
         let (report, underlay) =
             run_swarm_with(build_underlay(11), cfg, 11, &mut Tracer::disabled());
-        let horizon = SimTime::from_secs(10).mul(report.rounds as u64);
+        let horizon = ROUND.mul(report.rounds as u64);
         let bills = bill_all(&underlay.graph, &underlay.traffic, &tariffs, horizon);
         println!("--- {label} ---");
         println!(
