@@ -19,6 +19,9 @@ use uap_coords::{IcsSystem, Matrix, VivaldiConfig};
 use uap_info::{IcsService, VivaldiService};
 use uap_sim::{SimRng, Tracer};
 
+/// Vivaldi gossip rounds (the sweep also scores a quarter of them).
+const VIVALDI_ROUNDS: usize = 60;
+
 /// Accuracy-sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Params {
@@ -28,8 +31,6 @@ pub struct Params {
     pub beacon_counts: Vec<usize>,
     /// Embedding dimensions to evaluate for ICS.
     pub dims: Vec<usize>,
-    /// Vivaldi gossip rounds.
-    pub vivaldi_rounds: usize,
     /// Random pairs used to score accuracy.
     pub eval_pairs: usize,
 }
@@ -41,7 +42,6 @@ impl Params {
             net: NetParams::quick(120, seed),
             beacon_counts: vec![10, 16],
             dims: vec![2, 4],
-            vivaldi_rounds: 60,
             eval_pairs: 300,
         }
     }
@@ -52,7 +52,6 @@ impl Params {
             net: NetParams::full(seed),
             beacon_counts: vec![5, 10, 20, 40],
             dims: vec![2, 4, 6, 8],
-            vivaldi_rounds: 60,
             eval_pairs: 2_000,
         }
     }
@@ -153,7 +152,7 @@ pub fn run_accuracy(p: &Params) -> Table {
             ]);
         }
     }
-    for rounds in [p.vivaldi_rounds / 4, p.vivaldi_rounds] {
+    for rounds in [VIVALDI_ROUNDS / 4, VIVALDI_ROUNDS] {
         let mut svc = VivaldiService::new(underlay.n_hosts(), VivaldiConfig::default());
         svc.converge(&underlay, rounds, 4, &mut rng);
         let q = svc.quality(&underlay, p.eval_pairs, &mut rng);

@@ -21,6 +21,9 @@ use crate::report::Table;
 use uap_gnutella::{run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection};
 use uap_sim::{ChurnConfig, SimTime, Tracer};
 
+/// Oracle list sizes evaluated, the study's 100 and 1000.
+const CACHE_SIZES: [usize; 2] = [100, 1000];
+
 /// Experiment parameters.
 #[derive(Clone, Debug)]
 pub struct Params {
@@ -30,8 +33,6 @@ pub struct Params {
     pub duration: SimTime,
     /// Mean session length for churn (None = static).
     pub churn_mean_secs: Option<f64>,
-    /// Oracle list sizes to evaluate (the study used 100 and 1000).
-    pub cache_sizes: Vec<usize>,
 }
 
 impl Params {
@@ -41,7 +42,6 @@ impl Params {
             net: NetParams::quick(200, seed),
             duration: SimTime::from_mins(10),
             churn_mean_secs: None,
-            cache_sizes: vec![100, 1000],
         }
     }
 
@@ -51,7 +51,6 @@ impl Params {
             net: NetParams::full(seed),
             duration: SimTime::from_mins(60),
             churn_mean_secs: Some(1_200.0),
-            cache_sizes: vec![100, 1000],
         }
     }
 
@@ -64,7 +63,7 @@ impl Params {
                 None => ChurnConfig::none(),
             },
             // The oracle study's hostcaches held up to 1000 entries.
-            hostcache_size: self.cache_sizes.iter().copied().max().unwrap_or(100),
+            hostcache_size: CACHE_SIZES[1],
             ..Default::default()
         }
     }
@@ -94,7 +93,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
         tracer,
     );
     reports.push(("Unbiased Gnutella".into(), unbiased));
-    for &cache in &p.cache_sizes {
+    for cache in CACHE_SIZES {
         phase(tracer, format!("biased-cache-{cache}"));
         let (r, _) = run_experiment_with(
             p.net.build(),
@@ -153,6 +152,17 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
     }
 }
 
+/// The oracle's message cut: the share of unbiased Gnutella's messages
+/// the list-1000 oracle saves, (unbiased − list-1000) / unbiased. NaN
+/// unless the run has its three columns.
+pub fn effect(out: &Outcome) -> f64 {
+    let [(_, unbiased), _, (_, cache1000)] = out.reports.as_slice() else {
+        return f64::NAN;
+    };
+    let [t0, t2] = [unbiased, cache1000].map(|r| r.total_msgs() as f64);
+    (t0 - t2) / t0
+}
+
 /// Table 1's shape: oracle-biased neighbor selection exchanges fewer
 /// messages than unbiased Gnutella, and no more with the larger oracle
 /// list; Pong dominates Ping and Query exceeds QueryHit in every column;
@@ -163,7 +173,7 @@ pub fn claim(out: &Outcome) -> Result<(), String> {
     };
     let [t0, t1, t2] = [unbiased, cache100, cache1000].map(GnutellaReport::total_msgs);
     ensure!(t1 < t0, "cache-100 {t1} !< unbiased {t0}");
-    ensure!(t2 < t0, "cache-1000 {t2} !< unbiased {t0}");
+    ensure!(effect(out) > 0.0, "cache-1000 {t2} !< unbiased {t0}");
     // At quick scale both oracle lists already see most of the hostcache,
     // so the 100-vs-1000 gradient flattens; allow 5% slack (the full-scale
     // run shows the clean ordering).

@@ -25,11 +25,12 @@ use uap_gnutella::{
 use uap_net::{gen::testlab_specs, PopulationSpec, RoutingMode, Underlay, UnderlayConfig};
 use uap_sim::{SimRng, SimTime, Tracer};
 
+/// Nodes in the network: the testlab ran 45.
+const N_NODES: usize = 45;
+
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Params {
-    /// Nodes in the network (the testlab ran 45).
-    pub n_nodes: usize,
     /// Simulated duration (enough for every node to query several times).
     pub duration: SimTime,
     /// Seed.
@@ -40,7 +41,6 @@ impl Params {
     /// The testlab's own scale — it is already small.
     pub fn full(seed: u64) -> Params {
         Params {
-            n_nodes: 45,
             duration: SimTime::from_mins(20),
             seed,
         }
@@ -49,7 +49,6 @@ impl Params {
     /// Same size, shorter run.
     pub fn quick(seed: u64) -> Params {
         Params {
-            n_nodes: 45,
             duration: SimTime::from_mins(8),
             seed,
         }
@@ -68,7 +67,7 @@ fn testlab_underlay(name: &str, p: &Params) -> Underlay {
         routing: RoutingMode::ShortestPath,
         ..Default::default()
     };
-    Underlay::build(graph, &PopulationSpec::uniform(p.n_nodes), cfg, &mut rng)
+    Underlay::build(graph, &PopulationSpec::uniform(N_NODES), cfg, &mut rng)
 }
 
 fn testlab_config(

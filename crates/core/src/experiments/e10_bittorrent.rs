@@ -174,6 +174,15 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
     }
 }
 
+/// BNS's payload-locality gain: its intra-AS share of payload bytes
+/// minus the random tracker's. NaN unless the run has both policies.
+pub fn effect(out: &Outcome) -> f64 {
+    let [random, bns, ..] = out.policies.as_slice() else {
+        return f64::NAN;
+    };
+    bns.intra_fraction - random.intra_fraction
+}
+
 /// The [3] headline: a BNS tracker keeps far more of the swarm's bytes
 /// inside the AS while everyone still finishes, in comparable time.
 /// Transit bytes and the transit bill fall with it on seven of the eight

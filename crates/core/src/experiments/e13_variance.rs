@@ -1,33 +1,26 @@
-//! E13 (extension) — seed sensitivity of the headline claims.
+//! E13 (extension) — seed sensitivity of the headline effects.
 //!
-//! Not a paper artifact: a robustness study for this reproduction. For
-//! each headline effect we compute the *relative improvement* of the
-//! underlay-aware configuration over its baseline across independent
-//! seeds, in parallel, and report mean ± sample std plus whether the
-//! direction held for **every** seed. EXPERIMENTS.md's claim that "no
-//! qualitative conclusion changes with the seed" is this table.
+//! Not a paper artifact: a robustness study for this reproduction. Each
+//! row is one headline effect as its own experiment defines it — the
+//! `effect` of E4, E6, E9 and E10, read from that experiment's `run` — and
+//! the table spreads it over independent seeds, in parallel, reporting
+//! mean ± sample std plus whether the direction held for **every** seed.
+//! The rows always run at quick scale, the scale the claim test checks
+//! every row at; E13's own scale only picks how many seeds (4 or 10).
+//! EXPERIMENTS.md's claim that "no qualitative conclusion changes with the
+//! seed" is this table.
 
+use super::sweep::{parallel_map, SeedStats};
 use super::table::{ensure, Scale};
-use crate::experiments::sweep::{seed_sweep, SeedStats};
-use crate::experiments::NetParams;
+use super::{e04_messages, e06_exchange, e09_kademlia, e10_bittorrent};
 use crate::report::Table;
-use uap_bittorrent::{run_swarm_with, SwarmConfig, TrackerPolicy};
-use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
-use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
-use uap_net::HostId;
-use uap_sim::{SimRng, SimTime, Tracer};
+use uap_sim::Tracer;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Seeds to evaluate.
     pub seeds: Vec<u64>,
-    /// Worker threads.
-    pub threads: usize,
-    /// Hosts per run.
-    pub n_hosts: usize,
-    /// Gnutella run length.
-    pub duration: SimTime,
 }
 
 impl Params {
@@ -35,9 +28,6 @@ impl Params {
     pub fn quick(base_seed: u64) -> Params {
         Params {
             seeds: (0..4).map(|i| base_seed + i).collect(),
-            threads: 4,
-            n_hosts: 150,
-            duration: SimTime::from_mins(6),
         }
     }
 
@@ -45,95 +35,31 @@ impl Params {
     pub fn full(base_seed: u64) -> Params {
         Params {
             seeds: (0..10).map(|i| base_seed + i).collect(),
-            threads: 8,
-            n_hosts: 400,
-            duration: SimTime::from_mins(15),
         }
     }
 }
 
-fn gnutella_message_reduction(p: &Params, seed: u64) -> f64 {
-    let net = NetParams::quick(p.n_hosts, seed);
-    let run = |sel: NeighborSelection| {
-        let cfg = GnutellaConfig {
-            selection: sel,
-            duration: p.duration,
-            hostcache_size: 1000.min(p.n_hosts),
-            ..Default::default()
-        };
-        let (report, _) = run_experiment_with(net.build(), cfg, seed, &mut Tracer::disabled());
-        report.total_msgs() as f64
-    };
-    let unbiased = run(NeighborSelection::Random);
-    let biased = run(NeighborSelection::OracleBiased { list_size: 1000 });
-    (unbiased - biased) / unbiased
-}
+/// A row of the table: its label, and its experiment's quick-scale run at
+/// a seed reduced to that experiment's `effect`.
+type Row = (&'static str, fn(u64) -> f64);
 
-fn exchange_locality_jump(p: &Params, seed: u64) -> f64 {
-    let net = NetParams::quick(p.n_hosts, seed);
-    let run = |oracle_x: bool| {
-        let mut cfg = GnutellaConfig {
-            selection: NeighborSelection::OracleBiased { list_size: 1000 },
-            oracle_at_file_exchange: oracle_x,
-            duration: p.duration,
-            hostcache_size: 1000.min(p.n_hosts),
-            ..Default::default()
-        };
-        cfg.content.locality = 0.2;
-        let (report, _) = run_experiment_with(net.build(), cfg, seed, &mut Tracer::disabled());
-        report.intra_as_exchange_pct()
-    };
-    run(true) - run(false)
-}
-
-fn kademlia_hops_reduction(p: &Params, seed: u64) -> f64 {
-    let net = NetParams::quick(128.min(p.n_hosts), seed);
-    let run = |mode: ProximityMode| {
-        let mut rng = SimRng::new(seed);
-        let cfg = DhtConfig {
-            proximity: mode,
-            ..Default::default()
-        };
-        let mut dht = DhtNetwork::build(net.build(), cfg, &mut rng);
-        let n = dht.len();
-        let mut hops = 0u64;
-        let mut rpcs = 0u64;
-        for i in 0..60u32 {
-            let out = dht.lookup(
-                HostId(i % HostId::from_index(n).0),
-                &Key::random(&mut rng),
-                &mut rng,
-            );
-            hops += out.as_hops_sum;
-            rpcs += out.rpcs;
-        }
-        hops as f64 / rpcs.max(1) as f64
-    };
-    let vanilla = run(ProximityMode::None);
-    let pns = run(ProximityMode::PnsPr);
-    (vanilla - pns) / vanilla
-}
-
-fn swarm_locality_gain(p: &Params, seed: u64) -> f64 {
-    let net = NetParams::quick(p.n_hosts.min(120), seed);
-    let run = |tracker: TrackerPolicy| {
-        let cfg = SwarmConfig {
-            n_leechers: 80.min(net.n_hosts - 5),
-            n_seeds: 5,
-            n_pieces: 48,
-            tracker,
-            ..Default::default()
-        };
-        let (report, _) = run_swarm_with(net.build(), cfg, seed, &mut Tracer::disabled());
-        report.intra_as_fraction
-    };
-    let random = run(TrackerPolicy::Random);
-    let bns = run(TrackerPolicy::Bns {
-        internal: 16,
-        external: 4,
-    });
-    bns - random
-}
+const ROWS: [Row; 4] = [
+    ("E4: oracle message reduction", |seed| {
+        let p = e04_messages::Params::quick(seed);
+        e04_messages::effect(&e04_messages::run(&p, &mut Tracer::disabled()))
+    }),
+    ("E6: exchange-oracle locality jump (pp)", |seed| {
+        e06_exchange::effect(&e06_exchange::run(&e06_exchange::Params::quick(seed)))
+    }),
+    ("E9: PNS+PR AS-hop reduction", |seed| {
+        let p = e09_kademlia::Params::quick(seed);
+        e09_kademlia::effect(&e09_kademlia::run(&p, &mut Tracer::disabled()))
+    }),
+    ("E10: BNS payload-locality gain (abs)", |seed| {
+        let p = e10_bittorrent::Params::quick(seed);
+        e10_bittorrent::effect(&e10_bittorrent::run(&p, &mut Tracer::disabled()))
+    }),
+];
 
 /// One row of the sweep.
 #[derive(Clone, Debug)]
@@ -153,34 +79,22 @@ pub struct Outcome {
     pub table: Table,
 }
 
-/// Runs the sweep (parallel over seeds per claim).
+/// Runs the sweep: every (row, seed) pair is one job, all in parallel.
 pub fn run(p: &Params) -> Outcome {
-    type Metric<'a> = Box<dyn Fn(u64) -> f64 + Sync + 'a>;
-    let rows: Vec<(&str, Metric)> = vec![
-        (
-            "E4: oracle message reduction",
-            Box::new(|s| gnutella_message_reduction(p, s)),
-        ),
-        (
-            "E6: exchange-oracle locality jump (pp)",
-            Box::new(|s| exchange_locality_jump(p, s)),
-        ),
-        (
-            "E9: PNS+PR AS-hop reduction",
-            Box::new(|s| kademlia_hops_reduction(p, s)),
-        ),
-        (
-            "E10: BNS payload-locality gain (abs)",
-            Box::new(|s| swarm_locality_gain(p, s)),
-        ),
-    ];
+    let jobs: Vec<_> = ROWS
+        .iter()
+        .flat_map(|&(_, effect)| p.seeds.iter().map(move |&seed| (effect, seed)))
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let mut values = parallel_map(jobs, threads, |(effect, seed)| effect(seed)).into_iter();
     let mut table = Table::new(
         "E13 — seed sensitivity of the headline effects",
         &["claim", "mean ± std", "min", "max", "direction holds"],
     );
     let mut claims = Vec::new();
-    for (name, metric) in rows {
-        let stats = seed_sweep(&p.seeds, p.threads, metric);
+    for (name, _) in ROWS {
+        let row: Vec<f64> = values.by_ref().take(p.seeds.len()).collect();
+        let stats = SeedStats::of(&row);
         table.row(&[
             name.to_owned(),
             stats.render(),
@@ -229,5 +143,32 @@ mod tests {
     #[test]
     fn every_headline_effect_holds_across_seeds() {
         assert_eq!(claim(&run(&Params::quick(500))), Ok(()));
+    }
+
+    /// A cell is its row's own experiment, not a copy of its arms: on one
+    /// seed each row's statistics are exactly that experiment's `effect`.
+    #[test]
+    fn e13_cells_are_the_rows_own_effects() {
+        let seed = 42;
+        let out = run(&Params { seeds: vec![seed] });
+        let want = [
+            e04_messages::effect(&e04_messages::run(
+                &e04_messages::Params::quick(seed),
+                &mut Tracer::disabled(),
+            )),
+            e06_exchange::effect(&e06_exchange::run(&e06_exchange::Params::quick(seed))),
+            e09_kademlia::effect(&e09_kademlia::run(
+                &e09_kademlia::Params::quick(seed),
+                &mut Tracer::disabled(),
+            )),
+            e10_bittorrent::effect(&e10_bittorrent::run(
+                &e10_bittorrent::Params::quick(seed),
+                &mut Tracer::disabled(),
+            )),
+        ];
+        assert_eq!(out.claims.len(), want.len());
+        for (c, want) in out.claims.iter().zip(want) {
+            assert_eq!(c.stats, SeedStats::of(&[want]), "{}", c.name);
+        }
     }
 }

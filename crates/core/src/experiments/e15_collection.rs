@@ -19,17 +19,18 @@ use uap_info::{
 use uap_net::{HostId, Underlay};
 use uap_sim::{SimRng, SimTime, Tracer};
 
+/// Neighbors picked per task.
+const WANT: usize = 4;
+
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Params {
     /// Underlay shape.
     pub net: NetParams,
-    /// Selection tasks (each picks the best `want` of `candidates`).
+    /// Selection tasks (each picks the best `WANT` of `candidates`).
     pub tasks: usize,
     /// Candidate-set size per task.
     pub candidates: usize,
-    /// Neighbors picked per task.
-    pub want: usize,
 }
 
 impl Params {
@@ -39,7 +40,6 @@ impl Params {
             net: NetParams::quick(150, seed),
             tasks: 60,
             candidates: 30,
-            want: 4,
         }
     }
 
@@ -49,7 +49,6 @@ impl Params {
             net: NetParams::full(seed),
             tasks: 500,
             candidates: 50,
-            want: 4,
         }
     }
 }
@@ -122,7 +121,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
         phase(tracer, "random");
         let selections: Vec<Vec<HostId>> = tasks
             .iter()
-            .map(|t| t.candidates.iter().copied().take(p.want).collect())
+            .map(|t| t.candidates.iter().copied().take(WANT).collect())
             .collect();
         techniques.push(TechniqueResult {
             name: "random (no information)".into(),
@@ -140,7 +139,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
                 oracle
                     .rank_traced(&u, t.who, &t.candidates, SimTime::ZERO, tracer)
                     .into_iter()
-                    .take(p.want)
+                    .take(WANT)
                     .collect()
             })
             .collect();
@@ -160,7 +159,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
             .map(|t| {
                 est.rank(t.who, &t.candidates, &mut rng)
                     .into_iter()
-                    .take(p.want)
+                    .take(WANT)
                     .collect()
             })
             .collect();
@@ -185,14 +184,14 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
                     .filter(|&c| mapping.isp_of(c) == my)
                     .collect();
                 for &c in &t.candidates {
-                    if same.len() >= p.want {
+                    if same.len() >= WANT {
                         break;
                     }
                     if !same.contains(&c) {
                         same.push(c);
                     }
                 }
-                same.truncate(p.want);
+                same.truncate(WANT);
                 same
             })
             .collect();
@@ -212,7 +211,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
             .map(|t| {
                 ono.rank(t.who, &t.candidates, &mut rng)
                     .into_iter()
-                    .take(p.want)
+                    .take(WANT)
                     .collect()
             })
             .collect();

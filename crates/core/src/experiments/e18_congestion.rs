@@ -20,15 +20,16 @@ use uap_bittorrent::{run_swarm_with, SwarmConfig, SwarmReport, TrackerPolicy};
 use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
 use uap_sim::{SimRng, Tracer};
 
+/// Hosts in every swarm underlay.
+const HOSTS: usize = 120;
+/// Leechers in every swarm.
+const LEECHERS: usize = 56;
+
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Topology, population and swarm seed.
     pub seed: u64,
-    /// Hosts in every swarm underlay.
-    pub hosts: usize,
-    /// Leechers in every swarm.
-    pub leechers: usize,
     /// Seed counts swept.
     pub seed_counts: Vec<usize>,
 }
@@ -37,8 +38,8 @@ impl Params {
     /// Starved and balanced seed counts only.
     pub fn quick(seed: u64) -> Params {
         Params {
+            seed,
             seed_counts: vec![2, 8],
-            ..Params::full(seed)
         }
     }
 
@@ -46,8 +47,6 @@ impl Params {
     pub fn full(seed: u64) -> Params {
         Params {
             seed,
-            hosts: 120,
-            leechers: 56,
             seed_counts: vec![2, 8, 24],
         }
     }
@@ -89,7 +88,7 @@ fn build_underlay(p: &Params, uniform: bool) -> Underlay {
     .build(&mut rng);
     let mut u = Underlay::build(
         g,
-        &PopulationSpec::leaf(p.hosts),
+        &PopulationSpec::leaf(HOSTS),
         UnderlayConfig::default(),
         &mut rng,
     );
@@ -121,7 +120,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
         for &seeds in &p.seed_counts {
             for (tname, tracker) in trackers {
                 let cfg = SwarmConfig {
-                    n_leechers: p.leechers,
+                    n_leechers: LEECHERS,
                     n_seeds: seeds,
                     n_pieces: 48,
                     piece_bytes: 256 * 1024,
@@ -190,8 +189,8 @@ pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcom
     let claim = claim(&out);
     super::Outcome {
         config: vec![
-            ("hosts", p.hosts.to_string()),
-            ("leechers", p.leechers.to_string()),
+            ("hosts", HOSTS.to_string()),
+            ("leechers", LEECHERS.to_string()),
         ],
         events: out.points.iter().map(|o| o.report.rounds as u64).sum(),
         ..super::Outcome::of(vec![out.completion, out.locality], claim)

@@ -13,7 +13,7 @@
 //! | [`e10_bittorrent`] | \[3\]\[32\] | swarm locality and ISP bills |
 //! | [`e11_challenges`] | §6 | asymmetry, long-hop, mobility |
 //! | [`e12_overhead`] | §5.4 | awareness overhead and churn robustness |
-//! | [`e13_variance`] | (extension) | seed sensitivity of the headline effects |
+//! | [`e13_variance`] | (extension) | seed spread of E4/E6/E9/E10's own `effect`s |
 //! | [`e14_gsh`] | §4 / Table 1 "Leopard" | geographically scoped hashing |
 //! | [`e15_collection`] | (extension) | ISP-location collection techniques, quality vs overhead |
 //! | [`e16_resilience`] | (extension) | fault-campaign degradation and recovery curves |

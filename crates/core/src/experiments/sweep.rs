@@ -1,10 +1,11 @@
-//! Parallel parameter sweeps and seed-sensitivity statistics.
+//! Parallel runs and seed-sensitivity statistics.
 //!
-//! Each simulation run is single-threaded and deterministic; sweeps over
-//! seeds or parameters are embarrassingly parallel. [`parallel_map`] fans
-//! work out over `std::thread::scope` workers, and [`SeedStats`] summarizes a
-//! metric across seeds — the error bars behind EXPERIMENTS.md's claim
-//! that "no qualitative conclusion changes with the seed".
+//! Each simulation run is single-threaded and deterministic; runs over
+//! seeds are embarrassingly parallel. [`parallel_map`] fans them out over
+//! `std::thread::scope` workers (E13's (row, seed) jobs, the claim test's
+//! (row, seed) jobs), and [`SeedStats`] summarizes a metric across seeds —
+//! E13's error bars behind EXPERIMENTS.md's claim that "no qualitative
+//! conclusion changes with the seed".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -21,7 +22,7 @@ use std::sync::{Mutex, PoisonError};
     reason = "parallel region: workers claim items through an atomic counter and write each \
               result into its input's slot under that slot's lock, so output order is input \
               order whatever the scheduling (oracle: \
-              seed_sweep_is_deterministic_regardless_of_threads)"
+              parallel_map_is_deterministic_regardless_of_threads)"
 )]
 #[expect(
     clippy::expect_used,
@@ -109,8 +110,16 @@ impl SeedStats {
             n,
             mean,
             std: var.sqrt(),
-            min: values.iter().copied().fold(f64::INFINITY, f64::min),
-            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            // `f64::min` / `f64::max` would drop a NaN sample; keep it, so
+            // `all_positive` fails on it.
+            min: values.iter().fold(
+                f64::INFINITY,
+                |m, &v| if v < m || v.is_nan() { v } else { m },
+            ),
+            max: values.iter().fold(
+                f64::NEG_INFINITY,
+                |m, &v| if v > m || v.is_nan() { v } else { m },
+            ),
         }
     }
 
@@ -120,19 +129,10 @@ impl SeedStats {
     }
 
     /// Whether every observation is strictly positive — the "qualitative
-    /// direction holds for every seed" check.
+    /// direction holds for every seed" check. A NaN observation fails it.
     pub fn all_positive(&self) -> bool {
         self.n > 0 && self.min > 0.0
     }
-}
-
-/// Runs `metric` for each seed in parallel and summarizes.
-pub fn seed_sweep<F>(seeds: &[u64], threads: usize, metric: F) -> SeedStats
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let values = parallel_map(seeds.to_vec(), threads, metric);
-    SeedStats::of(&values)
 }
 
 #[cfg(test)]
@@ -188,15 +188,19 @@ mod tests {
         let empty = SeedStats::of(&[]);
         assert_eq!(empty.n, 0);
         assert!(!empty.all_positive());
+        for nan in [[1.0, f64::NAN], [f64::NAN, 1.0]] {
+            let s = SeedStats::of(&nan);
+            assert!(s.min.is_nan() && s.max.is_nan(), "{s:?}");
+            assert!(!s.all_positive(), "{nan:?}");
+        }
     }
 
     #[test]
-    fn seed_sweep_is_deterministic_regardless_of_threads() {
-        let seeds: Vec<u64> = (0..16).collect();
+    fn parallel_map_is_deterministic_regardless_of_threads() {
+        let jobs: Vec<u64> = (0..16).collect();
         let f = |s: u64| (s as f64).sin().abs() + 1.0;
-        let a = seed_sweep(&seeds, 1, f);
-        let b = seed_sweep(&seeds, 8, f);
+        let a = parallel_map(jobs.clone(), 1, f);
+        let b = parallel_map(jobs, 8, f);
         assert_eq!(a, b);
-        assert!(a.all_positive());
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! The model alternates **online sessions** and **offline gaps**, each drawn
 //! from a configurable distribution. Exponential sessions give classical
-//! memoryless churn; Pareto sessions reproduce the observed heavy tail
-//! (a few very stable peers, many short-lived ones).
+//! memoryless churn.
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -23,13 +22,6 @@ pub enum SessionDist {
         /// Mean duration in seconds.
         mean_secs: f64,
     },
-    /// Pareto with scale (minimum, seconds) and shape alpha.
-    Pareto {
-        /// Minimum duration in seconds.
-        scale_secs: f64,
-        /// Tail exponent; smaller is heavier-tailed. Must be > 0.
-        shape: f64,
-    },
 }
 
 impl SessionDist {
@@ -38,24 +30,8 @@ impl SessionDist {
         let secs = match *self {
             SessionDist::Fixed(s) => s,
             SessionDist::Exponential { mean_secs } => rng.exp(mean_secs),
-            SessionDist::Pareto { scale_secs, shape } => rng.pareto(scale_secs, shape),
         };
         SimTime::from_secs_f64(secs)
-    }
-
-    /// Expected duration in seconds (infinite-mean Pareto returns `None`).
-    pub fn mean_secs(&self) -> Option<f64> {
-        match *self {
-            SessionDist::Fixed(s) => Some(s),
-            SessionDist::Exponential { mean_secs } => Some(mean_secs),
-            SessionDist::Pareto { scale_secs, shape } => {
-                if shape > 1.0 {
-                    Some(shape * scale_secs / (shape - 1.0))
-                } else {
-                    None
-                }
-            }
-        }
     }
 }
 
@@ -245,20 +221,6 @@ mod tests {
             .filter(|_| ChurnModel::start(&cfg, &mut rng).is_online())
             .count();
         assert!((online as f64 / 10_000.0 - 0.3).abs() < 0.02);
-    }
-
-    #[test]
-    fn pareto_mean() {
-        let d = SessionDist::Pareto {
-            scale_secs: 60.0,
-            shape: 2.0,
-        };
-        assert_eq!(d.mean_secs(), Some(120.0));
-        let heavy = SessionDist::Pareto {
-            scale_secs: 60.0,
-            shape: 0.9,
-        };
-        assert_eq!(heavy.mean_secs(), None);
     }
 
     #[test]

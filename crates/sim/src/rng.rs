@@ -3,8 +3,8 @@
 //! All stochastic choices in the workspace flow through [`SimRng`], a thin
 //! convenience layer over a seeded [`rand::rngs::StdRng`]. Besides the usual
 //! uniform draws it provides the distributions the experiments need: the
-//! exponential and Pareto session lengths of the churn model, and Zipf
-//! content popularity.
+//! exponential session lengths of the churn model, and Zipf content
+//! popularity.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -116,14 +116,6 @@ impl SimRng {
         debug_assert!(mean > 0.0);
         let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
         -mean * u.ln()
-    }
-
-    /// Pareto-distributed draw with scale `x_m > 0` and shape `alpha > 0`.
-    /// Heavy-tailed; used for peer session lengths.
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        debug_assert!(x_m > 0.0 && alpha > 0.0);
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-        x_m / u.powf(1.0 / alpha)
     }
 
     /// Standard normal draw (Box–Muller).
@@ -254,14 +246,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| r.exp(10.0)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.5, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::new(6);
-        for _ in 0..1_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]
