@@ -20,6 +20,9 @@
 #                                 registry declares nothing the code no
 #                                 longer writes. docs/DETERMINISM.md
 #   3. cargo build --release    — tier-1: release build
+#   3b. examples run            — each examples/*.rs is a binary (DESIGN.md
+#                                 §6); `cargo test` only compiles them, so
+#                                 each runs once in release and must exit 0
 #   4. cargo test               — tier-1: root-package tests
 #   5. cargo test --workspace   — every crate's unit + integration tests
 #   5b. release-only tests      — tests/alloc_count.rs (debug invariant
@@ -82,6 +85,11 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 step "cargo build --release"
 cargo build --release -q
+
+step "examples run (cargo run --release --example)"
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
 
 step "cargo test (root package)"
 cargo test -q

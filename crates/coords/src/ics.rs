@@ -10,7 +10,8 @@
 //!
 //! 1. beacons measure the `m × m` distance matrix `D`;
 //! 2. eigendecompose `D` (symmetric), order components by `|λ|`;
-//! 3. pick the dimension `n` by a cumulative-variation threshold (or fix it);
+//! 3. fix the dimension `n` (the excerpt also allows picking it by a
+//!    cumulative-variation threshold; every caller here fixes it);
 //! 4. unscaled coordinates `cᵢ = Uₙᵀ dᵢ` where `dᵢ` is beacon `i`'s column;
 //! 5. least-squares scaling `α = Σ lᵢⱼ·dᵢⱼ / Σ lᵢⱼ²` over beacon pairs,
 //!    giving the published transform `Ūₙ = α·Uₙ` and beacon coordinates
@@ -91,24 +92,6 @@ impl IcsSystem {
             alpha,
             eigenvalues: vals,
         }
-    }
-
-    /// Builds the system choosing the dimension as the smallest `n` whose
-    /// cumulative percentage of variation `Σ|λ₁..ₙ| / Σ|λ|` reaches
-    /// `threshold` (step S4 of the excerpt).
-    pub fn build_with_threshold(d: &Matrix, threshold: f64) -> IcsSystem {
-        let (vals, _) = d.symmetric_eigen();
-        let total: f64 = vals.iter().map(|v| v.abs()).sum();
-        let mut acc = 0.0;
-        let mut n = vals.len();
-        for (k, v) in vals.iter().enumerate() {
-            acc += v.abs();
-            if total > 0.0 && acc / total >= threshold - 1e-9 {
-                n = k + 1;
-                break;
-            }
-        }
-        IcsSystem::build(d, n.max(1))
     }
 
     /// The embedding dimension `n`.
@@ -283,16 +266,6 @@ mod tests {
         assert_eq!(t[(0, 1)].signum(), t[(1, 1)].signum());
         assert_eq!(t[(2, 1)].signum(), t[(3, 1)].signum());
         assert_ne!(t[(0, 1)].signum(), t[(2, 1)].signum());
-    }
-
-    #[test]
-    fn threshold_dimension_selection() {
-        // |λ| = 7, 5, 1, 1 (total 14). 50% → n=1; 80% → n=2 (12/14≈0.857);
-        // 95% → n=3 (13/14 ≈ 0.929 < 0.95 → n=4).
-        let d = example_matrix();
-        assert_eq!(IcsSystem::build_with_threshold(&d, 0.5).dims(), 1);
-        assert_eq!(IcsSystem::build_with_threshold(&d, 0.8).dims(), 2);
-        assert_eq!(IcsSystem::build_with_threshold(&d, 0.95).dims(), 4);
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //!   distance matrix, a scaled transformation matrix, and host embedding by
 //!   a single matrix–vector product. The worked Examples 4 and 5 of that
 //!   excerpt are regression tests with their exact published numbers.
-//! * [`binning`] — Ratnasamy-style landmark binning \[26\], the cheapest
-//!   proximity estimator: order the landmarks by RTT and use the resulting
-//!   bin string.
 //! * [`embedding`] — accuracy metrics (relative error, stress) shared by
 //!   the evaluation harnesses.
 //!
@@ -24,13 +21,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod binning;
 pub mod embedding;
 pub mod ics;
 pub mod matrix;
 pub mod vivaldi;
 
-pub use binning::LandmarkBins;
 pub use embedding::{relative_error, stress, EmbeddingQuality};
 pub use ics::IcsSystem;
 pub use matrix::Matrix;

@@ -123,45 +123,41 @@ impl VivaldiNode {
     }
 }
 
-/// Runs `rounds` update rounds over a full RTT matrix: in each round every
-/// node absorbs one sample from every other node, in index order. Returns
-/// the final nodes. This is the centralized driver used by experiments and
-/// tests; the overlay crates drive updates from live protocol traffic
-/// instead.
-///
-/// The sweep is deliberately systematic rather than sampling one random
-/// peer per round: on small topologies, single-random-peer gossip can
-/// settle into a *folded* spring equilibrium (a local minimum of the
-/// spring energy) that the shrinking adaptive timestep then freezes in
-/// place permanently. Balanced all-pairs updates escape those folds. The
-/// RNG is still needed for the coincident-coordinate bootstrap kick in
-/// [`VivaldiNode::update`].
-#[expect(clippy::indexing_slicing, reason = "i, j < n; rtt_ms is n × n")]
-pub fn gossip_converge(
-    rtt_ms: &[Vec<f64>],
-    cfg: VivaldiConfig,
-    rounds: usize,
-    rng: &mut SimRng,
-) -> Vec<VivaldiNode> {
-    let n = rtt_ms.len();
-    let mut nodes: Vec<VivaldiNode> = (0..n).map(|_| VivaldiNode::new(cfg)).collect();
-    for _ in 0..rounds {
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let remote = nodes[j].clone();
-                nodes[i].update(&remote, rtt_ms[i][j], rng);
-            }
-        }
-    }
-    nodes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `rounds` update rounds over a full RTT matrix: in each round
+    /// every node absorbs one sample from every other node, in index order.
+    ///
+    /// The sweep is deliberately systematic rather than sampling one random
+    /// peer per round: on small topologies such as the square below,
+    /// single-random-peer gossip can settle into a *folded* spring
+    /// equilibrium (a local minimum of the spring energy) that the shrinking
+    /// adaptive timestep then freezes in place permanently. Balanced
+    /// all-pairs updates escape those folds. The RNG is still needed for the
+    /// coincident-coordinate bootstrap kick in [`VivaldiNode::update`].
+    fn gossip_converge(
+        rtt_ms: &[Vec<f64>],
+        cfg: VivaldiConfig,
+        rounds: usize,
+        rng: &mut SimRng,
+    ) -> Vec<VivaldiNode> {
+        let n = rtt_ms.len();
+        let mut nodes: Vec<VivaldiNode> = (0..n).map(|_| VivaldiNode::new(cfg)).collect();
+        for _ in 0..rounds {
+            for i in 0..n {
+                for j in 0..n {
+                    if i == j {
+                        continue;
+                    }
+                    let remote = nodes[j].clone();
+                    nodes[i].update(&remote, rtt_ms[i][j], rng);
+                }
+            }
+        }
+        nodes
+    }
 
     /// RTT matrix of 4 nodes at the corners of a 100 ms square (diagonal
     /// ≈ 141 ms) — perfectly embeddable in 2D.

@@ -1,7 +1,7 @@
 //! Property-based tests for the coordinate systems.
 
 use proptest::prelude::*;
-use uap_coords::{IcsSystem, LandmarkBins, Matrix, VivaldiConfig, VivaldiNode};
+use uap_coords::{IcsSystem, Matrix, VivaldiConfig, VivaldiNode};
 use uap_sim::SimRng;
 
 /// A random symmetric "distance-like" matrix (positive off-diagonals,
@@ -101,20 +101,5 @@ proptest! {
         prop_assert!(a.error.is_finite() && (0.0..=10.0).contains(&a.error));
         prop_assert!(a.predict_ms(&b).is_finite());
         prop_assert!(a.predict_ms(&b) >= 0.0);
-    }
-
-    /// Landmark bins: same RTT vector -> same bin; similarity symmetric
-    /// and maximal on self.
-    #[test]
-    fn binning_invariants(rtts in prop::collection::vec(0.0f64..1_000.0, 1..20)) {
-        let a = LandmarkBins::from_rtts(&rtts);
-        let b = LandmarkBins::from_rtts(&rtts);
-        prop_assert!(a.same_bin(&b));
-        prop_assert_eq!(a.similarity(&b), 2 * rtts.len());
-        // Order is a permutation of landmark indices.
-        let mut order = a.order.clone();
-        order.sort_unstable();
-        let expected: Vec<u8> = (0..).take(rtts.len()).collect();
-        prop_assert_eq!(order, expected);
     }
 }

@@ -3,42 +3,35 @@
 //! [`crate::framework`] makes profiles *checkable*; this module makes them
 //! *runnable*: given a validated profile and an underlay, it instantiates
 //! the matching collection service behind the uniform
-//! [`ProximityEstimator`] / [`GeoLocator`] interfaces — the last missing
-//! piece of the "general architecture for underlay awareness" the paper
-//! calls for. Swapping techniques is a one-line profile change; the
-//! overlay code never changes.
+//! [`ProximityEstimator`] / [`GeoLocator`] interfaces. This is the path
+//! the binaries take to the "general architecture for underlay awareness"
+//! the paper calls for: E12's overhead table builds its five proximity
+//! rows here, one profile per row, and E8's geolocation probe places its
+//! peers through [`build_geo_locator`]. Swapping techniques is a one-line
+//! profile change; the overlay code never changes.
 
 use crate::framework::{AwarenessProfile, CollectionTechnique};
 use uap_coords::VivaldiConfig;
 use uap_info::provider::{GeoLocator, ProximityEstimator};
 use uap_info::{
-    ExplicitPinger, GeoService, GeoSource, IcsService, OnoEstimator, Oracle, P4pEstimator,
-    P4pService, PdistanceWeights, SimulatedCdn, VivaldiService,
+    ExplicitPinger, GeoService, GeoSource, IcsService, OnoEstimator, Oracle, SimulatedCdn,
+    VivaldiService,
 };
 use uap_net::{HostId, Underlay};
 use uap_sim::SimRng;
 
+/// Vivaldi gossip rounds before the estimator is handed out.
+pub const VIVALDI_ROUNDS: usize = 20;
+/// RTT samples per node per Vivaldi round.
+pub const VIVALDI_SAMPLES: usize = 2;
 /// ICS beacons.
-const ICS_BEACONS: usize = 10;
+pub const ICS_BEACONS: usize = 8;
 /// ICS dimensions.
 const ICS_DIMS: usize = 4;
 /// CDN replicas for Ono.
 const CDN_REPLICAS: usize = 6;
 /// CDN samples per peer for Ono.
-const ONO_SAMPLES: usize = 30;
-
-/// Tunables for the assembled collectors.
-#[derive(Clone, Copy, Debug)]
-pub struct AssembleConfig {
-    /// Vivaldi gossip rounds before the estimator is handed out.
-    pub vivaldi_rounds: usize,
-}
-
-impl Default for AssembleConfig {
-    fn default() -> Self {
-        AssembleConfig { vivaldi_rounds: 30 }
-    }
-}
+pub const ONO_SAMPLES: usize = 30;
 
 /// A proximity estimator wrapping the oracle so it fits the uniform
 /// interface (the oracle natively ranks lists; as an estimator it scores a
@@ -69,19 +62,20 @@ impl ProximityEstimator for OracleEstimator<'_> {
 /// Instantiates the proximity estimator a profile's collection technique
 /// prescribes. Returns `None` for techniques that do not produce pairwise
 /// proximity (the geolocation family — use [`build_geo_locator`]; the
-/// resource family — use `SkyEyeTree` directly).
+/// resource family — use `SkyEyeTree` directly; IP-to-ISP mapping, which
+/// yields a peer's ISP identity, not a pairwise distance — use
+/// `Ip2IspService`).
 pub fn build_proximity_estimator<'a>(
     profile: &AwarenessProfile,
     underlay: &'a Underlay,
-    cfg: &AssembleConfig,
     rng: &mut SimRng,
 ) -> Option<Box<dyn ProximityEstimator + 'a>> {
     profile.validate().ok()?;
     Some(match profile.collection {
-        CollectionTechnique::ExplicitMeasurement => Box::new(ExplicitPinger::new(underlay, true)),
+        CollectionTechnique::ExplicitMeasurement => Box::new(ExplicitPinger::new(underlay)),
         CollectionTechnique::VivaldiCoordinates => {
             let mut svc = VivaldiService::new(underlay.n_hosts(), VivaldiConfig::default());
-            svc.converge(underlay, cfg.vivaldi_rounds, 4, rng);
+            svc.converge(underlay, VIVALDI_ROUNDS, VIVALDI_SAMPLES, rng);
             Box::new(svc)
         }
         CollectionTechnique::LandmarkCoordinates => Box::new(IcsService::build(
@@ -94,23 +88,12 @@ pub fn build_proximity_estimator<'a>(
             underlay,
             oracle: Oracle::new(usize::MAX),
         }),
-        CollectionTechnique::IpToIspMapping => {
-            // IP mapping yields AS identity; as a pair estimator that is a
-            // 0/1 locality signal via P4P-style zero/one distance.
-            let svc = P4pService::build(
-                underlay,
-                PdistanceWeights {
-                    peering: 1.0,
-                    transit: 1.0, // hop count only — no provider cost data
-                },
-            );
-            Box::new(P4pEstimator::new(underlay, svc))
-        }
         CollectionTechnique::CdnInference => {
             let cdn = SimulatedCdn::deploy(underlay, CDN_REPLICAS);
             Box::new(OnoEstimator::new(underlay, cdn, ONO_SAMPLES))
         }
-        CollectionTechnique::Gps
+        CollectionTechnique::IpToIspMapping
+        | CollectionTechnique::Gps
         | CollectionTechnique::IpToLocationMapping
         | CollectionTechnique::IspProvidedLocation
         | CollectionTechnique::InfoManagementOverlay => return None,
@@ -137,47 +120,29 @@ pub fn build_geo_locator<'a>(
 mod tests {
     use super::*;
     use crate::experiments::NetParams;
-    use crate::framework::{InfoType, UsageStrategy};
+    use crate::framework::{taxonomy, InfoType, UsageStrategy};
 
     fn profile(collection: CollectionTechnique) -> AwarenessProfile {
-        use CollectionTechnique as C;
-        let (info, usage) = match collection {
-            C::IpToIspMapping | C::IspComponent | C::CdnInference => (
-                InfoType::IspLocation,
-                UsageStrategy::BiasedNeighborSelection,
-            ),
-            C::ExplicitMeasurement | C::VivaldiCoordinates | C::LandmarkCoordinates => {
-                (InfoType::Latency, UsageStrategy::LatencyAwareOverlay)
-            }
-            C::Gps | C::IpToLocationMapping | C::IspProvidedLocation => {
-                (InfoType::Geolocation, UsageStrategy::GeoOverlay)
-            }
-            C::InfoManagementOverlay => {
-                (InfoType::PeerResources, UsageStrategy::SuperpeerSelection)
-            }
-        };
-        AwarenessProfile {
-            info,
-            collection,
-            usage,
-        }
+        let (info, _) = taxonomy()
+            .into_iter()
+            .find(|&(_, c)| c == collection)
+            .unwrap();
+        AwarenessProfile::collecting(info, collection)
     }
 
     #[test]
     fn every_proximity_technique_assembles_and_ranks_sanely() {
         let underlay = NetParams::quick(100, 131).build();
-        let cfg = AssembleConfig { vivaldi_rounds: 25 };
         let techniques = [
             CollectionTechnique::ExplicitMeasurement,
             CollectionTechnique::VivaldiCoordinates,
             CollectionTechnique::LandmarkCoordinates,
             CollectionTechnique::IspComponent,
-            CollectionTechnique::IpToIspMapping,
             CollectionTechnique::CdnInference,
         ];
         for technique in techniques {
             let mut rng = SimRng::new(132);
-            let mut est = build_proximity_estimator(&profile(technique), &underlay, &cfg, &mut rng)
+            let mut est = build_proximity_estimator(&profile(technique), &underlay, &mut rng)
                 .unwrap_or_else(|| panic!("{technique:?} should assemble"));
             // Rank 20 candidates from host 0: the top-5 picks should have a
             // lower true mean RTT than the candidate population (every
@@ -217,13 +182,15 @@ mod tests {
     fn wrong_family_returns_none() {
         let underlay = NetParams::quick(50, 135).build();
         let mut rng = SimRng::new(136);
-        assert!(build_proximity_estimator(
-            &profile(CollectionTechnique::Gps),
-            &underlay,
-            &AssembleConfig::default(),
-            &mut rng
-        )
-        .is_none());
+        for technique in [
+            CollectionTechnique::Gps,
+            CollectionTechnique::IpToIspMapping,
+        ] {
+            assert!(
+                build_proximity_estimator(&profile(technique), &underlay, &mut rng).is_none(),
+                "{technique:?}"
+            );
+        }
         assert!(
             build_geo_locator(&profile(CollectionTechnique::IspComponent), &underlay).is_none()
         );
@@ -238,9 +205,6 @@ mod tests {
             collection: CollectionTechnique::Gps,
             usage: UsageStrategy::LatencyAwareOverlay,
         };
-        assert!(
-            build_proximity_estimator(&bad, &underlay, &AssembleConfig::default(), &mut rng)
-                .is_none()
-        );
+        assert!(build_proximity_estimator(&bad, &underlay, &mut rng).is_none());
     }
 }

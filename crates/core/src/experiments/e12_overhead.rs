@@ -5,21 +5,25 @@
 //! awareness remain open issues." Two harnesses:
 //!
 //! * [`run_overhead`] — messages spent by each collection technique to
-//!   cover the same population, side by side: explicit all-pairs
-//!   measurement, Vivaldi, ICS beacons, oracle queries, the CDN trick and
-//!   the SkyEye tree;
+//!   cover the same population, side by side: explicit measurement,
+//!   Vivaldi, ICS beacons, oracle queries and the CDN trick, each built by
+//!   [`crate::assemble`] from its [`AwarenessProfile`], then the SkyEye
+//!   tree;
 //! * [`run_churn`] — Gnutella search success and signalling cost (in
 //!   messages, as Table 1 counts it) as churn intensifies, unbiased vs
 //!   oracle-biased (does awareness survive
 //!   turnover? — the §5.4 robustness question).
 
 use super::table::{ensure, num, Scale};
+use crate::assemble::{
+    build_proximity_estimator, ICS_BEACONS, ONO_SAMPLES, VIVALDI_ROUNDS, VIVALDI_SAMPLES,
+};
 use crate::experiments::NetParams;
+use crate::framework::{AwarenessProfile, CollectionTechnique, InfoType};
 use crate::report::{f, pct, Table};
-use uap_coords::VivaldiConfig;
 use uap_gnutella::{run_experiment_with, GnutellaConfig, NeighborSelection};
-use uap_info::provider::{ProximityEstimator, ResourceDirectory};
-use uap_info::{IcsService, OnoEstimator, Oracle, SimulatedCdn, SkyEyeTree, VivaldiService};
+use uap_info::provider::ResourceDirectory;
+use uap_info::SkyEyeTree;
 use uap_net::HostId;
 use uap_sim::{ChurnConfig, SimRng, SimTime, Tracer};
 
@@ -59,6 +63,41 @@ impl Params {
     }
 }
 
+/// E12's proximity rows, in table order: the profile the framework's
+/// factory builds each row's collector from, the row's label and its note.
+fn proximity_rows() -> [(AwarenessProfile, String, &'static str); 5] {
+    use CollectionTechnique as C;
+    let latency = |c| AwarenessProfile::collecting(InfoType::Latency, c);
+    let isp = |c| AwarenessProfile::collecting(InfoType::IspLocation, c);
+    [
+        (
+            latency(C::ExplicitMeasurement),
+            "explicit ping (cached)".into(),
+            "exact; cost grows with query set",
+        ),
+        (
+            latency(C::VivaldiCoordinates),
+            format!("vivaldi ({VIVALDI_ROUNDS} rounds x {VIVALDI_SAMPLES})"),
+            "queries free after convergence",
+        ),
+        (
+            latency(C::LandmarkCoordinates),
+            format!("ics ({ICS_BEACONS} beacons)"),
+            "one-time embedding, queries free",
+        ),
+        (
+            isp(C::IspComponent),
+            "isp oracle".into(),
+            "1 request + 1 ranked reply per query",
+        ),
+        (
+            isp(C::CdnInference),
+            format!("cdn/ono ({ONO_SAMPLES} samples)"),
+            "piggybacks on CDN lookups",
+        ),
+    ]
+}
+
 /// Overhead comparison: messages each technique needs to (a) set up and
 /// (b) answer `queries` pairwise proximity queries over `n` hosts.
 pub fn run_overhead(p: &Params) -> Table {
@@ -79,73 +118,21 @@ pub fn run_overhead(p: &Params) -> Table {
         "§5.4 — measurement overhead per collection technique",
         &["technique", "messages", "per query", "notes"],
     );
-    // Explicit ping with cache.
-    {
-        let mut pinger = uap_info::ExplicitPinger::new(&underlay, true);
+    for (profile, label, notes) in proximity_rows() {
+        #[expect(clippy::expect_used, reason = "every row is a valid proximity profile")]
+        let mut est =
+            build_proximity_estimator(&profile, &underlay, &mut rng).expect("a proximity profile");
         for &(a, b) in &pairs {
-            let _ = pinger.proximity(a, b, &mut rng);
+            let _ = est.proximity(a, b, &mut rng);
         }
-        let msgs = pinger.overhead_messages();
-        table.row(&[
-            "explicit ping (cached)".into(),
-            msgs.to_string(),
-            f(msgs as f64 / p.queries as f64),
-            "exact; cost grows with query set".into(),
-        ]);
-    }
-    // Vivaldi.
-    {
-        let mut svc = VivaldiService::new(n, VivaldiConfig::default());
-        svc.converge(&underlay, 20, 2, &mut rng);
-        for &(a, b) in &pairs {
-            let _ = svc.proximity(a, b, &mut rng);
-        }
-        let msgs = svc.overhead_messages();
-        table.row(&[
-            "vivaldi (20 rounds x 2)".into(),
-            msgs.to_string(),
-            f(msgs as f64 / p.queries as f64),
-            "queries free after convergence".into(),
-        ]);
-    }
-    // ICS.
-    {
-        let svc = IcsService::build(&underlay, 8.min(n), 4, &mut rng);
-        let msgs = svc.overhead_messages();
-        table.row(&[
-            "ics (8 beacons)".into(),
-            msgs.to_string(),
-            f(msgs as f64 / p.queries as f64),
-            "one-time embedding, queries free".into(),
-        ]);
-    }
-    // Oracle.
-    {
-        let mut oracle = Oracle::new(1000);
-        for &(a, b) in &pairs {
-            let _ = oracle.rank(&underlay, a, &[b]);
-        }
-        table.row(&[
-            "isp oracle".into(),
-            (2 * oracle.queries()).to_string(),
-            "2".into(),
-            "1 request + 1 ranked reply per query".into(),
-        ]);
-    }
-    // CDN / Ono.
-    {
-        let cdn = SimulatedCdn::deploy(&underlay, 6);
-        let mut ono = OnoEstimator::new(&underlay, cdn, 30);
-        for &(a, b) in &pairs {
-            let _ = ono.proximity(a, b, &mut rng);
-        }
-        let msgs = ono.overhead_messages();
-        table.row(&[
-            "cdn/ono (30 samples)".into(),
-            msgs.to_string(),
-            f(msgs as f64 / p.queries as f64),
-            "piggybacks on CDN lookups".into(),
-        ]);
+        let msgs = est.overhead_messages();
+        // The oracle answers each query with one request and one reply.
+        let per_query = if profile.collection == CollectionTechnique::IspComponent {
+            "2".into()
+        } else {
+            f(msgs as f64 / p.queries as f64)
+        };
+        table.row(&[label, msgs.to_string(), per_query, notes.into()]);
     }
     // SkyEye (resource info, for completeness of the taxonomy).
     {
@@ -276,6 +263,39 @@ pub fn claim(cost: &Table, churn: &Table) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::taxonomy;
+
+    #[test]
+    fn overhead_rows_follow_the_taxonomy() {
+        // The techniques the factory assembles a proximity estimator for,
+        // in Figure 3's order.
+        let p = Params::quick(73);
+        let underlay = p.net.build();
+        let mut rng = SimRng::new(74);
+        let assembled: Vec<CollectionTechnique> = taxonomy()
+            .into_iter()
+            .filter(|&(info, c)| {
+                let profile = AwarenessProfile::collecting(info, c);
+                build_proximity_estimator(&profile, &underlay, &mut rng).is_some()
+            })
+            .map(|(_, c)| c)
+            .collect();
+        // E12 has one row for each of them, once, in its committed table's
+        // order, and the table's rows are those rows.
+        let rows = proximity_rows();
+        assert_eq!(rows.len(), assembled.len());
+        for technique in &assembled {
+            let n = rows
+                .iter()
+                .filter(|(q, ..)| q.collection == *technique)
+                .count();
+            assert_eq!(n, 1, "{technique:?} has {n} E12 rows");
+        }
+        let t = run_overhead(&p);
+        for (r, (_, label, _)) in rows.iter().enumerate() {
+            assert_eq!(t.cell(r, 0), label.as_str());
+        }
+    }
 
     #[test]
     fn prediction_methods_beat_explicit_measurement() {

@@ -13,9 +13,7 @@ use super::table::{ensure, phase, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, Table};
 use uap_info::provider::{IspLocator, ProximityEstimator};
-use uap_info::{
-    Ip2IspService, OnoEstimator, Oracle, P4pEstimator, P4pService, PdistanceWeights, SimulatedCdn,
-};
+use uap_info::{Ip2IspService, OnoEstimator, Oracle, P4pEstimator, P4pService, SimulatedCdn};
 use uap_net::{HostId, Underlay};
 use uap_sim::{SimRng, SimTime, Tracer};
 
@@ -152,7 +150,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     // P4P: cached p-distance maps.
     {
         phase(tracer, "p4p");
-        let svc = P4pService::build(&u, PdistanceWeights::default());
+        let svc = P4pService::build(&u);
         let mut est = P4pEstimator::new(&u, svc);
         let selections: Vec<Vec<HostId>> = tasks
             .iter()

@@ -165,6 +165,22 @@ pub struct AwarenessProfile {
 }
 
 impl AwarenessProfile {
+    /// `info` collected by `collection` and put to the first use §4 names
+    /// for it: the profile a harness runs one collection technique under.
+    pub fn collecting(info: InfoType, collection: CollectionTechnique) -> AwarenessProfile {
+        let usage = match info {
+            InfoType::IspLocation => UsageStrategy::BiasedNeighborSelection,
+            InfoType::Latency => UsageStrategy::LatencyAwareOverlay,
+            InfoType::Geolocation => UsageStrategy::GeoOverlay,
+            InfoType::PeerResources => UsageStrategy::SuperpeerSelection,
+        };
+        AwarenessProfile {
+            info,
+            collection,
+            usage,
+        }
+    }
+
     /// Checks the profile against the taxonomy: the collection technique
     /// must produce the declared information type, and the usage strategy
     /// must consume it.

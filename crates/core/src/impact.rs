@@ -20,15 +20,17 @@
 //! three bands (`++` ≥ 30 %, `+` ≥ 10 %, `o` below). EXPERIMENTS.md
 //! records where our signs agree with the paper's.
 
+use crate::assemble::build_geo_locator;
 use crate::experiments::table::{ensure, Scale};
 use crate::experiments::{self, NetParams};
+use crate::framework::{AwarenessProfile, CollectionTechnique, InfoType};
 use crate::geo_overlay::{GeoOverlay, Rect};
 use crate::report::Table;
 use uap_gnutella::{
     run_experiment_with, GnutellaConfig, GnutellaReport, NeighborSelection, RoleAssignment,
 };
 use uap_net::{FaultKind, FaultPlan, Underlay};
-use uap_sim::{SimTime, Tracer};
+use uap_sim::{SimRng, SimTime, Tracer};
 
 /// Matrix parameters.
 #[derive(Clone, Copy, Debug)]
@@ -233,12 +235,21 @@ fn mean_edge_uptime(underlay: &Underlay, report: &GnutellaReport) -> f64 {
 
 /// Geolocation capability probe: message cost of a location-constrained
 /// query via the zone tree vs flooding every peer. Returns the relative
-/// saving.
+/// saving. Peers join at the positions their ISPs provide, through the
+/// framework's geolocation factory.
 fn geo_capability_gain(net: &NetParams) -> f64 {
     let underlay = net.build();
+    let profile = AwarenessProfile::collecting(
+        InfoType::Geolocation,
+        CollectionTechnique::IspProvidedLocation,
+    );
+    #[expect(clippy::expect_used, reason = "the profile is a valid geolocation one")]
+    let mut locator = build_geo_locator(&profile, &underlay).expect("a geolocation profile");
+    // ISP-provided positions are exact: the locator draws nothing.
+    let mut rng = SimRng::new(net.seed);
     let mut overlay = GeoOverlay::new(Rect::new(0.0, 0.0, 5_000.0, 5_000.0), 8);
     for h in underlay.hosts.ids() {
-        overlay.join(h, underlay.host(h).geo);
+        overlay.join(h, locator.locate(h, &mut rng));
     }
     let q = Rect::new(1_000.0, 1_000.0, 2_200.0, 2_200.0);
     let out = overlay.search(&q);

@@ -11,7 +11,8 @@
 //!   [`framework::AwarenessProfile`]s binding an *information type* to a
 //!   *collection technique* and a *usage strategy*;
 //! * [`assemble`] — profile-driven factories that instantiate the matching
-//!   collection service behind the uniform provider traits;
+//!   collection service behind the uniform provider traits; E12's overhead
+//!   rows and E8's geolocation probe build their collectors through them;
 //! * [`graphstats`] — overlay-graph structure metrics (the quantities
 //!   behind the Figure 5/6 topology comparison);
 //! * [`geo_overlay`] — a Globase.KOM-style \[19\] geolocation overlay (zone
@@ -36,7 +37,7 @@ pub mod graphstats;
 pub mod impact;
 pub mod report;
 
-pub use assemble::{build_geo_locator, build_proximity_estimator, AssembleConfig};
+pub use assemble::{build_geo_locator, build_proximity_estimator};
 pub use framework::{AwarenessProfile, CollectionTechnique, InfoType, UsageStrategy};
 pub use geo_overlay::{GeoOverlay, GeoQueryOutcome};
 pub use graphstats::OverlayStats;

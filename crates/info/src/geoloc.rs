@@ -16,6 +16,9 @@ use crate::provider::GeoLocator;
 use uap_net::{GeoPoint, HostId, Underlay};
 use uap_sim::SimRng;
 
+/// GPS standard error in kilometres (10 m).
+const GPS_SIGMA_KM: f64 = 0.01;
+
 /// Which geolocation technique a [`GeoService`] models.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GeoSource {
@@ -31,8 +34,6 @@ pub enum GeoSource {
 pub struct GeoService<'a> {
     underlay: &'a Underlay,
     source: GeoSource,
-    /// GPS standard error in kilometres (defaults to 10 m).
-    pub gps_sigma_km: f64,
     queries: u64,
 }
 
@@ -42,7 +43,6 @@ impl<'a> GeoService<'a> {
         GeoService {
             underlay,
             source,
-            gps_sigma_km: 0.01,
             queries: 0,
         }
     }
@@ -61,8 +61,8 @@ impl GeoLocator for GeoService<'_> {
         match self.source {
             GeoSource::IspProvided => host.geo,
             GeoSource::Gps => GeoPoint::new(
-                host.geo.x_km + rng.normal(0.0, self.gps_sigma_km),
-                host.geo.y_km + rng.normal(0.0, self.gps_sigma_km),
+                host.geo.x_km + rng.normal(0.0, GPS_SIGMA_KM),
+                host.geo.y_km + rng.normal(0.0, GPS_SIGMA_KM),
             ),
             GeoSource::IpMapping => {
                 // Only the AS is known: report a random point in its

@@ -43,7 +43,7 @@ pub use geoloc::{GeoService, GeoSource};
 pub use ics_svc::IcsService;
 pub use ip2isp::Ip2IspService;
 pub use oracle::Oracle;
-pub use p4p::{P4pEstimator, P4pService, PdistanceWeights};
+pub use p4p::{P4pEstimator, P4pService};
 pub use ping::ExplicitPinger;
 pub use provider::{GeoLocator, IspLocator, ProximityEstimator, ResourceDirectory};
 pub use skyeye::{ResourceReport, SkyEyeTree};

@@ -18,23 +18,10 @@ use std::collections::BTreeMap;
 use uap_net::{AsId, HostId, LinkKind, Underlay};
 use uap_sim::SimRng;
 
-/// Link weights used to derive p-distances.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PdistanceWeights {
-    /// Cost of crossing one peering link.
-    pub peering: f64,
-    /// Cost of crossing one transit link (billed — keep it high).
-    pub transit: f64,
-}
-
-impl Default for PdistanceWeights {
-    fn default() -> Self {
-        PdistanceWeights {
-            peering: 1.0,
-            transit: 4.0,
-        }
-    }
-}
+/// Cost of crossing one peering link.
+const PEERING_COST: f64 = 1.0;
+/// Cost of crossing one transit link (billed — kept high).
+const TRANSIT_COST: f64 = 4.0;
 
 /// The provider-side service: a full p-distance matrix plus per-client
 /// map distribution with caching.
@@ -48,7 +35,7 @@ pub struct P4pService {
 impl P4pService {
     /// Builds the matrix by weighted shortest path over the AS graph.
     #[expect(clippy::indexing_slicing, reason = "AsIds of g; pdistance is n × n")]
-    pub fn build(underlay: &Underlay, weights: PdistanceWeights) -> P4pService {
+    pub fn build(underlay: &Underlay) -> P4pService {
         let g = &underlay.graph;
         let n = g.len();
         let mut pdistance = vec![vec![f64::INFINITY; n]; n];
@@ -78,8 +65,8 @@ impl P4pService {
                     #[expect(clippy::expect_used, reason = "g.incident(x) lists links at x")]
                     let y = link.other(x).expect("incident").idx();
                     let w = match link.kind {
-                        LinkKind::Peering => weights.peering,
-                        LinkKind::Transit => weights.transit,
+                        LinkKind::Peering => PEERING_COST,
+                        LinkKind::Transit => TRANSIT_COST,
                     };
                     let nd = dist[x.idx()] + w;
                     if nd < dist[y] {
@@ -189,7 +176,7 @@ mod tests {
     #[test]
     fn pdistance_metric_properties() {
         let u = underlay();
-        let svc = P4pService::build(&u, PdistanceWeights::default());
+        let svc = P4pService::build(&u);
         let n = svc.n_ases();
         for a in 0..n {
             assert_eq!(svc.pdistance(AsId::from_index(a), AsId::from_index(a)), 0.0);
@@ -204,7 +191,7 @@ mod tests {
     #[test]
     fn peering_paths_are_cheaper_than_transit_paths() {
         let u = underlay();
-        let svc = P4pService::build(&u, PdistanceWeights::default());
+        let svc = P4pService::build(&u);
         // Direct peering neighbors must be cheaper than anything that needs
         // a transit link.
         let g = &u.graph;
@@ -225,7 +212,7 @@ mod tests {
     #[test]
     fn map_fetches_are_cached_per_partition() {
         let u = underlay();
-        let svc = P4pService::build(&u, PdistanceWeights::default());
+        let svc = P4pService::build(&u);
         let mut est = P4pEstimator::new(&u, svc);
         let mut rng = SimRng::new(122);
         let a = HostId(0);
@@ -247,7 +234,7 @@ mod tests {
     #[test]
     fn p4p_ranking_prefers_cheap_partitions() {
         let u = underlay();
-        let svc = P4pService::build(&u, PdistanceWeights::default());
+        let svc = P4pService::build(&u);
         let mut est = P4pEstimator::new(&u, svc);
         let mut rng = SimRng::new(123);
         let from = HostId(0);
@@ -260,7 +247,7 @@ mod tests {
         }
         // And ranking is monotone in p-distance.
         let my_as = u.hosts.as_of(from);
-        let svc2 = P4pService::build(&u, PdistanceWeights::default());
+        let svc2 = P4pService::build(&u);
         let d = |h: HostId| svc2.pdistance(my_as, u.hosts.as_of(h));
         for w in ranked.windows(2) {
             assert!(d(w[0]) <= d(w[1]) + 1e-12);

@@ -3,8 +3,8 @@
 //! "Latency can be measured explicitly using a simple ping or traceroute
 //! technique. This, however, incurs the network with much overhead." —
 //! [`ExplicitPinger`] is that technique, with the overhead made visible:
-//! every probe costs two messages (echo + reply), and an optional cache
-//! models the sparing use the paper recommends.
+//! every probe costs two messages (echo + reply), and a cache models the
+//! sparing use the paper recommends.
 
 use crate::provider::ProximityEstimator;
 use std::collections::BTreeMap;
@@ -12,23 +12,20 @@ use uap_net::{HostId, Underlay};
 use uap_sim::SimRng;
 
 /// Direct RTT measurement against the underlay's ground truth (plus the
-/// underlay's configured jitter).
+/// underlay's configured jitter). Each pair is measured once and then
+/// served from cache.
 pub struct ExplicitPinger<'a> {
     underlay: &'a Underlay,
-    /// When true, each ordered pair is only measured once and then served
-    /// from cache.
-    pub cache_enabled: bool,
     cache: BTreeMap<(HostId, HostId), f64>,
     messages: u64,
     probes: u64,
 }
 
 impl<'a> ExplicitPinger<'a> {
-    /// Creates a pinger; `cache_enabled` controls memoization.
-    pub fn new(underlay: &'a Underlay, cache_enabled: bool) -> Self {
+    /// Creates a pinger with an empty cache.
+    pub fn new(underlay: &'a Underlay) -> Self {
         ExplicitPinger {
             underlay,
-            cache_enabled,
             cache: BTreeMap::new(),
             messages: 0,
             probes: 0,
@@ -38,10 +35,8 @@ impl<'a> ExplicitPinger<'a> {
     /// Measures the RTT between `a` and `b` in microseconds.
     pub fn rtt_us(&mut self, a: HostId, b: HostId, rng: &mut SimRng) -> f64 {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if self.cache_enabled {
-            if let Some(&v) = self.cache.get(&key) {
-                return v;
-            }
+        if let Some(&v) = self.cache.get(&key) {
+            return v;
         }
         self.probes += 1;
         self.messages += 2; // echo request + reply
@@ -49,9 +44,7 @@ impl<'a> ExplicitPinger<'a> {
             .underlay
             .measured_rtt_us(a, b, rng)
             .unwrap_or(u64::MAX / 2) as f64;
-        if self.cache_enabled {
-            self.cache.insert(key, rtt);
-        }
+        self.cache.insert(key, rtt);
         rtt
     }
 
@@ -98,7 +91,7 @@ mod tests {
     #[test]
     fn measures_ground_truth_when_noiseless() {
         let u = underlay(0.0);
-        let mut p = ExplicitPinger::new(&u, false);
+        let mut p = ExplicitPinger::new(&u);
         let mut rng = SimRng::new(22);
         let (a, b) = (HostId(0), HostId(30));
         assert_eq!(p.rtt_us(a, b, &mut rng), u.rtt_us(a, b).unwrap() as f64);
@@ -107,7 +100,7 @@ mod tests {
     #[test]
     fn overhead_counts_two_messages_per_probe() {
         let u = underlay(0.0);
-        let mut p = ExplicitPinger::new(&u, false);
+        let mut p = ExplicitPinger::new(&u);
         let mut rng = SimRng::new(23);
         for i in 1..=10 {
             p.rtt_us(HostId(0), HostId(i), &mut rng);
@@ -119,7 +112,7 @@ mod tests {
     #[test]
     fn cache_avoids_repeat_probes() {
         let u = underlay(0.2);
-        let mut p = ExplicitPinger::new(&u, true);
+        let mut p = ExplicitPinger::new(&u);
         let mut rng = SimRng::new(24);
         let v1 = p.rtt_us(HostId(1), HostId(2), &mut rng);
         let v2 = p.rtt_us(HostId(2), HostId(1), &mut rng); // reversed pair
@@ -131,7 +124,7 @@ mod tests {
     #[test]
     fn ranking_prefers_closer_hosts() {
         let u = underlay(0.0);
-        let mut p = ExplicitPinger::new(&u, false);
+        let mut p = ExplicitPinger::new(&u);
         let mut rng = SimRng::new(25);
         let from = HostId(0);
         let candidates: Vec<HostId> = (1..20).map(HostId).collect();

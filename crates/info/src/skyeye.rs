@@ -95,37 +95,6 @@ impl SkyEyeTree {
         }
     }
 
-    /// Members currently in the tree.
-    pub fn members(&self) -> &[HostId] {
-        &self.members
-    }
-
-    /// Removes a departed peer (takes effect at the next aggregation
-    /// round, as in the real protocol).
-    pub fn remove_member(&mut self, h: HostId) {
-        self.members.retain(|&m| m != h);
-        self.reports.remove(&h);
-    }
-
-    /// Adds a joining peer.
-    pub fn add_member(&mut self, underlay: &Underlay, h: HostId) {
-        if self.reports.contains_key(&h) {
-            return;
-        }
-        let host = underlay.host(h);
-        self.reports.insert(
-            h,
-            ResourceReport {
-                host: h,
-                capacity: host.capacity_score(),
-                up_kbps: host.up_kbps,
-                storage_gb: host.storage_gb,
-                online_fraction: host.online_fraction,
-            },
-        );
-        self.members.push(h);
-    }
-
     /// Runs one aggregation round: every non-root member sends one report
     /// message up the tree; inner nodes merge-and-truncate. Updates the
     /// root's top-k and system statistics.
@@ -270,28 +239,6 @@ mod tests {
         assert_eq!(tree.stats().members, 64);
         assert!(tree.stats().mean_capacity > 0.0);
         assert!(tree.stats().total_storage_gb > 0.0);
-    }
-
-    #[test]
-    fn churn_membership_updates() {
-        let u = underlay();
-        let members: Vec<HostId> = u.hosts.ids().take(10).collect();
-        let mut tree = SkyEyeTree::build(&u, members, 2, 10);
-        tree.run_round();
-        let before = tree.top_k(10);
-        assert_eq!(before.len(), 10);
-        let leaver = before[0];
-        tree.remove_member(leaver);
-        tree.run_round();
-        let after = tree.top_k(10);
-        assert_eq!(after.len(), 9);
-        assert!(!after.contains(&leaver));
-        tree.add_member(&u, leaver);
-        tree.run_round();
-        assert!(tree.top_k(10).contains(&leaver));
-        // Double-add is idempotent.
-        tree.add_member(&u, leaver);
-        assert_eq!(tree.members().len(), 10);
     }
 
     #[test]
