@@ -22,14 +22,15 @@
 //!   by a `--trace` run (per-component / per-kind event counts, the
 //!   simulated time span, the event rate), then the integrity verdict:
 //!   seqs run 0.. with no gap (a missing seq is a line the file lost),
+//!   every event is a kind the registry declares, at its declared level,
 //!   every cause references an earlier seq that exists in the trace,
 //!   span ids are opened before use, and span.open/span.close are
 //!   balanced.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use uap_sim::trace::parse_jsonl_line;
-use uap_sim::{TraceEvent, Value};
+use uap_sim::trace::{parse_jsonl_line, registry};
+use uap_sim::{TraceEvent, TraceLevel, Value};
 
 /// Outcome of a [`diff`] comparison.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -414,8 +415,10 @@ fn census(evs: &[TraceEvent]) -> String {
 /// One parse of a JSONL trace, two results: its [`census`], and the
 /// integrity verdict. The writer numbers events 0.. with no gap, so a
 /// missing seq — at the head or anywhere inside — is a line the file
-/// lost; every `cs` must reference an earlier seq that exists in the
-/// trace, every span-bearing event must belong to an opened span, and
+/// lost; every event's `(c, k)` must be a declared
+/// [`registry::TRACE_KINDS`] entry emitted at its declared level; every
+/// `cs` must reference an earlier seq that exists in the trace, every
+/// span-bearing event must belong to an opened span, and
 /// span.open/span.close must balance per span id. The verdict is a
 /// one-line summary, or the violation list. A malformed line fails the
 /// verdict with an empty census.
@@ -450,11 +453,24 @@ fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
             )),
         }
     }
+    let declared: BTreeMap<(&str, &str), TraceLevel> = registry::TRACE_KINDS
+        .iter()
+        .map(|k| ((k.component(), k.kind()), k.level()))
+        .collect();
     let mut cause_links = 0u64;
     let mut opened: BTreeMap<u64, u64> = BTreeMap::new(); // span id -> open count
     let mut closed: BTreeMap<u64, u64> = BTreeMap::new();
     let mut span_events = 0u64;
     for ev in evs {
+        let (c, k) = (ev.component.as_str(), ev.kind.as_str());
+        match declared.get(&(c, k)) {
+            None => problems.push(format!("seq {}: {c}/{k} is not a declared kind", ev.seq)),
+            Some(&level) if level != ev.level => problems.push(format!(
+                "seq {}: {c}/{k} at level {}, declared {level}",
+                ev.seq, ev.level
+            )),
+            Some(_) => {}
+        }
         if let Some(cs) = ev.cause {
             cause_links += 1;
             if cs >= ev.seq {
@@ -788,6 +804,23 @@ mod tests {
             .collect();
         let err = check(&unbalanced).1.expect_err("unclosed span");
         assert!(err.contains("opened but never closed"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_undeclared_kinds_and_wrong_levels() {
+        let trace = sample_trace();
+        let undeclared = trace.replacen("\"k\":\"transfer\"", "\"k\":\"teleport\"", 1);
+        let err = check(&undeclared).1.expect_err("undeclared kind");
+        assert!(
+            err.ends_with(":\nseq 0: net/teleport is not a declared kind"),
+            "{err}"
+        );
+        let misleveled = trace.replacen("\"l\":\"debug\"", "\"l\":\"info\"", 1);
+        let err = check(&misleveled).1.expect_err("wrong level");
+        assert!(
+            err.ends_with(":\nseq 0: net/transfer at level info, declared debug"),
+            "{err}"
+        );
     }
 
     /// `trace` without the lines whose 0-based index is in `lost`.

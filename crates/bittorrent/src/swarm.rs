@@ -6,7 +6,7 @@
 //! allocation over sender uplinks, receiver downlinks and the shared
 //! inter-AS links ([`uap_net::flow::FlowAllocator`]) prices each flow,
 //! and the receivers turn the accumulated bytes into rarest-first piece
-//! completions with per-chunk hash verification. Flows are charged to
+//! completions. Flows are charged to
 //! the underlay ledger, so experiment E10 can bill each tracker policy.
 //!
 //! The swarm runs on the `uap-sim` engine like Gnutella and the DHT: each
@@ -51,11 +51,6 @@ pub struct SwarmConfig {
     /// Crashed swarm members pause (no flows, no announces, pieces kept);
     /// partitioned pairs stall their flows until routing recovers.
     pub faults: Option<uap_net::FaultPlan>,
-    /// Hosts whose chunks always fail hash verification. A receiver that
-    /// detects a poisoned chunk discards the credited bytes, bans the
-    /// sender, and deterministically re-requests the pieces from its
-    /// remaining senders (empty = every sender honest).
-    pub poisoners: Vec<HostId>,
 }
 
 impl Default for SwarmConfig {
@@ -70,7 +65,6 @@ impl Default for SwarmConfig {
             tracker: TrackerPolicy::Random,
             cost_aware_choking: false,
             faults: None,
-            poisoners: Vec::new(),
         }
     }
 }
@@ -126,9 +120,6 @@ struct Peer {
     /// Partial-piece credit is retained across rounds (capped at one
     /// piece) and pruned when the sender crashes.
     credit: Vec<(HostId, u64)>,
-    /// Senders this peer caught poisoning chunks (sorted; flows from
-    /// banned senders are refused).
-    banned: Vec<HostId>,
     done_at: Option<u32>,
     is_seed: bool,
 }
@@ -221,8 +212,8 @@ fn received_from(receipts: &[(usize, HostId, u64)], sender: HostId) -> u64 {
 /// the underlay (whose ledger holds the traffic classification for the
 /// cost model). Records structured trace events into `tracer` (moved
 /// into the engine for the run and restored afterwards, as
-/// `run_experiment_with` does for Gnutella): per-peer unchoke decisions
-/// (Trace), piece completions and per-round summaries (Debug), and one
+/// `run_experiment_with` does for Gnutella): leecher completions and
+/// per-round summaries (Debug), and one
 /// `swarm.done` event (Info). Round events are stamped at the round
 /// boundaries, fault events at the plan's.
 pub fn run_swarm_with(
@@ -310,8 +301,6 @@ struct Swarm {
     claimed: PieceSet,
     /// [`claim_pieces`]' output and scratch, sized to the torrent once.
     new_claims: Vec<usize>,
-    /// `cfg.poisoners`, sorted.
-    poisoners: Vec<HostId>,
 
     rounds: u32,
     payload_bytes: u64,
@@ -343,7 +332,6 @@ impl Swarm {
                 },
                 neighbors: Vec::new(),
                 credit: Vec::new(),
-                banned: Vec::new(),
                 done_at: None,
                 is_seed: i < cfg.n_seeds,
             })
@@ -380,8 +368,6 @@ impl Swarm {
                 }
             }
         }
-        let mut poisoners = cfg.poisoners.clone();
-        poisoners.sort_unstable();
         let compiled = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
         for (i, &t) in compiled.iter().flat_map(|p| p.boundaries()).enumerate() {
             #[expect(
@@ -412,7 +398,6 @@ impl Swarm {
             senders: Vec::new(),
             claimed: PieceSet::empty(cfg.n_pieces),
             new_claims: Vec::with_capacity(cfg.n_pieces),
-            poisoners,
             rounds: 0,
             payload_bytes: 0,
             underlay,
@@ -544,7 +529,6 @@ impl Swarm {
                     .filter_map(|&h| member(h, peers.len()))
                     .filter(|&j| !down[j])
                     .filter(|&j| peers[j].done_at.is_none() && !peers[j].is_seed)
-                    .filter(|&j| peers[j].banned.binary_search(&me.host).is_err())
                     .filter(|&j| peers[j].pieces.is_interested_in(&me.pieces)),
             );
             if self.interested.is_empty() {
@@ -580,14 +564,7 @@ impl Swarm {
                     unchoke.push(pick);
                 }
             }
-            tracer.set_span(self.peer_spans[i]);
-            tracer.emit(now, registry::BITTORRENT_UNCHOKE, |f| {
-                f.u64("peer", me.host.0 as u64)
-                    .u64("slots", unchoke.len() as u64)
-                    .bool("cost_aware", cfg.cost_aware_choking);
-            });
         }
-        tracer.clear_provenance();
         // Phase 2a: the round's unchoke pairs are its flow set. Diff it
         // against the persistent open-flow table (arrivals open, exits
         // close), then recompute the max-min fair allocation: every flow
@@ -667,10 +644,9 @@ impl Swarm {
         }
         self.received_this
             .sort_unstable_by_key(|&(receiver, sender, _)| (receiver, sender));
-        // Phase 2b: receivers verify and assemble chunks — fastest
-        // senders convert credit first (slow senders only claim pieces
-        // nobody faster offered, deprioritizing them), rarest pieces
-        // first, each chunk hash-checked before it counts.
+        // Phase 2b: receivers assemble chunks — fastest senders convert
+        // credit first (slow senders only claim pieces nobody faster
+        // offered, deprioritizing them), rarest pieces first.
         for received in self.received_this.chunk_by(|a, b| a.0 == b.0) {
             let Some(&(j, _, _)) = received.first() else {
                 continue;
@@ -683,29 +659,6 @@ impl Swarm {
                 .sort_unstable_by_key(|&(b, h)| (std::cmp::Reverse(b), h));
             for &(_, src) in &self.senders {
                 let i = src.idx();
-                if self.poisoners.binary_search(&src).is_ok() {
-                    // Hash verification fails on every chunk from a
-                    // poisoner: the credited bytes are discarded, the
-                    // sender is banned, and the pieces re-request from
-                    // the remaining senders in later rounds.
-                    let me = &mut self.peers[j];
-                    let credit = *credit_mut(&mut me.credit, src);
-                    let bad = credit / self.cfg.piece_bytes;
-                    if bad > 0 {
-                        let who = me.host;
-                        tracer.set_span(self.peer_spans[j]);
-                        tracer.emit(now, registry::BITTORRENT_CHUNK_POISONED, |f| {
-                            f.u64("peer", who.0 as u64)
-                                .u64("sender", src.0 as u64)
-                                .u64("chunks", bad);
-                        });
-                        *credit_mut(&mut me.credit, src) = 0;
-                        if let Err(pos) = me.banned.binary_search(&src) {
-                            me.banned.insert(pos, src);
-                        }
-                    }
-                    continue;
-                }
                 let mut credit = *credit_mut(&mut self.peers[j].credit, src);
                 claim_pieces(
                     &self.peers[j].pieces,
@@ -722,7 +675,6 @@ impl Swarm {
                 }
             }
         }
-        tracer.clear_provenance();
         // Phase 3: commit completions, completion times, re-announces.
         let n_completions = self.completions.len();
         for &(j, p) in &self.completions {
@@ -730,9 +682,6 @@ impl Swarm {
             tracer.set_span(self.peer_spans[j]);
             if peer.pieces.insert(p) {
                 self.availability[p] += 1;
-                tracer.emit(now, registry::BITTORRENT_PIECE, |f| {
-                    f.u64("peer", peer.host.0 as u64).u64("piece", p as u64);
-                });
             }
             if peer.pieces.is_complete() && peer.done_at.is_none() {
                 peer.done_at = Some(rounds);
@@ -1445,29 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoner_majority_is_banned_and_the_honest_seed_serves_everyone() {
-        let mut cfg = small_cfg(TrackerPolicy::Random);
-        // Three of the four seeds poison every chunk; seed 3 is honest.
-        cfg.poisoners = (0..3).map(HostId).collect();
-        let mut t = Tracer::buffered(TraceLevel::Debug);
-        let (report, _) = run_swarm_with(underlay(80, 9), cfg, 37, &mut t);
-        assert_eq!(report.completed, report.leechers, "swarm must complete");
-        // A ban is final: once a receiver has caught a sender it refuses
-        // that sender's flows, so no pair is ever caught twice and no
-        // poisoned credit survives to become a piece.
-        let mut caught = std::collections::BTreeSet::new();
-        for e in t.events().iter().filter(|e| e.kind == "chunk.poisoned") {
-            let pair = (u64_field(e, "peer"), u64_field(e, "sender"));
-            assert!(caught.insert(pair), "{pair:?} poisoned after the ban");
-        }
-        assert!(
-            !caught.is_empty(),
-            "leechers must detect failed hash checks"
-        );
-        assert_sane(&report, &t);
-    }
-
-    #[test]
     fn one_as_swarm_completes_entirely_intra_as() {
         let mut graph = uap_net::AsGraph::new();
         graph.add_as(uap_net::Tier::Tier3, uap_net::GeoPoint::new(0.0, 0.0), 10.0);
@@ -1566,23 +1492,6 @@ mod tests {
             &mut out2,
         );
         assert_eq!(out2, vec![2, 0], "claimed pieces are not re-claimed");
-    }
-
-    #[test]
-    fn poisoned_chunks_are_discarded_and_rerequested_elsewhere() {
-        let mut cfg = small_cfg(TrackerPolicy::Random);
-        // Seed 0 poisons every chunk it serves; three honest seeds remain.
-        cfg.poisoners = vec![HostId(0)];
-        let mut t = Tracer::buffered(TraceLevel::Debug);
-        let (report, _) = run_swarm_with(underlay(80, 9), cfg, 37, &mut t);
-        let trace = t.to_jsonl();
-        assert!(
-            trace.contains("\"k\":\"chunk.poisoned\""),
-            "leechers must detect failed hash checks"
-        );
-        // Banned-sender re-requests route around the poisoner: everyone
-        // still finishes from the honest seeds.
-        assert_eq!(report.completed, report.leechers, "swarm must complete");
     }
 
     #[test]

@@ -162,7 +162,7 @@ mod tests {
         assert!(md.ends_with("<!-- registry:metrics:end -->\ntail\n"));
         assert!(md.contains(
             "| component | kind | level | description |\n|---|---|---|---|\n\
-             | engine | `dispatch` | trace | one event popped from the queue (kind, queue depth) |\n"
+             | net | `transfer` | debug | one accounted transfer (src, dst, bytes, category) |\n"
         ));
         assert!(md.contains(
             "| `net.fault.epochs` | counter | fault epoch boundaries applied to the underlay |\n"

@@ -70,8 +70,6 @@ pub struct Outcome {
     pub table: Table,
 }
 
-const WORLD_KM: f64 = 5_000.0;
-
 fn regional_name(zone: u8, i: usize) -> Vec<u8> {
     format!("regional-{zone}-{i}").into_bytes()
 }
@@ -100,9 +98,7 @@ fn run_plain(p: &Params) -> SystemResult {
     // Publish: each zone's items stored under plain (location-blind) keys
     // by a publisher from that zone.
     let zones: Vec<u8> = (0..n)
-        .map(|i| {
-            uap_kademlia::gsh::zone_of(&dht.underlay.host(HostId::from_index(i)).geo, WORLD_KM)
-        })
+        .map(|i| uap_kademlia::gsh::zone_of(&dht.underlay.host(HostId::from_index(i)).geo))
         .collect();
     let mut seen_zones: Vec<u8> = zones.clone();
     seen_zones.sort_unstable();
@@ -149,7 +145,6 @@ fn run_scoped(p: &Params) -> SystemResult {
             proximity: ProximityMode::None,
             ..Default::default()
         },
-        WORLD_KM,
         &mut rng,
     );
     let n = dht.dht.len();

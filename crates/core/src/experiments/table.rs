@@ -325,6 +325,7 @@ pub(crate) use ensure;
 mod tests {
     use super::*;
     use crate::experiments::sweep::parallel_map;
+    use std::collections::BTreeSet;
     use uap_sim::TraceLevel;
 
     /// The seeds every claim is evaluated on: the ones the single-seed
@@ -368,6 +369,36 @@ mod tests {
         .flatten()
         .collect();
         assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// The trace half of the registry's dynamic gate: the traced rows,
+    /// at quick scale on seed 42, fire every declared trace kind and no
+    /// other. A kind no row can make appear is deleted from the registry.
+    #[test]
+    fn every_declared_trace_kind_fires() {
+        let traced: Vec<&Experiment> = TABLE.iter().filter(|e| e.traced).collect();
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let fired: BTreeSet<(String, String)> = parallel_map(traced, threads, |e| {
+            let mut tracer = Tracer::buffered(TraceLevel::Debug);
+            (e.run)(Scale::Quick, 42, &mut tracer);
+            let kinds = tracer.events().into_iter();
+            kinds
+                .map(|ev| (ev.component.clone(), ev.kind.clone()))
+                .collect::<BTreeSet<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let declared: BTreeSet<(String, String)> = registry::TRACE_KINDS
+            .iter()
+            .map(|k| (k.component().to_owned(), k.kind().to_owned()))
+            .collect();
+        let silent: Vec<_> = declared.difference(&fired).collect();
+        let undeclared: Vec<_> = fired.difference(&declared).collect();
+        assert!(
+            silent.is_empty() && undeclared.is_empty(),
+            "declared but never fired: {silent:?}; fired but undeclared: {undeclared:?}"
+        );
     }
 
     #[test]

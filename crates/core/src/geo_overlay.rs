@@ -7,18 +7,20 @@
 //! geolocation-based overlay operations."
 //!
 //! Structure: a quadtree over the world box. A zone splits when it holds
-//! more than `max_zone_peers` peers; each zone elects the highest-capacity
-//! member as its **supervisor**. A location-constrained query (rectangle)
-//! is routed from the root down only into intersecting zones — message
-//! cost proportional to the area touched, not the network size, which is
-//! the "new application areas" payoff measured in Table 2.
+//! more than `max_zone_peers` peers, and each zone answers queries through
+//! one **supervisor**. A location-constrained query (rectangle) is routed
+//! from the root down only into intersecting zones, one message per zone
+//! supervisor — message cost proportional to the area touched, not the
+//! network size, which is the "new application areas" payoff measured in
+//! Table 2. Peers only join: the zone tree models neither departures nor
+//! dead supervisors.
 //!
 //! Peers register with positions from a pluggable geolocation source;
 //! noisy sources (IP-to-location) put peers in the wrong zone, degrading
-//! recall — experiment E8 quantifies the difference between GPS and
-//! IP-mapping registrations.
+//! recall — `examples/geo_search.rs` compares GPS and IP-mapping
+//! registrations.
 
-use uap_net::{GeoPoint, HostId, Underlay};
+use uap_net::{GeoPoint, HostId};
 
 /// An axis-aligned query/zone rectangle.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -186,28 +188,6 @@ impl GeoOverlay {
         }
     }
 
-    /// Removes a peer (linear in its zone).
-    pub fn leave(&mut self, h: HostId) -> bool {
-        fn rec(node: &mut Node, h: HostId) -> bool {
-            match node {
-                Node::Leaf { members } => {
-                    if let Some(pos) = members.iter().position(|&(m, _)| m == h) {
-                        members.swap_remove(pos);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Node::Inner { children } => children.iter_mut().any(|c| rec(c, h)),
-            }
-        }
-        let removed = rec(&mut self.root, h);
-        if removed {
-            self.n_members -= 1;
-        }
-        removed
-    }
-
     /// Location-constrained search: all peers registered inside `query`.
     pub fn search(&self, query: &Rect) -> GeoQueryOutcome {
         let mut out = GeoQueryOutcome::default();
@@ -237,99 +217,6 @@ impl GeoOverlay {
         }
     }
 
-    /// Location-constrained search with **dead supervisors** (§2.4:
-    /// "Challenges faced, when using such an overlay, include routing
-    /// around dead nodes"). For each visited zone the query first contacts
-    /// the zone's supervisor (its highest-id member here, deterministic);
-    /// if that peer is in `dead`, the contact times out (the message is
-    /// still paid for) and the querier retries the remaining members in
-    /// order until a live one answers for the zone. A zone whose members
-    /// are all dead contributes nothing — its peers are unreachable.
-    pub fn search_with_failures(
-        &self,
-        query: &Rect,
-        dead: &std::collections::BTreeSet<HostId>,
-    ) -> GeoQueryOutcome {
-        let mut out = GeoQueryOutcome::default();
-        Self::search_failures_rec(&self.root, self.bounds, query, dead, &mut out);
-        out
-    }
-
-    fn search_failures_rec(
-        node: &Node,
-        zone: Rect,
-        query: &Rect,
-        dead: &std::collections::BTreeSet<HostId>,
-        out: &mut GeoQueryOutcome,
-    ) {
-        if !zone.intersects(query) {
-            return;
-        }
-        out.zones_visited += 1;
-        match node {
-            Node::Leaf { members } => {
-                // Try contacts in descending id order (the deterministic
-                // supervisor ordering): each dead contact costs a timed-out
-                // message; the first live one answers for the zone.
-                let mut contacts: Vec<HostId> = members.iter().map(|&(m, _)| m).collect();
-                contacts.sort_unstable_by(|a, b| b.cmp(a));
-                let mut answered = false;
-                for c in contacts {
-                    out.messages += 1;
-                    if !dead.contains(&c) {
-                        answered = true;
-                        break;
-                    }
-                }
-                if answered {
-                    for &(m, p) in members {
-                        if query.contains(&p) && !dead.contains(&m) {
-                            out.found.push(m);
-                        }
-                    }
-                }
-            }
-            Node::Inner { children } => {
-                for (q, child) in children.iter().enumerate() {
-                    Self::search_failures_rec(child, zone.quadrant(q), query, dead, out);
-                }
-            }
-        }
-    }
-
-    /// The supervisor (highest-capacity member) of the zone containing
-    /// `pos`, if any.
-    pub fn supervisor_at(&self, underlay: &Underlay, pos: &GeoPoint) -> Option<HostId> {
-        fn rec<'a>(
-            node: &'a Node,
-            zone: Rect,
-            pos: &GeoPoint,
-        ) -> Option<&'a Vec<(HostId, GeoPoint)>> {
-            match node {
-                Node::Leaf { members } => Some(members),
-                Node::Inner { children } => {
-                    for (q, child) in children.iter().enumerate() {
-                        if zone.quadrant(q).contains(pos) {
-                            return rec(child, zone.quadrant(q), pos);
-                        }
-                    }
-                    None
-                }
-            }
-        }
-        let members = rec(&self.root, self.bounds, pos)?;
-        members
-            .iter()
-            .max_by(|(a, _), (b, _)| {
-                underlay
-                    .host(*a)
-                    .capacity_score()
-                    .total_cmp(&underlay.host(*b).capacity_score())
-                    .then(b.cmp(a))
-            })
-            .map(|&(h, _)| h)
-    }
-
     /// Maximum tree depth (diagnostics).
     pub fn depth(&self) -> usize {
         fn rec(node: &Node) -> usize {
@@ -345,7 +232,7 @@ impl GeoOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
+    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
     use uap_sim::SimRng;
 
     fn world() -> Rect {
@@ -433,47 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn leave_removes() {
-        let mut g = GeoOverlay::new(world(), 4);
-        g.join(HostId(1), GeoPoint::new(100.0, 100.0));
-        g.join(HostId(2), GeoPoint::new(200.0, 200.0));
-        assert!(g.leave(HostId(1)));
-        assert!(!g.leave(HostId(1)));
-        assert_eq!(g.len(), 1);
-        let out = g.search(&Rect::new(0.0, 0.0, 5_000.0, 5_000.0));
-        assert_eq!(out.found, vec![HostId(2)]);
-    }
-
-    #[test]
     fn out_of_bounds_positions_clamp() {
         let mut g = GeoOverlay::new(world(), 4);
         g.join(HostId(7), GeoPoint::new(-50.0, 9_999.0));
         let out = g.search(&Rect::new(0.0, 0.0, 5_000.0, 5_000.0));
         assert_eq!(out.found, vec![HostId(7)]);
-    }
-
-    #[test]
-    fn supervisor_is_highest_capacity_member() {
-        let u = underlay(50);
-        let mut g = GeoOverlay::new(world(), 64); // single zone
-        for h in u.hosts.ids().take(50) {
-            g.join(h, u.host(h).geo);
-        }
-        let sup = g
-            .supervisor_at(&u, &GeoPoint::new(2_500.0, 2_500.0))
-            .unwrap();
-        let best = u
-            .hosts
-            .ids()
-            .take(50)
-            .max_by(|&a, &b| {
-                u.host(a)
-                    .capacity_score()
-                    .partial_cmp(&u.host(b).capacity_score())
-                    .unwrap()
-            })
-            .unwrap();
-        assert_eq!(sup, best);
     }
 
     #[test]
@@ -507,100 +358,5 @@ mod tests {
         let r_noisy = recall(&noisy.search(&q));
         assert!(r_exact > 0.99, "gps recall {r_exact}");
         assert!(r_noisy <= r_exact);
-    }
-}
-
-#[cfg(test)]
-mod failure_tests {
-    use super::*;
-    use std::collections::BTreeSet;
-    use uap_net::{HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
-    use uap_sim::SimRng;
-
-    fn underlay(n: usize) -> Underlay {
-        let mut rng = SimRng::new(141);
-        let g = TopologySpec::new(TopologyKind::Hierarchical {
-            tier1: 2,
-            tier2_per_tier1: 2,
-            tier3_per_tier2: 2,
-            tier2_peering_prob: 0.0,
-            tier3_peering_prob: 0.0,
-        })
-        .build(&mut rng);
-        Underlay::build(
-            g,
-            &PopulationSpec::leaf(n),
-            UnderlayConfig::default(),
-            &mut rng,
-        )
-    }
-
-    fn populated_overlay(u: &Underlay) -> GeoOverlay {
-        let mut g = GeoOverlay::new(Rect::new(0.0, 0.0, 5_000.0, 5_000.0), 8);
-        for h in u.hosts.ids() {
-            g.join(h, u.host(h).geo);
-        }
-        g
-    }
-
-    #[test]
-    fn no_failures_matches_plain_search() {
-        let u = underlay(300);
-        let g = populated_overlay(&u);
-        let q = Rect::new(500.0, 500.0, 4_500.0, 4_500.0);
-        let plain = g.search(&q);
-        let fail = g.search_with_failures(&q, &BTreeSet::new());
-        let mut a = plain.found.clone();
-        let mut b = fail.found.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dead_supervisors_cost_retries_and_drop_dead_peers() {
-        let u = underlay(300);
-        let g = populated_overlay(&u);
-        let q = Rect::new(0.0, 0.0, 5_000.0, 5_000.0);
-        let mut rng = SimRng::new(142);
-        // Kill 30% of peers.
-        let dead: BTreeSet<HostId> = rng
-            .sample_indices(300, 90)
-            .into_iter()
-            .map(HostId::from_index)
-            .collect();
-        let healthy = g.search_with_failures(&q, &BTreeSet::new());
-        let degraded = g.search_with_failures(&q, &dead);
-        // Dead peers never appear in results.
-        assert!(degraded.found.iter().all(|h| !dead.contains(h)));
-        // Routing around dead supervisors costs extra (timed-out) messages
-        // per zone on average.
-        assert!(
-            degraded.messages > healthy.messages,
-            "no retry cost visible: {} vs {}",
-            degraded.messages,
-            healthy.messages
-        );
-        // Live peers in answered zones are still found: recall over live
-        // peers stays high (only fully-dead zones lose members).
-        let live_truth = healthy.found.iter().filter(|h| !dead.contains(h)).count();
-        assert!(
-            degraded.found.len() as f64 > 0.9 * live_truth as f64,
-            "recall collapsed: {} of {}",
-            degraded.found.len(),
-            live_truth
-        );
-    }
-
-    #[test]
-    fn fully_dead_zone_is_unreachable() {
-        let mut g = GeoOverlay::new(Rect::new(0.0, 0.0, 100.0, 100.0), 2);
-        // Three peers clustered in one corner → their own zone after split.
-        g.join(HostId(1), GeoPoint::new(10.0, 10.0));
-        g.join(HostId(2), GeoPoint::new(12.0, 10.0));
-        g.join(HostId(3), GeoPoint::new(90.0, 90.0));
-        let dead: BTreeSet<HostId> = [HostId(1), HostId(2)].into_iter().collect();
-        let out = g.search_with_failures(&Rect::new(0.0, 0.0, 100.0, 100.0), &dead);
-        assert_eq!(out.found, vec![HostId(3)]);
     }
 }

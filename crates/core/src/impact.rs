@@ -150,6 +150,7 @@ struct ColumnRun {
     transit_bytes: u64,
     edge_survival: f64,
     mean_neighbor_uptime: f64,
+    voip_share: f64,
 }
 
 fn run_column(
@@ -174,6 +175,7 @@ fn run_column(
     let (_, peering, transit) = world.underlay.traffic.totals();
     let external_bytes = peering + transit;
     let mean_neighbor_uptime = mean_edge_uptime(&world.underlay, &report);
+    let voip_share = voip_edge_share(&world.underlay, &report);
     let edge_survival = edge_survival_under_transit_failure(&mut world.underlay, &report, net.seed);
     ColumnRun {
         report,
@@ -181,6 +183,7 @@ fn run_column(
         transit_bytes: transit,
         edge_survival,
         mean_neighbor_uptime,
+        voip_share,
     }
 }
 
@@ -330,11 +333,6 @@ pub fn run(p: &Params) -> ImpactMatrix {
     // One row per entry of ROWS.
     let mut cells: [Vec<Cell>; 6] = Default::default();
     let [download, delay, oam, costs, new_apps, resilience] = &mut cells;
-    // The VoIP probe needs an underlay next to the stored edge lists; the
-    // run consumed its own, but `NetParams::build` is a pure function of
-    // the seed, so a fresh build matches host-for-host.
-    let fresh = net.build();
-    let base_voip = voip_edge_share(&fresh, &base.report);
     for (ci, col) in columns.iter().enumerate() {
         download.push(Cell::new(rel_reduction(
             base.report.mean_download_secs,
@@ -358,10 +356,7 @@ pub fn run(p: &Params) -> ImpactMatrix {
         // New application areas: capability probes.
         let gain = match ci {
             0 => 0.0, // ISP-location: no new application class
-            1 => {
-                let share = voip_edge_share(&fresh, &col.report);
-                (share - base_voip).max(0.0)
-            }
+            1 => (col.voip_share - base.voip_share).max(0.0),
             2 => geo_capability_gain(net),
             _ => 0.0,
         };

@@ -53,7 +53,7 @@ pub enum ShareScheme {
 
 /// Full Gnutella experiment configuration: the values some experiment,
 /// example or benchmark workload varies. Protocol constants nothing varies
-/// (pong records per reply, ping and query intervals, the exchanged
+/// (pong records per reply, ping TTL, ping and query intervals, the exchanged
 /// file's size, the TCP window) sit beside their one reader in
 /// [`crate::sim`]. Signalling cost is counted in messages; the only bytes
 /// a run charges to the traffic ledger are download payload.
@@ -75,8 +75,6 @@ pub struct GnutellaConfig {
     pub leaf_degree: usize,
     /// Role assignment.
     pub roles: RoleAssignment,
-    /// TTL of discovery ping floods.
-    pub ping_ttl: u32,
     /// TTL of query floods.
     pub query_ttl: u32,
     /// Files each peer shares (base count; see [`ShareScheme`]).
@@ -108,7 +106,6 @@ impl Default for GnutellaConfig {
             up_degree: 4,
             leaf_degree: 2,
             roles: RoleAssignment::AllUltrapeers,
-            ping_ttl: 2,
             query_ttl: 4,
             shared_per_peer: 20,
             share_scheme: ShareScheme::Uniform,

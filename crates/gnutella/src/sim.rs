@@ -20,6 +20,8 @@ use uap_sim::{trace::registry, ChurnModel, Ctx, SimTime, Simulator, Tracer, Worl
 /// Pong records returned per answered ping (pong caching serves several
 /// known hosts per reply; Gnutella 0.6 uses up to 10).
 const PONGS_PER_REPLY: u64 = 10;
+/// TTL of discovery ping floods.
+const PING_TTL: u32 = 2;
 /// Interval between a node's ping cycles.
 const PING_INTERVAL: SimTime = SimTime::from_secs(60);
 /// Mean inter-query time per node (exponential).
@@ -364,13 +366,9 @@ impl GnutellaSim {
             ctx.rng,
             &mut picked,
         );
-        let added = picked.len();
         for &p in &picked {
             self.overlay.add_edge(&self.underlay, h, p);
         }
-        ctx.trace(registry::GNUTELLA_CONNECT, |f| {
-            f.u64("host", h.0 as u64).u64("added", added as u64);
-        });
         self.scratch_candidates = candidates;
         self.scratch_picked = picked;
     }
@@ -402,7 +400,7 @@ impl GnutellaSim {
             return;
         }
         let mut flood = std::mem::take(&mut self.scratch_flood);
-        self.overlay.flood_into(h, self.cfg.ping_ttl, &mut flood);
+        self.overlay.flood_into(h, PING_TTL, &mut flood);
         ctx.metrics.incr("gnutella.msg.ping", flood.messages);
         let mut pongs = 0u64;
         for r in &flood.reached {
@@ -1150,12 +1148,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_ttls_send_nothing() {
+    fn zero_query_ttl_sends_no_query() {
         let mut cfg = quick_cfg(NeighborSelection::Random);
-        cfg.ping_ttl = 0;
         cfg.query_ttl = 0;
         let (report, _) = run_experiment_with(underlay(60, 16), cfg, 6, &mut Tracer::disabled());
-        assert_eq!(report.total_msgs(), 0);
+        assert_eq!((report.query_msgs, report.queryhit_msgs), (0, 0));
         assert!(!report.edges.is_empty(), "joins still connect");
         assert!(report.queries_issued > 0);
         assert_eq!((report.queries_successful, report.downloads), (0, 0));

@@ -17,22 +17,22 @@
 
 use crate::id::Key;
 use crate::network::{DhtConfig, DhtNetwork, LookupOutcome};
-use uap_net::{GeoPoint, HostId, Underlay};
+use uap_net::{GeoPoint, HostId, Underlay, WORLD_KM};
 use uap_sim::SimRng;
 
 /// Number of zone-prefix bits (a 2^(z/2) × 2^(z/2) grid).
 pub const ZONE_BITS: usize = 8;
 
 /// Computes the `ZONE_BITS`-bit Z-order zone of a position within the
-/// world box `[0, world_km)²`.
-pub fn zone_of(pos: &GeoPoint, world_km: f64) -> u8 {
+/// world box `[0, WORLD_KM)²`.
+pub fn zone_of(pos: &GeoPoint) -> u8 {
     let half = ZONE_BITS / 2;
     let cells = 1u32 << half;
     #[expect(
         clippy::cast_possible_truncation,
         reason = "float → int `as` saturates; the cell is capped at cells − 1 below"
     )]
-    let clamp = |v: f64| (v.max(0.0) / world_km * cells as f64) as u32;
+    let clamp = |v: f64| (v.max(0.0) / WORLD_KM * cells as f64) as u32;
     let cx = clamp(pos.x_km).min(cells - 1);
     let cy = clamp(pos.y_km).min(cells - 1);
     // Interleave the bits of (cx, cy), x first: nearby cells share
@@ -57,27 +57,26 @@ pub fn scope_key(zone: u8, inner: &Key) -> Key {
 pub struct ScopedDht {
     /// The underlying DHT.
     pub dht: DhtNetwork,
-    world_km: f64,
 }
 
 impl ScopedDht {
     /// Builds the scoped DHT: node keys get their owner's zone prefix
     /// before the network is joined.
     #[expect(clippy::indexing_slicing, reason = "i < n_hosts = zones.len()")]
-    pub fn build(underlay: Underlay, cfg: DhtConfig, world_km: f64, rng: &mut SimRng) -> ScopedDht {
+    pub fn build(underlay: Underlay, cfg: DhtConfig, rng: &mut SimRng) -> ScopedDht {
         let zones: Vec<u8> = underlay
             .hosts
             .ids()
-            .map(|h| zone_of(&underlay.host(h).geo, world_km))
+            .map(|h| zone_of(&underlay.host(h).geo))
             .collect();
         let dht =
             DhtNetwork::build_with_keys(underlay, cfg, rng, |i, key| scope_key(zones[i], &key));
-        ScopedDht { dht, world_km }
+        ScopedDht { dht }
     }
 
     /// The zone a host lives in.
     pub fn zone_of_host(&self, h: HostId) -> u8 {
-        zone_of(&self.dht.underlay.host(h).geo, self.world_km)
+        zone_of(&self.dht.underlay.host(h).geo)
     }
 
     /// The scoped key under which `name` is stored for `zone`.
@@ -129,15 +128,14 @@ mod tests {
 
     #[test]
     fn zorder_zones_respect_locality() {
-        let world = 5_000.0;
-        let a = zone_of(&GeoPoint::new(100.0, 100.0), world);
-        let b = zone_of(&GeoPoint::new(150.0, 120.0), world);
-        let far = zone_of(&GeoPoint::new(4_800.0, 4_900.0), world);
+        let a = zone_of(&GeoPoint::new(100.0, 100.0));
+        let b = zone_of(&GeoPoint::new(150.0, 120.0));
+        let far = zone_of(&GeoPoint::new(4_800.0, 4_900.0));
         assert_eq!(a, b, "nearby points share the zone");
         assert_ne!(a, far);
         // Out-of-range points clamp instead of wrapping.
-        let clamped = zone_of(&GeoPoint::new(-10.0, 9_999.0), world);
-        let corner = zone_of(&GeoPoint::new(0.0, 4_999.0), world);
+        let clamped = zone_of(&GeoPoint::new(-10.0, 9_999.0));
+        let corner = zone_of(&GeoPoint::new(0.0, 4_999.0));
         assert_eq!(clamped, corner);
     }
 
@@ -152,7 +150,7 @@ mod tests {
     #[test]
     fn regional_content_round_trips() {
         let mut rng = SimRng::new(3);
-        let mut dht = ScopedDht::build(underlay(128, 3), DhtConfig::default(), 5_000.0, &mut rng);
+        let mut dht = ScopedDht::build(underlay(128, 3), DhtConfig::default(), &mut rng);
         // A publisher stores regional content; a same-zone requester finds
         // it under the same key.
         let publisher = HostId(0);
@@ -192,7 +190,7 @@ mod tests {
             let mut hops = 0u64;
             let mut rpcs = 0u64;
             if scoped {
-                let mut dht = ScopedDht::build(underlay(192, 7), cfg, 5_000.0, &mut rng);
+                let mut dht = ScopedDht::build(underlay(192, 7), cfg, &mut rng);
                 for i in 0..60u32 {
                     let h = HostId(i % 192);
                     let key =

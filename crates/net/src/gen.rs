@@ -6,10 +6,11 @@
 //!   §5 of \[1\] — "four different 5-AS topologies: ring, star, tree and
 //!   random mesh". These are flat graphs of peering links, routed with
 //!   plain shortest paths (in the testlab a router *is* the AS boundary).
-//! * **Internet-like topologies** — the hierarchical local/transit-ISP
-//!   structure of the paper's Figure 1, and Barabási–Albert preferential
-//!   attachment. These carry customer/provider semantics and are routed
-//!   valley-free.
+//! * The **Internet-like topology** — the hierarchical local/transit-ISP
+//!   structure of the paper's Figure 1. It carries customer/provider
+//!   semantics and is routed valley-free.
+//!
+//! Every generator places its ASes in one continental [`WORLD_KM`] box.
 
 use crate::asgraph::{AsGraph, Tier};
 use crate::geo::{propagation_delay_us, GeoPoint};
@@ -60,36 +61,25 @@ pub enum TopologyKind {
         /// Probability that two sibling Tier-3s peer.
         tier3_peering_prob: f64,
     },
-    /// Barabási–Albert preferential attachment; each new AS buys transit
-    /// from `m` existing ASes chosen by degree.
-    PreferentialAttachment {
-        /// Number of ASes.
-        n: usize,
-        /// Links per new AS.
-        m: usize,
-    },
 }
 
-/// A topology request: kind plus world-scale parameters.
+/// A topology request.
 #[derive(Clone, Debug)]
 pub struct TopologySpec {
     /// Which topology.
     pub kind: TopologyKind,
-    /// Side length of the world box in kilometres.
-    pub world_km: f64,
 }
+
+/// Side length of the world box in kilometres (continental).
+pub const WORLD_KM: f64 = 5_000.0;
 
 /// Base per-link latency floor in microseconds (switching/queueing).
 const BASE_LINK_LATENCY_US: u64 = 200;
 
 impl TopologySpec {
-    /// A spec with default world scale (continental: 5 000 km box, 200 µs
-    /// per-link floor).
+    /// A spec for `kind`.
     pub fn new(kind: TopologyKind) -> Self {
-        TopologySpec {
-            kind,
-            world_km: 5_000.0,
-        }
+        TopologySpec { kind }
     }
 
     /// Generates the AS graph.
@@ -113,7 +103,6 @@ impl TopologySpec {
                 tier3_peering_prob,
                 rng,
             ),
-            TopologyKind::PreferentialAttachment { n, m } => self.preferential(n, m, rng),
         };
         debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
         debug_assert!(g.is_connected(None), "generator produced split graph");
@@ -121,10 +110,7 @@ impl TopologySpec {
     }
 
     fn random_point(&self, rng: &mut SimRng) -> GeoPoint {
-        GeoPoint::new(
-            rng.f64_range(0.0, self.world_km),
-            rng.f64_range(0.0, self.world_km),
-        )
+        GeoPoint::new(rng.f64_range(0.0, WORLD_KM), rng.f64_range(0.0, WORLD_KM))
     }
 
     #[expect(clippy::indexing_slicing, reason = "x, y come from g.add_as")]
@@ -139,12 +125,12 @@ impl TopologySpec {
         assert!(n >= 3, "a ring needs at least 3 ASes");
         let mut g = AsGraph::new();
         // Place on a circle so link latencies reflect adjacency.
-        let r = self.world_km / 2.5;
-        let c = self.world_km / 2.0;
+        let r = WORLD_KM / 2.5;
+        let c = WORLD_KM / 2.0;
         for i in 0..n {
             let theta = std::f64::consts::TAU * i as f64 / n as f64;
             let p = GeoPoint::new(c + r * theta.cos(), c + r * theta.sin());
-            g.add_as(Tier::Tier3, p, self.world_km / 20.0);
+            g.add_as(Tier::Tier3, p, WORLD_KM / 20.0);
         }
         let _ = rng;
         for i in 0..n {
@@ -159,11 +145,11 @@ impl TopologySpec {
     fn star(&self, n: usize, rng: &mut SimRng) -> AsGraph {
         assert!(n >= 2, "a star needs at least 2 ASes");
         let mut g = AsGraph::new();
-        let center = GeoPoint::new(self.world_km / 2.0, self.world_km / 2.0);
-        g.add_as(Tier::Tier2, center, self.world_km / 10.0);
+        let center = GeoPoint::new(WORLD_KM / 2.0, WORLD_KM / 2.0);
+        g.add_as(Tier::Tier2, center, WORLD_KM / 10.0);
         for _ in 1..n {
             let p = self.random_point(rng);
-            g.add_as(Tier::Tier3, p, self.world_km / 20.0);
+            g.add_as(Tier::Tier3, p, WORLD_KM / 20.0);
         }
         for i in 1..n {
             let spoke = AsId::from_index(i);
@@ -179,23 +165,23 @@ impl TopologySpec {
         let mut g = AsGraph::new();
         g.add_as(
             Tier::Tier1,
-            GeoPoint::new(self.world_km / 2.0, self.world_km / 2.0),
-            self.world_km / 10.0,
+            GeoPoint::new(WORLD_KM / 2.0, WORLD_KM / 2.0),
+            WORLD_KM / 10.0,
         );
         for i in 1..n {
             let parent = AsId::from_index((i - 1) / fanout);
             // Children scatter near their parent.
             let pc = g.nodes[parent.idx()].geo_center;
             let p = GeoPoint::new(
-                (pc.x_km + rng.f64_range(-0.15, 0.15) * self.world_km).clamp(0.0, self.world_km),
-                (pc.y_km + rng.f64_range(-0.15, 0.15) * self.world_km).clamp(0.0, self.world_km),
+                (pc.x_km + rng.f64_range(-0.15, 0.15) * WORLD_KM).clamp(0.0, WORLD_KM),
+                (pc.y_km + rng.f64_range(-0.15, 0.15) * WORLD_KM).clamp(0.0, WORLD_KM),
             );
             let tier = if i <= fanout {
                 Tier::Tier2
             } else {
                 Tier::Tier3
             };
-            let child = g.add_as(tier, p, self.world_km / 20.0);
+            let child = g.add_as(tier, p, WORLD_KM / 20.0);
             let lat = self.link_latency(&g, parent, child);
             g.add_transit(parent, child, lat, 5_000.0);
         }
@@ -207,7 +193,7 @@ impl TopologySpec {
         let mut g = AsGraph::new();
         for _ in 0..n {
             let p = self.random_point(rng);
-            g.add_as(Tier::Tier3, p, self.world_km / 20.0);
+            g.add_as(Tier::Tier3, p, WORLD_KM / 20.0);
         }
         // Random spanning tree: connect each node to a random earlier one.
         for i in 1..n {
@@ -244,7 +230,7 @@ impl TopologySpec {
         let mut t1_ids = Vec::new();
         for _ in 0..tier1 {
             let p = self.random_point(rng);
-            t1_ids.push(g.add_as(Tier::Tier1, p, self.world_km / 8.0));
+            t1_ids.push(g.add_as(Tier::Tier1, p, WORLD_KM / 8.0));
         }
         // Tier-1 full mesh of peering (the settlement-free core).
         for i in 0..t1_ids.len() {
@@ -259,10 +245,10 @@ impl TopologySpec {
             for _ in 0..tier2_per_tier1 {
                 let pc = g.nodes[t1.idx()].geo_center;
                 let p = GeoPoint::new(
-                    (pc.x_km + rng.f64_range(-0.2, 0.2) * self.world_km).clamp(0.0, self.world_km),
-                    (pc.y_km + rng.f64_range(-0.2, 0.2) * self.world_km).clamp(0.0, self.world_km),
+                    (pc.x_km + rng.f64_range(-0.2, 0.2) * WORLD_KM).clamp(0.0, WORLD_KM),
+                    (pc.y_km + rng.f64_range(-0.2, 0.2) * WORLD_KM).clamp(0.0, WORLD_KM),
                 );
-                let t2 = g.add_as(Tier::Tier2, p, self.world_km / 15.0);
+                let t2 = g.add_as(Tier::Tier2, p, WORLD_KM / 15.0);
                 let lat = self.link_latency(&g, t1, t2);
                 g.add_transit(t1, t2, lat, 40_000.0);
                 // Multi-home ~40% of Tier-2s to a second Tier-1.
@@ -299,12 +285,10 @@ impl TopologySpec {
             for _ in 0..tier3_per_tier2 {
                 let pc = g.nodes[t2.idx()].geo_center;
                 let p = GeoPoint::new(
-                    (pc.x_km + rng.f64_range(-0.08, 0.08) * self.world_km)
-                        .clamp(0.0, self.world_km),
-                    (pc.y_km + rng.f64_range(-0.08, 0.08) * self.world_km)
-                        .clamp(0.0, self.world_km),
+                    (pc.x_km + rng.f64_range(-0.08, 0.08) * WORLD_KM).clamp(0.0, WORLD_KM),
+                    (pc.y_km + rng.f64_range(-0.08, 0.08) * WORLD_KM).clamp(0.0, WORLD_KM),
                 );
-                let t3 = g.add_as(Tier::Tier3, p, self.world_km / 40.0);
+                let t3 = g.add_as(Tier::Tier3, p, WORLD_KM / 40.0);
                 let lat = self.link_latency(&g, t2, t3);
                 g.add_transit(t2, t3, lat, 10_000.0);
                 children.push(t3);
@@ -320,53 +304,6 @@ impl TopologySpec {
                 }
             }
             t3_by_parent.push(children);
-        }
-        g
-    }
-
-    fn preferential(&self, n: usize, m: usize, rng: &mut SimRng) -> AsGraph {
-        assert!(n >= 2 && m >= 1);
-        let mut g = AsGraph::new();
-        let m = m.min(n - 1);
-        // Seed clique of m+1 Tier-1s, peered.
-        let seed = m + 1;
-        for _ in 0..seed.min(n) {
-            let p = self.random_point(rng);
-            g.add_as(Tier::Tier1, p, self.world_km / 10.0);
-        }
-        for i in 0..seed.min(n) {
-            for j in (i + 1)..seed.min(n) {
-                let (a, b) = (AsId::from_index(i), AsId::from_index(j));
-                let lat = self.link_latency(&g, a, b);
-                g.add_peering(a, b, lat, 100_000.0);
-            }
-        }
-        // Degree-proportional attachment; endpoint list doubles as the
-        // sampling urn.
-        let mut urn: Vec<u16> = Vec::new();
-        for l in &g.links {
-            urn.push(l.a.0);
-            urn.push(l.b.0);
-        }
-        for i in seed..n {
-            let p = self.random_point(rng);
-            let tier = if i < n / 10 { Tier::Tier2 } else { Tier::Tier3 };
-            let new = g.add_as(tier, p, self.world_km / 30.0);
-            let mut chosen: Vec<AsId> = Vec::new();
-            let mut guard = 0;
-            while chosen.len() < m && guard < 10_000 {
-                guard += 1;
-                let pick = AsId(*rng.pick(&urn));
-                if pick != new && !chosen.contains(&pick) {
-                    chosen.push(pick);
-                }
-            }
-            for provider in chosen {
-                let lat = self.link_latency(&g, provider, new);
-                g.add_transit(provider, new, lat, 10_000.0);
-                urn.push(provider.0);
-                urn.push(new.0);
-            }
         }
         g
     }
@@ -487,19 +424,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn preferential_attachment_degree_skew() {
-        let g = TopologySpec::new(TopologyKind::PreferentialAttachment { n: 200, m: 2 })
-            .build(&mut rng());
-        assert!(g.is_connected(None));
-        let mut degrees: Vec<usize> = (0..g.len())
-            .map(|i| g.incident(AsId::from_index(i)).len())
-            .collect();
-        degrees.sort_unstable_by(|a, b| b.cmp(a));
-        // Heavy-tailed: the max degree should far exceed the median.
-        assert!(degrees[0] >= 4 * degrees[g.len() / 2]);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   the paper's Figure 1;
 //! * [`gen`] — topology generators: the four testlab topologies of the
 //!   Aggarwal et al. study the paper reprints (ring, star, tree, random
-//!   mesh), a hierarchical local/transit-ISP Internet, and preferential
-//!   attachment;
+//!   mesh) and a hierarchical local/transit-ISP Internet;
 //! * [`routing`] — inter-domain routing, either plain shortest-path or
 //!   **valley-free** (Gao export rules);
 //! * [`host`] — end hosts with ISP attachment, IP address, geolocation and
@@ -51,7 +50,7 @@ pub use asgraph::{AsGraph, AsLink, AsNode, LinkKind, Relationship, Tier};
 pub use cost::{CostParams, IspBill};
 pub use fault::{CompiledFaultPlan, FaultEpoch, FaultKind, FaultPlan, FaultState};
 pub use flow::FlowAllocator;
-pub use gen::{TopologyKind, TopologySpec};
+pub use gen::{TopologyKind, TopologySpec, WORLD_KM};
 pub use geo::GeoPoint;
 pub use host::{AccessProfile, Host, HostPopulation, PopulationSpec};
 pub use ids::{AsId, HostId};

@@ -7,7 +7,8 @@
 //!
 //! The model alternates **online sessions** and **offline gaps**, each drawn
 //! from a configurable distribution. Exponential sessions give classical
-//! memoryless churn.
+//! memoryless churn. Every peer starts online, at the beginning of its
+//! first session.
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -42,8 +43,6 @@ pub struct ChurnConfig {
     pub session: SessionDist,
     /// Offline gap length distribution.
     pub offline: SessionDist,
-    /// Fraction of peers online at simulation start.
-    pub initial_online: f64,
 }
 
 impl ChurnConfig {
@@ -52,7 +51,6 @@ impl ChurnConfig {
         ChurnConfig {
             session: SessionDist::Fixed(f64::INFINITY),
             offline: SessionDist::Fixed(0.0),
-            initial_online: 1.0,
         }
     }
 
@@ -66,7 +64,6 @@ impl ChurnConfig {
             offline: SessionDist::Exponential {
                 mean_secs: mean_session_secs / 2.0,
             },
-            initial_online: 1.0,
         }
     }
 
@@ -96,20 +93,11 @@ pub enum ChurnModel {
 }
 
 impl ChurnModel {
-    /// Initializes a peer's churn state at time zero. Both branches go
-    /// through the static check: a static configuration with
-    /// `initial_online < 1.0` keeps its initially-offline peers offline
-    /// forever instead of scheduling a finite rejoin (which would make a
-    /// "static" population churn).
+    /// Initializes a peer's churn state at time zero: online, with its
+    /// first session drawn.
     pub fn start(cfg: &ChurnConfig, rng: &mut SimRng) -> ChurnModel {
-        if rng.chance(cfg.initial_online) {
-            ChurnModel::Online {
-                until: Self::session_end(cfg, SimTime::ZERO, rng),
-            }
-        } else {
-            ChurnModel::Offline {
-                until: Self::offline_end(cfg, SimTime::ZERO, rng),
-            }
+        ChurnModel::Online {
+            until: Self::session_end(cfg, SimTime::ZERO, rng),
         }
     }
 
@@ -118,14 +106,6 @@ impl ChurnModel {
             SimTime::MAX
         } else {
             now.saturating_add(cfg.session.sample(rng))
-        }
-    }
-
-    fn offline_end(cfg: &ChurnConfig, now: SimTime, rng: &mut SimRng) -> SimTime {
-        if cfg.is_static() {
-            SimTime::MAX
-        } else {
-            now.saturating_add(cfg.offline.sample(rng))
         }
     }
 
@@ -168,34 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn static_config_initially_offline_never_rejoins() {
-        // Regression: a static session config combined with a finite
-        // offline distribution and `initial_online < 1.0` used to schedule
-        // a finite rejoin for the initially-offline peers, so a "static"
-        // population churned once. Both branches must honor `is_static`.
-        let cfg = ChurnConfig {
-            session: SessionDist::Fixed(f64::INFINITY),
-            offline: SessionDist::Fixed(5.0),
-            initial_online: 0.0,
-        };
-        let mut rng = SimRng::new(11);
-        for _ in 0..100 {
-            let m = ChurnModel::start(&cfg, &mut rng);
-            assert!(!m.is_online());
-            assert_eq!(
-                m.next_transition(),
-                SimTime::MAX,
-                "static initially-offline peer must never schedule a rejoin"
-            );
-        }
-    }
-
-    #[test]
     fn alternates_states() {
         let cfg = ChurnConfig {
             session: SessionDist::Fixed(10.0),
             offline: SessionDist::Fixed(5.0),
-            initial_online: 1.0,
         };
         let mut rng = SimRng::new(2);
         let mut m = ChurnModel::start(&cfg, &mut rng);
@@ -207,20 +163,6 @@ mod tests {
         m.transition(&cfg, &mut rng);
         assert!(m.is_online());
         assert_eq!(m.next_transition(), SimTime::from_secs(25));
-    }
-
-    #[test]
-    fn initial_online_fraction_respected() {
-        let cfg = ChurnConfig {
-            session: SessionDist::Fixed(10.0),
-            offline: SessionDist::Fixed(5.0),
-            initial_online: 0.3,
-        };
-        let mut rng = SimRng::new(3);
-        let online = (0..10_000)
-            .filter(|_| ChurnModel::start(&cfg, &mut rng).is_online())
-            .count();
-        assert!((online as f64 / 10_000.0 - 0.3).abs() < 0.02);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::event::EventQueue;
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::registry::{self, TraceKind};
+use crate::trace::registry::TraceKind;
 use crate::trace::{Fields, Provenance, Tracer, WallTimer};
 
 /// A protocol state machine driven by the engine.
@@ -19,8 +19,8 @@ pub trait World<E> {
     fn handle(&mut self, event: E, ctx: &mut Ctx<'_, E>);
 
     /// A stable, static name for the event's type, used by the engine's
-    /// per-kind profiling counters (`engine.events.<kind>`) and dispatch
-    /// trace events. Worlds with a single event shape can keep the default.
+    /// per-kind profiling counters (`engine.events.<kind>`). Worlds with a
+    /// single event shape can keep the default.
     fn kind_of(&self, _event: &E) -> &'static str {
         "event"
     }
@@ -317,22 +317,14 @@ impl<E> Simulator<E> {
             // sent with (fresh for every dispatch, so nothing leaks
             // between handlers).
             self.tracer.set_provenance(prov);
-            if self.profiler.is_some() || self.tracer.is_enabled(registry::ENGINE_DISPATCH.level())
-            {
-                let kind = world.kind_of(&ev);
-                let queue_len = self.queue.len();
-                if let Some(p) = &mut self.profiler {
-                    p.on_event(
-                        kind,
-                        self.now,
-                        queue_len,
-                        self.events_processed,
-                        &mut self.metrics,
-                    );
-                }
-                self.tracer.emit(self.now, registry::ENGINE_DISPATCH, |f| {
-                    f.str("kind", kind).u64("queue", queue_len as u64);
-                });
+            if let Some(p) = &mut self.profiler {
+                p.on_event(
+                    world.kind_of(&ev),
+                    self.now,
+                    self.queue.len(),
+                    self.events_processed,
+                    &mut self.metrics,
+                );
             }
             let mut ctx = Ctx {
                 now: self.now,
@@ -492,7 +484,7 @@ mod tests {
     #[test]
     fn world_trace_events_carry_sim_time() {
         let mut sim = Simulator::new(1);
-        sim.set_tracer(Tracer::buffered(TraceLevel::Trace));
+        sim.set_tracer(Tracer::buffered(TraceLevel::Debug));
         sim.schedule_at(SimTime::from_millis(1), Ev::Ping(0));
         let mut w = Echo { seen: vec![] };
         sim.run(&mut w);
@@ -505,11 +497,6 @@ mod tests {
         assert_eq!(pings.len(), 4);
         assert_eq!(pings[0].t, SimTime::from_millis(1));
         assert_eq!(pings[3].t, SimTime::from_millis(31));
-        // Engine dispatch events interleave at Trace level.
-        assert!(tracer
-            .events()
-            .iter()
-            .any(|e| e.component == "engine" && e.kind == "dispatch"));
         // Tracer was swapped out for a disabled one.
         assert!(!sim.take_tracer().is_active());
     }

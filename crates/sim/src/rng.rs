@@ -30,17 +30,6 @@ impl SimRng {
         self.seed
     }
 
-    /// Derives an independent generator; used to give sub-systems their own
-    /// streams so adding draws in one place does not perturb another.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let s = self
-            .inner
-            .gen::<u64>()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(stream);
-        SimRng::new(s)
-    }
-
     /// Uniform `u64` in `[0, bound)`. Panics if `bound == 0`.
     pub fn below(&mut self, bound: u64) -> u64 {
         self.inner.gen_range(0..bound)
@@ -204,17 +193,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..32).filter(|_| a.u64() == b.u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut a = SimRng::new(99);
-        let mut b = SimRng::new(99);
-        let mut fa = a.fork(1);
-        let mut fb = b.fork(1);
-        for _ in 0..32 {
-            assert_eq!(fa.u64(), fb.u64());
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Structured, deterministic tracing.
 //!
 //! A [`Tracer`] collects typed, sim-time-stamped [`TraceEvent`]s from every
-//! layer of a run: the engine itself (event dispatch, queue depth), the
-//! underlay (per-link traffic, routing decisions), and the overlay
-//! substrates (floods, lookup hops, piece exchanges, collection calls).
+//! layer of a run: the underlay (per-link traffic, fault epochs, routing
+//! repairs) and the overlay substrates (floods, lookup hops, piece
+//! exchanges, collection calls).
 //! Because every field of every event is a pure function of the run's
 //! configuration and seed, **two runs of the same experiment with the same
 //! seed must serialize to byte-identical JSONL** — which makes the trace
@@ -69,8 +69,8 @@ impl Provenance {
 
 /// Verbosity of a trace event, ordered from most to least important.
 ///
-/// `Off < Info < Debug < Trace`: a tracer at `Debug` admits `Info` and
-/// `Debug` events and rejects `Trace` ones.
+/// `Off < Info < Debug`: a tracer at `Info` admits `Info` events and
+/// rejects `Debug` ones.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum TraceLevel {
     /// Nothing is recorded.
@@ -80,8 +80,6 @@ pub enum TraceLevel {
     Info,
     /// Per-decision events (floods, lookups, transfers, piece completions).
     Debug,
-    /// Per-event firehose (engine dispatch, per-candidate choices).
-    Trace,
 }
 
 impl TraceLevel {
@@ -91,7 +89,6 @@ impl TraceLevel {
             TraceLevel::Off => "off",
             TraceLevel::Info => "info",
             TraceLevel::Debug => "debug",
-            TraceLevel::Trace => "trace",
         }
     }
 
@@ -101,7 +98,6 @@ impl TraceLevel {
             "off" => Some(TraceLevel::Off),
             "info" => Some(TraceLevel::Info),
             "debug" => Some(TraceLevel::Debug),
-            "trace" => Some(TraceLevel::Trace),
             _ => None,
         }
     }
@@ -228,9 +224,9 @@ pub struct TraceEvent {
     pub cause: Option<u64>,
     /// Verbosity the event was emitted at.
     pub level: TraceLevel,
-    /// Emitting component (`"engine"`, `"net"`, `"gnutella"`, …).
+    /// Emitting component (`"net"`, `"gnutella"`, `"kademlia"`, …).
     pub component: String,
-    /// Event kind within the component (`"dispatch"`, `"flood.query"`, …).
+    /// Event kind within the component (`"transfer"`, `"flood.query"`, …).
     pub kind: String,
     /// Ordered key/value payload.
     pub fields: Vec<(String, Value)>,
@@ -784,7 +780,7 @@ mod tests {
             (1, kind("other", TraceLevel::Info, "a")),
             (2, kind("other", TraceLevel::Debug, "b")), // filtered
             (3, kind("chatty", TraceLevel::Info, "c")),
-            (4, kind("chatty", TraceLevel::Trace, "d")), // filtered
+            (4, kind("chatty", TraceLevel::Debug, "d")), // filtered
         ] {
             t.emit(SimTime::from_micros(time), k, |_| {});
         }
@@ -796,7 +792,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip_preserves_everything() {
-        let mut t = Tracer::buffered(TraceLevel::Trace);
+        let mut t = Tracer::buffered(TraceLevel::Debug);
         t.emit(
             SimTime::from_millis(5),
             registry::GNUTELLA_FLOOD_QUERY,

@@ -40,12 +40,12 @@ pub struct TraceKind {
 }
 
 impl TraceKind {
-    /// Emitting component (`"engine"`, `"net"`, `"gnutella"`, …).
+    /// Emitting component (`"net"`, `"gnutella"`, `"kademlia"`, …).
     pub fn component(self) -> &'static str {
         self.component
     }
 
-    /// Event kind within the component (`"dispatch"`, `"flood.query"`, …).
+    /// Event kind within the component (`"transfer"`, `"flood.query"`, …).
     pub fn kind(self) -> &'static str {
         self.kind
     }
@@ -96,8 +96,6 @@ macro_rules! trace_kinds {
 }
 
 trace_kinds! {
-    ENGINE_DISPATCH = "engine" / "dispatch" at Trace:
-        "one event popped from the queue (kind, queue depth)";
     NET_TRANSFER = "net" / "transfer" at Debug:
         "one accounted transfer (src, dst, bytes, category)";
     NET_LINK_TOTAL = "net" / "link.total" at Debug:
@@ -118,8 +116,6 @@ trace_kinds! {
         "host joined the overlay (host, degree)";
     GNUTELLA_LEAVE = "gnutella" / "leave" at Debug:
         "host left the overlay (host)";
-    GNUTELLA_CONNECT = "gnutella" / "connect" at Trace:
-        "one neighbor edge chosen during join (from, to)";
     GNUTELLA_FLOOD_PING = "gnutella" / "flood.ping" at Debug:
         "ping flood completed (origin, messages, pongs)";
     GNUTELLA_FLOOD_QUERY = "gnutella" / "flood.query" at Debug:
@@ -150,14 +146,8 @@ trace_kinds! {
         "choke-round summary (round, done, exchanged pieces)";
     BITTORRENT_PEER_DONE = "bittorrent" / "peer.done" at Debug:
         "one leecher finished all pieces (peer, round)";
-    BITTORRENT_UNCHOKE = "bittorrent" / "unchoke" at Trace:
-        "unchoke set chosen for one peer (peer, unchoked)";
-    BITTORRENT_PIECE = "bittorrent" / "piece" at Trace:
-        "one piece transferred (from, to, piece, intra-AS flag)";
     BITTORRENT_REANNOUNCE = "bittorrent" / "reannounce" at Debug:
         "tracker re-announce after dead-neighbor loss (peer, received)";
-    BITTORRENT_CHUNK_POISONED = "bittorrent" / "chunk.poisoned" at Debug:
-        "received chunks failed hash verification; sender banned, pieces re-requested (peer, sender, chunks)";
     BITTORRENT_CHUNK_REASSIGN = "bittorrent" / "chunk.reassign" at Debug:
         "partial-chunk credit from a crashed sender timed out at a fault epoch (peer, sender, lost bytes)";
     BITTORRENT_SPAN_OPEN = "bittorrent" / "span.open" at Debug:
