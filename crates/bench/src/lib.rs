@@ -23,9 +23,9 @@
 //! ## Telemetry
 //!
 //! Every run writes, next to its CSVs, **`<name>.report.json`** — the
-//! deterministic [`uap_sim::RunReport`]: config, seed, headline values
-//! (every table cell, keyed `<csv stem>/<row>:<first cell>/<column>`),
-//! counters, histogram quantiles and time series. Two same-seed runs
+//! deterministic [`uap_sim::RunReport`]: seed, event count, config and
+//! headline values (every table cell, keyed
+//! `<csv stem>/<row>:<first cell>/<column>`). Two same-seed runs
 //! produce byte-identical reports except for the `wall_secs` line, which
 //! `exp trace diff` skips, and byte-identical stdout:
 //! no host-time figure is printed. Performance is measured by the

@@ -540,8 +540,44 @@ fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use uap_sim::trace::registry;
     use uap_sim::{SimTime, TraceLevel, Tracer};
+
+    #[test]
+    fn nearest_rank_pins_small_n_edge_cases() {
+        // The smallest sample with at least ceil(q·n) samples at or below
+        // it. These exact answers are the p50/p95/p99 columns of
+        // `exp trace spans`.
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(quantile(&[7], q), 7, "n=1, q={q}");
+        }
+        assert_eq!(quantile(&[10, 20], 0.5), 10); // ceil(0.5·2) = 1 → 1st
+        assert_eq!(quantile(&[10, 20], 0.51), 20); // ceil(1.02) = 2 → 2nd
+        assert_eq!(quantile(&[10, 20], 0.99), 20);
+        let ten: Vec<u64> = (1..=10).collect();
+        assert_eq!(quantile(&ten, 0.50), 5);
+        assert_eq!(quantile(&ten, 0.90), 9);
+        assert_eq!(quantile(&ten, 0.95), 10); // ceil(9.5) = 10
+        assert_eq!(quantile(&ten, 0.99), 10);
+    }
+
+    proptest! {
+        /// A quantile is always one of the samples, and ordered in q.
+        #[test]
+        fn quantiles_are_samples_and_monotone(
+            mut samples in prop::collection::vec(0u64..1_000_000, 1..100),
+            q1 in 0.0f64..1.0,
+            q2 in 0.0f64..1.0,
+        ) {
+            samples.sort_unstable();
+            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+            let (v_lo, v_hi) = (quantile(&samples, lo), quantile(&samples, hi));
+            prop_assert!(v_lo <= v_hi);
+            prop_assert!(samples.contains(&v_lo));
+            prop_assert!(samples.contains(&v_hi));
+        }
+    }
 
     fn sample_trace() -> String {
         let mut t = Tracer::buffered(TraceLevel::Debug);

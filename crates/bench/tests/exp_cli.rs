@@ -222,6 +222,24 @@ fn same_seed_runs_print_the_same_bytes() {
         for (a, b) in report_a.lines().zip(report_b.lines()) {
             assert!(a == b || a.trim_start().starts_with("\"wall_secs\""), "{a}");
         }
+        // One leaf per line: a top-level key opens a line at indent two.
+        let top_level: Vec<&str> = report_a
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \""))
+            .filter_map(|l| l.split_once('"').map(|(key, _)| key))
+            .collect();
+        assert_eq!(
+            top_level,
+            [
+                "experiment",
+                "seed",
+                "events",
+                "config",
+                "values",
+                "wall_secs"
+            ],
+            "{id}"
+        );
     }
     let _ = std::fs::remove_dir_all(out);
 }

@@ -164,9 +164,7 @@ mod tests {
             "| component | kind | level | description |\n|---|---|---|---|\n\
              | net | `transfer` | debug | one accounted transfer (src, dst, bytes, category) |\n"
         ));
-        assert!(md.contains(
-            "| `net.fault.epochs` | counter | fault epoch boundaries applied to the underlay |\n"
-        ));
+        assert!(md.contains("| `gnutella.joins` | counter | hosts that joined the overlay |\n"));
         let rows = TRACE_KINDS.len() + METRICS.len();
         assert_eq!(md.matches("\n| ").count(), rows + 2, "two headers");
         assert_eq!(rewrite_registry(&md).unwrap(), md, "idempotent");

@@ -628,7 +628,6 @@ impl GnutellaSim {
             }
         }
         self.scratch_tried = tried;
-        self.flows.export_metrics(ctx.metrics);
     }
 
     /// Models one download as a single flow through the max-min

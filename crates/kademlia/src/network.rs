@@ -960,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn lookups_hit_route_cache_and_export_metrics() {
+    fn lookups_hit_the_route_cache() {
         let (mut net, mut rng) = network(64, ProximityMode::None, 10);
         for i in 0..5u32 {
             let t = Key::random(&mut rng);
@@ -968,11 +968,7 @@ mod tests {
         }
         // Every inter-AS RPC answers its RTT from the precomputed AS-pair
         // cache, so a handful of lookups must register hits.
-        let (hits, misses) = net.underlay.route_cache_stats();
+        let (hits, _) = net.underlay.route_cache_stats();
         assert!(hits > 0, "inter-AS RPCs should hit the route cache");
-        let mut m = uap_sim::Metrics::new();
-        net.underlay.export_route_cache_metrics(&mut m);
-        assert_eq!(m.counter("net.route_cache.hit"), hits);
-        assert_eq!(m.counter("net.route_cache.miss"), misses);
     }
 }

@@ -278,11 +278,11 @@ impl CompiledFaultPlan {
 
 /// Enters boundary `i` of `plan` (an index into
 /// [`CompiledFaultPlan::boundaries`]) at that boundary's time: applies
-/// `state_at` to `net`, counts `net.fault.epochs`, and traces
-/// `fault.epoch` as a causal root followed by the `routing.repair` it
-/// caused. The epoch's `seq` stays the ambient cause, so the caller's own
-/// crash diff points back at it too. Returns the applied state and that
-/// `seq` (`None` when the tracer filters it).
+/// `state_at` to `net` and traces `fault.epoch` as a causal root
+/// followed by the `routing.repair` it caused. The epoch's `seq` stays
+/// the ambient cause, so the caller's own crash diff points back at it
+/// too. Returns the applied state and that `seq` (`None` when the tracer
+/// filters it).
 ///
 /// # Panics
 ///
@@ -304,7 +304,6 @@ pub fn enter_boundary<E>(
     debug_assert_eq!(t, ctx.now());
     let state = plan.state_at(t);
     let repair = net.apply_fault_state(&state);
-    ctx.metrics.incr("net.fault.epochs", 1);
     ctx.tracer.clear_provenance();
     let fault_seq = ctx.trace(registry::NET_FAULT_EPOCH, |f| {
         f.u64("boundary", i as u64);
@@ -478,7 +477,6 @@ mod tests {
             applied: Vec::new(),
         };
         sim.run(&mut w);
-        assert_eq!(sim.metrics().counter("net.fault.epochs"), 2);
         assert_eq!(w.applied[0].0.links_down(), 1);
 
         let tracer = sim.take_tracer();

@@ -69,7 +69,6 @@
 
 use crate::ids::HostId;
 use crate::underlay::Underlay;
-use uap_sim::Metrics;
 
 /// Relative slack used when deciding a resource is saturated: float
 /// filling accumulates rounding, so "load reached capacity" is tested
@@ -117,10 +116,6 @@ pub struct FlowAllocator {
     active: Vec<u32>,
     /// The active resources one filling level saturated.
     saturated: Vec<u32>,
-    /// Flows accepted by [`FlowAllocator::add_flow`] since construction.
-    opened: u64,
-    /// Flows rejected as unroutable since construction.
-    rejected: u64,
 }
 
 impl FlowAllocator {
@@ -159,8 +154,6 @@ impl FlowAllocator {
             index_at: Vec::new(),
             active: Vec::new(),
             saturated: Vec::new(),
-            opened: 0,
-            rejected: 0,
         }
     }
 
@@ -190,7 +183,6 @@ impl FlowAllocator {
             // through the AS-pair route cache — flow setup must not perturb
             // the cache counters the latency queries own.
             let Some(path) = underlay.routing().path_links(src_as, dst_as) else {
-                self.rejected += 1;
                 return false;
             };
             self.arena.push(src.0);
@@ -204,7 +196,6 @@ impl FlowAllocator {
         }
         let len = self.arena.len() as u32 - start;
         self.flows.push((id, start, len));
-        self.opened += 1;
         true
     }
 
@@ -367,13 +358,6 @@ impl FlowAllocator {
             .map(|fi| self.rates[fi])
     }
 
-    /// Exports lifetime counters (`net.flow.opened` / `net.flow.rejected`)
-    /// into `metrics`, mirroring the route-cache export convention.
-    pub fn export_metrics(&self, metrics: &mut Metrics) {
-        metrics.set_counter("net.flow.opened", self.opened);
-        metrics.set_counter("net.flow.rejected", self.rejected);
-    }
-
     /// Whole bytes flow `id` moves in `secs` seconds at its allocated
     /// rate, rounded down — flooring per flow keeps every per-resource
     /// byte sum under `capacity × secs`. Zero for unknown ids.
@@ -515,10 +499,6 @@ mod tests {
         a.allocate();
         assert_eq!(a.rate_of(99), None);
         assert_eq!(a.bytes_of(99, 10.0), 0);
-        let mut m = Metrics::default();
-        a.export_metrics(&mut m);
-        assert_eq!(m.counter("net.flow.opened"), 1);
-        assert_eq!(m.counter("net.flow.rejected"), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::ids::{AsId, HostId};
 use crate::routing::{workers, RepairIndex, RepairStats, Routing, RoutingMode};
 use crate::traffic::{TrafficAccounting, TrafficCategory};
 use std::cell::Cell;
-use uap_sim::{trace::registry, Metrics, SimRng, SimTime, Tracer};
+use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
 
 /// Tunables for the latency model.
 #[derive(Clone, Copy, Debug)]
@@ -262,10 +262,9 @@ impl Underlay {
     /// crashes are overlay-level (the worlds take peers offline); the
     /// underlay only carries the path effects.
     ///
-    /// Returns the repair stats for telemetry
-    /// (`net.routing.sources_recomputed` et al. via
-    /// [`Underlay::export_repair_metrics`], `routing.repair` trace
-    /// events at fault boundaries).
+    /// Returns the repair stats for telemetry (`routing.repair` trace
+    /// events at fault boundaries); [`Underlay::repair_totals`] keeps the
+    /// running sums.
     pub fn apply_fault_state(&mut self, state: &crate::fault::FaultState) -> RepairStats {
         let factor_changed = (state.latency_factor - self.latency_factor).abs() > f64::EPSILON;
         self.latency_factor = state.latency_factor;
@@ -413,36 +412,6 @@ impl Underlay {
             self.repair_sources_total,
             self.repair_full_fallbacks,
         )
-    }
-
-    /// Exports the route-cache counters into `metrics` as
-    /// `net.route_cache.hit` / `net.route_cache.miss` /
-    /// `net.route_cache.invalidations` absolute values.
-    /// Opt-in (call at end of run) so existing experiment reports keep
-    /// their byte-identical metric sets unless they ask for these.
-    pub fn export_route_cache_metrics(&self, metrics: &mut Metrics) {
-        let (hits, misses) = self.route_cache_stats();
-        metrics.set_counter("net.route_cache.hit", hits);
-        metrics.set_counter("net.route_cache.miss", misses);
-        metrics.set_counter("net.route_cache.invalidations", self.invalidations);
-    }
-
-    /// Exports the incremental-repair counters into `metrics` as
-    /// `net.routing.sources_recomputed` / `net.routing.sources_total` /
-    /// `net.routing.repair_full_fallbacks` absolute values. Opt-in, like
-    /// [`Underlay::export_route_cache_metrics`]; the recomputed/total
-    /// ratio is the fraction of per-source routing work fault epochs
-    /// actually paid versus full rebuilds.
-    pub fn export_repair_metrics(&self, metrics: &mut Metrics) {
-        metrics.set_counter(
-            "net.routing.sources_recomputed",
-            self.repair_sources_recomputed,
-        );
-        metrics.set_counter("net.routing.sources_total", self.repair_sources_total);
-        metrics.set_counter(
-            "net.routing.repair_full_fallbacks",
-            self.repair_full_fallbacks,
-        );
     }
 
     /// Directional latency including the asymmetry factor: the `a -> b`
@@ -1019,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn export_repair_metrics_reports_running_totals() {
+    fn repair_totals_are_running_totals() {
         let (mut u, li) = deep_underlay();
         let mut state = crate::fault::FaultState::clear();
         let mut mask = vec![false; u.graph.links.len()];
@@ -1027,18 +996,8 @@ mod tests {
         state.mask = Some(mask);
         u.apply_fault_state(&state);
         u.apply_fault_state(&crate::fault::FaultState::clear());
-        let mut metrics = Metrics::new();
-        u.export_repair_metrics(&mut metrics);
         let (recomputed, total, fallbacks) = u.repair_totals();
-        assert_eq!(
-            metrics.counter("net.routing.sources_recomputed"),
-            recomputed
-        );
-        assert_eq!(metrics.counter("net.routing.sources_total"), total);
-        assert_eq!(
-            metrics.counter("net.routing.repair_full_fallbacks"),
-            fallbacks
-        );
+        assert_eq!(fallbacks, 0);
         assert!(
             recomputed < total / 4,
             "localized faults must stay incremental"

@@ -11,8 +11,8 @@
 //!   sequence number, and all randomness flows through [`SimRng`].
 //! * **Protocol-agnostic.** The engine is generic over the event type; each
 //!   overlay crate defines its own event enum and a [`World`] implementation.
-//! * **Measurable.** A [`Metrics`] registry collects counters, histograms and
-//!   time series that the experiment harnesses turn into the paper's tables.
+//! * **Measurable.** A [`Metrics`] registry collects counters and time
+//!   series that the experiment harnesses turn into the paper's tables.
 //!
 //! ```
 //! use uap_sim::{Simulator, World, Ctx, SimTime};
@@ -55,8 +55,8 @@ pub mod trace;
 pub use churn::{ChurnConfig, ChurnModel, SessionDist};
 pub use engine::{Ctx, ProfileConfig, RunStats, Simulator, World};
 pub use event::EventQueue;
-pub use metrics::{Histogram, Metrics, TimeSeries};
+pub use metrics::{Metrics, TimeSeries};
 pub use rng::{SimRng, Zipf};
-pub use runreport::{HistogramSummary, RunReport};
+pub use runreport::RunReport;
 pub use time::SimTime;
 pub use trace::{Fields, Provenance, TraceEvent, TraceLevel, Tracer, Value, WallTimer};

@@ -13,8 +13,8 @@
 //! writes its own keys through the same `&str` API. Under
 //! `debug_assertions` the [`crate::metrics::Metrics`] write paths check
 //! every key under a registered namespace prefix: it must be declared, and
-//! the write must match its declared [`MetricKind`] (`incr` and
-//! `set_counter` a counter, `record` a histogram, `trace` a series).
+//! the write must match its declared [`MetricKind`] (`incr` a counter,
+//! `record` a histogram, `trace` a series).
 //!
 //! The reverse direction (every declared handle and key is referenced by
 //! some non-test source) is a text scan in the root package's
@@ -163,8 +163,7 @@ trace_kinds! {
 /// What a metrics key stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotone event count ([`crate::metrics::Metrics::incr`] /
-    /// [`crate::metrics::Metrics::set_counter`]).
+    /// Monotone event count ([`crate::metrics::Metrics::incr`]).
     Counter,
     /// Scalar sample distribution ([`crate::metrics::Metrics::record`]).
     Histogram,
@@ -186,7 +185,7 @@ impl MetricKind {
 /// One declared metrics key (or trailing-`*` key pattern).
 #[derive(Clone, Copy, Debug)]
 pub struct MetricSpec {
-    /// Full key (`"net.route_cache.hit"`) or prefix pattern
+    /// Full key (`"gnutella.msg.ping"`) or prefix pattern
     /// (`"engine.events.*"`).
     pub key: &'static str,
     /// Storage shape of the key.
@@ -226,51 +225,6 @@ pub const METRICS: &[MetricSpec] = &[
         key: "engine.events_per_sec",
         kind: MetricKind::Series,
         doc: "events processed per simulated second",
-    },
-    MetricSpec {
-        key: "net.route_cache.hit",
-        kind: MetricKind::Counter,
-        doc: "AS-pair route cache hits (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.route_cache.miss",
-        kind: MetricKind::Counter,
-        doc: "AS-pair route cache misses (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.route_cache.invalidations",
-        kind: MetricKind::Counter,
-        doc: "route-cache rebuilds after routing swaps (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.flow.opened",
-        kind: MetricKind::Counter,
-        doc: "flows accepted by the max-min allocator (exported by Gnutella after every download; the swarm does not export it)",
-    },
-    MetricSpec {
-        key: "net.flow.rejected",
-        kind: MetricKind::Counter,
-        doc: "flows rejected as unroutable under the active fault state (exported by Gnutella after every download; the swarm does not export it)",
-    },
-    MetricSpec {
-        key: "net.fault.epochs",
-        kind: MetricKind::Counter,
-        doc: "fault epoch boundaries applied to the underlay",
-    },
-    MetricSpec {
-        key: "net.routing.sources_recomputed",
-        kind: MetricKind::Counter,
-        doc: "sources whose routing rows fault-epoch repairs recomputed (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.routing.sources_total",
-        kind: MetricKind::Counter,
-        doc: "sources a full rebuild would have recomputed per epoch, summed (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.routing.repair_full_fallbacks",
-        kind: MetricKind::Counter,
-        doc: "fault epochs where majority-dirty repair fell back to a full rebuild (exported at end of run)",
     },
     MetricSpec {
         key: "gnutella.joins",
@@ -425,7 +379,7 @@ mod tests {
 
     #[test]
     fn lookup_helpers() {
-        assert!(declared_metric("net.route_cache.hit").is_some());
+        assert!(declared_metric("gnutella.msg.ping").is_some());
         assert!(
             declared_metric("engine.events.ping").is_some(),
             "pattern key"
@@ -493,7 +447,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "declared as a series but written as a counter")]
     fn series_key_set_as_a_counter_panics_in_debug() {
-        Metrics::new().set_counter("engine.queue_depth", 1);
+        Metrics::new().incr("engine.queue_depth", 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use uap_sim::trace::parse_jsonl_line;
-use uap_sim::{EventQueue, Histogram, SimRng, SimTime, Zipf};
+use uap_sim::{EventQueue, SimRng, SimTime, Zipf};
 
 /// A line the writer could have produced, with every escape it uses.
 const TRACE_LINE: &str = r#"{"seq":7,"t":1500,"s":3,"cs":2,"l":"debug","c":"net","k":"transfer","f":{"who":"a\"b\\c\n\r\t\u00e9","n":-4,"x":1.5e3,"ok":true}}"#;
@@ -26,26 +26,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "stability violated");
             }
         }
-    }
-
-    /// Quantiles are always actual samples and ordered in q.
-    #[test]
-    fn histogram_quantiles_are_samples_and_monotone(
-        samples in prop::collection::vec(-1e6f64..1e6, 1..100),
-        q1 in 0.0f64..1.0,
-        q2 in 0.0f64..1.0,
-    ) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let v_lo = h.quantile(lo).unwrap();
-        let v_hi = h.quantile(hi).unwrap();
-        prop_assert!(v_lo <= v_hi);
-        prop_assert!(samples.contains(&v_lo));
-        prop_assert!(samples.contains(&v_hi));
-        prop_assert!(v_lo >= h.min().unwrap() && v_hi <= h.max().unwrap());
     }
 
     /// Zipf PMF sums to 1 and sampling stays in range for any (n, s).
