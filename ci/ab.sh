@@ -87,14 +87,14 @@ change_bin="target/release/uap-benchmark"
 # One run: appends "<side> <pair> <metric values in $names order>" to
 # the workload's sample file.
 run() {
-  local side="$1" bin="$2" workload="$3" pair="$4" line
+  local side="$1" bin="$2" workload="$3" pair="$4" line values
   line="$("$bin" --workload "$workload" --seed 42 --seconds "$seconds" --trace 0 | tail -n 1)" || {
     echo "$side run of $workload (pair $pair) exited non-zero" >&2
     exit 1
   }
-  echo "$line" | awk -v side="$side" -v pair="$pair" -v names="$names" '
+  values="$(echo "$line" | awk -v side="$side" -v pair="$pair" -v names="$names" '
     {
-      if ($0 !~ /"failed":0[,}]/) { print "failed" ; exit }
+      if ($0 !~ /"failed":0[,}]/) { print "failed"; exit }
       n = split(names, m, " ")
       out = side " " pair
       for (i = 1; i <= n; i++) {
@@ -104,12 +104,12 @@ run() {
         out = out " " v
       }
       print out
-    }' > "$tmp/line"
-  if [ "$(cat "$tmp/line")" = failed ]; then
+    }')"
+  if [ "$values" = failed ]; then
     echo "$side run of $workload (pair $pair) failed a check or lost a metric: $line" >&2
     exit 1
   fi
-  cat "$tmp/line" >> "$tmp/$workload.samples"
+  echo "$values" >> "$tmp/$workload.samples"
 }
 
 for workload in "${workloads[@]}"; do
@@ -129,12 +129,7 @@ for workload in "${workloads[@]}"; do
   printf '%-12s %12s %12s %7s %25s %6s  %s\n' \
     metric parent change ratio "parent IQR" won verdict
   echo "$metrics" | while read -r name better bound; do
-    col=0
-    for m in $names; do
-      col=$((col + 1))
-      [ "$m" = "$name" ] && break
-    done
-    awk -v col=$((col + 2)) -v better="$better" -v bound="$bound" -v name="$name" '
+    awk -v names="$names" -v better="$better" -v bound="$bound" -v name="$name" '
       function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
           t = a[i]
@@ -149,6 +144,11 @@ for workload in "${workloads[@]}"; do
         r = q * n
         r = (r == int(r)) ? r : int(r) + 1
         return r < 1 ? 1 : r
+      }
+      BEGIN {
+        # Sample lines are "<side> <pair> <values in $names order>".
+        n = split(names, m, " ")
+        for (i = 1; i <= n; i++) if (m[i] == name) col = i + 2
       }
       $1 == "parent" { p[$2] = $col + 0 }
       $1 == "change" { c[$2] = $col + 0 }
