@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Paired A/B of the benchmark: a git revision against the working tree.
 #
-#   ci/ab.sh <rev> [--pairs N] [--seconds S] [workload…]
+#   ci/ab.sh <rev> [workload…]
 #
-# Builds <rev>'s uap-benchmark in a temporary git worktree, with its own
-# --target-dir, and the working tree's into target/ (both --offline).
-# For each workload (default: every one BENCHMARK.json names) it runs N
-# pairs (default 10) of `--workload <w> --seed 42 --seconds S --trace 0`
-# (S default 20), switching which side goes first from pair to pair, so
-# slow stretches of a shared host fall on both sides alike.
+# Extracts <rev> with `git archive` into a temporary directory and builds
+# its uap-benchmark there, with its own --target-dir; the working tree's
+# builds into target/ (both --offline). For each workload (default: every
+# one BENCHMARK.json names) it runs 10 pairs of `--workload <w> --seed 42
+# --trace 0` at the benchmark's own run length, switching which side goes
+# first from pair to pair, so slow stretches of a shared host fall on
+# both sides alike.
 #
 # For every end-to-end metric BENCHMARK.json declares it prints the
 # parent and change medians, their ratio (change / parent), the parent's
@@ -21,32 +22,31 @@
 #   unresolved  the parent's IQR is wider than that bound (as a share of
 #               the parent's median)
 #   same        otherwise
+# When the two sides report different sim_digests, the workload's table
+# ends with a note: they simulated different things, so host time does
+# not compare like with like.
 # A run that exits non-zero or fails a check stops the script (exit 1).
-# The worktree and its build are removed on exit; the runs of the
-# working tree's binary write only under the ignored benchmark/out/.
+# The extracted revision and its build are removed on exit; the runs of
+# the working tree's binary write only under the ignored benchmark/out/.
+#
+# This is a stopgap while benchmark/ is frozen: `uap-benchmark ab` is to
+# replace it, so that benchmark/src/compare.rs holds the one verdict
+# policy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: ci/ab.sh <rev> [--pairs N] [--seconds S] [workload…]" >&2
+  echo "usage: ci/ab.sh <rev> [workload…]" >&2
   exit 2
 }
 [ $# -ge 1 ] || usage
 rev="$1"
 shift
 pairs=10
-seconds=20
-workloads=()
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --pairs) [ $# -ge 2 ] || usage; pairs="$2"; shift 2 ;;
-    --seconds) [ $# -ge 2 ] || usage; seconds="$2"; shift 2 ;;
-    -*) usage ;;
-    *) workloads+=("$1"); shift ;;
-  esac
+for a in "$@"; do
+  case "$a" in -*) usage ;; esac
 done
-[[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
-[[ "$seconds" =~ ^[0-9]+([.][0-9]+)?$ ]] || usage
+workloads=("$@")
 git rev-parse --verify -q "$rev^{commit}" > /dev/null || { echo "unknown revision $rev" >&2; exit 2; }
 
 # BENCHMARK.json is pretty-printed one key per line: read the workload
@@ -66,14 +66,10 @@ metrics="$(awk '
 names="$(echo "$metrics" | awk '{ printf "%s ", $1 }')"
 
 tmp="$(mktemp -d)"
-cleanup() {
-  git worktree remove --force "$tmp/rev" > /dev/null 2>&1 || true
-  rm -rf "$tmp"
-  git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git worktree add --detach -q "$tmp/rev" "$rev"
+mkdir "$tmp/rev"
+git archive "$rev" | tar -x -C "$tmp/rev"
 build() {
   cargo build --release --offline -q --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$2"
 }
@@ -85,10 +81,11 @@ parent_bin="$tmp/target/release/uap-benchmark"
 change_bin="target/release/uap-benchmark"
 
 # One run: appends "<side> <pair> <metric values in $names order>" to
-# the workload's sample file.
+# the workload's sample file and the run's sim_digest (from
+# <checkout>/benchmark/out/<workload>.measured.json) to its digest file.
 run() {
-  local side="$1" bin="$2" workload="$3" pair="$4" line values
-  line="$("$bin" --workload "$workload" --seed 42 --seconds "$seconds" --trace 0 | tail -n 1)" || {
+  local side="$1" bin="$2" checkout="$3" workload="$4" pair="$5" line values
+  line="$("$bin" --workload "$workload" --seed 42 --trace 0 | tail -n 1)" || {
     echo "$side run of $workload (pair $pair) exited non-zero" >&2
     exit 1
   }
@@ -110,22 +107,24 @@ run() {
     exit 1
   fi
   echo "$values" >> "$tmp/$workload.samples"
+  sed -n 's/^ *"sim_digest": *"\([0-9a-f]*\)".*/\1/p' \
+    "$checkout/benchmark/out/$workload.measured.json" >> "$tmp/$workload.$side.digests"
 }
 
 for workload in "${workloads[@]}"; do
   : > "$tmp/$workload.samples"
   for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
-      run parent "$parent_bin" "$workload" "$pair"
-      run change "$change_bin" "$workload" "$pair"
+      run parent "$parent_bin" "$tmp/rev" "$workload" "$pair"
+      run change "$change_bin" . "$workload" "$pair"
     else
-      run change "$change_bin" "$workload" "$pair"
-      run parent "$parent_bin" "$workload" "$pair"
+      run change "$change_bin" . "$workload" "$pair"
+      run parent "$parent_bin" "$tmp/rev" "$workload" "$pair"
     fi
     echo "$workload: pair $pair of $pairs done" >&2
   done
 
-  printf '\n%s, %s pairs, --seconds %s\n' "$workload" "$pairs" "$seconds"
+  printf '\n%s, %s pairs\n' "$workload" "$pairs"
   printf '%-12s %12s %12s %7s %25s %6s  %s\n' \
     metric parent change ratio "parent IQR" won verdict
   echo "$metrics" | while read -r name better bound; do
@@ -169,7 +168,7 @@ for workload in "${workloads[@]}"; do
         iqr = q3 - q1
         worse_by = (better == "lower" ? mc - mp : mp - mc) / mp
         gap = mc > mp ? mc - mp : mp - mc
-        if (10 * won >= 9 * n && gap > iqr && worse_by < 0) verdict = "better"
+        if (n >= 10 && 10 * won >= 9 * n && gap > iqr && worse_by < 0) verdict = "better"
         else if (worse_by > bound) verdict = "worse"
         else if (iqr / mp > bound) verdict = "unresolved"
         else verdict = "same"
@@ -177,4 +176,10 @@ for workload in "${workloads[@]}"; do
           name, mp, mc, mc / mp, q1, q3, won, n, verdict
       }' "$tmp/$workload.samples"
   done
+  parent_digests="$(sort -u "$tmp/$workload.parent.digests" | tr '\n' ' ')"
+  change_digests="$(sort -u "$tmp/$workload.change.digests" | tr '\n' ' ')"
+  if [ "$parent_digests" != "$change_digests" ]; then
+    echo "note: sim_digest differs (parent ${parent_digests% }, change ${change_digests% }):" \
+      "simulated statistics moved, so host time does not compare like with like"
+  fi
 done

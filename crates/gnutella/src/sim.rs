@@ -381,7 +381,6 @@ impl GnutellaSim {
         neighbors.clear();
         neighbors.extend_from_slice(self.overlay.neighbors(h));
         self.overlay.set_online(h, false);
-        ctx.metrics.incr("gnutella.leaves", 1);
         ctx.trace(registry::GNUTELLA_LEAVE, |f| {
             f.u64("host", h.0 as u64)
                 .u64("neighbors", neighbors.len() as u64);
@@ -605,12 +604,10 @@ impl GnutellaSim {
             };
             match next {
                 None => {
-                    ctx.metrics.incr("gnutella.downloads.failed", 1);
                     self.download_log.push((ctx.now(), false));
                     break;
                 }
                 Some(p) => {
-                    ctx.metrics.incr("gnutella.downloads.retried", 1);
                     // The retry is caused by the fault epoch that took the
                     // source down; whatever follows it (the re-sourced
                     // download, or the next retry) is caused by the retry.

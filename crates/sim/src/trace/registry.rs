@@ -232,11 +232,6 @@ pub const METRICS: &[MetricSpec] = &[
         doc: "hosts that joined the overlay",
     },
     MetricSpec {
-        key: "gnutella.leaves",
-        kind: MetricKind::Counter,
-        doc: "hosts that left the overlay",
-    },
-    MetricSpec {
         key: "gnutella.msg.ping",
         kind: MetricKind::Counter,
         doc: "PING messages flooded",
@@ -275,16 +270,6 @@ pub const METRICS: &[MetricSpec] = &[
         key: "gnutella.downloads.intra_as",
         kind: MetricKind::Counter,
         doc: "downloads served from the same AS as the requester",
-    },
-    MetricSpec {
-        key: "gnutella.downloads.retried",
-        kind: MetricKind::Counter,
-        doc: "downloads re-sourced to an alternate provider after a failure",
-    },
-    MetricSpec {
-        key: "gnutella.downloads.failed",
-        kind: MetricKind::Counter,
-        doc: "downloads abandoned after exhausting every known provider",
     },
 ];
 

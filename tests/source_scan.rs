@@ -191,16 +191,16 @@ fn every_declared_kind_and_key_is_referenced() {
     for s in sources.iter_mut().filter(|s| s.path != REGISTRY) {
         s.text = s.text.replace("GNUTELLA_ROLES", "GONE");
         s.text = s.text.replace("\"gnutella.joins\"", "\"gone\"");
-        s.text = s.text.replace("\"gnutella.leaves\"", "\"gone\"");
+        s.text = s.text.replace("\"gnutella.queries\"", "\"gone\"");
     }
-    let test_only = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t(m: &mut M) { m.incr(\"gnutella.leaves\", 1); }\n}\n";
+    let test_only = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t(m: &mut M) { m.incr(\"gnutella.queries\", 1); }\n}\n";
     sources.push(Source::new("crates/gnutella/src/planted.rs", test_only));
     assert_eq!(
         unreferenced(&sources),
         [
             "trace kind GNUTELLA_ROLES is never emitted",
             "metric key gnutella.joins is never written",
-            "metric key gnutella.leaves is never written",
+            "metric key gnutella.queries is never written",
         ]
     );
 }
