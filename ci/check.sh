@@ -33,8 +33,12 @@
 #                                 (about fifty times slower in debug):
 #                                 the route table of the benchmarks'
 #                                 1 055-AS hierarchy equals the
-#                                 heap-ordered reference on every pair.
-#                                 docs/PERFORMANCE.md
+#                                 heap-ordered reference on every pair,
+#                                 and the flow fill of ~4 000 flows on
+#                                 the swarm_congestion underlay equals
+#                                 reference_max_min bit for bit, at the
+#                                 generator's capacities and with every
+#                                 AS link ÷1 000. docs/PERFORMANCE.md
 #   6. ci/trace_gate.sh         — trace determinism: two same-seed runs of
 #                                 every traced experiment (`exp list
 #                                 --traced`: exp04, 09, 10, 15, 16, 17, 18)
@@ -97,7 +101,7 @@ cargo test -q
 step "cargo test --workspace"
 cargo test --workspace -q
 
-step "allocation counts and the full-scale routing oracle (release)"
+step "allocation counts and the full-scale routing and flow oracles (release)"
 cargo test --release -q --test alloc_count
 cargo test --release -q -p uap-net --test scale_oracle
 

@@ -92,6 +92,9 @@ pub struct SwarmReport {
     /// Re-announces triggered by dead-neighbor loss or crash recovery
     /// (0 in fault-free runs; periodic refreshes are not counted).
     pub reannounces: u64,
+    /// Inter-AS links that saturated, summed over every round's fill
+    /// ([`FlowAllocator::inter_as_saturations`]).
+    pub inter_as_saturations: u64,
 }
 
 impl SwarmReport {
@@ -740,6 +743,7 @@ impl Swarm {
             peer_spans,
             open_flows,
             rounds,
+            flow_alloc,
             ..
         } = self;
         let end = ROUND.mul(rounds as u64);
@@ -777,6 +781,7 @@ impl Swarm {
             announces: tracker.announces(),
             completed_by_round: self.completed_by_round,
             reannounces: self.reannounces,
+            inter_as_saturations: flow_alloc.inter_as_saturations(),
         };
         underlay.trace_link_totals(end, tracer);
         tracer.emit(end, registry::BITTORRENT_SWARM_DONE, |f| {

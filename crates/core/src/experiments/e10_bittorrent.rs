@@ -70,6 +70,10 @@ pub struct PolicyResult {
     pub transit_bytes: u64,
     /// Summed ISP transit bill (USD/month equivalent).
     pub transit_bill_usd: f64,
+    /// Run-report key of `inter_as_saturations`.
+    pub key: &'static str,
+    /// Inter-AS links that saturated, summed over the swarm's rounds.
+    pub inter_as_saturations: u64,
 }
 
 /// Experiment output.
@@ -87,19 +91,31 @@ pub struct Outcome {
 /// exchange and choke decisions (`bittorrent`/`*`) are recorded, with one
 /// `experiment`/`phase` marker (Info) per tracker policy.
 pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
-    let configs: Vec<(String, TrackerPolicy, bool)> = vec![
-        ("random tracker".into(), TrackerPolicy::Random, false),
+    let configs: Vec<(String, &'static str, TrackerPolicy, bool)> = vec![
+        (
+            "random tracker".into(),
+            "inter_as_saturations.random",
+            TrackerPolicy::Random,
+            false,
+        ),
         (
             "BNS tracker".into(),
+            "inter_as_saturations.bns",
             TrackerPolicy::Bns {
                 internal: 16,
                 external: 4,
             },
             false,
         ),
-        ("cost-aware tracker".into(), TrackerPolicy::CostAware, false),
+        (
+            "cost-aware tracker".into(),
+            "inter_as_saturations.cost_aware",
+            TrackerPolicy::CostAware,
+            false,
+        ),
         (
             "BNS + CAT choking".into(),
+            "inter_as_saturations.bns_cat",
             TrackerPolicy::Bns {
                 internal: 16,
                 external: 4,
@@ -119,7 +135,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
             "transit bill (USD)",
         ],
     );
-    for (label, tracker, cat) in configs {
+    for (label, key, tracker, cat) in configs {
         let cfg = SwarmConfig {
             n_leechers: p.n_leechers,
             n_seeds: p.n_seeds,
@@ -146,6 +162,8 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
             rounds: report.rounds,
             transit_bytes,
             transit_bill_usd: total_transit_usd(&bills),
+            key,
+            inter_as_saturations: report.inter_as_saturations,
         };
         table.row(&[
             label,
@@ -164,12 +182,18 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     }
 }
 
-/// The [`super::TABLE`] row's run; its event count is swarm rounds.
+/// The [`super::TABLE`] row's run; its event count is swarm rounds, and
+/// its values the inter-AS links that saturated under each policy.
 pub fn experiment(scale: Scale, seed: u64, tracer: &mut Tracer) -> super::Outcome {
     let out = run(&scale.params(seed, Params::quick, Params::full), tracer);
     let claim = claim(&out);
     super::Outcome {
         events: out.policies.iter().map(|p| p.rounds as u64).sum(),
+        values: out
+            .policies
+            .iter()
+            .map(|p| (p.key, p.inter_as_saturations.to_string()))
+            .collect(),
         ..super::Outcome::of(vec![out.table], claim)
     }
 }
@@ -247,6 +271,27 @@ mod tests {
         // Everyone still finishes, in comparable time (the [3] headline).
         assert_eq!(bns.completed, 80);
         assert!(bns.mean_completion_secs < 2.5 * random.mean_completion_secs);
+    }
+
+    /// At the generator's capacities no inter-AS link binds under any
+    /// policy: access links are every swarm's bottleneck. A capacity
+    /// model in which transit can bind turns this into a non-zero test.
+    #[test]
+    fn every_policy_reports_its_inter_as_saturations() {
+        let outcome = experiment(Scale::Quick, 52, &mut Tracer::disabled());
+        let keys: Vec<&str> = outcome.values.iter().map(|&(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "inter_as_saturations.random",
+                "inter_as_saturations.bns",
+                "inter_as_saturations.cost_aware",
+                "inter_as_saturations.bns_cat",
+            ]
+        );
+        for (key, value) in &outcome.values {
+            assert_eq!(value, "0", "{key}");
+        }
     }
 
     #[test]

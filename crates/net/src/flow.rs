@@ -10,9 +10,11 @@
 //!   `down_kbps`;
 //! * **inter-AS links** — each [`crate::asgraph::AsLink`] contributes one
 //!   shared resource sized from its `capacity_mbps` link class, so
-//!   cross-AS flows genuinely compete for transit/peering capacity (this
-//!   replaces the retired `transit_congestion` per-path discount with real
-//!   sharing).
+//!   cross-AS flows compete for transit/peering capacity wherever it is
+//!   narrow enough to bind. At the generator's capacities it never is:
+//!   no inter-AS link enters the fill (see below) in any experiment of
+//!   `exp all --seed 42` or any round of the benchmark's swarm, and
+//!   [`FlowAllocator::inter_as_saturations`] counts the ones that bind.
 //!
 //! Rates come from **progressive filling** (Bertsekas & Gallager): every
 //! unfrozen flow's rate rises at the same pace; when a resource
@@ -24,23 +26,49 @@
 //!
 //! # The index
 //!
-//! [`allocate`] rebuilds three structures from the registered set on
-//! every call, so a filling level costs O(active resources), not
-//! O(touched resources + flows × path length):
+//! [`allocate`] rebuilds its structures from the registered set on every
+//! call, and a filling level visits only the resources that can bind at
+//! it:
 //!
-//! * a **resource→flows index**, CSR over each touched resource's
-//!   position in first-use order, every bucket in flow-id order;
-//! * an **active list** of the resources that still have unfrozen users,
-//!   compacted after every level. Only it is scanned for the increment,
-//!   the load update and the saturation test, and only the flows of the
-//!   saturated resources are visited to freeze them;
+//! * a **census** of the touched resources, in first-use order, and a
+//!   **static bound** per resource: the sum, over its flows, of each
+//!   flow's smallest resource capacity. Every max-min rate is at most
+//!   that smallest capacity, so a resource's load never exceeds its
+//!   bound; one whose bound plus two [`saturation_eps`] stays below its
+//!   capacity can neither saturate nor set an increment (a level's
+//!   arg-min always saturates), and is **dropped** from the fill. The
+//!   rest are **kept** in dense per-slot records (capacity, tolerance,
+//!   load, unfrozen users). At the generator's capacities the bound drops
+//!   every inter-AS link a swarm round uses, and nearly a quarter of its
+//!   access links;
+//! * a **resource→flows index**, CSR over the kept slots, every bucket in
+//!   flow-id order, so freezing visits only a saturated slot's flows;
+//! * a **wake-level heap** and an **increment log**. A kept slot sleeps
+//!   under a lower bound on the level at which it could set the increment
+//!   or saturate: `level + (cap − load − 2·eps) / users`, one tolerance for
+//!   the saturation test and one for rounding. Each level pops only the
+//!   slots whose wake level is at most `level + inc` and takes the
+//!   increment `inc` from them, lowering it as it pops; a slot left
+//!   asleep has more headroom per user than `inc` and stays an `eps`
+//!   short of saturating. A sleeping slot's load is brought up to date by
+//!   replaying the logged increments (`load += inc × users`, in log order)
+//!   when it wakes or a freeze changes its user count; one whose users
+//!   reach zero leaves without a replay. The heap is lazy: a slot's live
+//!   entry is the one whose level equals the slot's `wake`;
 //! * a **running level sum** of the increments. A flow freezing at a
-//!   level takes the sum as its rate, which is bit-identical to adding
-//!   each increment to every unfrozen flow's rate: both start at `0.0`
-//!   and add the same increments in the same order.
+//!   level takes the sum as its rate.
 //!
-//! The from-scratch fill the index replaced is kept as
+//! The rates are bit-identical to adding each increment to every unfrozen
+//! flow's rate and raising every touched resource's load at every level:
+//! the increment is a minimum, which no dropped or sleeping slot attains;
+//! no dropped or sleeping slot saturates, so the saturated sets are the
+//! same; a replay performs the same `f64` multiply, then add, on the same
+//! load with the same user count in the same order; and the rates and the
+//! level sum both start at `0.0` and add the same increments in the same
+//! order. That from-scratch fill is kept as
 //! [`crate::invariants::reference_max_min`], the differential oracle.
+//! Every level saturates at least one kept slot, so there are at most as
+//! many levels (and logged increments) as kept slots.
 //!
 //! # Determinism
 //!
@@ -49,7 +77,9 @@
 //! set* — two same-seed runs, or the same set inserted in a different
 //! order, produce bit-identical rates (`f64` arithmetic is deterministic
 //! once the iteration order is fixed). No RNG, wall clock, or hash map is
-//! involved. The invariants are re-checked under `debug_assertions` by
+//! involved. The invariants are re-checked under `debug_assertions`, over
+//! loads materialised for every touched resource (dropped and sleeping
+//! ones by replaying the log), by
 //! [`crate::invariants::check_flow_capacity`],
 //! [`check_flow_conservation`](crate::invariants::check_flow_conservation)
 //! and [`check_flow_max_min`](crate::invariants::check_flow_max_min), and
@@ -59,7 +89,8 @@
 //! # Reuse
 //!
 //! All working storage lives in the struct and is recycled across
-//! [`begin`]/[`allocate`] cycles, so recomputing the allocation at flow
+//! [`begin`]/[`allocate`] cycles; the log and the heap are reserved to
+//! their bounds before filling, so recomputing the allocation at flow
 //! arrival/departure/fault epochs allocates nothing on the per-round hot
 //! path (`tests/alloc_count.rs` counts the allocator's cycles alone and
 //! the swarm's rounds).
@@ -67,19 +98,105 @@
 //! [`allocate`]: FlowAllocator::allocate
 //! [`begin`]: FlowAllocator::begin
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use crate::ids::HostId;
 use crate::underlay::Underlay;
 
-/// Relative slack used when deciding a resource is saturated: float
-/// filling accumulates rounding, so "load reached capacity" is tested
-/// with a tolerance proportional to the capacity plus one byte/second.
-pub(crate) fn saturation_eps(cap: f64) -> f64 {
+/// The one saturation tolerance, in bytes/second: float filling
+/// accumulates rounding, so "load reached capacity" is tested as
+/// `load + saturation_eps(cap) >= cap`, a slack proportional to the
+/// capacity plus one byte/second. The debug checkers and the tests
+/// compare loads and rates with the same slack, and the fill's two
+/// filters keep two of it as their margin.
+pub fn saturation_eps(cap: f64) -> f64 {
     cap * 1e-9 + 1.0
 }
 
-/// [`FlowAllocator`]'s `pos` entry for a resource the current flow set
-/// does not touch.
+/// [`FlowAllocator`]'s `slot_of` entry for a resource the current flow
+/// set does not touch.
 const UNUSED: u32 = u32::MAX;
+
+/// `slot_of` entry for a touched resource the static bound dropped from
+/// the fill.
+const DROPPED: u32 = u32::MAX - 1;
+
+/// `frozen_at` entry for a flow that is still filling.
+const UNFROZEN: u32 = u32::MAX;
+
+/// A resource kept in the fill.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Resource index, in the layout of [`FlowAllocator`]'s `cap`.
+    res: u32,
+    /// Unfrozen flows crossing it.
+    users: u32,
+    /// Capacity in bytes/second.
+    cap: f64,
+    /// [`saturation_eps`] of `cap`.
+    eps: f64,
+    /// Load with the first `seen` logged increments applied.
+    load: f64,
+    /// Logged increments `load` includes.
+    seen: u32,
+    /// The level of the slot's live heap entry; NaN while it has none
+    /// (awake in the current level, or out of the fill).
+    wake: f64,
+}
+
+impl Slot {
+    /// Applies the increments logged since `seen` at the current user
+    /// count: the additions the level-by-level fill made while it slept.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the log holds at most one increment per kept slot, a u32 count"
+    )]
+    fn catch_up(&mut self, incs: &[f64]) {
+        let users = self.users as f64;
+        for &inc in incs.get(self.seen as usize..).unwrap_or_default() {
+            self.load += inc * users;
+        }
+        self.seen = incs.len() as u32;
+    }
+
+    /// A lower bound on the level at which the slot could set the
+    /// increment or saturate, from an up-to-date `load` at `level`.
+    fn wake_level(&self, level: f64) -> f64 {
+        level + (self.cap - self.load - 2.0 * self.eps) / self.users as f64
+    }
+}
+
+/// A heap entry: `slot` sleeps until the level reaches `level`. Ordered
+/// so that [`BinaryHeap`], a max-heap, pops the lowest level first (ties
+/// by slot).
+#[derive(Clone, Copy, Debug)]
+struct Wake {
+    level: f64,
+    slot: u32,
+}
+
+impl PartialEq for Wake {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Wake {}
+
+impl PartialOrd for Wake {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Wake {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .level
+            .total_cmp(&self.level)
+            .then(other.slot.cmp(&self.slot))
+    }
+}
 
 /// Deterministic max-min fair bandwidth allocator over host access links
 /// and inter-AS links. See the module docs for the model and the
@@ -97,25 +214,33 @@ pub struct FlowAllocator {
     arena: Vec<u32>,
     /// Allocated rate per flow (bytes/second), parallel to `flows`.
     rates: Vec<f64>,
-    /// Current load per resource (only entries in `used` are meaningful).
-    load: Vec<f64>,
-    /// Unfrozen flows crossing each resource.
-    users: Vec<u32>,
-    /// Per-flow frozen flag, parallel to `flows`.
-    frozen: Vec<bool>,
+    /// Per flow, parallel to `flows`: how many logged increments it took
+    /// part in (the log's length when it froze), or [`UNFROZEN`].
+    frozen_at: Vec<u32>,
     /// Resources touched by the current flow set, in first-use order.
     used: Vec<u32>,
-    /// Each resource's position in `used`, or [`UNUSED`].
-    pos: Vec<u32>,
-    /// The resource→flows index: the flows crossing `used[p]` are
-    /// `index[index_at[p]..index_at[p + 1]]`, in id order.
+    /// Per resource: its slot in `slots`, [`DROPPED`] or [`UNUSED`].
+    slot_of: Vec<u32>,
+    /// Per resource (only entries in `used` are meaningful): the static
+    /// bound, the sum over its flows of each flow's smallest capacity.
+    bound: Vec<f64>,
+    /// The kept resources, in first-use order.
+    slots: Vec<Slot>,
+    /// The resource→flows index: the flows crossing slot `k` are
+    /// `index[index_at[k]..index_at[k + 1]]`, in id order.
     index: Vec<u32>,
-    /// Bucket starts of `index` by position in `used`, plus the end.
+    /// Bucket starts of `index` by slot, plus the end.
     index_at: Vec<u32>,
-    /// Resources that still have unfrozen users while filling.
-    active: Vec<u32>,
-    /// The active resources one filling level saturated.
+    /// Sleeping slots by wake level, plus stale entries.
+    heap: BinaryHeap<Wake>,
+    /// The increment of every level that raised the rates, in order.
+    incs: Vec<f64>,
+    /// Slots visited in the current level: popped, or woken by a freeze.
+    awake: Vec<u32>,
+    /// The slots one filling level saturated.
     saturated: Vec<u32>,
+    /// Inter-AS resources saturated over every fill so far.
+    inter_as_saturations: u64,
 }
 
 impl FlowAllocator {
@@ -145,15 +270,18 @@ impl FlowAllocator {
             flows: Vec::new(),
             arena: Vec::new(),
             rates: Vec::new(),
-            load: vec![0.0; n_resources],
-            users: vec![0; n_resources],
-            frozen: Vec::new(),
+            frozen_at: Vec::new(),
             used: Vec::new(),
-            pos: vec![UNUSED; n_resources],
+            slot_of: vec![UNUSED; n_resources],
+            bound: vec![0.0; n_resources],
+            slots: Vec::new(),
             index: Vec::new(),
             index_at: Vec::new(),
-            active: Vec::new(),
+            heap: BinaryHeap::new(),
+            incs: Vec::new(),
+            awake: Vec::new(),
             saturated: Vec::new(),
+            inter_as_saturations: 0,
         }
     }
 
@@ -202,52 +330,100 @@ impl FlowAllocator {
     /// Computes the max-min fair allocation for the registered flow set
     /// by progressive filling. Deterministic: flows are processed in
     /// sorted-id order, so the result is independent of insertion order.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "r < cap.len(); fi < flows.len(); pos[r] < used.len() < index_at.len()"
-    )]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "positions and flow indices are below the arena length, a u32"
-    )]
     pub fn allocate(&mut self) {
         self.flows.sort_unstable_by_key(|&(id, _, _)| id);
         #[cfg(debug_assertions)]
         #[expect(clippy::panic, reason = "debug-only duplicate-id guard")]
+        #[expect(clippy::indexing_slicing, reason = "windows(2) yields pairs")]
         {
             if let Some(pair) = self.flows.windows(2).find(|w| w[0].0 == w[1].0) {
                 panic!("duplicate flow id {}", pair[0].0);
             }
         }
-        // Reset the resources the previous allocation touched, then build
-        // this set's resource census in flow-id order.
+        self.census();
+        self.fill();
+        #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guards")]
+        {
+            use crate::invariants;
+            let load = self.materialized_loads();
+            invariants::check_flow_capacity(&self.cap, &load, &self.used)
+                .unwrap_or_else(|e| panic!("flow capacity invariant: {e}"));
+            invariants::check_flow_conservation(&load, &self.rates, &self.flows, &self.arena)
+                .unwrap_or_else(|e| panic!("flow conservation invariant: {e}"));
+            invariants::check_flow_max_min(&self.cap, &load, &self.flows, &self.arena)
+                .unwrap_or_else(|e| panic!("flow max-min invariant: {e}"));
+            invariants::check_flow_reference(&self.cap, &self.flows, &self.arena, &self.rates)
+                .unwrap_or_else(|e| panic!("flow reference oracle: {e}"));
+        }
+    }
+
+    /// The touched resources and their static bounds, the kept slots,
+    /// the resource→flows index over the slots, and the heap with every
+    /// slot asleep at level zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < cap.len() = slot_of.len() = bound.len(); spans lie in arena; kept k < slots.len() < index_at.len()"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slots and flow indices are below the arena length, a u32"
+    )]
+    fn census(&mut self) {
         for &r in &self.used {
-            self.pos[r as usize] = UNUSED;
-            self.load[r as usize] = 0.0;
-            self.users[r as usize] = 0;
+            self.slot_of[r as usize] = UNUSED;
+            self.bound[r as usize] = 0.0;
         }
         self.used.clear();
-        self.rates.clear();
-        self.rates.resize(self.flows.len(), 0.0);
-        self.frozen.clear();
-        self.frozen.resize(self.flows.len(), false);
         for &(_, start, len) in &self.flows {
-            for &r in &self.arena[start as usize..(start + len) as usize] {
+            let span = &self.arena[start as usize..(start + len) as usize];
+            let least = span
+                .iter()
+                .map(|&r| self.cap[r as usize])
+                .fold(f64::INFINITY, f64::min);
+            for &r in span {
                 let r = r as usize;
-                if self.pos[r] == UNUSED {
-                    self.pos[r] = self.used.len() as u32;
+                if self.slot_of[r] == UNUSED {
+                    self.slot_of[r] = DROPPED;
                     self.used.push(r as u32);
                 }
-                self.users[r] += 1;
+                self.bound[r] += least;
             }
         }
-        // The resource→flows index: bucket ends by compact position, then
-        // a reverse pass over the flows fills each bucket back to front,
-        // leaving `index_at[p]` at its start and the flows in id order.
+        // The static bound: a resource is dropped when, with every flow at
+        // its smallest capacity, its load would still sit two tolerances
+        // short of its capacity (one for the saturation test, one for
+        // rounding); the rest are kept.
+        self.slots.clear();
+        for &r in &self.used {
+            let cap = self.cap[r as usize];
+            let eps = saturation_eps(cap);
+            if self.bound[r as usize] + 2.0 * eps >= cap {
+                self.slot_of[r as usize] = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    res: r,
+                    users: 0,
+                    cap,
+                    eps,
+                    load: 0.0,
+                    seen: 0,
+                    wake: f64::NAN,
+                });
+            }
+        }
+        for &r in &self.arena {
+            let k = self.slot_of[r as usize];
+            if k != DROPPED {
+                self.slots[k as usize].users += 1;
+            }
+        }
+        // The resource→flows index: bucket ends by slot, then a reverse
+        // pass over the flows fills each bucket back to front, leaving
+        // `index_at[k]` at its start and the flows in id order.
         self.index_at.clear();
         let mut end = 0;
-        for &r in &self.used {
-            end += self.users[r as usize];
+        for s in &self.slots {
+            end += s.users;
             self.index_at.push(end);
         }
         self.index_at.push(end);
@@ -255,96 +431,216 @@ impl FlowAllocator {
         self.index.resize(end as usize, 0);
         for (fi, &(_, start, len)) in self.flows.iter().enumerate().rev() {
             for &r in &self.arena[start as usize..(start + len) as usize] {
-                let at = &mut self.index_at[self.pos[r as usize] as usize];
-                *at -= 1;
-                self.index[*at as usize] = fi as u32;
+                let k = self.slot_of[r as usize];
+                if k != DROPPED {
+                    let at = &mut self.index_at[k as usize];
+                    *at -= 1;
+                    self.index[*at as usize] = fi as u32;
+                }
             }
         }
-        // Each level makes two passes over the active resources and
-        // visits the flows of the saturated ones. `level` is the running
-        // sum of the increments, so a flow freezing at it gets the same
-        // additions in the same order as adding each increment to every
-        // unfrozen flow's rate.
-        self.active.clear();
-        self.active.extend_from_slice(&self.used);
+        // A level saturates at least one slot, so the log never holds more
+        // increments than there are slots. The heap starts with one entry
+        // per slot, and only a freeze that leaves a sleeping slot with users
+        // adds an entry without popping one, at most `users − 1` times per
+        // slot: at most as many entries as the index holds.
+        self.incs.clear();
+        self.incs.reserve(self.slots.len());
+        self.heap.clear();
+        self.heap.reserve(self.index.len());
+        for (k, s) in self.slots.iter_mut().enumerate() {
+            s.wake = s.wake_level(0.0);
+            self.heap.push(Wake {
+                level: s.wake,
+                slot: k as u32,
+            });
+        }
+    }
+
+    /// Progressive filling over the kept slots, level by level.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "heap, awake and saturated hold slots < slots.len() < index_at.len(); index holds flow indices < flows.len() = rates.len() = frozen_at.len(); spans lie in arena; resources < slot_of.len()"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the log holds at most one increment per kept slot, a u32 count"
+    )]
+    fn fill(&mut self) {
+        let FlowAllocator {
+            n_hosts,
+            flows,
+            rates,
+            frozen_at,
+            arena,
+            slot_of,
+            slots,
+            index,
+            index_at,
+            heap,
+            incs,
+            awake,
+            saturated,
+            inter_as_saturations,
+            ..
+        } = self;
+        rates.clear();
+        rates.resize(flows.len(), 0.0);
+        frozen_at.clear();
+        frozen_at.resize(flows.len(), UNFROZEN);
         let mut level = 0.0;
         loop {
-            // Drop the resources left without unfrozen users. The tightest
-            // remaining headroom per unfrozen user among the rest is the
-            // uniform increment every unfrozen flow can absorb.
+            // Wake the slots that could set this level's increment,
+            // lowest wake level first, and take the increment from them:
+            // the tightest headroom per unfrozen user. A slot whose wake
+            // level lies beyond `level + inc` has more headroom than that.
             let mut inc = f64::INFINITY;
-            self.active.retain(|&r| {
-                let r = r as usize;
-                if self.users[r] == 0 {
-                    return false;
+            awake.clear();
+            while let Some(&Wake { level: at, slot: k }) = heap.peek() {
+                if at > level + inc {
+                    break;
                 }
-                let room = (self.cap[r] - self.load[r]).max(0.0) / self.users[r] as f64;
+                heap.pop();
+                let s = &mut slots[k as usize];
+                if s.wake.to_bits() != at.to_bits() {
+                    continue;
+                }
+                s.wake = f64::NAN;
+                s.catch_up(incs);
+                let room = (s.cap - s.load).max(0.0) / s.users as f64;
                 if room < inc {
                     inc = room;
                 }
-                true
-            });
-            if self.active.is_empty() {
+                awake.push(k);
+            }
+            if awake.is_empty() {
                 break;
             }
             let raise = inc > 0.0 && inc.is_finite();
             if raise {
                 level += inc;
+                incs.push(inc);
             }
-            self.saturated.clear();
-            for &r in &self.active {
-                let ri = r as usize;
+            saturated.clear();
+            for &k in awake.iter() {
+                let s = &mut slots[k as usize];
                 if raise {
-                    self.load[ri] += inc * self.users[ri] as f64;
+                    s.load += inc * s.users as f64;
+                    s.seen = incs.len() as u32;
                 }
-                if self.load[ri] + saturation_eps(self.cap[ri]) >= self.cap[ri] {
-                    self.saturated.push(r);
+                if s.load + s.eps >= s.cap {
+                    saturated.push(k);
+                    if s.res as usize >= 2 * *n_hosts {
+                        *inter_as_saturations += 1;
+                    }
                 }
             }
-            if self.saturated.is_empty() {
+            if saturated.is_empty() {
                 // Floating-point safety net: exact arithmetic always
                 // saturates the arg-min resource; if rounding hid it,
                 // freeze everything at the current (feasible) rates
                 // rather than loop forever.
-                for (rate, &frozen) in self.rates.iter_mut().zip(&self.frozen) {
-                    if !frozen {
+                for (rate, at) in rates.iter_mut().zip(frozen_at.iter_mut()) {
+                    if *at == UNFROZEN {
                         *rate = level;
+                        *at = incs.len() as u32;
                     }
                 }
                 break;
             }
-            // Freeze every unfrozen flow of each saturated resource (an
-            // active resource has one, so the loop terminates).
-            for &r in &self.saturated {
-                let p = self.pos[r as usize] as usize;
-                let bucket = self.index_at[p] as usize..self.index_at[p + 1] as usize;
-                for &fi in &self.index[bucket] {
+            // Freeze every unfrozen flow of each saturated slot (a woken
+            // slot has one, so the loop terminates). A sleeping slot on a
+            // frozen flow's path catches up at its old user count and
+            // joins the woken ones, unless it loses its last user.
+            for &k in saturated.iter() {
+                let k = k as usize;
+                for &fi in &index[index_at[k] as usize..index_at[k + 1] as usize] {
                     let fi = fi as usize;
-                    if self.frozen[fi] {
+                    if frozen_at[fi] != UNFROZEN {
                         continue;
                     }
-                    self.frozen[fi] = true;
-                    self.rates[fi] = level;
-                    let (_, start, len) = self.flows[fi];
-                    for &s in &self.arena[start as usize..(start + len) as usize] {
-                        self.users[s as usize] -= 1;
+                    frozen_at[fi] = incs.len() as u32;
+                    rates[fi] = level;
+                    let (_, start, len) = flows[fi];
+                    for &r in &arena[start as usize..(start + len) as usize] {
+                        let t = slot_of[r as usize];
+                        if t == DROPPED {
+                            continue;
+                        }
+                        let s = &mut slots[t as usize];
+                        if !s.wake.is_nan() {
+                            s.wake = f64::NAN;
+                            if s.users > 1 {
+                                s.catch_up(incs);
+                                awake.push(t);
+                            }
+                        }
+                        s.users -= 1;
                     }
                 }
             }
+            // The woken slots that still have users go back to sleep.
+            for &k in awake.iter() {
+                let s = &mut slots[k as usize];
+                if s.users > 0 {
+                    s.wake = s.wake_level(level);
+                    heap.push(Wake {
+                        level: s.wake,
+                        slot: k,
+                    });
+                }
+            }
+            debug_assert!(heap.len() <= index.len(), "the heap outgrew its reserve");
         }
-        #[cfg(debug_assertions)]
-        #[expect(clippy::panic, reason = "debug-only invariant guards")]
-        {
-            use crate::invariants;
-            invariants::check_flow_capacity(&self.cap, &self.load, &self.used)
-                .unwrap_or_else(|e| panic!("flow capacity invariant: {e}"));
-            invariants::check_flow_conservation(&self.load, &self.rates, &self.flows, &self.arena)
-                .unwrap_or_else(|e| panic!("flow conservation invariant: {e}"));
-            invariants::check_flow_max_min(&self.cap, &self.load, &self.flows, &self.arena)
-                .unwrap_or_else(|e| panic!("flow max-min invariant: {e}"));
-            invariants::check_flow_reference(&self.cap, &self.flows, &self.arena, &self.rates)
-                .unwrap_or_else(|e| panic!("flow reference oracle: {e}"));
+    }
+
+    /// Every touched resource's load as the level-by-level fill leaves
+    /// it, by resource index: a kept slot's from where its replays
+    /// stopped, a dropped resource's from zero, each continued through
+    /// the log at the user counts the flows' freeze points give.
+    #[cfg(debug_assertions)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "spans lie in arena; resources < cap.len(); groups are non-empty"
+    )]
+    fn materialized_loads(&self) -> Vec<f64> {
+        let mut took: Vec<(u32, u32)> = Vec::with_capacity(self.arena.len());
+        for (&(_, start, len), &at) in self.flows.iter().zip(&self.frozen_at) {
+            for &r in &self.arena[start as usize..(start + len) as usize] {
+                took.push((r, at));
+            }
         }
+        took.sort_unstable();
+        let mut load = vec![0.0; self.cap.len()];
+        for group in took.chunk_by(|a, b| a.0 == b.0) {
+            let r = group[0].0 as usize;
+            let (seen, mut l) = match self.slots.get(self.slot_of[r] as usize) {
+                Some(s) => (s.seen as usize, s.load),
+                None => (0, 0.0),
+            };
+            // The group is sorted by freeze point: the users at logged
+            // increment `j` are the flows that froze after it.
+            let mut gone = 0;
+            for (j, &inc) in self.incs.iter().enumerate().skip(seen) {
+                while gone < group.len() && group[gone].1 as usize <= j {
+                    gone += 1;
+                }
+                let users = group.len() - gone;
+                if users == 0 {
+                    break;
+                }
+                l += inc * users as f64;
+            }
+            load[r] = l;
+        }
+        load
+    }
+
+    /// Inter-AS resources that saturated over every
+    /// [`FlowAllocator::allocate`] since [`FlowAllocator::new`]: each
+    /// counts once per fill it binds in.
+    pub fn inter_as_saturations(&self) -> u64 {
+        self.inter_as_saturations
     }
 
     /// The allocated rate of flow `id` in bytes/second (`None` if the id
@@ -623,5 +919,87 @@ mod tests {
         }
         // Ids from earlier cycles are gone.
         assert_eq!(a.rate_of(0), None);
+    }
+
+    /// Two senders in one AS, each with a 1 000 kbit/s uplink, send to two
+    /// wide receivers in another AS; the first link of the AS path gets
+    /// `link_bytes_per_s`. Returns the filled allocator and the link's
+    /// resource index.
+    fn two_flows_over_one_link(link_bytes_per_s: f64) -> (FlowAllocator, usize) {
+        let mut u = underlay(40, 12);
+        let host = HostId::from_index;
+        let pair_in = |a: usize, skip: &[usize]| {
+            (0..40).find(|&b| b != a && !skip.contains(&b) && u.same_as(host(a), host(b)))
+        };
+        let (s0, s1, d0, d1) = (0..40)
+            .find_map(|s0| {
+                let s1 = pair_in(s0, &[])?;
+                (0..40)
+                    .filter(|&d0| !u.same_as(host(s0), host(d0)))
+                    .find_map(|d0| Some((s0, s1, d0, pair_in(d0, &[])?)))
+            })
+            .expect("fixture has two ASes with two hosts each");
+        for s in [s0, s1] {
+            u.hosts.hosts[s].up_kbps = 1_000;
+        }
+        for d in [d0, d1] {
+            u.hosts.hosts[d].down_kbps = 100_000;
+        }
+        let path = u
+            .routing()
+            .path_links(u.hosts.as_of(host(s0)), u.hosts.as_of(host(d0)))
+            .unwrap();
+        let li = path[0] as usize;
+        u.graph.links[li].capacity_mbps = link_bytes_per_s * 8.0 / 1_000_000.0;
+        let mut a = FlowAllocator::new(&u);
+        a.begin();
+        assert!(a.add_flow(1, host(s0), host(d0), &u));
+        assert!(a.add_flow(2, host(s1), host(d1), &u));
+        a.allocate();
+        let want = crate::invariants::reference_max_min(&a.cap, &a.flows, &a.arena);
+        assert_eq!(
+            a.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+        );
+        (a, 2 * 40 + li)
+    }
+
+    #[test]
+    fn a_link_at_the_bound_stays_in_the_fill_and_saturates() {
+        // Each flow's smallest capacity is its 125 000 B/s uplink, so the
+        // link's bound is 250 000 B/s: just above a 249 999 B/s link,
+        // which binds alone.
+        let (a, link) = two_flows_over_one_link(249_999.0);
+        assert_ne!(a.slot_of[link], DROPPED, "the link is kept");
+        assert_eq!(a.inter_as_saturations(), 1, "and it binds");
+        for id in [1, 2] {
+            let rate = a.rate_of(id).unwrap();
+            assert!(
+                (rate - 249_999.0 / 2.0).abs() < 1e-6,
+                "link-bound rate {rate}"
+            );
+        }
+        // Half a byte/second below a 250 000.5 B/s link, inside one
+        // tolerance: the link saturates with the uplinks, so the filter
+        // must keep it although its bound is below its capacity.
+        let (a, link) = two_flows_over_one_link(250_000.5);
+        assert_ne!(a.slot_of[link], DROPPED, "the link is kept");
+        assert_eq!(a.inter_as_saturations(), 1, "and it saturates");
+        for id in [1, 2] {
+            assert_eq!(a.rate_of(id), Some(125_000.0), "uplink-bound");
+        }
+    }
+
+    #[test]
+    fn a_link_above_the_bound_is_dropped_and_rates_hold() {
+        // A bound of 250 000 B/s sits 3 B/s below this link's capacity,
+        // more than the two saturation tolerances (about 2 B/s) the
+        // filter keeps as its margin.
+        let (a, link) = two_flows_over_one_link(250_003.0);
+        assert_eq!(a.slot_of[link], DROPPED, "the link leaves the fill");
+        assert_eq!(a.inter_as_saturations(), 0);
+        for id in [1, 2] {
+            assert_eq!(a.rate_of(id), Some(125_000.0), "uplink-bound");
+        }
     }
 }

@@ -32,6 +32,7 @@
 
 use crate::asgraph::{AsGraph, LinkKind, Relationship};
 use crate::cost::IspBill;
+use crate::flow::saturation_eps;
 use crate::ids::AsId;
 use crate::traffic::TrafficAccounting;
 
@@ -124,13 +125,6 @@ pub fn check_cost_non_negative(bills: &[IspBill]) -> Result<(), String> {
     Ok(())
 }
 
-/// Tolerance for float comparisons on flow rates/loads (bytes/second):
-/// proportional slack plus one byte/second of absolute slack, matching
-/// the saturation test inside the progressive-filling loop.
-fn flow_eps(scale: f64) -> f64 {
-    scale.abs() * 1e-9 + 1.0
-}
-
 /// Validates that no resource the current flow set touches is loaded
 /// beyond its capacity. `cap` and `load` are the allocator's per-resource
 /// arrays; `used` lists the resource indices the flow set crosses.
@@ -141,7 +135,7 @@ pub fn check_flow_capacity(cap: &[f64], load: &[f64], used: &[u32]) -> Result<()
         if !load[r].is_finite() || load[r] < 0.0 {
             return Err(format!("resource {r}: load {} is invalid", load[r]));
         }
-        if load[r] > cap[r] + flow_eps(cap[r]) {
+        if load[r] > cap[r] + saturation_eps(cap[r]) {
             return Err(format!(
                 "resource {r}: load {} exceeds capacity {}",
                 load[r], cap[r]
@@ -171,7 +165,7 @@ pub fn check_flow_conservation(
         }
     }
     for (r, (&s, &l)) in sums.iter().zip(load).enumerate() {
-        if (s - l).abs() > flow_eps(l.max(s)) {
+        if (s - l).abs() > saturation_eps(l.max(s)) {
             return Err(format!(
                 "resource {r}: flow-rate sum {s} != recorded load {l}"
             ));
@@ -195,7 +189,7 @@ pub fn check_flow_max_min(
         let span = &arena[start as usize..(start + len) as usize];
         let bottlenecked = span.iter().any(|&r| {
             let r = r as usize;
-            load[r] + flow_eps(cap[r]) >= cap[r]
+            load[r] + saturation_eps(cap[r]) >= cap[r]
         });
         if !bottlenecked {
             return Err(format!(
@@ -258,7 +252,7 @@ pub fn reference_max_min(cap: &[f64], flows: &[(u64, u32, u32)], arena: &[u32]) 
         for (fi, f) in flows.iter().enumerate() {
             let saturated = |&r: &u32| {
                 let r = r as usize;
-                load[r] + crate::flow::saturation_eps(cap[r]) >= cap[r]
+                load[r] + saturation_eps(cap[r]) >= cap[r]
             };
             if !frozen[fi] && span(f).iter().any(saturated) {
                 frozen[fi] = true;

@@ -1,19 +1,38 @@
-//! The route table against its oracle at benchmark scale.
+//! Two optimised paths against their oracles at benchmark scale.
 //!
-//! The 1 055-AS hierarchy the `underlay_scale` and `kademlia_proximity`
-//! workloads route over (5 tier-1, 10 tier-2 per tier-1, 20 tier-3 per
-//! tier-2, peering probability 0.3 at both lower tiers, seed 42), built by
-//! the production sweep and by [`ReferenceRouting`]'s heap-ordered
-//! Dijkstra, compared pair by pair: once with the generator's latencies
-//! and once with every link at the same latency, where the tie-break by
-//! state index decides most paths. Release-only (the debug build is
-//! about fifty times slower); run it with
+//! The route table: the 1 055-AS hierarchy the `underlay_scale` and
+//! `kademlia_proximity` workloads route over (5 tier-1, 10 tier-2 per
+//! tier-1, 20 tier-3 per tier-2, peering probability 0.3 at both lower
+//! tiers, seed 42), built by the production sweep and by
+//! [`ReferenceRouting`]'s heap-ordered Dijkstra, compared pair by pair:
+//! once with the generator's latencies and once with every link at the
+//! same latency, where the tie-break by state index decides most paths.
+//!
+//! The flow fill: the `swarm_congestion` underlay (4 tier-1, 6 tier-2 per
+//! tier-1, 8 tier-3 per tier-2, 1 575 leaf hosts, seed 42) carrying about
+//! 4 000 flows, five senders per receiver, filled by
+//! [`FlowAllocator::allocate`] and by `reference_max_min`, compared rate
+//! by rate: once at the generator's capacities, where no AS link binds,
+//! and once with every AS link a thousand times narrower, where some do.
+//!
+//! The route-table test is release-only (the debug build is about fifty
+//! times slower); run both with
 //!
 //! ```text
 //! cargo test --release -p uap-net --test scale_oracle
 //! ```
+//!
+//! The flow test takes about two seconds in a debug build, where every
+//! `allocate` also runs the allocator's invariant checkers, so it runs
+//! there too.
 
-use uap_net::{AsGraph, AsId, ReferenceRouting, Routing, RoutingMode, TopologyKind, TopologySpec};
+mod common;
+
+use common::reference_rates;
+use uap_net::{
+    AsGraph, AsId, FlowAllocator, HostId, PopulationSpec, ReferenceRouting, Routing, RoutingMode,
+    TopologyKind, TopologySpec, Underlay, UnderlayConfig,
+};
 use uap_sim::SimRng;
 
 fn benchmark_hierarchy() -> AsGraph {
@@ -74,4 +93,76 @@ fn benchmark_hierarchy_matches_reference_on_every_pair() {
     for mode in [RoutingMode::ValleyFree, RoutingMode::ShortestPath] {
         assert_matches_reference(&g, mode);
     }
+}
+
+/// The `swarm_congestion` underlay: the 4/6/8 hierarchy and 1 575 leaf
+/// hosts, built from one seed-42 stream as the benchmark builds it.
+fn swarm_underlay() -> Underlay {
+    let mut rng = SimRng::new(42);
+    let g = TopologySpec::new(TopologyKind::Hierarchical {
+        tier1: 4,
+        tier2_per_tier1: 6,
+        tier3_per_tier2: 8,
+        tier2_peering_prob: 0.3,
+        tier3_peering_prob: 0.3,
+    })
+    .build(&mut rng);
+    Underlay::build(
+        g,
+        &PopulationSpec::leaf(1_575),
+        UnderlayConfig::default(),
+        &mut rng,
+    )
+}
+
+/// Fills `flows` on `u` and checks every rate bit-equal to the
+/// reference's; returns the inter-AS resources that saturated.
+fn assert_fill_matches_reference(u: &Underlay, flows: &[(u64, HostId, HostId)]) -> u64 {
+    let mut a = FlowAllocator::new(u);
+    a.begin();
+    for &(id, s, d) in flows {
+        assert!(a.add_flow(id, s, d, u), "fault-free pairs are routable");
+    }
+    a.allocate();
+    for (id, want) in reference_rates(u, flows) {
+        let got = a.rate_of(id);
+        assert_eq!(
+            got.map(f64::to_bits),
+            Some(want.to_bits()),
+            "flow {id}: {got:?} != {want}"
+        );
+    }
+    a.inter_as_saturations()
+}
+
+#[test]
+fn swarm_scale_fill_matches_reference_with_and_without_binding_links() {
+    let mut u = swarm_underlay();
+    let n = u.n_hosts();
+    assert_eq!(n, 1_575);
+    let mut rng = SimRng::new(42 ^ 0xF10);
+    let mut flows = Vec::new();
+    for receiver in 0..800u64 {
+        let d = rng.index(n);
+        for k in 0..5 {
+            let s = (d + 1 + rng.index(n - 1)) % n;
+            flows.push((
+                receiver * 5 + k,
+                HostId::from_index(s),
+                HostId::from_index(d),
+            ));
+        }
+    }
+    assert_eq!(
+        assert_fill_matches_reference(&u, &flows),
+        0,
+        "no AS link binds at the generator's capacities"
+    );
+    for link in &mut u.graph.links {
+        link.capacity_mbps /= 1_000.0;
+    }
+    assert!(
+        assert_fill_matches_reference(&u, &flows) > 0,
+        "some AS link binds a thousand times narrower"
+    );
 }
