@@ -34,6 +34,9 @@
 #                                 the route table of the benchmarks'
 #                                 1 055-AS hierarchy equals the
 #                                 heap-ordered reference on every pair,
+#                                 the traffic ledger of 262 144 transfers
+#                                 on the underlay_scale underlay equals
+#                                 an independent sum over path_links,
 #                                 and the flow fill of ~4 000 flows on
 #                                 the swarm_congestion underlay equals
 #                                 reference_max_min bit for bit, at the

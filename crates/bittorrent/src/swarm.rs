@@ -1372,7 +1372,7 @@ mod tests {
         assert_eq!(report.rounds, 30);
         assert_eq!(count_kind(&t, "fault.epoch"), 1);
         assert!(report.payload_bytes == 0 || report.intra_as_fraction == 1.0);
-        assert!(u.traffic.per_link_bytes().iter().all(|&b| b == 0));
+        assert!(u.traffic.per_link_bytes().all(|b| b == 0));
         assert_sane(&report, &t);
     }
 

@@ -196,7 +196,7 @@ mod tests {
         let path = r.path_links(AsId(1), AsId(0)).unwrap();
         let horizon = SimTime::from_hours(2);
         for m in 0..24 {
-            tr.record(&g, SimTime::from_mins(m * 5), AsId(1), path, 37_500_000);
+            tr.record(SimTime::from_mins(m * 5), AsId(1), path, 37_500_000);
         }
         let bills = bill_all(&g, &tr, &CostParams::default(), horizon);
         // AS a (idx 1): 37.5 MB / 300 s = 1 Mbps p95 → $20 transit + one

@@ -377,7 +377,7 @@ mod tests {
                 let path = r
                     .path_links(AsId::from_index(src), AsId::from_index(dst))
                     .unwrap();
-                t.record(&g, now, AsId::from_index(src), path, 10_000);
+                t.record(now, AsId::from_index(src), path, 10_000);
                 now += SimTime::from_secs(1);
             }
         }
@@ -390,7 +390,7 @@ mod tests {
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         let mut t = TrafficAccounting::new(&g);
         let path = r.path_links(AsId(3), AsId(5)).unwrap();
-        t.record(&g, SimTime::from_secs(30), AsId(3), path, 1 << 20);
+        t.record(SimTime::from_secs(30), AsId(3), path, 1 << 20);
         let bills = bill_all(&g, &t, &CostParams::default(), SimTime::from_hours(1));
         check_cost_non_negative(&bills).unwrap();
     }

@@ -19,17 +19,20 @@
 //!
 //! Every query overlays issue (`latency_us`, `as_hops`, `path_links`,
 //! transit-link counts) is answered from a fully materialized route
-//! table: one flat [`RouteSummary`] per ordered `(src, dst)` pair plus one
-//! link-index segment per source holding that source's paths back to
-//! back, so [`Routing::route`] is one indexed load and
-//! [`Routing::path_links`] returns a borrowed `&[u32]` slice without
-//! allocating.
+//! table: one [`Route`] record per ordered `(src, dst)` pair, 32 bytes
+//! and 32-aligned so it never straddles a cache line, holding the pair's
+//! latency, hop and transit counts and, for a path of at most five links,
+//! the path itself. [`Routing::route`] and [`Routing::path_links`] read
+//! that one line and return borrows without allocating. A path longer
+//! than five links lives in its source's spill segment, the record
+//! holding its offset there; the hierarchies the binaries build route
+//! every pair in at most five links, so their spill segments are empty.
 //!
 //! ## One way to build
 //!
 //! The unit of construction is the source row: one level-synchronous
 //! sweep from one source AS over the valley-free state graph, summarised
-//! (`Rows::recompute`) — its summaries, its path segment and its
+//! (`Rows::recompute`) — its route records, its spill segment and its
 //! repair-index entries all written where they live. Every edge adds one
 //! hop, so the sweep visits the states level by level, each level in
 //! `(latency, state)` order: the order in which a Dijkstra keyed by
@@ -214,25 +217,27 @@ impl Scratch {
         }
     }
 
-    /// Reduces one destination's states to a [`RouteSummary`], writing
-    /// its path back to front into `paths` at `*off`, which it advances.
+    /// Reduces one destination's states to its [`Route`] record, writing
+    /// a path longer than [`INLINE`] links back to front into `spill` at
+    /// `*off`, which it advances.
     #[expect(
         clippy::indexing_slicing,
-        reason = "states < 2n; the row's paths fit `paths`"
+        reason = "states < 2n; the row's spilled paths fit `spill`"
     )]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "a row holds at most n·(n−1) link ids (< 2^32 for n <= 65 536, the u16 AsId \
-                  width)"
+        reason = "hop and transit counts are <= n − 1 (a min-hop path never revisits an AS), and \
+                  an n-AS table holds n² 32-byte records in memory, so n − 1 < u16::MAX; a row \
+                  spills at most n·(n−1) link ids, < 2^32"
     )]
     fn summarize(
         &self,
         hops: &[u32],
         latency: &[u64],
         dst: usize,
-        paths: &mut [u32],
+        spill: &mut [u32],
         off: &mut usize,
-    ) -> RouteSummary {
+    ) -> Route {
         let s0 = dst * 2;
         let s1 = s0 + 1;
         let c0 = (hops[s0], latency[s0]);
@@ -241,22 +246,26 @@ impl Scratch {
             return UNREACHABLE;
         }
         let (mut s, (hops, latency_us)) = if c0 <= c1 { (s0, c0) } else { (s1, c1) };
-        let path_off = *off;
-        *off += hops as usize;
-        let transit_links = self.transit[s];
-        for link in paths[path_off..*off].iter_mut().rev() {
+        let transit_links = self.transit[s] as u16;
+        let len = hops as usize;
+        let mut links = [0; INLINE];
+        let path = if len <= INLINE {
+            &mut links[..len]
+        } else {
+            links[0] = *off as u32;
+            *off += len;
+            &mut spill[*off - len..*off]
+        };
+        for link in path.iter_mut().rev() {
             let (prev, li) = self.pred[s];
             *link = li;
             s = prev as usize;
         }
-        RouteSummary {
-            hops,
+        Route {
             latency_us,
+            hops: hops as u16,
             transit_links,
-            // A min-hop path never revisits an AS (phase 0 may take every
-            // step phase 1 may), so a row holds at most n·(n−1) link ids.
-            path_off: path_off as u32,
-            path_len: hops,
+            links,
         }
     }
 }
@@ -272,33 +281,38 @@ struct SrcTable {
     pred: Vec<Option<(u32, u32)>>,
 }
 
-/// Route metrics and path location for one ordered `(src, dst)` pair.
+/// Links a [`Route`] record holds in place.
+const INLINE: usize = 5;
+
+/// One ordered `(src, dst)` pair's route: its metrics and, for a path of
+/// at most five links, the path. 32 bytes, 32-aligned: one read of one
+/// cache line answers every per-pair query.
 ///
-/// `hops == u32::MAX` encodes an unreachable pair; [`Routing::route`]
-/// filters those out, so a summary obtained through it always describes a
+/// `hops == u16::MAX` encodes an unreachable pair; [`Routing::route`]
+/// filters those out, so a record obtained through it always describes a
 /// real path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RouteSummary {
-    /// AS-hop count (0 for `src == dst`).
-    pub hops: u32,
+#[repr(C, align(32))]
+pub struct Route {
     /// Accumulated inter-AS link latency along the path, in microseconds.
     pub latency_us: u64,
+    /// AS-hop count (0 for `src == dst`): the path's link count.
+    pub hops: u16,
     /// Number of transit (customer–provider) links on the path,
     /// precomputed so no per-transfer path scan is needed (traced by
     /// `account_transfer_traced` and reported in trace analyses).
-    pub transit_links: u32,
-    /// Offset of this pair's path in its source's path segment.
-    path_off: u32,
-    /// Number of links in the path (equals `hops` for reachable pairs).
-    path_len: u32,
+    pub transit_links: u16,
+    /// The path's link ids in traversal order when `hops <= INLINE`, the
+    /// slots past it zero; otherwise `[offset, 0, …]`, the path's offset
+    /// in its source's spill segment.
+    links: [u32; INLINE],
 }
 
-const UNREACHABLE: RouteSummary = RouteSummary {
-    hops: u32::MAX,
+const UNREACHABLE: Route = Route {
     latency_us: INF,
+    hops: u16::MAX,
     transit_links: 0,
-    path_off: 0,
-    path_len: 0,
+    links: [0; INLINE],
 };
 
 /// Telemetry from one [`Routing::repair_with_mask`] call.
@@ -482,8 +496,8 @@ struct Rows<'a> {
     base: usize,
     n: usize,
     words: usize,
-    summaries: &'a mut [RouteSummary],
-    paths: &'a mut [Vec<u32>],
+    routes: &'a mut [Route],
+    spill: &'a mut [Vec<u32>],
     hops: &'a mut [u32],
     latency: &'a mut [u64],
     tree_links: &'a mut [u64],
@@ -505,8 +519,8 @@ impl<'a> Rows<'a> {
             base: self.base,
             n,
             words,
-            summaries: split_front(&mut self.summaries, k * n),
-            paths: split_front(&mut self.paths, k),
+            routes: split_front(&mut self.routes, k * n),
+            spill: split_front(&mut self.spill, k),
             hops: split_front(&mut self.hops, k * 2 * n),
             latency: split_front(&mut self.latency, k * 2 * n),
             tree_links: split_front(&mut self.tree_links, k * words),
@@ -516,8 +530,8 @@ impl<'a> Rows<'a> {
     }
 
     /// Recomputes source `src`'s row (`src` is one of these rows) in
-    /// place: the sweep, then every destination's summary and path, then
-    /// the tree links.
+    /// place: the sweep, then every destination's record (and spilled
+    /// path), then the tree links.
     #[expect(
         clippy::indexing_slicing,
         reason = "src − base < the rows lent; tree_links has n_links bits"
@@ -528,20 +542,22 @@ impl<'a> Rows<'a> {
         let latency = &mut self.latency[r * ns..(r + 1) * ns];
         scratch.sweep(states, src * 2, hops, latency);
         // A destination's path is as long as the cheaper of its two
-        // states' hop counts, so the segment is sized before it is filled.
-        let links = hops
+        // states' hop counts, so the spill segment is sized before it is
+        // filled.
+        let spilled = hops
             .chunks_exact(2)
             .filter_map(|states| states.iter().min())
             .filter(|&&hops| hops != u32::MAX)
             .map(|&hops| hops as usize)
+            .filter(|&len| len > INLINE)
             .sum();
-        let paths = &mut self.paths[r];
-        paths.clear();
-        paths.reserve_exact(links);
-        paths.resize(links, 0);
+        let spill = &mut self.spill[r];
+        spill.clear();
+        spill.reserve_exact(spilled);
+        spill.resize(spilled, 0);
         let mut off = 0;
-        for (dst, out) in self.summaries[r * n..(r + 1) * n].iter_mut().enumerate() {
-            *out = scratch.summarize(hops, latency, dst, paths, &mut off);
+        for (dst, out) in self.routes[r * n..(r + 1) * n].iter_mut().enumerate() {
+            *out = scratch.summarize(hops, latency, dst, spill, &mut off);
         }
         let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
         tree_links.fill(0);
@@ -554,16 +570,16 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// All-pairs routing with precomputed per-pair summaries and paths.
+/// All-pairs routing with a precomputed record per pair.
 #[derive(PartialEq, Eq)]
 pub struct Routing {
     mode: RoutingMode,
     n: usize,
-    /// `n × n` summaries, row-major by source AS.
-    summaries: Vec<RouteSummary>,
-    /// Per source AS, the link indices of its paths to every destination,
-    /// back to back in destination order.
-    paths: Vec<Vec<u32>>,
+    /// `n × n` route records, row-major by source AS.
+    routes: Vec<Route>,
+    /// Per source AS, the link indices of its paths longer than
+    /// [`INLINE`] links, back to back in destination order.
+    spill: Vec<Vec<u32>>,
 }
 
 /// Worker count for the row fork-join: the machine's parallelism. The
@@ -604,8 +620,8 @@ impl Routing {
         let mut routing = Routing {
             mode,
             n,
-            summaries: vec![UNREACHABLE; n * n],
-            paths: vec![Vec::new(); n],
+            routes: vec![UNREACHABLE; n * n],
+            spill: vec![Vec::new(); n],
         };
         let mut index = RepairIndex::new(n, graph.links.len());
         index.mark_all_dirty();
@@ -727,8 +743,8 @@ impl Routing {
             base: 0,
             n: *n,
             words: *words,
-            summaries: &mut self.summaries,
-            paths: &mut self.paths,
+            routes: &mut self.routes,
+            spill: &mut self.spill,
             hops,
             latency,
             tree_links,
@@ -788,27 +804,23 @@ impl Routing {
         self.mode
     }
 
-    /// The precomputed summary for `(src, dst)`: hops, latency and transit
+    /// The precomputed record for `(src, dst)`: hops, latency and transit
     /// count in one table read. `None` if either id is out of range or the
     /// pair is unreachable.
     #[inline]
     #[expect(clippy::indexing_slicing, reason = "src, dst < n checked above")]
-    pub fn route(&self, src: AsId, dst: AsId) -> Option<&RouteSummary> {
+    pub fn route(&self, src: AsId, dst: AsId) -> Option<&Route> {
         if src.idx() >= self.n || dst.idx() >= self.n {
             return None;
         }
-        let s = &self.summaries[src.idx() * self.n + dst.idx()];
-        if s.hops == u32::MAX {
-            None
-        } else {
-            Some(s)
-        }
+        let r = &self.routes[src.idx() * self.n + dst.idx()];
+        (r.hops != UNREACHABLE.hops).then_some(r)
     }
 
     /// AS-hop distance (0 for `src == dst`), or `None` if unreachable.
     #[inline]
     pub fn as_hops(&self, src: AsId, dst: AsId) -> Option<u32> {
-        Some(self.route(src, dst)?.hops)
+        Some(u32::from(self.route(src, dst)?.hops))
     }
 
     /// Accumulated inter-AS link latency along the chosen path, in
@@ -819,15 +831,26 @@ impl Routing {
     }
 
     /// The link indices along the chosen path from `src` to `dst`, in
-    /// traversal order, borrowed from the source's path segment (no
-    /// allocation). Empty for `src == dst`.
+    /// traversal order, borrowed from the pair's record or, past five
+    /// links, from the source's spill segment (no allocation). Empty for
+    /// `src == dst`.
     #[inline]
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<&[u32]> {
-        let s = self.route(src, dst)?;
-        let off = s.path_off as usize;
-        self.paths
-            .get(src.idx())?
-            .get(off..off + s.path_len as usize)
+        Some(self.route_path(src, dst)?.1)
+    }
+
+    /// The pair's record and its path, from one read of the record.
+    #[inline]
+    pub(crate) fn route_path(&self, src: AsId, dst: AsId) -> Option<(&Route, &[u32])> {
+        let r = self.route(src, dst)?;
+        let len = usize::from(r.hops);
+        let path = if len <= INLINE {
+            r.links.get(..len)?
+        } else {
+            let off = r.links[0] as usize;
+            self.spill.get(src.idx())?.get(off..off + len)?
+        };
+        Some((r, path))
     }
 
     /// The AS sequence of the chosen path, starting at `src` and ending at
@@ -859,9 +882,9 @@ impl Routing {
             return 1.0;
         }
         let reachable = self
-            .summaries
+            .routes
             .iter()
-            .filter(|s| s.hops != u32::MAX && s.hops != 0)
+            .filter(|r| r.hops != UNREACHABLE.hops && r.hops != 0)
             .count();
         reachable as f64 / (self.n * (self.n - 1)) as f64
     }
@@ -1055,17 +1078,61 @@ mod tests {
         g
     }
 
-    /// Figure 1 plus the degenerate shapes: no AS, one AS, and three ASes
-    /// with no link between them.
-    fn fixtures() -> Vec<AsGraph> {
-        let isolated = |n: usize| {
-            let mut g = AsGraph::new();
-            for i in 0..n {
-                g.add_as(Tier::Tier3, GeoPoint::new(i as f64, 0.0), 10.0);
+    /// `n` ASes with no link between them.
+    fn isolated(n: usize) -> AsGraph {
+        let mut g = AsGraph::new();
+        for i in 0..n {
+            g.add_as(Tier::Tier3, GeoPoint::new(i as f64, 0.0), 10.0);
+        }
+        g
+    }
+
+    /// Sixteen ASes in a ring of transit links, each AS the provider of
+    /// the next: in both modes the far side is eight hops away, so most
+    /// paths spill.
+    fn ring16() -> AsGraph {
+        let mut g = isolated(16);
+        for i in 0..16u16 {
+            let latency = 1_000 + u64::from(i % 5) * 300;
+            g.add_transit(AsId(i), AsId((i + 1) % 16), latency, 1_000.0);
+        }
+        g
+    }
+
+    /// A binary provider tree of depth four (31 ASes, AS `k` the provider
+    /// of `2k + 1` and `2k + 2`) with one peering between two depth-2
+    /// ASes on opposite sides: leaf to leaf across the root is eight
+    /// hops, across the peering five.
+    fn deep_tree() -> AsGraph {
+        let mut g = isolated(31);
+        for k in 0..15u16 {
+            for child in [2 * k + 1, 2 * k + 2] {
+                g.add_transit(AsId(k), AsId(child), 1_000 + u64::from(child) * 10, 1_000.0);
             }
-            g
-        };
-        vec![figure1(), isolated(0), isolated(1), isolated(3)]
+        }
+        g.add_peering(AsId(3), AsId(6), 500, 1_000.0);
+        g
+    }
+
+    /// Figure 1, the two long-path shapes, and the degenerate ones: no
+    /// AS, one AS, and three ASes with no link between them.
+    fn fixtures() -> Vec<AsGraph> {
+        vec![
+            figure1(),
+            ring16(),
+            deep_tree(),
+            isolated(0),
+            isolated(1),
+            isolated(3),
+        ]
+    }
+
+    /// Pairs whose path lives in the spill segment.
+    fn spilled_pairs(r: &Routing) -> usize {
+        r.routes
+            .iter()
+            .filter(|x| x.hops != u16::MAX && usize::from(x.hops) > INLINE)
+            .count()
     }
 
     #[test]
@@ -1211,7 +1278,7 @@ mod tests {
                     let (mut r, mut idx) =
                         Routing::compute_indexed_threads(&g, mode, None, threads);
                     r.repair_with_mask(&mut idx, &g, None, Some(&mask), threads);
-                    assert!(r.paths.iter().all(Vec::is_empty), "{mode:?}");
+                    assert!(r.spill.iter().all(Vec::is_empty), "{mode:?}");
                     for (a, b) in (0..g.len()).flat_map(|a| (0..g.len()).map(move |b| (a, b))) {
                         let path = r.path_links(AsId::from_index(a), AsId::from_index(b));
                         assert_eq!(path, (a == b).then_some(&[][..]), "{mode:?} {a}->{b}");
@@ -1314,35 +1381,46 @@ mod tests {
 
     #[test]
     fn repair_matches_full_rebuild_across_mask_sequence() {
-        let g = figure1();
-        let nl = g.links.len();
-        // Down B~C, then also the core peering, then heal B~C while the
-        // core stays down, then full heal. Every step must agree with a
-        // from-scratch masked build (repair also self-checks in debug).
-        let mut steps: Vec<Vec<bool>> = vec![vec![false; nl]; 4];
-        steps[0][9] = true;
-        steps[1][9] = true;
-        steps[1][0] = true;
-        steps[2][0] = true;
-        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            for threads in [1, 3] {
-                let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, threads);
-                let mut prev: Option<Vec<bool>> = None;
-                for step in &steps {
-                    let stats =
-                        r.repair_with_mask(&mut idx, &g, prev.as_deref(), Some(step), threads);
-                    let full = Routing::compute_indexed_threads(&g, mode, Some(step), 1);
-                    assert!(
-                        (&r, &idx) == (&full.0, &full.1),
-                        "{mode:?} threads={threads} mask={step:?}"
-                    );
-                    assert_eq!(stats.sources_total, g.len());
-                    assert_eq!(stats.dirty_sources, idx.dirty_sources().len());
-                    assert_eq!(stats.full_rebuild, stats.dirty_sources == g.len());
-                    prev = Some(step.clone());
+        let mut spilled = 0;
+        for g in fixtures() {
+            let nl = g.links.len();
+            let down = |cut: fn(usize) -> bool| (0..nl).map(cut).collect::<Vec<bool>>();
+            // One link in four down, then a second quarter with it, then
+            // the first quarter healed while the second stays down, then a
+            // full heal. On Figure 1: B~C, then the core peering too, then
+            // B~C back. Every step must agree with a from-scratch masked
+            // build (repair also self-checks in debug).
+            let steps = [
+                down(|li| li % 4 == 1),
+                down(|li| li % 4 <= 1),
+                down(|li| li % 4 == 0),
+                down(|_| false),
+            ];
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                for threads in [1, 3] {
+                    let (mut r, mut idx) =
+                        Routing::compute_indexed_threads(&g, mode, None, threads);
+                    let mut prev: Option<&[bool]> = None;
+                    for step in &steps {
+                        let stats = r.repair_with_mask(&mut idx, &g, prev, Some(step), threads);
+                        let full = Routing::compute_indexed_threads(&g, mode, Some(step), 1);
+                        assert!(
+                            (&r, &idx) == (&full.0, &full.1),
+                            "{} ASes {mode:?} threads={threads} mask={step:?}",
+                            g.len()
+                        );
+                        assert_eq!(stats.sources_total, g.len());
+                        assert_eq!(stats.dirty_sources, idx.dirty_sources().len());
+                        let all_dirty = stats.changed_links > 0 && stats.dirty_sources == g.len();
+                        assert_eq!(stats.full_rebuild, all_dirty);
+                        assert_matches_reference(&r, &g, Some(step));
+                        spilled += spilled_pairs(&r);
+                        prev = Some(step);
+                    }
                 }
             }
         }
+        assert!(spilled > 0, "no repaired row spilled a path");
     }
 
     #[test]
@@ -1386,37 +1464,44 @@ mod tests {
         mask[g.links.iter().position(leaf_peering).expect("leaf peering")] = true;
         // The cut, then its heal.
         for (old, new) in [(None, Some(&mask[..])), (Some(&mask[..]), None)] {
-            let before: Vec<_> = r.paths.iter().map(|p| p.as_ptr()).collect();
-            let summaries = r.summaries.clone();
+            // Every segment gets an allocation of its own, so a row that
+            // is replaced rather than rewritten in place shows as moved.
+            for row in &mut r.spill {
+                row.reserve(1);
+            }
+            let before: Vec<_> = r.spill.iter().map(|p| p.as_ptr()).collect();
+            let (routes, spill) = (r.routes.clone(), r.spill.clone());
             let stats = r.repair_with_mask(&mut idx, &g, old, new, 2);
             assert!(!stats.full_rebuild && stats.dirty_sources > 0);
             let full = Routing::compute_indexed_threads(&g, mode, new, 1).0;
             for (s, &ptr) in before.iter().enumerate() {
                 let row = s * n..(s + 1) * n;
+                assert_eq!(r.spill[s].as_ptr(), ptr, "row {s} moved");
                 if idx.dirty_sources().contains(&u32::try_from(s).unwrap()) {
-                    assert_eq!(r.paths[s], full.paths[s], "dirty row {s}");
-                    let want = &full.summaries[row.clone()];
-                    assert_eq!(&r.summaries[row], want, "dirty row {s}");
+                    assert_eq!(r.spill[s], full.spill[s], "dirty row {s}");
+                    let want = &full.routes[row.clone()];
+                    assert_eq!(&r.routes[row], want, "dirty row {s}");
                 } else {
-                    assert_eq!(r.paths[s].as_ptr(), ptr, "clean row {s} moved");
-                    let want = &summaries[row.clone()];
-                    assert_eq!(&r.summaries[row], want, "clean row {s}");
+                    assert_eq!(r.spill[s], spill[s], "clean row {s}");
+                    let want = &routes[row.clone()];
+                    assert_eq!(&r.routes[row], want, "clean row {s}");
                 }
             }
         }
         // No changed link: the repair returns before it touches any row —
         // a mark left in every row is still there afterwards.
-        for row in &mut r.paths {
+        for row in &mut r.spill {
             row.push(u32::MAX);
         }
         let stats = r.repair_with_mask(&mut idx, &g, None, Some(&vec![false; mask.len()]), 2);
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
-        assert!(r.paths.iter().all(|row| row.last() == Some(&u32::MAX)));
+        assert!(r.spill.iter().all(|row| row.last() == Some(&u32::MAX)));
     }
 
     #[test]
-    fn route_summary_is_three_words() {
-        assert_eq!(std::mem::size_of::<RouteSummary>(), 24);
+    fn a_route_record_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Route>(), 32);
+        assert_eq!(std::mem::align_of::<Route>(), 32);
     }
 
     #[test]
@@ -1488,22 +1573,40 @@ mod tests {
         assert!(r == pristine);
     }
 
+    /// Every pair's hops, latency, transit count and path in `table`
+    /// equal [`ReferenceRouting`]'s under `mask`.
+    fn assert_matches_reference(table: &Routing, g: &AsGraph, mask: Option<&[bool]>) {
+        let mode = table.mode();
+        let refr = ReferenceRouting::compute(g, mode, mask);
+        for a in 0..g.len() {
+            for b in 0..g.len() {
+                let (a, b) = (AsId::from_index(a), AsId::from_index(b));
+                let at = format!("{} ASes {mode:?} {a}->{b}", g.len());
+                assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "{at}");
+                assert_eq!(table.latency_us(a, b), refr.latency_us(a, b), "{at}");
+                assert_eq!(
+                    table.route(a, b).map(|r| u32::from(r.transit_links)),
+                    refr.transit_links(g, a, b),
+                    "{at}"
+                );
+                assert_eq!(
+                    table.path_links(a, b).map(<[u32]>::to_vec),
+                    refr.path_links(a, b),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn table_matches_reference_implementation() {
-        let g = figure1();
-        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            let table = Routing::compute(&g, mode);
-            let refr = ReferenceRouting::compute(&g, mode, None);
-            for a in 0..g.len() {
-                for b in 0..g.len() {
-                    let (a, b) = (AsId::from_index(a), AsId::from_index(b));
-                    assert_eq!(table.as_hops(a, b), refr.as_hops(a, b), "{a}->{b}");
-                    assert_eq!(table.latency_us(a, b), refr.latency_us(a, b), "{a}->{b}");
-                    assert_eq!(
-                        table.path_links(a, b).map(<[u32]>::to_vec),
-                        refr.path_links(a, b),
-                        "{a}->{b}"
-                    );
+        for g in fixtures() {
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                let table = Routing::compute(&g, mode);
+                assert_matches_reference(&table, &g, None);
+                // The ring and the tree spill in both modes.
+                if g.len() >= 16 {
+                    assert!(spilled_pairs(&table) > 0, "{} ASes {mode:?}", g.len());
                 }
             }
         }

@@ -6,10 +6,21 @@
 //! rate "measured using samples over a months' time" (the industry-standard
 //! 95th-percentile rule). [`TrafficAccounting`] classifies every transfer
 //! accordingly and keeps the per-AS transit samples the billing needs.
+//!
+//! The ledger is laid out for [`TrafficAccounting::record`], which runs
+//! once per transfer: one 16-byte line per link (its byte counter, the
+//! sample column that pays for it, its endpoints), and the samples as one
+//! bucket-major table with a row per 5-minute billing window and a column
+//! per AS plus one sink column. A transit link's column is its customer
+//! AS; a peering link's is the sink, which nobody is billed from. So a
+//! transfer touches its links' lines and one row, and needs no graph.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::AsId;
 use uap_sim::SimTime;
+
+/// Width of a billing sample window.
+const BILLING_WINDOW: SimTime = SimTime::from_mins(5);
 
 /// Where a byte travelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,42 +44,80 @@ impl TrafficCategory {
     }
 }
 
+/// One link's line of the ledger.
+#[derive(Clone, Copy, Debug)]
+struct LinkLine {
+    /// Bytes the link carried.
+    bytes: u64,
+    /// The sample column its bytes land in: the customer AS of a transit
+    /// link, the sink column of a peering link.
+    payer: u32,
+    /// The link's endpoints.
+    a: AsId,
+    b: AsId,
+}
+
 /// Accumulated traffic statistics for one simulation run.
 #[derive(Clone, Debug)]
 pub struct TrafficAccounting {
-    /// Width of a billing sample bucket (default 5 minutes).
-    pub sample_width: SimTime,
     intra_bytes: u64,
     peering_bytes: u64,
     transit_bytes: u64,
-    per_link_bytes: Vec<u64>,
-    /// Per-AS transit bytes (what the AS pays its providers for), bucketed
-    /// by sample window for 95th-percentile billing.
-    per_as_transit_samples: Vec<Vec<u64>>,
+    /// One line per link, indexed by link id.
+    links: Vec<LinkLine>,
+    /// Sample columns: one per AS, then the peering sink.
+    columns: usize,
+    /// Bytes per billing window and column, window-major: window `w` is
+    /// `samples[w * columns..(w + 1) * columns]`, and column `asn` holds
+    /// the transit bytes `asn` pays its providers for. Grows by whole
+    /// windows up to the latest one an inter-AS transfer fell in.
+    samples: Vec<u64>,
     transfers: u64,
 }
 
 impl TrafficAccounting {
     /// Creates an accounting ledger for `graph`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a column is <= n <= 65 536, the u16 AsId width plus the sink"
+    )]
     pub fn new(graph: &AsGraph) -> Self {
+        let sink = graph.len();
+        let links = graph
+            .links
+            .iter()
+            .map(|l| LinkLine {
+                bytes: 0,
+                // The *customer* side pays for transit bytes.
+                payer: match l.kind {
+                    LinkKind::Transit => l.b.idx(),
+                    LinkKind::Peering => sink,
+                } as u32,
+                a: l.a,
+                b: l.b,
+            })
+            .collect();
         TrafficAccounting {
-            sample_width: SimTime::from_mins(5),
             intra_bytes: 0,
             peering_bytes: 0,
             transit_bytes: 0,
-            per_link_bytes: vec![0; graph.links.len()],
-            per_as_transit_samples: vec![Vec::new(); graph.len()],
+            links,
+            columns: sink + 1,
+            samples: Vec::new(),
             transfers: 0,
         }
     }
 
     /// Records a transfer of `bytes` at time `now` along `path_links`
-    /// (empty for an intra-AS transfer between `src_as == dst_as`).
-    /// Returns the category the transfer was classified as.
-    #[expect(clippy::indexing_slicing, reason = "link ids < links.len(); resized")]
+    /// (empty for an intra-AS transfer), starting at `src_as`. Returns the
+    /// category the transfer was classified as. Panics if a link of the
+    /// path does not touch the AS the path has reached.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "link ids < links.len(); payer columns < columns; the window's row is resized"
+    )]
     pub fn record(
         &mut self,
-        graph: &AsGraph,
         now: SimTime,
         src_as: AsId,
         path_links: &[u32],
@@ -81,39 +130,30 @@ impl TrafficAccounting {
         }
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "a billing-bucket index: the buckets up to it are held in memory, so it fits a usize"
+            reason = "a billing-window index: the windows up to it are held in memory, so it fits a usize"
         )]
-        let bucket = (now.as_micros() / self.sample_width.as_micros()) as usize;
-        let (mut peering, mut transit) = (0, 0);
-        let mut crossed_transit = false;
+        let window = (now.as_micros() / BILLING_WINDOW.as_micros()) as usize;
+        let (columns, start) = (self.columns, window * self.columns);
+        if self.samples.len() < start + columns {
+            self.samples.resize(start + columns, 0);
+        }
+        let row = &mut self.samples[start..start + columns];
+        let sink = columns - 1;
+        let mut transit = 0u64;
         let mut cur = src_as;
-        #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
         for &li in path_links {
-            let link = &graph.links[li as usize];
-            self.per_link_bytes[li as usize] += bytes;
-            cur = link.other(cur).expect("path follows links");
-            match link.kind {
-                LinkKind::Peering => peering += bytes,
-                LinkKind::Transit => {
-                    crossed_transit = true;
-                    transit += bytes;
-                    // The *customer* side pays for transit bytes.
-                    let samples = &mut self.per_as_transit_samples[link.b.idx()];
-                    if samples.len() <= bucket {
-                        samples.resize(bucket + 1, 0);
-                    }
-                    samples[bucket] += bytes;
-                }
-            }
+            let link = &mut self.links[li as usize];
+            link.bytes += bytes;
+            #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
+            let next = link.other(cur).expect("path follows links");
+            cur = next;
+            row[link.payer as usize] += bytes;
+            transit += u64::from(link.payer as usize != sink);
         }
-        self.peering_bytes += peering;
-        self.transit_bytes += transit;
-        #[cfg(debug_assertions)]
-        #[expect(clippy::panic, reason = "debug-only invariant guard")]
-        if let Err(e) = crate::invariants::check_traffic_conservation(graph, self) {
-            panic!("traffic ledger corrupted: {e}");
-        }
-        if crossed_transit {
+        let crossed = path_links.len() as u64;
+        self.peering_bytes += (crossed - transit) * bytes;
+        self.transit_bytes += transit * bytes;
+        if transit > 0 {
             TrafficCategory::InterAsTransit
         } else {
             TrafficCategory::InterAsPeering
@@ -135,13 +175,13 @@ impl TrafficAccounting {
     /// Bytes carried by link `li`.
     #[expect(clippy::indexing_slicing, reason = "li is a link of the graph")]
     pub fn link_bytes(&self, li: u32) -> u64 {
-        self.per_link_bytes[li as usize]
+        self.links[li as usize].bytes
     }
 
-    /// Per-link byte totals, indexed by link id. Used by the trace layer
-    /// to emit end-of-run per-link traffic events.
-    pub fn per_link_bytes(&self) -> &[u64] {
-        &self.per_link_bytes
+    /// Per-link byte totals, in link id order. Used by the trace layer to
+    /// emit end-of-run per-link traffic events.
+    pub fn per_link_bytes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.links.iter().map(|l| l.bytes)
     }
 
     /// Fraction of transfer bytes (weighted per-link) that stayed intra-AS.
@@ -154,28 +194,46 @@ impl TrafficAccounting {
     }
 
     /// The 95th-percentile transit rate for `asn` in Mbit/s, computed over
-    /// the billing sample buckets, padding with zero samples up to `horizon`
-    /// (an AS that bursts briefly still pays for its busiest 5 % of windows).
+    /// the billing sample windows (an AS that bursts briefly still pays for
+    /// its busiest 5 % of windows). The AS's samples are padded with zero
+    /// windows to the longer of `horizon` and the ledger's window count:
+    /// every window up to the latest one any inter-AS transfer fell in,
+    /// whether or not `asn` paid in it.
     #[expect(clippy::indexing_slicing, reason = "asn in graph; rank in 1..=len")]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "n_windows counts billing buckets the run could hold in memory; 0.95·len ≤ len"
+        reason = "n_windows counts billing windows the run could hold in memory; 0.95·len ≤ len"
     )]
     pub fn transit_p95_mbps(&self, asn: AsId, horizon: SimTime) -> f64 {
-        let width_s = self.sample_width.as_secs_f64();
-        let n_windows = horizon.as_micros().div_ceil(self.sample_width.as_micros()) as usize;
+        let width_s = BILLING_WINDOW.as_secs_f64();
+        let n_windows = horizon.as_micros().div_ceil(BILLING_WINDOW.as_micros()) as usize;
         if n_windows == 0 {
             return 0.0;
         }
-        let mut rates: Vec<f64> = self.per_as_transit_samples[asn.idx()]
-            .iter()
-            .map(|&b| b as f64 * 8.0 / 1e6 / width_s)
+        let mut rates: Vec<f64> = self
+            .samples
+            .chunks_exact(self.columns)
+            .map(|row| row[asn.idx()] as f64 * 8.0 / 1e6 / width_s)
             .collect();
         rates.resize(n_windows.max(rates.len()), 0.0);
         rates.sort_by(|a, b| a.total_cmp(b));
         // Nearest-rank 95th percentile.
         let rank = ((0.95 * rates.len() as f64).ceil() as usize).clamp(1, rates.len());
         rates[rank - 1]
+    }
+}
+
+impl LinkLine {
+    /// The endpoint across the link from `x`, if `x` is one of its ends.
+    #[inline]
+    fn other(&self, x: AsId) -> Option<AsId> {
+        if self.a == x {
+            Some(self.b)
+        } else if self.b == x {
+            Some(self.a)
+        } else {
+            None
+        }
     }
 }
 
@@ -199,14 +257,29 @@ mod tests {
     }
 
     /// The ledger as it was before `record` stopped writing what nobody
-    /// read: per-AS external-byte counters, category totals bumped per
-    /// link, the billing bucket divided out per transit link.
+    /// read and before it left the graph: per-AS external-byte counters,
+    /// category totals bumped per link, link kinds read from the graph,
+    /// and one growable sample vector per AS, extended only by the transit
+    /// links that AS pays for.
     struct OracleLedger {
-        ledger: TrafficAccounting,
+        totals: (u64, u64, u64),
+        transfers: u64,
+        per_link: Vec<u64>,
+        samples: Vec<Vec<u64>>,
         external: Vec<u64>,
     }
 
     impl OracleLedger {
+        fn new(graph: &AsGraph) -> Self {
+            OracleLedger {
+                totals: (0, 0, 0),
+                transfers: 0,
+                per_link: vec![0; graph.links.len()],
+                samples: vec![Vec::new(); graph.len()],
+                external: vec![0; graph.len()],
+            }
+        }
+
         fn record(
             &mut self,
             graph: &AsGraph,
@@ -215,31 +288,26 @@ mod tests {
             path_links: &[u32],
             bytes: u64,
         ) -> TrafficCategory {
-            let l = &mut self.ledger;
-            l.transfers += 1;
+            self.transfers += 1;
             if path_links.is_empty() {
-                l.intra_bytes += bytes;
+                self.totals.0 += bytes;
                 return TrafficCategory::IntraAs;
             }
             let mut crossed_transit = false;
             let mut cur = src_as;
             for &li in path_links {
                 let link = &graph.links[li as usize];
-                l.per_link_bytes[li as usize] += bytes;
+                self.per_link[li as usize] += bytes;
                 let next = link.other(cur).expect("path follows links");
                 self.external[cur.idx()] += bytes;
                 self.external[next.idx()] += bytes;
                 match link.kind {
-                    LinkKind::Peering => l.peering_bytes += bytes,
+                    LinkKind::Peering => self.totals.1 += bytes,
                     LinkKind::Transit => {
                         crossed_transit = true;
-                        l.transit_bytes += bytes;
-                        #[expect(
-                            clippy::cast_possible_truncation,
-                            reason = "a billing-bucket index: the buckets up to it are held in memory, so it fits a usize"
-                        )]
-                        let idx = (now.as_micros() / l.sample_width.as_micros()) as usize;
-                        let buckets = &mut l.per_as_transit_samples[link.b.idx()];
+                        self.totals.2 += bytes;
+                        let idx = (now.as_micros() / 300_000_000) as usize;
+                        let buckets = &mut self.samples[link.b.idx()];
                         if buckets.len() <= idx {
                             buckets.resize(idx + 1, 0);
                         }
@@ -254,17 +322,43 @@ mod tests {
                 TrafficCategory::InterAsPeering
             }
         }
+
+        /// The old rule: an AS's own samples, padded to `horizon`.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "window counts of a test horizon; 0.95·len ≤ len"
+        )]
+        fn transit_p95_mbps(&self, asn: AsId, horizon: SimTime) -> f64 {
+            let n_windows = horizon.as_micros().div_ceil(300_000_000) as usize;
+            if n_windows == 0 {
+                return 0.0;
+            }
+            let mut rates: Vec<f64> = self.samples[asn.idx()]
+                .iter()
+                .map(|&b| b as f64 * 8.0 / 1e6 / 300.0)
+                .collect();
+            rates.resize(n_windows.max(rates.len()), 0.0);
+            rates.sort_by(|a, b| a.total_cmp(b));
+            let rank = ((0.95 * rates.len() as f64).ceil() as usize).clamp(1, rates.len());
+            rates[rank - 1]
+        }
     }
 
     proptest! {
         /// `record` against the ledger it replaced, over chains of
         /// valley-free transfers whose time stamps cross several billing
-        /// buckets in both directions.
+        /// windows in both directions, a quarter of them of zero bytes.
         #[test]
         fn record_matches_the_ledger_it_replaced(
             seed in any::<u64>(),
             transfers in prop::collection::vec(
-                (0usize..1 << 16, 0usize..1 << 16, 0u64..2_400_000_000, 0u64..1 << 30),
+                (
+                    0usize..1 << 16,
+                    0usize..1 << 16,
+                    0u64..2_400_000_000,
+                    0u64..1 << 30,
+                    0u8..4,
+                ),
                 1..60,
             ),
         ) {
@@ -279,27 +373,27 @@ mod tests {
             .build(&mut uap_sim::SimRng::new(seed));
             let r = Routing::compute(&g, RoutingMode::ValleyFree);
             let mut t = TrafficAccounting::new(&g);
-            let mut oracle = OracleLedger {
-                ledger: TrafficAccounting::new(&g),
-                external: vec![0; g.len()],
-            };
-            for (src, dst, micros, bytes) in transfers {
+            let mut oracle = OracleLedger::new(&g);
+            for (src, dst, micros, bytes, zero) in transfers {
+                let bytes = if zero == 0 { 0 } else { bytes };
                 let (src, dst) = (AsId::from_index(src % g.len()), AsId::from_index(dst % g.len()));
                 let Some(path) = r.path_links(src, dst) else { continue };
                 let now = SimTime::from_micros(micros);
                 prop_assert_eq!(
-                    t.record(&g, now, src, path, bytes),
+                    t.record(now, src, path, bytes),
                     oracle.record(&g, now, src, path, bytes)
                 );
             }
-            prop_assert_eq!(t.totals(), oracle.ledger.totals());
-            prop_assert_eq!(t.transfers(), oracle.ledger.transfers());
-            prop_assert_eq!(t.per_link_bytes(), oracle.ledger.per_link_bytes());
+            prop_assert_eq!(t.totals(), oracle.totals);
+            prop_assert_eq!(t.transfers(), oracle.transfers);
+            prop_assert_eq!(t.per_link_bytes().collect::<Vec<_>>(), oracle.per_link.clone());
+            // Forty minutes covers every transfer, as every binary's
+            // horizon does, so the two padding rules agree.
             let horizon = SimTime::from_mins(40);
             for asn in (0..g.len()).map(AsId::from_index) {
                 prop_assert_eq!(
                     t.transit_p95_mbps(asn, horizon).to_bits(),
-                    oracle.ledger.transit_p95_mbps(asn, horizon).to_bits()
+                    oracle.transit_p95_mbps(asn, horizon).to_bits()
                 );
                 // Why the per-AS counter carried no information: it was the
                 // sum of the link counters over the AS's incident links.
@@ -310,10 +404,50 @@ mod tests {
     }
 
     #[test]
+    fn a_link_line_is_a_quarter_of_a_cache_line() {
+        assert_eq!(std::mem::size_of::<LinkLine>(), 16);
+    }
+
+    /// A horizon that ends before the last transfer: every AS is padded to
+    /// the ledger's window count, not to its own last paying window.
+    #[test]
+    fn p95_pads_every_as_to_the_ledger_windows() {
+        let g = graph();
+        let r = Routing::compute(&g, RoutingMode::ValleyFree);
+        let mut t = TrafficAccounting::new(&g);
+        let up = r.path_links(AsId(1), AsId(0)).unwrap();
+        // AS 1 pays 75 MB in each of windows 0 and 1: 2 Mbit/s.
+        t.record(SimTime::from_mins(1), AsId(1), up, 75_000_000);
+        t.record(SimTime::from_mins(6), AsId(1), up, 75_000_000);
+        // A peering transfer in window 39 makes the ledger 40 windows long.
+        let peer = r.path_links(AsId(1), AsId(2)).unwrap();
+        t.record(SimTime::from_mins(197), AsId(1), peer, 1_000);
+        // Over a 10-minute horizon AS 1's two paying windows are 2 of 40,
+        // not 2 of 2: p95 is zero, as over the full 200 minutes.
+        assert_eq!(t.transit_p95_mbps(AsId(1), SimTime::from_mins(10)), 0.0);
+        assert_eq!(t.transit_p95_mbps(AsId(1), SimTime::from_mins(200)), 0.0);
+        // Without the late transfer the ledger is two windows long.
+        let mut short = TrafficAccounting::new(&g);
+        short.record(SimTime::from_mins(1), AsId(1), up, 75_000_000);
+        short.record(SimTime::from_mins(6), AsId(1), up, 75_000_000);
+        let p95 = short.transit_p95_mbps(AsId(1), SimTime::from_mins(10));
+        assert!((p95 - 2.0).abs() < 1e-9, "p95 {p95}");
+    }
+
+    #[test]
+    #[should_panic(expected = "path follows links")]
+    fn a_path_that_leaves_the_current_as_is_refused() {
+        let g = graph();
+        let mut t = TrafficAccounting::new(&g);
+        // Link 1 joins AS 0 and AS 2; a path from AS 1 cannot start on it.
+        t.record(SimTime::ZERO, AsId(1), &[1], 1_000);
+    }
+
+    #[test]
     fn intra_as_is_free_of_links() {
         let g = graph();
         let mut t = TrafficAccounting::new(&g);
-        let cat = t.record(&g, SimTime::ZERO, AsId(1), &[], 1_000);
+        let cat = t.record(SimTime::ZERO, AsId(1), &[], 1_000);
         assert_eq!(cat, TrafficCategory::IntraAs);
         assert_eq!(t.totals(), (1_000, 0, 0));
         assert_eq!(t.locality_fraction(), 1.0);
@@ -326,7 +460,7 @@ mod tests {
         let path = r.path_links(AsId(1), AsId(2)).unwrap();
         assert_eq!(path, vec![2]); // direct peering
         let mut t = TrafficAccounting::new(&g);
-        let cat = t.record(&g, SimTime::ZERO, AsId(1), path, 500);
+        let cat = t.record(SimTime::ZERO, AsId(1), path, 500);
         assert_eq!(cat, TrafficCategory::InterAsPeering);
         assert_eq!(t.totals(), (0, 500, 0));
         assert_eq!(t.link_bytes(2), 500);
@@ -342,7 +476,7 @@ mod tests {
         let path = r.path_links(AsId(1), AsId(2)).unwrap();
         assert_eq!(path.len(), 2);
         let mut t = TrafficAccounting::new(&g);
-        let cat = t.record(&g, SimTime::from_secs(10), AsId(1), path, 1_000);
+        let cat = t.record(SimTime::from_secs(10), AsId(1), path, 1_000);
         assert_eq!(cat, TrafficCategory::InterAsTransit);
         // Each transit link carries the bytes once.
         assert_eq!(t.totals(), (0, 0, 2_000));
@@ -361,13 +495,13 @@ mod tests {
         let path = r.path_links(AsId(1), AsId(0)).unwrap();
         // One huge burst in a single 5-minute window of a 10-hour horizon:
         // 1/120 of windows is way under the top 5 %, so p95 stays 0.
-        t.record(&g, SimTime::from_mins(2), AsId(1), path, 1 << 30);
+        t.record(SimTime::from_mins(2), AsId(1), path, 1 << 30);
         let p95 = t.transit_p95_mbps(AsId(1), SimTime::from_hours(10));
         assert_eq!(p95, 0.0);
         // But a sustained rate shows up.
         let mut t2 = TrafficAccounting::new(&g);
         for m in 0..600 {
-            t2.record(&g, SimTime::from_mins(m), AsId(1), path, 75_000_000);
+            t2.record(SimTime::from_mins(m), AsId(1), path, 75_000_000);
         }
         let p95 = t2.transit_p95_mbps(AsId(1), SimTime::from_hours(10));
         // 75 MB / 5 min/window... each window gets 5 records of 75MB = 375MB
@@ -379,8 +513,8 @@ mod tests {
     fn locality_fraction_mixes() {
         let g = graph();
         let mut t = TrafficAccounting::new(&g);
-        t.record(&g, SimTime::ZERO, AsId(1), &[], 750);
-        t.record(&g, SimTime::ZERO, AsId(1), &[2], 250);
+        t.record(SimTime::ZERO, AsId(1), &[], 750);
+        t.record(SimTime::ZERO, AsId(1), &[2], 250);
         assert_eq!(t.locality_fraction(), 0.75);
         assert_eq!(t.transfers(), 2);
     }

@@ -140,7 +140,7 @@ impl RouteCache {
         match routing.route(src, dst) {
             None => UNREACHABLE_ENTRY,
             Some(r) => {
-                let mut combined = r.latency_us + r.hops as u64 * PER_AS_HOP_US;
+                let mut combined = r.latency_us + u64::from(r.hops) * PER_AS_HOP_US;
                 if (latency_factor - 1.0).abs() > f64::EPSILON {
                     combined = (combined as f64 * latency_factor) as u64;
                 }
@@ -517,28 +517,16 @@ impl Underlay {
         to: HostId,
         bytes: u64,
     ) -> TrafficCategory {
-        let src_as = self.hosts.as_of(from);
-        let dst_as = self.hosts.as_of(to);
-        if src_as == dst_as {
-            return self.traffic.record(&self.graph, now, src_as, &[], bytes);
-        }
-        match self.routing.path_links(src_as, dst_as) {
-            Some(path) => self.traffic.record(&self.graph, now, src_as, path, bytes),
-            // Unroutable pair (disconnected graph, or valley-free policy
-            // with no compliant path): the transfer cannot happen, so no
-            // link carries the bytes — but it must NOT be mistaken for
-            // local traffic.
-            None => TrafficCategory::InterAsTransit,
-        }
+        let (src_as, dst_as) = (self.hosts.as_of(from), self.hosts.as_of(to));
+        self.account(now, src_as, dst_as, bytes).0
     }
 
     /// Like [`Underlay::account_transfer`], but also emits a `net`/`transfer`
     /// trace event (Debug level) recording the routing decision: endpoint
     /// hosts and ASes, byte count, traffic category, and the number of
-    /// links / transit links the valley-free path crossed. The route is
-    /// resolved twice when the tracer is enabled — once by the accounting,
-    /// once more for the trace fields, an indexed read of the pair's
-    /// precomputed summary rather than a second path walk.
+    /// links / transit links the valley-free path crossed. The category
+    /// and both counts come from the one read of the pair's route record
+    /// that the accounting makes.
     pub fn account_transfer_traced(
         &mut self,
         now: SimTime,
@@ -547,30 +535,48 @@ impl Underlay {
         bytes: u64,
         tracer: &mut Tracer,
     ) -> TrafficCategory {
-        let cat = self.account_transfer(now, from, to, bytes);
-        if tracer.is_enabled(registry::NET_TRANSFER.level()) {
-            let src_as = self.hosts.as_of(from);
-            let dst_as = self.hosts.as_of(to);
-            let (links, transit) = if src_as == dst_as {
-                (0, 0)
-            } else {
-                match self.routing.route(src_as, dst_as) {
-                    Some(r) => (r.hops, r.transit_links),
-                    None => (0, 0),
-                }
-            };
-            tracer.emit(now, registry::NET_TRANSFER, |f| {
-                f.u64("from", from.0 as u64)
-                    .u64("to", to.0 as u64)
-                    .u64("src_as", src_as.idx() as u64)
-                    .u64("dst_as", dst_as.idx() as u64)
-                    .u64("bytes", bytes)
-                    .str("cat", cat.name())
-                    .u64("links", links as u64)
-                    .u64("transit", transit as u64);
-            });
-        }
+        let (src_as, dst_as) = (self.hosts.as_of(from), self.hosts.as_of(to));
+        let (cat, links, transit) = self.account(now, src_as, dst_as, bytes);
+        tracer.emit(now, registry::NET_TRANSFER, |f| {
+            f.u64("from", from.0 as u64)
+                .u64("to", to.0 as u64)
+                .u64("src_as", src_as.idx() as u64)
+                .u64("dst_as", dst_as.idx() as u64)
+                .u64("bytes", bytes)
+                .str("cat", cat.name())
+                .u64("links", u64::from(links))
+                .u64("transit", u64::from(transit));
+        });
         cat
+    }
+
+    /// Records a transfer between two ASes from one read of their route
+    /// record: its category, and the links and transit links its path
+    /// crossed (none intra-AS or unroutable).
+    fn account(
+        &mut self,
+        now: SimTime,
+        src_as: AsId,
+        dst_as: AsId,
+        bytes: u64,
+    ) -> (TrafficCategory, u16, u16) {
+        if src_as == dst_as {
+            return (self.traffic.record(now, src_as, &[], bytes), 0, 0);
+        }
+        let Some((route, path)) = self.routing.route_path(src_as, dst_as) else {
+            // Unroutable pair (disconnected graph, or valley-free policy
+            // with no compliant path): the transfer cannot happen, so no
+            // link carries the bytes — but it must NOT be mistaken for
+            // local traffic.
+            return (TrafficCategory::InterAsTransit, 0, 0);
+        };
+        let cat = self.traffic.record(now, src_as, path, bytes);
+        #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "debug-only invariant guard")]
+        if let Err(e) = crate::invariants::check_traffic_conservation(&self.graph, &self.traffic) {
+            panic!("traffic ledger corrupted: {e}");
+        }
+        (cat, route.hops, route.transit_links)
     }
 
     /// Emits one `net`/`link.total` trace event (Debug level) per link
@@ -581,7 +587,7 @@ impl Underlay {
             return;
         }
         let per_link = self.traffic.per_link_bytes();
-        for (li, (link, &bytes)) in self.graph.links.iter().zip(per_link).enumerate() {
+        for (li, (link, bytes)) in self.graph.links.iter().zip(per_link).enumerate() {
             if bytes == 0 {
                 continue;
             }
@@ -1030,7 +1036,11 @@ mod tests {
             assert!((&u.routing, &u.repair_index) == (&built.0, &built.1));
             let ledger = |u: &Underlay| {
                 let t = &u.traffic;
-                (t.totals(), t.transfers(), t.per_link_bytes().to_vec())
+                (
+                    t.totals(),
+                    t.transfers(),
+                    t.per_link_bytes().collect::<Vec<_>>(),
+                )
             };
             let before = ledger(&u);
             if n == 1 {

@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::reference_rates;
+use common::{reference_rates, LedgerSum};
 
 use proptest::prelude::*;
 use uap_net::flow::saturation_eps;
@@ -10,7 +10,7 @@ use uap_net::{
     AsId, FlowAllocator, HostId, LinkKind, PopulationSpec, ReferenceRouting, Relationship, Routing,
     RoutingMode, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
 };
-use uap_sim::SimRng;
+use uap_sim::{SimRng, SimTime};
 
 fn random_hierarchy(seed: u64, t1: usize, t2: usize, t3: usize) -> uap_net::AsGraph {
     TopologySpec::new(TopologyKind::Hierarchical {
@@ -116,7 +116,7 @@ fn assert_matches_reference(
                 b
             );
             prop_assert_eq!(
-                table.route(a, b).map(|r| r.transit_links),
+                table.route(a, b).map(|r| u32::from(r.transit_links)),
                 refr.transit_links(g, a, b),
                 "transit links {}->{}",
                 a,
@@ -591,6 +591,46 @@ proptest! {
                     "cycle {}: flow {} rate {} != reference {}", cycle, id, got, want
                 );
             }
+        }
+    }
+
+    /// `Underlay::account_transfer` against an independent sum over each
+    /// pair's `path_links`, with some links cut so some pairs are
+    /// unroutable, over forty minutes of billing windows.
+    #[test]
+    fn account_transfer_matches_an_independent_sum(
+        seed in any::<u64>(),
+        cut in any::<u64>(),
+        transfers in prop::collection::vec(
+            (0usize..1 << 16, 0usize..1 << 16, 0u64..2_400_000_000, 0u64..1 << 30),
+            1..80,
+        ),
+    ) {
+        let g = random_hierarchy(seed, 2, 2, 3);
+        let mut rng = SimRng::new(seed ^ 0x1ed6);
+        let mut u = Underlay::build(g, &PopulationSpec::leaf(40), UnderlayConfig::default(), &mut rng);
+        let mut state = uap_net::FaultState::clear();
+        let n_links = u.graph.links.len();
+        state.mask = Some((0..n_links).map(|li| (cut >> (li % 64)) & 7 == 0).collect());
+        u.apply_fault_state(&state);
+        let mut sum = LedgerSum::new(&u);
+        let n = u.n_hosts();
+        for (a, b, micros, bytes) in transfers {
+            let (a, b) = (HostId::from_index(a % n), HostId::from_index(b % n));
+            let now = SimTime::from_micros(micros);
+            u.account_transfer(now, a, b, bytes);
+            sum.add(&u, now, a, b, bytes);
+        }
+        let t = &u.traffic;
+        prop_assert_eq!(t.totals(), sum.totals);
+        prop_assert_eq!(t.transfers(), sum.transfers);
+        prop_assert!(t.per_link_bytes().eq(sum.per_link.iter().copied()));
+        let horizon = SimTime::from_mins(40);
+        for asn in (0..u.n_ases()).map(AsId::from_index) {
+            prop_assert_eq!(
+                t.transit_p95_mbps(asn, horizon).to_bits(),
+                sum.transit_p95_mbps(asn, horizon).to_bits()
+            );
         }
     }
 }

@@ -15,8 +15,16 @@
 //! by rate: once at the generator's capacities, where no AS link binds,
 //! and once with every AS link a thousand times narrower, where some do.
 //!
-//! The route-table test is release-only (the debug build is about fifty
-//! times slower); run both with
+//! The traffic ledger: the `underlay_scale` underlay (the 1 055-AS
+//! hierarchy with 20 000 leaf hosts, seed 42) accounting 65 536 seeded
+//! host pairs four times over, across five billing windows, its totals,
+//! transfer count, per-link bytes and every AS's 95th-percentile transit
+//! rate compared with [`LedgerSum`], an independent sum over each pair's
+//! `path_links`.
+//!
+//! The route-table and ledger tests are release-only (the debug build is
+//! about fifty times slower, and checks the ledger's conservation after
+//! every transfer); run all three with
 //!
 //! ```text
 //! cargo test --release -p uap-net --test scale_oracle
@@ -28,14 +36,19 @@
 
 mod common;
 
-use common::reference_rates;
+use common::{reference_rates, LedgerSum};
 use uap_net::{
     AsGraph, AsId, FlowAllocator, HostId, PopulationSpec, ReferenceRouting, Routing, RoutingMode,
     TopologyKind, TopologySpec, Underlay, UnderlayConfig,
 };
-use uap_sim::SimRng;
+use uap_sim::{SimRng, SimTime};
 
 fn benchmark_hierarchy() -> AsGraph {
+    benchmark_hierarchy_from(&mut SimRng::new(42))
+}
+
+/// The benchmark hierarchy, drawn from `rng`.
+fn benchmark_hierarchy_from(rng: &mut SimRng) -> AsGraph {
     TopologySpec::new(TopologyKind::Hierarchical {
         tier1: 5,
         tier2_per_tier1: 10,
@@ -43,7 +56,7 @@ fn benchmark_hierarchy() -> AsGraph {
         tier2_peering_prob: 0.3,
         tier3_peering_prob: 0.3,
     })
-    .build(&mut SimRng::new(42))
+    .build(rng)
 }
 
 /// Every ordered pair's hops, latency, path and transit count, from the
@@ -57,9 +70,9 @@ fn assert_matches_reference(g: &AsGraph, mode: RoutingMode) -> usize {
             let (a, b) = (AsId::from_index(a), AsId::from_index(b));
             let route = table.route(a, b);
             let got = (
-                route.map(|r| r.hops),
+                route.map(|r| u32::from(r.hops)),
                 route.map(|r| r.latency_us),
-                route.map(|r| r.transit_links),
+                route.map(|r| u32::from(r.transit_links)),
             );
             let want = (
                 refr.as_hops(a, b),
@@ -93,6 +106,57 @@ fn benchmark_hierarchy_matches_reference_on_every_pair() {
     for mode in [RoutingMode::ValleyFree, RoutingMode::ShortestPath] {
         assert_matches_reference(&g, mode);
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full scale; run with --release")]
+fn benchmark_ledger_matches_an_independent_sum() {
+    let mut rng = SimRng::new(42);
+    let g = benchmark_hierarchy_from(&mut rng);
+    let mut u = Underlay::build(
+        g,
+        &PopulationSpec::leaf(20_000),
+        UnderlayConfig::default(),
+        &mut rng,
+    );
+    assert_eq!((u.n_ases(), u.n_hosts()), (1_055, 20_000));
+    let mut rng = SimRng::new(42 ^ 0x5CA1E);
+    let n = u.n_hosts();
+    let pairs: Vec<(HostId, HostId)> = (0..1 << 16)
+        .map(|_| {
+            let a = HostId::from_index(rng.index(n));
+            (a, HostId::from_index(rng.index(n)))
+        })
+        .collect();
+    let mut sum = LedgerSum::new(&u);
+    let mut now = SimTime::ZERO;
+    for sweep in 0..4u64 {
+        for (i, &(a, b)) in (0u64..).zip(&pairs) {
+            now += SimTime::from_millis(5);
+            // Sizes from zero to 96 KiB.
+            let bytes = (i + sweep) % 7 * 16 * 1024;
+            u.account_transfer(now, a, b, bytes);
+            sum.add(&u, now, a, b, bytes);
+        }
+    }
+    // 262 144 transfers 5 ms apart: windows 0 to 4.
+    assert_eq!(now.as_micros().div_ceil(300_000_000), 5);
+    let t = &u.traffic;
+    assert_eq!(t.totals(), sum.totals);
+    assert_eq!(t.transfers(), sum.transfers);
+    assert_eq!(t.transfers(), 4 << 16, "every pair is routable");
+    assert!(t.per_link_bytes().eq(sum.per_link.iter().copied()));
+    let mut billed = 0;
+    for asn in (0..u.n_ases()).map(AsId::from_index) {
+        let got = t.transit_p95_mbps(asn, now);
+        assert_eq!(
+            got.to_bits(),
+            sum.transit_p95_mbps(asn, now).to_bits(),
+            "{asn}"
+        );
+        billed += usize::from(got > 0.0);
+    }
+    assert!(billed > 1_000, "only {billed} ASes pay for transit");
 }
 
 /// The `swarm_congestion` underlay: the 4/6/8 hierarchy and 1 575 leaf

@@ -122,6 +122,38 @@ fn underlay_and_routing_queries_allocate_nothing() {
     debug_assertions,
     ignore = "debug invariant checkers allocate; run with --release"
 )]
+fn ledger_writes_inside_one_billing_window_allocate_nothing() {
+    let mut u = underlay(300);
+    let hosts = u.n_hosts();
+    let host = |i: usize| HostId::from_index(i % hosts);
+    let far = (0..hosts)
+        .map(host)
+        .find(|&h| u.hosts.as_of(h) != u.hosts.as_of(host(0)))
+        .expect("an inter-AS pair");
+    // The warm-up opens the first billing window's sample row.
+    u.account_transfer(SimTime::ZERO, host(0), far, 1_000);
+    let (n, ()) = allocs_in(|| {
+        for i in 0..100_000 {
+            // Within the first five minutes.
+            let now = SimTime::from_millis(i as u64);
+            black_box(u.account_transfer(now, host(i * 7 + 3), host(i * 13 + 1), 16 * 1024));
+        }
+    });
+    let (intra, peering, transit) = u.traffic.totals();
+    assert!(
+        peering + transit > intra,
+        "the window's transfers cross links"
+    );
+    // 100 000 ledger writes into a window that exists: nothing to
+    // allocate.
+    assert_eq!(n, 0, "{n} allocations in 100 000 ledger writes");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
 fn gnutella_minutes_10_to_30_allocate_only_retained_records() {
     let cfg = GnutellaConfig {
         selection: NeighborSelection::Random,
@@ -135,7 +167,7 @@ fn gnutella_minutes_10_to_30_allocate_only_retained_records() {
     let events = stats.events_processed - warm.events_processed;
     assert!(events > 5_000, "only {events} events in the window");
     // What remains is growth of retained records: `query_log`,
-    // `download_log` and the traffic ledger's per-link billing buckets.
+    // `download_log` and the traffic ledger's billing windows.
     assert!(n <= 32, "{n} allocations in {events} Gnutella events");
 }
 
@@ -286,8 +318,9 @@ fn fault_boundaries_allocate_per_repair() {
     let (epochs, repairs, dirty) = (10 * states.len(), 10 * repairs, 10 * dirty);
     // What remains is the fork. The underlay read its worker count once
     // at build, the repair index keeps the state graph and every worker's
-    // sweep buffers, and each row's path segment has outgrown its largest
-    // path set in the warm-up cycle. A repair on several workers opens one
+    // sweep buffers, and each row's spill segment has outgrown its largest
+    // spilled path set in the warm-up cycle (the 18-AS hierarchy spills
+    // none). A repair on several workers opens one
     // scope (its shared state, one allocation) and spawns all but one of
     // them: thread handle, result packet and boxed closure, plus two for
     // the output capture a spawned thread inherits under the test harness;
