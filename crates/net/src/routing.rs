@@ -496,7 +496,7 @@ struct Rows<'a> {
     base: usize,
     n: usize,
     words: usize,
-    routes: &'a mut [Route],
+    routes: &'a mut [Box<[Route]>],
     spill: &'a mut [Vec<u32>],
     hops: &'a mut [u32],
     latency: &'a mut [u64],
@@ -519,7 +519,7 @@ impl<'a> Rows<'a> {
             base: self.base,
             n,
             words,
-            routes: split_front(&mut self.routes, k * n),
+            routes: split_front(&mut self.routes, k),
             spill: split_front(&mut self.spill, k),
             hops: split_front(&mut self.hops, k * 2 * n),
             latency: split_front(&mut self.latency, k * 2 * n),
@@ -537,7 +537,7 @@ impl<'a> Rows<'a> {
         reason = "src − base < the rows lent; tree_links has n_links bits"
     )]
     fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
-        let (r, n, ns, words) = (src - self.base, self.n, 2 * self.n, self.words);
+        let (r, ns, words) = (src - self.base, 2 * self.n, self.words);
         let hops = &mut self.hops[r * ns..(r + 1) * ns];
         let latency = &mut self.latency[r * ns..(r + 1) * ns];
         scratch.sweep(states, src * 2, hops, latency);
@@ -556,7 +556,12 @@ impl<'a> Rows<'a> {
         spill.reserve_exact(spilled);
         spill.resize(spilled, 0);
         let mut off = 0;
-        for (dst, out) in self.routes[r * n..(r + 1) * n].iter_mut().enumerate() {
+        let routes = &mut self.routes[r];
+        if routes.is_empty() {
+            // A full build allocates each row in the worker that fills it.
+            *routes = vec![UNREACHABLE; self.n].into();
+        }
+        for (dst, out) in routes.iter_mut().enumerate() {
             *out = scratch.summarize(hops, latency, dst, spill, &mut off);
         }
         let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
@@ -575,8 +580,10 @@ impl<'a> Rows<'a> {
 pub struct Routing {
     mode: RoutingMode,
     n: usize,
-    /// `n × n` route records, row-major by source AS.
-    routes: Vec<Route>,
+    /// Per source AS, its `n` route records in destination order, each
+    /// row allocated by the worker that first fills it (see
+    /// docs/PERFORMANCE.md, "Route table").
+    routes: Vec<Box<[Route]>>,
     /// Per source AS, the link indices of its paths longer than
     /// [`INLINE`] links, back to back in destination order.
     spill: Vec<Vec<u32>>,
@@ -620,7 +627,7 @@ impl Routing {
         let mut routing = Routing {
             mode,
             n,
-            routes: vec![UNREACHABLE; n * n],
+            routes: vec![Box::default(); n],
             spill: vec![Vec::new(); n],
         };
         let mut index = RepairIndex::new(n, graph.links.len());
@@ -808,12 +815,8 @@ impl Routing {
     /// count in one table read. `None` if either id is out of range or the
     /// pair is unreachable.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "src, dst < n checked above")]
     pub fn route(&self, src: AsId, dst: AsId) -> Option<&Route> {
-        if src.idx() >= self.n || dst.idx() >= self.n {
-            return None;
-        }
-        let r = &self.routes[src.idx() * self.n + dst.idx()];
+        let r = self.routes.get(src.idx())?.get(dst.idx())?;
         (r.hops != UNREACHABLE.hops).then_some(r)
     }
 
@@ -884,6 +887,7 @@ impl Routing {
         let reachable = self
             .routes
             .iter()
+            .flat_map(|row| row.iter())
             .filter(|r| r.hops != UNREACHABLE.hops && r.hops != 0)
             .count();
         reachable as f64 / (self.n * (self.n - 1)) as f64
@@ -1131,6 +1135,7 @@ mod tests {
     fn spilled_pairs(r: &Routing) -> usize {
         r.routes
             .iter()
+            .flat_map(|row| row.iter())
             .filter(|x| x.hops != u16::MAX && usize::from(x.hops) > INLINE)
             .count()
     }
@@ -1475,16 +1480,13 @@ mod tests {
             assert!(!stats.full_rebuild && stats.dirty_sources > 0);
             let full = Routing::compute_indexed_threads(&g, mode, new, 1).0;
             for (s, &ptr) in before.iter().enumerate() {
-                let row = s * n..(s + 1) * n;
                 assert_eq!(r.spill[s].as_ptr(), ptr, "row {s} moved");
                 if idx.dirty_sources().contains(&u32::try_from(s).unwrap()) {
                     assert_eq!(r.spill[s], full.spill[s], "dirty row {s}");
-                    let want = &full.routes[row.clone()];
-                    assert_eq!(&r.routes[row], want, "dirty row {s}");
+                    assert_eq!(r.routes[s], full.routes[s], "dirty row {s}");
                 } else {
                     assert_eq!(r.spill[s], spill[s], "clean row {s}");
-                    let want = &routes[row.clone()];
-                    assert_eq!(&r.routes[row], want, "clean row {s}");
+                    assert_eq!(r.routes[s], routes[s], "clean row {s}");
                 }
             }
         }
