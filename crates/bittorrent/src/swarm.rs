@@ -258,7 +258,7 @@ struct Swarm {
     cfg: SwarmConfig,
     /// Swarm membership: the first n hosts (host assignment to ASes is
     /// already random), so member `i` is host `i` ([`member`]). `peers`,
-    /// `peer_spans`, `down`, `was_down` and `unchokes` run parallel to it.
+    /// `peer_spans`, `down` and `unchokes` run parallel to it.
     members: Vec<HostId>,
     peers: Vec<Peer>,
     tracker: Tracker,
@@ -278,7 +278,6 @@ struct Swarm {
     completed_by_round: Vec<usize>,
 
     // Round scratch, reused every round.
-    was_down: Vec<bool>,
     live: Vec<HostId>,
     unchokes: Vec<Vec<usize>>,
     interested: Vec<usize>,
@@ -371,13 +370,12 @@ impl Swarm {
                 }
             }
         }
-        let compiled = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
-        for (i, &t) in compiled.iter().flat_map(|p| p.boundaries()).enumerate() {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "boundary index; a plan has two per fault spec"
-            )]
-            sim.schedule_at(t, SwarmEv::Fault(i as u32));
+        let compiled = cfg
+            .faults
+            .as_ref()
+            .map(|p| p.compile(&underlay.graph, underlay.n_hosts()));
+        if let Some(plan) = &compiled {
+            plan.schedule(sim, SwarmEv::Fault);
         }
         sim.schedule_at(ROUND, SwarmEv::Round);
         Swarm {
@@ -385,7 +383,6 @@ impl Swarm {
             down: vec![false; peers.len()],
             reannounces: 0,
             completed_by_round: Vec::new(),
-            was_down: vec![false; peers.len()],
             live: Vec::with_capacity(peers.len()),
             unchokes: vec![Vec::new(); peers.len()],
             interested: Vec::new(),
@@ -420,28 +417,30 @@ impl Swarm {
     }
 
     /// Enters boundary `b` of the fault plan
-    /// ([`uap_net::fault::enter_boundary`]), then diffs the crash set:
-    /// restored members and survivors that lost neighbors re-announce,
-    /// and partial-chunk credit toward crashed senders is dropped.
+    /// ([`uap_net::fault::enter_boundary`]), then applies its crash
+    /// flips: restored members and survivors that lost neighbors
+    /// re-announce, and partial-chunk credit toward crashed senders is
+    /// dropped.
     #[expect(
         clippy::indexing_slicing,
-        reason = "i < peers.len() = peer_spans.len()"
+        reason = "i < peers.len() = peer_spans.len() = down.len()"
     )]
     fn fault_boundary(&mut self, b: usize, ctx: &mut Ctx<'_, SwarmEv>) {
         let Some(plan) = &self.compiled else { return };
-        let (state, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, plan, b, ctx);
+        let (_, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, plan, b, ctx);
         let now = ctx.now();
         let (rng, tracer) = (&mut *ctx.rng, &mut *ctx.tracer);
-        // Diff the crash set; the tracker's live pool is the members
-        // that still announce under the new state.
-        self.was_down.copy_from_slice(&self.down);
-        self.live.clear();
-        for (is_down, &h) in self.down.iter_mut().zip(&self.members) {
-            *is_down = state.crashed.binary_search(&h).is_ok();
-            if !*is_down {
-                self.live.push(h);
+        let flips = plan.crash_flips(b);
+        for &(h, crashed) in flips {
+            if let Some(i) = member(h, self.down.len()) {
+                self.down[i] = crashed;
             }
         }
+        // The tracker's live pool is the members that still announce
+        // under the new state.
+        self.live.clear();
+        let up = self.members.iter().zip(&self.down).filter(|&(_, &d)| !d);
+        self.live.extend(up.map(|(&h, _)| h));
         let down = &self.down;
         // Restored members re-announce (their pre-crash neighborhoods
         // moved on without them); survivors shed dead neighbors and
@@ -450,7 +449,9 @@ impl Swarm {
             if down[i] || peer.done_at.is_some() || peer.is_seed {
                 continue;
             }
-            let restored = self.was_down[i];
+            // Member `i` is host `i`, and a flipped member that is up
+            // came back.
+            let restored = flips.binary_search_by_key(&i, |&(h, _)| h.idx()).is_ok();
             let before = peer.neighbors.len();
             peer.neighbors
                 .retain(|&h| !member(h, down.len()).is_some_and(|j| down[j]));

@@ -29,4 +29,4 @@ pub mod vivaldi;
 pub use embedding::{relative_error, stress, EmbeddingQuality};
 pub use ics::IcsSystem;
 pub use matrix::Matrix;
-pub use vivaldi::{VivaldiConfig, VivaldiNode};
+pub use vivaldi::VivaldiNode;

@@ -8,8 +8,8 @@
 //! (typically its overlay neighbors).
 //!
 //! This implementation follows the adaptive-timestep algorithm of the
-//! Vivaldi paper, including the optional *height* component that models the
-//! access-link delay all of a host's paths share.
+//! Vivaldi paper in [`DIMS`] dimensions plus the *height* component that
+//! models the access-link delay all of a host's paths share.
 
 use crate::matrix::l2;
 use uap_sim::SimRng;
@@ -20,50 +20,38 @@ const CC: f64 = 0.25;
 /// Error-smoothing constant `c_e`.
 const CE: f64 = 0.25;
 
-/// Vivaldi tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct VivaldiConfig {
-    /// Coordinate dimensionality (the paper's evaluations use 2–5).
-    pub dims: usize,
-    /// Whether to carry a height (access-link) component.
-    pub use_height: bool,
-}
-
-impl Default for VivaldiConfig {
-    fn default() -> Self {
-        VivaldiConfig {
-            dims: 3,
-            use_height: true,
-        }
-    }
-}
+/// Coordinate dimensionality (the paper's evaluations use 2–5).
+pub const DIMS: usize = 3;
+/// The least height a node carries, in milliseconds: where it starts, and
+/// the floor it never shrinks below.
+const MIN_HEIGHT_MS: f64 = 0.1;
 
 /// One node's Vivaldi state.
 #[derive(Clone, Debug)]
 pub struct VivaldiNode {
     /// Euclidean part of the coordinate (milliseconds).
     pub coord: Vec<f64>,
-    /// Height component in milliseconds (0 when disabled).
+    /// Height component in milliseconds.
     pub height: f64,
     /// Local error estimate in `[0, 1]`-ish range (starts at 1 = "know
     /// nothing").
     pub error: f64,
-    cfg: VivaldiConfig,
     samples: u64,
 }
 
-impl VivaldiNode {
+impl Default for VivaldiNode {
     /// A fresh node at the origin with maximal error.
-    pub fn new(cfg: VivaldiConfig) -> Self {
+    fn default() -> Self {
         VivaldiNode {
-            coord: vec![0.0; cfg.dims],
-            height: if cfg.use_height { 0.1 } else { 0.0 },
+            coord: vec![0.0; DIMS],
+            height: MIN_HEIGHT_MS,
             error: 1.0,
-            cfg,
             samples: 0,
         }
     }
+}
 
+impl VivaldiNode {
     /// Number of RTT samples absorbed.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -114,12 +102,11 @@ impl VivaldiNode {
         for (c, d) in self.coord.iter_mut().zip(&dir) {
             *c += delta * force * d / norm;
         }
-        if self.cfg.use_height {
-            // Heights absorb the shared component: they stretch when the
-            // spring is compressed, like the Euclidean part, but along the
-            // always-positive height axis.
-            self.height = (self.height + delta * force * self.height / dist.max(1e-9)).max(0.1);
-        }
+        // Heights absorb the shared component: they stretch when the
+        // spring is compressed, like the Euclidean part, but along the
+        // always-positive height axis.
+        self.height =
+            (self.height + delta * force * self.height / dist.max(1e-9)).max(MIN_HEIGHT_MS);
     }
 }
 
@@ -137,14 +124,9 @@ mod tests {
     /// adaptive timestep then freezes in place permanently. Balanced
     /// all-pairs updates escape those folds. The RNG is still needed for the
     /// coincident-coordinate bootstrap kick in [`VivaldiNode::update`].
-    fn gossip_converge(
-        rtt_ms: &[Vec<f64>],
-        cfg: VivaldiConfig,
-        rounds: usize,
-        rng: &mut SimRng,
-    ) -> Vec<VivaldiNode> {
+    fn gossip_converge(rtt_ms: &[Vec<f64>], rounds: usize, rng: &mut SimRng) -> Vec<VivaldiNode> {
         let n = rtt_ms.len();
-        let mut nodes: Vec<VivaldiNode> = (0..n).map(|_| VivaldiNode::new(cfg)).collect();
+        let mut nodes = vec![VivaldiNode::default(); n];
         for _ in 0..rounds {
             for i in 0..n {
                 for j in 0..n {
@@ -179,12 +161,8 @@ mod tests {
     #[test]
     fn converges_on_embeddable_topology() {
         let rtts = square_rtts();
-        let cfg = VivaldiConfig {
-            dims: 2,
-            use_height: false,
-        };
         let mut rng = SimRng::new(1);
-        let nodes = gossip_converge(&rtts, cfg, 400, &mut rng);
+        let nodes = gossip_converge(&rtts, 400, &mut rng);
         for i in 0..4 {
             for j in 0..4 {
                 if i == j {
@@ -204,12 +182,8 @@ mod tests {
     #[test]
     fn error_estimate_decreases() {
         let rtts = square_rtts();
-        let cfg = VivaldiConfig {
-            dims: 2,
-            use_height: false,
-        };
         let mut rng = SimRng::new(2);
-        let nodes = gossip_converge(&rtts, cfg, 300, &mut rng);
+        let nodes = gossip_converge(&rtts, 300, &mut rng);
         for n in &nodes {
             assert!(n.error < 0.5, "error {}", n.error);
             assert!(n.samples() > 0);
@@ -218,9 +192,8 @@ mod tests {
 
     #[test]
     fn ignores_garbage_samples() {
-        let cfg = VivaldiConfig::default();
-        let mut a = VivaldiNode::new(cfg);
-        let b = VivaldiNode::new(cfg);
+        let mut a = VivaldiNode::default();
+        let b = VivaldiNode::default();
         let mut rng = SimRng::new(3);
         let before = a.coord.clone();
         a.update(&b, -5.0, &mut rng);
@@ -232,12 +205,8 @@ mod tests {
 
     #[test]
     fn coincident_nodes_separate() {
-        let cfg = VivaldiConfig {
-            dims: 2,
-            use_height: false,
-        };
-        let mut a = VivaldiNode::new(cfg);
-        let b = VivaldiNode::new(cfg);
+        let mut a = VivaldiNode::default();
+        let b = VivaldiNode::default();
         let mut rng = SimRng::new(4);
         a.update(&b, 50.0, &mut rng);
         assert!(l2(&a.coord, &b.coord) > 0.0);
@@ -245,25 +214,20 @@ mod tests {
 
     #[test]
     fn height_stays_positive() {
-        let cfg = VivaldiConfig {
-            dims: 2,
-            use_height: true,
-        };
         let mut rng = SimRng::new(5);
-        let mut a = VivaldiNode::new(cfg);
-        let b = VivaldiNode::new(cfg);
+        let mut a = VivaldiNode::default();
+        let b = VivaldiNode::default();
         for _ in 0..200 {
             a.update(&b, 10.0, &mut rng);
         }
-        assert!(a.height >= 0.1);
+        assert!(a.height >= MIN_HEIGHT_MS);
     }
 
     #[test]
     fn prediction_is_symmetric() {
-        let cfg = VivaldiConfig::default();
         let mut rng = SimRng::new(6);
-        let mut a = VivaldiNode::new(cfg);
-        let mut b = VivaldiNode::new(cfg);
+        let mut a = VivaldiNode::default();
+        let mut b = VivaldiNode::default();
         for _ in 0..50 {
             let bc = b.clone();
             a.update(&bc, 80.0, &mut rng);

@@ -1,7 +1,7 @@
 //! Property-based tests for the coordinate systems.
 
 use proptest::prelude::*;
-use uap_coords::{IcsSystem, Matrix, VivaldiConfig, VivaldiNode};
+use uap_coords::{IcsSystem, Matrix, VivaldiNode};
 use uap_sim::SimRng;
 
 /// A random symmetric "distance-like" matrix (positive off-diagonals,
@@ -83,10 +83,9 @@ proptest! {
     /// whatever the RTT stream.
     #[test]
     fn vivaldi_stays_finite(rtts in prop::collection::vec(0.1f64..10_000.0, 1..200), seed in any::<u64>()) {
-        let cfg = VivaldiConfig::default();
         let mut rng = SimRng::new(seed);
-        let mut a = VivaldiNode::new(cfg);
-        let mut b = VivaldiNode::new(cfg);
+        let mut a = VivaldiNode::default();
+        let mut b = VivaldiNode::default();
         for (i, &rtt) in rtts.iter().enumerate() {
             if i % 2 == 0 {
                 let bc = b.clone();

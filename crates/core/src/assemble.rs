@@ -11,7 +11,6 @@
 //! profile change; the overlay code never changes.
 
 use crate::framework::{AwarenessProfile, CollectionTechnique};
-use uap_coords::VivaldiConfig;
 use uap_info::provider::{GeoLocator, ProximityEstimator};
 use uap_info::{
     ExplicitPinger, GeoService, GeoSource, IcsService, OnoEstimator, Oracle, SimulatedCdn,
@@ -74,7 +73,7 @@ pub fn build_proximity_estimator<'a>(
     Some(match profile.collection {
         CollectionTechnique::ExplicitMeasurement => Box::new(ExplicitPinger::new(underlay)),
         CollectionTechnique::VivaldiCoordinates => {
-            let mut svc = VivaldiService::new(underlay.n_hosts(), VivaldiConfig::default());
+            let mut svc = VivaldiService::new(underlay.n_hosts());
             svc.converge(underlay, VIVALDI_ROUNDS, VIVALDI_SAMPLES, rng);
             Box::new(svc)
         }

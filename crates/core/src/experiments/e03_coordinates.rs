@@ -15,7 +15,7 @@
 use super::table::{ensure, num, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, Table};
-use uap_coords::{IcsSystem, Matrix, VivaldiConfig};
+use uap_coords::{IcsSystem, Matrix};
 use uap_info::{IcsService, VivaldiService};
 use uap_sim::{SimRng, Tracer};
 
@@ -153,7 +153,7 @@ pub fn run_accuracy(p: &Params) -> Table {
         }
     }
     for rounds in [VIVALDI_ROUNDS / 4, VIVALDI_ROUNDS] {
-        let mut svc = VivaldiService::new(underlay.n_hosts(), VivaldiConfig::default());
+        let mut svc = VivaldiService::new(underlay.n_hosts());
         svc.converge(&underlay, rounds, 4, &mut rng);
         let q = svc.quality(&underlay, p.eval_pairs, &mut rng);
         table.row(&[

@@ -63,6 +63,20 @@ impl Params {
     }
 }
 
+/// One selection trial's draw: a host `me` of `n`, and up to `candidates`
+/// other hosts sampled without replacement.
+fn draw_trial(rng: &mut SimRng, n: usize, candidates: usize) -> (HostId, Vec<HostId>) {
+    let me = HostId::from_index(rng.index(n));
+    let cands = rng
+        .sample_indices(n, candidates + 1)
+        .into_iter()
+        .map(HostId::from_index)
+        .filter(|&h| h != me)
+        .take(candidates)
+        .collect();
+    (me, cands)
+}
+
 /// (a) Asymmetric node selection: precision of forward-only measurement.
 pub fn run_asymmetry(p: &Params) -> Table {
     let mut table = Table::new(
@@ -77,14 +91,7 @@ pub fn run_asymmetry(p: &Params) -> Table {
         let mut correct = 0usize;
         let mut penalty = 0.0;
         for _ in 0..p.trials {
-            let me = HostId::from_index(rng.index(n));
-            let cands: Vec<HostId> = rng
-                .sample_indices(n, p.candidates + 1)
-                .into_iter()
-                .map(HostId::from_index)
-                .filter(|&h| h != me)
-                .take(p.candidates)
-                .collect();
+            let (me, cands) = draw_trial(&mut rng, n, p.candidates);
             // Node selects by its own forward one-way measurement…
             #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
             let chosen = *cands
@@ -150,14 +157,7 @@ pub fn run_long_hop(p: &Params) -> Table {
     let mut penalty_sum = 0.0;
     let mut worst: f64 = 1.0;
     for _ in 0..p.trials {
-        let me = HostId::from_index(rng.index(n));
-        let cands: Vec<HostId> = rng
-            .sample_indices(n, p.candidates + 1)
-            .into_iter()
-            .map(HostId::from_index)
-            .filter(|&h| h != me)
-            .take(p.candidates)
-            .collect();
+        let (me, cands) = draw_trial(&mut rng, n, p.candidates);
         #[expect(clippy::expect_used, reason = "p.candidates >= 1 hosts are sampled")]
         let by_hops = *cands
             .iter()
@@ -235,15 +235,8 @@ pub fn run_mobility(p: &Params) -> Table {
         let mut hits = 0usize;
         let mut applicable = 0usize;
         for _ in 0..p.trials {
-            let me = HostId::from_index(rng.index(n));
+            let (me, cands) = draw_trial(&mut rng, n, p.candidates);
             let my_cached = cached.get(me.idx());
-            let cands: Vec<HostId> = rng
-                .sample_indices(n, p.candidates + 1)
-                .into_iter()
-                .map(HostId::from_index)
-                .filter(|&h| h != me)
-                .take(p.candidates)
-                .collect();
             let pick = cands.iter().find(|&&c| cached.get(c.idx()) == my_cached);
             if let Some(&pick) = pick {
                 applicable += 1;

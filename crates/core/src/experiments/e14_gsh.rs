@@ -11,7 +11,8 @@
 use super::table::{ensure, Scale};
 use crate::experiments::NetParams;
 use crate::report::{f, pct, Table};
-use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode, ScopedDht};
+use uap_kademlia::gsh::{scope_key, scoped_dht, zone_of};
+use uap_kademlia::{DhtConfig, DhtNetwork, Key, ProximityMode};
 use uap_net::HostId;
 use uap_sim::{SimRng, Tracer};
 
@@ -84,21 +85,32 @@ fn retrievers(zones: &[u8]) -> impl Iterator<Item = (HostId, u8)> + '_ {
     stride.map(|(k, &z)| (HostId::from_index(k), z))
 }
 
-fn run_plain(p: &Params) -> SystemResult {
+/// Publishes each zone's items and retrieves own-zone content on a DHT
+/// whose node ids and content keys are scoped to zones (Leopard) or not
+/// (plain: location-blind hashes).
+fn run_system(p: &Params, scoped: bool) -> SystemResult {
     let mut rng = SimRng::new(p.net.seed ^ 0xE14);
-    let mut dht = DhtNetwork::build(
-        p.net.build(),
-        DhtConfig {
-            proximity: ProximityMode::None,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let n = dht.len();
-    // Publish: each zone's items stored under plain (location-blind) keys
-    // by a publisher from that zone.
-    let zones: Vec<u8> = (0..n)
-        .map(|i| uap_kademlia::gsh::zone_of(&dht.underlay.host(HostId::from_index(i)).geo))
+    let cfg = DhtConfig {
+        proximity: ProximityMode::None,
+        ..Default::default()
+    };
+    let mut dht = if scoped {
+        scoped_dht(p.net.build(), cfg, &mut rng)
+    } else {
+        DhtNetwork::build(p.net.build(), cfg, &mut rng)
+    };
+    // Regional content: its key, published and looked up from its zone.
+    let key = |zone: u8, name: &[u8]| {
+        let hash = Key::hash_of(name);
+        if scoped {
+            scope_key(zone, &hash)
+        } else {
+            hash
+        }
+    };
+    // Publish: each zone's items stored by a publisher from that zone.
+    let zones: Vec<u8> = (0..dht.len())
+        .map(|i| zone_of(&dht.underlay.host(HostId::from_index(i)).geo))
         .collect();
     let mut seen_zones: Vec<u8> = zones.clone();
     seen_zones.sort_unstable();
@@ -108,8 +120,7 @@ fn run_plain(p: &Params) -> SystemResult {
         let pi = zones.iter().position(|&x| x == z).expect("seen zone");
         let publisher = HostId::from_index(pi);
         for name in regional_names(z, p.items_per_zone) {
-            let key = Key::hash_of(&name);
-            dht.store(publisher, &key, 1, &mut rng);
+            dht.store(publisher, &key(z, &name), 1, &mut rng);
         }
     }
     // Retrieve own-zone content.
@@ -119,57 +130,8 @@ fn run_plain(p: &Params) -> SystemResult {
     let mut lat = 0.0;
     let mut ok = 0usize;
     for (i, (h, z)) in retrievers(&zones).take(p.retrievals).enumerate() {
-        let key = Key::hash_of(&regional_name(z, i % p.items_per_zone));
-        let (out, got) = dht.retrieve(h, &key, &mut rng);
-        hops += out.as_hops_sum;
-        rpcs += out.rpcs;
-        inter += out.inter_as_rpcs;
-        lat += out.latency_us as f64 / 1_000.0;
-        if got.is_some() {
-            ok += 1;
-        }
-    }
-    SystemResult {
-        as_hops_per_rpc: hops as f64 / rpcs.max(1) as f64,
-        mean_latency_ms: lat / p.retrievals as f64,
-        success: ok as f64 / p.retrievals as f64,
-        inter_as_share: inter as f64 / rpcs.max(1) as f64,
-    }
-}
-
-fn run_scoped(p: &Params) -> SystemResult {
-    let mut rng = SimRng::new(p.net.seed ^ 0xE14);
-    let mut dht = ScopedDht::build(
-        p.net.build(),
-        DhtConfig {
-            proximity: ProximityMode::None,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let n = dht.dht.len();
-    let zones: Vec<u8> = (0..n)
-        .map(|i| dht.zone_of_host(HostId::from_index(i)))
-        .collect();
-    let mut seen_zones: Vec<u8> = zones.clone();
-    seen_zones.sort_unstable();
-    seen_zones.dedup();
-    for &z in &seen_zones {
-        #[expect(clippy::expect_used, reason = "z was drawn from this very list above")]
-        let pi = zones.iter().position(|&x| x == z).expect("seen zone");
-        let publisher = HostId::from_index(pi);
-        for name in regional_names(z, p.items_per_zone) {
-            dht.publish_regional(publisher, &name, 1, &mut rng);
-        }
-    }
-    let mut hops = 0u64;
-    let mut rpcs = 0u64;
-    let mut inter = 0u64;
-    let mut lat = 0.0;
-    let mut ok = 0usize;
-    for (i, (h, z)) in retrievers(&zones).take(p.retrievals).enumerate() {
         let name = regional_name(z, i % p.items_per_zone);
-        let (out, got) = dht.retrieve_regional(h, &name, &mut rng);
+        let (out, got) = dht.retrieve(h, &key(z, &name), &mut rng);
         hops += out.as_hops_sum;
         rpcs += out.rpcs;
         inter += out.inter_as_rpcs;
@@ -188,8 +150,8 @@ fn run_scoped(p: &Params) -> SystemResult {
 
 /// Runs the comparison.
 pub fn run(p: &Params) -> Outcome {
-    let plain = run_plain(p);
-    let scoped = run_scoped(p);
+    let plain = run_system(p, false);
+    let scoped = run_system(p, true);
     let mut table = Table::new(
         "E14 — geographically scoped hashing (Leopard [33]) vs plain DHT",
         &[

@@ -211,7 +211,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
 /// measures valley-free reachability under each mask.
 fn probe_reachability(p: &Params) -> Table {
     let mut underlay = p.net.build();
-    let compiled = p.plan().compile(&underlay.graph);
+    let compiled = p.plan().compile(&underlay.graph, underlay.n_hosts());
     let mut table = Table::new(
         "E16a — AS reachability across fault epochs",
         &[
@@ -592,7 +592,7 @@ mod tests {
     fn reference_kademlia(p: &Params) -> Vec<(LookupOutcome, Option<u64>)> {
         let (mut net, ops) = kad_workload(p);
         let mut rng = SimRng::new(0);
-        let compiled = p.plan().compile(&net.underlay.graph);
+        let compiled = p.plan().compile(&net.underlay.graph, net.len());
         let mid = SimTime::from_micros((p.fault_start.as_micros() + p.fault_end.as_micros()) / 2);
         let state = compiled.state_at(mid);
         let mut results = Vec::new();

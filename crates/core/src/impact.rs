@@ -207,7 +207,7 @@ fn edge_survival_under_transit_failure(
                 salt: seed ^ 0xFA11,
             },
         )
-        .compile(&underlay.graph)
+        .compile(&underlay.graph, underlay.n_hosts())
         .state_at(SimTime::ZERO);
     underlay.apply_fault_state(&outage);
     let routing = underlay.routing();

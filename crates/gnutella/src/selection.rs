@@ -77,19 +77,6 @@ impl Selector {
         self.probe_messages
     }
 
-    /// Orders `candidates` best-first for `joiner` under the policy;
-    /// clears and fills `out`.
-    pub fn rank_into(
-        &mut self,
-        underlay: &Underlay,
-        joiner: HostId,
-        candidates: &[HostId],
-        rng: &mut SimRng,
-        out: &mut Vec<HostId>,
-    ) {
-        self.select_into(underlay, joiner, candidates, usize::MAX, rng, out);
-    }
-
     /// Picks the (up to) `want` best of `candidates` for `joiner` under
     /// the policy, best first; clears and fills `out` — join/repair hands
     /// in a reused buffer. Every candidate is still shuffled, probed or
@@ -221,7 +208,14 @@ mod tests {
         let candidates: Vec<HostId> = u.hosts.ids().take(100).collect();
         let mut rng = SimRng::new(83);
         let mut ranked = Vec::new();
-        sel.rank_into(&u, HostId(150), &candidates, &mut rng, &mut ranked);
+        sel.select_into(
+            &u,
+            HostId(150),
+            &candidates,
+            usize::MAX,
+            &mut rng,
+            &mut ranked,
+        );
         assert_eq!(ranked.len(), 5);
     }
 
@@ -233,7 +227,7 @@ mod tests {
         let candidates: Vec<HostId> = (0..50).map(HostId).filter(|&h| h != joiner).collect();
         let mut rng = SimRng::new(84);
         let mut ranked = Vec::new();
-        sel.rank_into(&u, joiner, &candidates, &mut rng, &mut ranked);
+        sel.select_into(&u, joiner, &candidates, usize::MAX, &mut rng, &mut ranked);
         let rtts: Vec<u64> = ranked
             .iter()
             .map(|&h| u.rtt_us(joiner, h).unwrap())
@@ -252,7 +246,7 @@ mod tests {
         let candidates: Vec<HostId> = (0..40).map(HostId).filter(|&h| h != joiner).collect();
         let mut rng = SimRng::new(85);
         let mut ranked = Vec::new();
-        sel.rank_into(&u, joiner, &candidates, &mut rng, &mut ranked);
+        sel.select_into(&u, joiner, &candidates, usize::MAX, &mut rng, &mut ranked);
         let dists: Vec<f64> = ranked
             .iter()
             .map(|&h| u.geo_distance_km(joiner, h))
@@ -269,7 +263,14 @@ mod tests {
         let candidates: Vec<HostId> = (0..40).map(HostId).collect();
         let mut rng = SimRng::new(86);
         let mut ranked = Vec::new();
-        sel.rank_into(&u, HostId(100), &candidates, &mut rng, &mut ranked);
+        sel.select_into(
+            &u,
+            HostId(100),
+            &candidates,
+            usize::MAX,
+            &mut rng,
+            &mut ranked,
+        );
         let caps: Vec<f64> = ranked.iter().map(|&h| u.host(h).capacity_score()).collect();
         for w in caps.windows(2) {
             assert!(w[0] >= w[1]);
@@ -283,16 +284,23 @@ mod tests {
         let candidates: Vec<HostId> = (0..30).map(HostId).collect();
         let mut rng = SimRng::new(87);
         let mut ranked = Vec::new();
-        sel.rank_into(&u, HostId(100), &candidates, &mut rng, &mut ranked);
+        sel.select_into(
+            &u,
+            HostId(100),
+            &candidates,
+            usize::MAX,
+            &mut rng,
+            &mut ranked,
+        );
         ranked.sort();
         assert_eq!(ranked, candidates);
         assert_eq!(sel.oracle_queries(), 0);
         assert_eq!(sel.probe_messages(), 0);
     }
 
-    /// Selecting `want` equals ranking everything and keeping the head —
-    /// the body `select_into` had before it stopped sorting the tail —
-    /// for every policy and every `want` around the edges, with the same
+    /// Selecting `want` equals ranking everything (`want = usize::MAX`)
+    /// and keeping the head — the body `select_into` had before it
+    /// stopped sorting the tail — for every policy and every `want` around the edges, with the same
     /// draws taken from the RNG and the same probes counted.
     #[test]
     fn select_equals_head_of_full_ranking() {
@@ -311,7 +319,14 @@ mod tests {
                     (Selector::new(policy.clone()), Selector::new(policy.clone()));
                 let (mut rng_full, mut rng_head) = (SimRng::new(89), SimRng::new(89));
                 let (mut ranked, mut picked) = (Vec::new(), vec![HostId(7)]);
-                full.rank_into(&u, joiner, &candidates, &mut rng_full, &mut ranked);
+                full.select_into(
+                    &u,
+                    joiner,
+                    &candidates,
+                    usize::MAX,
+                    &mut rng_full,
+                    &mut ranked,
+                );
                 head.select_into(&u, joiner, &candidates, want, &mut rng_head, &mut picked);
                 ranked.truncate(want);
                 assert_eq!(picked, ranked, "{policy:?} want {want}");

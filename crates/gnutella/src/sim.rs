@@ -102,7 +102,6 @@ pub struct GnutellaSim {
     scratch_picked: Vec<HostId>,
     scratch_neighbors: Vec<HostId>,
     scratch_tried: Vec<HostId>,
-    scratch_crash: Vec<bool>,
 }
 
 impl GnutellaSim {
@@ -201,7 +200,7 @@ impl GnutellaSim {
                     .u64("leaves", (n - ultrapeers) as u64);
             });
 
-        let faults = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph));
+        let faults = cfg.faults.as_ref().map(|p| p.compile(&underlay.graph, n));
         let flows = FlowAllocator::new(&underlay);
         let mut world = GnutellaSim {
             underlay,
@@ -233,7 +232,6 @@ impl GnutellaSim {
             scratch_picked: Vec::new(),
             scratch_neighbors: Vec::new(),
             scratch_tried: Vec::new(),
-            scratch_crash: Vec::new(),
         };
         world.bootstrap(sim);
         world
@@ -258,54 +256,38 @@ impl GnutellaSim {
             }
         }
         if let Some(plan) = &self.faults {
-            for (i, &t) in plan.boundaries().iter().enumerate() {
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "boundary index; a plan has two per fault spec"
-                )]
-                sim.schedule_at(t, Ev::Fault(i as u32));
-            }
+            plan.schedule(sim, Ev::Fault);
         }
     }
 
     /// Enters one epoch boundary ([`uap_net::fault::enter_boundary`]:
     /// routing repair, route-cache invalidation, the `fault.epoch` and
-    /// `routing.repair` events), then diffs the crash set against the
-    /// previous one (newly crashed hosts drop off the overlay, restored
+    /// `routing.repair` events), then applies the boundary's crash flips
+    /// in host order (newly crashed hosts drop off the overlay, restored
     /// hosts rejoin if their churn state allows).
-    #[expect(clippy::indexing_slicing, reason = "i < crashed.len(); h is checked")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the plan was compiled for this population: h < n_hosts"
+    )]
     fn fault_boundary(&mut self, idx: usize, ctx: &mut Ctx<'_, Ev>) {
-        let Some(plan) = &self.faults else { return };
-        let (state, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, plan, idx, ctx);
+        // Out of `self` while `leave` and `join` borrow it mutably.
+        let Some(plan) = self.faults.take() else {
+            return;
+        };
+        let (_, fault_seq) = uap_net::fault::enter_boundary(&mut self.underlay, &plan, idx, ctx);
         // The epoch is the cause anchor: everything this boundary
         // triggers — leaves, crash restores, the Repair events they
         // schedule, and later download retries — points back at it.
         self.last_fault_seq = fault_seq.or(self.last_fault_seq);
-        let mut now_crashed = std::mem::take(&mut self.scratch_crash);
-        now_crashed.clear();
-        now_crashed.resize(self.crashed.len(), false);
-        for h in &state.crashed {
-            if h.idx() < now_crashed.len() {
-                now_crashed[h.idx()] = true;
+        for &(h, crashed) in plan.crash_flips(idx) {
+            self.crashed[h.idx()] = crashed;
+            if crashed {
+                self.leave(h, ctx);
+            } else if self.churn[h.idx()].is_online() {
+                self.join(h, ctx);
             }
         }
-        for (i, &now_down) in now_crashed.iter().enumerate() {
-            let h = HostId::from_index(i);
-            match (self.crashed[i], now_down) {
-                (false, true) => {
-                    self.crashed[i] = true;
-                    self.leave(h, ctx);
-                }
-                (true, false) => {
-                    self.crashed[i] = false;
-                    if self.churn[i].is_online() {
-                        self.join(h, ctx);
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.scratch_crash = now_crashed;
+        self.faults = Some(plan);
     }
 
     #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]

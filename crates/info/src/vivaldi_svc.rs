@@ -7,7 +7,7 @@
 //! the paper's argument for prediction methods.
 
 use crate::provider::ProximityEstimator;
-use uap_coords::{EmbeddingQuality, VivaldiConfig, VivaldiNode};
+use uap_coords::{EmbeddingQuality, VivaldiNode};
 use uap_net::{HostId, Underlay};
 use uap_sim::SimRng;
 
@@ -20,9 +20,9 @@ pub struct VivaldiService {
 
 impl VivaldiService {
     /// Creates fresh coordinates for `n_hosts` hosts.
-    pub fn new(n_hosts: usize, cfg: VivaldiConfig) -> VivaldiService {
+    pub fn new(n_hosts: usize) -> VivaldiService {
         VivaldiService {
-            nodes: (0..n_hosts).map(|_| VivaldiNode::new(cfg)).collect(),
+            nodes: vec![VivaldiNode::default(); n_hosts],
             messages: 0,
             rounds: 0,
         }
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn convergence_improves_quality() {
         let u = underlay();
-        let mut svc = VivaldiService::new(u.n_hosts(), VivaldiConfig::default());
+        let mut svc = VivaldiService::new(u.n_hosts());
         let mut rng = SimRng::new(52);
         let before = svc.quality(&u, 300, &mut rng);
         svc.converge(&u, 40, 4, &mut rng);
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn overhead_scales_with_rounds_and_samples() {
         let u = underlay();
-        let mut svc = VivaldiService::new(u.n_hosts(), VivaldiConfig::default());
+        let mut svc = VivaldiService::new(u.n_hosts());
         let mut rng = SimRng::new(53);
         svc.run_round(&u, 2, &mut rng);
         let one = svc.overhead_messages();
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn ranking_correlates_with_underlay_rtt() {
         let u = underlay();
-        let mut svc = VivaldiService::new(u.n_hosts(), VivaldiConfig::default());
+        let mut svc = VivaldiService::new(u.n_hosts());
         let mut rng = SimRng::new(54);
         svc.converge(&u, 50, 4, &mut rng);
         let from = HostId(0);
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn tiny_population_is_safe() {
         let u = underlay();
-        let mut svc = VivaldiService::new(1, VivaldiConfig::default());
+        let mut svc = VivaldiService::new(1);
         let mut rng = SimRng::new(55);
         svc.run_round(&u, 3, &mut rng);
         assert_eq!(svc.overhead_messages(), 0);

@@ -16,8 +16,8 @@
 //! locally-consumed content never leave the neighbourhood.
 
 use crate::id::Key;
-use crate::network::{DhtConfig, DhtNetwork, LookupOutcome};
-use uap_net::{GeoPoint, HostId, Underlay, WORLD_KM};
+use crate::network::{DhtConfig, DhtNetwork};
+use uap_net::{GeoPoint, Underlay, WORLD_KM};
 use uap_sim::SimRng;
 
 /// Number of zone-prefix bits (a 2^(z/2) × 2^(z/2) grid).
@@ -52,68 +52,25 @@ pub fn scope_key(zone: u8, inner: &Key) -> Key {
     Key(b)
 }
 
-/// A geographically scoped DHT: a standard [`DhtNetwork`] whose node
-/// identifiers carry zone prefixes.
-pub struct ScopedDht {
-    /// The underlying DHT.
-    pub dht: DhtNetwork,
-}
-
-impl ScopedDht {
-    /// Builds the scoped DHT: node keys get their owner's zone prefix
-    /// before the network is joined.
-    #[expect(clippy::indexing_slicing, reason = "i < n_hosts = zones.len()")]
-    pub fn build(underlay: Underlay, cfg: DhtConfig, rng: &mut SimRng) -> ScopedDht {
-        let zones: Vec<u8> = underlay
-            .hosts
-            .ids()
-            .map(|h| zone_of(&underlay.host(h).geo))
-            .collect();
-        let dht =
-            DhtNetwork::build_with_keys(underlay, cfg, rng, |i, key| scope_key(zones[i], &key));
-        ScopedDht { dht }
-    }
-
-    /// The zone a host lives in.
-    pub fn zone_of_host(&self, h: HostId) -> u8 {
-        zone_of(&self.dht.underlay.host(h).geo)
-    }
-
-    /// The scoped key under which `name` is stored for `zone`.
-    pub fn regional_key(&self, zone: u8, name: &[u8]) -> Key {
-        scope_key(zone, &Key::hash_of(name))
-    }
-
-    /// Publishes regional content: stored under the publisher's own zone.
-    pub fn publish_regional(
-        &mut self,
-        publisher: HostId,
-        name: &[u8],
-        value: u64,
-        rng: &mut SimRng,
-    ) -> (LookupOutcome, usize) {
-        let key = self.regional_key(self.zone_of_host(publisher), name);
-        self.dht.store(publisher, &key, value, rng)
-    }
-
-    /// Retrieves content scoped to the *requester's* zone (the
-    /// locally-popular-content pattern Leopard optimizes).
-    pub fn retrieve_regional(
-        &mut self,
-        requester: HostId,
-        name: &[u8],
-        rng: &mut SimRng,
-    ) -> (LookupOutcome, Option<u64>) {
-        let key = self.regional_key(self.zone_of_host(requester), name);
-        self.dht.retrieve(requester, &key, rng)
-    }
+/// Builds a geographically scoped DHT: a standard [`DhtNetwork`] whose
+/// node keys get their owner's zone prefix before the network is joined.
+/// Content published for a region goes under [`scope_key`] of that
+/// region's zone.
+#[expect(clippy::indexing_slicing, reason = "i < n_hosts = zones.len()")]
+pub fn scoped_dht(underlay: Underlay, cfg: DhtConfig, rng: &mut SimRng) -> DhtNetwork {
+    let zones: Vec<u8> = underlay
+        .hosts
+        .ids()
+        .map(|h| zone_of(&underlay.host(h).geo))
+        .collect();
+    DhtNetwork::build_with_keys(underlay, cfg, rng, |i, key| scope_key(zones[i], &key))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::ProximityMode;
-    use uap_net::NetParams;
+    use uap_net::{HostId, NetParams};
 
     fn underlay(n: usize, seed: u64) -> Underlay {
         NetParams {
@@ -150,30 +107,27 @@ mod tests {
     #[test]
     fn regional_content_round_trips() {
         let mut rng = SimRng::new(3);
-        let mut dht = ScopedDht::build(underlay(128, 3), DhtConfig::default(), &mut rng);
-        // A publisher stores regional content; a same-zone requester finds
-        // it under the same key.
+        let mut dht = scoped_dht(underlay(128, 3), DhtConfig::default(), &mut rng);
+        let zone_of_host = |dht: &DhtNetwork, h: HostId| zone_of(&dht.underlay.host(h).geo);
+        let regional = |zone: u8| scope_key(zone, &Key::hash_of(b"local-news"));
+        // A publisher stores regional content under its zone; a same-zone
+        // requester finds it under its own zone's key.
         let publisher = HostId(0);
-        let zone = dht.zone_of_host(publisher);
-        let neighbor = dht
-            .dht
-            .underlay
-            .hosts
-            .ids()
-            .find(|&h| h != publisher && dht.zone_of_host(h) == zone)
+        let zone = zone_of_host(&dht, publisher);
+        let hosts: Vec<HostId> = dht.underlay.hosts.ids().collect();
+        let neighbor = *hosts
+            .iter()
+            .find(|&&h| h != publisher && zone_of_host(&dht, h) == zone)
             .expect("fixture needs a zone mate");
-        dht.publish_regional(publisher, b"local-news", 55, &mut rng);
-        let (_, got) = dht.retrieve_regional(neighbor, b"local-news", &mut rng);
+        dht.store(publisher, &regional(zone), 55, &mut rng);
+        let (_, got) = dht.retrieve(neighbor, &regional(zone_of_host(&dht, neighbor)), &mut rng);
         assert_eq!(got, Some(55));
         // A far-zone requester asks under its own zone: misses.
-        let far = dht
-            .dht
-            .underlay
-            .hosts
-            .ids()
-            .find(|&h| dht.zone_of_host(h) != zone)
+        let far = *hosts
+            .iter()
+            .find(|&&h| zone_of_host(&dht, h) != zone)
             .expect("fixture needs a far host");
-        let (_, miss) = dht.retrieve_regional(far, b"local-news", &mut rng);
+        let (_, miss) = dht.retrieve(far, &regional(zone_of_host(&dht, far)), &mut rng);
         assert_eq!(miss, None);
     }
 
@@ -190,12 +144,12 @@ mod tests {
             let mut hops = 0u64;
             let mut rpcs = 0u64;
             if scoped {
-                let mut dht = ScopedDht::build(underlay(192, 7), cfg, &mut rng);
+                let mut dht = scoped_dht(underlay(192, 7), cfg, &mut rng);
                 for i in 0..60u32 {
                     let h = HostId(i % 192);
-                    let key =
-                        dht.regional_key(dht.zone_of_host(h), format!("c{}", i % 10).as_bytes());
-                    let out = dht.dht.lookup(h, &key, &mut rng);
+                    let zone = zone_of(&dht.underlay.host(h).geo);
+                    let key = scope_key(zone, &Key::hash_of(format!("c{}", i % 10).as_bytes()));
+                    let out = dht.lookup(h, &key, &mut rng);
                     hops += out.as_hops_sum;
                     rpcs += out.rpcs;
                 }

@@ -27,7 +27,6 @@ pub mod id;
 pub mod kbucket;
 pub mod network;
 
-pub use gsh::ScopedDht;
 pub use id::Key;
 pub use kbucket::{Contact, RoutingTable};
 pub use network::{run_dht_with, DhtConfig, DhtNetwork, DhtOp, LookupOutcome, ProximityMode};

@@ -536,8 +536,9 @@ pub enum DhtOp {
 /// event engine at sim time `t` while `faults` plays out on the same clock,
 /// tracing into `tracer`. Returns, per op, its lookup and the value a
 /// `Retrieve` got. A plan boundary is entered ([`enter_boundary`]) before
-/// the ops at its instant; its crash set replaces the last one offline,
-/// and an op inside an active epoch has that `fault.epoch` as its cause.
+/// the ops at its instant; its crash flips take hosts offline or back
+/// online, and an op inside an active epoch has that `fault.epoch` as its
+/// cause.
 pub fn run_dht_with(
     net: &mut DhtNetwork,
     ops: &[(SimTime, DhtOp)],
@@ -547,17 +548,14 @@ pub fn run_dht_with(
     assert!(ops.is_sorted_by_key(|&(t, _)| t), "ops out of time order");
     let mut sim = Simulator::new(0); // DHT ops draw no randomness.
     sim.set_tracer(std::mem::take(tracer));
-    let plan = faults.compile(&net.underlay.graph);
-    for (i, &t) in plan.boundaries().iter().enumerate() {
-        sim.schedule_at(t, DhtEv::Fault(i));
-    }
+    let plan = faults.compile(&net.underlay.graph, net.len());
+    plan.schedule(&mut sim, DhtEv::Fault);
     for &(t, op) in ops {
         sim.schedule_at(t, DhtEv::Op(op));
     }
     let mut world = DhtWorld {
         net,
         plan,
-        crashed: Vec::new(),
         cause: None,
         results: Vec::with_capacity(ops.len()),
     };
@@ -570,15 +568,13 @@ pub fn run_dht_with(
 /// [`run_dht_with`]'s engine events: an op, or plan boundary `i`.
 enum DhtEv {
     Op(DhtOp),
-    Fault(usize),
+    Fault(u32),
 }
 
 /// A DHT on the engine for the length of one [`run_dht_with`].
 struct DhtWorld<'a> {
     net: &'a mut DhtNetwork,
     plan: CompiledFaultPlan,
-    /// The crash set of the last boundary entered.
-    crashed: Vec<HostId>,
     /// The active epoch's `fault.epoch` seq (`None` between epochs).
     cause: Option<u64>,
     results: Vec<(LookupOutcome, Option<u64>)>,
@@ -590,11 +586,12 @@ impl World<DhtEv> for DhtWorld<'_> {
         let op = match ev {
             DhtEv::Op(op) => op,
             DhtEv::Fault(i) => {
+                let i = i as usize;
                 let (state, seq) = enter_boundary(&mut net.underlay, &self.plan, i, ctx);
-                self.crashed.iter().for_each(|&h| net.set_online(h, true));
-                state.crashed.iter().for_each(|&h| net.set_online(h, false));
+                for &(h, crashed) in self.plan.crash_flips(i) {
+                    net.set_online(h, !crashed);
+                }
                 self.cause = seq.filter(|_| state.active > 0);
-                self.crashed = state.crashed;
                 return;
             }
         };

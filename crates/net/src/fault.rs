@@ -14,21 +14,27 @@
 //! Determinism: random masks are sampled at compile time from a dedicated
 //! [`SimRng`] seeded by the epoch's own `salt`, so the sampled fault set is
 //! a pure function of `(graph, plan)` — independent of the simulation's
-//! RNG stream and of *when* the plan is compiled. Application is
-//! sim-time-driven: every overlay (Gnutella, the swarm, the Kademlia DHT)
-//! schedules one `Fault(i)` event per epoch boundary and hands it to
-//! [`enter_boundary`], the one boundary handler. It calls
-//! [`crate::Underlay::apply_fault_state`], which incrementally repairs
-//! routing under the epoch's mask (only sources whose shortest-path
-//! forests touch a changed link recompute) and invalidates the affected
-//! rows of the AS-pair route cache (see `docs/DETERMINISM.md` and
-//! `docs/PERFORMANCE.md`), and traces the boundary; each overlay then
-//! applies only its own crash diff.
+//! RNG stream and of *when* the plan is compiled. Compilation also diffs
+//! the crash sets of consecutive boundaries, so the plan hands each
+//! boundary's crash changes out ready-made
+//! ([`CompiledFaultPlan::crash_flips`]).
+//!
+//! Application is sim-time-driven: every overlay (Gnutella, the swarm,
+//! the Kademlia DHT) has the plan schedule one event per epoch boundary
+//! ([`CompiledFaultPlan::schedule`]) and hands it to [`enter_boundary`],
+//! the one boundary handler. It calls
+//! [`crate::Underlay::apply_fault_state`], whose route table repairs
+//! itself under the epoch's mask (only sources whose shortest-path
+//! forests touch a changed link recompute) before the underlay
+//! invalidates the affected rows of the AS-pair route cache (see
+//! `docs/DETERMINISM.md` and `docs/PERFORMANCE.md`), and traces the
+//! boundary; each overlay then takes its hosts down or back up, in host
+//! order, as the boundary's crash flips say.
 
 use crate::asgraph::{AsGraph, LinkKind};
 use crate::ids::HostId;
 use crate::underlay::Underlay;
-use uap_sim::{trace::registry, Ctx, Fields, SimRng, SimTime};
+use uap_sim::{trace::registry, Ctx, Fields, SimRng, SimTime, Simulator};
 
 /// What a fault epoch breaks while it is active.
 #[derive(Clone, Debug)]
@@ -101,16 +107,17 @@ impl FaultPlan {
         self
     }
 
-    /// Compiles the plan against a concrete graph: samples the random link
-    /// masks (from each epoch's `salt`, never the simulation RNG) and
-    /// precomputes the sorted set of epoch boundaries.
+    /// Compiles the plan against a concrete graph and a population of
+    /// `hosts` hosts: samples the random link masks (from each epoch's
+    /// `salt`, never the simulation RNG), precomputes the sorted set of
+    /// epoch boundaries and each boundary's crash flips.
     ///
     /// # Panics
     ///
-    /// Panics on malformed epochs: `end <= start`, a link index out of
-    /// range, or a latency-inflation factor below 1.0.
+    /// Panics on malformed epochs: `end <= start`, a link index or a
+    /// crashed host out of range, or a latency-inflation factor below 1.0.
     #[expect(clippy::indexing_slicing, reason = "link ids asserted < n_links above")]
-    pub fn compile(&self, graph: &AsGraph) -> CompiledFaultPlan {
+    pub fn compile(&self, graph: &AsGraph, hosts: usize) -> CompiledFaultPlan {
         let n_links = graph.links.len();
         let epochs: Vec<CompiledEpoch> = self
             .epochs
@@ -158,8 +165,14 @@ impl FaultPlan {
                         );
                         latency_factor = *factor;
                     }
-                    FaultKind::HostCrash { hosts } => {
-                        crashed = hosts.clone();
+                    FaultKind::HostCrash { hosts: ids } => {
+                        for h in ids {
+                            assert!(
+                                h.idx() < hosts,
+                                "fault epoch names host {h} but the population has {hosts} hosts"
+                            );
+                        }
+                        crashed = ids.clone();
                         crashed.sort_unstable_by_key(|h| h.0);
                         crashed.dedup();
                     }
@@ -176,11 +189,27 @@ impl FaultPlan {
         let mut boundaries: Vec<SimTime> = epochs.iter().flat_map(|e| [e.start, e.end]).collect();
         boundaries.sort_unstable();
         boundaries.dedup();
-        CompiledFaultPlan {
+        let mut plan = CompiledFaultPlan {
             epochs,
             boundaries,
             n_links,
+            flips: Vec::new(),
+        };
+        // Before the first boundary no epoch is active: nothing crashed.
+        let mut before: Vec<HostId> = Vec::new();
+        for &t in &plan.boundaries {
+            let after = plan.state_at(t).crashed;
+            let went_down = after.iter().filter(|h| before.binary_search(h).is_err());
+            let came_back = before.iter().filter(|h| after.binary_search(h).is_err());
+            let mut flips: Vec<(HostId, bool)> = went_down
+                .map(|&h| (h, true))
+                .chain(came_back.map(|&h| (h, false)))
+                .collect();
+            flips.sort_unstable_by_key(|&(h, _)| h.0);
+            plan.flips.push(flips);
+            before = after;
         }
+        plan
     }
 }
 
@@ -195,12 +224,16 @@ struct CompiledEpoch {
 }
 
 /// A [`FaultPlan`] compiled against a graph: per-epoch masks materialized,
-/// boundaries sorted. Query with [`CompiledFaultPlan::state_at`].
+/// boundaries sorted, each boundary's crash flips diffed. Query with
+/// [`CompiledFaultPlan::state_at`].
 #[derive(Clone, Debug)]
 pub struct CompiledFaultPlan {
     epochs: Vec<CompiledEpoch>,
     boundaries: Vec<SimTime>,
     n_links: usize,
+    /// Per boundary, the hosts whose crash state flips there (see
+    /// [`CompiledFaultPlan::crash_flips`]).
+    flips: Vec<Vec<(HostId, bool)>>,
 }
 
 /// The union of all faults active at one instant.
@@ -245,10 +278,30 @@ impl FaultState {
 }
 
 impl CompiledFaultPlan {
-    /// The sorted, deduplicated epoch boundary times. The overlay worlds
-    /// schedule one fault-application event at each of these.
+    /// The sorted, deduplicated epoch boundary times.
     pub fn boundaries(&self) -> &[SimTime] {
         &self.boundaries
+    }
+
+    /// Schedules `event(i)` on `sim` at boundary `i`'s time, for every
+    /// boundary in order: the overlay's one fault-application event per
+    /// boundary, handed to [`enter_boundary`] when it fires.
+    pub fn schedule<E>(&self, sim: &mut Simulator<E>, event: impl Fn(u32) -> E) {
+        for (i, &t) in self.boundaries.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "boundary index; a plan has two per epoch"
+            )]
+            sim.schedule_at(t, event(i as u32));
+        }
+    }
+
+    /// The hosts whose crash state flips at boundary `i`, in host order,
+    /// each with whether it is crashed from there on: the difference of
+    /// the crash sets of `state_at` boundary `i − 1` (none before the
+    /// first) and boundary `i`. Empty past the last boundary.
+    pub fn crash_flips(&self, i: usize) -> &[(HostId, bool)] {
+        self.flips.get(i).map_or(&[], Vec::as_slice)
     }
 
     /// The composed fault state at time `t`: epochs are active over the
@@ -280,8 +333,8 @@ impl CompiledFaultPlan {
 /// [`CompiledFaultPlan::boundaries`]) at that boundary's time: applies
 /// `state_at` to `net` and traces `fault.epoch` as a causal root
 /// followed by the `routing.repair` it caused. The epoch's `seq` stays
-/// the ambient cause, so the caller's own crash diff points back at it
-/// too. Returns the applied state and that `seq` (`None` when the tracer
+/// the ambient cause, so the leaves and joins the caller makes from the
+/// boundary's [`CompiledFaultPlan::crash_flips`] point back at it too. Returns the applied state and that `seq` (`None` when the tracer
 /// filters it).
 ///
 /// # Panics
@@ -295,7 +348,7 @@ pub fn enter_boundary<E>(
 ) -> (FaultState, Option<u64>) {
     #[expect(
         clippy::expect_used,
-        reason = "Fault(i) is scheduled from boundaries()"
+        reason = "Fault(i) is scheduled by CompiledFaultPlan::schedule"
     )]
     let &t = plan
         .boundaries()
@@ -323,6 +376,9 @@ mod tests {
     use crate::gen::{TopologyKind, TopologySpec};
     use uap_sim::TraceLevel;
 
+    /// The population the test plans are compiled for.
+    const HOSTS: usize = 20;
+
     fn graph() -> AsGraph {
         TopologySpec::new(TopologyKind::Hierarchical {
             tier1: 2,
@@ -341,7 +397,7 @@ mod tests {
     #[test]
     fn empty_plan_is_always_clear() {
         let g = graph();
-        let plan = FaultPlan::new().compile(&g);
+        let plan = FaultPlan::new().compile(&g, HOSTS);
         assert!(plan.boundaries().is_empty());
         assert_eq!(plan.state_at(secs(10)), FaultState::clear());
     }
@@ -351,7 +407,7 @@ mod tests {
         let g = graph();
         let plan = FaultPlan::new()
             .epoch(secs(10), secs(20), FaultKind::LinkDown { links: vec![0] })
-            .compile(&g);
+            .compile(&g, HOSTS);
         assert_eq!(plan.boundaries(), &[secs(10), secs(20)]);
         assert_eq!(plan.state_at(secs(9)).active, 0);
         assert_eq!(plan.state_at(secs(10)).active, 1);
@@ -382,7 +438,7 @@ mod tests {
                     hosts: vec![HostId(5), HostId(2), HostId(5)],
                 },
             )
-            .compile(&g);
+            .compile(&g, HOSTS);
         let s = plan.state_at(secs(15));
         assert_eq!(s.active, 5);
         assert_eq!(s.links_down(), 2);
@@ -407,7 +463,7 @@ mod tests {
                     secs(10),
                     FaultKind::RandomLinkDown { p: 0.5, salt },
                 )
-                .compile(&g)
+                .compile(&g, HOSTS)
                 .state_at(secs(5))
         };
         assert_eq!(mk(7), mk(7), "same salt must sample the same mask");
@@ -423,7 +479,7 @@ mod tests {
                 secs(10),
                 FaultKind::TransitDown { p: 1.0, salt: 1 },
             )
-            .compile(&g);
+            .compile(&g, HOSTS);
         let s = plan.state_at(secs(0));
         let mask = s.mask.expect("p=1.0 downs every transit link");
         for (i, l) in g.links.iter().enumerate() {
@@ -465,12 +521,10 @@ mod tests {
         );
         let plan = FaultPlan::new()
             .epoch(secs(10), secs(20), FaultKind::LinkDown { links: vec![0] })
-            .compile(&net.graph);
+            .compile(&net.graph, net.n_hosts());
         let mut sim = Simulator::new(1);
         sim.set_tracer(Tracer::buffered(TraceLevel::Debug));
-        for (i, &t) in plan.boundaries().iter().enumerate() {
-            sim.schedule_at(t, i);
-        }
+        plan.schedule(&mut sim, |i| i as usize);
         let mut w = W {
             net,
             plan,
@@ -494,13 +548,58 @@ mod tests {
         }
     }
 
+    /// Each boundary's crash flips are the difference of the crash sets
+    /// at it and at the boundary before, in host order: over two
+    /// overlapping crash epochs that share a host, and a link epoch whose
+    /// boundaries change only links.
+    #[test]
+    fn crash_flips_are_the_difference_of_consecutive_crash_sets() {
+        use std::collections::BTreeSet;
+        let g = graph();
+        let crash = |hosts: &[u32]| FaultKind::HostCrash {
+            hosts: hosts.iter().map(|&h| HostId(h)).collect(),
+        };
+        let plan = FaultPlan::new()
+            .epoch(secs(20), secs(40), crash(&[5, 3]))
+            .epoch(secs(10), secs(30), crash(&[3, 1]))
+            .epoch(secs(25), secs(35), FaultKind::LinkDown { links: vec![0] })
+            .compile(&g, HOSTS);
+        let b = plan.boundaries();
+        assert_eq!(b, &[10, 20, 25, 30, 35, 40].map(secs));
+        let mut before = BTreeSet::new();
+        for (i, &t) in b.iter().enumerate() {
+            let after: BTreeSet<HostId> = plan.state_at(t).crashed.into_iter().collect();
+            let mut want: Vec<(HostId, bool)> = after
+                .symmetric_difference(&before)
+                .map(|&h| (h, after.contains(&h)))
+                .collect();
+            want.sort_by_key(|&(h, _)| h.0);
+            assert_eq!(plan.crash_flips(i), want, "boundary {i} at {t:?}");
+            before = after;
+        }
+        let flips: Vec<&[(HostId, bool)]> = (0..=b.len()).map(|i| plan.crash_flips(i)).collect();
+        let (down, up) = (|h| (HostId(h), true), |h| (HostId(h), false));
+        assert_eq!(
+            flips,
+            [
+                &[down(1), down(3)][..],
+                &[down(5)],
+                &[],
+                &[up(1)],
+                &[],
+                &[up(3), up(5)],
+                &[],
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "start < end")]
     fn rejects_inverted_epoch() {
         let g = graph();
         let _ = FaultPlan::new()
             .epoch(secs(10), secs(10), FaultKind::LinkDown { links: vec![] })
-            .compile(&g);
+            .compile(&g, HOSTS);
     }
 
     #[test]
@@ -515,6 +614,21 @@ mod tests {
                     links: vec![u32::MAX],
                 },
             )
-            .compile(&g);
+            .compile(&g, HOSTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "names host")]
+    fn rejects_out_of_range_host() {
+        let g = graph();
+        let _ = FaultPlan::new()
+            .epoch(
+                secs(0),
+                secs(1),
+                FaultKind::HostCrash {
+                    hosts: vec![HostId(3), HostId::from_index(HOSTS)],
+                },
+            )
+            .compile(&g, HOSTS);
     }
 }

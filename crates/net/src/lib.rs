@@ -54,6 +54,6 @@ pub use gen::{TopologyKind, TopologySpec, WORLD_KM};
 pub use geo::GeoPoint;
 pub use host::{AccessProfile, Host, HostPopulation, PopulationSpec};
 pub use ids::{AsId, HostId};
-pub use routing::{ReferenceRouting, RepairIndex, RepairStats, Route, Routing, RoutingMode};
+pub use routing::{ReferenceRouting, RepairStats, Route, Routing, RoutingMode};
 pub use traffic::{TrafficAccounting, TrafficCategory};
 pub use underlay::{NetParams, Underlay, UnderlayConfig};

@@ -41,7 +41,11 @@
 //!
 //! A fault-epoch repair recomputes the rows of the sources a mask change
 //! can affect and touches no other row; a full build is the same call on
-//! an empty table with every source dirty. Rows are computed by the one
+//! an empty table with every source dirty. The table owns everything a
+//! repair needs — the private [`RepairIndex`], the mask its rows were
+//! built under, its worker count and the running repair totals — so
+//! [`Routing::repair_with_mask`] takes only the graph and the new mask.
+//! Rows are computed by the one
 //! fork-join in this file (`Routing::rows`): workers own contiguous
 //! ranges of the sorted source list and write only their own rows, so
 //! the table is **byte-identical** for any thread count or scheduling —
@@ -111,7 +115,7 @@ impl StateGraph {
         clippy::cast_possible_truncation,
         reason = "states are < 2n <= 131 072, twice the u16 AsId width"
     )]
-    fn rebuild(&mut self, graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) {
+    fn rebuild(&mut self, graph: &AsGraph, mode: RoutingMode, mask: &[bool]) {
         self.first.clear();
         self.edges.clear();
         for x in 0..graph.len() {
@@ -119,7 +123,7 @@ impl StateGraph {
             for from in [2 * x, 2 * x + 1] {
                 self.first.push(self.edges.len());
                 for &li in incident {
-                    if mask.is_some_and(|m| m[li as usize]) {
+                    if mask[li as usize] {
                         continue;
                     }
                     let link = &graph.links[li as usize];
@@ -344,10 +348,10 @@ impl RepairStats {
 /// incremental: the final per-state costs of every source's sweep and
 /// the set of links each source's predecessor tree uses.
 ///
-/// Built by [`Routing::compute_indexed`] alongside the table and updated
-/// in place by [`Routing::repair_with_mask`] for the sources it
-/// recomputes; two indexes compare equal when their persistent fields do
-/// (the scratch buffers are not state). Dirty detection is asymmetric:
+/// A [`Routing`] keeps its own, written by the build alongside the rows
+/// and updated in place by [`Routing::repair_with_mask`] for the sources
+/// it recomputes; two indexes compare equal when their persistent fields
+/// do (the scratch buffers are not state). Dirty detection is asymmetric:
 ///
 /// * **Link removed** (masked): a source's row can only change if its
 ///   shortest-path tree uses the link — exact, via the tree-link sets.
@@ -374,7 +378,7 @@ impl RepairStats {
 /// Scratch buffers (`dirty`, `dirty_list`, the state graph and the
 /// per-worker sweep buffers) are struct-owned and reused across repairs,
 /// so a repair allocates only for its fork.
-pub struct RepairIndex {
+struct RepairIndex {
     n: usize,
     n_links: usize,
     /// Bitset words per source row (`ceil(n_links / 64)`).
@@ -413,13 +417,6 @@ impl RepairIndex {
             states: StateGraph::default(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The sources recomputed by the most recent
-    /// [`Routing::repair_with_mask`] call, ascending. Drives delta
-    /// route-cache invalidation (only these rows changed).
-    pub fn dirty_sources(&self) -> &[u32] {
-        &self.dirty_list
     }
 
     /// Makes every source dirty: what follows is a full build.
@@ -575,8 +572,10 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// All-pairs routing with a precomputed record per pair.
-#[derive(PartialEq, Eq)]
+/// All-pairs routing with a precomputed record per pair, and everything
+/// a fault epoch needs to repair it in place: the [`RepairIndex`], the
+/// link mask the rows were built under, the worker count and the running
+/// repair totals.
 pub struct Routing {
     mode: RoutingMode,
     n: usize,
@@ -587,82 +586,95 @@ pub struct Routing {
     /// Per source AS, the link indices of its paths longer than
     /// [`INLINE`] links, back to back in destination order.
     spill: Vec<Vec<u32>>,
+    /// Per-source repair bookkeeping (see [`RepairIndex`]).
+    index: RepairIndex,
+    /// The link mask the rows were built under (all false: no link
+    /// down), diffed against the next repair's mask to find changed links.
+    mask: Vec<bool>,
+    /// Worker count for builds and repairs, read once at build: asking
+    /// the OS per fault boundary allocates.
+    workers: usize,
+    /// Running `(sources_recomputed, sources_total, full_fallbacks)` over
+    /// every repair.
+    totals: (u64, u64, u64),
 }
 
-/// Worker count for the row fork-join: the machine's parallelism. The
-/// table does not depend on it (see [`Routing::compute_indexed_threads`]).
-pub(crate) fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+/// Two tables are equal when their rows, their repair indexes and the
+/// masks they were built under are: the worker count and the repair
+/// totals describe how a table was reached, not what it holds.
+impl PartialEq for Routing {
+    fn eq(&self, other: &Routing) -> bool {
+        (self.mode, self.n) == (other.mode, other.n)
+            && self.routes == other.routes
+            && self.spill == other.spill
+            && self.index == other.index
+            && self.mask == other.mask
+    }
 }
 
 impl Routing {
     /// Computes routing tables for every source AS of a fault-free graph.
     pub fn compute(graph: &AsGraph, mode: RoutingMode) -> Routing {
-        Self::compute_indexed(graph, mode, None).0
+        Self::compute_indexed(graph, mode, None)
     }
 
     /// Computes routing tables excluding links marked dead in `mask`
-    /// (indexed by link index), together with the [`RepairIndex`] that
-    /// makes subsequent fault epochs repairable via
+    /// (indexed by link index), on the machine's parallelism. The table
+    /// keeps the index that makes later fault epochs repairable via
     /// [`Routing::repair_with_mask`] instead of full rebuilds.
-    pub fn compute_indexed(
-        graph: &AsGraph,
-        mode: RoutingMode,
-        mask: Option<&[bool]>,
-    ) -> (Routing, RepairIndex) {
-        Self::compute_indexed_threads(graph, mode, mask, workers())
+    pub fn compute_indexed(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> Routing {
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::compute_indexed_threads(graph, mode, mask, workers)
     }
 
-    /// [`Routing::compute_indexed`] with an explicit worker count (the
-    /// differential tests sweep this to prove scheduling cannot leak into
-    /// the table). A full build is a repair of the empty table with every
-    /// source dirty.
+    /// [`Routing::compute_indexed`] with an explicit worker count, kept
+    /// for the table's repairs too (the differential tests sweep it to
+    /// prove scheduling cannot leak into the table). A full build is a
+    /// repair of the empty table with every source dirty.
     pub fn compute_indexed_threads(
         graph: &AsGraph,
         mode: RoutingMode,
         mask: Option<&[bool]>,
         threads: usize,
-    ) -> (Routing, RepairIndex) {
+    ) -> Routing {
         let n = graph.len();
+        let n_links = graph.links.len();
         let mut routing = Routing {
             mode,
             n,
             routes: vec![Box::default(); n],
             spill: vec![Vec::new(); n],
+            index: RepairIndex::new(n, n_links),
+            mask: mask.map_or_else(|| vec![false; n_links], <[bool]>::to_vec),
+            workers: threads,
+            totals: (0, 0, 0),
         };
-        let mut index = RepairIndex::new(n, graph.links.len());
-        index.mark_all_dirty();
-        routing.recompute_dirty(&mut index, graph, mask, threads);
-        (routing, index)
+        routing.index.mark_all_dirty();
+        routing.recompute_dirty(graph);
+        routing
     }
 
     /// Incrementally repairs the table after a fault-mask transition from
-    /// `old_mask` to `new_mask`, recomputing only the sources the change
-    /// can affect (see [`RepairIndex`] for the dirty rules) and leaving
-    /// every other row where it is — byte-identical to a full build under
-    /// `new_mask`, which a debug-build assertion re-derives after every
-    /// repair.
+    /// the mask its rows were built under to `new_mask`, recomputing only
+    /// the sources the change can affect (see [`RepairIndex`] for the
+    /// dirty rules) and leaving every other row where it is —
+    /// byte-identical to a full build under `new_mask`, which a
+    /// debug-build assertion re-derives after every repair.
     #[expect(clippy::indexing_slicing, reason = "li < n_links = each mask's len")]
-    pub fn repair_with_mask(
-        &mut self,
-        index: &mut RepairIndex,
-        graph: &AsGraph,
-        old_mask: Option<&[bool]>,
-        new_mask: Option<&[bool]>,
-        threads: usize,
-    ) -> RepairStats {
+    pub fn repair_with_mask(&mut self, graph: &AsGraph, new_mask: Option<&[bool]>) -> RepairStats {
         let n = self.n;
+        let index = &mut self.index;
         debug_assert_eq!(index.n, n);
         debug_assert_eq!(index.n_links, graph.links.len());
         index.dirty.fill(0);
         index.dirty_list.clear();
         let mut changed = 0usize;
-        for li in 0..index.n_links {
-            let was = old_mask.is_some_and(|m| m[li]);
+        for (li, was) in self.mask.iter_mut().enumerate() {
             let now = new_mask.is_some_and(|m| m[li]);
-            if was == now {
+            if *was == now {
                 continue;
             }
+            *was = now;
             changed += 1;
             if now {
                 // Link went down: exactly the sources whose tree uses it.
@@ -681,6 +693,7 @@ impl Routing {
             sources_total: n,
             full_rebuild: false,
         };
+        self.totals.1 += n as u64;
         if changed == 0 {
             return stats;
         }
@@ -699,33 +712,38 @@ impl Routing {
             // traced per epoch and tabulated by E17.
             index.mark_all_dirty();
             stats.full_rebuild = true;
+            self.totals.2 += 1;
         }
         stats.dirty_sources = index.dirty_list.len();
-        self.recompute_dirty(index, graph, new_mask, threads);
+        self.totals.0 += stats.dirty_sources as u64;
+        self.recompute_dirty(graph);
 
-        #[cfg(debug_assertions)]
-        {
-            let (full, fresh) = Self::compute_indexed_threads(graph, self.mode, new_mask, 1);
-            debug_assert!(
-                *self == full && *index == fresh,
-                "incremental repair diverged from full recompute \
-                 ({changed} changed links, {} dirty sources)",
-                stats.dirty_sources
-            );
-        }
+        debug_assert!(
+            *self == Self::compute_indexed_threads(graph, self.mode, new_mask, 1),
+            "incremental repair diverged from full recompute \
+             ({changed} changed links, {} dirty sources)",
+            stats.dirty_sources
+        );
         stats
     }
 
-    /// Recomputes the rows of `index.dirty_list` under `mask`, each written
-    /// in place by the worker that is lent it; no other row is read or
-    /// moved.
-    fn recompute_dirty(
-        &mut self,
-        index: &mut RepairIndex,
-        graph: &AsGraph,
-        mask: Option<&[bool]>,
-        threads: usize,
-    ) {
+    /// The sources recomputed by the most recent
+    /// [`Routing::repair_with_mask`] call, ascending. Drives delta
+    /// route-cache invalidation (only these rows changed).
+    pub fn dirty_sources(&self) -> &[u32] {
+        &self.index.dirty_list
+    }
+
+    /// Running `(sources_recomputed, sources_total, full_fallbacks)`
+    /// totals across every [`Routing::repair_with_mask`] call so far.
+    pub fn repair_totals(&self) -> (u64, u64, u64) {
+        self.totals
+    }
+
+    /// Recomputes the rows of the index's dirty list under the table's
+    /// mask, each written in place by the worker that is lent it; no
+    /// other row is read or moved.
+    fn recompute_dirty(&mut self, graph: &AsGraph) {
         let RepairIndex {
             n,
             words,
@@ -736,12 +754,12 @@ impl Routing {
             states,
             scratch,
             ..
-        } = index;
+        } = &mut self.index;
         if dirty_list.is_empty() {
             return;
         }
-        states.rebuild(graph, self.mode, mask);
-        let per = dirty_list.len().div_ceil(threads.max(1));
+        states.rebuild(graph, self.mode, &self.mask);
+        let per = dirty_list.len().div_ceil(self.workers.max(1));
         let workers = dirty_list.len().div_ceil(per);
         if scratch.len() < workers {
             scratch.resize_with(workers, Scratch::default);
@@ -1240,11 +1258,11 @@ mod tests {
         // the hierarchy.
         let mut mask = vec![false; g.links.len()];
         mask[9] = true;
-        let (r, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+        let r = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(4));
         // Kill the T1a=T1b core peering too: D becomes unreachable from A.
         mask[0] = true;
-        let (r2, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+        let r2 = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert_eq!(r2.as_hops(AsId(5), AsId(8)), None);
     }
 
@@ -1258,7 +1276,7 @@ mod tests {
                 SimTime::from_secs(1),
                 FaultKind::RandomLinkDown { p, salt },
             )
-            .compile(g)
+            .compile(g, 0)
             .state_at(SimTime::ZERO)
             .mask
             .expect("a link-down epoch always carries a mask")
@@ -1274,26 +1292,22 @@ mod tests {
             let isolated = if g.len() <= 1 { 1.0 } else { 0.0 };
             for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
                 let built = Routing::compute_indexed(&g, mode, Some(&mask));
-                assert_eq!(built.0.reachable_fraction(), isolated, "{mode:?}");
+                assert_eq!(built.reachable_fraction(), isolated, "{mode:?}");
                 // Masking everything as a repair lands on the same table,
                 // with no inter-AS path and no link id left in any row; and
                 // clearing the mask lands back on the fault-free build.
                 let pristine = Routing::compute_indexed(&g, mode, None);
                 for threads in [1, 16] {
-                    let (mut r, mut idx) =
-                        Routing::compute_indexed_threads(&g, mode, None, threads);
-                    r.repair_with_mask(&mut idx, &g, None, Some(&mask), threads);
+                    let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
+                    r.repair_with_mask(&g, Some(&mask));
                     assert!(r.spill.iter().all(Vec::is_empty), "{mode:?}");
                     for (a, b) in (0..g.len()).flat_map(|a| (0..g.len()).map(move |b| (a, b))) {
                         let path = r.path_links(AsId::from_index(a), AsId::from_index(b));
                         assert_eq!(path, (a == b).then_some(&[][..]), "{mode:?} {a}->{b}");
                     }
-                    assert!(
-                        (&r, &idx) == (&built.0, &built.1),
-                        "{mode:?} threads={threads}"
-                    );
-                    r.repair_with_mask(&mut idx, &g, Some(&mask), None, threads);
-                    assert!((r, idx) == pristine, "{mode:?} threads={threads}");
+                    assert!(r == built, "{mode:?} threads={threads}");
+                    r.repair_with_mask(&g, None);
+                    assert!(r == pristine, "{mode:?} threads={threads}");
                 }
             }
             assert_eq!(g.component_count(Some(&mask)), g.len());
@@ -1315,8 +1329,8 @@ mod tests {
         .build(&mut uap_sim::SimRng::new(3));
         for salt in 0..5 {
             let mask = random_mask(&g, 0.3, salt);
-            let (vf, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
-            let (sp, _) = Routing::compute_indexed(&g, RoutingMode::ShortestPath, Some(&mask));
+            let vf = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+            let sp = Routing::compute_indexed(&g, RoutingMode::ShortestPath, Some(&mask));
             assert!(vf.reachable_fraction() <= sp.reachable_fraction() + 1e-12);
         }
     }
@@ -1403,24 +1417,21 @@ mod tests {
             ];
             for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
                 for threads in [1, 3] {
-                    let (mut r, mut idx) =
-                        Routing::compute_indexed_threads(&g, mode, None, threads);
-                    let mut prev: Option<&[bool]> = None;
+                    let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
                     for step in &steps {
-                        let stats = r.repair_with_mask(&mut idx, &g, prev, Some(step), threads);
+                        let stats = r.repair_with_mask(&g, Some(step));
                         let full = Routing::compute_indexed_threads(&g, mode, Some(step), 1);
                         assert!(
-                            (&r, &idx) == (&full.0, &full.1),
+                            r == full,
                             "{} ASes {mode:?} threads={threads} mask={step:?}",
                             g.len()
                         );
                         assert_eq!(stats.sources_total, g.len());
-                        assert_eq!(stats.dirty_sources, idx.dirty_sources().len());
+                        assert_eq!(stats.dirty_sources, r.dirty_sources().len());
                         let all_dirty = stats.changed_links > 0 && stats.dirty_sources == g.len();
                         assert_eq!(stats.full_rebuild, all_dirty);
                         assert_matches_reference(&r, &g, Some(step));
                         spilled += spilled_pairs(&r);
-                        prev = Some(step);
                     }
                 }
             }
@@ -1428,19 +1439,48 @@ mod tests {
         assert!(spilled > 0, "no repaired row spilled a path");
     }
 
+    /// A table built under one mask and repaired straight to another
+    /// lands on a fresh build under the second: the table diffs against
+    /// the mask it was built under, not against a fault-free one.
+    #[test]
+    fn repair_from_a_masked_build_equals_a_fresh_build() {
+        for g in fixtures() {
+            let nl = g.links.len();
+            let first: Vec<bool> = (0..nl).map(|li| li % 3 == 0).collect();
+            let second: Vec<bool> = (0..nl).map(|li| li % 3 != 1).collect();
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                for threads in [1, 3] {
+                    let mut r = Routing::compute_indexed_threads(&g, mode, Some(&first), threads);
+                    let stats = r.repair_with_mask(&g, Some(&second));
+                    // Links `li % 3 == 2` went down; none came back.
+                    assert_eq!(
+                        stats.changed_links,
+                        (0..nl).filter(|li| li % 3 == 2).count()
+                    );
+                    let fresh = Routing::compute_indexed_threads(&g, mode, Some(&second), 1);
+                    assert!(r == fresh, "{} ASes {mode:?} threads={threads}", g.len());
+                    assert_matches_reference(&r, &g, Some(&second));
+                    // And back to the first: every changed link heals.
+                    r.repair_with_mask(&g, Some(&first));
+                    let fresh = Routing::compute_indexed_threads(&g, mode, Some(&first), 1);
+                    assert!(r == fresh, "{} ASes {mode:?} threads={threads}", g.len());
+                }
+            }
+        }
+    }
+
     #[test]
     fn repair_on_local_peering_fault_touches_subset_of_sources() {
         let g = figure1();
-        let (mut r, mut idx) =
-            Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
+        let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
         // B~C (link 9) only appears in B's and C's shortest-path trees:
         // any other source crossing it would form a valley.
         let mut mask = vec![false; g.links.len()];
         mask[9] = true;
-        let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 1);
+        let stats = r.repair_with_mask(&g, Some(&mask));
         assert_eq!(stats.changed_links, 1);
         assert!(!stats.full_rebuild);
-        assert_eq!(idx.dirty_sources(), &[6, 7]);
+        assert_eq!(r.dirty_sources(), &[6, 7]);
         assert_eq!(stats.dirty_sources, 2);
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(4));
     }
@@ -1461,14 +1501,14 @@ mod tests {
         let n = g.len();
         assert!(n >= 200);
         let mode = RoutingMode::ValleyFree;
-        let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, 2);
+        let mut r = Routing::compute_indexed_threads(&g, mode, None, 2);
         let mut mask = vec![false; g.links.len()];
         let leaf_peering = |l: &crate::asgraph::AsLink| {
             l.kind == LinkKind::Peering && g.nodes[l.a.idx()].tier == Tier::Tier3
         };
         mask[g.links.iter().position(leaf_peering).expect("leaf peering")] = true;
         // The cut, then its heal.
-        for (old, new) in [(None, Some(&mask[..])), (Some(&mask[..]), None)] {
+        for new in [Some(&mask[..]), None] {
             // Every segment gets an allocation of its own, so a row that
             // is replaced rather than rewritten in place shows as moved.
             for row in &mut r.spill {
@@ -1476,12 +1516,12 @@ mod tests {
             }
             let before: Vec<_> = r.spill.iter().map(|p| p.as_ptr()).collect();
             let (routes, spill) = (r.routes.clone(), r.spill.clone());
-            let stats = r.repair_with_mask(&mut idx, &g, old, new, 2);
+            let stats = r.repair_with_mask(&g, new);
             assert!(!stats.full_rebuild && stats.dirty_sources > 0);
-            let full = Routing::compute_indexed_threads(&g, mode, new, 1).0;
+            let full = Routing::compute_indexed_threads(&g, mode, new, 1);
             for (s, &ptr) in before.iter().enumerate() {
                 assert_eq!(r.spill[s].as_ptr(), ptr, "row {s} moved");
-                if idx.dirty_sources().contains(&u32::try_from(s).unwrap()) {
+                if r.dirty_sources().contains(&u32::try_from(s).unwrap()) {
                     assert_eq!(r.spill[s], full.spill[s], "dirty row {s}");
                     assert_eq!(r.routes[s], full.routes[s], "dirty row {s}");
                 } else {
@@ -1495,7 +1535,7 @@ mod tests {
         for row in &mut r.spill {
             row.push(u32::MAX);
         }
-        let stats = r.repair_with_mask(&mut idx, &g, None, Some(&vec![false; mask.len()]), 2);
+        let stats = r.repair_with_mask(&g, Some(&vec![false; mask.len()]));
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
         assert!(r.spill.iter().all(|row| row.last() == Some(&u32::MAX)));
     }
@@ -1509,18 +1549,17 @@ mod tests {
     #[test]
     fn repair_after_heal_is_incremental_and_exact() {
         let g = figure1();
-        let (mut r, mut idx) =
-            Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
+        let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
         let mut mask = vec![false; g.links.len()];
         mask[9] = true;
-        r.repair_with_mask(&mut idx, &g, None, Some(&mask), 1);
+        r.repair_with_mask(&g, Some(&mask));
         // Heal: the candidate test must mark (at least) B and C dirty and
         // restore the original table exactly.
-        let stats = r.repair_with_mask(&mut idx, &g, Some(&mask), None, 1);
+        let stats = r.repair_with_mask(&g, None);
         assert_eq!(stats.changed_links, 1);
         assert!(!stats.full_rebuild);
-        assert!(idx.dirty_sources().contains(&6));
-        assert!(idx.dirty_sources().contains(&7));
+        assert!(r.dirty_sources().contains(&6));
+        assert!(r.dirty_sources().contains(&7));
         let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         assert!(r == pristine);
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(1));
@@ -1529,11 +1568,10 @@ mod tests {
     #[test]
     fn repair_with_unchanged_mask_is_a_noop() {
         for g in fixtures() {
-            let (mut r, mut idx) =
-                Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 16);
+            let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 16);
             let mask = vec![false; g.links.len()];
             // None vs all-false: no link changed status.
-            let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 16);
+            let stats = r.repair_with_mask(&g, Some(&mask));
             assert_eq!(
                 stats,
                 RepairStats {
@@ -1543,7 +1581,7 @@ mod tests {
                     full_rebuild: false,
                 }
             );
-            assert!(idx.dirty_sources().is_empty());
+            assert!(r.dirty_sources().is_empty());
             let connected = if g.links.is_empty() && g.len() > 1 {
                 0.0
             } else {
@@ -1556,20 +1594,19 @@ mod tests {
     #[test]
     fn repair_falls_back_to_full_rebuild_when_majority_dirty() {
         let g = figure1();
-        let (mut r, mut idx) =
-            Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
+        let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1);
         // The T1a–T2a transit uplink (link 1) sits on most sources' trees;
         // downing it alongside the core peering dirties well over half.
         let mut mask = vec![false; g.links.len()];
         mask[0] = true;
         mask[1] = true;
-        let stats = r.repair_with_mask(&mut idx, &g, None, Some(&mask), 1);
+        let stats = r.repair_with_mask(&g, Some(&mask));
         assert!(stats.full_rebuild);
         assert_eq!(stats.dirty_sources, g.len());
-        let (full, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+        let full = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         assert!(r == full);
         // The rebuilt index keeps working for further epochs.
-        let stats = r.repair_with_mask(&mut idx, &g, Some(&mask), None, 1);
+        let stats = r.repair_with_mask(&g, None);
         assert!(!stats.full_rebuild || stats.dirty_sources == g.len());
         let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         assert!(r == pristine);

@@ -472,7 +472,7 @@ mod tests {
         // Force the up-and-over path a -> t1 -> b by killing the peering.
         let mut mask = vec![false; g.links.len()];
         mask[2] = true;
-        let (r, _) = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
+        let r = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
         let path = r.path_links(AsId(1), AsId(2)).unwrap();
         assert_eq!(path.len(), 2);
         let mut t = TrafficAccounting::new(&g);

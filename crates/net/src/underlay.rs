@@ -4,13 +4,19 @@
 //! population into the single object overlays query: host-to-host latency,
 //! AS-hop distance, path lookup and traffic accounting. It is the
 //! "substrate on which the overlay resides".
+//!
+//! At a fault boundary ([`Underlay::apply_fault_state`]) the route table
+//! repairs itself — it keeps its own repair index, link mask, worker
+//! count and repair totals — and the underlay invalidates the route-cache
+//! rows of the sources it recomputed. Host crashes are the overlays'
+//! business: the compiled fault plan hands each one its crash flips.
 
 use crate::asgraph::AsGraph;
 use crate::gen::{TopologyKind, TopologySpec};
 use crate::geo::propagation_delay_us;
 use crate::host::{Host, HostPopulation, PopulationSpec};
 use crate::ids::{AsId, HostId};
-use crate::routing::{workers, RepairIndex, RepairStats, Routing, RoutingMode};
+use crate::routing::{RepairStats, Routing, RoutingMode};
 use crate::traffic::{TrafficAccounting, TrafficCategory};
 use std::cell::Cell;
 use uap_sim::{trace::registry, SimRng, SimTime, Tracer};
@@ -190,27 +196,11 @@ pub struct Underlay {
     pub traffic: TrafficAccounting,
     /// AS-pair route-metric cache (see [`RouteCache`]).
     route_cache: RouteCache,
-    /// Repair bookkeeping for incremental fault-epoch routing updates
-    /// (see [`RepairIndex`]).
-    repair_index: RepairIndex,
-    /// The link-failure mask the current routing table was built under
-    /// (all-false = no faults), diffed against the next fault state's
-    /// mask to find changed links.
-    active_mask: Vec<bool>,
     /// Latency-inflation factor from the active fault state (1.0 = none),
     /// folded into the cache entries at (re)fill time.
     latency_factor: f64,
     /// How many fault epochs have invalidated route-cache rows.
     invalidations: u64,
-    /// Running totals across fault epochs: sources recomputed vs the
-    /// sources a full rebuild would have recomputed, and how often the
-    /// majority-dirty heuristic forced a full rebuild.
-    repair_sources_recomputed: u64,
-    repair_sources_total: u64,
-    repair_full_fallbacks: u64,
-    /// Worker count for routing builds and repairs, read once at build:
-    /// asking the OS per fault boundary allocates.
-    workers: usize,
 }
 
 impl Underlay {
@@ -221,13 +211,10 @@ impl Underlay {
         config: UnderlayConfig,
         rng: &mut SimRng,
     ) -> Underlay {
-        let workers = workers();
-        let (routing, repair_index) =
-            Routing::compute_indexed_threads(&graph, config.routing, None, workers);
+        let routing = Routing::compute_indexed(&graph, config.routing, None);
         let hosts = HostPopulation::build(&graph, pop, rng);
         let traffic = TrafficAccounting::new(&graph);
         let route_cache = RouteCache::build(&routing, graph.len(), 1.0);
-        let n_links = graph.links.len();
         Underlay {
             graph,
             routing,
@@ -235,14 +222,8 @@ impl Underlay {
             config,
             traffic,
             route_cache,
-            repair_index,
-            active_mask: vec![false; n_links],
             latency_factor: 1.0,
             invalidations: 0,
-            repair_sources_recomputed: 0,
-            repair_sources_total: 0,
-            repair_full_fallbacks: 0,
-            workers,
         }
     }
 
@@ -268,30 +249,17 @@ impl Underlay {
     pub fn apply_fault_state(&mut self, state: &crate::fault::FaultState) -> RepairStats {
         let factor_changed = (state.latency_factor - self.latency_factor).abs() > f64::EPSILON;
         self.latency_factor = state.latency_factor;
-        let stats = self.routing.repair_with_mask(
-            &mut self.repair_index,
-            &self.graph,
-            Some(&self.active_mask),
-            state.mask.as_deref(),
-            self.workers,
-        );
-        match state.mask.as_deref() {
-            Some(m) => self.active_mask.copy_from_slice(m),
-            None => self.active_mask.fill(false),
-        }
+        let stats = self
+            .routing
+            .repair_with_mask(&self.graph, state.mask.as_deref());
         if factor_changed {
             self.route_cache.invalidate_all_rows();
         } else {
-            for &s in self.repair_index.dirty_sources() {
+            for &s in self.routing.dirty_sources() {
                 self.route_cache.invalidate_row(s as usize);
             }
         }
         self.invalidations += 1;
-        self.repair_sources_recomputed += stats.dirty_sources as u64;
-        self.repair_sources_total += stats.sources_total as u64;
-        if stats.full_rebuild {
-            self.repair_full_fallbacks += 1;
-        }
         #[cfg(debug_assertions)]
         self.assert_route_cache_coherent();
         stats
@@ -405,13 +373,10 @@ impl Underlay {
     }
 
     /// Running `(sources_recomputed, sources_total, full_fallbacks)`
-    /// totals across all fault epochs applied so far.
+    /// totals across all fault epochs applied so far (kept by the route
+    /// table, [`Routing::repair_totals`]).
     pub fn repair_totals(&self) -> (u64, u64, u64) {
-        (
-            self.repair_sources_recomputed,
-            self.repair_sources_total,
-            self.repair_full_fallbacks,
-        )
+        self.routing.repair_totals()
     }
 
     /// Directional latency including the asymmetry factor: the `a -> b`
@@ -854,7 +819,7 @@ mod tests {
     fn coherence_assertion_catches_direct_routing_swap() {
         let mut u = underlay(1.0);
         let all_down = vec![true; u.graph.links.len()];
-        u.routing = Routing::compute_indexed(&u.graph, u.config.routing, Some(&all_down)).0;
+        u.routing = Routing::compute_indexed(&u.graph, u.config.routing, Some(&all_down));
         u.assert_route_cache_coherent();
     }
 
@@ -1033,7 +998,7 @@ mod tests {
             u.apply_fault_state(&down);
             u.assert_route_cache_coherent();
             let built = Routing::compute_indexed(&u.graph, u.config.routing, down.mask.as_deref());
-            assert!((&u.routing, &u.repair_index) == (&built.0, &built.1));
+            assert!(u.routing == built);
             let ledger = |u: &Underlay| {
                 let t = &u.traffic;
                 (
@@ -1055,7 +1020,7 @@ mod tests {
             u.apply_fault_state(&crate::fault::FaultState::clear());
             u.assert_route_cache_coherent();
             let built = Routing::compute_indexed(&u.graph, u.config.routing, None);
-            assert!((&u.routing, &u.repair_index) == (&built.0, &built.1));
+            assert!(u.routing == built);
             assert_eq!(u.routing.reachable_fraction(), 1.0);
         }
     }

@@ -314,8 +314,7 @@ proptest! {
         let g = random_hierarchy(seed, 2, 3, 2);
         let mode = if sp { RoutingMode::ShortestPath } else { RoutingMode::ValleyFree };
         let mut rng = SimRng::new(salt);
-        let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, threads);
-        let mut prev: Option<Vec<bool>> = None;
+        let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
         for step in 0..5 {
             // Step 4 is a full heal; earlier steps are independent random
             // masks, so links flip both down and up between steps.
@@ -324,14 +323,12 @@ proptest! {
             } else {
                 (0..g.links.len()).map(|_| rng.f64() < 0.15).collect()
             };
-            let stats = r.repair_with_mask(&mut idx, &g, prev.as_deref(), Some(&mask), threads);
+            let stats = r.repair_with_mask(&g, Some(&mask));
             prop_assert_eq!(stats.sources_total, g.len());
-            let (full, fresh) = Routing::compute_indexed_threads(&g, mode, Some(&mask), threads);
-            prop_assert!(r == full, "repair diverged at step {} ({:?})", step, stats);
-            prop_assert!(idx == fresh, "repair index diverged at step {} ({:?})", step, stats);
+            let full = Routing::compute_indexed_threads(&g, mode, Some(&mask), threads);
+            prop_assert!(r == full, "table or repair index diverged at step {} ({:?})", step, stats);
             let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
             assert_matches_reference(&g, &r, &refr)?;
-            prev = Some(mask);
         }
     }
 
@@ -360,15 +357,12 @@ proptest! {
             .map(|step| (0..g.links.len()).map(|_| step < 2 && rng.f64() < p).collect())
             .collect();
         for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
-            let (mut r, mut idx) = Routing::compute_indexed_threads(&g, mode, None, threads);
-            let mut prev: Option<&[bool]> = None;
+            let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
             for mask in &masks {
-                let (full, fresh) = Routing::compute_indexed_threads(&g, mode, Some(mask), threads);
+                let full = Routing::compute_indexed_threads(&g, mode, Some(mask), threads);
                 assert_matches_reference(&g, &full, &ReferenceRouting::compute(&g, mode, Some(mask)))?;
-                let stats = r.repair_with_mask(&mut idx, &g, prev, Some(mask), threads);
-                prop_assert!(r == full, "{:?} repair diverged ({:?})", mode, stats);
-                prop_assert!(idx == fresh, "{:?} repair index diverged ({:?})", mode, stats);
-                prev = Some(mask);
+                let stats = r.repair_with_mask(&g, Some(mask));
+                prop_assert!(r == full, "{:?} table or repair index diverged ({:?})", mode, stats);
             }
         }
     }
@@ -382,13 +376,12 @@ proptest! {
     #[test]
     fn unmask_repair_restores_pristine_table(seed in any::<u64>(), kill in any::<usize>()) {
         let g = random_hierarchy(seed, 2, 2, 3);
-        let (mut r, mut idx) =
-            Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 2);
+        let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 2);
         let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
         let mut mask = vec![false; g.links.len()];
         mask[kill % g.links.len()] = true;
-        r.repair_with_mask(&mut idx, &g, None, Some(&mask), 2);
-        let heal = r.repair_with_mask(&mut idx, &g, Some(&mask), None, 2);
+        r.repair_with_mask(&g, Some(&mask));
+        let heal = r.repair_with_mask(&g, None);
         prop_assert_eq!(heal.changed_links, 1);
         prop_assert!(r == pristine, "heal did not restore the pristine table");
     }
@@ -421,12 +414,11 @@ proptest! {
             .epoch(s(20), s(50), FaultKind::TransitDown { p, salt: salt ^ 1 })
             .epoch(s(30), s(45), FaultKind::LatencyInflation { factor: 2.5 })
             .epoch(s(35), s(60), FaultKind::LinkDown { links: vec![0] });
-        let compiled = plan.compile(&u.graph);
+        let compiled = plan.compile(&u.graph, u.n_hosts());
         for &t in compiled.boundaries() {
             let state = compiled.state_at(t);
             u.apply_fault_state(&state);
-            let (full, _) =
-                Routing::compute_indexed(&u.graph, u.config.routing, state.mask.as_deref());
+            let full = Routing::compute_indexed(&u.graph, u.config.routing, state.mask.as_deref());
             prop_assert!(*u.routing() == full, "boundary at {:?} diverged", t);
         }
         // The last boundary is past every epoch end: fully healed.

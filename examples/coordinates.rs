@@ -5,7 +5,6 @@
 //! cargo run --release --example coordinates
 //! ```
 
-use underlay_p2p::coords::VivaldiConfig;
 use underlay_p2p::core::experiments::e03_coordinates::example_table;
 use underlay_p2p::info::{IcsService, VivaldiService};
 use underlay_p2p::net::{
@@ -45,7 +44,7 @@ fn main() {
     let ics = IcsService::build(&underlay, 12, 5, &mut rng);
     let q_ics = ics.quality(&underlay, 1_000, &mut rng);
 
-    let mut vivaldi = VivaldiService::new(underlay.n_hosts(), VivaldiConfig::default());
+    let mut vivaldi = VivaldiService::new(underlay.n_hosts());
     vivaldi.converge(&underlay, 50, 4, &mut rng);
     let q_viv = vivaldi.quality(&underlay, 1_000, &mut rng);
 

@@ -293,7 +293,7 @@ fn fault_boundaries_allocate_per_repair() {
             kind,
         )
     });
-    let plan = plan.compile(&u.graph);
+    let plan = plan.compile(&u.graph, u.n_hosts());
     // One state per boundary; the last is the fault-free one, so the
     // cycle closes and every pass repeats the same repairs.
     let states: Vec<FaultState> = plan
@@ -316,8 +316,8 @@ fn fault_boundaries_allocate_per_repair() {
         }
     });
     let (epochs, repairs, dirty) = (10 * states.len(), 10 * repairs, 10 * dirty);
-    // What remains is the fork. The underlay read its worker count once
-    // at build, the repair index keeps the state graph and every worker's
+    // What remains is the fork. The route table read its worker count
+    // once at build, its repair index keeps the state graph and every worker's
     // sweep buffers, and each row's spill segment has outgrown its largest
     // spilled path set in the warm-up cycle (the 18-AS hierarchy spills
     // none). A repair on several workers opens one

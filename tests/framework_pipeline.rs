@@ -1,7 +1,6 @@
 //! End-to-end integration: the full collection → usage pipeline across
 //! crates, driven through the public façade.
 
-use underlay_p2p::coords::VivaldiConfig;
 use underlay_p2p::core::{AwarenessProfile, CollectionTechnique, InfoType, UsageStrategy};
 use underlay_p2p::info::provider::{IspLocator, ProximityEstimator};
 use underlay_p2p::info::{Ip2IspService, Oracle, VivaldiService};
@@ -61,7 +60,7 @@ fn latency_pipeline_vivaldi_vs_ground_truth() {
 
     let u = build_underlay(7, 120);
     let mut rng = SimRng::new(8);
-    let mut vivaldi = VivaldiService::new(u.n_hosts(), VivaldiConfig::default());
+    let mut vivaldi = VivaldiService::new(u.n_hosts());
     vivaldi.converge(&u, 40, 4, &mut rng);
 
     // Neighbor selection through the generic ProximityEstimator interface:
