@@ -334,7 +334,8 @@ impl CompiledFaultPlan {
 /// `state_at` to `net` and traces `fault.epoch` as a causal root
 /// followed by the `routing.repair` it caused. The epoch's `seq` stays
 /// the ambient cause, so the leaves and joins the caller makes from the
-/// boundary's [`CompiledFaultPlan::crash_flips`] point back at it too. Returns the applied state and that `seq` (`None` when the tracer
+/// boundary's [`CompiledFaultPlan::crash_flips`] point back at it too.
+/// Returns the applied state and that `seq` (`None` when the tracer
 /// filters it).
 ///
 /// # Panics
