@@ -26,13 +26,17 @@
 //! are distinct and a table holds no key twice, so the result is exactly
 //! the head of the fully sorted table (the oracle in `tests/prop.rs`).
 //!
-//! A node at any simulated size fills a dozen or two of its 160 buckets,
-//! and for a target near the owner the walk would cross all the empty ones
-//! (160 `Vec` headers, 60 cache lines of a table that is cold on every
-//! RPC). The table therefore lists the indices of the buckets that ever
-//! held a contact, ascending, and the walk visits only those.
+//! # One contact array
+//!
+//! A node at any simulated size fills a dozen or two of its 160 buckets.
+//! The table is therefore one contact array, grouped by bucket in
+//! ascending order and least recently seen first within a bucket, plus a
+//! `(bucket, length)` list of the non-empty buckets: a node's table is
+//! two allocations, not 160 mostly empty ones, and the k-closest walk
+//! visits only the buckets that hold contacts.
 
 use crate::id::Key;
+use std::cmp::Ordering;
 use uap_net::HostId;
 
 /// A routing-table entry: the overlay key and its underlay attachment.
@@ -63,38 +67,68 @@ pub struct RoutingTable {
     pub own: Key,
     k: usize,
     policy: OverflowPolicy,
-    buckets: Vec<Vec<Contact>>,
-    /// Indices of the buckets that ever held a contact, ascending.
-    used: Vec<usize>,
+    /// Every contact, grouped by bucket in ascending bucket order, least
+    /// recently seen first within a bucket.
+    contacts: Vec<Contact>,
+    /// `(bucket, length)` of every non-empty bucket, ascending by bucket:
+    /// the lengths cut `contacts` into its buckets.
+    used: Vec<(u8, u8)>,
 }
 
 impl RoutingTable {
-    /// Creates a table for `own` with bucket capacity `k`.
+    /// Creates a table for `own` with bucket capacity `k` (1 to 255).
     pub fn new(own: Key, k: usize, policy: OverflowPolicy) -> RoutingTable {
-        assert!(k >= 1);
+        assert!(
+            (1..=usize::from(u8::MAX)).contains(&k),
+            "bucket capacity k = {k} is outside 1..=255"
+        );
         RoutingTable {
             own,
             k,
             policy,
-            buckets: vec![Vec::new(); 160],
+            contacts: Vec::new(),
             used: Vec::new(),
         }
     }
 
     /// Number of contacts across all buckets.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+        self.contacts.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
+        self.contacts.is_empty()
     }
 
     /// Every contact, bucket 0 upwards, least recently seen first within a
     /// bucket.
     pub fn contacts(&self) -> impl Iterator<Item = &Contact> {
-        self.buckets.iter().flatten()
+        self.contacts.iter()
+    }
+
+    /// Every non-empty bucket as `(index, contacts)`, ascending.
+    fn buckets(&self) -> impl Iterator<Item = (usize, &[Contact])> {
+        let mut rest = self.contacts.as_slice();
+        self.used.iter().map(move |&(b, len)| {
+            let (bucket, above) = rest.split_at(usize::from(len));
+            rest = above;
+            (usize::from(b), bucket)
+        })
+    }
+
+    /// Bucket `idx`'s entry in `used` (`Ok`) or the position its entry
+    /// would take (`Err`), and the bucket's first slot in `contacts`.
+    fn locate(&self, idx: usize) -> (Result<usize, usize>, usize) {
+        let mut start = 0;
+        for (at, &(b, len)) in self.used.iter().enumerate() {
+            match usize::from(b).cmp(&idx) {
+                Ordering::Less => start += usize::from(len),
+                Ordering::Equal => return (Ok(at), start),
+                Ordering::Greater => return (Err(at), start),
+            }
+        }
+        (Err(self.used.len()), start)
     }
 
     /// Observes a contact (on any received message). Returns true if the
@@ -109,26 +143,36 @@ impl RoutingTable {
         inserted
     }
 
-    #[expect(clippy::indexing_slicing, reason = "bucket index < buckets.len()")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`locate` returns a used entry and its bucket's slots inside contacts"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bucket indices are < 160, and a bucket holds at most k <= 255 contacts"
+    )]
     fn observe_inner(&mut self, c: Contact) -> bool {
-        let idx = match self.own.bucket_index(&c.key) {
-            Some(i) => i,
-            None => return false, // self
+        let Some(idx) = self.own.bucket_index(&c.key) else {
+            return false; // self
         };
-        let bucket = &mut self.buckets[idx];
+        let (at, start) = match self.locate(idx) {
+            (Ok(at), start) => (at, start),
+            (Err(at), start) => {
+                self.used.insert(at, (idx as u8, 1));
+                self.contacts.insert(start, c);
+                return true;
+            }
+        };
+        let len = usize::from(self.used[at].1);
+        let bucket = &mut self.contacts[start..start + len];
         if let Some(pos) = bucket.iter().position(|e| e.key == c.key) {
             // Move to tail (most recently seen).
-            let e = bucket.remove(pos);
-            bucket.push(e);
+            bucket[pos..].rotate_left(1);
             return true;
         }
-        if bucket.len() < self.k {
-            if bucket.is_empty() {
-                if let Err(at) = self.used.binary_search(&idx) {
-                    self.used.insert(at, idx);
-                }
-            }
-            bucket.push(c);
+        if len < self.k {
+            self.contacts.insert(start + len, c);
+            self.used[at].1 = (len + 1) as u8;
             return true;
         }
         match self.policy {
@@ -152,10 +196,23 @@ impl RoutingTable {
     }
 
     /// Removes a contact (e.g. after a timeout).
-    #[expect(clippy::indexing_slicing, reason = "bucket index < buckets.len()")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`locate` returns a used entry and its bucket's slots inside contacts"
+    )]
     pub fn remove(&mut self, key: &Key) {
-        if let Some(idx) = self.own.bucket_index(key) {
-            self.buckets[idx].retain(|e| e.key != *key);
+        let slot = self.own.bucket_index(key).map(|idx| self.locate(idx));
+        if let Some((Ok(at), start)) = slot {
+            let len = self.used[at].1;
+            let bucket = &self.contacts[start..start + usize::from(len)];
+            if let Some(pos) = bucket.iter().position(|e| e.key == *key) {
+                self.contacts.remove(start + pos);
+                if len == 1 {
+                    self.used.remove(at);
+                } else {
+                    self.used[at].1 = len - 1;
+                }
+            }
         }
         #[cfg(debug_assertions)]
         #[expect(clippy::panic, reason = "debug-only invariant guard")]
@@ -164,15 +221,31 @@ impl RoutingTable {
         }
     }
 
-    /// Validates the table's structural invariants: every bucket holds at
-    /// most `k` contacts, every contact sits in the bucket its XOR distance
-    /// dictates, no key appears twice anywhere, the owner's own key is
-    /// never stored, and the used-bucket list is ascending and names every
-    /// non-empty bucket (or `closest_into` would skip it). Called under
+    /// Validates the table's structural invariants: the used-bucket list
+    /// is strictly ascending and its lengths cut the contact array exactly,
+    /// every listed bucket holds between 1 and `k` contacts, every contact
+    /// sits in the bucket its XOR distance dictates, no key appears twice
+    /// anywhere, and the owner's own key is never stored. Called under
     /// `debug_assertions` from [`Self::observe`] and [`Self::remove`]; also
     /// usable directly from tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, bucket) in self.buckets.iter().enumerate() {
+        if !self.used.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err(format!(
+                "used-bucket list {:?} not strictly ascending",
+                self.used
+            ));
+        }
+        let listed: usize = self.used.iter().map(|&(_, len)| usize::from(len)).sum();
+        if listed != self.contacts.len() {
+            return Err(format!(
+                "used-bucket lengths sum to {listed}, the table holds {} contacts",
+                self.contacts.len()
+            ));
+        }
+        for (i, bucket) in self.buckets() {
+            if bucket.is_empty() {
+                return Err(format!("bucket {i} is listed as used but holds no contact"));
+            }
             if bucket.len() > self.k {
                 return Err(format!(
                     "bucket {i} holds {} contacts, capacity k = {}",
@@ -201,16 +274,6 @@ impl RoutingTable {
                 return Err(format!("key {:?} appears twice in the table", c.key));
             }
         }
-        if !self.used.is_sorted_by(|a, b| a < b) {
-            return Err(format!("used-bucket list {:?} not ascending", self.used));
-        }
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if !bucket.is_empty() && self.used.binary_search(&i).is_err() {
-                return Err(format!(
-                    "bucket {i} holds contacts but is not listed as used"
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -224,21 +287,41 @@ impl RoutingTable {
     pub fn closest_into(&self, target: &Key, count: usize, out: &mut Vec<Contact>) {
         out.clear();
         let d = self.own.distance(target);
-        let nearer = self.used.iter().rev().filter(|&&i| d.bit(i));
-        let farther = self.used.iter().filter(|&&i| !d.bit(i));
-        for bucket in nearer.chain(farther).filter_map(|&i| self.buckets.get(i)) {
+        // The buckets at the one-bits of `d`, highest first: the contact
+        // array read from its end.
+        let mut rest = self.contacts.as_slice();
+        for &(b, len) in self.used.iter().rev() {
             if out.len() >= count {
                 break;
             }
-            out.extend_from_slice(bucket);
+            let (below, bucket) = rest.split_at(rest.len() - usize::from(len));
+            rest = below;
+            if d.bit(usize::from(b)) {
+                out.extend_from_slice(bucket);
+            }
+        }
+        // Then those at the zero-bits, lowest first.
+        for (b, bucket) in self.buckets() {
+            if out.len() >= count {
+                break;
+            }
+            if !d.bit(b) {
+                out.extend_from_slice(bucket);
+            }
         }
         out.sort_unstable_by(|a, b| target.cmp_distance(&a.key, &b.key));
         out.truncate(count);
     }
 
-    /// Bucket fill counts (for diagnostics/tests).
+    /// Bucket fill counts, all 160 buckets (for diagnostics/tests).
     pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.iter().map(Vec::len).collect()
+        let mut sizes = vec![0; 160];
+        for (b, bucket) in self.buckets() {
+            if let Some(size) = sizes.get_mut(b) {
+                *size = bucket.len();
+            }
+        }
+        sizes
     }
 
     /// Mean AS-hop distance over all contacts (the quantity PNS drives
@@ -408,34 +491,57 @@ mod tests {
     fn invariants_catch_corruption() {
         let own = Key::ZERO;
         let mut t = RoutingTable::new(own, 2, OverflowPolicy::KeepOld);
-        let mk = |tail: u8| {
+        let mk = |top: u8, tail: u8| {
             let mut b = [0u8; 20];
-            b[0] = 0x80;
+            b[0] = top;
             b[19] = tail;
             Key(b)
         };
-        t.observe(contact(mk(1), 1));
-        t.observe(contact(mk(2), 1));
+        // Bucket 0 holds one contact, bucket 159 two.
+        assert!(t.observe(contact(mk(0, 1), 1)));
+        assert!(t.observe(contact(mk(0x80, 1), 1)));
+        assert!(t.observe(contact(mk(0x80, 2), 1)));
+        assert_eq!(t.used, [(0, 1), (159, 2)]);
         // Over-capacity bucket.
-        t.buckets[159].push(contact(mk(3), 1));
+        t.contacts.push(contact(mk(0x80, 3), 1));
+        t.used[1].1 = 3;
         assert!(t.check_invariants().unwrap_err().contains("capacity"));
-        t.buckets[159].pop();
-        // Misplaced contact: a top-bit key stuffed into bucket 0.
-        t.buckets[0].push(contact(mk(4), 1));
+        t.contacts.pop();
+        t.used[1].1 = 2;
+        // A listed bucket with no contact.
+        t.used.insert(1, (5, 0));
+        assert!(t
+            .check_invariants()
+            .unwrap_err()
+            .contains("holds no contact"));
+        t.used.remove(1);
+        // Misplaced contact: a top-bit key in bucket 0's slot.
+        t.contacts[0] = contact(mk(0x80, 4), 1);
         assert!(t.check_invariants().unwrap_err().contains("belongs in"));
-        t.buckets[0].pop();
+        t.contacts[0] = contact(mk(0, 1), 1);
         // Duplicate key smuggled into another slot of the same bucket.
-        t.buckets[159][1] = contact(mk(1), 9);
+        t.contacts[2] = contact(mk(0x80, 1), 9);
         assert!(t.check_invariants().unwrap_err().contains("twice"));
-        t.buckets[159][1] = contact(mk(2), 1);
+        t.contacts[2] = contact(mk(0x80, 2), 1);
         // Own key stored.
-        t.buckets[0].push(contact(own, 0));
+        t.contacts[0] = contact(own, 0);
         assert!(t.check_invariants().unwrap_err().contains("own key"));
-        t.buckets[0].pop();
-        // A non-empty bucket the k-closest walk would never visit.
-        let used = std::mem::take(&mut t.used);
-        assert!(t.check_invariants().unwrap_err().contains("not listed"));
-        t.used = used;
+        t.contacts[0] = contact(mk(0, 1), 1);
+        // A used list out of order, or naming one bucket twice.
+        for used in [vec![(159, 2), (0, 1)], vec![(0, 1), (0, 2)]] {
+            let kept = std::mem::replace(&mut t.used, used);
+            assert!(t
+                .check_invariants()
+                .unwrap_err()
+                .contains("strictly ascending"));
+            t.used = kept;
+        }
+        // Lengths that do not cut the contact array exactly.
+        for len in [1, 3] {
+            t.used[1].1 = len;
+            assert!(t.check_invariants().unwrap_err().contains("sum to"));
+        }
+        t.used[1].1 = 2;
         t.check_invariants().unwrap();
     }
 
@@ -449,5 +555,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         t.remove(&c.key);
         assert!(t.is_empty());
+        // The emptied bucket leaves the used list too.
+        assert!(t.used.is_empty());
     }
 }

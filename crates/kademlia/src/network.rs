@@ -34,7 +34,7 @@ const RPC_TIMEOUT_US: u64 = 500_000;
 /// DHT parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DhtConfig {
-    /// Bucket capacity (classic k = 20; smaller for small sims).
+    /// Bucket capacity, 1 to 255 (classic k = 20; smaller for small sims).
     pub k: usize,
     /// Lookup parallelism α.
     pub alpha: usize,
@@ -83,7 +83,6 @@ struct NodeState {
     key: Key,
     table: RoutingTable,
     storage: BTreeMap<Key, u64>,
-    online: bool,
 }
 
 /// A whole DHT over an underlay.
@@ -98,6 +97,9 @@ pub struct DhtNetwork {
     now: SimTime,
     cfg: DhtConfig,
     nodes: Vec<NodeState>,
+    /// Liveness per node, dense beside `nodes`: a lookup reads it for
+    /// every contact it learns.
+    online: Vec<bool>,
     /// Lookup scratch (taken with `std::mem::take` for the duration of a
     /// lookup) so the iterative FIND_NODE loop allocates nothing per
     /// round (`tests/alloc_count.rs` counts it). `lk_queried` and
@@ -143,7 +145,6 @@ impl DhtNetwork {
                 key,
                 table: RoutingTable::new(key, cfg.k, policy),
                 storage: BTreeMap::new(),
-                online: true,
             });
         }
         let mut net = DhtNetwork {
@@ -152,6 +153,7 @@ impl DhtNetwork {
             now: SimTime::ZERO,
             cfg,
             nodes,
+            online: vec![true; n],
             lk_candidates: Vec::new(),
             lk_learned: Vec::new(),
             lk_resp: Vec::new(),
@@ -188,13 +190,21 @@ impl DhtNetwork {
     }
 
     /// Whether a node is online.
+    #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
     pub fn is_online(&self, h: HostId) -> bool {
-        self.node(h).online
+        *self
+            .online
+            .get(h.idx())
+            .expect("DHT has one node per underlay host")
     }
 
     /// Takes a node offline (churn).
+    #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
     pub fn set_online(&mut self, h: HostId, online: bool) {
-        self.node_mut(h).online = online;
+        *self
+            .online
+            .get_mut(h.idx())
+            .expect("DHT has one node per underlay host") = online;
     }
 
     #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
@@ -250,7 +260,7 @@ impl DhtNetwork {
             out.inter_as_rpcs += 1;
         }
         out.as_hops_sum += self.underlay.as_hops(from, to).unwrap_or(0) as u64;
-        let rtt = if self.node(to).online {
+        let rtt = if self.is_online(to) {
             self.underlay.account_transfer(now, to, from, RPC_BYTES);
             // The responder learns the caller (standard Kademlia liveness).
             let caller = self.contact_of(from, to);
@@ -406,7 +416,7 @@ impl DhtNetwork {
                 if dead.binary_search(&l.key).is_ok() {
                     continue;
                 }
-                if self.nodes[l.host.idx()].online {
+                if self.online[l.host.idx()] {
                     self.nodes[from.idx()].table.observe(l);
                 }
                 // The shortlist stays sorted by distance to `target`; a
@@ -512,8 +522,9 @@ impl DhtNetwork {
         let mut keys: Vec<Key> = self
             .nodes
             .iter()
-            .filter(|n| n.online)
-            .map(|n| n.key)
+            .zip(&self.online)
+            .filter(|(_, &online)| online)
+            .map(|(n, _)| n.key)
             .collect();
         keys.sort_by(|a, b| target.cmp_distance(a, b));
         keys.truncate(count);

@@ -32,7 +32,106 @@ fn closest_reference(t: &RoutingTable, target: &Key, count: usize) -> Vec<Contac
     all
 }
 
+/// The table as it was stored before the flat contact array: 160
+/// per-bucket vectors and the same observe and remove rules, kept as the
+/// oracle of `flat_table_matches_per_bucket_reference`.
+struct ReferenceTable {
+    own: Key,
+    k: usize,
+    policy: OverflowPolicy,
+    buckets: Vec<Vec<Contact>>,
+}
+
+#[expect(clippy::indexing_slicing, reason = "bucket indices are < 160")]
+impl ReferenceTable {
+    fn new(own: Key, k: usize, policy: OverflowPolicy) -> ReferenceTable {
+        ReferenceTable {
+            own,
+            k,
+            policy,
+            buckets: vec![Vec::new(); 160],
+        }
+    }
+
+    fn observe(&mut self, c: Contact) -> bool {
+        let Some(idx) = self.own.bucket_index(&c.key) else {
+            return false;
+        };
+        let bucket = &mut self.buckets[idx];
+        if let Some(pos) = bucket.iter().position(|e| e.key == c.key) {
+            let e = bucket.remove(pos);
+            bucket.push(e);
+            return true;
+        }
+        if bucket.len() < self.k {
+            bucket.push(c);
+            return true;
+        }
+        if self.policy == OverflowPolicy::KeepOld {
+            return false;
+        }
+        // A full bucket is non-empty (k >= 1).
+        let Some((far_pos, far)) = bucket
+            .iter()
+            .enumerate()
+            .max_by_key(|(i, e)| (e.as_hops, *i))
+        else {
+            return false;
+        };
+        if c.as_hops < far.as_hops {
+            bucket[far_pos] = c;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn remove(&mut self, key: &Key) {
+        if let Some(idx) = self.own.bucket_index(key) {
+            self.buckets[idx].retain(|e| e.key != *key);
+        }
+    }
+}
+
 proptest! {
+    /// The flat table keeps the per-bucket table's every outcome: the same
+    /// observe verdicts, and after every operation the same contacts in
+    /// the same order, so sums over `contacts()` add up identically.
+    #[test]
+    fn flat_table_matches_per_bucket_reference(seed in any::<u64>(), k in 1usize..6, n_ops in 1usize..400) {
+        let mut rng = SimRng::new(seed);
+        let own = Key::random(&mut rng);
+        for policy in [OverflowPolicy::KeepOld, OverflowPolicy::PreferNear] {
+            let mut t = RoutingTable::new(own, k, policy);
+            let mut reference = ReferenceTable::new(own, k, policy);
+            let mut keys = vec![own];
+            for i in 0..n_ops {
+                // A fresh key in one of the low buckets (so they fill and
+                // overflow), a fresh random one, or one seen before.
+                let key = match rng.index(3) {
+                    0 => key_in_bucket(&own, rng.index(6), &mut rng),
+                    1 => Key::random(&mut rng),
+                    _ => keys[rng.index(keys.len())],
+                };
+                keys.push(key);
+                if i % 5 == 4 {
+                    t.remove(&key);
+                    reference.remove(&key);
+                } else {
+                    let c = Contact {
+                        key,
+                        host: HostId::from_index(i),
+                        as_hops: u32::try_from(rng.below(6)).unwrap(),
+                    };
+                    prop_assert_eq!(t.observe(c), reference.observe(c));
+                }
+                prop_assert!(t.contacts().eq(reference.buckets.iter().flatten()));
+            }
+            let sizes: Vec<usize> = reference.buckets.iter().map(Vec::len).collect();
+            prop_assert_eq!(t.bucket_sizes(), sizes);
+        }
+    }
+
     /// XOR metric axioms: identity, symmetry, and the XOR "triangle
     /// equality" d(a,c) = d(a,b) ^ d(b,c).
     #[test]

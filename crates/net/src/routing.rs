@@ -157,6 +157,11 @@ impl StateGraph {
 /// every row that worker computes.
 #[derive(Default)]
 struct Scratch {
+    /// Per-state hop counts of the row being computed (`u32::MAX`:
+    /// unreachable), full width; the index keeps them narrowed.
+    hops: Vec<u32>,
+    /// Per-state latencies of the row being computed, full width.
+    latency: Vec<u64>,
     /// Predecessor `(state, link)` of every reached state but the source.
     pred: Vec<(u32, u32)>,
     /// Transit links on the path to every reached state.
@@ -168,9 +173,10 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// One source's sweep over `states`: fills the per-state
-    /// `(hops, latency)` costs (`hops == u32::MAX` means unreachable) and
-    /// the predecessors and transit counts of the reached states.
+    /// One source's sweep over the `ns` states of `states`: fills the
+    /// per-state `(hops, latency)` costs (`hops == u32::MAX` means
+    /// unreachable) and the predecessors and transit counts of the reached
+    /// states.
     ///
     /// Every edge adds one hop, so level `h + 1` is exactly the set of
     /// states first reached from level `h`, and its costs are final once
@@ -180,44 +186,54 @@ impl Scratch {
     /// predecessors and tie-breaks are the heap's ([`ReferenceRouting`]).
     #[expect(
         clippy::indexing_slicing,
-        reason = "src and edge targets are states < 2n = hops.len() = pred.len()"
+        reason = "src and edge targets are states < ns = hops.len() = pred.len()"
     )]
-    fn sweep(&mut self, states: &StateGraph, src: usize, hops: &mut [u32], latency: &mut [u64]) {
-        hops.fill(u32::MAX);
-        latency.fill(INF);
-        self.pred.resize(hops.len(), (0, 0));
-        self.transit.resize(hops.len(), 0);
+    fn sweep(&mut self, states: &StateGraph, src: usize, ns: usize) {
+        let Scratch {
+            hops,
+            latency,
+            pred,
+            transit,
+            level,
+            next,
+        } = self;
+        hops.clear();
+        hops.resize(ns, u32::MAX);
+        latency.clear();
+        latency.resize(ns, INF);
+        pred.resize(ns, (0, 0));
+        transit.resize(ns, 0);
         hops[src] = 0;
         latency[src] = 0;
-        self.transit[src] = 0;
-        self.level.clear();
+        transit[src] = 0;
+        level.clear();
         #[expect(clippy::cast_possible_truncation, reason = "src < 2n <= 131 072")]
-        self.level.push((0, src as u32));
+        level.push((0, src as u32));
         let mut h = 0;
-        while !self.level.is_empty() {
+        while !level.is_empty() {
             // A state's latency may have fallen since it was collected.
-            for (lat, s) in &mut self.level {
+            for (lat, s) in level.iter_mut() {
                 *lat = latency[*s as usize];
             }
-            self.level.sort_unstable();
-            self.next.clear();
+            level.sort_unstable();
+            next.clear();
             h += 1;
-            for &(lat, s) in &self.level {
-                let transit = self.transit[s as usize];
+            for &(lat, s) in level.iter() {
+                let on_path = transit[s as usize];
                 for e in states.out(s as usize) {
                     let (t, lat) = (e.to as usize, lat + e.latency);
                     if hops[t] == u32::MAX {
                         hops[t] = h;
-                        self.next.push((lat, e.to));
+                        next.push((lat, e.to));
                     } else if hops[t] != h || lat >= latency[t] {
                         continue;
                     }
                     latency[t] = lat;
-                    self.pred[t] = (s, e.link);
-                    self.transit[t] = transit + u32::from(e.transit);
+                    pred[t] = (s, e.link);
+                    transit[t] = on_path + u32::from(e.transit);
                 }
             }
-            std::mem::swap(&mut self.level, &mut self.next);
+            std::mem::swap(level, next);
         }
     }
 
@@ -234,18 +250,11 @@ impl Scratch {
                   an n-AS table holds n² 32-byte records in memory, so n − 1 < u16::MAX; a row \
                   spills at most n·(n−1) link ids, < 2^32"
     )]
-    fn summarize(
-        &self,
-        hops: &[u32],
-        latency: &[u64],
-        dst: usize,
-        spill: &mut [u32],
-        off: &mut usize,
-    ) -> Route {
+    fn summarize(&self, dst: usize, spill: &mut [u32], off: &mut usize) -> Route {
         let s0 = dst * 2;
         let s1 = s0 + 1;
-        let c0 = (hops[s0], latency[s0]);
-        let c1 = (hops[s1], latency[s1]);
+        let c0 = (self.hops[s0], self.latency[s0]);
+        let c1 = (self.hops[s1], self.latency[s1]);
         if c0.0 == u32::MAX && c1.0 == u32::MAX {
             return UNREACHABLE;
         }
@@ -344,6 +353,29 @@ impl RepairStats {
     }
 }
 
+/// A state's sweep cost as the [`RepairIndex`] stores it: `u16` hops,
+/// `u16::MAX` for an unreachable state, and `u32` latency; `None` when a
+/// reachable cost does not fit.
+fn narrow(hops: u32, latency: u64) -> Option<(u16, u32)> {
+    if hops == u32::MAX {
+        return Some((u16::MAX, u32::MAX));
+    }
+    match (u16::try_from(hops), u32::try_from(latency)) {
+        (Ok(h), Ok(lat)) if h != u16::MAX => Some((h, lat)),
+        _ => None,
+    }
+}
+
+/// The inverse of [`narrow`]: the sweep's `(hops, latency)` cost of a
+/// state the index stores, unreachable as `(u32::MAX, INF)`.
+fn widen(hops: u16, latency: u32) -> (u32, u64) {
+    if hops == u16::MAX {
+        (u32::MAX, INF)
+    } else {
+        (u32::from(hops), u64::from(latency))
+    }
+}
+
 /// Per-source bookkeeping that makes fault-epoch routing repairs
 /// incremental: the final per-state costs of every source's sweep and
 /// the set of links each source's predecessor tree uses.
@@ -383,10 +415,14 @@ struct RepairIndex {
     n_links: usize,
     /// Bitset words per source row (`ceil(n_links / 64)`).
     words: usize,
-    /// `n × 2n` per-state hop counts, row-major by source.
-    hops: Vec<u32>,
-    /// `n × 2n` per-state latencies, row-major by source.
-    latency: Vec<u64>,
+    /// `n × 2n` per-state hop counts, row-major by source; `u16::MAX`
+    /// means unreachable. With `latency`, 6 bytes per state: the sweep
+    /// runs on full-width [`Scratch`] costs, and `Rows::recompute`
+    /// narrows them here, refusing a table whose costs do not fit.
+    hops: Vec<u16>,
+    /// `n × 2n` per-state latencies in µs, row-major by source (any value
+    /// for an unreachable state).
+    latency: Vec<u32>,
     /// Source → links its predecessor tree uses (`n` bitset rows of
     /// `words` words each).
     tree_links: Vec<u64>,
@@ -462,13 +498,13 @@ impl RepairIndex {
                 continue;
             }
             let base = s * ns;
+            let cost = |x: usize| widen(self.hops[base + x], self.latency[base + x]);
             for &(u, v) in trans.iter().flatten() {
-                let hu = self.hops[base + u];
+                let (hu, lu) = cost(u);
                 if hu == u32::MAX {
                     continue;
                 }
-                let cand = (hu + 1, self.latency[base + u] + w);
-                if cand <= (self.hops[base + v], self.latency[base + v]) {
+                if (hu + 1, lu + w) <= cost(v) {
                     self.set_dirty(s);
                     break;
                 }
@@ -495,8 +531,8 @@ struct Rows<'a> {
     words: usize,
     routes: &'a mut [Box<[Route]>],
     spill: &'a mut [Vec<u32>],
-    hops: &'a mut [u32],
-    latency: &'a mut [u64],
+    hops: &'a mut [u16],
+    latency: &'a mut [u32],
     tree_links: &'a mut [u64],
 }
 
@@ -528,20 +564,29 @@ impl<'a> Rows<'a> {
 
     /// Recomputes source `src`'s row (`src` is one of these rows) in
     /// place: the sweep, then every destination's record (and spilled
-    /// path), then the tree links.
+    /// path), then the tree links and the narrowed per-state costs.
+    ///
+    /// # Panics
+    ///
+    /// Refuses a table whose per-state costs the index cannot store: a
+    /// state reached in `u16::MAX` hops or more, or at `2^32` µs or more.
     #[expect(
         clippy::indexing_slicing,
         reason = "src − base < the rows lent; tree_links has n_links bits"
     )]
+    #[expect(
+        clippy::panic,
+        reason = "refusal at build time: the index's narrowed costs must equal the sweep's, or \
+                  repairs would mark the wrong rows dirty"
+    )]
     fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
         let (r, ns, words) = (src - self.base, 2 * self.n, self.words);
-        let hops = &mut self.hops[r * ns..(r + 1) * ns];
-        let latency = &mut self.latency[r * ns..(r + 1) * ns];
-        scratch.sweep(states, src * 2, hops, latency);
+        scratch.sweep(states, src * 2, ns);
         // A destination's path is as long as the cheaper of its two
         // states' hop counts, so the spill segment is sized before it is
         // filled.
-        let spilled = hops
+        let spilled = scratch
+            .hops
             .chunks_exact(2)
             .filter_map(|states| states.iter().min())
             .filter(|&&hops| hops != u32::MAX)
@@ -559,15 +604,29 @@ impl<'a> Rows<'a> {
             *routes = vec![UNREACHABLE; self.n].into();
         }
         for (dst, out) in routes.iter_mut().enumerate() {
-            *out = scratch.summarize(hops, latency, dst, spill, &mut off);
+            *out = scratch.summarize(dst, spill, &mut off);
         }
         let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
         tree_links.fill(0);
         // Every reached state but the source has a predecessor link.
-        for (&h, &(_, li)) in hops.iter().zip(&scratch.pred) {
+        for (&h, &(_, li)) in scratch.hops.iter().zip(&scratch.pred) {
             if h != 0 && h != u32::MAX {
                 tree_links[li as usize / 64] |= 1 << (li % 64);
             }
+        }
+        let hops = &mut self.hops[r * ns..(r + 1) * ns];
+        let latency = &mut self.latency[r * ns..(r + 1) * ns];
+        let wide = scratch.hops.iter().zip(&scratch.latency);
+        for ((h, lat), (&wide_h, &wide_lat)) in hops.iter_mut().zip(latency.iter_mut()).zip(wide) {
+            let Some(cost) = narrow(wide_h, wide_lat) else {
+                panic!(
+                    "route table refused: source AS {src} reaches a state in {wide_h} hops and \
+                     {wide_lat} µs, past the repair index's {} hops and {} µs",
+                    u16::MAX - 1,
+                    u32::MAX
+                );
+            };
+            (*h, *lat) = cost;
         }
     }
 }
@@ -1544,6 +1603,45 @@ mod tests {
     fn a_route_record_is_half_a_cache_line() {
         assert_eq!(std::mem::size_of::<Route>(), 32);
         assert_eq!(std::mem::align_of::<Route>(), 32);
+    }
+
+    #[test]
+    fn an_index_state_is_six_bytes() {
+        let g = ring16();
+        let r = Routing::compute(&g, RoutingMode::ValleyFree);
+        let states = g.len() * 2 * g.len();
+        let bytes = std::mem::size_of_val(r.index.hops.as_slice())
+            + std::mem::size_of_val(r.index.latency.as_slice());
+        assert_eq!(bytes, 6 * states);
+    }
+
+    /// Two ASes joined by one transit link of `latency_us`.
+    fn two_ases(latency_us: u64) -> AsGraph {
+        let mut g = isolated(2);
+        g.add_transit(AsId(0), AsId(1), latency_us, 1_000.0);
+        g
+    }
+
+    #[test]
+    #[should_panic(expected = "route table refused")]
+    fn a_latency_past_the_index_width_is_refused() {
+        Routing::compute(&two_ases(1 << 32), RoutingMode::ValleyFree);
+    }
+
+    /// The widest latency the index stores round-trips exactly, so the
+    /// heal-candidate test still compares the sweep's costs. (Shortest-path
+    /// mode: in valley-free mode AS 1 also reaches its descending state
+    /// by climbing to AS 0 and back, at twice the link's latency.)
+    #[test]
+    fn the_widest_stored_latency_round_trips() {
+        let max = u64::from(u32::MAX);
+        let r = Routing::compute(&two_ases(max), RoutingMode::ShortestPath);
+        assert_eq!(r.latency_us(AsId(0), AsId(1)), Some(max));
+        let stored = (0..r.index.hops.len()).map(|i| widen(r.index.hops[i], r.index.latency[i]));
+        assert_eq!(stored.filter(|&(h, _)| h == 1).max(), Some((1, max)));
+        assert_eq!(narrow(u32::MAX, INF), Some((u16::MAX, u32::MAX)));
+        assert_eq!(narrow(u32::from(u16::MAX), 0), None);
+        assert_eq!(narrow(1, max + 1), None);
     }
 
     #[test]

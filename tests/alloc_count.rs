@@ -263,8 +263,9 @@ fn kademlia_lookups_allocate_their_result_and_new_contacts() {
     let contacts = net.table_contacts();
     let (n, ()) = allocs_in(|| lookups(&mut net, &mut rng));
     let gained = (net.table_contacts() - contacts) as u64;
-    // One per lookup is the `closest` vector it returns; a contact the
-    // routing tables gain may grow its bucket and the used-bucket list.
+    // One per lookup is the `closest` vector it returns; a contact a
+    // routing table gains may grow that table's contact array and its
+    // used-bucket list.
     let bound = 1_000 + 2 * gained;
     assert!(
         n <= bound,
