@@ -36,7 +36,6 @@
 //! visits only the buckets that hold contacts.
 
 use crate::id::Key;
-use std::cmp::Ordering;
 use uap_net::HostId;
 
 /// A routing-table entry: the overlay key and its underlay attachment.
@@ -117,18 +116,18 @@ impl RoutingTable {
         })
     }
 
-    /// Bucket `idx`'s entry in `used` (`Ok`) or the position its entry
-    /// would take (`Err`), and the bucket's first slot in `contacts`.
-    fn locate(&self, idx: usize) -> (Result<usize, usize>, usize) {
+    /// Bucket `idx`'s entry in `used` (for an empty bucket, the position
+    /// its entry would take), its first slot in `contacts` and its length.
+    fn locate(&self, idx: usize) -> (usize, usize, usize) {
         let mut start = 0;
         for (at, &(b, len)) in self.used.iter().enumerate() {
-            match usize::from(b).cmp(&idx) {
-                Ordering::Less => start += usize::from(len),
-                Ordering::Equal => return (Ok(at), start),
-                Ordering::Greater => return (Err(at), start),
+            if usize::from(b) >= idx {
+                let len = if usize::from(b) == idx { len } else { 0 };
+                return (at, start, usize::from(len));
             }
+            start += usize::from(len);
         }
-        (Err(self.used.len()), start)
+        (self.used.len(), start, 0)
     }
 
     /// Observes a contact (on any received message). Returns true if the
@@ -145,7 +144,8 @@ impl RoutingTable {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "`locate` returns a used entry and its bucket's slots inside contacts"
+        reason = "`locate` returns a bucket's slots inside contacts and, for a non-empty \
+                  bucket, its entry in used"
     )]
     #[expect(
         clippy::cast_possible_truncation,
@@ -155,15 +155,7 @@ impl RoutingTable {
         let Some(idx) = self.own.bucket_index(&c.key) else {
             return false; // self
         };
-        let (at, start) = match self.locate(idx) {
-            (Ok(at), start) => (at, start),
-            (Err(at), start) => {
-                self.used.insert(at, (idx as u8, 1));
-                self.contacts.insert(start, c);
-                return true;
-            }
-        };
-        let len = usize::from(self.used[at].1);
+        let (at, start, len) = self.locate(idx);
         let bucket = &mut self.contacts[start..start + len];
         if let Some(pos) = bucket.iter().position(|e| e.key == c.key) {
             // Move to tail (most recently seen).
@@ -172,7 +164,11 @@ impl RoutingTable {
         }
         if len < self.k {
             self.contacts.insert(start + len, c);
-            self.used[at].1 = (len + 1) as u8;
+            if len == 0 {
+                self.used.insert(at, (idx as u8, 1));
+            } else {
+                self.used[at].1 = (len + 1) as u8;
+            }
             return true;
         }
         match self.policy {
@@ -198,19 +194,19 @@ impl RoutingTable {
     /// Removes a contact (e.g. after a timeout).
     #[expect(
         clippy::indexing_slicing,
-        reason = "`locate` returns a used entry and its bucket's slots inside contacts"
+        reason = "`locate` returns a bucket's slots inside contacts and, for a non-empty \
+                  bucket, its entry in used"
     )]
     pub fn remove(&mut self, key: &Key) {
-        let slot = self.own.bucket_index(key).map(|idx| self.locate(idx));
-        if let Some((Ok(at), start)) = slot {
-            let len = self.used[at].1;
-            let bucket = &self.contacts[start..start + usize::from(len)];
+        if let Some(idx) = self.own.bucket_index(key) {
+            let (at, start, len) = self.locate(idx);
+            let bucket = &self.contacts[start..start + len];
             if let Some(pos) = bucket.iter().position(|e| e.key == *key) {
                 self.contacts.remove(start + pos);
                 if len == 1 {
                     self.used.remove(at);
                 } else {
-                    self.used[at].1 = len - 1;
+                    self.used[at].1 -= 1;
                 }
             }
         }
