@@ -60,6 +60,8 @@ pub struct Outcome {
     pub snapshots: Vec<Snapshot>,
     /// The comparison table.
     pub table: Table,
+    /// Engine events of both runs.
+    pub events: u64,
 }
 
 /// Runs both policies and compares the resulting overlay graphs.
@@ -73,6 +75,7 @@ pub fn run(p: &Params) -> Outcome {
         ),
     ];
     let mut snapshots = Vec::new();
+    let mut events = 0;
     let mut table = Table::new(
         "Figure 6 — overlay structure under neighbor-selection policies",
         &[
@@ -98,6 +101,7 @@ pub fn run(p: &Params) -> Outcome {
         let (report, world) =
             run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
         let stats = OverlayStats::compute(&world.underlay, &report.edges);
+        events += report.events;
         table.row(&[
             label.to_owned(),
             stats.edges.to_string(),
@@ -114,7 +118,11 @@ pub fn run(p: &Params) -> Outcome {
             stats,
         });
     }
-    Outcome { snapshots, table }
+    Outcome {
+        snapshots,
+        table,
+        events,
+    }
 }
 
 /// The [`super::TABLE`] row's run; the dumps are the two overlays' edge
@@ -135,6 +143,7 @@ pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
         .collect();
     super::Outcome {
         dumps,
+        events: out.events,
         ..super::Outcome::of(vec![out.table], claim)
     }
 }

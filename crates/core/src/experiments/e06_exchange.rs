@@ -53,6 +53,8 @@ pub struct Outcome {
     pub rows: Vec<(String, f64, f64)>,
     /// Rendered table.
     pub table: Table,
+    /// Engine events of the four runs.
+    pub events: u64,
 }
 
 /// Runs the four configurations.
@@ -92,6 +94,7 @@ pub fn run(p: &Params) -> Outcome {
         ),
     ];
     let mut rows = Vec::new();
+    let mut events = 0;
     let mut table = Table::new(
         "§4 — intra-AS share of file exchanges",
         &["configuration", "paper", "measured"],
@@ -99,6 +102,7 @@ pub fn run(p: &Params) -> Outcome {
     for (label, paper, cfg) in configs {
         let (report, _) = run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
         let measured = report.intra_as_exchange_pct();
+        events += report.events;
         table.row(&[
             label.clone(),
             format!("{paper:.2}%"),
@@ -106,14 +110,21 @@ pub fn run(p: &Params) -> Outcome {
         ]);
         rows.push((label, paper, measured));
     }
-    Outcome { rows, table }
+    Outcome {
+        rows,
+        table,
+        events,
+    }
 }
 
 /// The [`super::TABLE`] row's run.
 pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
     let out = run(&scale.params(seed, Params::quick, Params::full));
     let claim = claim(&out);
-    super::Outcome::of(vec![out.table], claim)
+    super::Outcome {
+        events: out.events,
+        ..super::Outcome::of(vec![out.table], claim)
+    }
 }
 
 /// The exchange oracle's jump: its intra-AS share minus list-1000's, in

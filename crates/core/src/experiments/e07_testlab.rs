@@ -169,7 +169,14 @@ pub fn run(p: &Params) -> Outcome {
 pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
     let out = run(&scale.params(seed, Params::quick, Params::full));
     let claim = claim(&out);
-    super::Outcome::of(vec![out.table], claim)
+    super::Outcome {
+        events: out
+            .cells
+            .iter()
+            .map(|c| c.unbiased.events + c.biased.events)
+            .sum(),
+        ..super::Outcome::of(vec![out.table], claim)
+    }
 }
 
 /// The study's answer to "whether biased neighbor selection leads to any

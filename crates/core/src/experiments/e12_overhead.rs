@@ -151,8 +151,9 @@ pub fn run_overhead(p: &Params) -> Table {
     table
 }
 
-/// Churn sweep: success and signalling, unbiased vs oracle-biased.
-pub fn run_churn(p: &Params) -> Table {
+/// Churn sweep: success and signalling, unbiased vs oracle-biased, and
+/// the engine events of all its runs.
+pub fn run_churn(p: &Params) -> (Table, u64) {
     let mut table = Table::new(
         "§5.4 — robustness against churn",
         &[
@@ -163,6 +164,7 @@ pub fn run_churn(p: &Params) -> Table {
             "rejoins",
         ],
     );
+    let mut events = 0;
     for &session in &p.churn_sessions {
         for (label, selection) in [
             ("unbiased", NeighborSelection::Random),
@@ -183,6 +185,7 @@ pub fn run_churn(p: &Params) -> Table {
             };
             let seed = p.net.seed ^ 0xE12C;
             let (r, _) = run_experiment_with(p.net.build(), cfg, seed, &mut Tracer::disabled());
+            events += r.events;
             let session_label = if session.is_finite() {
                 format!("{session:.0}s")
             } else {
@@ -197,15 +200,18 @@ pub fn run_churn(p: &Params) -> Table {
             ]);
         }
     }
-    table
+    (table, events)
 }
 
 /// The [`super::TABLE`] row's run.
 pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> super::Outcome {
     let p = scale.params(seed, Params::quick, Params::full);
-    let (cost, churn) = (run_overhead(&p), run_churn(&p));
+    let (cost, (churn, events)) = (run_overhead(&p), run_churn(&p));
     let claim = claim(&cost, &churn);
-    super::Outcome::of(vec![cost, churn], claim)
+    super::Outcome {
+        events,
+        ..super::Outcome::of(vec![cost, churn], claim)
+    }
 }
 
 /// §5.4's two open issues, answered: the oracle costs exactly a request
@@ -322,7 +328,7 @@ mod tests {
     #[test]
     fn churn_reduces_success_for_both_policies() {
         let p = Params::quick(72);
-        let t = run_churn(&p);
+        let (t, _) = run_churn(&p);
         assert_eq!(t.len(), 4);
         let succ = |r: usize| -> f64 { t.cell(r, 2).trim_end_matches('%').parse().unwrap() };
         // Static rows first, churn rows after.

@@ -334,6 +334,13 @@ mod tests {
     /// those seeds is still covered and every row gains the other seven.
     const SEEDS: [u64; 8] = [7, 11, 21, 51, 61, 81, 91, 97];
 
+    /// The rows that run a Gnutella engine and publish its events. E13
+    /// re-runs E4 and E6 inside its seed sweep and publishes none of its
+    /// own.
+    const GNUTELLA_ROWS: [&str; 7] = [
+        "exp04", "exp05", "exp06", "exp07", "exp08", "exp12", "exp16",
+    ];
+
     /// Every ✅ in EXPERIMENTS.md: each row's claim holds at quick scale
     /// on every seed. E13 is itself a seed sweep, so it runs once.
     #[test]
@@ -360,6 +367,9 @@ mod tests {
                 assert_eq!(out.tables.len(), e.csvs.len(), "{}: tables", e.id);
                 assert_eq!(out.dumps.len(), e.dumps.len(), "{}: dumps", e.id);
                 assert_eq!(!tracer.is_empty(), e.traced, "{}: traced", e.id);
+                if GNUTELLA_ROWS.contains(&e.id) {
+                    assert!(out.events > 0, "{}: events", e.id);
+                }
             }
             out.claim
                 .err()

@@ -119,6 +119,8 @@ pub struct ImpactMatrix {
     pub cells: Vec<Vec<Cell>>,
     /// Rendered table with paper bands alongside.
     pub table: Table,
+    /// Engine events of the baseline and the four column runs.
+    pub events: u64,
 }
 
 /// Table 2's own entries, for agreement scoring.
@@ -396,6 +398,7 @@ pub fn run(p: &Params) -> ImpactMatrix {
     ImpactMatrix {
         cells: cells.into(),
         table,
+        events: base.report.events + columns.iter().map(|c| c.report.events).sum::<u64>(),
     }
 }
 
@@ -427,6 +430,7 @@ pub fn experiment(scale: Scale, seed: u64, _: &mut Tracer) -> experiments::Outco
             100.0 * m.agreement()
         )],
         values: vec![("agreement", m.agreement().to_string())],
+        events: m.events,
         ..experiments::Outcome::of(vec![m.table], claim)
     }
 }

@@ -400,63 +400,12 @@ impl Underlay {
         }
     }
 
-    /// Round-trip time in microseconds (sum of both directions): one
-    /// host fetch per endpoint and both directional latencies from the
-    /// already-loaded records.
-    ///
-    /// Byte-for-byte equivalent to
-    /// `latency_directional_us(a, b)? + latency_directional_us(b, a)?`,
-    /// including hit/miss counter effects and their ordering.
+    /// Round-trip time in microseconds: the sum of both directional
+    /// latencies, forward first (so the route cache counts the forward
+    /// lookup before the reverse one).
     #[inline]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "float → int `as` saturates; a latency is far under 2^53 µs"
-    )]
     pub fn rtt_us(&self, a: HostId, b: HostId) -> Option<u64> {
-        if a == b {
-            return Some(0);
-        }
-        let ha = self.hosts.host(a);
-        let hb = self.hosts.host(b);
-        let base = ha.access_latency_us + hb.access_latency_us;
-        let (lat_ab, lat_ba) = if ha.asn == hb.asn {
-            self.route_cache.note_miss();
-            self.route_cache.note_miss();
-            // Geographic distance is symmetric, so both directions share
-            // the same base latency.
-            let l = base + propagation_delay_us(ha.geo.distance_km(&hb.geo));
-            (l, l)
-        } else {
-            let fwd = self
-                .route_cache
-                .lookup(ha.asn, hb.asn, &self.routing, self.latency_factor);
-            if fwd == UNREACHABLE_ENTRY {
-                return None;
-            }
-            let rev = self
-                .route_cache
-                .lookup(hb.asn, ha.asn, &self.routing, self.latency_factor);
-            if rev == UNREACHABLE_ENTRY {
-                return None;
-            }
-            (base + fwd, base + rev)
-        };
-        if (self.config.asymmetry - 1.0).abs() < f64::EPSILON {
-            return Some(lat_ab + lat_ba);
-        }
-        // Replicate latency_directional_us exactly: the larger-id →
-        // smaller-id direction is scaled.
-        let dir_ab = if a.0 > b.0 {
-            (lat_ab as f64 * self.config.asymmetry) as u64
-        } else {
-            lat_ab
-        };
-        let dir_ba = if b.0 > a.0 {
-            (lat_ba as f64 * self.config.asymmetry) as u64
-        } else {
-            lat_ba
-        };
-        Some(dir_ab + dir_ba)
+        Some(self.latency_directional_us(a, b)? + self.latency_directional_us(b, a)?)
     }
 
     /// An RTT *measurement*: the true RTT plus multiplicative jitter. This

@@ -5,6 +5,7 @@
 //! slice indexing, and honours a reasoned `#[expect]` wherever it stands.
 //! These scans pin where such an escape may stand, and check that the
 //! trace / metrics registry declares nothing the code no longer writes.
+//! One more scan holds `CHANGES.md` to its ledger shape.
 
 use std::path::Path;
 use underlay_p2p::sim::trace::registry::{METRICS, TRACE_KINDS};
@@ -28,6 +29,21 @@ const REGISTRY: &str = "crates/sim/src/trace/registry.rs";
 
 /// This file, whose planted inputs would otherwise trip its own scans.
 const THIS_FILE: &str = "tests/source_scan.rs";
+
+/// The change ledger, one entry per PR.
+const LEDGER: &str = "CHANGES.md";
+
+/// The bold headings every ledger entry carries, in this order.
+const LEDGER_HEADINGS: [&str; 5] = [
+    "What changed.",
+    "Claim.",
+    "Lines.",
+    "Measured.",
+    "Tests and checks.",
+];
+
+/// Most lines one ledger entry may take, its `- PR` line included.
+const LEDGER_ENTRY_LINES: usize = 15;
 
 /// A source file: its workspace-relative path (`/`-separated) and text.
 struct Source {
@@ -154,6 +170,44 @@ fn unreferenced(sources: &[Source]) -> Vec<String> {
     out
 }
 
+/// What breaks the ledger's shape, by line: a top-level line that is not
+/// `- PR …`, `- FOUND:` or `- MENDED`; an indented line outside a PR
+/// entry; an entry longer than [`LEDGER_ENTRY_LINES`]; an entry whose
+/// `  - **…**` headings are not [`LEDGER_HEADINGS`].
+fn ledger_faults(text: &str) -> Vec<String> {
+    let mut faults = Vec::new();
+    let mut entries: Vec<(usize, Vec<&str>)> = Vec::new();
+    let mut in_entry = false;
+    for (n, line) in (1..).zip(text.lines()) {
+        if line.starts_with("- PR ") {
+            entries.push((n, vec![line]));
+            in_entry = true;
+        } else if line.starts_with("- FOUND:") || line.starts_with("- MENDED") {
+            in_entry = false;
+        } else if in_entry && line.starts_with("  ") {
+            if let Some((_, lines)) = entries.last_mut() {
+                lines.push(line);
+            }
+        } else {
+            faults.push(format!("line {n}: outside any PR entry"));
+        }
+    }
+    for (n, lines) in entries {
+        if lines.len() > LEDGER_ENTRY_LINES {
+            faults.push(format!("line {n}: entry runs {} lines", lines.len()));
+        }
+        let headings: Vec<&str> = lines
+            .iter()
+            .filter_map(|l| l.strip_prefix("  - **")?.split_once("**"))
+            .map(|(heading, _)| heading)
+            .collect();
+        if headings != LEDGER_HEADINGS {
+            faults.push(format!("line {n}: headings {headings:?}"));
+        }
+    }
+    faults
+}
+
 #[test]
 fn disallowed_escapes_sit_at_audited_boundaries() {
     let stray = stray_escapes(&workspace_sources().unwrap());
@@ -216,4 +270,41 @@ fn mentions_respects_identifier_boundaries() {
         "GNUTELLA_DOWNLOAD"
     ));
     assert!(!mentions("X_GNUTELLA_DOWNLOAD", "GNUTELLA_DOWNLOAD"));
+}
+
+#[test]
+fn changes_md_is_a_ledger_of_five_heading_entries() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(LEDGER);
+    let faults = ledger_faults(&std::fs::read_to_string(path).unwrap());
+    assert!(faults.is_empty(), "{LEDGER} is not a ledger: {faults:?}");
+
+    // Planted: a whole entry, one without its Claim, a FOUND line with a
+    // line under it, a stray heading line, and an entry of 16 lines.
+    let entry = |claim: bool, extra: usize| {
+        let mut e = String::from("- PR 1: a change\n  - **What changed.** x\n");
+        if claim {
+            e.push_str("  - **Claim.** None.\n");
+        }
+        e.push_str("  - **Lines.** x\n  - **Measured.** x\n  - **Tests and checks.** x\n");
+        e.push_str(&"    - x\n".repeat(extra));
+        e
+    };
+    let planted = [
+        entry(true, 0),
+        entry(false, 0),
+        "- FOUND: x\n  more\n".to_owned(),
+        "# Changes\n".to_owned(),
+        entry(true, 10),
+        "- MENDED (PR 1): x\n".to_owned(),
+    ]
+    .concat();
+    assert_eq!(
+        ledger_faults(&planted),
+        [
+            "line 13: outside any PR entry",
+            "line 14: outside any PR entry",
+            "line 7: headings [\"What changed.\", \"Lines.\", \"Measured.\", \"Tests and checks.\"]",
+            "line 15: entry runs 16 lines",
+        ]
+    );
 }
