@@ -824,6 +824,57 @@ mod tests {
         assert_eq!(back.to_json(), line);
     }
 
+    /// The line format, byte for byte: every field type the writer has,
+    /// `s` and `cs` between `t` and `l`, a provenance-free line and an
+    /// empty `f`. Round trips cannot catch a writer that drifts in step
+    /// with the parser; these literals can.
+    #[test]
+    fn lines_are_pinned_byte_for_byte() {
+        let mut t = Tracer::buffered(TraceLevel::Debug);
+        t.set_provenance(Provenance {
+            span: Some(3),
+            cause: Some(17),
+        });
+        t.emit(SimTime::from_micros(9), registry::NET_TRANSFER, |f| {
+            f.u64("zero", 0)
+                .u64("max", u64::MAX)
+                .f64("ratio", 0.1)
+                .f64("whole", 2.0)
+                .f64("tiny", 1e-7)
+                .f64("nan", f64::NAN)
+                .f64("inf", f64::INFINITY)
+                .f64("ninf", f64::NEG_INFINITY)
+                .bool("yes", true)
+                .bool("no", false);
+        });
+        t.set_provenance(Provenance {
+            span: None,
+            cause: Some(0),
+        });
+        t.emit(SimTime::from_secs(2), registry::GNUTELLA_SPAN_OPEN, |f| {
+            f.str("s", "q\"b\\n\nt\t\r\u{1}\u{1f}é😀");
+        });
+        t.clear_provenance();
+        t.emit(SimTime::ZERO, kind("run", TraceLevel::Info, "end"), |_| {});
+        let jsonl = t.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                concat!(
+                    r#"{"seq":0,"t":9,"s":3,"cs":17,"l":"debug","c":"net","k":"transfer","f":{"#,
+                    r#""zero":0,"max":18446744073709551615,"ratio":0.1,"whole":2.0,"#,
+                    r#""tiny":1e-7,"nan":"NaN","inf":"inf","ninf":"-inf","yes":true,"no":false}}"#
+                ),
+                concat!(
+                    r#"{"seq":1,"t":2000000,"cs":0,"l":"debug","c":"gnutella","k":"span.open","#,
+                    r#""f":{"s":"q\"b\\n\nt\t\r\u0001\u001fé😀"}}"#
+                ),
+                r#"{"seq":2,"t":0,"l":"info","c":"run","k":"end","f":{}}"#,
+            ]
+        );
+    }
+
     #[test]
     fn field_order_is_preserved_in_output() {
         let mut t = Tracer::buffered(TraceLevel::Info);
