@@ -21,13 +21,14 @@
 //! * `trace check <file.jsonl>` — the census of one JSONL trace written
 //!   by a `--trace` run (per-component / per-kind event counts, the
 //!   simulated time span, the event rate), then the integrity verdict:
-//!   seqs run 0.. with no gap (a missing seq is a line the file lost),
-//!   every event is a kind the registry declares, at its declared level,
-//!   every cause references an earlier seq that exists in the trace,
-//!   span ids are opened before use, and span.open/span.close are
-//!   balanced.
+//!   the k-th event line carries seq k (a missing seq is a line the file
+//!   lost; a repeated or out-of-order one, a line written twice or
+//!   moved), every event is a kind the registry declares, at its
+//!   declared level, every cause references an earlier seq that exists
+//!   in the trace, span ids are opened before use, and
+//!   span.open/span.close are balanced.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use uap_sim::trace::{parse_jsonl_line, registry};
 use uap_sim::{TraceEvent, TraceLevel, Value};
@@ -62,36 +63,24 @@ fn is_wall_line(line: &str) -> bool {
 /// Compares two files line by line; see the module docs for the wall
 /// exemption. Returns the first divergence, if any.
 pub fn diff(a: &str, b: &str) -> DiffResult {
-    let la: Vec<&str> = a.lines().collect();
-    let lb: Vec<&str> = b.lines().collect();
-    let mut skipped = 0usize;
-    for i in 0..la.len().max(lb.len()) {
-        match (la.get(i), lb.get(i)) {
-            (Some(&x), Some(&y)) => {
-                if is_wall_line(x) && is_wall_line(y) {
-                    skipped += 1;
-                    continue;
-                }
-                if x != y {
-                    return DiffResult::Divergence {
-                        line: i + 1,
-                        a: Some(x.to_owned()),
-                        b: Some(y.to_owned()),
-                    };
+    let (mut la, mut lb) = (a.lines(), b.lines());
+    let (mut line, mut skipped) = (0, 0);
+    loop {
+        line += 1;
+        match (la.next(), lb.next()) {
+            (None, None) => {
+                return DiffResult::Identical {
+                    lines: line - 1,
+                    skipped,
                 }
             }
+            (Some(x), Some(y)) if is_wall_line(x) && is_wall_line(y) => skipped += 1,
+            (x, y) if x == y => {}
             (x, y) => {
-                return DiffResult::Divergence {
-                    line: i + 1,
-                    a: x.map(|s| (*s).to_owned()),
-                    b: y.map(|s| (*s).to_owned()),
-                }
+                let (a, b) = (x.map(str::to_owned), y.map(str::to_owned));
+                return DiffResult::Divergence { line, a, b };
             }
         }
-    }
-    DiffResult::Identical {
-        lines: la.len(),
-        skipped,
     }
 }
 
@@ -413,9 +402,11 @@ fn census(evs: &[TraceEvent]) -> String {
 }
 
 /// One parse of a JSONL trace, two results: its [`census`], and the
-/// integrity verdict. The writer numbers events 0.. with no gap, so a
-/// missing seq — at the head or anywhere inside — is a line the file
-/// lost; every event's `(c, k)` must be a declared
+/// integrity verdict. The writer numbers its lines 0.. in order, so the
+/// k-th event line must carry seq k: a missing seq — at the head or
+/// anywhere inside — is a line the file lost, and a seq on two lines or
+/// after a larger one is a line repeated or moved; every event's
+/// `(c, k)` must be a declared
 /// [`registry::TRACE_KINDS`] entry emitted at its declared level; every
 /// `cs` must reference an earlier seq that exists in the trace, every
 /// span-bearing event must belong to an opened span, and
@@ -434,24 +425,40 @@ fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
     if evs.is_empty() {
         return Ok("causal integrity ok: empty trace\n".to_string());
     }
-    let seqs: BTreeSet<u64> = evs.iter().map(|e| e.seq).collect();
+    // The k-th event line must carry seq k: no seq missing, none on two
+    // lines, and none after a larger one.
     let mut problems: Vec<String> = Vec::new();
-    if let Some(&first) = seqs.first().filter(|&&s| s > 0) {
-        problems.push(format!(
-            "first seq is {first}, not 0: the trace lost its head"
-        ));
-    }
-    for (&a, &b) in seqs.iter().zip(seqs.iter().skip(1)) {
-        match b - a {
-            1 => {}
-            2 => problems.push(format!("seq {} is missing: the trace lost a line", a + 1)),
-            n => problems.push(format!(
-                "seqs {} to {} are missing: the trace lost {} lines",
-                a + 1,
-                b - 1,
-                n - 1
-            )),
+    let mut lines_of: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut latest: Option<u64> = None;
+    for ev in evs {
+        let lines = lines_of.entry(ev.seq).or_insert(0);
+        *lines += 1;
+        if let Some(prev) = latest.filter(|&prev| *lines == 1 && ev.seq < prev) {
+            problems.push(format!(
+                "seq {} follows seq {prev}: the trace's lines are out of order",
+                ev.seq
+            ));
         }
+        latest = latest.max(Some(ev.seq));
+    }
+    let mut next = 0; // the seq the next line present should carry
+    for (&seq, &n) in &lines_of {
+        if n > 1 {
+            problems.push(format!(
+                "seq {seq} is on {n} lines: the trace repeats a line"
+            ));
+        }
+        if seq > next {
+            problems.push(match (next, seq - next) {
+                (0, _) => format!("first seq is {seq}, not 0: the trace lost its head"),
+                (_, 1) => format!("seq {next} is missing: the trace lost a line"),
+                (_, n) => format!(
+                    "seqs {next} to {} are missing: the trace lost {n} lines",
+                    seq - 1
+                ),
+            });
+        }
+        next = seq + 1;
     }
     let declared: BTreeMap<(&str, &str), TraceLevel> = registry::TRACE_KINDS
         .iter()
@@ -478,7 +485,7 @@ fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
                     "seq {}: cause {cs} does not precede the event",
                     ev.seq
                 ));
-            } else if !seqs.contains(&cs) {
+            } else if !lines_of.contains_key(&cs) {
                 problems.push(format!("seq {}: cause {cs} is not in the trace", ev.seq));
             }
         }
@@ -893,6 +900,55 @@ mod tests {
             .expect_err("two lost lines");
         assert!(
             err.contains("seqs 2 to 3 are missing: the trace lost 2 lines"),
+            "{err}"
+        );
+    }
+
+    /// The lines of `trace` at the 0-based indices `at`, in that order.
+    fn pick(trace: &str, at: &[usize]) -> String {
+        let lines: Vec<&str> = trace.lines().collect();
+        at.iter().map(|&i| format!("{}\n", lines[i])).collect()
+    }
+
+    #[test]
+    fn check_rejects_a_line_written_twice() {
+        let trace = sample_trace();
+        assert!(check(&pick(&trace, &[0, 1, 2])).1.is_ok());
+        let err = check(&pick(&trace, &[0, 1, 1, 2]))
+            .1
+            .expect_err("a repeated line is a violation");
+        assert!(
+            err.ends_with(":\nseq 1 is on 2 lines: the trace repeats a line"),
+            "{err}"
+        );
+        let err = check(&pick(&trace, &[0, 1, 2, 0, 0]))
+            .1
+            .expect_err("a repeated line is a violation");
+        assert!(
+            err.ends_with(":\nseq 0 is on 3 lines: the trace repeats a line"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_rejects_lines_out_of_order() {
+        let trace = sample_trace();
+        let err = check(&pick(&trace, &[0, 2, 1]))
+            .1
+            .expect_err("swapped lines are a violation");
+        assert!(
+            err.ends_with(":\nseq 1 follows seq 2: the trace's lines are out of order"),
+            "{err}"
+        );
+        // Each seq that arrives after a larger one is named.
+        let err = check(&pick(&trace, &[2, 1, 0]))
+            .1
+            .expect_err("reversed lines are a violation");
+        assert!(
+            err.ends_with(
+                ":\nseq 1 follows seq 2: the trace's lines are out of order\n\
+                 seq 0 follows seq 2: the trace's lines are out of order"
+            ),
             "{err}"
         );
     }

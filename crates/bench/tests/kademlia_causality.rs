@@ -49,14 +49,12 @@ fn driven_retransmits_explain_back_to_their_fault_epoch() {
     run_dht_with(&mut net, &ops, &plan, &mut tracer);
     let jsonl = tracer.to_jsonl();
     let events = tracer.events();
-    let of_kind = |kind: &str| -> Vec<&TraceEvent> {
-        events.iter().copied().filter(|e| e.kind == kind).collect()
-    };
+    let of_kind =
+        |kind: &str| -> Vec<&TraceEvent> { events.iter().filter(|e| e.kind == kind).collect() };
 
     // Every Kademlia event sits at its lookup's instant, not all at 0.
     let kad: Vec<&TraceEvent> = events
         .iter()
-        .copied()
         .filter(|e| e.component == "kademlia")
         .collect();
     assert!(kad.iter().any(|e| e.t > SimTime::ZERO), "all at t = 0");
@@ -76,7 +74,7 @@ fn driven_retransmits_explain_back_to_their_fault_epoch() {
     assert_eq!([epochs[0].t, epochs[1].t], [start, end]);
 
     // Every retransmit inside the window explains back to its epoch.
-    let by_seq: BTreeMap<u64, &TraceEvent> = events.iter().map(|e| (e.seq, *e)).collect();
+    let by_seq: BTreeMap<u64, &TraceEvent> = events.iter().map(|e| (e.seq, e)).collect();
     let in_window: Vec<&TraceEvent> = of_kind("rpc.retry")
         .into_iter()
         .filter(|e| start <= e.t && e.t < end)

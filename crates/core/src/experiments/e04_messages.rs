@@ -94,7 +94,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
     );
     reports.push(("Unbiased Gnutella".into(), unbiased));
     for cache in CACHE_SIZES {
-        phase(tracer, format!("biased-cache-{cache}"));
+        phase(tracer, &format!("biased-cache-{cache}"));
         let (r, _) = run_experiment_with(
             p.net.build(),
             p.config(NeighborSelection::OracleBiased { list_size: cache }),

@@ -144,7 +144,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
             cost_aware_choking: cat,
             ..Default::default()
         };
-        phase(tracer, label.clone());
+        phase(tracer, &label);
         let (report, underlay) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0xE10, tracer);
         let horizon = ROUND.mul(report.rounds as u64);
         let bills = bill_all(

@@ -292,7 +292,7 @@ fn run_gnutella(p: &Params, tracer: &mut Tracer) -> (Table, Vec<GnutellaCurve>) 
     );
     let mut curves = Vec::new();
     for (label, selection, oracle_dl) in configs {
-        phase(tracer, format!("gnutella/{label}"));
+        phase(tracer, &format!("gnutella/{label}"));
         let cfg = GnutellaConfig {
             selection,
             oracle_at_file_exchange: oracle_dl,
@@ -423,7 +423,7 @@ fn run_swarms(p: &Params, tracer: &mut Tracer) -> (Table, Vec<SwarmResult>) {
     );
     let mut results = Vec::new();
     for (label, tracker) in configs {
-        phase(tracer, format!("bittorrent/{label}"));
+        phase(tracer, &format!("bittorrent/{label}"));
         let cfg = SwarmConfig {
             n_leechers: p.swarm_leechers,
             n_seeds: p.swarm_seeds,

@@ -751,7 +751,7 @@ mod tests {
         // A disabled tracer records nothing and costs no path inspection.
         let mut off = uap_sim::Tracer::disabled();
         u.account_transfer_traced(SimTime::ZERO, a, b, 5_000, &mut off);
-        assert_eq!(off.len(), 0);
+        assert_eq!(off.emitted(), 0);
     }
 
     /// First inter-AS host pair of the fixture (the route cache applies

@@ -549,10 +549,10 @@ mod tests {
         let tracer = sim.take_tracer();
         let evs = tracer.events();
         assert_eq!(evs.len(), 3);
-        let open = evs[0];
+        let open = &evs[0];
         assert_eq!(open.kind, "open");
         assert_eq!(open.span, Some(0));
-        let child = evs[1];
+        let child = &evs[1];
         assert_eq!(child.kind, "child");
         assert_eq!(child.span, Some(0), "span rode through the queue");
         assert_eq!(
@@ -560,7 +560,7 @@ mod tests {
             Some(open.seq),
             "cause anchors to the open event"
         );
-        let fresh = evs[2];
+        let fresh = &evs[2];
         assert_eq!(fresh.kind, "fresh");
         assert_eq!(
             (fresh.span, fresh.cause),

@@ -2,9 +2,12 @@
 //!
 //! A counting `#[global_allocator]` over [`System`] counts every `alloc`
 //! and `realloc` made on the calling thread, so tests running in parallel
-//! do not see each other. Each window runs with tracing disabled, after a
-//! warm-up that sizes every reused buffer, and checks a stated bound;
-//! the comment at each bound names what remains.
+//! do not see each other. Each window runs after a warm-up that sizes
+//! every reused buffer and checks a stated bound; the comment at each
+//! bound names what remains. Every window runs with tracing disabled,
+//! and the Gnutella and swarm windows run a second time streaming a
+//! Debug trace to a file under the same bound: an emitted event
+//! allocates nothing.
 //!
 //! The window tests are release-only: a debug build runs the invariant
 //! checkers (`RoutingTable::check_invariants` on every `observe`,
@@ -25,7 +28,7 @@ use underlay_p2p::kademlia::{DhtConfig, DhtNetwork, Key};
 use underlay_p2p::net::{
     AsId, FaultKind, FaultPlan, FaultState, FlowAllocator, HostId, NetParams, Underlay,
 };
-use underlay_p2p::sim::{SimRng, SimTime, Simulator, Tracer};
+use underlay_p2p::sim::{SimRng, SimTime, Simulator, TraceLevel, Tracer};
 
 /// [`System`], counting the allocations of the calling thread.
 struct Counting;
@@ -149,26 +152,76 @@ fn ledger_writes_inside_one_billing_window_allocate_nothing() {
     assert_eq!(n, 0, "{n} allocations in 100 000 ledger writes");
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "debug invariant checkers allocate; run with --release"
-)]
-fn gnutella_minutes_10_to_30_allocate_only_retained_records() {
+/// A trace file named after `window` in the temporary directory, removed
+/// when it drops.
+struct TraceFile(std::path::PathBuf);
+
+impl TraceFile {
+    fn new(window: &str) -> TraceFile {
+        let name = format!("uap_alloc_{window}_{}.jsonl", std::process::id());
+        TraceFile(std::env::temp_dir().join(name))
+    }
+
+    /// A tracer streaming every Debug event to the file, from its start.
+    fn tracer(&self) -> std::io::Result<Tracer> {
+        Tracer::streaming(&self.0, TraceLevel::Debug)
+    }
+}
+
+impl Drop for TraceFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Allocations and engine events in Gnutella minutes 10–30 under `tracer`,
+/// and the trace events emitted in that window.
+fn gnutella_window(tracer: Tracer) -> (u64, u64, u64) {
     let cfg = GnutellaConfig {
         selection: NeighborSelection::Random,
         duration: SimTime::from_mins(30),
         ..Default::default()
     };
     let mut sim = Simulator::new(42);
+    sim.set_tracer(tracer);
     let mut world = GnutellaSim::new(underlay(300), cfg, &mut sim);
     let warm = sim.run_until(&mut world, SimTime::from_mins(10));
+    let traced = sim.tracer_mut().emitted();
     let (n, stats) = allocs_in(|| sim.run_until(&mut world, SimTime::from_mins(30)));
     let events = stats.events_processed - warm.events_processed;
     assert!(events > 5_000, "only {events} events in the window");
+    let tracer = sim.tracer_mut();
+    assert_eq!(tracer.flush().map(|()| tracer.dropped()).ok(), Some(0));
+    (n, events, tracer.emitted() - traced)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn gnutella_minutes_10_to_30_allocate_only_retained_records() {
+    let (n, events, _) = gnutella_window(Tracer::disabled());
     // What remains is growth of retained records: `query_log`,
     // `download_log` and the traffic ledger's billing windows.
     assert!(n <= 32, "{n} allocations in {events} Gnutella events");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn a_streamed_gnutella_window_allocates_what_an_untraced_one_does() {
+    let file = TraceFile::new("gnutella");
+    let (n, events, traced) = gnutella_window(file.tracer().expect("create the trace file"));
+    assert!(traced > events, "only {traced} trace events in the window");
+    // The untraced window's bound: each event is rendered into the
+    // tracer's reused line and written through its file buffer.
+    assert!(
+        n <= 32,
+        "{n} allocations in {events} Gnutella events streaming {traced} trace events"
+    );
 }
 
 #[test]
@@ -212,26 +265,7 @@ fn flow_allocator_cycles_allocate_nothing() {
     ignore = "debug invariant checkers allocate; run with --release"
 )]
 fn swarm_rounds_11_to_20_allocate_only_new_credit_entries() {
-    let cfg = |max_rounds| SwarmConfig {
-        n_leechers: 200,
-        n_seeds: 4,
-        n_pieces: 512,
-        max_rounds,
-        ..Default::default()
-    };
-    let run = |rounds: u32| {
-        let u = underlay(400);
-        let (n, (report, _u)) =
-            allocs_in(|| run_swarm_with(u, cfg(rounds), 42, &mut Tracer::disabled()));
-        assert_eq!(report.rounds, rounds);
-        assert!(
-            report.completed < report.leechers,
-            "the swarm finished early"
-        );
-        n
-    };
-    let (ten, twenty) = (run(10), run(20));
-    let n = twenty - ten;
+    let n = swarm_rounds_11_to_20(Tracer::disabled);
     // What remains is retained state: 129 of the 130 measured are a
     // peer's sorted `credit` list growing when it first receives from a
     // new sender, and one is the per-round progress curve growing. The
@@ -242,6 +276,50 @@ fn swarm_rounds_11_to_20_allocate_only_new_credit_entries() {
         n <= 135,
         "{n} allocations in swarm rounds 11-20; expected only a peer's credit \
          list growing for a new sender and the progress curve growing"
+    );
+}
+
+/// Allocations in swarm rounds 11–20: a 20-round run less a 10-round
+/// one, each under a tracer `tracer` makes before the run starts.
+fn swarm_rounds_11_to_20(mut tracer: impl FnMut() -> Tracer) -> u64 {
+    let cfg = |max_rounds| SwarmConfig {
+        n_leechers: 200,
+        n_seeds: 4,
+        n_pieces: 512,
+        max_rounds,
+        ..Default::default()
+    };
+    let mut run = |rounds: u32| {
+        let u = underlay(400);
+        let mut tracer = tracer();
+        let (n, (report, _u)) = allocs_in(|| run_swarm_with(u, cfg(rounds), 42, &mut tracer));
+        assert_eq!(report.rounds, rounds);
+        assert!(
+            report.completed < report.leechers,
+            "the swarm finished early"
+        );
+        assert_eq!(tracer.flush().map(|()| tracer.dropped()).ok(), Some(0));
+        n
+    };
+    let (ten, twenty) = (run(10), run(20));
+    twenty - ten
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn a_streamed_swarm_window_allocates_what_an_untraced_one_does() {
+    let file = TraceFile::new("swarm");
+    let n = swarm_rounds_11_to_20(|| file.tracer().expect("create the trace file"));
+    // The file holds the 20-round run's trace.
+    let traced = std::fs::read_to_string(&file.0).map_or(0, |t| t.lines().count());
+    assert!(traced > 10_000, "only {traced} trace events in 20 rounds");
+    // The untraced window's bound, as above.
+    assert!(
+        n <= 135,
+        "{n} allocations in swarm rounds 11-20 streaming a Debug trace"
     );
 }
 
