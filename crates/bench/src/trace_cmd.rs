@@ -181,12 +181,6 @@ pub fn spans(content: &str) -> Result<String, String> {
     let mut durations: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     let mut phase_totals: BTreeMap<(usize, String), (u64, u64)> = BTreeMap::new();
     let mut unmatched_closes = 0u64;
-    // Spans whose modeled duration carries an unroutable-path latency
-    // sentinel (the overlays encode "no route under the current fault
-    // state" as u64::MAX/4 microseconds). One such span would dominate
-    // every sum, so they are excluded from the statistics and counted.
-    const SENTINEL_DUR_US: u64 = u64::MAX / 8;
-    let mut sentinel_spans: BTreeMap<String, u64> = BTreeMap::new();
     for ev in &evs {
         if ev.component == "experiment" && ev.kind == "phase" {
             phases.push(field_str(ev, "name").unwrap_or("?").to_string());
@@ -214,20 +208,16 @@ pub fn spans(content: &str) -> Result<String, String> {
                 };
                 let dur = field_u64(ev, "dur_us")
                     .unwrap_or_else(|| ev.t.as_micros().saturating_sub(o.t_us));
-                if dur >= SENTINEL_DUR_US {
-                    *sentinel_spans.entry(o.label.clone()).or_default() += 1;
-                    continue;
-                }
                 durations.entry(o.label.clone()).or_default().push(dur);
                 let slot = phase_totals.entry((o.phase, o.label)).or_insert((0, 0));
-                slot.0 += dur;
+                slot.0 = slot.0.saturating_add(dur);
                 slot.1 += 1;
             }
             _ => {}
         }
     }
     let mut out = String::new();
-    if durations.is_empty() && open.is_empty() && sentinel_spans.is_empty() {
+    if durations.is_empty() && open.is_empty() {
         let _ = writeln!(out, "no spans in trace ({} event(s))", evs.len());
         return Ok(out);
     }
@@ -260,7 +250,7 @@ pub fn spans(content: &str) -> Result<String, String> {
             continue;
         }
         rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        let phase_sum: u64 = rows.iter().map(|r| r.1).sum();
+        let phase_sum = rows.iter().map(|r| r.1).fold(0, u64::saturating_add);
         let _ = writeln!(out, "  {phase}:");
         for (label, total, count) in rows {
             let pct = if phase_sum > 0 {
@@ -273,13 +263,6 @@ pub fn spans(content: &str) -> Result<String, String> {
                 "    {label:<22} {total:>14}us  {pct:>5.1}%  ({count} span(s))"
             );
         }
-    }
-    for (label, n) in &sentinel_spans {
-        let _ = writeln!(
-            out,
-            "{n} {label} span(s) excluded: sentinel duration (no route under \
-             the active fault state)"
-        );
     }
     if !open.is_empty() {
         let _ = writeln!(out, "{} span(s) still open at end of trace", open.len());
@@ -409,8 +392,9 @@ fn census(evs: &[TraceEvent]) -> String {
 /// `(c, k)` must be a declared
 /// [`registry::TRACE_KINDS`] entry emitted at its declared level; every
 /// `cs` must reference an earlier seq that exists in the trace, every
-/// span-bearing event must belong to an opened span, and
-/// span.open/span.close must balance per span id. The verdict is a
+/// span-bearing event must belong to an opened span,
+/// span.open/span.close must balance per span id, and no span.close may
+/// carry a `dur_us` of 2^60 or more. The verdict is a
 /// one-line summary, or the violation list. A malformed line fails the
 /// verdict with an empty census.
 pub fn check(content: &str) -> (String, Result<String, String>) {
@@ -494,10 +478,16 @@ fn integrity(evs: &[TraceEvent]) -> Result<String, String> {
                 Some(id) => *opened.entry(id).or_insert(0) += 1,
                 None => problems.push(format!("seq {}: span.open without a span id", ev.seq)),
             },
-            "span.close" => match ev.span {
-                Some(id) => *closed.entry(id).or_insert(0) += 1,
-                None => problems.push(format!("seq {}: span.close without a span id", ev.seq)),
-            },
+            "span.close" => {
+                match ev.span {
+                    Some(id) => *closed.entry(id).or_insert(0) += 1,
+                    None => problems.push(format!("seq {}: span.close without a span id", ev.seq)),
+                }
+                // 2^60 µs is 36 000 years: a saturated sum, not a duration.
+                if let Some(d) = field_u64(ev, "dur_us").filter(|&d| d >= 1 << 60) {
+                    problems.push(format!("seq {}: span.close dur_us {d} ≥ 2^60", ev.seq));
+                }
+            }
             _ => {
                 if let Some(id) = ev.span {
                     span_events += 1;
@@ -772,29 +762,24 @@ mod tests {
         assert!(s.contains("alpha:"), "{s}");
     }
 
+    /// `check` refuses such durations, but `spans` still reads the file:
+    /// its phase totals saturate rather than overflow.
     #[test]
-    fn spans_excludes_sentinel_durations_from_the_stats() {
+    fn spans_saturate_phase_totals() {
         let mut t = Tracer::buffered(TraceLevel::Debug);
-        for dur in [1000u64, u64::MAX / 2] {
+        for _ in 0..2 {
             let span = t.alloc_span();
             t.set_span(Some(span));
             t.emit(SimTime::ZERO, registry::GNUTELLA_SPAN_OPEN, |f| {
                 f.str("span_kind", "query");
             });
-            t.emit(SimTime::ZERO, registry::GNUTELLA_SPAN_CLOSE, move |f| {
-                f.str("span_kind", "query").u64("dur_us", dur);
+            t.emit(SimTime::ZERO, registry::GNUTELLA_SPAN_CLOSE, |f| {
+                f.str("span_kind", "query").u64("dur_us", u64::MAX - 1);
             });
             t.clear_provenance();
         }
         let s = spans(&t.to_jsonl()).expect("valid trace");
-        // The finite span is reported; the sentinel one is counted, not
-        // folded into quantiles/max where it would dominate everything.
-        assert!(s.contains("gnutella/query"), "{s}");
-        assert!(!s.contains(&(u64::MAX / 2).to_string()), "{s}");
-        assert!(
-            s.contains("1 gnutella/query span(s) excluded: sentinel duration"),
-            "{s}"
-        );
+        assert!(s.contains(&format!("{}us", u64::MAX)), "{s}");
     }
 
     #[test]
@@ -951,5 +936,19 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn check_rejects_a_span_closed_with_a_duration_of_2_pow_60() {
+        let trace = chained_trace();
+        let at = |dur: u64| trace.replacen("\"dur_us\":1500", &format!("\"dur_us\":{dur}"), 1);
+        assert!(check(&at((1 << 60) - 1)).1.is_ok());
+        for dur in [1u64 << 60, u64::MAX / 4, u64::MAX] {
+            let err = check(&at(dur))
+                .1
+                .expect_err("a sentinel duration is a violation");
+            let want = format!(":\nseq 4: span.close dur_us {dur} ≥ 2^60");
+            assert!(err.ends_with(&want), "{err}");
+        }
     }
 }

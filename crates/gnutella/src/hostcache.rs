@@ -113,7 +113,7 @@ mod tests {
         let r = |&h| Reached {
             host: HostId(h),
             hops: 1,
-            latency_us: 0,
+            parent: Reached::NO_PARENT,
         };
         hosts.iter().map(r).collect()
     }

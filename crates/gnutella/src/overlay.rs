@@ -1,13 +1,10 @@
 //! Overlay graph bookkeeping and flood mechanics.
 //!
-//! [`Overlay`] keeps the (undirected) neighbor sets plus the cached
-//! per-edge underlay latency, and implements the two flood primitives both
-//! the ping and query paths share:
-//!
-//! * [`Overlay::flood`] — TTL-limited BFS with duplicate suppression over
-//!   the ultrapeer mesh, delivering to attached leaves, counting every
-//!   transmission (including duplicates, which real flooding pays for) and
-//!   accumulating the underlay latency along the tree.
+//! [`Overlay`] keeps the (undirected) neighbor sets, roles and online
+//! marks, but no underlay state, and implements the flood both the ping
+//! and query paths share ([`Overlay::flood_into`]). A flood records each
+//! reached node's BFS parent; [`FloodResult::path_latency_us`] reads a
+//! path's latency from the underlay when it is needed.
 
 use uap_net::{HostId, Underlay};
 
@@ -27,8 +24,14 @@ pub struct Reached {
     pub host: HostId,
     /// Overlay hops from the origin.
     pub hops: u32,
-    /// Accumulated one-way underlay latency from the origin, microseconds.
-    pub latency_us: u64,
+    /// Index in the flood's `reached` of the entry this copy was forwarded
+    /// from, or [`Reached::NO_PARENT`] for a copy the origin sent.
+    pub parent: u32,
+}
+
+impl Reached {
+    /// The `parent` of the origin's own copies; no `reached` is this long.
+    pub const NO_PARENT: u32 = u32::MAX;
 }
 
 /// Outcome of one flood.
@@ -40,10 +43,25 @@ pub struct FloodResult {
     pub messages: u64,
 }
 
+impl FloodResult {
+    /// One-way latency from `origin` to `reached[i]` along the flood's
+    /// tree, in microseconds: the sum of [`Underlay::latency_us`] over the
+    /// entry's parent chain, read now. `None` when a hop does not route
+    /// under the underlay's current fault state, or `i` is out of range.
+    pub fn path_latency_us(&self, underlay: &Underlay, origin: HostId, i: usize) -> Option<u64> {
+        let mut at = self.reached.get(i)?;
+        let mut sum = 0;
+        while let Some(parent) = self.reached.get(at.parent as usize) {
+            sum += underlay.latency_us(parent.host, at.host)?;
+            at = parent;
+        }
+        Some(sum + underlay.latency_us(origin, at.host)?)
+    }
+}
+
 /// The overlay adjacency structure.
 pub struct Overlay {
     neighbors: Vec<Vec<HostId>>,
-    latency_cache: Vec<Vec<u64>>,
     roles: Vec<Role>,
     online: Vec<bool>,
     edge_count: usize,
@@ -63,7 +81,6 @@ impl Overlay {
     pub fn new(n: usize) -> Overlay {
         Overlay {
             neighbors: vec![Vec::new(); n],
-            latency_cache: vec![Vec::new(); n],
             roles: vec![Role::Ultrapeer; n],
             online: vec![false; n],
             edge_count: 0,
@@ -126,18 +143,14 @@ impl Overlay {
             .collect()
     }
 
-    /// Adds an undirected edge, caching its underlay latency. No-op if the
-    /// edge exists or endpoints coincide.
+    /// Adds an undirected edge. No-op if the edge exists or endpoints coincide.
     #[expect(clippy::indexing_slicing, reason = "one slot per host of the underlay")]
-    pub fn add_edge(&mut self, underlay: &Underlay, a: HostId, b: HostId) {
+    pub fn add_edge(&mut self, a: HostId, b: HostId) {
         if a == b || self.has_edge(a, b) {
             return;
         }
-        let lat = underlay.latency_us(a, b).unwrap_or(u64::MAX / 4);
         self.neighbors[a.idx()].push(b);
-        self.latency_cache[a.idx()].push(lat);
         self.neighbors[b.idx()].push(a);
-        self.latency_cache[b.idx()].push(lat);
         self.edge_count += 1;
     }
 
@@ -147,12 +160,10 @@ impl Overlay {
         let mut removed = false;
         if let Some(pos) = self.neighbors[a.idx()].iter().position(|&x| x == b) {
             self.neighbors[a.idx()].swap_remove(pos);
-            self.latency_cache[a.idx()].swap_remove(pos);
             removed = true;
         }
         if let Some(pos) = self.neighbors[b.idx()].iter().position(|&x| x == a) {
             self.neighbors[b.idx()].swap_remove(pos);
-            self.latency_cache[b.idx()].swap_remove(pos);
         }
         if removed {
             self.edge_count -= 1;
@@ -222,44 +233,36 @@ impl Overlay {
         self.generation += 1;
         let gen = self.generation;
         self.seen_gen[origin.idx()] = gen;
-        let (neighbors, latency_cache) = (&self.neighbors, &self.latency_cache);
-        let seen_gen = &mut self.seen_gen;
+        let (neighbors, seen_gen) = (&self.neighbors, &mut self.seen_gen);
         let FloodResult { reached, messages } = out;
         // `from` transmits to every neighbor; a copy counts as reached only
         // if it is the first its receiver saw. Most copies are duplicates,
         // hence `push_if` rather than a branch on `seen`.
-        let mut forward = |from: Reached, reached: &mut Vec<Reached>| {
-            let peers = &neighbors[from.host.idx()];
+        let mut forward = |from: HostId, hops: u32, parent: u32, reached: &mut Vec<Reached>| {
+            let peers = &neighbors[from.idx()];
             *messages += peers.len() as u64;
-            for (&w, &edge_us) in peers.iter().zip(&latency_cache[from.host.idx()]) {
+            for &w in peers {
                 let copy = Reached {
                     host: w,
-                    hops: from.hops + 1,
-                    // Saturating: edges to fault-unreachable peers carry the
-                    // u64::MAX/4 sentinel, which plain addition could overflow.
-                    latency_us: from.latency_us.saturating_add(edge_us),
+                    hops,
+                    parent,
                 };
                 let seen = &mut seen_gen[w.idx()];
                 push_if(reached, copy, *seen != gen);
                 *seen = gen;
             }
         };
-        let origin = Reached {
-            host: origin,
-            hops: 0,
-            latency_us: 0,
-        };
-        forward(origin, reached);
+        forward(origin, 1, Reached::NO_PARENT, reached);
         // Forwarders: ultrapeers (leaves receive but never forward) reached
         // below the TTL. Hops never decrease along `reached`, so the first
         // entry at the TTL ends the flood.
-        let mut next = 0;
-        while let Some(&r) = reached.get(next) {
+        let mut next = 0u32;
+        while let Some(&r) = reached.get(next as usize) {
             if r.hops >= ttl {
                 break;
             }
             if self.roles[r.host.idx()] == Role::Ultrapeer {
-                forward(r, reached);
+                forward(r.host, r.hops + 1, next, reached);
             }
             next += 1;
         }
@@ -277,7 +280,7 @@ pub(crate) fn push_if<T: Copy>(buf: &mut Vec<T>, item: T, keep: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
+    use uap_net::{FaultState, PopulationSpec, TopologyKind, TopologySpec, UnderlayConfig};
     use uap_sim::SimRng;
 
     fn underlay(n: usize) -> Underlay {
@@ -300,24 +303,23 @@ mod tests {
         r
     }
 
-    fn line_overlay(u: &Underlay, n: u32) -> Overlay {
+    fn line_overlay(n: u32) -> Overlay {
         let mut o = Overlay::new(n as usize);
         for i in 0..n {
             o.set_online(HostId(i), true);
         }
         for i in 0..n - 1 {
-            o.add_edge(u, HostId(i), HostId(i + 1));
+            o.add_edge(HostId(i), HostId(i + 1));
         }
         o
     }
 
     #[test]
     fn edges_are_undirected_and_deduped() {
-        let u = underlay(10);
         let mut o = Overlay::new(10);
-        o.add_edge(&u, HostId(0), HostId(1));
-        o.add_edge(&u, HostId(1), HostId(0));
-        o.add_edge(&u, HostId(0), HostId(0));
+        o.add_edge(HostId(0), HostId(1));
+        o.add_edge(HostId(1), HostId(0));
+        o.add_edge(HostId(0), HostId(0));
         assert_eq!(o.edge_count(), 1);
         assert!(o.has_edge(HostId(0), HostId(1)));
         assert!(o.has_edge(HostId(1), HostId(0)));
@@ -328,13 +330,12 @@ mod tests {
 
     #[test]
     fn going_offline_drops_edges() {
-        let u = underlay(10);
         let mut o = Overlay::new(10);
         for i in 0..5 {
             o.set_online(HostId(i), true);
         }
-        o.add_edge(&u, HostId(0), HostId(1));
-        o.add_edge(&u, HostId(0), HostId(2));
+        o.add_edge(HostId(0), HostId(1));
+        o.add_edge(HostId(0), HostId(2));
         o.set_online(HostId(0), false);
         assert_eq!(o.edge_count(), 0);
         assert_eq!(o.degree(HostId(1)), 0);
@@ -346,13 +347,14 @@ mod tests {
 
     #[test]
     fn flood_on_line_respects_ttl() {
-        let u = underlay(10);
-        let mut o = line_overlay(&u, 10);
+        let mut o = line_overlay(10);
         let r = flood(&mut o, HostId(0), 3);
         // Reaches nodes 1, 2, 3.
         assert_eq!(r.reached.len(), 3);
         assert_eq!(r.reached[0].host, HostId(1));
         assert_eq!(r.reached[2].hops, 3);
+        let parents: Vec<u32> = r.reached.iter().map(|x| x.parent).collect();
+        assert_eq!(parents, [Reached::NO_PARENT, 0, 1]);
         // Transmissions: 0->1, 1->2 (+1 back-transmission suppressed? no:
         // node 1 forwards to 0 and 2 … our model forwards to all neighbors,
         // the copy to the sender is suppressed only via `seen`).
@@ -361,14 +363,13 @@ mod tests {
 
     #[test]
     fn flood_counts_duplicates_in_cycles() {
-        let u = underlay(3);
         let mut o = Overlay::new(3);
         for i in 0..3 {
             o.set_online(HostId(i), true);
         }
-        o.add_edge(&u, HostId(0), HostId(1));
-        o.add_edge(&u, HostId(1), HostId(2));
-        o.add_edge(&u, HostId(2), HostId(0));
+        o.add_edge(HostId(0), HostId(1));
+        o.add_edge(HostId(1), HostId(2));
+        o.add_edge(HostId(2), HostId(0));
         let r = flood(&mut o, HostId(0), 2);
         assert_eq!(r.reached.len(), 2);
         // Origin sends 2; nodes 1 and 2 each forward to their two
@@ -377,26 +378,89 @@ mod tests {
     }
 
     #[test]
-    fn latency_accumulates_along_tree() {
+    fn a_reached_entry_is_twelve_bytes() {
+        const { assert!(std::mem::size_of::<Reached>() == 12) };
+    }
+
+    /// What a walk over the line 0 – 1 – … should read: the sum of the
+    /// underlay's current latencies over hops `0..=i`.
+    fn line_latency_us(u: &Underlay, i: usize) -> Option<u64> {
+        (0..=i)
+            .map(|k| u.latency_us(HostId::from_index(k), HostId::from_index(k + 1)))
+            .sum()
+    }
+
+    fn path_latencies(r: &FloodResult, u: &Underlay) -> Vec<Option<u64>> {
+        (0..r.reached.len())
+            .map(|i| r.path_latency_us(u, HostId(0), i))
+            .collect()
+    }
+
+    #[test]
+    fn path_latency_sums_the_hops_along_the_tree() {
         let u = underlay(10);
-        let mut o = line_overlay(&u, 4);
-        let r = flood(&mut o, HostId(0), 3);
-        let lat: Vec<u64> = r.reached.iter().map(|x| x.latency_us).collect();
-        assert!(lat[0] < lat[1] && lat[1] < lat[2]);
-        assert_eq!(lat[0], u.latency_us(HostId(0), HostId(1)).unwrap());
+        let mut o = line_overlay(10);
+        let r = flood(&mut o, HostId(0), 9);
+        for (i, lat) in path_latencies(&r, &u).into_iter().enumerate() {
+            assert!(lat.is_some());
+            assert_eq!(lat, line_latency_us(&u, i), "entry {i}");
+        }
+        assert_eq!(r.path_latency_us(&u, HostId(0), 9), None, "out of range");
+    }
+
+    /// A fault state with every AS link down (`cut`) or every inter-AS
+    /// path inflated by `factor`.
+    fn fault(u: &Underlay, cut: bool, factor: f64) -> FaultState {
+        FaultState {
+            mask: cut.then(|| vec![true; u.graph.links.len()]),
+            latency_factor: factor,
+            ..FaultState::clear()
+        }
+    }
+
+    #[test]
+    fn inflation_reaches_every_path_latency() {
+        let mut u = underlay(10);
+        let mut o = line_overlay(10);
+        let r = flood(&mut o, HostId(0), 9);
+        let before = path_latencies(&r, &u);
+        u.apply_fault_state(&fault(&u, false, 2.0));
+        let during = path_latencies(&r, &u);
+        for (i, &lat) in during.iter().enumerate() {
+            assert_eq!(lat, line_latency_us(&u, i), "entry {i}");
+        }
+        assert!(during.iter().zip(&before).any(|(d, b)| d > b));
+        u.apply_fault_state(&FaultState::clear());
+        assert_eq!(path_latencies(&r, &u), before);
+    }
+
+    #[test]
+    fn a_cut_hop_leaves_its_paths_unroutable_until_the_heal() {
+        let mut u = underlay(10);
+        let mut o = line_overlay(10);
+        let r = flood(&mut o, HostId(0), 9);
+        let before = path_latencies(&r, &u);
+        assert!(before.iter().all(Option::is_some));
+        u.apply_fault_state(&fault(&u, true, 1.0));
+        let during = path_latencies(&r, &u);
+        for (i, &lat) in during.iter().enumerate() {
+            assert_eq!(lat, line_latency_us(&u, i), "entry {i}");
+        }
+        assert!(during.iter().any(Option::is_none));
+        u.apply_fault_state(&FaultState::clear());
+        assert_eq!(path_latencies(&r, &u), before);
     }
 
     #[test]
     fn leaves_receive_but_do_not_forward() {
-        let u = underlay(10);
         let mut o = Overlay::new(10);
         for i in 0..4 {
             o.set_online(HostId(i), true);
         }
         // up0 - leaf1 - up2 would break the chain at the leaf.
         o.set_role(HostId(1), Role::Leaf);
-        o.add_edge(&u, HostId(0), HostId(1));
-        o.add_edge(&u, HostId(1), HostId(2));
+        o.add_edge(HostId(0), HostId(1));
+        o.add_edge(HostId(1), HostId(2));
         let r = flood(&mut o, HostId(0), 5);
         assert_eq!(r.reached.len(), 1);
         assert_eq!(r.reached[0].host, HostId(1));
@@ -404,10 +468,9 @@ mod tests {
 
     #[test]
     fn zero_ttl_or_offline_origin_is_empty() {
-        let u = underlay(10);
-        let mut o = line_overlay(&u, 5);
+        let mut o = line_overlay(5);
         assert_eq!(flood(&mut o, HostId(0), 0).reached.len(), 0);
-        let mut o2 = line_overlay(&u, 5);
+        let mut o2 = line_overlay(5);
         o2.set_online(HostId(0), false);
         assert_eq!(flood(&mut o2, HostId(0), 3).reached.len(), 0);
     }
@@ -419,12 +482,11 @@ mod tests {
     #[test]
     fn flood_queues_in_its_result_buffer_only() {
         let n = 4_096u32;
-        let u = underlay(n as usize);
-        let mut o = line_overlay(&u, n);
+        let mut o = line_overlay(n);
         let mut rng = SimRng::new(73);
         for _ in 0..n {
             let (a, b) = (rng.index(n as usize), rng.index(n as usize));
-            o.add_edge(&u, HostId::from_index(a), HostId::from_index(b));
+            o.add_edge(HostId::from_index(a), HostId::from_index(b));
         }
         let mut r = FloodResult::default();
         o.flood_into(HostId(0), n, &mut r);
@@ -443,7 +505,6 @@ mod tests {
         // The mechanism behind Table 1: same degree, but a clustered
         // overlay's TTL-ball is smaller. Build two 64-node overlays of
         // degree 4: one ring-of-cliques (clustered), one random.
-        let u = underlay(64);
         let mut rng = SimRng::new(72);
         let mut clustered = Overlay::new(64);
         let mut random = Overlay::new(64);
@@ -456,11 +517,11 @@ mod tests {
             let base = c * 4;
             for i in 0..4 {
                 for j in (i + 1)..4 {
-                    clustered.add_edge(&u, HostId(base + i), HostId(base + j));
+                    clustered.add_edge(HostId(base + i), HostId(base + j));
                 }
             }
             let next = ((c + 1) % 16) * 4;
-            clustered.add_edge(&u, HostId(base), HostId(next + 1));
+            clustered.add_edge(HostId(base), HostId(next + 1));
         }
         // Random: same edge count.
         let target = clustered.edge_count();
@@ -468,7 +529,7 @@ mod tests {
             let a = HostId::from_index(rng.index(64));
             let b = HostId::from_index(rng.index(64));
             if a != b {
-                random.add_edge(&u, a, b);
+                random.add_edge(a, b);
             }
         }
         let rc = flood(&mut clustered, HostId(0), 3);

@@ -22,7 +22,8 @@ pub struct GnutellaReport {
     pub downloads: u64,
     /// Downloads served from a same-AS provider.
     pub downloads_intra_as: u64,
-    /// Mean time to first hit, milliseconds.
+    /// Mean time to first hit, milliseconds, over the timed queries: those
+    /// with a hit whose path routes in the underlay when the query runs.
     pub mean_query_delay_ms: f64,
     /// Mean download duration, seconds.
     pub mean_download_secs: f64,

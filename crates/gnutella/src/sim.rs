@@ -4,8 +4,8 @@
 //! file-exchange stage are events on the `uap-sim` engine; the flood
 //! mechanics themselves run synchronously inside an event (per-message
 //! events would multiply the event count by orders of magnitude without
-//! changing any reported quantity — flood latency is accumulated along the
-//! BFS tree instead).
+//! changing any reported quantity — a QueryHit's delay is read from the
+//! underlay along the flood's BFS tree instead).
 
 use crate::config::{GnutellaConfig, RoleAssignment, ShareScheme};
 use crate::content::{ContentModel, FileId, Holders};
@@ -67,7 +67,9 @@ pub struct GnutellaSim {
     hostcache: Vec<HostCache>,
     churn: Vec<ChurnModel>,
     epoch: Vec<u32>,
+    /// Summed first-hit times of the timed queries, and their count.
     query_delay_sum_ms: f64,
+    timed_queries: u64,
     download_secs_sum: f64,
     download_bytes_intra: u64,
     download_bytes_total: u64,
@@ -96,7 +98,6 @@ pub struct GnutellaSim {
     /// per-event bodies stay allocation-free (`tests/alloc_count.rs`
     /// counts them).
     scratch_flood: crate::overlay::FloodResult,
-    scratch_hits: Vec<crate::overlay::Reached>,
     scratch_providers: Vec<HostId>,
     scratch_candidates: Vec<HostId>,
     scratch_picked: Vec<HostId>,
@@ -215,6 +216,7 @@ impl GnutellaSim {
             churn,
             epoch: vec![0; n],
             query_delay_sum_ms: 0.0,
+            timed_queries: 0,
             download_secs_sum: 0.0,
             download_bytes_intra: 0,
             download_bytes_total: 0,
@@ -226,7 +228,6 @@ impl GnutellaSim {
             flows,
             next_flow_id: 0,
             scratch_flood: crate::overlay::FloodResult::default(),
-            scratch_hits: Vec::new(),
             scratch_providers: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_picked: Vec::new(),
@@ -349,7 +350,7 @@ impl GnutellaSim {
             &mut picked,
         );
         for &p in &picked {
-            self.overlay.add_edge(&self.underlay, h, p);
+            self.overlay.add_edge(h, p);
         }
         self.scratch_candidates = candidates;
         self.scratch_picked = picked;
@@ -433,12 +434,14 @@ impl GnutellaSim {
         self.overlay.flood_into(h, self.cfg.query_ttl, &mut flood);
         ctx.metrics.incr("gnutella.msg.query", flood.messages);
         // Hits: reached nodes sharing the file reply with a QueryHit routed
-        // back over their hop distance.
-        let mut hits = std::mem::take(&mut self.scratch_hits);
-        hits.clear();
+        // back over their hop distance; they are the download's providers.
+        // A hit's delay is read from the underlay now (none if a hop is cut).
+        let mut providers = std::mem::take(&mut self.scratch_providers);
+        providers.clear();
         let mut hit_msgs = 0u64;
+        let mut nearest_hit_us: Option<u64> = None;
         let holders = self.holders.of_file(file);
-        for r in &flood.reached {
+        for (i, r) in flood.reached.iter().enumerate() {
             let hit = holders.contains(r.host);
             debug_assert_eq!(
                 hit,
@@ -447,8 +450,11 @@ impl GnutellaSim {
                 r.host
             );
             if hit {
-                hits.push(*r);
+                providers.push(r.host);
                 hit_msgs += r.hops as u64;
+                if let Some(us) = flood.path_latency_us(&self.underlay, h, i) {
+                    nearest_hit_us = Some(nearest_hit_us.map_or(us, |best| best.min(us)));
+                }
             }
         }
         ctx.metrics.incr("gnutella.msg.queryhit", hit_msgs);
@@ -457,12 +463,12 @@ impl GnutellaSim {
                 .u64("file", file.0 as u64)
                 .u64("msgs", flood.messages)
                 .u64("reached", flood.reached.len() as u64)
-                .u64("hits", hits.len() as u64);
+                .u64("hits", providers.len() as u64);
         });
         self.scratch_flood = flood;
-        self.query_log.push((ctx.now(), !hits.is_empty()));
-        if hits.is_empty() {
-            self.scratch_hits = hits;
+        self.query_log.push((ctx.now(), !providers.is_empty()));
+        if providers.is_empty() {
+            self.scratch_providers = providers;
             ctx.trace(registry::GNUTELLA_SPAN_CLOSE, |f| {
                 f.str("span_kind", "query")
                     .bool("hit", false)
@@ -473,19 +479,12 @@ impl GnutellaSim {
         }
         ctx.metrics.incr("gnutella.queries.success", 1);
         // Time to first hit: query out + hit back over the same tree path.
-        // Saturating: edges created across faulted (unroutable) paths carry
-        // the overlay's u64::MAX/4 latency sentinel.
-        let first_hit_us = hits
-            .iter()
-            .map(|r| r.latency_us.saturating_mul(2))
-            .min()
-            .unwrap_or(0);
-        self.query_delay_sum_ms += first_hit_us as f64 / 1_000.0;
+        let first_hit_us = nearest_hit_us.map(|us| 2 * us);
+        if let Some(us) = first_hit_us {
+            self.query_delay_sum_ms += us as f64 / 1_000.0;
+            self.timed_queries += 1;
+        }
         // File-exchange stage: choose the provider.
-        let mut providers = std::mem::take(&mut self.scratch_providers);
-        providers.clear();
-        providers.extend(hits.iter().map(|r| r.host));
-        self.scratch_hits = hits;
         #[expect(
             clippy::expect_used,
             reason = "only queries with hits reach this stage"
@@ -505,17 +504,18 @@ impl GnutellaSim {
         let secs_before = self.download_secs_sum;
         self.download(h, provider, &providers, ctx);
         self.scratch_providers = providers;
-        // Modeled end-to-end duration: time to the first QueryHit plus the
-        // transfer time of the (possibly re-sourced) download. Spans in
-        // this overlay are synchronous within one event, so the close
-        // carries the modeled latency explicitly rather than a sim-time
-        // delta (`exp trace spans` prefers `dur_us` when present).
+        // Modeled end-to-end duration: time to the first QueryHit (none
+        // for an untimed query) plus the transfer time of the (possibly
+        // re-sourced) download. Spans in this overlay are synchronous
+        // within one event, so the close carries the modeled latency
+        // explicitly rather than a sim-time delta (`exp trace spans`
+        // prefers `dur_us` when present).
         #[expect(
             clippy::cast_possible_truncation,
             reason = "float → int `as` saturates; a download lasts far under 2^64 µs"
         )]
         let dur_us =
-            first_hit_us.saturating_add(((self.download_secs_sum - secs_before) * 1e6) as u64);
+            first_hit_us.unwrap_or(0) + ((self.download_secs_sum - secs_before) * 1e6) as u64;
         ctx.trace(registry::GNUTELLA_SPAN_CLOSE, |f| {
             f.str("span_kind", "query")
                 .bool("hit", true)
@@ -674,8 +674,8 @@ impl GnutellaSim {
             queries_successful: succ,
             downloads,
             downloads_intra_as: metrics.counter("gnutella.downloads.intra_as"),
-            mean_query_delay_ms: if succ > 0 {
-                self.query_delay_sum_ms / succ as f64
+            mean_query_delay_ms: if self.timed_queries > 0 {
+                self.query_delay_sum_ms / self.timed_queries as f64
             } else {
                 0.0
             },
@@ -973,6 +973,40 @@ mod tests {
             "post-fault downloads must all complete"
         );
         assert!(report.downloads > 0);
+    }
+
+    /// A partition cuts every AS link for the whole run. The flood and
+    /// its hits do not see the underlay, so every query succeeds or fails
+    /// exactly as without the fault; a success whose every hit path
+    /// crosses a cut hop is untimed, and the mean delay is over the timed
+    /// ones only.
+    #[test]
+    fn a_cut_hit_path_leaves_a_successful_query_untimed() {
+        use uap_net::{FaultKind, FaultPlan};
+        let cfg = quick_cfg(NeighborSelection::Random);
+        let (clear, clear_world) =
+            run_experiment_with(underlay(60, 18), cfg.clone(), 8, &mut Tracer::disabled());
+        let mut cut_cfg = cfg;
+        cut_cfg.faults = Some(FaultPlan::new().epoch(
+            SimTime::ZERO,
+            cut_cfg.duration + SimTime::from_secs(1),
+            FaultKind::RandomLinkDown { p: 1.0, salt: 5 },
+        ));
+        let (cut, cut_world) =
+            run_experiment_with(underlay(60, 18), cut_cfg, 8, &mut Tracer::disabled());
+        assert_eq!(clear_world.query_log(), cut_world.query_log());
+        assert_eq!(clear_world.timed_queries, clear.queries_successful);
+        assert!(clear.queries_successful > 0);
+        assert!(
+            cut_world.timed_queries < cut.queries_successful,
+            "{} of {} successful queries timed under the cut",
+            cut_world.timed_queries,
+            cut.queries_successful
+        );
+        assert_eq!(
+            cut.mean_query_delay_ms,
+            cut_world.query_delay_sum_ms / cut_world.timed_queries as f64
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use uap_gnutella::content::ContentModel;
 use uap_gnutella::overlay::{FloodResult, Overlay, Reached, Role};
-use uap_net::{AsId, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig};
+use uap_net::{
+    AsId, FaultState, HostId, PopulationSpec, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
+};
 use uap_sim::SimRng;
 
 fn underlay(n: usize, seed: u64) -> Underlay {
@@ -27,13 +29,7 @@ fn flood(o: &mut Overlay, origin: HostId, ttl: u32) -> FloodResult {
 }
 
 /// Builds a random overlay over `n` nodes with some leaves.
-fn random_overlay(
-    u: &Underlay,
-    n: u32,
-    edges: usize,
-    leaf_every: u32,
-    rng: &mut SimRng,
-) -> Overlay {
+fn random_overlay(n: u32, edges: usize, leaf_every: u32, rng: &mut SimRng) -> Overlay {
     let mut o = Overlay::new(n as usize);
     for i in 0..n {
         o.set_online(HostId(i), true);
@@ -47,7 +43,7 @@ fn random_overlay(
         let a = HostId::from_index(rng.index(n as usize));
         let b = HostId::from_index(rng.index(n as usize));
         if a != b {
-            o.add_edge(u, a, b);
+            o.add_edge(a, b);
         }
     }
     o
@@ -56,17 +52,30 @@ fn random_overlay(
 /// The flood `Overlay::flood_into` ran before it became its own queue,
 /// kept as the reference: a `VecDeque` of forwarding nodes beside
 /// `reached`, a branch on `seen` per copy, one message counted per copy.
-/// Edge latencies come from the underlay, which is what `add_edge` cached.
-#[expect(clippy::indexing_slicing, reason = "one slot per host of the overlay")]
-fn reference_flood(o: &Overlay, u: &Underlay, origin: HostId, ttl: u32) -> FloodResult {
+/// Beside the result it returns each entry's one-way latency, accumulated
+/// along the queue from the underlay's current reads the way the flood
+/// once did (`None` from the first hop that does not route).
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "one slot per host of the overlay, and `reached` holds each host once"
+)]
+fn reference_flood(
+    o: &Overlay,
+    u: &Underlay,
+    origin: HostId,
+    ttl: u32,
+) -> (FloodResult, Vec<Option<u64>>) {
     let mut out = FloodResult::default();
+    let mut latencies = Vec::new();
     if ttl == 0 || !o.is_online(origin) {
-        return out;
+        return (out, latencies);
     }
     let mut seen = vec![false; o.len()];
     seen[origin.idx()] = true;
-    let mut queue = std::collections::VecDeque::from([(origin, 0u32, 0u64)]);
-    while let Some((v, hops, lat)) = queue.pop_front() {
+    let mut queue =
+        std::collections::VecDeque::from([(origin, 0u32, Reached::NO_PARENT, Some(0u64))]);
+    while let Some((v, hops, at, lat)) = queue.pop_front() {
         if hops >= ttl {
             continue;
         }
@@ -76,53 +85,64 @@ fn reference_flood(o: &Overlay, u: &Underlay, origin: HostId, ttl: u32) -> Flood
                 continue;
             }
             seen[w.idx()] = true;
-            let wl = lat.saturating_add(u.latency_us(v, w).unwrap_or(u64::MAX / 4));
+            let wl = lat.zip(u.latency_us(v, w)).map(|(l, edge)| l + edge);
+            let index = out.reached.len() as u32;
             out.reached.push(Reached {
                 host: w,
                 hops: hops + 1,
-                latency_us: wl,
+                parent: at,
             });
+            latencies.push(wl);
             if o.role(w) == Role::Ultrapeer {
-                queue.push_back((w, hops + 1, wl));
+                queue.push_back((w, hops + 1, index, wl));
             }
         }
     }
-    out
+    (out, latencies)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// `flood_into` equals the queue-based BFS it replaced: same message
-    /// count, same `reached` sequence (host, hops, latency) element for
-    /// element — on overlays with leaves and offline nodes, from every
-    /// origin (offline and leaf origins included), reusing one result
-    /// buffer so stale entries of an earlier, larger flood would show.
+    /// count, same `reached` sequence (host, hops, parent) element for
+    /// element, and every entry's walked path latency equals the latency
+    /// the reference accumulated — on overlays with leaves and offline
+    /// nodes, from every origin (offline and leaf origins included),
+    /// reusing one result buffer so stale entries of an earlier, larger
+    /// flood would show. A third of the cases cut a random half of the
+    /// AS links first, so unroutable hops occur.
     #[test]
     fn flood_equals_queue_bfs(seed in any::<u64>(), n in 2u32..60, ttl in 0u32..6, leaf_every in 0u32..5) {
-        let u = underlay(n as usize, seed);
+        let mut u = underlay(n as usize, seed);
         let mut rng = SimRng::new(seed ^ 4);
-        let mut o = random_overlay(&u, n, n as usize * 2, leaf_every, &mut rng);
+        let mut o = random_overlay(n, n as usize * 2, leaf_every, &mut rng);
         for _ in 0..n / 5 {
             o.set_online(HostId::from_index(rng.index(n as usize)), false);
         }
+        if seed.is_multiple_of(3) {
+            let mask = (0..u.graph.links.len()).map(|_| rng.f64() < 0.5).collect();
+            u.apply_fault_state(&FaultState { mask: Some(mask), ..FaultState::clear() });
+        }
         let mut got = FloodResult::default();
         for origin in (0..n).map(HostId) {
-            let want = reference_flood(&o, &u, origin, ttl);
+            let (want, latencies) = reference_flood(&o, &u, origin, ttl);
             o.flood_into(origin, ttl, &mut got);
             prop_assert_eq!(got.messages, want.messages, "messages from {}", origin);
             prop_assert_eq!(&got.reached, &want.reached, "reached from {}", origin);
+            for (i, &lat) in latencies.iter().enumerate() {
+                prop_assert_eq!(got.path_latency_us(&u, origin, i), lat, "entry {} from {}", i, origin);
+            }
         }
     }
 
     /// Flood invariants for any overlay: hop bounds, distinct reached
-    /// nodes, message count at least reached count, and latency monotone
-    /// in BFS order within each branch.
+    /// nodes, message count at least reached count, and an ultrapeer
+    /// forwarder one hop nearer for every entry past the first hop.
     #[test]
     fn flood_invariants(seed in any::<u64>(), n in 4u32..60, ttl in 1u32..6) {
-        let u = underlay(n as usize, seed);
         let mut rng = SimRng::new(seed ^ 1);
-        let mut o = random_overlay(&u, n, (n as usize * 3) / 2, 4, &mut rng);
+        let mut o = random_overlay(n, (n as usize * 3) / 2, 4, &mut rng);
         let origin = HostId::from_index(rng.index(n as usize));
         let r = flood(&mut o, origin, ttl);
         let mut seen = std::collections::BTreeSet::new();
@@ -132,30 +152,26 @@ proptest! {
             prop_assert!(seen.insert(x.host), "duplicate reach");
         }
         prop_assert!(r.messages >= r.reached.len() as u64);
-        // Leaves never appear as forwarders: any node at hops == h > 1 must
-        // have an ultrapeer neighbor at hops == h - 1.
-        for x in &r.reached {
-            if x.hops > 1 {
-                let has_up_parent = r
-                    .reached
-                    .iter()
-                    .any(|p| {
-                        p.hops == x.hops - 1
-                            && o.role(p.host) == Role::Ultrapeer
-                            && o.has_edge(p.host, x.host)
-                    })
-                    || (x.hops == 1);
-                prop_assert!(has_up_parent, "{:?} reached without ultrapeer parent", x.host);
-            }
+        // Leaves never appear as forwarders: a node at hops == h > 1 was
+        // forwarded by its parent, an ultrapeer neighbor at hops == h - 1
+        // earlier in `reached`; the origin sent every copy at hop 1.
+        for (i, x) in r.reached.iter().enumerate() {
+            let Some(p) = r.reached.get(x.parent as usize) else {
+                prop_assert!(x.hops == 1 && x.parent == Reached::NO_PARENT);
+                continue;
+            };
+            prop_assert!((x.parent as usize) < i, "{:?} forwarded from later entry", x.host);
+            prop_assert_eq!(p.hops, x.hops - 1);
+            prop_assert!(o.role(p.host) == Role::Ultrapeer, "{:?} forwarded by a leaf", x.host);
+            prop_assert!(o.has_edge(p.host, x.host));
         }
     }
 
     /// TTL monotonicity: a larger TTL never reaches fewer nodes.
     #[test]
     fn flood_monotone_in_ttl(seed in any::<u64>(), n in 4u32..50) {
-        let u = underlay(n as usize, seed);
         let mut rng = SimRng::new(seed ^ 2);
-        let mut o = random_overlay(&u, n, n as usize * 2, 0, &mut rng);
+        let mut o = random_overlay(n, n as usize * 2, 0, &mut rng);
         let origin = HostId(0);
         let mut prev = 0usize;
         for ttl in 1..6 {
@@ -181,7 +197,6 @@ proptest! {
     /// Edges are symmetric and removal restores degree bookkeeping.
     #[test]
     fn overlay_edge_bookkeeping(seed in any::<u64>(), n in 2u32..40) {
-        let u = underlay(n as usize, seed);
         let mut rng = SimRng::new(seed ^ 3);
         let mut o = Overlay::new(n as usize);
         for i in 0..n {
@@ -192,7 +207,7 @@ proptest! {
             let a = HostId::from_index(rng.index(n as usize));
             let b = HostId::from_index(rng.index(n as usize));
             if a != b && !o.has_edge(a, b) {
-                o.add_edge(&u, a, b);
+                o.add_edge(a, b);
                 inserted.push((a, b));
             }
         }
