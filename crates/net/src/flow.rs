@@ -316,7 +316,7 @@ impl FlowAllocator {
             self.arena.push(src.0);
             self.arena.push(self.n_hosts as u32 + dst.0);
             for &li in path {
-                self.arena.push(2 * self.n_hosts as u32 + li);
+                self.arena.push(2 * self.n_hosts as u32 + u32::from(li));
             }
         } else {
             self.arena.push(src.0);

@@ -19,14 +19,19 @@
 //!
 //! Every query overlays issue (`latency_us`, `as_hops`, `path_links`,
 //! transit-link counts) is answered from a fully materialized route
-//! table: one [`Route`] record per ordered `(src, dst)` pair, 32 bytes
-//! and 32-aligned so it never straddles a cache line, holding the pair's
-//! latency, hop and transit counts and, for a path of at most five links,
-//! the path itself. [`Routing::route`] and [`Routing::path_links`] read
-//! that one line and return borrows without allocating. A path longer
-//! than five links lives in its source's spill segment, the record
-//! holding its offset there; the hierarchies the binaries build route
-//! every pair in at most five links, so their spill segments are empty.
+//! table: one [`Route`] record per ordered `(src, dst)` pair, 16 bytes
+//! and 16-aligned, four to a cache line, holding the pair's latency
+//! (`u32` µs), hop and transit counts (`u8` each) and, for a path of at
+//! most five links, the path itself as `u16` link ids.
+//! [`Routing::route`] and [`Routing::path_links`] read that one record
+//! and return borrows without allocating. A path longer than five links
+//! lives in its source's spill segment, the record holding its `u32`
+//! offset there; the hierarchies the binaries build route every pair in
+//! at most five links, so their spill segments are empty.
+//!
+//! The widths are construction-time refusals (`route table refused: …`):
+//! a graph of more than 65 536 links, and a route of 255 or more hops or
+//! past `u32::MAX` µs. No binary builds one.
 //!
 //! ## One way to build
 //!
@@ -237,6 +242,18 @@ impl Scratch {
         }
     }
 
+    /// `dst`'s cheaper state (by `(hops, latency)`, phase 0 on a tie) and
+    /// its cost: the state its route follows. `None` when neither state
+    /// was reached.
+    #[expect(clippy::indexing_slicing, reason = "dst < n: its states < 2n")]
+    fn best(&self, dst: usize) -> Option<(usize, u32, u64)> {
+        let s0 = dst * 2;
+        let c0 = (self.hops[s0], self.latency[s0]);
+        let c1 = (self.hops[s0 + 1], self.latency[s0 + 1]);
+        let (s, (hops, latency)) = if c0 <= c1 { (s0, c0) } else { (s0 + 1, c1) };
+        (hops != u32::MAX).then_some((s, hops, latency))
+    }
+
     /// Reduces one destination's states to its [`Route`] record, writing
     /// a path longer than [`INLINE`] links back to front into `spill` at
     /// `*off`, which it advances.
@@ -246,37 +263,32 @@ impl Scratch {
     )]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "hop and transit counts are <= n − 1 (a min-hop path never revisits an AS), and \
-                  an n-AS table holds n² 32-byte records in memory, so n − 1 < u16::MAX; a row \
-                  spills at most n·(n−1) link ids, < 2^32"
+        reason = "`Rows::recompute` refused the row unless every route is under 255 hops and \
+                  2^32 µs; link ids are < 65 536 (refused at construction); a row spills at \
+                  most n·(n−1) link ids, < 2^32"
     )]
-    fn summarize(&self, dst: usize, spill: &mut [u32], off: &mut usize) -> Route {
-        let s0 = dst * 2;
-        let s1 = s0 + 1;
-        let c0 = (self.hops[s0], self.latency[s0]);
-        let c1 = (self.hops[s1], self.latency[s1]);
-        if c0.0 == u32::MAX && c1.0 == u32::MAX {
+    fn summarize(&self, dst: usize, spill: &mut [u16], off: &mut usize) -> Route {
+        let Some((mut s, hops, latency)) = self.best(dst) else {
             return UNREACHABLE;
-        }
-        let (mut s, (hops, latency_us)) = if c0 <= c1 { (s0, c0) } else { (s1, c1) };
-        let transit_links = self.transit[s] as u16;
+        };
+        let transit_links = self.transit[s] as u8;
         let len = hops as usize;
         let mut links = [0; INLINE];
         let path = if len <= INLINE {
             &mut links[..len]
         } else {
-            links[0] = *off as u32;
+            [links[0], links[1]] = [*off as u16, (*off >> 16) as u16];
             *off += len;
             &mut spill[*off - len..*off]
         };
         for link in path.iter_mut().rev() {
             let (prev, li) = self.pred[s];
-            *link = li;
+            *link = li as u16;
             s = prev as usize;
         }
         Route {
-            latency_us,
-            hops: hops as u16,
+            latency_us: latency as u32,
+            hops: hops as u8,
             transit_links,
             links,
         }
@@ -298,35 +310,48 @@ struct SrcTable {
 const INLINE: usize = 5;
 
 /// One ordered `(src, dst)` pair's route: its metrics and, for a path of
-/// at most five links, the path. 32 bytes, 32-aligned: one read of one
-/// cache line answers every per-pair query.
+/// at most five links, the path. 16 bytes, 16-aligned: four records to a
+/// cache line, and one read of one record answers every per-pair query.
 ///
-/// `hops == u16::MAX` encodes an unreachable pair; [`Routing::route`]
+/// `hops == u8::MAX` encodes an unreachable pair; [`Routing::route`]
 /// filters those out, so a record obtained through it always describes a
-/// real path.
+/// real path. The widths hold by refusal: [`Routing::compute_indexed`]
+/// refuses a graph of more than 65 536 links, or one where a route takes
+/// 255 hops or more or `2^32` µs or more.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(C, align(32))]
+#[repr(C, align(16))]
 pub struct Route {
     /// Accumulated inter-AS link latency along the path, in microseconds.
-    pub latency_us: u64,
+    pub latency_us: u32,
     /// AS-hop count (0 for `src == dst`): the path's link count.
-    pub hops: u16,
+    pub hops: u8,
     /// Number of transit (customer–provider) links on the path,
     /// precomputed so no per-transfer path scan is needed (traced by
     /// `account_transfer_traced` and reported in trace analyses).
-    pub transit_links: u16,
+    pub transit_links: u8,
     /// The path's link ids in traversal order when `hops <= INLINE`, the
-    /// slots past it zero; otherwise `[offset, 0, …]`, the path's offset
-    /// in its source's spill segment.
-    links: [u32; INLINE],
+    /// slots past it zero; otherwise `[lo, hi, 0, …]`, the two halves of
+    /// the path's `u32` offset in its source's spill segment.
+    links: [u16; INLINE],
+}
+
+impl Route {
+    /// The spill-segment offset of a path longer than [`INLINE`] links.
+    fn spill_offset(&self) -> usize {
+        let [lo, hi, ..] = self.links;
+        (u32::from(lo) | u32::from(hi) << 16) as usize
+    }
 }
 
 const UNREACHABLE: Route = Route {
-    latency_us: INF,
-    hops: u16::MAX,
+    latency_us: u32::MAX,
+    hops: u8::MAX,
     transit_links: 0,
     links: [0; INLINE],
 };
+
+/// The most link ids a [`Route`]'s `u16` slots can name.
+const MAX_LINKS: usize = 1 << 16;
 
 /// Telemetry from one [`Routing::repair_with_mask`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -353,23 +378,38 @@ impl RepairStats {
     }
 }
 
+/// The hop count a stored reachable cost saturates at; `u16::MAX` is
+/// the unreachable state.
+const HOPS_CAP: u16 = u16::MAX - 1;
+
 /// A state's sweep cost as the [`RepairIndex`] stores it: `u16` hops,
-/// `u16::MAX` for an unreachable state, and `u32` latency; `None` when a
-/// reachable cost does not fit.
-fn narrow(hops: u32, latency: u64) -> Option<(u16, u32)> {
+/// `u16::MAX` for an unreachable state, and `u32` latency. A reachable
+/// cost that does not fit saturates, hops to [`HOPS_CAP`] and latency to
+/// `u32::MAX`, so the stored cost never exceeds the sweep's. Only a
+/// state no route follows can saturate (`Rows::recompute` refuses a
+/// route past the record's widths); the heal-candidate test reads it
+/// through [`floor`] and [`ceiling`].
+fn narrow(hops: u32, latency: u64) -> (u16, u32) {
     if hops == u32::MAX {
-        return Some((u16::MAX, u32::MAX));
+        return (u16::MAX, u32::MAX);
     }
-    match (u16::try_from(hops), u32::try_from(latency)) {
-        (Ok(h), Ok(lat)) if h != u16::MAX => Some((h, lat)),
-        _ => None,
-    }
+    (
+        u16::try_from(hops).map_or(HOPS_CAP, |h| h.min(HOPS_CAP)),
+        u32::try_from(latency).unwrap_or(u32::MAX),
+    )
 }
 
-/// The inverse of [`narrow`]: the sweep's `(hops, latency)` cost of a
-/// state the index stores, unreachable as `(u32::MAX, INF)`.
-fn widen(hops: u16, latency: u32) -> (u32, u64) {
-    if hops == u16::MAX {
+/// The least sweep cost a stored cost stands for, `None` when the state
+/// is unreachable: the stored cost itself, since saturation only lowers.
+fn floor((hops, latency): (u16, u32)) -> Option<(u32, u64)> {
+    (hops != u16::MAX).then_some((u32::from(hops), u64::from(latency)))
+}
+
+/// The most a stored cost stands for: the stored cost when it is below
+/// both ceilings, else `(u32::MAX, INF)` (unreachable, or perhaps
+/// saturated), which every offer undercuts.
+fn ceiling((hops, latency): (u16, u32)) -> (u32, u64) {
+    if hops >= HOPS_CAP || latency == u32::MAX {
         (u32::MAX, INF)
     } else {
         (u32::from(hops), u64::from(latency))
@@ -405,7 +445,9 @@ fn widen(hops: u16, latency: u32) -> (u32, u64) {
 ///   test against the old costs strictly, induction over path prefixes
 ///   shows no path through restored links reaches any state at ≤ its old
 ///   cost, so unmarked rows stay byte-identical even when several links
-///   come back in the same epoch.
+///   come back in the same epoch. A stored cost that may have saturated
+///   only widens the test: the offer is taken from the entering state's
+///   [`floor`] and compared with the exit state's [`ceiling`].
 ///
 /// Scratch buffers (`dirty`, `dirty_list`, the state graph and the
 /// per-worker sweep buffers) are struct-owned and reused across repairs,
@@ -418,7 +460,7 @@ struct RepairIndex {
     /// `n × 2n` per-state hop counts, row-major by source; `u16::MAX`
     /// means unreachable. With `latency`, 6 bytes per state: the sweep
     /// runs on full-width [`Scratch`] costs, and `Rows::recompute`
-    /// narrows them here, refusing a table whose costs do not fit.
+    /// narrows them here ([`narrow`]).
     hops: Vec<u16>,
     /// `n × 2n` per-state latencies in µs, row-major by source (any value
     /// for an unreachable state).
@@ -498,13 +540,12 @@ impl RepairIndex {
                 continue;
             }
             let base = s * ns;
-            let cost = |x: usize| widen(self.hops[base + x], self.latency[base + x]);
+            let stored = |x: usize| (self.hops[base + x], self.latency[base + x]);
             for &(u, v) in trans.iter().flatten() {
-                let (hu, lu) = cost(u);
-                if hu == u32::MAX {
+                let Some((hu, lu)) = floor(stored(u)) else {
                     continue;
-                }
-                if (hu + 1, lu + w) <= cost(v) {
+                };
+                if (hu + 1, lu + w) <= ceiling(stored(v)) {
                     self.set_dirty(s);
                     break;
                 }
@@ -530,7 +571,7 @@ struct Rows<'a> {
     n: usize,
     words: usize,
     routes: &'a mut [Box<[Route]>],
-    spill: &'a mut [Vec<u32>],
+    spill: &'a mut [Vec<u16>],
     hops: &'a mut [u16],
     latency: &'a mut [u32],
     tree_links: &'a mut [u64],
@@ -568,31 +609,39 @@ impl<'a> Rows<'a> {
     ///
     /// # Panics
     ///
-    /// Refuses a table whose per-state costs the index cannot store: a
-    /// state reached in `u16::MAX` hops or more, or at `2^32` µs or more.
+    /// Refuses a table whose records cannot hold a route: one of 255 hops
+    /// or more, or of `2^32` µs or more. (A state no route follows may
+    /// cost more; the index saturates it, see [`narrow`].)
     #[expect(
         clippy::indexing_slicing,
         reason = "src − base < the rows lent; tree_links has n_links bits"
     )]
     #[expect(
         clippy::panic,
-        reason = "refusal at build time: the index's narrowed costs must equal the sweep's, or \
-                  repairs would mark the wrong rows dirty"
+        reason = "refusal at build time: a route must fit its record's u8 hops and u32 latency"
     )]
     fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
         let (r, ns, words) = (src - self.base, 2 * self.n, self.words);
         scratch.sweep(states, src * 2, ns);
-        // A destination's path is as long as the cheaper of its two
-        // states' hop counts, so the spill segment is sized before it is
-        // filled.
-        let spilled = scratch
-            .hops
-            .chunks_exact(2)
-            .filter_map(|states| states.iter().min())
-            .filter(|&&hops| hops != u32::MAX)
-            .map(|&hops| hops as usize)
-            .filter(|&len| len > INLINE)
-            .sum();
+        // Every route must fit its record, and the spill segment is sized
+        // before it is filled.
+        let mut spilled = 0;
+        for dst in 0..self.n {
+            let Some((_, hops, latency)) = scratch.best(dst) else {
+                continue;
+            };
+            if hops >= u32::from(u8::MAX) || latency > u64::from(u32::MAX) {
+                panic!(
+                    "route table refused: AS {src} routes to AS {dst} in {hops} hops and \
+                     {latency} µs, past the record's {} hops and {} µs",
+                    u8::MAX - 1,
+                    u32::MAX
+                );
+            }
+            if hops as usize > INLINE {
+                spilled += hops as usize;
+            }
+        }
         let spill = &mut self.spill[r];
         spill.clear();
         spill.reserve_exact(spilled);
@@ -618,15 +667,7 @@ impl<'a> Rows<'a> {
         let latency = &mut self.latency[r * ns..(r + 1) * ns];
         let wide = scratch.hops.iter().zip(&scratch.latency);
         for ((h, lat), (&wide_h, &wide_lat)) in hops.iter_mut().zip(latency.iter_mut()).zip(wide) {
-            let Some(cost) = narrow(wide_h, wide_lat) else {
-                panic!(
-                    "route table refused: source AS {src} reaches a state in {wide_h} hops and \
-                     {wide_lat} µs, past the repair index's {} hops and {} µs",
-                    u16::MAX - 1,
-                    u32::MAX
-                );
-            };
-            (*h, *lat) = cost;
+            (*h, *lat) = narrow(wide_h, wide_lat);
         }
     }
 }
@@ -644,7 +685,7 @@ pub struct Routing {
     routes: Vec<Box<[Route]>>,
     /// Per source AS, the link indices of its paths longer than
     /// [`INLINE`] links, back to back in destination order.
-    spill: Vec<Vec<u32>>,
+    spill: Vec<Vec<u16>>,
     /// Per-source repair bookkeeping (see [`RepairIndex`]).
     index: RepairIndex,
     /// The link mask the rows were built under (all false: no link
@@ -690,6 +731,16 @@ impl Routing {
     /// for the table's repairs too (the differential tests sweep it to
     /// prove scheduling cannot leak into the table). A full build is a
     /// repair of the empty table with every source dirty.
+    ///
+    /// # Panics
+    ///
+    /// Refuses a graph of more than 65 536 links, whose ids a record's
+    /// `u16` slots cannot name, before any row is allocated; and a route
+    /// past the record's widths (`Rows::recompute`).
+    #[expect(
+        clippy::panic,
+        reason = "refusal at build time: every link id must fit a record's u16 slot"
+    )]
     pub fn compute_indexed_threads(
         graph: &AsGraph,
         mode: RoutingMode,
@@ -698,6 +749,9 @@ impl Routing {
     ) -> Routing {
         let n = graph.len();
         let n_links = graph.links.len();
+        if n_links > MAX_LINKS {
+            panic!("route table refused: {n_links} links, past the record's {MAX_LINKS} link ids");
+        }
         let mut routing = Routing {
             mode,
             n,
@@ -907,7 +961,7 @@ impl Routing {
     /// microseconds.
     #[inline]
     pub fn latency_us(&self, src: AsId, dst: AsId) -> Option<u64> {
-        Some(self.route(src, dst)?.latency_us)
+        Some(u64::from(self.route(src, dst)?.latency_us))
     }
 
     /// The link indices along the chosen path from `src` to `dst`, in
@@ -915,19 +969,19 @@ impl Routing {
     /// links, from the source's spill segment (no allocation). Empty for
     /// `src == dst`.
     #[inline]
-    pub fn path_links(&self, src: AsId, dst: AsId) -> Option<&[u32]> {
+    pub fn path_links(&self, src: AsId, dst: AsId) -> Option<&[u16]> {
         Some(self.route_path(src, dst)?.1)
     }
 
     /// The pair's record and its path, from one read of the record.
     #[inline]
-    pub(crate) fn route_path(&self, src: AsId, dst: AsId) -> Option<(&Route, &[u32])> {
+    pub(crate) fn route_path(&self, src: AsId, dst: AsId) -> Option<(&Route, &[u16])> {
         let r = self.route(src, dst)?;
         let len = usize::from(r.hops);
         let path = if len <= INLINE {
             r.links.get(..len)?
         } else {
-            let off = r.links[0] as usize;
+            let off = r.spill_offset();
             self.spill.get(src.idx())?.get(off..off + len)?
         };
         Some((r, path))
@@ -941,7 +995,7 @@ impl Routing {
         let mut cur = src;
         #[expect(clippy::expect_used, reason = "a routed path's links chain end to end")]
         for &li in links {
-            let link = graph.links.get(li as usize);
+            let link = graph.links.get(usize::from(li));
             cur = link.and_then(|l| l.other(cur)).expect("path link");
             out.push(cur);
         }
@@ -1213,7 +1267,7 @@ mod tests {
         r.routes
             .iter()
             .flat_map(|row| row.iter())
-            .filter(|x| x.hops != u16::MAX && usize::from(x.hops) > INLINE)
+            .filter(|x| x.hops != u8::MAX && usize::from(x.hops) > INLINE)
             .count()
     }
 
@@ -1592,18 +1646,15 @@ mod tests {
         // No changed link: the repair returns before it touches any row —
         // a mark left in every row is still there afterwards.
         for row in &mut r.spill {
-            row.push(u32::MAX);
+            row.push(u16::MAX);
         }
         let stats = r.repair_with_mask(&g, Some(&vec![false; mask.len()]));
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
-        assert!(r.spill.iter().all(|row| row.last() == Some(&u32::MAX)));
+        assert!(r.spill.iter().all(|row| row.last() == Some(&u16::MAX)));
     }
 
-    #[test]
-    fn a_route_record_is_half_a_cache_line() {
-        assert_eq!(std::mem::size_of::<Route>(), 32);
-        assert_eq!(std::mem::align_of::<Route>(), 32);
-    }
+    // Four route records to a cache line.
+    const _: () = assert!(size_of::<Route>() == 16 && align_of::<Route>() == 16);
 
     #[test]
     fn an_index_state_is_six_bytes() {
@@ -1624,24 +1675,74 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "route table refused")]
-    fn a_latency_past_the_index_width_is_refused() {
-        Routing::compute(&two_ases(1 << 32), RoutingMode::ValleyFree);
+    fn a_latency_past_the_record_width_is_refused() {
+        Routing::compute_indexed_threads(&two_ases(1 << 32), RoutingMode::ValleyFree, None, 1);
     }
 
-    /// The widest latency the index stores round-trips exactly, so the
-    /// heal-candidate test still compares the sweep's costs. (Shortest-path
-    /// mode: in valley-free mode AS 1 also reaches its descending state
-    /// by climbing to AS 0 and back, at twice the link's latency.)
+    /// More link ids than a record's `u16` slots name: refused before any
+    /// row is allocated. 363 ASes give 65 703 distinct pairs.
     #[test]
-    fn the_widest_stored_latency_round_trips() {
+    #[should_panic(expected = "route table refused: 65537 links")]
+    fn more_links_than_the_record_names_are_refused() {
+        let mut g = isolated(363);
+        let pairs = (0..363u16).flat_map(|a| (a + 1..363).map(move |b| (a, b)));
+        for (a, b) in pairs.take(MAX_LINKS + 1) {
+            g.add_peering(AsId(a), AsId(b), 1_000, 1_000.0);
+        }
+        Routing::compute_indexed_threads(&g, RoutingMode::ShortestPath, None, 1);
+    }
+
+    /// A chain of 256 ASes: its ends are 255 hops apart, one past what a
+    /// record's `u8` holds beside its unreachable sentinel.
+    #[test]
+    #[should_panic(expected = "route table refused: AS 0 routes to AS 255 in 255 hops")]
+    fn a_route_of_255_hops_is_refused() {
+        let mut g = isolated(256);
+        for i in 0..255u16 {
+            g.add_transit(AsId(i), AsId(i + 1), 1_000, 1_000.0);
+        }
+        Routing::compute_indexed_threads(&g, RoutingMode::ShortestPath, None, 1);
+    }
+
+    /// The widest route latency a record holds is accepted in both modes.
+    /// In valley-free mode AS 1 also reaches its descending state by
+    /// climbing to AS 0 and back, at twice the link's latency: no route
+    /// follows that state, so the index saturates it instead of refusing
+    /// the table, and the heal-candidate test reads it as anything from
+    /// the stored cost up.
+    #[test]
+    fn the_widest_route_latency_is_accepted() {
         let max = u64::from(u32::MAX);
-        let r = Routing::compute(&two_ases(max), RoutingMode::ShortestPath);
-        assert_eq!(r.latency_us(AsId(0), AsId(1)), Some(max));
-        let stored = (0..r.index.hops.len()).map(|i| widen(r.index.hops[i], r.index.latency[i]));
-        assert_eq!(stored.filter(|&(h, _)| h == 1).max(), Some((1, max)));
-        assert_eq!(narrow(u32::MAX, INF), Some((u16::MAX, u32::MAX)));
-        assert_eq!(narrow(u32::from(u16::MAX), 0), None);
-        assert_eq!(narrow(1, max + 1), None);
+        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+            let g = two_ases(max);
+            let mut r = Routing::compute_indexed_threads(&g, mode, None, 1);
+            assert_eq!(r.latency_us(AsId(0), AsId(1)), Some(max), "{mode:?}");
+            assert_eq!(r.latency_us(AsId(1), AsId(0)), Some(max), "{mode:?}");
+            assert_matches_reference(&r, &g, None);
+            // A cut and a heal land on fresh builds.
+            let cut = Some(&[true][..]);
+            r.repair_with_mask(&g, cut);
+            assert!(r == Routing::compute_indexed_threads(&g, mode, cut, 1));
+            r.repair_with_mask(&g, None);
+            assert!(r == Routing::compute_indexed_threads(&g, mode, None, 1));
+        }
+        // AS 1's phase-1 state in source 1's row, stored saturated.
+        let r = Routing::compute_indexed_threads(&two_ases(max), RoutingMode::ValleyFree, None, 1);
+        let stored = (r.index.hops[4 + 3], r.index.latency[4 + 3]);
+        assert_eq!(stored, (2, u32::MAX));
+        assert_eq!(floor(stored), Some((2, max)));
+        assert_eq!(ceiling(stored), (u32::MAX, INF));
+    }
+
+    #[test]
+    fn a_stored_cost_saturates_downward() {
+        assert_eq!(narrow(u32::MAX, INF), (u16::MAX, u32::MAX));
+        assert_eq!(narrow(7, 9), (7, 9));
+        assert_eq!(narrow(u32::from(u16::MAX), 0), (HOPS_CAP, 0));
+        assert_eq!(narrow(1, 1 << 40), (1, u32::MAX));
+        assert_eq!(floor((u16::MAX, 0)), None);
+        assert_eq!(ceiling((7, 9)), (7, 9));
+        assert_eq!(ceiling((HOPS_CAP, 9)), (u32::MAX, INF));
     }
 
     #[test]
@@ -1727,7 +1828,9 @@ mod tests {
                     "{at}"
                 );
                 assert_eq!(
-                    table.path_links(a, b).map(<[u32]>::to_vec),
+                    table
+                        .path_links(a, b)
+                        .map(|p| p.iter().map(|&li| u32::from(li)).collect()),
                     refr.path_links(a, b),
                     "{at}"
                 );

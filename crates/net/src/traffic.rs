@@ -120,7 +120,7 @@ impl TrafficAccounting {
         &mut self,
         now: SimTime,
         src_as: AsId,
-        path_links: &[u32],
+        path_links: &[u16],
         bytes: u64,
     ) -> TrafficCategory {
         self.transfers += 1;
@@ -285,7 +285,7 @@ mod tests {
             graph: &AsGraph,
             now: SimTime,
             src_as: AsId,
-            path_links: &[u32],
+            path_links: &[u16],
             bytes: u64,
         ) -> TrafficCategory {
             self.transfers += 1;

@@ -51,7 +51,6 @@ const PER_AS_HOP_US: u64 = 300;
 /// decomposition, materialized per ordered AS pair at build time so
 /// [`Underlay::latency_us`] (and therefore `rtt_us`) does one indexed
 /// read instead of probing the routing table twice per direction.
-/// `u64::MAX` marks unreachable pairs.
 ///
 /// The cache is derived from the routing table and the active
 /// latency-inflation factor. Host migration cannot stale it
@@ -62,14 +61,18 @@ const PER_AS_HOP_US: u64 = 300;
 /// step. [`Underlay::assert_route_cache_coherent`] verifies the
 /// invariant in debug builds after every epoch.
 ///
-/// Invalidation is **generation-stamped and per source row**: every
-/// entry carries the generation of its `src` row at fill time and is
-/// valid only while the two match, so bumping a row's generation lazily
-/// invalidates its `n` entries in O(1). Incremental fault-epoch repairs
-/// ([`Underlay::apply_fault_state`]) bump only the rows of sources whose
-/// routing actually changed; untouched rows keep serving their filled
-/// entries with no refill cost. Stale entries refill from the routing
-/// table on next lookup (counted in `refills`).
+/// One 4-byte slot per ordered pair holds the combined term, or one of
+/// two sentinels: [`UNREACHABLE_SLOT`] for an unroutable pair, and
+/// [`STALE_SLOT`] for a slot that must be read from the route record.
+/// Invalidation is **per source row**: incremental fault-epoch repairs
+/// ([`Underlay::apply_fault_state`]) write `STALE_SLOT` across the rows
+/// of the sources whose routing changed, and a changed inflation factor
+/// writes it everywhere; untouched rows keep serving their slots with no
+/// refill cost. A stale slot refills from the route record on its next
+/// lookup (counted in `refills`). A combined term that does not fit
+/// below `STALE_SLOT` is served from the record on every lookup, each
+/// counted as a refill, and its slot stays stale: the answer is exact at
+/// any inflation factor.
 ///
 /// Hit/miss counters use `Cell` so read-only latency queries (`&self`)
 /// can record them; a "miss" is an intra-AS query answered by the
@@ -77,44 +80,37 @@ const PER_AS_HOP_US: u64 = 300;
 #[derive(Debug)]
 struct RouteCache {
     n: usize,
-    /// `n × n` entries, row-major by source AS: `combined_us`, or
-    /// [`UNREACHABLE_ENTRY`]. `Cell` so stale entries can refill during
-    /// read-only lookups.
-    entries: Vec<Cell<u64>>,
-    /// Fill generation per entry; valid iff it matches `row_gen[src]`.
-    entry_gen: Vec<Cell<u32>>,
-    /// Current generation per source row; bumping it invalidates the row.
-    row_gen: Vec<u32>,
+    /// `n × n` slots, row-major by source AS. `Cell` so stale slots can
+    /// refill during read-only lookups.
+    slots: Vec<Slot>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    /// Stale entries refilled on lookup since construction.
+    /// Stale slots read on lookup since construction.
     refills: Cell<u64>,
 }
 
-/// Unreachable-pair sentinel (no path metric comes near `u64::MAX` µs).
-const UNREACHABLE_ENTRY: u64 = u64::MAX;
+/// One AS pair's cached term or sentinel.
+type Slot = Cell<u32>;
+
+/// The slot of an unroutable pair.
+const UNREACHABLE_SLOT: u32 = u32::MAX;
+/// The slot of a pair whose term must be read from the route record.
+const STALE_SLOT: u32 = u32::MAX - 1;
 
 impl RouteCache {
-    /// Eagerly fills every entry (all generations valid at 0). The
-    /// initial build is eager so coherence checks and first lookups never
-    /// observe an unfilled cache; later invalidations are lazy.
+    /// Eagerly fills every slot, so coherence checks and first lookups
+    /// never observe an unfilled cache; later invalidations are lazy.
     fn build(routing: &Routing, n: usize, latency_factor: f64) -> RouteCache {
-        let mut entries = Vec::with_capacity(n * n);
-        for s in 0..n {
-            for d in 0..n {
-                entries.push(Cell::new(Self::entry(
-                    routing,
-                    AsId::from_index(s),
-                    AsId::from_index(d),
-                    latency_factor,
-                )));
+        let mut slots = Vec::with_capacity(n * n);
+        for s in (0..n).map(AsId::from_index) {
+            for d in (0..n).map(AsId::from_index) {
+                let entry = Self::entry(routing, s, d, latency_factor);
+                slots.push(Cell::new(Self::slot(entry)));
             }
         }
         RouteCache {
             n,
-            entries,
-            entry_gen: vec![Cell::new(0); n * n],
-            row_gen: vec![0; n],
+            slots,
             hits: Cell::new(0),
             misses: Cell::new(0),
             refills: Cell::new(0),
@@ -122,56 +118,61 @@ impl RouteCache {
     }
 
     /// Invalidates every source row (a change to the latency factor
-    /// folded into the entries).
+    /// folded into the slots).
     fn invalidate_all_rows(&mut self) {
-        for g in &mut self.row_gen {
-            *g = g.wrapping_add(1);
-        }
+        self.slots.fill(Cell::new(STALE_SLOT));
     }
 
-    /// Invalidates one source row: its entries refill lazily on lookup.
-    #[expect(clippy::indexing_slicing, reason = "src < n = row_gen.len()")]
+    /// Invalidates one source row: its slots refill lazily on lookup.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "src < n: the row is inside the n × n slots"
+    )]
     fn invalidate_row(&mut self, src: usize) {
-        self.row_gen[src] = self.row_gen[src].wrapping_add(1);
+        self.slots[src * self.n..(src + 1) * self.n].fill(Cell::new(STALE_SLOT));
     }
 
-    /// The entry for one ordered AS pair, straight from the routing
-    /// table — the ground truth the cache materializes and the coherence
-    /// assertion recomputes.
+    /// The combined term for one ordered AS pair, straight from the
+    /// routing table (`None` when unroutable) — the ground truth the
+    /// cache materializes and the coherence assertion recomputes.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "float → int `as` saturates; a route latency is far under 2^53 µs"
     )]
-    fn entry(routing: &Routing, src: AsId, dst: AsId, latency_factor: f64) -> u64 {
-        match routing.route(src, dst) {
-            None => UNREACHABLE_ENTRY,
-            Some(r) => {
-                let mut combined = r.latency_us + u64::from(r.hops) * PER_AS_HOP_US;
-                if (latency_factor - 1.0).abs() > f64::EPSILON {
-                    combined = (combined as f64 * latency_factor) as u64;
-                }
-                debug_assert!(combined < UNREACHABLE_ENTRY);
-                combined
-            }
+    fn entry(routing: &Routing, src: AsId, dst: AsId, latency_factor: f64) -> Option<u64> {
+        let r = routing.route(src, dst)?;
+        let combined = u64::from(r.latency_us) + u64::from(r.hops) * PER_AS_HOP_US;
+        if (latency_factor - 1.0).abs() > f64::EPSILON {
+            return Some((combined as f64 * latency_factor) as u64);
         }
+        Some(combined)
     }
 
-    /// Reads the entry for an ordered AS pair, counting a hit.
-    /// A generation-stale entry refills from the routing table first.
+    /// The slot that caches `entry`: stale when the term does not fit
+    /// below the sentinels.
+    fn slot(entry: Option<u64>) -> u32 {
+        entry.map_or(UNREACHABLE_SLOT, |e| {
+            u32::try_from(e).map_or(STALE_SLOT, |e| e.min(STALE_SLOT))
+        })
+    }
+
+    /// Reads the term for an ordered AS pair, counting a hit. A stale
+    /// slot refills from the routing table first.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "src, dst < n: i < n × n entries")]
-    fn lookup(&self, src: AsId, dst: AsId, routing: &Routing, latency_factor: f64) -> u64 {
+    #[expect(clippy::indexing_slicing, reason = "src, dst < n: i < n × n slots")]
+    fn lookup(&self, src: AsId, dst: AsId, routing: &Routing, latency_factor: f64) -> Option<u64> {
         self.hits.set(self.hits.get() + 1);
-        let i = src.idx() * self.n + dst.idx();
-        let gen = self.row_gen[src.idx()];
-        if self.entry_gen[i].get() == gen {
-            return self.entries[i].get();
+        let slot = &self.slots[src.idx() * self.n + dst.idx()];
+        match slot.get() {
+            STALE_SLOT => {
+                let entry = Self::entry(routing, src, dst, latency_factor);
+                slot.set(Self::slot(entry));
+                self.refills.set(self.refills.get() + 1);
+                entry
+            }
+            UNREACHABLE_SLOT => None,
+            combined => Some(u64::from(combined)),
         }
-        let entry = Self::entry(routing, src, dst, latency_factor);
-        self.entries[i].set(entry);
-        self.entry_gen[i].set(gen);
-        self.refills.set(self.refills.get() + 1);
-        entry
     }
 
     #[inline]
@@ -265,29 +266,32 @@ impl Underlay {
         stats
     }
 
-    /// Verifies every *generation-valid* cache entry against a
-    /// fresh routing-table computation — the debug-mode coherence
-    /// assertion guarding fault epoch switches. Generation-stale entries
-    /// are skipped: they refill from the live table on next lookup, so
-    /// they cannot serve wrong answers. O(n²) route loads; debug builds
-    /// only (called after every fault epoch) plus tests.
+    /// Verifies every filled cache slot against a fresh routing-table
+    /// computation — the debug-mode coherence assertion guarding fault
+    /// epoch switches. Stale slots are skipped: they are read from the
+    /// live table on their next lookup, so they cannot serve wrong
+    /// answers. O(n²) route loads; debug builds only (called after every
+    /// fault epoch) plus tests.
     ///
     /// # Panics
     ///
-    /// Panics when any valid cached entry disagrees with the routing
-    /// table.
+    /// Panics when any filled slot disagrees with the routing table.
     #[expect(clippy::indexing_slicing, reason = "s, d < n, the cache dimension")]
     pub fn assert_route_cache_coherent(&self) {
         let n = self.graph.len();
         for s in 0..n {
             for d in 0..n {
-                let i = s * self.route_cache.n + d;
-                if self.route_cache.entry_gen[i].get() != self.route_cache.row_gen[s] {
+                let got = self.route_cache.slots[s * self.route_cache.n + d].get();
+                if got == STALE_SLOT {
                     continue; // lazily invalidated; refills on next lookup
                 }
                 let (src, dst) = (AsId::from_index(s), AsId::from_index(d));
-                let want = RouteCache::entry(&self.routing, src, dst, self.latency_factor);
-                let got = self.route_cache.entries[i].get();
+                let want = RouteCache::slot(RouteCache::entry(
+                    &self.routing,
+                    src,
+                    dst,
+                    self.latency_factor,
+                ));
                 assert_eq!(
                     got, want,
                     "route cache stale for AS pair ({s}, {d}): \
@@ -350,13 +354,10 @@ impl Underlay {
             self.route_cache.note_miss();
             return Some(base + propagation_delay_us(ha.geo.distance_km(&hb.geo)));
         }
-        match self
-            .route_cache
-            .lookup(ha.asn, hb.asn, &self.routing, self.latency_factor)
-        {
-            UNREACHABLE_ENTRY => None,
-            entry => Some(base + entry),
-        }
+        let combined =
+            self.route_cache
+                .lookup(ha.asn, hb.asn, &self.routing, self.latency_factor)?;
+        Some(base + combined)
     }
 
     /// Hit/miss counters of the AS-pair route cache: `(hits, misses)`.
@@ -366,8 +367,8 @@ impl Underlay {
         (self.route_cache.hits.get(), self.route_cache.misses.get())
     }
 
-    /// Stale route-cache entries refilled on lookup so far (grows only
-    /// after lazy invalidations, i.e. incremental fault-epoch repairs).
+    /// Stale route-cache slots read on lookup so far (grows only after
+    /// lazy invalidations, i.e. incremental fault-epoch repairs).
     pub fn route_cache_refills(&self) -> u64 {
         self.route_cache.refills.get()
     }
@@ -473,7 +474,7 @@ impl Underlay {
         src_as: AsId,
         dst_as: AsId,
         bytes: u64,
-    ) -> (TrafficCategory, u16, u16) {
+    ) -> (TrafficCategory, u8, u8) {
         if src_as == dst_as {
             return (self.traffic.record(now, src_as, &[], bytes), 0, 0);
         }
@@ -861,8 +862,16 @@ mod tests {
         state.mask = Some(mask);
         let stats = u.apply_fault_state(&state);
         assert!(!stats.full_rebuild);
-        let dirty: Vec<usize> = (0..n).filter(|&s| u.route_cache.row_gen[s] != 0).collect();
+        let stale = |s: usize| {
+            let row = &u.route_cache.slots[s * n..(s + 1) * n];
+            row.iter().all(|slot| slot.get() == STALE_SLOT)
+        };
+        let dirty: Vec<usize> = (0..n).filter(|&s| stale(s)).collect();
         assert_eq!(dirty.len(), stats.dirty_sources);
+        assert!(dirty
+            .iter()
+            .copied()
+            .eq(u.routing.dirty_sources().iter().map(|&s| s as usize)));
         // Scanning the whole AS-pair space refills exactly the dirty rows.
         assert_eq!(u.route_cache_refills(), 0);
         for s in 0..n {
@@ -899,13 +908,56 @@ mod tests {
         state.latency_factor = 2.0;
         let stats = u.apply_fault_state(&state);
         // No link changed: zero sources recomputed, but the factor is
-        // folded into entries, so every row must be invalidated.
+        // folded into the slots, so every slot must be stale.
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
+        let slots = &u.route_cache.slots;
+        assert!(slots.iter().all(|slot| slot.get() == STALE_SLOT));
         let refills0 = u.route_cache_refills();
         let lat1 = u.latency_us(a, b).unwrap();
         assert!(lat1 > lat0);
-        assert!(u.route_cache_refills() > refills0, "must refill lazily");
+        assert_eq!(u.route_cache_refills(), refills0 + 1, "must refill lazily");
+        assert_eq!(u.latency_us(a, b), Some(lat1));
+        assert_eq!(u.route_cache_refills(), refills0 + 1, "refills once");
     }
+
+    /// A two-AS underlay whose one link is just under `u32::MAX` µs: its
+    /// combined term fits a slot, and twice the term does not. Under a 2×
+    /// factor the pair is read from its route record on every lookup,
+    /// exactly, and each read counts a refill.
+    #[test]
+    fn a_term_past_the_slot_width_is_read_from_the_record_each_time() {
+        let mut graph = AsGraph::new();
+        for x in [0.0, 1.0] {
+            let at = crate::geo::GeoPoint::new(x, 0.0);
+            graph.add_as(crate::asgraph::Tier::Tier3, at, 10.0);
+        }
+        let link_us = u64::from(u32::MAX) - 1_000;
+        graph.add_transit(AsId(0), AsId(1), link_us, 1_000.0);
+        let mut rng = SimRng::new(3);
+        let pop = PopulationSpec::uniform(200);
+        let mut u = Underlay::build(graph, &pop, UnderlayConfig::default(), &mut rng);
+        let (a, b) = inter_as_pair(&u);
+        let access = u.host(a).access_latency_us + u.host(b).access_latency_us;
+        let combined = link_us + PER_AS_HOP_US;
+        assert_eq!(u.latency_us(a, b), Some(access + combined));
+        assert_eq!(u.route_cache_refills(), 0);
+        let mut state = crate::fault::FaultState::clear();
+        state.latency_factor = 2.0;
+        u.apply_fault_state(&state);
+        for read in 1..=3 {
+            assert_eq!(u.latency_us(a, b), Some(access + 2 * combined));
+            assert_eq!(u.route_cache_refills(), read);
+        }
+        // Cleared, the term fits again: one refill, then cached.
+        u.apply_fault_state(&crate::fault::FaultState::clear());
+        for _ in 0..2 {
+            assert_eq!(u.latency_us(a, b), Some(access + combined));
+            assert_eq!(u.route_cache_refills(), 4);
+        }
+    }
+
+    // One 4-byte route-cache slot per AS pair.
+    const _: () = assert!(size_of::<Slot>() == 4);
 
     #[test]
     fn repair_totals_are_running_totals() {

@@ -34,7 +34,7 @@ pub fn reference_rates(u: &Underlay, flows: &[(u64, HostId, HostId)]) -> Vec<(u6
         if sa != da {
             #[expect(clippy::expect_used, reason = "the allocator accepted the flow")]
             let path = u.routing().path_links(sa, da).expect("routable");
-            arena.extend(path.iter().map(|&li| 2 * n + li));
+            arena.extend(path.iter().map(|&li| 2 * n + u32::from(li)));
         }
         table.push((id, start, arena.len() as u32 - start));
     }

@@ -109,7 +109,9 @@ fn assert_matches_reference(
                 b
             );
             prop_assert_eq!(
-                table.path_links(a, b).map(<[u32]>::to_vec),
+                table
+                    .path_links(a, b)
+                    .map(|p| p.iter().map(|&li| u32::from(li)).collect()),
                 refr.path_links(a, b),
                 "path {}->{}",
                 a,

@@ -7,6 +7,8 @@
 //! [`ReferenceRouting`]'s heap-ordered Dijkstra, compared pair by pair:
 //! once with the generator's latencies and once with every link at the
 //! same latency, where the tie-break by state index decides most paths.
+//! The hierarchy has fewer than 65 536 links and routes every pair in at
+//! most five, so every path sits inline in its 16-byte record.
 //!
 //! The flow fill: the `swarm_congestion` underlay (4 tier-1, 6 tier-2 per
 //! tier-1, 8 tier-3 per tier-2, 1 575 leaf hosts, seed 42) carrying about
@@ -60,18 +62,19 @@ fn benchmark_hierarchy_from(rng: &mut SimRng) -> AsGraph {
 }
 
 /// Every ordered pair's hops, latency, path and transit count, from the
-/// table and from the oracle; returns the number of reachable pairs.
-fn assert_matches_reference(g: &AsGraph, mode: RoutingMode) -> usize {
+/// table and from the oracle; returns the number of reachable pairs and
+/// the longest route's hop count.
+fn assert_matches_reference(g: &AsGraph, mode: RoutingMode) -> (usize, u32) {
     let table = Routing::compute(g, mode);
     let refr = ReferenceRouting::compute(g, mode, None);
-    let mut reachable = 0;
+    let (mut reachable, mut longest) = (0, 0);
     for a in 0..g.len() {
         for b in 0..g.len() {
             let (a, b) = (AsId::from_index(a), AsId::from_index(b));
             let route = table.route(a, b);
             let got = (
                 route.map(|r| u32::from(r.hops)),
-                route.map(|r| r.latency_us),
+                route.map(|r| u64::from(r.latency_us)),
                 route.map(|r| u32::from(r.transit_links)),
             );
             let want = (
@@ -81,14 +84,17 @@ fn assert_matches_reference(g: &AsGraph, mode: RoutingMode) -> usize {
             );
             assert_eq!(got, want, "{mode:?} {a}->{b}");
             assert_eq!(
-                table.path_links(a, b).map(<[u32]>::to_vec),
+                table
+                    .path_links(a, b)
+                    .map(|p| p.iter().map(|&li| u32::from(li)).collect()),
                 refr.path_links(a, b),
                 "{mode:?} path {a}->{b}"
             );
             reachable += usize::from(route.is_some());
+            longest = longest.max(route.map_or(0, |r| u32::from(r.hops)));
         }
     }
-    reachable
+    (reachable, longest)
 }
 
 #[test]
@@ -96,9 +102,13 @@ fn assert_matches_reference(g: &AsGraph, mode: RoutingMode) -> usize {
 fn benchmark_hierarchy_matches_reference_on_every_pair() {
     let mut g = benchmark_hierarchy();
     assert_eq!(g.len(), 1_055);
+    // Every link id fits a route record's u16 slot, and every path its
+    // five inline slots: the spill segments stay empty.
+    assert!(g.links.len() < 1 << 16, "{} links", g.links.len());
     for mode in [RoutingMode::ValleyFree, RoutingMode::ShortestPath] {
-        let reachable = assert_matches_reference(&g, mode);
+        let (reachable, longest) = assert_matches_reference(&g, mode);
         assert_eq!(reachable, g.len() * g.len(), "{mode:?}");
+        assert!(longest <= 5, "{mode:?}: a {longest}-hop path spills");
     }
     for link in &mut g.links {
         link.latency_us = 1_000;
