@@ -35,8 +35,8 @@
 #                                 1 055-AS hierarchy equals the
 #                                 heap-ordered reference on every pair,
 #                                 and the hierarchy has fewer than
-#                                 65 536 links and no path past five
-#                                 (none spills from its 16-byte record),
+#                                 65 536 links and no path past the
+#                                 five links a 16-byte record holds,
 #                                 the traffic ledger of 262 144 transfers
 #                                 on the underlay_scale underlay equals
 #                                 an independent sum over path_links,

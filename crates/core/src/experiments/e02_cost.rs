@@ -11,7 +11,7 @@ use crate::report::{f, Table};
 use uap_net::CostParams;
 use uap_sim::Tracer;
 
-/// Sweep parameters (the tariffs are [`CostParams::default`]).
+/// Sweep parameters (the tariffs are [`CostParams`]).
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Traffic levels to evaluate (Mbps).
@@ -62,7 +62,7 @@ pub fn run(p: &Params) -> Outcome {
             "peering_usd_per_mbps",
         ],
     );
-    let cost = CostParams::default();
+    let cost = CostParams;
     for &t in &p.traffic_mbps {
         table.row(&[
             f(t),

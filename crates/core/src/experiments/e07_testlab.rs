@@ -81,7 +81,6 @@ fn testlab_config(
         share_scheme: scheme,
         shared_per_peer: 6, // uniform: 6 each; variable: UP 12 / leaf 6 or 0
         up_degree: 3,
-        leaf_degree: 2,
         query_ttl: 3,
         duration,
         hostcache_size: 45,

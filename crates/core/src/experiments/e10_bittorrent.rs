@@ -147,12 +147,7 @@ pub fn run(p: &Params, tracer: &mut Tracer) -> Outcome {
         phase(tracer, &label);
         let (report, underlay) = run_swarm_with(p.net.build(), cfg, p.net.seed ^ 0xE10, tracer);
         let horizon = ROUND.mul(report.rounds as u64);
-        let bills = bill_all(
-            &underlay.graph,
-            &underlay.traffic,
-            &CostParams::default(),
-            horizon,
-        );
+        let bills = bill_all(&underlay.graph, &underlay.traffic, &CostParams, horizon);
         let (_, _, transit_bytes) = underlay.traffic.totals();
         let result = PolicyResult {
             label: label.clone(),

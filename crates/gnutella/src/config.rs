@@ -71,8 +71,6 @@ pub struct GnutellaConfig {
     pub bandwidth_aware_source: bool,
     /// Target ultrapeer↔ultrapeer degree.
     pub up_degree: usize,
-    /// Leaf→ultrapeer attachment count.
-    pub leaf_degree: usize,
     /// Role assignment.
     pub roles: RoleAssignment,
     /// TTL of query floods.
@@ -104,7 +102,6 @@ impl Default for GnutellaConfig {
             oracle_at_file_exchange: false,
             bandwidth_aware_source: false,
             up_degree: 4,
-            leaf_degree: 2,
             roles: RoleAssignment::AllUltrapeers,
             query_ttl: 4,
             shared_per_peer: 20,

@@ -20,6 +20,8 @@ use uap_sim::{trace::registry, ChurnModel, Ctx, SimTime, Simulator, Tracer, Worl
 /// Pong records returned per answered ping (pong caching serves several
 /// known hosts per reply; Gnutella 0.6 uses up to 10).
 const PONGS_PER_REPLY: u64 = 10;
+/// Leaf→ultrapeer attachment count.
+const LEAF_DEGREE: usize = 2;
 /// TTL of discovery ping floods.
 const PING_TTL: u32 = 2;
 /// Interval between a node's ping cycles.
@@ -317,7 +319,7 @@ impl GnutellaSim {
     fn connect(&mut self, h: HostId, ctx: &mut Ctx<'_, Ev>) {
         let target = match self.overlay.role(h) {
             Role::Ultrapeer => self.cfg.up_degree,
-            Role::Leaf => self.cfg.leaf_degree,
+            Role::Leaf => LEAF_DEGREE,
         };
         let have = self.overlay.degree(h);
         if have >= target {

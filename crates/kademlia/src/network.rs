@@ -31,13 +31,15 @@ const RPC_BYTES: u64 = 100;
 /// Base RPC timeout (µs): retransmit `i` waits `RPC_TIMEOUT_US << (i - 1)`.
 const RPC_TIMEOUT_US: u64 = 500_000;
 
+/// Bucket capacity k (classic k = 20; smaller for small sims).
+const K: usize = 8;
+
+/// Lookup parallelism α.
+const ALPHA: usize = 3;
+
 /// DHT parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DhtConfig {
-    /// Bucket capacity, 1 to 255 (classic k = 20; smaller for small sims).
-    pub k: usize,
-    /// Lookup parallelism α.
-    pub alpha: usize,
     /// Underlay-awareness mode.
     pub proximity: ProximityMode,
     /// Retransmit attempts after an RPC timeout before the contact is
@@ -49,8 +51,6 @@ pub struct DhtConfig {
 impl Default for DhtConfig {
     fn default() -> Self {
         DhtConfig {
-            k: 8,
-            alpha: 3,
             proximity: ProximityMode::None,
             rpc_retries: 0,
         }
@@ -143,7 +143,7 @@ impl DhtNetwork {
             let key = key_map(i, Key::random(rng));
             nodes.push(NodeState {
                 key,
-                table: RoutingTable::new(key, cfg.k, policy),
+                table: RoutingTable::new(key, K, policy),
                 storage: BTreeMap::new(),
             });
         }
@@ -330,10 +330,10 @@ impl DhtNetwork {
         // The shortlist is the outcome's `closest` list, moved in at the
         // end. It holds at most k contacts plus α responses of k each, so
         // it is allocated once, at that capacity.
-        let mut shortlist = Vec::with_capacity(self.cfg.k * (1 + self.cfg.alpha));
+        let mut shortlist = Vec::with_capacity(K * (1 + ALPHA));
         self.nodes[from.idx()]
             .table
-            .closest_into(target, self.cfg.k, &mut shortlist);
+            .closest_into(target, K, &mut shortlist);
         // Per-lookup scratch, reused across lookups (taken so the RPC loop
         // below can still borrow `self` mutably).
         let mut queried = std::mem::take(&mut self.lk_queried);
@@ -361,10 +361,10 @@ impl DhtNetwork {
                 // Proximity routing: among the top 2α XOR-candidates, call
                 // the underlay-closest first. The pool stays XOR-bounded so
                 // convergence is unaffected.
-                let pool = candidates.len().min(2 * self.cfg.alpha);
+                let pool = candidates.len().min(2 * ALPHA);
                 candidates[..pool].sort_by_key(|c| (c.as_hops, c.key.0));
             }
-            candidates.truncate(self.cfg.alpha);
+            candidates.truncate(ALPHA);
             let asked = candidates.len();
             let mut round_rtt = 0u64;
             learned.clear();
@@ -377,7 +377,7 @@ impl DhtNetwork {
                         // The responder returns its k closest to target.
                         self.nodes[c.host.idx()]
                             .table
-                            .closest_into(target, self.cfg.k, &mut resp);
+                            .closest_into(target, K, &mut resp);
                         for &(mut r) in &resp {
                             if r.key == me {
                                 continue;
@@ -427,7 +427,7 @@ impl DhtNetwork {
                     shortlist.insert(pos, l);
                 }
             }
-            shortlist.truncate(self.cfg.k);
+            shortlist.truncate(K);
             let after_best = shortlist.first().map(|c| c.key);
             // Terminate when the k-closest set is fully queried or the best
             // stopped improving and everything in range was asked.
@@ -873,22 +873,6 @@ mod tests {
 
     // Degenerate inputs (ROADMAP 4c): each must terminate with a sane
     // outcome — never hang, never panic.
-
-    #[test]
-    fn alpha_zero_stops_at_the_round_cap_with_no_rpcs() {
-        let mut rng = SimRng::new(12);
-        let cfg = DhtConfig {
-            alpha: 0,
-            ..Default::default()
-        };
-        // Bootstrap itself is 31 such lookups.
-        let mut net = DhtNetwork::build(underlay(32, 12), cfg, &mut rng);
-        let out = net.lookup(HostId(1), &Key::random(&mut rng), &mut rng);
-        assert_eq!((out.rpcs, out.rounds), (0, 21));
-        // Nothing was asked, so the shortlist is still the caller's own
-        // bootstrap contact.
-        assert_eq!(out.closest.len(), 1);
-    }
 
     #[test]
     fn with_every_other_node_offline_operations_come_back_empty() {

@@ -7,7 +7,7 @@
 //! in a cost per Mbps that is inversely proportional to the total exchanged
 //! traffic." (after Norton's peering business case \[24\])
 //!
-//! [`CostParams`] captures the two tariffs; [`IspBill`] applies them to a
+//! [`CostParams`] holds the two tariffs; [`IspBill`] applies them to a
 //! run's [`TrafficAccounting`].
 
 use crate::asgraph::{AsGraph, LinkKind};
@@ -15,42 +15,32 @@ use crate::ids::AsId;
 use crate::traffic::TrafficAccounting;
 use uap_sim::SimTime;
 
-/// Tariff parameters (monthly, USD).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostParams {
-    /// Transit price per Mbps of 95th-percentile rate, per month.
-    pub transit_usd_per_mbps: f64,
-    /// Flat monthly cost of maintaining one peering link (port, cross-
-    /// connect, amortized equipment).
-    pub peering_flat_usd: f64,
-}
-
-impl Default for CostParams {
-    /// Norton-era defaults: ~$20/Mbps transit, ~$2 000/month per peering
-    /// port.
-    fn default() -> Self {
-        CostParams {
-            transit_usd_per_mbps: 20.0,
-            peering_flat_usd: 2_000.0,
-        }
-    }
-}
+/// The tariffs (monthly, USD): Norton-era ~$20/Mbps transit and
+/// ~$2 000/month per peering port.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CostParams;
 
 impl CostParams {
+    /// Transit price per Mbps of 95th-percentile rate, per month.
+    pub const TRANSIT_USD_PER_MBPS: f64 = 20.0;
+    /// Flat monthly cost of maintaining one peering link (port, cross-
+    /// connect, amortized equipment).
+    pub const PEERING_FLAT_USD: f64 = 2_000.0;
+
     /// Monthly transit cost at a given 95th-percentile rate — the *linear*
     /// curve of Figure 2.
     pub fn transit_cost(&self, p95_mbps: f64) -> f64 {
-        self.transit_usd_per_mbps * p95_mbps.max(0.0)
+        Self::TRANSIT_USD_PER_MBPS * p95_mbps.max(0.0)
     }
 
     /// Monthly cost of `n` peering links — *constant* in traffic.
     pub fn peering_cost(&self, n_links: usize) -> f64 {
-        self.peering_flat_usd * n_links as f64
+        Self::PEERING_FLAT_USD * n_links as f64
     }
 
     /// Transit cost per Mbps — constant (Figure 2, upper curve).
     pub fn transit_cost_per_mbps(&self, _traffic_mbps: f64) -> f64 {
-        self.transit_usd_per_mbps
+        Self::TRANSIT_USD_PER_MBPS
     }
 
     /// Peering cost per Mbps for one link — inversely proportional to the
@@ -59,14 +49,14 @@ impl CostParams {
         if traffic_mbps <= 0.0 {
             f64::INFINITY
         } else {
-            self.peering_flat_usd / traffic_mbps
+            Self::PEERING_FLAT_USD / traffic_mbps
         }
     }
 
     /// Traffic level at which peering becomes cheaper per Mbps than transit
     /// (the crossover in Figure 2).
     pub fn crossover_mbps(&self) -> f64 {
-        self.peering_flat_usd / self.transit_usd_per_mbps
+        Self::PEERING_FLAT_USD / Self::TRANSIT_USD_PER_MBPS
     }
 }
 
@@ -140,7 +130,7 @@ mod tests {
 
     #[test]
     fn transit_is_linear() {
-        let p = CostParams::default();
+        let p = CostParams;
         assert_eq!(p.transit_cost(0.0), 0.0);
         assert_eq!(p.transit_cost(10.0), 200.0);
         assert_eq!(p.transit_cost(100.0), 2_000.0);
@@ -153,7 +143,7 @@ mod tests {
 
     #[test]
     fn peering_per_mbps_is_inverse() {
-        let p = CostParams::default();
+        let p = CostParams;
         let c10 = p.peering_cost_per_mbps(10.0);
         let c100 = p.peering_cost_per_mbps(100.0);
         assert!((c10 / c100 - 10.0).abs() < 1e-9);
@@ -164,7 +154,7 @@ mod tests {
 
     #[test]
     fn crossover_matches_figure2_shape() {
-        let p = CostParams::default();
+        let p = CostParams;
         let x = p.crossover_mbps();
         assert_eq!(x, 100.0);
         // Below crossover transit is cheaper per Mbps, above it peering is.
@@ -174,7 +164,7 @@ mod tests {
 
     #[test]
     fn negative_rate_clamps() {
-        let p = CostParams::default();
+        let p = CostParams;
         assert_eq!(p.transit_cost(-5.0), 0.0);
     }
 
@@ -198,7 +188,7 @@ mod tests {
         for m in 0..24 {
             tr.record(SimTime::from_mins(m * 5), AsId(1), path, 37_500_000);
         }
-        let bills = bill_all(&g, &tr, &CostParams::default(), horizon);
+        let bills = bill_all(&g, &tr, &CostParams, horizon);
         // AS a (idx 1): 37.5 MB / 300 s = 1 Mbps p95 → $20 transit + one
         // peering link flat fee.
         let bill_a = &bills[1];

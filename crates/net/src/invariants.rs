@@ -391,7 +391,7 @@ mod tests {
         let mut t = TrafficAccounting::new(&g);
         let path = r.path_links(AsId(3), AsId(5)).unwrap();
         t.record(SimTime::from_secs(30), AsId(3), path, 1 << 20);
-        let bills = bill_all(&g, &t, &CostParams::default(), SimTime::from_hours(1));
+        let bills = bill_all(&g, &t, &CostParams, SimTime::from_hours(1));
         check_cost_non_negative(&bills).unwrap();
     }
 
@@ -432,7 +432,7 @@ mod tests {
     fn corrupt_bill_is_caught() {
         let g = hierarchy();
         let t = TrafficAccounting::new(&g);
-        let mut bills = bill_all(&g, &t, &CostParams::default(), SimTime::from_hours(1));
+        let mut bills = bill_all(&g, &t, &CostParams, SimTime::from_hours(1));
         bills[0].transit_usd = -1.0;
         let err = check_cost_non_negative(&bills).unwrap_err();
         assert!(err.contains("transit_usd"), "{err}");

@@ -21,24 +21,25 @@
 //! transit-link counts) is answered from a fully materialized route
 //! table: one [`Route`] record per ordered `(src, dst)` pair, 16 bytes
 //! and 16-aligned, four to a cache line, holding the pair's latency
-//! (`u32` µs), hop and transit counts (`u8` each) and, for a path of at
-//! most five links, the path itself as `u16` link ids.
+//! (`u32` µs), hop and transit counts (`u8` each) and the path itself,
+//! at most five `u16` link ids.
 //! [`Routing::route`] and [`Routing::path_links`] read that one record
-//! and return borrows without allocating. A path longer than five links
-//! lives in its source's spill segment, the record holding its `u32`
-//! offset there; the hierarchies the binaries build route every pair in
-//! at most five links, so their spill segments are empty.
+//! and return borrows without allocating.
 //!
 //! The widths are construction-time refusals (`route table refused: …`):
-//! a graph of more than 65 536 links, and a route of 255 or more hops or
-//! past `u32::MAX` µs. No binary builds one.
+//! a graph of more than 65 536 links, and a route of more than five links
+//! or past `u32::MAX` µs. No binary builds one: on the three-tier
+//! hierarchies they build, a valley-free path climbs at most two provider
+//! links, crosses at most one peering and descends at most two, and
+//! shortest-path routing there and on the testlabs stays within five
+//! links too.
 //!
 //! ## One way to build
 //!
 //! The unit of construction is the source row: one level-synchronous
 //! sweep from one source AS over the valley-free state graph, summarised
-//! (`Rows::recompute`) — its route records, its spill segment and its
-//! repair-index entries all written where they live. Every edge adds one
+//! (`Rows::recompute`) — its route records and its repair-index entries
+//! written where they live. Every edge adds one
 //! hop, so the sweep visits the states level by level, each level in
 //! `(latency, state)` order: the order in which a Dijkstra keyed by
 //! `(hops, latency, state)` pops them. That heap-ordered Dijkstra is kept
@@ -254,34 +255,21 @@ impl Scratch {
         (hops != u32::MAX).then_some((s, hops, latency))
     }
 
-    /// Reduces one destination's states to its [`Route`] record, writing
-    /// a path longer than [`INLINE`] links back to front into `spill` at
-    /// `*off`, which it advances.
+    /// The [`Route`] record of the route [`Scratch::best`] found: the
+    /// state it ends in, its hops and its latency.
     #[expect(
         clippy::indexing_slicing,
-        reason = "states < 2n; the row's spilled paths fit `spill`"
+        reason = "states < 2n; `Rows::recompute` refused a route of more than INLINE hops"
     )]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "`Rows::recompute` refused the row unless every route is under 255 hops and \
-                  2^32 µs; link ids are < 65 536 (refused at construction); a row spills at \
-                  most n·(n−1) link ids, < 2^32"
+        reason = "`Rows::recompute` refused the row unless every route is at most INLINE hops \
+                  and under 2^32 µs; link ids are < 65 536 (refused at construction)"
     )]
-    fn summarize(&self, dst: usize, spill: &mut [u16], off: &mut usize) -> Route {
-        let Some((mut s, hops, latency)) = self.best(dst) else {
-            return UNREACHABLE;
-        };
+    fn summarize(&self, (mut s, hops, latency): (usize, u32, u64)) -> Route {
         let transit_links = self.transit[s] as u8;
-        let len = hops as usize;
         let mut links = [0; INLINE];
-        let path = if len <= INLINE {
-            &mut links[..len]
-        } else {
-            [links[0], links[1]] = [*off as u16, (*off >> 16) as u16];
-            *off += len;
-            &mut spill[*off - len..*off]
-        };
-        for link in path.iter_mut().rev() {
+        for link in links[..hops as usize].iter_mut().rev() {
             let (prev, li) = self.pred[s];
             *link = li as u16;
             s = prev as usize;
@@ -309,15 +297,15 @@ struct SrcTable {
 /// Links a [`Route`] record holds in place.
 const INLINE: usize = 5;
 
-/// One ordered `(src, dst)` pair's route: its metrics and, for a path of
-/// at most five links, the path. 16 bytes, 16-aligned: four records to a
-/// cache line, and one read of one record answers every per-pair query.
+/// One ordered `(src, dst)` pair's route: its metrics and its path of at
+/// most five links. 16 bytes, 16-aligned: four records to a cache line,
+/// and one read of one record answers every per-pair query.
 ///
 /// `hops == u8::MAX` encodes an unreachable pair; [`Routing::route`]
 /// filters those out, so a record obtained through it always describes a
 /// real path. The widths hold by refusal: [`Routing::compute_indexed`]
 /// refuses a graph of more than 65 536 links, or one where a route takes
-/// 255 hops or more or `2^32` µs or more.
+/// more than [`INLINE`] links or `2^32` µs or more.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C, align(16))]
 pub struct Route {
@@ -329,18 +317,8 @@ pub struct Route {
     /// precomputed so no per-transfer path scan is needed (traced by
     /// `account_transfer_traced` and reported in trace analyses).
     pub transit_links: u8,
-    /// The path's link ids in traversal order when `hops <= INLINE`, the
-    /// slots past it zero; otherwise `[lo, hi, 0, …]`, the two halves of
-    /// the path's `u32` offset in its source's spill segment.
+    /// The path's link ids in traversal order, the slots past `hops` zero.
     links: [u16; INLINE],
-}
-
-impl Route {
-    /// The spill-segment offset of a path longer than [`INLINE`] links.
-    fn spill_offset(&self) -> usize {
-        let [lo, hi, ..] = self.links;
-        (u32::from(lo) | u32::from(hi) << 16) as usize
-    }
 }
 
 const UNREACHABLE: Route = Route {
@@ -571,7 +549,6 @@ struct Rows<'a> {
     n: usize,
     words: usize,
     routes: &'a mut [Box<[Route]>],
-    spill: &'a mut [Vec<u16>],
     hops: &'a mut [u16],
     latency: &'a mut [u32],
     tree_links: &'a mut [u64],
@@ -594,7 +571,6 @@ impl<'a> Rows<'a> {
             n,
             words,
             routes: split_front(&mut self.routes, k),
-            spill: split_front(&mut self.spill, k),
             hops: split_front(&mut self.hops, k * 2 * n),
             latency: split_front(&mut self.latency, k * 2 * n),
             tree_links: split_front(&mut self.tree_links, k * words),
@@ -604,56 +580,44 @@ impl<'a> Rows<'a> {
     }
 
     /// Recomputes source `src`'s row (`src` is one of these rows) in
-    /// place: the sweep, then every destination's record (and spilled
-    /// path), then the tree links and the narrowed per-state costs.
+    /// place: the sweep, then every destination's record, then the tree
+    /// links and the narrowed per-state costs.
     ///
     /// # Panics
     ///
-    /// Refuses a table whose records cannot hold a route: one of 255 hops
-    /// or more, or of `2^32` µs or more. (A state no route follows may
-    /// cost more; the index saturates it, see [`narrow`].)
+    /// Refuses a table whose records cannot hold a route: one of more than
+    /// [`INLINE`] links, or of `2^32` µs or more. (A state no route follows
+    /// may cost more; the index saturates it, see [`narrow`].)
     #[expect(
         clippy::indexing_slicing,
         reason = "src − base < the rows lent; tree_links has n_links bits"
     )]
     #[expect(
         clippy::panic,
-        reason = "refusal at build time: a route must fit its record's u8 hops and u32 latency"
+        reason = "refusal at build time: a route must fit its record's INLINE links and u32 latency"
     )]
     fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
         let (r, ns, words) = (src - self.base, 2 * self.n, self.words);
         scratch.sweep(states, src * 2, ns);
-        // Every route must fit its record, and the spill segment is sized
-        // before it is filled.
-        let mut spilled = 0;
-        for dst in 0..self.n {
-            let Some((_, hops, latency)) = scratch.best(dst) else {
-                continue;
-            };
-            if hops >= u32::from(u8::MAX) || latency > u64::from(u32::MAX) {
-                panic!(
-                    "route table refused: AS {src} routes to AS {dst} in {hops} hops and \
-                     {latency} µs, past the record's {} hops and {} µs",
-                    u8::MAX - 1,
-                    u32::MAX
-                );
-            }
-            if hops as usize > INLINE {
-                spilled += hops as usize;
-            }
-        }
-        let spill = &mut self.spill[r];
-        spill.clear();
-        spill.reserve_exact(spilled);
-        spill.resize(spilled, 0);
-        let mut off = 0;
         let routes = &mut self.routes[r];
         if routes.is_empty() {
             // A full build allocates each row in the worker that fills it.
             *routes = vec![UNREACHABLE; self.n].into();
         }
         for (dst, out) in routes.iter_mut().enumerate() {
-            *out = scratch.summarize(dst, spill, &mut off);
+            *out = match scratch.best(dst) {
+                None => UNREACHABLE,
+                Some((_, hops, latency))
+                    if hops as usize > INLINE || latency > u64::from(u32::MAX) =>
+                {
+                    panic!(
+                        "route table refused: AS {src} routes to AS {dst} in {hops} hops and \
+                         {latency} µs, past the record's {INLINE} hops and {} µs",
+                        u32::MAX
+                    )
+                }
+                Some(best) => scratch.summarize(best),
+            };
         }
         let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
         tree_links.fill(0);
@@ -683,9 +647,6 @@ pub struct Routing {
     /// row allocated by the worker that first fills it (see
     /// docs/PERFORMANCE.md, "Route table").
     routes: Vec<Box<[Route]>>,
-    /// Per source AS, the link indices of its paths longer than
-    /// [`INLINE`] links, back to back in destination order.
-    spill: Vec<Vec<u16>>,
     /// Per-source repair bookkeeping (see [`RepairIndex`]).
     index: RepairIndex,
     /// The link mask the rows were built under (all false: no link
@@ -706,7 +667,6 @@ impl PartialEq for Routing {
     fn eq(&self, other: &Routing) -> bool {
         (self.mode, self.n) == (other.mode, other.n)
             && self.routes == other.routes
-            && self.spill == other.spill
             && self.index == other.index
             && self.mask == other.mask
     }
@@ -756,7 +716,6 @@ impl Routing {
             mode,
             n,
             routes: vec![Box::default(); n],
-            spill: vec![Vec::new(); n],
             index: RepairIndex::new(n, n_links),
             mask: mask.map_or_else(|| vec![false; n_links], <[bool]>::to_vec),
             workers: threads,
@@ -882,7 +841,6 @@ impl Routing {
             n: *n,
             words: *words,
             routes: &mut self.routes,
-            spill: &mut self.spill,
             hops,
             latency,
             tree_links,
@@ -965,9 +923,8 @@ impl Routing {
     }
 
     /// The link indices along the chosen path from `src` to `dst`, in
-    /// traversal order, borrowed from the pair's record or, past five
-    /// links, from the source's spill segment (no allocation). Empty for
-    /// `src == dst`.
+    /// traversal order, borrowed from the pair's record (no allocation).
+    /// Empty for `src == dst`.
     #[inline]
     pub fn path_links(&self, src: AsId, dst: AsId) -> Option<&[u16]> {
         Some(self.route_path(src, dst)?.1)
@@ -977,14 +934,7 @@ impl Routing {
     #[inline]
     pub(crate) fn route_path(&self, src: AsId, dst: AsId) -> Option<(&Route, &[u16])> {
         let r = self.route(src, dst)?;
-        let len = usize::from(r.hops);
-        let path = if len <= INLINE {
-            r.links.get(..len)?
-        } else {
-            let off = r.spill_offset();
-            self.spill.get(src.idx())?.get(off..off + len)?
-        };
-        Some((r, path))
+        Some((r, r.links.get(..usize::from(r.hops))?))
     }
 
     /// The AS sequence of the chosen path, starting at `src` and ending at
@@ -1223,8 +1173,8 @@ mod tests {
     }
 
     /// Sixteen ASes in a ring of transit links, each AS the provider of
-    /// the next: in both modes the far side is eight hops away, so most
-    /// paths spill.
+    /// the next: in both modes the far side is eight hops away, past what
+    /// a record holds.
     fn ring16() -> AsGraph {
         let mut g = isolated(16);
         for i in 0..16u16 {
@@ -1249,26 +1199,44 @@ mod tests {
         g
     }
 
-    /// Figure 1, the two long-path shapes, and the degenerate ones: no
-    /// AS, one AS, and three ASes with no link between them.
+    /// Figure 1 and the degenerate ones: no AS, one AS, and three ASes
+    /// with no link between them.
     fn fixtures() -> Vec<AsGraph> {
-        vec![
-            figure1(),
-            ring16(),
-            deep_tree(),
-            isolated(0),
-            isolated(1),
-            isolated(3),
-        ]
+        vec![figure1(), isolated(0), isolated(1), isolated(3)]
     }
 
-    /// Pairs whose path lives in the spill segment.
-    fn spilled_pairs(r: &Routing) -> usize {
-        r.routes
-            .iter()
-            .flat_map(|row| row.iter())
-            .filter(|x| x.hops != u8::MAX && usize::from(x.hops) > INLINE)
-            .count()
+    /// A one-thread build of `g` under `mask`, or its refusal's message.
+    /// It is refused exactly when [`ReferenceRouting`] routes some pair
+    /// past five links.
+    fn built(g: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> Result<Routing, String> {
+        let refr = ReferenceRouting::compute(g, mode, mask);
+        let ids = || (0..g.len()).map(AsId::from_index);
+        let long =
+            ids().any(|a| ids().any(|b| refr.as_hops(a, b).is_some_and(|h| h as usize > INLINE)));
+        let built = std::panic::catch_unwind(|| Routing::compute_indexed_threads(g, mode, mask, 1))
+            .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default());
+        assert_eq!(built.is_err(), long, "{} ASes {mode:?}", g.len());
+        built
+    }
+
+    /// The message of the refusal a one-thread build of `g` must raise.
+    fn refusal(g: &AsGraph, mode: RoutingMode) -> String {
+        built(g, mode, None).err().expect("the build is refused")
+    }
+
+    /// The two long-path shapes route some pair past five links in both
+    /// modes, so a record cannot hold them.
+    #[test]
+    fn the_ring_and_the_deep_tree_are_refused() {
+        for g in [ring16(), deep_tree()] {
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                let msg = refusal(&g, mode);
+                assert!(
+                    msg.starts_with("route table refused: AS "),
+                    "{mode:?}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1413,7 +1381,6 @@ mod tests {
                 for threads in [1, 16] {
                     let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
                     r.repair_with_mask(&g, Some(&mask));
-                    assert!(r.spill.iter().all(Vec::is_empty), "{mode:?}");
                     for (a, b) in (0..g.len()).flat_map(|a| (0..g.len()).map(move |b| (a, b))) {
                         let path = r.path_links(AsId::from_index(a), AsId::from_index(b));
                         assert_eq!(path, (a == b).then_some(&[][..]), "{mode:?} {a}->{b}");
@@ -1443,8 +1410,21 @@ mod tests {
         for salt in 0..5 {
             let mask = random_mask(&g, 0.3, salt);
             let vf = Routing::compute_indexed(&g, RoutingMode::ValleyFree, Some(&mask));
-            let sp = Routing::compute_indexed(&g, RoutingMode::ShortestPath, Some(&mask));
-            assert!(vf.reachable_fraction() <= sp.reachable_fraction() + 1e-12);
+            // A shortest path may detour past five links under the mask;
+            // the reference's reachability stands in for a refused table.
+            let sp = match built(&g, RoutingMode::ShortestPath, Some(&mask)) {
+                Ok(sp) => sp.reachable_fraction(),
+                Err(_) => {
+                    let refr =
+                        ReferenceRouting::compute(&g, RoutingMode::ShortestPath, Some(&mask));
+                    let ids = || (0..g.len()).map(AsId::from_index);
+                    let pairs =
+                        ids().flat_map(|a| ids().filter(move |&b| b != a).map(move |b| (a, b)));
+                    let reached = pairs.filter(|&(a, b)| refr.as_hops(a, b).is_some()).count();
+                    reached as f64 / (g.len() * (g.len() - 1)) as f64
+                }
+            };
+            assert!(vf.reachable_fraction() <= sp + 1e-12);
         }
     }
 
@@ -1513,7 +1493,6 @@ mod tests {
 
     #[test]
     fn repair_matches_full_rebuild_across_mask_sequence() {
-        let mut spilled = 0;
         for g in fixtures() {
             let nl = g.links.len();
             let down = |cut: fn(usize) -> bool| (0..nl).map(cut).collect::<Vec<bool>>();
@@ -1544,12 +1523,10 @@ mod tests {
                         let all_dirty = stats.changed_links > 0 && stats.dirty_sources == g.len();
                         assert_eq!(stats.full_rebuild, all_dirty);
                         assert_matches_reference(&r, &g, Some(step));
-                        spilled += spilled_pairs(&r);
                     }
                 }
             }
         }
-        assert!(spilled > 0, "no repaired row spilled a path");
     }
 
     /// A table built under one mask and repaired straight to another
@@ -1622,35 +1599,33 @@ mod tests {
         mask[g.links.iter().position(leaf_peering).expect("leaf peering")] = true;
         // The cut, then its heal.
         for new in [Some(&mask[..]), None] {
-            // Every segment gets an allocation of its own, so a row that
-            // is replaced rather than rewritten in place shows as moved.
-            for row in &mut r.spill {
-                row.reserve(1);
-            }
-            let before: Vec<_> = r.spill.iter().map(|p| p.as_ptr()).collect();
-            let (routes, spill) = (r.routes.clone(), r.spill.clone());
+            // Every row is an allocation of its own, so a row that is
+            // replaced rather than rewritten in place shows as moved.
+            let before: Vec<_> = r.routes.iter().map(|row| row.as_ptr()).collect();
+            let routes = r.routes.clone();
             let stats = r.repair_with_mask(&g, new);
             assert!(!stats.full_rebuild && stats.dirty_sources > 0);
             let full = Routing::compute_indexed_threads(&g, mode, new, 1);
             for (s, &ptr) in before.iter().enumerate() {
-                assert_eq!(r.spill[s].as_ptr(), ptr, "row {s} moved");
+                assert_eq!(r.routes[s].as_ptr(), ptr, "row {s} moved");
                 if r.dirty_sources().contains(&u32::try_from(s).unwrap()) {
-                    assert_eq!(r.spill[s], full.spill[s], "dirty row {s}");
                     assert_eq!(r.routes[s], full.routes[s], "dirty row {s}");
                 } else {
-                    assert_eq!(r.spill[s], spill[s], "clean row {s}");
                     assert_eq!(r.routes[s], routes[s], "clean row {s}");
                 }
             }
         }
         // No changed link: the repair returns before it touches any row —
         // a mark left in every row is still there afterwards.
-        for row in &mut r.spill {
-            row.push(u16::MAX);
+        for row in &mut r.routes {
+            row[0].links[INLINE - 1] = u16::MAX;
         }
         let stats = r.repair_with_mask(&g, Some(&vec![false; mask.len()]));
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
-        assert!(r.spill.iter().all(|row| row.last() == Some(&u16::MAX)));
+        assert!(r
+            .routes
+            .iter()
+            .all(|row| row[0].links[INLINE - 1] == u16::MAX));
     }
 
     // Four route records to a cache line.
@@ -1658,7 +1633,7 @@ mod tests {
 
     #[test]
     fn an_index_state_is_six_bytes() {
-        let g = ring16();
+        let g = figure1();
         let r = Routing::compute(&g, RoutingMode::ValleyFree);
         let states = g.len() * 2 * g.len();
         let bytes = std::mem::size_of_val(r.index.hops.as_slice())
@@ -1692,16 +1667,23 @@ mod tests {
         Routing::compute_indexed_threads(&g, RoutingMode::ShortestPath, None, 1);
     }
 
-    /// A chain of 256 ASes: its ends are 255 hops apart, one past what a
-    /// record's `u8` holds beside its unreachable sentinel.
+    /// Chains of 256 ASes, whose ends are 255 hops apart (past what a
+    /// record's `u8` holds beside its unreachable sentinel), and of 7 ASes,
+    /// whose ends are six hops apart: both are refused at the first route
+    /// past five links.
     #[test]
-    #[should_panic(expected = "route table refused: AS 0 routes to AS 255 in 255 hops")]
     fn a_route_of_255_hops_is_refused() {
-        let mut g = isolated(256);
-        for i in 0..255u16 {
-            g.add_transit(AsId(i), AsId(i + 1), 1_000, 1_000.0);
+        for n in [256, 7] {
+            let mut g = isolated(n);
+            for i in 1..n {
+                g.add_transit(AsId::from_index(i - 1), AsId::from_index(i), 1_000, 1_000.0);
+            }
+            let msg = refusal(&g, RoutingMode::ShortestPath);
+            assert!(
+                msg.starts_with("route table refused: AS 0 routes to AS 6 in 6 hops"),
+                "{n} ASes: {msg}"
+            );
         }
-        Routing::compute_indexed_threads(&g, RoutingMode::ShortestPath, None, 1);
     }
 
     /// The widest route latency a record holds is accepted in both modes.
@@ -1844,10 +1826,6 @@ mod tests {
             for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
                 let table = Routing::compute(&g, mode);
                 assert_matches_reference(&table, &g, None);
-                // The ring and the tree spill in both modes.
-                if g.len() >= 16 {
-                    assert!(spilled_pairs(&table) > 0, "{} ASes {mode:?}", g.len());
-                }
             }
         }
     }

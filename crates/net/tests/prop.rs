@@ -129,6 +129,44 @@ fn assert_matches_reference(
     Ok(())
 }
 
+/// Whether `refr` routes some ordered pair of `g` past five links, more
+/// than a route record holds.
+fn routes_past_five_links(g: &uap_net::AsGraph, refr: &ReferenceRouting) -> bool {
+    let ids = || (0..g.len()).map(AsId::from_index);
+    ids().any(|a| ids().any(|b| refr.as_hops(a, b) > Some(5)))
+}
+
+/// The message of the panic `f` raises, or `None` when it returns.
+fn panic_of<T>(f: impl FnOnce() -> T) -> Option<String> {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    Some(
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    )
+}
+
+/// A mask under which the reference routes a pair past five links leaves
+/// no table: a one-thread build of `g` under it panics with `route table
+/// refused`, and so does repairing `r` to it (on more threads the panic
+/// may be a worker's, re-raised by the scope). `r` is not usable after.
+fn assert_refused(g: &uap_net::AsGraph, r: &mut Routing, mask: &[bool]) -> Result<(), String> {
+    let fresh = panic_of(|| Routing::compute_indexed_threads(g, r.mode(), Some(mask), 1));
+    prop_assert!(
+        fresh
+            .as_deref()
+            .is_some_and(|m| m.starts_with("route table refused")),
+        "build not refused: {:?}",
+        fresh
+    );
+    prop_assert!(
+        panic_of(|| r.repair_with_mask(g, Some(mask))).is_some(),
+        "repair not refused"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -305,7 +343,9 @@ proptest! {
     /// repair index (an index that drifted would only show epochs later,
     /// as a dirty source missed), and agrees with the pre-table reference
     /// implementation on every pair's hops, latency, path and transit
-    /// count at every step.
+    /// count at every step. In shortest-path mode a mask can detour a
+    /// route past five links: that step's repair is refused, and the
+    /// chain ends there.
     #[test]
     fn repair_chain_matches_full_rebuild_and_reference(
         seed in any::<u64>(),
@@ -325,11 +365,14 @@ proptest! {
             } else {
                 (0..g.links.len()).map(|_| rng.f64() < 0.15).collect()
             };
+            let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
+            if routes_past_five_links(&g, &refr) {
+                return assert_refused(&g, &mut r, &mask);
+            }
             let stats = r.repair_with_mask(&g, Some(&mask));
             prop_assert_eq!(stats.sources_total, g.len());
             let full = Routing::compute_indexed_threads(&g, mode, Some(&mask), threads);
             prop_assert!(r == full, "table or repair index diverged at step {} ({:?})", step, stats);
-            let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
             assert_matches_reference(&g, &r, &refr)?;
         }
     }
@@ -341,6 +384,8 @@ proptest! {
     /// full build under a random mask, and repairs through a chain of
     /// random masks back to none, match the heap-ordered reference on
     /// every pair, and each repair matches the rebuild, index included.
+    /// A mask that detours a route past five links is refused, and ends
+    /// that mode's chain.
     #[test]
     fn tie_heavy_tables_match_reference_and_rebuild(
         seed in any::<u64>(),
@@ -361,8 +406,13 @@ proptest! {
         for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
             let mut r = Routing::compute_indexed_threads(&g, mode, None, threads);
             for mask in &masks {
+                let refr = ReferenceRouting::compute(&g, mode, Some(mask));
+                if routes_past_five_links(&g, &refr) {
+                    assert_refused(&g, &mut r, mask)?;
+                    break;
+                }
                 let full = Routing::compute_indexed_threads(&g, mode, Some(mask), threads);
-                assert_matches_reference(&g, &full, &ReferenceRouting::compute(&g, mode, Some(mask)))?;
+                assert_matches_reference(&g, &full, &refr)?;
                 let stats = r.repair_with_mask(&g, Some(mask));
                 prop_assert!(r == full, "{:?} table or repair index diverged ({:?})", mode, stats);
             }

@@ -103,12 +103,13 @@ fn benchmark_hierarchy_matches_reference_on_every_pair() {
     let mut g = benchmark_hierarchy();
     assert_eq!(g.len(), 1_055);
     // Every link id fits a route record's u16 slot, and every path its
-    // five inline slots: the spill segments stay empty.
+    // five slots (the build refuses a longer one; the assert states the
+    // bound).
     assert!(g.links.len() < 1 << 16, "{} links", g.links.len());
     for mode in [RoutingMode::ValleyFree, RoutingMode::ShortestPath] {
         let (reachable, longest) = assert_matches_reference(&g, mode);
         assert_eq!(reachable, g.len() * g.len(), "{mode:?}");
-        assert!(longest <= 5, "{mode:?}: a {longest}-hop path spills");
+        assert!(longest <= 5, "{mode:?}: a {longest}-hop path");
     }
     for link in &mut g.links {
         link.latency_us = 1_000;

@@ -33,10 +33,10 @@ fn build_underlay(seed: u64) -> Underlay {
 
 fn main() {
     println!("== ISP-friendly swarm ==\n");
-    let tariffs = CostParams::default();
     println!(
         "tariffs: ${}/Mbps transit (95th percentile), ${} flat per peering port\n",
-        tariffs.transit_usd_per_mbps, tariffs.peering_flat_usd
+        CostParams::TRANSIT_USD_PER_MBPS,
+        CostParams::PEERING_FLAT_USD
     );
     for (label, tracker) in [
         ("vanilla tracker (random peers)", TrackerPolicy::Random),
@@ -59,7 +59,7 @@ fn main() {
         let (report, underlay) =
             run_swarm_with(build_underlay(11), cfg, 11, &mut Tracer::disabled());
         let horizon = ROUND.mul(report.rounds as u64);
-        let bills = bill_all(&underlay.graph, &underlay.traffic, &tariffs, horizon);
+        let bills = bill_all(&underlay.graph, &underlay.traffic, &CostParams, horizon);
         println!("--- {label} ---");
         println!(
             "  completed {}/{} leechers, mean {:.0}s / median {:.0}s",

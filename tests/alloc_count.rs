@@ -397,9 +397,8 @@ fn fault_boundaries_allocate_per_repair() {
     let (epochs, repairs, dirty) = (10 * states.len(), 10 * repairs, 10 * dirty);
     // What remains is the fork. The route table read its worker count
     // once at build, its repair index keeps the state graph and every worker's
-    // sweep buffers, and each row's spill segment has outgrown its largest
-    // spilled path set in the warm-up cycle (the 18-AS hierarchy spills
-    // none). A repair on several workers opens one
+    // sweep buffers, and each row's records are rewritten where they live.
+    // A repair on several workers opens one
     // scope (its shared state, one allocation) and spawns all but one of
     // them: thread handle, result packet and boxed closure, plus two for
     // the output capture a spawned thread inherits under the test harness;
