@@ -73,8 +73,6 @@ pub struct GnutellaSim {
     query_delay_sum_ms: f64,
     timed_queries: u64,
     download_secs_sum: f64,
-    download_bytes_intra: u64,
-    download_bytes_total: u64,
     /// Compiled fault campaign (None = fault-free run).
     faults: Option<CompiledFaultPlan>,
     /// Hosts currently down because of a `HostCrash` fault epoch — a
@@ -220,8 +218,6 @@ impl GnutellaSim {
             query_delay_sum_ms: 0.0,
             timed_queries: 0,
             download_secs_sum: 0.0,
-            download_bytes_intra: 0,
-            download_bytes_total: 0,
             faults,
             crashed: vec![false; n],
             query_log: Vec::new(),
@@ -554,10 +550,8 @@ impl GnutellaSim {
                     ctx.tracer,
                 );
                 ctx.metrics.incr("gnutella.downloads", 1);
-                self.download_bytes_total += bytes;
                 if cat == TrafficCategory::IntraAs {
                     ctx.metrics.incr("gnutella.downloads.intra_as", 1);
-                    self.download_bytes_intra += bytes;
                 }
                 self.download_secs_sum += s;
                 ctx.trace(registry::GNUTELLA_DOWNLOAD, |f| {
@@ -667,6 +661,7 @@ impl GnutellaSim {
         let queries = metrics.counter("gnutella.queries");
         let succ = metrics.counter("gnutella.queries.success");
         let downloads = metrics.counter("gnutella.downloads");
+        let downloads_intra_as = metrics.counter("gnutella.downloads.intra_as");
         GnutellaReport {
             ping_msgs: metrics.counter("gnutella.msg.ping"),
             pong_msgs: metrics.counter("gnutella.msg.pong"),
@@ -675,7 +670,7 @@ impl GnutellaSim {
             queries_issued: queries,
             queries_successful: succ,
             downloads,
-            downloads_intra_as: metrics.counter("gnutella.downloads.intra_as"),
+            downloads_intra_as,
             mean_query_delay_ms: if self.timed_queries > 0 {
                 self.query_delay_sum_ms / self.timed_queries as f64
             } else {
@@ -689,8 +684,10 @@ impl GnutellaSim {
             oracle_queries: self.selector.oracle_queries() + self.exchange_oracle.queries(),
             probe_messages: self.selector.probe_messages(),
             edges: self.overlay.edges(),
-            download_locality: if self.download_bytes_total > 0 {
-                self.download_bytes_intra as f64 / self.download_bytes_total as f64
+            // Every download moves `FILE_SIZE_BYTES`, so the byte share is
+            // the count share.
+            download_locality: if downloads > 0 {
+                downloads_intra_as as f64 / downloads as f64
             } else {
                 0.0
             },

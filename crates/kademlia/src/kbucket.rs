@@ -38,15 +38,14 @@
 use crate::id::Key;
 use uap_net::HostId;
 
-/// A routing-table entry: the overlay key and its underlay attachment.
+/// A routing-table entry: the overlay key and its underlay attachment
+/// (its AS-hop distance from the owner is read when needed, not stored).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Contact {
     /// DHT key.
     pub key: Key,
     /// The host behind it.
     pub host: HostId,
-    /// AS-hop distance from the table owner (cached at insert time).
-    pub as_hops: u32,
 }
 
 /// Bucket overflow policy.
@@ -131,9 +130,10 @@ impl RoutingTable {
     }
 
     /// Observes a contact (on any received message). Returns true if the
-    /// contact ended up in the table.
-    pub fn observe(&mut self, c: Contact) -> bool {
-        let inserted = self.observe_inner(c);
+    /// contact ended up in the table. `as_hops` is the owner's AS-hop
+    /// distance to a host, read only when a `PreferNear` bucket overflows.
+    pub fn observe(&mut self, c: Contact, as_hops: impl Fn(HostId) -> u32) -> bool {
+        let inserted = self.observe_inner(c, as_hops);
         #[cfg(debug_assertions)]
         #[expect(clippy::panic, reason = "debug-only invariant guard")]
         if let Err(e) = self.check_invariants() {
@@ -151,7 +151,7 @@ impl RoutingTable {
         clippy::cast_possible_truncation,
         reason = "bucket indices are < 160, and a bucket holds at most k <= 255 contacts"
     )]
-    fn observe_inner(&mut self, c: Contact) -> bool {
+    fn observe_inner(&mut self, c: Contact, as_hops: impl Fn(HostId) -> u32) -> bool {
         let Some(idx) = self.own.bucket_index(&c.key) else {
             return false; // self
         };
@@ -176,12 +176,13 @@ impl RoutingTable {
             OverflowPolicy::PreferNear => {
                 // Evict the underlay-farthest entry if the newcomer beats it.
                 #[expect(clippy::expect_used, reason = "the bucket is full, so non-empty")]
-                let (far_pos, far) = bucket
+                let (far_hops, far_pos) = bucket
                     .iter()
                     .enumerate()
-                    .max_by_key(|(i, e)| (e.as_hops, *i))
+                    .map(|(i, e)| (as_hops(e.host), i))
+                    .max()
                     .expect("bucket non-empty");
-                if c.as_hops < far.as_hops {
+                if as_hops(c.host) < far_hops {
                     bucket[far_pos] = c;
                     true
                 } else {
@@ -321,13 +322,13 @@ impl RoutingTable {
     }
 
     /// Mean AS-hop distance over all contacts (the quantity PNS drives
-    /// down).
-    pub fn mean_contact_as_hops(&self) -> f64 {
+    /// down), each read through the owner's `as_hops`.
+    pub fn mean_contact_as_hops(&self, as_hops: impl Fn(HostId) -> u32) -> f64 {
         let n = self.len();
         if n == 0 {
             return 0.0;
         }
-        self.contacts().map(|c| c.as_hops as f64).sum::<f64>() / n as f64
+        self.contacts().map(|c| as_hops(c.host) as f64).sum::<f64>() / n as f64
     }
 }
 
@@ -336,19 +337,27 @@ mod tests {
     use super::*;
     use uap_sim::SimRng;
 
+    const _: () = assert!(std::mem::size_of::<Contact>() == 24);
+
+    /// A contact whose host sits `hops` AS hops from the owner: the tests'
+    /// host → hops table is the host id itself, read through [`hops`].
     fn contact(key: Key, hops: u32) -> Contact {
         Contact {
             key,
-            host: HostId(0),
-            as_hops: hops,
+            host: HostId(hops),
         }
+    }
+
+    /// The owner's AS-hop distance to `h` in these tests.
+    fn hops(h: HostId) -> u32 {
+        h.0
     }
 
     #[test]
     fn self_is_never_inserted() {
         let own = Key::ZERO;
         let mut t = RoutingTable::new(own, 4, OverflowPolicy::KeepOld);
-        assert!(!t.observe(contact(own, 0)));
+        assert!(!t.observe(contact(own, 0), hops));
         assert!(t.is_empty());
     }
 
@@ -358,7 +367,7 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 3, OverflowPolicy::KeepOld);
         for _ in 0..500 {
-            t.observe(contact(Key::random(&mut rng), 2));
+            t.observe(contact(Key::random(&mut rng), 2), hops);
         }
         for (i, &s) in t.bucket_sizes().iter().enumerate() {
             assert!(s <= 3, "bucket {i} overfull: {s}");
@@ -372,8 +381,8 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 4, OverflowPolicy::KeepOld);
         let c = contact(Key::random(&mut rng), 1);
-        assert!(t.observe(c));
-        assert!(t.observe(c));
+        assert!(t.observe(c, hops));
+        assert!(t.observe(c, hops));
         assert_eq!(t.len(), 1);
     }
 
@@ -388,9 +397,9 @@ mod tests {
             b[19] = tail;
             Key(b)
         };
-        assert!(t.observe(contact(mk(1), 5)));
-        assert!(t.observe(contact(mk(2), 5)));
-        assert!(!t.observe(contact(mk(3), 0)));
+        assert!(t.observe(contact(mk(1), 5), hops));
+        assert!(t.observe(contact(mk(2), 5), hops));
+        assert!(!t.observe(contact(mk(3), 0), hops));
         assert_eq!(t.len(), 2);
     }
 
@@ -404,17 +413,17 @@ mod tests {
             b[19] = tail;
             Key(b)
         };
-        t.observe(contact(mk(1), 5));
-        t.observe(contact(mk(2), 1));
+        t.observe(contact(mk(1), 5), hops);
+        t.observe(contact(mk(2), 1), hops);
         // Newcomer with 0 hops replaces the 5-hop entry.
-        assert!(t.observe(contact(mk(3), 0)));
+        assert!(t.observe(contact(mk(3), 0), hops));
         let mut c = Vec::new();
         t.closest_into(&own, 10, &mut c);
         assert_eq!(c.len(), 2);
-        assert!(c.iter().all(|e| e.as_hops <= 1));
+        assert!(c.iter().all(|e| hops(e.host) <= 1));
         // A far newcomer is rejected.
-        assert!(!t.observe(contact(mk(4), 9)));
-        assert!((t.mean_contact_as_hops() - 0.5).abs() < 1e-12);
+        assert!(!t.observe(contact(mk(4), 9), hops));
+        assert!((t.mean_contact_as_hops(hops) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -423,7 +432,7 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 8, OverflowPolicy::KeepOld);
         for _ in 0..200 {
-            t.observe(contact(Key::random(&mut rng), 2));
+            t.observe(contact(Key::random(&mut rng), 2), hops);
         }
         let target = Key::random(&mut rng);
         let mut c = Vec::new();
@@ -451,7 +460,7 @@ mod tests {
                 key[19] = j;
                 key[19 - b / 8] |= 1 << (b % 8);
                 if own.bucket_index(&Key(key)) == Some(b) {
-                    assert!(t.observe(contact(Key(key), 1)));
+                    assert!(t.observe(contact(Key(key), 1), hops));
                 }
             }
         }
@@ -472,9 +481,9 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 3, OverflowPolicy::PreferNear);
         let mut keys = Vec::new();
-        for (i, hops) in (0..400).zip((0..7).cycle()) {
+        for (i, h) in (0..400).zip((0..7).cycle()) {
             let k = Key::random(&mut rng);
-            t.observe(contact(k, hops));
+            t.observe(contact(k, h), hops);
             keys.push(k);
             if i % 3 == 0 {
                 t.remove(&keys[(i * 31) % keys.len()]);
@@ -494,9 +503,9 @@ mod tests {
             Key(b)
         };
         // Bucket 0 holds one contact, bucket 159 two.
-        assert!(t.observe(contact(mk(0, 1), 1)));
-        assert!(t.observe(contact(mk(0x80, 1), 1)));
-        assert!(t.observe(contact(mk(0x80, 2), 1)));
+        assert!(t.observe(contact(mk(0, 1), 1), hops));
+        assert!(t.observe(contact(mk(0x80, 1), 1), hops));
+        assert!(t.observe(contact(mk(0x80, 2), 1), hops));
         assert_eq!(t.used, [(0, 1), (159, 2)]);
         // Over-capacity bucket.
         t.contacts.push(contact(mk(0x80, 3), 1));
@@ -547,7 +556,7 @@ mod tests {
         let own = Key::random(&mut rng);
         let mut t = RoutingTable::new(own, 4, OverflowPolicy::KeepOld);
         let c = contact(Key::random(&mut rng), 1);
-        t.observe(c);
+        t.observe(c, hops);
         assert_eq!(t.len(), 1);
         t.remove(&c.key);
         assert!(t.is_empty());

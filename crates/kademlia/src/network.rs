@@ -166,8 +166,7 @@ impl DhtNetwork {
         for i in 1..n {
             let bootstrap = HostId::from_index(rng.index(i));
             let me = HostId::from_index(i);
-            let c = net.contact_of(bootstrap, me);
-            net.nodes[i].table.observe(c);
+            net.observe(me, net.contact_of(bootstrap));
             let own = net.nodes[i].key;
             net.lookup(me, &own, rng);
         }
@@ -214,20 +213,13 @@ impl DhtNetwork {
             .expect("DHT has one node per underlay host")
     }
 
-    #[expect(clippy::expect_used, reason = "the DHT has one node per underlay host")]
-    fn node_mut(&mut self, h: HostId) -> &mut NodeState {
-        self.nodes
-            .get_mut(h.idx())
-            .expect("DHT has one node per underlay host")
-    }
-
     /// Mean AS-hop distance of all routing-table contacts — the table-
-    /// composition effect of PNS.
+    /// composition effect of PNS — read from the underlay as it routes now.
     pub fn mean_table_as_hops(&self) -> f64 {
-        let sum: f64 = self
-            .nodes
-            .iter()
-            .map(|n| n.table.mean_contact_as_hops())
+        let sum: f64 = (0..self.len())
+            .map(HostId::from_index)
+            .zip(&self.nodes)
+            .map(|(owner, n)| n.table.mean_contact_as_hops(as_hops(&self.underlay, owner)))
             .sum();
         sum / self.nodes.len() as f64
     }
@@ -237,12 +229,19 @@ impl DhtNetwork {
         self.nodes.iter().map(|n| n.table.len()).sum()
     }
 
-    fn contact_of(&self, h: HostId, relative_to: HostId) -> Contact {
+    fn contact_of(&self, h: HostId) -> Contact {
         Contact {
             key: self.node(h).key,
             host: h,
-            as_hops: self.underlay.as_hops(relative_to, h).unwrap_or(u32::MAX),
         }
+    }
+
+    /// `owner`'s table observes `c`, reading distances from its route row.
+    #[expect(clippy::indexing_slicing, reason = "the DHT has one node per host")]
+    fn observe(&mut self, owner: HostId, c: Contact) {
+        self.nodes[owner.idx()]
+            .table
+            .observe(c, as_hops(&self.underlay, owner));
     }
 
     /// One RPC round trip from `from` to `to`; returns the RTT and charges
@@ -263,8 +262,7 @@ impl DhtNetwork {
         let rtt = if self.is_online(to) {
             self.underlay.account_transfer(now, to, from, RPC_BYTES);
             // The responder learns the caller (standard Kademlia liveness).
-            let caller = self.contact_of(from, to);
-            self.node_mut(to).table.observe(caller);
+            self.observe(to, self.contact_of(from));
             self.underlay.rtt_us(from, to)
         } else {
             None // request lost; timeout
@@ -362,7 +360,8 @@ impl DhtNetwork {
                 // the underlay-closest first. The pool stays XOR-bounded so
                 // convergence is unaffected.
                 let pool = candidates.len().min(2 * ALPHA);
-                candidates[..pool].sort_by_key(|c| (c.as_hops, c.key.0));
+                let near = as_hops(&self.underlay, from);
+                candidates[..pool].sort_by_key(|c| (near(c.host), c.key.0));
             }
             candidates.truncate(ALPHA);
             let asked = candidates.len();
@@ -378,14 +377,7 @@ impl DhtNetwork {
                         self.nodes[c.host.idx()]
                             .table
                             .closest_into(target, K, &mut resp);
-                        for &(mut r) in &resp {
-                            if r.key == me {
-                                continue;
-                            }
-                            // Re-base the cached AS distance on the caller.
-                            r.as_hops = self.underlay.as_hops(from, r.host).unwrap_or(u32::MAX);
-                            learned.push(r);
-                        }
+                        learned.extend(resp.iter().filter(|r| r.key != me));
                     }
                     None => {
                         // Timeout: drop the dead contact and remember it so
@@ -417,7 +409,7 @@ impl DhtNetwork {
                     continue;
                 }
                 if self.online[l.host.idx()] {
-                    self.nodes[from.idx()].table.observe(l);
+                    self.observe(from, l);
                 }
                 // The shortlist stays sorted by distance to `target`; a
                 // search hit is a contact it already holds.
@@ -619,6 +611,12 @@ impl World<DhtEv> for DhtWorld<'_> {
     }
 }
 
+/// `owner`'s AS-hop distance to a host as the underlay routes now; an
+/// unroutable pair reads `u32::MAX`, the farthest.
+fn as_hops(underlay: &Underlay, owner: HostId) -> impl Fn(HostId) -> u32 + '_ {
+    move |h| underlay.as_hops(owner, h).unwrap_or(u32::MAX)
+}
+
 /// Adds `key` to the sorted set `keys` unless it is already there.
 fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
     if let Err(pos) = keys.binary_search(&key) {
@@ -629,7 +627,7 @@ fn insert_sorted(keys: &mut Vec<Key>, key: Key) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uap_net::{FaultKind, NetParams};
+    use uap_net::{FaultKind, FaultState, NetParams};
     use uap_sim::TraceLevel;
 
     fn underlay(n: usize, seed: u64) -> Underlay {
@@ -862,6 +860,58 @@ mod tests {
         assert_eq!(a.mean_table_as_hops(), b.mean_table_as_hops());
     }
 
+    /// Every contact's AS-hop distance from its table's owner, as the
+    /// underlay routes now, node by node.
+    fn contact_hops(net: &DhtNetwork) -> Vec<Vec<Option<u32>>> {
+        net.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let owner = HostId::from_index(i);
+                let contacts = n.table.contacts();
+                contacts
+                    .map(|c| net.underlay.as_hops(owner, c.host))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The table mean computed apart from the tables' own reader.
+    fn independent_mean(net: &DhtNetwork) -> f64 {
+        let per_node = contact_hops(net).into_iter().map(|hops| {
+            let sum: f64 = hops.iter().map(|h| h.unwrap_or(u32::MAX) as f64).sum();
+            if hops.is_empty() {
+                0.0
+            } else {
+                sum / hops.len() as f64
+            }
+        });
+        per_node.sum::<f64>() / net.len() as f64
+    }
+
+    /// A fault boundary reaches the PNS table metric: no contact keeps the
+    /// distance it was learned at.
+    #[test]
+    fn table_as_hops_follow_a_fault_boundary_and_its_heal() {
+        let (mut net, _) = network(64, ProximityMode::Pns, 17);
+        let before = contact_hops(&net);
+        assert_eq!(net.mean_table_as_hops(), independent_mean(&net));
+        let plan = FaultPlan::new().epoch(
+            SimTime::ZERO,
+            SimTime::from_secs(10),
+            FaultKind::TransitDown { p: 0.5, salt: 3 },
+        );
+        let state = plan
+            .compile(&net.underlay.graph, net.len())
+            .state_at(SimTime::ZERO);
+        net.underlay.apply_fault_state(&state);
+        assert_ne!(contact_hops(&net), before, "the cut moves some contact");
+        assert_eq!(net.mean_table_as_hops(), independent_mean(&net));
+        net.underlay.apply_fault_state(&FaultState::clear());
+        assert_eq!(contact_hops(&net), before);
+        assert_eq!(net.mean_table_as_hops(), independent_mean(&net));
+    }
+
     #[test]
     fn lookup_latency_and_rounds_reported() {
         let (mut net, mut rng) = network(64, ProximityMode::None, 9);
@@ -906,7 +956,7 @@ mod tests {
         let (mut net, mut rng) = network(32, ProximityMode::Pns, 14);
         let me = HostId(9);
         let own = net.key_of(me);
-        net.node_mut(me).table = RoutingTable::new(own, 8, OverflowPolicy::PreferNear);
+        net.nodes[me.idx()].table = RoutingTable::new(own, 8, OverflowPolicy::PreferNear);
         let out = net.lookup(me, &Key::random(&mut rng), &mut rng);
         assert!(out.closest.is_empty());
         assert_eq!((out.rpcs, out.rounds, out.latency_us), (0, 1, 0));

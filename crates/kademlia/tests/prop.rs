@@ -23,6 +23,23 @@ fn key_in_bucket(own: &Key, b: usize, rng: &mut SimRng) -> Key {
     Key(out)
 }
 
+/// A host → AS-hops table of `n` hosts, each 0 to 5 hops from the owner.
+#[expect(clippy::unwrap_used, reason = "a draw below 6 fits a u32")]
+fn hops_table(n: usize, rng: &mut SimRng) -> Vec<u32> {
+    (0..n)
+        .map(|_| u32::try_from(rng.below(6)).unwrap())
+        .collect()
+}
+
+/// The owner's distance function over `table`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every host id is below the table's length"
+)]
+fn reader(table: &[u32]) -> impl Fn(HostId) -> u32 + '_ {
+    |h| table[h.idx()]
+}
+
 /// The k-closest answer as it was computed before bucket-order selection:
 /// the whole table, stable-sorted on materialised distances, truncated.
 fn closest_reference(t: &RoutingTable, target: &Key, count: usize) -> Vec<Contact> {
@@ -53,7 +70,7 @@ impl ReferenceTable {
         }
     }
 
-    fn observe(&mut self, c: Contact) -> bool {
+    fn observe(&mut self, c: Contact, as_hops: impl Fn(HostId) -> u32) -> bool {
         let Some(idx) = self.own.bucket_index(&c.key) else {
             return false;
         };
@@ -74,11 +91,11 @@ impl ReferenceTable {
         let Some((far_pos, far)) = bucket
             .iter()
             .enumerate()
-            .max_by_key(|(i, e)| (e.as_hops, *i))
+            .max_by_key(|(i, e)| (as_hops(e.host), *i))
         else {
             return false;
         };
-        if c.as_hops < far.as_hops {
+        if as_hops(c.host) < as_hops(far.host) {
             bucket[far_pos] = c;
             true
         } else {
@@ -96,16 +113,28 @@ impl ReferenceTable {
 proptest! {
     /// The flat table keeps the per-bucket table's every outcome: the same
     /// observe verdicts, and after every operation the same contacts in
-    /// the same order, so sums over `contacts()` add up identically.
+    /// the same order, so sums over `contacts()` add up identically. Both
+    /// read AS-hop distances from one host → hops table, which is redrawn
+    /// before op `swap_at` (as a fault boundary reroutes the underlay), so
+    /// a `PreferNear` eviction after it must read the current distances.
     #[test]
-    fn flat_table_matches_per_bucket_reference(seed in any::<u64>(), k in 1usize..6, n_ops in 1usize..400) {
+    fn flat_table_matches_per_bucket_reference(
+        seed in any::<u64>(),
+        k in 1usize..6,
+        n_ops in 1usize..400,
+        swap_at in 0usize..400,
+    ) {
         let mut rng = SimRng::new(seed);
         let own = Key::random(&mut rng);
         for policy in [OverflowPolicy::KeepOld, OverflowPolicy::PreferNear] {
             let mut t = RoutingTable::new(own, k, policy);
             let mut reference = ReferenceTable::new(own, k, policy);
             let mut keys = vec![own];
+            let mut table = hops_table(n_ops, &mut rng);
             for i in 0..n_ops {
+                if i == swap_at {
+                    table = hops_table(n_ops, &mut rng);
+                }
                 // A fresh key in one of the low buckets (so they fill and
                 // overflow), a fresh random one, or one seen before.
                 let key = match rng.index(3) {
@@ -118,12 +147,11 @@ proptest! {
                     t.remove(&key);
                     reference.remove(&key);
                 } else {
-                    let c = Contact {
-                        key,
-                        host: HostId::from_index(i),
-                        as_hops: u32::try_from(rng.below(6)).unwrap(),
-                    };
-                    prop_assert_eq!(t.observe(c), reference.observe(c));
+                    let c = Contact { key, host: HostId::from_index(i) };
+                    prop_assert_eq!(
+                        t.observe(c, reader(&table)),
+                        reference.observe(c, reader(&table))
+                    );
                 }
                 prop_assert!(t.contacts().eq(reference.buckets.iter().flatten()));
             }
@@ -184,6 +212,7 @@ proptest! {
         for policy in [OverflowPolicy::KeepOld, OverflowPolicy::PreferNear] {
             let mut t = RoutingTable::new(own, k, policy);
             let mut keys = vec![own];
+            let table = hops_table(n_ops, &mut rng);
             for i in 0..n_ops {
                 // Mix of new keys and re-observations.
                 let key = if i % 4 == 0 && keys.len() > 1 {
@@ -193,11 +222,7 @@ proptest! {
                     keys.push(fresh);
                     fresh
                 };
-                t.observe(Contact {
-                    key,
-                    host: HostId::from_index(i),
-                    as_hops: u32::try_from(rng.below(6)).unwrap(),
-                });
+                t.observe(Contact { key, host: HostId::from_index(i) }, reader(&table));
             }
             for (i, s) in t.bucket_sizes().iter().enumerate() {
                 prop_assert!(*s <= k, "bucket {i} holds {s} > k={k}");
@@ -254,17 +279,14 @@ proptest! {
         for policy in [OverflowPolicy::KeepOld, OverflowPolicy::PreferNear] {
             let mut t = RoutingTable::new(own, k, policy);
             let mut stored = own;
+            let table = hops_table(n_ops, &mut rng);
             for i in 0..n_ops {
                 let key = if i % 3 == 0 {
                     Key::random(&mut rng)
                 } else {
                     key_in_bucket(&own, rng.index(160), &mut rng)
                 };
-                let kept = t.observe(Contact {
-                    key,
-                    host: HostId::from_index(i),
-                    as_hops: u32::try_from(rng.below(6)).unwrap(),
-                });
+                let kept = t.observe(Contact { key, host: HostId::from_index(i) }, reader(&table));
                 if kept {
                     stored = key;
                 }

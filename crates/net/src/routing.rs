@@ -28,7 +28,8 @@
 //!
 //! The widths are construction-time refusals (`route table refused: …`):
 //! a graph of more than 65 536 links, and a route of more than five links
-//! or past `u32::MAX` µs. No binary builds one: on the three-tier
+//! or past `u32::MAX` µs, raised in the caller and naming the same pair
+//! at any worker count. No binary builds one: on the three-tier
 //! hierarchies they build, a valley-free path climbs at most two provider
 //! links, crosses at most one peering and descends at most two, and
 //! shortest-path routing there and on the testlabs stays within five
@@ -176,6 +177,9 @@ struct Scratch {
     level: Vec<(u64, u32)>,
     /// The level it collects.
     next: Vec<(u64, u32)>,
+    /// The first route of this worker's range that a record cannot hold,
+    /// as `(src, dst, hops, µs)`; `Routing::rows` raises it in the caller.
+    refused: Option<(usize, usize, u32, u64)>,
 }
 
 impl Scratch {
@@ -202,6 +206,7 @@ impl Scratch {
             transit,
             level,
             next,
+            ..
         } = self;
         hops.clear();
         hops.resize(ns, u32::MAX);
@@ -583,18 +588,13 @@ impl<'a> Rows<'a> {
     /// place: the sweep, then every destination's record, then the tree
     /// links and the narrowed per-state costs.
     ///
-    /// # Panics
-    ///
-    /// Refuses a table whose records cannot hold a route: one of more than
-    /// [`INLINE`] links, or of `2^32` µs or more. (A state no route follows
-    /// may cost more; the index saturates it, see [`narrow`].)
+    /// A route a record cannot hold — one of more than [`INLINE`] links,
+    /// or of `2^32` µs or more — is recorded in `scratch.refused` instead,
+    /// and the row is left unfinished. (A state no route follows may cost
+    /// more; the index saturates it, see [`narrow`].)
     #[expect(
         clippy::indexing_slicing,
         reason = "src − base < the rows lent; tree_links has n_links bits"
-    )]
-    #[expect(
-        clippy::panic,
-        reason = "refusal at build time: a route must fit its record's INLINE links and u32 latency"
     )]
     fn recompute(&mut self, src: usize, states: &StateGraph, scratch: &mut Scratch) {
         let (r, ns, words) = (src - self.base, 2 * self.n, self.words);
@@ -610,11 +610,8 @@ impl<'a> Rows<'a> {
                 Some((_, hops, latency))
                     if hops as usize > INLINE || latency > u64::from(u32::MAX) =>
                 {
-                    panic!(
-                        "route table refused: AS {src} routes to AS {dst} in {hops} hops and \
-                         {latency} µs, past the record's {INLINE} hops and {} µs",
-                        u32::MAX
-                    )
+                    scratch.refused = Some((src, dst, hops, latency));
+                    return;
                 }
                 Some(best) => scratch.summarize(best),
             };
@@ -696,7 +693,7 @@ impl Routing {
     ///
     /// Refuses a graph of more than 65 536 links, whose ids a record's
     /// `u16` slots cannot name, before any row is allocated; and a route
-    /// past the record's widths (`Rows::recompute`).
+    /// past the record's widths (`Routing::recompute_dirty`).
     #[expect(
         clippy::panic,
         reason = "refusal at build time: every link id must fit a record's u16 slot"
@@ -815,6 +812,17 @@ impl Routing {
     /// Recomputes the rows of the index's dirty list under the table's
     /// mask, each written in place by the worker that is lent it; no
     /// other row is read or moved.
+    ///
+    /// # Panics
+    ///
+    /// Refuses a route a record cannot hold (`route table refused: …`)
+    /// once every worker has stopped. A worker stops its range at its
+    /// first refused source, so the lowest range's refusal names the first
+    /// refused source in ascending order, at any worker count.
+    #[expect(
+        clippy::panic,
+        reason = "refusal at build time: a route must fit its record's INLINE links and u32 latency"
+    )]
     fn recompute_dirty(&mut self, graph: &AsGraph) {
         let RepairIndex {
             n,
@@ -846,6 +854,14 @@ impl Routing {
             tree_links,
         };
         Self::rows(states, dirty_list, rows, scratch, per);
+        let refused = scratch.iter().take(workers).find_map(|s| s.refused);
+        if let Some((src, dst, hops, latency)) = refused {
+            panic!(
+                "route table refused: AS {src} routes to AS {dst} in {hops} hops and {latency} µs, \
+                 past the record's {INLINE} hops and {} µs",
+                u32::MAX
+            )
+        }
     }
 
     /// The one fork-join: [`Rows::recompute`] run on every dirty source
@@ -878,8 +894,12 @@ impl Routing {
                     let end = dirty.get(next * per).map_or(n, |&s| s as usize);
                     let mut rows = rest.split_until(end);
                     move || {
+                        scratch.refused = None;
                         for &s in sources {
                             rows.recompute(s as usize, states, scratch);
+                            if scratch.refused.is_some() {
+                                break;
+                            }
                         }
                     }
                 });
@@ -1683,6 +1703,42 @@ mod tests {
                 msg.starts_with("route table refused: AS 0 routes to AS 6 in 6 hops"),
                 "{n} ASes: {msg}"
             );
+        }
+    }
+
+    /// A refusal is raised in the caller and names the same pair at any
+    /// worker count: each worker stops its range at its first refused
+    /// source, and the lowest range's refusal is the one raised. Inputs: a
+    /// 7-AS chain beside 33 isolated ASes (only the first range refuses)
+    /// and a 40-AS chain (every range does).
+    #[test]
+    fn a_refusal_names_the_same_pair_at_any_worker_count() {
+        for chain in [7, 40] {
+            let mut g = isolated(40);
+            for i in 1..chain {
+                g.add_transit(AsId::from_index(i - 1), AsId::from_index(i), 1_000, 1_000.0);
+            }
+            for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+                let msgs = [1, 2, 4].map(|threads| {
+                    let built = std::panic::catch_unwind(|| {
+                        Routing::compute_indexed_threads(&g, mode, None, threads)
+                    });
+                    let payload = built.err().expect("the build is refused");
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                });
+                assert!(
+                    msgs[0].starts_with("route table refused: AS 0 routes to AS 6 in 6 hops"),
+                    "{chain}-AS chain, {mode:?}: {}",
+                    msgs[0]
+                );
+                assert!(
+                    msgs.iter().all(|m| *m == msgs[0]),
+                    "{chain}, {mode:?}: {msgs:?}"
+                );
+            }
         }
     }
 

@@ -148,21 +148,25 @@ fn panic_of<T>(f: impl FnOnce() -> T) -> Option<String> {
 }
 
 /// A mask under which the reference routes a pair past five links leaves
-/// no table: a one-thread build of `g` under it panics with `route table
-/// refused`, and so does repairing `r` to it (on more threads the panic
-/// may be a worker's, re-raised by the scope). `r` is not usable after.
+/// no table: one- and two-worker builds of `g` under it panic with one
+/// `route table refused: …` message, and repairing `r` to it (on `r`'s
+/// own worker count) with the same message. `r` is not usable after.
 fn assert_refused(g: &uap_net::AsGraph, r: &mut Routing, mask: &[bool]) -> Result<(), String> {
-    let fresh = panic_of(|| Routing::compute_indexed_threads(g, r.mode(), Some(mask), 1));
+    let mode = r.mode();
+    let build =
+        |threads| panic_of(|| Routing::compute_indexed_threads(g, mode, Some(mask), threads));
+    let one = build(1);
     prop_assert!(
-        fresh
-            .as_deref()
+        one.as_deref()
             .is_some_and(|m| m.starts_with("route table refused")),
         "build not refused: {:?}",
-        fresh
+        one
     );
-    prop_assert!(
-        panic_of(|| r.repair_with_mask(g, Some(mask))).is_some(),
-        "repair not refused"
+    prop_assert_eq!(build(2), one.clone(), "two workers name another refusal");
+    prop_assert_eq!(
+        panic_of(|| r.repair_with_mask(g, Some(mask))),
+        one,
+        "the repair names another refusal"
     );
     Ok(())
 }
