@@ -37,6 +37,10 @@
 #                                 and the hierarchy has fewer than
 #                                 65 536 links and no path past the
 #                                 five links a 16-byte record holds,
+#                                 its Underlay::build holds no repair
+#                                 index until one rotation-link cut,
+#                                 after whose heal the table equals
+#                                 compute_indexed's, index included,
 #                                 the traffic ledger of 262 144 transfers
 #                                 on the underlay_scale underlay equals
 #                                 an independent sum over path_links,

@@ -212,8 +212,9 @@ impl Overlay {
     ///
     /// Semantics: the origin transmits to every neighbor; a node receiving
     /// the flood for the first time at hop `h < ttl` forwards to all its
-    /// neighbors except the sender (each transmission is counted, including
-    /// those that arrive at already-visited nodes and are dropped).
+    /// neighbors, the sender included (each transmission is counted,
+    /// including those that arrive at already-visited nodes and are
+    /// dropped).
     /// Ultrapeers forward; leaves receive but never forward. Leaves
     /// attached to a reached ultrapeer are delivered to (and counted) as
     /// hop `h + 1` even when `h + 1 == ttl`, like real leaf delivery.
@@ -355,10 +356,9 @@ mod tests {
         assert_eq!(r.reached[2].hops, 3);
         let parents: Vec<u32> = r.reached.iter().map(|x| x.parent).collect();
         assert_eq!(parents, [Reached::NO_PARENT, 0, 1]);
-        // Transmissions: 0->1, 1->2 (+1 back-transmission suppressed? no:
-        // node 1 forwards to 0 and 2 … our model forwards to all neighbors,
-        // the copy to the sender is suppressed only via `seen`).
-        assert!(r.messages >= 3);
+        // Transmissions: 0->1, 1->{0,2}, 2->{1,3}; node 3, at the TTL,
+        // forwards nothing.
+        assert_eq!(r.messages, 5);
     }
 
     #[test]

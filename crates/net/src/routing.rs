@@ -39,8 +39,8 @@
 //!
 //! The unit of construction is the source row: one level-synchronous
 //! sweep from one source AS over the valley-free state graph, summarised
-//! (`Rows::recompute`) — its route records and its repair-index entries
-//! written where they live. Every edge adds one
+//! (`Rows::recompute`) — its route records, and its repair-index entries
+//! when the table holds an index, written where they live. Every edge adds one
 //! hop, so the sweep visits the states level by level, each level in
 //! `(latency, state)` order: the order in which a Dijkstra keyed by
 //! `(hops, latency, state)` pops them. That heap-ordered Dijkstra is kept
@@ -52,6 +52,12 @@
 //! repair needs — the private [`RepairIndex`], the mask its rows were
 //! built under, its worker count and the running repair totals — so
 //! [`Routing::repair_with_mask`] takes only the graph and the new mask.
+//! Only a repair reads the index, so [`Routing::compute`] (what
+//! `Underlay::build` runs) writes route records only, and the first
+//! repair that changes a link installs the index with one full sweep
+//! under the old mask before it marks its dirty sources; a run without a
+//! link fault never allocates it. [`Routing::compute_indexed`] builds the
+//! table together with its index.
 //! Rows are computed by the one
 //! fork-join in this file (`Routing::rows`): workers own contiguous
 //! ranges of the sorted source list and write only their own rows, so
@@ -403,10 +409,13 @@ fn ceiling((hops, latency): (u16, u32)) -> (u32, u64) {
 /// incremental: the final per-state costs of every source's sweep and
 /// the set of links each source's predecessor tree uses.
 ///
-/// A [`Routing`] keeps its own, written by the build alongside the rows
-/// and updated in place by [`Routing::repair_with_mask`] for the sources
-/// it recomputes; two indexes compare equal when their persistent fields
-/// do (the scratch buffers are not state). Dirty detection is asymmetric:
+/// A [`Routing`] keeps its own, written alongside the rows by the build
+/// that holds one ([`Routing::compute_indexed`]) or by the sweep that
+/// installs it at the first repair that changes a link, and updated in
+/// place by [`Routing::repair_with_mask`] for the sources it recomputes.
+/// Until then `hops`, `latency` and `tree_links` are empty and
+/// unallocated. Two indexes compare equal when their persistent fields do
+/// (the scratch buffers are not state). Dirty detection is asymmetric:
 ///
 /// * **Link removed** (masked): a source's row can only change if its
 ///   shortest-path tree uses the link — exact, via the tree-link sets.
@@ -462,22 +471,36 @@ struct RepairIndex {
 }
 
 impl RepairIndex {
-    /// An index with no row installed yet: a full build fills every
-    /// source's before any is read.
+    /// An index that holds no per-source entry yet, only the scratch a
+    /// build needs; [`RepairIndex::install`] allocates the entries.
     fn new(n: usize, n_links: usize) -> RepairIndex {
-        let words = n_links.div_ceil(64).max(1);
         RepairIndex {
             n,
             n_links,
-            words,
-            hops: vec![0; n * 2 * n],
-            latency: vec![0; n * 2 * n],
-            tree_links: vec![0; n * words],
+            words: n_links.div_ceil(64).max(1),
+            hops: Vec::new(),
+            latency: Vec::new(),
+            tree_links: Vec::new(),
             dirty: vec![0; n.div_ceil(64)],
             dirty_list: Vec::new(),
             states: StateGraph::default(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Whether the per-source entries are allocated (an index over no
+    /// AS has none to allocate, and no link to repair).
+    fn installed(&self) -> bool {
+        !self.tree_links.is_empty()
+    }
+
+    /// Allocates the per-source entries, zeroed: a full sweep fills every
+    /// source's before any is read.
+    fn install(&mut self) {
+        let (n, words) = (self.n, self.words);
+        self.hops = vec![0; n * 2 * n];
+        self.latency = vec![0; n * 2 * n];
+        self.tree_links = vec![0; n * words];
     }
 
     /// Makes every source dirty: what follows is a full build.
@@ -553,6 +576,9 @@ struct Rows<'a> {
     base: usize,
     n: usize,
     words: usize,
+    /// Whether the table holds an index; without one, `hops`, `latency`
+    /// and `tree_links` are empty and only records are written.
+    indexed: bool,
     routes: &'a mut [Box<[Route]>],
     hops: &'a mut [u16],
     latency: &'a mut [u32],
@@ -570,23 +596,30 @@ impl<'a> Rows<'a> {
     /// Splits off the rows before source `end` (`base <= end <= n`),
     /// keeping the rest.
     fn split_until(&mut self, end: usize) -> Rows<'a> {
-        let (k, n, words) = (end - self.base, self.n, self.words);
+        let (k, n, words, indexed) = (end - self.base, self.n, self.words, self.indexed);
+        let (states, bits) = if indexed {
+            (k * 2 * n, k * words)
+        } else {
+            (0, 0)
+        };
         let front = Rows {
             base: self.base,
             n,
             words,
+            indexed,
             routes: split_front(&mut self.routes, k),
-            hops: split_front(&mut self.hops, k * 2 * n),
-            latency: split_front(&mut self.latency, k * 2 * n),
-            tree_links: split_front(&mut self.tree_links, k * words),
+            hops: split_front(&mut self.hops, states),
+            latency: split_front(&mut self.latency, states),
+            tree_links: split_front(&mut self.tree_links, bits),
         };
         self.base = end;
         front
     }
 
     /// Recomputes source `src`'s row (`src` is one of these rows) in
-    /// place: the sweep, then every destination's record, then the tree
-    /// links and the narrowed per-state costs.
+    /// place: the sweep, then every destination's record, then, when the
+    /// table holds an index, the tree links and the narrowed per-state
+    /// costs.
     ///
     /// A route a record cannot hold — one of more than [`INLINE`] links,
     /// or of `2^32` µs or more — is recorded in `scratch.refused` instead,
@@ -616,6 +649,9 @@ impl<'a> Rows<'a> {
                 Some(best) => scratch.summarize(best),
             };
         }
+        if !self.indexed {
+            return;
+        }
         let tree_links = &mut self.tree_links[r * words..(r + 1) * words];
         tree_links.fill(0);
         // Every reached state but the source has a predecessor link.
@@ -644,7 +680,8 @@ pub struct Routing {
     /// row allocated by the worker that first fills it (see
     /// docs/PERFORMANCE.md, "Route table").
     routes: Vec<Box<[Route]>>,
-    /// Per-source repair bookkeeping (see [`RepairIndex`]).
+    /// Per-source repair bookkeeping (see [`RepairIndex`]), installed by
+    /// the first repair that changes a link unless the build wrote it.
     index: RepairIndex,
     /// The link mask the rows were built under (all false: no link
     /// down), diffed against the next repair's mask to find changed links.
@@ -657,52 +694,71 @@ pub struct Routing {
     totals: (u64, u64, u64),
 }
 
-/// Two tables are equal when their rows, their repair indexes and the
-/// masks they were built under are: the worker count and the repair
-/// totals describe how a table was reached, not what it holds.
+/// Two tables are equal when their rows, the masks they were built under
+/// and, whenever both hold one, their repair indexes are: the worker
+/// count, the repair totals and whether the index is installed yet
+/// describe how a table was reached, not what it answers.
 impl PartialEq for Routing {
     fn eq(&self, other: &Routing) -> bool {
+        let both_indexed = self.index.installed() && other.index.installed();
         (self.mode, self.n) == (other.mode, other.n)
             && self.routes == other.routes
-            && self.index == other.index
+            && (!both_indexed || self.index == other.index)
             && self.mask == other.mask
     }
 }
 
 impl Routing {
-    /// Computes routing tables for every source AS of a fault-free graph.
+    /// Computes routing tables for every source AS of a fault-free graph,
+    /// on the machine's parallelism, writing route records only: the
+    /// first repair that changes a link installs the repair index.
     pub fn compute(graph: &AsGraph, mode: RoutingMode) -> Routing {
-        Self::compute_indexed(graph, mode, None)
+        Self::build(graph, mode, None, Self::machine_workers(), false)
     }
 
     /// Computes routing tables excluding links marked dead in `mask`
-    /// (indexed by link index), on the machine's parallelism. The table
-    /// keeps the index that makes later fault epochs repairable via
+    /// (indexed by link index), on the machine's parallelism, together
+    /// with the index that makes later fault epochs repairable via
     /// [`Routing::repair_with_mask`] instead of full rebuilds.
     pub fn compute_indexed(graph: &AsGraph, mode: RoutingMode, mask: Option<&[bool]>) -> Routing {
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::compute_indexed_threads(graph, mode, mask, workers)
+        Self::compute_indexed_threads(graph, mode, mask, Self::machine_workers())
     }
 
     /// [`Routing::compute_indexed`] with an explicit worker count, kept
     /// for the table's repairs too (the differential tests sweep it to
-    /// prove scheduling cannot leak into the table). A full build is a
-    /// repair of the empty table with every source dirty.
+    /// prove scheduling cannot leak into the table).
     ///
     /// # Panics
     ///
     /// Refuses a graph of more than 65 536 links, whose ids a record's
     /// `u16` slots cannot name, before any row is allocated; and a route
     /// past the record's widths (`Routing::recompute_dirty`).
-    #[expect(
-        clippy::panic,
-        reason = "refusal at build time: every link id must fit a record's u16 slot"
-    )]
     pub fn compute_indexed_threads(
         graph: &AsGraph,
         mode: RoutingMode,
         mask: Option<&[bool]>,
         threads: usize,
+    ) -> Routing {
+        Self::build(graph, mode, mask, threads, true)
+    }
+
+    /// The machine's parallelism.
+    fn machine_workers() -> usize {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    }
+
+    /// The one build: a repair of the empty table with every source
+    /// dirty, writing the index too when `indexed`.
+    #[expect(
+        clippy::panic,
+        reason = "refusal at build time: every link id must fit a record's u16 slot"
+    )]
+    fn build(
+        graph: &AsGraph,
+        mode: RoutingMode,
+        mask: Option<&[bool]>,
+        threads: usize,
+        indexed: bool,
     ) -> Routing {
         let n = graph.len();
         let n_links = graph.links.len();
@@ -718,6 +774,9 @@ impl Routing {
             workers: threads,
             totals: (0, 0, 0),
         };
+        if indexed {
+            routing.index.install();
+        }
         routing.index.mark_all_dirty();
         routing.recompute_dirty(graph);
         routing
@@ -729,8 +788,19 @@ impl Routing {
     /// dirty rules) and leaving every other row where it is —
     /// byte-identical to a full build under `new_mask`, which a
     /// debug-build assertion re-derives after every repair.
+    ///
+    /// A table built without its index installs it first, when some link
+    /// changed: one full sweep under the old mask, which rewrites every
+    /// record as it was. The repair that follows, and the stats it
+    /// returns, are those of a table built with its index.
     #[expect(clippy::indexing_slicing, reason = "li < n_links = each mask's len")]
     pub fn repair_with_mask(&mut self, graph: &AsGraph, new_mask: Option<&[bool]>) -> RepairStats {
+        let now = |li: usize| new_mask.is_some_and(|m| m[li]);
+        if !self.index.installed() && (0..self.mask.len()).any(|li| self.mask[li] != now(li)) {
+            self.index.install();
+            self.index.mark_all_dirty();
+            self.recompute_dirty(graph);
+        }
         let n = self.n;
         let index = &mut self.index;
         debug_assert_eq!(index.n, n);
@@ -739,7 +809,7 @@ impl Routing {
         index.dirty_list.clear();
         let mut changed = 0usize;
         for (li, was) in self.mask.iter_mut().enumerate() {
-            let now = new_mask.is_some_and(|m| m[li]);
+            let now = now(li);
             if *was == now {
                 continue;
             }
@@ -809,6 +879,14 @@ impl Routing {
         self.totals
     }
 
+    /// Bytes allocated for the repair index's per-state costs and
+    /// tree-link sets: 0 until the table is built with its index
+    /// ([`Routing::compute_indexed`]) or repaired across a link change.
+    pub fn repair_index_bytes(&self) -> usize {
+        let ix = &self.index;
+        2 * ix.hops.capacity() + 4 * ix.latency.capacity() + 8 * ix.tree_links.capacity()
+    }
+
     /// Recomputes the rows of the index's dirty list under the table's
     /// mask, each written in place by the worker that is lent it; no
     /// other row is read or moved.
@@ -824,6 +902,7 @@ impl Routing {
         reason = "refusal at build time: a route must fit its record's INLINE links and u32 latency"
     )]
     fn recompute_dirty(&mut self, graph: &AsGraph) {
+        let indexed = self.index.installed();
         let RepairIndex {
             n,
             words,
@@ -848,6 +927,7 @@ impl Routing {
             base: 0,
             n: *n,
             words: *words,
+            indexed,
             routes: &mut self.routes,
             hops,
             latency,
@@ -1651,14 +1731,20 @@ mod tests {
     // Four route records to a cache line.
     const _: () = assert!(size_of::<Route>() == 16 && align_of::<Route>() == 16);
 
+    /// A build writes route records only; the first cut installs the
+    /// index, six bytes a state plus one tree-link bitset a source.
     #[test]
     fn an_index_state_is_six_bytes() {
         let g = figure1();
-        let r = Routing::compute(&g, RoutingMode::ValleyFree);
+        let mut r = Routing::compute(&g, RoutingMode::ValleyFree);
+        assert_eq!(r.repair_index_bytes(), 0);
+        let cut: Vec<bool> = (0..g.links.len()).map(|li| li == 9).collect();
+        r.repair_with_mask(&g, Some(&cut));
         let states = g.len() * 2 * g.len();
         let bytes = std::mem::size_of_val(r.index.hops.as_slice())
             + std::mem::size_of_val(r.index.latency.as_slice());
         assert_eq!(bytes, 6 * states);
+        assert_eq!(r.repair_index_bytes(), bytes + 8 * g.len() * r.index.words);
     }
 
     /// Two ASes joined by one transit link of `latency_us`.
@@ -1764,8 +1850,14 @@ mod tests {
             r.repair_with_mask(&g, None);
             assert!(r == Routing::compute_indexed_threads(&g, mode, None, 1));
         }
-        // AS 1's phase-1 state in source 1's row, stored saturated.
-        let r = Routing::compute_indexed_threads(&two_ases(max), RoutingMode::ValleyFree, None, 1);
+        // AS 1's phase-1 state in source 1's row, stored saturated by the
+        // sweep that installs the index at a lazy table's first cut, and
+        // again by the heal.
+        let g = two_ases(max);
+        let mut r = Routing::compute(&g, RoutingMode::ValleyFree);
+        r.repair_with_mask(&g, Some(&[true]));
+        r.repair_with_mask(&g, None);
+        assert!(r == Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 1));
         let stored = (r.index.hops[4 + 3], r.index.latency[4 + 3]);
         assert_eq!(stored, (2, u32::MAX));
         assert_eq!(floor(stored), Some((2, max)));
@@ -1797,7 +1889,7 @@ mod tests {
         assert!(!stats.full_rebuild);
         assert!(r.dirty_sources().contains(&6));
         assert!(r.dirty_sources().contains(&7));
-        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
+        let pristine = Routing::compute_indexed(&g, RoutingMode::ValleyFree, None);
         assert!(r == pristine);
         assert_eq!(r.as_hops(AsId(6), AsId(7)), Some(1));
     }
@@ -1845,7 +1937,7 @@ mod tests {
         // The rebuilt index keeps working for further epochs.
         let stats = r.repair_with_mask(&g, None);
         assert!(!stats.full_rebuild || stats.dirty_sources == g.len());
-        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
+        let pristine = Routing::compute_indexed(&g, RoutingMode::ValleyFree, None);
         assert!(r == pristine);
     }
 

@@ -212,7 +212,7 @@ impl Underlay {
         config: UnderlayConfig,
         rng: &mut SimRng,
     ) -> Underlay {
-        let routing = Routing::compute_indexed(&graph, config.routing, None);
+        let routing = Routing::compute(&graph, config.routing);
         let hosts = HostPopulation::build(&graph, pop, rng);
         let traffic = TrafficAccounting::new(&graph);
         let route_cache = RouteCache::build(&routing, graph.len(), 1.0);
@@ -846,7 +846,7 @@ mod tests {
         assert_eq!(heal.changed_links, 1);
         assert!(!heal.full_rebuild);
         assert!(heal.dirty_sources >= 2 && heal.dirty_sources * 2 <= n);
-        let pristine = Routing::compute(&u.graph, u.config.routing);
+        let pristine = Routing::compute_indexed(&u.graph, u.config.routing, None);
         assert!(u.routing == pristine);
         assert_eq!(u.route_cache_invalidations(), 2);
     }

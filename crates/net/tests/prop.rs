@@ -433,13 +433,68 @@ proptest! {
     fn unmask_repair_restores_pristine_table(seed in any::<u64>(), kill in any::<usize>()) {
         let g = random_hierarchy(seed, 2, 2, 3);
         let mut r = Routing::compute_indexed_threads(&g, RoutingMode::ValleyFree, None, 2);
-        let pristine = Routing::compute(&g, RoutingMode::ValleyFree);
+        let pristine = Routing::compute_indexed(&g, RoutingMode::ValleyFree, None);
         let mut mask = vec![false; g.links.len()];
         mask[kill % g.links.len()] = true;
         r.repair_with_mask(&g, Some(&mask));
         let heal = r.repair_with_mask(&g, None);
         prop_assert_eq!(heal.changed_links, 1);
         prop_assert!(r == pristine, "heal did not restore the pristine table");
+    }
+
+    /// A table built without its repair index (`Routing::compute`, as
+    /// `Underlay::build` builds it) and one built with it, driven through
+    /// the same random chain of link cuts, heals and unchanged masks in
+    /// both modes, repair alike: at every step the two return the same
+    /// stats and dirty sources and the tables are equal, indexes included
+    /// once both hold one. The lazy table holds no index allocation until
+    /// a step changes a link, then exactly the eager one's. In
+    /// shortest-path mode a mask that detours a route past five links
+    /// ends that mode's chain.
+    #[test]
+    fn a_lazy_index_repairs_like_an_eager_one(
+        seed in any::<u64>(),
+        salt in any::<u64>(),
+        threads in 1usize..4,
+    ) {
+        let g = random_hierarchy(seed, 2, 3, 2);
+        let nl = g.links.len();
+        let mut rng = SimRng::new(salt);
+        for mode in [RoutingMode::ShortestPath, RoutingMode::ValleyFree] {
+            let mut lazy = Routing::compute(&g, mode);
+            let mut eager = Routing::compute_indexed_threads(&g, mode, None, threads);
+            prop_assert_eq!(lazy.repair_index_bytes(), 0);
+            prop_assert!(eager.repair_index_bytes() > 0);
+            prop_assert!(lazy == eager);
+            prop_assert_eq!(lazy.dirty_sources(), eager.dirty_sources());
+            let mut mask = vec![false; nl];
+            let mut changed = false;
+            for step in 0..6 {
+                match rng.index(3) {
+                    // Cut one to three links.
+                    0 => {
+                        for _ in 0..=rng.index(3) {
+                            mask[rng.index(nl)] = true;
+                        }
+                    }
+                    // Heal each cut link with probability one half.
+                    1 => mask.iter_mut().for_each(|down| *down &= rng.f64() < 0.5),
+                    // Change no link.
+                    _ => {}
+                }
+                let refr = ReferenceRouting::compute(&g, mode, Some(&mask));
+                if routes_past_five_links(&g, &refr) {
+                    break;
+                }
+                let stats = lazy.repair_with_mask(&g, Some(&mask));
+                prop_assert_eq!(stats, eager.repair_with_mask(&g, Some(&mask)), "step {}", step);
+                prop_assert_eq!(lazy.dirty_sources(), eager.dirty_sources(), "step {}", step);
+                prop_assert!(lazy == eager, "{:?} table or repair index diverged at step {}", mode, step);
+                changed |= stats.changed_links > 0;
+                let want = if changed { eager.repair_index_bytes() } else { 0 };
+                prop_assert_eq!(lazy.repair_index_bytes(), want, "step {}", step);
+            }
+        }
     }
 
     /// Driving the full underlay through a compiled `FaultPlan` —

@@ -17,6 +17,10 @@
 //! by rate: once at the generator's capacities, where no AS link binds,
 //! and once with every AS link a thousand times narrower, where some do.
 //!
+//! The lazy repair index: the same hierarchy under `Underlay::build`
+//! holds no index until a link changes; one cut and its heal land on a
+//! table built with its index, index included.
+//!
 //! The traffic ledger: the `underlay_scale` underlay (the 1 055-AS
 //! hierarchy with 20 000 leaf hosts, seed 42) accounting 65 536 seeded
 //! host pairs four times over, across five billing windows, its totals,
@@ -24,7 +28,7 @@
 //! rate compared with [`LedgerSum`], an independent sum over each pair's
 //! `path_links`.
 //!
-//! The route-table and ledger tests are release-only (the debug build is
+//! The route-table, repair-index and ledger tests are release-only (the debug build is
 //! about fifty times slower, and checks the ledger's conservation after
 //! every transfer); run all three with
 //!
@@ -40,8 +44,8 @@ mod common;
 
 use common::{reference_rates, LedgerSum};
 use uap_net::{
-    AsGraph, AsId, FlowAllocator, HostId, PopulationSpec, ReferenceRouting, Routing, RoutingMode,
-    TopologyKind, TopologySpec, Underlay, UnderlayConfig,
+    AsGraph, AsId, FaultState, FlowAllocator, HostId, LinkKind, PopulationSpec, ReferenceRouting,
+    Routing, RoutingMode, Tier, TopologyKind, TopologySpec, Underlay, UnderlayConfig,
 };
 use uap_sim::{SimRng, SimTime};
 
@@ -117,6 +121,46 @@ fn benchmark_hierarchy_matches_reference_on_every_pair() {
     for mode in [RoutingMode::ValleyFree, RoutingMode::ShortestPath] {
         assert_matches_reference(&g, mode);
     }
+}
+
+/// `Underlay::build` on the benchmark hierarchy writes route records
+/// only; the first rotation link's cut (a peering away from the tier-1
+/// core, the first link `underlay_scale` cuts) installs the repair index,
+/// and after its heal the table equals a build with its index, index
+/// included. Both boundaries repair as a table built with its index does.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full scale; run with --release")]
+fn benchmark_underlay_installs_its_repair_index_at_the_first_cut() {
+    let mut rng = SimRng::new(42);
+    let g = benchmark_hierarchy_from(&mut rng);
+    let mut u = Underlay::build(
+        g,
+        &PopulationSpec::leaf(2_000),
+        UnderlayConfig::default(),
+        &mut rng,
+    );
+    assert_eq!(u.n_ases(), 1_055);
+    assert_eq!(u.routing().repair_index_bytes(), 0);
+    let tier = |a: AsId| u.graph.nodes[a.idx()].tier;
+    let rotation = u.graph.links.iter().position(|l| {
+        l.kind == LinkKind::Peering && tier(l.a) != Tier::Tier1 && tier(l.b) != Tier::Tier1
+    });
+    let rotation = rotation.expect("a peering away from the tier-1 core");
+    let mut cut = FaultState::clear();
+    cut.mask = Some((0..u.graph.links.len()).map(|li| li == rotation).collect());
+    let mut eager = Routing::compute_indexed(&u.graph, u.config.routing, None);
+    for state in [cut, FaultState::clear()] {
+        let stats = u.apply_fault_state(&state);
+        assert_eq!(stats.changed_links, 1);
+        assert_eq!(
+            stats,
+            eager.repair_with_mask(&u.graph, state.mask.as_deref())
+        );
+        assert_eq!(u.routing().dirty_sources(), eager.dirty_sources());
+    }
+    let built = Routing::compute_indexed(&u.graph, u.config.routing, None);
+    assert!(*u.routing() == built);
+    assert_eq!(u.routing().repair_index_bytes(), built.repair_index_bytes());
 }
 
 #[test]

@@ -418,3 +418,49 @@ fn fault_boundaries_allocate_per_repair() {
          of {dirty} rows on {workers} worker(s) (bound {bound})"
     );
 }
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug invariant checkers allocate; run with --release"
+)]
+fn the_first_link_change_installs_the_repair_index() {
+    let mut u = underlay(300);
+    let mut cut = FaultState::clear();
+    cut.mask = Some((0..u.graph.links.len()).map(|li| li == 0).collect());
+    let (n, stats) = allocs_in(|| u.apply_fault_state(&cut));
+    assert!(stats.changed_links == 1 && stats.dirty_sources > 0);
+    // The build wrote route records only, so this boundary installs the
+    // route table's repair index: its per-state hop counts, per-state
+    // latencies and tree-link bitsets, three allocations. Then two
+    // fork-joins: the install sweep over every source, and the repair
+    // over the dirty ones. A fork over `k` sources on `w` workers spawns
+    // `ceil(k / ceil(k / w)) − 1` threads: one allocation for the scope,
+    // and per spawned thread its handle, result packet and boxed closure,
+    // plus two for the output capture under the test harness (three a
+    // thread under `--nocapture`). Measured with 2 workers: 3 + 6 + 6 =
+    // 15; with 1 worker, 3. Every later boundary pays only its repair's
+    // fork (`fault_boundaries_allocate_per_repair`).
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let spawned = |k: usize| match k.div_ceil(workers) {
+        0 => 0,
+        per => k.div_ceil(per) - 1,
+    };
+    let forks = |per_thread: usize| {
+        [u.n_ases(), stats.dirty_sources]
+            .map(|k| match spawned(k) {
+                0 => 0,
+                s => 1 + per_thread * s,
+            })
+            .iter()
+            .sum::<usize>() as u64
+    };
+    let (low, high) = (3 + forks(3), 3 + forks(5));
+    assert!(
+        (low..=high).contains(&n),
+        "{n} allocations at the first link change, {} dirty of {} sources on {workers} \
+         worker(s) (expected {low}..={high})",
+        stats.dirty_sources,
+        u.n_ases()
+    );
+}
